@@ -14,7 +14,10 @@ weightings (a trade-surface sweep: how does the winner move as memory
 or message pressure grows?) -- three ways:
 
 1. **Per-point loop** (the baseline): ``planner.plan(p)`` once per
-   point, exactly what a user script would write today.
+   point, exactly what a user script would write.  ``plan`` is the
+   one-point case of ``plan_many``, so this is the same search run on
+   one point at a time: nothing is shared across points but the
+   planner's in-memory program memo.
 2. **Lattice, cold**: one ``planner.plan_many(problems)`` call.  The
    acceptance bar: >= 5x end-to-end over the loop, with every ranked
    plan field bit-identical.

@@ -333,11 +333,11 @@ def _use_subcube_replay(vm: VirtualMachine, a: DistMatrix) -> bool:
     """Whether the compiled subcube-replay path applies.
 
     Symbolic runs only (numeric subcubes hold distinct data), with more
-    than one subcube (otherwise the loop is already minimal), and the
-    Schedule IR not disabled (``REPRO_SCHED_DISABLE`` /
-    :func:`repro.sched.compiled_replay_disabled`).  Replay composes with
-    an attached trace sink -- the per-op strategy emits every rank's
-    events with exact timestamps -- so tracing no longer forces the loop.
+    than one subcube (otherwise the loop is already minimal), and outside
+    :func:`repro.sched.compiled_replay_disabled` (the loop oracle that
+    equivalence tests diff replay against).  Replay composes with an
+    attached trace sink -- the per-op strategy emits every rank's events
+    with exact timestamps -- so tracing no longer forces the loop.
     """
     g = a.grid
     return (not a.is_numeric and g.dim_y > g.dim_x

@@ -3,7 +3,7 @@
 One layer through which the whole stack reports what it is doing:
 
 * **Spans** (:func:`span`, :class:`Observer`) — hierarchical, timed,
-  attributed regions (``plan.screen``, ``serve.request``) with
+  attributed regions (``plan_many.screen``, ``serve.request``) with
   ``contextvars`` parenting across async/thread boundaries and a
   zero-cost disabled path.
 * **Metrics** (:func:`get_registry`, :class:`MetricsRegistry`) —

@@ -2,8 +2,8 @@
 
 A span is a named, timed region of work with attributes::
 
-    with obs.span("plan.screen", candidates=114) as sp:
-        survivors = screen(...)
+    with obs.span("plan_many.refine", mode="symbolic") as sp:
+        survivors = refine(...)
         sp.set(survivors=len(survivors))
 
 Spans nest: the span open in the current :mod:`contextvars` context when

@@ -24,9 +24,11 @@ with the vectorized analytic cost model in one batched numpy evaluation
 (:mod:`repro.costmodel.batch`, bit-identical to the scalar closed
 forms), refines the top-k survivors with exact symbolic-VM replay, and
 reports a Pareto frontier over (time, memory high-water, messages)
-rather than a single winner.  Results are fingerprint-keyed and
-persisted in an on-disk plan cache, so serving repeated planning
-queries costs one disk read.
+rather than a single winner.  There is one search path:
+:func:`search_lattice` answers a whole problem lattice
+(``Planner.plan_many``), and ``Planner.plan`` is the one-point case.
+Results are fingerprint-keyed and persisted in an on-disk plan cache,
+so serving repeated planning queries costs one disk read.
 """
 
 from repro.plan.auto import resolve_auto_spec
@@ -47,7 +49,7 @@ from repro.plan.problem import (
     problem_fingerprint,
     problem_from_dict,
 )
-from repro.plan.screen import ScreenResult, enumerate_candidates, screen
+from repro.plan.screen import enumerate_candidates
 
 __all__ = [
     "Budget",
@@ -61,7 +63,6 @@ __all__ = [
     "PlanResult",
     "Planner",
     "ProblemSpec",
-    "ScreenResult",
     "default_block_sizes",
     "default_plan_cache_dir",
     "enumerate_candidates",
@@ -72,6 +73,5 @@ __all__ = [
     "problem_fingerprint",
     "problem_from_dict",
     "resolve_auto_spec",
-    "screen",
     "search_lattice",
 ]

@@ -3,10 +3,11 @@
 The paper's interesting queries are *lattices*, not points -- crossover
 studies, sweeps, and serve traffic ask the planner hundreds of closely
 related ``(m, n, P, machine)`` questions.  :func:`search_lattice` answers
-them all at once, bit-identical plan-for-plan to the per-point
-``Planner.plan`` loop, by amortizing everything the points share.  It is
-the planner's own semi-infinite-programming idiom (cheap relaxation
-prunes, exact replay refines) lifted one level up:
+them all at once by amortizing everything the points share.  It is the
+planner's only search: ``Planner.plan_many`` runs it over a lattice and
+``Planner.plan`` is the one-point case.  It is the planner's own
+semi-infinite-programming idiom (cheap relaxation prunes, exact replay
+refines) lifted one level up:
 
 1. **Cross-problem screening.**  Candidates are enumerated once per
    distinct machine-free shape tuple ``(m, n, P, mode, block sizes,
@@ -23,9 +24,9 @@ prunes, exact replay refines) lifted one level up:
 2. **Deduplicated refinement.**  Top-k survivors are collected across
    *all* points and deduplicated by compiled-program key (machine
    excluded, per the Schedule IR): each distinct configuration is
-   captured exactly once -- by the job that would have captured it in
-   the loop, so its report is the capture's own -- and every other
-   (program, machine) job is answered by one shared vectorized replay.
+   captured exactly once -- by the first job that needs it, whose report
+   is the capture's own -- and every other (program, machine) job is
+   answered by one shared vectorized replay.
 
 3. **Bulk cache probe.**  All fingerprints are probed against the plan
    cache in one directory pass (:meth:`AtomicDiskCache.load_many`), and
@@ -57,7 +58,8 @@ from repro.plan.problem import (
     objective_from_json,
     problem_from_dict,
 )
-from repro.sched import compiled_replay_enabled, program_key
+from repro.plan.screen import enumerate_candidates
+from repro.sched import program_key
 from repro.utils.validation import ValidationError, check_positive_int
 
 
@@ -220,27 +222,15 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
     """Plan every problem in one batched pass; see the module docstring.
 
     Returns ``(results, stats)`` where ``results[i]`` is the point's
-    :class:`~repro.plan.planner.PlanResult` or the exception that point
-    would have raised under ``planner.plan`` (error policy is the
-    caller's -- :meth:`Planner.plan_many` -- concern).
+    :class:`~repro.plan.planner.PlanResult` or the exception planning it
+    raised (error policy and the root span are the caller's --
+    :meth:`Planner.plan` / :meth:`Planner.plan_many` -- concern).
     """
-    from repro.plan.screen import enumerate_candidates
-
     stats = LatticeStats(points=len(problems))
     results: list = [None] * len(problems)
     if not problems:
         return results, stats
-    with span("plan_many", points=len(problems)) as root:
-        _search_lattice(planner, problems, results, stats,
-                        enumerate_candidates)
-        root.set(cache_hits=stats.cache_hits, computed=stats.computed,
-                 errors=stats.errors,
-                 batch_duplicates=stats.batch_duplicates)
-    return results, stats
 
-
-def _search_lattice(planner, problems, results: list, stats: LatticeStats,
-                    enumerate_candidates) -> None:
     # -- stage 0: fingerprints, bulk cache probe, in-batch dedup ------------------
     fingerprints: List[Optional[str]] = [None] * len(problems)
     for i, problem in enumerate(problems):
@@ -256,8 +246,8 @@ def _search_lattice(planner, problems, results: list, stats: LatticeStats,
                 [fp for fp in fingerprints if fp is not None])
             for i, fp in enumerate(fingerprints):
                 if results[i] is None and fp in hits:
-                    # A private shallow copy per point: the loop hands each
-                    # call its own unpickled object.
+                    # A private shallow copy per point: each point owns
+                    # its result, as if unpickled for it alone.
                     results[i] = dataclasses.replace(hits[fp],
                                                      from_cache=True)
                     stats.cache_hits += 1
@@ -294,7 +284,7 @@ def _search_lattice(planner, problems, results: list, stats: LatticeStats,
                 enum_groups[ekey] = enumerate_candidates(problem)
             groups = enum_groups[ekey]
             if not groups:
-                # screen()'s own infeasibility contract, point-local.
+                # The planner's infeasibility contract, point-local.
                 raise CapabilityError(
                     f"no feasible configuration of any searched algorithm "
                     f"for {problem.m} x {problem.n} at P={problem.procs} "
@@ -361,7 +351,7 @@ def _search_lattice(planner, problems, results: list, stats: LatticeStats,
             stats.priced_lanes = int(lengths.sum())
         screen_span.set(lanes=stats.priced_lanes)
 
-    # -- stage 2: per-point plan building and ranking (exactly _search's) ---------
+    # -- stage 2: per-point plan building and ranking -----------------------------
     for i in list(views):
         view = views[i]
         problem = view.problem
@@ -390,28 +380,10 @@ def _search_lattice(planner, problems, results: list, stats: LatticeStats,
 
     # -- stage 3: refinement, deduplicated by program key -------------------------
     refine_start = time.perf_counter()
-    with span("plan_many.refine") as refine_span:
+    with span("plan_many.refine", mode=planner.refine) as refine_span:
         if planner.refine is not None and views:
-            if not compiled_replay_enabled():
-                # Without the Schedule IR there is nothing to share: refine
-                # each point exactly as the loop does.
-                for i in list(views):
-                    view = views[i]
-                    survivors = [k for k, ok
-                                 in enumerate(view.ranked_symbolic)
-                                 if ok][:view.problem.top_k]
-                    try:
-                        planner._refine_symbolic(view.problem, view.plans,
-                                                 survivors)
-                        view.survivors = survivors
-                        stats.refine_jobs += len(survivors)
-                    except Exception as exc:  # noqa: BLE001 - per-point isolation
-                        results[i] = exc
-                        stats.errors += 1
-                        del views[i]
-            else:
-                _refine_lattice(planner, views, results, stats)
-        refine_span.set(jobs=stats.refine_jobs,
+            _refine_lattice(planner, views, results, stats)
+        refine_span.set(survivors=stats.refine_jobs,
                         distinct_programs=stats.distinct_programs,
                         captured=stats.programs_captured,
                         replayed=stats.programs_replayed)
@@ -454,18 +426,19 @@ def _search_lattice(planner, problems, results: list, stats: LatticeStats,
                 # an equal result (from_cache=False) when not.
                 results[i] = dataclasses.replace(
                     outcome, from_cache=planner.cache is not None)
+    return results, stats
 
 
 def _refine_lattice(planner, views: Dict[int, _PointView], results: list,
                     stats: LatticeStats) -> None:
     """Refine every point's survivors with shared captures and replays.
 
-    Mirrors ``Planner._refine_reports`` globally: walking points (and
-    survivors within a point) in order, the *first* job whose program is
-    in neither the memo nor the program cache captures it -- and uses the
-    capture's own report, exactly as the loop's capturing point does --
-    while every other job replays, one vectorized replay per distinct
-    (program, machine) pair.
+    Walking points (and survivors within a point) in order, the *first*
+    job whose program is in neither the memo nor the program cache
+    captures it -- and uses the capture's own report -- while every other
+    job replays, one vectorized replay per distinct (program, machine)
+    pair.  Survivors are the top-k *refinable* plans in ranking order:
+    numeric-only baselines ranked above them do not use up the budget.
     """
     from repro.sched.capture import capture_many, replay_report
 

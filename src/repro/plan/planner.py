@@ -9,11 +9,14 @@ run?" in three stages:
 2. **Screen** all of them with the vectorized analytic cost model in one
    batched numpy evaluation (the semi-infinite-programming idiom: a
    cheap relaxation prunes a large constrained candidate space).
-3. **Refine** the top-k survivors exactly -- symbolic virtual-machine
-   replay executes the real distributed schedule with shape-only blocks
-   and reports the simulated critical path (``refine="symbolic"``;
-   ``refine=None`` returns the batched screen as-is, which is already
-   bit-identical to the scalar closed forms).
+3. **Refine** the top-k survivors exactly -- each is captured once as a
+   compiled charge program and replayed for its simulated critical path
+   (``refine="symbolic"``; ``refine=None`` returns the batched screen
+   as-is, which is already bit-identical to the scalar closed forms).
+
+One search implements all three: :func:`repro.plan.lattice.search_lattice`
+answers a whole problem lattice (:meth:`Planner.plan_many`), and
+:meth:`Planner.plan` is its one-point case.
 
 The result is a ranked :class:`Plan` list with the Pareto frontier over
 ``(time, memory, messages)`` marked -- the planner reports the trade
@@ -24,9 +27,9 @@ bandwidth with memory and synchronization).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -38,8 +41,7 @@ from repro.engine.spec import MatrixSpec, RunSpec
 from repro.obs import Observer, get_registry, span, use_observer
 from repro.plan.cache import PlanCache
 from repro.plan.problem import ProblemSpec, problem_fingerprint
-from repro.plan.screen import enumerate_candidates, screen
-from repro.sched import ProgramCache, compiled_replay_enabled, program_key
+from repro.sched import ProgramCache
 from repro.sched.program import ChargeProgram
 from repro.utils.validation import require
 
@@ -222,6 +224,10 @@ class ProgramMemo:
 class Planner:
     """Model-driven configuration search over the whole algorithm registry.
 
+    :meth:`plan_many` runs the one lattice search
+    (:func:`repro.plan.lattice.search_lattice`); :meth:`plan` is its
+    one-point case, so the two agree plan for plan by construction.
+
     Parameters
     ----------
     refine:
@@ -234,9 +240,8 @@ class Planner:
         Directory for the fingerprint-keyed on-disk plan cache (same
         idiom as the engine's result cache).  ``None`` disables caching.
     parallel:
-        Fan the top-k symbolic replays out over the engine's process
-        pool (they are independent runs); refinement wall-clock becomes
-        the slowest single replay instead of the sum.
+        Fan the survivors' program captures out over a process pool (one
+        worker per core; they are independent runs).
     program_cache_dir:
         Directory for the compiled-program cache
         (:class:`repro.sched.ProgramCache`).  Refinement captures each
@@ -249,13 +254,13 @@ class Planner:
         memo.
     obs:
         An :class:`~repro.obs.Observer` to emit planning spans into
-        (``plan`` -> ``plan.cache`` / ``plan.enumerate`` /
-        ``plan.screen`` / ``plan.refine`` with candidate and survivor
-        counts).  ``None`` (the default) falls back to the ambient
-        observer of the calling context -- how the serve layer's
-        per-request spans parent planner work -- and costs nothing when
-        no observer is attached anywhere.  Observation never changes a
-        plan: results are bit-identical with or without it.
+        (a ``plan`` or ``plan_many`` root over the ``plan_many.cache`` /
+        ``plan_many.screen`` / ``plan_many.refine`` stages, with
+        candidate and survivor counts).  ``None`` (the default) falls
+        back to the ambient observer of the calling context -- how the
+        serve layer's per-request spans parent planner work -- and costs
+        nothing when no observer is attached anywhere.  Observation never
+        changes a plan: results are bit-identical with or without it.
     """
 
     def __init__(self, refine: Optional[str] = "symbolic",
@@ -279,58 +284,53 @@ class Planner:
     # -- public API ---------------------------------------------------------------
 
     def plan(self, problem: ProblemSpec) -> PlanResult:
-        """Search the full configuration space of *problem*; rank the plans."""
-        if self.obs is not None:
-            # Make this planner's observer ambient so nested layers
-            # (sched capture/replay) parent under the plan span.
-            with use_observer(self.obs):
-                return self._plan_observed(problem)
-        return self._plan_observed(problem)
+        """Search the full configuration space of *problem*; rank the plans.
 
-    def _plan_observed(self, problem: ProblemSpec) -> PlanResult:
-        with span("plan", m=problem.m, n=problem.n, procs=problem.procs,
-                  machine=str(problem.machine)) as root:
-            key = None
-            hit = None
-            with span("plan.cache", enabled=self.cache is not None) as csp:
-                if self.cache is not None:
-                    key = self.fingerprint(problem)
-                    hit = self.cache.load(key)
-                csp.set(hit=hit is not None)
-            if hit is not None:
-                hit.from_cache = True
+        The one-point case of :meth:`plan_many`, under a ``plan`` root
+        span.  It publishes no lattice statistics: a serving planner
+        answers ``plan`` and ``plan_many`` calls from several threads,
+        and a single plan must not overwrite a batch's accounting.
+        """
+        from repro.plan.lattice import search_lattice
+
+        with self._ambient(), span(
+                "plan", m=problem.m, n=problem.n, procs=problem.procs,
+                machine=str(problem.machine)) as root:
+            [result], _ = search_lattice(self, [problem])
+            if isinstance(result, Exception):
+                raise result
+            if result.from_cache:
                 root.set(from_cache=True)
-                return hit
-            result = self._search(problem)
-            if self.cache is not None:
-                self.cache.store(key, result)
-            root.set(from_cache=False, candidates=result.num_candidates,
-                     refined=result.refined_count)
+            else:
+                root.set(from_cache=False, candidates=result.num_candidates,
+                         refined=result.refined_count)
             return result
 
     def plan_many(self, problems: Sequence[ProblemSpec],
                   *, errors: str = "raise") -> List[PlanResult]:
         """Plan a whole problem lattice in one batched search.
 
-        Bit-identical plan-for-plan to ``[self.plan(p) for p in
-        problems]`` but amortized: one enumeration and count evaluation
-        per distinct shape (shared across machines), one segment-priced
-        screen, top-k survivors deduplicated by program key and captured
-        once, one bulk plan-cache probe.  ``errors="raise"`` re-raises
-        the first per-point failure (matching the loop);
-        ``errors="return"`` leaves the exception object in that point's
-        result slot so infeasible points do not poison their neighbors.
-        Per-call statistics land on :attr:`last_lattice_stats`.
+        Plan-for-plan equal to ``[self.plan(p) for p in problems]`` (``plan``
+        is the one-point case) but amortized: one enumeration and count
+        evaluation per distinct shape (shared across machines), one
+        segment-priced screen, top-k survivors deduplicated by program
+        key and captured once, one bulk plan-cache probe.
+        ``errors="raise"`` re-raises the first per-point failure (matching
+        the loop); ``errors="return"`` leaves the exception object in that
+        point's result slot so infeasible points do not poison their
+        neighbors.  Per-call statistics land on :attr:`last_lattice_stats`.
         """
         from repro.plan.lattice import search_lattice
 
         require(errors in ("raise", "return"),
                 f"errors must be 'raise' or 'return', got {errors!r}")
-        if self.obs is not None:
-            with use_observer(self.obs):
-                results, stats = search_lattice(self, list(problems))
-        else:
-            results, stats = search_lattice(self, list(problems))
+        problems = list(problems)
+        with self._ambient(), span("plan_many",
+                                   points=len(problems)) as root:
+            results, stats = search_lattice(self, problems)
+            root.set(cache_hits=stats.cache_hits, computed=stats.computed,
+                     errors=stats.errors,
+                     batch_duplicates=stats.batch_duplicates)
         self.last_lattice_stats = stats
         self._register_lattice_stats(stats)
         if errors == "raise":
@@ -363,6 +363,13 @@ class Planner:
 
     # -- internals ----------------------------------------------------------------
 
+    def _ambient(self):
+        """Make this planner's observer ambient, so nested layers (sched
+        capture/replay) parent under its spans; else keep the caller's."""
+        if self.obs is None:
+            return contextlib.nullcontext()
+        return use_observer(self.obs)
+
     @staticmethod
     def _searched(problem: ProblemSpec) -> Tuple[str, ...]:
         from repro.engine.registry import available_algorithms
@@ -370,122 +377,6 @@ class Planner:
         if problem.algorithms is None:
             return tuple(available_algorithms())
         return tuple(solver_for(name).name for name in problem.algorithms)
-
-    def _search(self, problem: ProblemSpec) -> PlanResult:
-        start = time.perf_counter()
-        with span("plan.enumerate") as sp:
-            groups = enumerate_candidates(problem)
-            sp.set(groups=len(groups),
-                   candidates=sum(len(cands) for _, cands in groups))
-        with span("plan.screen") as sp:
-            screened = screen(problem, groups=groups)
-            sp.set(candidates=len(screened))
-        screen_seconds = time.perf_counter() - start
-
-        # Pairs are built in screen order; _rank_pairs does the one full
-        # sort under the objective (a separate pre-order would be
-        # discarded by that sort anyway).
-        pairs = [(Plan(algorithm=cand.algorithm, config=cand.config,
-                       spec_fields=dict(cand.spec_fields),
-                       modeled_seconds=float(screened.seconds[i]),
-                       messages=float(screened.costs[0, i]),
-                       words=float(screened.costs[1, i]),
-                       flops=float(screened.costs[2, i]),
-                       memory_words=float(screened.memory_words[i])),
-                  cand)
-                 for i, cand in enumerate(screened.candidates)]
-        pairs = self._rank_pairs(problem, pairs)
-        ranked = [cand for _, cand in pairs]
-        plans = [plan for plan, _ in pairs]
-
-        start = time.perf_counter()
-        refined_count = 0
-        with span("plan.refine", mode=self.refine, survivors=0) as sp:
-            if self.refine is not None:
-                # The top-k *refinable* survivors in ranking order: symbolic
-                # replay needs a symbolic-capable configuration, so
-                # numeric-only baselines ranked above one do not use up the
-                # refine budget.
-                survivors = [k for k, cand in enumerate(ranked)
-                             if cand.symbolic_ok][:problem.top_k]
-                sp.set(survivors=len(survivors))
-                self._refine_symbolic(problem, plans, survivors)
-                refined_count = sum(plans[k].refined for k in survivors)
-            sp.set(refined=refined_count)
-        plans = self._rank(problem, plans)
-        refine_seconds = time.perf_counter() - start
-
-        plans = self._mark_pareto(plans)
-        return PlanResult(problem=problem, plans=plans,
-                          num_candidates=len(screened),
-                          screen_seconds=screen_seconds,
-                          refine_seconds=refine_seconds,
-                          refined_count=refined_count,
-                          refine_mode=self.refine)
-
-    def _refine_symbolic(self, problem: ProblemSpec, plans: List[Plan],
-                         survivors: Sequence[int]) -> None:
-        """Replay the surviving plans symbolically; update them in place."""
-        matrix = MatrixSpec(problem.m, problem.n)
-        specs = [plans[k].to_run_spec(matrix=matrix, mode="symbolic",
-                                      machine=problem.machine)
-                 for k in survivors]
-        for k, report in zip(survivors, self._refine_reports(specs)):
-            plans[k] = dataclasses.replace(
-                plans[k],
-                refined_seconds=float(report.critical_path_time),
-                messages=float(report.max_cost.messages),
-                words=float(report.max_cost.words),
-                flops=float(report.max_cost.flops))
-
-    def _refine_reports(self, specs: List[RunSpec]):
-        """One exact symbolic report per spec, cheapest way available.
-
-        A configuration whose compiled program is already known -- from
-        this planner's memo or the on-disk program cache -- is replayed in
-        pure vectorized numpy (:func:`repro.sched.capture.replay_report`);
-        the rest are *captured* (one normal symbolic run each, on a
-        recording machine) so the next planning call replays them too.
-        Reports are bit-identical either way.  With the Schedule IR
-        disabled, refinement falls back to plain engine runs.
-        """
-        from repro.sched.capture import capture_many, replay_report
-
-        if not compiled_replay_enabled():
-            from repro.engine.runner import run_batch
-
-            # cache_dir=None: refine replays are internal to this planning
-            # call and must not read/write the default session's result
-            # cache (the planner's own answer is cached as a whole).
-            runs = run_batch(specs, parallel=self.parallel,
-                             max_workers=len(specs) or None, cache_dir=None)
-            return [run.report for run in runs]
-
-        prepared = [solver_for(spec.algorithm).prepare(spec)
-                    for spec in specs]
-        keys = [program_key(spec, solver_for(spec.algorithm).name)
-                for spec in prepared]
-        reports: List[Optional[object]] = [None] * len(specs)
-        missing: List[int] = []
-        for i, key in enumerate(keys):
-            program = self._program_memo.get(key)
-            if program is None and self.programs is not None:
-                program = self.programs.load(key)
-                if program is not None:
-                    self._program_memo.put(key, program)
-            if program is not None:
-                reports[i] = replay_report(program, prepared[i].machine_spec())
-            else:
-                missing.append(i)
-        if missing:
-            captured = capture_many([specs[i] for i in missing],
-                                    parallel=self.parallel)
-            for i, (program, report) in zip(missing, captured):
-                reports[i] = report
-                self._program_memo.put(keys[i], program)
-                if self.programs is not None:
-                    self.programs.store(keys[i], program)
-        return reports
 
     @staticmethod
     def _plain_key(metric: str):

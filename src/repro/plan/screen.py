@@ -1,60 +1,21 @@
-"""Stage 1 of the search: enumerate + batch-screen every candidate.
+"""Stage 1 of the search: enumerate every candidate configuration.
 
 Enumeration asks each registered solver for its feasible, runnable
-configurations (:meth:`~repro.engine.Solver.plan_candidates`); screening
-prices each solver's family with its vectorized batch cost model
+configurations (:meth:`~repro.engine.Solver.plan_candidates`).  The
+lattice search (:mod:`repro.plan.lattice`) then prices each solver's
+family with its vectorized batch cost model
 (:meth:`~repro.engine.Solver.screen_costs`, bit-identical to the scalar
-closed forms) and then converts *all* candidates to modeled seconds in
-one numpy evaluation of ``alpha * messages + beta * words +
-gamma * flops`` -- the screen stays model-bound no matter how many
+closed forms) and converts *all* candidates to modeled seconds in one
+numpy evaluation -- the screen stays model-bound no matter how many
 hundreds of configurations the grid/variant space expands to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
-from repro.engine.registry import (
-    CapabilityError,
-    PlanCandidate,
-    Solver,
-    solver_for,
-    solvers,
-)
+from repro.engine.registry import PlanCandidate, Solver, solver_for, solvers
 from repro.plan.problem import ProblemSpec
-
-
-@dataclass
-class ScreenResult:
-    """All candidates of one problem with their batched analytic costs."""
-
-    candidates: List[PlanCandidate]
-    #: ``(3, N)`` per-candidate ``(messages, words, flops)``.
-    costs: np.ndarray
-    #: Modeled seconds per candidate under the problem's machine.
-    seconds: np.ndarray
-    #: Modeled peak memory words per candidate.
-    memory_words: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def order(self, objective: str) -> np.ndarray:
-        """Candidate indices sorted by a plain metric (stable, best first).
-
-        Weighted/budgeted ranking lives in one place --
-        ``Planner._order`` -- so this stays a raw single-metric sort.
-        """
-        if objective == "memory":
-            key = self.memory_words
-        elif objective == "messages":
-            key = self.costs[0]
-        else:
-            key = self.seconds
-        return np.argsort(key, kind="stable")
 
 
 def enumerate_candidates(problem: ProblemSpec
@@ -85,47 +46,3 @@ def enumerate_candidates(problem: ProblemSpec
         if cands:
             groups.append((solver, cands))
     return groups
-
-
-def screen(problem: ProblemSpec,
-           groups: Optional[List[Tuple[Solver, List[PlanCandidate]]]] = None
-           ) -> ScreenResult:
-    """Enumerate and batch-price every feasible candidate of *problem*.
-
-    Pass *groups* (a prior :func:`enumerate_candidates` result) to skip
-    re-enumeration -- the planner does this so its enumerate and screen
-    spans time the two stages separately; pricing is identical either
-    way.
-
-    Raises :exc:`~repro.engine.CapabilityError` when no registered
-    algorithm has any feasible configuration at this point -- the
-    planner-level analogue of a solver rejecting an impossible spec.
-    """
-    if groups is None:
-        groups = enumerate_candidates(problem)
-    if not groups:
-        raise CapabilityError(
-            f"no feasible configuration of any searched algorithm for "
-            f"{problem.m} x {problem.n} at P={problem.procs} "
-            f"(mode={problem.mode})")
-    machine = problem.machine_spec()
-    candidates: List[PlanCandidate] = []
-    blocks = []
-    for solver, cands in groups:
-        block = np.asarray(
-            solver.screen_costs(problem.m, problem.n, machine, cands),
-            dtype=np.float64)
-        if block.shape != (3, len(cands)):
-            raise ValueError(
-                f"{solver.name}.screen_costs returned shape {block.shape} "
-                f"for {len(cands)} candidates (want (3, {len(cands)}))")
-        candidates.extend(cands)
-        blocks.append(block)
-    costs = np.concatenate(blocks, axis=1)
-    params = machine.cost_params()
-    # The one batched evaluation: every candidate's modeled time at once.
-    seconds = (params.alpha * costs[0] + params.beta * costs[1]
-               + params.gamma * costs[2])
-    memory = np.array([c.memory_words for c in candidates], dtype=np.float64)
-    return ScreenResult(candidates=candidates, costs=costs,
-                        seconds=seconds, memory_words=memory)

@@ -24,15 +24,14 @@ cached machine-independently by :mod:`repro.sched.cache` -- the planner
 refines top-k survivors by replaying programs instead of re-simulating
 candidates from scratch.
 
-``REPRO_SCHED_DISABLE=1`` (or the :func:`compiled_replay_disabled`
-context manager) forces every consumer back onto the uncompiled loop
-path -- the equivalence suite and benchmarks use it to diff the two.
+The :func:`compiled_replay_disabled` context manager forces every
+consumer back onto the uncompiled loop path -- the reference oracle the
+equivalence suite and benchmarks diff compiled replay against.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 
 from repro.sched.binding import RankFamilyMap
 from repro.sched.cache import (
@@ -73,8 +72,8 @@ __all__ = [
 ]
 
 # One-element list so the context manager mutates shared state without a
-# ``global`` dance; seeded from the environment for whole-process opt-out.
-_disabled = [bool(os.environ.get("REPRO_SCHED_DISABLE"))]
+# ``global`` dance.
+_disabled = [False]
 
 
 def compiled_replay_enabled() -> bool:

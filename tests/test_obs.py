@@ -318,6 +318,8 @@ class TestPrometheusExposition:
 
 
 class TestPlannerSpanTree:
+    STAGES = ("plan_many.cache", "plan_many.screen", "plan_many.refine")
+
     def test_single_plan_emits_full_phase_tree(self, tmp_path):
         from repro.plan import Planner, ProblemSpec
 
@@ -327,17 +329,19 @@ class TestPlannerSpanTree:
                 obs=Observer(sink)).plan(problem)
 
         by_name = {r["name"]: r for r in sink.spans}
-        assert set(by_name) == {"plan", "plan.cache", "plan.enumerate",
-                                "plan.screen", "plan.refine"}
+        assert {name for name in by_name if name.startswith("plan")} == {
+            "plan", *self.STAGES, "plan_many.capture", "plan_many.replay"}
         root = by_name["plan"]
-        for child in ("plan.cache", "plan.enumerate", "plan.screen",
-                      "plan.refine"):
+        for child in self.STAGES:
             assert by_name[child]["parent_id"] == root["span_id"]
+        refine = by_name["plan_many.refine"]
+        for child in ("plan_many.capture", "plan_many.replay"):
+            assert by_name[child]["parent_id"] == refine["span_id"]
         # Candidate/survivor counts ride on the spans.
-        candidates = by_name["plan.enumerate"]["attrs"]["candidates"]
+        candidates = by_name["plan_many.screen"]["attrs"]["candidates"]
         assert candidates > 0
-        assert by_name["plan.screen"]["attrs"]["candidates"] == candidates
-        assert by_name["plan.refine"]["attrs"]["survivors"] > 0
+        assert refine["attrs"]["mode"] == "symbolic"
+        assert refine["attrs"]["survivors"] == problem.top_k
         assert root["attrs"]["candidates"] == candidates
         assert root["attrs"]["from_cache"] is False
 
@@ -349,8 +353,23 @@ class TestPlannerSpanTree:
         Planner(refine=None, cache_dir=None,
                 obs=Observer(sink)).plan(problem)
         by_name = {r["name"]: r for r in sink.spans}
-        assert by_name["plan.refine"]["attrs"]["mode"] is None
-        assert by_name["plan.refine"]["attrs"]["survivors"] == 0
+        assert by_name["plan_many.refine"]["attrs"]["mode"] is None
+        assert by_name["plan_many.refine"]["attrs"]["survivors"] == 0
+        assert "plan_many.capture" not in by_name
+
+    def test_single_plan_publishes_no_lattice_stats(self):
+        """A plan must not clobber a concurrent plan_many's accounting."""
+        from repro.obs import get_registry
+        from repro.plan import Planner, ProblemSpec
+
+        planner = Planner(refine=None, cache_dir=None)
+        before = get_registry().counters().get("lattice.points", 0)
+        planner.plan(ProblemSpec(m=65536, n=256, procs=512))
+        assert planner.last_lattice_stats is None
+        assert get_registry().counters().get("lattice.points", 0) == before
+        planner.plan_many([ProblemSpec(m=65536, n=256, procs=512)])
+        assert planner.last_lattice_stats.points == 1
+        assert get_registry().counters()["lattice.points"] == before + 1
 
     def test_observation_does_not_perturb_plans(self, tmp_path):
         """Bit-identical ranked plans with and without an observer."""

@@ -23,7 +23,6 @@ from repro.plan import (
     pareto_mask,
     problem_fingerprint,
     resolve_auto_spec,
-    screen,
 )
 
 SMALL = dict(m=2 ** 14, n=64, procs=256, machine="stampede2")
@@ -66,13 +65,15 @@ class TestEnumeration:
                 assert prepared.procs == problem.procs
 
     def test_symbolic_mode_filters_numeric_only(self):
-        numeric = screen(ProblemSpec(**SMALL))
-        symbolic = screen(ProblemSpec(**SMALL, mode="symbolic"))
-        numeric_algos = {c.algorithm for c in numeric.candidates}
-        symbolic_algos = {c.algorithm for c in symbolic.candidates}
-        assert "scalapack" in numeric_algos
-        assert symbolic_algos <= {"ca_cqr2", "cqr2_1d"}
-        assert all(c.symbolic_ok for c in symbolic.candidates)
+        def candidates(problem):
+            return [c for _, cands in enumerate_candidates(problem)
+                    for c in cands]
+
+        numeric = candidates(ProblemSpec(**SMALL))
+        symbolic = candidates(ProblemSpec(**SMALL, mode="symbolic"))
+        assert "scalapack" in {c.algorithm for c in numeric}
+        assert {c.algorithm for c in symbolic} <= {"ca_cqr2", "cqr2_1d"}
+        assert all(c.symbolic_ok for c in symbolic)
 
     def test_algorithm_restriction_resolves_aliases(self):
         problem = ProblemSpec(algorithms=("CA-CQR2".lower().replace("-", "_"),),
@@ -82,32 +83,33 @@ class TestEnumeration:
 
     def test_infeasible_problem_raises_capability_error(self):
         with pytest.raises(CapabilityError, match="no feasible"):
-            screen(ProblemSpec(m=7, n=3, procs=4))
+            Planner(refine=None).plan(ProblemSpec(m=7, n=3, procs=4))
 
 
 class TestScreening:
     def test_screen_matches_scalar_model(self):
-        """The batched screen equals the scalar model per candidate."""
-        from repro.costmodel.performance import ExecutionModel
-
+        """Every screened plan equals its candidate priced alone, exactly."""
         problem = ProblemSpec(**SMALL)
-        result = screen(problem)
-        model = ExecutionModel(problem.machine_spec())
-        for i, cand in enumerate(result.candidates):
-            solver = solver_for(cand.algorithm)
-            lane = np.asarray(
-                solver.screen_costs(problem.m, problem.n,
-                                    problem.machine_spec(), [cand]))
-            assert lane[:, 0].tolist() == result.costs[:, i].tolist()
-
-    def test_objective_orders(self):
-        result = screen(ProblemSpec(**SMALL))
-        by_time = result.order("time")
-        by_mem = result.order("memory")
-        by_msgs = result.order("messages")
-        assert result.seconds[by_time[0]] == result.seconds.min()
-        assert result.memory_words[by_mem[0]] == result.memory_words.min()
-        assert result.costs[0, by_msgs[0]] == result.costs[0].min()
+        machine = problem.machine_spec()
+        rates = machine.cost_params()
+        candidates = {(c.algorithm, c.config): c
+                      for _, cands in enumerate_candidates(problem)
+                      for c in cands}
+        result = Planner(refine=None).plan(problem)
+        assert result.num_candidates == len(candidates) == len(result.plans)
+        for plan in result.plans:
+            cand = candidates.pop((plan.algorithm, plan.config))
+            lane = np.asarray(solver_for(cand.algorithm).screen_costs(
+                problem.m, problem.n, machine, [cand]))[:, 0]
+            messages, words, flops = (float(x) for x in lane)
+            assert (plan.messages, plan.words, plan.flops) == (
+                messages, words, flops)
+            assert plan.modeled_seconds == (rates.alpha * messages
+                                            + rates.beta * words
+                                            + rates.gamma * flops)
+            assert plan.memory_words == float(cand.memory_words)
+            assert plan.spec_fields == dict(cand.spec_fields)
+        assert not candidates
 
 
 class TestPlanner:

@@ -281,7 +281,7 @@ class TestProgramCacheAndCapture:
 
 
 class TestPlannerRefinement:
-    """Program-replay refinement is bit-identical to loop refinement."""
+    """Program-replay refinement is bit-identical to plain symbolic runs."""
 
     PROBLEM: ClassVar[dict] = dict(m=2 ** 14, n=64, procs=256, machine="stampede2",
                    mode="symbolic", top_k=2)
@@ -289,15 +289,32 @@ class TestPlannerRefinement:
     def plans_dict(self, result):
         return [p.to_dict() for p in result.plans]
 
-    def test_refined_plans_identical_with_and_without_programs(self, tmp_path):
-        problem = ProblemSpec(**self.PROBLEM)
-        with_programs = Planner(refine="symbolic", parallel=False,
-                                program_cache_dir=str(tmp_path))
-        without = Planner(refine="symbolic", parallel=False)
+    @staticmethod
+    def assert_matches_uncompiled_runs(result):
+        """Each refined plan equals one plain symbolic run on the loop path."""
+        from repro import Session
+
+        problem = result.problem
+        session = Session(result_cache=None, plan_cache=None,
+                          sched_cache=None)
+        refined = [p for p in result.plans if p.refined]
+        assert len(refined) == problem.top_k
         with compiled_replay_disabled():
-            baseline = without.plan(problem)
-        assert (self.plans_dict(with_programs.plan(problem))
-                == self.plans_dict(baseline))
+            for plan in refined:
+                report = session.run(plan.to_run_spec(
+                    matrix=MatrixSpec(problem.m, problem.n), mode="symbolic",
+                    machine=problem.machine)).report
+                assert plan.refined_seconds == float(report.critical_path_time)
+                assert (plan.messages, plan.words, plan.flops) == (
+                    float(report.max_cost.messages),
+                    float(report.max_cost.words),
+                    float(report.max_cost.flops))
+
+    def test_refined_plans_identical_with_and_without_programs(self, tmp_path):
+        planner = Planner(refine="symbolic", parallel=False,
+                          program_cache_dir=str(tmp_path))
+        self.assert_matches_uncompiled_runs(
+            planner.plan(ProblemSpec(**self.PROBLEM)))
 
     def test_warm_cache_replays_identically(self, tmp_path):
         problem = ProblemSpec(**self.PROBLEM)
@@ -313,16 +330,13 @@ class TestPlannerRefinement:
     def test_programs_reused_across_machines(self, tmp_path):
         # The program cache is machine-independent: planning the same
         # shape for a different machine replays the same programs and
-        # still matches a from-scratch plan bit-for-bit.
+        # still matches plain runs on that machine bit-for-bit.
         a = ProblemSpec(**self.PROBLEM)
         b = a.replace(machine="blue-waters")
         planner = Planner(refine="symbolic", parallel=False,
                           program_cache_dir=str(tmp_path))
         planner.plan(a)
-        warm_b = planner.plan(b)
-        with compiled_replay_disabled():
-            fresh_b = Planner(refine="symbolic", parallel=False).plan(b)
-        assert self.plans_dict(warm_b) == self.plans_dict(fresh_b)
+        self.assert_matches_uncompiled_runs(planner.plan(b))
 
     def test_session_threads_sched_cache_into_planner(self, tmp_path):
         from repro import Session

@@ -497,8 +497,8 @@ class TestServeObservability:
         assert plan["parent_id"] == root["span_id"]
         children = {r["name"] for r in sink.spans
                     if r["parent_id"] == plan["span_id"]}
-        assert {"plan.cache", "plan.enumerate", "plan.screen",
-                "plan.refine"} <= children
+        assert {"plan_many.cache", "plan_many.screen",
+                "plan_many.refine"} <= children
 
     def test_prometheus_exposition_endpoint(self, server):
         _post(server.address, "/plan", BODY)
