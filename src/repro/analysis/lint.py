@@ -36,6 +36,13 @@ meaningless to a generic linter:
     inputs, or captured programs and replayed reports stop being
     deterministic and cacheable.
 
+``lint/no-per-rank-dict``
+    No ``dict.fromkeys(<x>.all_ranks(), ...)`` or ``dict.fromkeys(<x>.blocks,
+    ...)`` inside ``core`` or ``vmpi`` -- that idiom builds an O(P) dict
+    mapping every rank to one shared block.  Shared-block symbolic
+    matrices go through :meth:`~repro.vmpi.distmatrix.DistMatrix.shared`
+    (one :class:`~repro.vmpi.datatypes.SharedBlockMap`, O(1) objects).
+
 All rules report as :class:`~repro.analysis.findings.Finding` with
 ``loc = "path:line"``, like every other ``repro check`` pass.
 """
@@ -56,11 +63,15 @@ LINT_RULES = {
     "lint/solver-count-fields": "registered Solver subclasses explicitly declare count_machine_fields",
     "lint/deprecated-warns": "functions documented as deprecated call warn_deprecated/warnings.warn",
     "lint/no-wallclock": "no wall-clock reads inside vmpi/sched/costmodel",
+    "lint/no-per-rank-dict": "no dict.fromkeys(<x>.all_ranks() | <x>.blocks, ...) inside core/vmpi",
 }
 
 #: Directories whose files must stay wall-clock-free (deterministic
 #: simulation core: machine-state in, machine-state out).
 WALLCLOCK_SCOPES = frozenset({"vmpi", "sched", "costmodel"})
+
+#: Directories whose symbolic matrices must stay O(1) objects per matrix.
+PER_RANK_DICT_SCOPES = frozenset({"core", "vmpi"})
 
 _TIME_ATTRS = frozenset({"time", "perf_counter", "monotonic", "process_time",
                          "time_ns", "perf_counter_ns", "monotonic_ns",
@@ -92,9 +103,9 @@ def _is_self_attr(node: ast.expr, attr: Optional[str] = None) -> bool:
 # -- lint/no-wallclock ------------------------------------------------------------
 
 
-def _in_wallclock_scope(path: str) -> bool:
+def _in_scope(path: str, scopes: frozenset) -> bool:
     parts = set(os.path.normpath(path).split(os.sep))
-    return bool(parts & WALLCLOCK_SCOPES)
+    return bool(parts & scopes)
 
 
 def _lint_wallclock(tree: ast.Module, path: str) -> List[Finding]:
@@ -112,6 +123,33 @@ def _lint_wallclock(tree: ast.Module, path: str) -> List[Finding]:
                 "lint/no-wallclock", _loc(path, node),
                 f"wall-clock call {base}.{attr}() in the deterministic "
                 f"simulation core; thread timestamps in from the caller"))
+    return findings
+
+
+# -- lint/no-per-rank-dict --------------------------------------------------------
+
+
+def _is_per_rank_keys(node: ast.expr) -> bool:
+    """``<x>.all_ranks()`` or ``<x>.blocks``."""
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Attribute)
+                and node.func.attr == "all_ranks")
+    return isinstance(node, ast.Attribute) and node.attr == "blocks"
+
+
+def _lint_per_rank_dict(tree: ast.Module, path: str) -> List[Finding]:
+    findings = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "fromkeys"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "dict"
+                and node.args and _is_per_rank_keys(node.args[0])):
+            findings.append(Finding(
+                "lint/no-per-rank-dict", _loc(path, node),
+                "dict.fromkeys over every rank builds an O(P) per-rank "
+                "dict; use DistMatrix.shared (one SharedBlockMap)"))
     return findings
 
 
@@ -287,8 +325,10 @@ def lint_source(source: str, path: str) -> List[Finding]:
     findings = _lint_lock_discipline(tree, path)
     findings += _lint_solver_declarations(tree, path)
     findings += _lint_deprecated(tree, path)
-    if _in_wallclock_scope(path):
+    if _in_scope(path, WALLCLOCK_SCOPES):
         findings += _lint_wallclock(tree, path)
+    if _in_scope(path, PER_RANK_DICT_SCOPES):
+        findings += _lint_per_rank_dict(tree, path)
     return findings
 
 

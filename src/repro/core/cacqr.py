@@ -41,8 +41,10 @@ interpolates accordingly (Table I):
 from __future__ import annotations
 
 import functools
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +60,7 @@ from repro.sched import (
     compiled_replay_enabled,
 )
 from repro.utils.validation import require
-from repro.vmpi.datatypes import Block, SymbolicBlock, zeros_block
+from repro.vmpi.datatypes import Block, SharedBlockMap, SymbolicBlock, zeros_block
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -73,17 +75,53 @@ class CACQRResult:
     q:
         The orthogonal factor, distributed on the full ``c x d x c`` grid
         exactly like the input.
-    r:
-        The triangular factor on subcube 0's cubic grid (every subcube
-        holds an identical redundant copy; ``r_subcubes`` exposes all of
-        them for verification).
     r_subcubes:
-        Per-subcube copies of ``R``.
+        Per-subcube copies of ``R`` (every subcube holds an identical
+        redundant copy).  Compiled symbolic runs return a lazy
+        :class:`SharedSubcubeResults`.
+    r:
+        The triangular factor on subcube 0's cubic grid,
+        ``r_subcubes[0]``.
     """
 
     q: DistMatrix
-    r: DistMatrix
-    r_subcubes: List[DistMatrix]
+    r_subcubes: Sequence[DistMatrix]
+
+    @property
+    def r(self) -> DistMatrix:
+        return self.r_subcubes[0]
+
+
+class SharedSubcubeResults(Sequence):
+    """The ``d/c`` per-subcube ``n x n`` results of a compiled symbolic run.
+
+    Every rank of every subcube of the ``c x d x c`` *grid* holds the same
+    ``n/c x n/c`` shape-only block, so the sequence stores that block once
+    and builds subcube ``k``'s :class:`DistMatrix` (and its
+    :class:`Grid3D`) only when indexed -- O(1) Python objects per result
+    whatever ``d/c`` is.
+    """
+
+    __slots__ = ("grid", "n", "block")
+
+    def __init__(self, grid: Grid3D, n: int):
+        self.grid = grid
+        self.n = n
+        self.block = SymbolicBlock((n // grid.dim_x, n // grid.dim_x))
+
+    def __len__(self) -> int:
+        return self.grid.dim_y // self.grid.dim_x
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError(f"subcube {k} out of range [0, {len(self)})")
+        return DistMatrix.shared(self.grid.subcube(k), self.n, self.n,
+                                 self.block)
 
 
 def _validate(a: DistMatrix) -> Tuple[int, int]:
@@ -99,14 +137,14 @@ def _validate(a: DistMatrix) -> Tuple[int, int]:
 
 
 def _gram_replicated(vm: VirtualMachine, a: DistMatrix,
-                     phase: str) -> Dict[int, Block]:
+                     phase: str) -> Mapping[int, Block]:
     """Algorithm 8 lines 1-5: every rank ends with its subcube's cyclic Gram block."""
     return _cross_product_replicated(vm, a, a, phase, symmetric=True)
 
 
 def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
                               target: DistMatrix, phase: str,
-                              symmetric: bool) -> Dict[int, Block]:
+                              symmetric: bool) -> Mapping[int, Block]:
     """The Gram dance generalized to ``Z = W_source.T @ target``.
 
     With ``w_source is target`` this is Algorithm 8 lines 1-5 (the Gram
@@ -116,7 +154,9 @@ def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
     ``W = Q_p.T C`` needed by the panel-blocked variant, charged at the
     full GEMM rate.  Either way every rank ends holding the cyclic block
     ``Z[(y mod c)::c, x::c]`` of the result, replicated over depth, which
-    is exactly the subcube layout downstream MM3D/CFR3D calls expect.
+    is exactly the subcube layout downstream MM3D/CFR3D calls expect
+    (:meth:`DistMatrix.on_grid` views it on a subcube).  Symbolic runs
+    return one shared block as a :class:`SharedBlockMap`.
     """
     g = w_source.grid
     require(g.matches(target.grid), "cross-product operands must share a grid")
@@ -191,7 +231,7 @@ def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
 
 def _cross_product_symbolic(vm: VirtualMachine, w_source: DistMatrix,
                             target: DistMatrix, phase: str,
-                            symmetric: bool) -> Dict[int, Block]:
+                            symmetric: bool) -> SharedBlockMap:
     """The Gram dance's cost-only schedule, charged family-by-family.
 
     Each of Algorithm 8's lines 1/3/4/5 sweeps a family of pairwise
@@ -239,11 +279,11 @@ def _cross_product_symbolic(vm: VirtualMachine, w_source: DistMatrix,
     vm.charge_comm_groups(fiber_groups, cc.bcast_cost(gram_words, c),
                           f"{phase}.bcast-depth")
 
-    shared = SymbolicBlock(gram_shape)
-    return dict.fromkeys(g.all_ranks(), shared)
+    return SharedBlockMap(g.all_ranks_array, SymbolicBlock(gram_shape))
 
 
-def _apply_gram_shift(vm: VirtualMachine, g: Grid3D, gram_blocks: Dict[int, Block],
+def _apply_gram_shift(vm: VirtualMachine, g: Grid3D,
+                      gram_blocks: Mapping[int, Block],
                       n: int, shift: float, phase: str) -> None:
     """Add ``shift * I`` to the distributed Gram matrix, in place.
 
@@ -255,8 +295,7 @@ def _apply_gram_shift(vm: VirtualMachine, g: Grid3D, gram_blocks: Dict[int, Bloc
     """
     c = g.dim_x
     per_rank_diag = n // c
-    first = next(iter(gram_blocks.values()))
-    if not first.is_numeric:
+    if isinstance(gram_blocks, SharedBlockMap):
         # Shape-only blocks: nothing to mutate, charge the whole diagonal
         # rank family (one rank per (y, z) with x = y mod c) in one call.
         ys = np.arange(g.dim_y)
@@ -267,12 +306,10 @@ def _apply_gram_shift(vm: VirtualMachine, g: Grid3D, gram_blocks: Dict[int, Bloc
         if x != y % c:
             continue
         rank = g.rank_at(x, y, z)
-        blk = gram_blocks[rank]
         vm.charge_flops(rank, float(per_rank_diag), f"{phase}.shift")
-        if isinstance(blk, Block) and blk.is_numeric:
-            shifted = blk.copy()
-            shifted.data[np.diag_indices(per_rank_diag)] += shift  # type: ignore[union-attr]
-            gram_blocks[rank] = shifted
+        shifted = gram_blocks[rank].copy()
+        shifted.data[np.diag_indices(per_rank_diag)] += shift  # type: ignore[attr-defined]
+        gram_blocks[rank] = shifted  # type: ignore[index]
 
 
 @functools.lru_cache(maxsize=64)
@@ -311,22 +348,6 @@ def _merge_program(c: int, n: int) -> Tuple[ChargeProgram, Grid3D]:
          phase="@.merge-r.mm3d",
          flop_fraction=fl.TRI_TRI_FRACTION)
     return rec.program(), rec_grid
-
-
-def _shared_subcube_results(g: Grid3D, n: int,
-                            shape: Tuple[int, int]) -> List[DistMatrix]:
-    """Per-subcube ``n x n`` symbolic DistMatrixes with one shared block.
-
-    Symbolic blocks carry only shapes, and every rank of every subcube
-    holds the same local shape, so one :class:`SymbolicBlock` serves all
-    of them -- no per-rank dict rebuild per subcube.
-    """
-    shared = SymbolicBlock(shape)
-    out = []
-    for group in range(g.dim_y // g.dim_x):
-        sub = g.subcube(group)
-        out.append(DistMatrix(sub, n, n, dict.fromkeys(sub.all_ranks(), shared)))
-    return out
 
 
 def _use_subcube_replay(vm: VirtualMachine, a: DistMatrix) -> bool:
@@ -379,8 +400,6 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
     if base_case_size is None:
         base_case_size = default_base_case(a.n, c)
 
-    q_blocks: Dict[int, Block] = {}
-    r_subcubes: List[DistMatrix] = []
     rows_per_subcube = c * (a.m // d)
     if _use_subcube_replay(vm, a):
         # Compiled symbolic path: all d/c subcubes run the *identical*
@@ -393,15 +412,15 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
                                                   base_case_size)
         bound = program.specialize(RankFamilyMap.subcubes(g, rec_grid))
         bound.replay(vm, phases=program.phases_with_prefix("@", phase))
-        shared_q = SymbolicBlock((rows_per_subcube // c, a.n // c))
-        q = DistMatrix(g, a.m, a.n, dict.fromkeys(g.all_ranks(), shared_q))
-        r_subcubes = _shared_subcube_results(g, a.n, (a.n // c, a.n // c))
-        return CACQRResult(q=q, r=r_subcubes[0], r_subcubes=r_subcubes)
+        return CACQRResult(q=DistMatrix.symbolic(g, a.m, a.n),
+                           r_subcubes=SharedSubcubeResults(g, a.n))
 
+    numeric = a.is_numeric
+    q_blocks: Dict[int, Block] = {}
+    r_subcubes: List[DistMatrix] = []
     for group in range(d // c):
         sub = g.subcube(group)
-        z_sub = DistMatrix(sub, a.n, a.n,
-                           {r: gram_blocks[r] for r in sub.all_ranks()})
+        z_sub = DistMatrix.on_grid(sub, a.n, a.n, gram_blocks)
         # Line 7: CFR3D gives L = R.T and Y = R**-T on the subcube.
         l, y = cfr3d(vm, z_sub, base_case_size, phase=f"{phase}.cfr3d")
         # Line 8: Q = A @ R**-1 with R**-1 = Y.T (one transpose, then MM3D).
@@ -410,11 +429,13 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
         a_sub = a.reindexed(sub, m=rows_per_subcube)
         q_sub = mm3d(vm, a_sub, rinv, phase=f"{phase}.form-q.mm3d",
                      flop_fraction=fl.TRMM_FRACTION)
-        q_blocks.update(q_sub.blocks)
+        if numeric:
+            q_blocks.update(q_sub.blocks)
         r_subcubes.append(dist_transpose(vm, l, f"{phase}.form-r.transpose"))
 
-    q = DistMatrix(g, a.m, a.n, q_blocks)
-    return CACQRResult(q=q, r=r_subcubes[0], r_subcubes=r_subcubes)
+    q = (DistMatrix(g, a.m, a.n, q_blocks) if numeric
+         else DistMatrix.symbolic(g, a.m, a.n))
+    return CACQRResult(q=q, r_subcubes=r_subcubes)
 
 
 def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = None,
@@ -430,7 +451,6 @@ def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = N
     second = ca_cqr(vm, first.q, base_case_size, phase=f"{phase}.pass2")
 
     g = a.grid
-    r_subcubes: List[DistMatrix] = []
     if _use_subcube_replay(vm, a):
         # Same compiled path as the per-subcube CFR3D stage: the merge
         # MM3D is identical per subcube, so one memoized template program
@@ -438,9 +458,9 @@ def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = N
         program, rec_grid = _merge_program(c, a.n)
         bound = program.specialize(RankFamilyMap.subcubes(g, rec_grid))
         bound.replay(vm, phases=program.phases_with_prefix("@", phase))
-        r_subcubes = _shared_subcube_results(g, a.n, (a.n // c, a.n // c))
-        return CACQRResult(q=second.q, r=r_subcubes[0], r_subcubes=r_subcubes)
+        return CACQRResult(q=second.q, r_subcubes=SharedSubcubeResults(g, a.n))
 
+    r_subcubes: List[DistMatrix] = []
     for group in range(d // c):
         r2 = second.r_subcubes[group]
         r1 = first.r_subcubes[group]
@@ -448,7 +468,7 @@ def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = N
         merged = mm3d(vm, r2, r1, phase=f"{phase}.merge-r.mm3d",
                       flop_fraction=fl.TRI_TRI_FRACTION)
         r_subcubes.append(merged)
-    return CACQRResult(q=second.q, r=r_subcubes[0], r_subcubes=r_subcubes)
+    return CACQRResult(q=second.q, r_subcubes=r_subcubes)
 
 
 def cqr2_3d(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = None,

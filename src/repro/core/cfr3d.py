@@ -146,9 +146,8 @@ def _zero_like(template: DistMatrix) -> DistMatrix:
     """
     if not template.is_numeric:
         shape = (template.local_rows, template.local_cols)
-        shared = zeros_block(shape, symbolic=True)
-        return DistMatrix(template.grid, template.m, template.n,
-                          dict.fromkeys(template.blocks, shared))
+        return DistMatrix.shared(template.grid, template.m, template.n,
+                                 zeros_block(shape, symbolic=True))
     blocks: Dict[int, Block] = {
         rank: zeros_block(blk.shape, False) for rank, blk in template.blocks.items()
     }
@@ -207,8 +206,8 @@ def _base_case_symbolic(vm: VirtualMachine, a: DistMatrix,
     _, _, flops = local_cholinv(SymbolicBlock((n, n)))
     vm.charge_flops_group(grid.all_ranks_array, flops, f"{phase}.basecase.cholinv")
     shared = SymbolicBlock((n // p, n // p))
-    l = DistMatrix(grid, n, n, dict.fromkeys(a.blocks, shared))
-    y = DistMatrix(grid, n, n, dict.fromkeys(a.blocks, shared))
+    l = DistMatrix.shared(grid, n, n, shared)
+    y = DistMatrix.shared(grid, n, n, shared)
     return l, y
 
 

@@ -35,25 +35,22 @@ def _map_charged(vm: VirtualMachine, a: DistMatrix, phase: str,
                  kernel: Callable[..., Tuple[Block, float]],
                  b: Optional[DistMatrix] = None) -> DistMatrix:
     """Apply *kernel* blockwise, charging every rank's (uniform) flops at once."""
-    shared_a = len(set(map(id, a.blocks.values()))) == 1
-    shared_b = b is None or len(set(map(id, b.blocks.values()))) == 1
-    if shared_a and shared_b:
-        args = ((next(iter(a.blocks.values())),) if b is None
-                else (next(iter(a.blocks.values())), next(iter(b.blocks.values()))))
-        out, flops = kernel(*args)
-        blocks: Dict[int, Block] = dict.fromkeys(a.blocks, out)
-    else:
-        blocks = {}
-        memo: Dict[Tuple[int, ...], Tuple[Block, float]] = {}
-        flops = 0.0
-        for rank, blk in a.blocks.items():
-            args = (blk,) if b is None else (blk, b.blocks[rank])
-            key = tuple(map(id, args))
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = kernel(*args)
-            blocks[rank] = hit[0]
-            flops = hit[1]
+    shared = (a.shared_block,) if b is None else (a.shared_block, b.shared_block)
+    if None not in shared:
+        out, flops = kernel(*shared)
+        vm.charge_flops_group(a.grid.all_ranks_array, flops, phase)
+        return DistMatrix.shared(a.grid, a.m, a.n, out)
+    blocks: Dict[int, Block] = {}
+    memo: Dict[Tuple[int, ...], Tuple[Block, float]] = {}
+    flops = 0.0
+    for rank, blk in a.blocks.items():
+        args = (blk,) if b is None else (blk, b.blocks[rank])
+        key = tuple(map(id, args))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = kernel(*args)
+        blocks[rank] = hit[0]
+        flops = hit[1]
     ranks = np.fromiter(a.blocks.keys(), dtype=np.intp, count=len(a.blocks))
     vm.charge_flops_group(ranks, flops, phase)
     return DistMatrix(a.grid, a.m, a.n, blocks)

@@ -150,5 +150,4 @@ def _mm3d_symbolic(vm: VirtualMachine, a: DistMatrix, b: DistMatrix,
     vm.charge_comm_groups(fiber_groups, cc.allreduce_cost(prod.words, grid.dim_z),
                           f"{phase}.allreduce")
 
-    shared = SymbolicBlock(prod.shape)
-    return DistMatrix(grid, a.m, b.n, dict.fromkeys(a.blocks, shared))
+    return DistMatrix.shared(grid, a.m, b.n, prod)

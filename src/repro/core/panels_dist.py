@@ -35,7 +35,7 @@ from repro.core.mm3d import mm3d
 from repro.sched import (ChargeProgram, RankFamilyMap, ScheduleRecorder,
                          compiled_replay_enabled)
 from repro.utils.validation import check_positive_int, require
-from repro.vmpi.datatypes import Block, NumericBlock, SymbolicBlock
+from repro.vmpi.datatypes import Block, NumericBlock
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -53,15 +53,6 @@ class PanelCACQR2Result:
     q: DistMatrix
     r: Optional[np.ndarray]
     panels: int
-
-
-def _concat_columns(blocks: List[Block]) -> Block:
-    """Column-concatenate local panel blocks (structural, no cost)."""
-    if isinstance(blocks[0], SymbolicBlock):
-        rows = blocks[0].shape[0]
-        cols = sum(b.shape[1] for b in blocks)
-        return SymbolicBlock((rows, cols))
-    return NumericBlock(np.hstack([b.data for b in blocks]))  # type: ignore[union-attr]
 
 
 @functools.lru_cache(maxsize=8)
@@ -105,12 +96,6 @@ def _panel_update_program(c: int, rows_per_subcube: int, b: int,
     return rec.program(), rec_grid
 
 
-def _shared_symbolic(g: Grid3D, m: int, n: int) -> DistMatrix:
-    """Symbolic DistMatrix whose every rank shares one block object."""
-    shared = SymbolicBlock((m // g.dim_y, n // g.dim_x))
-    return DistMatrix(g, m, n, dict.fromkeys(g.all_ranks(), shared))
-
-
 def _ca_panel_cqr2_compiled(vm: VirtualMachine, a: DistMatrix, b: int,
                             base_case_size: Optional[int],
                             phase: str) -> PanelCACQR2Result:
@@ -138,8 +123,8 @@ def _ca_panel_cqr2_compiled(vm: VirtualMachine, a: DistMatrix, b: int,
         # W = Q_p^T @ C through the real Gram dance -- already one
         # vectorized pass over communicator families, so charging it
         # directly is as fast as any replay would be.
-        q_p = _shared_symbolic(g, a.m, b)
-        rest = _shared_symbolic(g, a.m, rest_n)
+        q_p = DistMatrix.symbolic(g, a.m, b)
+        rest = DistMatrix.symbolic(g, a.m, rest_n)
         _cross_product_replicated(vm, q_p, rest,
                                   f"{phase}.panel{p_idx}.update",
                                   symmetric=False)
@@ -148,8 +133,8 @@ def _ca_panel_cqr2_compiled(vm: VirtualMachine, a: DistMatrix, b: int,
         bound = upd_prog.specialize(RankFamilyMap.subcubes(g, upd_grid))
         bound.replay(vm, phases=upd_prog.phases_with_prefix(
             "@", f"{phase}.panel{p_idx}.update"))
-    q = _shared_symbolic(g, a.m, a.n)
-    return PanelCACQR2Result(q=q, r=None, panels=num_panels)
+    return PanelCACQR2Result(q=DistMatrix.symbolic(g, a.m, a.n), r=None,
+                             panels=num_panels)
 
 
 def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
@@ -189,7 +174,8 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
         return _ca_panel_cqr2_compiled(vm, a, b, base_case_size, phase)
 
     trailing = a
-    q_panel_blocks: Dict[int, List[Block]] = {r: [] for r in a.blocks}
+    q_panel_blocks: Dict[int, List[Block]] = (
+        {r: [] for r in a.blocks} if numeric else {})
     r_global = np.zeros((a.n, a.n)) if numeric else None
 
     for p_idx in range(num_panels):
@@ -200,9 +186,9 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
         # Orthogonalize the panel with a full CA-CQR2 on the whole grid.
         res = ca_cqr2(vm, panel, base_case_size,
                       phase=f"{phase}.panel{p_idx}.cqr2")
-        for rank, blk in res.q.blocks.items():
-            q_panel_blocks[rank].append(blk)
         if numeric:
+            for rank, blk in res.q.blocks.items():
+                q_panel_blocks[rank].append(blk)
             r_global[col_lo:col_lo + b, col_lo:col_lo + b] = \
                 np.triu(res.r.to_global())
 
@@ -217,21 +203,26 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
         new_rest_blocks: Dict[int, Block] = {}
         for group in range(d // c):
             sub = g.subcube(group)
-            w_sub = DistMatrix(sub, b, rest.n,
-                               {r: w_blocks[r] for r in sub.all_ranks()})
+            w_sub = DistMatrix.on_grid(sub, b, rest.n, w_blocks)
             q_sub = res.q.reindexed(sub, m=rows_per_subcube)
             rest_sub = rest.reindexed(sub, m=rows_per_subcube)
             update = mm3d(vm, q_sub, w_sub,
                           phase=f"{phase}.panel{p_idx}.update.mm3d")
             new_rest = dist_sub(vm, rest_sub, update,
                                 f"{phase}.panel{p_idx}.update.sub")
-            new_rest_blocks.update(new_rest.blocks)
-            if numeric and group == 0:
-                r_global[col_lo:col_lo + b, col_lo + b:] = w_sub.to_global()
+            if numeric:
+                new_rest_blocks.update(new_rest.blocks)
+                if group == 0:
+                    r_global[col_lo:col_lo + b, col_lo + b:] = w_sub.to_global()
 
-        trailing = DistMatrix(g, a.m, rest.n, new_rest_blocks)
+        trailing = (DistMatrix(g, a.m, rest.n, new_rest_blocks) if numeric
+                    else DistMatrix.symbolic(g, a.m, rest.n))
 
-    q_blocks = {rank: _concat_columns(parts)
-                for rank, parts in q_panel_blocks.items()}
+    if not numeric:
+        return PanelCACQR2Result(q=DistMatrix.symbolic(g, a.m, a.n), r=None,
+                                 panels=num_panels)
+    q_blocks: Dict[int, Block] = {
+        rank: NumericBlock(np.hstack([blk.data for blk in parts]))  # type: ignore[attr-defined]
+        for rank, parts in q_panel_blocks.items()}
     q = DistMatrix(g, a.m, a.n, q_blocks)
     return PanelCACQR2Result(q=q, r=r_global, panels=num_panels)

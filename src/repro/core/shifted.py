@@ -169,7 +169,7 @@ def ca_shifted_cqr3(vm, a, base_case_size=None, phase: str = "sCQR3",
                  flop_fraction=fl.TRI_TRI_FRACTION)
             for r2, r1 in zip(second.r_subcubes, r_chain)
         ]
-        return CACQRResult(q=second.q, r=merged[0], r_subcubes=merged)
+        return CACQRResult(q=second.q, r_subcubes=merged)
 
     raise CholeskyFailure(
         f"distributed shifted CholeskyQR did not converge in {max_shift_passes} "

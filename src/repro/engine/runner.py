@@ -183,7 +183,9 @@ def run_iter(specs: Iterable[RunSpec], *, parallel: Optional[bool] = None,
         execution automatically where process pools are unavailable).
         Unspecified defers to the session's executor policy.
     max_workers:
-        Pool size; defaults to ``min(len(uncached), cpu_count)``.
+        Pool size; defaults to ``min(len(uncached), usable CPUs)``, the
+        usable CPUs being the process's affinity mask
+        (:func:`repro.utils.config.usable_cpus`), not the host's count.
     cache_dir:
         Directory for the fingerprint-keyed result cache.  ``None``
         disables caching; leaving it unspecified defers to the session's

@@ -40,7 +40,6 @@ neighbors (``Planner.plan_many(errors="return")``).
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -60,6 +59,7 @@ from repro.plan.problem import (
 )
 from repro.plan.screen import enumerate_candidates
 from repro.sched import program_key
+from repro.utils.config import usable_cpus
 from repro.utils.validation import ValidationError, check_positive_int
 
 
@@ -486,7 +486,7 @@ def _refine_lattice(planner, views: Dict[int, _PointView], results: list,
     capture_reports: Dict[str, object] = {}
     if capture_specs:
         keys = list(capture_specs)
-        workers = min(len(keys), os.cpu_count() or 1)
+        workers = min(len(keys), usable_cpus())
         with span("plan_many.capture", programs=len(keys)):
             captured = capture_many([capture_specs[k][1] for k in keys],
                                     parallel=planner.parallel,

@@ -45,6 +45,7 @@ the client's fault and maps to 400; anything else is a 500.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import functools
 from typing import Dict, List, Tuple
 
@@ -96,13 +97,16 @@ async def handle_plan(server, body: dict) -> Tuple[int, dict]:
 
 
 def _ranked_payload(key: str, served: str, result, limit) -> dict:
-    """One ``/plan``-shaped response item (shared with ``/plan_batch``)."""
-    payload = result.to_dict()
-    total_plans = len(payload["plans"])
+    """One ``/plan``-shaped response item (shared with ``/plan_batch``).
+
+    Only the plans sent are serialized: the ranking is sliced to *limit*
+    before ``to_dict``.
+    """
+    total_plans = len(result.plans)
     if limit is not None:
-        payload["plans"] = payload["plans"][:limit]
+        result = dataclasses.replace(result, plans=result.plans[:limit])
     return {"fingerprint": key, "served": served,
-            "total_plans": total_plans, "result": payload}
+            "total_plans": total_plans, "result": result.to_dict()}
 
 
 async def handle_plan_batch(server, body: dict) -> Tuple[int, dict]:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -60,6 +59,7 @@ from repro.utils.config import (
     env_plan_cache_dir,
     env_result_cache_dir,
     env_sched_cache_dir,
+    usable_cpus,
 )
 from repro.utils.validation import require
 
@@ -360,7 +360,7 @@ class Session:
                 progress(done, total)
             return i, result
 
-        workers = max_workers or min(len(misses), os.cpu_count() or 1)
+        workers = max_workers or min(len(misses), usable_cpus())
         if parallel and len(misses) > 1 and workers > 1:
             config = self.config
             with contextlib.suppress(*_POOL_FALLBACK_ERRORS), \

@@ -78,6 +78,18 @@ def default_plan_cache_dir() -> str:
     return env_plan_cache_dir() or DEFAULT_PLAN_CACHE_DIR
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity mask.
+
+    ``os.cpu_count()`` counts the host's CPUs, which overstates what a
+    process pinned by ``taskset``, a container or a cgroup can use; pools
+    sized by it fork more workers than can run at once.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def env_sched_cache_dir() -> Optional[str]:
     """The program-cache dir the environment requests (``None`` when unset)."""
     return os.environ.get(SCHED_CACHE_ENV) or None

@@ -22,7 +22,9 @@ Key pieces:
   fibers, mod-c subgroups and cubic subcubes (the index algebra of
   Sections II-B and III-B).
 * :mod:`repro.vmpi.distmatrix` -- cyclically distributed matrices replicated
-  over grid depth, with gather/scatter to global numpy arrays.
+  over grid depth, with gather/scatter to global numpy arrays.  Symbolic
+  matrices share one block across all ranks (``DistMatrix.shared``), so
+  they cost O(1) Python objects whatever the rank count.
 """
 
 from repro.vmpi.datatypes import (

@@ -219,15 +219,24 @@ class SharedBlockMap(Mapping):
     Symbolic collectives return this instead of materializing a per-rank
     dict: delivery to a million-rank group costs one object.  It supports
     everything the per-rank dict consumers use (``[]``, iteration,
-    ``keys``, ``len``, ``dict.update(...)``) and is immutable.
+    ``keys``, ``len``, ``dict.update(...)``) and is immutable.  A flat
+    intp rank array is kept as the very same object (no copy, no view),
+    so a map built over a grid's own rank array is recognizably that
+    grid's.
     """
 
     __slots__ = ("_ranks", "block", "_rank_set")
 
     def __init__(self, ranks: "np.ndarray", block: Block):
-        self._ranks = np.asarray(ranks, dtype=np.intp).reshape(-1)
+        arr = np.asarray(ranks, dtype=np.intp)
+        self._ranks = arr if arr.ndim == 1 else arr.reshape(-1)
         self.block = block
         self._rank_set = None
+
+    @property
+    def ranks_array(self) -> "np.ndarray":
+        """The member ranks as a flat intp array."""
+        return self._ranks
 
     def __getitem__(self, rank: int) -> Block:
         if rank in self.rank_set():

@@ -18,20 +18,63 @@ Replication over ``z`` is a steady-state invariant -- algorithms may break
 it for temporaries (e.g. MM3D's broadcast panels differ per slice) but
 restore it on their outputs; :meth:`replication_spread` measures it for the
 test suite.
+
+**Shared-block invariant.**  A symbolic matrix is built by
+:meth:`DistMatrix.shared` (or :meth:`DistMatrix.symbolic`): every rank
+holds the same immutable shape-only block, stored as one
+:class:`~repro.vmpi.datatypes.SharedBlockMap` over the grid's own rank
+array.  Such a matrix costs O(1) Python objects whatever the rank count,
+and every structural operation below (``is_numeric``, ``map_blocks``,
+``assemble_quadrants``, ``dist_transpose``) takes an O(1) branch on it.
+Per-rank dicts remain for numeric matrices, whose ranks own distinct
+buffers.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.costmodel import collectives as cc
 from repro.utils.validation import require
-from repro.vmpi.datatypes import Block, NumericBlock, SymbolicBlock, join_blocks
+from repro.vmpi.datatypes import (
+    Block,
+    NumericBlock,
+    SharedBlockMap,
+    SymbolicBlock,
+    join_blocks,
+)
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
+
+
+def _require_shared_shape(block: Block, expected: Tuple[int, int]) -> None:
+    require(block.shape == expected,
+            f"shared block has shape {block.shape}, expected {expected}")
+
+
+def _check_rank_blocks(grid: Grid3D, blocks: Mapping[int, Block],
+                       expected: Tuple[int, int]) -> None:
+    """Every grid rank has a block, and each distinct block has the shape."""
+    if blocks.keys() != grid.rank_set:
+        for (x, y, z) in grid.coords():     # slow path: name the culprit
+            r = grid.rank_at(x, y, z)
+            require(r in blocks,
+                    f"missing block for rank {r} at coords ({x},{y},{z})")
+    distinct = set(map(id, blocks.values()))
+    if len(distinct) == 1:
+        _require_shared_shape(next(iter(blocks.values())), expected)
+        return
+    checked = set()
+    for r, b in blocks.items():
+        key = id(b)
+        if key in checked:
+            continue
+        checked.add(key)
+        require(b.shape == expected,
+                f"block at rank {r} has shape {b.shape}, expected {expected}")
 
 
 class DistMatrix:
@@ -39,41 +82,51 @@ class DistMatrix:
 
     __slots__ = ("grid", "m", "n", "blocks")
 
-    def __init__(self, grid: Grid3D, m: int, n: int, blocks: Dict[int, Block]):
+    def __init__(self, grid: Grid3D, m: int, n: int,
+                 blocks: Mapping[int, Block]):
         require(m % grid.dim_y == 0,
                 f"rows {m} not divisible by grid row extent dim_y={grid.dim_y}")
         require(n % grid.dim_x == 0,
                 f"cols {n} not divisible by grid col extent dim_x={grid.dim_x}")
         expected = (m // grid.dim_y, n // grid.dim_x)
-        if blocks.keys() != grid.rank_set:
-            for (x, y, z) in grid.coords():     # slow path: name the culprit
-                r = grid.rank_at(x, y, z)
-                require(r in blocks,
-                        f"missing block for rank {r} at coords ({x},{y},{z})")
-        # Shape-check each *distinct* block object once: symbolic matrices
-        # share one block across every rank, so this is O(1) there and
-        # O(ranks) only when all blocks are distinct buffers (numeric).
-        distinct = set(map(id, blocks.values()))
-        if len(distinct) == 1:
-            b = next(iter(blocks.values()))
-            require(b.shape == expected,
-                    f"shared block has shape {b.shape}, expected {expected}")
+        if (isinstance(blocks, SharedBlockMap)
+                and blocks.ranks_array is grid.all_ranks_array):
+            # Built over this grid's own rank array: coverage holds by
+            # construction, and there is one block to check.
+            _require_shared_shape(blocks.block, expected)
         else:
-            checked = set()
-            for r, b in blocks.items():
-                key = id(b)
-                if key in checked:
-                    continue
-                checked.add(key)
-                require(b.shape == expected,
-                        f"block at rank {r} has shape {b.shape}, "
-                        f"expected {expected}")
+            _check_rank_blocks(grid, blocks, expected)
         self.grid = grid
         self.m = m
         self.n = n
         self.blocks = blocks
 
     # -- construction -------------------------------------------------------------
+
+    @classmethod
+    def shared(cls, grid: Grid3D, m: int, n: int, block: Block) -> "DistMatrix":
+        """Symbolic matrix whose every rank holds the one shared *block*.
+
+        O(1) whatever the rank count: the block shape is checked once and
+        the per-rank mapping is a :class:`SharedBlockMap` over the grid's
+        own rank array.  Only shape-only blocks may be shared; numeric
+        ranks own distinct buffers.
+        """
+        require(not block.is_numeric,
+                "only symbolic blocks can be shared across ranks")
+        return cls(grid, m, n, SharedBlockMap(grid.all_ranks_array, block))
+
+    @classmethod
+    def on_grid(cls, grid: Grid3D, m: int, n: int,
+                blocks: Mapping[int, Block]) -> "DistMatrix":
+        """The matrix *grid* sees in a per-rank mapping covering (at least) it.
+
+        A shared mapping stays shared; a per-rank dict is restricted to
+        the grid's ranks.
+        """
+        if isinstance(blocks, SharedBlockMap):
+            return cls.shared(grid, m, n, blocks.block)
+        return cls(grid, m, n, {r: blocks[r] for r in grid.all_ranks()})
 
     @classmethod
     def from_global(cls, grid: Grid3D, array: np.ndarray) -> "DistMatrix":
@@ -97,9 +150,7 @@ class DistMatrix:
         """
         require(m % grid.dim_y == 0, f"rows {m} not divisible by dim_y={grid.dim_y}")
         require(n % grid.dim_x == 0, f"cols {n} not divisible by dim_x={grid.dim_x}")
-        shared = SymbolicBlock((m // grid.dim_y, n // grid.dim_x))
-        blocks: Dict[int, Block] = dict.fromkeys(grid.all_ranks(), shared)
-        return cls(grid, m, n, blocks)
+        return cls.shared(grid, m, n, SymbolicBlock((m // grid.dim_y, n // grid.dim_x)))
 
     # -- geometry -----------------------------------------------------------------
 
@@ -112,9 +163,17 @@ class DistMatrix:
         return self.n // self.grid.dim_x
 
     @property
+    def shared_block(self) -> Optional[Block]:
+        """The one block every rank holds, or ``None`` for per-rank blocks."""
+        blocks = self.blocks
+        return blocks.block if isinstance(blocks, SharedBlockMap) else None
+
+    @property
     def is_numeric(self) -> bool:
-        any_block = next(iter(self.blocks.values()))
-        return any_block.is_numeric
+        block = self.shared_block
+        if block is None:
+            block = next(iter(self.blocks.values()))
+        return block.is_numeric
 
     def local(self, x: int, y: int, z: int) -> Block:
         """Local block at grid coordinates ``(x, y, z)``."""
@@ -156,20 +215,20 @@ class DistMatrix:
         and the result shared among its owners -- on shared-block symbolic
         matrices the transformation runs once, not once per rank.
         """
-        if len(set(map(id, self.blocks.values()))) == 1:
-            shared = fn(next(iter(self.blocks.values())))
-            new_blocks: Dict[int, Block] = dict.fromkeys(self.blocks, shared)
-        else:
-            mapped: Dict[int, Block] = {}
-            new_blocks = {}
-            for r, b in self.blocks.items():
-                key = id(b)
-                nb = mapped.get(key)
-                if nb is None:
-                    nb = mapped[key] = fn(b)
-                new_blocks[r] = nb
-        return DistMatrix(self.grid, self.m if m is None else m,
-                          self.n if n is None else n, new_blocks)
+        m = self.m if m is None else m
+        n = self.n if n is None else n
+        shared = self.shared_block
+        if shared is not None:
+            return DistMatrix.shared(self.grid, m, n, fn(shared))
+        mapped: Dict[int, Block] = {}
+        new_blocks: Dict[int, Block] = {}
+        for r, b in self.blocks.items():
+            key = id(b)
+            nb = mapped.get(key)
+            if nb is None:
+                nb = mapped[key] = fn(b)
+            new_blocks[r] = nb
+        return DistMatrix(self.grid, m, n, new_blocks)
 
     def quadrant(self, i: int, j: int) -> "DistMatrix":
         """Global quadrant ``(i, j)`` as a new ``m/2 x n/2`` DistMatrix.
@@ -187,12 +246,11 @@ class DistMatrix:
         g = a11.grid
         for other in (a12, a21, a22):
             require(other.grid is g, "quadrants must live on the same grid")
-        quadrants = (a11, a12, a21, a22)
-        if all(len(set(map(id, q.blocks.values()))) == 1 for q in quadrants):
+        shared = [q.shared_block for q in (a11, a12, a21, a22)]
+        if None not in shared:
             # One shared block per quadrant (symbolic): join once, share.
-            shared = join_blocks(*(next(iter(q.blocks.values())) for q in quadrants))
-            return DistMatrix(g, a11.m + a21.m, a11.n + a12.n,
-                              dict.fromkeys(a11.blocks, shared))
+            return DistMatrix.shared(g, a11.m + a21.m, a11.n + a12.n,
+                                     join_blocks(*shared))
         blocks: Dict[int, Block] = {}
         memo: Dict[Tuple[int, int, int, int], Block] = {}
         for r in a11.blocks:
@@ -229,9 +287,8 @@ class DistMatrix:
         being consistent, which it is for cyclic layouts restricted to a
         contiguous y-group.
         """
-        blocks = {r: self.blocks[r] for r in grid.all_ranks()}
-        new_m = self.m if m is None else m
-        return DistMatrix(grid, new_m, self.n, blocks)
+        return DistMatrix.on_grid(grid, self.m if m is None else m, self.n,
+                                  self.blocks)
 
 
 class Replicated:
@@ -304,8 +361,8 @@ def dist_transpose(vm: VirtualMachine, a: DistMatrix, phase: str) -> DistMatrix:
         vm.charge_comm_groups(pairs, cc.transpose_cost(words, 2), phase)
 
     if not a.is_numeric:
-        shared = SymbolicBlock((local_shape[1], local_shape[0]))
-        return DistMatrix(g, a.n, a.m, dict.fromkeys(a.blocks, shared))
+        return DistMatrix.shared(g, a.n, a.m,
+                                 SymbolicBlock((local_shape[1], local_shape[0])))
 
     new_blocks: Dict[int, Block] = {}
     for z in range(g.dim_z):

@@ -54,10 +54,24 @@ class Grid3D:
             require(0 <= lo and hi < vm.num_ranks,
                     f"machine rank {lo if lo < 0 else hi} out of range "
                     f"[0, {vm.num_ranks})")
+        self._init(vm, arr)
+
+    def _init(self, vm: VirtualMachine, arr: np.ndarray) -> None:
         self.vm = vm
         self.ranks = arr
-        self._flat = flat
+        self._flat = arr.reshape(-1)
         self._rank_set = None
+
+    @classmethod
+    def _trusted(cls, vm: VirtualMachine, ranks: np.ndarray) -> "Grid3D":
+        """A grid over ranks known distinct and in range (no O(P) checks).
+
+        For layouts the class builds itself: an ``arange`` block, or a
+        slice of an already validated grid.
+        """
+        grid = cls.__new__(cls)
+        grid._init(vm, np.ascontiguousarray(ranks, dtype=np.intp))
+        return grid
 
     # -- construction -------------------------------------------------------------
 
@@ -77,7 +91,7 @@ class Grid3D:
         require(offset + p <= vm.num_ranks,
                 f"grid of {p} ranks at offset {offset} exceeds machine size {vm.num_ranks}")
         ranks = (offset + np.arange(p)).reshape(dim_z, dim_y, dim_x).transpose(2, 1, 0)
-        return cls(vm, np.ascontiguousarray(ranks))
+        return cls._trusted(vm, ranks)
 
     @classmethod
     def tunable(cls, vm: VirtualMachine, c: int, d: int, offset: int = 0) -> "Grid3D":
@@ -194,8 +208,7 @@ class Grid3D:
                 f"dim_y={self.dim_y} not divisible by c={c}")
         require(0 <= group < self.dim_y // c,
                 f"group {group} out of range for dim_y={self.dim_y}, c={c}")
-        sub = self.ranks[:, group * c:(group + 1) * c, :]
-        return Grid3D(self.vm, sub)
+        return Grid3D._trusted(self.vm, self.ranks[:, group * c:(group + 1) * c, :])
 
     def num_subcubes(self) -> int:
         """Number of cubic subgrids ``d / c`` along y."""
@@ -220,7 +233,8 @@ class Grid3D:
         Distinct :class:`Grid3D` objects over identical ranks (e.g. the same
         subcube extracted in two CA-CQR passes) are interchangeable.
         """
-        return self.vm is other.vm and np.array_equal(self.ranks, other.ranks)
+        return self is other or (self.vm is other.vm
+                                 and np.array_equal(self.ranks, other.ranks))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Grid3D(dims={self.dims})"

@@ -565,6 +565,27 @@ class TestLintRules:
         assert [f.rule for f in findings] == ["lint/no-wallclock"]
         assert lint_source(src, "src/repro/obs/fake.py") == []
 
+    @pytest.mark.parametrize("keys", ["grid.all_ranks()", "a.blocks",
+                                      "self.grid.all_ranks()"])
+    @pytest.mark.parametrize("scope", ["core", "vmpi"])
+    def test_per_rank_dict_flagged_in_core_and_vmpi(self, keys, scope):
+        src = f"blocks = dict.fromkeys({keys}, shared)\n"
+        findings = lint_source(src, f"src/repro/{scope}/fake.py")
+        assert [f.rule for f in findings] == ["lint/no-per-rank-dict"]
+        assert findings[0].loc == f"src/repro/{scope}/fake.py:1"
+
+    def test_per_rank_dict_negatives(self):
+        flagged = "blocks = dict.fromkeys(grid.all_ranks(), shared)\n"
+        # Outside core/vmpi the idiom is not this rule's business.
+        assert lint_source(flagged, "src/repro/plan/fake.py") == []
+        # Other fromkeys sources, other dicts, and the shared constructor pass.
+        for src in ("order = list(dict.fromkeys(keys))\n",
+                    "d = dict.fromkeys(comm.ranks, block)\n",
+                    "d = {r: b for r, b in a.blocks.items()}\n",
+                    "d = OrderedDict.fromkeys(a.blocks)\n",
+                    "m = DistMatrix.shared(grid, 8, 8, block)\n"):
+            assert lint_source(src, "src/repro/core/fake.py") == [], src
+
     def test_parse_error_is_reported_not_raised(self):
         findings = lint_source("def broken(:\n", "x.py")
         assert [f.rule for f in findings] == ["lint/parse-error"]
@@ -589,6 +610,7 @@ class TestCheckCLI:
         assert main(["check", "--rules"]) == 0
         out = capsys.readouterr().out
         for rule in list(PROGRAM_RULES) + ["lint/no-wallclock",
+                                           "lint/no-per-rank-dict",
                                            "cache/unreadable"]:
             assert rule in out
 

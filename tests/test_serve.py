@@ -12,7 +12,9 @@ import pytest
 from repro.obs import Observer
 from repro.plan import Planner, problem_from_dict
 from repro.plan.cache import PlanCache
+from repro.plan.planner import Plan
 from repro.serve import Coalescer, LatencyHistogram, LRUPlanCache, PlanServer, ServeMetrics
+from repro.serve.handlers import _ranked_payload
 from repro.session import Session
 
 BODY = {"m": 2048, "n": 32, "procs": 8}
@@ -160,6 +162,40 @@ class TestLRUPlanCache:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             LRUPlanCache(capacity=0)
+
+
+class TestRankedPayload:
+    """``_ranked_payload`` serializes only the plans it sends."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return Planner(refine=None, cache_dir=None).plan(problem_from_dict(BODY))
+
+    @staticmethod
+    def serialize_then_slice(key, served, result, limit):
+        payload = result.to_dict()
+        total_plans = len(payload["plans"])
+        if limit is not None:
+            payload["plans"] = payload["plans"][:limit]
+        return {"fingerprint": key, "served": served,
+                "total_plans": total_plans, "result": payload}
+
+    def test_bytes_identical_to_serializing_everything(self, result):
+        assert len(result.plans) > 3
+        for limit in (None, 1, 3, len(result.plans), len(result.plans) + 5):
+            sent = _ranked_payload("k", "cache", result, limit)
+            assert json.dumps(sent) == json.dumps(
+                self.serialize_then_slice("k", "cache", result, limit))
+            assert sent["total_plans"] == len(result.plans)
+
+    def test_only_sent_plans_are_serialized(self, result, monkeypatch):
+        calls = []
+        to_dict = Plan.to_dict
+        monkeypatch.setattr(Plan, "to_dict",
+                            lambda plan: calls.append(plan) or to_dict(plan))
+        _ranked_payload("k", "cache", result, 1)
+        assert len(calls) == 1
+        assert result.plans and len(result.plans) > 1
 
 
 # -- HTTP endpoint ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The Session API: context propagation, shim equivalence, cache isolation."""
 
+import concurrent.futures
 import os
 import pickle
 
@@ -19,6 +20,7 @@ from repro import (
 )
 from repro.costmodel.params import STAMPEDE2
 from repro.session import ExecutorConfig, _run_in_worker
+from repro.utils.config import usable_cpus
 
 
 def assert_same_run(a, b):
@@ -76,6 +78,32 @@ class TestSessionConstruction:
         session = Session(objective="time=1,memory=0.2")
         assert isinstance(session.objective, Objective)
         assert dict(session.objective.weights) == {"time": 1.0, "memory": 0.2}
+
+
+class TestWorkerCounts:
+    """Pools are sized by the CPUs the process may use, not the host's."""
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5},
+                            raising=False)
+        assert usable_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert usable_cpus() == 64
+
+    def test_pinned_process_runs_a_batch_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-CPU process must not fork a pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        specs = [RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(64 * k, 8),
+                         c=2, d=4, mode="symbolic") for k in (1, 2)]
+        runs = Session(result_cache=None).run_batch(specs, parallel=True)
+        assert len(runs) == 2
 
 
 class TestSessionConfigPickling:
