@@ -1,7 +1,7 @@
 """Compiled charge programs: compile-once/replay-N against the loop path.
 
 Not a paper artifact: this pins the PR-6 tentpole claims for
-:mod:`repro.sched`.  Five probes:
+:mod:`repro.sched`.  Six probes:
 
 1. **Panels replay** -- symbolic panel-blocked CA-CQR2
    (:func:`~repro.core.panels_dist.ca_panel_cqr2`), compiled program
@@ -21,6 +21,11 @@ Not a paper artifact: this pins the PR-6 tentpole claims for
 5. **Verify-on-capture overhead** -- capturing with ``debug=True``
    (the :mod:`repro.analysis` verifier, always on under the test
    suite) must stay within ``MAX_VERIFY_OVERHEAD`` of a raw capture.
+6. **Numeric subcube replay** -- numeric CA-CQR2 at ``d > c``, whose
+   redundant per-subcube numerics run once and whose charges replay onto
+   all ``d/c`` subcubes, vs the per-subcube loop: ``Q``, every ``R`` and
+   the cost report must be bit-identical, and at bench sizes the compiled
+   run must be ``MIN_NUMERIC_SPEEDUP`` times faster.
 
 Results are written to ``BENCH_sched.json`` at the repository root and
 archived as text under ``benchmarks/results/``.  Set
@@ -37,7 +42,10 @@ import tempfile
 import time
 from typing import List
 
+import numpy as np
+
 from benchmarks.common import archive
+from repro.core.cacqr import ca_cqr2
 from repro.core.panels_dist import (
     _panel_cqr2_program,
     _panel_update_program,
@@ -78,6 +86,11 @@ VERIFY_SPEC = (2, 4, 2 ** 10, 32) if TOY else (2, 32, 2 ** 14, 256)
 #: (measured ~1.3x at both sizes); 3x leaves slack for loaded runners
 #: while still catching an accidental quadratic or per-op allocation.
 MAX_VERIFY_OVERHEAD = 3.0
+
+#: (c, d, m, n) for the numeric subcube-replay probe (d/c = 16 subcubes).
+NUMERIC = (2, 8, 2 ** 10, 16) if TOY else (2, 32, 2 ** 14, 64)
+#: Toy sizes check identity only; per-call overhead decides their timing.
+MIN_NUMERIC_SPEEDUP = 0.0 if TOY else 1.5
 
 
 def _merge_json(update: dict) -> None:
@@ -329,3 +342,62 @@ def bench_capture_verify_overhead(benchmark):
         f"verified capture is {ratio:.2f}x a raw capture "
         f"(bar: {MAX_VERIFY_OVERHEAD}x) -- the verifier is no longer a "
         f"cheap single pass")
+
+
+def _run_numeric(a: np.ndarray, compiled: bool):
+    """One numeric CA-CQR2 of *a* on the ``NUMERIC`` grid; ``(s, result, vm)``."""
+    c, d = NUMERIC[:2]
+    vm = VirtualMachine(c * c * d)
+    dist = DistMatrix.from_global(Grid3D.tunable(vm, c, d), a)
+    mode = contextlib.nullcontext() if compiled else compiled_replay_disabled()
+    start = time.perf_counter()
+    with mode:
+        result = ca_cqr2(vm, dist)
+    return time.perf_counter() - start, result, vm
+
+
+def _same_blocks(x: DistMatrix, y: DistMatrix) -> bool:
+    return (x.blocks.keys() == y.blocks.keys()
+            and all(np.array_equal(b.data, y.blocks[r].data)
+                    for r, b in x.blocks.items()))
+
+
+def bench_numeric_subcube_replay(benchmark):
+    """Numeric CA-CQR2: numerics once + replayed charges vs the loop."""
+    c, d, m, n = NUMERIC
+    a = np.random.default_rng(0).standard_normal((m, n))
+    _run_numeric(a, compiled=True)       # memoize the subcube programs
+    fast_seconds, fast, vm_fast = min(
+        (_run_numeric(a, compiled=True) for _ in range(3)),
+        key=lambda run: run[0])
+    loop_seconds, slow, vm_slow = min(
+        (_run_numeric(a, compiled=False) for _ in range(3)),
+        key=lambda run: run[0])
+    benchmark(lambda: _run_numeric(a, compiled=True))
+
+    assert _same_blocks(fast.q, slow.q), "compiled Q drifted from the loop"
+    assert len(fast.r_subcubes) == len(slow.r_subcubes) == d // c
+    assert all(_same_blocks(x, y)
+               for x, y in zip(fast.r_subcubes, slow.r_subcubes)), (
+        "compiled R drifted from the loop")
+    assert vm_fast.report() == vm_slow.report(), (
+        "compiled numeric replay charged differently from the loop")
+    speedup = loop_seconds / fast_seconds
+
+    lines = [
+        f"numeric ca_cqr2 subcube replay @ p={c * c * d} (c={c}, d={d}, "
+        f"{m}x{n}, {d // c} subcubes, best of 3)",
+        f"  per-subcube loop : {loop_seconds:.4f} s",
+        f"  compiled         : {fast_seconds:.4f} s",
+        f"  speedup          : {speedup:.1f}x (bar: >= {MIN_NUMERIC_SPEEDUP}x)",
+    ]
+    archive("bench_schedule_compile_numeric", "\n".join(lines))
+    _merge_json({"numeric_subcube_replay": {
+        "c": c, "d": d, "m": m, "n": n,
+        "loop_seconds": loop_seconds,
+        "compiled_seconds": fast_seconds,
+        "speedup": speedup,
+    }})
+    assert speedup >= MIN_NUMERIC_SPEEDUP, (
+        f"compiled numeric CA-CQR2 only {speedup:.1f}x faster than the loop "
+        f"(bar: {MIN_NUMERIC_SPEEDUP}x)")

@@ -24,12 +24,18 @@ One CA-CQR pass:
 6. **d/c simultaneous CFR3D calls** (lines 6-7) on the cubic subgrids
    ``Pi[:, g*c:(g+1)*c, :]`` produce ``R.T`` and ``R**-T`` redundantly per
    subcube -- after which *no further cross-subcube communication is
-   needed*.
+   needed*.  Every subcube factors a bit-identical Gram matrix, so with
+   ``d > c`` the simulation computes these numerics once, on a standalone
+   ``c x c x c`` template grid, and charges all ``d/c`` subcubes by
+   replaying one compiled subcube program (:mod:`repro.sched`); the
+   per-subcube loop remains as the oracle under
+   :func:`~repro.sched.compiled_replay_disabled`.
 7. **MM3D per subcube** (line 8) forms ``Q = A R**-1`` on each subcube's
-   own rows.
+   own rows -- the one step whose data differ between subcubes.
 
 CA-CQR2 runs two passes and merges ``R = R2 R1`` with one more per-subcube
-MM3D (Algorithm 9).
+MM3D (Algorithm 9), computed once and copied to every subcube in the same
+way.
 
 Setting ``c = 1`` degenerates to 1D-CQR2 (no column partitioning, one
 Allreduce); ``c = d = P**(1/3)`` gives the cubic 3D-CQR2.  The cost
@@ -53,6 +59,7 @@ from repro.core.mm3d import mm3d
 from repro.costmodel import collectives as cc
 from repro.kernels import flops as fl
 from repro.kernels.blas import local_mm_tn
+from repro.kernels.cholesky import CholeskyFailure
 from repro.sched import (
     ChargeProgram,
     RankFamilyMap,
@@ -353,16 +360,86 @@ def _merge_program(c: int, n: int) -> Tuple[ChargeProgram, Grid3D]:
 def _use_subcube_replay(vm: VirtualMachine, a: DistMatrix) -> bool:
     """Whether the compiled subcube-replay path applies.
 
-    Symbolic runs only (numeric subcubes hold distinct data), with more
-    than one subcube (otherwise the loop is already minimal), and outside
+    Symbolic and numeric runs alike, with more than one subcube
+    (otherwise the loop is already minimal), and outside
     :func:`repro.sched.compiled_replay_disabled` (the loop oracle that
-    equivalence tests diff replay against).  Replay composes with an
-    attached trace sink -- the per-op strategy emits every rank's events
-    with exact timestamps -- so tracing no longer forces the loop.
+    equivalence tests diff replay against).  Charges come from the
+    replayed program either way; numeric runs compute the subcubes'
+    numerics on a :class:`_SubcubeTemplate` first.  Replay composes with
+    an attached trace sink -- the per-op strategy emits every rank's
+    events with exact timestamps -- so tracing does not force the loop.
     """
     g = a.grid
-    return (not a.is_numeric and g.dim_y > g.dim_x
-            and compiled_replay_enabled())
+    return g.dim_y > g.dim_x and compiled_replay_enabled()
+
+
+class _SubcubeTemplate:
+    """The numerics of Algorithm 8 lines 6-8 and of the merge, done once.
+
+    After the Gram dance every subcube holds a bit-identical copy of
+    ``A.T A``, so CFR3D, both transposes and the ``R2 R1`` merge compute
+    the same blocks on each of the ``d/c`` subcubes.  This runs them once
+    on a standalone ``c x c x c`` grid over a scratch machine whose
+    charges are discarded -- the caller charges the real machine by
+    replaying the compiled subcube program -- and maps blocks between
+    subcube ``k`` and the template through row ``k`` of the
+    :meth:`RankFamilyMap.subcubes` binding.
+    """
+
+    def __init__(self, grid: Grid3D, binding: RankFamilyMap, rec_grid: Grid3D):
+        self.grid = grid
+        self.binding = binding
+        self.vm = VirtualMachine(rec_grid.size)
+        self.tpl_grid = Grid3D._trusted(self.vm, rec_grid.ranks)
+
+    def load(self, k: int, m: int, n: int,
+             blocks: Mapping[int, Block]) -> DistMatrix:
+        """Subcube *k*'s ``m x n`` view of *blocks*, moved onto the template."""
+        return DistMatrix(self.tpl_grid, m, n, {
+            t: blocks[r] for t, r in enumerate(self.binding.maps[k].tolist())})
+
+    def store(self, k: int, mat: DistMatrix, copy: bool) -> Dict[int, Block]:
+        """A template matrix's blocks keyed by subcube *k*'s machine ranks."""
+        return {r: mat.blocks[t].copy() if copy else mat.blocks[t]
+                for t, r in enumerate(self.binding.maps[k].tolist())}
+
+    def per_subcube(self, mat: DistMatrix) -> List[DistMatrix]:
+        """One copy of an ``n x n`` template result per subcube (ranks
+        never alias a buffer)."""
+        return [DistMatrix(self.grid.subcube(k), mat.m, mat.n,
+                           self.store(k, mat, copy=True))
+                for k in range(self.binding.instances)]
+
+
+def _subcube_pass_numeric(vm: VirtualMachine, a: DistMatrix,
+                          gram_blocks: Mapping[int, Block],
+                          tpl: _SubcubeTemplate, base_case_size: int,
+                          phase: str) -> CACQRResult:
+    """Algorithm 8 lines 6-8 for every subcube, charging nothing to *vm*.
+
+    CFR3D and the transposes run once on subcube 0's Gram blocks; only
+    form-Q's MM3D sees distinct data per subcube (``A``'s rows), so it
+    alone runs once per subcube.
+    """
+    n = a.n
+    rows_per_subcube = a.grid.dim_x * a.local_rows
+    try:
+        l, y = cfr3d(tpl.vm, tpl.load(0, n, n, gram_blocks), base_case_size)
+    except CholeskyFailure:
+        # Fail from the real machine instead: re-running subcube 0's
+        # CFR3D there leaves exactly the loop's partial charges behind,
+        # so a caller's retry (sCQR3) starts from the loop's state.
+        cfr3d(vm, DistMatrix.on_grid(a.grid.subcube(0), n, n, gram_blocks),
+              base_case_size, phase=f"{phase}.cfr3d")
+        raise
+    rinv = dist_transpose(tpl.vm, y, "form-q.transpose")
+    q_blocks: Dict[int, Block] = {}
+    for k in range(tpl.binding.instances):
+        q_sub = mm3d(tpl.vm, tpl.load(k, rows_per_subcube, n, a.blocks), rinv)
+        q_blocks.update(tpl.store(k, q_sub, copy=False))
+    r = dist_transpose(tpl.vm, l, "form-r.transpose")
+    return CACQRResult(q=DistMatrix(a.grid, a.m, n, q_blocks),
+                       r_subcubes=tpl.per_subcube(r))
 
 
 def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = None,
@@ -401,21 +478,29 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
         base_case_size = default_base_case(a.n, c)
 
     rows_per_subcube = c * (a.m // d)
+    numeric = a.is_numeric
     if _use_subcube_replay(vm, a):
-        # Compiled symbolic path: all d/c subcubes run the *identical*
-        # shape-only schedule on disjoint rank sets, so compile it once
-        # on a standalone c x c x c template grid (memoized across passes
-        # and calls) and replay it onto every subcube in one bound
-        # program -- the subcube loop stops scaling with d/c (the c = 1,
-        # d = P degenerate grid has P subcubes).
+        # Compiled path: all d/c subcubes run the *identical* schedule on
+        # disjoint rank sets, so compile it once on a standalone c x c x c
+        # template grid (memoized across passes and calls) and replay it
+        # onto every subcube in one bound program -- the subcube loop
+        # stops scaling with d/c (the c = 1, d = P degenerate grid has P
+        # subcubes).  Numerics run first, so a CholeskyFailure leaves the
+        # machine exactly as the loop would.
         program, rec_grid = _subcube_pass_program(c, a.n, rows_per_subcube,
                                                   base_case_size)
-        bound = program.specialize(RankFamilyMap.subcubes(g, rec_grid))
+        binding = RankFamilyMap.subcubes(g, rec_grid)
+        if numeric:
+            result = _subcube_pass_numeric(
+                vm, a, gram_blocks, _SubcubeTemplate(g, binding, rec_grid),
+                base_case_size, phase)
+        else:
+            result = CACQRResult(q=DistMatrix.symbolic(g, a.m, a.n),
+                                 r_subcubes=SharedSubcubeResults(g, a.n))
+        bound = program.specialize(binding)
         bound.replay(vm, phases=program.phases_with_prefix("@", phase))
-        return CACQRResult(q=DistMatrix.symbolic(g, a.m, a.n),
-                           r_subcubes=SharedSubcubeResults(g, a.n))
+        return result
 
-    numeric = a.is_numeric
     q_blocks: Dict[int, Block] = {}
     r_subcubes: List[DistMatrix] = []
     for group in range(d // c):
@@ -454,11 +539,20 @@ def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = N
     if _use_subcube_replay(vm, a):
         # Same compiled path as the per-subcube CFR3D stage: the merge
         # MM3D is identical per subcube, so one memoized template program
-        # replays onto all of them.
+        # replays onto all of them (and numeric runs multiply once).
         program, rec_grid = _merge_program(c, a.n)
-        bound = program.specialize(RankFamilyMap.subcubes(g, rec_grid))
+        binding = RankFamilyMap.subcubes(g, rec_grid)
+        if a.is_numeric:
+            tpl = _SubcubeTemplate(g, binding, rec_grid)
+            merged = mm3d(tpl.vm, tpl.load(0, a.n, a.n, second.r.blocks),
+                          tpl.load(0, a.n, a.n, first.r.blocks))
+            result = CACQRResult(q=second.q, r_subcubes=tpl.per_subcube(merged))
+        else:
+            result = CACQRResult(q=second.q,
+                                 r_subcubes=SharedSubcubeResults(g, a.n))
+        bound = program.specialize(binding)
         bound.replay(vm, phases=program.phases_with_prefix("@", phase))
-        return CACQRResult(q=second.q, r_subcubes=SharedSubcubeResults(g, a.n))
+        return result
 
     r_subcubes: List[DistMatrix] = []
     for group in range(d // c):

@@ -55,10 +55,21 @@ class Communicator:
         lo, hi = int(arr.min()), int(arr.max())
         require(0 <= lo and hi < vm.num_ranks,
                 f"rank {lo if lo < 0 else hi} out of range [0, {vm.num_ranks})")
+        self._init(vm, arr)
+
+    def _init(self, vm: VirtualMachine, arr: np.ndarray) -> None:
         self.vm = vm
         self._ranks_arr = arr
         self._ranks_tuple: Optional[Tuple[int, ...]] = None
         self._index: Optional[Dict[int, int]] = None
+
+    @classmethod
+    def _trusted(cls, vm: VirtualMachine, ranks: np.ndarray) -> "Communicator":
+        """A communicator over a non-empty 1D intp slice of an already
+        validated :class:`~repro.vmpi.grid.Grid3D` (no O(p) checks)."""
+        comm = cls.__new__(cls)
+        comm._init(vm, np.ascontiguousarray(ranks))
+        return comm
 
     @property
     def ranks(self) -> Tuple[int, ...]:

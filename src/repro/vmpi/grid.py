@@ -162,36 +162,38 @@ class Grid3D:
         return self._rank_set
 
     # -- communicators ------------------------------------------------------------
+    # Each is a slice of this (validated) grid's rank array, so its ranks are
+    # distinct and in range by construction: built without re-checking.
 
     def comm_x(self, y: int, z: int) -> Communicator:
         """Row communicator ``Pi[:, y, z]`` (varying x), ordered by x."""
-        return Communicator(self.vm, self.ranks[:, y, z])
+        return Communicator._trusted(self.vm, self.ranks[:, y, z])
 
     def comm_y(self, x: int, z: int) -> Communicator:
         """Column communicator ``Pi[x, :, z]`` (varying y), ordered by y."""
-        return Communicator(self.vm, self.ranks[x, :, z])
+        return Communicator._trusted(self.vm, self.ranks[x, :, z])
 
     def comm_z(self, x: int, y: int) -> Communicator:
         """Depth communicator ``Pi[x, y, :]`` (varying z), ordered by z."""
-        return Communicator(self.vm, self.ranks[x, y, :])
+        return Communicator._trusted(self.vm, self.ranks[x, y, :])
 
     def comm_slice(self, z: int) -> Communicator:
         """All ranks of slice ``Pi[:, :, z]``, ordered (y-major, x-minor)."""
         face = self.ranks[:, :, z]
-        return Communicator(self.vm, face.T.reshape(-1))
+        return Communicator._trusted(self.vm, face.T.reshape(-1))
 
     def comm_y_group(self, x: int, z: int, group: int, c: int) -> Communicator:
         """Contiguous y-group ``Pi[x, group*c : (group+1)*c, z]`` (Alg. 8 line 3)."""
         check_positive_int(c, "c")
         require(0 <= group < self.dim_y // c,
                 f"group {group} out of range for dim_y={self.dim_y}, c={c}")
-        return Communicator(self.vm, self.ranks[x, group * c:(group + 1) * c, z])
+        return Communicator._trusted(self.vm, self.ranks[x, group * c:(group + 1) * c, z])
 
     def comm_y_strided(self, x: int, z: int, residue: int, c: int) -> Communicator:
         """Stride-``c`` y-subgroup ``Pi[x, residue::c, z]`` (Alg. 8 line 4)."""
         check_positive_int(c, "c")
         require(0 <= residue < c, f"residue {residue} out of range [0, {c})")
-        return Communicator(self.vm, self.ranks[x, residue::c, z])
+        return Communicator._trusted(self.vm, self.ranks[x, residue::c, z])
 
     # -- subgrids -----------------------------------------------------------------
 

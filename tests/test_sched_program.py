@@ -84,6 +84,75 @@ class TestCACQREquivalence:
         vm_fast, vm_slow = run_both(solver, c, d)
         assert_machines_identical(vm_fast, vm_slow)
 
+    @staticmethod
+    def run_numeric(factor, c, d, a):
+        """*factor* on numeric ``a``, compiled and looped, traced; returns
+        ``(fast_result, slow_result, vm_fast, vm_slow)``."""
+        results = []
+
+        def solver(vm, g):
+            results.append(factor(vm, DistMatrix.from_global(g, a)))
+        vm_fast, vm_slow = run_both(solver, c, d, trace=True)
+        return (*results, vm_fast, vm_slow)
+
+    @staticmethod
+    def assert_blocks_equal(fast: DistMatrix, slow: DistMatrix):
+        """Same grid ranks and bit-identical blocks on every rank."""
+        np.testing.assert_array_equal(fast.grid.ranks, slow.grid.ranks)
+        assert (fast.m, fast.n) == (slow.m, slow.n)
+        assert fast.blocks.keys() == slow.blocks.keys()
+        for rank, blk in fast.blocks.items():
+            np.testing.assert_array_equal(blk.data, slow.blocks[rank].data)
+
+    @classmethod
+    def assert_results_equal(cls, fast, slow, subcubes):
+        """Bit-identical ``Q`` and per-subcube ``R`` copies."""
+        cls.assert_blocks_equal(fast.q, slow.q)
+        assert len(fast.r_subcubes) == len(slow.r_subcubes) == subcubes
+        for r_fast, r_slow in zip(fast.r_subcubes, slow.r_subcubes):
+            cls.assert_blocks_equal(r_fast, r_slow)
+
+    @staticmethod
+    def assert_no_shared_buffers(arrays):
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+
+    @pytest.mark.parametrize("factor", [ca_cqr, ca_cqr2])
+    @pytest.mark.parametrize("c,d,m,n", [
+        (1, 4, 256, 8), (2, 2, 256, 8), (2, 8, 256, 8), (4, 16, 1024, 16),
+    ])
+    def test_numeric_exact(self, factor, c, d, m, n):
+        a = np.random.default_rng(10 * c + d).standard_normal((m, n))
+        fast, slow, vm_fast, vm_slow = self.run_numeric(factor, c, d, a)
+        self.assert_results_equal(fast, slow, d // c)
+        assert_machines_identical(vm_fast, vm_slow)
+        assert (TestTraceComposition.events_by_rank(vm_fast)
+                == TestTraceComposition.events_by_rank(vm_slow))
+        self.assert_no_shared_buffers(
+            [b.data for b in fast.q.blocks.values()])
+        self.assert_no_shared_buffers(
+            [b.data for r in fast.r_subcubes for b in r.blocks.values()])
+
+    def test_shifted_cqr3_failure_path_exact(self):
+        # kappa = 1e15: the first shifted pass leaves Q1 too ill-conditioned
+        # for plain CQR2, so cqr2.pass1's CFR3D raises CholeskyFailure and
+        # sCQR3 retries.  The compiled path must fail from the same machine
+        # state the loop leaves behind, or the retry's charges diverge.
+        from repro.core.shifted import ca_shifted_cqr3
+        from repro.utils.matgen import matrix_with_condition
+
+        c, d, m, n = 2, 8, 1024, 32
+        a = matrix_with_condition(m, n, 1e15, rng=0)
+        fast, slow, vm_fast, vm_slow = self.run_numeric(ca_shifted_cqr3,
+                                                        c, d, a)
+        # One norm-local charge per shifted pass on slice-0 ranks.
+        per_pass = 2.0 * (m // d) * (n // c)
+        assert vm_slow.ledger_of(0).phases["sCQR3.norm-local"].flops \
+            == 2 * per_pass
+        self.assert_results_equal(fast, slow, d // c)
+        assert_machines_identical(vm_fast, vm_slow)
+
     def test_n_below_c_boundary_rejected(self):
         # n = 2 < c = 4 cannot tile the grid's c columns: the layout
         # itself rejects, before either replay path is reachable.

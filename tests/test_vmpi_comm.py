@@ -23,6 +23,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Communicator(vm, [0, 5])
 
+    @pytest.mark.parametrize("ranks,match", [
+        (np.array([2, 0, 2]), "distinct"),
+        (np.array([-1, 0]), "rank -1 out of range"),
+        (np.array([0, 1, 2]), "rank 2 out of range"),
+    ])
+    def test_public_constructor_validates_arrays(self, ranks, match):
+        # Grid slices skip these checks (Communicator._trusted); the
+        # public constructor must keep them for caller-supplied groups.
+        with pytest.raises(ValueError, match=match):
+            Communicator(VirtualMachine(2), ranks)
+
+    def test_grid_communicators_match_validated_constructor(self):
+        from repro.vmpi.grid import Grid3D
+
+        vm = VirtualMachine(2 * 8 * 2)
+        g = Grid3D.tunable(vm, 2, 8)
+        for comm in (g.comm_x(3, 1), g.comm_y(1, 0), g.comm_z(0, 5),
+                     g.comm_slice(1), g.comm_y_group(1, 1, 2, 2),
+                     g.comm_y_strided(0, 1, 1, 2)):
+            ref = Communicator(vm, comm.ranks_array)
+            assert comm.ranks == ref.ranks
+            assert comm.ranks_array.dtype == np.intp
+            assert comm.ranks_array.flags.c_contiguous
+
     def test_index_of(self):
         vm = VirtualMachine(4)
         comm = Communicator(vm, [3, 1, 2])
