@@ -5,7 +5,7 @@ At fixed P and matrix size, sweeping the grid parameter ``c`` from 1 (the
 structure of Table I: latency rises as ``c^2 log P``, the Gram-term
 bandwidth falls as ``n^2/c^2``, the redundant-compute term falls as
 ``n^3/c^3``, and the memory footprint rises with replication.  The paper's
-``m/d = n/c`` rule and the model-driven autotuner both pick an interior
+``m/d = n/c`` rule and the model-driven planner both pick an interior
 ``c`` for an interior aspect ratio.
 """
 
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from benchmarks.common import archive
 
+from repro import Session
 from repro.core.cfr3d import default_base_case
-from repro.core.tuning import autotune_grid, feasible_grids, optimal_grid
+from repro.core.tuning import GridShape, feasible_grids, optimal_grid
 from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.memory import ca_cqr2_memory
 from repro.costmodel.params import STAMPEDE2
@@ -36,7 +37,10 @@ def sweep():
 
 def bench_gridshape(benchmark):
     rows = benchmark(sweep)
-    picked = autotune_grid(M, N, PROCS, STAMPEDE2)
+    best = Session().plan(m=M, n=N, procs=PROCS, machine=STAMPEDE2,
+                          algorithms=("ca_cqr2",), inverse_depths=(0,),
+                          refine=None).best()
+    picked = GridShape(c=best.spec_fields["c"], d=best.spec_fields["d"])
     rule = optimal_grid(M, N, PROCS)
     lines = [f"Grid-shape ablation: CA-CQR2 {M} x {N}, P = {PROCS} (Stampede2)",
              "=" * 76,
@@ -57,5 +61,5 @@ def bench_gridshape(benchmark):
     flops = [by_c[c][0].flops for c in cs]
     assert msgs == sorted(msgs)
     assert flops == sorted(flops, reverse=True)
-    # The paper's rule and the autotuner land on an interior grid here.
+    # The paper's rule and the planner land on an interior grid here.
     assert 1 < rule.c < PROCS ** (1 / 3) + 1

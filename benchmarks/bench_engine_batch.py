@@ -1,6 +1,6 @@
 """Wall-clock win of the engine's batch runner on a multi-point sweep.
 
-The batch runner (:func:`repro.engine.run_batch`) executes a list of
+The batch runner (:meth:`repro.Session.run_batch`) executes a list of
 RunSpecs with process parallelism and a fingerprint-keyed on-disk result
 cache.  This bench runs the same >= 8-point sweep three ways -- serial
 ``run()`` loop, parallel batch, and warm-cache batch -- prints the
@@ -17,7 +17,8 @@ import tempfile
 
 from benchmarks.common import archive, timed
 
-from repro.engine import MatrixSpec, RunSpec, run, run_batch
+from repro import Session
+from repro.engine import MatrixSpec, RunSpec
 
 # A 12-point sweep: three algorithms x four scales, big enough that each
 # point costs real simulation time.
@@ -33,12 +34,12 @@ SPECS = [
 
 def bench_engine_batch_speedup(benchmark):
     cache_dir = tempfile.mkdtemp(prefix="repro-engine-bench-")
+    session = Session(result_cache=cache_dir)
     try:
-        t_serial, serial = timed(lambda: [run(s) for s in SPECS])
-        t_parallel, _ = timed(
-            lambda: run_batch(SPECS, cache_dir=cache_dir))
+        t_serial, serial = timed(lambda: [session.run(s) for s in SPECS])
+        t_parallel, _ = timed(lambda: session.run_batch(SPECS))
         t_cached, cached = benchmark(lambda: timed(
-            lambda: run_batch(SPECS, cache_dir=cache_dir)))
+            lambda: session.run_batch(SPECS)))
 
         text = "\n".join([
             f"engine batch runner: {len(SPECS)}-point sweep "

@@ -13,13 +13,15 @@ from benchmarks.common import archive
 
 from repro.experiments.figures import FIG1A_SOURCES
 from repro.experiments.report import format_best_series
-from repro.experiments.scaling import best_per_point, evaluate_strong_figure
+from repro.experiments.scaling import (best_per_point, strong_scaling_study,
+                                       strong_series_from_table)
 
 
 def evaluate_best():
     out = {}
     for fig in FIG1A_SOURCES:
-        series = evaluate_strong_figure(fig)
+        series = strong_series_from_table(
+            strong_scaling_study(fig).run(parallel=False))
         out[fig.name] = (fig, best_per_point(series, "CA-CQR2"),
                          best_per_point(series, "ScaLAPACK"))
     return out

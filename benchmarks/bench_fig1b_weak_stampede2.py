@@ -12,13 +12,15 @@ from benchmarks.common import archive
 
 from repro.experiments.figures import FIG1B_SOURCES
 from repro.experiments.report import format_best_series
-from repro.experiments.scaling import best_per_point, evaluate_weak_figure
+from repro.experiments.scaling import (best_per_point, weak_scaling_study,
+                                       weak_series_from_table)
 
 
 def evaluate_best():
     out = {}
     for fig in FIG1B_SOURCES:
-        series = evaluate_weak_figure(fig)
+        series = weak_series_from_table(
+            weak_scaling_study(fig).run(parallel=False))
         out[fig.name] = (fig, best_per_point(series, "CA-CQR2"),
                          best_per_point(series, "ScaLAPACK"))
     return out

@@ -11,11 +11,14 @@ from __future__ import annotations
 from benchmarks.common import archive, render_weak_figure
 
 from repro.experiments.figures import FIG5
-from repro.experiments.scaling import evaluate_weak_figure, speedup_at
+from repro.experiments.scaling import (speedup_at, weak_scaling_study,
+                                       weak_series_from_table)
 
 
 def evaluate_all():
-    return {fig.name: evaluate_weak_figure(fig) for fig in FIG5}
+    return {fig.name: weak_series_from_table(
+                weak_scaling_study(fig).run(parallel=False))
+            for fig in FIG5}
 
 
 def bench_fig5(benchmark):

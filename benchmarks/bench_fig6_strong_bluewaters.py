@@ -11,11 +11,14 @@ from __future__ import annotations
 from benchmarks.common import archive, render_strong_figure
 
 from repro.experiments.figures import FIG6
-from repro.experiments.scaling import evaluate_strong_figure, speedup_at
+from repro.experiments.scaling import (speedup_at, strong_scaling_study,
+                                       strong_series_from_table)
 
 
 def evaluate_all():
-    return {fig.name: evaluate_strong_figure(fig) for fig in FIG6}
+    return {fig.name: strong_series_from_table(
+                strong_scaling_study(fig).run(parallel=False))
+            for fig in FIG6}
 
 
 def _gf(series, label_sub, x):

@@ -51,7 +51,8 @@ from repro.core.panels_dist import (
     _panel_update_program,
     ca_panel_cqr2,
 )
-from repro.engine import MatrixSpec, RunSpec, run
+from repro import Session
+from repro.engine import MatrixSpec, RunSpec
 from repro.plan import Planner, ProblemSpec
 from repro.sched import RankFamilyMap, ScheduleRecorder, compiled_replay_disabled
 from repro.vmpi.distmatrix import DistMatrix
@@ -208,12 +209,13 @@ def bench_symbolic_ladder_top(benchmark):
     p = c * d * c
     spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(m, n),
                    c=c, d=d, mode="symbolic")
+    session = Session()
 
     row = {}
 
     def ladder_top():
         start = time.perf_counter()
-        result = run(spec)
+        result = session.run(spec)
         row.update({
             "p": p, "c": c, "d": d, "m": m, "n": n,
             "seconds": time.perf_counter() - start,

@@ -2,8 +2,8 @@
 
 Not a paper artifact: this measures how fast the simulation layers run,
 so regressions in the orchestration (which the whole harness sits on) are
-caught.  Three probes: numeric CA-CQR2 end-to-end through the unified run
-engine (the dispatch path the API facade, CLI, and sweeps all share),
+caught.  Three probes: numeric CA-CQR2 end-to-end through a session
+(the dispatch path the CLI, studies, and sweeps all share),
 symbolic (cost-only) CA-CQR2 at a larger virtual-rank count through the
 same engine, and a raw collective storm on the bare substrate.
 """
@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import MatrixSpec, RunSpec, run
+from repro import Session
+from repro.engine import MatrixSpec, RunSpec
 from repro.vmpi.datatypes import NumericBlock
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -22,16 +23,18 @@ def bench_numeric_cacqr2(benchmark):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((256, 16))
     spec = RunSpec(algorithm="ca_cqr2", data=a, c=2, d=8)
+    session = Session()
 
-    result = benchmark(lambda: run(spec))
+    result = benchmark(lambda: session.run(spec))
     assert result.q.shape == (256, 16)
 
 
 def bench_symbolic_cacqr2_512_ranks(benchmark):
     spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(2 ** 12, 2 ** 6),
                    c=4, d=32, mode="symbolic")
+    session = Session()
 
-    result = benchmark(lambda: run(spec))
+    result = benchmark(lambda: session.run(spec))
     assert result.report.num_ranks == 512
     assert result.report.max_cost.flops > 0
 

@@ -34,7 +34,8 @@ from typing import Dict, List
 import numpy as np
 
 from benchmarks.common import archive
-from repro.engine import MatrixSpec, RunSpec, run
+from repro import Session
+from repro.engine import MatrixSpec, RunSpec
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -141,6 +142,7 @@ def bench_machine_replay_speedup(benchmark):
 def bench_symbolic_scaling_ladder(benchmark):
     """End-to-end symbolic ca_cqr2 wall time across the p-ladder."""
     rows: List[dict] = []
+    session = Session()
 
     def ladder():
         rows.clear()
@@ -148,7 +150,7 @@ def bench_symbolic_scaling_ladder(benchmark):
             spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(m, n),
                            c=c, d=d, mode="symbolic")
             start = time.perf_counter()
-            result = run(spec)
+            result = session.run(spec)
             seconds = time.perf_counter() - start
             rows.append({
                 "p": p, "c": c, "d": d, "m": m, "n": n,

@@ -55,9 +55,11 @@ def series_dict_to_markdown(series) -> str:
 def render_strong_figure(fig) -> str:
     """Evaluate + render one strong-scaling panel with its speedup row."""
     from repro.experiments.report import format_series_table
-    from repro.experiments.scaling import evaluate_strong_figure, speedup_at
+    from repro.experiments.scaling import (speedup_at, strong_scaling_study,
+                                           strong_series_from_table)
 
-    series = evaluate_strong_figure(fig)
+    series = strong_series_from_table(
+        strong_scaling_study(fig).run(parallel=False))
     text = format_series_table(
         f"{fig.name}: {fig.m} x {fig.n} on {fig.machine.name} "
         f"(Gigaflops/s/node; paper: {fig.paper_note})", series)
@@ -71,9 +73,11 @@ def render_strong_figure(fig) -> str:
 def render_weak_figure(fig) -> str:
     """Evaluate + render one weak-scaling panel with its speedup row."""
     from repro.experiments.report import format_series_table
-    from repro.experiments.scaling import evaluate_weak_figure, speedup_at
+    from repro.experiments.scaling import (speedup_at, weak_scaling_study,
+                                           weak_series_from_table)
 
-    series = evaluate_weak_figure(fig)
+    series = weak_series_from_table(
+        weak_scaling_study(fig).run(parallel=False))
     text = format_series_table(
         f"{fig.name}: {fig.base_m}*a x {fig.base_n}*b on {fig.machine.name} "
         f"(Gigaflops/s/node; paper: {fig.paper_note})", series)

@@ -31,10 +31,11 @@ def main() -> None:
     study = executed_sweep_study(m=M, n=N, proc_counts=PROC_COUNTS,
                                  machine="stampede2")
 
-    def progress(done: int, total: int, row) -> None:
+    def progress(info) -> None:
+        row = info.row
         status = (f"t_crit={row.values['seconds']:.4g}s" if row.ok
                   else "infeasible")
-        print(f"  [{done:>2}/{total}] {row.point['algorithm']:<10} "
+        print(f"  [{info.done:>2}/{info.total}] {row.point['algorithm']:<10} "
               f"P={row.point['procs']:<4} {status}")
 
     start = time.perf_counter()

@@ -5,17 +5,27 @@ Run:  python examples/grid_tuning.py
 For a fixed problem and processor count, enumerates every feasible
 ``c x d x c`` grid and prints the modeled latency / bandwidth / compute /
 memory trade (Table I's interpolation from 1D to 3D), the paper's
-``m/d = n/c`` rule, and the cost-model autotuner's pick on both machines.
+``m/d = n/c`` rule, and the planner's pick on both machines (its
+model-driven search restricted to CA-CQR2 grids).
 """
 
+from repro import Session
 from repro.core.cfr3d import default_base_case
-from repro.core.tuning import autotune_grid, feasible_grids, optimal_grid
+from repro.core.tuning import GridShape, feasible_grids, optimal_grid
 from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.memory import ca_cqr2_memory, replication_overhead
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
 from repro.costmodel.performance import ExecutionModel
 
 M, N, PROCS = 2 ** 20, 2 ** 10, 2 ** 12
+
+
+def planned_grid(machine) -> GridShape:
+    """The CA-CQR2 grid minimizing modeled time on *machine*."""
+    best = Session().plan(m=M, n=N, procs=PROCS, machine=machine,
+                          algorithms=("ca_cqr2",), inverse_depths=(0,),
+                          refine=None).best()
+    return GridShape(c=best.spec_fields["c"], d=best.spec_fields["d"])
 
 
 def main() -> None:
@@ -38,8 +48,8 @@ def main() -> None:
     print()
     rule = optimal_grid(M, N, PROCS)
     print(f"paper's m/d = n/c rule        : {rule}")
-    print(f"autotuned for Stampede2       : {autotune_grid(M, N, PROCS, STAMPEDE2)}")
-    print(f"autotuned for Blue Waters     : {autotune_grid(M, N, PROCS, BLUE_WATERS)}")
+    print(f"autotuned for Stampede2       : {planned_grid(STAMPEDE2)}")
+    print(f"autotuned for Blue Waters     : {planned_grid(BLUE_WATERS)}")
     print()
     print("Reading guide: larger c buys bandwidth (words fall ~1/c^2 on the")
     print("Gram side) and removes redundant compute, at the price of c^2 log P")

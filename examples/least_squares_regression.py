@@ -15,7 +15,7 @@ Two scenarios:
 import numpy as np
 import scipy.linalg
 
-from repro import cacqr2_factorize
+from repro import Session
 from repro.core.shifted import shifted_cqr3_sequential
 from repro.kernels.cholesky import CholeskyFailure
 from repro.utils.matgen import tall_skinny_least_squares_problem, vandermonde_matrix
@@ -31,7 +31,7 @@ def scenario_regression() -> None:
     a, b, x_true = tall_skinny_least_squares_problem(
         m, n, noise=1e-6, condition=1e5, rng=7)
 
-    run = cacqr2_factorize(a, c=2, d=16)
+    run = Session().factor(a, algorithm="ca_cqr2", c=2, d=16)
     x_qr = solve_with_qr(run.q, run.r, b)
 
     gram = a.T @ a
@@ -56,7 +56,7 @@ def scenario_polynomial() -> None:
     y = v @ coeffs + 1e-8 * rng.standard_normal(m)
 
     try:
-        cacqr2_factorize(v, c=2, d=4)
+        Session().factor(v, algorithm="ca_cqr2", c=2, d=4)
         print("  plain CholeskyQR2: unexpectedly succeeded")
     except CholeskyFailure:
         print("  plain CholeskyQR2: breakdown (Gram matrix numerically indefinite)")

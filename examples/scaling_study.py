@@ -4,8 +4,8 @@ Run:  python examples/scaling_study.py
 
 Reproduces, at reading speed, the shape of Figure 1: strong scaling of
 CA-CQR2 vs the ScaLAPACK model on Stampede2 (CA-CQR2 wins at scale) and
-the same sweep on Blue Waters (it does not), plus the grid autotuner's
-choice at each node count.
+the same sweep on Blue Waters (it does not), plus the planner's CA-CQR2
+grid choice at each node count.
 
 Each figure panel is one declarative campaign
 (:func:`repro.experiments.scaling.strong_scaling_study`): a
@@ -14,7 +14,8 @@ whose result table converts straight into the paper's reporting shape.
 The numbers are identical to the pre-Study hand-rolled sweep.
 """
 
-from repro.core.tuning import autotune_grid
+from repro import Session
+from repro.core.tuning import GridShape
 from repro.experiments.figures import FIG6, FIG7
 from repro.experiments.report import format_best_series, format_series_table
 from repro.experiments.scaling import (
@@ -40,12 +41,16 @@ def study(fig) -> None:
 
 def autotuner_trace(fig) -> None:
     print(f"autotuned grids for {fig.m} x {fig.n} on {fig.machine.name}:")
+    session = Session()
     for nodes in fig.nodes:
         procs = nodes * fig.machine.procs_per_node
         try:
-            shape = autotune_grid(fig.m, fig.n, procs, fig.machine)
+            best = session.plan(m=fig.m, n=fig.n, procs=procs,
+                                machine=fig.machine, algorithms=("ca_cqr2",),
+                                inverse_depths=(0,), refine=None).best()
         except ValueError:
             continue
+        shape = GridShape(c=best.spec_fields["c"], d=best.spec_fields["d"])
         print(f"  N={nodes:>5}: grid {shape} ({shape.subcubes} subcubes)")
     print()
 

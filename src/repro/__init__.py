@@ -35,19 +35,11 @@ algorithm, parallel + cached sweeps)::
                                        matrix=MatrixSpec(4096, 64), procs=p)
                                for p in (16, 64, 256)])
 
-The historical free functions (``run``, ``run_batch``,
-``cacqr2_factorize``, ...) remain as byte-identical shims over the
-module-level default session.  See DESIGN.md for the system inventory
-and EXPERIMENTS.md for the paper-vs-measured record.
+The session is the one entry point: the CLI, :class:`Study` campaigns
+and the planning server all run through one (the module-level
+:func:`default_session` when none is passed).
 """
 
-from repro.api import (
-    QRRun,
-    cacqr2_factorize,
-    cqr2_1d_factorize,
-    tsqr_factorize,
-    scalapack_factorize,
-)
 from repro.costmodel import (
     STAMPEDE2,
     BLUE_WATERS,
@@ -67,7 +59,6 @@ from repro.core import (
     cqr2_sequential,
     shifted_cqr3_sequential,
     optimal_grid,
-    autotune_grid,
     feasible_grids,
     GridShape,
 )
@@ -76,7 +67,7 @@ from repro.core import (
     ca_panel_cqr2,
     panel_cqr2,
 )
-from repro.engine import MatrixSpec, RunSpec, run, run_batch, run_iter
+from repro.engine import MatrixSpec, QRRun, RunSpec
 from repro.obs import (
     ChromeTraceSink,
     JsonlSink,
@@ -107,9 +98,6 @@ __all__ = [
     "default_session",
     "set_default_session",
     "use_session",
-    "run",
-    "run_batch",
-    "run_iter",
     "Budget",
     "Objective",
     "Plan",
@@ -125,10 +113,6 @@ __all__ = [
     "MetricsRegistry",
     "Observer",
     "get_registry",
-    "cacqr2_factorize",
-    "cqr2_1d_factorize",
-    "tsqr_factorize",
-    "scalapack_factorize",
     "STAMPEDE2",
     "BLUE_WATERS",
     "ABSTRACT_MACHINE",
@@ -145,7 +129,6 @@ __all__ = [
     "cqr2_sequential",
     "shifted_cqr3_sequential",
     "optimal_grid",
-    "autotune_grid",
     "feasible_grids",
     "GridShape",
     "ca_shifted_cqr3",

@@ -1,7 +1,7 @@
 """The cache sweep: statically verify every entry of the on-disk caches.
 
 The serving layer shares three pickle-per-entry caches between N
-workers: the engine's result cache (``*.pkl`` ->
+workers: the engine's result cache (``*.run.pkl`` ->
 :class:`~repro.engine.result.QRRun`), the planner's plan cache
 (``*.plan.pkl`` -> :class:`~repro.plan.planner.PlanResult`), and the
 Schedule IR's program cache (``*.prog.pkl`` ->
@@ -82,20 +82,13 @@ def verify_plan_result(result: object) -> List[Finding]:
 
 def _sweep(cache_dir: str, suffix: str, value_type: Optional[type],
            semantic: Optional[Callable[[object], List[Finding]]] = None,
-           exclude: tuple = (),
            ) -> List[Finding]:
-    """Verify every ``*suffix`` entry in *cache_dir* (missing dir = clean).
-
-    ``exclude`` filters out longer suffixes that also end in *suffix* --
-    the result cache's plain ``.pkl`` namespace must not claim
-    ``.plan.pkl`` / ``.prog.pkl`` entries when caches share a directory.
-    """
+    """Verify every ``*suffix`` entry in *cache_dir* (missing dir = clean)."""
     findings: List[Finding] = []
     try:
         with os.scandir(cache_dir) as it:
             names = sorted(e.name for e in it
-                           if e.is_file() and e.name.endswith(suffix)
-                           and not e.name.endswith(exclude))
+                           if e.is_file() and e.name.endswith(suffix))
     except FileNotFoundError:
         return findings
     for name in names:
@@ -124,31 +117,34 @@ def _sweep(cache_dir: str, suffix: str, value_type: Optional[type],
 
 def check_sched_cache(cache_dir: str) -> List[Finding]:
     """Verify every compiled program in a program-cache directory."""
+    from repro.sched.cache import ProgramCache
     from repro.sched.program import ChargeProgram
 
-    return _sweep(cache_dir, ".prog.pkl", ChargeProgram, verify_program)
+    return _sweep(cache_dir, ProgramCache.suffix, ChargeProgram,
+                  verify_program)
 
 
 def check_plan_cache(cache_dir: str) -> List[Finding]:
     """Verify every plan result in a plan-cache directory."""
-    return _sweep(cache_dir, ".plan.pkl", None, verify_plan_result)
+    from repro.plan.cache import PlanCache
+
+    return _sweep(cache_dir, PlanCache.suffix, None, verify_plan_result)
 
 
 def check_result_cache(cache_dir: str) -> List[Finding]:
     """Verify every engine result in a result-cache directory."""
     from repro.engine.result import QRRun
+    from repro.engine.runner import ResultCache
 
-    return _sweep(cache_dir, ".pkl", QRRun,
-                  exclude=(".plan.pkl", ".prog.pkl", ".tmp"))
+    return _sweep(cache_dir, ResultCache.suffix, QRRun)
 
 
 def check_caches(result_dir: Optional[str] = None,
                  plan_dir: Optional[str] = None,
                  sched_dir: Optional[str] = None) -> List[Finding]:
     """Sweep all three session caches (defaults honor the env overrides)."""
-    from repro.engine import default_cache_dir
-    from repro.plan import default_plan_cache_dir
-    from repro.sched import default_sched_cache_dir
+    from repro.utils.config import (default_cache_dir, default_plan_cache_dir,
+                                    default_sched_cache_dir)
 
     findings = check_result_cache(result_dir or default_cache_dir())
     findings += check_plan_cache(plan_dir or default_plan_cache_dir())

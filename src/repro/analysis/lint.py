@@ -23,12 +23,6 @@ meaningless to a generic linter:
     value, so an accidentally inherited declaration silently mis-shares
     screens across machines.
 
-``lint/deprecated-warns``
-    A function whose docstring says it is deprecated must emit: its body
-    must call :func:`repro.utils.deprecation.warn_deprecated` (or
-    ``warnings.warn``).  Shims that document deprecation without warning
-    never migrate their callers.
-
 ``lint/no-wallclock``
     No wall-clock reads (``time.time`` / ``perf_counter`` /
     ``monotonic`` / ``datetime.now`` ...) inside ``vmpi``, ``sched``, or
@@ -51,7 +45,6 @@ from __future__ import annotations
 
 import ast
 import os
-import re
 from typing import Iterable, List, Optional, Sequence, Set, Union
 
 from repro.analysis.findings import Finding
@@ -61,7 +54,6 @@ LINT_RULES = {
     "lint/parse-error": "source file parses as Python",
     "lint/lock-discipline": "attributes of a _lock-owning class are only mutated under `with self._lock` in public methods",
     "lint/solver-count-fields": "registered Solver subclasses explicitly declare count_machine_fields",
-    "lint/deprecated-warns": "functions documented as deprecated call warn_deprecated/warnings.warn",
     "lint/no-wallclock": "no wall-clock reads inside vmpi/sched/costmodel",
     "lint/no-per-rank-dict": "no dict.fromkeys(<x>.all_ranks() | <x>.blocks, ...) inside core/vmpi",
 }
@@ -77,8 +69,6 @@ _TIME_ATTRS = frozenset({"time", "perf_counter", "monotonic", "process_time",
                          "time_ns", "perf_counter_ns", "monotonic_ns",
                          "process_time_ns"})
 _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
-
-_DEPRECATED_RE = re.compile(r"\bdeprecated\b", re.IGNORECASE)
 
 _FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -282,36 +272,6 @@ def _lint_solver_declarations(tree: ast.Module, path: str) -> List[Finding]:
     return findings
 
 
-# -- lint/deprecated-warns --------------------------------------------------------
-
-
-def _emits_warning(func: _FuncDef) -> bool:
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        callee = node.func
-        if isinstance(callee, ast.Name) and callee.id == "warn_deprecated":
-            return True
-        if isinstance(callee, ast.Attribute) \
-                and callee.attr in ("warn", "warn_deprecated"):
-            return True
-    return False
-
-
-def _lint_deprecated(tree: ast.Module, path: str) -> List[Finding]:
-    findings = []
-    for func in ast.walk(tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        doc = ast.get_docstring(func)
-        if doc and _DEPRECATED_RE.search(doc) and not _emits_warning(func):
-            findings.append(Finding(
-                "lint/deprecated-warns", _loc(path, func),
-                f"{func.name}() documents itself as deprecated but never "
-                f"calls warn_deprecated()/warnings.warn()"))
-    return findings
-
-
 # -- entry points -----------------------------------------------------------------
 
 
@@ -324,7 +284,6 @@ def lint_source(source: str, path: str) -> List[Finding]:
                         str(exc.msg))]
     findings = _lint_lock_discipline(tree, path)
     findings += _lint_solver_declarations(tree, path)
-    findings += _lint_deprecated(tree, path)
     if _in_scope(path, WALLCLOCK_SCOPES):
         findings += _lint_wallclock(tree, path)
     if _in_scope(path, PER_RANK_DICT_SCOPES):

@@ -10,7 +10,6 @@ Usage (after ``pip install -e .``)::
     python -m repro plan -m 65536 -n 256 -P 512 --json --no-refine
     python -m repro plan -m 65536 -n 256 -P 512 \
         --objective time=1,memory=0.2 --budget "memory<=8e6"
-    python -m repro tune -m 1048576 -n 4096 -P 4096 --machine stampede2
     python -m repro factor -m 4096 -n 64 -c 2 -d 8
     python -m repro factor -m 4096 -n 64 -a auto -P 16
     python -m repro factor -m 4096 -n 64 -a tsqr -P 16
@@ -33,10 +32,11 @@ the paper's evaluation is explorable without pytest.
 Every subcommand executes through the process-wide **default session**
 (:func:`repro.session.default_session`), so the ``REPRO_CACHE_DIR`` /
 ``REPRO_PLAN_CACHE_DIR`` / ``REPRO_SCHED_CACHE_DIR`` environment
-variables override the default cache locations uniformly.  Power users scripting their own runs should
-construct a :class:`repro.Session` and build
-:class:`repro.engine.RunSpec` objects against it instead of
-hand-composing the :mod:`repro.vmpi` / :mod:`repro.core` layers.
+variables override the default cache locations uniformly.  Scripts
+should do the same: construct a :class:`repro.Session` and run
+:class:`repro.engine.RunSpec` objects (or :class:`repro.Study`
+campaigns) through it instead of hand-composing the :mod:`repro.vmpi` /
+:mod:`repro.core` layers.
 """
 
 from __future__ import annotations
@@ -51,9 +51,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.report import format_series_table
     from repro.experiments.scaling import (
         StrongScalingFigure,
-        evaluate_strong_figure,
-        evaluate_weak_figure,
         speedup_at,
+        strong_scaling_study,
+        strong_series_from_table,
+        weak_scaling_study,
+        weak_series_from_table,
     )
 
     figures = all_figures()
@@ -76,11 +78,13 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     for name in wanted:
         fig = figures[name]
         if isinstance(fig, StrongScalingFigure):
-            series = evaluate_strong_figure(fig)
+            series = strong_series_from_table(
+                strong_scaling_study(fig).run(parallel=False))
             title = f"{name}: {fig.m} x {fig.n} on {fig.machine.name}"
             xs = [str(nodes) for nodes in fig.nodes]
         else:
-            series = evaluate_weak_figure(fig)
+            series = weak_series_from_table(
+                weak_scaling_study(fig).run(parallel=False))
             title = f"{name}: {fig.base_m}*a x {fig.base_n}*b on {fig.machine.name}"
             xs = [f"({a},{b})" for a, b in fig.ladder]
         print(format_series_table(title + " (Gigaflops/s/node)", series))
@@ -134,52 +138,6 @@ def _load_machine(args: argparse.Namespace):
     from repro.utils.validation import validated
 
     return validated("machine", machine_by_name, args.machine)
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    """Deprecated shim over ``repro plan --algorithms ca_cqr2``.
-
-    Kept for muscle memory: prints the modeled time of *every* feasible
-    ``c x d x c`` grid (the planner's screened candidate table restricted
-    to CA-CQR2) plus the paper-rule and autotuned picks.
-    """
-    from repro.core.tuning import autotune_grid, optimal_grid
-    from repro.plan import Planner, ProblemSpec
-    from repro.utils.deprecation import warn_deprecated
-
-    warn_deprecated("`repro tune`",
-                    "`repro plan` (Session.plan searches every registered "
-                    "algorithm)")
-    try:
-        machine = _load_machine(args)
-        problem = ProblemSpec(m=args.m, n=args.n, procs=args.procs,
-                              machine=machine, algorithms=("ca_cqr2",),
-                              inverse_depths=(0,))
-        result = Planner(refine=None).plan(problem)
-    except OSError as exc:
-        print(f"error: cannot read machine file: {exc}")
-        return 2
-    except ValueError as exc:               # EngineError subclasses ValueError
-        if "feasible" in str(exc):
-            print(f"no feasible c x d x c grid for {args.m} x {args.n} "
-                  f"on P={args.procs}")
-        else:
-            print(f"error: {exc}")
-        return 2
-    print(f"{args.m} x {args.n} on P={args.procs} ({machine.name}):")
-    print(f"{'grid':>12} {'msgs':>10} {'words':>12} {'flops':>12} "
-          f"{'mem(words)':>11} {'t(s)':>9}")
-    for plan in sorted(result.plans, key=lambda p: p.spec_fields["c"]):
-        grid_label = f"{plan.spec_fields['c']}x{plan.spec_fields['d']}x" \
-                     f"{plan.spec_fields['c']}"
-        print(f"{grid_label:>12} {plan.messages:>10.0f} {plan.words:>12.0f} "
-              f"{plan.flops:>12.3g} {plan.memory_words:>11.0f} "
-              f"{plan.modeled_seconds:>9.4f}")
-    print(f"paper m/d = n/c rule : {optimal_grid(args.m, args.n, args.procs)}")
-    print(f"autotuned            : {autotune_grid(args.m, args.n, args.procs, machine)}")
-    print("note: `repro tune` is deprecated; `repro plan` searches every "
-          "registered algorithm")
-    return 0
 
 
 def _build_observer(jsonl_path: Optional[str], chrome_path: Optional[str]):
@@ -389,8 +347,10 @@ def _default_ca_grid(solver, args) -> tuple:
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
-    from repro.engine import MatrixSpec, RunSpec, resolve_auto, run, solver_for
+    from repro.engine import MatrixSpec, RunSpec, solver_for
+    from repro.session import default_session
 
+    session = default_session()
     try:
         machine = _load_machine(args)
         c, d = args.c, args.d
@@ -400,9 +360,9 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         spec = RunSpec(algorithm=args.algorithm, data=a, c=c, d=d,
                        procs=args.procs, pr=args.pr, pc=args.pc,
                        block_size=args.block_size, machine=machine)
-        spec = resolve_auto(spec)       # `-a auto` delegates to the planner
+        spec = session.resolve(spec)    # `-a auto` delegates to the planner
         solver = solver_for(spec.algorithm)
-        result = run(spec)
+        result = session.run(spec)
     except OSError as exc:
         print(f"error: cannot read machine file: {exc}")
         return 2
@@ -418,7 +378,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.engine import MatrixSpec, RunSpec, run_traced, solver_for
+    from repro.engine import MatrixSpec, RunSpec, solver_for
+    from repro.session import default_session
     from repro.vmpi.trace import format_phase_profile, render_gantt
 
     try:
@@ -434,7 +395,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
         try:
             with use_observer(obs):
-                result, vm = run_traced(spec)
+                result, vm = default_session().trace(spec)
             if chrome is not None:
                 # VM time is simulated seconds on its own clock; the
                 # timeline lands under pid 1, span wall time under pid 0.
@@ -588,7 +549,8 @@ def _run_auto_sweep(args, machine, proc_counts) -> int:
 
 def _run_executed_sweep(args, machine, proc_counts) -> int:
     """Execute a real (numeric) sweep through the engine's batch runner."""
-    from repro.engine import CapabilityError, MatrixSpec, RunSpec, run_batch, solvers
+    from repro.engine import CapabilityError, MatrixSpec, RunSpec, solvers
+    from repro.session import default_session
 
     if args.algorithms and "auto" in args.algorithms:
         if len(args.algorithms) > 1:
@@ -627,8 +589,9 @@ def _run_executed_sweep(args, machine, proc_counts) -> int:
         return 2
     from repro.utils.config import UNSET
 
-    results = run_batch(specs, parallel=not args.serial, max_workers=args.jobs,
-                        cache_dir=args.cache_dir or UNSET)
+    results = default_session().run_batch(
+        specs, parallel=not args.serial, max_workers=args.jobs,
+        cache_dir=args.cache_dir or UNSET)
 
     print(f"executed sweep: {args.m} x {args.n} on {machine.name} "
           f"(simulated critical-path seconds / orthogonality error)")
@@ -697,8 +660,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
             cfg["mode"] = "symbolic"
 
     def progress(info) -> None:
-        # Single-argument callback: Study.stream delivers a ProgressInfo
-        # with throughput derived from executed (non-resumed) rows.
+        # Study.stream delivers a ProgressInfo with throughput derived
+        # from executed (non-resumed) rows.
         state = "ok" if info.row.ok else "infeasible"
         line = f"  [{info.done}/{info.total}] {info.row.point} {state}"
         if info.rate is not None:
@@ -741,10 +704,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_cache_info(label: str, cache_dir: str) -> None:
-    from repro.engine import cache_info
-
-    info = cache_info(cache_dir)
+def _print_cache_info(label: str, info: dict) -> None:
     size = info["bytes"]
     human = f"{size / 1e6:.1f} MB" if size >= 1e6 else f"{size} bytes"
     print(f"{label}: {info['path']}")
@@ -755,71 +715,61 @@ def _print_cache_info(label: str, cache_dir: str) -> None:
 def _cmd_cache(args: argparse.Namespace) -> int:
     import json
 
-    from repro.engine import cache_clear, default_cache_dir
-    from repro.plan import default_plan_cache_dir
-    from repro.sched import default_sched_cache_dir
-    from repro.utils.diskcache import scan_cache_dir
+    from repro.engine import ResultCache
+    from repro.plan import PlanCache
+    from repro.sched import ProgramCache
+    from repro.utils.config import (default_cache_dir, default_plan_cache_dir,
+                                    default_sched_cache_dir)
+    from repro.utils.diskcache import clear_cache_dir, scan_cache_dir
 
-    # Default locations honor REPRO_CACHE_DIR / REPRO_PLAN_CACHE_DIR /
-    # REPRO_SCHED_CACHE_DIR.
     if args.plan and args.sched:
         print("error: --plan and --sched are mutually exclusive")
         return 2
-    if args.plan:
-        cache_dir = args.cache_dir or default_plan_cache_dir()
-        label = "plan cache"
-    elif args.sched:
-        cache_dir = args.cache_dir or default_sched_cache_dir()
-        label = "program cache"
-    else:
-        cache_dir = args.cache_dir or default_cache_dir()
-        label = "result cache"
-    if args.action == "info":
-        survey_all = not (args.plan or args.sched or args.cache_dir)
-        if args.json:
-            # One machine-readable survey covering every session cache
-            # (each entry: path / entries / bytes), or just the selected
-            # one when a flag narrows it down.
-            if survey_all:
-                from repro.session import default_session
-
-                info = {
-                    "result": scan_cache_dir(default_cache_dir(), ".pkl"),
-                    "plan": scan_cache_dir(default_plan_cache_dir(),
-                                           ".plan.pkl"),
-                    "sched": scan_cache_dir(default_sched_cache_dir(),
-                                            ".prog.pkl"),
-                    # The planner's in-memory compiled-program LRU (not
-                    # a disk cache): entries live for a planner's
-                    # lifetime, bounded by capacity.
-                    "program_memo":
-                        default_session().planner().program_memo_info(),
-                }
-                # Live hit/miss/eviction counters for every cache in
-                # this process, read from the one metrics registry the
-                # caches write through to (repro.obs).
-                from repro.obs import get_registry
-
-                registry = get_registry()
-                info["counters"] = dict(
-                    sorted({**registry.counters("cache."),
-                            **registry.counters("program_memo.")}.items()))
-            else:
-                suffix = (".plan.pkl" if args.plan
-                          else ".prog.pkl" if args.sched else ".pkl")
-                name = ("plan" if args.plan
-                        else "sched" if args.sched else "result")
-                info = {name: scan_cache_dir(cache_dir, suffix)}
-            print(json.dumps(info, indent=2, sort_keys=True))
-            return 0
-        _print_cache_info(label, cache_dir)
-        if survey_all:
-            # Bare `cache info` surveys every session cache in one shot.
-            _print_cache_info("plan cache", default_plan_cache_dir())
-            _print_cache_info("program cache", default_sched_cache_dir())
+    # Every session cache: (label, directory, entry suffix).  Default
+    # directories honor REPRO_CACHE_DIR / REPRO_PLAN_CACHE_DIR /
+    # REPRO_SCHED_CACHE_DIR; the suffix keeps the three apart when they
+    # share one directory.
+    caches = {
+        "result": ("result cache", default_cache_dir(), ResultCache.suffix),
+        "plan": ("plan cache", default_plan_cache_dir(), PlanCache.suffix),
+        "sched": ("program cache", default_sched_cache_dir(),
+                  ProgramCache.suffix),
+    }
+    name = "plan" if args.plan else "sched" if args.sched else "result"
+    if args.cache_dir:
+        label, _, suffix = caches[name]
+        caches[name] = (label, args.cache_dir, suffix)
+    if args.action == "clear":
+        _, cache_dir, suffix = caches[name]
+        removed = clear_cache_dir(cache_dir, suffix)
+        print(f"removed {removed} cached entries from {cache_dir}")
         return 0
-    removed = cache_clear(cache_dir)
-    print(f"removed {removed} cached entries from {cache_dir}")
+    # Bare `cache info` surveys every session cache in one shot; a flag
+    # narrows it to the selected one.
+    survey_all = not (args.plan or args.sched or args.cache_dir)
+    selected = list(caches) if survey_all else [name]
+    info = {key: scan_cache_dir(caches[key][1], caches[key][2])
+            for key in selected}
+    if not args.json:
+        for key in selected:
+            _print_cache_info(caches[key][0], info[key])
+        return 0
+    if survey_all:
+        from repro.obs import get_registry
+        from repro.session import default_session
+
+        # The planner's in-memory compiled-program LRU (not a disk
+        # cache): entries live for a planner's lifetime, bounded by
+        # capacity.
+        info["program_memo"] = default_session().planner().program_memo_info()
+        # Live hit/miss/eviction counters for every cache in this
+        # process, read from the one metrics registry the caches write
+        # through to (repro.obs).
+        registry = get_registry()
+        info["counters"] = dict(
+            sorted({**registry.counters("cache."),
+                    **registry.counters("program_memo.")}.items()))
+    print(json.dumps(info, indent=2, sort_keys=True))
     return 0
 
 
@@ -895,8 +845,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the planning-as-a-service HTTP endpoint (:mod:`repro.serve`)."""
-    from repro.plan import default_plan_cache_dir
     from repro.serve import PlanServer
+    from repro.utils.config import default_plan_cache_dir
     from repro.utils.validation import ValidationError
 
     try:
@@ -967,18 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep kappa = 10^1 .. 10^max (step 100x)")
     p_acc.add_argument("--seed", type=int, default=1234)
     p_acc.set_defaults(func=_cmd_accuracy)
-
-    p_tune = sub.add_parser(
-        "tune", help="enumerate and autotune CA-CQR2 processor grids "
-                     "(deprecated shim over `repro plan`)")
-    p_tune.add_argument("-m", type=int, required=True, help="matrix rows")
-    p_tune.add_argument("-n", type=int, required=True, help="matrix cols")
-    p_tune.add_argument("-P", "--procs", type=int, required=True)
-    p_tune.add_argument("--machine", default="stampede2", choices=machine_names)
-    p_tune.add_argument("--machine-file", default=None,
-                        help="JSON machine description (MachineSpec.from_dict "
-                             "schema) instead of a preset")
-    p_tune.set_defaults(func=_cmd_tune)
 
     p_plan = sub.add_parser(
         "plan", help="model-driven planner: search the full algorithm x "

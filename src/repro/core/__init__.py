@@ -7,8 +7,8 @@
 * :mod:`repro.core.cacqr`    -- Algorithms 8-9, the tunable-grid CA-CQR / CA-CQR2
   (the paper's primary contribution), plus the cubic-grid 3D-CQR2 special case.
 * :mod:`repro.core.shifted`  -- shifted CholeskyQR3 (Section V / reference [3]).
-* :mod:`repro.core.tuning`   -- processor-grid selection, including the
-  paper's optimal ``m/d = n/c`` rule and a cost-model-driven autotuner.
+* :mod:`repro.core.tuning`   -- processor-grid enumeration and the
+  paper's optimal ``m/d = n/c`` rule.
 """
 
 from repro.core.elementwise import dist_add, dist_sub, dist_neg, dist_scale
@@ -29,7 +29,6 @@ from repro.core.tuning import (
     GridShape,
     optimal_grid,
     feasible_grids,
-    autotune_grid,
     inverse_depth_to_base_case,
 )
 
@@ -62,6 +61,5 @@ __all__ = [
     "GridShape",
     "optimal_grid",
     "feasible_grids",
-    "autotune_grid",
     "inverse_depth_to_base_case",
 ]

@@ -6,15 +6,16 @@ The tunable ``c x d x c`` grid is the paper's central knob: ``c = 1`` is
 the communication-optimal interior point matches the grid to the matrix
 aspect ratio, ``m/d = n/c``.
 
-Three selectors are provided:
+Two selectors are provided:
 
 * :func:`optimal_grid` -- snap the paper's closed-form optimum
   ``c = (P n / m)**(1/3)`` to the nearest feasible grid;
 * :func:`feasible_grids` -- enumerate every ``(c, d)`` with ``P = c**2 d``,
-  ``c | d``, and the divisibility the cyclic layout needs;
-* :func:`autotune_grid` -- evaluate the validated analytic cost model for
-  every feasible grid under a machine preset and return the fastest, which
-  is how the per-figure "best variant" curves are produced.
+  ``c | d``, and the divisibility the cyclic layout needs.
+
+The model-driven pick -- the feasible grid minimizing modeled time on a
+machine -- is the planner's job: :class:`repro.plan.Planner` restricted to
+``algorithms=("ca_cqr2",)``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.costmodel.params import MachineSpec
 from repro.core.cfr3d import default_base_case
 from repro.utils.validation import check_positive_int, require
 
@@ -112,29 +112,3 @@ def optimal_grid(m: int, n: int, procs: int) -> GridShape:
             f"no feasible c x d x c grid for {m}x{n} on P={procs}")
     c_star = max(1.0, (procs * n / m) ** (1.0 / 3.0))
     return min(grids, key=lambda g: abs(math.log(g.c / c_star)))
-
-
-def autotune_grid(m: int, n: int, procs: int, machine: MachineSpec,
-                  inverse_depth: int = 0) -> GridShape:
-    """Pick the feasible grid minimizing modeled CA-CQR2 time on *machine*.
-
-    Uses the exact analytic cost model (validated against execution), so
-    this is the model-driven analogue of the paper's per-point best-variant
-    selection.
-
-    Delegates to the planner (:mod:`repro.plan`) restricted to CA-CQR2 at
-    the given inverse depth.  The batched screen is bit-identical to the
-    scalar closed forms, so the selection minimizes the same exact
-    modeled times over the same candidates as the historical direct
-    minimization, while the general search (all algorithms, all
-    variants, Pareto reporting) lives in :class:`repro.plan.Planner`.
-    """
-    from repro.plan import Planner, ProblemSpec
-
-    require(len(feasible_grids(m, n, procs)) > 0,
-            f"no feasible c x d x c grid for {m}x{n} on P={procs}")
-    problem = ProblemSpec(m=m, n=n, procs=procs, machine=machine,
-                          algorithms=("ca_cqr2",),
-                          inverse_depths=(inverse_depth,))
-    best = Planner(refine=None).plan(problem).best()
-    return GridShape(c=best.spec_fields["c"], d=best.spec_fields["d"])

@@ -1,22 +1,24 @@
 """repro.engine: unified algorithm registry + spec-driven run engine.
 
 The one pluggable dispatch path for every QR variant in the repository.
-Describe a run declaratively with :class:`RunSpec`, execute it with
-:func:`run`, or execute a whole sweep with :func:`run_batch` / the
-streaming :func:`run_iter` (process parallelism + an on-disk result
-cache keyed by spec fingerprint; ``run_iter`` yields ``(index, result)``
-in completion order and powers :mod:`repro.study` campaigns)::
+Describe a run declaratively with :class:`RunSpec` and execute it
+through a :class:`repro.Session` -- one run with ``session.run``, a
+whole sweep with ``session.run_batch`` or the streaming
+``session.run_iter`` (process parallelism + an on-disk result cache
+keyed by spec fingerprint; ``run_iter`` yields ``(index, result)`` in
+completion order and powers :mod:`repro.study` campaigns)::
 
-    from repro.engine import MatrixSpec, RunSpec, run, run_batch
+    from repro import Session
+    from repro.engine import MatrixSpec, RunSpec
 
+    session = Session(result_cache=".repro-cache")
     spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(4096, 64), procs=16)
-    result = run(spec)                       # -> repro.api.QRRun
-    results = run_batch([spec.replace(procs=p) for p in (16, 32, 128)],
-                        cache_dir=".repro-cache")
+    result = session.run(spec)               # -> repro.engine.QRRun
+    results = session.run_batch([spec.replace(procs=p) for p in (16, 32, 128)])
 
 Algorithms self-register via :class:`~repro.engine.registry.Solver`
 adapters (capability checks, grid construction, executed path, and the
-analytic cost-model counterpart); ``repro.api``, the CLI, the experiment
+analytic cost-model counterpart); the session, the CLI, the experiment
 sweeps, and the benchmark harness all dispatch through this registry, so
 a new algorithm lands as a single registry entry.
 """
@@ -33,20 +35,7 @@ from repro.engine.registry import (
     solvers,
 )
 from repro.engine.result import Grid2DShape, QRRun
-from repro.engine.runner import (
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    batch_specs,
-    cache_clear,
-    cache_info,
-    default_cache_dir,
-    resolve_auto,
-    run,
-    run_batch,
-    run_iter,
-    run_traced,
-    spec_key,
-)
+from repro.engine.runner import ResultCache, batch_specs
 from repro.engine.builtin import register_builtin
 from repro.engine.spec import MatrixSpec, RunSpec
 
@@ -54,7 +43,6 @@ register_builtin()
 
 __all__ = [
     "CapabilityError",
-    "DEFAULT_CACHE_DIR",
     "EngineError",
     "Grid2DShape",
     "MatrixSpec",
@@ -66,17 +54,8 @@ __all__ = [
     "UnknownAlgorithmError",
     "available_algorithms",
     "batch_specs",
-    "cache_clear",
-    "cache_info",
-    "default_cache_dir",
     "register",
     "register_builtin",
-    "resolve_auto",
-    "run",
-    "run_batch",
-    "run_iter",
-    "run_traced",
     "solver_for",
     "solvers",
-    "spec_key",
 ]

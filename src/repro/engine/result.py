@@ -1,9 +1,7 @@
 """Run results shared by every dispatch layer.
 
-:class:`QRRun` is the single result type the engine, the :mod:`repro.api`
-facade, and the CLI all return.  It lived in ``repro.api`` historically;
-it now lives here so the engine does not depend on the facade built on
-top of it (``repro.api`` re-exports it unchanged).
+:class:`QRRun` is the single result type every run returns --
+:meth:`repro.Session.run`, ``Session.factor``, batch runs, and the CLI.
 """
 
 from __future__ import annotations

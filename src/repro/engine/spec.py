@@ -90,7 +90,7 @@ class RunSpec:
     #: (:mod:`repro.plan`) instead of the solver's own default rule;
     #: ``algorithm="auto"`` additionally lets the planner pick the
     #: algorithm.  Auto specs are resolved to concrete ones by
-    #: :func:`repro.engine.resolve_auto` before execution or caching.
+    #: :meth:`repro.Session.resolve` before execution or caching.
     grid: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -136,12 +136,12 @@ def fingerprint(spec: RunSpec, canonical_algorithm: Optional[str] = None) -> str
     Two specs that describe the same computation -- same algorithm (after
     alias resolution), same input bytes, same grid, machine, and mode --
     hash identically across processes and sessions.  Auto specs must be
-    resolved first (:func:`repro.engine.resolve_auto`): their identity is
+    resolved first (:meth:`repro.Session.resolve`): their identity is
     the concrete configuration the planner chose, so a resolved spec and
     the equivalent explicit one share a cache entry.
     """
     require(spec.algorithm != "auto" and spec.grid != "auto",
-            "resolve auto specs (repro.engine.resolve_auto) before "
+            "resolve auto specs (Session.resolve) before "
             "fingerprinting; an unresolved spec has no stable identity")
     h = hashlib.sha256()
 

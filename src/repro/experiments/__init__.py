@@ -12,11 +12,11 @@
 * :mod:`repro.experiments.report` -- plain-text rendering of result series
   in the shape the paper's plots report.
 
-Every experiment module now declares its campaign as a
+Every experiment module declares its campaign as a
 :class:`repro.study.Study` (``strong_scaling_study``,
-``accuracy_study``, ``algorithm_comparison_study``,
-``crossover_study``); the functions exported here remain as thin
-compatibility shims over those studies.
+``weak_scaling_study``, ``accuracy_study``,
+``algorithm_comparison_study``, ``crossover_study``); run it and read
+the table through the module's ``*_from_table`` helper.
 """
 
 from repro.experiments.scaling import (
@@ -27,8 +27,6 @@ from repro.experiments.scaling import (
     StrongScalingFigure,
     WeakScalingFigure,
     SeriesPoint,
-    evaluate_strong_figure,
-    evaluate_weak_figure,
     best_per_point,
     strong_scaling_study,
     weak_scaling_study,
@@ -48,20 +46,16 @@ from repro.experiments.accuracy import (
     ACCURACY_ALGORITHMS,
     AccuracyRow,
     accuracy_study,
-    accuracy_sweep,
 )
 from repro.experiments.crossover import (
     CrossoverPoint,
     crossover_study,
-    crossover_sweep,
     find_crossover,
     format_crossover_table,
 )
 from repro.experiments.sweeps import (
     AlgorithmTiming,
     algorithm_comparison_study,
-    algorithm_sweep,
-    compare_algorithms,
 )
 from repro.experiments.report import format_series_table, format_accuracy_table
 
@@ -73,8 +67,6 @@ __all__ = [
     "StrongScalingFigure",
     "WeakScalingFigure",
     "SeriesPoint",
-    "evaluate_strong_figure",
-    "evaluate_weak_figure",
     "best_per_point",
     "strong_scaling_study",
     "weak_scaling_study",
@@ -89,15 +81,11 @@ __all__ = [
     "all_figures",
     "AccuracyRow",
     "accuracy_study",
-    "accuracy_sweep",
     "ACCURACY_ALGORITHMS",
     "AlgorithmTiming",
     "algorithm_comparison_study",
-    "algorithm_sweep",
-    "compare_algorithms",
     "CrossoverPoint",
     "crossover_study",
-    "crossover_sweep",
     "find_crossover",
     "format_crossover_table",
     "format_series_table",

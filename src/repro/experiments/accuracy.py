@@ -15,11 +15,6 @@ each algorithm, the orthogonality error ``||Q.T Q - I||_2`` and the
 relative residual ``||A - Q R||_F / ||A||_F``, against Householder QR as
 the gold standard.  Breakdowns (Cholesky failure) are recorded rather
 than raised.
-
-.. deprecated::
-    :func:`accuracy_sweep` remains as a thin compatibility shim over the
-    study; new code should declare campaigns through
-    :func:`accuracy_study` / :mod:`repro.study` directly.
 """
 
 from __future__ import annotations
@@ -125,7 +120,7 @@ def accuracy_study(m: int = 1024, n: int = 64,
 
 
 def rows_from_table(table: ResultTable) -> List[AccuracyRow]:
-    """An accuracy study's table as the legacy :class:`AccuracyRow` list."""
+    """An accuracy study's table as an :class:`AccuracyRow` list."""
     rows: List[AccuracyRow] = []
     for row in table.rows:
         if not row.ok:
@@ -137,22 +132,3 @@ def rows_from_table(table: ResultTable) -> List[AccuracyRow]:
                                 failed=row.values["failed"]))
     return rows
 
-
-def accuracy_sweep(m: int = 1024, n: int = 64,
-                   conditions: Sequence[float] = (1e1, 1e3, 1e5, 1e7, 1e9, 1e11, 1e13, 1e15),
-                   algorithms: Optional[Dict[str, Callable]] = None,
-                   seed: int = 1234,
-                   mode: str = "geometric") -> List[AccuracyRow]:
-    """Sweep kappa(A) and measure every algorithm (experiment E12's rows).
-
-    .. deprecated::
-        Compatibility shim over :func:`accuracy_study`; new code should
-        run the study and use its :class:`ResultTable`.
-    """
-    from repro.utils.deprecation import warn_deprecated
-
-    warn_deprecated("accuracy_sweep",
-                    "accuracy_study(...).run() or Session.study(...)")
-    study = accuracy_study(m=m, n=n, conditions=conditions,
-                           algorithms=algorithms, seed=seed, mode=mode)
-    return rows_from_table(study.run(parallel=False))

@@ -8,11 +8,6 @@ sweeps a (nodes x side) grid comparing each side's best feasible
 configuration under the validated cost model -- the quantitative form of
 the paper's "at higher node counts, the asymptotic communication
 improvement is expected to be of greater benefit".
-
-.. deprecated::
-    :func:`crossover_sweep` remains as a thin compatibility shim over
-    the study; new code should declare campaigns through
-    :func:`crossover_study` / :mod:`repro.study` directly.
 """
 
 from __future__ import annotations
@@ -121,10 +116,10 @@ def crossover_study(m: int, n: int, machine: MachineSpec,
 
 
 def points_from_table(table: ResultTable) -> List[CrossoverPoint]:
-    """A crossover study's table as the legacy best-vs-best point list.
+    """A crossover study's table as a best-vs-best point list.
 
     Node counts where either side has no feasible configuration are
-    omitted, exactly as the legacy sweep did.
+    omitted.
     """
     points: List[CrossoverPoint] = []
     nodes_seen: List[int] = []
@@ -141,24 +136,6 @@ def points_from_table(table: ResultTable) -> List[CrossoverPoint]:
             sl_seconds=sl.values["modeled_seconds"],
             ca_grid=ca.values["config"], sl_grid=sl.values["config"]))
     return points
-
-
-def crossover_sweep(m: int, n: int, machine: MachineSpec,
-                    node_counts: Tuple[int, ...] = (16, 32, 64, 128, 256, 512,
-                                                    1024, 2048, 4096)
-                    ) -> List[CrossoverPoint]:
-    """Best-vs-best comparison at every node count.
-
-    .. deprecated::
-        Compatibility shim over :func:`crossover_study`; new code should
-        run the study and use its :class:`ResultTable`.
-    """
-    from repro.utils.deprecation import warn_deprecated
-
-    warn_deprecated("crossover_sweep",
-                    "crossover_study(...).run() or Session.study(...)")
-    table = crossover_study(m, n, machine, node_counts).run(parallel=False)
-    return points_from_table(table)
 
 
 def find_crossover(points: List[CrossoverPoint]) -> Optional[int]:

@@ -19,13 +19,9 @@ A figure panel *is* a campaign: :func:`strong_scaling_study` /
 :func:`weak_scaling_study` declare one panel as a
 :class:`repro.study.Study` over a (variant x scaling-point) grid, which
 brings streaming execution, JSONL persistence/resume, and uniform
-rendering to every curve in the paper.
-
-.. deprecated::
-    :func:`evaluate_strong_figure` / :func:`evaluate_weak_figure` remain
-    as thin compatibility shims over the studies; new code should
-    declare campaigns through the ``*_study`` builders /
-    :mod:`repro.study` directly.
+rendering to every curve in the paper; :func:`strong_series_from_table`
+/ :func:`weak_series_from_table` turn a panel's table into the
+``label -> [SeriesPoint...]`` curves the reports and speedups read.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.params import MachineSpec
 from repro.costmodel.performance import ExecutionModel
 from repro.study import Axis, RawField, ResultTable, Study
-from repro.utils.deprecation import warn_deprecated
+
 
 def _icbrt(x: int) -> Optional[int]:
     """Exact integer cube root, or ``None``."""
@@ -339,29 +335,6 @@ def weak_series_from_table(table: ResultTable) -> Dict[str, List[SeriesPoint]]:
                         gigaflops_per_node=row.values["gigaflops_per_node"],
                         detail=row.values["detail"]))
     return series
-
-
-def evaluate_strong_figure(fig: StrongScalingFigure) -> Dict[str, List[SeriesPoint]]:
-    """All curves of a strong-scaling panel: ``label -> [SeriesPoint...]``.
-
-    .. deprecated::
-        Compatibility shim over :func:`strong_scaling_study`; new code
-        should run the study and use its :class:`ResultTable`.
-    """
-    warn_deprecated("evaluate_strong_figure",
-                    "strong_scaling_study(fig).run()")
-    return strong_series_from_table(strong_scaling_study(fig).run(parallel=False))
-
-
-def evaluate_weak_figure(fig: WeakScalingFigure) -> Dict[str, List[SeriesPoint]]:
-    """All curves of a weak-scaling panel over the ``(a, b)`` ladder.
-
-    .. deprecated::
-        Compatibility shim over :func:`weak_scaling_study`; new code
-        should run the study and use its :class:`ResultTable`.
-    """
-    warn_deprecated("evaluate_weak_figure", "weak_scaling_study(fig).run()")
-    return weak_series_from_table(weak_scaling_study(fig).run(parallel=False))
 
 
 def best_per_point(series: Dict[str, List[SeriesPoint]],

@@ -13,12 +13,6 @@ its feasible configurations via
 a newly registered algorithm shows up in these sweeps automatically --
 and the study inherits streaming execution, JSONL persistence/resume,
 and filter/pivot/rendering from :mod:`repro.study` for free.
-
-.. deprecated::
-    The loose functions (:func:`compare_algorithms`,
-    :func:`algorithm_sweep`) remain as thin compatibility shims over the
-    study; new code should declare campaigns through
-    :func:`algorithm_comparison_study` / :mod:`repro.study` directly.
 """
 
 from __future__ import annotations
@@ -30,7 +24,6 @@ from repro.costmodel.params import MachineSpec
 from repro.costmodel.performance import ExecutionModel
 from repro.engine import solver_for, solvers
 from repro.study import Axis, RawField, ResultTable, Study
-from repro.utils.deprecation import warn_deprecated
 from repro.utils.validation import require
 
 
@@ -114,41 +107,6 @@ def series_from_table(table: ResultTable) -> Dict[str, List[AlgorithmTiming]]:
                                  config=row.values["config"])
         series.setdefault(timing.algorithm, []).append(timing)
     return series
-
-
-def compare_algorithms(m: int, n: int, procs: int,
-                       machine: MachineSpec,
-                       block_size: int = 32) -> List[AlgorithmTiming]:
-    """Modeled best time of each applicable algorithm at one scale point.
-
-    .. deprecated::
-        Compatibility shim over :func:`algorithm_comparison_study`; new
-        code should run the study and use its :class:`ResultTable`.
-    """
-    warn_deprecated("compare_algorithms",
-                    "algorithm_comparison_study(...).run() or "
-                    "Session.study(...)")
-    table = algorithm_comparison_study(m, n, machine, (procs,),
-                                       block_size).run(parallel=False)
-    return [t for timings in series_from_table(table).values()
-            for t in timings]
-
-
-def algorithm_sweep(m: int, n: int, machine: MachineSpec,
-                    proc_counts: Tuple[int, ...],
-                    block_size: int = 32) -> Dict[str, List[AlgorithmTiming]]:
-    """Sweep every registered algorithm over processor counts.
-
-    .. deprecated::
-        Compatibility shim over :func:`algorithm_comparison_study`; new
-        code should run the study and use its :class:`ResultTable`.
-    """
-    warn_deprecated("algorithm_sweep",
-                    "algorithm_comparison_study(...).run() or "
-                    "Session.study(...)")
-    table = algorithm_comparison_study(m, n, machine, tuple(proc_counts),
-                                       block_size).run(parallel=False)
-    return series_from_table(table)
 
 
 def fastest_at(series: Dict[str, List[AlgorithmTiming]], procs: int) -> Optional[str]:

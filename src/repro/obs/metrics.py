@@ -15,8 +15,7 @@ Three instrument kinds, all thread-safe:
 * :class:`Gauge` -- a floating point level that is *set*, not summed
   (occupancy, reuse factors).
 * :class:`Histogram` -- the log-bucketed latency histogram
-  (:class:`LatencyHistogram`, promoted here from ``repro.serve.metrics``)
-  under a lock, with cumulative-bucket quantiles.
+  (:class:`LatencyHistogram`) under a lock, with cumulative-bucket quantiles.
 
 Instruments are created on first use (``registry.counter(name)``) and a
 name is pinned to its kind -- asking for ``gauge("x")`` after

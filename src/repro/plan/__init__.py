@@ -13,10 +13,10 @@ balance.  This package answers the question users actually have::
     spec = best.to_run_spec(matrix=MatrixSpec(2**22, 2**9),
                             mode="symbolic", machine="stampede2")
 
-or, fully delegated, straight through the engine::
+or, fully delegated, straight through a session::
 
-    run(RunSpec(algorithm="auto", matrix=MatrixSpec(2**22, 2**9),
-                procs=4096, machine="stampede2", mode="symbolic"))
+    Session().run(RunSpec(algorithm="auto", matrix=MatrixSpec(2**22, 2**9),
+                          procs=4096, machine="stampede2", mode="symbolic"))
 
 The search enumerates every feasible candidate across all registered
 algorithms (the registry's planning hooks), screens hundreds of them
@@ -32,11 +32,7 @@ so serving repeated planning queries costs one disk read.
 """
 
 from repro.plan.auto import resolve_auto_spec
-from repro.plan.cache import (
-    DEFAULT_PLAN_CACHE_DIR,
-    PlanCache,
-    default_plan_cache_dir,
-)
+from repro.plan.cache import PlanCache
 from repro.plan.lattice import LatticeStats, lattice_problems, search_lattice
 from repro.plan.objective import METRICS, Budget, Objective
 from repro.plan.planner import Plan, Planner, PlanResult, pareto_mask
@@ -53,7 +49,6 @@ from repro.plan.screen import enumerate_candidates
 
 __all__ = [
     "Budget",
-    "DEFAULT_PLAN_CACHE_DIR",
     "LatticeStats",
     "METRICS",
     "OBJECTIVES",
@@ -64,7 +59,6 @@ __all__ = [
     "Planner",
     "ProblemSpec",
     "default_block_sizes",
-    "default_plan_cache_dir",
     "enumerate_candidates",
     "lattice_problems",
     "machine_from_json",

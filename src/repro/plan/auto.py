@@ -2,9 +2,9 @@
 
 :func:`resolve_auto_spec` turns an auto :class:`~repro.engine.RunSpec`
 into a concrete one by asking the planner for the best configuration of
-the spec's problem point.  The engine calls it from every entry point
-(:func:`~repro.engine.run`, :func:`~repro.engine.run_traced`,
-:func:`~repro.engine.spec_key`), so any run, sweep, or
+the spec's problem point.  :meth:`repro.Session.resolve` calls it from
+every entry point (``Session.run``, ``Session.trace``,
+``Session.run_iter``, ``Session.spec_key``), so any run, sweep, or
 :class:`~repro.study.Study` can delegate its configuration by writing
 ``RunSpec(algorithm="auto", ...)`` -- and because resolution *replaces*
 the spec before the normal dispatch path, the resolved run is

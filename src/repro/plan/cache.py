@@ -14,11 +14,6 @@ misses the cache instead of serving a stale answer.
 
 from __future__ import annotations
 
-from repro.utils.config import (
-    DEFAULT_PLAN_CACHE_DIR,  # noqa: F401 - re-exported (historical home)
-    PLAN_CACHE_ENV,  # noqa: F401 - re-exported (historical home)
-    default_plan_cache_dir,  # noqa: F401 - re-exported (historical home)
-)
 from repro.utils.diskcache import AtomicDiskCache
 
 

@@ -34,14 +34,7 @@ from __future__ import annotations
 import contextlib
 
 from repro.sched.binding import RankFamilyMap
-from repro.sched.cache import (
-    DEFAULT_SCHED_CACHE_DIR,
-    SCHED_CACHE_ENV,
-    SCHED_VERSION,
-    ProgramCache,
-    default_sched_cache_dir,
-    program_key,
-)
+from repro.sched.cache import SCHED_VERSION, ProgramCache, program_key
 from repro.sched.program import (
     OP_BARRIER,
     OP_COMM,
@@ -56,18 +49,15 @@ __all__ = [
     "BoundProgram",
     "ChargeOp",
     "ChargeProgram",
-    "DEFAULT_SCHED_CACHE_DIR",
     "OP_BARRIER",
     "OP_COMM",
     "OP_FLOPS",
     "ProgramCache",
     "RankFamilyMap",
-    "SCHED_CACHE_ENV",
     "SCHED_VERSION",
     "ScheduleRecorder",
     "compiled_replay_disabled",
     "compiled_replay_enabled",
-    "default_sched_cache_dir",
     "program_key",
 ]
 

@@ -20,11 +20,6 @@ from __future__ import annotations
 import hashlib
 
 from repro.sched.program import ChargeProgram
-from repro.utils.config import (
-    DEFAULT_SCHED_CACHE_DIR,  # noqa: F401 - re-exported (config is the home)
-    SCHED_CACHE_ENV,  # noqa: F401 - re-exported (config is the home)
-    default_sched_cache_dir,  # noqa: F401 - re-exported (config is the home)
-)
 from repro.utils.diskcache import AtomicDiskCache
 
 #: Version tag baked into program keys; bump when the IR or the capture

@@ -10,19 +10,18 @@ cost-only factorization questions from one long-lived
   call.
 * :class:`LRUPlanCache` -- bounded in-memory LRU write-through-layered
   over the shared on-disk :class:`~repro.plan.cache.PlanCache`.
-* :class:`ServeMetrics` / :class:`LatencyHistogram` -- counters,
-  coalesce/cache rates, and p50/p99 latency for ``/metrics``.
+* :class:`ServeMetrics` -- counters, coalesce/cache rates, and p50/p99
+  latency for ``/metrics``.
 """
 
 from repro.serve.cache import LRUPlanCache
 from repro.serve.coalesce import Coalescer
-from repro.serve.metrics import LatencyHistogram, ServeMetrics
+from repro.serve.metrics import ServeMetrics
 from repro.serve.server import MAX_BODY_BYTES, PlanServer
 
 __all__ = [
     "Coalescer",
     "LRUPlanCache",
-    "LatencyHistogram",
     "MAX_BODY_BYTES",
     "PlanServer",
     "ServeMetrics",

@@ -9,10 +9,9 @@ loop but runs planner calls on worker threads), with a single
 :meth:`ServeMetrics.to_dict` snapshot backing the ``/metrics`` endpoint.
 
 Latencies are recorded in a fixed logarithmic histogram
-(:class:`~repro.obs.metrics.LatencyHistogram` -- its home since it was
-promoted into :mod:`repro.obs`; re-exported here for compatibility):
-constant memory under unbounded traffic, and p50/p99 read directly off
-the cumulative bucket counts.
+(:class:`~repro.obs.metrics.LatencyHistogram`): constant memory under
+unbounded traffic, and p50/p99 read directly off the cumulative bucket
+counts.
 
 Each :class:`ServeMetrics` keeps private per-server state -- the
 authoritative source for its own ``/metrics`` JSON snapshot, so two
@@ -30,7 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.obs.metrics import LatencyHistogram, get_registry
 
-__all__ = ["LatencyHistogram", "ServeMetrics"]
+__all__ = ["ServeMetrics"]
 
 
 class ServeMetrics:

@@ -30,13 +30,10 @@ runs ship a picklable :class:`SessionConfig` into every worker process
 would), and studies stream through the session's result cache and
 executor.
 
-A module-level **default session** backs every pre-existing free
-function -- :func:`repro.engine.run` / ``run_batch`` / ``run_iter``,
-the :mod:`repro.api` wrappers, :class:`repro.plan.Planner`,
-:meth:`repro.study.Study.run` -- as byte-identical shims, so existing
-code keeps working unchanged while new code talks to one object.  The
-default session honors the ``REPRO_CACHE_DIR`` / ``REPRO_PLAN_CACHE_DIR``
-/ ``REPRO_SCHED_CACHE_DIR`` environment variables for its cache locations
+A module-level **default session** serves callers that pass none --
+:meth:`repro.study.Study.run` and the ``repro`` CLI.  It honors the
+``REPRO_CACHE_DIR`` / ``REPRO_PLAN_CACHE_DIR`` /
+``REPRO_SCHED_CACHE_DIR`` environment variables for its cache locations
 (the last backs the planner's compiled-program cache; see
 :mod:`repro.sched`).
 """
@@ -268,9 +265,12 @@ class Session:
     def trace(self, spec: RunSpec):
         """Execute one spec on a tracing machine; return ``(QRRun, vm)``.
 
-        The session-level doorway to :func:`repro.engine.run_traced`:
-        the returned :class:`~repro.vmpi.machine.VirtualMachine` carries
-        the recorded trace-event stream.
+        The returned :class:`~repro.vmpi.machine.VirtualMachine` carries
+        the recorded :class:`~repro.vmpi.machine.TraceEvent` stream, ready
+        for :func:`repro.vmpi.trace.render_gantt` /
+        :func:`repro.vmpi.trace.format_phase_profile` (``repro trace``
+        renders both).  Tracing records one event per rank per charge;
+        keep the rank count modest.
         """
         from repro.engine.runner import _execute
 
@@ -508,7 +508,7 @@ _default_session: Optional[Session] = None
 
 
 def default_session() -> Session:
-    """The module-level session backing every free-function shim.
+    """The module-level session used wherever no session is passed.
 
     Created lazily on first use (reading the ``REPRO_CACHE_DIR`` /
     ``REPRO_PLAN_CACHE_DIR`` environment variables); replace it with
@@ -532,8 +532,8 @@ def set_default_session(session: Optional[Session]) -> None:
 def use_session(session: Session):
     """Temporarily make *session* the default within a ``with`` block.
 
-    Every free-function shim (``repro.engine.run``, the ``repro.api``
-    wrappers, study execution) dispatches through *session* inside the
+    Everything that falls back on the default session -- study
+    execution, the CLI -- dispatches through *session* inside the
     block; the previous default is restored on exit.
     """
     global _default_session

@@ -16,7 +16,7 @@ every campaign in the repository::
     fast = table.filter(algorithm="ca_cqr2")
 
 Engine-backed studies expand their grid to :class:`repro.engine.RunSpec`
-runs and stream them through :func:`repro.engine.run_iter` (process
+runs and stream them through :meth:`repro.Session.run_iter` (process
 parallelism + the fingerprint-keyed on-disk result cache); completed
 rows stream into a :class:`ResultTable` and -- when ``jsonl_path`` is
 given -- onto disk as each point finishes, so an interrupted campaign

@@ -10,7 +10,7 @@ the repository:
 * **engine-backed** studies (``spec=``) expand each point to a
   :class:`~repro.engine.RunSpec` and execute through the engine's
   parallel, cached, *streaming* batch runner
-  (:func:`repro.engine.run_iter`);
+  (:meth:`repro.session.Session.run_iter`);
 * **model-backed** studies (``evaluate=``) call a custom evaluator per
   point -- the analytic cost-model campaigns (sweeps, scaling figures,
   crossover) and the sequential accuracy ladder.
@@ -25,7 +25,6 @@ table is identical to an uninterrupted run's.
 
 from __future__ import annotations
 
-import inspect
 import json
 import os
 import threading
@@ -43,14 +42,10 @@ from repro.study.metrics import Metric, Outcome
 from repro.study.table import ResultTable, Row, load_partial
 from repro.utils.validation import require
 
-#: Signature of the legacy progress callback: ``(done, total, row)``.
-#: Callbacks taking a single argument receive a :class:`ProgressInfo`.
-ProgressFn = Callable[[int, int, Row], None]
-
 
 @dataclass(frozen=True)
 class ProgressInfo:
-    """One progress tick, delivered to single-argument callbacks.
+    """One progress tick, delivered to the ``progress`` callback.
 
     ``rate`` and ``eta_seconds`` are derived from *executed* rows only --
     resumed rows replay from the JSONL file in microseconds and would
@@ -73,23 +68,8 @@ class ProgressInfo:
     eta_seconds: Optional[float]
 
 
-def _wants_info(progress: Callable) -> bool:
-    """Whether *progress* takes one positional argument (new-style).
-
-    Legacy ``(done, total, row)`` callbacks keep working unchanged;
-    anything whose signature cannot be introspected is treated as
-    legacy.
-    """
-    try:
-        params = list(inspect.signature(progress).parameters.values())
-    except (TypeError, ValueError):
-        return False
-    positional = [p for p in params
-                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    if any(p.kind == p.VAR_POSITIONAL for p in params):
-        return False
-    required = [p for p in positional if p.default is p.empty]
-    return len(required) <= 1 and len(positional) >= 1 and len(positional) < 3
+#: Signature of the progress callback: one :class:`ProgressInfo` per row.
+ProgressFn = Callable[[ProgressInfo], None]
 
 
 @dataclass
@@ -185,7 +165,6 @@ class Study:
         done = 0
         fresh_done = 0
         started = time.perf_counter()
-        wants_info = progress is not None and _wants_info(progress)
         existing = self._load_existing(jsonl_path, resume)
         writer = _JsonlWriter(jsonl_path, self.table().header(),
                               resume=resume) if jsonl_path else None
@@ -198,17 +177,14 @@ class Study:
             if fresh:
                 fresh_done += 1
             if progress is not None:
-                if wants_info:
-                    elapsed = time.perf_counter() - started
-                    rate = (fresh_done / elapsed
-                            if fresh_done and elapsed > 0 else None)
-                    eta = ((total - done) / rate
-                           if rate and done < total else None)
-                    progress(ProgressInfo(done=done, total=total, row=row,
-                                          fresh=fresh, elapsed=elapsed,
-                                          rate=rate, eta_seconds=eta))
-                else:
-                    progress(done, total, row)
+                elapsed = time.perf_counter() - started
+                rate = (fresh_done / elapsed
+                        if fresh_done and elapsed > 0 else None)
+                eta = ((total - done) / rate
+                       if rate and done < total else None)
+                progress(ProgressInfo(done=done, total=total, row=row,
+                                      fresh=fresh, elapsed=elapsed,
+                                      rate=rate, eta_seconds=eta))
             return row
 
         # The root span is held open across yields; _Span.__exit__ is

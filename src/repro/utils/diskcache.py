@@ -165,7 +165,7 @@ class AtomicDiskCache:
         return removed
 
 
-def scan_cache_dir(cache_dir: str, suffix: str = ".pkl") -> dict:
+def scan_cache_dir(cache_dir: str, suffix: str) -> dict:
     """Survey one cache directory without constructing (or creating) it."""
     entries = 0
     size = 0
@@ -178,7 +178,7 @@ def scan_cache_dir(cache_dir: str, suffix: str = ".pkl") -> dict:
             "bytes": size}
 
 
-def clear_cache_dir(cache_dir: str, suffix: str = ".pkl") -> int:
+def clear_cache_dir(cache_dir: str, suffix: str) -> int:
     """Delete every ``*suffix`` entry and stray ``*.tmp``; return entries removed."""
     removed = 0
     try:

@@ -5,8 +5,8 @@ Enable tracing with ``VirtualMachine(P, trace=True)`` (which attaches a
 :class:`~repro.vmpi.machine.TraceSink` and zero-cost when no sink is
 attached); every charge then records a
 :class:`~repro.vmpi.machine.TraceEvent` with its rank, phase, kind
-(compute / collective / p2p) and clock interval.  The engine exposes the
-same plumbing as :func:`repro.engine.run_traced`, and the ``repro trace``
+(compute / collective / p2p) and clock interval.  The session exposes the
+same plumbing as :meth:`repro.Session.trace`, and the ``repro trace``
 CLI subcommand renders both artifacts for any RunSpec.  This module turns
 the events into
 

@@ -545,18 +545,6 @@ class TestLintRules:
                "        pass\n")
         assert lint_source(src, "src/repro/engine/fake.py") == []
 
-    def test_deprecated_docstring_must_warn(self):
-        src = ("def old():\n"
-               "    \"\"\"Deprecated shim.\"\"\"\n"
-               "    return 1\n")
-        findings = lint_source(src, "src/repro/api.py")
-        assert [f.rule for f in findings] == ["lint/deprecated-warns"]
-        fixed = ("def old():\n"
-                 "    \"\"\"Deprecated shim.\"\"\"\n"
-                 "    warn_deprecated(\"old\", \"new\")\n"
-                 "    return 1\n")
-        assert lint_source(fixed, "src/repro/api.py") == []
-
     def test_wallclock_flagged_only_in_core_scopes(self):
         src = ("import time\n"
                "def now():\n"
@@ -592,9 +580,9 @@ class TestLintRules:
 
     def test_lint_paths_walks_files_and_dirs(self, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_text("def old():\n    \"\"\"deprecated\"\"\"\n    pass\n")
+        bad.write_text("class FooSolver(Solver):\n    name = \"foo\"\n")
         assert [f.rule for f in lint_paths([str(tmp_path)])] == \
-            ["lint/deprecated-warns"]
+            ["lint/solver-count-fields"]
 
 
 class TestRepoSourcePassesItsOwnLint:
@@ -645,9 +633,9 @@ class TestCheckCLI:
 
     def test_source_lint_flags_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text("def old():\n    \"\"\"deprecated\"\"\"\n    pass\n")
+        bad.write_text("class FooSolver(Solver):\n    name = \"foo\"\n")
         assert main(["check", "--source", str(bad)]) == 1
-        assert "lint/deprecated-warns" in capsys.readouterr().out
+        assert "lint/solver-count-fields" in capsys.readouterr().out
 
     def test_typing_gate_skips_or_runs(self, capsys):
         # With mypy absent the gate must skip gracefully (exit 0); with

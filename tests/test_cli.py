@@ -35,32 +35,6 @@ class TestFigures:
         assert "(8,4)" in out
 
 
-class TestTune(object):
-    def test_table_and_picks(self, capsys):
-        assert main(["tune", "-m", "65536", "-n", "256", "-P", "512",
-                     "--machine", "stampede2"]) == 0
-        out = capsys.readouterr().out
-        assert "1x512x1" in out
-        assert "8x8x8" in out
-        assert "autotuned" in out
-
-    def test_every_feasible_grid_shows_modeled_time(self, capsys):
-        assert main(["tune", "-m", "65536", "-n", "256", "-P", "512",
-                     "--machine", "stampede2"]) == 0
-        out = capsys.readouterr().out
-        # All four feasible grids appear, each with its own t(s) cell.
-        for grid in ("1x512x1", "2x128x2", "4x32x4", "8x8x8"):
-            assert grid in out
-        table = [line for line in out.splitlines() if line.strip().startswith(
-            ("1x", "2x", "4x", "8x"))]
-        assert len(table) == 4
-        assert all(len(line.split()) == 6 for line in table)
-        assert "deprecated" in out      # the shim points at `repro plan`
-
-    def test_infeasible(self, capsys):
-        assert main(["tune", "-m", "7", "-n", "3", "-P", "4"]) == 2
-
-
 class TestPlanCommand:
     def test_ranked_table(self, capsys):
         assert main(["plan", "-m", "16384", "-n", "64", "-P", "256",
@@ -178,7 +152,7 @@ class TestAccuracyAndMachines:
 
     def test_parser_builds(self):
         parser = build_parser()
-        args = parser.parse_args(["tune", "-m", "10", "-n", "5", "-P", "4"])
+        args = parser.parse_args(["plan", "-m", "10", "-n", "5", "-P", "4"])
         assert args.procs == 4
 
 
@@ -359,8 +333,10 @@ class TestPlanObjectives:
 class TestPlannerAwareSweep:
     def test_auto_sweep_matches_per_point_explicit_runs(self, capsys):
         """`sweep --execute -a auto` == resolving + running each point."""
-        from repro.engine import MatrixSpec, RunSpec, resolve_auto, run
+        from repro.engine import MatrixSpec, RunSpec
+        from repro.session import default_session
 
+        session = default_session()
         assert main(["sweep", "-m", "2048", "-n", "32", "-P", "4,64",
                      "--execute", "--serial", "-a", "auto",
                      "--machine", "stampede2"]) == 0
@@ -369,7 +345,7 @@ class TestPlannerAwareSweep:
         for procs in (4, 64):
             spec = RunSpec(algorithm="auto", matrix=MatrixSpec(2048, 32),
                            procs=procs, machine="stampede2")
-            expected = run(resolve_auto(spec))
+            expected = session.run(session.resolve(spec))
             assert f"{expected.report.critical_path_time:.4g}" in out
             assert f"{expected.orthogonality_error():.1e}" in out
 
@@ -441,6 +417,37 @@ class TestCacheCommand:
         assert counters["cache.plan.stores"] >= 1
         assert counters["cache.plan.hits"] >= 1
         assert counters["cache.plan.misses"] >= 1
+
+    def test_shared_directory_keeps_caches_apart(self, capsys, monkeypatch,
+                                                 tmp_path):
+        """The result, plan and program caches may share one directory."""
+        import json
+
+        import repro.session as session_module
+
+        for env in ("REPRO_CACHE_DIR", "REPRO_PLAN_CACHE_DIR",
+                    "REPRO_SCHED_CACHE_DIR"):
+            monkeypatch.setenv(env, str(tmp_path))
+        monkeypatch.setattr(session_module, "_default_session", None)
+        assert main(["plan", "-m", "16384", "-n", "64", "-P", "256"]) == 0
+        assert main(["sweep", "-m", "512", "-n", "16", "-P", "4",
+                     "--execute", "--serial"]) == 0
+        capsys.readouterr()
+
+        def entries():
+            assert main(["cache", "info", "--json"]) == 0
+            info = json.loads(capsys.readouterr().out)
+            return {name: info[name]["entries"]
+                    for name in ("result", "plan", "sched")}
+
+        before = entries()
+        assert before["result"] > 0 and before["plan"] == 1
+        assert before["sched"] > 0
+        # Every file is counted once, by the cache that wrote it.
+        assert sum(before.values()) == len(list(tmp_path.iterdir()))
+        assert main(["cache", "clear"]) == 0
+        assert f"removed {before['result']} " in capsys.readouterr().out
+        assert entries() == {**before, "result": 0}
 
     def test_info_json_selected_cache_counts_entries(self, capsys, tmp_path):
         import json

@@ -4,13 +4,22 @@ import pytest
 
 from repro.core.tuning import (
     GridShape,
-    autotune_grid,
     feasible_grids,
     grid_is_feasible,
     inverse_depth_to_base_case,
     optimal_grid,
 )
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
+from repro.plan import Planner, ProblemSpec
+
+
+def planned_grid(m, n, procs, machine, inverse_depth=0):
+    """The planner's CA-CQR2 pick: the model-driven grid selection."""
+    problem = ProblemSpec(m=m, n=n, procs=procs, machine=machine,
+                          algorithms=("ca_cqr2",),
+                          inverse_depths=(inverse_depth,))
+    best = Planner(refine=None).plan(problem).best()
+    return GridShape(c=best.spec_fields["c"], d=best.spec_fields["d"])
 
 
 class TestGridShape:
@@ -116,13 +125,13 @@ class TestFeasibilityEdgeCases:
 
     def test_autotune_raises_when_nothing_feasible(self):
         with pytest.raises(ValueError, match="no feasible"):
-            autotune_grid(7, 3, 4, STAMPEDE2)
+            planned_grid(7, 3, 4, STAMPEDE2)
 
 
 class TestAutotunePlannerShim:
-    """autotune_grid now delegates to repro.plan; selection must not drift."""
+    """The planner's CA-CQR2 pick equals direct minimization over the grids."""
 
-    def _legacy_autotune(self, m, n, procs, machine, inverse_depth=0):
+    def _direct_minimization(self, m, n, procs, machine, inverse_depth=0):
         from repro.costmodel.analytic import ca_cqr2_cost
         from repro.costmodel.performance import ExecutionModel
 
@@ -141,29 +150,29 @@ class TestAutotunePlannerShim:
         (2 ** 18, 2 ** 9, 4096, BLUE_WATERS),
     ])
     def test_matches_legacy_minimization(self, m, n, procs, machine):
-        assert autotune_grid(m, n, procs, machine) == \
-            self._legacy_autotune(m, n, procs, machine)
+        assert planned_grid(m, n, procs, machine) == \
+            self._direct_minimization(m, n, procs, machine)
 
     def test_matches_legacy_at_depth(self):
         m, n, procs = 2 ** 18, 2 ** 9, 4096
         for depth in (0, 1, 2):
-            assert autotune_grid(m, n, procs, STAMPEDE2, depth) == \
-                self._legacy_autotune(m, n, procs, STAMPEDE2, depth)
+            assert planned_grid(m, n, procs, STAMPEDE2, depth) == \
+                self._direct_minimization(m, n, procs, STAMPEDE2, depth)
 
 
 class TestAutotune:
     def test_returns_feasible(self):
-        g = autotune_grid(2 ** 16, 2 ** 8, 512, STAMPEDE2)
+        g = planned_grid(2 ** 16, 2 ** 8, 512, STAMPEDE2)
         assert g in feasible_grids(2 ** 16, 2 ** 8, 512)
 
     def test_tall_skinny_prefers_small_c_on_low_latency_machine(self):
         # Very overdetermined: the n^2/c^2 and n^3/c^3 terms are negligible,
         # so larger c only adds synchronization.
-        g = autotune_grid(2 ** 22, 2 ** 4, 256, BLUE_WATERS)
+        g = planned_grid(2 ** 22, 2 ** 4, 256, BLUE_WATERS)
         assert g.c <= 2
 
     def test_squarish_prefers_larger_c(self):
-        g = autotune_grid(2 ** 12, 2 ** 12, 512, STAMPEDE2)
+        g = planned_grid(2 ** 12, 2 ** 12, 512, STAMPEDE2)
         assert g.c >= 4
 
     def test_beats_or_matches_paper_rule_under_model(self):
@@ -178,4 +187,4 @@ class TestAutotune:
             return model.seconds(ca_cqr2_cost(m, n, g.c, g.d,
                                               default_base_case(n, g.c)))
 
-        assert t(autotune_grid(m, n, procs, STAMPEDE2)) <= t(optimal_grid(m, n, procs))
+        assert t(planned_grid(m, n, procs, STAMPEDE2)) <= t(optimal_grid(m, n, procs))

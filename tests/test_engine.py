@@ -5,30 +5,22 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import (
-    cacqr2_factorize,
-    cqr2_1d_factorize,
-    scalapack_factorize,
-    tsqr_factorize,
-)
+from repro import Session
 from repro.engine import (
     CapabilityError,
     Grid2DShape,
     MatrixSpec,
+    ResultCache,
     RunSpec,
     UnknownAlgorithmError,
     available_algorithms,
-    cache_clear,
-    cache_info,
-    run,
-    run_batch,
-    run_iter,
-    run_traced,
     solver_for,
     solvers,
-    spec_key,
 )
 from repro.costmodel.params import STAMPEDE2
+from repro.utils.diskcache import clear_cache_dir, scan_cache_dir
+
+session = Session()
 
 
 class TestRegistry:
@@ -43,7 +35,7 @@ class TestRegistry:
     def test_unknown_algorithm_from_run(self):
         spec = RunSpec(algorithm="nope", matrix=MatrixSpec(64, 8), procs=4)
         with pytest.raises(UnknownAlgorithmError):
-            run(spec)
+            session.run(spec)
 
     def test_aliases_and_case(self):
         assert solver_for("pgeqrf").name == "scalapack"
@@ -67,49 +59,49 @@ class TestCapabilityChecks:
     def test_wide_matrix_rejected(self):
         spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(8, 64), c=1, d=1)
         with pytest.raises(CapabilityError, match="tall"):
-            run(spec)
+            session.run(spec)
 
     def test_cacqr2_divisibility(self):
         spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(64, 9), c=2, d=4)
         with pytest.raises(CapabilityError, match="divisible"):
-            run(spec)
+            session.run(spec)
 
     def test_tsqr_local_rows(self):
         spec = RunSpec(algorithm="tsqr", matrix=MatrixSpec(64, 32), procs=4)
         with pytest.raises(CapabilityError, match="m/P >= n"):
-            run(spec)
+            session.run(spec)
 
     def test_symbolic_rejected_for_numeric_only(self):
         spec = RunSpec(algorithm="tsqr", matrix=MatrixSpec(64, 8), procs=4,
                        mode="symbolic")
         with pytest.raises(CapabilityError, match="numeric"):
-            run(spec)
+            session.run(spec)
 
     def test_scalapack_block_constraints(self):
         spec = RunSpec(algorithm="scalapack", matrix=MatrixSpec(64, 8),
                        pr=4, pc=2, block_size=3)
         with pytest.raises(CapabilityError):
-            run(spec)
+            session.run(spec)
 
     def test_missing_grid_and_procs(self):
         spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(64, 8))
         with pytest.raises(CapabilityError, match="explicit"):
-            run(spec)
+            session.run(spec)
 
     def test_half_specified_grids_rejected(self):
         # A lone c (or pr) must not be silently replaced by the auto-picked
         # grid.
         with pytest.raises(CapabilityError, match="both c and d"):
-            run(RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(64, 8),
-                        c=2, procs=16))
+            session.run(RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(64, 8),
+                                c=2, procs=16))
         with pytest.raises(CapabilityError, match="both pr and pc"):
-            run(RunSpec(algorithm="scalapack", matrix=MatrixSpec(64, 8),
-                        pr=4, procs=8))
+            session.run(RunSpec(algorithm="scalapack", matrix=MatrixSpec(64, 8),
+                                pr=4, procs=8))
 
     def test_infeasible_procs_is_capability_error(self):
         with pytest.raises(CapabilityError, match="no feasible"):
-            run(RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(100, 10),
-                        procs=7))
+            session.run(RunSpec(algorithm="ca_cqr2",
+                                matrix=MatrixSpec(100, 10), procs=7))
 
 
 class TestRun:
@@ -123,26 +115,26 @@ class TestRun:
             ("caqr", dict(pr=4, pc=2, block_size=4)),
         ]
         for algorithm, grid_kwargs in cases:
-            result = run(RunSpec(algorithm=algorithm, data=a, **grid_kwargs))
+            result = session.run(RunSpec(algorithm=algorithm, data=a,
+                                         **grid_kwargs))
             assert result.orthogonality_error() < 1e-12
             assert result.residual_error(a) < 1e-12
             assert result.grid is not None
             assert result.report.critical_path_time > 0
 
     def test_matches_api_wrappers(self, rng):
+        # Session.factor is the one-call spelling of the same RunSpec.
         a = rng.standard_normal((64, 8))
-        pairs = [
-            (RunSpec(algorithm="ca_cqr2", data=a, c=2, d=4),
-             cacqr2_factorize(a, c=2, d=4)),
-            (RunSpec(algorithm="cqr2_1d", data=a, procs=4),
-             cqr2_1d_factorize(a, procs=4)),
-            (RunSpec(algorithm="tsqr", data=a, procs=4),
-             tsqr_factorize(a, procs=4)),
-            (RunSpec(algorithm="scalapack", data=a, pr=4, pc=2, block_size=4),
-             scalapack_factorize(a, pr=4, pc=2, block_size=4)),
+        cases = [
+            ("ca_cqr2", dict(c=2, d=4)),
+            ("cqr2_1d", dict(procs=4)),
+            ("tsqr", dict(procs=4)),
+            ("scalapack", dict(pr=4, pc=2, block_size=4)),
         ]
-        for spec, wrapped in pairs:
-            engine_run = run(spec)
+        for algorithm, fields in cases:
+            wrapped = session.factor(a, algorithm=algorithm, **fields)
+            engine_run = session.run(RunSpec(algorithm=algorithm, data=a,
+                                             **fields))
             np.testing.assert_array_equal(engine_run.q, wrapped.q)
             np.testing.assert_array_equal(engine_run.r, wrapped.r)
             assert (engine_run.report.critical_path_time
@@ -150,29 +142,30 @@ class TestRun:
 
     def test_procs_resolution_matches_explicit_grid(self, rng):
         a = rng.standard_normal((64, 8))
-        auto = run(RunSpec(algorithm="ca_cqr2", data=a, procs=16))
+        auto = session.run(RunSpec(algorithm="ca_cqr2", data=a, procs=16))
         assert auto.grid.procs == 16
 
     def test_matrix_spec_is_deterministic(self):
         spec = RunSpec(algorithm="cqr2_1d", matrix=MatrixSpec(64, 8, seed=7),
                        procs=4)
-        first, second = run(spec), run(spec)
+        first, second = session.run(spec), session.run(spec)
         np.testing.assert_array_equal(first.q, second.q)
 
     def test_symbolic_mode_matches_numeric_costs(self):
-        numeric = run(RunSpec(algorithm="ca_cqr2",
-                              matrix=MatrixSpec(64, 8), c=2, d=4))
-        symbolic = run(RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(64, 8),
-                               c=2, d=4, mode="symbolic"))
+        numeric = session.run(RunSpec(algorithm="ca_cqr2",
+                                      matrix=MatrixSpec(64, 8), c=2, d=4))
+        symbolic = session.run(RunSpec(algorithm="ca_cqr2",
+                                       matrix=MatrixSpec(64, 8), c=2, d=4,
+                                       mode="symbolic"))
         assert not symbolic.is_numeric
         assert symbolic.q is None and symbolic.r is None
         assert symbolic.report.max_cost == numeric.report.max_cost
 
     def test_scalapack_grid_populated(self, rng):
         # Regression: scalapack runs used to return grid=None.
-        result = run(RunSpec(algorithm="scalapack",
-                             data=rng.standard_normal((64, 8)),
-                             pr=4, pc=2, block_size=4))
+        result = session.run(RunSpec(algorithm="scalapack",
+                                     data=rng.standard_normal((64, 8)),
+                                     pr=4, pc=2, block_size=4))
         assert result.grid == Grid2DShape(pr=4, pc=2)
         assert result.grid.procs == 8
 
@@ -180,25 +173,26 @@ class TestRun:
 class TestSpecKeys:
     def test_key_stable_across_aliases_and_resolution(self):
         matrix = MatrixSpec(64, 8)
-        assert (spec_key(RunSpec(algorithm="ca_cqr2", matrix=matrix, procs=16))
-                == spec_key(RunSpec(algorithm="CA-CQR2", matrix=matrix,
-                                    procs=16)))
+        key = session.spec_key
+        assert (key(RunSpec(algorithm="ca_cqr2", matrix=matrix, procs=16))
+                == key(RunSpec(algorithm="CA-CQR2", matrix=matrix, procs=16)))
 
     def test_key_sensitive_to_inputs(self):
+        key = session.spec_key
         base = RunSpec(algorithm="cqr2_1d", matrix=MatrixSpec(64, 8), procs=4)
-        assert spec_key(base) != spec_key(base.replace(procs=8))
-        assert spec_key(base) != spec_key(
-            base.replace(matrix=MatrixSpec(64, 8, seed=1)))
-        assert spec_key(base) != spec_key(base.replace(machine="stampede2"))
-        assert spec_key(base) != spec_key(base.replace(mode="symbolic"))
+        assert key(base) != key(base.replace(procs=8))
+        assert key(base) != key(base.replace(matrix=MatrixSpec(64, 8, seed=1)))
+        assert key(base) != key(base.replace(machine="stampede2"))
+        assert key(base) != key(base.replace(mode="symbolic"))
 
     def test_key_hashes_data_content(self, rng):
+        key = session.spec_key
         a = rng.standard_normal((64, 8))
-        k1 = spec_key(RunSpec(algorithm="tsqr", data=a, procs=4))
-        assert k1 == spec_key(RunSpec(algorithm="tsqr", data=a.copy(), procs=4))
+        k1 = key(RunSpec(algorithm="tsqr", data=a, procs=4))
+        assert k1 == key(RunSpec(algorithm="tsqr", data=a.copy(), procs=4))
         b = a.copy()
         b[0, 0] += 1.0
-        assert k1 != spec_key(RunSpec(algorithm="tsqr", data=b, procs=4))
+        assert k1 != key(RunSpec(algorithm="tsqr", data=b, procs=4))
 
 
 def _sweep_specs(count=8, m=512, n=16):
@@ -212,8 +206,8 @@ def _sweep_specs(count=8, m=512, n=16):
 class TestBatchRunner:
     def test_parallel_equals_serial(self):
         specs = _sweep_specs()
-        serial = run_batch(specs, parallel=False)
-        parallel = run_batch(specs, parallel=True, max_workers=2)
+        serial = session.run_batch(specs, parallel=False)
+        parallel = session.run_batch(specs, parallel=True, max_workers=2)
         for a, b in zip(serial, parallel):
             np.testing.assert_array_equal(a.q, b.q)
             np.testing.assert_array_equal(a.r, b.r)
@@ -221,8 +215,8 @@ class TestBatchRunner:
 
     def test_cache_hit_returns_identical_results(self, tmp_path):
         specs = _sweep_specs()
-        cold = run_batch(specs, parallel=False, cache_dir=str(tmp_path))
-        cached = run_batch(specs, parallel=False, cache_dir=str(tmp_path))
+        cold = session.run_batch(specs, parallel=False, cache_dir=str(tmp_path))
+        cached = session.run_batch(specs, parallel=False, cache_dir=str(tmp_path))
         for a, b in zip(cold, cached):
             np.testing.assert_array_equal(a.q, b.q)
             np.testing.assert_array_equal(a.r, b.r)
@@ -234,33 +228,34 @@ class TestBatchRunner:
         matrix = MatrixSpec(64, 8)
         from repro.core.tuning import optimal_grid
         shape = optimal_grid(64, 8, 16)
-        run_batch([RunSpec(algorithm="ca_cqr2", matrix=matrix, procs=16)],
-                  parallel=False, cache_dir=str(tmp_path))
+        session.run_batch([RunSpec(algorithm="ca_cqr2", matrix=matrix,
+                                   procs=16)],
+                          parallel=False, cache_dir=str(tmp_path))
         cache_files = list(tmp_path.glob("*.pkl"))
-        run_batch([RunSpec(algorithm="ca_cqr2", matrix=matrix,
-                           c=shape.c, d=shape.d)],
-                  parallel=False, cache_dir=str(tmp_path))
+        session.run_batch([RunSpec(algorithm="ca_cqr2", matrix=matrix,
+                                   c=shape.c, d=shape.d)],
+                          parallel=False, cache_dir=str(tmp_path))
         assert list(tmp_path.glob("*.pkl")) == cache_files
 
     def test_order_preserved_with_mixed_hits(self, tmp_path):
         specs = _sweep_specs()
-        run_batch(specs[::2], parallel=False, cache_dir=str(tmp_path))
-        results = run_batch(specs, parallel=False, cache_dir=str(tmp_path))
+        session.run_batch(specs[::2], parallel=False, cache_dir=str(tmp_path))
+        results = session.run_batch(specs, parallel=False, cache_dir=str(tmp_path))
         for spec, result in zip(specs, results):
             assert result.grid.procs == solver_for(spec.algorithm).prepare(
                 spec).procs
 
     def test_corrupt_cache_entry_recomputed(self, tmp_path):
         specs = _sweep_specs(count=2)
-        run_batch(specs, parallel=False, cache_dir=str(tmp_path))
+        session.run_batch(specs, parallel=False, cache_dir=str(tmp_path))
         for path in tmp_path.glob("*.pkl"):
             path.write_bytes(b"not a pickle")
-        results = run_batch(specs, parallel=False, cache_dir=str(tmp_path))
+        results = session.run_batch(specs, parallel=False, cache_dir=str(tmp_path))
         assert all(r.orthogonality_error() < 1e-12 for r in results)
 
     def test_run_iter_streams_all_indices(self):
         specs = _sweep_specs()
-        results = dict(run_iter(specs, parallel=False))
+        results = dict(session.run_iter(specs, parallel=False))
         assert sorted(results) == list(range(len(specs)))
         for i, spec in enumerate(specs):
             assert results[i].grid.procs == solver_for(
@@ -268,29 +263,30 @@ class TestBatchRunner:
 
     def test_run_iter_matches_run_batch(self):
         specs = _sweep_specs()
-        batch = run_batch(specs, parallel=False)
-        streamed = dict(run_iter(specs, parallel=False))
+        batch = session.run_batch(specs, parallel=False)
+        streamed = dict(session.run_iter(specs, parallel=False))
         for i, expected in enumerate(batch):
             np.testing.assert_array_equal(streamed[i].q, expected.q)
 
     def test_run_iter_progress_callback(self):
         specs = _sweep_specs(count=4)
         seen = []
-        list(run_iter(specs, parallel=False,
-                      progress=lambda done, total: seen.append((done, total))))
+        list(session.run_iter(
+            specs, parallel=False,
+            progress=lambda done, total: seen.append((done, total))))
         assert seen == [(i + 1, 4) for i in range(4)]
 
     def test_run_iter_yields_cache_hits_first(self, tmp_path):
         specs = _sweep_specs(count=4)
-        run_batch(specs[2:], parallel=False, cache_dir=str(tmp_path))
-        order = [i for i, _ in run_iter(specs, parallel=False,
-                                        cache_dir=str(tmp_path))]
+        session.run_batch(specs[2:], parallel=False, cache_dir=str(tmp_path))
+        order = [i for i, _ in session.run_iter(specs, parallel=False,
+                                                cache_dir=str(tmp_path))]
         assert order == [2, 3, 0, 1]   # hits stream out before misses
 
     def test_run_iter_unknown_algorithm_raises(self):
         bad = [RunSpec(algorithm="nope", matrix=MatrixSpec(64, 8), procs=4)]
         with pytest.raises(UnknownAlgorithmError):
-            list(run_iter(bad, parallel=False))
+            list(session.run_iter(bad, parallel=False))
 
 
     def test_batch_speedup_at_least_2x(self, tmp_path):
@@ -302,12 +298,12 @@ class TestBatchRunner:
         assert len(specs) >= 8
 
         start = time.perf_counter()
-        serial = [run(spec) for spec in specs]
+        serial = [session.run(spec) for spec in specs]
         t_serial = time.perf_counter() - start
 
-        run_batch(specs, cache_dir=str(tmp_path))   # populate (parallel)
+        session.run_batch(specs, cache_dir=str(tmp_path))   # populate (parallel)
         start = time.perf_counter()
-        batched = run_batch(specs, cache_dir=str(tmp_path))
+        batched = session.run_batch(specs, cache_dir=str(tmp_path))
         t_batched = time.perf_counter() - start
 
         for a, b in zip(serial, batched):
@@ -321,11 +317,11 @@ class TestRunTraced:
     def test_returns_result_and_traced_machine(self):
         spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(256, 16),
                        c=2, d=8, mode="symbolic")
-        result, vm = run_traced(spec)
+        result, vm = session.trace(spec)
         assert result.report.critical_path_time > 0
         assert vm.trace_enabled and len(vm.events) > 0
         # The traced run charges exactly what the untraced run charges.
-        assert result.report == run(spec).report
+        assert result.report == session.run(spec).report
         # And the events cover the whole critical path.
         assert max(e.end for e in vm.events) \
             == pytest.approx(result.report.critical_path_time)
@@ -334,7 +330,7 @@ class TestRunTraced:
         from repro.engine.runner import _execute
 
         spec = RunSpec(algorithm="tsqr", matrix=MatrixSpec(64, 8), procs=4)
-        result, vm = _execute(spec, trace=False)      # the run() path
+        result, vm = _execute(spec, trace=False)      # the Session.run path
         assert not vm.trace_enabled
         assert vm.events == []
         assert result.q is not None
@@ -343,13 +339,15 @@ class TestRunTraced:
 class TestCacheTools:
     def test_info_and_clear(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        run_batch(_sweep_specs(count=4), parallel=False, cache_dir=cache_dir)
-        info = cache_info(cache_dir)
+        suffix = ResultCache.suffix
+        session.run_batch(_sweep_specs(count=4), parallel=False,
+                          cache_dir=cache_dir)
+        info = scan_cache_dir(cache_dir, suffix)
         assert info["entries"] == 4 and info["bytes"] > 0
-        assert cache_clear(cache_dir) == 4
-        assert cache_info(cache_dir)["entries"] == 0
-        assert cache_clear(cache_dir) == 0         # idempotent
+        assert clear_cache_dir(cache_dir, suffix) == 4
+        assert scan_cache_dir(cache_dir, suffix)["entries"] == 0
+        assert clear_cache_dir(cache_dir, suffix) == 0    # idempotent
 
     def test_missing_dir_is_empty(self, tmp_path):
-        info = cache_info(str(tmp_path / "nope"))
+        info = scan_cache_dir(str(tmp_path / "nope"), ResultCache.suffix)
         assert info["entries"] == 0 and info["bytes"] == 0

@@ -4,8 +4,9 @@ import pytest
 
 from repro.experiments.accuracy import (
     ACCURACY_ALGORITHMS,
-    accuracy_sweep,
+    accuracy_study,
     measure,
+    rows_from_table,
 )
 from repro.experiments.report import format_accuracy_table
 from repro.utils.matgen import matrix_with_condition
@@ -13,8 +14,9 @@ from repro.utils.matgen import matrix_with_condition
 
 @pytest.fixture(scope="module")
 def sweep():
-    return accuracy_sweep(m=256, n=16,
-                          conditions=(1e1, 1e4, 1e7, 1e12, 1e14), seed=7)
+    study = accuracy_study(m=256, n=16,
+                           conditions=(1e1, 1e4, 1e7, 1e12, 1e14), seed=7)
+    return rows_from_table(study.run(parallel=False))
 
 
 def rows_for(sweep, algo):

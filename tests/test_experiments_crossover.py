@@ -7,10 +7,17 @@ from repro.experiments.crossover import (
     CrossoverPoint,
     best_ca_seconds,
     best_scalapack_seconds,
-    crossover_sweep,
+    crossover_study,
     find_crossover,
     format_crossover_table,
+    points_from_table,
 )
+
+
+def crossover_points(m, n, machine, node_counts):
+    """Best-vs-best points of the crossover study at every node count."""
+    return points_from_table(
+        crossover_study(m, n, machine, node_counts).run(parallel=False))
 
 
 class TestBestConfigs:
@@ -27,8 +34,8 @@ class TestCrossover:
     def test_stampede2_has_crossover(self):
         # The paper's core result: CA-CQR2 overtakes at some node count on
         # Stampede2 and stays ahead.
-        points = crossover_sweep(2 ** 21, 2 ** 12, STAMPEDE2,
-                                 node_counts=(16, 64, 256, 1024, 4096))
+        points = crossover_points(2 ** 21, 2 ** 12, STAMPEDE2,
+                                  node_counts=(16, 64, 256, 1024, 4096))
         cross = find_crossover(points)
         assert cross is not None
         assert cross <= 1024
@@ -37,15 +44,15 @@ class TestCrossover:
 
     def test_blue_waters_crossover_late_or_never(self):
         # On BW the same sweep must favor ScaLAPACK at moderate scale.
-        points = crossover_sweep(2 ** 21, 2 ** 12, BLUE_WATERS,
-                                 node_counts=(16, 64, 256, 1024))
+        points = crossover_points(2 ** 21, 2 ** 12, BLUE_WATERS,
+                                  node_counts=(16, 64, 256, 1024))
         assert not points[0].ca_wins
         cross = find_crossover(points)
         assert cross is None or cross >= 1024
 
     def test_speedup_monotone_towards_scale_on_stampede2(self):
-        points = crossover_sweep(2 ** 21, 2 ** 12, STAMPEDE2,
-                                 node_counts=(64, 256, 1024, 4096))
+        points = crossover_points(2 ** 21, 2 ** 12, STAMPEDE2,
+                                  node_counts=(64, 256, 1024, 4096))
         speedups = [p.speedup for p in points]
         assert speedups == sorted(speedups)
 
@@ -55,12 +62,12 @@ class TestCrossover:
         assert pt.ca_wins and pt.speedup == pytest.approx(2.0)
 
     def test_table_renders(self):
-        points = crossover_sweep(2 ** 18, 2 ** 9, STAMPEDE2,
-                                 node_counts=(16, 64))
+        points = crossover_points(2 ** 18, 2 ** 9, STAMPEDE2,
+                                  node_counts=(16, 64))
         text = format_crossover_table(2 ** 18, 2 ** 9, STAMPEDE2, points)
         assert "crossover" in text
         assert "winner" in text
 
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
-            crossover_sweep(8, 16, STAMPEDE2)
+            crossover_points(8, 16, STAMPEDE2, (16,))

@@ -20,10 +20,22 @@ from repro.experiments.figures import (
 )
 from repro.experiments.scaling import (
     best_per_point,
-    evaluate_strong_figure,
-    evaluate_weak_figure,
     speedup_at,
+    strong_scaling_study,
+    strong_series_from_table,
+    weak_scaling_study,
+    weak_series_from_table,
 )
+
+
+def strong_series(fig):
+    """All curves of a strong-scaling panel: ``label -> [SeriesPoint...]``."""
+    return strong_series_from_table(strong_scaling_study(fig).run(parallel=False))
+
+
+def weak_series(fig):
+    """All curves of a weak-scaling panel over the ``(a, b)`` ladder."""
+    return weak_series_from_table(weak_scaling_study(fig).run(parallel=False))
 
 
 class TestSpecIntegrity:
@@ -57,9 +69,9 @@ class TestSpecIntegrity:
 
     def test_every_figure_evaluates_nonempty(self):
         for fig in FIG7 + FIG6:
-            assert evaluate_strong_figure(fig)
+            assert strong_series(fig)
         for fig in FIG5 + FIG4:
-            assert evaluate_weak_figure(fig)
+            assert weak_series(fig)
 
 
 class TestStampede2StrongScaling:
@@ -67,7 +79,7 @@ class TestStampede2StrongScaling:
 
     @pytest.mark.parametrize("fig,paper_speedup", list(zip(FIG7, [2.6, 3.3, 3.1, 2.7])))
     def test_speedup_at_1024_nodes(self, fig, paper_speedup):
-        sp = speedup_at(evaluate_strong_figure(fig), "1024")
+        sp = speedup_at(strong_series(fig), "1024")
         assert sp is not None
         # Within +/- 35% of the paper's reported factor, and decisively > 1.
         assert sp > 1.8
@@ -75,7 +87,7 @@ class TestStampede2StrongScaling:
 
     @pytest.mark.parametrize("fig", FIG7)
     def test_scalapack_competitive_at_64_nodes(self, fig):
-        sp = speedup_at(evaluate_strong_figure(fig), "64")
+        sp = speedup_at(strong_series(fig), "64")
         assert sp is not None
         assert sp < 1.6  # no blow-out at small scale
 
@@ -83,7 +95,7 @@ class TestStampede2StrongScaling:
     def test_ca_scales_better(self, fig):
         # CA-CQR2's best curve decays less from 64 to 1024 nodes than
         # ScaLAPACK's best curve.
-        series = evaluate_strong_figure(fig)
+        series = strong_series(fig)
         ca = {p.x_label: p for p in best_per_point(series, "CA-CQR2")}
         sl = {p.x_label: p for p in best_per_point(series, "ScaLAPACK")}
         ca_decay = ca["64"].gigaflops_per_node / ca["1024"].gigaflops_per_node
@@ -92,7 +104,7 @@ class TestStampede2StrongScaling:
 
     def test_fig7d_absolute_levels(self):
         # Figure 1(a)/7(d): best CA-CQR2 reaches ~260 Gf/s/node at 64 nodes.
-        series = evaluate_strong_figure(FIG7[3])
+        series = strong_series(FIG7[3])
         ca64 = best_per_point(series, "CA-CQR2")[0].gigaflops_per_node
         assert 150 < ca64 < 400
 
@@ -102,13 +114,13 @@ class TestStampede2WeakScaling:
 
     @pytest.mark.parametrize("fig", FIG5)
     def test_ca_wins_at_largest_point(self, fig):
-        sp = speedup_at(evaluate_weak_figure(fig), "(8,4)")
+        sp = speedup_at(weak_series(fig), "(8,4)")
         assert sp is not None
         assert 1.0 < sp < 2.6
 
     def test_win_grows_with_row_to_column_ratio(self):
         # The paper's 1.1x -> 1.9x progression across panels a -> d.
-        sps = [speedup_at(evaluate_weak_figure(f), "(8,4)") for f in FIG5]
+        sps = [speedup_at(weak_series(f), "(8,4)") for f in FIG5]
         assert sps[0] == min(sps)
 
 
@@ -117,7 +129,7 @@ class TestBlueWaters:
 
     @pytest.mark.parametrize("fig", FIG4)
     def test_scalapack_wins_weak_scaling(self, fig):
-        series = evaluate_weak_figure(fig)
+        series = weak_series(fig)
         for x in ("(2,1)", "(2,2)", "(8,4)"):
             sp = speedup_at(series, x)
             if sp is not None:
@@ -125,7 +137,7 @@ class TestBlueWaters:
 
     @pytest.mark.parametrize("fig", FIG6)
     def test_scalapack_ahead_in_strong_scaling(self, fig):
-        series = evaluate_strong_figure(fig)
+        series = strong_series(fig)
         sp32 = speedup_at(series, "32")
         sp2048 = speedup_at(series, "2048")
         assert sp32 < 1.0
@@ -135,7 +147,7 @@ class TestBlueWaters:
 
     def test_fig6b_c_crossovers(self):
         # Larger c wins as N grows: c=2 overtakes c=1, then c=4 overtakes c=2.
-        series = evaluate_strong_figure(FIG6[1])
+        series = strong_series(FIG6[1])
 
         def gf(sub, x):
             for label, pts in series.items():
@@ -154,7 +166,7 @@ class TestBlueWaters:
     def test_machine_contrast_is_the_flops_bandwidth_ratio(self):
         # The same algorithm pair flips winners across machines -- the
         # paper's architectural argument in one assertion.
-        s2_sp = speedup_at(evaluate_strong_figure(FIG7[1]), "1024")
-        bw_sp = speedup_at(evaluate_strong_figure(FIG6[1]), "1024")
+        s2_sp = speedup_at(strong_series(FIG7[1]), "1024")
+        bw_sp = speedup_at(strong_series(FIG6[1]), "1024")
         assert s2_sp > 2.0
         assert bw_sp < 1.0

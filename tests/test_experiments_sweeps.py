@@ -4,47 +4,59 @@ import pytest
 
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
 from repro.experiments.sweeps import (
-    algorithm_sweep,
-    compare_algorithms,
+    algorithm_comparison_study,
     fastest_at,
     format_sweep_table,
+    series_from_table,
 )
+
+
+def sweep(m, n, machine, proc_counts):
+    """The comparison study's table as ``label -> timings`` series."""
+    return series_from_table(algorithm_comparison_study(
+        m, n, machine, tuple(proc_counts)).run(parallel=False))
+
+
+def timings_at(m, n, procs, machine):
+    """Every applicable algorithm's best modeled timing at one point."""
+    return [t for timings in sweep(m, n, machine, (procs,)).values()
+            for t in timings]
 
 
 class TestCompareAlgorithms:
     def test_all_algorithms_present_when_applicable(self):
-        timings = compare_algorithms(2 ** 20, 2 ** 8, 2 ** 10, STAMPEDE2)
+        timings = timings_at(2 ** 20, 2 ** 8, 2 ** 10, STAMPEDE2)
         labels = {t.algorithm for t in timings}
         assert labels == {"CA-CQR2", "1D-CQR2", "TSQR", "PGEQRF", "CAQR"}
 
     def test_tsqr_omitted_when_local_too_short(self):
         # m/P < n: TSQR infeasible.
-        timings = compare_algorithms(2 ** 12, 2 ** 8, 2 ** 10, STAMPEDE2)
+        timings = timings_at(2 ** 12, 2 ** 8, 2 ** 10, STAMPEDE2)
         labels = {t.algorithm for t in timings}
         assert "TSQR" not in labels
         assert "CA-CQR2" in labels
 
     def test_positive_times_and_configs(self):
-        for t in compare_algorithms(2 ** 18, 2 ** 8, 2 ** 8, BLUE_WATERS):
+        for t in timings_at(2 ** 18, 2 ** 8, 2 ** 8, BLUE_WATERS):
             assert t.seconds > 0
             assert t.config
 
     def test_ca_beats_1d_for_wide_matrices(self):
         # For n large the 1D algorithm's redundant n^3 and n^2 allreduce
         # are crushing; CA-CQR2 must win.
-        timings = compare_algorithms(2 ** 16, 2 ** 12, 2 ** 12, STAMPEDE2)
+        timings = timings_at(2 ** 16, 2 ** 12, 2 ** 12, STAMPEDE2)
         by = {t.algorithm: t.seconds for t in timings}
         assert by["CA-CQR2"] < by["1D-CQR2"]
 
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
-            compare_algorithms(16, 64, 4, STAMPEDE2)
+            timings_at(16, 64, 4, STAMPEDE2)
 
 
 class TestSweep:
     def test_series_structure(self):
-        series = algorithm_sweep(2 ** 20, 2 ** 10, STAMPEDE2,
-                                 proc_counts=(2 ** 8, 2 ** 12, 2 ** 16))
+        series = sweep(2 ** 20, 2 ** 10, STAMPEDE2,
+                       proc_counts=(2 ** 8, 2 ** 12, 2 ** 16))
         assert "CA-CQR2" in series
         for timings in series.values():
             procs = [t.procs for t in timings]
@@ -56,25 +68,25 @@ class TestSweep:
         # algorithm decisively.  (The idealized CAQR cost model rivals it
         # -- consistent with the paper's remark that communication-optimal
         # QR algorithms existed on paper but not in practice.)
-        series = algorithm_sweep(2 ** 21, 2 ** 12, STAMPEDE2,
-                                 proc_counts=(2 ** 16,))
+        series = sweep(2 ** 21, 2 ** 12, STAMPEDE2,
+                       proc_counts=(2 ** 16,))
         by = {label: t[0].seconds for label, t in series.items()}
         assert by["CA-CQR2"] < by["PGEQRF"] / 2
         assert by["CA-CQR2"] < by["1D-CQR2"] / 10
         assert fastest_at(series, 2 ** 16) in ("CA-CQR2", "CAQR")
 
     def test_2d_wins_at_small_scale(self):
-        series = algorithm_sweep(2 ** 21, 2 ** 12, STAMPEDE2,
-                                 proc_counts=(2 ** 8,))
+        series = sweep(2 ** 21, 2 ** 12, STAMPEDE2,
+                       proc_counts=(2 ** 8,))
         assert fastest_at(series, 2 ** 8) in ("PGEQRF", "CAQR")
 
     def test_fastest_at_unknown_point(self):
-        series = algorithm_sweep(2 ** 16, 2 ** 8, STAMPEDE2, proc_counts=(64,))
+        series = sweep(2 ** 16, 2 ** 8, STAMPEDE2, proc_counts=(64,))
         assert fastest_at(series, 999) is None
 
     def test_table_renders(self):
-        series = algorithm_sweep(2 ** 18, 2 ** 9, STAMPEDE2,
-                                 proc_counts=(2 ** 6, 2 ** 10))
+        series = sweep(2 ** 18, 2 ** 9, STAMPEDE2,
+                       proc_counts=(2 ** 6, 2 ** 10))
         text = format_sweep_table(2 ** 18, 2 ** 9, STAMPEDE2, series)
         assert "winner" in text
         assert "CA-CQR2" in text

@@ -5,11 +5,11 @@ import pytest
 
 from tests.conftest import make_cubic, make_tunable
 
-from repro.api import cacqr2_factorize, cqr2_1d_factorize, tsqr_factorize
+from repro import Session
 from repro.core.cacqr import ca_cqr2
 from repro.core.cfr3d import cfr3d
 from repro.core.mm3d import mm3d
-from repro.core.tuning import autotune_grid, feasible_grids
+from repro.core.tuning import feasible_grids
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
 from repro.costmodel.performance import ExecutionModel
 from repro.utils.matgen import (
@@ -26,7 +26,7 @@ class TestLeastSquaresScenario:
     def test_solve_via_cacqr2(self, rng):
         a, b, x_true = tall_skinny_least_squares_problem(256, 8, noise=0.0,
                                                          condition=100.0, rng=rng)
-        run = cacqr2_factorize(a, c=2, d=8)
+        run = Session().factor(a, algorithm="ca_cqr2", c=2, d=8)
         # Solve R x = Q^T b.
         import scipy.linalg
 
@@ -40,7 +40,7 @@ class TestLeastSquaresScenario:
                                                     condition=1e6, rng=rng)
         import scipy.linalg
 
-        run = cacqr2_factorize(a, c=2, d=8)
+        run = Session().factor(a, algorithm="ca_cqr2", c=2, d=8)
         x_cqr2 = scipy.linalg.solve_triangular(run.r, run.q.T @ b, lower=False)
         gram = a.T @ a
         x_normal = np.linalg.solve(gram, a.T @ b)
@@ -76,20 +76,28 @@ class TestCompositionOfSubstrates:
         assert total.isclose(rep.max_cost)
 
 
+def planned_ca_cqr2(m, n, procs, machine):
+    """The planner's best CA-CQR2 configuration (its spec fields)."""
+    return Session().plan(m=m, n=n, procs=procs, machine=machine,
+                          algorithms=("ca_cqr2",), inverse_depths=(0,),
+                          refine=None).best().spec_fields
+
+
 class TestAutotunedEndToEnd:
     def test_autotuned_grid_runs_numerically(self, rng):
         m, n, procs = 128, 8, 32
-        shape = autotune_grid(m, n, procs, STAMPEDE2)
+        best = planned_ca_cqr2(m, n, procs, STAMPEDE2)
         a = rng.standard_normal((m, n))
-        run = cacqr2_factorize(a, c=shape.c, d=shape.d)
+        run = Session().factor(a, algorithm="ca_cqr2", c=best["c"],
+                               d=best["d"])
         assert run.orthogonality_error() < 1e-13
 
     def test_model_choice_consistency_across_machines(self):
         # A near-square problem: the low-latency machine tolerates a larger
         # c than the high-latency one, or picks the same.
         m, n, procs = 2 ** 11, 2 ** 10, 512
-        c_bw = autotune_grid(m, n, procs, BLUE_WATERS).c
-        c_s2 = autotune_grid(m, n, procs, STAMPEDE2).c
+        c_bw = planned_ca_cqr2(m, n, procs, BLUE_WATERS)["c"]
+        c_s2 = planned_ca_cqr2(m, n, procs, STAMPEDE2)["c"]
         assert c_bw >= c_s2
 
 
@@ -97,9 +105,9 @@ class TestAllParallelizationsAgree:
     def test_three_algorithms_same_factors(self, rng):
         a = rng.standard_normal((64, 8))
         runs = [
-            cacqr2_factorize(a, c=2, d=4),
-            cacqr2_factorize(a, c=1, d=16),   # 1D special case of CA
-            cqr2_1d_factorize(a, procs=16),   # explicit Algorithm 7
+            Session().factor(a, algorithm="ca_cqr2", c=2, d=4),
+            Session().factor(a, algorithm="ca_cqr2", c=1, d=16),   # 1D special case of CA
+            Session().factor(a, algorithm="cqr2_1d", procs=16),   # explicit Algorithm 7
         ]
         for run in runs[1:]:
             np.testing.assert_allclose(run.q, runs[0].q, atol=1e-10)
@@ -107,8 +115,8 @@ class TestAllParallelizationsAgree:
 
     def test_tsqr_agrees_on_r_magnitudes(self, rng):
         a = rng.standard_normal((64, 8))
-        r_ca = cacqr2_factorize(a, c=2, d=4).r
-        r_ts = tsqr_factorize(a, procs=8).r
+        r_ca = Session().factor(a, algorithm="ca_cqr2", c=2, d=4).r
+        r_ts = Session().factor(a, algorithm="tsqr", procs=8).r
         np.testing.assert_allclose(np.abs(r_ts), np.abs(r_ca), atol=1e-10)
 
 
@@ -118,7 +126,7 @@ class TestFailureInjection:
 
         a = matrix_with_condition(64, 8, 1e14, rng=rng)
         with pytest.raises(CholeskyFailure, match="shifted"):
-            cacqr2_factorize(a, c=2, d=4)
+            Session().factor(a, algorithm="ca_cqr2", c=2, d=4)
 
     def test_shifted_sequential_rescues_breakdown(self, rng):
         from repro.core.shifted import shifted_cqr3_sequential
@@ -132,12 +140,12 @@ class TestFailureInjection:
         # Gram factorization -- CholeskyQR2 sails through at kappa ~ 1e12.
         a = graded_matrix(64, 8, grade=1e12, rng=rng)
         assert np.linalg.cond(a) > 1e10
-        run = cacqr2_factorize(a, c=2, d=4)
+        run = Session().factor(a, algorithm="ca_cqr2", c=2, d=4)
         assert run.orthogonality_error() < 1e-13
 
     def test_moderately_ill_conditioned_fine(self, rng):
         a = matrix_with_condition(128, 8, 1e6, rng=rng)
-        run = cacqr2_factorize(a, c=2, d=4)
+        run = Session().factor(a, algorithm="ca_cqr2", c=2, d=4)
         assert run.orthogonality_error() < 1e-12
 
 

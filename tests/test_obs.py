@@ -452,19 +452,6 @@ class TestProgressInfo:
                    for p in seen[:-1])
         assert seen[-1].eta_seconds is None    # nothing left to estimate
 
-    def test_legacy_three_arg_callback_still_works(self):
-        from repro.study import Axis, RawField, Study
-
-        seen = []
-        study = Study(
-            name="progress-legacy",
-            axes=(Axis("x", (1, 2)),),
-            metrics=(RawField("y"),),
-            evaluate=lambda pt: {"y": pt["x"]})
-        list(study.stream(
-            progress=lambda done, total, row: seen.append((done, total))))
-        assert seen == [(1, 2), (2, 2)]
-
     def test_resumed_rows_do_not_inflate_rate(self, tmp_path):
         from repro.study import Axis, RawField, Study
 

@@ -5,15 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import Session
 from repro.costmodel.params import MachineSpec, STAMPEDE2, machine_by_name
 from repro.engine import (
     CapabilityError,
     MatrixSpec,
     RunSpec,
-    resolve_auto,
-    run,
     solver_for,
-    spec_key,
 )
 from repro.plan import (
     Planner,
@@ -260,19 +258,19 @@ class TestAutoResolution:
     def test_auto_algorithm_resolves_and_runs(self):
         spec = RunSpec(algorithm="auto", matrix=MatrixSpec(2 ** 12, 32),
                        procs=64, machine="stampede2", mode="symbolic")
-        resolved = resolve_auto(spec)
+        resolved = Session().resolve(spec)
         assert resolved.algorithm != "auto"
         assert resolved.grid is None
-        result = run(spec)
+        result = Session().run(spec)
         assert result.report.critical_path_time > 0
 
     def test_auto_report_bit_identical_to_direct_run(self):
         """The acceptance criterion: resolving then running == running directly."""
         spec = RunSpec(algorithm="auto", matrix=MatrixSpec(2 ** 12, 32),
                        procs=64, machine="stampede2", mode="symbolic")
-        resolved = resolve_auto(spec)
-        via_auto = run(spec).report
-        direct = run(resolved).report
+        resolved = Session().resolve(spec)
+        via_auto = Session().run(spec).report
+        direct = Session().run(resolved).report
         assert via_auto.critical_path_time == direct.critical_path_time
         assert via_auto.max_cost == direct.max_cost
         assert via_auto.total_cost == direct.total_cost
@@ -284,19 +282,21 @@ class TestAutoResolution:
         spec = RunSpec(algorithm="ca_cqr2", grid="auto",
                        matrix=MatrixSpec(2 ** 12, 32), procs=64,
                        machine="stampede2", mode="symbolic")
-        resolved = resolve_auto(spec)
+        resolved = Session().resolve(spec)
         assert resolved.algorithm == "ca_cqr2"
         assert resolved.c is not None and resolved.d is not None
         # The planner picked CA-CQR2's modeled-best grid, not the paper rule.
-        from repro.core.tuning import autotune_grid
-
-        best = autotune_grid(2 ** 12, 32, 64, machine_by_name("stampede2"))
-        assert (resolved.c, resolved.d) == (best.c, best.d)
+        best = Planner(refine=None).plan(ProblemSpec(
+            m=2 ** 12, n=32, procs=64, machine=machine_by_name("stampede2"),
+            algorithms=("ca_cqr2",), inverse_depths=(0,))).best()
+        assert (resolved.c, resolved.d) == (best.spec_fields["c"],
+                                            best.spec_fields["d"])
 
     def test_auto_spec_key_matches_resolved(self):
         spec = RunSpec(algorithm="auto", matrix=MatrixSpec(2 ** 12, 32),
                        procs=64, machine="stampede2", mode="symbolic")
-        assert spec_key(spec) == spec_key(resolve_auto(spec))
+        session = Session()
+        assert session.spec_key(spec) == session.spec_key(session.resolve(spec))
 
     def test_auto_requires_procs(self):
         spec = RunSpec(algorithm="auto", matrix=MatrixSpec(2 ** 12, 32),
@@ -320,7 +320,7 @@ class TestAutoResolution:
 
     def test_concrete_spec_passes_through(self):
         spec = RunSpec(algorithm="tsqr", matrix=MatrixSpec(256, 8), procs=4)
-        assert resolve_auto(spec) is spec
+        assert Session().resolve(spec) is spec
 
     def test_grid_field_validation(self):
         with pytest.raises(ValueError, match="grid"):

@@ -128,11 +128,11 @@ class TestQRInvariants:
     def test_distributed_equals_sequential(self, seed):
         # The virtual-MPI CA-CQR2 and the sequential CQR2 compute the same
         # factors for any input (lock-step determinism).
-        from repro.api import cacqr2_factorize
+        from repro import Session
 
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((32, 8))
-        run = cacqr2_factorize(a, c=2, d=4)
+        run = Session().factor(a, algorithm="ca_cqr2", c=2, d=4)
         q_seq, r_seq = cqr2_sequential(a)
         np.testing.assert_allclose(run.q, q_seq, atol=1e-9)
         np.testing.assert_allclose(run.r, r_seq, atol=1e-9)

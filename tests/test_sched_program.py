@@ -19,7 +19,7 @@ from repro.core.cfr3d import default_base_case
 from repro.core.mm3d import mm3d
 from repro.core.panels_dist import ca_panel_cqr2
 from repro.costmodel.params import ABSTRACT_MACHINE, STAMPEDE2
-from repro.engine import run
+from repro import Session
 from repro.engine.spec import MatrixSpec, RunSpec
 from repro.plan import Planner, ProblemSpec
 from repro.sched import (
@@ -28,7 +28,6 @@ from repro.sched import (
     ScheduleRecorder,
     compiled_replay_disabled,
     compiled_replay_enabled,
-    default_sched_cache_dir,
     program_key,
 )
 from repro.sched.capture import capture_run, replay_report
@@ -298,7 +297,7 @@ class TestProgramCacheAndCapture:
     def test_capture_report_equals_plain_run(self):
         spec = self.prepared()
         program, report = capture_run(spec)
-        assert report == run(spec).report
+        assert report == Session().run(spec).report
         assert len(program) > 0
 
     def test_replay_report_is_machine_independent(self):
@@ -306,7 +305,7 @@ class TestProgramCacheAndCapture:
         # bit-identical to running under Stampede2 directly.
         program, _ = capture_run(self.prepared("abstract"))
         replayed = replay_report(program, STAMPEDE2)
-        assert replayed == run(self.prepared("stampede2")).report
+        assert replayed == Session().run(self.prepared("stampede2")).report
 
     def test_program_key_excludes_machine(self):
         assert (program_key(self.prepared("abstract"), "ca_cqr2")
@@ -333,17 +332,17 @@ class TestProgramCacheAndCapture:
         assert cache.load("bad") is None
 
     def test_cache_clear_removes_programs(self, tmp_path):
-        from repro.engine import cache_clear, cache_info
-
         spec = self.prepared()
         program, _ = capture_run(spec)
         cache = ProgramCache(str(tmp_path))
         cache.store(program_key(spec, "ca_cqr2"), program)
-        assert cache_info(str(tmp_path))["entries"] == 1
-        assert cache_clear(str(tmp_path)) == 1
-        assert cache_info(str(tmp_path))["entries"] == 0
+        assert cache.info()["entries"] == 1
+        assert cache.clear() == 1
+        assert cache.info()["entries"] == 0
 
     def test_env_override_moves_default_dir(self, tmp_path, monkeypatch):
+        from repro.utils.config import default_sched_cache_dir
+
         target = str(tmp_path / "programs")
         monkeypatch.setenv("REPRO_SCHED_CACHE_DIR", target)
         assert default_sched_cache_dir() == target

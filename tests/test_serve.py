@@ -9,11 +9,11 @@ import urllib.request
 
 import pytest
 
-from repro.obs import Observer
+from repro.obs import LatencyHistogram, Observer
 from repro.plan import Planner, problem_from_dict
 from repro.plan.cache import PlanCache
 from repro.plan.planner import Plan
-from repro.serve import Coalescer, LatencyHistogram, LRUPlanCache, PlanServer, ServeMetrics
+from repro.serve import Coalescer, LRUPlanCache, PlanServer, ServeMetrics
 from repro.serve.handlers import _ranked_payload
 from repro.session import Session
 

@@ -1,4 +1,4 @@
-"""The Session API: context propagation, shim equivalence, cache isolation."""
+"""The Session API: context propagation, the default session, cache isolation."""
 
 import concurrent.futures
 import os
@@ -165,47 +165,36 @@ class TestWorkerContextPropagation:
 
 
 class TestDefaultSessionShims:
-    def test_api_wrapper_is_bit_identical(self, rng):
-        from repro.api import cacqr2_factorize
-
-        a = rng.standard_normal((64, 8))
-        with pytest.warns(DeprecationWarning, match="Session.factor"):
-            legacy = cacqr2_factorize(a, c=2, d=4)
-        modern = Session().run(RunSpec(algorithm="ca_cqr2", data=a, c=2, d=4))
-        assert_same_run(legacy, modern)
-
-    def test_engine_free_functions_are_bit_identical(self, rng):
-        from repro.engine import run, run_batch
-
-        spec = RunSpec(algorithm="tsqr", matrix=MatrixSpec(256, 8), procs=4)
-        assert_same_run(run(spec), Session().run(spec))
-        for a, b in zip(run_batch([spec], parallel=False),
-                        Session().run_batch([spec], parallel=False)):
-            assert_same_run(a, b)
-
     def test_factor_matches_wrapper_semantics(self, rng):
-        from repro.api import scalapack_factorize
-
+        """Session.factor runs exactly the RunSpec its fields describe."""
         a = rng.standard_normal((64, 8))
-        with pytest.warns(DeprecationWarning):
-            legacy = scalapack_factorize(a, pr=4, pc=2, block_size=4)
-        modern = Session().factor(a, algorithm="scalapack", pr=4, pc=2,
-                                  block_size=4)
-        assert_same_run(legacy, modern)
+        spec = RunSpec(algorithm="scalapack", data=a, pr=4, pc=2,
+                       block_size=4)
+        factored = Session().factor(a, algorithm="scalapack", pr=4, pc=2,
+                                    block_size=4)
+        assert_same_run(factored, Session().run(spec))
 
     def test_use_session_redirects_free_functions(self):
-        """Free functions dispatch through the installed default session."""
-        from repro.engine import resolve_auto
+        """A study run without a session runs under the installed default."""
+        from repro.study import Axis, CriticalPathSeconds, Study
 
         spec = RunSpec(algorithm="auto", matrix=MatrixSpec(2048, 32),
                        procs=64, machine="stampede2")
+        study = Study(name="redirect", axes=(Axis("procs", (64,)),),
+                      metrics=(CriticalPathSeconds(),),
+                      spec=lambda point: spec)
         budgeted = Session(objective=Objective.single(
             "time", budgets=(Budget("memory", 3000),)))
-        baseline = resolve_auto(spec).algorithm
+
+        def seconds():
+            return study.run(parallel=False).rows[0].values["seconds"]
+
+        baseline = seconds()
         with use_session(budgeted):
-            redirected = resolve_auto(spec).algorithm
+            redirected = seconds()
+        assert redirected == budgeted.run(spec).report.critical_path_time
         assert redirected != baseline
-        assert resolve_auto(spec).algorithm == baseline   # restored
+        assert seconds() == baseline                          # restored
 
     def test_set_default_session(self):
         original = default_session()
@@ -355,16 +344,15 @@ class TestSessionStudy:
 
 class TestEnvCacheDirs:
     def test_default_cache_dir_env(self, monkeypatch, tmp_path):
-        from repro.engine import cache_info, default_cache_dir
+        from repro.utils.config import default_cache_dir
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
         assert default_cache_dir() == str(tmp_path / "rc")
-        assert cache_info()["path"] == str(tmp_path / "rc")
         monkeypatch.delenv("REPRO_CACHE_DIR")
         assert default_cache_dir() == ".repro-cache"
 
     def test_default_plan_cache_dir_env(self, monkeypatch, tmp_path):
-        from repro.plan import default_plan_cache_dir
+        from repro.utils.config import default_plan_cache_dir
 
         monkeypatch.setenv("REPRO_PLAN_CACHE_DIR", str(tmp_path / "pc"))
         assert default_plan_cache_dir() == str(tmp_path / "pc")
@@ -390,65 +378,23 @@ class TestEnvCacheDirs:
         assert list((tmp_path / "rc").glob("*.pkl"))
 
     def test_free_functions_defer_to_env_cache(self, monkeypatch, tmp_path):
-        """engine.run_batch without cache_dir= honors REPRO_CACHE_DIR."""
-        from repro.engine import run_batch
-        from repro.session import set_default_session
-
+        """Default-session batches without cache_dir= honor REPRO_CACHE_DIR."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
         set_default_session(None)           # rebuild under the patched env
         try:
             spec = RunSpec(algorithm="tsqr", matrix=MatrixSpec(256, 8),
                            procs=4)
-            run_batch([spec], parallel=False)
+            default_session().run_batch([spec], parallel=False)
             assert list((tmp_path / "rc").glob("*.pkl"))
             # An explicit None still disables caching.
             (tmp_path / "rc2").mkdir()
             monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc2"))
             set_default_session(None)
-            run_batch([spec], parallel=False, cache_dir=None)
+            default_session().run_batch([spec], parallel=False,
+                                        cache_dir=None)
             assert not list((tmp_path / "rc2").glob("*.pkl"))
         finally:
             set_default_session(None)
-
-
-class TestDeprecatedShimsWarn:
-    def test_api_wrappers_warn(self, rng):
-        from repro import api
-
-        a = rng.standard_normal((64, 8))
-        with pytest.warns(DeprecationWarning, match="Session.factor"):
-            api.cacqr2_factorize(a, c=2, d=4)
-        with pytest.warns(DeprecationWarning, match="Session.factor"):
-            api.tsqr_factorize(a, procs=4)
-        with pytest.warns(DeprecationWarning, match="Session.factor"):
-            api.cqr2_1d_factorize(a, procs=4)
-        with pytest.warns(DeprecationWarning, match="Session.factor"):
-            api.scalapack_factorize(a, pr=4, pc=2, block_size=4)
-
-    def test_experiment_entry_points_warn(self):
-        from repro.experiments.sweeps import algorithm_sweep, compare_algorithms
-
-        with pytest.warns(DeprecationWarning, match="algorithm_comparison"):
-            compare_algorithms(2 ** 14, 64, 256, STAMPEDE2)
-        with pytest.warns(DeprecationWarning, match="algorithm_comparison"):
-            algorithm_sweep(2 ** 14, 64, STAMPEDE2, (256,))
-
-    def test_accuracy_and_crossover_shims_warn(self):
-        from repro.experiments.accuracy import accuracy_sweep
-        from repro.experiments.crossover import crossover_sweep
-
-        with pytest.warns(DeprecationWarning, match="accuracy_study"):
-            accuracy_sweep(m=64, n=8, conditions=(1e2,))
-        with pytest.warns(DeprecationWarning, match="crossover_study"):
-            crossover_sweep(2 ** 16, 2 ** 8, STAMPEDE2, node_counts=(64,))
-
-    def test_repro_tune_warns(self, capsys):
-        from repro.cli import main
-
-        with pytest.warns(DeprecationWarning, match="repro plan"):
-            assert main(["tune", "-m", "65536", "-n", "256", "-P", "512",
-                         "--machine", "stampede2"]) == 0
-        assert "autotuned" in capsys.readouterr().out
 
 
 def test_worker_ignores_parent_parallelism():

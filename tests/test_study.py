@@ -5,8 +5,9 @@ import os
 
 import pytest
 
+from repro import Session
 from repro.costmodel.params import STAMPEDE2
-from repro.engine import MatrixSpec, RunSpec, run
+from repro.engine import MatrixSpec, RunSpec, solvers
 from repro.study import (
     Axis,
     RawField,
@@ -159,7 +160,7 @@ class TestStudyCore:
     def test_stream_reports_progress(self):
         seen = []
         rows = list(_square_study().stream(
-            progress=lambda done, total, row: seen.append((done, total))))
+            progress=lambda info: seen.append((info.done, info.total))))
         assert len(rows) == 3
         assert seen == [(1, 3), (2, 3), (3, 3)]
 
@@ -262,8 +263,9 @@ class TestExecutedStudy:
                                      algorithms=("ca_cqr2",), seed=3)
         table = study.run(parallel=False)
         assert len(table) == 1
-        direct = run(RunSpec(algorithm="ca_cqr2",
-                             matrix=MatrixSpec(256, 8, seed=3), procs=4))
+        direct = Session().run(RunSpec(algorithm="ca_cqr2",
+                                       matrix=MatrixSpec(256, 8, seed=3),
+                                       procs=4))
         row = table.rows[0]
         assert row.values["seconds"] == direct.report.critical_path_time
         assert row.values["orthogonality"] == direct.orthogonality_error()
@@ -351,21 +353,31 @@ class TestStudyFromDict:
 
 class TestExperimentStudies:
     def test_sweeps_study_matches_legacy_shim(self):
+        """Every row equals the direct per-point model minimization."""
         from repro.experiments.sweeps import (
             algorithm_comparison_study,
-            algorithm_sweep,
+            best_modeled_config,
             series_from_table,
         )
 
+        m, n, procs = 2 ** 18, 2 ** 9, (2 ** 6, 2 ** 10)
         table = algorithm_comparison_study(
-            2 ** 18, 2 ** 9, STAMPEDE2, (2 ** 6, 2 ** 10)).run(parallel=False)
-        assert series_from_table(table) == algorithm_sweep(
-            2 ** 18, 2 ** 9, STAMPEDE2, (2 ** 6, 2 ** 10))
+            m, n, STAMPEDE2, procs).run(parallel=False)
+        labels = {s.name: s.label for s in solvers()}
+        expected = {}
+        for p in procs:
+            for s in solvers():
+                best = best_modeled_config(s.name, m, n, p, STAMPEDE2)
+                if best is not None:
+                    expected.setdefault(labels[s.name], []).append(
+                        (p, best[0], best[1]))
+        assert {label: [(t.procs, t.seconds, t.config) for t in timings]
+                for label, timings in series_from_table(table).items()} \
+            == expected
 
     def test_scaling_study_covers_full_grid(self):
         from repro.experiments.figures import FIG7
         from repro.experiments.scaling import (
-            evaluate_strong_figure,
             strong_scaling_study,
             strong_series_from_table,
         )
@@ -374,7 +386,16 @@ class TestExperimentStudies:
         table = strong_scaling_study(fig).run(parallel=False)
         n_variants = len(fig.ca_variants) + len(fig.sl_variants)
         assert len(table) == n_variants * len(fig.nodes)
-        assert strong_series_from_table(table) == evaluate_strong_figure(fig)
+        # Each curve point is its variant's direct model evaluation.
+        series = strong_series_from_table(table)
+        for variant in fig.ca_variants + fig.sl_variants:
+            expected = []
+            for nodes in fig.nodes:
+                gf = variant.gigaflops(fig.machine, nodes, fig.m, fig.n)
+                if gf is not None:
+                    expected.append((str(nodes), gf))
+            assert [(p.x_label, p.gigaflops_per_node)
+                    for p in series.get(variant.label, [])] == expected
 
     def test_crossover_study_sides(self):
         from repro.experiments.crossover import crossover_study
@@ -384,15 +405,27 @@ class TestExperimentStudies:
         assert set(table.column("side")) == {"ca", "scalapack"}
 
     def test_accuracy_study_matches_legacy_shim(self):
+        """Every row equals a direct measurement on the seeded ladder."""
+        import numpy as np
+
         from repro.experiments.accuracy import (
+            ACCURACY_ALGORITHMS,
             accuracy_study,
-            accuracy_sweep,
+            measure,
             rows_from_table,
         )
+        from repro.utils.matgen import matrix_with_condition
 
-        kwargs = dict(m=128, n=8, conditions=(1e2, 1e8), seed=5)
-        table = accuracy_study(**kwargs).run(parallel=False)
-        assert rows_from_table(table) == accuracy_sweep(**kwargs)
+        conditions = (1e2, 1e8)
+        table = accuracy_study(m=128, n=8, conditions=conditions,
+                               seed=5).run(parallel=False)
+        rng = np.random.default_rng(5)
+        matrices = [matrix_with_condition(128, 8, c, rng) for c in conditions]
+        expected = [(name, cond, *measure(algo, a))
+                    for cond, a in zip(conditions, matrices)
+                    for name, algo in ACCURACY_ALGORITHMS.items()]
+        assert [(r.algorithm, r.condition, r.orthogonality, r.residual,
+                 r.failed) for r in rows_from_table(table)] == expected
 
 
 class TestSymbolicScalingStudy:
@@ -404,7 +437,7 @@ class TestSymbolicScalingStudy:
             assert row.ok
             spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(1024, 16),
                            procs=row.point["procs"], mode="symbolic")
-            report = run(spec).report
+            report = Session().run(spec).report
             assert row.values["seconds"] == report.critical_path_time
             assert row.values["messages"] == report.max_cost.messages
             assert row.values["words"] == report.max_cost.words

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import cacqr2_factorize, tsqr_factorize
+from repro import Session
 from repro.core.cqr import cqr2_sequential, cqr_sequential
 from repro.utils.matgen import matrix_with_condition, random_matrix
 from repro.verify import cross_check, verify_qr
@@ -70,9 +70,11 @@ class TestVerifyQR:
 class TestCrossCheck:
     def test_consistent_algorithms(self):
         a = random_matrix(64, 8, rng=6)
+        ca = Session().factor(a, algorithm="ca_cqr2", c=2, d=4)
+        ts = Session().factor(a, algorithm="tsqr", procs=8)
         runs = [
-            ("cacqr2", *(lambda run: (run.q, run.r))(cacqr2_factorize(a, c=2, d=4))),
-            ("tsqr", *(lambda run: (run.q, run.r))(tsqr_factorize(a, procs=8))),
+            ("cacqr2", ca.q, ca.r),
+            ("tsqr", ts.q, ts.r),
             ("seq", *cqr2_sequential(a)),
         ]
         assert cross_check(a, runs) == []
