@@ -8,7 +8,9 @@ for a representative tall matrix on both machines.
 
 The campaign is *declared* through the Study API
 (:func:`repro.experiments.sweeps.algorithm_comparison_study`): one
-(procs x algorithm) grid per machine, uniformly executed and rendered.
+(procs x algorithm) grid per machine, each point's best configuration
+picked by the planner's screen at the default base case, so every
+reported configuration is one its solver runs.
 ``REPRO_BENCH_TOY=1`` shrinks the grid to smoke-test sizes (the CI
 benchmarks job); the paper-scale claims are only asserted at full size.
 """

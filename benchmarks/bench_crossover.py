@@ -7,7 +7,9 @@ on Blue Waters the crossover does not arrive within the swept range.
 
 The campaign is *declared* through the Study API
 (:func:`repro.experiments.crossover.crossover_study`): one (nodes x side)
-grid per machine.  ``REPRO_BENCH_TOY=1`` shrinks the grid to smoke-test
+grid per machine, each side's best configuration picked by the planner's
+screen, so the ScaLAPACK side only ever reports grids PGEQRF accepts
+(``pc | b``).  ``REPRO_BENCH_TOY=1`` shrinks the grid to smoke-test
 sizes; the paper-scale claims are only asserted at full size.
 """
 

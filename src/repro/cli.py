@@ -165,7 +165,7 @@ def _build_observer(jsonl_path: Optional[str], chrome_path: Optional[str]):
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
-    from repro.plan import Objective, Planner, ProblemSpec
+    from repro.plan import Objective, Planner, problem_from_dict
     from repro.session import default_session
     from repro.utils.validation import ValidationError
 
@@ -181,13 +181,13 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         machine = _load_machine(args)
         objective = Objective.parse(args.objective,
                                     budgets=tuple(args.budget or ()))
-        problem = ProblemSpec(
-            m=args.m, n=args.n, procs=args.procs, machine=machine,
-            mode="symbolic" if args.symbolic else "numeric",
-            objective=objective,
-            algorithms=tuple(args.algorithms) if args.algorithms else None,
-            block_sizes=(args.block_size,) if args.block_size else None,
-            top_k=args.top_k)
+        problem = problem_from_dict({
+            "m": args.m, "n": args.n, "procs": args.procs,
+            "machine": machine,
+            "mode": "symbolic" if args.symbolic else "numeric",
+            "objective": objective, "algorithms": args.algorithms or None,
+            "block_sizes": [args.block_size] if args.block_size else None,
+            "top_k": args.top_k})
         obs, _ = _build_observer(args.jsonl, args.chrome_trace)
         planner = Planner(refine=None if args.no_refine else "symbolic",
                           cache_dir=args.cache_dir

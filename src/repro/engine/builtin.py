@@ -4,14 +4,15 @@ One adapter per QR algorithm in the repository: the paper's CA-CQR2 on
 the tunable ``c x d x c`` grid, the 1D-CQR2 parallelization, the TSQR
 kernel, the ScaLAPACK-style 2D blocked QR (PGEQRF), and CAQR.  Each
 bundles the capability checks, grid construction, executed path, and
-analytic cost-model counterpart that the API facade, CLI, sweeps, and
-benchmark harness previously each hand-wired.
+planner counterpart (runnable candidates plus their batched analytic
+costs) that the CLI, the planner, the modeled sweeps, and the benchmark
+harness all dispatch through.
 
 CAQR note: the repository carries CAQR's *cost model* only; its executed
 counterpart is the TSQR-panel machinery in
 :mod:`repro.baselines.scalapack_qr` (whose panel factorization *is*
 TSQR), so the CAQR solver shares the ScaLAPACK executed path while
-modeling costs with :func:`repro.baselines.caqr.caqr_cost`.
+screening with the batched form of :func:`repro.baselines.caqr.caqr_cost`.
 """
 
 from __future__ import annotations
@@ -20,15 +21,9 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.caqr import caqr_cost
-from repro.baselines.scalapack_qr import (
-    default_scalapack_grid,
-    pgeqrf_cost,
-    scalapack_qr,
-)
-from repro.baselines.tsqr import tsqr_1d, tsqr_cost
+from repro.baselines.scalapack_qr import default_scalapack_grid, scalapack_qr
+from repro.baselines.tsqr import tsqr_1d
 from repro.core.cacqr import ca_cqr2
-from repro.core.cfr3d import default_base_case
 from repro.core.cqr_1d import cqr2_1d
 from repro.core.tuning import (
     GridShape,
@@ -37,8 +32,6 @@ from repro.core.tuning import (
     optimal_grid,
 )
 from repro.costmodel import batch
-from repro.costmodel.analytic import ca_cqr2_cost, cqr2_1d_cost
-from repro.costmodel.ledger import Cost
 from repro.costmodel.memory import ca_cqr2_memory, cqr2_1d_memory, pgeqrf_memory
 from repro.costmodel.params import MachineSpec
 from repro.engine.registry import (
@@ -115,14 +108,6 @@ class CACQR2Solver(Solver):
             return None, None
         return result.q.to_global(), np.triu(result.r.to_global())
 
-    def model_candidates(self, m: int, n: int, procs: int,
-                         machine: MachineSpec,
-                         block_size: int) -> Iterable[Tuple[Cost, str]]:
-        for shape in feasible_grids(m, n, procs):
-            cost = ca_cqr2_cost(m, n, shape.c, shape.d,
-                                default_base_case(n, shape.c))
-            yield cost, str(shape)
-
     def plan_candidates(self, m: int, n: int, procs: int,
                         machine: MachineSpec,
                         block_sizes: Tuple[int, ...],
@@ -193,12 +178,6 @@ class CQR21DSolver(Solver):
             return None, None
         return q.to_global(), np.triu(r.to_global())
 
-    def model_candidates(self, m: int, n: int, procs: int,
-                         machine: MachineSpec,
-                         block_size: int) -> Iterable[Tuple[Cost, str]]:
-        if m % procs == 0:
-            yield cqr2_1d_cost(m, n, procs), f"P={procs}"
-
     def plan_candidates(self, m: int, n: int, procs: int,
                         machine: MachineSpec,
                         block_sizes: Tuple[int, ...],
@@ -255,12 +234,6 @@ class TSQRSolver(Solver):
                 spec: RunSpec) -> QRFactors:
         q, r = tsqr_1d(vm, dist)
         return q.to_global(), r.to_global()
-
-    def model_candidates(self, m: int, n: int, procs: int,
-                         machine: MachineSpec,
-                         block_size: int) -> Iterable[Tuple[Cost, str]]:
-        if m % procs == 0 and m // procs >= n:
-            yield tsqr_cost(m, n, procs), f"P={procs}"
 
     def plan_candidates(self, m: int, n: int, procs: int,
                         machine: MachineSpec,
@@ -359,14 +332,6 @@ class ScaLAPACKSolver(Solver):
                 yield pr, pc
             pr *= 2
 
-    def model_candidates(self, m: int, n: int, procs: int,
-                         machine: MachineSpec,
-                         block_size: int) -> Iterable[Tuple[Cost, str]]:
-        for pr, pc in self._grid_candidates(m, n, procs):
-            cost = pgeqrf_cost(m, n, pr, pc, block_size,
-                               kernel_efficiency=machine.qr_kernel_efficiency)
-            yield cost, f"pr={pr},pc={pc}"
-
     def plan_candidates(self, m: int, n: int, procs: int,
                         machine: MachineSpec,
                         block_sizes: Tuple[int, ...],
@@ -411,12 +376,6 @@ class CAQRSolver(ScaLAPACKSolver):
     # Idealized CAQR counts never read the machine (unlike the inherited
     # PGEQRF screen): reset the base-class declaration.
     count_machine_fields = ()
-
-    def model_candidates(self, m: int, n: int, procs: int,
-                         machine: MachineSpec,
-                         block_size: int) -> Iterable[Tuple[Cost, str]]:
-        for pr, pc in self._grid_candidates(m, n, procs):
-            yield caqr_cost(m, n, pr, pc, block_size), f"pr={pr},pc={pc}"
 
     def screen_costs(self, m: int, n: int, machine: MachineSpec,
                      candidates: Sequence[PlanCandidate]) -> np.ndarray:

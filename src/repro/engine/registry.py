@@ -9,11 +9,13 @@ Each algorithm registers a :class:`Solver` adapter that knows four things:
   :class:`~repro.vmpi.grid.Grid3D` the executed algorithm runs on;
 * **execution** -- the distributed algorithm itself, returning global
   ``(Q, R)`` factors (or ``(None, None)`` in symbolic mode);
-* **cost-model counterpart** -- the analytic per-config costs the
-  experiment sweeps rank, via :meth:`Solver.model_candidates`.
+* **planner counterpart** -- every runnable configuration at a problem
+  point (:meth:`Solver.plan_candidates`) and its batched analytic costs
+  (:meth:`Solver.screen_costs`); the planner, the modeled sweeps and
+  the crossover study all rank configurations through this one screen.
 
 New algorithms land by subclassing :class:`Solver` and calling
-:func:`register` -- no call-site edits in the API facade, the CLI, the
+:func:`register` -- no call-site edits in the planner, the CLI, the
 sweeps, or the benchmark harness.
 """
 
@@ -23,7 +25,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.costmodel.ledger import Cost
 from repro.costmodel.params import MachineSpec
 from repro.engine.result import AnyGridShape
 from repro.engine.spec import RunSpec
@@ -56,11 +57,11 @@ def capability(condition: bool, message: str) -> None:
 class PlanCandidate:
     """One fully-specified configuration a solver offers the planner.
 
-    Unlike the ``(cost, label)`` pairs of :meth:`Solver.model_candidates`
-    (which only rank configurations), a plan candidate is *actionable*:
-    ``spec_fields`` are the exact :class:`~repro.engine.spec.RunSpec`
-    overrides that execute this configuration, so a chosen plan resolves
-    an ``algorithm="auto"`` spec into a directly runnable one.
+    A plan candidate is *actionable*: ``spec_fields`` are the exact
+    :class:`~repro.engine.spec.RunSpec` overrides that execute this
+    configuration, so a chosen plan resolves an ``algorithm="auto"``
+    spec into a directly runnable one, and a modeled sweep's winner is
+    always a configuration the solver accepts.
     """
 
     #: Canonical registry name of the algorithm this configures.
@@ -137,20 +138,6 @@ class Solver(abc.ABC):
                 spec: RunSpec) -> QRFactors:
         """Run the algorithm; return global ``(Q, R)`` (``(None, None)`` symbolic)."""
 
-    # -- analytic counterpart -----------------------------------------------------
-
-    def model_candidates(self, m: int, n: int, procs: int,
-                         machine: MachineSpec,
-                         block_size: int) -> Iterable[Tuple[Cost, str]]:
-        """Feasible ``(analytic cost, config label)`` pairs at one scale point.
-
-        Sweeps rank these under an :class:`~repro.costmodel.performance.ExecutionModel`
-        and keep the cheapest per algorithm.  An empty iterable means the
-        algorithm is structurally inapplicable at this point (mirroring how
-        a practitioner's options narrow).
-        """
-        return ()
-
     # -- planner counterpart ------------------------------------------------------
 
     def plan_candidates(self, m: int, n: int, procs: int,
@@ -162,10 +149,12 @@ class Solver(abc.ABC):
 
         The planner (:mod:`repro.plan`) unions these across all registered
         algorithms, screens them with :meth:`screen_costs` in one batched
-        evaluation, and refines the survivors symbolically.  Candidates
-        must carry ``spec_fields`` that pass :meth:`prepare` -- a chosen
-        plan is executed verbatim.  The default (no candidates) opts an
-        algorithm out of planning without affecting sweeps.
+        evaluation, and refines the survivors symbolically; the modeled
+        sweeps and the crossover study rank them through the same
+        screen.  Candidates must carry ``spec_fields`` that pass
+        :meth:`prepare` -- a chosen plan is executed verbatim.  The
+        default (no candidates) opts an algorithm out of planning and
+        modeled sweeps.
 
         The candidate *set* must not depend on ``machine``: the lattice
         planner enumerates once per distinct (m, n, procs, mode, block

@@ -4,24 +4,24 @@ The paper's strong-scaling story is a crossover story: ScaLAPACK wins at
 small node counts (CQR2's ~2x flop overhead dominates), CA-CQR2 wins at
 large ones (2D QR's communication dominates).  This module declares the
 analysis as a :class:`repro.study.Study` -- :func:`crossover_study`
-sweeps a (nodes x side) grid comparing each side's best feasible
+sweeps a (nodes x side) grid comparing each side's best runnable
 configuration under the validated cost model -- the quantitative form of
 the paper's "at higher node counts, the asymptotic communication
-improvement is expected to be of greater benefit".
+improvement is expected to be of greater benefit".  Each side's best is
+the planner's screen restricted to that side's algorithm, so both sides
+are priced by the same path as :mod:`repro.plan` and every reported
+configuration passes its solver's capability checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.scalapack_qr import pgeqrf_cost
-from repro.core.cfr3d import default_base_case
-from repro.core.tuning import feasible_grids
-from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.params import MachineSpec
-from repro.costmodel.performance import ExecutionModel
+from repro.plan import PlanResult, ProblemSpec
 from repro.study import Axis, RawField, ResultTable, Study
+from repro.study.builtin import _planned_evaluate
 from repro.utils.validation import check_positive_int, require
 
 
@@ -44,39 +44,11 @@ class CrossoverPoint:
         return self.sl_seconds / self.ca_seconds
 
 
-def best_ca_seconds(m: int, n: int, procs: int,
-                    machine: MachineSpec) -> Optional[Tuple[float, str]]:
-    """Fastest feasible CA-CQR2 grid's modeled time, with its label."""
-    model = ExecutionModel(machine)
-    best: Optional[Tuple[float, str]] = None
-    for shape in feasible_grids(m, n, procs):
-        t = model.seconds(ca_cqr2_cost(m, n, shape.c, shape.d,
-                                       default_base_case(n, shape.c)))
-        if best is None or t < best[0]:
-            best = (t, str(shape))
-    return best
-
-
-def best_scalapack_seconds(m: int, n: int, procs: int, machine: MachineSpec,
-                           block_sizes: Tuple[int, ...] = (16, 32, 64)
-                           ) -> Optional[Tuple[float, str]]:
-    """Fastest PGEQRF configuration (power-of-two pr sweep x block sizes)."""
-    model = ExecutionModel(machine)
-    best: Optional[Tuple[float, str]] = None
-    pr = 1
-    while pr <= procs:
-        pc = procs // pr
-        if pr * pc == procs and pr <= m and pc <= n:
-            for b in block_sizes:
-                if b > n:
-                    continue
-                t = model.seconds(pgeqrf_cost(
-                    m, n, pr, pc, b,
-                    kernel_efficiency=machine.qr_kernel_efficiency))
-                if best is None or t < best[0]:
-                    best = (t, f"pr={pr},pc={pc},b={b}")
-        pr *= 2
-    return best
+#: Each side's planning restriction: CA-CQR2 at the default base case
+#: (inverse depth 0), PGEQRF over three panel widths.
+_SIDES = {"ca": {"algorithms": ("ca_cqr2",), "inverse_depths": (0,)},
+          "scalapack": {"algorithms": ("scalapack",),
+                        "block_sizes": (16, 32, 64)}}
 
 
 def crossover_study(m: int, n: int, machine: MachineSpec,
@@ -85,33 +57,33 @@ def crossover_study(m: int, n: int, machine: MachineSpec,
     """The crossover campaign: best-vs-best modeled seconds per node count.
 
     Axes are the node ladder and the two sides (``ca`` = CA-CQR2's best
-    feasible ``c x d x c`` grid, ``scalapack`` = PGEQRF's best
+    feasible ``c x d x c`` grid, ``scalapack`` = PGEQRF's best runnable
     ``pr x pc x b``); metrics are the modeled seconds and the winning
     configuration label.
     """
     check_positive_int(m, "m")
     check_positive_int(n, "n")
     require(m >= n, f"need a tall matrix, got {m}x{n}")
+    axes = (Axis("nodes", tuple(node_counts)),
+            Axis("side", tuple(_SIDES)))
 
-    def evaluate(point: Dict[str, object]) -> Optional[dict]:
-        procs = point["nodes"] * machine.procs_per_node
-        if point["side"] == "ca":
-            best = best_ca_seconds(m, n, procs, machine)
-        else:
-            best = best_scalapack_seconds(m, n, procs, machine)
-        if best is None:
-            return None
-        return {"modeled_seconds": best[0], "config": best[1]}
+    def problem(point: Dict[str, object]) -> ProblemSpec:
+        return ProblemSpec(m=m, n=n,
+                           procs=point["nodes"] * machine.procs_per_node,
+                           machine=machine, **_SIDES[point["side"]])
+
+    def row(result: PlanResult) -> dict:
+        best = result.best()
+        return {"modeled_seconds": best.seconds, "config": best.config}
 
     return Study(
         name=name or f"crossover-{m}x{n}-{machine.name}",
         description=f"best CA-CQR2 vs best ScaLAPACK, {m} x {n} on "
                     f"{machine.name}",
-        axes=(Axis("nodes", tuple(node_counts)),
-              Axis("side", ("ca", "scalapack"))),
+        axes=axes,
         metrics=(RawField("modeled_seconds", "{:.4f}"),
                  RawField("config", "{}")),
-        evaluate=evaluate,
+        evaluate=_planned_evaluate(axes, problem, row),
         params={"m": m, "n": n, "machine": machine.name})
 
 

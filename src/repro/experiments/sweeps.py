@@ -7,12 +7,15 @@ does the answer change with scale?"  It compares the modeled time of every
 applicable algorithm across a processor sweep.
 
 The campaign is :func:`algorithm_comparison_study`: an
-(procs x algorithm) grid whose evaluator asks each registered solver for
-its feasible configurations via
-:meth:`~repro.engine.Solver.model_candidates` and keeps the cheapest, so
-a newly registered algorithm shows up in these sweeps automatically --
-and the study inherits streaming execution, JSONL persistence/resume,
-and filter/pivot/rendering from :mod:`repro.study` for free.
+(procs x algorithm) grid whose points are priced by the planner's
+screen -- one screen-only lattice search restricted to one algorithm per
+point, keeping its cheapest configuration -- so a newly registered
+algorithm (its :meth:`~repro.engine.Solver.plan_candidates` and
+:meth:`~repro.engine.Solver.screen_costs`) shows up in these sweeps
+automatically, and a sweep never reports a configuration its solver
+would refuse to run.  The study inherits streaming execution, JSONL
+persistence/resume, and filter/pivot/rendering from :mod:`repro.study`
+for free.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.costmodel.params import MachineSpec
-from repro.costmodel.performance import ExecutionModel
 from repro.engine import solver_for, solvers
+from repro.plan import PlanResult, ProblemSpec
 from repro.study import Axis, RawField, ResultTable, Study
+from repro.study.builtin import _planned_evaluate
 from repro.utils.validation import require
 
 
@@ -37,26 +41,6 @@ class AlgorithmTiming:
     config: str
 
 
-def best_modeled_config(algorithm: str, m: int, n: int, procs: int,
-                        machine: MachineSpec, block_size: int = 32
-                        ) -> Optional[Tuple[float, str]]:
-    """Cheapest feasible modeled ``(seconds, config)`` of one algorithm.
-
-    ``None`` when the algorithm is structurally inapplicable at this
-    point (TSQR needs ``m/P >= n``; 1D needs ``P | m``; CA needs a
-    feasible grid), mirroring how a practitioner's options narrow.
-    """
-    solver = solver_for(algorithm)
-    model = ExecutionModel(machine)
-    best: Optional[Tuple[float, str]] = None
-    for cost, config in solver.model_candidates(m, n, procs, machine,
-                                                block_size):
-        t = model.seconds(cost)
-        if best is None or t < best[0]:
-            best = (t, config)
-    return best
-
-
 def algorithm_comparison_study(m: int, n: int, machine: MachineSpec,
                                proc_counts: Sequence[int],
                                block_size: int = 32,
@@ -66,31 +50,37 @@ def algorithm_comparison_study(m: int, n: int, machine: MachineSpec,
 
     Axes are the processor ladder and every registered algorithm (or an
     explicit subset); metrics are the modeled seconds and the winning
-    configuration label.
+    configuration label.  Each point is one algorithm's planning problem
+    at the study's panel width and the default base case (inverse depth
+    0); points where the algorithm is structurally inapplicable (TSQR
+    needs ``m/P >= n``; 1D needs ``P | m``; CA needs a feasible grid) are
+    ``None`` rows, mirroring how a practitioner's options narrow.
     """
     require(m >= n, f"need a tall matrix, got {m}x{n}")
     if algorithms is None:
         algorithms = [s.name for s in solvers()]
-    labels = {s.name: s.label for s in solvers()}
+    axes = (Axis("procs", tuple(proc_counts)),
+            Axis("algorithm", tuple(algorithms)))
 
-    def evaluate(point: Dict[str, object]) -> Optional[dict]:
-        best = best_modeled_config(point["algorithm"], m, n, point["procs"],
-                                   machine, block_size)
-        if best is None:
-            return None
-        return {"label": labels[point["algorithm"]],
-                "modeled_seconds": best[0], "config": best[1]}
+    def problem(point: Dict[str, object]) -> ProblemSpec:
+        return ProblemSpec(m=m, n=n, procs=point["procs"], machine=machine,
+                           algorithms=(point["algorithm"],),
+                           block_sizes=(block_size,), inverse_depths=(0,))
+
+    def row(result: PlanResult) -> dict:
+        best = result.best()
+        return {"label": solver_for(best.algorithm).label,
+                "modeled_seconds": best.seconds, "config": best.config}
 
     return Study(
         name=name or f"algorithm-comparison-{m}x{n}-{machine.name}",
         description=f"modeled best time per algorithm, {m} x {n} on "
                     f"{machine.name}",
-        axes=(Axis("procs", tuple(proc_counts)),
-              Axis("algorithm", tuple(algorithms))),
+        axes=axes,
         metrics=(RawField("label", "{}"),
                  RawField("modeled_seconds", "{:.4f}"),
                  RawField("config", "{}")),
-        evaluate=evaluate,
+        evaluate=_planned_evaluate(axes, problem, row),
         params={"m": m, "n": n, "machine": machine.name,
                 "block_size": block_size})
 

@@ -30,11 +30,12 @@ spec files can target machines beyond the two paper presets.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.costmodel.params import MachineSpec
 from repro.engine import CapabilityError, MatrixSpec, RunSpec, solvers
-from repro.study.axes import Axis
+from repro.plan import Planner, PlanResult, ProblemSpec
+from repro.study.axes import Axis, expand
 from repro.study.metrics import (
     CriticalPathSeconds,
     Flops,
@@ -45,7 +46,7 @@ from repro.study.metrics import (
     Words,
 )
 from repro.study.study import Study
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_int, require
 
 
 def default_executed_algorithms() -> Tuple[str, ...]:
@@ -135,6 +136,41 @@ def symbolic_scaling_study(m: int, n: int, proc_counts: Sequence[int],
                 "machine": str(machine), "seed": seed, "mode": "symbolic"})
 
 
+def _planned_evaluate(axes: Sequence[Axis],
+                      problem: Callable[[Dict[str, object]], ProblemSpec],
+                      row: Callable[[PlanResult], dict],
+                      ) -> Callable[[Dict[str, object]], Optional[dict]]:
+    """A study evaluator answered by one lazy screen-only lattice search.
+
+    Evaluate-based studies run serially in-process, so the first
+    evaluated point plans every grid point's ``problem(point)`` in one
+    ``Planner(refine=None).plan_many``: candidate enumeration is shared
+    across points and the stacked screen prices every (candidate, point)
+    pair in a single vectorized pass, bit-identical to planning each
+    point separately.  Structurally infeasible points
+    (:exc:`CapabilityError`) are ``None`` rows without poisoning their
+    neighbors; ``row(result)`` turns every other result into the point's
+    metrics.
+    """
+    outcomes: Dict[tuple, object] = {}
+
+    def evaluate(point: Dict[str, object]) -> Optional[dict]:
+        if not outcomes:
+            points = [pt.values for pt in expand(axes)]
+            results = Planner(refine=None).plan_many(
+                [problem(p) for p in points], errors="return")
+            outcomes.update((tuple(p.values()), result)
+                            for p, result in zip(points, results))
+        result = outcomes[tuple(point.values())]
+        if isinstance(result, CapabilityError):
+            return None
+        if isinstance(result, Exception):
+            raise result
+        return row(result)
+
+    return evaluate
+
+
 def planner_crossover_study(n: int, aspects: Sequence[int],
                             proc_counts: Sequence[int],
                             machine: Union[str, MachineSpec] = "stampede2",
@@ -149,40 +185,18 @@ def planner_crossover_study(n: int, aspects: Sequence[int],
     ``(n * aspect) x n`` matrix at that processor count, and reports the
     winner plus its margin over the best 2D-baseline plan -- mapping
     where communication avoidance pays off as the shape and scale vary.
-
     The whole grid is planned as one batched lattice search
-    (:meth:`~repro.plan.Planner.plan_many`) on the first evaluated
-    point: candidate enumeration is shared across processor counts and
-    the stacked screen prices every (candidate, point) pair in a single
-    vectorized pass, bit-identical to planning each point separately.
-    Structurally infeasible points stay ``None`` rows without poisoning
-    their neighbors.
+    (:func:`_planned_evaluate`).
     """
-    from repro.plan import Planner, ProblemSpec
-    from repro.utils.validation import check_positive_int
-
     check_positive_int(n, "n")
     machine_name = machine if isinstance(machine, str) else machine.name
-    planner = Planner(refine=None)
-    grid = [(aspect, procs)
-            for aspect in tuple(aspects) for procs in tuple(proc_counts)]
-    outcomes: Dict[Tuple[int, int], object] = {}
+    axes = (Axis("aspect", tuple(aspects)), Axis("procs", tuple(proc_counts)))
 
-    def evaluate(point: Dict[str, object]) -> Optional[dict]:
-        if not outcomes:
-            # Evaluate-based studies run serially in-process, so one
-            # lazy batched search serves every grid point.
-            results = planner.plan_many(
-                [ProblemSpec(m=n * aspect, n=n, procs=procs,
-                             machine=machine, objective=objective)
-                 for aspect, procs in grid],
-                errors="return")
-            outcomes.update(zip(grid, results))
-        result = outcomes[(point["aspect"], point["procs"])]
-        if isinstance(result, CapabilityError):
-            return None
-        if isinstance(result, Exception):
-            raise result
+    def problem(point: Dict[str, object]) -> ProblemSpec:
+        return ProblemSpec(m=n * point["aspect"], n=n, procs=point["procs"],
+                           machine=machine, objective=objective)
+
+    def row(result: PlanResult) -> dict:
         best = result.best()
         baseline = [p for p in result.plans
                     if p.algorithm in ("scalapack", "caqr")]
@@ -196,14 +210,13 @@ def planner_crossover_study(n: int, aspects: Sequence[int],
         name=name or f"planner-crossover-n{n}-{machine_name}",
         description=(f"planner best-plan surface, (n*aspect) x {n} on "
                      f"{machine_name}, objective={objective}"),
-        axes=(Axis("aspect", tuple(aspects)),
-              Axis("procs", tuple(proc_counts))),
+        axes=axes,
         metrics=(RawField("algorithm", "{}"),
                  RawField("config", "{}"),
                  RawField("modeled_seconds", "{:.4f}"),
                  RawField("speedup_vs_2d", "{:.2f}"),
                  RawField("num_candidates", "{:d}")),
-        evaluate=evaluate,
+        evaluate=_planned_evaluate(axes, problem, row),
         params={"n": n, "machine": machine_name, "objective": objective})
 
 

@@ -1,12 +1,17 @@
 """Tests for the crossover analysis."""
 
+import re
+
 import pytest
 
+from repro.baselines.scalapack_qr import pgeqrf_cost
+from repro.core.cfr3d import default_base_case
+from repro.core.tuning import feasible_grids
+from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
+from repro.costmodel.performance import ExecutionModel
 from repro.experiments.crossover import (
     CrossoverPoint,
-    best_ca_seconds,
-    best_scalapack_seconds,
     crossover_study,
     find_crossover,
     format_crossover_table,
@@ -21,13 +26,37 @@ def crossover_points(m, n, machine, node_counts):
 
 
 class TestBestConfigs:
+    """Each side's row is the scalar-oracle minimum over its grids."""
+
+    M, N, NODES = 2 ** 20, 2 ** 10, 2 ** 12 // STAMPEDE2.procs_per_node
+
+    def row(self, side):
+        table = crossover_study(self.M, self.N, STAMPEDE2,
+                                (self.NODES,)).run(parallel=False)
+        return table.first(nodes=self.NODES, side=side).values
+
     def test_best_ca_is_minimal(self):
-        t, grid = best_ca_seconds(2 ** 20, 2 ** 10, 2 ** 12, STAMPEDE2)
-        assert t > 0 and "x" in grid
+        model = ExecutionModel(STAMPEDE2)
+        row = self.row("ca")
+        expected = min(
+            model.seconds(ca_cqr2_cost(self.M, self.N, s.c, s.d,
+                                       default_base_case(self.N, s.c)))
+            for s in feasible_grids(self.M, self.N, 2 ** 12))
+        assert row["modeled_seconds"] == expected
+        assert re.fullmatch(r"(\d+)x\d+x\1,n0=\d+", row["config"])
 
     def test_best_scalapack_sweeps_pr(self):
-        t, cfg = best_scalapack_seconds(2 ** 20, 2 ** 10, 2 ** 12, STAMPEDE2)
-        assert t > 0 and cfg.startswith("pr=")
+        model = ExecutionModel(STAMPEDE2)
+        row = self.row("scalapack")
+        procs = 2 ** 12
+        runnable = [model.seconds(pgeqrf_cost(
+                        self.M, self.N, pr, procs // pr, b,
+                        kernel_efficiency=STAMPEDE2.qr_kernel_efficiency))
+                    for pr in (2 ** k for k in range(13))
+                    for b in (16, 32, 64)
+                    if b % (procs // pr) == 0 and self.M // pr >= b]
+        assert row["modeled_seconds"] == min(runnable)
+        assert row["config"].startswith("pr=")
 
 
 class TestCrossover:

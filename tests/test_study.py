@@ -351,29 +351,100 @@ class TestStudyFromDict:
 # Experiment campaigns declared as studies
 # ---------------------------------------------------------------------------
 
+def _scalar_cost(algorithm, m, n, fields, machine):
+    """The scalar closed-form cost of one configuration (the test oracle)."""
+    from repro.baselines.caqr import caqr_cost
+    from repro.baselines.scalapack_qr import pgeqrf_cost
+    from repro.baselines.tsqr import tsqr_cost
+    from repro.costmodel.analytic import ca_cqr2_cost, cqr2_1d_cost
+
+    if algorithm == "ca_cqr2":
+        return ca_cqr2_cost(m, n, fields["c"], fields["d"],
+                            fields["base_case_size"])
+    if algorithm == "cqr2_1d":
+        return cqr2_1d_cost(m, n, fields["procs"])
+    if algorithm == "tsqr":
+        return tsqr_cost(m, n, fields["procs"])
+    grid = (fields["pr"], fields["pc"], fields["block_size"])
+    if algorithm == "scalapack":
+        return pgeqrf_cost(m, n, *grid,
+                           kernel_efficiency=machine.qr_kernel_efficiency)
+    return caqr_cost(m, n, *grid)
+
+
+def _spec_from_config(algorithm, m, n, config):
+    """The RunSpec a study row's configuration label names."""
+    names = {"P": "procs", "n0": "base_case_size", "b": "block_size"}
+    fields = {}
+    for part in config.split(","):
+        if "x" in part:
+            c, d, _ = part.split("x")
+            fields.update(c=int(c), d=int(d))
+        else:
+            key, value = part.split("=")
+            fields[names.get(key, key)] = int(value)
+    return RunSpec(algorithm=algorithm, matrix=MatrixSpec(m, n), **fields)
+
+
 class TestExperimentStudies:
     def test_sweeps_study_matches_legacy_shim(self):
-        """Every row equals the direct per-point model minimization."""
-        from repro.experiments.sweeps import (
-            algorithm_comparison_study,
-            best_modeled_config,
-            series_from_table,
-        )
+        """Every row is the scalar-oracle minimum over runnable candidates."""
+        import re
 
-        m, n, procs = 2 ** 18, 2 ** 9, (2 ** 6, 2 ** 10)
+        from repro.costmodel.performance import ExecutionModel
+        from repro.engine import CapabilityError
+        from repro.experiments.sweeps import algorithm_comparison_study
+
+        m, n, procs, b = 2 ** 18, 2 ** 9, (2 ** 6, 2 ** 10), 32
         table = algorithm_comparison_study(
-            m, n, STAMPEDE2, procs).run(parallel=False)
-        labels = {s.name: s.label for s in solvers()}
-        expected = {}
+            m, n, STAMPEDE2, procs, block_size=b).run(parallel=False)
+        model = ExecutionModel(STAMPEDE2)
         for p in procs:
             for s in solvers():
-                best = best_modeled_config(s.name, m, n, p, STAMPEDE2)
-                if best is not None:
-                    expected.setdefault(labels[s.name], []).append(
-                        (p, best[0], best[1]))
-        assert {label: [(t.procs, t.seconds, t.config) for t in timings]
-                for label, timings in series_from_table(table).items()} \
-            == expected
+                priced = {}
+                for cand in s.plan_candidates(m, n, p, STAMPEDE2, (b,), (0,)):
+                    try:
+                        s.prepare(RunSpec(algorithm=s.name,
+                                          matrix=MatrixSpec(m, n),
+                                          **cand.spec_fields))
+                    except CapabilityError:
+                        continue
+                    priced[cand.config] = model.seconds(_scalar_cost(
+                        s.name, m, n, cand.spec_fields, STAMPEDE2))
+                row = table.first(procs=p, algorithm=s.name)
+                assert row.ok == bool(priced)
+                if not priced:
+                    continue
+                assert row.values["label"] == s.label
+                assert row.values["modeled_seconds"] == min(priced.values())
+                assert priced[row.values["config"]] == min(priced.values())
+                if s.name == "ca_cqr2":
+                    assert re.fullmatch(r"(\d+)x\d+x\1,n0=\d+",
+                                        row.values["config"])
+
+    def test_modeled_winners_are_runnable(self):
+        """Every reported configuration passes its solver's prepare().
+
+        The grid includes PGEQRF grids with pc > b (infeasible: the
+        solver needs pc | b), which the sweeps must never report.
+        """
+        from repro.engine import solver_for
+        from repro.experiments.crossover import crossover_study
+        from repro.experiments.sweeps import algorithm_comparison_study
+
+        m, n, b = 2 ** 15, 2 ** 7, 16
+        sweep = algorithm_comparison_study(
+            m, n, STAMPEDE2, (2 ** 6, 2 ** 10, 2 ** 12),
+            block_size=b).run(parallel=False)
+        cross = crossover_study(m, n, STAMPEDE2, (16, 64)).run(parallel=False)
+        rows = [(r.point["algorithm"], r) for r in sweep.rows]
+        rows += [({"ca": "ca_cqr2"}.get(r.point["side"], "scalapack"), r)
+                 for r in cross.rows]
+        assert cross.first(nodes=16, side="scalapack").ok
+        for algorithm, row in rows:
+            if row.ok:
+                solver_for(algorithm).prepare(_spec_from_config(
+                    algorithm, m, n, row.values["config"]))
 
     def test_scaling_study_covers_full_grid(self):
         from repro.experiments.figures import FIG7
