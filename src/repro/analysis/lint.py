@@ -36,6 +36,11 @@ meaningless to a generic linter:
     mapping every rank to one shared block.  Shared-block symbolic
     matrices go through :meth:`~repro.vmpi.distmatrix.DistMatrix.shared`
     (one :class:`~repro.vmpi.datatypes.SharedBlockMap`, O(1) objects).
+    And no ``for ... in <grid>.coords()`` loop (or comprehension) in
+    ``core``'s CA-CQR2 steps (:data:`STACKED_STEP_FILES`): their numerics
+    are whole-array operations on the stacked blocks of
+    :class:`~repro.vmpi.distmatrix.DistMatrix`, and a per-rank loop there
+    is the pattern the stacked layout replaced.
 
 All rules report as :class:`~repro.analysis.findings.Finding` with
 ``loc = "path:line"``, like every other ``repro check`` pass.
@@ -55,7 +60,7 @@ LINT_RULES = {
     "lint/lock-discipline": "attributes of a _lock-owning class are only mutated under `with self._lock` in public methods",
     "lint/solver-count-fields": "registered Solver subclasses explicitly declare count_machine_fields",
     "lint/no-wallclock": "no wall-clock reads inside vmpi/sched/costmodel",
-    "lint/no-per-rank-dict": "no dict.fromkeys(<x>.all_ranks() | <x>.blocks, ...) inside core/vmpi",
+    "lint/no-per-rank-dict": "no dict.fromkeys(<x>.all_ranks() | <x>.blocks, ...) inside core/vmpi, no <grid>.coords() loops in core's CA-CQR2 steps",
 }
 
 #: Directories whose files must stay wall-clock-free (deterministic
@@ -64,6 +69,10 @@ WALLCLOCK_SCOPES = frozenset({"vmpi", "sched", "costmodel"})
 
 #: Directories whose symbolic matrices must stay O(1) objects per matrix.
 PER_RANK_DICT_SCOPES = frozenset({"core", "vmpi"})
+
+#: ``core`` modules whose numerics run on stacked arrays: no per-rank loops.
+STACKED_STEP_FILES = frozenset({"mm3d.py", "cfr3d.py", "elementwise.py",
+                                "cacqr.py"})
 
 _TIME_ATTRS = frozenset({"time", "perf_counter", "monotonic", "process_time",
                          "time_ns", "perf_counter_ns", "monotonic_ns",
@@ -127,8 +136,20 @@ def _is_per_rank_keys(node: ast.expr) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "blocks"
 
 
+def _is_coords_call(node: ast.expr) -> bool:
+    """``<x>.coords()``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "coords")
+
+
+def _in_stacked_step(path: str) -> bool:
+    return (_in_scope(path, frozenset({"core"}))
+            and os.path.basename(path) in STACKED_STEP_FILES)
+
+
 def _lint_per_rank_dict(tree: ast.Module, path: str) -> List[Finding]:
     findings = []
+    stacked = _in_stacked_step(path)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -140,6 +161,14 @@ def _lint_per_rank_dict(tree: ast.Module, path: str) -> List[Finding]:
                 "lint/no-per-rank-dict", _loc(path, node),
                 "dict.fromkeys over every rank builds an O(P) per-rank "
                 "dict; use DistMatrix.shared (one SharedBlockMap)"))
+        elif (stacked and isinstance(node, (ast.For, ast.AsyncFor,
+                                            ast.comprehension))
+                and _is_coords_call(node.iter)):
+            findings.append(Finding(
+                "lint/no-per-rank-dict", _loc(path, node.iter),
+                "per-rank loop over <grid>.coords() in a stacked CA-CQR2 "
+                "step; operate on DistMatrix.data and charge each "
+                "communicator family in one machine call"))
     return findings
 
 

@@ -25,13 +25,14 @@ One CA-CQR pass:
    ``Pi[:, g*c:(g+1)*c, :]`` produce ``R.T`` and ``R**-T`` redundantly per
    subcube -- after which *no further cross-subcube communication is
    needed*.  Every subcube factors a bit-identical Gram matrix, so with
-   ``d > c`` the simulation computes these numerics once, on a standalone
-   ``c x c x c`` template grid, and charges all ``d/c`` subcubes by
+   ``d > c`` the simulation computes these numerics once, uncharged, on
+   subcube 0's stacked blocks, and charges all ``d/c`` subcubes by
    replaying one compiled subcube program (:mod:`repro.sched`); the
    per-subcube loop remains as the oracle under
    :func:`~repro.sched.compiled_replay_disabled`.
 7. **MM3D per subcube** (line 8) forms ``Q = A R**-1`` on each subcube's
-   own rows -- the one step whose data differ between subcubes.
+   own rows -- the one step whose data differ between subcubes, computed
+   for all of them by one stacked multiply.
 
 CA-CQR2 runs two passes and merges ``R = R2 R1`` with one more per-subcube
 MM3D (Algorithm 9), computed once and copied to every subcube in the same
@@ -50,12 +51,12 @@ import functools
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.cfr3d import cfr3d, default_base_case
-from repro.core.mm3d import mm3d
+from repro.core.mm3d import mm3d, mm3d_stacked
 from repro.costmodel import collectives as cc
 from repro.kernels import flops as fl
 from repro.kernels.blas import local_mm_tn
@@ -67,7 +68,8 @@ from repro.sched import (
     compiled_replay_enabled,
 )
 from repro.utils.validation import require
-from repro.vmpi.datatypes import Block, SharedBlockMap, SymbolicBlock, zeros_block
+from repro.vmpi.comm import ordered_sum
+from repro.vmpi.datatypes import SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -84,8 +86,8 @@ class CACQRResult:
         exactly like the input.
     r_subcubes:
         Per-subcube copies of ``R`` (every subcube holds an identical
-        redundant copy).  Compiled symbolic runs return a lazy
-        :class:`SharedSubcubeResults`.
+        redundant copy).  Compiled runs return a lazy
+        :class:`SubcubeResults`.
     r:
         The triangular factor on subcube 0's cubic grid,
         ``r_subcubes[0]``.
@@ -99,22 +101,26 @@ class CACQRResult:
         return self.r_subcubes[0]
 
 
-class SharedSubcubeResults(Sequence):
-    """The ``d/c`` per-subcube ``n x n`` results of a compiled symbolic run.
+class SubcubeResults(Sequence):
+    """The ``d/c`` identical per-subcube ``m x n`` matrices of a ``c x d x c`` grid.
 
-    Every rank of every subcube of the ``c x d x c`` *grid* holds the same
-    ``n/c x n/c`` shape-only block, so the sequence stores that block once
-    and builds subcube ``k``'s :class:`DistMatrix` (and its
-    :class:`Grid3D`) only when indexed -- O(1) Python objects per result
-    whatever ``d/c`` is.
+    Every cubic subcube holds the same blocks, so the sequence stores them
+    once -- one shape-only block (symbolic) or subcube 0's ``(c, c, c,
+    m/c, n/c)`` stacked *template* (numeric) -- and builds subcube ``k``'s
+    :class:`DistMatrix` (and its :class:`Grid3D`) only when indexed: O(1)
+    Python objects whatever ``d/c`` is.  A numeric subcube gets its own
+    copy of the template, so no two ranks' blocks alias.
     """
 
-    __slots__ = ("grid", "n", "block")
+    __slots__ = ("grid", "m", "n", "block", "template")
 
-    def __init__(self, grid: Grid3D, n: int):
+    def __init__(self, grid: Grid3D, m: int, n: int,
+                 template: Optional[np.ndarray] = None):
         self.grid = grid
+        self.m = m
         self.n = n
-        self.block = SymbolicBlock((n // grid.dim_x, n // grid.dim_x))
+        self.block = SymbolicBlock((m // grid.dim_x, n // grid.dim_x))
+        self.template = template
 
     def __len__(self) -> int:
         return self.grid.dim_y // self.grid.dim_x
@@ -127,8 +133,10 @@ class SharedSubcubeResults(Sequence):
             k += len(self)
         if not 0 <= k < len(self):
             raise IndexError(f"subcube {k} out of range [0, {len(self)})")
-        return DistMatrix.shared(self.grid.subcube(k), self.n, self.n,
-                                 self.block)
+        sub = self.grid.subcube(k)
+        if self.template is None:
+            return DistMatrix.shared(sub, self.m, self.n, self.block)
+        return DistMatrix.stacked(sub, self.m, self.n, self.template.copy())
 
 
 def _validate(a: DistMatrix) -> Tuple[int, int]:
@@ -144,14 +152,14 @@ def _validate(a: DistMatrix) -> Tuple[int, int]:
 
 
 def _gram_replicated(vm: VirtualMachine, a: DistMatrix,
-                     phase: str) -> Mapping[int, Block]:
+                     phase: str) -> SubcubeResults:
     """Algorithm 8 lines 1-5: every rank ends with its subcube's cyclic Gram block."""
     return _cross_product_replicated(vm, a, a, phase, symmetric=True)
 
 
 def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
                               target: DistMatrix, phase: str,
-                              symmetric: bool) -> Mapping[int, Block]:
+                              symmetric: bool) -> SubcubeResults:
     """The Gram dance generalized to ``Z = W_source.T @ target``.
 
     With ``w_source is target`` this is Algorithm 8 lines 1-5 (the Gram
@@ -161,121 +169,51 @@ def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
     ``W = Q_p.T C`` needed by the panel-blocked variant, charged at the
     full GEMM rate.  Either way every rank ends holding the cyclic block
     ``Z[(y mod c)::c, x::c]`` of the result, replicated over depth, which
-    is exactly the subcube layout downstream MM3D/CFR3D calls expect
-    (:meth:`DistMatrix.on_grid` views it on a subcube).  Symbolic runs
-    return one shared block as a :class:`SharedBlockMap`.
+    is exactly the subcube layout downstream MM3D/CFR3D calls expect: the
+    result is one :class:`SubcubeResults` entry per subcube.
+
+    Each of Algorithm 8's lines 1/3/4/5 sweeps a family of pairwise
+    disjoint, equal-cost communicator groups over the uniform cyclic
+    layout, so each line is a single vectorized machine call; line 2's
+    local product is identical on every rank.  Disjoint charges commute,
+    so clocks and ledgers are bit-identical to charging group by group.
     """
     g = w_source.grid
     require(g.matches(target.grid), "cross-product operands must share a grid")
     require(w_source.m == target.m,
             f"row counts disagree: {w_source.m} vs {target.m}")
     c, d = g.dim_x, g.dim_y
-    symbolic = not target.is_numeric
-    if symbolic:
-        return _cross_product_symbolic(vm, w_source, target, phase, symmetric)
-
-    # Line 1: row broadcast of the root-z column panel of W's source.
-    w_panels: Dict[int, Block] = {}
-    for z in range(c):
-        for y in range(d):
-            comm = g.comm_x(y, z)
-            root_block = w_source.local(z, y, z)
-            w_panels.update(comm.bcast(root_block, root_index=z, phase=f"{phase}.bcast-w"))
-
-    # Line 2: local X = W.T @ target.  Symmetric (self) products are
-    # charged at the Syrk rate -- the paper's critical-path flop count
-    # (4 m n**2 + (5/3) n**3 for CQR2) assumes the implementation exploits
-    # the Gram matrix's symmetry; the numeric backend still forms the
-    # plain product.
-    partials: Dict[int, Block] = {}
-    for (x, y, z) in g.coords():
-        rank = g.rank_at(x, y, z)
-        prod, flops = local_mm_tn(w_panels[rank], target.blocks[rank])
-        vm.charge_flops(rank, flops / 2.0 if symmetric else flops,
-                        f"{phase}.local-gram")
-        partials[rank] = prod
-
-    # Line 3: reduce within each contiguous y-group of size c, root at
-    # group position z (i.e. the member with y mod c == z).
-    gram_shape = (w_source.n // c, target.n // c)
-    group_sums: Dict[int, Block] = {}
-    for z in range(c):
-        for x in range(c):
-            for group in range(d // c):
-                comm = g.comm_y_group(x, z, group, c)
-                contributions = {r: partials[r] for r in comm.ranks}
-                summed = comm.reduce(contributions, root_index=z, phase=f"{phase}.reduce-group")
-                root_rank = g.rank_at(x, group * c + z, z)
-                group_sums[root_rank] = summed
-
-    # Line 4: allreduce across the d/c group roots (stride-c y-subgroups).
-    # Non-root residues participate with zero contributions: the real
-    # algorithm has them join their own subgroup's allreduce with data that
-    # is never consumed; the cost is charged either way.
-    full_grams: Dict[int, Block] = {}
-    for z in range(c):
-        for x in range(c):
-            for residue in range(c):
-                comm = g.comm_y_strided(x, z, residue, c)
-                contributions = {}
-                for r in comm.ranks:
-                    contributions[r] = group_sums.get(r, zeros_block(gram_shape, symbolic))
-                result = comm.allreduce(contributions, phase=f"{phase}.allreduce-roots")
-                if residue == z:
-                    full_grams.update(result)
-
-    # Line 5: depth broadcast from root z = y mod c.
-    replicated: Dict[int, Block] = {}
-    for y in range(d):
-        root_z = y % c
-        for x in range(c):
-            comm = g.comm_z(x, y)
-            root_block = full_grams[g.rank_at(x, y, root_z)]
-            replicated.update(comm.bcast(root_block, root_index=root_z,
-                                         phase=f"{phase}.bcast-depth"))
-    return replicated
-
-
-def _cross_product_symbolic(vm: VirtualMachine, w_source: DistMatrix,
-                            target: DistMatrix, phase: str,
-                            symmetric: bool) -> SharedBlockMap:
-    """The Gram dance's cost-only schedule, charged family-by-family.
-
-    Each of Algorithm 8's lines 1/3/4/5 sweeps a family of pairwise
-    disjoint, equal-cost communicator groups over the uniform cyclic
-    layout, so each line collapses into a single vectorized machine call;
-    line 2's local product is identical on every rank.  Disjoint charges
-    commute, so clocks and ledgers are bit-identical to the per-group
-    schedule the numeric path runs.
-    """
-    g = w_source.grid
-    c, d = g.dim_x, g.dim_y
     require(d % c == 0, f"grid depth d={d} must be a multiple of c={c}")
     ranks = g.ranks
 
     # Line 1: row broadcast of the root-z column panel of W's source.
-    w_shape = (w_source.m // d, w_source.n // c)
+    w_shape = (w_source.local_rows, w_source.local_cols)
     row_groups = ranks.transpose(1, 2, 0).reshape(-1, c)
     vm.charge_comm_groups(row_groups, cc.bcast_cost(w_shape[0] * w_shape[1], c),
                           f"{phase}.bcast-w")
 
-    # Line 2: local X = W.T @ target, identical on every rank (Syrk rate
-    # when symmetric -- see the numeric path's comment).
-    t_shape = (target.m // d, target.n // c)
+    # Line 2: local X = W.T @ target, identical on every rank.  Symmetric
+    # (self) products are charged at the Syrk rate -- the paper's
+    # critical-path flop count (4 m n**2 + (5/3) n**3 for CQR2) assumes the
+    # implementation exploits the Gram matrix's symmetry; the numeric
+    # backend still forms the plain product.
+    t_shape = (target.local_rows, target.local_cols)
     partial, flops = local_mm_tn(SymbolicBlock(w_shape), SymbolicBlock(t_shape))
     vm.charge_flops_group(g.all_ranks_array,
                           flops / 2.0 if symmetric else flops,
                           f"{phase}.local-gram")
 
-    # Line 3: reduce within each contiguous y-group of size c.
+    # Line 3: reduce within each contiguous y-group of size c, root at
+    # group position z (i.e. the member with y mod c == z).
     by_xzy = ranks.transpose(0, 2, 1)                    # [x, z, y]
     contiguous = by_xzy.reshape(-1, c)                   # rows: (x, z, group)
     vm.charge_comm_groups(contiguous, cc.reduce_cost(partial.words, c),
                           f"{phase}.reduce-group")
 
     # Line 4: allreduce across the d/c group roots (stride-c y-subgroups).
-    gram_shape = (w_source.n // c, target.n // c)
-    gram_words = gram_shape[0] * gram_shape[1]
+    # Non-root residues join their own subgroup's allreduce with data that
+    # is never consumed; the cost is charged either way.
+    gram_words = partial.words
     strided = (by_xzy.reshape(c, c, d // c, c)
                .transpose(0, 1, 3, 2).reshape(-1, d // c))
     vm.charge_comm_groups(strided, cc.allreduce_cost(gram_words, d // c),
@@ -286,37 +224,56 @@ def _cross_product_symbolic(vm: VirtualMachine, w_source: DistMatrix,
     vm.charge_comm_groups(fiber_groups, cc.bcast_cost(gram_words, c),
                           f"{phase}.bcast-depth")
 
-    return SharedBlockMap(g.all_ranks_array, SymbolicBlock(gram_shape))
+    if target.data is None:
+        return SubcubeResults(g, w_source.n, target.n)
+    return SubcubeResults(g, w_source.n, target.n,
+                          _cross_product_stacked(w_source.data, target.data))  # type: ignore[arg-type]
 
 
-def _apply_gram_shift(vm: VirtualMachine, g: Grid3D,
-                      gram_blocks: Mapping[int, Block],
-                      n: int, shift: float, phase: str) -> None:
-    """Add ``shift * I`` to the distributed Gram matrix, in place.
+def _cross_product_stacked(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Lines 1-5's numerics on stacked blocks: subcube 0's ``(c, c, c, ., .)`` result.
+
+    The row broadcast is a stride-0 view of the root blocks (``W[x, y, z]
+    = w[z, y, z]``) and the local products one stacked ``np.matmul``.  The
+    contiguous-group Reduce sums each group's ``c`` partials in ``y``
+    order; the strided Allreduce sums, for each residue ``z``, the ``d/c``
+    group sums in group order (only the roots' results are ever read, so
+    the non-root residues' all-zero sums are not formed); the depth
+    broadcast gives rank ``(x, y, z')`` the sum of residue ``y mod c``.
+    """
+    c, d = t.shape[0], t.shape[1]
+    zs = np.arange(c)
+    w_panels = w[zs, :, zs].transpose(1, 0, 2, 3)[None]  # (1, d, c, ., .)
+    partials = np.matmul(w_panels.swapaxes(-1, -2), t)   # (c, d, c, ., .)
+    by_group = partials.reshape(c, d // c, c, *partials.shape[2:])
+    group_sums = ordered_sum(by_group, axis=2)           # [x, group, z]
+    full = ordered_sum(group_sums, axis=1)               # [x, residue z]
+    return np.repeat(full[:, :, None], c, axis=2)
+
+
+def _apply_gram_shift(vm: VirtualMachine, g: Grid3D, gram: SubcubeResults,
+                      n: int, shift: float, phase: str) -> SubcubeResults:
+    """The distributed Gram matrix plus ``shift * I``.
 
     Rank ``(x, y, z)`` holds the cyclic block ``Z[(y mod c)::c, x::c]``; its
     local diagonal entries correspond to global diagonal entries only when
     ``x == y mod c``, at local positions ``(k, k)``.  A purely local
     operation -- the "minimal modification" the paper's Section V mentions
-    for shifted CholeskyQR.
+    for shifted CholeskyQR -- charged to that diagonal rank family (one
+    rank per ``(y, z)``) in one call.
     """
     c = g.dim_x
     per_rank_diag = n // c
-    if isinstance(gram_blocks, SharedBlockMap):
-        # Shape-only blocks: nothing to mutate, charge the whole diagonal
-        # rank family (one rank per (y, z) with x = y mod c) in one call.
-        ys = np.arange(g.dim_y)
-        diag_ranks = g.ranks[ys % c, ys, :].reshape(-1)
-        vm.charge_flops_group(diag_ranks, float(per_rank_diag), f"{phase}.shift")
-        return
-    for (x, y, z) in g.coords():
-        if x != y % c:
-            continue
-        rank = g.rank_at(x, y, z)
-        vm.charge_flops(rank, float(per_rank_diag), f"{phase}.shift")
-        shifted = gram_blocks[rank].copy()
-        shifted.data[np.diag_indices(per_rank_diag)] += shift  # type: ignore[attr-defined]
-        gram_blocks[rank] = shifted  # type: ignore[index]
+    ys = np.arange(g.dim_y)
+    diag_ranks = g.ranks[ys % c, ys, :].reshape(-1)
+    vm.charge_flops_group(diag_ranks, float(per_rank_diag), f"{phase}.shift")
+    if gram.template is None:
+        return gram
+    shifted = gram.template.copy()
+    diag = np.arange(per_rank_diag)
+    for x in range(c):
+        shifted[x, x][:, diag, diag] += shift
+    return SubcubeResults(g, n, n, shifted)
 
 
 @functools.lru_cache(maxsize=64)
@@ -364,82 +321,39 @@ def _use_subcube_replay(vm: VirtualMachine, a: DistMatrix) -> bool:
     (otherwise the loop is already minimal), and outside
     :func:`repro.sched.compiled_replay_disabled` (the loop oracle that
     equivalence tests diff replay against).  Charges come from the
-    replayed program either way; numeric runs compute the subcubes'
-    numerics on a :class:`_SubcubeTemplate` first.  Replay composes with
-    an attached trace sink -- the per-op strategy emits every rank's
-    events with exact timestamps -- so tracing does not force the loop.
+    replayed program either way; numeric runs first compute the stage's
+    numerics uncharged (``vm=None``): CFR3D, the transposes and the merge
+    on subcube 0's stacked blocks, form-Q's MM3D for every subcube at
+    once.  Replay composes with an attached trace sink -- the per-op
+    strategy emits every rank's events with exact timestamps -- so
+    tracing does not force the loop.
     """
     g = a.grid
     return g.dim_y > g.dim_x and compiled_replay_enabled()
 
 
-class _SubcubeTemplate:
-    """The numerics of Algorithm 8 lines 6-8 and of the merge, done once.
-
-    After the Gram dance every subcube holds a bit-identical copy of
-    ``A.T A``, so CFR3D, both transposes and the ``R2 R1`` merge compute
-    the same blocks on each of the ``d/c`` subcubes.  This runs them once
-    on a standalone ``c x c x c`` grid over a scratch machine whose
-    charges are discarded -- the caller charges the real machine by
-    replaying the compiled subcube program -- and maps blocks between
-    subcube ``k`` and the template through row ``k`` of the
-    :meth:`RankFamilyMap.subcubes` binding.
-    """
-
-    def __init__(self, grid: Grid3D, binding: RankFamilyMap, rec_grid: Grid3D):
-        self.grid = grid
-        self.binding = binding
-        self.vm = VirtualMachine(rec_grid.size)
-        self.tpl_grid = Grid3D._trusted(self.vm, rec_grid.ranks)
-
-    def load(self, k: int, m: int, n: int,
-             blocks: Mapping[int, Block]) -> DistMatrix:
-        """Subcube *k*'s ``m x n`` view of *blocks*, moved onto the template."""
-        return DistMatrix(self.tpl_grid, m, n, {
-            t: blocks[r] for t, r in enumerate(self.binding.maps[k].tolist())})
-
-    def store(self, k: int, mat: DistMatrix, copy: bool) -> Dict[int, Block]:
-        """A template matrix's blocks keyed by subcube *k*'s machine ranks."""
-        return {r: mat.blocks[t].copy() if copy else mat.blocks[t]
-                for t, r in enumerate(self.binding.maps[k].tolist())}
-
-    def per_subcube(self, mat: DistMatrix) -> List[DistMatrix]:
-        """One copy of an ``n x n`` template result per subcube (ranks
-        never alias a buffer)."""
-        return [DistMatrix(self.grid.subcube(k), mat.m, mat.n,
-                           self.store(k, mat, copy=True))
-                for k in range(self.binding.instances)]
-
-
 def _subcube_pass_numeric(vm: VirtualMachine, a: DistMatrix,
-                          gram_blocks: Mapping[int, Block],
-                          tpl: _SubcubeTemplate, base_case_size: int,
+                          gram: DistMatrix, base_case_size: int,
                           phase: str) -> CACQRResult:
     """Algorithm 8 lines 6-8 for every subcube, charging nothing to *vm*.
 
-    CFR3D and the transposes run once on subcube 0's Gram blocks; only
-    form-Q's MM3D sees distinct data per subcube (``A``'s rows), so it
-    alone runs once per subcube.
+    CFR3D and the transposes run once, on subcube 0's Gram blocks; only
+    form-Q's MM3D sees distinct data per subcube (``A``'s rows), and one
+    stacked multiply covers them all.
     """
-    n = a.n
-    rows_per_subcube = a.grid.dim_x * a.local_rows
     try:
-        l, y = cfr3d(tpl.vm, tpl.load(0, n, n, gram_blocks), base_case_size)
+        l, y = cfr3d(None, gram, base_case_size)
     except CholeskyFailure:
         # Fail from the real machine instead: re-running subcube 0's
         # CFR3D there leaves exactly the loop's partial charges behind,
         # so a caller's retry (sCQR3) starts from the loop's state.
-        cfr3d(vm, DistMatrix.on_grid(a.grid.subcube(0), n, n, gram_blocks),
-              base_case_size, phase=f"{phase}.cfr3d")
+        cfr3d(vm, gram, base_case_size, phase=f"{phase}.cfr3d")
         raise
-    rinv = dist_transpose(tpl.vm, y, "form-q.transpose")
-    q_blocks: Dict[int, Block] = {}
-    for k in range(tpl.binding.instances):
-        q_sub = mm3d(tpl.vm, tpl.load(k, rows_per_subcube, n, a.blocks), rinv)
-        q_blocks.update(tpl.store(k, q_sub, copy=False))
-    r = dist_transpose(tpl.vm, l, "form-r.transpose")
-    return CACQRResult(q=DistMatrix(a.grid, a.m, n, q_blocks),
-                       r_subcubes=tpl.per_subcube(r))
+    rinv = dist_transpose(None, y, "form-q.transpose")
+    q = mm3d_stacked(a.data, rinv.data)  # type: ignore[arg-type]
+    r = dist_transpose(None, l, "form-r.transpose")
+    return CACQRResult(q=DistMatrix.stacked(a.grid, a.m, a.n, q),
+                       r_subcubes=SubcubeResults(a.grid, a.n, a.n, r.data))
 
 
 def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = None,
@@ -471,13 +385,12 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
     """
     c, d = _validate(a)
     g = a.grid
-    gram_blocks = _gram_replicated(vm, a, phase)
+    gram = _gram_replicated(vm, a, phase)
     if gram_shift is not None:
-        _apply_gram_shift(vm, g, gram_blocks, a.n, gram_shift, phase)
+        gram = _apply_gram_shift(vm, g, gram, a.n, gram_shift, phase)
     if base_case_size is None:
         base_case_size = default_base_case(a.n, c)
 
-    rows_per_subcube = c * (a.m // d)
     numeric = a.is_numeric
     if _use_subcube_replay(vm, a):
         # Compiled path: all d/c subcubes run the *identical* schedule on
@@ -487,39 +400,34 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
         # stops scaling with d/c (the c = 1, d = P degenerate grid has P
         # subcubes).  Numerics run first, so a CholeskyFailure leaves the
         # machine exactly as the loop would.
-        program, rec_grid = _subcube_pass_program(c, a.n, rows_per_subcube,
+        program, rec_grid = _subcube_pass_program(c, a.n, c * a.local_rows,
                                                   base_case_size)
-        binding = RankFamilyMap.subcubes(g, rec_grid)
         if numeric:
-            result = _subcube_pass_numeric(
-                vm, a, gram_blocks, _SubcubeTemplate(g, binding, rec_grid),
-                base_case_size, phase)
+            result = _subcube_pass_numeric(vm, a, gram[0], base_case_size,
+                                           phase)
         else:
             result = CACQRResult(q=DistMatrix.symbolic(g, a.m, a.n),
-                                 r_subcubes=SharedSubcubeResults(g, a.n))
-        bound = program.specialize(binding)
+                                 r_subcubes=SubcubeResults(g, a.n, a.n))
+        bound = program.specialize(RankFamilyMap.subcubes(g, rec_grid))
         bound.replay(vm, phases=program.phases_with_prefix("@", phase))
         return result
 
-    q_blocks: Dict[int, Block] = {}
+    q_parts: List[np.ndarray] = []
     r_subcubes: List[DistMatrix] = []
     for group in range(d // c):
-        sub = g.subcube(group)
-        z_sub = DistMatrix.on_grid(sub, a.n, a.n, gram_blocks)
         # Line 7: CFR3D gives L = R.T and Y = R**-T on the subcube.
-        l, y = cfr3d(vm, z_sub, base_case_size, phase=f"{phase}.cfr3d")
+        l, y = cfr3d(vm, gram[group], base_case_size, phase=f"{phase}.cfr3d")
         # Line 8: Q = A @ R**-1 with R**-1 = Y.T (one transpose, then MM3D).
         # R**-1 is triangular, so the multiply is charged at the TRMM rate.
         rinv = dist_transpose(vm, y, f"{phase}.form-q.transpose")
-        a_sub = a.reindexed(sub, m=rows_per_subcube)
-        q_sub = mm3d(vm, a_sub, rinv, phase=f"{phase}.form-q.mm3d",
+        q_sub = mm3d(vm, a.subcube(group), rinv, phase=f"{phase}.form-q.mm3d",
                      flop_fraction=fl.TRMM_FRACTION)
         if numeric:
-            q_blocks.update(q_sub.blocks)
+            q_parts.append(q_sub.data)  # type: ignore[arg-type]
         r_subcubes.append(dist_transpose(vm, l, f"{phase}.form-r.transpose"))
 
-    q = (DistMatrix(g, a.m, a.n, q_blocks) if numeric
-         else DistMatrix.symbolic(g, a.m, a.n))
+    q = (DistMatrix.stacked(g, a.m, a.n, np.concatenate(q_parts, axis=1))
+         if numeric else DistMatrix.symbolic(g, a.m, a.n))
     return CACQRResult(q=q, r_subcubes=r_subcubes)
 
 
@@ -541,18 +449,13 @@ def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = N
         # MM3D is identical per subcube, so one memoized template program
         # replays onto all of them (and numeric runs multiply once).
         program, rec_grid = _merge_program(c, a.n)
-        binding = RankFamilyMap.subcubes(g, rec_grid)
+        template = None
         if a.is_numeric:
-            tpl = _SubcubeTemplate(g, binding, rec_grid)
-            merged = mm3d(tpl.vm, tpl.load(0, a.n, a.n, second.r.blocks),
-                          tpl.load(0, a.n, a.n, first.r.blocks))
-            result = CACQRResult(q=second.q, r_subcubes=tpl.per_subcube(merged))
-        else:
-            result = CACQRResult(q=second.q,
-                                 r_subcubes=SharedSubcubeResults(g, a.n))
-        bound = program.specialize(binding)
+            template = mm3d(None, second.r, first.r).data
+        bound = program.specialize(RankFamilyMap.subcubes(g, rec_grid))
         bound.replay(vm, phases=program.phases_with_prefix("@", phase))
-        return result
+        return CACQRResult(q=second.q,
+                           r_subcubes=SubcubeResults(g, a.n, a.n, template))
 
     r_subcubes: List[DistMatrix] = []
     for group in range(d // c):

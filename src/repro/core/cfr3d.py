@@ -25,15 +25,16 @@ communication, giving the Table I cost
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.core.elementwise import dist_neg, dist_sub
 from repro.core.mm3d import mm3d
-from repro.kernels.cholesky import local_cholinv
+from repro.costmodel import collectives as cc
+from repro.kernels.cholesky import CholeskyFailure, local_cholinv
 from repro.utils.validation import is_power_of_two, require
-from repro.vmpi.datatypes import Block, NumericBlock, SymbolicBlock, zeros_block
+from repro.vmpi.datatypes import NumericBlock, SymbolicBlock, zeros_block
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.machine import VirtualMachine
 
@@ -67,7 +68,7 @@ def _validate(a: DistMatrix, base_case_size: int) -> int:
     return p
 
 
-def cfr3d(vm: VirtualMachine, a: DistMatrix,
+def cfr3d(vm: Optional[VirtualMachine], a: DistMatrix,
           base_case_size: Optional[int] = None,
           phase: str = "cfr3d") -> Tuple[DistMatrix, DistMatrix]:
     """Factor ``A = L L.T`` and invert ``L`` on a cubic grid.
@@ -75,7 +76,8 @@ def cfr3d(vm: VirtualMachine, a: DistMatrix,
     Parameters
     ----------
     vm:
-        Virtual machine charged for all communication and computation.
+        Virtual machine charged for all communication and computation, or
+        ``None`` to compute without charging.
     a:
         Symmetric positive definite ``n x n`` :class:`DistMatrix` on a cubic
         grid, slice-replicated.
@@ -100,7 +102,7 @@ def cfr3d(vm: VirtualMachine, a: DistMatrix,
     return _cfr3d_recursive(vm, a, base_case_size, phase)
 
 
-def _cfr3d_recursive(vm: VirtualMachine, a: DistMatrix, n0: int,
+def _cfr3d_recursive(vm: Optional[VirtualMachine], a: DistMatrix, n0: int,
                      phase: str) -> Tuple[DistMatrix, DistMatrix]:
     if a.n <= n0:
         return _base_case(vm, a, phase)
@@ -144,92 +146,65 @@ def _zero_like(template: DistMatrix) -> DistMatrix:
     flops; a real implementation simply would not store the upper half.
     Symbolic zeros are one shared shape-only block.
     """
-    if not template.is_numeric:
+    if template.data is None:
         shape = (template.local_rows, template.local_cols)
         return DistMatrix.shared(template.grid, template.m, template.n,
                                  zeros_block(shape, symbolic=True))
-    blocks: Dict[int, Block] = {
-        rank: zeros_block(blk.shape, False) for rank, blk in template.blocks.items()
-    }
-    return DistMatrix(template.grid, template.m, template.n, blocks)
+    return DistMatrix.stacked(template.grid, template.m, template.n,
+                              np.zeros(template.data.shape))
 
 
-def _base_case(vm: VirtualMachine, a: DistMatrix,
+def _base_case(vm: Optional[VirtualMachine], a: DistMatrix,
                phase: str) -> Tuple[DistMatrix, DistMatrix]:
-    """Algorithm 3 lines 1-3: slice Allgather + redundant sequential CholInv."""
-    grid = a.grid
-    p = grid.dim_x
-    n = a.n
-    if not a.is_numeric:
-        return _base_case_symbolic(vm, a, phase)
-    l_blocks: Dict[int, Block] = {}
-    y_blocks: Dict[int, Block] = {}
-    for z in range(grid.dim_z):
-        comm = grid.comm_slice(z)
-        contributions = {r: a.blocks[r] for r in comm.ranks}
-        gathered = comm.allgather(contributions, phase=f"{phase}.basecase.allgather")
-        full = _assemble_slice(gathered, p, n, symbolic=not a.is_numeric)
-        # Every processor factors the gathered submatrix redundantly; each
-        # then keeps only its own cyclic partition of L and Y.
-        l_full, y_full, flops = local_cholinv(full)
-        for y_coord in range(grid.dim_y):
-            for x_coord in range(grid.dim_x):
-                rank = grid.rank_at(x_coord, y_coord, z)
-                vm.charge_flops(rank, flops, f"{phase}.basecase.cholinv")
-                l_blocks[rank] = _extract_cyclic(l_full, x_coord, y_coord, p)
-                y_blocks[rank] = _extract_cyclic(y_full, x_coord, y_coord, p)
-        # Note: local_cholinv ran once per slice here for orchestration
-        # economy, but the flop charge lands on every rank, matching the
-        # redundant computation of the real algorithm.
-    l = DistMatrix(grid, n, n, l_blocks)
-    y = DistMatrix(grid, n, n, y_blocks)
-    return l, y
+    """Algorithm 3 lines 1-3: slice Allgather + redundant sequential CholInv.
 
-
-def _base_case_symbolic(vm: VirtualMachine, a: DistMatrix,
-                        phase: str) -> Tuple[DistMatrix, DistMatrix]:
-    """Cost-only base case: every 2D slice's Allgather is one disjoint
-    group, every rank's redundant CholInv is identical -- one vectorized
-    machine call per family, one shared shape-only block per factor."""
-    from repro.costmodel import collectives as cc
-
+    Every 2D slice's Allgather is one disjoint group and every rank's
+    redundant CholInv is identical, so each is one vectorized machine
+    call.  Numerically each slice gathers its blocks into the full
+    submatrix, factors it once -- the flop charge still lands on every
+    rank, matching the redundant computation of the real algorithm -- and
+    scatters the cyclic partitions of ``L`` and ``Y`` back.
+    """
     grid = a.grid
     p = grid.dim_x
     n = a.n
     slice_size = grid.dim_x * grid.dim_y
     # Slices Pi[:, :, z] are disjoint across z and gather equal volumes.
-    slice_groups = grid.ranks.transpose(2, 1, 0).reshape(grid.dim_z, slice_size)
-    result_words = slice_size * a.local_rows * a.local_cols
-    vm.charge_comm_groups(slice_groups,
-                          cc.allgather_cost(result_words, slice_size),
-                          f"{phase}.basecase.allgather")
+    slices = grid.ranks.transpose(2, 1, 0).reshape(grid.dim_z, slice_size)
+    gather = cc.allgather_cost(slice_size * a.local_rows * a.local_cols,
+                               slice_size)
     _, _, flops = local_cholinv(SymbolicBlock((n, n)))
-    vm.charge_flops_group(grid.all_ranks_array, flops, f"{phase}.basecase.cholinv")
-    shared = SymbolicBlock((n // p, n // p))
-    l = DistMatrix.shared(grid, n, n, shared)
-    y = DistMatrix.shared(grid, n, n, shared)
-    return l, y
+
+    def charge(gathered: int, factored: int) -> None:
+        if vm is not None:
+            vm.charge_comm_groups(slices[:gathered], gather,
+                                  f"{phase}.basecase.allgather")
+            vm.charge_flops_group(slices[:factored].reshape(-1), flops,
+                                  f"{phase}.basecase.cholinv")
+
+    if a.data is None:
+        charge(grid.dim_z, grid.dim_z)
+        shared = SymbolicBlock((n // p, n // p))
+        return DistMatrix.shared(grid, n, n, shared), DistMatrix.shared(grid, n, n, shared)
+    l = np.empty(a.data.shape)
+    y = np.empty(a.data.shape)
+    for z in range(grid.dim_z):
+        # Block (x, y) of the slice holds full[y::p, x::p].
+        full = a.data[:, :, z].transpose(2, 1, 3, 0).reshape(n, n)
+        try:
+            l_full, y_full, _ = local_cholinv(NumericBlock(full))
+        except CholeskyFailure:
+            # Slice by slice, slice z had gathered and every earlier slice
+            # had factored when the factorization broke down.
+            charge(z + 1, z)
+            raise
+        l[:, :, z] = _scatter_cyclic(l_full.data, p)  # type: ignore[attr-defined]
+        y[:, :, z] = _scatter_cyclic(y_full.data, p)  # type: ignore[attr-defined]
+    charge(grid.dim_z, grid.dim_z)
+    return DistMatrix.stacked(grid, n, n, l), DistMatrix.stacked(grid, n, n, y)
 
 
-def _assemble_slice(gathered, p: int, n: int, symbolic: bool) -> Block:
-    """Rebuild the full base-case submatrix from slice-ordered cyclic blocks.
-
-    ``comm_slice`` orders members y-major/x-minor; block ``i`` in the
-    gathered list belongs to face coordinates ``(x, y) = (i % p, i // p)``
-    and holds ``A[y::p, x::p]``.
-    """
-    if symbolic:
-        return SymbolicBlock((n, n))
-    full = np.empty((n, n))
-    for idx, blk in enumerate(gathered):
-        x, y = idx % p, idx // p
-        full[y::p, x::p] = blk.data
-    return NumericBlock(full)
-
-
-def _extract_cyclic(full: Block, x: int, y: int, p: int) -> Block:
-    """Cyclic partition ``full[y::p, x::p]`` for face coordinates ``(x, y)``."""
-    if isinstance(full, SymbolicBlock):
-        n = full.shape[0]
-        return SymbolicBlock((n // p, n // p))
-    return NumericBlock(np.ascontiguousarray(full.data[y::p, x::p]))  # type: ignore[union-attr]
+def _scatter_cyclic(full: np.ndarray, p: int) -> np.ndarray:
+    """The cyclic partitions ``full[y::p, x::p]`` stacked as ``[x, y]``."""
+    nb = full.shape[0] // p
+    return full.reshape(nb, p, nb, p).transpose(3, 1, 0, 2)

@@ -7,20 +7,19 @@ line 10, ``Z <- A22 - U``, and line 13, ``W <- -Y22``).
 
 The cyclic layout is uniform (every rank's local block has the same
 shape), so the flop count is identical across ranks and is charged through
-one vectorized machine call; the kernel itself runs once per *distinct*
-block object, which collapses to a single invocation on shared-block
-symbolic matrices.
+one vectorized machine call; numerically the kernel is one numpy ufunc
+over the stacked blocks, and symbolically one shared shape-only block.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.kernels.blas import local_add, local_neg, local_scale, local_sub
 from repro.utils.validation import require
-from repro.vmpi.datatypes import Block
+from repro.vmpi.datatypes import Block, SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.machine import VirtualMachine
 
@@ -29,51 +28,50 @@ def _check_conformance(a: DistMatrix, b: DistMatrix) -> None:
     require(a.grid.matches(b.grid), "elementwise operands must share a grid")
     require((a.m, a.n) == (b.m, b.n),
             f"elementwise shape mismatch: {a.m}x{a.n} vs {b.m}x{b.n}")
+    require(a.is_numeric == b.is_numeric,
+            "numeric and symbolic blocks cannot be mixed in one run")
 
 
-def _map_charged(vm: VirtualMachine, a: DistMatrix, phase: str,
+def _map_charged(vm: Optional[VirtualMachine], a: DistMatrix, phase: str,
                  kernel: Callable[..., Tuple[Block, float]],
-                 b: Optional[DistMatrix] = None) -> DistMatrix:
-    """Apply *kernel* blockwise, charging every rank's (uniform) flops at once."""
-    shared = (a.shared_block,) if b is None else (a.shared_block, b.shared_block)
-    if None not in shared:
-        out, flops = kernel(*shared)
+                 op: Callable[..., np.ndarray],
+                 *others: DistMatrix) -> DistMatrix:
+    """Apply *op* to the stacked blocks, charging every rank's (uniform)
+    flops at once (nothing when *vm* is ``None``).
+
+    *kernel*, run once on shape-only blocks, gives the flop count and the
+    symbolic result; *op* is its numpy ufunc over whole stacked arrays.
+    """
+    block = SymbolicBlock((a.local_rows, a.local_cols))
+    out, flops = kernel(block, *[block] * len(others))
+    if vm is not None:
         vm.charge_flops_group(a.grid.all_ranks_array, flops, phase)
+    if a.data is None:
         return DistMatrix.shared(a.grid, a.m, a.n, out)
-    blocks: Dict[int, Block] = {}
-    memo: Dict[Tuple[int, ...], Tuple[Block, float]] = {}
-    flops = 0.0
-    for rank, blk in a.blocks.items():
-        args = (blk,) if b is None else (blk, b.blocks[rank])
-        key = tuple(map(id, args))
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = kernel(*args)
-        blocks[rank] = hit[0]
-        flops = hit[1]
-    ranks = np.fromiter(a.blocks.keys(), dtype=np.intp, count=len(a.blocks))
-    vm.charge_flops_group(ranks, flops, phase)
-    return DistMatrix(a.grid, a.m, a.n, blocks)
+    return DistMatrix.stacked(a.grid, a.m, a.n,
+                              op(a.data, *(o.data for o in others)))
 
 
 def dist_add(vm: VirtualMachine, a: DistMatrix, b: DistMatrix, phase: str) -> DistMatrix:
     """``A + B`` blockwise; one flop per local entry per rank."""
     _check_conformance(a, b)
-    return _map_charged(vm, a, phase, local_add, b)
+    return _map_charged(vm, a, phase, local_add, np.add, b)
 
 
-def dist_sub(vm: VirtualMachine, a: DistMatrix, b: DistMatrix, phase: str) -> DistMatrix:
+def dist_sub(vm: Optional[VirtualMachine], a: DistMatrix, b: DistMatrix,
+             phase: str) -> DistMatrix:
     """``A - B`` blockwise (Algorithm 3 line 10)."""
     _check_conformance(a, b)
-    return _map_charged(vm, a, phase, local_sub, b)
+    return _map_charged(vm, a, phase, local_sub, np.subtract, b)
 
 
-def dist_neg(vm: VirtualMachine, a: DistMatrix, phase: str) -> DistMatrix:
+def dist_neg(vm: Optional[VirtualMachine], a: DistMatrix, phase: str) -> DistMatrix:
     """``-A`` blockwise (Algorithm 3 line 13)."""
-    return _map_charged(vm, a, phase, local_neg)
+    return _map_charged(vm, a, phase, local_neg, np.negative)
 
 
 def dist_scale(vm: VirtualMachine, a: DistMatrix, scalar: float, phase: str) -> DistMatrix:
     """``scalar * A`` blockwise."""
     return _map_charged(vm, a, phase,
-                        lambda blk: local_scale(blk, scalar))
+                        lambda blk: local_scale(blk, scalar),
+                        lambda data: data * scalar)

@@ -27,24 +27,29 @@ Costs per processor (as in Table I):
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Optional
+
+import numpy as np
 
 from repro.costmodel import collectives as cc
 from repro.kernels.blas import local_mm
 from repro.utils.validation import require
-from repro.vmpi.datatypes import Block, SymbolicBlock
+from repro.vmpi.comm import ordered_sum
+from repro.vmpi.datatypes import SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.machine import VirtualMachine
 
 
-def mm3d(vm: VirtualMachine, a: DistMatrix, b: DistMatrix, phase: str = "mm3d",
-         flop_fraction: float = 1.0) -> DistMatrix:
+def mm3d(vm: Optional[VirtualMachine], a: DistMatrix, b: DistMatrix,
+         phase: str = "mm3d", flop_fraction: float = 1.0) -> DistMatrix:
     """Multiply two slice-replicated cyclic matrices on a cubic grid.
 
     Parameters
     ----------
     vm:
-        The virtual machine charged for communication and flops.
+        The virtual machine charged for communication and flops, or
+        ``None`` to compute without charging (the numerics of a stage
+        whose charges a compiled program replays).
     a, b:
         Operands on the same cubic grid; ``a`` is ``m x k`` and ``b`` is
         ``k x n``.  Rectangular *matrices* are fine (CA-CQR multiplies an
@@ -67,6 +72,14 @@ def mm3d(vm: VirtualMachine, a: DistMatrix, b: DistMatrix, phase: str = "mm3d",
     DistMatrix
         ``C = A @ B``, cyclically distributed and replicated on every slice,
         exactly like the inputs.
+
+    The cyclic layout is uniform, so every communicator family of a step
+    (all row broadcasts, all column broadcasts, all depth Allreduces) is a
+    set of pairwise-disjoint equal-cost groups, and every rank's local
+    multiply has identical shape.  Each family is charged through one
+    vectorized machine call -- disjoint groups commute, so clocks and
+    ledgers are bit-identical to charging group by group -- and the
+    numerics are :func:`mm3d_stacked` on the operands' stacked blocks.
     """
     require(0.0 < flop_fraction <= 1.0,
             f"flop_fraction must be in (0, 1], got {flop_fraction}")
@@ -74,80 +87,51 @@ def mm3d(vm: VirtualMachine, a: DistMatrix, b: DistMatrix, phase: str = "mm3d",
     require(grid.matches(b.grid), "MM3D operands must live on the same grid")
     require(grid.is_cubic, f"MM3D requires a cubic grid, got dims {grid.dims}")
     require(a.n == b.m, f"MM3D inner dimensions disagree: {a.m}x{a.n} @ {b.m}x{b.n}")
-    p = grid.dim_x
-    if not a.is_numeric:
-        return _mm3d_symbolic(vm, a, b, phase, flop_fraction)
-
-    # Step 1-2: per-slice broadcasts of the residue-z panels.
-    x_panels: Dict[int, Block] = {}
-    y_panels: Dict[int, Block] = {}
-    for z in range(p):
-        for y in range(grid.dim_y):
-            comm = grid.comm_x(y, z)
-            root_block = a.local(z, y, z)
-            received = comm.bcast(root_block, root_index=z, phase=f"{phase}.bcast-a")
-            x_panels.update(received)
-        for x in range(grid.dim_x):
-            comm = grid.comm_y(x, z)
-            root_block = b.local(x, z, z)
-            received = comm.bcast(root_block, root_index=z, phase=f"{phase}.bcast-b")
-            y_panels.update(received)
-
-    # Step 3: local multiply on every rank.
-    partials: Dict[int, Block] = {}
-    for (x, y, z) in grid.coords():
-        rank = grid.rank_at(x, y, z)
-        prod, flops = local_mm(x_panels[rank], y_panels[rank])
-        vm.charge_flops(rank, flops * flop_fraction, f"{phase}.local-mm")
-        partials[rank] = prod
-
-    # Step 4: depth-fiber Allreduce sums the residue classes.
-    c_blocks: Dict[int, Block] = {}
-    for y in range(grid.dim_y):
-        for x in range(grid.dim_x):
-            comm = grid.comm_z(x, y)
-            contributions = {r: partials[r] for r in comm.ranks}
-            c_blocks.update(comm.allreduce(contributions, phase=f"{phase}.allreduce"))
-
-    return DistMatrix(grid, a.m, b.n, c_blocks)
-
-
-def _mm3d_symbolic(vm: VirtualMachine, a: DistMatrix, b: DistMatrix,
-                   phase: str, flop_fraction: float) -> DistMatrix:
-    """The cost-only schedule of :func:`mm3d`, charged in bulk.
-
-    The cyclic layout is uniform, so every communicator family of a step
-    (all row broadcasts, all column broadcasts, all depth Allreduces) is a
-    set of pairwise-disjoint equal-cost groups, and every rank's local
-    multiply has identical shape.  Each family is charged through one
-    vectorized machine call, and each result is one shared shape-only
-    block.  Charge-for-charge equivalent to the numeric schedule: disjoint
-    groups commute, so clocks and ledgers come out bit-identical.
-    """
-    grid = a.grid
-    ranks = grid.ranks
-
-    # Step 1-2: per-slice broadcasts of the residue-z panels; one machine
-    # call per operand covering every (row|column) x slice group.
-    x_shape = (a.m // grid.dim_y, a.n // grid.dim_x)
-    y_shape = (b.m // grid.dim_y, b.n // grid.dim_x)
-    x_words = x_shape[0] * x_shape[1]
-    y_words = y_shape[0] * y_shape[1]
-    row_groups = ranks.transpose(1, 2, 0).reshape(-1, grid.dim_x)
-    col_groups = ranks.transpose(0, 2, 1).reshape(-1, grid.dim_y)
-    vm.charge_comm_groups(row_groups, cc.bcast_cost(x_words, grid.dim_x),
-                          f"{phase}.bcast-a")
-    vm.charge_comm_groups(col_groups, cc.bcast_cost(y_words, grid.dim_y),
-                          f"{phase}.bcast-b")
-
-    # Step 3: the local multiply is identical on every rank.
+    x_shape = (a.local_rows, a.local_cols)
+    y_shape = (b.local_rows, b.local_cols)
     prod, flops = local_mm(SymbolicBlock(x_shape), SymbolicBlock(y_shape))
-    vm.charge_flops_group(grid.all_ranks_array, flops * flop_fraction,
-                          f"{phase}.local-mm")
 
-    # Step 4: depth-fiber Allreduce sums the residue classes.
-    fiber_groups = ranks.reshape(-1, grid.dim_z)
-    vm.charge_comm_groups(fiber_groups, cc.allreduce_cost(prod.words, grid.dim_z),
-                          f"{phase}.allreduce")
+    if vm is not None:
+        ranks = grid.ranks
+        # Steps 1-2: per-slice broadcasts of the residue-z panels; one
+        # machine call per operand covering every (row|column) x slice group.
+        row_groups = ranks.transpose(1, 2, 0).reshape(-1, grid.dim_x)
+        col_groups = ranks.transpose(0, 2, 1).reshape(-1, grid.dim_y)
+        vm.charge_comm_groups(row_groups,
+                              cc.bcast_cost(x_shape[0] * x_shape[1], grid.dim_x),
+                              f"{phase}.bcast-a")
+        vm.charge_comm_groups(col_groups,
+                              cc.bcast_cost(y_shape[0] * y_shape[1], grid.dim_y),
+                              f"{phase}.bcast-b")
+        # Step 3: the local multiply is identical on every rank.
+        vm.charge_flops_group(grid.all_ranks_array, flops * flop_fraction,
+                              f"{phase}.local-mm")
+        # Step 4: depth-fiber Allreduce sums the residue classes.
+        vm.charge_comm_groups(ranks.reshape(-1, grid.dim_z),
+                              cc.allreduce_cost(prod.words, grid.dim_z),
+                              f"{phase}.allreduce")
 
-    return DistMatrix.shared(grid, a.m, b.n, prod)
+    if a.data is None:
+        return DistMatrix.shared(grid, a.m, b.n, prod)
+    return DistMatrix.stacked(grid, a.m, b.n, mm3d_stacked(a.data, b.data))  # type: ignore[arg-type]
+
+
+def mm3d_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """MM3D's numerics on stacked blocks (see :mod:`repro.vmpi.distmatrix`).
+
+    ``a`` is ``(p, dy, p, ., .)`` and ``b`` is ``(p, >= p, p, ., .)``;
+    ``dy`` may be any multiple of ``p``, which multiplies every cubic
+    subcube of a ``p x dy x p`` grid by the same ``b`` at once.  The
+    broadcasts are stride-0 views of the root blocks (``X[x, y, z] =
+    A[z, y, z]``, ``Y[x, y, z] = B[x, z, z]``), the local products one
+    stacked ``np.matmul``, and the depth Allreduce an :func:`ordered_sum`
+    in fiber order, copied back over depth in the products' own buffer.
+    """
+    p = a.shape[0]
+    zs = np.arange(p)
+    x_panels = a[zs, :, zs].transpose(1, 0, 2, 3)[None]   # (1, dy, p, ., .)
+    y_panels = b[:, zs, zs][:, None]                      # (p, 1, p, ., .)
+    out = np.matmul(x_panels, y_panels)
+    total = ordered_sum(out, axis=2)                      # out[:, :, 0]
+    out[:, :, 1:] = total[:, :, None]
+    return out

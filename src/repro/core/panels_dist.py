@@ -164,7 +164,6 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
             f"panel_width={panel_width} must be a multiple of c={c}")
     b = panel_width
     num_panels = a.n // b
-    rows_per_subcube = c * (a.m // d)
     numeric = a.is_numeric
 
     if not numeric and num_panels > 1 and compiled_replay_enabled():
@@ -196,16 +195,15 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
             break
 
         # W = Q_p^T @ C through the Gram-dance schedule (full GEMM rate).
-        w_blocks = _cross_product_replicated(
+        w = _cross_product_replicated(
             vm, res.q, rest, f"{phase}.panel{p_idx}.update", symmetric=False)
 
         # Per-subcube: C <- C - Q_p @ W.
         new_rest_blocks: Dict[int, Block] = {}
         for group in range(d // c):
-            sub = g.subcube(group)
-            w_sub = DistMatrix.on_grid(sub, b, rest.n, w_blocks)
-            q_sub = res.q.reindexed(sub, m=rows_per_subcube)
-            rest_sub = rest.reindexed(sub, m=rows_per_subcube)
+            w_sub = w[group]
+            q_sub = res.q.subcube(group)
+            rest_sub = rest.subcube(group)
             update = mm3d(vm, q_sub, w_sub,
                           phase=f"{phase}.panel{p_idx}.update.mm3d")
             new_rest = dist_sub(vm, rest_sub, update,

@@ -2,10 +2,11 @@
 
 The paper's implementation is C++/MPI on up to 131072 processes.  This
 substrate replaces MPI with deterministic *lock-step orchestration*: every
-virtual rank owns local blocks in a rank-indexed store, and collectives are
-implemented as block shuffles over rank groups that simultaneously charge
-the paper's butterfly cost formulas to each participant's ledger and
-synchronize their BSP clocks.
+virtual rank owns local blocks (slices of a grid-indexed array), and
+collectives are block shuffles over rank groups -- indexing and ordered
+sums along grid axes -- that simultaneously charge the paper's butterfly
+cost formulas to each participant's ledger and synchronize their BSP
+clocks.
 
 Key pieces:
 
@@ -22,9 +23,11 @@ Key pieces:
   fibers, mod-c subgroups and cubic subcubes (the index algebra of
   Sections II-B and III-B).
 * :mod:`repro.vmpi.distmatrix` -- cyclically distributed matrices replicated
-  over grid depth, with gather/scatter to global numpy arrays.  Symbolic
-  matrices share one block across all ranks (``DistMatrix.shared``), so
-  they cost O(1) Python objects whatever the rank count.
+  over grid depth, with gather/scatter to global numpy arrays.  A numeric
+  matrix is one stacked array indexed by grid coordinates, so a step over
+  every rank is one array operation; symbolic matrices share one block
+  across all ranks (``DistMatrix.shared``).  Either way a matrix costs
+  O(1) Python objects whatever the rank count.
 """
 
 from repro.vmpi.datatypes import (

@@ -11,14 +11,21 @@ machine's vectorized charging path -- no per-rank Python loop runs on the
 hot path.  Rank-to-group-index lookups go through a cached mapping
 (computed once, O(1) per :meth:`Communicator.index_of` call).
 
-Numeric payloads are copied on delivery so no two ranks ever alias a
-buffer.  Symbolic payloads are immutable shape-only values, so collectives
-return one **shared** block for the whole group (wrapped in a
-:class:`SharedBlockMap` where a per-rank mapping is expected) instead of
-materializing per-rank dicts -- delivery is O(1) memory regardless of the
-group size.  Reductions on symbolic blocks validate shapes and return a
-shape -- arithmetically free, exactly like the cost model's
-``beta >> gamma`` assumption.
+Communicators serve the code that moves blocks rank by rank (the
+baselines, 1D-CQR, shifted CholeskyQR's norm): numeric payloads are
+copied on delivery so no two ranks ever alias a buffer.  Symbolic payloads
+are immutable shape-only values, so collectives return one **shared**
+block for the whole group (wrapped in a :class:`SharedBlockMap` where a
+per-rank mapping is expected) instead of materializing per-rank dicts --
+delivery is O(1) memory regardless of the group size.  Reductions on
+symbolic blocks validate shapes and return a shape -- arithmetically
+free, exactly like the cost model's ``beta >> gamma`` assumption.
+
+CA-CQR2's own steps (:mod:`repro.core`) move no blocks through here: they
+charge whole communicator families through the machine and compute on
+the stacked arrays of :class:`~repro.vmpi.distmatrix.DistMatrix`, where a
+collective's data movement is an index and its reduction is
+:func:`ordered_sum` along a grid axis.
 """
 
 from __future__ import annotations
@@ -196,6 +203,23 @@ def pairwise_swap(vm: VirtualMachine, rank_a: int, rank_b: int,
     cost = cc.transpose_cost(block_a.words, 2)
     vm.charge_comm_pair(rank_a, rank_b, cost, phase)
     return block_b.copy(), block_a.copy()
+
+
+def ordered_sum(stack: np.ndarray, axis: int) -> np.ndarray:
+    """Sum *stack* along *axis* the way :func:`_sum_blocks` sums a group.
+
+    A float64 zero plus each slice in index order -- never ``np.sum``'s
+    pairwise order -- so a reduction over a stacked grid axis is
+    bit-identical to the per-group collective it replaces.  *stack* is
+    scratch: the sum accumulates in place into its first slice along
+    *axis*, which is returned (a view, no allocation).
+    """
+    parts = np.moveaxis(stack, axis, 0)
+    total = parts[0]
+    total += 0.0                    # zero + parts[0], bit for bit
+    for part in parts[1:]:
+        total += part
+    return total
 
 
 def _sum_blocks(blocks: List[Block]) -> Block:

@@ -8,9 +8,14 @@ same communication schedule executes and the same flop counts are charged,
 but no arithmetic happens.  This is what lets the benchmark harness replay
 the paper's experiments at sizes like ``2**25 x 2**10`` on a laptop.
 
-Blocks are immutable by convention: operations return new blocks, and the
-collectives copy numeric payloads so no two ranks alias the same buffer.
-Symbolic blocks carry no data at all, so they are *freely shared*:
+Blocks are immutable by convention: operations return new blocks.  A
+numeric :class:`~repro.vmpi.distmatrix.DistMatrix` does not store blocks
+but one stacked array; its per-rank ``NumericBlock`` objects are read-only
+views of that array that never alias another rank, built only at the
+boundary (``DistMatrix.blocks``) for code that works rank by rank, whose
+:class:`~repro.vmpi.comm.Communicator` collectives copy numeric payloads
+for the same reason.  Symbolic blocks carry no data at all, so they are
+*freely shared*:
 ``SymbolicBlock.copy()`` returns the same object, and collectives deliver
 one shared block to a whole group through :class:`SharedBlockMap` -- a
 million-rank symbolic matrix costs one block, not a million.

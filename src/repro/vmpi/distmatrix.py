@@ -19,26 +19,32 @@ it for temporaries (e.g. MM3D's broadcast panels differ per slice) but
 restore it on their outputs; :meth:`replication_spread` measures it for the
 test suite.
 
-**Shared-block invariant.**  A symbolic matrix is built by
-:meth:`DistMatrix.shared` (or :meth:`DistMatrix.symbolic`): every rank
-holds the same immutable shape-only block, stored as one
-:class:`~repro.vmpi.datatypes.SharedBlockMap` over the grid's own rank
-array.  Such a matrix costs O(1) Python objects whatever the rank count,
-and every structural operation below (``is_numeric``, ``map_blocks``,
-``assemble_quadrants``, ``dist_transpose``) takes an O(1) branch on it.
-Per-rank dicts remain for numeric matrices, whose ranks own distinct
-buffers.
+**Storage.**  A numeric matrix is one read-only float64 ndarray
+:attr:`DistMatrix.data` of shape ``(dim_x, dim_y, dim_z, m/dim_y,
+n/dim_x)`` indexed by grid coordinates: ``data[x, y, z]`` is the block
+rank ``Pi[x, y, z]`` owns.  Every step is a whole-array operation on it --
+:meth:`quadrant` and :meth:`column_panel` are slices,
+:meth:`assemble_quadrants` a concatenation, :func:`dist_transpose` one
+axis swap, and the algorithms in :mod:`repro.core` stack their local
+products into one ``np.matmul``.  A symbolic matrix holds one immutable
+shape-only block shared by every rank (:meth:`DistMatrix.shared`), so it
+costs O(1) Python objects whatever the rank count.  Per-rank
+:class:`~repro.vmpi.datatypes.NumericBlock` objects appear only at the
+boundaries: :attr:`DistMatrix.blocks` maps every rank to a read-only view
+of its own block (never another rank's), and the per-rank mapping
+constructor stacks the blocks that rank-by-rank code (the baselines,
+1D-CQR, the panel loop) builds.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.costmodel import collectives as cc
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
 from repro.vmpi.datatypes import (
     Block,
     NumericBlock,
@@ -48,6 +54,20 @@ from repro.vmpi.datatypes import (
 )
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
+
+
+def _local_shape(grid: Grid3D, m: int, n: int) -> Tuple[int, int]:
+    require(m % grid.dim_y == 0,
+            f"rows {m} not divisible by grid row extent dim_y={grid.dim_y}")
+    require(n % grid.dim_x == 0,
+            f"cols {n} not divisible by grid col extent dim_x={grid.dim_x}")
+    return m // grid.dim_y, n // grid.dim_x
+
+
+def _require_coord(name: str, value: int, dim: int) -> None:
+    if not 0 <= value < dim:
+        raise ValidationError(
+            f"grid coordinate {name}={value} out of range [0, {dim})")
 
 
 def _require_shared_shape(block: Block, expected: Tuple[int, int]) -> None:
@@ -78,30 +98,66 @@ def _check_rank_blocks(grid: Grid3D, blocks: Mapping[int, Block],
 
 
 class DistMatrix:
-    """An ``m x n`` matrix cyclically distributed over a grid face."""
+    """An ``m x n`` matrix cyclically distributed over a grid face.
 
-    __slots__ = ("grid", "m", "n", "blocks")
+    Numeric matrices hold :attr:`data` (see the module docstring) and
+    ``shared_block = None``; symbolic ones hold ``data = None`` and the
+    one :attr:`shared_block` every rank sees.
+    """
+
+    __slots__ = ("grid", "m", "n", "data", "shared_block", "_blocks")
 
     def __init__(self, grid: Grid3D, m: int, n: int,
                  blocks: Mapping[int, Block]):
-        require(m % grid.dim_y == 0,
-                f"rows {m} not divisible by grid row extent dim_y={grid.dim_y}")
-        require(n % grid.dim_x == 0,
-                f"cols {n} not divisible by grid col extent dim_x={grid.dim_x}")
-        expected = (m // grid.dim_y, n // grid.dim_x)
+        """The matrix whose rank ``r`` holds ``blocks[r]``.
+
+        Numeric blocks are copied into one stacked array (the caller's
+        buffers are never aliased); symbolic ones must share a shape and
+        collapse to one block.
+        """
+        expected = _local_shape(grid, m, n)
         if (isinstance(blocks, SharedBlockMap)
                 and blocks.ranks_array is grid.all_ranks_array):
             # Built over this grid's own rank array: coverage holds by
             # construction, and there is one block to check.
             _require_shared_shape(blocks.block, expected)
+            first: Block = blocks.block
         else:
             _check_rank_blocks(grid, blocks, expected)
+            first = next(iter(blocks.values()))
+        data = None
+        if first.is_numeric:
+            data = np.stack([blocks[r].data for r in grid.all_ranks()])  # type: ignore[union-attr]
+            data = data.reshape(grid.dims + expected)
+        self._init(grid, m, n, data, None if data is not None else first)
+
+    def _init(self, grid: Grid3D, m: int, n: int, data: Optional[np.ndarray],
+              block: Optional[Block]) -> None:
+        if data is not None:
+            data.flags.writeable = False
         self.grid = grid
         self.m = m
         self.n = n
-        self.blocks = blocks
+        self.data = data
+        self.shared_block = block
+        self._blocks: Optional[Mapping[int, Block]] = None
 
     # -- construction -------------------------------------------------------------
+
+    @classmethod
+    def stacked(cls, grid: Grid3D, m: int, n: int,
+                data: np.ndarray) -> "DistMatrix":
+        """Numeric matrix over its stacked blocks, ``data[x, y, z]`` at ``Pi[x, y, z]``.
+
+        *data* becomes read-only; it must not alias one block to two ranks
+        (no stride-0 grid axes).
+        """
+        shape = grid.dims + _local_shape(grid, m, n)
+        require(data.shape == shape,
+                f"stacked blocks have shape {data.shape}, expected {shape}")
+        mat = cls.__new__(cls)
+        mat._init(grid, m, n, data, None)
+        return mat
 
     @classmethod
     def shared(cls, grid: Grid3D, m: int, n: int, block: Block) -> "DistMatrix":
@@ -117,28 +173,17 @@ class DistMatrix:
         return cls(grid, m, n, SharedBlockMap(grid.all_ranks_array, block))
 
     @classmethod
-    def on_grid(cls, grid: Grid3D, m: int, n: int,
-                blocks: Mapping[int, Block]) -> "DistMatrix":
-        """The matrix *grid* sees in a per-rank mapping covering (at least) it.
-
-        A shared mapping stays shared; a per-rank dict is restricted to
-        the grid's ranks.
-        """
-        if isinstance(blocks, SharedBlockMap):
-            return cls.shared(grid, m, n, blocks.block)
-        return cls(grid, m, n, {r: blocks[r] for r in grid.all_ranks()})
-
-    @classmethod
     def from_global(cls, grid: Grid3D, array: np.ndarray) -> "DistMatrix":
         """Distribute a global numpy array cyclically, replicated over depth."""
         arr = np.asarray(array, dtype=np.float64)
         require(arr.ndim == 2, f"need a 2D array, got ndim={arr.ndim}")
         m, n = arr.shape
-        blocks: Dict[int, Block] = {}
-        for (x, y, z) in grid.coords():
-            blocks[grid.rank_at(x, y, z)] = NumericBlock(
-                np.ascontiguousarray(arr[y::grid.dim_y, x::grid.dim_x]))
-        return cls(grid, m, n, blocks)
+        mb, nb = _local_shape(grid, m, n)
+        dx, dy, _ = grid.dims
+        data = np.empty((*grid.dims, mb, nb))
+        # arr[i*dy + y, j*dx + x] is entry (i, j) of block (x, y).
+        data[...] = arr.reshape(mb, dy, nb, dx).transpose(3, 1, 0, 2)[:, :, None]
+        return cls.stacked(grid, m, n, data)
 
     @classmethod
     def symbolic(cls, grid: Grid3D, m: int, n: int) -> "DistMatrix":
@@ -163,20 +208,33 @@ class DistMatrix:
         return self.n // self.grid.dim_x
 
     @property
-    def shared_block(self) -> Optional[Block]:
-        """The one block every rank holds, or ``None`` for per-rank blocks."""
-        blocks = self.blocks
-        return blocks.block if isinstance(blocks, SharedBlockMap) else None
+    def is_numeric(self) -> bool:
+        return self.data is not None
 
     @property
-    def is_numeric(self) -> bool:
-        block = self.shared_block
-        if block is None:
-            block = next(iter(self.blocks.values()))
-        return block.is_numeric
+    def blocks(self) -> Mapping[int, Block]:
+        """``{machine rank: local block}`` over every grid rank.
+
+        Symbolic: a :class:`SharedBlockMap` of the one shared block.
+        Numeric: read-only :class:`NumericBlock` views of :attr:`data`,
+        one per rank, built on first access.
+        """
+        if self._blocks is None:
+            if self.data is None:
+                self._blocks = SharedBlockMap(self.grid.all_ranks_array,
+                                              self.shared_block)
+            else:
+                self._blocks = {
+                    r: NumericBlock(self.data[idx]) for r, idx in
+                    zip(self.grid.all_ranks(), np.ndindex(*self.grid.dims))}
+        return self._blocks
 
     def local(self, x: int, y: int, z: int) -> Block:
         """Local block at grid coordinates ``(x, y, z)``."""
+        for name, value, dim in zip("xyz", (x, y, z), self.grid.dims):
+            _require_coord(name, value, dim)
+        if self.data is None:
+            return self.shared_block  # type: ignore[return-value]
         return self.blocks[self.grid.rank_at(x, y, z)]
 
     # -- assembly -----------------------------------------------------------------
@@ -184,51 +242,21 @@ class DistMatrix:
     def to_global(self, z: int = 0) -> np.ndarray:
         """Assemble the global matrix from slice ``z`` (numeric mode only)."""
         require(self.is_numeric, "to_global requires numeric blocks")
+        _require_coord("z", z, self.grid.dim_z)
         out = np.empty((self.m, self.n))
-        for y in range(self.grid.dim_y):
-            for x in range(self.grid.dim_x):
-                blk = self.local(x, y, z)
-                out[y::self.grid.dim_y, x::self.grid.dim_x] = blk.data  # type: ignore[union-attr]
+        dx, dy, _ = self.grid.dims
+        out.reshape(self.local_rows, dy, self.local_cols, dx)[...] = \
+            self.data[:, :, z].transpose(2, 1, 3, 0)  # type: ignore[index]
         return out
 
     def replication_spread(self) -> float:
         """Max abs difference between depth copies (0.0 when replicated)."""
         require(self.is_numeric, "replication_spread requires numeric blocks")
-        worst = 0.0
-        for y in range(self.grid.dim_y):
-            for x in range(self.grid.dim_x):
-                ref = self.local(x, y, 0).data  # type: ignore[union-attr]
-                for z in range(1, self.grid.dim_z):
-                    cur = self.local(x, y, z).data  # type: ignore[union-attr]
-                    worst = max(worst, float(np.max(np.abs(ref - cur))) if ref.size else 0.0)
-        return worst
+        data: np.ndarray = self.data  # type: ignore[assignment]
+        return float(np.max(np.abs(data[:, :, 1:] - data[:, :, :1]),
+                            initial=0.0))
 
     # -- structural operations (no communication, no flops) ------------------------
-
-    def map_blocks(self, fn: Callable[[Block], Block], m: Optional[int] = None,
-                   n: Optional[int] = None) -> "DistMatrix":
-        """New DistMatrix with ``fn`` applied to every local block.
-
-        For *structural* transformations only (quadrant extraction, local
-        reshapes); computational maps must charge flops via the kernels
-        layer instead.  ``fn`` is applied once per *distinct* block object
-        and the result shared among its owners -- on shared-block symbolic
-        matrices the transformation runs once, not once per rank.
-        """
-        m = self.m if m is None else m
-        n = self.n if n is None else n
-        shared = self.shared_block
-        if shared is not None:
-            return DistMatrix.shared(self.grid, m, n, fn(shared))
-        mapped: Dict[int, Block] = {}
-        new_blocks: Dict[int, Block] = {}
-        for r, b in self.blocks.items():
-            key = id(b)
-            nb = mapped.get(key)
-            if nb is None:
-                nb = mapped[key] = fn(b)
-            new_blocks[r] = nb
-        return DistMatrix(self.grid, m, n, new_blocks)
 
     def quadrant(self, i: int, j: int) -> "DistMatrix":
         """Global quadrant ``(i, j)`` as a new ``m/2 x n/2`` DistMatrix.
@@ -237,30 +265,33 @@ class DistMatrix:
         """
         require(self.m % (2 * self.grid.dim_y) == 0 and self.n % (2 * self.grid.dim_x) == 0,
                 f"matrix {self.m}x{self.n} cannot be quartered on grid {self.grid.dims}")
-        return self.map_blocks(lambda b: b.quadrant(i, j), m=self.m // 2, n=self.n // 2)
+        m, n = self.m // 2, self.n // 2
+        if self.data is None:
+            return DistMatrix.shared(self.grid, m, n,
+                                     self.shared_block.quadrant(i, j))  # type: ignore[union-attr]
+        require(i in (0, 1) and j in (0, 1),
+                f"quadrant indices must be 0/1, got ({i}, {j})")
+        hr, hc = self.local_rows // 2, self.local_cols // 2
+        return DistMatrix.stacked(
+            self.grid, m, n,
+            self.data[..., i * hr:(i + 1) * hr, j * hc:(j + 1) * hc])
 
     @staticmethod
     def assemble_quadrants(a11: "DistMatrix", a12: "DistMatrix",
                            a21: "DistMatrix", a22: "DistMatrix") -> "DistMatrix":
         """Inverse of :meth:`quadrant`: rebuild the doubled matrix locally."""
         g = a11.grid
-        for other in (a12, a21, a22):
+        quads = (a11, a12, a21, a22)
+        for other in quads[1:]:
             require(other.grid is g, "quadrants must live on the same grid")
-        shared = [q.shared_block for q in (a11, a12, a21, a22)]
-        if None not in shared:
-            # One shared block per quadrant (symbolic): join once, share.
-            return DistMatrix.shared(g, a11.m + a21.m, a11.n + a12.n,
-                                     join_blocks(*shared))
-        blocks: Dict[int, Block] = {}
-        memo: Dict[Tuple[int, int, int, int], Block] = {}
-        for r in a11.blocks:
-            quads = (a11.blocks[r], a12.blocks[r], a21.blocks[r], a22.blocks[r])
-            key = (id(quads[0]), id(quads[1]), id(quads[2]), id(quads[3]))
-            joined = memo.get(key)
-            if joined is None:
-                joined = memo[key] = join_blocks(*quads)
-            blocks[r] = joined
-        return DistMatrix(g, a11.m + a21.m, a11.n + a12.n, blocks)
+        m, n = a11.m + a21.m, a11.n + a12.n
+        if a11.data is None:
+            return DistMatrix.shared(
+                g, m, n, join_blocks(*(q.shared_block for q in quads)))  # type: ignore[misc]
+        require(all(q.is_numeric for q in quads),
+                "cannot join blocks of mixed backends")
+        return DistMatrix.stacked(g, m, n, np.block([[a11.data, a12.data],
+                                                     [a21.data, a22.data]]))
 
     def column_panel(self, col_lo: int, col_hi: int) -> "DistMatrix":
         """Global column range ``[col_lo, col_hi)`` as a new DistMatrix.
@@ -276,19 +307,27 @@ class DistMatrix:
         require(0 <= col_lo < col_hi <= self.n,
                 f"panel bounds [{col_lo}, {col_hi}) out of range for n={self.n}")
         lo, hi = col_lo // dx, col_hi // dx
-        return self.map_blocks(lambda b: b.columns(lo, hi), n=col_hi - col_lo)
+        if self.data is None:
+            return DistMatrix.shared(self.grid, self.m, col_hi - col_lo,
+                                     self.shared_block.columns(lo, hi))  # type: ignore[union-attr]
+        return DistMatrix.stacked(self.grid, self.m, col_hi - col_lo,
+                                  self.data[..., lo:hi])
 
-    def reindexed(self, grid: Grid3D, m: Optional[int] = None) -> "DistMatrix":
-        """View this matrix's blocks on a subgrid (pure bookkeeping).
+    def subcube(self, k: int) -> "DistMatrix":
+        """The rows subcube *k* holds, as a matrix on ``grid.subcube(k)``.
 
-        Used by CA-CQR to hand each cubic subcube its slice of rows: the
-        blocks do not move, only the (grid, global row count) bookkeeping
-        changes.  The caller is responsible for the row-order relabeling
-        being consistent, which it is for cyclic layouts restricted to a
-        contiguous y-group.
+        Pure bookkeeping: CA-CQR hands each cubic subcube
+        ``Pi[:, k*c:(k+1)*c, :]`` the blocks of its y-range, which is
+        again a cyclic layout (of ``c * m/d`` rows).  Numeric blocks are a
+        slice of :attr:`data`, not a copy.
         """
-        return DistMatrix.on_grid(grid, self.m if m is None else m, self.n,
-                                  self.blocks)
+        sub = self.grid.subcube(k)
+        c = sub.dim_y
+        m = c * self.local_rows
+        if self.data is None:
+            return DistMatrix.shared(sub, m, self.n, self.shared_block)  # type: ignore[arg-type]
+        return DistMatrix.stacked(sub, m, self.n,
+                                  self.data[:, k * c:(k + 1) * c])
 
 
 class Replicated:
@@ -333,7 +372,8 @@ def _triu_pairs(dim: int):
     return np.triu_indices(dim, k=1)
 
 
-def dist_transpose(vm: VirtualMachine, a: DistMatrix, phase: str) -> DistMatrix:
+def dist_transpose(vm: Optional[VirtualMachine], a: DistMatrix,
+                   phase: str) -> DistMatrix:
     """Global transpose: pairwise exchange ``(x,y,z) <-> (y,x,z)`` + local ``.T``.
 
     Matches the paper's ``Transpose`` collective (Section II-B): every rank
@@ -343,36 +383,28 @@ def dist_transpose(vm: VirtualMachine, a: DistMatrix, phase: str) -> DistMatrix:
 
     All exchange pairs are disjoint and move equal volumes (the cyclic
     layout is uniform), so the whole transpose is charged as **one**
-    vectorized machine call over a ``(pairs, 2)`` rank matrix; in symbolic
-    mode the result is a single shared transposed block.
+    vectorized machine call over a ``(pairs, 2)`` rank matrix (nothing is
+    charged when *vm* is ``None``).  Numerically it is one axis swap of
+    the stacked blocks; in symbolic mode the result is a single shared
+    transposed block.
     """
     g = a.grid
     require(g.dim_x == g.dim_y, f"transpose needs a square grid face, got {g.dims}")
     require(a.m == a.n, f"dist_transpose handles square matrices, got {a.m}x{a.n}")
     local_shape = (a.local_rows, a.local_cols)
-    dim = g.dim_x
 
-    # Off-diagonal partner pairs (x < y), identical across depth slices.
-    xs, ys = _triu_pairs(dim)
-    pairs = np.stack([g.ranks[xs, ys, :].reshape(-1),
-                      g.ranks[ys, xs, :].reshape(-1)], axis=1)
-    words = local_shape[0] * local_shape[1]
-    if pairs.size:
-        vm.charge_comm_groups(pairs, cc.transpose_cost(words, 2), phase)
+    if vm is not None:
+        # Off-diagonal partner pairs (x < y), identical across depth slices.
+        xs, ys = _triu_pairs(g.dim_x)
+        pairs = np.stack([g.ranks[xs, ys, :].reshape(-1),
+                          g.ranks[ys, xs, :].reshape(-1)], axis=1)
+        if pairs.size:
+            vm.charge_comm_groups(
+                pairs, cc.transpose_cost(local_shape[0] * local_shape[1], 2),
+                phase)
 
-    if not a.is_numeric:
+    if a.data is None:
         return DistMatrix.shared(g, a.n, a.m,
                                  SymbolicBlock((local_shape[1], local_shape[0])))
-
-    new_blocks: Dict[int, Block] = {}
-    for z in range(g.dim_z):
-        for y in range(g.dim_y):
-            for x in range(g.dim_x):
-                if x > y:
-                    continue
-                r_a = g.rank_at(x, y, z)
-                r_b = g.rank_at(y, x, z)
-                new_blocks[r_a] = a.blocks[r_b].transpose()
-                if r_b != r_a:
-                    new_blocks[r_b] = a.blocks[r_a].transpose()
-    return DistMatrix(g, a.n, a.m, new_blocks)
+    # Rank (x, y, z) receives (y, x, z)'s block and transposes it.
+    return DistMatrix.stacked(g, a.n, a.m, a.data.transpose(1, 0, 2, 4, 3).copy())

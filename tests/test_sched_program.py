@@ -7,6 +7,7 @@ run, specializing it to a binding, and replaying it charges the machine
 per-rank ledgers, and cost reports included.
 """
 
+import contextlib
 from typing import ClassVar
 
 import numpy as np
@@ -151,6 +152,35 @@ class TestCACQREquivalence:
             == 2 * per_pass
         self.assert_results_equal(fast, slow, d // c)
         assert_machines_identical(vm_fast, vm_slow)
+
+    #: (max_cost, total_cost, critical path) after sCQR3's retry, as the
+    #: per-rank numeric loops charged them (abstract machine).  Cost reports
+    #: do not depend on BLAS; they pin the failed attempt's partial charges
+    #: -- its CFR3D base case gathered on slice 0 only, then raised.
+    FAILURE_REPORTS: ClassVar[dict] = {
+        (2, 8): ((522.0, 82436.0, 341136.0), (14416.0, 2548800.0, 10677632.0),
+                 424094.0),
+        (2, 2): ((494.0, 239620.0, 1250448.0), (3760.0, 1904656.0, 9872384.0),
+                 1490562.0),
+    }
+
+    @pytest.mark.parametrize("c,d", sorted(FAILURE_REPORTS))
+    def test_shifted_cqr3_failure_report_is_pinned(self, c, d):
+        from repro.core.shifted import ca_shifted_cqr3
+        from repro.utils.matgen import matrix_with_condition
+
+        m, n = 1024, 32
+        a = matrix_with_condition(m, n, 1e15, rng=0)
+        for mode in (contextlib.nullcontext(), compiled_replay_disabled()):
+            vm, g = make_tunable(c, d)
+            with mode:
+                ca_shifted_cqr3(vm, DistMatrix.from_global(g, a))
+            report = vm.report()
+            # Two shifted passes: the first CQR2 attempt failed.
+            assert vm.ledger_of(0).phases["sCQR3.norm-local"].flops \
+                == 2 * 2.0 * (m // d) * (n // c)
+            assert (report.max_cost.as_tuple(), report.total_cost.as_tuple(),
+                    report.critical_path_time) == self.FAILURE_REPORTS[(c, d)]
 
     def test_n_below_c_boundary_rejected(self):
         # n = 2 < c = 4 cannot tile the grid's c columns: the layout

@@ -5,6 +5,7 @@ import pytest
 
 from tests.conftest import make_cubic, make_tunable
 
+from repro.utils.validation import ValidationError
 from repro.vmpi.datatypes import NumericBlock
 from repro.vmpi.distmatrix import DistMatrix, Replicated, dist_transpose
 
@@ -45,6 +46,37 @@ class TestDistribution:
         assert not d.is_numeric
         assert d.local(0, 0, 0).shape == (8, 4)
 
+    def test_blocks_are_read_only_views_that_never_alias(self, rng):
+        vm, g = make_tunable(2, 4)
+        d = DistMatrix.from_global(g, rng.standard_normal((16, 8)))
+        views = [b.data for b in d.blocks.values()]
+        assert len(views) == g.size
+        for i, view in enumerate(views):
+            assert np.shares_memory(view, d.data) and not view.flags.writeable
+            assert not any(np.shares_memory(view, other) for other in views[i + 1:])
+        with pytest.raises(ValueError):
+            views[0][0, 0] = 1.0
+        assert d.blocks is d.blocks        # built once
+
+    @pytest.mark.parametrize("z", [-1, 2])
+    def test_to_global_rejects_out_of_range_slice(self, rng, z):
+        # -1 used to return the last slice through negative indexing, and
+        # dim_z raised a bare IndexError.
+        vm, g = make_cubic(2)
+        d = DistMatrix.from_global(g, rng.standard_normal((8, 8)))
+        with pytest.raises(ValidationError, match=rf"z={z} out of range \[0, 2\)"):
+            d.to_global(z)
+
+    @pytest.mark.parametrize("coords", [(-1, 0, 0), (0, 4, 0), (0, 0, -2),
+                                        (2, 0, 0)])
+    @pytest.mark.parametrize("numeric", [True, False])
+    def test_local_rejects_out_of_range_coords(self, rng, coords, numeric):
+        vm, g = make_tunable(2, 4)
+        d = (DistMatrix.from_global(g, rng.standard_normal((16, 8))) if numeric
+             else DistMatrix.symbolic(g, 16, 8))
+        with pytest.raises(ValidationError, match="out of range"):
+            d.local(*coords)
+
     def test_missing_block_rejected(self):
         vm, g = make_cubic(2)
         d = DistMatrix.symbolic(g, 8, 8)
@@ -78,17 +110,22 @@ class TestQuadrants:
             d.quadrant(0, 0)
 
 
-class TestReindexed:
-    def test_subcube_view_shares_blocks(self, rng):
+class TestSubcube:
+    def test_subcube_view_shares_memory(self, rng):
         vm, g = make_tunable(2, 4)
         a = rng.standard_normal((16, 4))
         d = DistMatrix.from_global(g, a)
         sub = g.subcube(1)
-        view = d.reindexed(sub, m=8)
-        # Blocks are the same objects, just rebooked on the subgrid.
+        view = d.subcube(1)
+        # The same buffers, just rebooked on the subgrid: no copy.
+        assert view.grid.matches(sub)
         r = sub.rank_at(1, 0, 1)
-        assert view.blocks[r] is d.blocks[r]
+        np.testing.assert_array_equal(view.blocks[r].data, d.blocks[r].data)
+        assert np.shares_memory(view.data, d.data)
         assert view.m == 8 and view.n == 4
+        # Subcube 1 holds global rows y = 2, 3 (mod 4) of every 4.
+        rows = [i for i in range(16) if i % 4 in (2, 3)]
+        np.testing.assert_array_equal(view.to_global(), a[rows])
 
 
 class TestDistTranspose:

@@ -12,6 +12,8 @@ executable specification in :mod:`repro.vmpi.reference`), must produce
 -- for both numeric and symbolic blocks.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -96,9 +98,9 @@ class TestSyntheticSchedules:
         assert grouped.report() == scalar.report()
 
 
-def _record_ca_cqr2(mode, machine=STAMPEDE2):
-    vm = RecordingMachine(2 * 2 * 8, machine)
-    grid = Grid3D.tunable(vm, 2, 8)
+def _record_ca_cqr2(mode, machine=STAMPEDE2, trace=False, c=2, d=8):
+    vm = RecordingMachine(c * c * d, machine, trace=trace)
+    grid = Grid3D.tunable(vm, c, d)
     if mode == "symbolic":
         a = DistMatrix.symbolic(grid, 256, 16)
     else:
@@ -118,12 +120,23 @@ class TestAlgorithmSchedules:
         assert_machines_identical(vm, ref)
 
     def test_symbolic_equals_numeric_schedule_costs(self):
-        """The symbolic bulk fast paths charge what the numeric loops charge."""
-        sym = _record_ca_cqr2("symbolic")
-        num = _record_ca_cqr2("numeric")
-        assert sym.report() == num.report()
-        assert [sym.clock_of(r) for r in range(sym.num_ranks)] \
-            == [num.clock_of(r) for r in range(num.num_ranks)]
+        """Numeric and symbolic runs charge one schedule: same costs, clocks
+        and per-rank trace events -- through subcube replay (d > c) and
+        through direct charging (d == c, and the loop oracle)."""
+        from repro.sched import compiled_replay_disabled
+        from tests.test_sched_program import TestTraceComposition
+
+        for c, d, mode in [(2, 8, contextlib.nullcontext()), (2, 2, contextlib.nullcontext()),
+                           (2, 8, compiled_replay_disabled())]:
+            with mode:
+                sym = _record_ca_cqr2("symbolic", trace=True, c=c, d=d)
+                num = _record_ca_cqr2("numeric", trace=True, c=c, d=d)
+            assert sym.report() == num.report()
+            assert [sym.clock_of(r) for r in range(sym.num_ranks)] \
+                == [num.clock_of(r) for r in range(num.num_ranks)]
+            assert len(num.events) > 0
+            assert (TestTraceComposition.events_by_rank(sym)
+                    == TestTraceComposition.events_by_rank(num))
 
     def test_collective_mix_through_communicator(self):
         """bcast/reduce/allreduce/allgather/p2p through comm, both backends."""

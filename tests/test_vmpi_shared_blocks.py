@@ -16,7 +16,7 @@ import pytest
 from tests.conftest import make_tunable
 
 from repro.core.cacqr import (
-    SharedSubcubeResults,
+    SubcubeResults,
     _merge_program,
     _subcube_pass_program,
     ca_cqr,
@@ -52,7 +52,7 @@ def replay_and_loop(request):
 class TestLazySubcubeResults:
     def test_length_is_number_of_subcubes(self, replay_and_loop):
         (c, d, _, _), [(_, fast), (_, slow)] = replay_and_loop
-        assert isinstance(fast.r_subcubes, SharedSubcubeResults)
+        assert isinstance(fast.r_subcubes, SubcubeResults)
         assert len(fast.r_subcubes) == len(slow.r_subcubes) == d // c
 
     def test_subcube_grids_and_shapes_match_the_loop(self, replay_and_loop):
@@ -164,16 +164,20 @@ class TestSharedConstructor:
         whole = DistMatrix.assemble_quadrants(*quads)
         assert whole.shared_block.shape == (4, 4)
         assert a.column_panel(0, 4).shared_block.shape == (4, 2)
-        view = a.reindexed(g.subcube(0), m=8)
+        view = a.subcube(0)
         assert view.shared_block is a.shared_block
 
-    def test_on_grid_restricts_per_rank_dicts(self, rng):
+    def test_per_rank_dict_constructor_stacks_numeric_blocks(self, rng):
         vm, g = make_tunable(2, 4)
         a = DistMatrix.from_global(g, rng.standard_normal((16, 4)))
         sub = g.subcube(1)
-        view = DistMatrix.on_grid(sub, 8, 4, a.blocks)
+        blocks = {r: a.blocks[r] for r in sub.all_ranks()}
+        view = DistMatrix(sub, 8, 4, blocks)
         assert sorted(view.blocks) == sorted(sub.all_ranks())
         assert view.is_numeric
+        np.testing.assert_array_equal(view.data, a.subcube(1).data)
+        # The constructor copies: the caller's buffers are not aliased.
+        assert not np.shares_memory(view.data, a.data)
 
 
 class TestGridTrust:
@@ -208,5 +212,5 @@ class TestShiftedSubcubeZip:
     def test_single_pass_results_are_lazy(self):
         vm, g = make_tunable(2, 8)
         res = ca_cqr(vm, DistMatrix.symbolic(g, 256, 8))
-        assert isinstance(res.r_subcubes, SharedSubcubeResults)
+        assert isinstance(res.r_subcubes, SubcubeResults)
         assert [r.grid.dims for r in res.r_subcubes] == [(2, 2, 2)] * 4
