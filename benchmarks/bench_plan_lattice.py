@@ -16,8 +16,7 @@ or message pressure grows?) -- three ways:
 1. **Per-point loop** (the baseline): ``planner.plan(p)`` once per
    point, exactly what a user script would write.  ``plan`` is the
    one-point case of ``plan_many``, so this is the same search run on
-   one point at a time: nothing is shared across points but the
-   planner's in-memory program memo.
+   one point at a time: nothing is shared across points.
 2. **Lattice, cold**: one ``planner.plan_many(problems)`` call.  The
    acceptance bar: >= 5x end-to-end over the loop, with every ranked
    plan field bit-identical.
@@ -26,8 +25,9 @@ or message pressure grows?) -- three ways:
 
 ``top_k=12`` refines essentially every symbolic candidate at these
 sizes -- the deep-exploration setting a trade-surface campaign wants,
-and the regime where the lattice's deduplicated refinement (capture
-each distinct configuration once, replay per machine) pays most.
+and the regime where the lattice's deduplicated refinement (one
+symbolic run per distinct configuration and machine, shared by every
+objective) pays most.
 
 Results are written to ``BENCH_planlattice.json`` at the repository
 root and archived under ``benchmarks/results/``.  ``REPRO_BENCH_TOY=1``
@@ -134,8 +134,7 @@ def bench_plan_lattice_campaign(benchmark):
         f"({stats.screened_candidates} candidates priced as "
         f"{stats.priced_lanes} lanes in {stats.price_segments} segments)",
         f"  refine dedup   : {stats.refine_dedup:.2f}x "
-        f"({stats.refine_jobs} jobs -> {stats.programs_captured} captures "
-        f"+ {stats.programs_replayed} replays)",
+        f"({stats.refine_jobs} jobs -> {stats.refine_runs} refine_runs)",
         "  rankings       : bit-identical, every plan of every point",
     ]
     archive("bench_plan_lattice", "\n".join(lines))

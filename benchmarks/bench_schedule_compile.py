@@ -1,27 +1,23 @@
 """Compiled charge programs: compile-once/replay-N against the loop path.
 
 Not a paper artifact: this pins the PR-6 tentpole claims for
-:mod:`repro.sched`.  Six probes:
+:mod:`repro.sched`.  Five probes:
 
 1. **Panels replay** -- symbolic panel-blocked CA-CQR2
    (:func:`~repro.core.panels_dist.ca_panel_cqr2`), compiled program
    replay vs the per-panel Python loop on identical inputs, with the
    cost reports asserted equal.  The ``>= 5x`` speedup at bench sizes is
    the acceptance bar.
-2. **Planner refinement** -- top-k refinement at the paper-scale
-   ``P = 4096`` planning point, cold (capture + store) vs warm (pure
-   program replay from the on-disk cache); the warm pass must beat the
-   pre-IR ``BENCH_plan.json`` refine baseline.
-3. **Symbolic p-ladder top end** -- one end-to-end symbolic CA-CQR2 run
+2. **Symbolic p-ladder top end** -- one end-to-end symbolic CA-CQR2 run
    at ``p = 2**20``, the point the ROADMAP called out at ~20s before
    the IR; must now land well under it.
-4. **Zero per-op string work** -- replaying a several-hundred-op program
+3. **Zero per-op string work** -- replaying a several-hundred-op program
    may intern each *distinct phase name* once, never once per op
    (asserted by counting ``_phase_id`` calls under replay).
-5. **Verify-on-capture overhead** -- capturing with ``debug=True``
+4. **Verify-on-capture overhead** -- capturing with ``debug=True``
    (the :mod:`repro.analysis` verifier, always on under the test
    suite) must stay within ``MAX_VERIFY_OVERHEAD`` of a raw capture.
-6. **Numeric subcube replay** -- numeric CA-CQR2 at ``d > c``, whose
+5. **Numeric subcube replay** -- numeric CA-CQR2 at ``d > c``, whose
    redundant per-subcube numerics run once and whose charges replay onto
    all ``d/c`` subcubes, vs the per-subcube loop: ``Q``, every ``R`` and
    the cost report must be bit-identical, and at bench sizes the compiled
@@ -37,8 +33,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import shutil
-import tempfile
 import time
 from typing import List
 
@@ -53,7 +47,6 @@ from repro.core.panels_dist import (
 )
 from repro import Session
 from repro.engine import MatrixSpec, RunSpec
-from repro.plan import Planner, ProblemSpec
 from repro.sched import RankFamilyMap, ScheduleRecorder, compiled_replay_disabled
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
@@ -68,12 +61,6 @@ PANELS = (2, 4, 2 ** 10, 64, 16) if TOY else (4, 32, 2 ** 14, 256, 16)
 # At toy sizes per-call overhead dominates, so the smoke job only
 # exercises the probe; the full run enforces the acceptance bar.
 MIN_PANEL_SPEEDUP = 0.0 if TOY else 5.0
-
-#: The BENCH_plan.json search_throughput planning point (P = 4096).
-REFINE_PROBLEM = (dict(m=2 ** 12, n=64, procs=64, top_k=2) if TOY else
-                  dict(m=2 ** 22, n=512, procs=4096, top_k=3))
-#: Pre-IR refine_seconds at that point (BENCH_plan.json, loop path).
-REFINE_BASELINE_SECONDS = 1.80
 
 #: (c, d, m, n) for the ladder-top probe; p = c*d*c.
 LADDER_TOP = (2, 4, 2 ** 10, 32) if TOY else (16, 4096, 2 ** 18, 1024)
@@ -158,49 +145,6 @@ def bench_panels_compiled_replay(benchmark):
     assert speedup >= MIN_PANEL_SPEEDUP, (
         f"compiled panels replay only {speedup:.1f}x faster than the loop "
         f"(bar: {MIN_PANEL_SPEEDUP}x)")
-
-
-def bench_planner_refine_programs(benchmark):
-    """Top-k refinement at P=4096: cold capture vs warm program replay."""
-    problem = ProblemSpec(machine="stampede2", mode="symbolic",
-                          **REFINE_PROBLEM)
-    cache_dir = tempfile.mkdtemp(prefix="repro-sched-bench-")
-    try:
-        cold = Planner(refine="symbolic",
-                       program_cache_dir=cache_dir).plan(problem)
-        # A fresh planner over the same directory: pure replay, no capture.
-        warm_planner = Planner(refine="symbolic", program_cache_dir=cache_dir)
-        warm = benchmark(lambda: warm_planner.plan(problem))
-        if warm is None:  # pytest-benchmark returns the callable's result
-            warm = warm_planner.plan(problem)
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-    assert ([p.to_dict() for p in warm.plans]
-            == [p.to_dict() for p in cold.plans]), (
-        "warm program-cache refinement drifted from the cold pass")
-
-    lines = [
-        f"planner refinement @ P={problem.procs} "
-        f"({problem.m}x{problem.n}, top_k={problem.top_k})",
-        f"  cold (capture + store) : {cold.refine_seconds:.4f} s",
-        f"  warm (program replay)  : {warm.refine_seconds:.4f} s",
-        f"  pre-IR loop baseline   : {REFINE_BASELINE_SECONDS:.2f} s "
-        f"(BENCH_plan.json)",
-    ]
-    archive("bench_schedule_compile_refine", "\n".join(lines))
-    _merge_json({"planner_refine": {
-        "m": problem.m, "n": problem.n, "procs": problem.procs,
-        "top_k": problem.top_k,
-        "cold_refine_seconds": cold.refine_seconds,
-        "warm_refine_seconds": warm.refine_seconds,
-        "baseline_refine_seconds": None if TOY else REFINE_BASELINE_SECONDS,
-    }})
-    if not TOY:
-        assert warm.refine_seconds < REFINE_BASELINE_SECONDS, (
-            f"warm refinement took {warm.refine_seconds:.2f}s; the program "
-            f"cache should beat the {REFINE_BASELINE_SECONDS:.2f}s loop "
-            f"baseline")
 
 
 def bench_symbolic_ladder_top(benchmark):

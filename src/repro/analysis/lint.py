@@ -10,8 +10,7 @@ meaningless to a generic linter:
     self._lock`` -- the shared-state race heuristic for the types the
     serve layer drives from N worker threads
     (:class:`~repro.obs.metrics.MetricsRegistry`,
-    :class:`~repro.serve.cache.LRUPlanCache`,
-    :class:`~repro.plan.planner.ProgramMemo`, ...).  Underscore-prefixed
+    :class:`~repro.serve.cache.LRUPlanCache`, ...).  Underscore-prefixed
     helpers are exempt (the repository's caller-holds-the-lock
     convention), as is ``__init__`` (no concurrent aliases yet).
 
@@ -36,11 +35,14 @@ meaningless to a generic linter:
     mapping every rank to one shared block.  Shared-block symbolic
     matrices go through :meth:`~repro.vmpi.distmatrix.DistMatrix.shared`
     (one :class:`~repro.vmpi.datatypes.SharedBlockMap`, O(1) objects).
-    And no ``for ... in <grid>.coords()`` loop (or comprehension) in
-    ``core``'s CA-CQR2 steps (:data:`STACKED_STEP_FILES`): their numerics
-    are whole-array operations on the stacked blocks of
+    And no ``for ... in <grid>.coords()`` or ``for ... in
+    range(<grid>.dim_y)`` loop (or comprehension) in ``core``'s stacked
+    steps (:data:`STACKED_STEP_FILES`): their numerics are whole-array
+    operations on the stacked blocks of
     :class:`~repro.vmpi.distmatrix.DistMatrix`, and a per-rank loop there
-    is the pattern the stacked layout replaced.
+    is the pattern the stacked layout replaced.  ``dim_y`` is the row
+    axis, the one that grows with ``P`` (``d`` ranks on a ``c x d x c``
+    grid, all ``P`` on 1D-CQR's ``1 x P x 1``).
 
 All rules report as :class:`~repro.analysis.findings.Finding` with
 ``loc = "path:line"``, like every other ``repro check`` pass.
@@ -60,7 +62,7 @@ LINT_RULES = {
     "lint/lock-discipline": "attributes of a _lock-owning class are only mutated under `with self._lock` in public methods",
     "lint/solver-count-fields": "registered Solver subclasses explicitly declare count_machine_fields",
     "lint/no-wallclock": "no wall-clock reads inside vmpi/sched/costmodel",
-    "lint/no-per-rank-dict": "no dict.fromkeys(<x>.all_ranks() | <x>.blocks, ...) inside core/vmpi, no <grid>.coords() loops in core's CA-CQR2 steps",
+    "lint/no-per-rank-dict": "no dict.fromkeys(<x>.all_ranks() | <x>.blocks, ...) inside core/vmpi, no <grid>.coords() or range(<grid>.dim_y) loops in core's stacked steps",
 }
 
 #: Directories whose files must stay wall-clock-free (deterministic
@@ -72,7 +74,7 @@ PER_RANK_DICT_SCOPES = frozenset({"core", "vmpi"})
 
 #: ``core`` modules whose numerics run on stacked arrays: no per-rank loops.
 STACKED_STEP_FILES = frozenset({"mm3d.py", "cfr3d.py", "elementwise.py",
-                                "cacqr.py"})
+                                "cacqr.py", "cqr_1d.py"})
 
 _TIME_ATTRS = frozenset({"time", "perf_counter", "monotonic", "process_time",
                          "time_ns", "perf_counter_ns", "monotonic_ns",
@@ -136,10 +138,19 @@ def _is_per_rank_keys(node: ast.expr) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "blocks"
 
 
-def _is_coords_call(node: ast.expr) -> bool:
-    """``<x>.coords()``."""
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "coords")
+def _per_rank_iter(node: ast.expr) -> Optional[str]:
+    """``"<grid>.coords()"`` or ``"range(<grid>.dim_y)"`` for such an
+    iterable, else ``None``."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr == "coords":
+        return "<grid>.coords()"
+    if (isinstance(func, ast.Name) and func.id == "range"
+            and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "dim_y"):
+        return "range(<grid>.dim_y)"
+    return None
 
 
 def _in_stacked_step(path: str) -> bool:
@@ -151,6 +162,8 @@ def _lint_per_rank_dict(tree: ast.Module, path: str) -> List[Finding]:
     findings = []
     stacked = _in_stacked_step(path)
     for node in ast.walk(tree):
+        loop = (_per_rank_iter(node.iter) if stacked and isinstance(
+            node, (ast.For, ast.AsyncFor, ast.comprehension)) else None)
         if (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "fromkeys"
@@ -161,14 +174,12 @@ def _lint_per_rank_dict(tree: ast.Module, path: str) -> List[Finding]:
                 "lint/no-per-rank-dict", _loc(path, node),
                 "dict.fromkeys over every rank builds an O(P) per-rank "
                 "dict; use DistMatrix.shared (one SharedBlockMap)"))
-        elif (stacked and isinstance(node, (ast.For, ast.AsyncFor,
-                                            ast.comprehension))
-                and _is_coords_call(node.iter)):
+        elif loop is not None:
             findings.append(Finding(
                 "lint/no-per-rank-dict", _loc(path, node.iter),
-                "per-rank loop over <grid>.coords() in a stacked CA-CQR2 "
-                "step; operate on DistMatrix.data and charge each "
-                "communicator family in one machine call"))
+                f"per-rank loop over {loop} in a stacked step; operate "
+                f"on DistMatrix.data and charge each communicator family "
+                f"in one machine call"))
     return findings
 
 

@@ -192,7 +192,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         planner = Planner(refine=None if args.no_refine else "symbolic",
                           cache_dir=args.cache_dir
                           or default_session().plan_cache,
-                          program_cache_dir=default_session().sched_cache,
                           obs=obs)
         try:
             result = planner.plan(problem)
@@ -218,7 +217,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
           f"objective={objective}){cached}")
     print(f"screened {result.num_candidates} candidates in "
           f"{result.screen_seconds:.3f}s"
-          + (f"; refined top {result.refined_count} by symbolic replay in "
+          + (f"; refined top {result.refined_count} by symbolic runs in "
              f"{result.refine_seconds:.3f}s" if result.refined_count else ""))
     print("=" * 78)
     print(f"{'rank':>4} {'algorithm':<10} {'config':<22} {'t(s)':>10} "
@@ -272,7 +271,6 @@ def _cmd_plan_lattice(args: argparse.Namespace) -> int:
         planner = Planner(refine=None if args.no_refine else "symbolic",
                           cache_dir=args.cache_dir
                           or default_session().plan_cache,
-                          program_cache_dir=default_session().sched_cache,
                           obs=obs)
         try:
             outcomes = planner.plan_many(problems, errors="return")
@@ -330,8 +328,7 @@ def _cmd_plan_lattice(args: argparse.Namespace) -> int:
               f"{stats.priced_lanes} priced lanes answered "
               f"{stats.screened_candidates} candidate screenings "
               f"({stats.screen_reuse:.1f}x reuse); "
-              f"{stats.programs_captured} captures + "
-              f"{stats.programs_replayed} replays answered "
+              f"{stats.refine_runs} symbolic runs answered "
               f"{stats.refine_jobs} refine jobs "
               f"({stats.refine_dedup:.1f}x dedup); "
               f"{stats.cache_hits} cache hits")
@@ -756,19 +753,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if survey_all:
         from repro.obs import get_registry
-        from repro.session import default_session
 
-        # The planner's in-memory compiled-program LRU (not a disk
-        # cache): entries live for a planner's lifetime, bounded by
-        # capacity.
-        info["program_memo"] = default_session().planner().program_memo_info()
         # Live hit/miss/eviction counters for every cache in this
         # process, read from the one metrics registry the caches write
         # through to (repro.obs).
-        registry = get_registry()
-        info["counters"] = dict(
-            sorted({**registry.counters("cache."),
-                    **registry.counters("program_memo.")}.items()))
+        info["counters"] = dict(sorted(get_registry().counters("cache.").items()))
     print(json.dumps(info, indent=2, sort_keys=True))
     return 0
 
@@ -954,10 +943,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("-b", "--block-size", type=int, default=None,
                         help="pin the 2D panel width instead of searching one")
     p_plan.add_argument("--top-k", type=int, default=4,
-                        help="survivors refined by exact symbolic replay")
+                        help="survivors refined by an exact symbolic run")
     p_plan.add_argument("--no-refine", action="store_true",
-                        help="batched analytic screen only (skip symbolic "
-                             "replay)")
+                        help="batched analytic screen only (skip the symbolic "
+                             "runs)")
     p_plan.add_argument("--limit", type=int, default=12,
                         help="ranked plans to print (see --all)")
     p_plan.add_argument("--all", action="store_true",
@@ -1175,7 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="on-disk plan cache under the LRU (default: "
                             ".repro-plan-cache or REPRO_PLAN_CACHE_DIR)")
     p_srv.add_argument("--no-refine", action="store_true",
-                       help="screen-only planning (skip symbolic replay "
+                       help="screen-only planning (skip the symbolic runs "
                             "of the top-k)")
     p_srv.add_argument("--slow-request-seconds", type=float, default=None,
                        metavar="SECONDS",

@@ -17,17 +17,25 @@ overdetermined.
 
 The grid here is a degenerate ``1 x P x 1`` :class:`Grid3D`, so the same
 :class:`DistMatrix` machinery (cyclic rows over ``y``) serves unchanged.
+Every step charges all ``P`` ranks in one family-batched machine call and
+computes once: on the shared symbolic block, or on the stacked ``(1, P,
+1, m/P, n)`` array of a numeric matrix.  The redundant ``n x n`` results
+(``R`` and the CholInv behind it) are one block every rank shares.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
+import numpy as np
+
+from repro.costmodel import collectives as cc
 from repro.kernels import flops as fl
-from repro.kernels.blas import local_mm, local_syrk
+from repro.kernels.blas import local_mm
 from repro.kernels.cholesky import local_cholinv
 from repro.utils.validation import require
-from repro.vmpi.datatypes import Block
+from repro.vmpi.comm import ordered_sum
+from repro.vmpi.datatypes import NumericBlock, SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix, Replicated
 from repro.vmpi.machine import VirtualMachine
 
@@ -39,6 +47,20 @@ def _validate_1d(a: DistMatrix) -> None:
     require(a.m >= a.n, f"1D-CQR needs a tall matrix, got {a.m}x{a.n}")
 
 
+def _gram_stacked(data: np.ndarray) -> np.ndarray:
+    """Lines 1-2's numerics: every rank's Syrk, allreduced in rank order.
+
+    Each slice of the stacked ``A_local.T @ A_local`` reads one buffer
+    twice, so numpy takes the same syrk path per slice as
+    :func:`~repro.kernels.blas.local_syrk` does per block, and the
+    symmetrization is elementwise: every partial has the per-block bits.
+    The sum is the collectives' float64 zero plus each rank in order.
+    """
+    partials = np.matmul(data.swapaxes(-1, -2), data)
+    partials = 0.5 * (partials + partials.swapaxes(-1, -2))
+    return ordered_sum(partials, axis=1)[0, 0]
+
+
 def cqr_1d(vm: VirtualMachine, a: DistMatrix,
            phase: str = "cqr1d") -> Tuple[DistMatrix, Replicated]:
     """One parallel CholeskyQR pass (Algorithm 6).
@@ -48,44 +70,33 @@ def cqr_1d(vm: VirtualMachine, a: DistMatrix,
     """
     _validate_1d(a)
     g = a.grid
-    n = a.n
+    ranks = g.all_ranks_array
+    rows, n = a.local_rows, a.n
 
-    # Line 1: local symmetric rank-(m/P) update.
-    grams: Dict[int, Block] = {}
-    for y in range(g.dim_y):
-        rank = g.rank_at(0, y, 0)
-        gram, flops = local_syrk(a.blocks[rank])
-        vm.charge_flops(rank, flops, f"{phase}.syrk")
-        grams[rank] = gram
+    # Line 1: local symmetric rank-(m/P) update on every rank.
+    vm.charge_flops_group(ranks, fl.syrk_flops(rows, n), f"{phase}.syrk")
 
     # Line 2: Allreduce the n x n Gram matrix over the whole grid.
-    comm = g.comm_y(0, 0)
-    z_blocks = comm.allreduce(grams, phase=f"{phase}.allreduce")
+    vm.charge_comm_group(ranks, cc.allreduce_cost(n * n, g.size),
+                         f"{phase}.allreduce")
 
-    # Line 3: redundant CholInv on every processor.  Orchestration economy:
-    # factor once (inputs are bitwise identical) but charge every rank.
-    any_rank = g.rank_at(0, 0, 0)
-    l, y_inv, flops = local_cholinv(z_blocks[any_rank])
-    r_blocks: Dict[int, Block] = {}
-    rinv_t: Dict[int, Block] = {}
-    for yc in range(g.dim_y):
-        rank = g.rank_at(0, yc, 0)
-        vm.charge_flops(rank, flops, f"{phase}.cholinv")
-        r_blocks[rank] = l.transpose()       # R = L.T
-        rinv_t[rank] = y_inv                 # Y = R**-T
-    r = Replicated((n, n), r_blocks)
+    # Line 3: redundant CholInv on every processor -- factored once (every
+    # rank holds the bitwise identical Gram), charged to all.
+    gram = (SymbolicBlock((n, n)) if a.data is None
+            else NumericBlock(_gram_stacked(a.data)))
+    l, y_inv, flops = local_cholinv(gram)
+    vm.charge_flops_group(ranks, flops, f"{phase}.cholinv")
+    r = Replicated.shared(ranks, l.transpose())      # R = L.T
 
     # Line 4: Q_local = A_local @ R**-1 = A_local @ Y.T.  R**-1 is
     # triangular, so the charge is the TRMM rate ((m/P) n**2) rather than a
     # dense GEMM's 2 (m/P) n**2.
-    q_blocks: Dict[int, Block] = {}
-    for yc in range(g.dim_y):
-        rank = g.rank_at(0, yc, 0)
-        q_blk, flops = local_mm(a.blocks[rank], rinv_t[rank].transpose())
-        vm.charge_flops(rank, flops * fl.TRMM_FRACTION, f"{phase}.apply-rinv")
-        q_blocks[rank] = q_blk
-    q = DistMatrix(g, a.m, n, q_blocks)
-    return q, r
+    vm.charge_flops_group(ranks, fl.mm_flops(rows, n, n) * fl.TRMM_FRACTION,
+                          f"{phase}.apply-rinv")
+    if a.data is None:
+        return DistMatrix.symbolic(g, a.m, n), r
+    rinv = y_inv.transpose().data                    # Y.T, C-contiguous
+    return DistMatrix.stacked(g, a.m, n, np.matmul(a.data, rinv)), r
 
 
 def cqr2_1d(vm: VirtualMachine, a: DistMatrix,
@@ -100,15 +111,8 @@ def cqr2_1d(vm: VirtualMachine, a: DistMatrix,
     q1, r1 = cqr_1d(vm, a, phase=f"{phase}.pass1")
     q, r2 = cqr_1d(vm, q1, phase=f"{phase}.pass2")
 
-    g = a.grid
-    n = a.n
-    merged: Dict[int, Block] = {}
     # Merge once numerically, charge every rank (redundant computation).
-    any_rank = g.rank_at(0, 0, 0)
-    prod, _ = local_mm(r2.block(any_rank), r1.block(any_rank))
-    tri_flops = (n ** 3) / 3.0
-    for yc in range(g.dim_y):
-        rank = g.rank_at(0, yc, 0)
-        vm.charge_flops(rank, tri_flops, f"{phase}.merge-r")
-        merged[rank] = prod.copy()
-    return q, Replicated((n, n), merged)
+    ranks = a.grid.all_ranks_array
+    prod, _ = local_mm(r2.shared_block, r1.shared_block)
+    vm.charge_flops_group(ranks, (a.n ** 3) / 3.0, f"{phase}.merge-r")
+    return q, Replicated.shared(ranks, prod)

@@ -22,7 +22,7 @@ The search enumerates every feasible candidate across all registered
 algorithms (the registry's planning hooks), screens hundreds of them
 with the vectorized analytic cost model in one batched numpy evaluation
 (:mod:`repro.costmodel.batch`, bit-identical to the scalar closed
-forms), refines the top-k survivors with exact symbolic-VM replay, and
+forms), refines the top-k survivors with an exact symbolic-VM run, and
 reports a Pareto frontier over (time, memory high-water, messages)
 rather than a single winner.  There is one search path:
 :func:`search_lattice` answers a whole problem lattice

@@ -6,8 +6,8 @@ related ``(m, n, P, machine)`` questions.  :func:`search_lattice` answers
 them all at once by amortizing everything the points share.  It is the
 planner's only search: ``Planner.plan_many`` runs it over a lattice and
 ``Planner.plan`` is the one-point case.  It is the planner's own
-semi-infinite-programming idiom (cheap relaxation prunes, exact replay
-refines) lifted one level up:
+semi-infinite-programming idiom (cheap relaxation prunes, an exact
+symbolic run refines) lifted one level up:
 
 1. **Cross-problem screening.**  Candidates are enumerated once per
    distinct machine-free shape tuple ``(m, n, P, mode, block sizes,
@@ -22,11 +22,10 @@ refines) lifted one level up:
    evaluation M-fold.
 
 2. **Deduplicated refinement.**  Top-k survivors are collected across
-   *all* points and deduplicated by compiled-program key (machine
-   excluded, per the Schedule IR): each distinct configuration is
-   captured exactly once -- by the first job that needs it, whose report
-   is the capture's own -- and every other (program, machine) job is
-   answered by one shared vectorized replay.
+   *all* points and deduplicated by prepared spec and machine: each
+   distinct one is answered by exactly one plain symbolic run through
+   the engine's own pipeline (:func:`repro.engine.runner._execute`), so
+   a survivor repeated across points and objectives costs one run.
 
 3. **Bulk cache probe.**  All fingerprints are probed against the plan
    cache in one directory pass (:meth:`AtomicDiskCache.load_many`), and
@@ -48,7 +47,7 @@ import numpy as np
 
 from repro.costmodel.batch import priced_seconds_segments
 from repro.engine.registry import CapabilityError, solver_for
-from repro.engine.spec import MatrixSpec
+from repro.engine.spec import MatrixSpec, RunSpec, fingerprint
 from repro.obs import span
 from repro.plan.planner import Plan, PlanResult
 from repro.plan.problem import (
@@ -58,8 +57,6 @@ from repro.plan.problem import (
     problem_from_dict,
 )
 from repro.plan.screen import enumerate_candidates
-from repro.sched import program_key
-from repro.utils.config import usable_cpus
 from repro.utils.validation import ValidationError, check_positive_int
 
 
@@ -82,12 +79,10 @@ class LatticeStats:
     price_segments: int = 0
     priced_lanes: int = 0
     screened_candidates: int = 0
-    #: Refinement amortization: survivor jobs versus the exact
-    #: simulations (captures + distinct replays) that answered them.
+    #: Refinement amortization: survivor jobs versus the distinct
+    #: symbolic runs that answered them.
     refine_jobs: int = 0
-    distinct_programs: int = 0
-    programs_captured: int = 0
-    programs_replayed: int = 0
+    refine_runs: int = 0
     #: Wall-clock of the two batched stages.
     screen_seconds: float = 0.0
     refine_seconds: float = 0.0
@@ -99,9 +94,8 @@ class LatticeStats:
 
     @property
     def refine_dedup(self) -> float:
-        """Refine jobs answered per exact simulation run (>= 1)."""
-        return self.refine_jobs / max(
-            1, self.programs_captured + self.programs_replayed)
+        """Refine jobs answered per symbolic run (>= 1)."""
+        return self.refine_jobs / max(1, self.refine_runs)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -201,8 +195,8 @@ class _PointView:
     ranked_symbolic: List[bool] = field(default_factory=list)
     num_candidates: int = 0
     survivors: List[int] = field(default_factory=list)
-    #: Refine-job indices (into the global job list), one per survivor.
-    jobs: List[int] = field(default_factory=list)
+    #: Refinement run keys, one per survivor.
+    runs: List[str] = field(default_factory=list)
 
 
 def _enum_key(planner, problem: ProblemSpec) -> tuple:
@@ -378,15 +372,12 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
             del views[i]
     stats.screen_seconds = time.perf_counter() - screen_start
 
-    # -- stage 3: refinement, deduplicated by program key -------------------------
+    # -- stage 3: refinement, one symbolic run per distinct survivor -------------
     refine_start = time.perf_counter()
     with span("plan_many.refine", mode=planner.refine) as refine_span:
         if planner.refine is not None and views:
-            _refine_lattice(planner, views, results, stats)
-        refine_span.set(survivors=stats.refine_jobs,
-                        distinct_programs=stats.distinct_programs,
-                        captured=stats.programs_captured,
-                        replayed=stats.programs_replayed)
+            _refine_lattice(views, results, stats)
+        refine_span.set(survivors=stats.refine_jobs, runs=stats.refine_runs)
     stats.refine_seconds = time.perf_counter() - refine_start
 
     # -- stage 4: rank, mark, assemble, cache -------------------------------------
@@ -429,20 +420,20 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
     return results, stats
 
 
-def _refine_lattice(planner, views: Dict[int, _PointView], results: list,
+def _refine_lattice(views: Dict[int, _PointView], results: list,
                     stats: LatticeStats) -> None:
-    """Refine every point's survivors with shared captures and replays.
+    """Refine every point's survivors with one plain symbolic run each.
 
-    Walking points (and survivors within a point) in order, the *first*
-    job whose program is in neither the memo nor the program cache
-    captures it -- and uses the capture's own report -- while every other
-    job replays, one vectorized replay per distinct (program, machine)
-    pair.  Survivors are the top-k *refinable* plans in ranking order:
+    Survivors are the top-k *refinable* plans in ranking order:
     numeric-only baselines ranked above them do not use up the budget.
+    A survivor is identified by its prepared spec's fingerprint, machine
+    included, so survivors repeated across points and objectives share
+    one run through the engine's own pipeline.  A point whose survivor
+    fails to prepare ends as an error and contributes no runs.
     """
-    from repro.sched.capture import capture_many, replay_report
+    from repro.engine.runner import _execute
 
-    jobs: List[tuple] = []              # (spec, prepared, program_key)
+    runs: Dict[str, RunSpec] = {}           # run key -> prepared spec
     for i in list(views):
         view = views[i]
         problem = view.problem
@@ -450,74 +441,29 @@ def _refine_lattice(planner, views: Dict[int, _PointView], results: list,
         survivors = [k for k, ok in enumerate(view.ranked_symbolic)
                      if ok][:problem.top_k]
         try:
+            prepared = []
             for k in survivors:
-                spec = view.plans[k].to_run_spec(
-                    matrix=matrix, mode="symbolic", machine=problem.machine)
-                prepared = solver_for(spec.algorithm).prepare(spec)
-                key = program_key(prepared,
-                                  solver_for(prepared.algorithm).name)
-                view.jobs.append(len(jobs))
-                jobs.append((spec, prepared, key))
-            view.survivors = survivors
+                solver = solver_for(view.plans[k].algorithm)
+                spec = solver.prepare(view.plans[k].to_run_spec(
+                    matrix=matrix, mode="symbolic", machine=problem.machine))
+                prepared.append((fingerprint(spec, solver.name), spec))
         except Exception as exc:        # noqa: BLE001 - per-point isolation
             results[i] = exc
             stats.errors += 1
-            view.jobs = []
             del views[i]
-    stats.refine_jobs = len(jobs)
-    stats.distinct_programs = len({key for _, _, key in jobs})
-
-    # Resolve each distinct program: memo -> disk cache -> capture (the
-    # first job to need it supplies the capture spec, in job order).
-    programs: Dict[str, object] = {}
-    capture_specs: Dict[str, tuple] = {}    # key -> (job index, spec)
-    for j, (spec, _prepared, key) in enumerate(jobs):
-        if key in programs or key in capture_specs:
             continue
-        program = planner._program_memo.get(key)
-        if program is None and planner.programs is not None:
-            program = planner.programs.load(key)
-            if program is not None:
-                planner._program_memo.put(key, program)
-        if program is not None:
-            programs[key] = program
-        else:
-            capture_specs[key] = (j, spec)
-    capture_reports: Dict[str, object] = {}
-    if capture_specs:
-        keys = list(capture_specs)
-        workers = min(len(keys), usable_cpus())
-        with span("plan_many.capture", programs=len(keys)):
-            captured = capture_many([capture_specs[k][1] for k in keys],
-                                    parallel=planner.parallel,
-                                    max_workers=workers)
-        for key, (program, report) in zip(keys, captured):
-            programs[key] = program
-            capture_reports[key] = report
-            planner._program_memo.put(key, program)
-            if planner.programs is not None:
-                planner.programs.store(key, program)
-        stats.programs_captured = len(keys)
+        view.survivors = survivors
+        view.runs = [key for key, _ in prepared]
+        for key, spec in prepared:
+            runs.setdefault(key, spec)
+    stats.refine_jobs = sum(len(view.runs) for view in views.values())
+    stats.refine_runs = len(runs)
 
-    replays: Dict[tuple, object] = {}
-    reports: List[object] = [None] * len(jobs)
-    with span("plan_many.replay", jobs=len(jobs)) as replay_span:
-        for j, (_spec, prepared, key) in enumerate(jobs):
-            if key in capture_reports and capture_specs[key][0] == j:
-                reports[j] = capture_reports[key]       # the capturing job
-                continue
-            machine_spec = prepared.machine_spec()
-            rkey = (key, dataclasses.astuple(machine_spec))
-            if rkey not in replays:
-                replays[rkey] = replay_report(programs[key], machine_spec)
-            reports[j] = replays[rkey]
-        replay_span.set(distinct=len(replays))
-    stats.programs_replayed = len(replays)
-
-    for i in list(views):
-        view = views[i]
-        for k, j in zip(view.survivors, view.jobs):
-            report = reports[j]
+    reports = {key: _execute(spec, trace=False)[0].report
+               for key, spec in runs.items()}
+    for view in views.values():
+        for k, key in zip(view.survivors, view.runs):
+            report = reports[key]
             view.plans[k] = dataclasses.replace(
                 view.plans[k],
                 refined_seconds=float(report.critical_path_time),

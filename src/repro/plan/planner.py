@@ -9,10 +9,11 @@ run?" in three stages:
 2. **Screen** all of them with the vectorized analytic cost model in one
    batched numpy evaluation (the semi-infinite-programming idiom: a
    cheap relaxation prunes a large constrained candidate space).
-3. **Refine** the top-k survivors exactly -- each is captured once as a
-   compiled charge program and replayed for its simulated critical path
-   (``refine="symbolic"``; ``refine=None`` returns the batched screen
-   as-is, which is already bit-identical to the scalar closed forms).
+3. **Refine** the top-k survivors exactly -- each distinct survivor is
+   one plain symbolic run through the engine's own pipeline, reporting
+   its simulated critical path (``refine="symbolic"``; ``refine=None``
+   returns the batched screen as-is, which is already bit-identical to
+   the scalar closed forms).
 
 One search implements all three: :func:`repro.plan.lattice.search_lattice`
 answers a whole problem lattice (:meth:`Planner.plan_many`), and
@@ -29,8 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,11 +40,9 @@ from repro.engine.spec import MatrixSpec, RunSpec
 from repro.obs import Observer, get_registry, span, use_observer
 from repro.plan.cache import PlanCache
 from repro.plan.problem import ProblemSpec, problem_fingerprint
-from repro.sched import ProgramCache
-from repro.sched.program import ChargeProgram
 from repro.utils.validation import require
 
-#: Refinement modes: exact symbolic-VM replay, or screen-only (``None``).
+#: Refinement modes: an exact symbolic-VM run, or screen-only (``None``).
 REFINE_MODES = ("symbolic", None)
 
 
@@ -175,52 +172,6 @@ def pareto_mask(points: np.ndarray) -> np.ndarray:
     return ~dominated[inverse]
 
 
-class ProgramMemo:
-    """Small thread-safe LRU over compiled charge programs.
-
-    A long-lived serve ``Session`` planning diverse traffic must not
-    accumulate every program it ever refined: programs are array-backed
-    and the key space (shape x grid x variant) is unbounded.  Eviction
-    only costs a re-load from the on-disk program cache (or, without
-    one, a re-capture), so a small bound suffices.  Thread-safe because
-    the serve endpoint runs one planner from several worker threads.
-    """
-
-    def __init__(self, capacity: int = 64):
-        require(capacity > 0, f"memo capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, ChargeProgram]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Optional[ChargeProgram]:
-        with self._lock:
-            program = self._entries.get(key)
-            if program is not None:
-                self._entries.move_to_end(key)
-        get_registry().counter(
-            "program_memo.hits" if program is not None
-            else "program_memo.misses").inc()
-        return program
-
-    def put(self, key: str, program: ChargeProgram) -> None:
-        evicted = 0
-        with self._lock:
-            self._entries[key] = program
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                evicted += 1
-        if evicted:
-            get_registry().counter("program_memo.evictions").inc(evicted)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def info(self) -> dict:
-        return {"entries": len(self), "capacity": self.capacity}
-
-
 class Planner:
     """Model-driven configuration search over the whole algorithm registry.
 
@@ -231,7 +182,7 @@ class Planner:
     Parameters
     ----------
     refine:
-        ``"symbolic"`` (default) replays the top-k survivors through the
+        ``"symbolic"`` (default) runs the top-k survivors through the
         vectorized virtual machine for their exact simulated critical
         path; ``None`` returns the batched screen as-is (the screen is
         bit-identical to the scalar closed forms, so no separate
@@ -239,19 +190,6 @@ class Planner:
     cache_dir:
         Directory for the fingerprint-keyed on-disk plan cache (same
         idiom as the engine's result cache).  ``None`` disables caching.
-    parallel:
-        Fan the survivors' program captures out over a process pool (one
-        worker per core; they are independent runs).
-    program_cache_dir:
-        Directory for the compiled-program cache
-        (:class:`repro.sched.ProgramCache`).  Refinement captures each
-        survivor's charge program on first simulation and replays the
-        program -- a few hundred vectorized array charges -- on every
-        later planning call that needs the same configuration.  Program
-        keys exclude the machine, so re-planning the same problem for a
-        different :class:`~repro.costmodel.params.MachineSpec` still
-        hits.  ``None`` keeps programs only in this planner's in-memory
-        memo.
     obs:
         An :class:`~repro.obs.Observer` to emit planning spans into
         (a ``plan`` or ``plan_many`` root over the ``plan_many.cache`` /
@@ -264,18 +202,12 @@ class Planner:
     """
 
     def __init__(self, refine: Optional[str] = "symbolic",
-                 cache_dir: Optional[str] = None, parallel: bool = True,
-                 program_cache_dir: Optional[str] = None,
-                 program_memo_capacity: int = 64,
+                 cache_dir: Optional[str] = None,
                  obs: Optional[Observer] = None):
         require(refine in REFINE_MODES,
                 f"refine must be one of {REFINE_MODES}, got {refine!r}")
         self.refine = refine
-        self.parallel = parallel
         self.cache = PlanCache(cache_dir) if cache_dir else None
-        self.programs = (ProgramCache(program_cache_dir)
-                         if program_cache_dir else None)
-        self._program_memo = ProgramMemo(program_memo_capacity)
         self.obs = obs
         #: :class:`~repro.plan.lattice.LatticeStats` of the most recent
         #: :meth:`plan_many` call (``None`` before the first).
@@ -313,8 +245,8 @@ class Planner:
         Plan-for-plan equal to ``[self.plan(p) for p in problems]`` (``plan``
         is the one-point case) but amortized: one enumeration and count
         evaluation per distinct shape (shared across machines), one
-        segment-priced screen, top-k survivors deduplicated by program
-        key and captured once, one bulk plan-cache probe.
+        segment-priced screen, top-k survivors deduplicated by prepared
+        spec and machine and run once, one bulk plan-cache probe.
         ``errors="raise"`` re-raises the first per-point failure (matching
         the loop); ``errors="return"`` leaves the exception object in that
         point's result slot so infeasible points do not poison their
@@ -345,16 +277,12 @@ class Planner:
         registry = get_registry()
         for name in ("points", "cache_hits", "batch_duplicates", "computed",
                      "errors", "screened_candidates", "refine_jobs",
-                     "programs_captured", "programs_replayed"):
+                     "refine_runs"):
             value = getattr(stats, name)
             if value:
                 registry.counter(f"lattice.{name}").inc(value)
         registry.gauge("lattice.screen_reuse").set(stats.screen_reuse)
         registry.gauge("lattice.refine_dedup").set(stats.refine_dedup)
-
-    def program_memo_info(self) -> dict:
-        """Occupancy of the in-memory compiled-program LRU."""
-        return self._program_memo.info()
 
     def fingerprint(self, problem: ProblemSpec) -> str:
         """The plan-cache key of *problem* under this planner's settings."""
@@ -364,8 +292,9 @@ class Planner:
     # -- internals ----------------------------------------------------------------
 
     def _ambient(self):
-        """Make this planner's observer ambient, so nested layers (sched
-        capture/replay) parent under its spans; else keep the caller's."""
+        """Make this planner's observer ambient, so nested layers (the
+        refinement runs' sched replays) parent under its spans; else keep
+        the caller's."""
         if self.obs is None:
             return contextlib.nullcontext()
         return use_observer(self.obs)

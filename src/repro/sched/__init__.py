@@ -19,10 +19,9 @@ Replay is exact by construction (disjoint charges commute; the collapsed
 fast path is guarded by strict state-equality checks -- see
 :mod:`repro.sched.replay`), composes with trace sinks, and does zero
 per-op phase-string work.  Whole engine runs can be captured and
-replayed through :mod:`repro.sched.capture`, and compiled programs are
-cached machine-independently by :mod:`repro.sched.cache` -- the planner
-refines top-k survivors by replaying programs instead of re-simulating
-candidates from scratch.
+replayed through :mod:`repro.sched.capture` (the IR's test oracle: a
+replayed whole run reports exactly what a plain run does), and compiled
+programs can be cached machine-independently by :mod:`repro.sched.cache`.
 
 The :func:`compiled_replay_disabled` context manager forces every
 consumer back onto the uncompiled loop path -- the reference oracle the

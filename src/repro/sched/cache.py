@@ -6,9 +6,7 @@ cache and the planner's plan cache, with one deliberate difference: the
 records counts (messages, words, flops), not seconds -- the
 alpha-beta-gamma rates are applied by the target machine at replay time
 -- so one captured program serves every
-:class:`~repro.costmodel.params.MachineSpec`.  Planning the same problem
-for Stampede2 and then Blue Waters misses the *plan* cache (plans rank
-modeled seconds) but hits the *program* cache.
+:class:`~repro.costmodel.params.MachineSpec`.
 
 Keys do cover the :data:`SCHED_VERSION` tag, so an IR format change
 invalidates old entries; ``repro cache clear --sched`` (and the

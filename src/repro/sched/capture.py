@@ -8,16 +8,17 @@ run's own :class:`~repro.costmodel.ledger.CostReport` (the recorder is a
 working machine, so the capturing run costs one normal symbolic run).
 
 :func:`replay_report` is the other half: re-simulate a captured program
-under any machine in pure vectorized replay -- a few hundred array ops
-instead of a full solver execution -- and report.  Together they back
-the planner's program-cache-accelerated refinement.
+under any machine in pure vectorized replay, one rank at a time through
+the identity binding, and report.  Together they are the Schedule IR's
+test oracle: a whole-run program replayed under any machine must report
+exactly what a plain symbolic run on that machine reports.  Nothing on
+the planning or serving path captures whole runs; the planner refines
+with plain symbolic runs.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import functools
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from repro.costmodel.ledger import CostReport
 from repro.costmodel.params import MachineSpec
@@ -71,38 +72,3 @@ def replay_report(program: ChargeProgram,
         bound = program.specialize(RankFamilyMap.identity(program.num_ranks))
         bound.replay(vm)
         return vm.report()
-
-
-def _capture_worker(spec, debug: Optional[bool] = None) -> CaptureResult:
-    """Process-pool entry point (module-level for picklability)."""
-    return capture_run(spec, debug=debug)
-
-
-def capture_many(specs: Sequence, parallel: bool = True,
-                 max_workers: Optional[int] = None,
-                 debug: Optional[bool] = None) -> List[CaptureResult]:
-    """Capture several independent specs, optionally over a process pool.
-
-    ``max_workers`` bounds the pool width (default: one worker per spec,
-    the historical behavior); the lattice planner passes the core count
-    so one wide batch does not fork hundreds of processes.  Falls back to
-    serial capture when pools are unavailable (sandboxed ``/dev/shm``,
-    spawn failures) -- mirroring the engine's batch policy.
-    """
-    from repro.engine.registry import UnknownAlgorithmError
-
-    specs = list(specs)
-    if not parallel or len(specs) <= 1:
-        return [capture_run(spec, debug=debug) for spec in specs]
-    workers = len(specs) if max_workers is None else min(max_workers, len(specs))
-    if workers <= 1:
-        return [capture_run(spec, debug=debug) for spec in specs]
-    worker = functools.partial(_capture_worker, debug=debug)
-    try:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            return list(pool.map(worker, specs))
-    except (OSError, PermissionError, concurrent.futures.BrokenExecutor,
-            UnknownAlgorithmError):
-        # Pool unavailable, or a solver registered only in this process:
-        # capture serially, where a truly unknown algorithm still raises.
-        return [capture_run(spec, debug=debug) for spec in specs]

@@ -3,7 +3,7 @@
 One long-lived :class:`~repro.session.Session` behind a stdlib-only
 HTTP/1.1 server (asyncio streams -- no new runtime dependency): the
 event loop owns connection handling and the in-memory caches, while
-planner searches and symbolic replays (CPU-bound, seconds-long cold) run
+planner searches and symbolic runs (CPU-bound, seconds-long cold) run
 on a bounded thread pool so the loop keeps accepting and -- crucially --
 keeps *coalescing*: identical questions that arrive while one is being
 computed join the in-flight computation instead of starting their own
@@ -84,7 +84,7 @@ class PlanServer:
         Bind address; ``port=0`` picks an ephemeral port (read
         :attr:`port` after starting).
     workers:
-        Thread-pool width for planner/replay work.  Each cold plan holds
+        Thread-pool width for planner work.  Each cold plan holds
         one thread for its full search; warm and coalesced requests
         never touch the pool.
     lru_capacity:
@@ -95,7 +95,7 @@ class PlanServer:
         disk layer (memory-only).
     refine:
         Planner refinement mode for cold requests (``"symbolic"`` exact
-        replay, ``None`` screen-only).
+        symbolic run, ``None`` screen-only).
     default_machine:
         Machine applied to requests that do not name one (the
         ``--machine-file`` serving deployment story); ``None`` keeps the
@@ -140,13 +140,11 @@ class PlanServer:
         self.plan_cache = LRUPlanCache(lru_capacity, disk=disk)
         self.coalescer = Coalescer()
         self.metrics = ServeMetrics()
-        # One planner for the server's lifetime: its in-memory program
-        # memo makes repeated refinements cheap even when the plan LRU
-        # evicts.  parallel=False -- concurrency comes from serving many
-        # requests, not from forking a process pool inside each one.
+        # One planner for the server's lifetime.  Its refinement runs in
+        # the worker thread that asked: concurrency comes from serving
+        # many requests, not from a process pool inside each one.
         self.planner = self.session.planner(refine=refine)
         self.planner.cache = None       # the LRU owns the disk layer
-        self.planner.parallel = False
         self._pool = None               # created on start
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -34,7 +34,7 @@ A module-level **default session** serves callers that pass none --
 :meth:`repro.study.Study.run` and the ``repro`` CLI.  It honors the
 ``REPRO_CACHE_DIR`` / ``REPRO_PLAN_CACHE_DIR`` /
 ``REPRO_SCHED_CACHE_DIR`` environment variables for its cache locations
-(the last backs the planner's compiled-program cache; see
+(the last names the compiled-program cache directory; see
 :mod:`repro.sched`).
 """
 
@@ -136,9 +136,10 @@ class Session:
         (``REPRO_PLAN_CACHE_DIR``) semantics.
     sched_cache:
         Directory of the compiled-program cache
-        (:class:`repro.sched.ProgramCache`) the planner's refinement
-        stage captures into and replays from.  Same ``None`` /
-        environment (``REPRO_SCHED_CACHE_DIR``) semantics.
+        (:class:`repro.sched.ProgramCache`).  Same ``None`` / environment
+        (``REPRO_SCHED_CACHE_DIR``) semantics.  Carried in the session
+        context only: the planner refines with plain symbolic runs, so
+        nothing in the session writes programs there.
     executor:
         Batch-execution policy: ``"serial"``, ``"process"``, a worker
         count, or an :class:`ExecutorConfig`.
@@ -400,8 +401,6 @@ class Session:
         from repro.plan import Planner
 
         return Planner(refine=refine, cache_dir=self.plan_cache,
-                       parallel=self.executor.parallel,
-                       program_cache_dir=self.sched_cache,
                        obs=self.obs)
 
     def plan(self, problem=None, *, objective=None,

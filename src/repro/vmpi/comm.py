@@ -12,7 +12,7 @@ hot path.  Rank-to-group-index lookups go through a cached mapping
 (computed once, O(1) per :meth:`Communicator.index_of` call).
 
 Communicators serve the code that moves blocks rank by rank (the
-baselines, 1D-CQR, shifted CholeskyQR's norm): numeric payloads are
+baselines, shifted CholeskyQR's norm): numeric payloads are
 copied on delivery so no two ranks ever alias a buffer.  Symbolic payloads
 are immutable shape-only values, so collectives return one **shared**
 block for the whole group (wrapped in a :class:`SharedBlockMap` where a
@@ -21,11 +21,12 @@ delivery is O(1) memory regardless of the group size.  Reductions on
 symbolic blocks validate shapes and return a shape -- arithmetically
 free, exactly like the cost model's ``beta >> gamma`` assumption.
 
-CA-CQR2's own steps (:mod:`repro.core`) move no blocks through here: they
-charge whole communicator families through the machine and compute on
-the stacked arrays of :class:`~repro.vmpi.distmatrix.DistMatrix`, where a
-collective's data movement is an index and its reduction is
-:func:`ordered_sum` along a grid axis.
+CA-CQR2's and 1D-CQR2's steps (:mod:`repro.core`) move no blocks through
+here: they charge whole communicator families through the machine and
+compute on the stacked arrays of
+:class:`~repro.vmpi.distmatrix.DistMatrix`, where a collective's data
+movement is an index and its reduction is :func:`ordered_sum` along a
+grid axis.
 """
 
 from __future__ import annotations

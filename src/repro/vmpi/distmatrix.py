@@ -33,7 +33,7 @@ costs O(1) Python objects whatever the rank count.  Per-rank
 boundaries: :attr:`DistMatrix.blocks` maps every rank to a read-only view
 of its own block (never another rank's), and the per-rank mapping
 constructor stacks the blocks that rank-by-rank code (the baselines,
-1D-CQR, the panel loop) builds.
+the panel loop) builds.
 """
 
 from __future__ import annotations
@@ -334,22 +334,46 @@ class Replicated:
     """A small matrix fully replicated on a set of ranks (e.g. 1D-CQR's R).
 
     Unlike :class:`DistMatrix` there is no partitioning: every listed rank
-    owns a complete copy.  Numeric copies are independent buffers.
+    owns a complete copy.  Numeric copies are independent buffers, except
+    in a :meth:`shared` matrix, where every rank reads one read-only block.
     """
 
     __slots__ = ("shape", "blocks")
 
-    def __init__(self, shape: Tuple[int, int], blocks: Dict[int, Block]):
+    def __init__(self, shape: Tuple[int, int], blocks: Mapping[int, Block]):
         require(len(blocks) > 0, "Replicated needs at least one rank")
-        for r, b in blocks.items():
-            require(b.shape == shape,
-                    f"replicated block at rank {r} has shape {b.shape}, expected {shape}")
+        if isinstance(blocks, SharedBlockMap):
+            _require_shared_shape(blocks.block, shape)
+        else:
+            for r, b in blocks.items():
+                require(b.shape == shape,
+                        f"replicated block at rank {r} has shape {b.shape}, expected {shape}")
         self.shape = shape
         self.blocks = blocks
 
+    @classmethod
+    def shared(cls, ranks: np.ndarray, block: Block) -> "Replicated":
+        """*block* on every rank of *ranks*: O(1) whatever the rank count.
+
+        A numeric block becomes read-only, since every rank sees its buffer.
+        """
+        if isinstance(block, NumericBlock):
+            block.data.flags.writeable = False
+        return cls(block.shape, SharedBlockMap(ranks, block))
+
+    @property
+    def shared_block(self) -> Optional[Block]:
+        """The one block every rank holds, or ``None`` for per-rank copies."""
+        if isinstance(self.blocks, SharedBlockMap):
+            return self.blocks.block
+        return None
+
     @property
     def is_numeric(self) -> bool:
-        return next(iter(self.blocks.values())).is_numeric
+        block = self.shared_block
+        if block is None:
+            block = next(iter(self.blocks.values()))
+        return block.is_numeric
 
     def block(self, rank: int) -> Block:
         return self.blocks[rank]
@@ -357,6 +381,8 @@ class Replicated:
     def to_global(self) -> np.ndarray:
         """The replicated value (numeric mode), verified consistent across ranks."""
         require(self.is_numeric, "to_global requires numeric blocks")
+        if self.shared_block is not None:
+            return self.shared_block.data.copy()  # type: ignore[union-attr]
         values = [b.data for b in self.blocks.values()]  # type: ignore[union-attr]
         ref = values[0]
         for v in values[1:]:

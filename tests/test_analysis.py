@@ -575,7 +575,7 @@ class TestLintRules:
             assert lint_source(src, "src/repro/core/fake.py") == [], src
 
     @pytest.mark.parametrize("name", ["mm3d.py", "cfr3d.py", "elementwise.py",
-                                      "cacqr.py"])
+                                      "cacqr.py", "cqr_1d.py"])
     @pytest.mark.parametrize("src", [
         "for (x, y, z) in grid.coords():\n    pass\n",
         "for xyz in a.grid.coords():\n    pass\n",
@@ -587,13 +587,27 @@ class TestLintRules:
         assert findings[0].loc == f"src/repro/core/{name}:1"
         assert "coords()" in findings[0].message
 
+    @pytest.mark.parametrize("name", ["cacqr.py", "cqr_1d.py"])
+    @pytest.mark.parametrize("src", [
+        "for y in range(g.dim_y):\n    pass\n",
+        "for y in range(grid.dim_y):\n    pass\n",
+        "ranks = [g.rank_at(0, y, 0) for y in range(a.grid.dim_y)]\n",
+    ])
+    def test_row_axis_loop_flagged_in_stacked_steps(self, name, src):
+        findings = lint_source(src, f"src/repro/core/{name}")
+        assert [f.rule for f in findings] == ["lint/no-per-rank-dict"]
+        assert findings[0].loc == f"src/repro/core/{name}:1"
+        assert "range(<grid>.dim_y)" in findings[0].message
+
     def test_coords_loop_negatives(self):
-        loop = "for (x, y, z) in grid.coords():\n    pass\n"
         # Rank-by-rank code outside the stacked steps keeps its loops.
-        for path in ("src/repro/core/cqr_1d.py", "src/repro/core/panels_dist.py",
-                     "src/repro/vmpi/distmatrix.py", "src/repro/baselines/tsqr.py",
-                     "src/repro/engine/mm3d.py"):
-            assert lint_source(loop, path) == [], path
+        for loop in ("for (x, y, z) in grid.coords():\n    pass\n",
+                     "for y in range(grid.dim_y):\n    pass\n"):
+            for path in ("src/repro/core/panels_dist.py",
+                         "src/repro/vmpi/distmatrix.py",
+                         "src/repro/baselines/tsqr.py",
+                         "src/repro/engine/mm3d.py"):
+                assert lint_source(loop, path) == [], path
         # Other loops in the stacked steps pass.
         for src in ("for z in range(grid.dim_z):\n    pass\n",
                     "for k in coords:\n    pass\n",

@@ -383,16 +383,12 @@ class TestCacheCommand:
         monkeypatch.setenv("REPRO_SCHED_CACHE_DIR", str(tmp_path / "s"))
         assert main(["cache", "info", "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert sorted(info) == ["counters", "plan", "program_memo",
-                                "result", "sched"]
+        assert sorted(info) == ["counters", "plan", "result", "sched"]
         for name in ("plan", "result", "sched"):
             assert sorted(info[name]) == ["bytes", "entries", "path"]
-        # Plus the planner's in-memory compiled-program LRU bound.
-        assert sorted(info["program_memo"]) == ["capacity", "entries"]
         # Live registry counters: only caches exercised in this process
-        # appear, and all under the cache./program_memo. namespaces.
-        assert all(k.startswith(("cache.", "program_memo."))
-                   for k in info["counters"])
+        # appear, and all under the cache. namespace.
+        assert all(k.startswith("cache.") for k in info["counters"])
 
     def test_info_json_counters_reflect_cache_traffic(self, capsys,
                                                       monkeypatch, tmp_path):
@@ -424,6 +420,9 @@ class TestCacheCommand:
         import json
 
         import repro.session as session_module
+        from repro.engine import MatrixSpec, RunSpec
+        from repro.sched import ProgramCache
+        from repro.sched.capture import capture_run
 
         for env in ("REPRO_CACHE_DIR", "REPRO_PLAN_CACHE_DIR",
                     "REPRO_SCHED_CACHE_DIR"):
@@ -433,6 +432,10 @@ class TestCacheCommand:
         assert main(["sweep", "-m", "512", "-n", "16", "-P", "4",
                      "--execute", "--serial"]) == 0
         capsys.readouterr()
+        # Planning writes no programs; store one beside the other entries.
+        spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(256, 8), c=2,
+                       d=4, procs=16, mode="symbolic")
+        ProgramCache(str(tmp_path)).store("k", capture_run(spec)[0])
 
         def entries():
             assert main(["cache", "info", "--json"]) == 0

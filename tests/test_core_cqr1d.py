@@ -1,5 +1,7 @@
 """Unit tests for 1D-CQR / 1D-CQR2 (Algorithms 6-7)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,13 @@ class TestCorrectness:
         assert set(r.blocks) == set(range(4))
         r.to_global()  # raises if copies diverge
 
+    def test_r_is_one_shared_read_only_block(self, rng):
+        vm, g = make_1d(8)
+        _, r = cqr2_1d(vm, DistMatrix.from_global(g, rng.standard_normal((64, 4))))
+        assert r.shared_block is r.block(0) is r.block(7)
+        assert not r.shared_block.data.flags.writeable
+        assert r.to_global().flags.writeable     # callers get their own copy
+
     def test_rejects_non_1d_grid(self, rng):
         from tests.conftest import make_cubic
 
@@ -91,3 +100,45 @@ class TestCosts:
         n = 32
         big_p = cqr_1d_cost(n * 1024, n, 1024)
         assert big_p.flops > n ** 3
+
+
+def _digests(procs, m, n):
+    """sha256 prefixes of Q, R, and every rank's clock and phase ledger."""
+    vm, g = make_1d(procs)
+    a = (np.random.default_rng(procs).standard_normal((m, n))
+         * np.geomspace(1.0, 1e-4, n))
+    q, r = cqr2_1d(vm, DistMatrix.from_global(g, a))
+    ledgers = [(vm.clock_of(rank),
+                sorted((phase, cost.as_tuple()) for phase, cost in
+                       vm.ledger_of(rank).phases.items()))
+               for rank in range(procs)]
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    return {"q": digest(q.to_global().tobytes()),
+            "r": digest(r.to_global().tobytes()),
+            "ledger": digest(repr(ledgers).encode())}
+
+
+class TestPinnedNumerics:
+    """Numeric 1D-CQR2 is pinned to the bits of the per-rank implementation.
+
+    The digests were computed when every step still looped over ranks
+    (one ``local_syrk``, Allreduce contribution, CholInv charge and
+    ``A_local @ R**-1`` per rank); the stacked steps must reproduce Q, R,
+    the clocks and every per-phase ledger entry exactly.  Q and R bits
+    also depend on the BLAS build: the portable guard is the per-block
+    comparison in ``tests/test_stacked_numerics.py``.
+    """
+
+    @pytest.mark.parametrize("procs,m,n,want", [
+        (4, 512, 32, {"q": "8376ba3c3900857f", "r": "a461db68311aa386",
+                      "ledger": "3a9e8a27a20f7d25"}),
+        (16, 2048, 32, {"q": "4e0b76d59435eba5", "r": "f4fd1e7d87d5dfdd",
+                        "ledger": "79b3bacc549d52d2"}),
+        (64, 4096, 16, {"q": "a4303e8c92f07488", "r": "5b07e0c8a7936891",
+                        "ledger": "fd9052cc37f3780f"}),
+    ])
+    def test_q_r_and_ledgers_match_the_pinned_digests(self, procs, m, n, want):
+        assert _digests(procs, m, n) == want

@@ -330,18 +330,19 @@ class TestPlannerSpanTree:
 
         by_name = {r["name"]: r for r in sink.spans}
         assert {name for name in by_name if name.startswith("plan")} == {
-            "plan", *self.STAGES, "plan_many.capture", "plan_many.replay"}
+            "plan", *self.STAGES}
+        # Refinement runs plain symbolic runs: nothing captures a program.
+        assert "sched.capture" not in by_name
         root = by_name["plan"]
         for child in self.STAGES:
             assert by_name[child]["parent_id"] == root["span_id"]
         refine = by_name["plan_many.refine"]
-        for child in ("plan_many.capture", "plan_many.replay"):
-            assert by_name[child]["parent_id"] == refine["span_id"]
-        # Candidate/survivor counts ride on the spans.
+        # Candidate/survivor/run counts ride on the spans.
         candidates = by_name["plan_many.screen"]["attrs"]["candidates"]
         assert candidates > 0
         assert refine["attrs"]["mode"] == "symbolic"
         assert refine["attrs"]["survivors"] == problem.top_k
+        assert refine["attrs"]["runs"] == problem.top_k
         assert root["attrs"]["candidates"] == candidates
         assert root["attrs"]["from_cache"] is False
 
@@ -355,7 +356,7 @@ class TestPlannerSpanTree:
         by_name = {r["name"]: r for r in sink.spans}
         assert by_name["plan_many.refine"]["attrs"]["mode"] is None
         assert by_name["plan_many.refine"]["attrs"]["survivors"] == 0
-        assert "plan_many.capture" not in by_name
+        assert by_name["plan_many.refine"]["attrs"]["runs"] == 0
 
     def test_single_plan_publishes_no_lattice_stats(self):
         """A plan must not clobber a concurrent plan_many's accounting."""

@@ -4,7 +4,7 @@ The tentpole contract is *bit-identity*: ``Planner.plan_many`` over any
 problem lattice must return, point for point, exactly what ``plan`` in a
 loop returns -- every field of every ranked plan, under every machine,
 objective (including budgets), and refinement mode.  The amortization
-(shared enumeration, stacked pricing, deduplicated capture/replay, bulk
+(shared enumeration, stacked pricing, deduplicated symbolic runs, bulk
 cache probe) is an implementation detail the results must not betray.
 """
 
@@ -12,14 +12,15 @@ import dataclasses
 
 import pytest
 
-from repro.engine import CapabilityError
+from repro.engine import CapabilityError, MatrixSpec, registry
+from repro.engine.builtin import CQR21DSolver
 from repro.plan import (
     Planner,
     ProblemSpec,
     lattice_problems,
 )
 from repro.plan.objective import Budget, Objective
-from repro.plan.planner import ProgramMemo
+from repro.sched.capture import capture_run, replay_report
 from repro.utils.validation import ValidationError
 
 
@@ -35,7 +36,6 @@ def _assert_results_identical(a, b, label=""):
 
 
 def _assert_lattice_matches_loop(problems, **planner_kwargs):
-    planner_kwargs.setdefault("parallel", False)
     loop = Planner(**planner_kwargs)
     expected = [loop.plan(p) for p in problems]
     lattice = Planner(**planner_kwargs)
@@ -63,7 +63,8 @@ class TestLatticeEquivalence:
         assert stats.points == len(problems)
         assert stats.computed == len(problems)
         assert stats.enum_groups < len(problems)      # shapes shared
-        assert stats.refine_dedup > 1.0               # programs shared
+        assert stats.refine_dedup > 1.0               # runs shared
+        assert stats.refine_dedup == stats.refine_jobs / stats.refine_runs
 
     def test_numeric_mode_and_algorithm_restriction(self):
         problems = [
@@ -89,13 +90,13 @@ class TestLatticeEquivalence:
             [ProblemSpec(m=2 ** 12, n=32, procs=16, mode="symbolic")])
 
     def test_empty_lattice(self):
-        planner = Planner(parallel=False)
+        planner = Planner()
         assert planner.plan_many([]) == []
         assert planner.last_lattice_stats.points == 0
 
     def test_in_batch_duplicates_share_one_search(self):
         problem = ProblemSpec(m=2 ** 12, n=32, procs=16, mode="symbolic")
-        planner = Planner(parallel=False)
+        planner = Planner()
         results = planner.plan_many([problem, problem, problem])
         stats = planner.last_lattice_stats
         assert stats.batch_duplicates == 2
@@ -106,7 +107,7 @@ class TestLatticeEquivalence:
     def test_bulk_cache_probe_and_write_through(self, tmp_path):
         problems = [ProblemSpec(m=2 ** 12, n=32, procs=p, mode="symbolic")
                     for p in (8, 16, 32)]
-        planner = Planner(parallel=False, cache_dir=str(tmp_path))
+        planner = Planner(cache_dir=str(tmp_path))
         cold = planner.plan_many(problems)
         assert not any(r.from_cache for r in cold)
         warm = planner.plan_many(problems)
@@ -115,9 +116,81 @@ class TestLatticeEquivalence:
         for a, b in zip(cold, warm):
             assert [p.config for p in a.plans] == [p.config for p in b.plans]
         # And the loop sees the very same cached entries.
-        loop = Planner(parallel=False, cache_dir=str(tmp_path))
+        loop = Planner(cache_dir=str(tmp_path))
         for problem, b in zip(problems, warm):
             _assert_results_identical(loop.plan(problem), b)
+
+
+class TestRefinementOracle:
+    """Every refined number equals the whole-run capture-and-replay oracle."""
+
+    def test_refined_plans_equal_captured_replays(self):
+        problems = [
+            ProblemSpec(m=2 ** 12, n=32, procs=procs, machine=machine,
+                        mode="symbolic", top_k=8, objective=objective,
+                        algorithms=("ca_cqr2", "cqr2_1d"))
+            for procs in (16, 64)
+            for machine in ("stampede2", "blue-waters", "abstract")
+            for objective in (
+                Objective.parse("time"),
+                Objective.parse("time=1,memory=0.2"),
+                Objective.single("time", budgets=(Budget("memory", 2e4),)))]
+        programs = {}
+        kinds = set()
+        for problem, result in zip(problems, Planner().plan_many(problems)):
+            machine = problem.machine_spec()
+            refined = [p for p in result.plans if p.refined]
+            assert refined
+            for plan in refined:
+                solver = registry.solver_for(plan.algorithm)
+                spec = solver.prepare(plan.to_run_spec(
+                    matrix=MatrixSpec(problem.m, problem.n), mode="symbolic",
+                    machine=problem.machine))
+                key = (plan.algorithm, plan.config)
+                if key not in programs:
+                    programs[key] = capture_run(spec)[0]
+                report = replay_report(programs[key], machine)
+                assert plan.refined_seconds == float(report.critical_path_time)
+                assert (plan.messages, plan.words, plan.flops) == (
+                    float(report.max_cost.messages),
+                    float(report.max_cost.words),
+                    float(report.max_cost.flops))
+                if plan.algorithm == "cqr2_1d":
+                    kinds.add("cqr2_1d")
+                else:
+                    c, d = spec.c, spec.d
+                    kinds.add("ca_cqr2 d>c" if d > c else "ca_cqr2 d=c")
+        assert kinds == {"cqr2_1d", "ca_cqr2 d>c", "ca_cqr2 d=c"}
+
+
+class _SecondCandidateFails(CQR21DSolver):
+    """1D-CQR2 with a second, costlier candidate that fails ``prepare``."""
+
+    name = "test_second_fails"
+    aliases = ()
+    count_machine_fields = ()
+
+    def __init__(self):
+        self.executions = 0
+
+    def plan_candidates(self, m, n, procs, machine, block_sizes,
+                        inverse_depths):
+        for cand in super().plan_candidates(m, n, procs, machine,
+                                            block_sizes, inverse_depths):
+            yield cand
+            yield dataclasses.replace(
+                cand, config=f"{cand.config},broken",
+                spec_fields={**cand.spec_fields, "block_size": 1},
+                memory_words=2 * cand.memory_words)
+
+    def validate(self, spec):
+        super().validate(spec)
+        if spec.block_size is not None:
+            raise CapabilityError("the broken candidate never prepares")
+
+    def execute(self, vm, dist, spec):
+        self.executions += 1
+        return super().execute(vm, dist, spec)
 
 
 class TestLatticeErrors:
@@ -125,34 +198,50 @@ class TestLatticeErrors:
     FEASIBLE = ProblemSpec(m=2 ** 12, n=32, procs=16, mode="symbolic")
 
     def test_errors_return_isolates_the_failing_point(self):
-        planner = Planner(parallel=False)
+        planner = Planner()
         results = planner.plan_many(
             [self.FEASIBLE, self.INFEASIBLE, self.FEASIBLE],
             errors="return")
         assert isinstance(results[1], CapabilityError)
         # Neighbors are untouched -- identical to planning them alone.
-        solo = Planner(parallel=False).plan(self.FEASIBLE)
+        solo = Planner().plan(self.FEASIBLE)
         _assert_results_identical(results[0], solo)
         _assert_results_identical(results[2], solo)
         assert planner.last_lattice_stats.errors == 1
 
     def test_error_message_matches_the_loop(self):
         try:
-            Planner(parallel=False).plan(self.INFEASIBLE)
+            Planner().plan(self.INFEASIBLE)
         except CapabilityError as exc:
             expected = str(exc)
-        [returned] = Planner(parallel=False).plan_many(
+        [returned] = Planner().plan_many(
             [self.INFEASIBLE], errors="return")
         assert str(returned) == expected
 
     def test_errors_raise_mode(self):
         with pytest.raises(CapabilityError, match="no feasible"):
-            Planner(parallel=False).plan_many(
+            Planner().plan_many(
                 [self.FEASIBLE, self.INFEASIBLE], errors="raise")
+
+    def test_failed_point_contributes_no_refine_runs(self, monkeypatch):
+        stub = _SecondCandidateFails()
+        monkeypatch.setitem(registry._REGISTRY, stub.name, stub)
+        broken = self.FEASIBLE.replace(algorithms=(stub.name,))
+        good = self.FEASIBLE.replace(algorithms=("cqr2_1d",))
+        planner = Planner()
+        results = planner.plan_many([broken, good], errors="return")
+        assert isinstance(results[0], CapabilityError)
+        assert results[1].refined_count == 1
+        stats = planner.last_lattice_stats
+        # Only the good point's one survivor is counted and simulated:
+        # the broken point's first survivor was never run.
+        assert (stats.errors, stats.refine_jobs) == (1, 1)
+        assert stats.refine_runs == 1
+        assert stub.executions == 0
 
     def test_errors_mode_validated(self):
         with pytest.raises(ValueError, match="errors"):
-            Planner(parallel=False).plan_many([], errors="ignore")
+            Planner().plan_many([], errors="ignore")
 
 
 class TestLatticeProblems:
@@ -220,47 +309,3 @@ class TestSessionPlanMany:
 
         with pytest.raises(ValueError, match="ProblemSpec"):
             Session().plan_many([42])
-
-
-class TestProgramMemo:
-    def test_lru_eviction_order(self):
-        memo = ProgramMemo(capacity=2)
-        memo.put("a", "A")
-        memo.put("b", "B")
-        assert memo.get("a") == "A"     # refreshes a
-        memo.put("c", "C")              # evicts b, the least recent
-        assert memo.get("b") is None
-        assert memo.get("a") == "A" and memo.get("c") == "C"
-        assert len(memo) == 2
-
-    def test_info_and_validation(self):
-        memo = ProgramMemo(capacity=3)
-        memo.put("k", object())
-        assert memo.info() == {"entries": 1, "capacity": 3}
-        with pytest.raises(ValueError, match="capacity"):
-            ProgramMemo(capacity=0)
-
-    def test_planner_exposes_bounded_memo(self):
-        planner = Planner(parallel=False, program_memo_capacity=5)
-        info = planner.program_memo_info()
-        assert info == {"entries": 0, "capacity": 5}
-        planner.plan(ProblemSpec(m=2 ** 12, n=32, procs=16, top_k=2,
-                                 mode="symbolic"))
-        info = planner.program_memo_info()
-        assert 0 < info["entries"] <= 5
-
-    def test_cli_cache_info_reports_memo(self, capsys, monkeypatch,
-                                         tmp_path):
-        import json
-
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "r"))
-        monkeypatch.setenv("REPRO_PLAN_CACHE_DIR", str(tmp_path / "p"))
-        monkeypatch.setenv("REPRO_SCHED_CACHE_DIR", str(tmp_path / "s"))
-        import repro.session as session_module
-        monkeypatch.setattr(session_module, "_default_session", None)
-        assert main(["cache", "info", "--json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert set(info["program_memo"]) == {"entries", "capacity"}
-        assert info["program_memo"]["capacity"] > 0

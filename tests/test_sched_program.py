@@ -379,13 +379,10 @@ class TestProgramCacheAndCapture:
 
 
 class TestPlannerRefinement:
-    """Program-replay refinement is bit-identical to plain symbolic runs."""
+    """Planner refinement is bit-identical to uncompiled symbolic runs."""
 
     PROBLEM: ClassVar[dict] = dict(m=2 ** 14, n=64, procs=256, machine="stampede2",
                    mode="symbolic", top_k=2)
-
-    def plans_dict(self, result):
-        return [p.to_dict() for p in result.plans]
 
     @staticmethod
     def assert_matches_uncompiled_runs(result):
@@ -408,39 +405,27 @@ class TestPlannerRefinement:
                     float(report.max_cost.words),
                     float(report.max_cost.flops))
 
-    def test_refined_plans_identical_with_and_without_programs(self, tmp_path):
-        planner = Planner(refine="symbolic", parallel=False,
-                          program_cache_dir=str(tmp_path))
+    def test_refined_plans_identical_with_and_without_programs(self):
+        # Refinement's plain runs replay compiled subcube programs; the
+        # oracle runs the uncompiled loop.
         self.assert_matches_uncompiled_runs(
-            planner.plan(ProblemSpec(**self.PROBLEM)))
+            Planner(refine="symbolic").plan(ProblemSpec(**self.PROBLEM)))
 
     def test_warm_cache_replays_identically(self, tmp_path):
         problem = ProblemSpec(**self.PROBLEM)
-        cold = Planner(refine="symbolic", parallel=False,
-                       program_cache_dir=str(tmp_path)).plan(problem)
-        # A fresh planner over the same directory hits programs on disk.
-        warm_planner = Planner(refine="symbolic", parallel=False,
-                               program_cache_dir=str(tmp_path))
-        assert warm_planner.programs is not None
-        warm = warm_planner.plan(problem)
-        assert self.plans_dict(warm) == self.plans_dict(cold)
+        cold = Planner(refine="symbolic", cache_dir=str(tmp_path)).plan(problem)
+        # A fresh planner over the same directory answers from disk.
+        warm = Planner(refine="symbolic", cache_dir=str(tmp_path)).plan(problem)
+        assert not cold.from_cache and warm.from_cache
+        assert ([p.to_dict() for p in warm.plans]
+                == [p.to_dict() for p in cold.plans])
 
-    def test_programs_reused_across_machines(self, tmp_path):
-        # The program cache is machine-independent: planning the same
-        # shape for a different machine replays the same programs and
-        # still matches plain runs on that machine bit-for-bit.
+    def test_programs_reused_across_machines(self):
+        # Compiled subcube programs are machine-independent: planning the
+        # same shape for a different machine replays the programs the
+        # first plan compiled and still matches plain runs bit-for-bit.
         a = ProblemSpec(**self.PROBLEM)
         b = a.replace(machine="blue-waters")
-        planner = Planner(refine="symbolic", parallel=False,
-                          program_cache_dir=str(tmp_path))
+        planner = Planner(refine="symbolic")
         planner.plan(a)
         self.assert_matches_uncompiled_runs(planner.plan(b))
-
-    def test_session_threads_sched_cache_into_planner(self, tmp_path):
-        from repro import Session
-
-        session = Session(sched_cache=str(tmp_path / "programs"))
-        planner = session.planner()
-        assert planner.programs is not None
-        assert planner.programs.cache_dir == str(tmp_path / "programs")
-        assert Session(sched_cache=None).planner().programs is None

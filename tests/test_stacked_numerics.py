@@ -8,7 +8,8 @@ sum along a grid axis.  This file re-derives each step rank by rank with
 ``NumericBlock`` operations -- broadcast copies, one 2D ``@`` per rank,
 collectives summing a float64 zero plus each member in rank order -- and
 requires bytewise equal results at the ``factor`` workload's block shapes
-for ``c`` in {1, 2, 4}.  It also pins the property all of that rests on:
+for ``c`` in {1, 2, 4}, and 1D-CQR's Gram and form-Q against its
+per-rank ``local_syrk`` / ``local_mm``.  It also pins the property all of that rests on:
 a stacked ``np.matmul`` computes every slice exactly like a 2D ``@``,
 including stride-0 and swapped-axes operands.  If a numpy or BLAS build
 ever breaks that, these tests fail instead of ``Q`` and ``R`` silently
@@ -20,8 +21,9 @@ import pytest
 
 from repro.core.cacqr import _apply_gram_shift, _cross_product_replicated
 from repro.core.cfr3d import cfr3d, default_base_case
+from repro.core.cqr_1d import _gram_stacked, cqr_1d
 from repro.core.mm3d import mm3d, mm3d_stacked
-from repro.kernels.blas import local_mm_tn
+from repro.kernels.blas import local_mm, local_mm_tn, local_syrk
 from repro.kernels.cholesky import local_cholinv
 from repro.vmpi.comm import _sum_blocks, ordered_sum
 from repro.vmpi.datatypes import NumericBlock, join_blocks
@@ -183,6 +185,33 @@ class TestStackedStepsMatchPerBlockLoops:
         assert_matches(DistMatrix.stacked(dist.grid, dist.m, dist.n, q),
                        ref_mm3d(blocks_of(dist), ref_transpose(ref_y), c,
                                 dist.grid.dim_y))
+
+
+#: (P, m, n): 1D-CQR grids, including block shapes where syrk and gemm
+#: round differently (512 x 32, 1024 x 16).
+ONE_D_CASES = [(4, 2048, 32), (8, 8192, 16), (64, 1024, 32), (64, 8192, 256)]
+
+
+class TestOneDimensionalStepsMatchPerBlockLoops:
+    """1D-CQR's stacked Gram and form-Q against its per-rank kernels."""
+
+    @pytest.mark.parametrize("procs,m,n", ONE_D_CASES)
+    def test_gram_and_form_q(self, procs, m, n):
+        rng = np.random.default_rng(procs + m + n)
+        a = rng.standard_normal((m, n)) * np.geomspace(1.0, 1e-3, n)
+        vm = VirtualMachine(procs)
+        dist = DistMatrix.from_global(Grid3D.build(vm, 1, procs, 1), a)
+        blocks = [NumericBlock(dist.data[0, y, 0]) for y in range(procs)]
+        # Each per-block Syrk reads one buffer twice (numpy's syrk path,
+        # not gemm's): the stacked product must take it slice by slice.
+        want = _sum_blocks([local_syrk(b)[0] for b in blocks])
+        assert_bytes_equal(_gram_stacked(dist.data), want.data)
+
+        q, _ = cqr_1d(vm, dist)
+        _, y_inv, _ = local_cholinv(want)
+        for y, block in enumerate(blocks):
+            assert_bytes_equal(q.data[0, y, 0],
+                               local_mm(block, y_inv.transpose())[0].data)
 
 
 #: (batch, rows, inner, cols) of stacked products the steps issue.

@@ -175,3 +175,10 @@ class TestReplicated:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             Replicated((2, 2), {0: NumericBlock(np.zeros((3, 3)))})
+
+    def test_shared_block_on_every_rank(self):
+        r = Replicated.shared(np.arange(1000), NumericBlock(np.eye(2)))
+        assert len(r.blocks) == 1000 and r.block(999) is r.shared_block
+        assert not r.shared_block.data.flags.writeable
+        np.testing.assert_array_equal(r.to_global(), np.eye(2))
+        assert Replicated((2, 2), {0: NumericBlock(np.eye(2))}).shared_block is None
