@@ -20,8 +20,6 @@ the substrate directly.
 from __future__ import annotations
 
 import os
-import time
-from typing import Callable, Tuple
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -34,13 +32,6 @@ def archive(name: str, text: str) -> None:
         fh.write(text + "\n")
     print()
     print(text)
-
-
-def timed(fn: Callable[[], object]) -> Tuple[float, object]:
-    """Wall-clock one call: ``(seconds, result)``."""
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
 
 
 def series_dict_to_markdown(series) -> str:

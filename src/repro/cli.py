@@ -114,8 +114,8 @@ def _load_machine(args: argparse.Namespace):
 
     Malformed input -- unparseable JSON, unknown/missing machine fields,
     an unknown preset name -- surfaces as a field-labelled
-    :class:`~repro.utils.validation.ValidationError`, which every
-    subcommand turns into a clean one-line error instead of a traceback.
+    :class:`~repro.utils.validation.ValidationError`, which :func:`main`
+    turns into a clean one-line error instead of a traceback.
     """
     import json
 
@@ -167,7 +167,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     from repro.plan import Objective, Planner, problem_from_dict
     from repro.session import default_session
-    from repro.utils.validation import ValidationError
 
     if args.lattice is not None:
         return _cmd_plan_lattice(args)
@@ -200,14 +199,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 obs.close()
     except OSError as exc:
         print(f"error: cannot read machine file: {exc}")
-        return 2
-    except ValidationError as exc:
-        # Malformed input (bad machine file / objective / budget): the
-        # message is already field-labelled, e.g. "machine: ...".
-        print(f"error: {exc}")
-        return 2
-    except ValueError as exc:               # EngineError subclasses ValueError
-        print(f"error: {exc}")
         return 2
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -283,12 +274,6 @@ def _cmd_plan_lattice(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: --lattice is not valid JSON: {exc}")
         return 2
-    except ValidationError as exc:
-        print(f"error: {exc}")
-        return 2
-    except ValueError as exc:               # EngineError subclasses ValueError
-        print(f"error: {exc}")
-        return 2
     stats = planner.last_lattice_stats
     if args.json:
         points = []
@@ -363,9 +348,6 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read machine file: {exc}")
         return 2
-    except ValueError as exc:           # EngineError subclasses ValueError
-        print(f"error: {exc}")
-        return 2
     print(f"{solver.label} on {result.grid} "
           f"({result.report.num_ranks} virtual ranks):")
     print(f"  ||Q^T Q - I||_2    = {result.orthogonality_error():.3e}")
@@ -379,35 +361,32 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.session import default_session
     from repro.vmpi.trace import format_phase_profile, render_gantt
 
-    try:
-        solver = solver_for(args.algorithm)
-        c, d = _default_ca_grid(solver, args)
-        spec = RunSpec(algorithm=args.algorithm,
-                       matrix=MatrixSpec(args.m, args.n, seed=args.seed),
-                       c=c, d=d, procs=args.procs, pr=args.pr, pc=args.pc,
-                       block_size=args.block_size, machine=args.machine,
-                       mode="symbolic" if args.symbolic else "numeric")
-        obs, chrome = _build_observer(args.jsonl, args.chrome_trace)
-        from repro.obs import use_observer
+    from repro.obs import use_observer
 
-        try:
-            with use_observer(obs):
-                result, vm = default_session().trace(spec)
-            if chrome is not None:
-                # VM time is simulated seconds on its own clock; the
-                # timeline lands under pid 1, span wall time under pid 0.
-                chrome.add_vm_events(vm.events)
-        finally:
-            if obs is not None:
-                obs.close()
-    except ValueError as exc:           # EngineError subclasses ValueError
-        print(f"error: {exc}")
-        return 2
+    solver = solver_for(args.algorithm)
+    c, d = _default_ca_grid(solver, args)
+    spec = RunSpec(algorithm=args.algorithm,
+                   matrix=MatrixSpec(args.m, args.n, seed=args.seed),
+                   c=c, d=d, procs=args.procs, pr=args.pr, pc=args.pc,
+                   block_size=args.block_size, machine=args.machine,
+                   mode="symbolic" if args.symbolic else "numeric")
+    obs, chrome = _build_observer(args.jsonl, args.chrome_trace)
+    try:
+        with use_observer(obs):
+            result, vm = default_session().trace(spec)
+        if chrome is not None:
+            # VM time is simulated seconds on its own clock; the
+            # timeline lands under pid 1, span wall time under pid 0.
+            chrome.add_vm_events(vm.events)
+    finally:
+        if obs is not None:
+            obs.close()
     shown = min(vm.num_ranks, args.max_ranks)
+    gantt = render_gantt(vm, width=args.width, ranks=range(shown))
     print(f"{solver.label} on {result.grid} "
           f"({vm.num_ranks} virtual ranks, {len(vm.events)} trace events)")
     print()
-    print(render_gantt(vm, width=args.width, ranks=range(shown)))
+    print(gantt)
     if shown < vm.num_ranks:
         print(f"... ({vm.num_ranks - shown} more ranks; raise --max-ranks)")
     print()
@@ -446,13 +425,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not proc_counts:
         print("error: pass at least one processor count, e.g. -P 4,8,16")
         return 2
-    try:
-        if args.execute:
-            return _run_executed_sweep(args, machine, proc_counts)
-        return _run_modeled_sweep(args, machine, proc_counts)
-    except ValueError as exc:           # EngineError subclasses ValueError
-        print(f"error: {exc}")
-        return 2
+    if args.execute:
+        return _run_executed_sweep(args, machine, proc_counts)
+    return _run_modeled_sweep(args, machine, proc_counts)
 
 
 def _run_modeled_sweep(args, machine, proc_counts) -> int:
@@ -548,6 +523,7 @@ def _run_executed_sweep(args, machine, proc_counts) -> int:
     """Execute a real (numeric) sweep through the engine's batch runner."""
     from repro.engine import CapabilityError, MatrixSpec, RunSpec, solvers
     from repro.session import default_session
+    from repro.study.builtin import default_executed_algorithms
 
     if args.algorithms and "auto" in args.algorithms:
         if len(args.algorithms) > 1:
@@ -558,19 +534,11 @@ def _run_executed_sweep(args, machine, proc_counts) -> int:
 
     matrix = MatrixSpec(args.m, args.n, seed=args.seed)
     specs, labels = [], []
-    seen_exec_paths = set()
+    # Registry order either way; the default runs each executed path once.
+    wanted = args.algorithms or default_executed_algorithms()
     for solver in solvers():
-        if args.algorithms:
-            if solver.name not in args.algorithms:
-                continue
-        else:
-            # Solvers sharing an executed path (CAQR runs the TSQR-panel
-            # ScaLAPACK machinery) would produce duplicate rows; execute
-            # each path once unless explicitly requested.
-            exec_path = type(solver).execute
-            if exec_path in seen_exec_paths:
-                continue
-            seen_exec_paths.add(exec_path)
+        if solver.name not in wanted:
+            continue
         for procs in proc_counts:
             spec = RunSpec(algorithm=solver.name, matrix=matrix, procs=procs,
                            machine=machine, block_size=args.block_size)
@@ -667,28 +635,23 @@ def _cmd_study(args: argparse.Namespace) -> int:
                 line += f", eta {info.eta_seconds:.0f}s"
         print(line, file=sys.stderr)
 
+    from repro.obs import use_observer
     from repro.utils.config import UNSET
 
+    study = study_from_dict(cfg)
+    obs, _ = _build_observer(args.obs_jsonl, args.chrome_trace)
     try:
-        study = study_from_dict(cfg)
-        obs, _ = _build_observer(args.obs_jsonl, args.chrome_trace)
-        from repro.obs import use_observer
-
-        try:
-            # use_observer(None) leaves the ambient observer unset, so
-            # the no-flags path stays on the zero-cost NULL_SPAN route.
-            with use_observer(obs):
-                table = study.run(
-                    parallel=not args.serial, max_workers=args.jobs,
-                    cache_dir=args.cache_dir or UNSET,
-                    jsonl_path=args.jsonl, resume=not args.fresh,
-                    progress=progress if args.progress else None)
-        finally:
-            if obs is not None:
-                obs.close()
-    except ValueError as exc:           # EngineError subclasses ValueError
-        print(f"error: {exc}")
-        return 2
+        # use_observer(None) leaves the ambient observer unset, so the
+        # no-flags path stays on the zero-cost NULL_SPAN route.
+        with use_observer(obs):
+            table = study.run(
+                parallel=not args.serial, max_workers=args.jobs,
+                cache_dir=args.cache_dir or UNSET,
+                jsonl_path=args.jsonl, resume=not args.fresh,
+                progress=progress if args.progress else None)
+    finally:
+        if obs is not None:
+            obs.close()
     if args.format == "csv":
         print(table.to_csv(), end="")
     elif args.format == "markdown":
@@ -836,7 +799,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the planning-as-a-service HTTP endpoint (:mod:`repro.serve`)."""
     from repro.serve import PlanServer
     from repro.utils.config import default_plan_cache_dir
-    from repro.utils.validation import ValidationError
 
     try:
         machine = (_load_machine(args)
@@ -851,9 +813,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             slow_request_seconds=args.slow_request_seconds)
         address = server.start_background()
     except OSError as exc:
-        print(f"error: {exc}")
-        return 2
-    except ValidationError as exc:
         print(f"error: {exc}")
         return 2
     print(f"repro.serve listening on {address} (workers={args.workers}, "
@@ -1185,7 +1144,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # ValidationError, EngineError, JSONDecodeError
+        print(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via tests calling main()

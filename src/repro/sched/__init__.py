@@ -25,7 +25,7 @@ programs can be cached machine-independently by :mod:`repro.sched.cache`.
 
 The :func:`compiled_replay_disabled` context manager forces every
 consumer back onto the uncompiled loop path -- the reference oracle the
-equivalence suite and benchmarks diff compiled replay against.
+equivalence suite diffs compiled replay against.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ def compiled_replay_enabled() -> bool:
 
 @contextlib.contextmanager
 def compiled_replay_disabled():
-    """Force the uncompiled loop path within the block (for equivalence
-    testing and loop-vs-replay benchmarking)."""
+    """Force the uncompiled loop path within the block (the oracle the
+    equivalence tests diff compiled replay against)."""
     previous = _disabled[0]
     _disabled[0] = True
     try:

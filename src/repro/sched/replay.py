@@ -43,13 +43,11 @@ from repro.vmpi.machine import VirtualMachine
 class BoundProgram:
     """A program bound to concrete machine ranks, ready to replay.
 
-    ``last_mode`` records which strategy the most recent :meth:`replay`
-    used (``"collapsed"`` or ``"ops"``) -- tests and benchmarks assert on
-    it; it has no semantic effect.
+    :meth:`replay` returns the strategy it used (``"collapsed"`` or
+    ``"ops"``); the choice never changes the charged state.
     """
 
-    __slots__ = ("program", "binding", "_flat", "_tidx", "_concrete",
-                 "last_mode")
+    __slots__ = ("program", "binding", "_flat", "_tidx", "_concrete")
 
     def __init__(self, program: ChargeProgram, binding: RankFamilyMap):
         require(binding.template_size == program.num_ranks,
@@ -60,7 +58,6 @@ class BoundProgram:
         self._flat = binding.maps.reshape(-1)
         self._tidx: Optional[np.ndarray] = None
         self._concrete: Optional[list] = None
-        self.last_mode: Optional[str] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BoundProgram({self.program!r}, {self.binding!r})"
@@ -114,11 +111,9 @@ class BoundProgram:
         if (type(vm) is VirtualMachine and vm.trace_sink is None
                 and self.binding.instances > 1
                 and self._replay_collapsed(vm, names)):
-            self.last_mode = "collapsed"
-            return self.last_mode
+            return "collapsed"
         self._replay_ops(vm, names)
-        self.last_mode = "ops"
-        return self.last_mode
+        return "ops"
 
     def _replay_ops(self, vm: VirtualMachine, names: List[str]) -> None:
         """Exact per-op replay: one vectorized machine call per op."""

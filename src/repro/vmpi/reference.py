@@ -4,14 +4,10 @@
 ``VirtualMachine`` (one Python :class:`~repro.costmodel.ledger.Ledger` +
 float clock per rank, Python-loop group charges) exactly as the seed
 shipped it.  It exists as the ground truth that the vectorized
-array-backed machine is checked against:
-
-* the machine-equivalence test suite
-  (``tests/test_vmpi_machine_equivalence.py``) replays recorded charge
-  schedules through it and asserts bit-identical clocks, ledgers, and
-  reports;
-* the overhead benchmark (``benchmarks/bench_vm_overhead.py``) races it
-  against the vectorized machine on identical schedules.
+array-backed machine is checked against: the machine-equivalence test
+suite (``tests/test_vmpi_machine_equivalence.py``) replays recorded
+charge schedules through it and asserts bit-identical clocks, ledgers,
+and reports.
 
 :class:`RecordingMachine` is a vectorized machine that also records its
 charge schedule as plain tuples, and :func:`replay` drives a
@@ -20,7 +16,7 @@ expand to sequential per-group charges -- the semantics the vectorized
 bulk paths claim to preserve).
 
 Both recorders exist for *verification*: this module's schedule is an
-untyped flat log for racing machines against each other.  The
+untyped flat log for diffing machines against each other.  The
 production capture path is :class:`repro.sched.ScheduleRecorder`, which
 compiles runs into typed, rank-family-templated
 :class:`~repro.sched.ChargeProgram` objects that specialize to new

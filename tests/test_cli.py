@@ -2,6 +2,8 @@
 
 from typing import ClassVar
 
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -484,6 +486,21 @@ class TestValidationErrors:
                      "--machine-file", str(bad), "--no-refine"]) == 2
         out = capsys.readouterr().out
         assert out.startswith("error: machine:")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["trace", "-m", "128", "-n", "8", "-c", "2", "-d", "4",
+          "--width", "0"], "Gantt width must be positive, got 0"),
+        (["serve", "--port", "0", "--workers", "0"],
+         "workers must be positive, got 0"),
+        (["serve", "--port", "0", "--lru-capacity", "-1"],
+         "LRU capacity must be positive, got -1"),
+        (["accuracy", "--rows", "0"], "m must be positive, got 0"),
+        (["accuracy", "--max-exponent", "0"],
+         "axis 'condition' has no values"),
+    ])
+    def test_bad_values_are_one_line_errors(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().out == f"error: {message}\n"
 
 
 class TestServeCommand:

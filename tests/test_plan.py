@@ -128,6 +128,12 @@ class TestPlanner:
         res_time = Planner(refine=None).plan(ProblemSpec(**SMALL))
         assert all(a.seconds <= b.seconds for a, b in
                    zip(res_time.plans, res_time.plans[1:]))
+        # Paper scale: the screen ranks a space of >= 100 configurations.
+        res_paper = Planner(refine=None).plan(ProblemSpec(
+            m=2 ** 22, n=512, procs=4096, machine="stampede2"))
+        assert res_paper.num_candidates >= 100
+        assert all(a.seconds <= b.seconds for a, b in
+                   zip(res_paper.plans, res_paper.plans[1:]))
         res_mem = Planner(refine=None).plan(
             ProblemSpec(objective="memory", **SMALL))
         assert all(a.memory_words <= b.memory_words for a, b in

@@ -63,6 +63,7 @@ class TestLatticeEquivalence:
         assert stats.points == len(problems)
         assert stats.computed == len(problems)
         assert stats.enum_groups < len(problems)      # shapes shared
+        assert stats.screen_reuse > 1.0               # pricing shared
         assert stats.refine_dedup > 1.0               # runs shared
         assert stats.refine_dedup == stats.refine_jobs / stats.refine_runs
 

@@ -288,7 +288,6 @@ class TestBoundProgram:
         # Fresh symmetric machine, d/c = 4 disjoint instances: the
         # collapsed template simulation must engage.
         assert mode == "collapsed"
-        assert bound.last_mode == "collapsed"
 
         vm_loop, g_loop = make_tunable(c, d)
         for group in range(d // c):
@@ -305,6 +304,27 @@ class TestBoundProgram:
         bound = program.specialize(RankFamilyMap.subcubes(g, tpl_grid))
         assert bound.replay(vm) == "ops"
         assert len(vm.events) > 0
+
+    def test_replay_interns_each_phase_once(self, monkeypatch):
+        # Per-op replay resolves every distinct phase name up front, so
+        # interning work scales with the phase table, never with the ops.
+        c, d, m, n, b = 2, 4, 1024, 64, 16
+        rec = ScheduleRecorder(c * c * d)
+        ca_panel_cqr2(rec, DistMatrix.symbolic(Grid3D.tunable(rec, c, d), m, n),
+                      b)
+        program = rec.program()
+        assert len(program) > len(program.phases)
+        bound = program.specialize(RankFamilyMap.identity(program.num_ranks))
+        interned = []
+        phase_id = VirtualMachine._phase_id
+
+        def counting_phase_id(vm, phase):
+            interned.append(phase)
+            return phase_id(vm, phase)
+
+        monkeypatch.setattr(VirtualMachine, "_phase_id", counting_phase_id)
+        assert bound.replay(VirtualMachine(program.num_ranks)) == "ops"
+        assert 0 < len(interned) <= len(program.phases)
 
     def test_phase_table_rebase_rejects_wrong_prefix(self):
         program, _ = self.record_mm3d(2, 32)

@@ -369,6 +369,7 @@ class TestCoalescingOverHTTP:
         assert served.count("computed") == 1
         assert served.count("coalesced") == k - 1
         _, metrics = _get(server.address, "/metrics")
+        assert metrics["counters"]["plan_served_computed"] == 1
         assert metrics["counters"]["plan_coalesced"] == k - 1
         assert metrics["coalesce_rate"] > 0
         assert metrics["coalescer"]["started"] == 1
