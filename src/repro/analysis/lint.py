@@ -30,15 +30,14 @@ meaningless to a generic linter:
     deterministic and cacheable.
 
 ``lint/no-per-rank-dict``
-    No ``dict.fromkeys(<x>.all_ranks(), ...)`` or ``dict.fromkeys(<x>.blocks,
-    ...)`` inside ``core`` or ``vmpi`` -- that idiom builds an O(P) dict
-    mapping every rank to one shared block.  Shared-block symbolic
-    matrices go through :meth:`~repro.vmpi.distmatrix.DistMatrix.shared`
-    (one :class:`~repro.vmpi.datatypes.SharedBlockMap`, O(1) objects).
-    And no ``for ... in <grid>.coords()`` or ``for ... in
-    range(<grid>.dim_y)`` loop (or comprehension) in ``core``'s stacked
-    steps (:data:`STACKED_STEP_FILES`): their numerics are whole-array
-    operations on the stacked blocks of
+    No ``dict.fromkeys(<x>.all_ranks(), ...)`` inside ``core``, ``vmpi``
+    or ``baselines`` -- that idiom builds an O(P) dict mapping every rank
+    to one shared block; shared-block symbolic matrices go through
+    :meth:`~repro.vmpi.distmatrix.DistMatrix.shared` (O(1) objects).  And
+    in the stacked steps (:data:`STACKED_STEP_FILES`) no loop or
+    comprehension over ``<grid>.coords()`` or ``range(<grid>.dim_y)``,
+    nor one that calls ``<grid>.rank_at(...)``: their numerics are
+    whole-array operations on the stacked blocks of
     :class:`~repro.vmpi.distmatrix.DistMatrix`, and a per-rank loop there
     is the pattern the stacked layout replaced.  ``dim_y`` is the row
     axis, the one that grows with ``P`` (``d`` ranks on a ``c x d x c``
@@ -62,7 +61,7 @@ LINT_RULES = {
     "lint/lock-discipline": "attributes of a _lock-owning class are only mutated under `with self._lock` in public methods",
     "lint/solver-count-fields": "registered Solver subclasses explicitly declare count_machine_fields",
     "lint/no-wallclock": "no wall-clock reads inside vmpi/sched/costmodel",
-    "lint/no-per-rank-dict": "no dict.fromkeys(<x>.all_ranks() | <x>.blocks, ...) inside core/vmpi, no <grid>.coords() or range(<grid>.dim_y) loops in core's stacked steps",
+    "lint/no-per-rank-dict": "no dict.fromkeys(<x>.all_ranks(), ...) inside core/vmpi/baselines, no <grid>.coords(), range(<grid>.dim_y) or <grid>.rank_at(...) loops in the stacked steps",
 }
 
 #: Directories whose files must stay wall-clock-free (deterministic
@@ -70,11 +69,14 @@ LINT_RULES = {
 WALLCLOCK_SCOPES = frozenset({"vmpi", "sched", "costmodel"})
 
 #: Directories whose symbolic matrices must stay O(1) objects per matrix.
-PER_RANK_DICT_SCOPES = frozenset({"core", "vmpi"})
+PER_RANK_DICT_SCOPES = frozenset({"core", "vmpi", "baselines"})
 
-#: ``core`` modules whose numerics run on stacked arrays: no per-rank loops.
+#: Modules (in those directories) whose numerics run on stacked arrays:
+#: no per-rank loops.
 STACKED_STEP_FILES = frozenset({"mm3d.py", "cfr3d.py", "elementwise.py",
-                                "cacqr.py", "cqr_1d.py"})
+                                "cacqr.py", "cqr_1d.py", "shifted.py",
+                                "panels_dist.py", "tsqr.py",
+                                "scalapack_qr.py"})
 
 _TIME_ATTRS = frozenset({"time", "perf_counter", "monotonic", "process_time",
                          "time_ns", "perf_counter_ns", "monotonic_ns",
@@ -130,56 +132,73 @@ def _lint_wallclock(tree: ast.Module, path: str) -> List[Finding]:
 # -- lint/no-per-rank-dict --------------------------------------------------------
 
 
-def _is_per_rank_keys(node: ast.expr) -> bool:
-    """``<x>.all_ranks()`` or ``<x>.blocks``."""
-    if isinstance(node, ast.Call):
-        return (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "all_ranks")
-    return isinstance(node, ast.Attribute) and node.attr == "blocks"
+def _is_call_of(node: ast.AST, attr: str) -> bool:
+    """``<x>.<attr>(...)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == attr)
 
 
 def _per_rank_iter(node: ast.expr) -> Optional[str]:
     """``"<grid>.coords()"`` or ``"range(<grid>.dim_y)"`` for such an
     iterable, else ``None``."""
-    if not isinstance(node, ast.Call):
-        return None
-    func = node.func
-    if isinstance(func, ast.Attribute) and func.attr == "coords":
+    if _is_call_of(node, "coords"):
         return "<grid>.coords()"
-    if (isinstance(func, ast.Name) and func.id == "range"
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "range"
             and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
             and node.args[0].attr == "dim_y"):
         return "range(<grid>.dim_y)"
     return None
 
 
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+          ast.DictComp, ast.GeneratorExp)
+
+
+def _loop_iters(node: ast.AST) -> List[ast.expr]:
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [node.iter]
+    return [gen.iter for gen in getattr(node, "generators", ())]
+
+
 def _in_stacked_step(path: str) -> bool:
-    return (_in_scope(path, frozenset({"core"}))
+    return (_in_scope(path, PER_RANK_DICT_SCOPES)
             and os.path.basename(path) in STACKED_STEP_FILES)
 
 
 def _lint_per_rank_dict(tree: ast.Module, path: str) -> List[Finding]:
     findings = []
     stacked = _in_stacked_step(path)
-    for node in ast.walk(tree):
-        loop = (_per_rank_iter(node.iter) if stacked and isinstance(
-            node, (ast.For, ast.AsyncFor, ast.comprehension)) else None)
+    covered: Set[int] = set()       # nodes inside an already flagged loop
+    for node in ast.walk(tree):     # breadth-first: outer loops first
         if (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "fromkeys"
                 and isinstance(node.func.value, ast.Name)
                 and node.func.value.id == "dict"
-                and node.args and _is_per_rank_keys(node.args[0])):
+                and node.args and _is_call_of(node.args[0], "all_ranks")):
             findings.append(Finding(
                 "lint/no-per-rank-dict", _loc(path, node),
                 "dict.fromkeys over every rank builds an O(P) per-rank "
-                "dict; use DistMatrix.shared (one SharedBlockMap)"))
-        elif loop is not None:
+                "dict; use DistMatrix.shared (one shared block)"))
+        if not (stacked and isinstance(node, _LOOPS)) or id(node) in covered:
+            continue
+        hits = []
+        for it in _loop_iters(node):
+            what = _per_rank_iter(it)
+            if what is not None:
+                hits.append((_loc(path, it), f"per-rank loop over {what}"))
+        if not hits:
+            hits = [(_loc(path, sub), "<grid>.rank_at(...) inside a loop")
+                    for sub in ast.walk(node)
+                    if _is_call_of(sub, "rank_at") and id(sub) not in covered]
+        for loc, what in hits:
             findings.append(Finding(
-                "lint/no-per-rank-dict", _loc(path, node.iter),
-                f"per-rank loop over {loop} in a stacked step; operate "
-                f"on DistMatrix.data and charge each communicator family "
-                f"in one machine call"))
+                "lint/no-per-rank-dict", loc,
+                f"{what} in a stacked step; operate on DistMatrix.data and "
+                f"charge each communicator family in one machine call"))
+        if hits:
+            covered.update(map(id, ast.walk(node)))
     return findings
 
 

@@ -15,8 +15,7 @@ substitution documented in DESIGN.md:
    Householder panels in using explicit panel Q factors (block
    Gram-Schmidt-style update), which is numerically adequate for the
    well-conditioned scaling workloads and is *not* used for the stability
-   study (Householder QR via :func:`repro.kernels.householder.local_qr`
-   serves there).
+   study (plain Householder QR serves there).
 
 2. :func:`pgeqrf_cost` -- the standard **analytic cost model** of blocked
    2D Householder QR (CAQR-paper-style), used to reproduce the paper's
@@ -36,15 +35,16 @@ substitution documented in DESIGN.md:
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.costmodel import collectives as cc
 from repro.costmodel.ledger import Cost
 from repro.kernels import flops as fl
-from repro.kernels.householder import local_qr
+from repro.kernels.householder import signed_qr
 from repro.utils.validation import check_positive_int, require
-from repro.vmpi.datatypes import Block, NumericBlock
+from repro.vmpi.comm import ordered_sum
 from repro.vmpi.distmatrix import DistMatrix, Replicated
 from repro.vmpi.machine import VirtualMachine
 
@@ -165,120 +165,75 @@ def scalapack_qr(vm: VirtualMachine, a: DistMatrix, block_size: int,
                           "use pgeqrf_cost for cost studies")
     g = a.grid
     m, n, b = a.m, a.n, block_size
-    mloc = m // pr
+    mloc, width = m // pr, b // pc     # width: panel columns per process column
+    ranks = g.all_ranks_array
+    rows, cols = g.ranks[:, :, 0].T, g.ranks[:, :, 0]   # Pi[:, y, 0], Pi[x, :, 0]
+    xs = np.arange(pc)
 
-    # Working copies: every rank's trailing matrix, in *global column index*
-    # space for bookkeeping; we carry local column arrays keyed by rank.
-    local_cols: Dict[int, np.ndarray] = {}
-    for y in range(pr):
-        for x in range(pc):
-            rank = g.rank_at(x, y, 0)
-            local_cols[rank] = a.local(x, y, 0).data.copy()  # type: ignore[union-attr]
+    # Working state on stacked blocks, each value held once: the trailing
+    # matrix [x, y], the Q columns built so far per process row [y] (the
+    # same on every x), and the R accumulator per process column [x] (the
+    # same on every y).
+    trailing = a.data[:, :, 0].copy()
+    q_acc = np.zeros((pr, mloc, n))
+    r_acc = np.zeros((pc, n, n))
 
-    q_acc: Dict[int, np.ndarray] = {g.rank_at(x, y, 0): np.zeros((mloc, n))
-                                    for y in range(pr) for x in range(pc)}
-    r_acc: Dict[int, np.ndarray] = {g.rank_at(x, y, 0): np.zeros((n, n))
-                                    for y in range(pr) for x in range(pc)}
-
-    num_panels = n // b
-    for p_idx in range(num_panels):
-        col_lo = p_idx * b
-        panel_local = b // pc           # columns of this panel per process col
-        loc_lo = col_lo // pc           # local column offset of the panel
+    for col_lo in range(0, n, b):
+        loc_lo = col_lo // pc
 
         # --- 1. assemble the (mloc x b) panel row-chunk on every rank:
         # allgather panel pieces along each row communicator.
-        panel_chunks: Dict[int, np.ndarray] = {}
-        for y in range(pr):
-            comm = g.comm_x(y, 0)
-            contributions = {
-                g.rank_at(x, y, 0): NumericBlock(
-                    local_cols[g.rank_at(x, y, 0)][:, loc_lo:loc_lo + panel_local])
-                for x in range(pc)
-            }
-            gathered = comm.allgather(contributions, phase=f"{phase}.panel-allgather")
-            chunk = np.empty((mloc, b))
-            for x, blk in enumerate(gathered):
-                chunk[:, x::pc] = blk.data  # type: ignore[union-attr]
-            for x in range(pc):
-                panel_chunks[g.rank_at(x, y, 0)] = chunk
+        vm.charge_comm_groups(rows, cc.allgather_cost(pc * mloc * width, pc),
+                              f"{phase}.panel-allgather")
+        chunks = (trailing[..., loc_lo:loc_lo + width]
+                  .transpose(1, 2, 3, 0).reshape(pr, mloc, b))
 
         # --- 2. TSQR across the process column: local QR of the row chunk,
         # allgather the b x b R factors, QR the stack, correct local Q.
-        local_qs: Dict[int, np.ndarray] = {}
-        for x in range(pc):
-            comm = g.comm_y(x, 0)
-            rfactors: Dict[int, Block] = {}
-            for y in range(pr):
-                rank = g.rank_at(x, y, 0)
-                qb, rb, flops = local_qr(NumericBlock(panel_chunks[rank]))
-                vm.charge_flops(rank, flops, f"{phase}.panel-local-qr")
-                local_qs[rank] = qb.data  # type: ignore[union-attr]
-                rfactors[rank] = rb
-            gathered = comm.allgather(rfactors, phase=f"{phase}.panel-r-allgather")
-            stack = np.vstack([blk.data for blk in gathered])  # type: ignore[union-attr]
-            qs, r_panel, stack_flops = local_qr(NumericBlock(stack))
-            for y in range(pr):
-                rank = g.rank_at(x, y, 0)
-                vm.charge_flops(rank, stack_flops, f"{phase}.panel-stack-qr")
-                correction = qs.data[y * b:(y + 1) * b, :]  # type: ignore[union-attr]
-                q_panel = local_qs[rank] @ correction
-                vm.charge_flops(rank, fl.mm_flops(mloc, b, b), f"{phase}.panel-q-build")
-                q_acc[rank][:, col_lo:col_lo + b] = q_panel
-                local_qs[rank] = q_panel
-                r_acc[rank][col_lo:col_lo + b, col_lo:col_lo + b] = \
-                    r_panel.data  # type: ignore[union-attr]
+        local_q, rfactors = signed_qr(chunks)
+        vm.charge_flops_group(ranks, fl.householder_flops(mloc, b),
+                              f"{phase}.panel-local-qr")
+        vm.charge_comm_groups(cols, cc.allgather_cost(pr * b * b, pr),
+                              f"{phase}.panel-r-allgather")
+        qs, r_panel = signed_qr(rfactors.reshape(pr * b, b))
+        vm.charge_flops_group(ranks, fl.householder_flops(pr * b, b),
+                              f"{phase}.panel-stack-qr")
+        q_panel = np.matmul(local_q, qs.reshape(pr, b, b))
+        vm.charge_flops_group(ranks, fl.mm_flops(mloc, b, b),
+                              f"{phase}.panel-q-build")
+        q_acc[..., col_lo:col_lo + b] = q_panel
+        r_acc[:, col_lo:col_lo + b, col_lo:col_lo + b] = r_panel
 
         # --- 3. trailing update: W = Q_p^T C (allreduce over process
         # columns), R12 rows, then C -= Q_p W.
-        rem_lo_local = (col_lo + b) // pc
-        for x in range(pc):
-            comm = g.comm_y(x, 0)
-            contributions = {}
-            for y in range(pr):
-                rank = g.rank_at(x, y, 0)
-                c_local = local_cols[rank][:, rem_lo_local:]
-                w_part = local_qs[rank].T @ c_local
-                vm.charge_flops(rank, fl.mm_flops(b, c_local.shape[1], mloc),
-                                f"{phase}.update-wt")
-                contributions[rank] = NumericBlock(w_part)
-            if contributions[g.rank_at(x, 0, 0)].shape[1] == 0:
-                continue
-            reduced = comm.allreduce(contributions, phase=f"{phase}.update-allreduce")
-            for y in range(pr):
-                rank = g.rank_at(x, y, 0)
-                w = reduced[rank].data  # type: ignore[union-attr]
-                local_cols[rank][:, rem_lo_local:] -= local_qs[rank] @ w
-                vm.charge_flops(rank, fl.mm_flops(mloc, w.shape[1], b),
-                                f"{phase}.update-apply")
-                # R12: this rank's cyclic share of the panel's block row.
-                for j in range(w.shape[1]):
-                    gcol = (rem_lo_local + j) * pc + x
-                    r_acc[rank][col_lo:col_lo + b, gcol] = w[:, j]
+        rem_lo = (col_lo + b) // pc
+        rest = trailing[..., rem_lo:]
+        rest_n = rest.shape[-1]
+        w_parts = np.matmul(q_panel.swapaxes(-1, -2)[None], rest)
+        vm.charge_flops_group(ranks, fl.mm_flops(b, rest_n, mloc),
+                              f"{phase}.update-wt")
+        if rest_n:
+            vm.charge_comm_groups(cols, cc.allreduce_cost(b * rest_n, pr),
+                                  f"{phase}.update-allreduce")
+            w = ordered_sum(w_parts, axis=1)                  # [x]
+            rest -= np.matmul(q_panel[None], w[:, None])
+            vm.charge_flops_group(ranks, fl.mm_flops(mloc, rest_n, b),
+                                  f"{phase}.update-apply")
+            # R12: each process column's cyclic share of the block row
+            # (the reshape is a view: the column axis is contiguous).
+            r12 = r_acc[:, col_lo:col_lo + b, rem_lo * pc:]
+            r12.reshape(pc, b, rest_n, pc)[xs, :, :, xs] = w
 
         # --- 4. share R12 along rows so R stays fully replicated.
-        for y in range(pr):
-            comm = g.comm_x(y, 0)
-            contributions = {
-                g.rank_at(x, y, 0): NumericBlock(
-                    r_acc[g.rank_at(x, y, 0)][col_lo:col_lo + b, :])
-                for x in range(pc)
-            }
-            gathered = comm.allgather(contributions, phase=f"{phase}.r-allgather")
-            merged = gathered[0].data.copy()  # type: ignore[union-attr]
-            for blk in gathered[1:]:
-                merged = np.where(blk.data != 0.0, blk.data, merged)  # type: ignore[union-attr]
-            for x in range(pc):
-                r_acc[g.rank_at(x, y, 0)][col_lo:col_lo + b, :] = merged
+        vm.charge_comm_groups(rows, cc.allgather_cost(pc * b * n, pc),
+                              f"{phase}.r-allgather")
+        block_rows = r_acc[:, col_lo:col_lo + b]
+        merged = block_rows[0].copy()
+        for blk in block_rows[1:]:
+            merged = np.where(blk != 0.0, blk, merged)
+        block_rows[...] = merged
 
     # Package results: Q cyclic like the input, R replicated.
-    q_blocks: Dict[int, Block] = {}
-    r_blocks: Dict[int, Block] = {}
-    for y in range(pr):
-        for x in range(pc):
-            rank = g.rank_at(x, y, 0)
-            q_blocks[rank] = NumericBlock(np.ascontiguousarray(q_acc[rank][:, x::pc]))
-            r_blocks[rank] = NumericBlock(np.triu(r_acc[rank]))
-    q = DistMatrix(g, m, n, q_blocks)
-    r = Replicated((n, n), r_blocks)
-    return q, r
+    q = q_acc.reshape(pr, mloc, n // pc, pc).transpose(3, 0, 1, 2)[:, :, None]
+    return (DistMatrix.stacked(g, m, n, np.ascontiguousarray(q)),
+            Replicated.stacked(ranks, np.triu(r_acc)))

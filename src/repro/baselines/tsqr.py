@@ -23,15 +23,16 @@ Two pieces:
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from repro.costmodel import collectives as cc
 from repro.costmodel.ledger import Cost
 from repro.kernels import flops as fl
-from repro.kernels.householder import local_qr
+from repro.kernels.householder import signed_qr
 from repro.utils.validation import check_positive_int, require
-from repro.vmpi.datatypes import Block, NumericBlock
+from repro.vmpi.datatypes import NumericBlock
 from repro.vmpi.distmatrix import DistMatrix, Replicated
 from repro.vmpi.machine import VirtualMachine
 
@@ -41,7 +42,9 @@ def tsqr_1d(vm: VirtualMachine, a: DistMatrix,
     """TSQR of a row-distributed tall matrix on a ``1 x P x 1`` grid.
 
     Returns ``(Q, R)`` with ``Q`` distributed like ``a`` and ``R``
-    replicated everywhere.  Numeric blocks only.
+    replicated everywhere.  Numeric blocks only.  Every step charges all
+    ``P`` ranks in one machine call and computes on the stacked
+    ``(1, P, 1, m/P, n)`` blocks: one stacked QR, one stacked multiply.
     """
     g = a.grid
     require(g.dim_x == 1 and g.dim_z == 1,
@@ -51,38 +54,25 @@ def tsqr_1d(vm: VirtualMachine, a: DistMatrix,
                           "use tsqr_cost for cost studies")
     require(a.m // g.dim_y >= a.n,
             f"local row count {a.m}//{g.dim_y} must be at least n={a.n}")
-    procs = g.dim_y
-    n = a.n
+    ranks = g.all_ranks_array
+    procs, rows, n = g.dim_y, a.local_rows, a.n
 
     # Stage 1: local QR on every rank.
-    local_q: Dict[int, np.ndarray] = {}
-    rfactors: Dict[int, Block] = {}
-    for y in range(procs):
-        rank = g.rank_at(0, y, 0)
-        qb, rb, flops = local_qr(a.blocks[rank])
-        vm.charge_flops(rank, flops, f"{phase}.local-qr")
-        local_q[rank] = qb.data  # type: ignore[union-attr]
-        rfactors[rank] = rb
+    local_q, rfactors = signed_qr(a.data[0, :, 0])
+    vm.charge_flops_group(ranks, fl.householder_flops(rows, n),
+                          f"{phase}.local-qr")
 
     # Stage 2: allgather the R factors; every rank factors the stack
-    # redundantly and corrects its local Q.
-    comm = g.comm_y(0, 0)
-    gathered = comm.allgather(rfactors, phase=f"{phase}.r-allgather")
-    stack = np.vstack([blk.data for blk in gathered])  # type: ignore[union-attr]
-    qs_blk, r_blk, stack_flops = local_qr(NumericBlock(stack))
-    qs = qs_blk.data  # type: ignore[union-attr]
-
-    q_blocks: Dict[int, Block] = {}
-    r_blocks: Dict[int, Block] = {}
-    for y in range(procs):
-        rank = g.rank_at(0, y, 0)
-        vm.charge_flops(rank, stack_flops, f"{phase}.stack-qr")
-        correction = qs[y * n:(y + 1) * n, :]
-        q_local = local_q[rank] @ correction
-        vm.charge_flops(rank, fl.mm_flops(a.m // procs, n, n), f"{phase}.q-build")
-        q_blocks[rank] = NumericBlock(q_local)
-        r_blocks[rank] = NumericBlock(r_blk.data.copy())  # type: ignore[union-attr]
-    return DistMatrix(g, a.m, n, q_blocks), Replicated((n, n), r_blocks)
+    # redundantly (computed once here) and corrects its local Q.
+    vm.charge_comm_groups(ranks[None], cc.allgather_cost(procs * n * n, procs),
+                          f"{phase}.r-allgather")
+    qs, r = signed_qr(rfactors.reshape(procs * n, n))
+    vm.charge_flops_group(ranks, fl.householder_flops(procs * n, n),
+                          f"{phase}.stack-qr")
+    q = np.matmul(local_q, qs.reshape(procs, n, n))
+    vm.charge_flops_group(ranks, fl.mm_flops(rows, n, n), f"{phase}.q-build")
+    return (DistMatrix.stacked(g, a.m, n, q.reshape(a.data.shape)),
+            Replicated.shared(ranks, NumericBlock(r)))
 
 
 def tsqr_cost(m: int, n: int, procs: int) -> Cost:

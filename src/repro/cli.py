@@ -167,7 +167,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
     from repro.plan import Objective, Planner, problem_from_dict
     from repro.session import default_session
+    from repro.utils.validation import check_positive_int
 
+    check_positive_int(args.limit, "limit")
     if args.lattice is not None:
         return _cmd_plan_lattice(args)
     missing = [flag for flag, value in (("-m", args.m), ("-n", args.n),
@@ -359,10 +361,12 @@ def _cmd_factor(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.engine import MatrixSpec, RunSpec, solver_for
     from repro.session import default_session
+    from repro.utils.validation import check_positive_int
     from repro.vmpi.trace import format_phase_profile, render_gantt
 
     from repro.obs import use_observer
 
+    check_positive_int(args.max_ranks, "max-ranks")
     solver = solver_for(args.algorithm)
     c, d = _default_ca_grid(solver, args)
     spec = RunSpec(algorithm=args.algorithm,
@@ -383,6 +387,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             obs.close()
     shown = min(vm.num_ranks, args.max_ranks)
     gantt = render_gantt(vm, width=args.width, ranks=range(shown))
+    profile = format_phase_profile(vm, depth=args.depth)
     print(f"{solver.label} on {result.grid} "
           f"({vm.num_ranks} virtual ranks, {len(vm.events)} trace events)")
     print()
@@ -390,7 +395,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if shown < vm.num_ranks:
         print(f"... ({vm.num_ranks - shown} more ranks; raise --max-ranks)")
     print()
-    print(format_phase_profile(vm, depth=args.depth))
+    print(profile)
     if args.chrome_trace:
         print(f"(chrome trace written to {args.chrome_trace}; load it in "
               f"Perfetto / chrome://tracing)", file=sys.stderr)

@@ -34,7 +34,7 @@ from repro.core.mm3d import mm3d
 from repro.costmodel import collectives as cc
 from repro.kernels.cholesky import CholeskyFailure, local_cholinv
 from repro.utils.validation import is_power_of_two, require
-from repro.vmpi.datatypes import NumericBlock, SymbolicBlock, zeros_block
+from repro.vmpi.datatypes import NumericBlock, SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.machine import VirtualMachine
 
@@ -147,9 +147,8 @@ def _zero_like(template: DistMatrix) -> DistMatrix:
     Symbolic zeros are one shared shape-only block.
     """
     if template.data is None:
-        shape = (template.local_rows, template.local_cols)
         return DistMatrix.shared(template.grid, template.m, template.n,
-                                 zeros_block(shape, symbolic=True))
+                                 template.shared_block)
     return DistMatrix.stacked(template.grid, template.m, template.n,
                               np.zeros(template.data.shape))
 

@@ -25,17 +25,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cacqr import _cross_product_replicated, ca_cqr2
+from repro.core.cacqr import SubcubeResults, _cross_product_replicated, ca_cqr2
 from repro.core.elementwise import dist_sub
-from repro.core.mm3d import mm3d
+from repro.core.mm3d import mm3d, mm3d_stacked
 from repro.sched import (ChargeProgram, RankFamilyMap, ScheduleRecorder,
                          compiled_replay_enabled)
 from repro.utils.validation import check_positive_int, require
-from repro.vmpi.datatypes import Block, NumericBlock
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -96,45 +95,34 @@ def _panel_update_program(c: int, rows_per_subcube: int, b: int,
     return rec.program(), rec_grid
 
 
-def _ca_panel_cqr2_compiled(vm: VirtualMachine, a: DistMatrix, b: int,
-                            base_case_size: Optional[int],
-                            phase: str) -> PanelCACQR2Result:
-    """Symbolic panel factorization via compiled charge programs.
+def _update_trailing(vm: VirtualMachine, q: DistMatrix, w: SubcubeResults,
+                     rest: DistMatrix, phase: str) -> DistMatrix:
+    """``C <- C - Q_p @ W``: one MM3D + elementwise subtraction per subcube.
 
-    Bit-identical to the panel loop: the panel CQR2 program replays once
-    per panel (phase table rebased to ``.panel{i}.cqr2``), the Gram-dance
-    cross product charges directly (its schedule is one vectorized pass
-    already), and the per-subcube trailing update replays family-batched
-    across all ``d/c`` subcubes.
+    The pair is identical on every subcube, so with ``d > c`` one
+    ``c x c x c`` template program replays onto all of them, family by
+    family, and numeric runs subtract one stacked product covering every
+    subcube's rows.  Outside compiled replay (the oracle) and on a cubic
+    grid it runs subcube by subcube.
     """
-    g = a.grid
-    c, d = g.dim_x, g.dim_y
-    num_panels = a.n // b
-    rows_per_subcube = c * (a.m // d)
-
-    program, rec_grid = _panel_cqr2_program(c, d, a.m, b, base_case_size)
-    cqr2_bound = program.specialize(RankFamilyMap.from_grids(rec_grid, g))
-    for p_idx in range(num_panels):
-        cqr2_bound.replay(vm, phases=program.phases_with_prefix(
-            "@", f"{phase}.panel{p_idx}.cqr2"))
-        rest_n = a.n - (p_idx + 1) * b
-        if rest_n == 0:
-            break
-        # W = Q_p^T @ C through the real Gram dance -- already one
-        # vectorized pass over communicator families, so charging it
-        # directly is as fast as any replay would be.
-        q_p = DistMatrix.symbolic(g, a.m, b)
-        rest = DistMatrix.symbolic(g, a.m, rest_n)
-        _cross_product_replicated(vm, q_p, rest,
-                                  f"{phase}.panel{p_idx}.update",
-                                  symmetric=False)
-        upd_prog, upd_grid = _panel_update_program(c, rows_per_subcube, b,
-                                                   rest_n)
-        bound = upd_prog.specialize(RankFamilyMap.subcubes(g, upd_grid))
-        bound.replay(vm, phases=upd_prog.phases_with_prefix(
-            "@", f"{phase}.panel{p_idx}.update"))
-    return PanelCACQR2Result(q=DistMatrix.symbolic(g, a.m, a.n), r=None,
-                             panels=num_panels)
+    g = rest.grid
+    c = g.dim_x
+    if g.dim_y > c and compiled_replay_enabled():
+        program, rec_grid = _panel_update_program(c, c * rest.local_rows,
+                                                  q.n, rest.n)
+        bound = program.specialize(RankFamilyMap.subcubes(g, rec_grid))
+        bound.replay(vm, phases=program.phases_with_prefix("@", phase))
+        if rest.data is None:
+            return DistMatrix.symbolic(g, rest.m, rest.n)
+        update = mm3d_stacked(q.data, w.template)  # type: ignore[arg-type]
+        return DistMatrix.stacked(g, rest.m, rest.n, rest.data - update)
+    parts = [dist_sub(vm, rest.subcube(k),
+                      mm3d(vm, q.subcube(k), w[k], phase=f"{phase}.mm3d"),
+                      f"{phase}.sub").data
+             for k in range(len(w))]
+    if rest.data is None:
+        return DistMatrix.symbolic(g, rest.m, rest.n)
+    return DistMatrix.stacked(g, rest.m, rest.n, np.concatenate(parts, axis=1))
 
 
 def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
@@ -154,6 +142,10 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
     base_case_size:
         CFR3D cutoff for the per-panel CA-CQR2 calls (default: optimal for
         the panel width).
+
+    Numeric panels compute on the stacked blocks: ``Q``'s panels are
+    concatenated column-wise at the end, and ``R``'s block rows are
+    assembled from each panel's CQR2 ``R`` and cross product ``W``.
     """
     g = a.grid
     c, d = g.dim_x, g.dim_y
@@ -166,61 +158,46 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
     num_panels = a.n // b
     numeric = a.is_numeric
 
+    cqr2_bound = None
     if not numeric and num_panels > 1 and compiled_replay_enabled():
-        # Symbolic multi-panel runs replay compiled programs instead of
-        # looping the Python orchestration per panel (numeric panels hold
-        # distinct data; a single panel is already one plain CQR2 call).
-        return _ca_panel_cqr2_compiled(vm, a, b, base_case_size, phase)
+        # Symbolic multi-panel runs replay one compiled panel CQR2 program
+        # instead of looping its Python orchestration per panel (numeric
+        # panels hold distinct data; a single panel is one plain call).
+        program, rec_grid = _panel_cqr2_program(c, d, a.m, b, base_case_size)
+        cqr2_bound = program.specialize(RankFamilyMap.from_grids(rec_grid, g))
 
     trailing = a
-    q_panel_blocks: Dict[int, List[Block]] = (
-        {r: [] for r in a.blocks} if numeric else {})
+    q_parts: List[np.ndarray] = []
     r_global = np.zeros((a.n, a.n)) if numeric else None
-
     for p_idx in range(num_panels):
         col_lo = p_idx * b
         panel = trailing.column_panel(0, b)
-        rest = trailing.column_panel(b, trailing.n) if trailing.n > b else None
 
         # Orthogonalize the panel with a full CA-CQR2 on the whole grid.
-        res = ca_cqr2(vm, panel, base_case_size,
-                      phase=f"{phase}.panel{p_idx}.cqr2")
+        if cqr2_bound is None:
+            res = ca_cqr2(vm, panel, base_case_size,
+                          phase=f"{phase}.panel{p_idx}.cqr2")
+            q_p = res.q
+        else:
+            cqr2_bound.replay(vm, phases=program.phases_with_prefix(
+                "@", f"{phase}.panel{p_idx}.cqr2"))
+            q_p = panel
         if numeric:
-            for rank, blk in res.q.blocks.items():
-                q_panel_blocks[rank].append(blk)
+            q_parts.append(q_p.data)  # type: ignore[arg-type]
             r_global[col_lo:col_lo + b, col_lo:col_lo + b] = \
                 np.triu(res.r.to_global())
-
-        if rest is None:
+        if trailing.n == b:
             break
+        rest = trailing.column_panel(b, trailing.n)
 
-        # W = Q_p^T @ C through the Gram-dance schedule (full GEMM rate).
-        w = _cross_product_replicated(
-            vm, res.q, rest, f"{phase}.panel{p_idx}.update", symmetric=False)
+        # W = Q_p^T @ C through the Gram-dance schedule (full GEMM rate),
+        # then C <- C - Q_p @ W on every subcube.
+        update = f"{phase}.panel{p_idx}.update"
+        w = _cross_product_replicated(vm, q_p, rest, update, symmetric=False)
+        trailing = _update_trailing(vm, q_p, w, rest, update)
+        if numeric:
+            r_global[col_lo:col_lo + b, col_lo + b:] = w[0].to_global()
 
-        # Per-subcube: C <- C - Q_p @ W.
-        new_rest_blocks: Dict[int, Block] = {}
-        for group in range(d // c):
-            w_sub = w[group]
-            q_sub = res.q.subcube(group)
-            rest_sub = rest.subcube(group)
-            update = mm3d(vm, q_sub, w_sub,
-                          phase=f"{phase}.panel{p_idx}.update.mm3d")
-            new_rest = dist_sub(vm, rest_sub, update,
-                                f"{phase}.panel{p_idx}.update.sub")
-            if numeric:
-                new_rest_blocks.update(new_rest.blocks)
-                if group == 0:
-                    r_global[col_lo:col_lo + b, col_lo + b:] = w_sub.to_global()
-
-        trailing = (DistMatrix(g, a.m, rest.n, new_rest_blocks) if numeric
-                    else DistMatrix.symbolic(g, a.m, rest.n))
-
-    if not numeric:
-        return PanelCACQR2Result(q=DistMatrix.symbolic(g, a.m, a.n), r=None,
-                                 panels=num_panels)
-    q_blocks: Dict[int, Block] = {
-        rank: NumericBlock(np.hstack([blk.data for blk in parts]))  # type: ignore[attr-defined]
-        for rank, parts in q_panel_blocks.items()}
-    q = DistMatrix(g, a.m, a.n, q_blocks)
+    q = (DistMatrix.stacked(g, a.m, a.n, np.concatenate(q_parts, axis=-1))
+         if numeric else DistMatrix.symbolic(g, a.m, a.n))
     return PanelCACQR2Result(q=q, r=r_global, panels=num_panels)

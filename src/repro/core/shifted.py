@@ -30,6 +30,7 @@ import scipy.linalg
 
 from repro.kernels.cholesky import CholeskyFailure, _chol_lower
 from repro.utils.validation import require
+from repro.vmpi.comm import ordered_sum
 
 
 def recommended_shift(m: int, n: int, norm2_squared: float,
@@ -94,6 +95,16 @@ def shifted_cqr3_sequential(a: np.ndarray, shift: Optional[float] = None,
         "the input is numerically rank-deficient")
 
 
+def _frobenius_sq(data: np.ndarray) -> float:
+    """``||A||_F**2`` from stacked blocks: each rank of slice ``z = 0``
+    sums its block's squares (``np.sum``'s pairwise order over the block),
+    and the slice's Allreduce adds those partials in its y-major rank order.
+    """
+    face = data[:, :, 0] ** 2
+    partials = face.reshape(*face.shape[:2], -1).sum(axis=-1)     # [x, y]
+    return float(ordered_sum(partials.T.reshape(-1, 1), axis=0)[0])
+
+
 def ca_shifted_cqr3(vm, a, base_case_size=None, phase: str = "sCQR3",
                     max_shift_passes: int = 4):
     """Distributed shifted CholeskyQR3 over a ``c x d x c`` grid.
@@ -115,35 +126,22 @@ def ca_shifted_cqr3(vm, a, base_case_size=None, phase: str = "sCQR3",
     :class:`repro.core.cacqr.CACQRResult`.
     """
     from repro.core.cacqr import CACQRResult, ca_cqr, ca_cqr2, mm3d
+    from repro.costmodel import collectives as cc
     from repro.kernels import flops as fl
     from repro.kernels.cholesky import CholeskyFailure
-    from repro.vmpi.datatypes import NumericBlock
 
-    g = a.grid
-    c, d = g.dim_x, g.dim_y
+    face = a.grid.ranks[:, :, 0].T.reshape(1, -1)     # slice z=0, y-major
 
     current = a
     r_chain = None  # list of per-subcube R factors accumulated so far
     for _attempt in range(max_shift_passes):
         # Step 1: ||A||_F^2 via one scalar allreduce over slice z=0
         # (numeric mode; symbolic mode charges the same collective).
-        comm = g.comm_slice(0)
-        if current.is_numeric:
-            contributions = {
-                r: NumericBlock(np.array([[float(np.sum(current.blocks[r].data ** 2))]]))
-                for r in comm.ranks
-            }
-            total = comm.allreduce(contributions, phase=f"{phase}.norm-allreduce")
-            norm2 = float(total[comm.ranks[0]].data[0, 0])
-        else:
-            from repro.vmpi.datatypes import SymbolicBlock
-
-            comm.allreduce({r: SymbolicBlock((1, 1)) for r in comm.ranks},
-                           phase=f"{phase}.norm-allreduce")
-            norm2 = 1.0
-        for r in comm.ranks:
-            vm.charge_flops(r, 2.0 * current.local_rows * current.local_cols,
-                            f"{phase}.norm-local")
+        vm.charge_comm_groups(face, cc.allreduce_cost(1, face.size),
+                              f"{phase}.norm-allreduce")
+        vm.charge_flops_group(face[0], 2.0 * current.local_rows * current.local_cols,
+                              f"{phase}.norm-local")
+        norm2 = 1.0 if current.data is None else _frobenius_sq(current.data)
         shift = recommended_shift(current.m, current.n, norm2)
 
         # Step 2: one shifted CA-CQR pass.

@@ -3,10 +3,11 @@
 These are the local building blocks of Section II-A: ``axpy``, ``MM``,
 ``Syrk``, ``Chol``, plus the triangular inverse and the combined
 ``CholInv`` of Algorithm 2, and a sequential Householder QR used by the
-baselines and the accuracy study.
+baselines.
 
-Each kernel is backend-generic: it accepts a :class:`~repro.vmpi.datatypes.Block`
-(numeric or symbolic) and returns ``(result_block, flops)``.  The caller --
+Each kernel except the numeric-only QR is backend-generic: it accepts a
+:class:`~repro.vmpi.datatypes.Block` (numeric or symbolic) and returns
+``(result_block, flops)``.  The caller --
 a distributed algorithm -- charges the flops to the owning rank's ledger.
 Flop-count conventions follow the paper exactly (see
 :mod:`repro.kernels.flops`).
@@ -37,9 +38,8 @@ from repro.kernels.cholesky import (
     local_trinv,
     local_cholinv,
     cholinv_recursive,
-    local_trsm_right,
 )
-from repro.kernels.householder import local_qr, apply_q_transpose, CompactQR
+from repro.kernels.householder import signed_qr
 
 __all__ = [
     "axpy_flops",
@@ -62,8 +62,5 @@ __all__ = [
     "local_trinv",
     "local_cholinv",
     "cholinv_recursive",
-    "local_trsm_right",
-    "local_qr",
-    "apply_q_transpose",
-    "CompactQR",
+    "signed_qr",
 ]

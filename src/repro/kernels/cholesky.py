@@ -70,23 +70,6 @@ def local_cholinv(a: Block) -> Tuple[Block, Block, float]:
     return l, y, f1 + f2
 
 
-def local_trsm_right(b: Block, l: Block) -> Tuple[Block, float]:
-    """Solve ``X @ L.T = B`` for ``X`` (right-side lower-transpose TRSM).
-
-    This is the ``Q = A R**-1`` step done *without* the explicit inverse --
-    the building block of the InverseDepth variant (Section III-A's
-    alternate strategy) and of the baselines.
-    """
-    m, n = b.shape
-    ln, ln2 = l.shape
-    require(ln == ln2 == n, f"TRSM shape mismatch: B {b.shape} vs L {l.shape}")
-    if isinstance(b, SymbolicBlock):
-        return SymbolicBlock((m, n)), fl.trsm_flops(m, n)
-    x = scipy.linalg.solve_triangular(
-        l.data, b.data.T, lower=True)  # type: ignore[union-attr]
-    return NumericBlock(np.ascontiguousarray(x.T)), fl.trsm_flops(m, n)
-
-
 def cholinv_recursive(a: np.ndarray, base: int = 1) -> Tuple[np.ndarray, np.ndarray]:
     """Literal sequential transcription of Algorithm 2 (``CholInv``).
 

@@ -1,71 +1,33 @@
-"""Sequential Householder QR kernels.
+"""Sequential Householder QR kernel.
 
-Used in three places:
-
-* the accuracy study compares CholeskyQR-family orthogonality against
-  Householder QR (the gold standard the paper cites);
-* the ScaLAPACK-like baseline factors gathered panels with it;
-* the TSQR baseline factors local row blocks and tree-combined R-stacks.
-
-``local_qr`` charges the paper's Householder flop count
-``2 m n**2 - (2/3) n**3``.
+The executed baselines factor with it: TSQR its local row blocks and
+gathered R-stacks, the ScaLAPACK-like baseline its panels.  Both call it
+once on a whole stack of local matrices; they charge the paper's
+Householder flop count ``2 m n**2 - (2/3) n**3``
+(:func:`repro.kernels.flops.householder_flops`) per rank themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from repro.kernels import flops as fl
 from repro.utils.validation import require
-from repro.vmpi.datatypes import Block, NumericBlock, SymbolicBlock
 
 
-@dataclass
-class CompactQR:
-    """An explicit reduced QR pair (the library works with explicit Q).
+def signed_qr(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduced QR of one ``m x n`` array, or of every matrix in a stack.
 
-    ScaLAPACK keeps Q implicit as Householder reflectors; our baselines
-    materialize it because the CholeskyQR-family algorithms under study
-    produce explicit Q and the comparison metrics need both in the same
-    form.
+    The R factors' diagonals are made non-negative so results are unique
+    and comparable across algorithms (LAPACK's sign convention is
+    arbitrary).  ``np.linalg.qr`` factors each matrix of a stack with the
+    same LAPACK calls as a lone 2D array, so a stacked call has the
+    per-matrix bits.
     """
-
-    q: Block
-    r: Block
-
-
-def local_qr(a: Block) -> Tuple[Block, Block, float]:
-    """Reduced QR of an ``m x n`` block (``m >= n``): returns ``(Q, R, flops)``.
-
-    The R factor's diagonal is made non-negative so results are unique and
-    comparable across algorithms (LAPACK's sign convention is arbitrary).
-    """
-    m, n = a.shape
-    require(m >= n, f"reduced QR needs m >= n, got {a.shape}")
-    f = fl.householder_flops(m, n)
-    if isinstance(a, SymbolicBlock):
-        return SymbolicBlock((m, n)), SymbolicBlock((n, n)), f
-    q, r = np.linalg.qr(a.data)  # type: ignore[union-attr]
-    signs = np.sign(np.diag(r))
+    require(a.shape[-2] >= a.shape[-1],
+            f"reduced QR needs m >= n, got {a.shape[-2:]}")
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    q = q * signs[np.newaxis, :]
-    r = r * signs[:, np.newaxis]
-    return NumericBlock(q), NumericBlock(np.triu(r)), f
-
-
-def apply_q_transpose(q: Block, c: Block) -> Tuple[Block, float]:
-    """``W = Q.T @ C`` -- the trailing-update projection of blocked QR.
-
-    Charged at the GEMM rate (the baselines apply explicit panel Q factors,
-    so this really is a GEMM).
-    """
-    m, b = q.shape
-    m2, n = c.shape
-    require(m == m2, f"apply_q_transpose shape mismatch: {q.shape} vs {c.shape}")
-    f = fl.mm_flops(b, n, m)
-    if isinstance(q, SymbolicBlock):
-        return SymbolicBlock((b, n)), f
-    return NumericBlock(q.data.T @ c.data), f  # type: ignore[union-attr]
+    return q * signs[..., None, :], np.triu(r * signs[..., :, None])

@@ -8,9 +8,10 @@ bound replay charges all instances of an op as one disjoint group family
 semantics), which is bit-identical to looping instances only because
 disjoint charges commute.
 
-Communicator families and cyclic block layouts are pure functions of
-*position* in a grid's rank array, so a positional map carries a schedule
-recorded on a standalone template grid onto any same-shape grid verbatim
+The paper's communicator families and cyclic block layouts are pure
+functions of *position* in a grid's rank array, so a positional map
+carries a schedule recorded on a standalone template grid onto any
+same-shape grid verbatim
 -- the generalization of the subcube trick CA-CQR2's symbolic path
 introduced.
 """

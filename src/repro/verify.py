@@ -89,16 +89,6 @@ def verify_qr(a: np.ndarray, q: np.ndarray, r: np.ndarray,
                      passed=not failures, failures=failures)
 
 
-def verify_distributed_consistency(dist_matrix, atol: float = 0.0) -> bool:
-    """Check a :class:`~repro.vmpi.distmatrix.DistMatrix`'s depth replication.
-
-    Returns ``True`` when every depth copy agrees to within *atol* (the
-    steady-state invariant every algorithm here must restore on outputs).
-    """
-    spread = dist_matrix.replication_spread()
-    return spread <= atol
-
-
 def cross_check(a: np.ndarray, factorizations, atol: float = 1e-9) -> List[str]:
     """Compare several ``(label, Q, R)`` triples for mutual consistency.
 

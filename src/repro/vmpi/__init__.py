@@ -17,29 +17,26 @@ Key pieces:
 * :mod:`repro.vmpi.machine` -- the :class:`VirtualMachine`: array-backed
   rank state (one clock vector, interned-phase ledger planes), vectorized
   charging, pluggable trace sinks, report generation.
-* :mod:`repro.vmpi.comm` -- :class:`Communicator`: Bcast / Reduce /
-  Allreduce / Allgather / pairwise exchange over ordered rank groups.
-* :mod:`repro.vmpi.grid` -- 3D processor grids ``Pi[x, y, z]`` with slices,
-  fibers, mod-c subgroups and cubic subcubes (the index algebra of
+* :mod:`repro.vmpi.grid` -- 3D processor grids ``Pi[x, y, z]``: the
+  paper's communicator families are slices of the rank array (fibers,
+  faces, mod-c subgroups), plus cubic subcubes (the index algebra of
   Sections II-B and III-B).
+* :mod:`repro.vmpi.comm` -- :func:`ordered_sum`, a collective's reduction
+  along one grid axis of a stacked array, in rank order.
 * :mod:`repro.vmpi.distmatrix` -- cyclically distributed matrices replicated
   over grid depth, with gather/scatter to global numpy arrays.  A numeric
   matrix is one stacked array indexed by grid coordinates, so a step over
   every rank is one array operation; symbolic matrices share one block
   across all ranks (``DistMatrix.shared``).  Either way a matrix costs
   O(1) Python objects whatever the rank count.
+
+No layer holds per-rank Python objects: every algorithm step computes on
+the stacked arrays and charges each communicator family in one machine
+call.
 """
 
-from repro.vmpi.datatypes import (
-    Block,
-    NumericBlock,
-    SharedBlockMap,
-    SymbolicBlock,
-    make_block,
-    zeros_block,
-)
+from repro.vmpi.datatypes import Block, NumericBlock, SymbolicBlock
 from repro.vmpi.machine import TraceEvent, TraceRecorder, TraceSink, VirtualMachine
-from repro.vmpi.comm import Communicator
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.distmatrix import DistMatrix, Replicated, dist_transpose
 from repro.vmpi.trace import (
@@ -52,15 +49,11 @@ from repro.vmpi.trace import (
 __all__ = [
     "Block",
     "NumericBlock",
-    "SharedBlockMap",
     "SymbolicBlock",
-    "make_block",
-    "zeros_block",
     "TraceEvent",
     "TraceRecorder",
     "TraceSink",
     "VirtualMachine",
-    "Communicator",
     "Grid3D",
     "DistMatrix",
     "Replicated",

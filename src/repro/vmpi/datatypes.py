@@ -10,15 +10,11 @@ the paper's experiments at sizes like ``2**25 x 2**10`` on a laptop.
 
 Blocks are immutable by convention: operations return new blocks.  A
 numeric :class:`~repro.vmpi.distmatrix.DistMatrix` does not store blocks
-but one stacked array; its per-rank ``NumericBlock`` objects are read-only
-views of that array that never alias another rank, built only at the
-boundary (``DistMatrix.blocks``) for code that works rank by rank, whose
-:class:`~repro.vmpi.comm.Communicator` collectives copy numeric payloads
-for the same reason.  Symbolic blocks carry no data at all, so they are
-*freely shared*:
-``SymbolicBlock.copy()`` returns the same object, and collectives deliver
-one shared block to a whole group through :class:`SharedBlockMap` -- a
-million-rank symbolic matrix costs one block, not a million.
+but one stacked array (``NumericBlock`` wraps a single local matrix for
+the sequential kernels); a symbolic one holds one shape-only block that
+every rank shares -- symbolic blocks carry no data, so
+``SymbolicBlock.copy()`` returns the same object and a million-rank
+symbolic matrix costs one block, not a million.
 Flop accounting is *not* done here -- the kernels layer
 (:mod:`repro.kernels`) computes flop counts from shapes and charges the
 ledger; blocks only carry data/shape.
@@ -26,7 +22,7 @@ ledger; blocks only carry data/shape.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -218,54 +214,6 @@ class SymbolicBlock(Block):
         return f"SymbolicBlock(shape={self.shape})"
 
 
-class SharedBlockMap(Mapping):
-    """A ``{rank: block}`` mapping where every rank maps to one shared block.
-
-    Symbolic collectives return this instead of materializing a per-rank
-    dict: delivery to a million-rank group costs one object.  It supports
-    everything the per-rank dict consumers use (``[]``, iteration,
-    ``keys``, ``len``, ``dict.update(...)``) and is immutable.  A flat
-    intp rank array is kept as the very same object (no copy, no view),
-    so a map built over a grid's own rank array is recognizably that
-    grid's.
-    """
-
-    __slots__ = ("_ranks", "block", "_rank_set")
-
-    def __init__(self, ranks: "np.ndarray", block: Block):
-        arr = np.asarray(ranks, dtype=np.intp)
-        self._ranks = arr if arr.ndim == 1 else arr.reshape(-1)
-        self.block = block
-        self._rank_set = None
-
-    @property
-    def ranks_array(self) -> "np.ndarray":
-        """The member ranks as a flat intp array."""
-        return self._ranks
-
-    def __getitem__(self, rank: int) -> Block:
-        if rank in self.rank_set():
-            return self.block
-        raise KeyError(rank)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._ranks.tolist())
-
-    def __len__(self) -> int:
-        return self._ranks.size
-
-    def __contains__(self, rank: object) -> bool:
-        return rank in self.rank_set()
-
-    def rank_set(self) -> frozenset:
-        if self._rank_set is None:
-            self._rank_set = frozenset(self._ranks.tolist())
-        return self._rank_set
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SharedBlockMap(ranks={self._ranks.size}, block={self.block!r})"
-
-
 def _require_numeric(block: Block) -> NumericBlock:
     if not isinstance(block, NumericBlock):
         raise TypeError(f"expected NumericBlock, got {type(block).__name__}; "
@@ -278,24 +226,6 @@ def _require_symbolic(block: Block) -> SymbolicBlock:
         raise TypeError(f"expected SymbolicBlock, got {type(block).__name__}; "
                         "numeric and symbolic blocks cannot be mixed in one run")
     return block
-
-
-def make_block(source: Union[np.ndarray, Shape], symbolic: bool = False) -> Block:
-    """Build a block from an array (numeric) or a shape (either backend)."""
-    if isinstance(source, np.ndarray):
-        if symbolic:
-            return SymbolicBlock(source.shape)  # type: ignore[arg-type]
-        return NumericBlock(source)
-    if symbolic:
-        return SymbolicBlock(source)  # type: ignore[arg-type]
-    return NumericBlock(np.zeros(source))
-
-
-def zeros_block(shape: Shape, symbolic: bool) -> Block:
-    """An all-zeros block of the requested backend."""
-    if symbolic:
-        return SymbolicBlock(shape)
-    return NumericBlock(np.zeros(shape))
 
 
 def join_blocks(a11: Block, a12: Block, a21: Block, a22: Block) -> Block:

@@ -27,31 +27,23 @@ rank ``Pi[x, y, z]`` owns.  Every step is a whole-array operation on it --
 :meth:`assemble_quadrants` a concatenation, :func:`dist_transpose` one
 axis swap, and the algorithms in :mod:`repro.core` stack their local
 products into one ``np.matmul``.  A symbolic matrix holds one immutable
-shape-only block shared by every rank (:meth:`DistMatrix.shared`), so it
-costs O(1) Python objects whatever the rank count.  Per-rank
-:class:`~repro.vmpi.datatypes.NumericBlock` objects appear only at the
-boundaries: :attr:`DistMatrix.blocks` maps every rank to a read-only view
-of its own block (never another rank's), and the per-rank mapping
-constructor stacks the blocks that rank-by-rank code (the baselines,
-the panel loop) builds.
+shape-only block shared by every rank (:meth:`DistMatrix.shared`).
+Either way a matrix costs O(1) Python objects whatever the rank count:
+no code holds one object per rank.  :meth:`DistMatrix.local` wraps one
+rank's block as a read-only :class:`~repro.vmpi.datatypes.NumericBlock`
+view, for inspection.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.costmodel import collectives as cc
 from repro.utils.validation import ValidationError, require
-from repro.vmpi.datatypes import (
-    Block,
-    NumericBlock,
-    SharedBlockMap,
-    SymbolicBlock,
-    join_blocks,
-)
+from repro.vmpi.datatypes import Block, NumericBlock, SymbolicBlock, join_blocks
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
 
@@ -75,28 +67,6 @@ def _require_shared_shape(block: Block, expected: Tuple[int, int]) -> None:
             f"shared block has shape {block.shape}, expected {expected}")
 
 
-def _check_rank_blocks(grid: Grid3D, blocks: Mapping[int, Block],
-                       expected: Tuple[int, int]) -> None:
-    """Every grid rank has a block, and each distinct block has the shape."""
-    if blocks.keys() != grid.rank_set:
-        for (x, y, z) in grid.coords():     # slow path: name the culprit
-            r = grid.rank_at(x, y, z)
-            require(r in blocks,
-                    f"missing block for rank {r} at coords ({x},{y},{z})")
-    distinct = set(map(id, blocks.values()))
-    if len(distinct) == 1:
-        _require_shared_shape(next(iter(blocks.values())), expected)
-        return
-    checked = set()
-    for r, b in blocks.items():
-        key = id(b)
-        if key in checked:
-            continue
-        checked.add(key)
-        require(b.shape == expected,
-                f"block at rank {r} has shape {b.shape}, expected {expected}")
-
-
 class DistMatrix:
     """An ``m x n`` matrix cyclically distributed over a grid face.
 
@@ -105,31 +75,7 @@ class DistMatrix:
     one :attr:`shared_block` every rank sees.
     """
 
-    __slots__ = ("grid", "m", "n", "data", "shared_block", "_blocks")
-
-    def __init__(self, grid: Grid3D, m: int, n: int,
-                 blocks: Mapping[int, Block]):
-        """The matrix whose rank ``r`` holds ``blocks[r]``.
-
-        Numeric blocks are copied into one stacked array (the caller's
-        buffers are never aliased); symbolic ones must share a shape and
-        collapse to one block.
-        """
-        expected = _local_shape(grid, m, n)
-        if (isinstance(blocks, SharedBlockMap)
-                and blocks.ranks_array is grid.all_ranks_array):
-            # Built over this grid's own rank array: coverage holds by
-            # construction, and there is one block to check.
-            _require_shared_shape(blocks.block, expected)
-            first: Block = blocks.block
-        else:
-            _check_rank_blocks(grid, blocks, expected)
-            first = next(iter(blocks.values()))
-        data = None
-        if first.is_numeric:
-            data = np.stack([blocks[r].data for r in grid.all_ranks()])  # type: ignore[union-attr]
-            data = data.reshape(grid.dims + expected)
-        self._init(grid, m, n, data, None if data is not None else first)
+    __slots__ = ("grid", "m", "n", "data", "shared_block")
 
     def _init(self, grid: Grid3D, m: int, n: int, data: Optional[np.ndarray],
               block: Optional[Block]) -> None:
@@ -140,7 +86,6 @@ class DistMatrix:
         self.n = n
         self.data = data
         self.shared_block = block
-        self._blocks: Optional[Mapping[int, Block]] = None
 
     # -- construction -------------------------------------------------------------
 
@@ -163,14 +108,16 @@ class DistMatrix:
     def shared(cls, grid: Grid3D, m: int, n: int, block: Block) -> "DistMatrix":
         """Symbolic matrix whose every rank holds the one shared *block*.
 
-        O(1) whatever the rank count: the block shape is checked once and
-        the per-rank mapping is a :class:`SharedBlockMap` over the grid's
-        own rank array.  Only shape-only blocks may be shared; numeric
-        ranks own distinct buffers.
+        O(1) whatever the rank count: the block shape is checked once.
+        Only shape-only blocks may be shared; numeric ranks own distinct
+        buffers.
         """
         require(not block.is_numeric,
                 "only symbolic blocks can be shared across ranks")
-        return cls(grid, m, n, SharedBlockMap(grid.all_ranks_array, block))
+        _require_shared_shape(block, _local_shape(grid, m, n))
+        mat = cls.__new__(cls)
+        mat._init(grid, m, n, None, block)
+        return mat
 
     @classmethod
     def from_global(cls, grid: Grid3D, array: np.ndarray) -> "DistMatrix":
@@ -211,31 +158,16 @@ class DistMatrix:
     def is_numeric(self) -> bool:
         return self.data is not None
 
-    @property
-    def blocks(self) -> Mapping[int, Block]:
-        """``{machine rank: local block}`` over every grid rank.
-
-        Symbolic: a :class:`SharedBlockMap` of the one shared block.
-        Numeric: read-only :class:`NumericBlock` views of :attr:`data`,
-        one per rank, built on first access.
-        """
-        if self._blocks is None:
-            if self.data is None:
-                self._blocks = SharedBlockMap(self.grid.all_ranks_array,
-                                              self.shared_block)
-            else:
-                self._blocks = {
-                    r: NumericBlock(self.data[idx]) for r, idx in
-                    zip(self.grid.all_ranks(), np.ndindex(*self.grid.dims))}
-        return self._blocks
-
     def local(self, x: int, y: int, z: int) -> Block:
-        """Local block at grid coordinates ``(x, y, z)``."""
+        """Local block at grid coordinates ``(x, y, z)``.
+
+        Numeric: a read-only view of that rank's slice of :attr:`data`.
+        """
         for name, value, dim in zip("xyz", (x, y, z), self.grid.dims):
             _require_coord(name, value, dim)
         if self.data is None:
             return self.shared_block  # type: ignore[return-value]
-        return self.blocks[self.grid.rank_at(x, y, z)]
+        return NumericBlock(self.data[x, y, z])
 
     # -- assembly -----------------------------------------------------------------
 
@@ -333,23 +265,21 @@ class DistMatrix:
 class Replicated:
     """A small matrix fully replicated on a set of ranks (e.g. 1D-CQR's R).
 
-    Unlike :class:`DistMatrix` there is no partitioning: every listed rank
-    owns a complete copy.  Numeric copies are independent buffers, except
-    in a :meth:`shared` matrix, where every rank reads one read-only block.
+    Unlike :class:`DistMatrix` there is no partitioning: every rank of
+    :attr:`ranks` owns the complete matrix.  Either every rank reads one
+    block (:meth:`shared`; read-only when numeric), or the owners hold a
+    stack of independently computed numeric copies (:meth:`stacked`)
+    that must agree bit for bit.
     """
 
-    __slots__ = ("shape", "blocks")
+    __slots__ = ("ranks", "shape", "shared_block", "copies")
 
-    def __init__(self, shape: Tuple[int, int], blocks: Mapping[int, Block]):
-        require(len(blocks) > 0, "Replicated needs at least one rank")
-        if isinstance(blocks, SharedBlockMap):
-            _require_shared_shape(blocks.block, shape)
-        else:
-            for r, b in blocks.items():
-                require(b.shape == shape,
-                        f"replicated block at rank {r} has shape {b.shape}, expected {shape}")
+    def __init__(self, ranks: np.ndarray, shape: Tuple[int, int],
+                 shared_block: Optional[Block], copies: Optional[np.ndarray]):
+        self.ranks = ranks
         self.shape = shape
-        self.blocks = blocks
+        self.shared_block = shared_block
+        self.copies = copies
 
     @classmethod
     def shared(cls, ranks: np.ndarray, block: Block) -> "Replicated":
@@ -359,35 +289,28 @@ class Replicated:
         """
         if isinstance(block, NumericBlock):
             block.data.flags.writeable = False
-        return cls(block.shape, SharedBlockMap(ranks, block))
+        return cls(ranks, block.shape, block, None)
 
-    @property
-    def shared_block(self) -> Optional[Block]:
-        """The one block every rank holds, or ``None`` for per-rank copies."""
-        if isinstance(self.blocks, SharedBlockMap):
-            return self.blocks.block
-        return None
+    @classmethod
+    def stacked(cls, ranks: np.ndarray, copies: np.ndarray) -> "Replicated":
+        """The ``(k, rows, cols)`` stack of numeric *copies* held on *ranks*."""
+        require(copies.ndim == 3 and copies.shape[0] > 0,
+                f"replicated copies must be a non-empty (k, rows, cols) "
+                f"stack, got shape {copies.shape}")
+        return cls(ranks, copies.shape[1:], None, copies)
 
     @property
     def is_numeric(self) -> bool:
-        block = self.shared_block
-        if block is None:
-            block = next(iter(self.blocks.values()))
-        return block.is_numeric
-
-    def block(self, rank: int) -> Block:
-        return self.blocks[rank]
+        return self.copies is not None or self.shared_block.is_numeric  # type: ignore[union-attr]
 
     def to_global(self) -> np.ndarray:
-        """The replicated value (numeric mode), verified consistent across ranks."""
+        """The replicated value (numeric mode), verified consistent across copies."""
         require(self.is_numeric, "to_global requires numeric blocks")
-        if self.shared_block is not None:
+        if self.copies is None:
             return self.shared_block.data.copy()  # type: ignore[union-attr]
-        values = [b.data for b in self.blocks.values()]  # type: ignore[union-attr]
-        ref = values[0]
-        for v in values[1:]:
-            require(np.array_equal(ref, v),
-                    "replicated copies diverged; algorithm bug upstream")
+        ref = self.copies[0]
+        require(bool((self.copies == ref).all()),
+                "replicated copies diverged; algorithm bug upstream")
         return ref.copy()
 
 

@@ -7,18 +7,22 @@ A :class:`Grid3D` is an array of machine ranks indexed by coordinates
 * ``y`` (size ``d``) indexes **row** blocks,
 * ``z`` (size ``c``) is the replication **depth**.
 
-The grid exposes exactly the communicator families the paper uses:
+The paper's communicator families (Section II-B) are slices of the rank
+array, ordered by the varying coordinate:
 
-* ``comm_x(y, z)``  -- row communicator ``Pi[:, y, z]``;
-* ``comm_y(x, z)``  -- column communicator ``Pi[x, :, z]``;
-* ``comm_z(x, y)``  -- depth communicator ``Pi[x, y, :]``;
-* ``comm_slice(z)`` -- a whole 2D slice ``Pi[:, :, z]`` (base-case Allgather);
-* ``comm_y_group(x, z, group, c)``    -- the contiguous group
-  ``Pi[x, c*floor(y/c) : c*ceil(y/c), z]`` of Algorithm 8 line 3;
-* ``comm_y_strided(x, z, residue, c)`` -- the stride-``c`` subgroup
-  ``Pi[x, residue::c, z]`` of Algorithm 8 line 4;
-* ``subcube(group)`` -- the cubic ``c x c x c`` subgrid on which ``d/c``
-  simultaneous CFR3D instances run (Algorithm 8 line 6).
+* ``ranks[:, y, z]`` -- the row communicator ``Pi[:, y, z]``;
+* ``ranks[x, :, z]`` -- the column communicator ``Pi[x, :, z]``;
+* ``ranks[x, y, :]`` -- the depth communicator ``Pi[x, y, :]``;
+* ``ranks[:, :, z]`` -- a whole 2D slice (the base-case Allgather);
+* ``ranks[x, k*c:(k+1)*c, z]`` -- the contiguous y-group of Algorithm 8
+  line 3, and ``ranks[x, r::c, z]`` the stride-``c`` subgroup of line 4;
+* :meth:`Grid3D.subcube` -- the cubic ``c x c x c`` subgrid on which
+  ``d/c`` simultaneous CFR3D instances run (Algorithm 8 line 6).
+
+A step over a whole family reshapes the rank array into a ``(groups,
+size)`` matrix -- e.g. ``ranks.transpose(1, 2, 0).reshape(-1, dim_x)``
+for every row communicator -- and charges it in one
+:meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_groups` call.
 
 Subgrids are themselves :class:`Grid3D` objects sharing the parent's
 machine, so every algorithm is oblivious to whether it runs on the root
@@ -32,7 +36,6 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.utils.validation import check_positive_int, require
-from repro.vmpi.comm import Communicator
 from repro.vmpi.machine import VirtualMachine
 
 Coords = Tuple[int, int, int]
@@ -41,7 +44,7 @@ Coords = Tuple[int, int, int]
 class Grid3D:
     """A (sub)grid of virtual ranks with coordinates ``[x, y, z]``."""
 
-    __slots__ = ("vm", "ranks", "_flat", "_rank_set")
+    __slots__ = ("vm", "ranks", "_flat")
 
     def __init__(self, vm: VirtualMachine, ranks: np.ndarray):
         require(ranks.ndim == 3, f"rank array must be 3D, got ndim={ranks.ndim}")
@@ -60,7 +63,6 @@ class Grid3D:
         self.vm = vm
         self.ranks = arr
         self._flat = arr.reshape(-1)
-        self._rank_set = None
 
     @classmethod
     def _trusted(cls, vm: VirtualMachine, ranks: np.ndarray) -> "Grid3D":
@@ -154,47 +156,6 @@ class Grid3D:
         """
         return self._flat
 
-    @property
-    def rank_set(self) -> frozenset:
-        """Cached frozenset of the grid's machine ranks (membership checks)."""
-        if self._rank_set is None:
-            self._rank_set = frozenset(self._flat.tolist())
-        return self._rank_set
-
-    # -- communicators ------------------------------------------------------------
-    # Each is a slice of this (validated) grid's rank array, so its ranks are
-    # distinct and in range by construction: built without re-checking.
-
-    def comm_x(self, y: int, z: int) -> Communicator:
-        """Row communicator ``Pi[:, y, z]`` (varying x), ordered by x."""
-        return Communicator._trusted(self.vm, self.ranks[:, y, z])
-
-    def comm_y(self, x: int, z: int) -> Communicator:
-        """Column communicator ``Pi[x, :, z]`` (varying y), ordered by y."""
-        return Communicator._trusted(self.vm, self.ranks[x, :, z])
-
-    def comm_z(self, x: int, y: int) -> Communicator:
-        """Depth communicator ``Pi[x, y, :]`` (varying z), ordered by z."""
-        return Communicator._trusted(self.vm, self.ranks[x, y, :])
-
-    def comm_slice(self, z: int) -> Communicator:
-        """All ranks of slice ``Pi[:, :, z]``, ordered (y-major, x-minor)."""
-        face = self.ranks[:, :, z]
-        return Communicator._trusted(self.vm, face.T.reshape(-1))
-
-    def comm_y_group(self, x: int, z: int, group: int, c: int) -> Communicator:
-        """Contiguous y-group ``Pi[x, group*c : (group+1)*c, z]`` (Alg. 8 line 3)."""
-        check_positive_int(c, "c")
-        require(0 <= group < self.dim_y // c,
-                f"group {group} out of range for dim_y={self.dim_y}, c={c}")
-        return Communicator._trusted(self.vm, self.ranks[x, group * c:(group + 1) * c, z])
-
-    def comm_y_strided(self, x: int, z: int, residue: int, c: int) -> Communicator:
-        """Stride-``c`` y-subgroup ``Pi[x, residue::c, z]`` (Alg. 8 line 4)."""
-        check_positive_int(c, "c")
-        require(0 <= residue < c, f"residue {residue} out of range [0, {c})")
-        return Communicator._trusted(self.vm, self.ranks[x, residue::c, z])
-
     # -- subgrids -----------------------------------------------------------------
 
     def subcube(self, group: int, c: Optional[int] = None) -> "Grid3D":
@@ -218,16 +179,6 @@ class Grid3D:
         require(self.dim_y % self.dim_x == 0,
                 f"dim_y={self.dim_y} not divisible by c={self.dim_x}")
         return self.dim_y // self.dim_x
-
-    def transpose_partner(self, x: int, y: int, z: int) -> Coords:
-        """Partner coordinates ``(y, x, z)`` for the global matrix Transpose.
-
-        Requires a square face (``dim_x == dim_y``), which holds on every
-        cubic grid where CFR3D performs transposes.
-        """
-        require(self.dim_x == self.dim_y,
-                f"transpose needs a square face, got dims {self.dims}")
-        return (y, x, z)
 
     def matches(self, other: "Grid3D") -> bool:
         """Structural equality: same machine and same rank array.

@@ -133,13 +133,15 @@ class VirtualMachine:
     Notes
     -----
     The machine is deliberately unaware of grids and matrices; those live in
-    :mod:`repro.vmpi.grid` and :mod:`repro.vmpi.distmatrix` and only call
-    back into :meth:`charge_comm_group` / :meth:`charge_flops`.
+    :mod:`repro.vmpi.grid` and :mod:`repro.vmpi.distmatrix`, and the
+    algorithms charge whole communicator families through
+    :meth:`charge_comm_groups` / :meth:`charge_flops_group`.
 
     Rank groups passed to the charging methods must contain **distinct**
-    ranks (MPI communicator semantics; :class:`repro.vmpi.comm.Communicator`
-    enforces it).  ndarray groups are used as-is -- callers holding
-    precomputed rank arrays avoid any per-call conversion.
+    ranks (MPI communicator semantics; slices of a
+    :class:`~repro.vmpi.grid.Grid3D` rank array are).  ndarray groups are
+    used as-is -- callers holding precomputed rank arrays avoid any
+    per-call conversion.
     """
 
     def __init__(self, num_ranks: int, machine: MachineSpec = ABSTRACT_MACHINE,
@@ -413,13 +415,6 @@ class VirtualMachine:
             for rank, start in zip(g[row].tolist(), starts[row].tolist()):
                 if end > start:
                     self._sink.record(TraceEvent(rank, phase, kind, start, end))
-
-    def charge_comm_pair(self, rank_a: int, rank_b: int, cost: CollectiveCost,
-                         phase: str) -> None:
-        """Charge a pairwise exchange (used by Transpose)."""
-        if rank_a == rank_b:
-            return
-        self.charge_comm_group((rank_a, rank_b), cost, phase)
 
     def barrier(self, ranks: Optional[RankGroup] = None) -> None:
         """Synchronize clocks (no cost charge).  Defaults to all ranks."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-from repro.utils.validation import require
+from repro.utils.validation import check_positive_int, require
 from repro.vmpi.machine import TraceEvent, TraceRecorder, VirtualMachine
 
 _KIND_GLYPHS = {"compute": "#", "collective": "=", "p2p": "-"}
@@ -87,6 +87,7 @@ def phase_profile(vm: VirtualMachine, depth: int = 1) -> Dict[str, float]:
     total traced duration each rank spent in the phase -- consistent with
     the per-processor view of the paper's cost tables.
     """
+    check_positive_int(depth, "depth")
     _require_recorded(vm, "profile")
     per_rank: Dict[str, Dict[int, float]] = {}
     for e in vm.events:

@@ -553,9 +553,9 @@ class TestLintRules:
         assert [f.rule for f in findings] == ["lint/no-wallclock"]
         assert lint_source(src, "src/repro/obs/fake.py") == []
 
-    @pytest.mark.parametrize("keys", ["grid.all_ranks()", "a.blocks",
+    @pytest.mark.parametrize("keys", ["grid.all_ranks()",
                                       "self.grid.all_ranks()"])
-    @pytest.mark.parametrize("scope", ["core", "vmpi"])
+    @pytest.mark.parametrize("scope", ["core", "vmpi", "baselines"])
     def test_per_rank_dict_flagged_in_core_and_vmpi(self, keys, scope):
         src = f"blocks = dict.fromkeys({keys}, shared)\n"
         findings = lint_source(src, f"src/repro/{scope}/fake.py")
@@ -569,6 +569,7 @@ class TestLintRules:
         # Other fromkeys sources, other dicts, and the shared constructor pass.
         for src in ("order = list(dict.fromkeys(keys))\n",
                     "d = dict.fromkeys(comm.ranks, block)\n",
+                    "d = dict.fromkeys(a.blocks, block)\n",
                     "d = {r: b for r, b in a.blocks.items()}\n",
                     "d = OrderedDict.fromkeys(a.blocks)\n",
                     "m = DistMatrix.shared(grid, 8, 8, block)\n"):
@@ -600,12 +601,13 @@ class TestLintRules:
         assert "range(<grid>.dim_y)" in findings[0].message
 
     def test_coords_loop_negatives(self):
-        # Rank-by-rank code outside the stacked steps keeps its loops.
+        # Code outside the stacked steps keeps its loops.
         for loop in ("for (x, y, z) in grid.coords():\n    pass\n",
-                     "for y in range(grid.dim_y):\n    pass\n"):
-            for path in ("src/repro/core/panels_dist.py",
+                     "for y in range(grid.dim_y):\n    pass\n",
+                     "for y in range(4):\n    r = grid.rank_at(0, y, 0)\n"):
+            for path in ("src/repro/core/panels.py",
                          "src/repro/vmpi/distmatrix.py",
-                         "src/repro/baselines/tsqr.py",
+                         "src/repro/baselines/caqr.py",
                          "src/repro/engine/mm3d.py"):
                 assert lint_source(loop, path) == [], path
         # Other loops in the stacked steps pass.
@@ -613,6 +615,27 @@ class TestLintRules:
                     "for k in coords:\n    pass\n",
                     "for idx in np.ndindex(*grid.dims):\n    pass\n"):
             assert lint_source(src, "src/repro/core/mm3d.py") == [], src
+
+    @pytest.mark.parametrize("path", ["src/repro/baselines/tsqr.py",
+                                      "src/repro/baselines/scalapack_qr.py",
+                                      "src/repro/core/shifted.py",
+                                      "src/repro/core/panels_dist.py"])
+    @pytest.mark.parametrize("src", [
+        "for y in range(procs):\n    rank = g.rank_at(0, y, 0)\n",
+        "acc = {g.rank_at(x, y, 0): 0 for y in range(pr) for x in range(pc)}\n",
+        "for y in range(pr):\n    for x in range(pc):\n"
+        "        r = g.rank_at(x, y, 0)\n",
+        "while todo:\n    todo.pop(g.rank_at(0, 0, 0))\n",
+    ])
+    def test_rank_at_loop_flagged_in_stacked_steps(self, path, src):
+        findings = lint_source(src, path)
+        assert [f.rule for f in findings] == ["lint/no-per-rank-dict"]
+        assert "rank_at" in findings[0].message
+
+    def test_rank_at_outside_loops_passes(self):
+        for src in ("r = g.rank_at(0, 0, 0)\n",
+                    "for y in range(procs):\n    pass\nr = g.rank_at(0, 1, 0)\n"):
+            assert lint_source(src, "src/repro/baselines/tsqr.py") == [], src
 
     def test_parse_error_is_reported_not_raised(self):
         findings = lint_source("def broken(:\n", "x.py")

@@ -497,6 +497,12 @@ class TestValidationErrors:
         (["accuracy", "--rows", "0"], "m must be positive, got 0"),
         (["accuracy", "--max-exponent", "0"],
          "axis 'condition' has no values"),
+        (["plan", "-m", "4096", "-n", "64", "-P", "16", "--no-refine",
+          "--limit", "-1"], "limit must be positive, got -1"),
+        (["trace", "-m", "256", "-n", "16", "-c", "2", "-d", "4",
+          "--max-ranks", "-3"], "max-ranks must be positive, got -3"),
+        (["trace", "-m", "256", "-n", "16", "-c", "2", "-d", "4",
+          "--depth", "0"], "depth must be positive, got 0"),
     ])
     def test_bad_values_are_one_line_errors(self, capsys, argv, message):
         assert main(argv) == 2

@@ -11,7 +11,6 @@ from repro.kernels.cholesky import (
     local_chol,
     local_cholinv,
     local_trinv,
-    local_trsm_right,
 )
 from repro.vmpi.datatypes import NumericBlock, SymbolicBlock
 
@@ -55,16 +54,6 @@ class TestLocalCholinv:
         np.testing.assert_allclose(l.data @ l.data.T, a, atol=1e-12)
         np.testing.assert_allclose(y.data, np.linalg.inv(l.data), atol=1e-9)
         assert flops == pytest.approx(8 ** 3)  # 2n^3/3 + n^3/3
-
-
-class TestTrsmRight:
-    def test_solves(self, rng):
-        a = spd_matrix(5, rng)
-        l, _ = local_chol(NumericBlock(a))
-        b = rng.standard_normal((7, 5))
-        x, flops = local_trsm_right(NumericBlock(b), l)
-        np.testing.assert_allclose(x.data @ l.data.T, b, atol=1e-10)
-        assert flops == pytest.approx(7 * 25)
 
 
 class TestCholinvRecursive:

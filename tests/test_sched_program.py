@@ -100,9 +100,7 @@ class TestCACQREquivalence:
         """Same grid ranks and bit-identical blocks on every rank."""
         np.testing.assert_array_equal(fast.grid.ranks, slow.grid.ranks)
         assert (fast.m, fast.n) == (slow.m, slow.n)
-        assert fast.blocks.keys() == slow.blocks.keys()
-        for rank, blk in fast.blocks.items():
-            np.testing.assert_array_equal(blk.data, slow.blocks[rank].data)
+        np.testing.assert_array_equal(fast.data, slow.data)
 
     @classmethod
     def assert_results_equal(cls, fast, slow, subcubes):
@@ -111,6 +109,10 @@ class TestCACQREquivalence:
         assert len(fast.r_subcubes) == len(slow.r_subcubes) == subcubes
         for r_fast, r_slow in zip(fast.r_subcubes, slow.r_subcubes):
             cls.assert_blocks_equal(r_fast, r_slow)
+
+    @staticmethod
+    def local_blocks(dm: DistMatrix):
+        return [dm.local(*idx).data for idx in np.ndindex(*dm.grid.dims)]
 
     @staticmethod
     def assert_no_shared_buffers(arrays):
@@ -129,10 +131,9 @@ class TestCACQREquivalence:
         assert_machines_identical(vm_fast, vm_slow)
         assert (TestTraceComposition.events_by_rank(vm_fast)
                 == TestTraceComposition.events_by_rank(vm_slow))
+        self.assert_no_shared_buffers(self.local_blocks(fast.q))
         self.assert_no_shared_buffers(
-            [b.data for b in fast.q.blocks.values()])
-        self.assert_no_shared_buffers(
-            [b.data for r in fast.r_subcubes for b in r.blocks.values()])
+            [b for r in fast.r_subcubes for b in self.local_blocks(r)])
 
     def test_shifted_cqr3_failure_path_exact(self):
         # kappa = 1e15: the first shifted pass leaves Q1 too ill-conditioned

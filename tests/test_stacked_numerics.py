@@ -8,8 +8,10 @@ sum along a grid axis.  This file re-derives each step rank by rank with
 ``NumericBlock`` operations -- broadcast copies, one 2D ``@`` per rank,
 collectives summing a float64 zero plus each member in rank order -- and
 requires bytewise equal results at the ``factor`` workload's block shapes
-for ``c`` in {1, 2, 4}, and 1D-CQR's Gram and form-Q against its
-per-rank ``local_syrk`` / ``local_mm``.  It also pins the property all of that rests on:
+for ``c`` in {1, 2, 4}, 1D-CQR's Gram and form-Q against its per-rank
+``local_syrk`` / ``local_mm``, TSQR's stacked QRs against one 2D QR per
+rank, and sCQR3's ``||A||_F**2`` against a per-rank ``np.sum`` summed in
+rank order.  It also pins the property all of that rests on:
 a stacked ``np.matmul`` computes every slice exactly like a 2D ``@``,
 including stride-0 and swapped-axes operands.  If a numpy or BLAS build
 ever breaks that, these tests fail instead of ``Q`` and ``R`` silently
@@ -21,11 +23,13 @@ import pytest
 
 from repro.core.cacqr import _apply_gram_shift, _cross_product_replicated
 from repro.core.cfr3d import cfr3d, default_base_case
+from repro.baselines.tsqr import tsqr_1d
 from repro.core.cqr_1d import _gram_stacked, cqr_1d
 from repro.core.mm3d import mm3d, mm3d_stacked
+from repro.core.shifted import _frobenius_sq
 from repro.kernels.blas import local_mm, local_mm_tn, local_syrk
 from repro.kernels.cholesky import local_cholinv
-from repro.vmpi.comm import _sum_blocks, ordered_sum
+from repro.vmpi.comm import ordered_sum
 from repro.vmpi.datatypes import NumericBlock, join_blocks
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
@@ -204,7 +208,7 @@ class TestOneDimensionalStepsMatchPerBlockLoops:
         blocks = [NumericBlock(dist.data[0, y, 0]) for y in range(procs)]
         # Each per-block Syrk reads one buffer twice (numpy's syrk path,
         # not gemm's): the stacked product must take it slice by slice.
-        want = _sum_blocks([local_syrk(b)[0] for b in blocks])
+        want = collective_sum([local_syrk(b)[0] for b in blocks])
         assert_bytes_equal(_gram_stacked(dist.data), want.data)
 
         q, _ = cqr_1d(vm, dist)
@@ -212,6 +216,49 @@ class TestOneDimensionalStepsMatchPerBlockLoops:
         for y, block in enumerate(blocks):
             assert_bytes_equal(q.data[0, y, 0],
                                local_mm(block, y_inv.transpose())[0].data)
+
+
+def ref_qr(block):
+    """One rank's Householder QR with non-negative R diagonal, in 2D."""
+    q, r = np.linalg.qr(block)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs[np.newaxis, :], np.triu(r * signs[:, np.newaxis])
+
+
+class TestBaselineStepsMatchPerBlockLoops:
+    """TSQR and sCQR3's norm step against their rank-by-rank derivations."""
+
+    @pytest.mark.parametrize("procs,m,n", [(1, 64, 8), (4, 256, 16),
+                                           (16, 1024, 16), (8, 4096, 64)])
+    def test_tsqr_stack_qr(self, procs, m, n):
+        rng = np.random.default_rng(procs + m + n)
+        a = rng.standard_normal((m, n)) * np.geomspace(1.0, 1e-3, n)
+        vm = VirtualMachine(procs)
+        dist = DistMatrix.from_global(Grid3D.build(vm, 1, procs, 1), a)
+        q, r = tsqr_1d(vm, dist)
+        # Every rank's local QR, the allgathered R stack's QR, and each
+        # rank's correction of its local Q -- one 2D call per rank.
+        local = [ref_qr(dist.data[0, y, 0]) for y in range(procs)]
+        qs, r_stack = ref_qr(np.vstack([rb for _, rb in local]))
+        assert_bytes_equal(r.to_global(), r_stack)
+        for y, (qb, _) in enumerate(local):
+            assert_bytes_equal(q.data[0, y, 0], qb @ qs[y * n:(y + 1) * n])
+
+    @pytest.mark.parametrize("c,d,m,n", [(1, 64, 4096, 16), (2, 8, 1024, 32),
+                                         (4, 16, 4096, 64)])
+    def test_scqr3_norm(self, c, d, m, n):
+        # Rank y's rows scaled by 10**(-y/2): partials spanning many
+        # magnitudes make the Allreduce's summation order visible.
+        rng = np.random.default_rng(c + d + m + n)
+        scale = 10.0 ** (-(np.arange(m) % d) / 2.0)
+        a = rng.standard_normal((m, n)) * scale[:, None]
+        dist = DistMatrix.from_global(Grid3D.tunable(VirtualMachine(c * c * d), c, d), a)
+        total = 0.0                 # slice z=0's Allreduce, in y-major rank order
+        for y in range(d):
+            for x in range(c):
+                total += float(np.sum(dist.data[x, y, 0] ** 2))
+        assert_bytes_equal(_frobenius_sq(dist.data), total)
 
 
 #: (batch, rows, inner, cols) of stacked products the steps issue.
@@ -272,12 +319,12 @@ class TestOrderedSum:
         stack = rng.standard_normal((5, 4, 3)) * np.array([1e16, 1.0, -1e16])
         moved = np.moveaxis(stack, axis, 0)
         parts = [NumericBlock(p.reshape(-1, 1)) for p in moved]
-        want = _sum_blocks(parts).data.reshape(moved.shape[1:])
+        want = collective_sum(parts).data.reshape(moved.shape[1:])
         assert_bytes_equal(ordered_sum(stack.copy(), axis), want)
 
     def test_negative_zeros_sum_to_positive_zero(self):
         # The collectives start from a float64 zero: 0 + (-0) + (-0) = +0.
         total = ordered_sum(np.full((3, 2), -0.0), axis=0)
-        assert_bytes_equal(total, _sum_blocks(
+        assert_bytes_equal(total, collective_sum(
             [NumericBlock(np.full((1, 2), -0.0))] * 3).data.reshape(2))
         assert not np.signbit(total).any()

@@ -7,8 +7,6 @@ from repro.vmpi.datatypes import (
     NumericBlock,
     SymbolicBlock,
     join_blocks,
-    make_block,
-    zeros_block,
 )
 
 
@@ -91,24 +89,6 @@ class TestSymbolicBlock:
 
     def test_words(self):
         assert SymbolicBlock((1024, 1024)).words == 1024 * 1024
-
-
-class TestFactories:
-    def test_make_block_from_array(self):
-        b = make_block(np.zeros((2, 2)))
-        assert isinstance(b, NumericBlock)
-        s = make_block(np.zeros((2, 2)), symbolic=True)
-        assert isinstance(s, SymbolicBlock)
-
-    def test_make_block_from_shape(self):
-        assert make_block((3, 4), symbolic=True).shape == (3, 4)
-        b = make_block((3, 4))
-        assert isinstance(b, NumericBlock) and b.shape == (3, 4)
-
-    def test_zeros_block(self):
-        z = zeros_block((2, 3), symbolic=False)
-        np.testing.assert_array_equal(z.data, np.zeros((2, 3)))
-        assert zeros_block((2, 3), symbolic=True).shape == (2, 3)
 
 
 class TestJoinBlocks:

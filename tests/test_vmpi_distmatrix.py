@@ -49,14 +49,13 @@ class TestDistribution:
     def test_blocks_are_read_only_views_that_never_alias(self, rng):
         vm, g = make_tunable(2, 4)
         d = DistMatrix.from_global(g, rng.standard_normal((16, 8)))
-        views = [b.data for b in d.blocks.values()]
+        views = [d.local(*idx).data for idx in np.ndindex(*g.dims)]
         assert len(views) == g.size
         for i, view in enumerate(views):
             assert np.shares_memory(view, d.data) and not view.flags.writeable
             assert not any(np.shares_memory(view, other) for other in views[i + 1:])
         with pytest.raises(ValueError):
             views[0][0, 0] = 1.0
-        assert d.blocks is d.blocks        # built once
 
     @pytest.mark.parametrize("z", [-1, 2])
     def test_to_global_rejects_out_of_range_slice(self, rng, z):
@@ -78,12 +77,11 @@ class TestDistribution:
             d.local(*coords)
 
     def test_missing_block_rejected(self):
+        # A stack without one depth slice's blocks does not cover the grid.
         vm, g = make_cubic(2)
-        d = DistMatrix.symbolic(g, 8, 8)
-        blocks = dict(d.blocks)
-        blocks.pop(g.rank_at(0, 0, 0))
-        with pytest.raises(ValueError, match="missing block"):
-            DistMatrix(g, 8, 8, blocks)
+        data = np.zeros((2, 2, 1, 4, 4))
+        with pytest.raises(ValueError, match="stacked blocks have shape"):
+            DistMatrix.stacked(g, 8, 8, data)
 
 
 class TestQuadrants:
@@ -119,8 +117,8 @@ class TestSubcube:
         view = d.subcube(1)
         # The same buffers, just rebooked on the subgrid: no copy.
         assert view.grid.matches(sub)
-        r = sub.rank_at(1, 0, 1)
-        np.testing.assert_array_equal(view.blocks[r].data, d.blocks[r].data)
+        np.testing.assert_array_equal(view.local(1, 0, 1).data,
+                                      d.local(1, 2, 1).data)
         assert np.shares_memory(view.data, d.data)
         assert view.m == 8 and view.n == 4
         # Subcube 1 holds global rows y = 2, 3 (mod 4) of every 4.
@@ -162,23 +160,21 @@ class TestDistTranspose:
 
 class TestReplicated:
     def test_to_global_checks_consistency(self):
-        blocks = {0: NumericBlock(np.eye(2)), 1: NumericBlock(np.eye(2))}
-        r = Replicated((2, 2), blocks)
+        r = Replicated.stacked(np.arange(2), np.stack([np.eye(2), np.eye(2)]))
         np.testing.assert_array_equal(r.to_global(), np.eye(2))
 
     def test_divergence_detected(self):
-        blocks = {0: NumericBlock(np.eye(2)), 1: NumericBlock(np.zeros((2, 2)))}
-        r = Replicated((2, 2), blocks)
+        r = Replicated.stacked(np.arange(2), np.stack([np.eye(2), np.zeros((2, 2))]))
         with pytest.raises(ValueError, match="diverged"):
             r.to_global()
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Replicated((2, 2), {0: NumericBlock(np.zeros((3, 3)))})
+        with pytest.raises(ValueError, match="stack"):
+            Replicated.stacked(np.arange(1), np.zeros((3, 3)))
 
     def test_shared_block_on_every_rank(self):
         r = Replicated.shared(np.arange(1000), NumericBlock(np.eye(2)))
-        assert len(r.blocks) == 1000 and r.block(999) is r.shared_block
+        assert r.ranks.size == 1000 and r.copies is None
         assert not r.shared_block.data.flags.writeable
         np.testing.assert_array_equal(r.to_global(), np.eye(2))
-        assert Replicated((2, 2), {0: NumericBlock(np.eye(2))}).shared_block is None
+        assert Replicated.stacked(np.arange(1), np.eye(2)[None]).shared_block is None

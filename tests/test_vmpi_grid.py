@@ -40,62 +40,11 @@ class TestConstruction:
             Grid3D(vm, np.zeros((2, 2, 2), dtype=int))
 
 
-class TestCommunicators:
-    def setup_method(self):
-        self.vm = VirtualMachine(27)
-        self.g = Grid3D.cubic(self.vm, 3)
-
-    def test_comm_x_varies_x(self):
-        comm = self.g.comm_x(1, 2)
-        assert comm.ranks == tuple(self.g.rank_at(x, 1, 2) for x in range(3))
-
-    def test_comm_y_varies_y(self):
-        comm = self.g.comm_y(0, 1)
-        assert comm.ranks == tuple(self.g.rank_at(0, y, 1) for y in range(3))
-
-    def test_comm_z_varies_z(self):
-        comm = self.g.comm_z(2, 0)
-        assert comm.ranks == tuple(self.g.rank_at(2, 0, z) for z in range(3))
-
-    def test_comm_families_partition_grid(self):
-        # Row communicators at fixed z partition the slice.
-        seen = set()
-        for y in range(3):
-            seen.update(self.g.comm_x(y, 0).ranks)
-        assert seen == set(int(r) for r in self.g.ranks[:, :, 0].ravel())
-
-    def test_comm_slice_order(self):
-        comm = self.g.comm_slice(1)
-        assert comm.size == 9
-        # y-major, x-minor ordering.
-        assert comm.ranks[0] == self.g.rank_at(0, 0, 1)
-        assert comm.ranks[1] == self.g.rank_at(1, 0, 1)
-        assert comm.ranks[3] == self.g.rank_at(0, 1, 1)
-
-
 class TestSubgroupAlgebra:
     def setup_method(self):
         # c x d x c = 2 x 8 x 2 grid: 4 subcubes.
         self.vm = VirtualMachine(32)
         self.g = Grid3D.tunable(self.vm, c=2, d=8)
-
-    def test_y_group(self):
-        comm = self.g.comm_y_group(0, 1, group=2, c=2)
-        assert comm.ranks == (self.g.rank_at(0, 4, 1), self.g.rank_at(0, 5, 1))
-
-    def test_y_strided(self):
-        comm = self.g.comm_y_strided(1, 0, residue=1, c=2)
-        assert comm.ranks == tuple(self.g.rank_at(1, y, 0) for y in (1, 3, 5, 7))
-
-    def test_groups_and_strides_partition_y(self):
-        all_y = set()
-        for group in range(4):
-            all_y.update(self.g.comm_y_group(0, 0, group, 2).ranks)
-        assert all_y == set(int(r) for r in self.g.ranks[0, :, 0])
-        all_y = set()
-        for residue in range(2):
-            all_y.update(self.g.comm_y_strided(0, 0, residue, 2).ranks)
-        assert all_y == set(int(r) for r in self.g.ranks[0, :, 0])
 
     def test_subcube_is_cubic(self):
         sub = self.g.subcube(1)
@@ -114,19 +63,6 @@ class TestSubgroupAlgebra:
     def test_subcube_bad_group(self):
         with pytest.raises(ValueError):
             self.g.subcube(4)
-
-
-class TestTransposePartner:
-    def test_partner_swaps_xy(self):
-        vm = VirtualMachine(8)
-        g = Grid3D.cubic(vm, 2)
-        assert g.transpose_partner(0, 1, 1) == (1, 0, 1)
-
-    def test_requires_square_face(self):
-        vm = VirtualMachine(8)
-        g = Grid3D.build(vm, 1, 8, 1)
-        with pytest.raises(ValueError):
-            g.transpose_partner(0, 3, 0)
 
 
 class TestMatches:

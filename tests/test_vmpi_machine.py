@@ -31,12 +31,6 @@ class TestCharging:
             assert vm.ledger_of(r).total.messages == 4
             assert vm.ledger_of(r).total.words == 7
 
-    def test_pair_self_exchange_free(self):
-        vm = VirtualMachine(2)
-        vm.charge_comm_pair(1, 1, CollectiveCost(1, 5), "t")
-        assert vm.clock_of(1) == 0
-        assert vm.ledger_of(1).total.messages == 0
-
     def test_barrier_aligns_clocks_without_charges(self):
         vm = VirtualMachine(3)
         vm.charge_flops(0, 50, "w")

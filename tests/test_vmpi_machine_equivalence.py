@@ -20,8 +20,7 @@ import pytest
 from repro.costmodel.collectives import CollectiveCost
 from repro.costmodel.params import STAMPEDE2
 from repro.core.cacqr import ca_cqr2
-from repro.vmpi.comm import Communicator, pairwise_swap
-from repro.vmpi.datatypes import NumericBlock, SymbolicBlock
+from repro.costmodel import collectives as cc
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -65,7 +64,8 @@ class TestSyntheticSchedules:
                 vm.charge_comm_group(group, cost, phase)
             elif op == 2:
                 a, b = rng.choice(24, size=2, replace=False)
-                vm.charge_comm_pair(int(a), int(b), CollectiveCost(1, 64), phase)
+                vm.charge_comm_groups(np.array([[a, b]]), CollectiveCost(1, 64),
+                                      phase)
             else:
                 vm.barrier(rng.choice(24, size=6, replace=False)
                            if rng.integers(0, 2) else None)
@@ -139,24 +139,23 @@ class TestAlgorithmSchedules:
                     == TestTraceComposition.events_by_rank(num))
 
     def test_collective_mix_through_communicator(self):
-        """bcast/reduce/allreduce/allgather/p2p through comm, both backends."""
-        for symbolic in (False, True):
-            vm = RecordingMachine(8)
-            comm = Communicator(vm, [0, 2, 4, 6])
-
-            def blk(v, symbolic=symbolic):
-                return (SymbolicBlock((2, 2)) if symbolic
-                        else NumericBlock(np.full((2, 2), float(v))))
-
-            contributions = {r: blk(r) for r in comm.ranks}
-            comm.bcast(blk(1), root_index=0, phase="s.bcast")
-            comm.reduce(contributions, root_index=1, phase="s.reduce")
-            comm.allreduce(contributions, phase="s.allreduce")
-            comm.allgather(contributions, phase="s.allgather")
-            pairwise_swap(vm, 1, 5, blk(1), blk(2), "s.p2p")
-            vm.barrier()
-            ref = replay(vm.schedule, 8)
-            assert_machines_identical(vm, ref)
+        """bcast/reduce/allreduce/allgather/p2p over communicator families."""
+        vm = RecordingMachine(8)
+        ranks = Grid3D.cubic(vm, 2).ranks
+        vm.charge_flops(3, 50, "skew")    # desynchronize one rank first
+        vm.charge_comm_groups(ranks.transpose(1, 2, 0).reshape(-1, 2),
+                              cc.bcast_cost(4, 2), "s.bcast")
+        vm.charge_comm_groups(ranks.transpose(0, 2, 1).reshape(-1, 2),
+                              cc.reduce_cost(4, 2), "s.reduce")
+        vm.charge_comm_groups(ranks.reshape(-1, 2), cc.allreduce_cost(4, 2),
+                              "s.allreduce")
+        vm.charge_comm_groups(ranks[:, :, 0].T.reshape(1, -1),
+                              cc.allgather_cost(16, 4), "s.allgather")
+        vm.charge_comm_groups(np.array([[1, 5]]), cc.transpose_cost(4, 2),
+                              "s.p2p")
+        vm.barrier()
+        ref = replay(vm.schedule, 8)
+        assert_machines_identical(vm, ref)
 
     def test_dist_transpose_pairs_exact(self):
         """The batched transpose charge equals per-pair p2p exchanges."""

@@ -1,7 +1,7 @@
 """Shared-block symbolic matrices: O(1) Python objects per DistMatrix.
 
-A symbolic :class:`DistMatrix` holds one shape-only block behind a
-:class:`SharedBlockMap` over its grid's rank array, and a compiled
+A symbolic :class:`DistMatrix` holds one shape-only block that every
+rank of its grid shares (:meth:`DistMatrix.shared`), and a compiled
 symbolic CA-CQR2 returns its ``d/c`` per-subcube ``R`` copies as a lazy
 sequence.  These tests pin the object counts, the laziness, and that the
 lazy results agree with the eager per-subcube loop
@@ -24,7 +24,7 @@ from repro.core.cacqr import (
 )
 from repro.core.shifted import ca_shifted_cqr3
 from repro.sched import compiled_replay_disabled
-from repro.vmpi.datatypes import NumericBlock, SharedBlockMap, SymbolicBlock
+from repro.vmpi.datatypes import NumericBlock, SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 
@@ -93,40 +93,36 @@ class TestLazySubcubeResults:
 class TestObjectCounts:
     @staticmethod
     def constructed(monkeypatch, c, d, m, n):
-        """Block mappings of every DistMatrix one cold symbolic CA-CQR2 builds."""
+        """``(data, block)`` of every DistMatrix one cold symbolic CA-CQR2 builds."""
         _subcube_pass_program.cache_clear()
         _merge_program.cache_clear()
-        mappings = []
-        init = DistMatrix.__init__
+        contents = []
+        init = DistMatrix._init
 
-        def recording(self, grid, m, n, blocks):
-            mappings.append(blocks)
-            init(self, grid, m, n, blocks)
+        def recording(self, grid, m, n, data, block):
+            contents.append((data, block))
+            init(self, grid, m, n, data, block)
 
         vm, g = make_tunable(c, d)
         with monkeypatch.context() as patch:
-            patch.setattr(DistMatrix, "__init__", recording)
+            patch.setattr(DistMatrix, "_init", recording)
             ca_cqr2(vm, DistMatrix.symbolic(g, m, n))
-        return mappings
+        return contents
 
     def test_matrices_built_do_not_scale_with_subcubes(self, monkeypatch):
         small = self.constructed(monkeypatch, 2, 8, 256, 8)
         large = self.constructed(monkeypatch, 2, 1024, 32768, 8)
         assert len(small) == len(large)
-        assert all(isinstance(b, SharedBlockMap) for b in small + large)
+        assert all(data is None and isinstance(block, SymbolicBlock)
+                   for data, block in small + large)
 
 
 class TestSharedConstructor:
-    def test_misshaped_block_raises_like_the_dict_path(self):
+    def test_misshaped_block_rejected(self):
         vm, g = make_tunable(2, 4)
-        bad = SymbolicBlock((3, 4))
-        with pytest.raises(ValueError) as via_dict:
-            DistMatrix(g, 16, 8, dict.fromkeys(g.all_ranks(), bad))
-        with pytest.raises(ValueError) as via_shared:
-            DistMatrix.shared(g, 16, 8, bad)
-        assert str(via_shared.value) == str(via_dict.value)
-        assert "shared block has shape (3, 4), expected (4, 4)" in \
-            str(via_shared.value)
+        with pytest.raises(ValueError,
+                           match=r"shared block has shape \(3, 4\), expected \(4, 4\)"):
+            DistMatrix.shared(g, 16, 8, SymbolicBlock((3, 4)))
 
     def test_indivisible_shape_rejected(self):
         vm, g = make_tunable(2, 4)
@@ -141,20 +137,9 @@ class TestSharedConstructor:
     def test_shared_matrix_is_one_block_over_the_grid_ranks(self):
         vm, g = make_tunable(2, 4)
         a = DistMatrix.symbolic(g, 16, 8)
-        assert isinstance(a.blocks, SharedBlockMap)
-        assert a.blocks.ranks_array is g.all_ranks_array
-        assert a.shared_block is a.local(1, 3, 1)
-        assert sorted(a.blocks) == sorted(g.all_ranks())
+        assert a.data is None and a.shared_block.shape == (4, 4)
+        assert a.shared_block is a.local(1, 3, 1) is a.local(0, 0, 0)
         assert not a.is_numeric
-
-    def test_foreign_shared_map_takes_the_checked_path(self):
-        vm, g = make_tunable(2, 4)
-        block = SymbolicBlock((4, 4))
-        a = DistMatrix(g, 16, 8, SharedBlockMap(g.all_ranks_array.copy(), block))
-        assert a.local(0, 0, 0) is block
-        sub = g.subcube(0)
-        with pytest.raises(ValueError, match="missing block"):
-            DistMatrix(g, 16, 8, SharedBlockMap(sub.all_ranks_array, block))
 
     def test_structural_ops_stay_shared(self):
         vm, g = make_tunable(2, 2)
@@ -166,18 +151,6 @@ class TestSharedConstructor:
         assert a.column_panel(0, 4).shared_block.shape == (4, 2)
         view = a.subcube(0)
         assert view.shared_block is a.shared_block
-
-    def test_per_rank_dict_constructor_stacks_numeric_blocks(self, rng):
-        vm, g = make_tunable(2, 4)
-        a = DistMatrix.from_global(g, rng.standard_normal((16, 4)))
-        sub = g.subcube(1)
-        blocks = {r: a.blocks[r] for r in sub.all_ranks()}
-        view = DistMatrix(sub, 8, 4, blocks)
-        assert sorted(view.blocks) == sorted(sub.all_ranks())
-        assert view.is_numeric
-        np.testing.assert_array_equal(view.data, a.subcube(1).data)
-        # The constructor copies: the caller's buffers are not aliased.
-        assert not np.shares_memory(view.data, a.data)
 
 
 class TestGridTrust:
