@@ -83,7 +83,7 @@ def cost_envelope(program: ChargeProgram,
             phase_mass[2, op.phase] += op.payload * op.ranks.size
         elif op.kind == OP_COMM:
             cost = op.payload
-            # Identical expression to VirtualMachine._charge_comm_groups_id.
+            # Identical expression to VirtualMachine._comm_step.
             step = params.alpha * cost.messages + params.beta * cost.words
             per_rank[op.ranks.reshape(-1)] += step
             phase_mass[0, op.phase] += cost.messages * op.ranks.size

@@ -174,9 +174,16 @@ def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
 
     Each of Algorithm 8's lines 1/3/4/5 sweeps a family of pairwise
     disjoint, equal-cost communicator groups over the uniform cyclic
-    layout, so each line is a single vectorized machine call; line 2's
-    local product is identical on every rank.  Disjoint charges commute,
-    so clocks and ledgers are bit-identical to charging group by group.
+    layout, and every family is the set of lines along one axis of the
+    rank array viewed in memory order ``[z, y, x]`` (see
+    :mod:`repro.vmpi.grid`): the row broadcast along ``x`` and the depth
+    broadcast along ``z`` of ``(c, d, c)``, the contiguous Reduce and the
+    strided Allreduce along ``y mod c`` and ``group`` of ``(c, d/c, c, c)``
+    = ``[z, group, y mod c, x]``.  Each line is one
+    :meth:`~repro.vmpi.grid.Grid3D.charge_lines` call -- on a root grid the
+    machine's gather-free axis form -- and line 2's local product is
+    identical on every rank.  Disjoint charges commute, so clocks and
+    ledgers are bit-identical to charging group by group.
     """
     g = w_source.grid
     require(g.matches(target.grid), "cross-product operands must share a grid")
@@ -184,13 +191,13 @@ def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
             f"row counts disagree: {w_source.m} vs {target.m}")
     c, d = g.dim_x, g.dim_y
     require(d % c == 0, f"grid depth d={d} must be a multiple of c={c}")
-    ranks = g.ranks
+    zyx = (c, d, c)
+    by_group = (c, d // c, c, c)             # [z, group, y mod c, x]
 
     # Line 1: row broadcast of the root-z column panel of W's source.
     w_shape = (w_source.local_rows, w_source.local_cols)
-    row_groups = ranks.transpose(1, 2, 0).reshape(-1, c)
-    vm.charge_comm_groups(row_groups, cc.bcast_cost(w_shape[0] * w_shape[1], c),
-                          f"{phase}.bcast-w")
+    g.charge_lines(vm, zyx, 2, cc.bcast_cost(w_shape[0] * w_shape[1], c),
+                   f"{phase}.bcast-w")
 
     # Line 2: local X = W.T @ target, identical on every rank.  Symmetric
     # (self) products are charged at the Syrk rate -- the paper's
@@ -205,24 +212,19 @@ def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
 
     # Line 3: reduce within each contiguous y-group of size c, root at
     # group position z (i.e. the member with y mod c == z).
-    by_xzy = ranks.transpose(0, 2, 1)                    # [x, z, y]
-    contiguous = by_xzy.reshape(-1, c)                   # rows: (x, z, group)
-    vm.charge_comm_groups(contiguous, cc.reduce_cost(partial.words, c),
-                          f"{phase}.reduce-group")
+    g.charge_lines(vm, by_group, 2, cc.reduce_cost(partial.words, c),
+                   f"{phase}.reduce-group")
 
     # Line 4: allreduce across the d/c group roots (stride-c y-subgroups).
     # Non-root residues join their own subgroup's allreduce with data that
     # is never consumed; the cost is charged either way.
     gram_words = partial.words
-    strided = (by_xzy.reshape(c, c, d // c, c)
-               .transpose(0, 1, 3, 2).reshape(-1, d // c))
-    vm.charge_comm_groups(strided, cc.allreduce_cost(gram_words, d // c),
-                          f"{phase}.allreduce-roots")
+    g.charge_lines(vm, by_group, 1, cc.allreduce_cost(gram_words, d // c),
+                   f"{phase}.allreduce-roots")
 
     # Line 5: depth broadcast from root z = y mod c.
-    fiber_groups = ranks.reshape(-1, c)                  # rows: (x, y), cols z
-    vm.charge_comm_groups(fiber_groups, cc.bcast_cost(gram_words, c),
-                          f"{phase}.bcast-depth")
+    g.charge_lines(vm, zyx, 0, cc.bcast_cost(gram_words, c),
+                   f"{phase}.bcast-depth")
 
     if target.data is None:
         return SubcubeResults(g, w_source.n, target.n)

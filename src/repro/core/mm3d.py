@@ -92,24 +92,23 @@ def mm3d(vm: Optional[VirtualMachine], a: DistMatrix, b: DistMatrix,
     prod, flops = local_mm(SymbolicBlock(x_shape), SymbolicBlock(y_shape))
 
     if vm is not None:
-        ranks = grid.ranks
         # Steps 1-2: per-slice broadcasts of the residue-z panels; one
-        # machine call per operand covering every (row|column) x slice group.
-        row_groups = ranks.transpose(1, 2, 0).reshape(-1, grid.dim_x)
-        col_groups = ranks.transpose(0, 2, 1).reshape(-1, grid.dim_y)
-        vm.charge_comm_groups(row_groups,
-                              cc.bcast_cost(x_shape[0] * x_shape[1], grid.dim_x),
-                              f"{phase}.bcast-a")
-        vm.charge_comm_groups(col_groups,
-                              cc.bcast_cost(y_shape[0] * y_shape[1], grid.dim_y),
-                              f"{phase}.bcast-b")
+        # machine call per operand covering every (row|column) x slice
+        # group -- the x and y lines of the grid's [z, y, x] view.
+        zyx = grid.dims[::-1]
+        grid.charge_lines(vm, zyx, 2,
+                          cc.bcast_cost(x_shape[0] * x_shape[1], grid.dim_x),
+                          f"{phase}.bcast-a")
+        grid.charge_lines(vm, zyx, 1,
+                          cc.bcast_cost(y_shape[0] * y_shape[1], grid.dim_y),
+                          f"{phase}.bcast-b")
         # Step 3: the local multiply is identical on every rank.
         vm.charge_flops_group(grid.all_ranks_array, flops * flop_fraction,
                               f"{phase}.local-mm")
         # Step 4: depth-fiber Allreduce sums the residue classes.
-        vm.charge_comm_groups(ranks.reshape(-1, grid.dim_z),
-                              cc.allreduce_cost(prod.words, grid.dim_z),
-                              f"{phase}.allreduce")
+        grid.charge_lines(vm, zyx, 0,
+                          cc.allreduce_cost(prod.words, grid.dim_z),
+                          f"{phase}.allreduce")
 
     if a.data is None:
         return DistMatrix.shared(grid, a.m, b.n, prod)

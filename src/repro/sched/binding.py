@@ -18,6 +18,8 @@ introduced.
 
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 import numpy as np
 
 from repro.utils.validation import require
@@ -25,9 +27,18 @@ from repro.vmpi.grid import Grid3D
 
 
 class RankFamilyMap:
-    """``maps[i, t]`` = machine rank of template rank ``t`` in instance ``i``."""
+    """``maps[i, t]`` = machine rank of template rank ``t`` in instance ``i``.
 
-    __slots__ = ("maps",)
+    A binding whose instances are the *slabs* of the machine's rank space
+    -- ranks ``0 .. P-1`` viewed as a C-order ``(outer, instances,
+    inner)`` array, instance ``i`` being ``[:, i, :]`` in template order --
+    keeps only that shape (``slabs``) and builds ``maps`` on first use:
+    collapsed replay (:mod:`repro.sched.replay`) then reads and writes
+    machine state through reshaped views, with no O(P) index arrays.
+    :meth:`subcubes` over a root grid is such a binding.
+    """
+
+    __slots__ = ("_maps", "slabs", "_tidx")
 
     def __init__(self, maps: np.ndarray, validate: bool = True):
         m = np.ascontiguousarray(np.asarray(maps, dtype=np.intp))
@@ -38,19 +49,89 @@ class RankFamilyMap:
             flat = m.reshape(-1)
             require(np.unique(flat).size == flat.size,
                     "binding instances must be pairwise-disjoint rank sets")
-        self.maps = m
+        self._maps: Optional[np.ndarray] = m
+        self.slabs: Optional[Tuple[int, int, int]] = None
+        self._tidx: Optional[np.ndarray] = None
+
+    @classmethod
+    def _from_slabs(cls, outer: int, instances: int,
+                   inner: int) -> "RankFamilyMap":
+        """The slab binding of an ``outer * instances * inner``-rank machine."""
+        binding = cls.__new__(cls)
+        binding._maps = None
+        binding.slabs = (outer, instances, inner)
+        binding._tidx = None
+        return binding
+
+    @property
+    def maps(self) -> np.ndarray:
+        if self._maps is None:
+            outer, inst, inner = self.slabs  # type: ignore[misc]
+            self._maps = np.ascontiguousarray(
+                np.arange(outer * inst * inner, dtype=np.intp)
+                .reshape(outer, inst, inner).transpose(1, 0, 2)
+                .reshape(inst, outer * inner))
+        return self._maps
 
     @property
     def instances(self) -> int:
-        return self.maps.shape[0]
+        return self.maps.shape[0] if self.slabs is None else self.slabs[1]
 
     @property
     def template_size(self) -> int:
-        return self.maps.shape[1]
+        if self.slabs is None:
+            return self.maps.shape[1]
+        return self.slabs[0] * self.slabs[2]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RankFamilyMap(instances={self.instances}, "
                 f"template_size={self.template_size})")
+
+    # -- machine-state access -----------------------------------------------------
+
+    def covers(self, num_ranks: int) -> bool:
+        """Whether the (disjoint) instances partition all *num_ranks* ranks."""
+        return self.instances * self.template_size == num_ranks
+
+    def gather(self, state: np.ndarray) -> np.ndarray:
+        """Per-rank *state* (last axis: machine ranks) by instance.
+
+        Shape ``(..., outer, instances, inner)`` with template position
+        ``t = o * inner + n``: a view of *state* for a slab binding, a
+        gathered copy with ``outer == 1`` otherwise.
+        """
+        if self.slabs is not None:
+            return state.reshape(state.shape[:-1] + self.slabs)
+        return state[..., self.maps][..., None, :, :]
+
+    def scatter(self, state: np.ndarray, template: np.ndarray) -> None:
+        """Write template-ordered *template* to every instance of *state*."""
+        if self.slabs is not None:
+            outer, _, inner = self.slabs
+            view = state.reshape(state.shape[:-1] + self.slabs)
+            view[...] = template.reshape((*template.shape[:-1], outer, 1, inner))
+        else:
+            state[..., self.maps] = template[..., None, :]
+
+    def template_index(self) -> np.ndarray:
+        """``tidx[rank]`` = template position of *rank* (full-cover bindings).
+
+        Built on first call and kept.
+        """
+        if self._tidx is None:
+            if self.slabs is not None:
+                outer, _, inner = self.slabs
+                positions = np.arange(outer * inner,
+                                      dtype=np.intp).reshape(outer, 1, inner)
+                self._tidx = np.broadcast_to(positions,
+                                             self.slabs).reshape(-1)
+            else:
+                maps = self.maps
+                tidx = np.empty(maps.size, dtype=np.intp)
+                tidx[maps.reshape(-1)] = np.tile(np.arange(maps.shape[1]),
+                                                 maps.shape[0])
+                self._tidx = tidx
+        return self._tidx
 
     # -- constructors -------------------------------------------------------------
 
@@ -79,7 +160,10 @@ class RankFamilyMap:
         ``maps[group][t]`` is the machine rank at the same ``(x, y, z)``
         position of subcube *group* as standalone template rank ``t`` --
         all ``d/c`` subcubes in one binding, without materializing ``d/c``
-        :class:`Grid3D` objects.
+        :class:`Grid3D` objects.  Over a root grid with a root template the
+        subcubes are slabs: the machine's ranks viewed as ``[z, group, y
+        mod c, x]`` hold subcube ``group`` at ``[:, group]``, already in
+        the template's ``[z, y, x]`` rank order.
         """
         c, d = grid.dim_x, grid.dim_y
         require(grid.dim_z == c and d % c == 0,
@@ -87,6 +171,8 @@ class RankFamilyMap:
         require(template.dims == (c, c, c),
                 f"template grid must be {c}x{c}x{c}, got {template.dims}")
         groups = d // c
+        if grid.is_root and template.is_root:
+            return cls._from_slabs(c, groups, c * c)
         # [x, d, z] -> [group, x, yy, z], flattened per group in rank-array
         # order, then inverted through the template's own layout.
         per_group = (grid.ranks.reshape(c, groups, c, c)

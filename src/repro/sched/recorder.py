@@ -71,6 +71,9 @@ class ScheduleRecorder(VirtualMachine):
                                       self._phase_id(phase)))
         super().charge_comm_groups(groups, cost, phase)
 
+    def charge_comm_axis(self, shape, axis, cost, phase):
+        self.charge_comm_groups(self.axis_groups(shape, axis), cost, phase)
+
     def barrier(self, ranks=None):
         idx = None if ranks is None else self._as_ranks(ranks).reshape(-1).copy()
         self._ops.append(ChargeOp(OP_BARRIER, idx, None, -1))

@@ -26,11 +26,17 @@ directly.  Two replay strategies, chosen per call:
   bit-identical while the per-op work drops from ``O(P)`` to
   ``O(template)``.  If the symmetry check fails, replay silently falls
   back to the per-op path -- the guard buys speed, never changes results.
+  For the subcubes of a root grid the instances are slabs of the
+  machine's arrays (see :class:`~repro.sched.binding.RankFamilyMap`), so
+  the guard is ``(v == v[:, :1]).all()`` on reshaped *views* of the
+  clock, the totals and the phase planes, the seed is the view's first
+  slab and the write-back one broadcast assignment; other bindings gather
+  and scatter through their rank matrix.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +53,7 @@ class BoundProgram:
     ``"ops"``); the choice never changes the charged state.
     """
 
-    __slots__ = ("program", "binding", "_flat", "_tidx", "_concrete")
+    __slots__ = ("program", "binding", "_concrete")
 
     def __init__(self, program: ChargeProgram, binding: RankFamilyMap):
         require(binding.template_size == program.num_ranks,
@@ -55,8 +61,6 @@ class BoundProgram:
                 f"match program rank space {program.num_ranks}")
         self.program = program
         self.binding = binding
-        self._flat = binding.maps.reshape(-1)
-        self._tidx: Optional[np.ndarray] = None
         self._concrete: Optional[list] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -158,38 +162,48 @@ class BoundProgram:
         (float addition is non-associative, which is exactly why the state
         is seeded and accumulated chronologically instead of being charged
         as deltas).
+
+        Machine state is read and written through
+        :meth:`~repro.sched.binding.RankFamilyMap.gather` /
+        :meth:`~repro.sched.binding.RankFamilyMap.scatter`: for a slab
+        binding (the subcubes of a root grid) the guard compares reshaped
+        views of the machine's arrays, the seed is the view's instance-0
+        slab and the write-back a broadcast assignment -- no O(P) index
+        array is built or gathered through.
         """
-        maps = self.binding.maps
-        inst = maps.shape[0]
-        clocks = vm._clock[maps]                       # (inst, T)
-        if not (clocks == clocks[0]).all():
-            return False
-        totals = vm._total[:, maps]                    # (3, inst, T)
-        if not (totals == totals[:, :1]).all():
+        b = self.binding
+        clocks = b.gather(vm._clock)
+        totals = b.gather(vm._total)
+        if not (_symmetric(clocks) and _symmetric(totals)):
             return False
         existing = [vm._phase_ids.get(n) for n in names]
+        seeds: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
         for pid in existing:
             if pid is None:
                 continue
-            plane = vm._plane(pid)[:, maps]
-            if not (plane == plane[:, :1]).all():
+            plane = b.gather(vm._plane(pid))
+            touched = (None if vm._touched_all[pid]
+                       else b.gather(vm._touched[pid]))
+            if not (_symmetric(plane)
+                    and (touched is None or _symmetric(touched))):
                 return False
-            touched = vm._touched[pid][maps]
-            if not (touched == touched[0]).all():
-                return False
+            seeds[pid] = (plane, touched)
 
-        m0 = maps[0]
-        tvm = VirtualMachine(maps.shape[1], vm.machine)
-        tvm._clock[:] = clocks[0]
-        tvm._total[:] = totals[:, 0]
+        tvm = VirtualMachine(b.template_size, vm.machine)
+        tvm._clock[:] = _first(clocks)
+        tvm._total[:] = _first(totals)
         t_pids: List[int] = []
         for name, pid in zip(names, existing):
             tp = tvm._phase_id(name)
             t_pids.append(tp)
             if pid is not None:
-                tvm._planes[tp][:] = vm._planes[pid][:, m0]
-                tvm._touched[tp][:] = vm._touched[pid][m0]
-                tvm._touched_all[tp] = bool(tvm._touched[tp].all())
+                plane, touched = seeds[pid]
+                tvm._planes[tp][:] = _first(plane)
+                if touched is None:
+                    tvm._touch(tp, None)
+                else:
+                    tvm._touched[tp][:] = _first(touched)
+                    tvm._touched_all[tp] = bool(tvm._touched[tp].all())
 
         charge_comm = tvm._charge_comm_groups_id
         charge_flops = tvm._charge_flops_group_id
@@ -201,41 +215,35 @@ class BoundProgram:
             else:
                 tvm.barrier(op.ranks)
 
-        if self._flat.size == vm.num_ranks:
-            # The instances partition the whole machine: the clock and the
-            # running totals are the template state gathered through the
-            # inverse rank permutation, and every phase plane is *installed
-            # virtually* -- template arrays plus that same gather index --
-            # instead of being expanded to (3, P).  Reports reduce lazy
-            # planes in template space (max is order-independent, so the
-            # result is bit-identical), and any later direct charge to one
-            # of these phases materializes the concrete plane on demand.
-            tidx = self._template_index()
-            np.take(tvm._clock, tidx, out=vm._clock)
-            np.take(tvm._total, tidx, axis=1, out=vm._total)
+        b.scatter(vm._clock, tvm._clock)
+        b.scatter(vm._total, tvm._total)
+        if b.covers(vm.num_ranks):
+            # The instances partition the whole machine: every phase plane
+            # is *installed virtually* -- template arrays plus the binding's
+            # rank -> template-position index, built only if a per-rank
+            # read or a later direct charge needs it -- instead of being
+            # expanded to (3, P).  Reports reduce lazy planes in template
+            # space (max is order-independent, so the result is
+            # bit-identical).
             for name, tp in zip(names, t_pids):
-                vm._install_lazy(vm._phase_id(name), tvm._planes[tp],
-                                 tvm._touched[tp], tidx,
-                                 tvm._touched_all[tp])
+                vm._install_lazy(name, tvm._planes[tp], tvm._touched[tp],
+                                 b.template_index, tvm._touched_all[tp])
         else:
-            # Partial coverage: scatter with a broadcast right-hand side --
-            # the (inst, T) index replicates template state across
-            # instances without materializing (3, P)-sized tiles.
-            vm._clock[maps] = tvm._clock
-            vm._total[:, maps] = tvm._total[:, None, :]
+            # Partial coverage: scatter with a broadcast right-hand side,
+            # without materializing (3, P)-sized tiles.
             for name, tp in zip(names, t_pids):
                 pid = vm._phase_id(name)
-                vm._planes[pid][:, maps] = tvm._planes[tp][:, None, :]
+                b.scatter(vm._planes[pid], tvm._planes[tp])
                 if not vm._touched_all[pid]:
-                    vm._touched[pid][maps] = tvm._touched[tp]
+                    b.scatter(vm._touched[pid], tvm._touched[tp])
         return True
 
-    def _template_index(self) -> np.ndarray:
-        """``tidx[rank] = template position of rank`` (full-cover bindings)."""
-        if self._tidx is None:
-            maps = self.binding.maps
-            tidx = np.empty(self._flat.size, dtype=np.intp)
-            tidx[self._flat] = np.tile(np.arange(maps.shape[1]),
-                                       maps.shape[0])
-            self._tidx = tidx
-        return self._tidx
+
+def _symmetric(by_instance: np.ndarray) -> bool:
+    """Whether every instance holds instance 0's state (see ``gather``)."""
+    return bool((by_instance == by_instance[..., :1, :]).all())
+
+
+def _first(by_instance: np.ndarray) -> np.ndarray:
+    """Instance 0's state in template order."""
+    return by_instance[..., 0, :].reshape((*by_instance.shape[:-3], -1))

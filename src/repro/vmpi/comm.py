@@ -7,8 +7,9 @@ array indexed by the same grid coordinates
 movement is therefore an index into that array, and its reduction a sum
 along one grid axis: :func:`ordered_sum`, which adds the group's members
 in rank order exactly as a lock-step MPI reduction would.  The charge is
-one :meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_groups` call
-over the whole communicator family, with the butterfly cost formulas of
+one machine call over the whole communicator family
+(:meth:`~repro.vmpi.grid.Grid3D.charge_lines` for the lines along a grid
+axis), with the butterfly cost formulas of
 :mod:`repro.costmodel.collectives`.
 """
 

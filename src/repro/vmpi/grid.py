@@ -19,10 +19,22 @@ array, ordered by the varying coordinate:
 * :meth:`Grid3D.subcube` -- the cubic ``c x c x c`` subgrid on which
   ``d/c`` simultaneous CFR3D instances run (Algorithm 8 line 6).
 
-A step over a whole family reshapes the rank array into a ``(groups,
-size)`` matrix -- e.g. ``ranks.transpose(1, 2, 0).reshape(-1, dim_x)``
-for every row communicator -- and charges it in one
+Every such family is the set of 1-D lines along one axis of the rank
+array, possibly after splitting ``y`` into ``(group, y mod c)``.  Viewed
+in memory order -- x-fastest numbering makes the array ``[z, y, x]`` in
+C order -- the row communicators are the lines along axis 2 of shape
+``(dim_z, dim_y, dim_x)``, the depth fibers those along axis 0, and
+Algorithm 8's contiguous y-groups and stride-``c`` subgroups the lines
+along axes 2 and 1 of ``(c, d/c, c, c)`` = ``[z, group, y mod c, x]``.
+:meth:`Grid3D.charge_lines` charges such a family in one machine call.
+On a **root** grid (built over the whole machine at offset 0) the view
+*is* the machine's rank space, so the family becomes one
+:meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_axis` call: no
+group matrix, no gather.  On any other grid it expands to the ``(groups,
+size)`` rank matrix and one
 :meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_groups` call.
+Families that are not axis lines (transpose pairs, diagonal sets) build
+their rank matrix directly.
 
 Subgrids are themselves :class:`Grid3D` objects sharing the parent's
 machine, so every algorithm is oblivious to whether it runs on the root
@@ -31,12 +43,13 @@ grid or a subcube.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.costmodel.collectives import CollectiveCost
 from repro.utils.validation import check_positive_int, require
-from repro.vmpi.machine import VirtualMachine
+from repro.vmpi.machine import VirtualMachine, lines_along
 
 Coords = Tuple[int, int, int]
 
@@ -44,7 +57,7 @@ Coords = Tuple[int, int, int]
 class Grid3D:
     """A (sub)grid of virtual ranks with coordinates ``[x, y, z]``."""
 
-    __slots__ = ("vm", "ranks", "_flat")
+    __slots__ = ("vm", "ranks", "_flat", "_root")
 
     def __init__(self, vm: VirtualMachine, ranks: np.ndarray):
         require(ranks.ndim == 3, f"rank array must be 3D, got ndim={ranks.ndim}")
@@ -59,20 +72,24 @@ class Grid3D:
                     f"[0, {vm.num_ranks})")
         self._init(vm, arr)
 
-    def _init(self, vm: VirtualMachine, arr: np.ndarray) -> None:
+    def _init(self, vm: VirtualMachine, arr: np.ndarray,
+              root: bool = False) -> None:
         self.vm = vm
         self.ranks = arr
         self._flat = arr.reshape(-1)
+        self._root = root
 
     @classmethod
-    def _trusted(cls, vm: VirtualMachine, ranks: np.ndarray) -> "Grid3D":
+    def _trusted(cls, vm: VirtualMachine, ranks: np.ndarray,
+                 root: bool = False) -> "Grid3D":
         """A grid over ranks known distinct and in range (no O(P) checks).
 
         For layouts the class builds itself: an ``arange`` block, or a
-        slice of an already validated grid.
+        slice of an already validated grid.  ``root`` marks the x-fastest
+        layout of the whole machine (see :attr:`is_root`).
         """
         grid = cls.__new__(cls)
-        grid._init(vm, np.ascontiguousarray(ranks, dtype=np.intp))
+        grid._init(vm, np.ascontiguousarray(ranks, dtype=np.intp), root)
         return grid
 
     # -- construction -------------------------------------------------------------
@@ -93,7 +110,7 @@ class Grid3D:
         require(offset + p <= vm.num_ranks,
                 f"grid of {p} ranks at offset {offset} exceeds machine size {vm.num_ranks}")
         ranks = (offset + np.arange(p)).reshape(dim_z, dim_y, dim_x).transpose(2, 1, 0)
-        return cls._trusted(vm, ranks)
+        return cls._trusted(vm, ranks, root=offset == 0 and p == vm.num_ranks)
 
     @classmethod
     def tunable(cls, vm: VirtualMachine, c: int, d: int, offset: int = 0) -> "Grid3D":
@@ -131,6 +148,17 @@ class Grid3D:
     def is_cubic(self) -> bool:
         return self.dim_x == self.dim_y == self.dim_z
 
+    @property
+    def is_root(self) -> bool:
+        """Whether the grid is the x-fastest layout of its whole machine.
+
+        Set by :meth:`build` at offset 0 over ``vm.num_ranks`` ranks (and
+        kept by a subcube that is the whole grid): rank ``Pi[x, y, z]`` is
+        ``x + dim_x*(y + dim_y*z)``, so the machine's rank space viewed as
+        ``(dim_z, dim_y, dim_x)`` is the grid in memory order.
+        """
+        return self._root
+
     def rank_at(self, x: int, y: int, z: int) -> int:
         """Machine rank of ``Pi[x, y, z]``."""
         return int(self.ranks[x, y, z])
@@ -145,6 +173,22 @@ class Grid3D:
 
     def all_ranks(self) -> List[int]:
         return self._flat.tolist()
+
+    def charge_lines(self, vm: VirtualMachine, shape: Sequence[int],
+                     axis: int, cost: CollectiveCost, phase: str) -> None:
+        """Charge one collective per line along *axis* of the grid viewed as *shape*.
+
+        *shape* is a C-order view of the rank array in memory order
+        ``[z, y, x]`` (see the module docstring), e.g. ``(c, d, c)`` with
+        ``axis=2`` for every row communicator.  A root grid charges the
+        family as the machine's axis form; any other grid charges the same
+        groups through their rank matrix.
+        """
+        if self._root and vm.num_ranks == self.size:
+            vm.charge_comm_axis(shape, axis, cost, phase)
+            return
+        view = self.ranks.transpose(2, 1, 0).reshape(tuple(shape))
+        vm.charge_comm_groups(lines_along(view, axis), cost, phase)
 
     @property
     def all_ranks_array(self) -> np.ndarray:
@@ -171,7 +215,8 @@ class Grid3D:
                 f"dim_y={self.dim_y} not divisible by c={c}")
         require(0 <= group < self.dim_y // c,
                 f"group {group} out of range for dim_y={self.dim_y}, c={c}")
-        return Grid3D._trusted(self.vm, self.ranks[:, group * c:(group + 1) * c, :])
+        return Grid3D._trusted(self.vm, self.ranks[:, group * c:(group + 1) * c, :],
+                               root=self._root and self.dim_y == c)
 
     def num_subcubes(self) -> int:
         """Number of cubic subgrids ``d / c`` along y."""

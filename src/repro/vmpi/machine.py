@@ -13,10 +13,31 @@ Python objects.  All mutable state lives in numpy arrays:
 
 Phase strings (e.g. ``"cfr3d.mm3d.bcast"``) are interned to integer ids at
 first use, so the hot charging path never hashes a string more than once
-per distinct phase.  Every charge is a vectorized slice operation --
-``clock[ranks] = clock[ranks].max() + step`` -- which is what makes
-symbolic simulations tractable at ``P = 2**16`` and beyond: cost per
-charge is O(group) in C, not O(group) Python object traffic.
+per distinct phase.  Every charge is a vectorized numpy operation -- cost
+per charge is O(group) in C, not O(group) Python object traffic -- in one
+of three forms:
+
+* **arbitrary groups** (:meth:`VirtualMachine.charge_comm_groups`,
+  :meth:`VirtualMachine.charge_flops_group`): gather the members' clocks,
+  take each group's max, scatter it back plus the step; the ledger planes
+  and running totals are updated through the same fancy index;
+* **whole cover**: ranks in a charge are distinct, so a call whose index
+  holds ``num_ranks`` entries is a permutation of the machine, and its
+  ledger update is a contiguous ``plane[row] += amount`` over every rank
+  (flops advance the clock the same way) -- only a collective's clock max
+  still needs the group structure;
+* **axis form** (:meth:`VirtualMachine.charge_comm_axis`): one collective
+  per 1-D line along one axis of the rank space viewed as a C-order
+  array, charged as ``view.max(axis, keepdims=True) + step`` written back
+  through the view, with the whole-cover ledger update.  The machine stays
+  grid-unaware; :meth:`repro.vmpi.grid.Grid3D.charge_lines` maps a
+  communicator family of a root grid onto this form.
+
+Subclasses that observe charges (the recorders in :mod:`repro.sched` and
+:mod:`repro.vmpi.reference`) must override :meth:`charge_comm_axis` too,
+expanding it with :meth:`VirtualMachine.axis_groups` into the equivalent
+:meth:`charge_comm_groups` call; an attached trace sink takes the same
+expansion, so per-rank event streams do not depend on the form.
 
 Clocks implement BSP critical-path semantics, unchanged from the original
 per-rank-object machine (results are bit-identical):
@@ -45,7 +66,8 @@ machine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import math
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +77,15 @@ from repro.costmodel.params import ABSTRACT_MACHINE, CostParams, MachineSpec
 from repro.utils.validation import check_positive_int
 
 RankGroup = Union[Sequence[int], np.ndarray]
+
+
+def lines_along(ranks: np.ndarray, axis: int) -> np.ndarray:
+    """The 1-D lines along *axis* of a rank array, as a ``(G, s)`` group matrix.
+
+    Rows run over the other axes in C order; each row holds one line's
+    ranks in index order.
+    """
+    return np.moveaxis(ranks, axis, -1).reshape(-1, ranks.shape[axis])
 
 
 class TraceEvent:
@@ -135,13 +166,16 @@ class VirtualMachine:
     The machine is deliberately unaware of grids and matrices; those live in
     :mod:`repro.vmpi.grid` and :mod:`repro.vmpi.distmatrix`, and the
     algorithms charge whole communicator families through
-    :meth:`charge_comm_groups` / :meth:`charge_flops_group`.
+    :meth:`charge_comm_groups` / :meth:`charge_flops_group`, or -- for a
+    family of lines along one axis of the whole rank space --
+    :meth:`charge_comm_axis`.
 
     Rank groups passed to the charging methods must contain **distinct**
     ranks (MPI communicator semantics; slices of a
     :class:`~repro.vmpi.grid.Grid3D` rank array are).  ndarray groups are
     used as-is -- callers holding precomputed rank arrays avoid any
-    per-call conversion.
+    per-call conversion.  Scalar ranks are checked against ``[0, P)``;
+    bulk rank arrays are not (an O(P) scan per charge).
     """
 
     def __init__(self, num_ranks: int, machine: MachineSpec = ABSTRACT_MACHINE,
@@ -161,16 +195,17 @@ class VirtualMachine:
         # Once a phase has touched every rank its mask never changes again;
         # this flag lets the bulk charging paths skip the mask scatter.
         self._touched_all: List[bool] = []
-        # Lazy phase planes: pid -> (plane_tpl, touched_tpl, tidx, all).
+        # Lazy phase planes: pid -> (plane_tpl, touched_tpl, tindex, all).
         # Compiled-schedule replay (repro.sched.replay) leaves a phase's
-        # whole-machine plane *virtual* -- template-sized state plus the
-        # rank -> template-position gather index -- because reports only
-        # ever take a max over it (order-independent, so template max ==
-        # expanded max, bit for bit).  Any charge or per-rank read that
-        # needs the concrete (3, P) array materializes it on demand; the
-        # corresponding `_planes`/`_touched` slots hold None until then.
-        self._lazy: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                    bool]] = {}
+        # whole-machine plane *virtual* -- template-sized state plus a
+        # callable returning the rank -> template-position gather index --
+        # because reports only ever take a max over it (order-independent,
+        # so template max == expanded max, bit for bit).  Any charge or
+        # per-rank read that needs the concrete (3, P) array (or the index)
+        # builds it on demand; the corresponding `_planes`/`_touched` slots
+        # hold None until then.
+        self._lazy: Dict[int, Tuple[np.ndarray, np.ndarray,
+                                    Callable[[], np.ndarray], bool]] = {}
         self._total = np.zeros((3, num_ranks))
         self._sink: Optional[TraceSink] = (
             trace_sink if trace_sink is not None
@@ -196,53 +231,100 @@ class VirtualMachine:
 
     # -- phase interning ----------------------------------------------------------
 
-    def _phase_id(self, phase: str) -> int:
+    def _phase_id(self, phase: str, concrete: bool = True) -> int:
+        """Intern *phase*; a new phase gets zeroed ``(3, P)``/``(P,)``
+        arrays unless ``concrete=False`` (the caller installs lazy state)."""
         pid = self._phase_ids.get(phase)
         if pid is None:
             pid = len(self._phase_names)
             self._phase_ids[phase] = pid
             self._phase_names.append(phase)
-            self._planes.append(np.zeros((3, self.num_ranks)))
-            self._touched.append(np.zeros(self.num_ranks, dtype=bool))
+            self._planes.append(np.zeros((3, self.num_ranks)) if concrete
+                                else None)
+            self._touched.append(np.zeros(self.num_ranks, dtype=bool)
+                                 if concrete else None)
             self._touched_all.append(False)
         return pid
 
-    def _touch(self, pid: int, idx: np.ndarray) -> None:
+    def _check_rank(self, rank: int) -> None:
+        if not 0 <= rank < self.num_ranks:
+            raise ValueError(f"rank {rank} out of range [0, {self.num_ranks})")
+
+    def _touch(self, pid: int, idx: Optional[np.ndarray]) -> None:
+        """Mark ranks *idx* (``None``: every rank) touched under *pid*.
+
+        The phase's arrays are concrete (the ledger update that precedes
+        every touch materialized them).  Once the flag ``_touched_all`` is
+        set the mask is all-true and never written again.
+        """
         if self._touched_all[pid]:
             return
         touched = self._touched[pid]
-        if touched is None:
-            self._materialize(pid)
-            touched = self._touched[pid]
+        if idx is None:
+            touched.fill(True)
+            self._touched_all[pid] = True
+            return
         touched[idx] = True
         # The full-coverage test is itself an O(P) scan, so only attempt it
         # when this charge could plausibly have completed the coverage --
         # phases charged through many small groups would otherwise pay a
         # whole-machine scan per charge.
-        if idx.size == self.num_ranks or (idx.size * 4 >= self.num_ranks
-                                          and bool(touched.all())):
+        if idx.size * 4 >= self.num_ranks and bool(touched.all()):
             self._touched_all[pid] = True
+
+    def _ledger_comm(self, pid: int, idx: Optional[np.ndarray],
+                     cost: CollectiveCost) -> None:
+        """Add one collective's ``(messages, words)`` to ranks *idx* under
+        *pid* and to their running totals.  ``idx=None`` is the whole
+        machine: contiguous row updates, no index traffic."""
+        plane = self._plane(pid)
+        total = self._total
+        if idx is None:
+            plane[0] += cost.messages
+            plane[1] += cost.words
+            total[0] += cost.messages
+            total[1] += cost.words
+        else:
+            plane[0, idx] += cost.messages
+            plane[1, idx] += cost.words
+            total[0, idx] += cost.messages
+            total[1, idx] += cost.words
+        self._touch(pid, idx)
+
+    def _whole(self, idx: np.ndarray) -> Optional[np.ndarray]:
+        """``None`` when the (distinct) ranks *idx* cover the whole machine."""
+        return None if idx.size == self.num_ranks else idx
+
+    def _comm_step(self, cost: CollectiveCost) -> float:
+        """A collective's clock advance once its group is synchronized."""
+        return self.params.alpha * cost.messages + self.params.beta * cost.words
 
     # -- lazy phase planes --------------------------------------------------------
 
-    def _install_lazy(self, pid: int, plane_tpl: np.ndarray,
-                      touched_tpl: np.ndarray, tidx: np.ndarray,
+    def _install_lazy(self, phase: str, plane_tpl: np.ndarray,
+                      touched_tpl: np.ndarray,
+                      template_index: Callable[[], np.ndarray],
                       touched_all: bool) -> None:
-        """Replace a phase's plane with virtual template state.
+        """Replace *phase*'s plane with virtual template state.
 
-        ``tidx`` maps every machine rank to its template position and must
-        cover the whole machine (the caller -- collapsed replay -- binds a
-        partition of the rank space).  The concrete ``(3, P)`` plane, were
-        it materialized, would be exactly ``plane_tpl[:, tidx]``.
+        ``template_index()`` returns the ``(P,)`` map from every machine
+        rank to its template position; it must cover the whole machine (the
+        caller -- collapsed replay -- binds a partition of the rank space)
+        and is only called when a concrete plane or a per-rank read needs
+        it.  The concrete ``(3, P)`` plane, were it materialized, would be
+        exactly ``plane_tpl[:, template_index()]``.  A phase first seen
+        here is interned without whole-machine arrays.
         """
-        self._lazy[pid] = (plane_tpl, touched_tpl, tidx, touched_all)
+        pid = self._phase_id(phase, concrete=False)
+        self._lazy[pid] = (plane_tpl, touched_tpl, template_index, touched_all)
         self._planes[pid] = None
         self._touched[pid] = None
         self._touched_all[pid] = touched_all
 
     def _materialize(self, pid: int) -> np.ndarray:
         """Expand a lazy phase to concrete whole-machine arrays."""
-        plane_tpl, touched_tpl, tidx, touched_all = self._lazy.pop(pid)
+        plane_tpl, touched_tpl, template_index, touched_all = self._lazy.pop(pid)
+        tidx = template_index()
         self._planes[pid] = np.take(plane_tpl, tidx, axis=1)
         self._touched[pid] = (np.ones(tidx.size, dtype=bool) if touched_all
                               else np.take(touched_tpl, tidx))
@@ -256,12 +338,13 @@ class VirtualMachine:
     def _phase_col(self, pid: int, rank: int) -> Optional[np.ndarray]:
         """One rank's (messages, words, flops) column under one phase, or
         ``None`` when the rank was never charged there.  Reads lazy planes
-        in template space -- holding a :class:`LedgerView` stays free even
-        when every phase of a million-rank machine is virtual."""
+        in template space -- holding a :class:`LedgerView` never expands a
+        million-rank machine's virtual phases (the shared ``(P,)`` template
+        index is built once, on the first read)."""
         lazy = self._lazy.get(pid)
         if lazy is not None:
-            plane_tpl, touched_tpl, tidx, touched_all = lazy
-            t = tidx[rank]
+            plane_tpl, touched_tpl, template_index, touched_all = lazy
+            t = template_index()[rank]
             if not (touched_all or touched_tpl[t]):
                 return None
             return plane_tpl[:, t]
@@ -286,6 +369,7 @@ class VirtualMachine:
         """Charge *flops* of local computation to *rank* under *phase*."""
         if flops < 0:
             raise ValueError(f"flop charge must be non-negative, got {flops}")
+        self._check_rank(rank)
         pid = self._phase_id(phase)
         self._plane(pid)[2, rank] += flops
         if not self._touched_all[pid]:
@@ -319,12 +403,21 @@ class VirtualMachine:
         """:meth:`charge_flops_group` with a validated index array and a
         pre-interned phase id -- the string-free inner path compiled-schedule
         replay (:mod:`repro.sched.replay`) drives per op."""
-        self._plane(pid)[2, idx] += flops
-        self._touch(pid, idx)
-        self._total[2, idx] += flops
+        cover = self._whole(idx)
+        plane = self._plane(pid)
+        if cover is None:
+            plane[2] += flops
+            self._total[2] += flops
+        else:
+            plane[2, idx] += flops
+            self._total[2, idx] += flops
+        self._touch(pid, cover)
         step = flops * self.params.gamma
         if self._sink is None:
-            self._clock[idx] += step
+            if cover is None:
+                self._clock += step
+            else:
+                self._clock[idx] += step
             return
         starts = self._clock[idx]
         ends = starts + step
@@ -351,14 +444,9 @@ class VirtualMachine:
                               pid: int) -> None:
         """:meth:`charge_comm_group` with a validated index array and a
         pre-interned phase id (the replay-path internal)."""
-        plane = self._plane(pid)
-        plane[0, idx] += cost.messages
-        plane[1, idx] += cost.words
-        self._touch(pid, idx)
-        self._total[0, idx] += cost.messages
-        self._total[1, idx] += cost.words
+        self._ledger_comm(pid, self._whole(idx), cost)
         clock = self._clock
-        step = self.params.alpha * cost.messages + self.params.beta * cost.words
+        step = self._comm_step(cost)
         if self._sink is None:
             clock[idx] = clock[idx].max() + step
             return
@@ -384,11 +472,11 @@ class VirtualMachine:
         transpose pair) in one machine call.
         """
         g = self._as_ranks(np.asarray(groups))
-        if g.size == 0:
-            return
         if g.ndim != 2:
             raise ValueError(f"group matrix must be 2D (groups x size), "
                              f"got ndim={g.ndim}")
+        if g.size == 0:
+            return
         self._charge_comm_groups_id(g, cost, self._phase_id(phase))
 
     def _charge_comm_groups_id(self, g: np.ndarray, cost: CollectiveCost,
@@ -396,16 +484,10 @@ class VirtualMachine:
         """:meth:`charge_comm_groups` with a validated ``(G, s)`` matrix and a
         pre-interned phase id (the replay-path internal)."""
         flat = g.reshape(-1)
-        plane = self._plane(pid)
-        plane[0, flat] += cost.messages
-        plane[1, flat] += cost.words
-        self._touch(pid, flat)
-        self._total[0, flat] += cost.messages
-        self._total[1, flat] += cost.words
+        self._ledger_comm(pid, self._whole(flat), cost)
         clock = self._clock
-        step = self.params.alpha * cost.messages + self.params.beta * cost.words
         starts = clock[g]                        # (G, s)
-        ends = starts.max(axis=1) + step         # (G,)
+        ends = starts.max(axis=1) + self._comm_step(cost)   # (G,)
         clock[flat] = np.repeat(ends, g.shape[1])
         if self._sink is None:
             return
@@ -415,6 +497,48 @@ class VirtualMachine:
             for rank, start in zip(g[row].tolist(), starts[row].tolist()):
                 if end > start:
                     self._sink.record(TraceEvent(rank, phase, kind, start, end))
+
+    def charge_comm_axis(self, shape: Sequence[int], axis: int,
+                         cost: CollectiveCost, phase: str) -> None:
+        """Charge one collective per 1-D line along *axis* of the rank space.
+
+        The ranks ``0 .. P-1`` are viewed as a C-order array of *shape*
+        (``prod(shape) == num_ranks``); every line along *axis* is one
+        group, and all of them are charged *cost* -- exactly
+        :meth:`charge_comm_groups` on :meth:`axis_groups`'s matrix, but
+        with no index traffic: the clock is updated through a reshaped
+        view (group max, plus the step, written back along the axis) and
+        the ledger by the whole-cover rows.  With a trace sink attached the
+        call takes the group-matrix path so every rank's events are
+        recorded.  Subclasses that observe charges must override this
+        method (see the module docstring).
+        """
+        shape = self._axis_shape(shape, axis)
+        pid = self._phase_id(phase)
+        if self._sink is not None:
+            self._charge_comm_groups_id(self.axis_groups(shape, axis), cost,
+                                        pid)
+            return
+        self._ledger_comm(pid, None, cost)
+        view = self._clock.reshape(shape)
+        ends = view.max(axis=axis, keepdims=True)
+        ends += self._comm_step(cost)
+        view[...] = ends
+
+    def axis_groups(self, shape: Sequence[int], axis: int) -> np.ndarray:
+        """The ``(G, s)`` group matrix :meth:`charge_comm_axis` charges."""
+        shape = self._axis_shape(shape, axis)
+        return lines_along(np.arange(self.num_ranks, dtype=np.intp)
+                           .reshape(shape), axis)
+
+    def _axis_shape(self, shape: Sequence[int], axis: int) -> Tuple[int, ...]:
+        shape = tuple(shape)
+        if math.prod(shape) != self.num_ranks:
+            raise ValueError(f"axis view {shape} does not cover the "
+                             f"{self.num_ranks}-rank machine")
+        if not 0 <= axis < len(shape):
+            raise ValueError(f"axis {axis} out of range for view {shape}")
+        return shape
 
     def barrier(self, ranks: Optional[RankGroup] = None) -> None:
         """Synchronize clocks (no cost charge).  Defaults to all ranks."""
@@ -430,10 +554,12 @@ class VirtualMachine:
     # -- inspection ---------------------------------------------------------------
 
     def clock_of(self, rank: int) -> float:
+        self._check_rank(rank)
         return float(self._clock[rank])
 
     def ledger_of(self, rank: int) -> LedgerView:
         """Read-only :class:`~repro.costmodel.ledger.LedgerView` of one rank."""
+        self._check_rank(rank)
         return LedgerView(self, rank)
 
     @property

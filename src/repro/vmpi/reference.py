@@ -122,6 +122,9 @@ class RecordingMachine(VirtualMachine):
         self.schedule.append(("comm", np.asarray(groups).tolist(), cost, phase))
         super().charge_comm_groups(groups, cost, phase)
 
+    def charge_comm_axis(self, shape, axis, cost, phase):
+        self.charge_comm_groups(self.axis_groups(shape, axis), cost, phase)
+
     def barrier(self, ranks=None):
         self.schedule.append(
             ("barrier",

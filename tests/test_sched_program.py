@@ -297,6 +297,89 @@ class TestBoundProgram:
                  DistMatrix.symbolic(sub, m, m), phase="mm")
         assert_machines_identical(vm, vm_loop)
 
+    @staticmethod
+    def mm3d_loop(vm, g, c, d, m):
+        """The per-subcube oracle for :meth:`record_mm3d`'s program."""
+        for group in range(d // c):
+            sub = g.subcube(group)
+            mm3d(vm, DistMatrix.symbolic(sub, m, m),
+                 DistMatrix.symbolic(sub, m, m), phase="mm")
+
+    def test_subcubes_of_a_root_grid_bind_as_slabs(self):
+        c, d = 2, 8
+        _, tpl_grid = self.record_mm3d(c, 32)
+        vm, g = make_tunable(c, d)
+        slabs = RankFamilyMap.subcubes(g, tpl_grid)
+        assert slabs.slabs == (c, d // c, c * c)
+        # The same grid through the validated constructor is not marked
+        # root, so it takes the explicit-maps binding.
+        general = RankFamilyMap.subcubes(Grid3D(vm, g.ranks), tpl_grid)
+        assert general.slabs is None
+        np.testing.assert_array_equal(slabs.maps, general.maps)
+        np.testing.assert_array_equal(slabs.template_index(),
+                                      general.template_index())
+
+    @pytest.mark.parametrize("perturb", ["clock", "total", "plane"])
+    def test_view_guard_falls_back_on_asymmetric_state(self, perturb):
+        """Break the symmetry of one subcube's state -- its clocks, one
+        running total, one pre-existing program phase plane -- and replay
+        must take the per-op path, still bit-identical to the loop."""
+        c, d, m = 2, 8, 32
+        program, tpl_grid = self.record_mm3d(c, m)
+
+        def prepare(vm, g):
+            # Unequal clocks inside every subcube, identical across them.
+            for group in range(d // c):
+                for t, rank in enumerate(g.subcube(group).all_ranks_array):
+                    vm.charge_flops(int(rank), 1.0 + t, "prefix")
+            victim = int(g.subcube(2).ranks[1, 0, 1])
+            if perturb == "clock":
+                vm.barrier(g.subcube(2).all_ranks_array)
+            elif perturb == "total":
+                vm.charge_flops(victim, 5.0, "other")
+                vm.barrier()
+            else:
+                # Same totals and clocks everywhere; only the program
+                # phase "mm.local-mm" differs, in subcube 2.
+                for group in range(d // c):
+                    rank = int(g.subcube(group).ranks[1, 0, 1])
+                    vm.charge_flops(rank, 5.0, "mm.local-mm"
+                                    if rank == victim else "other")
+
+        vm, g = make_tunable(c, d)
+        prepare(vm, g)
+        bound = program.specialize(RankFamilyMap.subcubes(g, tpl_grid))
+        assert bound.binding.slabs is not None
+        mode = bound.replay(vm, phases=program.phases_with_prefix("@", "mm"))
+        assert mode == "ops"
+
+        vm_loop, g_loop = make_tunable(c, d)
+        prepare(vm_loop, g_loop)
+        self.mm3d_loop(vm_loop, g_loop, c, d, m)
+        assert_machines_identical(vm, vm_loop)
+
+    def test_view_replay_lazy_phases_read_and_charge_exactly(self):
+        """Per-rank reads of a view-path replay's virtual phases, and a
+        later direct charge to one of them, match the loop."""
+        c, d, m = 2, 8, 32
+        program, tpl_grid = self.record_mm3d(c, m)
+        vm, g = make_tunable(c, d)
+        vm_loop, g_loop = make_tunable(c, d)
+        bound = program.specialize(RankFamilyMap.subcubes(g, tpl_grid))
+        mode = bound.replay(vm, phases=program.phases_with_prefix("@", "mm"))
+        assert mode == "collapsed"
+        assert vm._lazy
+        self.mm3d_loop(vm_loop, g_loop, c, d, m)
+
+        rank = int(g.subcube(3).ranks[1, 1, 0])
+        assert vm.ledger_of(rank).phases == vm_loop.ledger_of(rank).phases
+        assert vm.clock_of(rank) == vm_loop.clock_of(rank)
+        for machine in (vm, vm_loop):
+            machine.charge_flops(rank, 7.0, "mm.local-mm")
+        assert vm.ledger_of(rank).phases == vm_loop.ledger_of(rank).phases
+        assert vm.clock_of(rank) == vm_loop.clock_of(rank)
+        assert_machines_identical(vm, vm_loop)
+
     def test_traced_machine_falls_back_to_per_op_replay(self):
         c, d, m = 2, 4, 32
         program, tpl_grid = self.record_mm3d(c, m)

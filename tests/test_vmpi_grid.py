@@ -71,3 +71,40 @@ class TestMatches:
         g = Grid3D.tunable(vm, 2, 8)
         assert g.subcube(1).matches(g.subcube(1))
         assert not g.subcube(0).matches(g.subcube(1))
+
+
+class TestRootGridLines:
+    def test_root_marking(self):
+        vm = VirtualMachine(2 * 2 * 8 + 4)
+        assert not Grid3D.tunable(vm, 2, 8).is_root       # machine is larger
+        assert not Grid3D.tunable(vm, 2, 8, offset=4).is_root
+        vm = VirtualMachine(2 * 2 * 8)
+        g = Grid3D.tunable(vm, 2, 8)
+        assert g.is_root
+        assert not g.subcube(1).is_root
+        assert not Grid3D(vm, g.ranks).is_root            # validated, unmarked
+        cube = Grid3D.cubic(VirtualMachine(8), 2)
+        assert cube.subcube(0).is_root                    # the whole grid
+
+    @pytest.mark.parametrize("shape, axis", [((2, 8, 2), 0), ((2, 8, 2), 1),
+                                             ((2, 8, 2), 2),
+                                             ((2, 4, 2, 2), 1),
+                                             ((2, 4, 2, 2), 2)])
+    def test_root_axis_form_equals_rank_matrix_form(self, shape, axis):
+        from repro.costmodel.collectives import CollectiveCost
+
+        machines = []
+        for root in (True, False):
+            vm = VirtualMachine(32)
+            g = Grid3D.tunable(vm, 2, 8)
+            if not root:
+                g = Grid3D(vm, g.ranks)
+            for rank in range(32):
+                vm.charge_flops(rank, float((7 * rank) % 11), "skew")
+            g.charge_lines(vm, shape, axis, CollectiveCost(2, 5), "lines")
+            machines.append(vm)
+        fast, slow = machines
+        np.testing.assert_array_equal(fast._clock, slow._clock)
+        assert fast.report() == slow.report()
+        for rank in range(32):
+            assert fast.ledger_of(rank).phases == slow.ledger_of(rank).phases

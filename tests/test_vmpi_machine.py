@@ -1,8 +1,10 @@
 """Unit tests for the virtual machine's clocks and charging semantics."""
 
+import numpy as np
 import pytest
 
 from repro.costmodel.collectives import CollectiveCost
+from repro.costmodel.ledger import Cost
 from repro.costmodel.params import STAMPEDE2
 from repro.vmpi.machine import VirtualMachine
 
@@ -92,3 +94,57 @@ class TestReportAndReset:
     def test_rejects_zero_ranks(self):
         with pytest.raises(ValueError):
             VirtualMachine(0)
+
+
+class TestRankValidation:
+    """Scalar ranks outside ``[0, P)`` raise instead of wrapping around."""
+
+    @pytest.mark.parametrize("rank", [-1, -8, 8, 100])
+    def test_charge_flops_rejects_out_of_range_rank(self, rank):
+        vm = VirtualMachine(8)
+        with pytest.raises(ValueError, match=r"\[0, 8\)"):
+            vm.charge_flops(rank, 5.0, "q")
+        assert vm.report().total_cost.flops == 0
+        assert vm.clock_of(7) == 0
+
+    @pytest.mark.parametrize("rank", [-1, 8])
+    def test_reads_reject_out_of_range_rank(self, rank):
+        vm = VirtualMachine(8)
+        vm.charge_flops(7, 5.0, "q")
+        with pytest.raises(ValueError, match=r"\[0, 8\)"):
+            vm.clock_of(rank)
+        with pytest.raises(ValueError, match=r"\[0, 8\)"):
+            vm.ledger_of(rank)
+
+    def test_empty_group_matrix_must_still_be_2d(self):
+        vm = VirtualMachine(8)
+        with pytest.raises(ValueError, match="2D"):
+            vm.charge_comm_groups(np.array([], dtype=int),
+                                  CollectiveCost(1, 1), "c")
+        vm.charge_comm_groups(np.empty((0, 2), dtype=int),
+                              CollectiveCost(1, 1), "c")
+        assert vm.report().phase_max == {}
+
+
+class TestWholeCoverAndAxisForm:
+    def test_whole_cover_marks_every_rank_touched(self):
+        vm = VirtualMachine(6)
+        vm.charge_comm_groups(np.array([[5, 0, 3], [1, 4, 2]]),
+                              CollectiveCost(2, 3), "c")
+        vm.charge_flops_group(np.array([3, 1, 0, 5, 4, 2]), 7.0, "f")
+        for r in range(6):
+            assert vm.ledger_of(r).phases == {
+                "c": Cost(2.0, 3.0, 0.0), "f": Cost(0.0, 0.0, 7.0)}
+
+    def test_axis_groups_are_lines_of_the_view(self):
+        vm = VirtualMachine(12)
+        np.testing.assert_array_equal(
+            vm.axis_groups((2, 3, 2), 1),
+            [[0, 2, 4], [1, 3, 5], [6, 8, 10], [7, 9, 11]])
+
+    @pytest.mark.parametrize("shape, axis", [((3, 3), 0), ((2, 4), 2),
+                                             ((2, 4), -1)])
+    def test_axis_form_rejects_bad_views(self, shape, axis):
+        vm = VirtualMachine(8)
+        with pytest.raises(ValueError):
+            vm.charge_comm_axis(shape, axis, CollectiveCost(1, 1), "c")

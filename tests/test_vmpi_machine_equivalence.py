@@ -21,6 +21,8 @@ from repro.costmodel.collectives import CollectiveCost
 from repro.costmodel.params import STAMPEDE2
 from repro.core.cacqr import ca_cqr2
 from repro.costmodel import collectives as cc
+from repro.kernels.blas import local_mm_tn
+from repro.vmpi.datatypes import SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -166,3 +168,157 @@ class TestAlgorithmSchedules:
         dist_transpose(vm, a, "t")
         ref = replay(vm.schedule, 27)
         assert_machines_identical(vm, ref)
+
+
+#: (c, d) grids for the Gram-dance families: the 1D degenerate grid, a
+#: cube, several tunable shapes, and a 256-rank grid.
+GRAM_GRIDS = [(1, 4), (2, 2), (2, 8), (3, 6), (4, 16)]
+
+
+def _gram_dance_matrices(c, d):
+    """Algorithm 8 lines 1/3/4/5 as explicit ``(G, s)`` rank matrices,
+    built from the grid's ``[x, y, z]`` rank array (the group-matrix form
+    the axis form replaces)."""
+    ranks = Grid3D.tunable(VirtualMachine(c * c * d), c, d).ranks
+    by_xzy = ranks.transpose(0, 2, 1)
+    return [
+        ranks.transpose(1, 2, 0).reshape(-1, c),                 # rows
+        by_xzy.reshape(-1, c),                                   # y-groups
+        (by_xzy.reshape(c, c, d // c, c)
+         .transpose(0, 1, 3, 2).reshape(-1, d // c)),            # strided
+        ranks.reshape(-1, c),                                    # depth
+    ]
+
+
+def _skewed(vm, rng):
+    """Charge every rank a different amount of local work."""
+    for rank, flops in enumerate(rng.integers(0, 10_000, vm.num_ranks)):
+        vm.charge_flops(rank, float(flops), "skew")
+
+
+class TestAxisFormExactness:
+    """The gather-free forms with unequal clocks across every family.
+
+    Every ladder point enters the Gram dance with equal clocks inside each
+    family, so there a wrong axis would still reproduce the critical
+    path; a random prefix makes every group's maximum matter.
+    """
+
+    @pytest.mark.parametrize("c, d", GRAM_GRIDS)
+    def test_gram_dance_matches_group_matrices(self, c, d):
+        from repro.core.cacqr import _gram_replicated
+
+        p = c * c * d
+        m, n = 8 * d, 2 * c
+        fast = VirtualMachine(p, STAMPEDE2)
+        slow = RecordingMachine(p, STAMPEDE2)
+        _skewed(fast, np.random.default_rng(p))
+        _skewed(slow, np.random.default_rng(p))
+
+        # Max-plus steps along orthogonal axes commute, so the end state
+        # alone cannot tell line 3's family from line 4's: compare the
+        # clocks after every collective.  An instance attribute keeps
+        # `fast` a plain VirtualMachine, on the axis form.
+        fast_steps, slow_steps = [], []
+
+        def axis_then_snapshot(*args):
+            VirtualMachine.charge_comm_axis(fast, *args)
+            fast_steps.append(fast._clock.copy())
+
+        def groups_then_snapshot(*args):
+            RecordingMachine.charge_comm_groups(slow, *args)
+            slow_steps.append(slow._clock.copy())
+
+        fast.charge_comm_axis = axis_then_snapshot
+        slow.charge_comm_groups = groups_then_snapshot
+
+        a = DistMatrix.symbolic(Grid3D.tunable(fast, c, d), m, n)
+        assert a.grid.is_root
+        _gram_replicated(fast, a, "g")
+
+        block = SymbolicBlock((a.local_rows, a.local_cols))
+        partial, flops = local_mm_tn(block, block)
+        words = partial.words
+        rows, groups, strided, fibers = _gram_dance_matrices(c, d)
+        slow.charge_comm_groups(rows, cc.bcast_cost(block.words, c),
+                                "g.bcast-w")
+        slow.charge_flops_group(np.arange(p), flops / 2.0, "g.local-gram")
+        slow.charge_comm_groups(groups, cc.reduce_cost(words, c),
+                                "g.reduce-group")
+        slow.charge_comm_groups(strided, cc.allreduce_cost(words, d // c),
+                                "g.allreduce-roots")
+        slow.charge_comm_groups(fibers, cc.bcast_cost(words, c),
+                                "g.bcast-depth")
+
+        assert len(fast_steps) == len(slow_steps) == 4
+        for got, want in zip(fast_steps, slow_steps):
+            np.testing.assert_array_equal(got, want)
+        assert_machines_identical(fast, slow)
+        assert_machines_identical(fast, replay(slow.schedule, p, STAMPEDE2))
+
+    @pytest.mark.parametrize("c, d", GRAM_GRIDS)
+    def test_axis_form_matches_its_group_matrix(self, c, d):
+        p = c * c * d
+        fast = VirtualMachine(p, STAMPEDE2)
+        slow = VirtualMachine(p, STAMPEDE2)
+        _skewed(fast, np.random.default_rng(p + 1))
+        _skewed(slow, np.random.default_rng(p + 1))
+        for k, (shape, axis) in enumerate([((c, d, c), 2), ((c, d, c), 1),
+                                           ((c, d, c), 0),
+                                           ((c, d // c, c, c), 1),
+                                           ((c, d // c, c, c), 2)]):
+            cost = CollectiveCost(k + 1, 10 * k + 3)
+            fast.charge_comm_axis(shape, axis, cost, f"a{k}")
+            slow.charge_comm_groups(slow.axis_groups(shape, axis), cost,
+                                    f"a{k}")
+        np.testing.assert_array_equal(fast._clock, slow._clock)
+        assert_machines_identical(fast, slow)
+
+    @pytest.mark.parametrize("c, d", [(1, 4), (2, 8), (3, 6)])
+    @pytest.mark.parametrize("prefix", ["random", "per-subcube"])
+    def test_ca_cqr2_after_prefix_matches_reference_loop(self, c, d, prefix):
+        """A whole symbolic CA-CQR2 on a plain machine (axis form,
+        whole-cover updates, compiled subcube replay) against the loop
+        oracle recorded and replayed through :class:`ReferenceMachine`.
+        A random prefix forces per-op replay; a prefix repeated in every
+        subcube keeps collapsed replay engaged with unequal clocks."""
+        from repro.sched import compiled_replay_disabled
+
+        p = c * c * d
+        rng = np.random.default_rng(p)
+        if prefix == "random":
+            work = rng.integers(0, 10_000, p).astype(float)
+        else:
+            work = np.broadcast_to(
+                rng.integers(0, 10_000, (c, 1, c * c)),
+                (c, d // c, c * c)).reshape(-1).astype(float)
+
+        def run(vm):
+            for rank, flops in enumerate(work):
+                vm.charge_flops(rank, flops, "prefix")
+            ca_cqr2(vm, DistMatrix.symbolic(Grid3D.tunable(vm, c, d),
+                                            24 * d, 4 * c))
+            return vm
+
+        fast = run(VirtualMachine(p, STAMPEDE2))
+        with compiled_replay_disabled():
+            loop = run(RecordingMachine(p, STAMPEDE2))
+        assert_machines_identical(fast, loop)
+        assert_machines_identical(fast, replay(loop.schedule, p, STAMPEDE2))
+
+    def test_traced_axis_form_emits_every_rank(self):
+        """With a sink attached the axis form expands to its groups, so
+        each rank's events equal the group-matrix charge's."""
+        c, d = 2, 4
+        fast = VirtualMachine(c * c * d, trace=True)
+        slow = VirtualMachine(c * c * d, trace=True)
+        for vm in (fast, slow):
+            vm.charge_flops(3, 50, "skew")
+        fast.charge_comm_axis((c, d // c, c, c), 1, CollectiveCost(2, 8), "s")
+        slow.charge_comm_groups(slow.axis_groups((c, d // c, c, c), 1),
+                                CollectiveCost(2, 8), "s")
+        assert ([(e.rank, e.phase, e.kind, e.start, e.end)
+                 for e in fast.events]
+                == [(e.rank, e.phase, e.kind, e.start, e.end)
+                    for e in slow.events])
+        assert_machines_identical(fast, slow)
