@@ -6,7 +6,9 @@ silently assumes: op kinds and payload typing (finite non-negative flops,
 non-negative :class:`~repro.costmodel.collectives.CollectiveCost` fields,
 payload-free barriers), template-rank bounds, pairwise disjointness of
 ``OP_COMM`` group rows (the property that makes family-batched charging
-commute), phase-index validity, and dead phases nothing references.
+commute), axis tags that name exactly their op's groups (collapsed replay
+charges the tag, per-op replay the rank matrix), phase-index validity,
+and dead phases nothing references.
 
 :func:`verify_binding` does the same for a
 :class:`~repro.sched.binding.RankFamilyMap` against a program and an
@@ -42,6 +44,7 @@ from repro.analysis.findings import (
 from repro.costmodel.collectives import CollectiveCost
 from repro.sched.binding import RankFamilyMap
 from repro.sched.program import OP_BARRIER, OP_COMM, OP_FLOPS, ChargeProgram
+from repro.vmpi.machine import lines_along
 
 #: Every program rule :func:`verify_program` can emit, with a one-line
 #: description (the ``repro check --rules`` table).
@@ -56,6 +59,7 @@ PROGRAM_RULES = {
     "ir/comm-payload": "comm payloads are CollectiveCost with finite non-negative fields",
     "ir/barrier-payload": "barriers carry no payload",
     "ir/phase-index": "phase indices address the phase table (-1 for barriers)",
+    "ir/axis-form": "an axis tag (shape, axis) sits on a comm op whose ranks are exactly that view's lines",
     "ir/dead-phase": "every phase-table entry is referenced by some op (warning)",
 }
 
@@ -70,6 +74,39 @@ BINDING_RULES = {
 
 def _is_int_array(ranks: object) -> bool:
     return isinstance(ranks, np.ndarray) and ranks.dtype.kind in "iu"
+
+
+def _axis_form_problem(kind: str, ranks: object, tag: object,
+                       num_ranks: Optional[int]) -> Optional[str]:
+    """Why an op's axis tag disagrees with its rank operand, or ``None``.
+
+    Collapsed replay charges a tagged op through the tag and per-op replay
+    through ``ranks``; only when the tag's lines *are* ``ranks`` do the two
+    strategies charge the same groups.
+    """
+    if kind != OP_COMM:
+        return f"only comm ops carry an axis tag, not {kind} ops"
+    if not (isinstance(tag, tuple) and len(tag) == 2
+            and isinstance(tag[0], tuple)
+            and all(isinstance(e, int) and e > 0 for e in tag[0])
+            and isinstance(tag[1], int)):
+        return (f"axis tag must be ((positive extents...), axis), "
+                f"got {tag!r}")
+    shape, axis = tag
+    if num_ranks is None:
+        return None
+    if math.prod(shape) != num_ranks:
+        return (f"axis view {shape} holds {math.prod(shape)} ranks, not the "
+                f"template's {num_ranks}")
+    if not 0 <= axis < len(shape):
+        return f"axis {axis} out of range for view {shape}"
+    lines = lines_along(np.arange(num_ranks).reshape(shape), axis)
+    if not (isinstance(ranks, np.ndarray)
+            and np.array_equal(ranks, lines)):
+        return (f"ranks are not the lines along axis {axis} of view "
+                f"{shape}; collapsed and per-op replay would charge "
+                f"different groups")
+    return None
 
 
 def verify_program(program: ChargeProgram) -> List[Finding]:
@@ -187,6 +224,13 @@ def verify_program(program: ChargeProgram) -> List[Finding]:
                 "ir/barrier-payload", loc,
                 f"barriers are pure clock synchronization and must carry "
                 f"no payload, got {type(payload).__name__}"))
+
+        # -- axis tags ------------------------------------------------------------
+        tag = getattr(op, "axis", None)
+        if tag is not None:
+            problem = _axis_form_problem(kind, ranks, tag, num_ranks)
+            if problem is not None:
+                findings.append(Finding("ir/axis-form", loc, problem))
 
         # -- phase indices --------------------------------------------------------
         phase = op.phase

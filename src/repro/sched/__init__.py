@@ -9,14 +9,16 @@ replay* life cycle::
     from repro.sched import RankFamilyMap, ScheduleRecorder
 
     rec = ScheduleRecorder(c * c * c)            # template machine
-    ...run any symbolic schedule on it...
+    ...run any symbolic schedule on it...        # records, charges nothing
     program = rec.program()                      # the IR
     bound = program.specialize(                  # bind to d/c subcubes
         RankFamilyMap.subcubes(grid, template_grid))
     bound.replay(vm)                             # bit-identical charges
 
-Replay is exact by construction (disjoint charges commute; the collapsed
-fast path is guarded by strict state-equality checks -- see
+Capture only records and replay only charges.  Replay is exact by
+construction (disjoint charges commute; the collapsed fast path is
+guarded by strict state-equality checks and charges axis-tagged families
+through the machine's gather-free axis form -- see
 :mod:`repro.sched.replay`), composes with trace sinks, and does zero
 per-op phase-string work.  Whole engine runs can be captured and
 replayed through :mod:`repro.sched.capture` (the IR's test oracle: a

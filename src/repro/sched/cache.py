@@ -22,7 +22,7 @@ from repro.utils.diskcache import AtomicDiskCache
 
 #: Version tag baked into program keys; bump when the IR or the capture
 #: semantics change so stale compiled programs invalidate themselves.
-SCHED_VERSION = "repro-sched-v1"
+SCHED_VERSION = "repro-sched-v2"
 
 
 def program_key(spec, algorithm: str) -> str:

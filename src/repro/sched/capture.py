@@ -3,9 +3,9 @@
 :func:`capture_run` sends a prepared symbolic :class:`~repro.engine.RunSpec`
 through the engine's one execution pipeline with a
 :class:`~repro.sched.recorder.ScheduleRecorder` in place of the plain
-machine, returning both the compiled :class:`ChargeProgram` and the
-run's own :class:`~repro.costmodel.ledger.CostReport` (the recorder is a
-working machine, so the capturing run costs one normal symbolic run).
+machine.  The recorder only records, so the capturing run costs the
+schedule's orchestration and no charging; the report returned with the
+program is its replay under the spec's machine.
 
 :func:`replay_report` is the other half: re-simulate a captured program
 under any machine in pure vectorized replay, one rank at a time through
@@ -36,9 +36,10 @@ def capture_run(spec, debug: Optional[bool] = None) -> CaptureResult:
     """Execute a symbolic spec on a recorder; return ``(program, report)``.
 
     The program's template rank space is the run's own machine rank space
-    (replay it through the identity binding).  The report is exactly what
-    a plain run of *spec* would have reported -- the recorder charges as
-    it records.
+    (replay it through the identity binding).  The report is the
+    program's :func:`replay_report` under the spec's machine -- exactly
+    what a plain run of *spec* reports; the recorder itself charges
+    nothing.
 
     ``debug=True`` verifies the compiled program before returning it
     (see :meth:`~repro.sched.recorder.ScheduleRecorder.program`);
@@ -51,10 +52,10 @@ def capture_run(spec, debug: Optional[bool] = None) -> CaptureResult:
             f"program capture requires a symbolic spec, got mode={spec.mode!r}")
     with span("sched.capture", algorithm=spec.algorithm,
               procs=spec.procs) as sp:
-        run, vm = _execute(spec, trace=False, vm_factory=ScheduleRecorder)
+        _, vm = _execute(spec, trace=False, vm_factory=ScheduleRecorder)
         program = vm.program(debug=debug)
         sp.set(ops=len(program), phases=len(program.phases))
-    return program, run.report
+    return program, replay_report(program, spec.machine_spec())
 
 
 def replay_report(program: ChargeProgram,

@@ -5,23 +5,26 @@ sequence of typed charge ops (:data:`OP_FLOPS` local computation,
 :data:`OP_COMM` disjoint collective families, :data:`OP_BARRIER` clock
 synchronization) whose rank operands live in a **template rank space**
 ``[0, num_ranks)`` rather than naming concrete machine ranks.  Phase
-strings are interned into a per-program phase table at capture time
-(:class:`~repro.sched.recorder.ScheduleRecorder` reuses the virtual
-machine's intern table), so ops carry small integer phase indices and
-replay never re-hashes a string per op.
+strings are interned into a per-program phase table at capture time, so
+ops carry small integer phase indices and replay never re-hashes a
+string per op.  A communicator family recorded from the machine's axis
+form keeps its ``(shape, axis)`` tag next to its group matrix (see
+:class:`ChargeOp`).
 
-The IR's life cycle is *capture -> specialize -> replay*:
+The IR's life cycle is *capture -> specialize -> replay*, and each step
+does one job:
 
-* capture a run once on a :class:`~repro.sched.recorder.ScheduleRecorder`
-  (or build a program directly);
+* capture a run once on a :class:`~repro.sched.recorder.ScheduleRecorder`,
+  which records the charges and charges nothing (or build a program
+  directly);
 * :meth:`ChargeProgram.specialize` binds the template to a concrete
   machine through a :class:`~repro.sched.binding.RankFamilyMap` -- one or
   many disjoint instances of the template (the ``d/c`` subcubes of a
   ``c x d x c`` grid, every panel of a blocked factorization, or the
   whole machine via the identity map);
 * :meth:`~repro.sched.replay.BoundProgram.replay` charges the bound ops
-  into any :class:`~repro.vmpi.machine.VirtualMachine`, bit-identical to
-  executing the original loop.
+  into any :class:`~repro.vmpi.machine.VirtualMachine` -- the only step
+  that charges -- bit-identical to executing the original loop.
 
 Programs are machine-independent: op payloads are *counts* (messages,
 words, flops); the alpha-beta-gamma rates are applied by the machine at
@@ -32,7 +35,7 @@ planner's program cache exploits.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,12 +66,21 @@ class ChargeOp:
     :class:`~repro.costmodel.collectives.CollectiveCost`; barriers carry
     ``None``.  ``phase`` indexes the owning program's phase table
     (``-1`` for barriers, which are phase-less).
+
+    ``axis`` is ``None`` or, for an :data:`OP_COMM` recorded from the
+    machine's axis form, the ``(shape, axis)`` view whose lines *are* the
+    rows of ``ranks`` (see
+    :meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_axis`).
+    Collapsed replay charges a tagged op through that gather-free form;
+    every other reader (per-op replay, the verifier, the envelope
+    analysis) reads ``ranks``, and ``ir/axis-form`` proves the two agree.
     """
 
-    __slots__ = ("kind", "ranks", "payload", "phase")
+    __slots__ = ("kind", "ranks", "payload", "phase", "axis")
 
     def __init__(self, kind: str, ranks: Optional[np.ndarray],
-                 payload: object, phase: int):
+                 payload: object, phase: int,
+                 axis: Optional[Tuple[Tuple[int, ...], int]] = None):
         # O(1) structural guard (capture constructs one op per charge;
         # anything deeper belongs to repro.analysis.verify_program).
         if kind not in OP_KINDS:
@@ -77,11 +89,13 @@ class ChargeOp:
         self.ranks = ranks
         self.payload = payload
         self.phase = phase
+        self.axis = axis
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shape = None if self.ranks is None else self.ranks.shape
         return (f"ChargeOp({self.kind!r}, ranks={shape}, "
-                f"payload={self.payload!r}, phase={self.phase})")
+                f"payload={self.payload!r}, phase={self.phase}, "
+                f"axis={self.axis!r})")
 
     # __slots__ classes need explicit state hooks only under pickle
     # protocols < 2; the default reduce handles them on every supported

@@ -1,83 +1,103 @@
 """ScheduleRecorder: capture a symbolic run as a :class:`ChargeProgram`.
 
-A :class:`ScheduleRecorder` *is* a working vectorized
-:class:`~repro.vmpi.machine.VirtualMachine` -- it charges clocks and
-ledgers exactly like one (so the capturing run's own
-:meth:`~repro.vmpi.machine.VirtualMachine.report` stays valid) -- that
-additionally appends every charge to an op list in **family form**: bulk
-group charges are recorded as their ``(G, s)`` group matrices, not
-exploded per-rank lists.  Phase strings are interned through the
-machine's own intern table at record time, so the recorded ops carry
-integer phase indices and replay never hashes a phase string per op.
+A :class:`ScheduleRecorder` stands in for a
+:class:`~repro.vmpi.machine.VirtualMachine` wherever a schedule runs, but
+it only **records**: every charge is validated with the machine's own
+O(1) checks (non-negative flops, a scalar rank inside ``[0, P)``, a 2D
+group matrix, a view that covers the machine) and appended to an op list
+-- nothing is charged, so the recorder's clocks and ledgers stay at zero.
+Charging is replay's job (:mod:`repro.sched.replay`); a capture costs
+the schedule's Python orchestration plus one append per charge.
 
-This generalizes the older flat-tuple
-:class:`repro.vmpi.reference.RecordingMachine` (kept as the
-equivalence-test harness) into the compiled-schedule pipeline: record on
-a standalone template machine, :meth:`program` the result, then
-specialize and replay it anywhere (see :mod:`repro.sched.program`).
+Ops are recorded in **family form**: bulk group charges keep their
+``(G, s)`` group matrices rather than exploded per-rank lists, and a
+:meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_axis` family keeps
+its ``(shape, axis)`` tag next to the machine's cached, read-only group
+matrix, so collapsed replay can charge it through the gather-free axis
+form.  Phase strings are interned into the recorder's phase table at
+record time, so ops carry integer phase indices and replay never hashes
+a phase string per op.
+
+:class:`repro.vmpi.reference.RecordingMachine` is the flat-tuple
+recorder that records *and* charges (the equivalence-test harness); this
+class feeds the compiled-schedule pipeline: record on a standalone
+template machine, :meth:`program` the result, then specialize and replay
+it anywhere (see :mod:`repro.sched.program`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.costmodel.params import ABSTRACT_MACHINE, MachineSpec
 from repro.sched.program import OP_BARRIER, OP_COMM, OP_FLOPS, ChargeOp, ChargeProgram
 from repro.utils.config import env_sched_verify
-from repro.vmpi.machine import VirtualMachine
+from repro.vmpi.machine import VirtualMachine, axis_group_matrix
 
 
 class ScheduleRecorder(VirtualMachine):
-    """A virtual machine that also compiles its charge stream into an IR.
+    """A virtual machine that compiles its charge stream into an IR.
 
     The recorder's rank space *is* the template rank space of the
     programs it produces: record on a standalone machine of the template
     size (a ``c**3`` subcube, a whole ``P``-rank grid) and bind the
-    program to concrete ranks later.
+    program to concrete ranks later.  A rejected charge raises the
+    machine's ``ValueError`` before anything is recorded.
     """
 
     def __init__(self, num_ranks: int, machine: MachineSpec = ABSTRACT_MACHINE):
         super().__init__(num_ranks, machine)
         self._ops: List[ChargeOp] = []
+        self._op_phases: List[str] = []
+        self._op_phase_ids: Dict[str, int] = {}
+
+    def _op_phase(self, phase: str) -> int:
+        """Intern *phase* into the recorded program's phase table."""
+        pid = self._op_phase_ids.get(phase)
+        if pid is None:
+            pid = self._op_phase_ids[phase] = len(self._op_phases)
+            self._op_phases.append(phase)
+        return pid
 
     # -- recording overrides ------------------------------------------------------
 
     def charge_flops(self, rank, flops, phase):
+        self._check_flops(flops)
+        self._check_rank(rank)
         self._ops.append(ChargeOp(OP_FLOPS,
                                   np.asarray([rank], dtype=np.intp),
-                                  float(flops), self._phase_id(phase)))
-        super().charge_flops(rank, flops, phase)
+                                  float(flops), self._op_phase(phase)))
 
     def charge_flops_group(self, ranks, flops, phase):
+        self._check_flops(flops)
         idx = self._as_ranks(ranks).reshape(-1).copy()
         if idx.size:
             self._ops.append(ChargeOp(OP_FLOPS, idx, float(flops),
-                                      self._phase_id(phase)))
-        super().charge_flops_group(ranks, flops, phase)
+                                      self._op_phase(phase)))
 
     def charge_comm_group(self, ranks, cost, phase):
         idx = self._as_ranks(ranks).reshape(1, -1).copy()
         if idx.size:
             self._ops.append(ChargeOp(OP_COMM, idx, cost,
-                                      self._phase_id(phase)))
-        super().charge_comm_group(ranks, cost, phase)
+                                      self._op_phase(phase)))
 
     def charge_comm_groups(self, groups, cost, phase):
-        g = self._as_ranks(np.asarray(groups)).copy()
+        g = self._as_group_matrix(groups)
         if g.size:
-            self._ops.append(ChargeOp(OP_COMM, g, cost,
-                                      self._phase_id(phase)))
-        super().charge_comm_groups(groups, cost, phase)
+            self._ops.append(ChargeOp(OP_COMM, g.copy(), cost,
+                                      self._op_phase(phase)))
 
     def charge_comm_axis(self, shape, axis, cost, phase):
-        self.charge_comm_groups(self.axis_groups(shape, axis), cost, phase)
+        shape = self._axis_shape(shape, axis)
+        self._ops.append(ChargeOp(OP_COMM, axis_group_matrix(shape, axis),
+                                  cost, self._op_phase(phase),
+                                  axis=(shape, axis)))
 
     def barrier(self, ranks=None):
         idx = None if ranks is None else self._as_ranks(ranks).reshape(-1).copy()
         self._ops.append(ChargeOp(OP_BARRIER, idx, None, -1))
-        super().barrier(ranks)
 
     # -- compilation --------------------------------------------------------------
 
@@ -97,7 +117,7 @@ class ScheduleRecorder(VirtualMachine):
         otherwise).  Verification is O(ops) and runs once per program,
         never per recorded charge.
         """
-        program = ChargeProgram(self.num_ranks, self._phase_names, self._ops)
+        program = ChargeProgram(self.num_ranks, self._op_phases, self._ops)
         if debug or (debug is None and env_sched_verify()):
             from repro.analysis.verifier import require_verified
 

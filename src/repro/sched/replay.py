@@ -24,8 +24,12 @@ directly.  Two replay strategies, chosen per call:
   to all instances.  Each rank then receives the *same chronological
   float accumulation* it would have under the loop, so the result is
   bit-identical while the per-op work drops from ``O(P)`` to
-  ``O(template)``.  If the symmetry check fails, replay silently falls
-  back to the per-op path -- the guard buys speed, never changes results.
+  ``O(template)``.  Ops recorded from the machine's axis form (tagged
+  ``axis``, see :class:`~repro.sched.program.ChargeOp`) are charged on
+  the template through that form -- a reshaped-view max, no gather or
+  scatter of a group matrix; every other op through its rank operand.
+  If the symmetry check fails, replay silently falls back to the per-op
+  path -- the guard buys speed, never changes results.
   For the subcubes of a root grid the instances are slabs of the
   machine's arrays (see :class:`~repro.sched.binding.RankFamilyMap`), so
   the guard is ``(v == v[:, :1]).all()`` on reshaped *views* of the
@@ -154,14 +158,16 @@ class BoundProgram:
         the clock vector, the running totals, and each already-interned
         program phase's plane/touched mask to be *exactly equal* across
         instances at entry.  A scratch machine of template size is seeded
-        with instance 0's state and runs the ops through the very same
-        charging internals the per-op path uses, so each template position
-        experiences the identical chronological sequence of float
-        operations every instance would.  Scattering the final state back
-        to all instances therefore reproduces the loop path bit for bit
-        (float addition is non-associative, which is exactly why the state
-        is seeded and accumulated chronologically instead of being charged
-        as deltas).
+        with instance 0's state and runs the ops through the machine's
+        charging internals -- axis-tagged ops through the axis form, which
+        charges the tag's lines exactly as the group-matrix form charges
+        ``ranks`` (``ir/axis-form`` proves the two name the same groups) --
+        so each template position experiences the identical chronological
+        sequence of float operations every instance would.  Scattering the
+        final state back to all instances therefore reproduces the loop
+        path bit for bit (float addition is non-associative, which is
+        exactly why the state is seeded and accumulated chronologically
+        instead of being charged as deltas).
 
         Machine state is read and written through
         :meth:`~repro.sched.binding.RankFamilyMap.gather` /
@@ -206,10 +212,14 @@ class BoundProgram:
                     tvm._touched_all[tp] = bool(tvm._touched[tp].all())
 
         charge_comm = tvm._charge_comm_groups_id
+        charge_axis = tvm._charge_comm_axis_id
         charge_flops = tvm._charge_flops_group_id
         for op in self.program.ops:
             if op.kind == OP_COMM:
-                charge_comm(op.ranks, op.payload, t_pids[op.phase])
+                if op.axis is None:
+                    charge_comm(op.ranks, op.payload, t_pids[op.phase])
+                else:
+                    charge_axis(*op.axis, op.payload, t_pids[op.phase])
             elif op.kind == OP_FLOPS:
                 charge_flops(op.ranks, op.payload, t_pids[op.phase])
             else:

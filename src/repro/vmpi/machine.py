@@ -33,11 +33,14 @@ of three forms:
   grid-unaware; :meth:`repro.vmpi.grid.Grid3D.charge_lines` maps a
   communicator family of a root grid onto this form.
 
-Subclasses that observe charges (the recorders in :mod:`repro.sched` and
-:mod:`repro.vmpi.reference`) must override :meth:`charge_comm_axis` too,
-expanding it with :meth:`VirtualMachine.axis_groups` into the equivalent
-:meth:`charge_comm_groups` call; an attached trace sink takes the same
-expansion, so per-rank event streams do not depend on the form.
+Subclasses that observe charges must override :meth:`charge_comm_axis`
+too, because on a plain machine it never reaches
+:meth:`charge_comm_groups`.  :class:`repro.vmpi.reference.RecordingMachine`
+expands it with :meth:`VirtualMachine.axis_groups` into the equivalent
+:meth:`charge_comm_groups` call; :class:`repro.sched.ScheduleRecorder`
+records the axis form itself, tagged onto the same (cached) group matrix.
+An attached trace sink takes the expansion, so per-rank event streams do
+not depend on the form.
 
 Clocks implement BSP critical-path semantics, unchanged from the original
 per-rank-object machine (results are bit-identical):
@@ -66,6 +69,7 @@ machine.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -86,6 +90,20 @@ def lines_along(ranks: np.ndarray, axis: int) -> np.ndarray:
     ranks in index order.
     """
     return np.moveaxis(ranks, axis, -1).reshape(-1, ranks.shape[axis])
+
+
+@functools.lru_cache(maxsize=64)
+def axis_group_matrix(shape: Tuple[int, ...], axis: int) -> np.ndarray:
+    """:func:`lines_along` of ``arange(prod(shape)).reshape(shape)``, read-only.
+
+    One cached matrix per ``(shape, axis)``, shared by every machine that
+    expands the axis form (a trace sink, a recorder's op) -- callers must
+    not write to it, and numpy enforces that.
+    """
+    ranks = np.arange(math.prod(shape), dtype=np.intp).reshape(shape)
+    groups = np.ascontiguousarray(lines_along(ranks, axis))
+    groups.flags.writeable = False
+    return groups
 
 
 class TraceEvent:
@@ -250,6 +268,11 @@ class VirtualMachine:
         if not 0 <= rank < self.num_ranks:
             raise ValueError(f"rank {rank} out of range [0, {self.num_ranks})")
 
+    @staticmethod
+    def _check_flops(flops: float) -> None:
+        if flops < 0:
+            raise ValueError(f"flop charge must be non-negative, got {flops}")
+
     def _touch(self, pid: int, idx: Optional[np.ndarray]) -> None:
         """Mark ranks *idx* (``None``: every rank) touched under *pid*.
 
@@ -363,12 +386,19 @@ class VirtualMachine:
             return ranks if ranks.dtype == np.intp else ranks.astype(np.intp)
         return np.asarray(ranks, dtype=np.intp)
 
+    @classmethod
+    def _as_group_matrix(cls, groups: np.ndarray) -> np.ndarray:
+        g = cls._as_ranks(np.asarray(groups))
+        if g.ndim != 2:
+            raise ValueError(f"group matrix must be 2D (groups x size), "
+                             f"got ndim={g.ndim}")
+        return g
+
     # -- charging -----------------------------------------------------------------
 
     def charge_flops(self, rank: int, flops: float, phase: str) -> None:
         """Charge *flops* of local computation to *rank* under *phase*."""
-        if flops < 0:
-            raise ValueError(f"flop charge must be non-negative, got {flops}")
+        self._check_flops(flops)
         self._check_rank(rank)
         pid = self._phase_id(phase)
         self._plane(pid)[2, rank] += flops
@@ -391,8 +421,7 @@ class VirtualMachine:
         :mod:`repro.core` use when a uniform layout gives every rank an
         identical kernel invocation.
         """
-        if flops < 0:
-            raise ValueError(f"flop charge must be non-negative, got {flops}")
+        self._check_flops(flops)
         idx = self._as_ranks(ranks)
         if idx.size == 0:
             return
@@ -471,10 +500,7 @@ class VirtualMachine:
         whole communicator family (every depth fiber of an Allreduce, every
         transpose pair) in one machine call.
         """
-        g = self._as_ranks(np.asarray(groups))
-        if g.ndim != 2:
-            raise ValueError(f"group matrix must be 2D (groups x size), "
-                             f"got ndim={g.ndim}")
+        g = self._as_group_matrix(groups)
         if g.size == 0:
             return
         self._charge_comm_groups_id(g, cost, self._phase_id(phase))
@@ -514,9 +540,14 @@ class VirtualMachine:
         method (see the module docstring).
         """
         shape = self._axis_shape(shape, axis)
-        pid = self._phase_id(phase)
+        self._charge_comm_axis_id(shape, axis, cost, self._phase_id(phase))
+
+    def _charge_comm_axis_id(self, shape: Tuple[int, ...], axis: int,
+                             cost: CollectiveCost, pid: int) -> None:
+        """:meth:`charge_comm_axis` with a validated view and a pre-interned
+        phase id (the replay-path internal)."""
         if self._sink is not None:
-            self._charge_comm_groups_id(self.axis_groups(shape, axis), cost,
+            self._charge_comm_groups_id(axis_group_matrix(shape, axis), cost,
                                         pid)
             return
         self._ledger_comm(pid, None, cost)
@@ -526,10 +557,9 @@ class VirtualMachine:
         view[...] = ends
 
     def axis_groups(self, shape: Sequence[int], axis: int) -> np.ndarray:
-        """The ``(G, s)`` group matrix :meth:`charge_comm_axis` charges."""
-        shape = self._axis_shape(shape, axis)
-        return lines_along(np.arange(self.num_ranks, dtype=np.intp)
-                           .reshape(shape), axis)
+        """The ``(G, s)`` group matrix :meth:`charge_comm_axis` charges
+        (cached and read-only, see :func:`axis_group_matrix`)."""
+        return axis_group_matrix(self._axis_shape(shape, axis), axis)
 
     def _axis_shape(self, shape: Sequence[int], axis: int) -> Tuple[int, ...]:
         shape = tuple(shape)

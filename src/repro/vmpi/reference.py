@@ -96,8 +96,11 @@ class RecordingMachine(VirtualMachine):
 
     This is the seed-equivalence harness' recorder: a flat untyped log
     replayed through :class:`ReferenceMachine` to pin down charging
-    semantics.  For reusable, rebindable programs use
-    :class:`repro.sched.ScheduleRecorder` instead.
+    semantics.  It charges first and logs only a charge the machine
+    accepted; axis-form families are logged expanded to their group
+    matrix.  For reusable, rebindable programs use
+    :class:`repro.sched.ScheduleRecorder` (which records without
+    charging) instead.
     """
 
     def __init__(self, *args, **kwargs):
@@ -105,32 +108,32 @@ class RecordingMachine(VirtualMachine):
         self.schedule: List[ScheduleEntry] = []
 
     def charge_flops(self, rank, flops, phase):
-        self.schedule.append(("flops", [rank], flops, phase))
         super().charge_flops(rank, flops, phase)
+        self.schedule.append(("flops", [rank], flops, phase))
 
     def charge_flops_group(self, ranks, flops, phase):
+        super().charge_flops_group(ranks, flops, phase)
         self.schedule.append(
             ("flops", np.asarray(ranks).reshape(-1).tolist(), flops, phase))
-        super().charge_flops_group(ranks, flops, phase)
 
     def charge_comm_group(self, ranks, cost, phase):
+        super().charge_comm_group(ranks, cost, phase)
         self.schedule.append(
             ("comm", [np.asarray(ranks).reshape(-1).tolist()], cost, phase))
-        super().charge_comm_group(ranks, cost, phase)
 
     def charge_comm_groups(self, groups, cost, phase):
-        self.schedule.append(("comm", np.asarray(groups).tolist(), cost, phase))
         super().charge_comm_groups(groups, cost, phase)
+        self.schedule.append(("comm", np.asarray(groups).tolist(), cost, phase))
 
     def charge_comm_axis(self, shape, axis, cost, phase):
         self.charge_comm_groups(self.axis_groups(shape, axis), cost, phase)
 
     def barrier(self, ranks=None):
+        super().barrier(ranks)
         self.schedule.append(
             ("barrier",
              None if ranks is None else np.asarray(ranks).reshape(-1).tolist(),
              None, None))
-        super().barrier(ranks)
 
 
 def replay(schedule: Sequence[ScheduleEntry], num_ranks: int,

@@ -17,6 +17,7 @@ The proof obligations of the static-verification layer:
 from __future__ import annotations
 
 import json
+import math
 import pickle
 
 import numpy as np
@@ -63,6 +64,7 @@ from repro.sched.program import (
     ChargeProgram,
 )
 from repro.sched.recorder import ScheduleRecorder
+from repro.vmpi.machine import lines_along
 
 from tests.conftest import make_cubic, make_tunable
 
@@ -73,13 +75,14 @@ def prepared(algorithm, **kw):
     return solver_for(spec.algorithm).prepare(spec)
 
 
-def raw_op(kind, ranks, payload, phase):
+def raw_op(kind, ranks, payload, phase, axis=None):
     """A ChargeOp bypassing construction-time validation (for mutations)."""
     op = object.__new__(ChargeOp)
     op.kind = kind
     op.ranks = ranks
     op.payload = payload
     op.phase = phase
+    op.axis = axis
     return op
 
 
@@ -100,6 +103,14 @@ def flops_op(ranks, payload=1.0, phase=0):
 def comm_op(groups, messages=1.0, words=8.0, phase=0):
     return ChargeOp(OP_COMM, np.asarray(groups, dtype=np.intp),
                     CollectiveCost(messages, words), phase)
+
+
+def axis_op(shape=(2, 4), axis=1, phase=0):
+    """A comm op over the lines along *axis* of the *shape* view, tagged."""
+    lines = lines_along(np.arange(math.prod(shape), dtype=np.intp)
+                        .reshape(shape), axis)
+    return ChargeOp(OP_COMM, np.ascontiguousarray(lines),
+                    CollectiveCost(1.0, 8.0), phase, axis=(shape, axis))
 
 
 def small_program():
@@ -252,6 +263,10 @@ def _mutations():
 
     cases.append(("ir/dead-phase",
                   raw_program(4, ["a", "dead"], [flops_op([0], 1.0, 0)])))
+
+    p = ChargeProgram(8, ["a"], [axis_op()])
+    p.ops[0].axis = ((2, 4), 0)    # the tag no longer names ranks' lines
+    cases.append(("ir/axis-form", p))
     return cases
 
 
@@ -279,6 +294,36 @@ class TestSeededMutations:
     def test_warnings_do_not_reject(self):
         dead = raw_program(4, ["a", "dead"], [flops_op([0], 1.0, 0)])
         assert require_verified(dead) is dead
+
+
+class TestAxisFormRule:
+    """One poisoned op per way an axis tag can disagree with its op."""
+
+    def test_tagged_program_verifies_clean(self):
+        assert verify_program(ChargeProgram(8, ["a"], [axis_op()])) == []
+        recorder = ScheduleRecorder(8)
+        recorder.charge_comm_axis((2, 2, 2), 0, CollectiveCost(1, 1), "a")
+        assert verify_program(recorder.program()) == []
+
+    @pytest.mark.parametrize("op", [
+        raw_op(OP_FLOPS, np.arange(8, dtype=np.intp), 1.0, 0,
+               axis=((8,), 0)),
+        raw_op(OP_COMM, axis_op().ranks, CollectiveCost(1.0, 8.0), 0,
+               axis=((2, 2), 1)),
+        raw_op(OP_COMM, axis_op().ranks, CollectiveCost(1.0, 8.0), 0,
+               axis=((2, 4), 2)),
+        raw_op(OP_COMM, axis_op().ranks, CollectiveCost(1.0, 8.0), 0,
+               axis=((4, 2), 0)),
+        raw_op(OP_COMM, axis_op().ranks[::-1].copy(),
+               CollectiveCost(1.0, 8.0), 0, axis=((2, 4), 1)),
+        raw_op(OP_COMM, axis_op().ranks, CollectiveCost(1.0, 8.0), 0,
+               axis="rows"),
+    ], ids=["not-comm", "view-size", "axis-range", "other-lines",
+            "row-order", "malformed"])
+    def test_poisoned_tag_yields_axis_form(self, op):
+        findings = verify_program(raw_program(8, ["a"], [op]))
+        assert [(f.rule, f.loc) for f in findings] == \
+            [("ir/axis-form", "op[0]")]
 
 
 class TestBindingMutations:

@@ -8,6 +8,7 @@ per-rank ledgers, and cost reports included.
 """
 
 import contextlib
+import hashlib
 from typing import ClassVar
 
 import numpy as np
@@ -15,11 +16,14 @@ import pytest
 
 from tests.conftest import make_tunable
 
-from repro.core.cacqr import ca_cqr, ca_cqr2
-from repro.core.cfr3d import default_base_case
+from repro.analysis import verify_program
+from repro.core.cacqr import _merge_program, _subcube_pass_program, ca_cqr, ca_cqr2
+from repro.core.cfr3d import cfr3d, default_base_case
 from repro.core.mm3d import mm3d
 from repro.core.panels_dist import ca_panel_cqr2
+from repro.costmodel.collectives import CollectiveCost
 from repro.costmodel.params import ABSTRACT_MACHINE, STAMPEDE2
+from repro.kernels import flops as fl
 from repro import Session
 from repro.engine.spec import MatrixSpec, RunSpec
 from repro.plan import Planner, ProblemSpec
@@ -32,9 +36,11 @@ from repro.sched import (
     program_key,
 )
 from repro.sched.capture import capture_run, replay_report
-from repro.vmpi.distmatrix import DistMatrix
+from repro.sched.program import ChargeOp, ChargeProgram
+from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
+from repro.vmpi.reference import RecordingMachine
 
 
 def assert_machines_identical(vm_a: VirtualMachine, vm_b: VirtualMachine):
@@ -269,16 +275,24 @@ class TestBoundProgram:
         mm3d(rec, a, b, phase="@")
         return rec.program(), g
 
-    def test_identity_replay_reproduces_recorder_state(self):
-        program, _ = self.record_mm3d(2, 32)
+    def test_identity_replay_matches_plain_run(self):
+        # The recorder only records: replay is compared with a plain
+        # machine running the same MM3D, and the recorder stays at zero.
         rec = ScheduleRecorder(8)
         g = Grid3D.build(rec, 2, 2, 2)
         mm3d(rec, DistMatrix.symbolic(g, 32, 32),
              DistMatrix.symbolic(g, 32, 32), phase="@")
+        program = rec.program()
+        plain = VirtualMachine(8)
+        pg = Grid3D.build(plain, 2, 2, 2)
+        mm3d(plain, DistMatrix.symbolic(pg, 32, 32),
+             DistMatrix.symbolic(pg, 32, 32), phase="@")
         vm = VirtualMachine(8)
         bound = program.specialize(RankFamilyMap.identity(8))
         bound.replay(vm)
-        assert_machines_identical(vm, rec)
+        assert_machines_identical(vm, plain)
+        assert not rec._clock.any() and not rec._total.any()
+        assert rec.elapsed == 0.0 and rec.report().phase_max == {}
 
     def test_subcube_replay_collapses_and_matches_loop(self):
         c, d, m = 2, 8, 32
@@ -414,6 +428,184 @@ class TestBoundProgram:
         program, _ = self.record_mm3d(2, 32)
         with pytest.raises(ValueError):
             program.phases_with_prefix("nope", "mm")
+
+
+def program_digest(program: ChargeProgram) -> str:
+    """Digest of a program's phase table and every op's kind, rank bytes,
+    payload and phase index."""
+    h = hashlib.sha256(repr(program.phases).encode())
+    for op in program.ops:
+        shape = None if op.ranks is None else op.ranks.shape
+        h.update(repr((op.kind, shape, op.payload, op.phase)).encode())
+        if op.ranks is not None:
+            h.update(op.ranks.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestRecorderRecordsOnly:
+    """The recorder records what the machine would accept, and charges
+    nothing; the subcube programs it records are pinned."""
+
+    #: ``(c, n, rows_per_subcube, base_case_size)`` -> (subcube-pass digest,
+    #: merge digest), recorded while the recorder still charged as it
+    #: recorded.
+    PINNED: ClassVar[dict] = {
+        (16, 1024, 1024, 16): ("1c53dc265ff07fac", "54ae4ddb4f49657a"),
+        (8, 512, 16384, 8): ("ee4bf57dcaa64a30", "eb5db22d46fe55fb"),
+        (4, 128, 1024, 8): ("31f8750182f6ac13", "a2d85efd96abf4be"),
+        (2, 64, 256, 16): ("868c6fcca84bb5d6", "e2486c26bfa35602"),
+    }
+
+    @pytest.mark.parametrize("key", list(PINNED))
+    def test_subcube_and_merge_programs_are_pinned(self, key):
+        program, _ = _subcube_pass_program(*key)
+        merge, _ = _merge_program(*key[:2])
+        assert (program_digest(program), program_digest(merge)) == \
+            self.PINNED[key]
+        assert any(op.axis is not None for op in program.ops)
+
+    REJECTED: ClassVar[list] = [
+        ("charge_flops", (-1, 5.0, "x")),
+        ("charge_flops", (7, 5.0, "x")),
+        ("charge_flops", (0, -5.0, "x")),
+        ("charge_flops_group", ([0, 1], -1.0, "x")),
+        ("charge_comm_groups", (np.array([0, 1]), CollectiveCost(1, 1), "x")),
+        ("charge_comm_axis", ((3,), 0, CollectiveCost(1, 1), "x")),
+        ("charge_comm_axis", ((2, 2), 2, CollectiveCost(1, 1), "x")),
+    ]
+    REJECTED_IDS: ClassVar[list] = [
+        "negative-rank", "rank-past-end", "negative-flops",
+        "negative-group-flops", "1d-group-matrix", "view-not-covering",
+        "axis-out-of-range"]
+
+    @pytest.mark.parametrize("method,args", REJECTED, ids=REJECTED_IDS)
+    def test_schedule_recorder_keeps_no_rejected_op(self, method, args):
+        rec = ScheduleRecorder(4)
+        rec.charge_flops(0, 1.0, "ok")
+        with pytest.raises(ValueError):
+            getattr(rec, method)(*args)
+        assert rec.num_ops == 1
+        program = rec.program(debug=False)
+        assert len(program) == 1 and program.phases == ["ok"]
+
+    @pytest.mark.parametrize("method,args", REJECTED, ids=REJECTED_IDS)
+    def test_recording_machine_keeps_no_rejected_entry(self, method, args):
+        vm = RecordingMachine(4)
+        vm.charge_flops(0, 1.0, "ok")
+        with pytest.raises(ValueError):
+            getattr(vm, method)(*args)
+        assert len(vm.schedule) == 1
+
+    def test_axis_ops_share_the_machines_cached_group_matrix(self):
+        rec = ScheduleRecorder(8)
+        for _ in range(2):
+            rec.charge_comm_axis((2, 2, 2), 1, CollectiveCost(1, 1), "a")
+        first, second = rec.program().ops
+        assert first.axis == ((2, 2, 2), 1)
+        assert first.ranks is second.ranks
+        assert first.ranks is VirtualMachine(8).axis_groups((2, 2, 2), 1)
+        assert not first.ranks.flags.writeable
+
+
+class TestAxisTaggedReplay:
+    """Collapsed replay charges axis-tagged ops through the axis form, per-op
+    replay through their rank matrix; both match the subcube loop."""
+
+    @staticmethod
+    def prefix(vm, binding, names, seed):
+        """Random charges that are identical across the subcube instances
+        but uneven inside each, some under the program's own phases."""
+        rng = np.random.default_rng(seed)
+        maps = binding.maps
+        size = maps.shape[1]
+        for _ in range(3):
+            pairs = rng.permutation(size).reshape(-1, 2)
+            vm.charge_comm_groups(maps[:, pairs].reshape(-1, 2),
+                                  CollectiveCost(*rng.integers(1, 9, 2)),
+                                  str(rng.choice(names)))
+        # Flops last, so the clocks enter the replay uneven.
+        for t, flops in enumerate(rng.integers(1, 10 ** 6, size)):
+            vm.charge_flops_group(maps[:, t], float(flops), "prefix")
+
+    @staticmethod
+    def subcube_loop(vm, g, c, d, n, rows, n0, phase):
+        """The per-subcube oracle for :func:`_subcube_pass_program`."""
+        with compiled_replay_disabled():
+            for group in range(d // c):
+                sub = g.subcube(group)
+                l0, y0 = cfr3d(vm, DistMatrix.symbolic(sub, n, n), n0,
+                               phase=f"{phase}.cfr3d")
+                rinv0 = dist_transpose(vm, y0, f"{phase}.form-q.transpose")
+                mm3d(vm, DistMatrix.symbolic(sub, rows, n), rinv0,
+                     phase=f"{phase}.form-q.mm3d",
+                     flop_fraction=fl.TRMM_FRACTION)
+                dist_transpose(vm, l0, f"{phase}.form-r.transpose")
+
+    @classmethod
+    def replay_both(cls, program, tpl, c, d, seed):
+        """Collapsed and traced per-op replay of *program* onto the
+        subcubes of a ``c x d x c`` grid, after the same random prefix."""
+        names = program.phases_with_prefix("@", "p")
+        machines, modes = [], []
+        for trace in (False, True):
+            vm = VirtualMachine(c * c * d, STAMPEDE2, trace=trace)
+            binding = RankFamilyMap.subcubes(Grid3D.tunable(vm, c, d), tpl)
+            cls.prefix(vm, binding, names, seed)
+            modes.append(program.specialize(binding).replay(vm, phases=names))
+            machines.append(vm)
+        assert modes == ["collapsed", "ops"]
+        return machines
+
+    @pytest.mark.parametrize("c,d,n,rows,n0,seed", [
+        (2, 8, 32, 64, 8, 0),
+        (2, 4, 16, 32, 4, 1),
+        (4, 8, 64, 128, 8, 2),
+    ])
+    def test_collapsed_per_op_and_loop_agree(self, c, d, n, rows, n0, seed):
+        program, tpl = _subcube_pass_program(c, n, rows, n0)
+        assert any(op.axis is not None for op in program.ops)
+        collapsed, per_op = self.replay_both(program, tpl, c, d, seed)
+        loop = VirtualMachine(c * c * d, STAMPEDE2)
+        g = Grid3D.tunable(loop, c, d)
+        self.prefix(loop, RankFamilyMap.subcubes(g, tpl),
+                    program.phases_with_prefix("@", "p"), seed)
+        self.subcube_loop(loop, g, c, d, n, rows, n0, "p")
+        assert_machines_identical(collapsed, loop)
+        assert_machines_identical(per_op, loop)
+        assert len(per_op.events) > 0
+
+    @staticmethod
+    def single_op(program, op):
+        return ChargeProgram(program.num_ranks, program.phases, [op])
+
+    @pytest.mark.parametrize("c,d", [(2, 4), (4, 8)])
+    def test_every_tagged_op_replays_alike_from_uneven_clocks(self, c, d):
+        # Later collectives resynchronize whole subcubes, which can hide a
+        # wrong grouping from the end state; each tagged op alone, from
+        # clocks that differ inside every subcube, cannot hide it.
+        program, tpl = _subcube_pass_program(c, 4 * c, 8 * c, c)
+        tagged = [op for op in program.ops if op.axis is not None]
+        assert tagged
+        for k, op in enumerate(tagged):
+            collapsed, per_op = self.replay_both(self.single_op(program, op),
+                                                 tpl, c, d, k)
+            assert_machines_identical(collapsed, per_op)
+
+    def test_a_corrupted_tag_diverges_and_fails_verification(self):
+        c, d = 2, 4
+        program, tpl = _subcube_pass_program(c, 8, 16, c)
+        ops = list(program.ops)
+        k = next(i for i, op in enumerate(ops) if op.axis is not None)
+        shape, axis = ops[k].axis
+        ops[k] = ChargeOp(ops[k].kind, ops[k].ranks, ops[k].payload,
+                          ops[k].phase, axis=(shape, (axis + 1) % len(shape)))
+        findings = verify_program(ChargeProgram(program.num_ranks,
+                                                program.phases, ops))
+        assert [(f.rule, f.loc) for f in findings] == \
+            [("ir/axis-form", f"op[{k}]")]
+        collapsed, per_op = self.replay_both(self.single_op(program, ops[k]),
+                                             tpl, c, d, 0)
+        assert not np.array_equal(collapsed._clock, per_op._clock)
 
 
 class TestProgramCacheAndCapture:
