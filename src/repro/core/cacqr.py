@@ -26,17 +26,25 @@ One CA-CQR pass:
    subcube -- after which *no further cross-subcube communication is
    needed*.  Every subcube factors a bit-identical Gram matrix, so with
    ``d > c`` the simulation computes these numerics once, uncharged, on
-   subcube 0's stacked blocks, and charges all ``d/c`` subcubes by
-   replaying one compiled subcube program (:mod:`repro.sched`); the
-   per-subcube loop remains as the oracle under
-   :func:`~repro.sched.compiled_replay_disabled`.
+   subcube 0's stacked blocks.  The charges come from compiled programs
+   (:mod:`repro.sched`): on a plain, untraced machine whose subcubes hold
+   identical state, the *whole* schedule -- both Gram dances (line 4
+   joins ranks in identical state, so it needs no second subcube), both
+   subcube passes and the merge -- runs once on a ``c**3``-rank template
+   machine seeded from subcube 0 and is written back to every subcube
+   once: beyond a few ``O(P)`` writes, the cost of simulating CA-CQR2
+   does not depend on ``d``.
+   Otherwise (a trace sink, a recording machine, asymmetric entry state)
+   the Gram dance is charged on the machine and one compiled subcube
+   program replayed per pass.  The per-subcube loop remains as the
+   oracle under :func:`~repro.sched.compiled_replay_disabled`.
 7. **MM3D per subcube** (line 8) forms ``Q = A R**-1`` on each subcube's
    own rows -- the one step whose data differ between subcubes, computed
    for all of them by one stacked multiply.
 
 CA-CQR2 runs two passes and merges ``R = R2 R1`` with one more per-subcube
-MM3D (Algorithm 9), computed once and copied to every subcube in the same
-way.
+MM3D (Algorithm 9), computed once and charged in the same template run
+(or replayed per subcube on the per-pass path).
 
 Setting ``c = 1`` degenerates to 1D-CQR2 (no column partitioning, one
 Allreduce); ``c = d = P**(1/3)`` gives the cubic 3D-CQR2.  The cost
@@ -65,6 +73,7 @@ from repro.sched import (
     ChargeProgram,
     RankFamilyMap,
     ScheduleRecorder,
+    TemplateRun,
     compiled_replay_enabled,
 )
 from repro.utils.validation import require
@@ -170,20 +179,9 @@ def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
     full GEMM rate.  Either way every rank ends holding the cyclic block
     ``Z[(y mod c)::c, x::c]`` of the result, replicated over depth, which
     is exactly the subcube layout downstream MM3D/CFR3D calls expect: the
-    result is one :class:`SubcubeResults` entry per subcube.
-
-    Each of Algorithm 8's lines 1/3/4/5 sweeps a family of pairwise
-    disjoint, equal-cost communicator groups over the uniform cyclic
-    layout, and every family is the set of lines along one axis of the
-    rank array viewed in memory order ``[z, y, x]`` (see
-    :mod:`repro.vmpi.grid`): the row broadcast along ``x`` and the depth
-    broadcast along ``z`` of ``(c, d, c)``, the contiguous Reduce and the
-    strided Allreduce along ``y mod c`` and ``group`` of ``(c, d/c, c, c)``
-    = ``[z, group, y mod c, x]``.  Each line is one
-    :meth:`~repro.vmpi.grid.Grid3D.charge_lines` call -- on a root grid the
-    machine's gather-free axis form -- and line 2's local product is
-    identical on every rank.  Disjoint charges commute, so clocks and
-    ledgers are bit-identical to charging group by group.
+    result is one :class:`SubcubeResults` entry per subcube.  Charges
+    (:func:`_charge_cross_product`) and numerics
+    (:func:`_cross_product_stacked`) are separate steps.
     """
     g = w_source.grid
     require(g.matches(target.grid), "cross-product operands must share a grid")
@@ -191,11 +189,46 @@ def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
             f"row counts disagree: {w_source.m} vs {target.m}")
     c, d = g.dim_x, g.dim_y
     require(d % c == 0, f"grid depth d={d} must be a multiple of c={c}")
-    zyx = (c, d, c)
-    by_group = (c, d // c, c, c)             # [z, group, y mod c, x]
+    _charge_cross_product(vm, g, (w_source.local_rows, w_source.local_cols),
+                          (target.local_rows, target.local_cols), phase,
+                          symmetric, groups=d // c)
+    if target.data is None:
+        return SubcubeResults(g, w_source.n, target.n)
+    return SubcubeResults(g, w_source.n, target.n,
+                          _cross_product_stacked(w_source.data, target.data))  # type: ignore[arg-type]
+
+
+def _charge_cross_product(vm: VirtualMachine, g: Grid3D,
+                          w_shape: Tuple[int, int], t_shape: Tuple[int, int],
+                          phase: str, symmetric: bool, groups: int) -> None:
+    """Charge Algorithm 8 lines 1-5 on *g*, whose y extent holds *groups* subcubes'
+    worth of line-4 partners.
+
+    Each of lines 1/3/4/5 sweeps a family of pairwise disjoint,
+    equal-cost communicator groups over the uniform cyclic layout, and
+    every family is the set of lines along one axis of the rank array
+    viewed in memory order ``[z, y, x]`` (see :mod:`repro.vmpi.grid`):
+    the row broadcast along ``x`` and the depth broadcast along ``z`` of
+    ``(c, dim_y, c)``, the contiguous Reduce and the strided Allreduce
+    along ``y mod c`` and ``group`` of ``(c, dim_y/c, c, c)`` = ``[z,
+    group, y mod c, x]``.  Each line is one
+    :meth:`~repro.vmpi.grid.Grid3D.charge_lines` call -- on a root grid
+    the machine's gather-free axis form -- and line 2's local product is
+    identical on every rank.  Disjoint charges commute, so clocks and
+    ledgers are bit-identical to charging group by group.
+
+    On the whole ``c x d x c`` grid ``groups = d/c``.  On one subcube's
+    ``c x c x c`` template standing for all of them (CA-CQR2's template
+    run) ``groups`` stays ``d/c`` while line 4's lines shrink to length
+    1: they are charged the ``d/c``-member Allreduce, and since every
+    member sits at the same position of identical subcube states, the
+    group's clock max is each member's own clock -- bit-identical.
+    """
+    c = g.dim_x
+    zyx = (c, g.dim_y, c)
+    by_group = (c, g.dim_y // c, c, c)         # [z, group, y mod c, x]
 
     # Line 1: row broadcast of the root-z column panel of W's source.
-    w_shape = (w_source.local_rows, w_source.local_cols)
     g.charge_lines(vm, zyx, 2, cc.bcast_cost(w_shape[0] * w_shape[1], c),
                    f"{phase}.bcast-w")
 
@@ -204,7 +237,6 @@ def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
     # critical-path flop count (4 m n**2 + (5/3) n**3 for CQR2) assumes the
     # implementation exploits the Gram matrix's symmetry; the numeric
     # backend still forms the plain product.
-    t_shape = (target.local_rows, target.local_cols)
     partial, flops = local_mm_tn(SymbolicBlock(w_shape), SymbolicBlock(t_shape))
     vm.charge_flops_group(g.all_ranks_array,
                           flops / 2.0 if symmetric else flops,
@@ -218,18 +250,12 @@ def _cross_product_replicated(vm: VirtualMachine, w_source: DistMatrix,
     # Line 4: allreduce across the d/c group roots (stride-c y-subgroups).
     # Non-root residues join their own subgroup's allreduce with data that
     # is never consumed; the cost is charged either way.
-    gram_words = partial.words
-    g.charge_lines(vm, by_group, 1, cc.allreduce_cost(gram_words, d // c),
+    g.charge_lines(vm, by_group, 1, cc.allreduce_cost(partial.words, groups),
                    f"{phase}.allreduce-roots")
 
     # Line 5: depth broadcast from root z = y mod c.
-    g.charge_lines(vm, zyx, 0, cc.bcast_cost(gram_words, c),
+    g.charge_lines(vm, zyx, 0, cc.bcast_cost(partial.words, c),
                    f"{phase}.bcast-depth")
-
-    if target.data is None:
-        return SubcubeResults(g, w_source.n, target.n)
-    return SubcubeResults(g, w_source.n, target.n,
-                          _cross_product_stacked(w_source.data, target.data))  # type: ignore[arg-type]
 
 
 def _cross_product_stacked(w: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -257,25 +283,62 @@ def _apply_gram_shift(vm: VirtualMachine, g: Grid3D, gram: SubcubeResults,
                       n: int, shift: float, phase: str) -> SubcubeResults:
     """The distributed Gram matrix plus ``shift * I``.
 
-    Rank ``(x, y, z)`` holds the cyclic block ``Z[(y mod c)::c, x::c]``; its
-    local diagonal entries correspond to global diagonal entries only when
-    ``x == y mod c``, at local positions ``(k, k)``.  A purely local
-    operation -- the "minimal modification" the paper's Section V mentions
-    for shifted CholeskyQR -- charged to that diagonal rank family (one
-    rank per ``(y, z)``) in one call.
+    A purely local operation -- the "minimal modification" the paper's
+    Section V mentions for shifted CholeskyQR: charged by
+    :func:`_charge_gram_shift`, computed by :func:`_shift_gram`.
+    """
+    _charge_gram_shift(vm, g, n, phase)
+    return _shift_gram(g, gram, n, shift)
+
+
+def _charge_gram_shift(vm: VirtualMachine, g: Grid3D, n: int,
+                       phase: str) -> None:
+    """Charge the shift to the diagonal-block owners, in one call.
+
+    Rank ``(x, y, z)`` holds the cyclic block ``Z[(y mod c)::c, x::c]``;
+    its local diagonal entries correspond to global diagonal entries only
+    when ``x == y mod c``, at local positions ``(k, k)`` -- one rank per
+    ``(y, z)``.
     """
     c = g.dim_x
-    per_rank_diag = n // c
     ys = np.arange(g.dim_y)
     diag_ranks = g.ranks[ys % c, ys, :].reshape(-1)
-    vm.charge_flops_group(diag_ranks, float(per_rank_diag), f"{phase}.shift")
+    vm.charge_flops_group(diag_ranks, float(n // c), f"{phase}.shift")
+
+
+def _shift_gram(g: Grid3D, gram: SubcubeResults, n: int,
+                shift: float) -> SubcubeResults:
+    """:func:`_apply_gram_shift`'s numerics on subcube 0's template."""
     if gram.template is None:
         return gram
+    c = g.dim_x
     shifted = gram.template.copy()
-    diag = np.arange(per_rank_diag)
+    diag = np.arange(n // c)
     for x in range(c):
         shifted[x, x][:, diag, diag] += shift
     return SubcubeResults(g, n, n, shifted)
+
+
+@functools.lru_cache(maxsize=64)
+def _gram_program(c: int, groups: int, local_rows: int, local_cols: int,
+                  shifted: bool) -> ChargeProgram:
+    """Compile one subcube's share of the Gram dance (Algorithm 8 lines
+    1-5, plus the sCQR3 shift when *shifted*) on a ``c x c x c`` template.
+
+    Recorded under the placeholder phase prefix ``"@"`` with line 4
+    charged as the ``groups``-member Allreduce over lines of length 1
+    (see :func:`_charge_cross_product`), so it is exact only on a
+    template standing for ``groups`` identical subcubes: CA-CQR2's
+    template run, never a per-op replay.
+    """
+    rec = ScheduleRecorder(c * c * c)
+    rec_grid = Grid3D.build(rec, c, c, c)
+    block = (local_rows, local_cols)
+    _charge_cross_product(rec, rec_grid, block, block, "@", symmetric=True,
+                          groups=groups)
+    if shifted:
+        _charge_gram_shift(rec, rec_grid, c * local_cols, "@")
+    return rec.program()
 
 
 @functools.lru_cache(maxsize=64)
@@ -317,40 +380,38 @@ def _merge_program(c: int, n: int) -> Tuple[ChargeProgram, Grid3D]:
 
 
 def _use_subcube_replay(vm: VirtualMachine, a: DistMatrix) -> bool:
-    """Whether the compiled subcube-replay path applies.
+    """Whether the compiled subcube paths apply.
 
     Symbolic and numeric runs alike, with more than one subcube
     (otherwise the loop is already minimal), and outside
     :func:`repro.sched.compiled_replay_disabled` (the loop oracle that
-    equivalence tests diff replay against).  Charges come from the
-    replayed program either way; numeric runs first compute the stage's
+    equivalence tests diff compiled runs against).  Charges come from
+    compiled programs either way; numeric runs first compute the
     numerics uncharged (``vm=None``): CFR3D, the transposes and the merge
     on subcube 0's stacked blocks, form-Q's MM3D for every subcube at
-    once.  Replay composes with an attached trace sink -- the per-op
-    strategy emits every rank's events with exact timestamps -- so
-    tracing does not force the loop.
+    once.  The template run (:func:`_template_run`) takes a plain,
+    untraced machine in per-subcube-symmetric state; anything else -- a
+    trace sink, a recorder, asymmetric entry state -- takes the per-pass
+    path, whose subcube replay emits every rank's events with exact
+    timestamps, so tracing does not force the loop.
     """
     g = a.grid
     return g.dim_y > g.dim_x and compiled_replay_enabled()
 
 
-def _subcube_pass_numeric(vm: VirtualMachine, a: DistMatrix,
-                          gram: DistMatrix, base_case_size: int,
-                          phase: str) -> CACQRResult:
-    """Algorithm 8 lines 6-8 for every subcube, charging nothing to *vm*.
+def _subcube_pass_numeric(a: DistMatrix, gram: DistMatrix,
+                          base_case_size: int) -> CACQRResult:
+    """Algorithm 8 lines 6-8 for every subcube, charging nothing.
 
     CFR3D and the transposes run once, on subcube 0's Gram blocks; only
     form-Q's MM3D sees distinct data per subcube (``A``'s rows), and one
-    stacked multiply covers them all.
+    stacked multiply covers them all.  On a :class:`CholeskyFailure` the
+    caller fails from the real machine instead: once the charges up to
+    this pass's Gram dance are in, re-running subcube 0's CFR3D there
+    leaves exactly the loop's partial charges behind, so a caller's retry
+    (sCQR3) starts from the loop's state.
     """
-    try:
-        l, y = cfr3d(None, gram, base_case_size)
-    except CholeskyFailure:
-        # Fail from the real machine instead: re-running subcube 0's
-        # CFR3D there leaves exactly the loop's partial charges behind,
-        # so a caller's retry (sCQR3) starts from the loop's state.
-        cfr3d(vm, gram, base_case_size, phase=f"{phase}.cfr3d")
-        raise
+    l, y = cfr3d(None, gram, base_case_size)
     rinv = dist_transpose(None, y, "form-q.transpose")
     q = mm3d_stacked(a.data, rinv.data)  # type: ignore[arg-type]
     r = dist_transpose(None, l, "form-r.transpose")
@@ -358,40 +419,89 @@ def _subcube_pass_numeric(vm: VirtualMachine, a: DistMatrix,
                        r_subcubes=SubcubeResults(a.grid, a.n, a.n, r.data))
 
 
-def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = None,
-           phase: str = "cacqr", gram_shift: Optional[float] = None) -> CACQRResult:
-    """One CA-CQR pass (Algorithm 8).
+def _template_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
+                  phases: Sequence[str], gram_shift: Optional[float] = None,
+                  merge_phase: Optional[str] = None) -> Optional[CACQRResult]:
+    """CA-CQR passes (one per entry of *phases*) and, with *merge_phase*,
+    CA-CQR2's ``R = R2 R1`` merge, charged on one ``c**3``-rank template.
 
-    Parameters
-    ----------
-    vm:
-        Virtual machine charged for all communication and computation.
-    a:
-        Tall ``m x n`` :class:`DistMatrix` on a ``c x d x c`` grid.
-    base_case_size:
-        CFR3D recursion cutoff ``n0`` (per subcube); defaults to the
-        communication-optimal :func:`~repro.core.cfr3d.default_base_case`.
-    phase:
-        Ledger phase prefix (sub-steps: ``.bcast-w``, ``.local-gram``,
-        ``.reduce-group``, ``.allreduce-roots``, ``.bcast-depth``,
-        ``.cfr3d.*``, ``.form-q.*``).
-    gram_shift:
-        Optional diagonal shift added to the Gram matrix before CFR3D --
-        the shifted-CholeskyQR regularization (see
-        :func:`repro.core.shifted.ca_shifted_cqr3`).
+    The ``d/c`` subcubes run identical Gram-dance, CFR3D, form-Q and
+    merge schedules, and the one step that crosses them -- line 4's
+    strided Allreduce -- joins ranks holding identical state.  So the
+    whole charge schedule runs once, as compiled programs, on a
+    template machine seeded from subcube 0
+    (:class:`~repro.sched.replay.TemplateRun`), which then writes the
+    clocks and totals back to every subcube and installs every phase as a
+    lazy template plane: beyond those ``O(P)`` writes, the simulation
+    cost no longer depends on ``d``.
+    Numerics run first, uncharged.
 
-    Returns
-    -------
-    CACQRResult
-        ``Q`` on the full grid; ``R`` per subcube.
+    Returns ``None`` -- nothing charged -- unless the compiled paths
+    apply and the template run's guard accepts the machine.
     """
-    c, d = _validate(a)
+    if not _use_subcube_replay(vm, a):
+        return None
     g = a.grid
+    c, d, n = g.dim_x, g.dim_y, a.n
+    gram_program = _gram_program(c, d // c, a.local_rows, a.local_cols,
+                                 gram_shift is not None)
+    pass_program, rec_grid = _subcube_pass_program(c, n, c * a.local_rows,
+                                                   base_case_size)
+    segments: List[Tuple[ChargeProgram, List[str]]] = []
+    for phase in phases:
+        segments.append((gram_program,
+                         gram_program.phases_with_prefix("@", phase)))
+        segments.append((pass_program,
+                         pass_program.phases_with_prefix("@", phase)))
+    if merge_phase is not None:
+        merge_program, _ = _merge_program(c, n)
+        segments.append((merge_program,
+                         merge_program.phases_with_prefix("@", merge_phase)))
+    run = TemplateRun.seed(vm, RankFamilyMap.subcubes(g, rec_grid),
+                           [name for _, names in segments for name in names])
+    if run is None:
+        return None
+
+    results: List[CACQRResult] = []
+    q = a
+    for k, phase in enumerate(phases):
+        if not a.is_numeric:
+            results.append(CACQRResult(q=DistMatrix.symbolic(g, a.m, n),
+                                       r_subcubes=SubcubeResults(g, n, n)))
+            continue
+        gram = SubcubeResults(g, n, n, _cross_product_stacked(q.data, q.data))  # type: ignore[arg-type]
+        if gram_shift is not None:
+            gram = _shift_gram(g, gram, n, gram_shift)
+        try:
+            results.append(_subcube_pass_numeric(q, gram[0], base_case_size))
+        except CholeskyFailure:
+            for program, names in segments[:2 * k + 1]:
+                run.charge(program, names)
+            run.install()
+            cfr3d(vm, gram[0], base_case_size, phase=f"{phase}.cfr3d")
+            raise
+        q = results[-1].q
+
+    r_subcubes = results[-1].r_subcubes
+    if merge_phase is not None:
+        template = None
+        if a.is_numeric:
+            template = mm3d(None, results[-1].r, results[0].r).data
+        r_subcubes = SubcubeResults(g, n, n, template)
+    for program, names in segments:
+        run.charge(program, names)
+    run.install()
+    return CACQRResult(q=results[-1].q, r_subcubes=r_subcubes)
+
+
+def _ca_cqr_pass(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
+                 phase: str, gram_shift: Optional[float] = None) -> CACQRResult:
+    """One CA-CQR pass charged on the real machine (the per-pass path)."""
+    g = a.grid
+    c, d = g.dim_x, g.dim_y
     gram = _gram_replicated(vm, a, phase)
     if gram_shift is not None:
         gram = _apply_gram_shift(vm, g, gram, a.n, gram_shift, phase)
-    if base_case_size is None:
-        base_case_size = default_base_case(a.n, c)
 
     numeric = a.is_numeric
     if _use_subcube_replay(vm, a):
@@ -405,8 +515,11 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
         program, rec_grid = _subcube_pass_program(c, a.n, c * a.local_rows,
                                                   base_case_size)
         if numeric:
-            result = _subcube_pass_numeric(vm, a, gram[0], base_case_size,
-                                           phase)
+            try:
+                result = _subcube_pass_numeric(a, gram[0], base_case_size)
+            except CholeskyFailure:
+                cfr3d(vm, gram[0], base_case_size, phase=f"{phase}.cfr3d")
+                raise
         else:
             result = CACQRResult(q=DistMatrix.symbolic(g, a.m, a.n),
                                  r_subcubes=SubcubeResults(g, a.n, a.n))
@@ -433,17 +546,72 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
     return CACQRResult(q=q, r_subcubes=r_subcubes)
 
 
+def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = None,
+           phase: str = "cacqr", gram_shift: Optional[float] = None) -> CACQRResult:
+    """One CA-CQR pass (Algorithm 8).
+
+    With ``d > c`` on a plain, untraced machine whose subcubes hold
+    identical state (a fresh one, say), the whole pass -- Gram dance,
+    shift and per-subcube stage -- is charged on one ``c**3``-rank
+    template standing for every subcube (:func:`_template_run`);
+    otherwise the Gram dance is charged on the machine and the subcube
+    stage replayed (or, under
+    :func:`~repro.sched.compiled_replay_disabled`, looped) per subcube.
+    Every path charges bit-identical clocks and ledgers.
+
+    Parameters
+    ----------
+    vm:
+        Virtual machine charged for all communication and computation.
+    a:
+        Tall ``m x n`` :class:`DistMatrix` on a ``c x d x c`` grid.
+    base_case_size:
+        CFR3D recursion cutoff ``n0`` (per subcube); defaults to the
+        communication-optimal :func:`~repro.core.cfr3d.default_base_case`.
+    phase:
+        Ledger phase prefix (sub-steps: ``.bcast-w``, ``.local-gram``,
+        ``.reduce-group``, ``.allreduce-roots``, ``.bcast-depth``,
+        ``.cfr3d.*``, ``.form-q.*``).
+    gram_shift:
+        Optional diagonal shift added to the Gram matrix before CFR3D --
+        the shifted-CholeskyQR regularization (see
+        :func:`repro.core.shifted.ca_shifted_cqr3`).
+
+    Returns
+    -------
+    CACQRResult
+        ``Q`` on the full grid; ``R`` per subcube.
+    """
+    c, _ = _validate(a)
+    if base_case_size is None:
+        base_case_size = default_base_case(a.n, c)
+    result = _template_run(vm, a, base_case_size, [phase],
+                           gram_shift=gram_shift)
+    if result is None:
+        result = _ca_cqr_pass(vm, a, base_case_size, phase, gram_shift)
+    return result
+
+
 def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = None,
             phase: str = "cacqr2") -> CACQRResult:
     """CA-CQR2 (Algorithm 9): two CA-CQR passes plus the per-subcube R merge.
 
     Returns ``Q`` (distributed like ``a``) and ``R = R2 @ R1`` computed by
     one MM3D per subcube (each subcube already holds both factors, so the
-    merge needs no cross-subcube communication).
+    merge needs no cross-subcube communication).  Where :func:`ca_cqr`'s
+    template run applies, both passes and the merge run as *one* template
+    run, so the machine's subcubes are written once.
     """
     c, d = _validate(a)
-    first = ca_cqr(vm, a, base_case_size, phase=f"{phase}.pass1")
-    second = ca_cqr(vm, first.q, base_case_size, phase=f"{phase}.pass2")
+    if base_case_size is None:
+        base_case_size = default_base_case(a.n, c)
+    result = _template_run(vm, a, base_case_size,
+                           [f"{phase}.pass1", f"{phase}.pass2"],
+                           merge_phase=phase)
+    if result is not None:
+        return result
+    first = _ca_cqr_pass(vm, a, base_case_size, f"{phase}.pass1")
+    second = _ca_cqr_pass(vm, first.q, base_case_size, f"{phase}.pass2")
 
     g = a.grid
     if _use_subcube_replay(vm, a):

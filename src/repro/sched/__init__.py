@@ -44,7 +44,7 @@ from repro.sched.program import (
     ChargeProgram,
 )
 from repro.sched.recorder import ScheduleRecorder
-from repro.sched.replay import BoundProgram
+from repro.sched.replay import BoundProgram, TemplateRun
 
 __all__ = [
     "BoundProgram",
@@ -57,6 +57,7 @@ __all__ = [
     "RankFamilyMap",
     "SCHED_VERSION",
     "ScheduleRecorder",
+    "TemplateRun",
     "compiled_replay_disabled",
     "compiled_replay_enabled",
     "program_key",

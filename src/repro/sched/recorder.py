@@ -72,13 +72,13 @@ class ScheduleRecorder(VirtualMachine):
 
     def charge_flops_group(self, ranks, flops, phase):
         self._check_flops(flops)
-        idx = self._as_ranks(ranks).reshape(-1).copy()
+        idx = self._rank_index(ranks).reshape(-1).copy()
         if idx.size:
             self._ops.append(ChargeOp(OP_FLOPS, idx, float(flops),
                                       self._op_phase(phase)))
 
     def charge_comm_group(self, ranks, cost, phase):
-        idx = self._as_ranks(ranks).reshape(1, -1).copy()
+        idx = self._rank_index(ranks).reshape(1, -1).copy()
         if idx.size:
             self._ops.append(ChargeOp(OP_COMM, idx, cost,
                                       self._op_phase(phase)))
@@ -96,7 +96,7 @@ class ScheduleRecorder(VirtualMachine):
                                   axis=(shape, axis)))
 
     def barrier(self, ranks=None):
-        idx = None if ranks is None else self._as_ranks(ranks).reshape(-1).copy()
+        idx = None if ranks is None else self._rank_index(ranks).reshape(-1).copy()
         self._ops.append(ChargeOp(OP_BARRIER, idx, None, -1))
 
     # -- compilation --------------------------------------------------------------

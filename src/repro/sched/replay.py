@@ -20,22 +20,22 @@ directly.  Two replay strategies, chosen per call:
   the replay in *identical* per-template-position state (clocks, running
   totals, and any already-interned program phases -- checked exactly, not
   approximately), the op stream is simulated once on a template-sized
-  scratch machine seeded from instance 0 and the final state is scattered
-  to all instances.  Each rank then receives the *same chronological
-  float accumulation* it would have under the loop, so the result is
+  machine seeded from instance 0 and the final state is written back to
+  all instances.  Each rank then receives the *same chronological float
+  accumulation* it would have under the loop, so the result is
   bit-identical while the per-op work drops from ``O(P)`` to
-  ``O(template)``.  Ops recorded from the machine's axis form (tagged
-  ``axis``, see :class:`~repro.sched.program.ChargeOp`) are charged on
-  the template through that form -- a reshaped-view max, no gather or
-  scatter of a group matrix; every other op through its rank operand.
-  If the symmetry check fails, replay silently falls back to the per-op
-  path -- the guard buys speed, never changes results.
-  For the subcubes of a root grid the instances are slabs of the
-  machine's arrays (see :class:`~repro.sched.binding.RankFamilyMap`), so
-  the guard is ``(v == v[:, :1]).all()`` on reshaped *views* of the
-  clock, the totals and the phase planes, the seed is the view's first
-  slab and the write-back one broadcast assignment; other bindings gather
-  and scatter through their rank matrix.
+  ``O(template)``.  The guard, the seeding, the op loop and the
+  write-back are :class:`TemplateRun`'s, the one helper CA-CQR2 also
+  runs its whole schedule through (:mod:`repro.core.cacqr`).  Ops
+  recorded from the machine's axis form (tagged ``axis``, see
+  :class:`~repro.sched.program.ChargeOp`) are charged on the template
+  through that form -- a reshaped-view max, no gather or scatter of a
+  group matrix; every other op through its rank operand.  If the guard
+  fails, replay silently falls back to the per-op path -- the guard buys
+  speed, never changes results.  When the instances cover the machine
+  every phase is installed as a lazy template plane
+  (:class:`~repro.vmpi.machine.LazyPlane`) instead of a ``(3, P)``
+  array.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 from repro.sched.binding import RankFamilyMap
 from repro.sched.program import OP_COMM, OP_FLOPS, ChargeProgram
 from repro.utils.validation import require
-from repro.vmpi.machine import VirtualMachine
+from repro.vmpi.machine import LazyPlane, VirtualMachine
 
 
 class BoundProgram:
@@ -112,13 +112,10 @@ class BoundProgram:
         require(len(names) == len(self.program.phases),
                 f"phase table length {len(names)} does not match program "
                 f"({len(self.program.phases)} phases)")
-        # Collapsed replay requires plain-VirtualMachine semantics (a
-        # subclass recording or instrumenting charges must see every op),
-        # no trace sink (events are per-op), and >1 instance (with one
-        # instance the template simulation *is* the per-op replay).
-        if (type(vm) is VirtualMachine and vm.trace_sink is None
-                and self.binding.instances > 1
-                and self._replay_collapsed(vm, names)):
+        # Collapsed replay needs >1 instance (with one instance the
+        # template simulation *is* the per-op replay) and a machine
+        # TemplateRun.seed accepts.
+        if self.binding.instances > 1 and self._replay_collapsed(vm, names):
             return "collapsed"
         self._replay_ops(vm, names)
         return "ops"
@@ -152,69 +149,130 @@ class BoundProgram:
                         vm.barrier(row)
 
     def _replay_collapsed(self, vm: VirtualMachine, names: List[str]) -> bool:
-        """Template-folded replay; ``False`` when the symmetry guard fails.
+        """Template-folded replay; ``False`` when :meth:`TemplateRun.seed`
+        declines (the machine is left untouched)."""
+        run = TemplateRun.seed(vm, self.binding, names)
+        if run is None:
+            return False
+        run.charge(self.program, names)
+        run.install()
+        return True
 
-        Exactness argument: the guard requires every instance's columns of
-        the clock vector, the running totals, and each already-interned
-        program phase's plane/touched mask to be *exactly equal* across
-        instances at entry.  A scratch machine of template size is seeded
-        with instance 0's state and runs the ops through the machine's
-        charging internals -- axis-tagged ops through the axis form, which
-        charges the tag's lines exactly as the group-matrix form charges
-        ``ranks`` (``ir/axis-form`` proves the two name the same groups) --
-        so each template position experiences the identical chronological
-        sequence of float operations every instance would.  Scattering the
-        final state back to all instances therefore reproduces the loop
-        path bit for bit (float addition is non-associative, which is
-        exactly why the state is seeded and accumulated chronologically
-        instead of being charged as deltas).
 
-        Machine state is read and written through
-        :meth:`~repro.sched.binding.RankFamilyMap.gather` /
-        :meth:`~repro.sched.binding.RankFamilyMap.scatter`: for a slab
-        binding (the subcubes of a root grid) the guard compares reshaped
-        views of the machine's arrays, the seed is the view's instance-0
-        slab and the write-back a broadcast assignment -- no O(P) index
-        array is built or gathered through.
+#: Instance 0's ``(plane, touched)`` state of one phase; ``touched`` is
+#: ``None`` when every rank was touched.
+_Seed = Tuple[np.ndarray, Optional[np.ndarray]]
+
+
+class TemplateRun:
+    """One template-sized machine standing in for every instance of a binding.
+
+    :meth:`seed` guards and seeds it, :meth:`charge` runs programs on it
+    (any number, in order), and :meth:`install` writes the result back to
+    every instance once.  Collapsed replay runs one program this way;
+    CA-CQR2 runs its whole schedule -- both Gram dances, both subcube
+    passes and the merge -- on one ``c**3``-rank template
+    (:mod:`repro.core.cacqr`).
+
+    Exactness argument: the guard requires every instance's columns of
+    the clock vector, the running totals, and each already-interned phase
+    the programs name to be *exactly equal* across instances.  The
+    template machine is seeded with instance 0's state and runs the ops
+    through the machine's charging internals -- axis-tagged ops through
+    the axis form, which charges the tag's lines exactly as the
+    group-matrix form charges ``ranks`` (``ir/axis-form`` proves the two
+    name the same groups) -- so each template position experiences the
+    identical chronological sequence of float operations every instance
+    would.  Scattering the final state back to all instances therefore
+    reproduces the loop path bit for bit (float addition is
+    non-associative, which is exactly why the state is seeded and
+    accumulated chronologically instead of being charged as deltas).
+
+    Machine state is read and written through
+    :meth:`~repro.sched.binding.RankFamilyMap.gather` /
+    :meth:`~repro.sched.binding.RankFamilyMap.scatter`: for a slab binding
+    (the subcubes of a root grid) the guard compares reshaped views of the
+    machine's arrays, the seed is the view's instance-0 slab and the
+    write-back one broadcast assignment; other bindings gather and scatter
+    through their rank matrix.  The guard never materializes a lazy
+    phase: one installed through the same slab layout is symmetric by
+    construction and seeds from its template state directly.
+    """
+
+    __slots__ = ("vm", "binding", "tvm", "_seeds")
+
+    def __init__(self, vm: VirtualMachine, binding: RankFamilyMap,
+                 tvm: VirtualMachine, seeds: Dict[str, Optional[_Seed]]):
+        self.vm = vm
+        self.binding = binding
+        self.tvm = tvm
+        self._seeds = seeds
+
+    @classmethod
+    def seed(cls, vm: VirtualMachine, binding: RankFamilyMap,
+             names: Sequence[str]) -> Optional["TemplateRun"]:
+        """A template machine holding instance 0's state, or ``None``.
+
+        ``None`` -- and *vm* untouched -- unless *vm* is a plain
+        :class:`VirtualMachine` (a subclass recording or instrumenting
+        charges must see every op) with no trace sink (events are per
+        rank), and every instance holds identical clocks, totals and
+        state under each of *names* (every phase the programs charged
+        through :meth:`charge` will name) that *vm* already interned.
         """
-        b = self.binding
+        if type(vm) is not VirtualMachine or vm.trace_sink is not None:
+            return None
+        b = binding
         clocks = b.gather(vm._clock)
         totals = b.gather(vm._total)
         if not (_symmetric(clocks) and _symmetric(totals)):
-            return False
-        existing = [vm._phase_ids.get(n) for n in names]
-        seeds: Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]] = {}
-        for pid in existing:
+            return None
+        seeds: Dict[str, Optional[_Seed]] = {}
+        for name in dict.fromkeys(names):
+            pid = vm._phase_ids.get(name)
             if pid is None:
+                seeds[name] = None
                 continue
-            plane = b.gather(vm._plane(pid))
-            touched = (None if vm._touched_all[pid]
-                       else b.gather(vm._touched[pid]))
-            if not (_symmetric(plane)
-                    and (touched is None or _symmetric(touched))):
-                return False
-            seeds[pid] = (plane, touched)
-
+            seed = seeds[name] = _phase_seed(vm, b, pid)
+            if seed is None:
+                return None
         tvm = VirtualMachine(b.template_size, vm.machine)
         tvm._clock[:] = _first(clocks)
         tvm._total[:] = _first(totals)
-        t_pids: List[int] = []
-        for name, pid in zip(names, existing):
-            tp = tvm._phase_id(name)
-            t_pids.append(tp)
-            if pid is not None:
-                plane, touched = seeds[pid]
-                tvm._planes[tp][:] = _first(plane)
-                if touched is None:
-                    tvm._touch(tp, None)
-                else:
-                    tvm._touched[tp][:] = _first(touched)
-                    tvm._touched_all[tp] = bool(tvm._touched[tp].all())
+        return cls(vm, b, tvm, seeds)
 
+    def _phase(self, name: str) -> int:
+        """The template's id for *name*, interned (and seeded) on first use."""
+        tvm = self.tvm
+        tp = tvm._phase_ids.get(name)
+        if tp is not None:
+            return tp
+        require(name in self._seeds,
+                f"phase {name!r} was not declared to TemplateRun.seed")
+        tp = tvm._phase_id(name)
+        seed = self._seeds[name]
+        if seed is not None:
+            plane, touched = seed
+            tvm._planes[tp][:] = plane
+            if touched is None:
+                tvm._touch(tp, None)
+            else:
+                tvm._touched[tp][:] = touched
+                tvm._touched_all[tp] = bool(touched.all())
+        return tp
+
+    def charge(self, program: ChargeProgram, names: Sequence[str]) -> None:
+        """Charge *program*'s ops, under phase table *names*, on the template.
+
+        Template ranks are the program's own; every name must have been
+        passed to :meth:`seed`.
+        """
+        t_pids = [self._phase(name) for name in names]
+        tvm = self.tvm
         charge_comm = tvm._charge_comm_groups_id
         charge_axis = tvm._charge_comm_axis_id
         charge_flops = tvm._charge_flops_group_id
-        for op in self.program.ops:
+        for op in program.ops:
             if op.kind == OP_COMM:
                 if op.axis is None:
                     charge_comm(op.ranks, op.payload, t_pids[op.phase])
@@ -225,8 +283,13 @@ class BoundProgram:
             else:
                 tvm.barrier(op.ranks)
 
+    def install(self) -> None:
+        """Write the template's clocks, totals and phases to every instance."""
+        vm, b, tvm = self.vm, self.binding, self.tvm
         b.scatter(vm._clock, tvm._clock)
         b.scatter(vm._total, tvm._total)
+        phases = zip(tvm._phase_names, tvm._planes, tvm._touched,
+                     tvm._touched_all)
         if b.covers(vm.num_ranks):
             # The instances partition the whole machine: every phase plane
             # is *installed virtually* -- template arrays plus the binding's
@@ -235,18 +298,37 @@ class BoundProgram:
             # expanded to (3, P).  Reports reduce lazy planes in template
             # space (max is order-independent, so the result is
             # bit-identical).
-            for name, tp in zip(names, t_pids):
-                vm._install_lazy(name, tvm._planes[tp], tvm._touched[tp],
-                                 b.template_index, tvm._touched_all[tp])
+            for name, plane, touched, touched_all in phases:
+                vm._install_lazy(name, LazyPlane(plane, touched,
+                                                 b.template_index,
+                                                 touched_all, b.slabs))
         else:
             # Partial coverage: scatter with a broadcast right-hand side,
             # without materializing (3, P)-sized tiles.
-            for name, tp in zip(names, t_pids):
+            for name, plane, touched, _ in phases:
                 pid = vm._phase_id(name)
-                b.scatter(vm._planes[pid], tvm._planes[tp])
+                b.scatter(vm._plane(pid), plane)
                 if not vm._touched_all[pid]:
-                    b.scatter(vm._touched[pid], tvm._touched[tp])
-        return True
+                    b.scatter(vm._touched[pid], touched)
+
+
+def _phase_seed(vm: VirtualMachine, b: RankFamilyMap,
+                pid: int) -> Optional[_Seed]:
+    """Instance 0's state of phase *pid*, or ``None`` when the instances
+    disagree."""
+    lazy = vm._lazy.get(pid)
+    if lazy is not None and b.slabs is not None and lazy.layout == b.slabs:
+        return lazy.plane, None if lazy.touched_all else lazy.touched
+    plane, touched = vm._phase_state(pid)
+    plane = b.gather(plane)
+    if not _symmetric(plane):
+        return None
+    if touched is None:
+        return _first(plane), None
+    touched = b.gather(touched)
+    if not _symmetric(touched):
+        return None
+    return _first(plane), _first(touched)
 
 
 def _symmetric(by_instance: np.ndarray) -> bool:

@@ -71,7 +71,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -159,6 +160,23 @@ class TraceRecorder(TraceSink):
         self.events = []
 
 
+class LazyPlane(NamedTuple):
+    """A phase installed virtually: template-sized state plus its layout.
+
+    The concrete ``(3, P)`` plane is ``plane[:, template_index()]`` and
+    the touched mask ``touched[template_index()]`` (all-true when
+    ``touched_all``).  ``layout`` is the installer's hashable name for the
+    rank -> template-position map, or ``None``: two lazy planes with the
+    same non-``None`` layout tile the machine identically.
+    """
+
+    plane: np.ndarray
+    touched: np.ndarray
+    template_index: Callable[[], np.ndarray]
+    touched_all: bool
+    layout: Optional[Hashable]
+
+
 class VirtualMachine:
     """A simulated distributed-memory machine with ``num_ranks`` processes.
 
@@ -213,17 +231,15 @@ class VirtualMachine:
         # Once a phase has touched every rank its mask never changes again;
         # this flag lets the bulk charging paths skip the mask scatter.
         self._touched_all: List[bool] = []
-        # Lazy phase planes: pid -> (plane_tpl, touched_tpl, tindex, all).
-        # Compiled-schedule replay (repro.sched.replay) leaves a phase's
-        # whole-machine plane *virtual* -- template-sized state plus a
-        # callable returning the rank -> template-position gather index --
-        # because reports only ever take a max over it (order-independent,
-        # so template max == expanded max, bit for bit).  Any charge or
-        # per-rank read that needs the concrete (3, P) array (or the index)
-        # builds it on demand; the corresponding `_planes`/`_touched` slots
-        # hold None until then.
-        self._lazy: Dict[int, Tuple[np.ndarray, np.ndarray,
-                                    Callable[[], np.ndarray], bool]] = {}
+        # Lazy phase planes: pid -> LazyPlane.  Compiled-schedule replay
+        # (repro.sched.replay) leaves a phase's whole-machine plane
+        # *virtual* -- template-sized state plus a callable returning the
+        # rank -> template-position gather index -- because reports only
+        # ever take a max over it (order-independent, so template max ==
+        # expanded max, bit for bit).  Any charge that needs the concrete
+        # (3, P) array builds it on demand; the corresponding
+        # `_planes`/`_touched` slots hold None until then.
+        self._lazy: Dict[int, LazyPlane] = {}
         self._total = np.zeros((3, num_ranks))
         self._sink: Optional[TraceSink] = (
             trace_sink if trace_sink is not None
@@ -324,34 +340,43 @@ class VirtualMachine:
 
     # -- lazy phase planes --------------------------------------------------------
 
-    def _install_lazy(self, phase: str, plane_tpl: np.ndarray,
-                      touched_tpl: np.ndarray,
-                      template_index: Callable[[], np.ndarray],
-                      touched_all: bool) -> None:
+    def _install_lazy(self, phase: str, lazy: LazyPlane) -> None:
         """Replace *phase*'s plane with virtual template state.
 
-        ``template_index()`` returns the ``(P,)`` map from every machine
-        rank to its template position; it must cover the whole machine (the
-        caller -- collapsed replay -- binds a partition of the rank space)
-        and is only called when a concrete plane or a per-rank read needs
-        it.  The concrete ``(3, P)`` plane, were it materialized, would be
-        exactly ``plane_tpl[:, template_index()]``.  A phase first seen
-        here is interned without whole-machine arrays.
+        ``lazy.template_index()`` returns the ``(P,)`` map from every
+        machine rank to its template position; it must cover the whole
+        machine (the caller -- a template run, see
+        :class:`repro.sched.replay.TemplateRun` -- binds a partition of
+        the rank space) and is only called when a concrete plane or a
+        per-rank read needs it.  A phase first seen here is interned
+        without whole-machine arrays.
         """
         pid = self._phase_id(phase, concrete=False)
-        self._lazy[pid] = (plane_tpl, touched_tpl, template_index, touched_all)
+        self._lazy[pid] = lazy
         self._planes[pid] = None
         self._touched[pid] = None
-        self._touched_all[pid] = touched_all
+        self._touched_all[pid] = lazy.touched_all
+
+    def _phase_state(self, pid: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The phase's ``(3, P)`` plane and touched mask (``None``: every
+        rank touched), read without changing the machine: a lazy phase is
+        expanded into fresh arrays and stays lazy."""
+        lazy = self._lazy.get(pid)
+        if lazy is None:
+            return (self._planes[pid],
+                    None if self._touched_all[pid] else self._touched[pid])
+        tidx = lazy.template_index()
+        return (np.take(lazy.plane, tidx, axis=1),
+                None if lazy.touched_all else np.take(lazy.touched, tidx))
 
     def _materialize(self, pid: int) -> np.ndarray:
         """Expand a lazy phase to concrete whole-machine arrays."""
-        plane_tpl, touched_tpl, template_index, touched_all = self._lazy.pop(pid)
-        tidx = template_index()
-        self._planes[pid] = np.take(plane_tpl, tidx, axis=1)
-        self._touched[pid] = (np.ones(tidx.size, dtype=bool) if touched_all
-                              else np.take(touched_tpl, tidx))
-        return self._planes[pid]
+        plane, touched = self._phase_state(pid)
+        del self._lazy[pid]
+        self._planes[pid] = plane
+        self._touched[pid] = (np.ones(self.num_ranks, dtype=bool)
+                              if touched is None else touched)
+        return plane
 
     def _plane(self, pid: int) -> np.ndarray:
         """The phase's concrete plane, materializing a lazy one on demand."""
@@ -366,11 +391,10 @@ class VirtualMachine:
         index is built once, on the first read)."""
         lazy = self._lazy.get(pid)
         if lazy is not None:
-            plane_tpl, touched_tpl, template_index, touched_all = lazy
-            t = template_index()[rank]
-            if not (touched_all or touched_tpl[t]):
+            t = lazy.template_index()[rank]
+            if not (lazy.touched_all or lazy.touched[t]):
                 return None
-            return plane_tpl[:, t]
+            return lazy.plane[:, t]
         if not (self._touched_all[pid] or self._touched[pid][rank]):
             return None
         return self._planes[pid][:, rank]
@@ -385,6 +409,14 @@ class VirtualMachine:
         if isinstance(ranks, np.ndarray):
             return ranks if ranks.dtype == np.intp else ranks.astype(np.intp)
         return np.asarray(ranks, dtype=np.intp)
+
+    def _rank_index(self, ranks: RankGroup) -> np.ndarray:
+        """:meth:`_as_ranks`, with a scalar rank checked against ``[0, P)``
+        (numpy would silently wrap a negative one)."""
+        idx = self._as_ranks(ranks)
+        if idx.ndim == 0:
+            self._check_rank(int(idx))
+        return idx
 
     @classmethod
     def _as_group_matrix(cls, groups: np.ndarray) -> np.ndarray:
@@ -422,7 +454,7 @@ class VirtualMachine:
         identical kernel invocation.
         """
         self._check_flops(flops)
-        idx = self._as_ranks(ranks)
+        idx = self._rank_index(ranks)
         if idx.size == 0:
             return
         self._charge_flops_group_id(idx, flops, self._phase_id(phase))
@@ -464,7 +496,7 @@ class VirtualMachine:
         butterfly formulas in :mod:`repro.costmodel.collectives` are already
         per-participant costs.
         """
-        idx = self._as_ranks(ranks)
+        idx = self._rank_index(ranks)
         if idx.size == 0:
             return
         self._charge_comm_group_id(idx, cost, self._phase_id(phase))
@@ -576,7 +608,7 @@ class VirtualMachine:
         if ranks is None:
             clock[:] = clock.max()
             return
-        idx = self._as_ranks(ranks)
+        idx = self._rank_index(ranks)
         if idx.size == 0:
             return
         clock[idx] = clock[idx].max()
@@ -621,13 +653,12 @@ class VirtualMachine:
                 # Virtual plane: its expansion is a permuted tiling of the
                 # template, and max is order-independent, so reducing the
                 # template gives the bit-identical result in O(template).
-                plane_tpl, touched_tpl, _, touched_all = lazy
-                if touched_all:
-                    vals = plane_tpl
+                if lazy.touched_all:
+                    vals = lazy.plane
                 else:
-                    if not touched_tpl.any():
+                    if not lazy.touched.any():
                         continue
-                    vals = plane_tpl[:, touched_tpl]
+                    vals = lazy.plane[:, lazy.touched]
             elif self._touched_all[pid]:
                 # Every rank saw this phase: max over the whole plane, no
                 # boolean-mask copy.

@@ -1,0 +1,274 @@
+"""CA-CQR's template run against the per-subcube loop oracle.
+
+With ``d > c`` on a plain, untraced machine whose subcubes hold identical
+state, :func:`repro.core.cacqr.ca_cqr2` (and one :func:`~repro.core.cacqr.ca_cqr`
+pass) charges its whole schedule -- both Gram dances, the subcube passes
+and the merge -- on one ``c**3``-rank template machine and writes it back
+to every subcube once.  These tests diff that against the loop under
+:func:`repro.sched.compiled_replay_disabled`: clocks, every per-rank
+ledger, the report, ``Q`` and ``R`` must be bit-identical, after a fresh
+start, after a per-subcube-symmetric prefix (which keeps the template run
+engaged) and after a random one (which must fall back).
+"""
+
+import numpy as np
+import pytest
+
+from tests.test_vmpi_machine_equivalence import assert_machines_identical
+
+import repro.core.cacqr as cacqr
+from repro.core.cacqr import ca_cqr, ca_cqr2
+from repro.core.shifted import ca_shifted_cqr3
+from repro.costmodel.params import STAMPEDE2
+from repro.kernels.cholesky import CholeskyFailure
+from repro.sched import RankFamilyMap, ScheduleRecorder, compiled_replay_disabled
+from repro.utils.matgen import matrix_with_condition
+from repro.vmpi.distmatrix import DistMatrix
+from repro.vmpi.grid import Grid3D
+from repro.vmpi.machine import VirtualMachine
+from repro.vmpi.reference import RecordingMachine
+
+ALGORITHMS = {
+    "ca_cqr2": lambda vm, a: ca_cqr2(vm, a),
+    "ca_cqr": lambda vm, a: ca_cqr(vm, a, gram_shift=0.25),
+    "ca_shifted_cqr3": lambda vm, a: ca_shifted_cqr3(vm, a),
+}
+
+
+def _prefix_work(prefix, c, d):
+    """Per-rank flops charged before the algorithm, or ``None``."""
+    rng = np.random.default_rng(c * c * d)
+    if prefix == "random":
+        return rng.integers(1, 10_000, c * c * d).astype(float)
+    if prefix == "per-subcube":
+        # Unequal inside a subcube, repeated in every subcube: the rank
+        # space viewed as [z, group, y mod c, x].
+        return np.broadcast_to(rng.integers(1, 10_000, (c, 1, c * c)),
+                               (c, d // c, c * c)).reshape(-1).astype(float)
+    return None
+
+
+def _run(machine, algorithm, c, d, numeric, prefix):
+    vm = machine(c * c * d, STAMPEDE2)
+    g = Grid3D.tunable(vm, c, d)
+    m, n = 8 * d, 4 * c
+    a = (DistMatrix.from_global(g, np.random.default_rng(d).standard_normal((m, n)))
+         if numeric else DistMatrix.symbolic(g, m, n))
+    work = _prefix_work(prefix, c, d)
+    if work is not None:
+        for rank, flops in enumerate(work):
+            vm.charge_flops(rank, flops, "prefix")
+    if prefix == "per-subcube":
+        # A whole earlier run leaves every phase interned -- lazily, on
+        # the template path -- so the guard seeds from existing state.
+        ALGORITHMS[algorithm](vm, a)
+    return vm, ALGORITHMS[algorithm](vm, a)
+
+
+def _factors(result):
+    if result.q.data is None:
+        return None
+    return (result.q.to_global().tobytes(),
+            [r.to_global().tobytes() for r in result.r_subcubes])
+
+
+def _lazy(vm, name):
+    return vm._phase_ids[name] in vm._lazy
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize("prefix", ["fresh", "per-subcube", "random"])
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+@pytest.mark.parametrize("subcubes", [2, 4, 8])
+def test_template_run_matches_loop_oracle(subcubes, c, algorithm, prefix,
+                                          numeric):
+    d = c * subcubes
+    vm, got = _run(VirtualMachine, algorithm, c, d, numeric, prefix)
+    with compiled_replay_disabled():
+        loop_vm, want = _run(VirtualMachine, algorithm, c, d, numeric, prefix)
+    assert_machines_identical(vm, loop_vm)
+    assert vm.phase_names == loop_vm.phase_names
+    assert _factors(got) == _factors(want)
+
+    # The template run engaged exactly when the subcubes were symmetric:
+    # its Gram dance then never built a (3, P) plane.
+    gram_phase = {"ca_cqr2": "cacqr2.pass1", "ca_cqr": "cacqr",
+                  "ca_shifted_cqr3": "sCQR3.shifted-pass"}[algorithm]
+    assert _lazy(vm, f"{gram_phase}.allreduce-roots") == (prefix != "random")
+    if prefix == "fresh" and algorithm != "ca_shifted_cqr3":
+        # Nothing else charged the machine: every phase is lazy.
+        assert len(vm._lazy) == len(vm.phase_names)
+        assert all(plane is None for plane in vm._planes)
+
+
+@pytest.mark.parametrize("perturb", ["clock", "total", "phase", "lazy-phase"])
+def test_each_guard_input_alone_forces_the_fallback(perturb):
+    """Subcubes that agree on everything but one guard input -- clocks,
+    totals, or one phase the run charges (concrete, or lazy from an
+    earlier run) -- take the per-pass path, bit-identical to the loop."""
+    c, d = 2, 8
+
+    def run():
+        vm = VirtualMachine(c * c * d, STAMPEDE2)
+        g = Grid3D.tunable(vm, c, d)
+        a = DistMatrix.symbolic(g, 256, 16)
+        if perturb == "lazy-phase":
+            ca_cqr2(vm, a)
+        work = _prefix_work("per-subcube", c, d)
+        for rank, flops in enumerate(work):
+            vm.charge_flops(rank, flops, "prefix")
+        victim = int(g.subcube(2).ranks[1, 0, 1])
+        if perturb == "clock":
+            vm.barrier(g.subcube(2).all_ranks_array)
+        elif perturb == "total":
+            vm.charge_flops(victim, 5.0, "other")
+            vm.barrier()
+        else:
+            # Same totals and clocks everywhere; only a phase of the run
+            # differs, in subcube 2.
+            for group in range(d // c):
+                rank = int(g.subcube(group).ranks[1, 0, 1])
+                vm.charge_flops(rank, 5.0, "cacqr2.pass2.local-gram"
+                                if rank == victim else "other")
+        ca_cqr2(vm, a)
+        return vm
+
+    vm = run()
+    with compiled_replay_disabled():
+        loop_vm = run()
+    assert not _lazy(vm, "cacqr2.pass2.bcast-w")
+    assert_machines_identical(vm, loop_vm)
+    assert vm.phase_names == loop_vm.phase_names
+
+
+def test_lazy_phases_of_another_layout_are_checked_not_trusted():
+    """A phase left lazy by another binding of the same template size
+    tiles the machine differently from the subcubes: the guard must read
+    it per rank, find the subcubes disagree, and fall back -- even though
+    clocks and totals agree everywhere."""
+    rec = ScheduleRecorder(8)
+    rec.charge_flops_group(np.arange(4), 3.0, "cacqr2.pass1.local-gram")
+    rec.charge_flops_group(np.arange(4, 8), 3.0, "other")
+    blocks = rec.program().specialize(
+        RankFamilyMap(np.arange(32).reshape(4, 8)))
+
+    def run():
+        vm = VirtualMachine(32, STAMPEDE2)
+        assert blocks.replay(vm) == "collapsed"
+        ca_cqr2(vm, DistMatrix.symbolic(Grid3D.tunable(vm, 2, 8), 256, 16))
+        return vm
+
+    vm = run()
+    with compiled_replay_disabled():
+        loop_vm = run()
+    assert not _lazy(vm, "cacqr2.pass2.bcast-w")
+    assert_machines_identical(vm, loop_vm)
+
+
+def _digest_state(vm):
+    """Clocks, totals and per-rank ledgers, exactly."""
+    return (vm._clock.tobytes(), vm._total.tobytes(),
+            [sorted((k, v.as_tuple()) for k, v in vm.ledger_of(r).phases.items())
+             for r in range(vm.num_ranks)],
+            vm.phase_names)
+
+
+#: The kappa = 1e15 sCQR3 retry cases pinned (traced) in test_pinned_ports.
+BREAKDOWN_CASES = [(2, 8, 1024, 32), (1, 4, 256, 16), (2, 2, 1024, 32)]
+
+
+class TestUntracedBreakdown:
+    """A CholeskyFailure on a plain machine leaves the loop's exact state."""
+
+    @pytest.mark.parametrize("c,d,m,n", BREAKDOWN_CASES)
+    def test_scqr3_retry_matches_loop(self, c, d, m, n, monkeypatch):
+        states = []
+        inner = cacqr.ca_cqr2
+
+        def observed_ca_cqr2(vm, a, *args, **kwargs):
+            try:
+                return inner(vm, a, *args, **kwargs)
+            except CholeskyFailure:
+                states.append(_digest_state(vm))
+                raise
+
+        monkeypatch.setattr(cacqr, "ca_cqr2", observed_ca_cqr2)
+
+        def run():
+            vm = VirtualMachine(c * c * d)
+            g = Grid3D.tunable(vm, c, d)
+            a = DistMatrix.from_global(
+                g, matrix_with_condition(m, n, 1e15, rng=0))
+            res = ca_shifted_cqr3(vm, a)
+            return (_digest_state(vm), res.q.to_global().tobytes(),
+                    [r.to_global().tobytes() for r in res.r_subcubes])
+
+        got = run()
+        with compiled_replay_disabled():
+            want = run()
+        assert len(states) == 2          # one breakdown per run
+        assert states[0] == states[1]    # right after the CholeskyFailure
+        assert got == want               # after the retry
+
+    @pytest.mark.parametrize("failing_pass", [1, 2])
+    def test_failure_in_either_pass_matches_per_pass_path(self, failing_pass,
+                                                          monkeypatch):
+        """Inject a breakdown into pass 1's or pass 2's numerics: the
+        template run must leave what the per-pass path (taken by a
+        recording machine) leaves -- everything up to that pass's Gram
+        dance plus subcube 0's CFR3D."""
+        inner = cacqr._subcube_pass_numeric
+
+        def run(machine):
+            calls = []
+
+            def failing(*args):
+                calls.append(None)
+                if len(calls) == failing_pass:
+                    raise CholeskyFailure("injected")
+                return inner(*args)
+
+            monkeypatch.setattr(cacqr, "_subcube_pass_numeric", failing)
+            vm = machine(32, STAMPEDE2)
+            g = Grid3D.tunable(vm, 2, 8)
+            a = DistMatrix.from_global(
+                g, np.random.default_rng(5).standard_normal((256, 16)))
+            with pytest.raises(CholeskyFailure, match="injected"):
+                ca_cqr2(vm, a)
+            return vm
+
+        vm, ref = run(VirtualMachine), run(RecordingMachine)
+        assert vm._lazy                  # the template run engaged
+        assert_machines_identical(vm, ref)
+        assert vm.phase_names == ref.phase_names
+
+
+def test_traced_and_recording_machines_take_the_per_pass_path():
+    for machine in (lambda p: VirtualMachine(p, trace=True), RecordingMachine):
+        vm = machine(32)
+        ca_cqr2(vm, DistMatrix.symbolic(Grid3D.tunable(vm, 2, 8), 256, 16))
+        assert not vm._lazy
+
+
+def test_second_run_seeds_lazy_phases_without_materializing(monkeypatch):
+    """Re-running CA-CQR2 under the same phases seeds the template from the
+    first run's lazy planes; the guard expands none of them to (3, P)."""
+    def run():
+        vm = VirtualMachine(64, STAMPEDE2)
+        a = DistMatrix.symbolic(Grid3D.tunable(vm, 2, 16), 512, 16)
+        ca_cqr2(vm, a)
+        ca_cqr2(vm, a)
+        return vm
+
+    with compiled_replay_disabled():
+        ref = run()
+    expanded = []
+    materialize = VirtualMachine._materialize
+    monkeypatch.setattr(VirtualMachine, "_materialize",
+                        lambda vm, pid: expanded.append(pid)
+                        or materialize(vm, pid))
+    vm = run()
+    assert expanded == []
+    assert all(plane is None for plane in vm._planes)
+    assert_machines_identical(vm, ref)

@@ -6,7 +6,9 @@ import pytest
 from repro.costmodel.collectives import CollectiveCost
 from repro.costmodel.ledger import Cost
 from repro.costmodel.params import STAMPEDE2
+from repro.sched import ScheduleRecorder
 from repro.vmpi.machine import VirtualMachine
+from repro.vmpi.reference import RecordingMachine
 
 
 class TestCharging:
@@ -115,6 +117,42 @@ class TestRankValidation:
             vm.clock_of(rank)
         with pytest.raises(ValueError, match=r"\[0, 8\)"):
             vm.ledger_of(rank)
+
+    @pytest.mark.parametrize("machine", [VirtualMachine, ScheduleRecorder,
+                                         RecordingMachine])
+    @pytest.mark.parametrize("call", ["flops_group", "comm_group", "barrier"])
+    @pytest.mark.parametrize("rank", [-1, -4, 4, np.int64(-1),
+                                      np.array(-1)])
+    def test_scalar_rank_of_a_group_call_is_checked(self, machine, call,
+                                                    rank):
+        """A 0-d rank argument is one rank, checked like ``charge_flops``'s:
+        numpy would wrap ``-1`` to rank 3.  Nothing is charged or recorded."""
+        vm = machine(4)
+        vm.charge_flops(3, 2.0, "w")
+        before = (vm._clock.copy(), vm._total.copy(), vm.phase_names,
+                  getattr(vm, "num_ops", None),
+                  len(getattr(vm, "schedule", ())))
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            if call == "flops_group":
+                vm.charge_flops_group(rank, 5.0, "q")
+            elif call == "comm_group":
+                vm.charge_comm_group(rank, CollectiveCost(1, 1), "q")
+            else:
+                vm.barrier(rank)
+        after = (vm._clock, vm._total, vm.phase_names,
+                 getattr(vm, "num_ops", None),
+                 len(getattr(vm, "schedule", ())))
+        np.testing.assert_array_equal(after[0], before[0])
+        np.testing.assert_array_equal(after[1], before[1])
+        assert after[2:] == before[2:]
+
+    def test_scalar_rank_in_range_still_charges_one_rank(self):
+        vm = VirtualMachine(4)
+        vm.charge_flops_group(3, 5.0, "q")
+        vm.charge_comm_group(np.int64(3), CollectiveCost(1, 1), "c")
+        vm.barrier(0)
+        assert vm.ledger_of(3).total.as_tuple() == (1, 1, 5)
+        assert vm.ledger_of(2).total.as_tuple() == (0, 0, 0)
 
     def test_empty_group_matrix_must_still_be_2d(self):
         vm = VirtualMachine(8)
