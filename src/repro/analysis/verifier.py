@@ -44,7 +44,7 @@ from repro.analysis.findings import (
 from repro.costmodel.collectives import CollectiveCost
 from repro.sched.binding import RankFamilyMap
 from repro.sched.program import OP_BARRIER, OP_COMM, OP_FLOPS, ChargeProgram
-from repro.vmpi.machine import lines_along
+from repro.vmpi.machine import axis_view_problem, lines_along
 
 #: Every program rule :func:`verify_program` can emit, with a one-line
 #: description (the ``repro check --rules`` table).
@@ -86,20 +86,12 @@ def _axis_form_problem(kind: str, ranks: object, tag: object,
     """
     if kind != OP_COMM:
         return f"only comm ops carry an axis tag, not {kind} ops"
-    if not (isinstance(tag, tuple) and len(tag) == 2
-            and isinstance(tag[0], tuple)
-            and all(isinstance(e, int) and e > 0 for e in tag[0])
-            and isinstance(tag[1], int)):
-        return (f"axis tag must be ((positive extents...), axis), "
-                f"got {tag!r}")
+    if not (isinstance(tag, tuple) and len(tag) == 2):
+        return f"axis tag must be a (shape, axis) pair, got {tag!r}"
     shape, axis = tag
-    if num_ranks is None:
-        return None
-    if math.prod(shape) != num_ranks:
-        return (f"axis view {shape} holds {math.prod(shape)} ranks, not the "
-                f"template's {num_ranks}")
-    if not 0 <= axis < len(shape):
-        return f"axis {axis} out of range for view {shape}"
+    problem = axis_view_problem(shape, axis, num_ranks)
+    if problem is not None or num_ranks is None:
+        return problem
     lines = lines_along(np.arange(num_ranks).reshape(shape), axis)
     if not (isinstance(ranks, np.ndarray)
             and np.array_equal(ranks, lines)):

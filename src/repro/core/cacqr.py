@@ -31,9 +31,14 @@ One CA-CQR pass:
    identical state, the *whole* schedule -- both Gram dances (line 4
    joins ranks in identical state, so it needs no second subcube), both
    subcube passes and the merge -- runs once on a ``c**3``-rank template
-   machine seeded from subcube 0 and is written back to every subcube
-   once: beyond a few ``O(P)`` writes, the cost of simulating CA-CQR2
-   does not depend on ``d``.
+   seeded from subcube 0 and is written back to every subcube once:
+   beyond a few ``O(P)`` writes, the cost of simulating CA-CQR2 does not
+   depend on ``d``.  Nor, per op, on ``c``: the template runs on rank
+   classes (:class:`~repro.sched.replay.TemplateRun`), and every
+   subcube rank does the same cyclic work except at CFR3D's transposes,
+   which are free self-exchanges on the diagonal ``x == y``.  So the
+   ``c**3`` positions hold two states -- the ``c**2`` diagonal ones and
+   the rest -- and each op costs two class updates.
    Otherwise (a trace sink, a recording machine, asymmetric entry state)
    the Gram dance is charged on the machine and one compiled subcube
    program replayed per pass.  The per-subcube loop remains as the
@@ -69,6 +74,7 @@ from repro.costmodel import collectives as cc
 from repro.kernels import flops as fl
 from repro.kernels.blas import local_mm_tn
 from repro.kernels.cholesky import CholeskyFailure
+from repro.obs import span
 from repro.sched import (
     ChargeProgram,
     RankFamilyMap,
@@ -331,14 +337,17 @@ def _gram_program(c: int, groups: int, local_rows: int, local_cols: int,
     template standing for ``groups`` identical subcubes: CA-CQR2's
     template run, never a per-op replay.
     """
-    rec = ScheduleRecorder(c * c * c)
-    rec_grid = Grid3D.build(rec, c, c, c)
-    block = (local_rows, local_cols)
-    _charge_cross_product(rec, rec_grid, block, block, "@", symmetric=True,
-                          groups=groups)
-    if shifted:
-        _charge_gram_shift(rec, rec_grid, c * local_cols, "@")
-    return rec.program()
+    with span("sched.capture", ranks=c * c * c) as sp:
+        rec = ScheduleRecorder(c * c * c)
+        rec_grid = Grid3D.build(rec, c, c, c)
+        block = (local_rows, local_cols)
+        _charge_cross_product(rec, rec_grid, block, block, "@",
+                              symmetric=True, groups=groups)
+        if shifted:
+            _charge_gram_shift(rec, rec_grid, c * local_cols, "@")
+        program = rec.program()
+        sp.set(ops=len(program))
+    return program
 
 
 @functools.lru_cache(maxsize=64)
@@ -354,29 +363,35 @@ def _subcube_pass_program(c: int, n: int, rows_per_subcube: int,
     Returns the program together with its template grid, whose layout the
     subcube binding inverts.
     """
-    rec = ScheduleRecorder(c * c * c)
-    rec_grid = Grid3D.build(rec, c, c, c)
-    z0 = DistMatrix.symbolic(rec_grid, n, n)
-    l0, y0 = cfr3d(rec, z0, base_case_size, phase="@.cfr3d")
-    rinv0 = dist_transpose(rec, y0, "@.form-q.transpose")
-    a0 = DistMatrix.symbolic(rec_grid, rows_per_subcube, n)
-    mm3d(rec, a0, rinv0, phase="@.form-q.mm3d",
-         flop_fraction=fl.TRMM_FRACTION)
-    dist_transpose(rec, l0, "@.form-r.transpose")
-    return rec.program(), rec_grid
+    with span("sched.capture", ranks=c * c * c) as sp:
+        rec = ScheduleRecorder(c * c * c)
+        rec_grid = Grid3D.build(rec, c, c, c)
+        z0 = DistMatrix.symbolic(rec_grid, n, n)
+        l0, y0 = cfr3d(rec, z0, base_case_size, phase="@.cfr3d")
+        rinv0 = dist_transpose(rec, y0, "@.form-q.transpose")
+        a0 = DistMatrix.symbolic(rec_grid, rows_per_subcube, n)
+        mm3d(rec, a0, rinv0, phase="@.form-q.mm3d",
+             flop_fraction=fl.TRMM_FRACTION)
+        dist_transpose(rec, l0, "@.form-r.transpose")
+        program = rec.program()
+        sp.set(ops=len(program))
+    return program, rec_grid
 
 
 @functools.lru_cache(maxsize=64)
 def _merge_program(c: int, n: int) -> Tuple[ChargeProgram, Grid3D]:
     """Compile the per-subcube ``R = R2 R1`` merge MM3D (Algorithm 9)."""
-    rec = ScheduleRecorder(c * c * c)
-    rec_grid = Grid3D.build(rec, c, c, c)
-    mm3d(vm=rec,
-         a=DistMatrix.symbolic(rec_grid, n, n),
-         b=DistMatrix.symbolic(rec_grid, n, n),
-         phase="@.merge-r.mm3d",
-         flop_fraction=fl.TRI_TRI_FRACTION)
-    return rec.program(), rec_grid
+    with span("sched.capture", ranks=c * c * c) as sp:
+        rec = ScheduleRecorder(c * c * c)
+        rec_grid = Grid3D.build(rec, c, c, c)
+        mm3d(vm=rec,
+             a=DistMatrix.symbolic(rec_grid, n, n),
+             b=DistMatrix.symbolic(rec_grid, n, n),
+             phase="@.merge-r.mm3d",
+             flop_fraction=fl.TRI_TRI_FRACTION)
+        program = rec.program()
+        sp.set(ops=len(program))
+    return program, rec_grid
 
 
 def _use_subcube_replay(vm: VirtualMachine, a: DistMatrix) -> bool:
@@ -475,9 +490,7 @@ def _template_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
         try:
             results.append(_subcube_pass_numeric(q, gram[0], base_case_size))
         except CholeskyFailure:
-            for program, names in segments[:2 * k + 1]:
-                run.charge(program, names)
-            run.install()
+            run.complete(segments[:2 * k + 1])
             cfr3d(vm, gram[0], base_case_size, phase=f"{phase}.cfr3d")
             raise
         q = results[-1].q
@@ -488,9 +501,7 @@ def _template_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
         if a.is_numeric:
             template = mm3d(None, results[-1].r, results[0].r).data
         r_subcubes = SubcubeResults(g, n, n, template)
-    for program, names in segments:
-        run.charge(program, names)
-    run.install()
+    run.complete(segments)
     return CACQRResult(q=results[-1].q, r_subcubes=r_subcubes)
 
 

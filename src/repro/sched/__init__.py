@@ -17,8 +17,8 @@ replay* life cycle::
 
 Capture only records and replay only charges.  Replay is exact by
 construction (disjoint charges commute; the collapsed fast path is
-guarded by strict state-equality checks and charges axis-tagged families
-through the machine's gather-free axis form -- see
+guarded by strict state-equality checks and runs the template on rank
+classes, positions in equal state sharing one value -- see
 :mod:`repro.sched.replay`), composes with trace sinks, and does zero
 per-op phase-string work.  Whole engine runs can be captured and
 replayed through :mod:`repro.sched.capture` (the IR's test oracle: a

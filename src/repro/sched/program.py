@@ -31,17 +31,27 @@ words, flops); the alpha-beta-gamma rates are applied by the machine at
 charge time.  One captured program therefore replays correctly under any
 :class:`~repro.costmodel.params.MachineSpec` -- the property the
 planner's program cache exploits.
+
+A template run (:class:`~repro.sched.replay.TemplateRun`) executes a
+program on **rank classes** -- groups of template positions holding equal
+state -- rather than on positions.  :meth:`ChargeProgram.lowered` gives
+that form: per entry :class:`Partition`, each op's effect on the classes
+and the splits that keep every class exact, computed once and kept on
+the program.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import math
+from array import array
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.costmodel.collectives import CollectiveCost
 from repro.obs import span
 from repro.utils.validation import require
+from repro.vmpi.machine import axis_group_matrix
 
 #: Op kinds.  ``OP_FLOPS`` charges identical local flops to a rank family
 #: (``ranks``: a 1D template-rank array); ``OP_COMM`` charges one
@@ -71,9 +81,10 @@ class ChargeOp:
     machine's axis form, the ``(shape, axis)`` view whose lines *are* the
     rows of ``ranks`` (see
     :meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_axis`).
-    Collapsed replay charges a tagged op through that gather-free form;
-    every other reader (per-op replay, the verifier, the envelope
-    analysis) reads ``ranks``, and ``ir/axis-form`` proves the two agree.
+    Collapsed replay lowers a tagged op from the tag (an O(1) memo key,
+    see :meth:`ChargeProgram.lowered`); every other reader (per-op
+    replay, the verifier, the envelope analysis) reads ``ranks``, and
+    ``ir/axis-form`` proves the two agree.
     """
 
     __slots__ = ("kind", "ranks", "payload", "phase", "axis")
@@ -115,7 +126,7 @@ class ChargeProgram:
         The op sequence, in original charge order.
     """
 
-    __slots__ = ("num_ranks", "phases", "ops")
+    __slots__ = ("num_ranks", "phases", "ops", "_structures", "_lowered")
 
     def __init__(self, num_ranks: int, phases: Sequence[str],
                  ops: Sequence[ChargeOp]):
@@ -138,6 +149,17 @@ class ChargeProgram:
                     f"op phase index {phase!r} outside the phase table "
                     f"(len {nphases}); programs must intern phases at "
                     f"capture time")
+        self._structures: Optional[Sequence[int]] = None
+        self._lowered: Dict[bytes, Tuple[List[Epoch], Partition]] = {}
+
+    # The lowered forms are a memo of this process, not part of the IR.
+    def __getstate__(self):
+        return self.num_ranks, self.phases, self.ops
+
+    def __setstate__(self, state) -> None:
+        self.num_ranks, self.phases, self.ops = state
+        self._structures = None
+        self._lowered = {}
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -169,6 +191,35 @@ class ChargeProgram:
         return ChargeProgram(self.num_ranks,
                              self.phases_with_prefix(old, new), self.ops)
 
+    # -- class-run lowering -------------------------------------------------------
+
+    def lowered(self, entry: "Partition") -> Tuple[List["Epoch"], "Partition"]:
+        """The program as a class run executes it from *entry*, and the
+        exit partition (see :func:`_lower`).
+
+        Lowered once per entry partition and kept on the program, so the
+        form lives exactly as long as the program does.
+        """
+        labels = entry.labels
+        key = (labels.astype(np.uint8) if entry.classes <= 256
+               else labels).tobytes()
+        hit = self._lowered.get(key)
+        if hit is None:
+            hit = self._lowered[key] = _lower(self, entry)
+        return hit
+
+    @property
+    def structures(self) -> Sequence[int]:
+        """Each op's structure id: ops with equal ids have equal class
+        effects under any partition (see :func:`_structure`).  Computed
+        on first use and kept, for every entry partition."""
+        if self._structures is None:
+            ids: Dict[Hashable, int] = {}
+            self._structures = array("I", [
+                ids.setdefault(_structure(op, self.num_ranks), len(ids))
+                for op in self.ops])
+        return self._structures
+
     # -- specialization -----------------------------------------------------------
 
     def specialize(self, binding) -> "BoundProgram":  # noqa: F821
@@ -180,3 +231,157 @@ class ChargeProgram:
                   ranks=self.num_ranks,
                   instances=getattr(binding, "instances", 1)):
             return BoundProgram(self, binding)
+
+
+class Partition(NamedTuple):
+    """Template positions grouped into rank classes.
+
+    ``labels[t]`` is the class of position ``t``.  Classes are numbered in
+    order of first appearance, so equal partitions have equal labels, and
+    ``reps[k]`` is class ``k``'s first position.
+    """
+
+    labels: np.ndarray
+    reps: np.ndarray
+
+    @classmethod
+    def whole(cls, size: int) -> "Partition":
+        """One class holding all *size* positions."""
+        return cls(np.zeros(size, dtype=np.intp), np.zeros(1, dtype=np.intp))
+
+    @classmethod
+    def of(cls, keys: np.ndarray) -> "Partition":
+        """Positions grouped by equal *keys*: one integer per position, or
+        one row of integers per position."""
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True,
+                                      axis=0 if keys.ndim == 2 else None)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        return cls(rank[inverse.reshape(-1)], first[order])
+
+    @property
+    def classes(self) -> int:
+        return self.reps.size
+
+
+#: One op's class effect: ``(singles, groups, members)`` -- the classes
+#: synchronized alone, the tuples of classes synchronized together, and
+#: all the classes the op touches.
+_Effect = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...], Tuple[int, ...]]
+
+#: A stretch of a lowered program with no split: ops ``[start, stop)``, the
+#: split entering it (class ``k`` becomes a copy of class ``parents[k]``;
+#: ``None`` for none), and the :data:`_Effect` of each structure id in it.
+Epoch = Tuple[int, int, Optional[Tuple[int, ...]], Dict[int, _Effect]]
+
+
+def _structure(op: ChargeOp, size: int) -> Hashable:
+    """What an op's class effect depends on besides the partition: O(1)
+    for an axis tag or a whole-template rank set, the rank bytes otherwise.
+    Flops and barriers share the key of their rank set (their effect is
+    membership)."""
+    if op.axis is not None:
+        return op.axis
+    ranks = op.ranks
+    if ranks is None or (op.kind != OP_COMM and ranks.size == size):
+        return None
+    return (op.kind == OP_COMM, ranks.dtype.str, ranks.shape, ranks.tobytes())
+
+
+def _effect(op: ChargeOp,
+            entry: Partition) -> Tuple[Optional[Partition], _Effect]:
+    """How *op* splits *entry* (``None``: it splits no class) and its
+    :data:`_Effect` in the resulting partition.
+
+    Each position gets a key: for a comm op the set of classes in its
+    group, for flops and barriers whether it is a member; ``-1`` when the
+    op does not touch it.  A class splits where its members' keys differ.
+    Afterwards every class is wholly inside or outside the op, and a comm
+    op's class meets the same set of classes in every group it is in, so
+    the op's clock max over a group is the max over that set's values.
+    An axis-tagged op is lowered from the tag's lines, which
+    ``ir/axis-form`` proves are its ``ranks``, so the tag can be its
+    O(1) structure key.
+    """
+    labels = entry.labels
+    size = labels.size
+    if op.axis is not None:
+        shape, axis = op.axis
+        require(math.prod(shape) == size,
+                f"axis view {shape} does not cover the {size}-rank template")
+        ranks = axis_group_matrix(shape, axis)
+    else:
+        ranks = np.arange(size) if op.ranks is None else op.ranks
+    if ranks.size == size and (op.kind != OP_COMM or entry.classes == 1):
+        # Every class wholly inside the op, meeting every class.
+        every = tuple(range(entry.classes))
+        return None, (every, (), every) if len(every) == 1 else \
+            ((), (every,), every)
+    key = np.full(size, -1, dtype=np.intp)
+    if op.kind == OP_COMM:
+        groups, width = ranks.shape
+        sets = labels[ranks]
+        if (sets == sets[:, :1]).all():
+            # One class per group: the class names the set.
+            set_ids = sets[:, 0]
+        else:
+            # A group's set: its sorted distinct classes, padded with an
+            # out-of-range class to the group width.
+            sets.sort(axis=1)
+            sets[:, 1:][sets[:, 1:] == sets[:, :-1]] = entry.classes
+            sets.sort(axis=1)
+            set_ids = np.zeros(groups, dtype=np.intp)
+            if not (sets == sets[:1]).all():
+                rows = sets.view(np.dtype((np.void, sets.itemsize * width)))
+                set_ids = np.unique(rows.reshape(-1),
+                                    return_inverse=True)[1].reshape(-1)
+        key[ranks.reshape(-1)] = np.repeat(set_ids, width)
+    else:
+        key[ranks] = 0
+    part = entry
+    if not (key == key[entry.reps][labels]).all():
+        part = Partition.of(labels * (int(key.max()) + 2) + key + 1)
+    by_set: Dict[int, List[int]] = {}
+    for k, s in enumerate(key[part.reps].tolist()):
+        if s >= 0:
+            by_set.setdefault(s, []).append(k)
+    sets_of_classes = list(by_set.values())
+    effect = (tuple(s[0] for s in sets_of_classes if len(s) == 1),
+              tuple(tuple(s) for s in sets_of_classes if len(s) > 1),
+              tuple(k for s in sets_of_classes for k in s))
+    return (None if part.classes == entry.classes else part), effect
+
+
+def _lower(program: ChargeProgram,
+           entry: Partition) -> Tuple[List[Epoch], Partition]:
+    """*program* as a class run executes it from *entry*: its
+    :data:`Epoch` list, and the exit partition.
+
+    Walks the ops once, computing each structure's effect the first time
+    it appears in an epoch; an op that splits a class starts the next
+    epoch.  The form holds no per-op data -- a run reads each op's kind,
+    phase and payload (counts: the machine's rates apply at run time, so
+    one form serves every machine) from the op itself and its effect from
+    the epoch by :attr:`ChargeProgram.structures` -- so it costs
+    O(structures) memory per epoch.
+    """
+    epochs: List[Epoch] = []
+    part: Partition = entry
+    parents: Optional[Tuple[int, ...]] = None
+    start = 0
+    effects: Dict[int, _Effect] = {}
+    distinct: Dict[_Effect, _Effect] = {}
+    for i, (op, structure) in enumerate(zip(program.ops,
+                                            program.structures)):
+        if structure in effects:
+            continue
+        split, effect = _effect(op, part)
+        if split is not None:
+            epochs.append((start, i, parents, effects))
+            parents = tuple(part.labels[split.reps].tolist())
+            part, start, effects = split, i, {}
+        effects[structure] = distinct.setdefault(effect, effect)
+    epochs.append((start, len(program.ops), parents, effects))
+    return epochs, part

@@ -52,6 +52,7 @@ class ScheduleRecorder(VirtualMachine):
         self._ops: List[ChargeOp] = []
         self._op_phases: List[str] = []
         self._op_phase_ids: Dict[str, int] = {}
+        self._last_flops_ranks: Optional[np.ndarray] = None
 
     def _op_phase(self, phase: str) -> int:
         """Intern *phase* into the recorded program's phase table."""
@@ -72,9 +73,15 @@ class ScheduleRecorder(VirtualMachine):
 
     def charge_flops_group(self, ranks, flops, phase):
         self._check_flops(flops)
-        idx = self._rank_index(ranks).reshape(-1).copy()
+        idx = self._rank_index(ranks).reshape(-1)
         if idx.size:
-            self._ops.append(ChargeOp(OP_FLOPS, idx, float(flops),
+            # Runs of flops charges mostly name one rank set (a grid's
+            # every rank): they share one read-only copy.
+            last = self._last_flops_ranks
+            if last is None or not np.array_equal(last, idx):
+                last = self._last_flops_ranks = idx.copy()
+                last.flags.writeable = False
+            self._ops.append(ChargeOp(OP_FLOPS, last, float(flops),
                                       self._op_phase(phase)))
 
     def charge_comm_group(self, ranks, cost, phase):

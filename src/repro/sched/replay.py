@@ -19,21 +19,22 @@ directly.  Two replay strategies, chosen per call:
 * **Collapsed replay** (exact under a guard): when every instance enters
   the replay in *identical* per-template-position state (clocks, running
   totals, and any already-interned program phases -- checked exactly, not
-  approximately), the op stream is simulated once on a template-sized
-  machine seeded from instance 0 and the final state is written back to
-  all instances.  Each rank then receives the *same chronological float
-  accumulation* it would have under the loop, so the result is
-  bit-identical while the per-op work drops from ``O(P)`` to
-  ``O(template)``.  The guard, the seeding, the op loop and the
-  write-back are :class:`TemplateRun`'s, the one helper CA-CQR2 also
-  runs its whole schedule through (:mod:`repro.core.cacqr`).  Ops
-  recorded from the machine's axis form (tagged ``axis``, see
-  :class:`~repro.sched.program.ChargeOp`) are charged on the template
-  through that form -- a reshaped-view max, no gather or scatter of a
-  group matrix; every other op through its rank operand.  If the guard
-  fails, replay silently falls back to the per-op path -- the guard buys
-  speed, never changes results.  When the instances cover the machine
-  every phase is installed as a lazy template plane
+  approximately), the op stream runs once on the template, seeded from
+  instance 0, and the final state is written back to all instances.  The
+  template is held as **rank classes**: positions whose state is equal
+  share one value, and the program's lowered form
+  (:meth:`~repro.sched.program.ChargeProgram.lowered`) splits a class
+  before any op that treats its members differently.  Each rank then
+  receives the *same chronological float accumulation* it would have
+  under the loop, so the result is bit-identical while the per-op work
+  drops from ``O(P)`` to ``O(classes)`` -- two for CA-CQR2's subcube
+  programs, whatever the template size.  The guard, the seeding, the
+  class run and the write-back are :class:`TemplateRun`'s, the one
+  helper CA-CQR2 also runs its whole schedule through
+  (:mod:`repro.core.cacqr`).  If the guard fails, replay silently falls
+  back to the per-op path -- the guard buys speed, never changes
+  results.  When the instances cover the machine every phase is
+  installed as a lazy template plane
   (:class:`~repro.vmpi.machine.LazyPlane`) instead of a ``(3, P)``
   array.
 """
@@ -44,8 +45,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs import span
 from repro.sched.binding import RankFamilyMap
-from repro.sched.program import OP_COMM, OP_FLOPS, ChargeProgram
+from repro.sched.program import OP_COMM, OP_FLOPS, ChargeProgram, Partition
 from repro.utils.validation import require
 from repro.vmpi.machine import LazyPlane, VirtualMachine
 
@@ -154,8 +156,7 @@ class BoundProgram:
         run = TemplateRun.seed(vm, self.binding, names)
         if run is None:
             return False
-        run.charge(self.program, names)
-        run.install()
+        run.complete([(self.program, names)])
         return True
 
 
@@ -163,30 +164,53 @@ class BoundProgram:
 #: ``None`` when every rank was touched.
 _Seed = Tuple[np.ndarray, Optional[np.ndarray]]
 
+#: A program and the phase table to charge it under.
+Segment = Tuple[ChargeProgram, Sequence[str]]
+
 
 class TemplateRun:
-    """One template-sized machine standing in for every instance of a binding.
+    """One template standing in for every instance of a binding, run on rank classes.
 
     :meth:`seed` guards and seeds it, :meth:`charge` runs programs on it
     (any number, in order), and :meth:`install` writes the result back to
-    every instance once.  Collapsed replay runs one program this way;
+    every instance once; :meth:`complete` does the last two as one
+    ``sched.replay`` span.  Collapsed replay runs one program this way;
     CA-CQR2 runs its whole schedule -- both Gram dances, both subcube
     passes and the merge -- on one ``c**3``-rank template
     (:mod:`repro.core.cacqr`).
 
-    Exactness argument: the guard requires every instance's columns of
-    the clock vector, the running totals, and each already-interned phase
-    the programs name to be *exactly equal* across instances.  The
-    template machine is seeded with instance 0's state and runs the ops
-    through the machine's charging internals -- axis-tagged ops through
-    the axis form, which charges the tag's lines exactly as the
-    group-matrix form charges ``ranks`` (``ir/axis-form`` proves the two
-    name the same groups) -- so each template position experiences the
-    identical chronological sequence of float operations every instance
-    would.  Scattering the final state back to all instances therefore
-    reproduces the loop path bit for bit (float addition is
-    non-associative, which is exactly why the state is seeded and
-    accumulated chronologically instead of being charged as deltas).
+    The template's positions are held as **rank classes**
+    (:class:`~repro.sched.program.Partition`): positions whose clock,
+    running totals, and every phase's ledger column and touched flag are
+    equal hold one value per class, as plain Python floats.  CA-CQR2's
+    template holds two -- the ``c**2`` positions with ``x == y``, where
+    CFR3D's transposes are free self-exchanges, and the rest -- so a
+    class run costs ``O(classes)`` per op instead of ``O(template)``.
+
+    Exactness argument, per class:
+
+    * The guard requires every instance's columns of the clock vector,
+      the running totals, and each already-interned phase the programs
+      name to be *exactly equal* across instances, so instance 0's state
+      stands for all of them.
+    * The initial partition groups template positions whose seeded state
+      is bitwise equal.  Before each op the lowering
+      (:meth:`~repro.sched.program.ChargeProgram.lowered`) splits every
+      class whose members the op treats differently: membership in a
+      flops or barrier rank set; for a comm op, the set of classes in the
+      member's group, or being in no group.  Axis-tagged ops are lowered
+      from the lines the tag names, which ``ir/axis-form`` proves are
+      the op's ``ranks``.
+    * So each class's members see the same float operations in the same
+      order: ``flops * gamma`` and ``alpha * messages + beta * words``
+      computed as the machine computes them, ledger additions of the same
+      counts, and a group's clock max taken over the class values it
+      contains, which equals the max over its members (``max`` is exact).
+      Python floats are IEEE binary64 like the machine's arrays, so each
+      class value is bit for bit the value every member -- and so every
+      instance's rank at that position -- would hold under the loop
+      (float addition is non-associative, which is why state is seeded
+      and accumulated chronologically instead of charged as deltas).
 
     Machine state is read and written through
     :meth:`~repro.sched.binding.RankFamilyMap.gather` /
@@ -196,22 +220,36 @@ class TemplateRun:
     write-back one broadcast assignment; other bindings gather and scatter
     through their rank matrix.  The guard never materializes a lazy
     phase: one installed through the same slab layout is symmetric by
-    construction and seeds from its template state directly.
+    construction and seeds from its template state directly.  The class
+    values are expanded to template order only at :meth:`install`.
     """
 
-    __slots__ = ("vm", "binding", "tvm", "_seeds")
+    __slots__ = ("vm", "binding", "_seeds", "_part", "_clock", "_total",
+                 "_phases")
 
     def __init__(self, vm: VirtualMachine, binding: RankFamilyMap,
-                 tvm: VirtualMachine, seeds: Dict[str, Optional[_Seed]]):
+                 seeds: Dict[str, Optional[_Seed]], part: Partition,
+                 clock: np.ndarray, total: np.ndarray):
         self.vm = vm
         self.binding = binding
-        self.tvm = tvm
         self._seeds = seeds
+        self._part = part
+        # Per-class state: the clock, the running (messages, words, flops)
+        # totals, and per phase [messages, words, flops, touched] -- each a
+        # list with one entry per class.
+        self._clock: List[float] = clock[part.reps].tolist()
+        self._total: List[List[float]] = total[:, part.reps].tolist()
+        self._phases: Dict[str, List[list]] = {}
+
+    @property
+    def classes(self) -> int:
+        """How many rank classes the template holds now."""
+        return self._part.classes
 
     @classmethod
     def seed(cls, vm: VirtualMachine, binding: RankFamilyMap,
              names: Sequence[str]) -> Optional["TemplateRun"]:
-        """A template machine holding instance 0's state, or ``None``.
+        """A template holding instance 0's state, or ``None``.
 
         ``None`` -- and *vm* untouched -- unless *vm* is a plain
         :class:`VirtualMachine` (a subclass recording or instrumenting
@@ -236,30 +274,35 @@ class TemplateRun:
             seed = seeds[name] = _phase_seed(vm, b, pid)
             if seed is None:
                 return None
-        tvm = VirtualMachine(b.template_size, vm.machine)
-        tvm._clock[:] = _first(clocks)
-        tvm._total[:] = _first(totals)
-        return cls(vm, b, tvm, seeds)
+        clock, total = _first(clocks), _first(totals)
+        state = [clock[None], total]
+        for seed in seeds.values():
+            if seed is not None:
+                state.append(seed[0])
+                if seed[1] is not None:
+                    state.append(seed[1][None])
+        return cls(vm, b, seeds, _partition(np.concatenate(state)), clock,
+                   total)
 
-    def _phase(self, name: str) -> int:
-        """The template's id for *name*, interned (and seeded) on first use."""
-        tvm = self.tvm
-        tp = tvm._phase_ids.get(name)
-        if tp is not None:
-            return tp
+    def _phase(self, name: str) -> List[list]:
+        """The per-class state of *name*, seeded on first use."""
+        state = self._phases.get(name)
+        if state is not None:
+            return state
         require(name in self._seeds,
                 f"phase {name!r} was not declared to TemplateRun.seed")
-        tp = tvm._phase_id(name)
         seed = self._seeds[name]
-        if seed is not None:
+        k = self.classes
+        if seed is None:
+            state = [[0.0] * k, [0.0] * k, [0.0] * k, [False] * k]
+        else:
+            # Classes refine the seed partition: any member is the class.
             plane, touched = seed
-            tvm._planes[tp][:] = plane
-            if touched is None:
-                tvm._touch(tp, None)
-            else:
-                tvm._touched[tp][:] = touched
-                tvm._touched_all[tp] = bool(touched.all())
-        return tp
+            reps = self._part.reps
+            state = [*plane[:, reps].tolist(),
+                     [True] * k if touched is None else touched[reps].tolist()]
+        self._phases[name] = state
+        return state
 
     def charge(self, program: ChargeProgram, names: Sequence[str]) -> None:
         """Charge *program*'s ops, under phase table *names*, on the template.
@@ -267,29 +310,79 @@ class TemplateRun:
         Template ranks are the program's own; every name must have been
         passed to :meth:`seed`.
         """
-        t_pids = [self._phase(name) for name in names]
-        tvm = self.tvm
-        charge_comm = tvm._charge_comm_groups_id
-        charge_axis = tvm._charge_comm_axis_id
-        charge_flops = tvm._charge_flops_group_id
-        for op in program.ops:
-            if op.kind == OP_COMM:
-                if op.axis is None:
-                    charge_comm(op.ranks, op.payload, t_pids[op.phase])
-                else:
-                    charge_axis(*op.axis, op.payload, t_pids[op.phase])
-            elif op.kind == OP_FLOPS:
-                charge_flops(op.ranks, op.payload, t_pids[op.phase])
-            else:
-                tvm.barrier(op.ranks)
+        require(program.num_ranks == self.binding.template_size,
+                f"program rank space {program.num_ranks} does not match "
+                f"the template ({self.binding.template_size} ranks)")
+        planes = [self._phase(name) for name in names]
+        epochs, self._part = program.lowered(self._part)
+        params = self.vm.params
+        alpha, beta, gamma = params.alpha, params.beta, params.gamma
+        clock = self._clock
+        t_msgs, t_words, t_flops = self._total
+        ops, structures = program.ops, program.structures
+        for start, stop, parents, effects in epochs:
+            if parents is not None:
+                self._split(parents)
+            for i in range(start, stop):
+                singles, groups, members = effects[structures[i]]
+                if not members:
+                    continue
+                op = ops[i]
+                kind = op.kind
+                if kind == OP_COMM:
+                    cost = op.payload
+                    msgs, words = cost.messages, cost.words
+                    p_msgs, p_words, _, touched = planes[op.phase]
+                    for k in members:
+                        p_msgs[k] += msgs
+                        p_words[k] += words
+                        t_msgs[k] += msgs
+                        t_words[k] += words
+                        touched[k] = True
+                    step = alpha * msgs + beta * words
+                    for k in singles:
+                        clock[k] += step
+                    for group in groups:
+                        end = max([clock[k] for k in group]) + step
+                        for k in group:
+                            clock[k] = end
+                elif kind == OP_FLOPS:
+                    flops = op.payload
+                    _, _, p_flops, touched = planes[op.phase]
+                    step = flops * gamma
+                    for k in members:
+                        p_flops[k] += flops
+                        t_flops[k] += flops
+                        touched[k] = True
+                        clock[k] += step
+                elif groups:
+                    # A barrier over more than one class.
+                    end = max([clock[k] for k in members])
+                    for k in members:
+                        clock[k] = end
+
+    def _split(self, parents: Tuple[int, ...]) -> None:
+        """Class ``k`` becomes a copy of class ``parents[k]``, in place."""
+        lists = [self._clock, *self._total]
+        for state in self._phases.values():
+            lists.extend(state)
+        for values in lists:
+            values[:] = [values[k] for k in parents]
 
     def install(self) -> None:
         """Write the template's clocks, totals and phases to every instance."""
-        vm, b, tvm = self.vm, self.binding, self.tvm
-        b.scatter(vm._clock, tvm._clock)
-        b.scatter(vm._total, tvm._total)
-        phases = zip(tvm._phase_names, tvm._planes, tvm._touched,
-                     tvm._touched_all)
+        vm, b = self.vm, self.binding
+        labels = self._part.labels
+        b.scatter(vm._clock, np.array(self._clock)[labels])
+        b.scatter(vm._total, np.array(self._total)[:, labels])
+        states = self._phases.values()
+        k = self.classes
+        planes = np.array([state[:3] for state in states],
+                          dtype=float).reshape(-1, 3, k)[..., labels]
+        masks = np.array([state[3] for state in states],
+                         dtype=bool).reshape(-1, k)[:, labels]
+        phases = zip(self._phases, planes, masks,
+                     [all(state[3]) for state in states])
         if b.covers(vm.num_ranks):
             # The instances partition the whole machine: every phase plane
             # is *installed virtually* -- template arrays plus the binding's
@@ -310,6 +403,16 @@ class TemplateRun:
                 b.scatter(vm._plane(pid), plane)
                 if not vm._touched_all[pid]:
                     b.scatter(vm._touched[pid], touched)
+
+    def complete(self, segments: Sequence[Segment]) -> None:
+        """:meth:`charge` every ``(program, names)`` segment, then
+        :meth:`install` -- one ``sched.replay`` span."""
+        with span("sched.replay", ranks=self.binding.template_size,
+                  ops=sum(len(program) for program, _ in segments)) as sp:
+            for program, names in segments:
+                self.charge(program, names)
+            self.install()
+            sp.set(classes=self.classes)
 
 
 def _phase_seed(vm: VirtualMachine, b: RankFamilyMap,
@@ -339,3 +442,12 @@ def _symmetric(by_instance: np.ndarray) -> bool:
 def _first(by_instance: np.ndarray) -> np.ndarray:
     """Instance 0's state in template order."""
     return by_instance[..., 0, :].reshape((*by_instance.shape[:-3], -1))
+
+
+def _partition(state: np.ndarray) -> Partition:
+    """Template positions (the columns of *state*) grouped by bitwise-equal
+    state."""
+    bits = state.view(np.int64)
+    if (bits == bits[:, :1]).all():
+        return Partition.whole(bits.shape[1])
+    return Partition.of(np.ascontiguousarray(bits.T))

@@ -93,6 +93,31 @@ def lines_along(ranks: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(ranks, axis, -1).reshape(-1, ranks.shape[axis])
 
 
+def axis_view_problem(shape: object, axis: object,
+                      num_ranks: Optional[int]) -> Optional[str]:
+    """Why ``(shape, axis)`` is not an axis view of *num_ranks* ranks, or ``None``.
+
+    *shape* must be a tuple of positive ``int`` extents (a ``bool`` is
+    not one), *axis* an ``int`` index into it, and -- unless *num_ranks*
+    is ``None`` -- the view must hold exactly *num_ranks* ranks.  The
+    machines check this before anything is interned or charged, and the
+    verifier's ``ir/axis-form`` rule checks a recorded tag with it.
+    """
+    def is_int(value: object) -> bool:
+        return (isinstance(value, (int, np.integer))
+                and not isinstance(value, bool))
+
+    if not (isinstance(shape, tuple)
+            and all(is_int(e) and e > 0 for e in shape)):
+        return f"axis view must be a tuple of positive int extents, got {shape!r}"
+    if not (is_int(axis) and 0 <= axis < len(shape)):
+        return f"axis {axis!r} out of range for view {shape}"
+    if num_ranks is not None and math.prod(shape) != num_ranks:
+        return (f"axis view {shape} holds {math.prod(shape)} ranks, not "
+                f"{num_ranks}")
+    return None
+
+
 @functools.lru_cache(maxsize=64)
 def axis_group_matrix(shape: Tuple[int, ...], axis: int) -> np.ndarray:
     """:func:`lines_along` of ``arange(prod(shape)).reshape(shape)``, read-only.
@@ -572,12 +597,7 @@ class VirtualMachine:
         method (see the module docstring).
         """
         shape = self._axis_shape(shape, axis)
-        self._charge_comm_axis_id(shape, axis, cost, self._phase_id(phase))
-
-    def _charge_comm_axis_id(self, shape: Tuple[int, ...], axis: int,
-                             cost: CollectiveCost, pid: int) -> None:
-        """:meth:`charge_comm_axis` with a validated view and a pre-interned
-        phase id (the replay-path internal)."""
+        pid = self._phase_id(phase)
         if self._sink is not None:
             self._charge_comm_groups_id(axis_group_matrix(shape, axis), cost,
                                         pid)
@@ -594,12 +614,12 @@ class VirtualMachine:
         return axis_group_matrix(self._axis_shape(shape, axis), axis)
 
     def _axis_shape(self, shape: Sequence[int], axis: int) -> Tuple[int, ...]:
+        """*shape* as a tuple; ``ValueError`` unless
+        :func:`axis_view_problem` accepts it on this machine."""
         shape = tuple(shape)
-        if math.prod(shape) != self.num_ranks:
-            raise ValueError(f"axis view {shape} does not cover the "
-                             f"{self.num_ranks}-rank machine")
-        if not 0 <= axis < len(shape):
-            raise ValueError(f"axis {axis} out of range for view {shape}")
+        problem = axis_view_problem(shape, axis, self.num_ranks)
+        if problem is not None:
+            raise ValueError(problem)
         return shape
 
     def barrier(self, ranks: Optional[RankGroup] = None) -> None:

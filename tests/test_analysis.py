@@ -318,8 +318,12 @@ class TestAxisFormRule:
                CollectiveCost(1.0, 8.0), 0, axis=((2, 4), 1)),
         raw_op(OP_COMM, axis_op().ranks, CollectiveCost(1.0, 8.0), 0,
                axis="rows"),
+        raw_op(OP_COMM, axis_op().ranks, CollectiveCost(1.0, 8.0), 0,
+               axis=((True, 8), 1)),
+        raw_op(OP_COMM, axis_op().ranks, CollectiveCost(1.0, 8.0), 0,
+               axis=((-2, -4), 1)),
     ], ids=["not-comm", "view-size", "axis-range", "other-lines",
-            "row-order", "malformed"])
+            "row-order", "malformed", "bool-extent", "negative-extents"])
     def test_poisoned_tag_yields_axis_form(self, op):
         findings = verify_program(raw_program(8, ["a"], [op]))
         assert [(f.rule, f.loc) for f in findings] == \

@@ -1,0 +1,221 @@
+"""Template runs on rank classes, beyond CA-CQR2.
+
+A :class:`repro.sched.TemplateRun` holds one value per rank class --
+template positions in provably equal state -- and splits a class before
+any op that treats its members differently.  These hand-built programs
+split classes mid-program in every way an op can: flops on one rank, a
+comm family whose groups mix classes unevenly, a non-axis group matrix,
+a barrier on a subset, and every position at once.  Collapsed replay
+must charge exactly what the instance-by-instance loop charges, from a
+fresh machine and from a random per-instance-symmetric one; and a fresh
+CA-CQR2 template holds exactly the two classes the paper's diagonal
+transposes imply.
+"""
+
+import numpy as np
+import pytest
+
+from tests.test_vmpi_machine_equivalence import assert_machines_identical
+
+from repro.core.cacqr import ca_cqr2
+from repro.costmodel.collectives import CollectiveCost
+from repro.costmodel.params import STAMPEDE2
+from repro.obs import Observer, use_observer
+from repro.sched import (
+    OP_BARRIER,
+    OP_COMM,
+    OP_FLOPS,
+    ChargeOp,
+    ChargeProgram,
+    RankFamilyMap,
+    TemplateRun,
+    compiled_replay_disabled,
+)
+from repro.vmpi.distmatrix import DistMatrix
+from repro.vmpi.grid import Grid3D
+from repro.vmpi.machine import VirtualMachine, axis_group_matrix
+
+PHASES = ["a", "b", "c"]
+
+
+def flops(ranks, amount, phase=0):
+    return ChargeOp(OP_FLOPS, np.asarray(ranks, dtype=np.intp),
+                    float(amount), phase)
+
+
+def comm(groups, messages, words, phase=1):
+    return ChargeOp(OP_COMM, np.asarray(groups, dtype=np.intp),
+                    CollectiveCost(messages, words), phase)
+
+
+def axis(shape, ax, messages, words, phase=2):
+    return ChargeOp(OP_COMM, axis_group_matrix(shape, ax),
+                    CollectiveCost(messages, words), phase, axis=(shape, ax))
+
+
+def barrier(ranks=None):
+    return ChargeOp(OP_BARRIER, None if ranks is None
+                    else np.asarray(ranks, dtype=np.intp), None, -1)
+
+
+#: 8-rank programs, each splitting classes mid-program; the ops before and
+#: after the split keep classes meeting in groups.
+PROGRAMS = {
+    "flops-on-one-rank": [
+        axis((2, 2, 2), 0, 1, 4), flops([5], 300.0),
+        axis((2, 2, 2), 2, 2, 8), flops(np.arange(8), 7.0, 1),
+        axis((2, 2, 2), 1, 1, 16)],
+    "uneven-groups": [
+        flops([0, 3], 500.0),
+        # Classes {0, 3} and the rest: groups meet {A, B}, {B}, {A, B};
+        # 5 and 7 stay out, so B splits three ways.
+        comm([[0, 1], [2, 4], [3, 6]], 2, 32),
+        axis((2, 4), 1, 1, 8), flops([1, 2, 5], 40.0, 2)],
+    "non-axis-matrix": [
+        flops([1, 2, 4], 90.0), comm([[0, 2, 5, 7], [1, 3, 4, 6]], 3, 12),
+        comm([[7, 0], [6, 1], [5, 2]], 1, 64, 2), flops(np.arange(8), 2.0)],
+    "subset-barrier": [
+        flops([1, 6], 800.0), barrier([1, 2, 6]),
+        axis((4, 2), 0, 1, 4), barrier([0, 7]), flops([3], 11.0, 1),
+        barrier()],
+    "every-position": [
+        *(flops([t], 100.0 * (t + 1), t % 3) for t in range(8)),
+        comm([[0, 1, 2, 3], [4, 5, 6, 7]], 1, 8),
+        axis((2, 2, 2), 1, 2, 16), barrier([2, 5, 6])],
+}
+
+
+def program(name):
+    return ChargeProgram(8, PHASES, PROGRAMS[name])
+
+
+def bindings(num_ranks):
+    """Disjoint 8-rank instances: slabs, a permuted rank matrix, and a
+    partial cover of the machine."""
+    rng = np.random.default_rng(num_ranks)
+    perm = rng.permutation(num_ranks).reshape(-1, 8)
+    return {
+        "slabs": RankFamilyMap.subcubes(
+            Grid3D.tunable(VirtualMachine(num_ranks), 2, num_ranks // 4),
+            Grid3D.cubic(VirtualMachine(8), 2)),
+        "permuted": RankFamilyMap(perm),
+        "partial": RankFamilyMap(perm[:-1]),
+    }
+
+
+def symmetric_prefix(vm, binding, seed):
+    """Random charges identical across instances but uneven inside each,
+    some under the program's own phases."""
+    rng = np.random.default_rng(seed)
+    maps = binding.maps
+    for t, amount in enumerate(rng.integers(1, 10 ** 4, maps.shape[1])):
+        vm.charge_flops_group(maps[:, t], float(amount),
+                              PHASES[int(rng.integers(0, 3))])
+    pairs = rng.permutation(maps.shape[1])[:4].reshape(-1, 2)
+    vm.charge_comm_groups(maps[:, pairs].reshape(-1, 2),
+                          CollectiveCost(1, 5), "prefix")
+
+
+def loop(vm, program, binding):
+    """The oracle: every instance, op by op, through the public API."""
+    with compiled_replay_disabled():
+        for op in program.ops:
+            for ranks in binding.maps:
+                if op.kind == OP_COMM:
+                    vm.charge_comm_groups(ranks[op.ranks], op.payload,
+                                          program.phases[op.phase])
+                elif op.kind == OP_FLOPS:
+                    vm.charge_flops_group(ranks[op.ranks], op.payload,
+                                          program.phases[op.phase])
+                else:
+                    vm.barrier(ranks if op.ranks is None
+                               else ranks[op.ranks])
+
+
+@pytest.mark.parametrize("prefix", ["fresh", "symmetric"])
+@pytest.mark.parametrize("layout", ["slabs", "permuted", "partial"])
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_collapsed_class_run_matches_the_loop(name, layout, prefix):
+    prog = program(name)
+    machines = []
+    for collapsed in (True, False):
+        vm = VirtualMachine(32, STAMPEDE2)
+        binding = bindings(32)[layout]
+        if prefix == "symmetric":
+            symmetric_prefix(vm, binding, seed=len(name))
+        if collapsed:
+            assert prog.specialize(binding).replay(vm) == "collapsed"
+        else:
+            loop(vm, prog, binding)
+        machines.append(vm)
+    assert_machines_identical(*machines)
+    # A template run interns the phase table in table order, the loop in
+    # first-use order; these tables are not in first-use order.
+    assert sorted(machines[0].phase_names) == sorted(machines[1].phase_names)
+
+
+def test_every_position_degenerates_to_one_class_per_position():
+    vm = VirtualMachine(32, STAMPEDE2)
+    run = TemplateRun.seed(vm, bindings(32)["slabs"], PHASES)
+    assert run.classes == 1
+    run.charge(program("every-position"), PHASES)
+    assert run.classes == 8
+
+
+def test_lowered_forms_live_on_the_program():
+    """One lowering per entry partition, kept on the program; replaying
+    again from the same partition reuses it."""
+    prog = program("uneven-groups")
+    for _ in range(2):
+        vm = VirtualMachine(32, STAMPEDE2)
+        prog.specialize(bindings(32)["slabs"]).replay(vm)
+    assert len(prog._lowered) == 1
+    vm = VirtualMachine(32, STAMPEDE2)
+    symmetric_prefix(vm, bindings(32)["slabs"], seed=3)
+    prog.specialize(bindings(32)["slabs"]).replay(vm)
+    assert len(prog._lowered) == 2
+
+
+class _Spans(list):
+    def on_span(self, record):
+        self.append(record)
+
+
+def template_classes(c, d):
+    """The rank classes of a fresh CA-CQR2 template run, as position sets
+    in template order, and the run's ``sched.replay`` span."""
+    seen = []
+    install = TemplateRun.install
+
+    def spy(run):
+        seen.append(run._part.labels.copy())
+        install(run)
+
+    spans = _Spans()
+    vm = VirtualMachine(c * c * d, STAMPEDE2)
+    a = DistMatrix.symbolic(Grid3D.tunable(vm, c, d), 64 * d, 4 * c)
+    with pytest.MonkeyPatch.context() as mp, use_observer(Observer(spans)):
+        mp.setattr(TemplateRun, "install", spy)
+        ca_cqr2(vm, a)
+    (labels,) = seen
+    (replay,) = [s for s in spans if s["name"] == "sched.replay"]
+    return [set(np.flatnonzero(labels == k).tolist())
+            for k in range(labels.max() + 1)], replay
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 8])
+def test_ca_cqr2_template_holds_the_diagonal_and_the_rest(c):
+    classes, replay = template_classes(c, 2 * c)
+    # Template position t is (x, y, z) with t = (z * c + y) * c + x.
+    diagonal = {t for t in range(c ** 3) if t % c == (t // c) % c}
+    assert sorted(map(len, classes)) == sorted([c * c, c ** 3 - c * c])
+    assert diagonal in classes
+    assert replay["attrs"]["ranks"] == c ** 3
+    assert replay["attrs"]["classes"] == 2
+    assert replay["attrs"]["ops"] > 0
+
+
+def test_ca_cqr2_template_of_one_rank_holds_one_class():
+    classes, replay = template_classes(1, 4)
+    assert classes == [{0}]
+    assert replay["attrs"]["classes"] == 1

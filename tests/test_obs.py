@@ -331,8 +331,23 @@ class TestPlannerSpanTree:
         by_name = {r["name"]: r for r in sink.spans}
         assert {name for name in by_name if name.startswith("plan")} == {
             "plan", *self.STAGES}
-        # Refinement runs plain symbolic runs: nothing captures a program.
-        assert "sched.capture" not in by_name
+        # Refinement runs plain symbolic runs: CA-CQR2 captures its
+        # memoized subcube programs (a sched.capture span each, on a miss)
+        # and charges them in template runs (sched.replay), all inside the
+        # refine span.
+        parents = {r["span_id"]: r["parent_id"] for r in sink.spans}
+        names = {r["span_id"]: r["name"] for r in sink.spans}
+
+        def under_refine(span_id):
+            while span_id is not None:
+                if names[span_id] == "plan_many.refine":
+                    return True
+                span_id = parents[span_id]
+            return False
+
+        sched = [r for r in sink.spans if r["name"].startswith("sched.")]
+        assert any(r["name"] == "sched.replay" for r in sched)
+        assert all(under_refine(r["span_id"]) for r in sched)
         root = by_name["plan"]
         for child in self.STAGES:
             assert by_name[child]["parent_id"] == root["span_id"]

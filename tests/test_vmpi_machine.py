@@ -186,3 +186,41 @@ class TestWholeCoverAndAxisForm:
         vm = VirtualMachine(8)
         with pytest.raises(ValueError):
             vm.charge_comm_axis(shape, axis, CollectiveCost(1, 1), "c")
+
+
+#: Views whose extents multiply to 4 without being positive ints.
+BAD_EXTENTS = [((-1, -4), 0), ((True, 4), 0), ((4, True), 1), ((2, 2.0), 0)]
+
+
+class TestAxisViewValidation:
+    """A rejected axis view leaves every machine exactly as it was: no
+    phase interned, nothing charged, nothing recorded."""
+
+    @pytest.mark.parametrize("shape, axis", BAD_EXTENTS)
+    @pytest.mark.parametrize("machine", [VirtualMachine, RecordingMachine])
+    def test_charging_machines_charge_nothing(self, machine, shape, axis):
+        vm = machine(4)
+        with pytest.raises(ValueError):
+            vm.charge_comm_axis(shape, axis, CollectiveCost(1, 2), "p")
+        assert vm.phase_names == []
+        assert [vm.clock_of(r) for r in range(4)] == [0.0] * 4
+        report = vm.report()
+        assert report.total_cost == Cost(0.0, 0.0, 0.0)
+        assert report.phase_max == {}
+        if machine is RecordingMachine:
+            assert vm.schedule == []
+
+    @pytest.mark.parametrize("shape, axis", BAD_EXTENTS)
+    def test_recorder_records_nothing(self, shape, axis):
+        rec = ScheduleRecorder(4)
+        rec.charge_flops(0, 1.0, "ok")
+        with pytest.raises(ValueError):
+            rec.charge_comm_axis(shape, axis, CollectiveCost(1, 2), "p")
+        assert rec.num_ops == 1
+        assert rec.program(debug=False).phases == ["ok"]
+
+    def test_numpy_integer_extents_are_views(self):
+        rec = ScheduleRecorder(8)
+        rec.charge_comm_axis(np.array([2, 4]), 1, CollectiveCost(1, 1), "p")
+        (op,) = rec.program(debug=True).ops
+        assert op.axis == ((2, 4), 1)
