@@ -6,7 +6,7 @@ silently assumes: op kinds and payload typing (finite non-negative flops,
 non-negative :class:`~repro.costmodel.collectives.CollectiveCost` fields,
 payload-free barriers), template-rank bounds, pairwise disjointness of
 ``OP_COMM`` group rows (the property that makes family-batched charging
-commute), axis tags that name exactly their op's groups (collapsed replay
+commute), axis tags that name exactly their op's groups (a template run
 charges the tag, per-op replay the rank matrix), phase-index validity,
 and dead phases nothing references.
 
@@ -14,9 +14,10 @@ and dead phases nothing references.
 :class:`~repro.sched.binding.RankFamilyMap` against a program and an
 optional target machine size: template-size agreement, instance
 disjointness, rank bounds, and machine coverage -- the preconditions
-under which the collapsed-template replay path
-(:meth:`~repro.sched.replay.BoundProgram.replay`) is *statically
-admissible* rather than trusted.
+under which per-op replay
+(:meth:`~repro.sched.replay.BoundProgram.replay`) and a template run
+(:class:`~repro.sched.replay.TemplateRun`) are *statically admissible*
+rather than trusted.
 
 Both return ``List[Finding]`` (empty == verified).  The passes are pure
 reads: they never mutate the program and are safe on untrusted unpickled
@@ -68,7 +69,7 @@ BINDING_RULES = {
     "bind/template-size": "binding template size matches the program rank space",
     "bind/instance-disjoint": "bound instances are pairwise-disjoint rank sets",
     "bind/rank-bounds": "every concrete rank is non-negative (and < machine size when given)",
-    "bind/machine-coverage": "instances cover the whole machine (warning when partial: collapsed replay falls back to scatter)",
+    "bind/machine-coverage": "instances cover the whole machine (warning when partial: a template run scatters instead of installing lazy planes)",
 }
 
 
@@ -80,7 +81,7 @@ def _axis_form_problem(kind: str, ranks: object, tag: object,
                        num_ranks: Optional[int]) -> Optional[str]:
     """Why an op's axis tag disagrees with its rank operand, or ``None``.
 
-    Collapsed replay charges a tagged op through the tag and per-op replay
+    A template run charges a tagged op through the tag and per-op replay
     through ``ranks``; only when the tag's lines *are* ``ranks`` do the two
     strategies charge the same groups.
     """
@@ -96,7 +97,7 @@ def _axis_form_problem(kind: str, ranks: object, tag: object,
     if not (isinstance(ranks, np.ndarray)
             and np.array_equal(ranks, lines)):
         return (f"ranks are not the lines along axis {axis} of view "
-                f"{shape}; collapsed and per-op replay would charge "
+                f"{shape}; a template run and per-op replay would charge "
                 f"different groups")
     return None
 
@@ -253,14 +254,14 @@ def verify_binding(program: ChargeProgram, binding: RankFamilyMap,
                    machine_ranks: Optional[int] = None) -> List[Finding]:
     """Statically check *binding* against *program* (and a machine size).
 
-    Proves the preconditions collapsed-template replay otherwise trusts:
+    Proves the preconditions replay and template runs otherwise trust:
     the binding's template size matches the program's rank space, bound
     instances are pairwise disjoint (disjoint charges commute -- the
     bit-identity argument), concrete ranks are in bounds, and -- when
     *machine_ranks* is given -- whether the instances partition the
-    machine (full coverage is what enables the O(template) collapsed
-    scatter; partial coverage is correct but falls back, reported as a
-    warning).
+    machine (full coverage is what lets a template run install lazy
+    planes instead of scattering; partial coverage is correct but
+    slower, reported as a warning).
     """
     findings: List[Finding] = []
     maps = binding.maps
@@ -290,7 +291,7 @@ def verify_binding(program: ChargeProgram, binding: RankFamilyMap,
             findings.append(Finding(
                 "bind/machine-coverage", "maps",
                 f"instances cover {flat.size} of {machine_ranks} machine "
-                f"ranks; collapsed replay will scatter per instance "
+                f"ranks; a template run will scatter per instance "
                 f"instead of installing lazy planes",
                 severity=SEVERITY_WARNING))
     return findings

@@ -11,6 +11,10 @@ updated through the *same communication schedule* as the Gram dance:
    cyclic layout MM3D expects;
 2. ``C <- C - Q_p W`` with one MM3D + elementwise subtraction per subcube.
 
+Each panel's CA-CQR2 is a plain :func:`~repro.core.cacqr.ca_cqr2` call, so
+symbolic panels are charged however CA-CQR2 is: with ``d > c`` on a plain,
+untraced machine, by one ``c**3``-rank template run per panel.
+
 Compared to plain CA-CQR2 this reduces the flop overhead from ``4 m n**2``
 toward ``2 m n**2 (1 + b/n)`` (panel CQR2 cost + GEMM-rate updates) at the
 price of ``n/b``-fold more synchronization -- the trade the paper's
@@ -54,26 +58,6 @@ class PanelCACQR2Result:
     panels: int
 
 
-@functools.lru_cache(maxsize=8)
-def _panel_cqr2_program(c: int, d: int, m: int, b: int,
-                        base_case_size: Optional[int],
-                        ) -> Tuple[ChargeProgram, Grid3D]:
-    """Compile one panel's full-grid CA-CQR2 call.
-
-    Every panel of a given factorization runs the *identical* shape-only
-    schedule (same ``m x b`` panel on the same ``c x d x c`` grid), so it
-    is recorded once on a same-shaped template machine under the
-    placeholder phase prefix ``"@"`` and replayed per panel with the phase
-    table rebased -- the per-panel Python orchestration (grid walks,
-    block-dict churn, recursion) runs once instead of ``n/b`` times.
-    """
-    rec = ScheduleRecorder(c * d * c)
-    rec_grid = Grid3D.build(rec, c, d, c)
-    panel = DistMatrix.symbolic(rec_grid, m, b)
-    ca_cqr2(rec, panel, base_case_size, phase="@")
-    return rec.program(), rec_grid
-
-
 @functools.lru_cache(maxsize=256)
 def _panel_update_program(c: int, rows_per_subcube: int, b: int,
                           rest_n: int) -> Tuple[ChargeProgram, Grid3D]:
@@ -81,9 +65,9 @@ def _panel_update_program(c: int, rows_per_subcube: int, b: int,
 
     The MM3D + elementwise subtraction pair is identical on every
     subcube, so one ``c x c x c`` template recording replays onto all
-    ``d/c`` subcubes as a single bound program (collapsed when their
-    entry state is symmetric).  Keyed per trailing width ``rest_n`` --
-    each panel index has its own -- and memoized across runs.
+    ``d/c`` subcubes as a single bound program.  Keyed per trailing width
+    ``rest_n`` -- each panel index has its own -- and memoized across
+    runs.
     """
     rec = ScheduleRecorder(c * c * c)
     rec_grid = Grid3D.build(rec, c, c, c)
@@ -148,7 +132,7 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
     assembled from each panel's CQR2 ``R`` and cross product ``W``.
     """
     g = a.grid
-    c, d = g.dim_x, g.dim_y
+    c = g.dim_x
     check_positive_int(panel_width, "panel_width")
     require(a.n % panel_width == 0,
             f"panel_width={panel_width} must divide n={a.n}")
@@ -158,14 +142,6 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
     num_panels = a.n // b
     numeric = a.is_numeric
 
-    cqr2_bound = None
-    if not numeric and num_panels > 1 and compiled_replay_enabled():
-        # Symbolic multi-panel runs replay one compiled panel CQR2 program
-        # instead of looping its Python orchestration per panel (numeric
-        # panels hold distinct data; a single panel is one plain call).
-        program, rec_grid = _panel_cqr2_program(c, d, a.m, b, base_case_size)
-        cqr2_bound = program.specialize(RankFamilyMap.from_grids(rec_grid, g))
-
     trailing = a
     q_parts: List[np.ndarray] = []
     r_global = np.zeros((a.n, a.n)) if numeric else None
@@ -174,14 +150,9 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
         panel = trailing.column_panel(0, b)
 
         # Orthogonalize the panel with a full CA-CQR2 on the whole grid.
-        if cqr2_bound is None:
-            res = ca_cqr2(vm, panel, base_case_size,
-                          phase=f"{phase}.panel{p_idx}.cqr2")
-            q_p = res.q
-        else:
-            cqr2_bound.replay(vm, phases=program.phases_with_prefix(
-                "@", f"{phase}.panel{p_idx}.cqr2"))
-            q_p = panel
+        res = ca_cqr2(vm, panel, base_case_size,
+                      phase=f"{phase}.panel{p_idx}.cqr2")
+        q_p = res.q
         if numeric:
             q_parts.append(q_p.data)  # type: ignore[arg-type]
             r_global[col_lo:col_lo + b, col_lo:col_lo + b] = \

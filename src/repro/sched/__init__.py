@@ -15,12 +15,13 @@ replay* life cycle::
         RankFamilyMap.subcubes(grid, template_grid))
     bound.replay(vm)                             # bit-identical charges
 
-Capture only records and replay only charges.  Replay is exact by
-construction (disjoint charges commute; the collapsed fast path is
-guarded by strict state-equality checks and runs the template on rank
-classes, positions in equal state sharing one value -- see
-:mod:`repro.sched.replay`), composes with trace sinks, and does zero
-per-op phase-string work.  Whole engine runs can be captured and
+Capture only records and replay only charges.  Replay is one exact
+per-op strategy (disjoint charges commute), composes with trace sinks,
+and does zero per-op phase-string work.  A :class:`TemplateRun` charges
+programs on one template standing for every instance instead, guarded by
+strict state-equality checks and run on rank classes, positions in equal
+state sharing one value (see :mod:`repro.sched.replay`); CA-CQR2 runs its
+whole schedule that way.  Whole engine runs can be captured and
 replayed through :mod:`repro.sched.capture` (the IR's test oracle: a
 replayed whole run reports exactly what a plain run does), and compiled
 programs can be cached machine-independently by :mod:`repro.sched.cache`.

@@ -9,11 +9,9 @@ semantics), which is bit-identical to looping instances only because
 disjoint charges commute.
 
 The paper's communicator families and cyclic block layouts are pure
-functions of *position* in a grid's rank array, so a positional map
-carries a schedule recorded on a standalone template grid onto any
-same-shape grid verbatim
--- the generalization of the subcube trick CA-CQR2's symbolic path
-introduced.
+functions of *position* in a grid's rank array, so a schedule recorded on
+a standalone ``c x c x c`` template grid binds onto every cubic subcube
+of a ``c x d x c`` grid verbatim (:meth:`RankFamilyMap.subcubes`).
 """
 
 from __future__ import annotations
@@ -33,8 +31,9 @@ class RankFamilyMap:
     -- ranks ``0 .. P-1`` viewed as a C-order ``(outer, instances,
     inner)`` array, instance ``i`` being ``[:, i, :]`` in template order --
     keeps only that shape (``slabs``) and builds ``maps`` on first use:
-    collapsed replay (:mod:`repro.sched.replay`) then reads and writes
-    machine state through reshaped views, with no O(P) index arrays.
+    a template run (:class:`~repro.sched.replay.TemplateRun`) then reads
+    and writes machine state through reshaped views, with no O(P) index
+    arrays.
     :meth:`subcubes` over a root grid is such a binding.
     """
 
@@ -47,6 +46,8 @@ class RankFamilyMap:
                 f"got ndim={m.ndim}")
         if validate:
             flat = m.reshape(-1)
+            require(not (flat < 0).any(),
+                    "binding ranks must be non-negative")
             require(np.unique(flat).size == flat.size,
                     "binding instances must be pairwise-disjoint rank sets")
         self._maps: Optional[np.ndarray] = m
@@ -92,6 +93,17 @@ class RankFamilyMap:
     def covers(self, num_ranks: int) -> bool:
         """Whether the (disjoint) instances partition all *num_ranks* ranks."""
         return self.instances * self.template_size == num_ranks
+
+    def require_fits(self, num_ranks: int) -> None:
+        """Raise :class:`ValueError` unless every rank named is below
+        *num_ranks*."""
+        if self.slabs is not None:
+            top = self.instances * self.template_size - 1
+        else:
+            top = int(self.maps.max(initial=-1))
+        require(top < num_ranks,
+                f"binding names rank {top}, past the end of a "
+                f"{num_ranks}-rank machine")
 
     def gather(self, state: np.ndarray) -> np.ndarray:
         """Per-rank *state* (last axis: machine ranks) by instance.
@@ -140,18 +152,6 @@ class RankFamilyMap:
         """One instance, template rank ``t`` -> machine rank ``t``."""
         return cls(np.arange(num_ranks, dtype=np.intp).reshape(1, -1),
                    validate=False)
-
-    @classmethod
-    def from_grids(cls, template: Grid3D, *targets: Grid3D) -> "RankFamilyMap":
-        """Positional maps from *template* onto each same-shape target grid."""
-        maps = np.empty((len(targets), template.size), dtype=np.intp)
-        tpl_flat = template.ranks.reshape(-1)
-        for i, target in enumerate(targets):
-            require(target.dims == template.dims,
-                    f"target grid dims {target.dims} do not match template "
-                    f"dims {template.dims}")
-            maps[i, tpl_flat] = target.ranks.reshape(-1)
-        return cls(maps)
 
     @classmethod
     def subcubes(cls, grid: Grid3D, template: Grid3D) -> "RankFamilyMap":

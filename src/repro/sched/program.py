@@ -20,11 +20,10 @@ does one job:
 * :meth:`ChargeProgram.specialize` binds the template to a concrete
   machine through a :class:`~repro.sched.binding.RankFamilyMap` -- one or
   many disjoint instances of the template (the ``d/c`` subcubes of a
-  ``c x d x c`` grid, every panel of a blocked factorization, or the
-  whole machine via the identity map);
-* :meth:`~repro.sched.replay.BoundProgram.replay` charges the bound ops
-  into any :class:`~repro.vmpi.machine.VirtualMachine` -- the only step
-  that charges -- bit-identical to executing the original loop.
+  ``c x d x c`` grid, or the whole machine via the identity map);
+* :meth:`~repro.sched.replay.BoundProgram.replay` charges the bound ops,
+  op by op, into any :class:`~repro.vmpi.machine.VirtualMachine` -- the
+  step that charges -- bit-identical to executing the original loop.
 
 Programs are machine-independent: op payloads are *counts* (messages,
 words, flops); the alpha-beta-gamma rates are applied by the machine at
@@ -185,11 +184,6 @@ class ChargeProgram:
                     f"phase {name!r} does not start with prefix {old!r}")
             out.append(new + name[len(old):])
         return out
-
-    def with_phase_prefix(self, old: str, new: str) -> "ChargeProgram":
-        """A program sharing this one's ops under a rebased phase table."""
-        return ChargeProgram(self.num_ranks,
-                             self.phases_with_prefix(old, new), self.ops)
 
     # -- class-run lowering -------------------------------------------------------
 

@@ -13,10 +13,9 @@ Ops are recorded in **family form**: bulk group charges keep their
 ``(G, s)`` group matrices rather than exploded per-rank lists, and a
 :meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_axis` family keeps
 its ``(shape, axis)`` tag next to the machine's cached, read-only group
-matrix, so collapsed replay can charge it through the gather-free axis
-form.  Phase strings are interned into the recorder's phase table at
-record time, so ops carry integer phase indices and replay never hashes
-a phase string per op.
+matrix, so a template run can lower it from the tag.  Phase strings are
+interned into the recorder's phase table at record time, so ops carry
+integer phase indices and replay never hashes a phase string per op.
 
 :class:`repro.vmpi.reference.RecordingMachine` is the flat-tuple
 recorder that records *and* charges (the equivalence-test harness); this

@@ -1,42 +1,35 @@
-"""Bound programs: a :class:`ChargeProgram` specialized to concrete ranks.
+"""Bound programs and template runs: charging a :class:`ChargeProgram`.
 
 A :class:`BoundProgram` pairs a program with a
 :class:`~repro.sched.binding.RankFamilyMap` and replays it into a target
-:class:`~repro.vmpi.machine.VirtualMachine` with **bit-identical**
-clocks, ledgers, and reports relative to executing the recorded loop
-directly.  Two replay strategies, chosen per call:
+:class:`~repro.vmpi.machine.VirtualMachine` op by op, with
+**bit-identical** clocks, ledgers, and reports relative to executing the
+recorded loop directly: every op charges all bound instances in one
+vectorized machine call with pre-interned phase ids and precomputed
+concrete rank arrays -- zero per-op Python string work.  Disjoint
+instances commute, so charging them together is bit-identical to looping
+them.  Replay drives the machine's public trace-aware internals, so it
+composes with an attached :class:`~repro.vmpi.machine.TraceSink` (events
+are emitted per rank with exact start/end times; only the stream *order*
+differs from the loop path).
 
-* **Per-op replay** (always exact): every op charges all bound instances
-  in one vectorized machine call with pre-interned phase ids and
-  precomputed concrete rank arrays -- zero per-op Python string work.
-  Disjoint instances commute, so charging them together is bit-identical
-  to looping them.  This path drives the machine's public trace-aware
-  internals, so replay composes with an attached
-  :class:`~repro.vmpi.machine.TraceSink` (events are emitted per rank
-  with exact start/end times; only the stream *order* differs from the
-  loop path).
+A :class:`TemplateRun` is the other way to charge programs, exact under a
+guard: when every instance of a binding enters in *identical*
+per-template-position state (clocks, running totals, and any
+already-interned program phases -- checked exactly, not approximately),
+the programs run once on the template, seeded from instance 0, and the
+final state is written back to every instance.  The template is held as
+**rank classes**: positions whose state is equal share one value, and a
+program's lowered form
+(:meth:`~repro.sched.program.ChargeProgram.lowered`) splits a class
+before any op that treats its members differently.  CA-CQR2 runs its
+whole schedule this way (:mod:`repro.core.cacqr`): two classes, whatever
+the template size.  When the instances cover the machine every phase is
+installed as a lazy template plane
+(:class:`~repro.vmpi.machine.LazyPlane`) instead of a ``(3, P)`` array.
 
-* **Collapsed replay** (exact under a guard): when every instance enters
-  the replay in *identical* per-template-position state (clocks, running
-  totals, and any already-interned program phases -- checked exactly, not
-  approximately), the op stream runs once on the template, seeded from
-  instance 0, and the final state is written back to all instances.  The
-  template is held as **rank classes**: positions whose state is equal
-  share one value, and the program's lowered form
-  (:meth:`~repro.sched.program.ChargeProgram.lowered`) splits a class
-  before any op that treats its members differently.  Each rank then
-  receives the *same chronological float accumulation* it would have
-  under the loop, so the result is bit-identical while the per-op work
-  drops from ``O(P)`` to ``O(classes)`` -- two for CA-CQR2's subcube
-  programs, whatever the template size.  The guard, the seeding, the
-  class run and the write-back are :class:`TemplateRun`'s, the one
-  helper CA-CQR2 also runs its whole schedule through
-  (:mod:`repro.core.cacqr`).  If the guard fails, replay silently falls
-  back to the per-op path -- the guard buys speed, never changes
-  results.  When the instances cover the machine every phase is
-  installed as a lazy template plane
-  (:class:`~repro.vmpi.machine.LazyPlane`) instead of a ``(3, P)``
-  array.
+Both refuse, with a :class:`ValueError` and before charging anything, a
+binding that names a rank past the end of the machine.
 """
 
 from __future__ import annotations
@@ -53,11 +46,7 @@ from repro.vmpi.machine import LazyPlane, VirtualMachine
 
 
 class BoundProgram:
-    """A program bound to concrete machine ranks, ready to replay.
-
-    :meth:`replay` returns the strategy it used (``"collapsed"`` or
-    ``"ops"``); the choice never changes the charged state.
-    """
+    """A program bound to concrete machine ranks, ready to replay."""
 
     __slots__ = ("program", "binding", "_concrete")
 
@@ -75,11 +64,7 @@ class BoundProgram:
     # -- concrete op materialization ----------------------------------------------
 
     def _concrete_ops(self) -> list:
-        """Per-op concrete rank arrays, built lazily on first per-op replay.
-
-        The collapsed path never needs them (it simulates in template
-        space), so a replay that stays collapsed allocates nothing here.
-        """
+        """Per-op concrete rank arrays, built on first replay and kept."""
         if self._concrete is None:
             maps = self.binding.maps
             inst = maps.shape[0]
@@ -101,8 +86,8 @@ class BoundProgram:
     # -- replay -------------------------------------------------------------------
 
     def replay(self, vm: VirtualMachine,
-               phases: Optional[Sequence[str]] = None) -> str:
-        """Charge the bound ops into *vm*; returns the strategy used.
+               phases: Optional[Sequence[str]] = None) -> None:
+        """Charge the bound ops into *vm*, op by op.
 
         ``phases`` optionally substitutes the program's phase table (same
         length, e.g. from
@@ -114,17 +99,8 @@ class BoundProgram:
         require(len(names) == len(self.program.phases),
                 f"phase table length {len(names)} does not match program "
                 f"({len(self.program.phases)} phases)")
-        # Collapsed replay needs >1 instance (with one instance the
-        # template simulation *is* the per-op replay) and a machine
-        # TemplateRun.seed accepts.
-        if self.binding.instances > 1 and self._replay_collapsed(vm, names):
-            return "collapsed"
-        self._replay_ops(vm, names)
-        return "ops"
-
-    def _replay_ops(self, vm: VirtualMachine, names: List[str]) -> None:
-        """Exact per-op replay: one vectorized machine call per op."""
-        if isinstance(vm, VirtualMachine) and type(vm) is VirtualMachine:
+        self.binding.require_fits(vm.num_ranks)
+        if type(vm) is VirtualMachine:
             # Hot path: resolve phase ids once, then drive the pre-interned
             # internals -- no per-op string hashing.
             pids = [vm._phase_id(n) for n in names]
@@ -150,15 +126,6 @@ class BoundProgram:
                     for row in arr:
                         vm.barrier(row)
 
-    def _replay_collapsed(self, vm: VirtualMachine, names: List[str]) -> bool:
-        """Template-folded replay; ``False`` when :meth:`TemplateRun.seed`
-        declines (the machine is left untouched)."""
-        run = TemplateRun.seed(vm, self.binding, names)
-        if run is None:
-            return False
-        run.complete([(self.program, names)])
-        return True
-
 
 #: Instance 0's ``(plane, touched)`` state of one phase; ``touched`` is
 #: ``None`` when every rank was touched.
@@ -174,10 +141,9 @@ class TemplateRun:
     :meth:`seed` guards and seeds it, :meth:`charge` runs programs on it
     (any number, in order), and :meth:`install` writes the result back to
     every instance once; :meth:`complete` does the last two as one
-    ``sched.replay`` span.  Collapsed replay runs one program this way;
-    CA-CQR2 runs its whole schedule -- both Gram dances, both subcube
-    passes and the merge -- on one ``c**3``-rank template
-    (:mod:`repro.core.cacqr`).
+    ``sched.replay`` span.  CA-CQR2 runs its whole schedule -- both Gram
+    dances, both subcube passes and the merge -- on one ``c**3``-rank
+    template this way (:mod:`repro.core.cacqr`).
 
     The template's positions are held as **rank classes**
     (:class:`~repro.sched.program.Partition`): positions whose clock,
@@ -257,7 +223,10 @@ class TemplateRun:
         rank), and every instance holds identical clocks, totals and
         state under each of *names* (every phase the programs charged
         through :meth:`charge` will name) that *vm* already interned.
+        A binding naming a rank past the end of *vm* raises
+        :class:`ValueError`.
         """
+        binding.require_fits(vm.num_ranks)
         if type(vm) is not VirtualMachine or vm.trace_sink is not None:
             return None
         b = binding

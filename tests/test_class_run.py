@@ -5,9 +5,10 @@ template positions in provably equal state -- and splits a class before
 any op that treats its members differently.  These hand-built programs
 split classes mid-program in every way an op can: flops on one rank, a
 comm family whose groups mix classes unevenly, a non-axis group matrix,
-a barrier on a subset, and every position at once.  Collapsed replay
-must charge exactly what the instance-by-instance loop charges, from a
-fresh machine and from a random per-instance-symmetric one; and a fresh
+a barrier on a subset, and every position at once.  A class run and
+per-op replay must charge exactly what the instance-by-instance loop
+charges, from a fresh machine and from a random per-instance-symmetric
+one; and a fresh
 CA-CQR2 template holds exactly the two classes the paper's diagonal
 transposes imply.
 """
@@ -116,6 +117,14 @@ def symmetric_prefix(vm, binding, seed):
                           CollectiveCost(1, 5), "prefix")
 
 
+def class_run(vm, program, binding, names=None):
+    """Charge *program* as one template run; the guard must accept *vm*."""
+    names = program.phases if names is None else names
+    run = TemplateRun.seed(vm, binding, names)
+    assert run is not None
+    run.complete([(program, names)])
+
+
 def loop(vm, program, binding):
     """The oracle: every instance, op by op, through the public API."""
     with compiled_replay_disabled():
@@ -135,23 +144,25 @@ def loop(vm, program, binding):
 @pytest.mark.parametrize("prefix", ["fresh", "symmetric"])
 @pytest.mark.parametrize("layout", ["slabs", "permuted", "partial"])
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_collapsed_class_run_matches_the_loop(name, layout, prefix):
+def test_class_run_per_op_and_loop_agree(name, layout, prefix):
     prog = program(name)
     machines = []
-    for collapsed in (True, False):
+    for charge in (class_run,
+                   lambda vm, prog, binding: prog.specialize(binding).replay(vm),
+                   loop):
         vm = VirtualMachine(32, STAMPEDE2)
         binding = bindings(32)[layout]
         if prefix == "symmetric":
             symmetric_prefix(vm, binding, seed=len(name))
-        if collapsed:
-            assert prog.specialize(binding).replay(vm) == "collapsed"
-        else:
-            loop(vm, prog, binding)
+        charge(vm, prog, binding)
         machines.append(vm)
-    assert_machines_identical(*machines)
-    # A template run interns the phase table in table order, the loop in
-    # first-use order; these tables are not in first-use order.
-    assert sorted(machines[0].phase_names) == sorted(machines[1].phase_names)
+    class_vm, per_op, loop_vm = machines
+    assert_machines_identical(class_vm, loop_vm)
+    assert_machines_identical(per_op, loop_vm)
+    # A template run and per-op replay intern the phase table in table
+    # order, the loop in first-use order; these tables are not in
+    # first-use order.
+    assert sorted(class_vm.phase_names) == sorted(loop_vm.phase_names)
 
 
 def test_every_position_degenerates_to_one_class_per_position():
@@ -167,12 +178,11 @@ def test_lowered_forms_live_on_the_program():
     again from the same partition reuses it."""
     prog = program("uneven-groups")
     for _ in range(2):
-        vm = VirtualMachine(32, STAMPEDE2)
-        prog.specialize(bindings(32)["slabs"]).replay(vm)
+        class_run(VirtualMachine(32, STAMPEDE2), prog, bindings(32)["slabs"])
     assert len(prog._lowered) == 1
     vm = VirtualMachine(32, STAMPEDE2)
     symmetric_prefix(vm, bindings(32)["slabs"], seed=3)
-    prog.specialize(bindings(32)["slabs"]).replay(vm)
+    class_run(vm, prog, bindings(32)["slabs"])
     assert len(prog._lowered) == 2
 
 

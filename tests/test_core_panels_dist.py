@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_tunable
+from tests.test_vmpi_machine_equivalence import assert_machines_identical
 
 from repro.core.cacqr import ca_cqr2
 from repro.core.panels_dist import ca_panel_cqr2
+from repro.costmodel.params import STAMPEDE2
+from repro.obs import Observer, use_observer
+from repro.sched import compiled_replay_disabled
 from repro.utils.matgen import matrix_with_condition, random_matrix
 from repro.vmpi.distmatrix import DistMatrix
+from repro.vmpi.grid import Grid3D
+from repro.vmpi.machine import VirtualMachine
 
 
 def orth_err(q):
@@ -84,6 +90,42 @@ class TestCostStructure:
         vm2, g2 = make_tunable(2, 4)
         ca_panel_cqr2(vm2, DistMatrix.symbolic(g2, m, n), panel_width=n)
         assert vm1.report().max_cost.messages > vm2.report().max_cost.messages
+
+
+class _Spans(list):
+    def on_span(self, record):
+        self.append(record)
+
+
+class TestTemplateRunPerPanel:
+    """Each symbolic panel's CA-CQR2 is CA-CQR2's own template run."""
+
+    @staticmethod
+    def run(c, d, m, n, b):
+        vm = VirtualMachine(c * c * d, STAMPEDE2)
+        a = DistMatrix.symbolic(Grid3D.tunable(vm, c, d), m, n)
+        ca_panel_cqr2(vm, a, b, phase="p")
+        return vm
+
+    @pytest.mark.parametrize("c,d,m,n,b", [(2, 8, 512, 32, 8),
+                                           (4, 8, 1024, 32, 16)])
+    def test_one_class_run_per_panel_matches_the_loop(self, c, d, m, n, b):
+        spans = _Spans()
+        with use_observer(Observer(spans)):
+            vm = self.run(c, d, m, n, b)
+        replays = [s["attrs"] for s in spans if s["name"] == "sched.replay"]
+        assert [(r["ranks"], r["classes"]) for r in replays] == \
+            [(c ** 3, 2)] * (n // b)
+
+        cqr2 = [name for name in vm.phase_names if ".cqr2." in name]
+        assert {name.split(".")[1] for name in cqr2} == \
+            {f"panel{k}" for k in range(n // b)}
+        assert all(vm._phase_ids[name] in vm._lazy for name in cqr2)
+
+        with compiled_replay_disabled():
+            loop_vm = self.run(c, d, m, n, b)
+        assert_machines_identical(vm, loop_vm)
+        assert vm.phase_names == loop_vm.phase_names
 
 
 class TestValidation:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_tunable
+from tests.test_class_run import class_run
 
 from repro.analysis import verify_program
 from repro.core.cacqr import _merge_program, _subcube_pass_program, ca_cqr, ca_cqr2
@@ -31,12 +32,13 @@ from repro.sched import (
     ProgramCache,
     RankFamilyMap,
     ScheduleRecorder,
+    TemplateRun,
     compiled_replay_disabled,
     compiled_replay_enabled,
     program_key,
 )
 from repro.sched.capture import capture_run, replay_report
-from repro.sched.program import ChargeOp, ChargeProgram
+from repro.sched.program import OP_COMM, ChargeOp, ChargeProgram
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -294,22 +296,22 @@ class TestBoundProgram:
         assert not rec._clock.any() and not rec._total.any()
         assert rec.elapsed == 0.0 and rec.report().phase_max == {}
 
-    def test_subcube_replay_collapses_and_matches_loop(self):
+    def test_subcube_class_run_and_replay_match_loop(self):
         c, d, m = 2, 8, 32
         program, tpl_grid = self.record_mm3d(c, m)
-        vm, g = make_tunable(c, d)
-        bound = program.specialize(RankFamilyMap.subcubes(g, tpl_grid))
-        mode = bound.replay(vm, phases=program.phases_with_prefix("@", "mm"))
+        names = program.phases_with_prefix("@", "mm")
         # Fresh symmetric machine, d/c = 4 disjoint instances: the
-        # collapsed template simulation must engage.
-        assert mode == "collapsed"
+        # template run's guard must accept it.
+        vm, g = make_tunable(c, d)
+        class_run(vm, program, RankFamilyMap.subcubes(g, tpl_grid), names)
+        per_op, g_ops = make_tunable(c, d)
+        program.specialize(RankFamilyMap.subcubes(g_ops, tpl_grid)).replay(
+            per_op, phases=names)
 
         vm_loop, g_loop = make_tunable(c, d)
-        for group in range(d // c):
-            sub = g_loop.subcube(group)
-            mm3d(vm_loop, DistMatrix.symbolic(sub, m, m),
-                 DistMatrix.symbolic(sub, m, m), phase="mm")
+        self.mm3d_loop(vm_loop, g_loop, c, d, m)
         assert_machines_identical(vm, vm_loop)
+        assert_machines_identical(per_op, vm_loop)
 
     @staticmethod
     def mm3d_loop(vm, g, c, d, m):
@@ -334,10 +336,11 @@ class TestBoundProgram:
                                       general.template_index())
 
     @pytest.mark.parametrize("perturb", ["clock", "total", "plane"])
-    def test_view_guard_falls_back_on_asymmetric_state(self, perturb):
+    def test_view_guard_declines_asymmetric_state(self, perturb):
         """Break the symmetry of one subcube's state -- its clocks, one
-        running total, one pre-existing program phase plane -- and replay
-        must take the per-op path, still bit-identical to the loop."""
+        running total, one pre-existing program phase plane -- and the
+        template run's guard must decline, leaving the machine untouched
+        for per-op replay, still bit-identical to the loop."""
         c, d, m = 2, 8, 32
         program, tpl_grid = self.record_mm3d(c, m)
 
@@ -362,10 +365,11 @@ class TestBoundProgram:
 
         vm, g = make_tunable(c, d)
         prepare(vm, g)
-        bound = program.specialize(RankFamilyMap.subcubes(g, tpl_grid))
-        assert bound.binding.slabs is not None
-        mode = bound.replay(vm, phases=program.phases_with_prefix("@", "mm"))
-        assert mode == "ops"
+        names = program.phases_with_prefix("@", "mm")
+        binding = RankFamilyMap.subcubes(g, tpl_grid)
+        assert binding.slabs is not None
+        assert TemplateRun.seed(vm, binding, names) is None
+        program.specialize(binding).replay(vm, phases=names)
 
         vm_loop, g_loop = make_tunable(c, d)
         prepare(vm_loop, g_loop)
@@ -373,15 +377,14 @@ class TestBoundProgram:
         assert_machines_identical(vm, vm_loop)
 
     def test_view_replay_lazy_phases_read_and_charge_exactly(self):
-        """Per-rank reads of a view-path replay's virtual phases, and a
+        """Per-rank reads of a view-path class run's virtual phases, and a
         later direct charge to one of them, match the loop."""
         c, d, m = 2, 8, 32
         program, tpl_grid = self.record_mm3d(c, m)
         vm, g = make_tunable(c, d)
         vm_loop, g_loop = make_tunable(c, d)
-        bound = program.specialize(RankFamilyMap.subcubes(g, tpl_grid))
-        mode = bound.replay(vm, phases=program.phases_with_prefix("@", "mm"))
-        assert mode == "collapsed"
+        class_run(vm, program, RankFamilyMap.subcubes(g, tpl_grid),
+                  program.phases_with_prefix("@", "mm"))
         assert vm._lazy
         self.mm3d_loop(vm_loop, g_loop, c, d, m)
 
@@ -394,13 +397,13 @@ class TestBoundProgram:
         assert vm.clock_of(rank) == vm_loop.clock_of(rank)
         assert_machines_identical(vm, vm_loop)
 
-    def test_traced_machine_falls_back_to_per_op_replay(self):
+    def test_traced_machine_takes_per_op_replay(self):
         c, d, m = 2, 4, 32
         program, tpl_grid = self.record_mm3d(c, m)
         vm = VirtualMachine(c * c * d, trace=True)
-        g = Grid3D.tunable(vm, c, d)
-        bound = program.specialize(RankFamilyMap.subcubes(g, tpl_grid))
-        assert bound.replay(vm) == "ops"
+        binding = RankFamilyMap.subcubes(Grid3D.tunable(vm, c, d), tpl_grid)
+        assert TemplateRun.seed(vm, binding, program.phases) is None
+        program.specialize(binding).replay(vm)
         assert len(vm.events) > 0
 
     def test_replay_interns_each_phase_once(self, monkeypatch):
@@ -421,13 +424,47 @@ class TestBoundProgram:
             return phase_id(vm, phase)
 
         monkeypatch.setattr(VirtualMachine, "_phase_id", counting_phase_id)
-        assert bound.replay(VirtualMachine(program.num_ranks)) == "ops"
+        bound.replay(VirtualMachine(program.num_ranks))
         assert 0 < len(interned) <= len(program.phases)
 
     def test_phase_table_rebase_rejects_wrong_prefix(self):
         program, _ = self.record_mm3d(2, 32)
         with pytest.raises(ValueError):
             program.phases_with_prefix("nope", "mm")
+
+
+class TestBindingRankBounds:
+    """A binding names ranks of the machine it charges, and no others."""
+
+    PAIR = ChargeProgram(2, ["x"], [ChargeOp(
+        OP_COMM, np.array([[0, 1]]), CollectiveCost(1, 1), 0)])
+
+    def test_negative_rank_is_rejected(self):
+        # numpy would wrap -1 to rank 3 of a 4-rank machine, so both
+        # instances would charge rank 3.
+        with pytest.raises(ValueError, match="non-negative"):
+            RankFamilyMap([[-1, 0], [3, 1]])
+
+    @pytest.mark.parametrize("layout", ["maps", "slabs"])
+    @pytest.mark.parametrize("charge", ["replay", "template-run"])
+    def test_rank_past_the_end_is_rejected_before_charging(self, charge,
+                                                           layout):
+        if layout == "maps":
+            vm, program = VirtualMachine(4), self.PAIR
+            binding = RankFamilyMap([[0, 1], [2, 4]])
+        else:
+            program, tpl_grid = TestBoundProgram.record_mm3d(2, 8)
+            vm = VirtualMachine(16)
+            _, g = make_tunable(2, 8)          # a 32-rank grid
+            binding = RankFamilyMap.subcubes(g, tpl_grid)
+            assert binding.slabs is not None
+        with pytest.raises(ValueError, match="past the end"):
+            if charge == "replay":
+                program.specialize(binding).replay(vm)
+            else:
+                TemplateRun.seed(vm, binding, program.phases)
+        assert not vm._clock.any() and not vm._total.any()
+        assert vm.phase_names == []
 
 
 def program_digest(program: ChargeProgram) -> str:
@@ -508,8 +545,8 @@ class TestRecorderRecordsOnly:
 
 
 class TestAxisTaggedReplay:
-    """Collapsed replay charges axis-tagged ops through the axis form, per-op
-    replay through their rank matrix; both match the subcube loop."""
+    """A template run lowers axis-tagged ops from their tag, per-op replay
+    charges their rank matrix; both match the subcube loop."""
 
     @staticmethod
     def prefix(vm, binding, names, seed):
@@ -543,17 +580,19 @@ class TestAxisTaggedReplay:
 
     @classmethod
     def replay_both(cls, program, tpl, c, d, seed):
-        """Collapsed and traced per-op replay of *program* onto the
+        """A class run and a traced per-op replay of *program* onto the
         subcubes of a ``c x d x c`` grid, after the same random prefix."""
         names = program.phases_with_prefix("@", "p")
-        machines, modes = [], []
+        machines = []
         for trace in (False, True):
             vm = VirtualMachine(c * c * d, STAMPEDE2, trace=trace)
             binding = RankFamilyMap.subcubes(Grid3D.tunable(vm, c, d), tpl)
             cls.prefix(vm, binding, names, seed)
-            modes.append(program.specialize(binding).replay(vm, phases=names))
+            if trace:
+                program.specialize(binding).replay(vm, phases=names)
+            else:
+                class_run(vm, program, binding, names)
             machines.append(vm)
-        assert modes == ["collapsed", "ops"]
         return machines
 
     @pytest.mark.parametrize("c,d,n,rows,n0,seed", [
@@ -561,16 +600,16 @@ class TestAxisTaggedReplay:
         (2, 4, 16, 32, 4, 1),
         (4, 8, 64, 128, 8, 2),
     ])
-    def test_collapsed_per_op_and_loop_agree(self, c, d, n, rows, n0, seed):
+    def test_class_run_per_op_and_loop_agree(self, c, d, n, rows, n0, seed):
         program, tpl = _subcube_pass_program(c, n, rows, n0)
         assert any(op.axis is not None for op in program.ops)
-        collapsed, per_op = self.replay_both(program, tpl, c, d, seed)
+        class_vm, per_op = self.replay_both(program, tpl, c, d, seed)
         loop = VirtualMachine(c * c * d, STAMPEDE2)
         g = Grid3D.tunable(loop, c, d)
         self.prefix(loop, RankFamilyMap.subcubes(g, tpl),
                     program.phases_with_prefix("@", "p"), seed)
         self.subcube_loop(loop, g, c, d, n, rows, n0, "p")
-        assert_machines_identical(collapsed, loop)
+        assert_machines_identical(class_vm, loop)
         assert_machines_identical(per_op, loop)
         assert len(per_op.events) > 0
 
@@ -587,9 +626,9 @@ class TestAxisTaggedReplay:
         tagged = [op for op in program.ops if op.axis is not None]
         assert tagged
         for k, op in enumerate(tagged):
-            collapsed, per_op = self.replay_both(self.single_op(program, op),
-                                                 tpl, c, d, k)
-            assert_machines_identical(collapsed, per_op)
+            class_vm, per_op = self.replay_both(self.single_op(program, op),
+                                                tpl, c, d, k)
+            assert_machines_identical(class_vm, per_op)
 
     def test_a_corrupted_tag_diverges_and_fails_verification(self):
         c, d = 2, 4
@@ -603,9 +642,9 @@ class TestAxisTaggedReplay:
                                                 program.phases, ops))
         assert [(f.rule, f.loc) for f in findings] == \
             [("ir/axis-form", f"op[{k}]")]
-        collapsed, per_op = self.replay_both(self.single_op(program, ops[k]),
-                                             tpl, c, d, 0)
-        assert not np.array_equal(collapsed._clock, per_op._clock)
+        class_vm, per_op = self.replay_both(self.single_op(program, ops[k]),
+                                            tpl, c, d, 0)
+        assert not np.array_equal(class_vm._clock, per_op._clock)
 
 
 class TestProgramCacheAndCapture:

@@ -14,6 +14,7 @@ engaged) and after a random one (which must fall back).
 import numpy as np
 import pytest
 
+from tests.test_class_run import class_run
 from tests.test_vmpi_machine_equivalence import assert_machines_identical
 
 import repro.core.cacqr as cacqr
@@ -150,12 +151,11 @@ def test_lazy_phases_of_another_layout_are_checked_not_trusted():
     rec = ScheduleRecorder(8)
     rec.charge_flops_group(np.arange(4), 3.0, "cacqr2.pass1.local-gram")
     rec.charge_flops_group(np.arange(4, 8), 3.0, "other")
-    blocks = rec.program().specialize(
-        RankFamilyMap(np.arange(32).reshape(4, 8)))
+    blocks = RankFamilyMap(np.arange(32).reshape(4, 8))
 
     def run():
         vm = VirtualMachine(32, STAMPEDE2)
-        assert blocks.replay(vm) == "collapsed"
+        class_run(vm, rec.program(), blocks)
         ca_cqr2(vm, DistMatrix.symbolic(Grid3D.tunable(vm, 2, 8), 256, 16))
         return vm
 

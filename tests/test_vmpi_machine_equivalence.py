@@ -281,7 +281,7 @@ class TestAxisFormExactness:
         whole-cover updates, compiled subcube replay) against the loop
         oracle recorded and replayed through :class:`ReferenceMachine`.
         A random prefix forces per-op replay; a prefix repeated in every
-        subcube keeps collapsed replay engaged with unequal clocks."""
+        subcube keeps the template run engaged with unequal clocks."""
         from repro.sched import compiled_replay_disabled
 
         p = c * c * d
