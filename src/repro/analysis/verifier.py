@@ -15,7 +15,7 @@ and dead phases nothing references.
 optional target machine size: template-size agreement, instance
 disjointness, rank bounds, and machine coverage -- the preconditions
 under which per-op replay
-(:meth:`~repro.sched.replay.BoundProgram.replay`) and a template run
+(:func:`~repro.sched.replay.replay`) and a template run
 (:class:`~repro.sched.replay.TemplateRun`) are *statically admissible*
 rather than trusted.
 

@@ -40,16 +40,17 @@ One CA-CQR pass:
    ``c**3`` positions hold two states -- the ``c**2`` diagonal ones and
    the rest -- and each op costs two class updates.
    Otherwise (a trace sink, a recording machine, asymmetric entry state)
-   the Gram dance is charged on the machine and one compiled subcube
-   program replayed per pass.  The per-subcube loop remains as the
-   oracle under :func:`~repro.sched.compiled_replay_disabled`.
+   the same function (:func:`_compiled_run`) charges each Gram dance on
+   the machine and replays the compiled subcube and merge programs per
+   op onto every subcube.  The per-subcube loop remains as the oracle
+   under :func:`~repro.sched.compiled_replay_disabled`.
 7. **MM3D per subcube** (line 8) forms ``Q = A R**-1`` on each subcube's
    own rows -- the one step whose data differ between subcubes, computed
    for all of them by one stacked multiply.
 
 CA-CQR2 runs two passes and merges ``R = R2 R1`` with one more per-subcube
 MM3D (Algorithm 9), computed once and charged in the same template run
-(or replayed per subcube on the per-pass path).
+(or by per-op replay).
 
 Setting ``c = 1`` degenerates to 1D-CQR2 (no column partitioning, one
 Allreduce); ``c = d = P**(1/3)`` gives the cubic 3D-CQR2.  The cost
@@ -82,6 +83,7 @@ from repro.sched import (
     TemplateRun,
     compiled_replay_enabled,
 )
+from repro.sched.replay import replay
 from repro.utils.validation import require
 from repro.vmpi.comm import ordered_sum
 from repro.vmpi.datatypes import SymbolicBlock
@@ -394,26 +396,6 @@ def _merge_program(c: int, n: int) -> Tuple[ChargeProgram, Grid3D]:
     return program, rec_grid
 
 
-def _use_subcube_replay(vm: VirtualMachine, a: DistMatrix) -> bool:
-    """Whether the compiled subcube paths apply.
-
-    Symbolic and numeric runs alike, with more than one subcube
-    (otherwise the loop is already minimal), and outside
-    :func:`repro.sched.compiled_replay_disabled` (the loop oracle that
-    equivalence tests diff compiled runs against).  Charges come from
-    compiled programs either way; numeric runs first compute the
-    numerics uncharged (``vm=None``): CFR3D, the transposes and the merge
-    on subcube 0's stacked blocks, form-Q's MM3D for every subcube at
-    once.  The template run (:func:`_template_run`) takes a plain,
-    untraced machine in per-subcube-symmetric state; anything else -- a
-    trace sink, a recorder, asymmetric entry state -- takes the per-pass
-    path, whose subcube replay emits every rank's events with exact
-    timestamps, so tracing does not force the loop.
-    """
-    g = a.grid
-    return g.dim_y > g.dim_x and compiled_replay_enabled()
-
-
 def _subcube_pass_numeric(a: DistMatrix, gram: DistMatrix,
                           base_case_size: int) -> CACQRResult:
     """Algorithm 8 lines 6-8 for every subcube, charging nothing.
@@ -434,32 +416,27 @@ def _subcube_pass_numeric(a: DistMatrix, gram: DistMatrix,
                        r_subcubes=SubcubeResults(a.grid, a.n, a.n, r.data))
 
 
-def _template_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
+def _compiled_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
                   phases: Sequence[str], gram_shift: Optional[float] = None,
-                  merge_phase: Optional[str] = None) -> Optional[CACQRResult]:
+                  merge_phase: Optional[str] = None) -> CACQRResult:
     """CA-CQR passes (one per entry of *phases*) and, with *merge_phase*,
-    CA-CQR2's ``R = R2 R1`` merge, charged on one ``c**3``-rank template.
+    CA-CQR2's ``R = R2 R1`` merge, charged from ``c**3``-rank programs.
 
-    The ``d/c`` subcubes run identical Gram-dance, CFR3D, form-Q and
-    merge schedules, and the one step that crosses them -- line 4's
-    strided Allreduce -- joins ranks holding identical state.  So the
-    whole charge schedule runs once, as compiled programs, on a
-    template machine seeded from subcube 0
-    (:class:`~repro.sched.replay.TemplateRun`), which then writes the
-    clocks and totals back to every subcube and installs every phase as a
-    lazy template plane: beyond those ``O(P)`` writes, the simulation
-    cost no longer depends on ``d``.
-    Numerics run first, uncharged.
-
-    Returns ``None`` -- nothing charged -- unless the compiled paths
-    apply and the template run's guard accepts the machine.
+    The ``d/c`` subcubes run identical schedules, so the numerics run
+    once, uncharged, and the one decision is how to charge.  When the
+    template run's guard (:meth:`~repro.sched.replay.TemplateRun.seed`)
+    accepts the machine, the whole schedule runs once on a template
+    seeded from subcube 0 and installed on every subcube as lazy planes:
+    beyond a few ``O(P)`` writes, the cost no longer depends on ``d``.
+    Otherwise each Gram dance is charged on the machine (its program is
+    exact only on the template, see :func:`_gram_program`) and the pass
+    and merge programs are replayed per op onto every subcube
+    (:func:`~repro.sched.replay.replay`).
     """
-    if not _use_subcube_replay(vm, a):
-        return None
     g = a.grid
     c, d, n = g.dim_x, g.dim_y, a.n
-    gram_program = _gram_program(c, d // c, a.local_rows, a.local_cols,
-                                 gram_shift is not None)
+    block = (a.local_rows, a.local_cols)
+    gram_program = _gram_program(c, d // c, *block, gram_shift is not None)
     pass_program, rec_grid = _subcube_pass_program(c, n, c * a.local_rows,
                                                    base_case_size)
     segments: List[Tuple[ChargeProgram, List[str]]] = []
@@ -472,10 +449,24 @@ def _template_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
         merge_program, _ = _merge_program(c, n)
         segments.append((merge_program,
                          merge_program.phases_with_prefix("@", merge_phase)))
-    run = TemplateRun.seed(vm, RankFamilyMap.subcubes(g, rec_grid),
+    binding = RankFamilyMap.subcubes(g, rec_grid)
+    run = TemplateRun.seed(vm, binding,
                            [name for _, names in segments for name in names])
-    if run is None:
-        return None
+
+    def charge(count: int) -> None:
+        """Charge the first *count* segments."""
+        if run is not None:
+            run.complete(segments[:count])
+            return
+        for k, (program, names) in enumerate(segments[:count]):
+            if program is gram_program:
+                phase = phases[k // 2]
+                _charge_cross_product(vm, g, block, block, phase,
+                                      symmetric=True, groups=d // c)
+                if gram_shift is not None:
+                    _charge_gram_shift(vm, g, n, phase)
+            else:
+                replay(vm, program, binding, names)
 
     results: List[CACQRResult] = []
     q = a
@@ -490,7 +481,7 @@ def _template_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
         try:
             results.append(_subcube_pass_numeric(q, gram[0], base_case_size))
         except CholeskyFailure:
-            run.complete(segments[:2 * k + 1])
+            charge(2 * k + 1)
             cfr3d(vm, gram[0], base_case_size, phase=f"{phase}.cfr3d")
             raise
         q = results[-1].q
@@ -501,13 +492,13 @@ def _template_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
         if a.is_numeric:
             template = mm3d(None, results[-1].r, results[0].r).data
         r_subcubes = SubcubeResults(g, n, n, template)
-    run.complete(segments)
+    charge(len(segments))
     return CACQRResult(q=results[-1].q, r_subcubes=r_subcubes)
 
 
 def _ca_cqr_pass(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
                  phase: str, gram_shift: Optional[float] = None) -> CACQRResult:
-    """One CA-CQR pass charged on the real machine (the per-pass path)."""
+    """One CA-CQR pass, subcube by subcube on the real machine (the loop)."""
     g = a.grid
     c, d = g.dim_x, g.dim_y
     gram = _gram_replicated(vm, a, phase)
@@ -515,29 +506,6 @@ def _ca_cqr_pass(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
         gram = _apply_gram_shift(vm, g, gram, a.n, gram_shift, phase)
 
     numeric = a.is_numeric
-    if _use_subcube_replay(vm, a):
-        # Compiled path: all d/c subcubes run the *identical* schedule on
-        # disjoint rank sets, so compile it once on a standalone c x c x c
-        # template grid (memoized across passes and calls) and replay it
-        # onto every subcube in one bound program -- the subcube loop
-        # stops scaling with d/c (the c = 1, d = P degenerate grid has P
-        # subcubes).  Numerics run first, so a CholeskyFailure leaves the
-        # machine exactly as the loop would.
-        program, rec_grid = _subcube_pass_program(c, a.n, c * a.local_rows,
-                                                  base_case_size)
-        if numeric:
-            try:
-                result = _subcube_pass_numeric(a, gram[0], base_case_size)
-            except CholeskyFailure:
-                cfr3d(vm, gram[0], base_case_size, phase=f"{phase}.cfr3d")
-                raise
-        else:
-            result = CACQRResult(q=DistMatrix.symbolic(g, a.m, a.n),
-                                 r_subcubes=SubcubeResults(g, a.n, a.n))
-        bound = program.specialize(RankFamilyMap.subcubes(g, rec_grid))
-        bound.replay(vm, phases=program.phases_with_prefix("@", phase))
-        return result
-
     q_parts: List[np.ndarray] = []
     r_subcubes: List[DistMatrix] = []
     for group in range(d // c):
@@ -561,14 +529,15 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
            phase: str = "cacqr", gram_shift: Optional[float] = None) -> CACQRResult:
     """One CA-CQR pass (Algorithm 8).
 
-    With ``d > c`` on a plain, untraced machine whose subcubes hold
-    identical state (a fresh one, say), the whole pass -- Gram dance,
-    shift and per-subcube stage -- is charged on one ``c**3``-rank
-    template standing for every subcube (:func:`_template_run`);
-    otherwise the Gram dance is charged on the machine and the subcube
-    stage replayed (or, under
-    :func:`~repro.sched.compiled_replay_disabled`, looped) per subcube.
-    Every path charges bit-identical clocks and ledgers.
+    With ``d > c`` the subcube stage is computed once and charged from
+    compiled programs (:func:`_compiled_run`): on a plain, untraced
+    machine whose subcubes hold identical state (a fresh one, say), the
+    whole pass -- Gram dance, shift and per-subcube stage -- on one
+    ``c**3``-rank template standing for every subcube; otherwise the
+    Gram dance on the machine and the subcube stage by per-op replay.
+    With ``d == c``, or under
+    :func:`~repro.sched.compiled_replay_disabled`, it loops over the
+    subcubes.  Every route charges bit-identical clocks and ledgers.
 
     Parameters
     ----------
@@ -596,11 +565,10 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
     c, _ = _validate(a)
     if base_case_size is None:
         base_case_size = default_base_case(a.n, c)
-    result = _template_run(vm, a, base_case_size, [phase],
-                           gram_shift=gram_shift)
-    if result is None:
-        result = _ca_cqr_pass(vm, a, base_case_size, phase, gram_shift)
-    return result
+    if a.grid.dim_y > c and compiled_replay_enabled():
+        return _compiled_run(vm, a, base_case_size, [phase],
+                             gram_shift=gram_shift)
+    return _ca_cqr_pass(vm, a, base_case_size, phase, gram_shift)
 
 
 def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = None,
@@ -609,34 +577,20 @@ def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = N
 
     Returns ``Q`` (distributed like ``a``) and ``R = R2 @ R1`` computed by
     one MM3D per subcube (each subcube already holds both factors, so the
-    merge needs no cross-subcube communication).  Where :func:`ca_cqr`'s
-    template run applies, both passes and the merge run as *one* template
-    run, so the machine's subcubes are written once.
+    merge needs no cross-subcube communication).  With ``d > c`` both
+    passes and the merge are charged by one :func:`_compiled_run`: as
+    *one* template run where :func:`ca_cqr`'s applies, so the machine's
+    subcubes are written once, and by per-op replay otherwise.
     """
     c, d = _validate(a)
     if base_case_size is None:
         base_case_size = default_base_case(a.n, c)
-    result = _template_run(vm, a, base_case_size,
-                           [f"{phase}.pass1", f"{phase}.pass2"],
-                           merge_phase=phase)
-    if result is not None:
-        return result
+    if d > c and compiled_replay_enabled():
+        return _compiled_run(vm, a, base_case_size,
+                             [f"{phase}.pass1", f"{phase}.pass2"],
+                             merge_phase=phase)
     first = _ca_cqr_pass(vm, a, base_case_size, f"{phase}.pass1")
     second = _ca_cqr_pass(vm, first.q, base_case_size, f"{phase}.pass2")
-
-    g = a.grid
-    if _use_subcube_replay(vm, a):
-        # Same compiled path as the per-subcube CFR3D stage: the merge
-        # MM3D is identical per subcube, so one memoized template program
-        # replays onto all of them (and numeric runs multiply once).
-        program, rec_grid = _merge_program(c, a.n)
-        template = None
-        if a.is_numeric:
-            template = mm3d(None, second.r, first.r).data
-        bound = program.specialize(RankFamilyMap.subcubes(g, rec_grid))
-        bound.replay(vm, phases=program.phases_with_prefix("@", phase))
-        return CACQRResult(q=second.q,
-                           r_subcubes=SubcubeResults(g, a.n, a.n, template))
 
     r_subcubes: List[DistMatrix] = []
     for group in range(d // c):

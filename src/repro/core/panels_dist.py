@@ -38,6 +38,7 @@ from repro.core.elementwise import dist_sub
 from repro.core.mm3d import mm3d, mm3d_stacked
 from repro.sched import (ChargeProgram, RankFamilyMap, ScheduleRecorder,
                          compiled_replay_enabled)
+from repro.sched.replay import replay
 from repro.utils.validation import check_positive_int, require
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
@@ -65,9 +66,9 @@ def _panel_update_program(c: int, rows_per_subcube: int, b: int,
 
     The MM3D + elementwise subtraction pair is identical on every
     subcube, so one ``c x c x c`` template recording replays onto all
-    ``d/c`` subcubes as a single bound program.  Keyed per trailing width
-    ``rest_n`` -- each panel index has its own -- and memoized across
-    runs.
+    ``d/c`` subcubes in one :func:`~repro.sched.replay.replay`.  Keyed
+    per trailing width ``rest_n`` -- each panel index has its own -- and
+    memoized across runs.
     """
     rec = ScheduleRecorder(c * c * c)
     rec_grid = Grid3D.build(rec, c, c, c)
@@ -94,8 +95,8 @@ def _update_trailing(vm: VirtualMachine, q: DistMatrix, w: SubcubeResults,
     if g.dim_y > c and compiled_replay_enabled():
         program, rec_grid = _panel_update_program(c, c * rest.local_rows,
                                                   q.n, rest.n)
-        bound = program.specialize(RankFamilyMap.subcubes(g, rec_grid))
-        bound.replay(vm, phases=program.phases_with_prefix("@", phase))
+        replay(vm, program, RankFamilyMap.subcubes(g, rec_grid),
+               program.phases_with_prefix("@", phase))
         if rest.data is None:
             return DistMatrix.symbolic(g, rest.m, rest.n)
         update = mm3d_stacked(q.data, w.template)  # type: ignore[arg-type]

@@ -20,7 +20,6 @@ from repro.kernels.flops import (
     chol_flops,
     trinv_flops,
     cholinv_flops,
-    trsm_flops,
     householder_flops,
     elementwise_flops,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "chol_flops",
     "trinv_flops",
     "cholinv_flops",
-    "trsm_flops",
     "householder_flops",
     "elementwise_flops",
     "local_mm",

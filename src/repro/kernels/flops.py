@@ -63,11 +63,6 @@ def cholinv_flops(n: int) -> float:
     return chol_flops(n) + trinv_flops(n)
 
 
-def trsm_flops(m: int, n: int) -> float:
-    """Triangular solve with an ``n x n`` triangle and ``m`` right-hand rows."""
-    return float(m) * n * n
-
-
 def householder_flops(m: int, n: int) -> float:
     """Householder QR of ``m x n`` (the paper's Gigaflops numerator)."""
     return 2.0 * m * n * n - (2.0 / 3.0) * n ** 3

@@ -3,32 +3,33 @@
 PR 4 proved the decisive symbolic-simulation optimization -- record a
 schedule once, replay it as family-batched array charges -- but as a
 hand-rolled special case inside ``core/cacqr.py``.  This package promotes
-it into a first-class compiled artifact with a *capture -> specialize ->
-replay* life cycle::
+it into a first-class compiled artifact with a *capture -> replay, or
+template run* life cycle::
 
     from repro.sched import RankFamilyMap, ScheduleRecorder
+    from repro.sched.replay import replay
 
     rec = ScheduleRecorder(c * c * c)            # template machine
     ...run any symbolic schedule on it...        # records, charges nothing
     program = rec.program()                      # the IR
-    bound = program.specialize(                  # bind to d/c subcubes
-        RankFamilyMap.subcubes(grid, template_grid))
-    bound.replay(vm)                             # bit-identical charges
+    binding = RankFamilyMap.subcubes(grid, template_grid)  # d/c subcubes
+    replay(vm, program, binding)                 # bit-identical charges
 
-Capture only records and replay only charges.  Replay is one exact
-per-op strategy (disjoint charges commute), composes with trace sinks,
-and does zero per-op phase-string work.  A :class:`TemplateRun` charges
+Capture only records and replay only charges.  Replay is one exact per-op strategy (disjoint
+charges commute), composes with trace sinks and recording machines, and
+does zero per-op phase-string work.  A :class:`TemplateRun` charges
 programs on one template standing for every instance instead, guarded by
 strict state-equality checks and run on rank classes, positions in equal
 state sharing one value (see :mod:`repro.sched.replay`); CA-CQR2 runs its
-whole schedule that way.  Whole engine runs can be captured and
-replayed through :mod:`repro.sched.capture` (the IR's test oracle: a
-replayed whole run reports exactly what a plain run does), and compiled
-programs can be cached machine-independently by :mod:`repro.sched.cache`.
+whole schedule that way, and replays per op where the guard declines.
+Whole engine runs can be captured and replayed through
+:mod:`repro.sched.capture` (the IR's test oracle: a replayed whole run
+reports exactly what a plain run does), and compiled programs can be
+cached machine-independently by :mod:`repro.sched.cache`.
 
 The :func:`compiled_replay_disabled` context manager forces every
 consumer back onto the uncompiled loop path -- the reference oracle the
-equivalence suite diffs compiled replay against.
+equivalence suite diffs compiled runs against.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ from repro.sched.program import (
     ChargeProgram,
 )
 from repro.sched.recorder import ScheduleRecorder
-from repro.sched.replay import BoundProgram, TemplateRun
+from repro.sched.replay import TemplateRun
 
 __all__ = [
-    "BoundProgram",
     "ChargeOp",
     "ChargeProgram",
     "OP_BARRIER",

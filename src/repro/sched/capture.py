@@ -26,6 +26,7 @@ from repro.obs import span
 from repro.sched.binding import RankFamilyMap
 from repro.sched.program import ChargeProgram
 from repro.sched.recorder import ScheduleRecorder
+from repro.sched.replay import replay
 from repro.utils.validation import require
 from repro.vmpi.machine import VirtualMachine
 
@@ -70,6 +71,5 @@ def replay_report(program: ChargeProgram,
     with span("sched.replay", ops=len(program),
               ranks=program.num_ranks):
         vm = VirtualMachine(program.num_ranks, machine)
-        bound = program.specialize(RankFamilyMap.identity(program.num_ranks))
-        bound.replay(vm)
+        replay(vm, program, RankFamilyMap.identity(program.num_ranks))
         return vm.report()

@@ -11,19 +11,18 @@ string per op.  A communicator family recorded from the machine's axis
 form keeps its ``(shape, axis)`` tag next to its group matrix (see
 :class:`ChargeOp`).
 
-The IR's life cycle is *capture -> specialize -> replay*, and each step
-does one job:
+The IR's life cycle is *capture -> replay, or template run*:
 
 * capture a run once on a :class:`~repro.sched.recorder.ScheduleRecorder`,
   which records the charges and charges nothing (or build a program
   directly);
-* :meth:`ChargeProgram.specialize` binds the template to a concrete
-  machine through a :class:`~repro.sched.binding.RankFamilyMap` -- one or
-  many disjoint instances of the template (the ``d/c`` subcubes of a
-  ``c x d x c`` grid, or the whole machine via the identity map);
-* :meth:`~repro.sched.replay.BoundProgram.replay` charges the bound ops,
-  op by op, into any :class:`~repro.vmpi.machine.VirtualMachine` -- the
-  step that charges -- bit-identical to executing the original loop.
+* charge it through a :class:`~repro.sched.binding.RankFamilyMap` onto
+  one or many disjoint instances of the template (the ``d/c`` subcubes
+  of a ``c x d x c`` grid, or the whole machine via the identity map):
+  :func:`~repro.sched.replay.replay` charges op by op into any
+  :class:`~repro.vmpi.machine.VirtualMachine`, a
+  :class:`~repro.sched.replay.TemplateRun` once for instances in
+  identical state -- both bit-identical to executing the original loop.
 
 Programs are machine-independent: op payloads are *counts* (messages,
 words, flops); the alpha-beta-gamma rates are applied by the machine at
@@ -48,7 +47,6 @@ from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.costmodel.collectives import CollectiveCost
-from repro.obs import span
 from repro.utils.validation import require
 from repro.vmpi.machine import axis_group_matrix
 
@@ -80,7 +78,7 @@ class ChargeOp:
     machine's axis form, the ``(shape, axis)`` view whose lines *are* the
     rows of ``ranks`` (see
     :meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_axis`).
-    Collapsed replay lowers a tagged op from the tag (an O(1) memo key,
+    A template run lowers a tagged op from the tag (an O(1) memo key,
     see :meth:`ChargeProgram.lowered`); every other reader (per-op
     replay, the verifier, the envelope analysis) reads ``ranks``, and
     ``ir/axis-form`` proves the two agree.
@@ -213,18 +211,6 @@ class ChargeProgram:
                 ids.setdefault(_structure(op, self.num_ranks), len(ids))
                 for op in self.ops])
         return self._structures
-
-    # -- specialization -----------------------------------------------------------
-
-    def specialize(self, binding) -> "BoundProgram":  # noqa: F821
-        """Bind the template to concrete machine ranks; see
-        :class:`~repro.sched.replay.BoundProgram`."""
-        from repro.sched.replay import BoundProgram
-
-        with span("sched.specialize", ops=len(self.ops),
-                  ranks=self.num_ranks,
-                  instances=getattr(binding, "instances", 1)):
-            return BoundProgram(self, binding)
 
 
 class Partition(NamedTuple):

@@ -20,8 +20,8 @@ integer phase indices and replay never hashes a phase string per op.
 :class:`repro.vmpi.reference.RecordingMachine` is the flat-tuple
 recorder that records *and* charges (the equivalence-test harness); this
 class feeds the compiled-schedule pipeline: record on a standalone
-template machine, :meth:`program` the result, then specialize and replay
-it anywhere (see :mod:`repro.sched.program`).
+template machine, :meth:`program` the result, then replay it (or run it
+as a template run) anywhere (see :mod:`repro.sched.program`).
 """
 
 from __future__ import annotations

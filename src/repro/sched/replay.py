@@ -1,17 +1,17 @@
-"""Bound programs and template runs: charging a :class:`ChargeProgram`.
+"""Charging a :class:`ChargeProgram`: per-op replay and template runs.
 
-A :class:`BoundProgram` pairs a program with a
-:class:`~repro.sched.binding.RankFamilyMap` and replays it into a target
-:class:`~repro.vmpi.machine.VirtualMachine` op by op, with
+:func:`replay` charges a program into a target
+:class:`~repro.vmpi.machine.VirtualMachine` through a
+:class:`~repro.sched.binding.RankFamilyMap`, op by op, with
 **bit-identical** clocks, ledgers, and reports relative to executing the
 recorded loop directly: every op charges all bound instances in one
-vectorized machine call with pre-interned phase ids and precomputed
-concrete rank arrays -- zero per-op Python string work.  Disjoint
-instances commute, so charging them together is bit-identical to looping
-them.  Replay drives the machine's public trace-aware internals, so it
-composes with an attached :class:`~repro.vmpi.machine.TraceSink` (events
-are emitted per rank with exact start/end times; only the stream *order*
-differs from the loop path).
+vectorized machine call with pre-interned phase ids -- zero per-op Python
+string work.  Disjoint instances commute, so charging them together is
+bit-identical to looping them.  Replay drives the machine's public
+trace-aware internals, so it composes with an attached
+:class:`~repro.vmpi.machine.TraceSink` (events are emitted per rank with
+exact start/end times; only the stream *order* differs from the loop
+path) and with recording machines.
 
 A :class:`TemplateRun` is the other way to charge programs, exact under a
 guard: when every instance of a binding enters in *identical*
@@ -24,9 +24,10 @@ program's lowered form
 (:meth:`~repro.sched.program.ChargeProgram.lowered`) splits a class
 before any op that treats its members differently.  CA-CQR2 runs its
 whole schedule this way (:mod:`repro.core.cacqr`): two classes, whatever
-the template size.  When the instances cover the machine every phase is
-installed as a lazy template plane
-(:class:`~repro.vmpi.machine.LazyPlane`) instead of a ``(3, P)`` array.
+the template size; where the guard declines, it replays per op.  When
+the instances cover the machine every phase is installed as a lazy
+template plane (:class:`~repro.vmpi.machine.LazyPlane`) instead of a
+``(3, P)`` array.
 
 Both refuse, with a :class:`ValueError` and before charging anything, a
 binding that names a rank past the end of the machine.
@@ -34,7 +35,7 @@ binding that names a rank past the end of the machine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,86 +46,52 @@ from repro.utils.validation import require
 from repro.vmpi.machine import LazyPlane, VirtualMachine
 
 
-class BoundProgram:
-    """A program bound to concrete machine ranks, ready to replay."""
+def replay(vm: VirtualMachine, program: ChargeProgram,
+           binding: RankFamilyMap,
+           phases: Optional[Sequence[str]] = None) -> None:
+    """Charge *program* into *vm* through *binding*, op by op.
 
-    __slots__ = ("program", "binding", "_concrete")
-
-    def __init__(self, program: ChargeProgram, binding: RankFamilyMap):
-        require(binding.template_size == program.num_ranks,
-                f"binding template size {binding.template_size} does not "
-                f"match program rank space {program.num_ranks}")
-        self.program = program
-        self.binding = binding
-        self._concrete: Optional[list] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BoundProgram({self.program!r}, {self.binding!r})"
-
-    # -- concrete op materialization ----------------------------------------------
-
-    def _concrete_ops(self) -> list:
-        """Per-op concrete rank arrays, built on first replay and kept."""
-        if self._concrete is None:
-            maps = self.binding.maps
-            inst = maps.shape[0]
-            ops = []
-            for op in self.program.ops:
-                if op.kind == OP_COMM:
-                    grp = op.ranks
-                    arr = np.ascontiguousarray(
-                        maps[:, grp.reshape(-1)]
-                        .reshape(inst * grp.shape[0], grp.shape[1]))
-                elif op.kind == OP_FLOPS:
-                    arr = np.ascontiguousarray(maps[:, op.ranks].reshape(-1))
-                else:                        # barrier rows, one per instance
-                    arr = maps if op.ranks is None else maps[:, op.ranks]
-                ops.append((op.kind, arr, op.payload, op.phase))
-            self._concrete = ops
-        return self._concrete
-
-    # -- replay -------------------------------------------------------------------
-
-    def replay(self, vm: VirtualMachine,
-               phases: Optional[Sequence[str]] = None) -> None:
-        """Charge the bound ops into *vm*, op by op.
-
-        ``phases`` optionally substitutes the program's phase table (same
-        length, e.g. from
-        :meth:`~repro.sched.program.ChargeProgram.phases_with_prefix`) --
-        rebasing costs a few string operations per *distinct phase*, never
-        per op.
-        """
-        names = self.program.phases if phases is None else list(phases)
-        require(len(names) == len(self.program.phases),
-                f"phase table length {len(names)} does not match program "
-                f"({len(self.program.phases)} phases)")
-        self.binding.require_fits(vm.num_ranks)
-        if type(vm) is VirtualMachine:
-            # Hot path: resolve phase ids once, then drive the pre-interned
-            # internals -- no per-op string hashing.
-            pids = [vm._phase_id(n) for n in names]
-            charge_comm = vm._charge_comm_groups_id
-            charge_flops = vm._charge_flops_group_id
-            for kind, arr, payload, pidx in self._concrete_ops():
-                if kind == OP_COMM:
-                    charge_comm(arr, payload, pids[pidx])
-                elif kind == OP_FLOPS:
-                    charge_flops(arr, payload, pids[pidx])
-                else:
-                    for row in arr:
-                        vm.barrier(row)
-        else:
-            # Subclassed machines (recorders, reference harnesses) go
-            # through the public API so their overrides observe every op.
-            for kind, arr, payload, pidx in self._concrete_ops():
-                if kind == OP_COMM:
-                    vm.charge_comm_groups(arr, payload, names[pidx])
-                elif kind == OP_FLOPS:
-                    vm.charge_flops_group(arr, payload, names[pidx])
-                else:
-                    for row in arr:
-                        vm.barrier(row)
+    ``phases`` optionally substitutes the program's phase table (same
+    length, e.g. from
+    :meth:`~repro.sched.program.ChargeProgram.phases_with_prefix`) --
+    rebasing costs a few string operations per *distinct phase*, never
+    per op.
+    """
+    require(binding.template_size == program.num_ranks,
+            f"binding template size {binding.template_size} does not "
+            f"match program rank space {program.num_ranks}")
+    names = program.phases if phases is None else list(phases)
+    require(len(names) == len(program.phases),
+            f"phase table length {len(names)} does not match program "
+            f"({len(program.phases)} phases)")
+    binding.require_fits(vm.num_ranks)
+    if type(vm) is VirtualMachine:
+        # Hot path: resolve phase ids once, then drive the pre-interned
+        # internals -- no per-op string hashing.
+        phase_of: list = [vm._phase_id(n) for n in names]
+        charge_comm: Callable[..., None] = vm._charge_comm_groups_id
+        charge_flops: Callable[..., None] = vm._charge_flops_group_id
+    else:
+        # Subclassed machines (recorders, reference harnesses) go
+        # through the public API so their overrides observe every op.
+        phase_of = names
+        charge_comm = vm.charge_comm_groups
+        charge_flops = vm.charge_flops_group
+    maps = binding.maps
+    inst = maps.shape[0]
+    for op in program.ops:
+        if op.kind == OP_COMM:
+            grp = op.ranks
+            charge_comm(np.ascontiguousarray(
+                maps[:, grp.reshape(-1)]
+                .reshape(inst * grp.shape[0], grp.shape[1])),
+                op.payload, phase_of[op.phase])
+        elif op.kind == OP_FLOPS:
+            charge_flops(np.ascontiguousarray(maps[:, op.ranks].reshape(-1)),
+                         op.payload, phase_of[op.phase])
+        else:                                # barrier rows, one per instance
+            for row in maps if op.ranks is None else maps[:, op.ranks]:
+                vm.barrier(row)
 
 
 #: Instance 0's ``(plane, touched)`` state of one phase; ``touched`` is

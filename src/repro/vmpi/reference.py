@@ -19,8 +19,9 @@ Both recorders exist for *verification*: this module's schedule is an
 untyped flat log for diffing machines against each other.  The
 production capture path is :class:`repro.sched.ScheduleRecorder`, which
 compiles runs into typed, rank-family-templated
-:class:`~repro.sched.ChargeProgram` objects that specialize to new
-grid bindings and replay vectorized (see :mod:`repro.sched`).
+:class:`~repro.sched.ChargeProgram` objects that bind to new grids and
+replay vectorized, op by op or as a template run (see
+:mod:`repro.sched`).
 """
 
 from __future__ import annotations

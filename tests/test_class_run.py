@@ -32,6 +32,7 @@ from repro.sched import (
     TemplateRun,
     compiled_replay_disabled,
 )
+from repro.sched.replay import replay
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine, axis_group_matrix
@@ -147,9 +148,7 @@ def loop(vm, program, binding):
 def test_class_run_per_op_and_loop_agree(name, layout, prefix):
     prog = program(name)
     machines = []
-    for charge in (class_run,
-                   lambda vm, prog, binding: prog.specialize(binding).replay(vm),
-                   loop):
+    for charge in (class_run, replay, loop):
         vm = VirtualMachine(32, STAMPEDE2)
         binding = bindings(32)[layout]
         if prefix == "symmetric":
@@ -208,24 +207,24 @@ def template_classes(c, d):
         mp.setattr(TemplateRun, "install", spy)
         ca_cqr2(vm, a)
     (labels,) = seen
-    (replay,) = [s for s in spans if s["name"] == "sched.replay"]
+    (run_span,) = [s for s in spans if s["name"] == "sched.replay"]
     return [set(np.flatnonzero(labels == k).tolist())
-            for k in range(labels.max() + 1)], replay
+            for k in range(labels.max() + 1)], run_span
 
 
 @pytest.mark.parametrize("c", [2, 3, 4, 8])
 def test_ca_cqr2_template_holds_the_diagonal_and_the_rest(c):
-    classes, replay = template_classes(c, 2 * c)
+    classes, run_span = template_classes(c, 2 * c)
     # Template position t is (x, y, z) with t = (z * c + y) * c + x.
     diagonal = {t for t in range(c ** 3) if t % c == (t // c) % c}
     assert sorted(map(len, classes)) == sorted([c * c, c ** 3 - c * c])
     assert diagonal in classes
-    assert replay["attrs"]["ranks"] == c ** 3
-    assert replay["attrs"]["classes"] == 2
-    assert replay["attrs"]["ops"] > 0
+    assert run_span["attrs"]["ranks"] == c ** 3
+    assert run_span["attrs"]["classes"] == 2
+    assert run_span["attrs"]["ops"] > 0
 
 
 def test_ca_cqr2_template_of_one_rank_holds_one_class():
-    classes, replay = template_classes(1, 4)
+    classes, run_span = template_classes(1, 4)
     assert classes == [{0}]
-    assert replay["attrs"]["classes"] == 1
+    assert run_span["attrs"]["classes"] == 1

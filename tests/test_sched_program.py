@@ -2,7 +2,7 @@
 
 Every assertion here is ``==`` / ``assert_array_equal``, never
 approx-equal: the Schedule IR's contract is that capturing a symbolic
-run, specializing it to a binding, and replaying it charges the machine
+run, binding it to concrete ranks, and replaying it charges the machine
 **bit-identically** to executing the original Python loop -- clocks,
 per-rank ledgers, and cost reports included.
 """
@@ -39,6 +39,7 @@ from repro.sched import (
 )
 from repro.sched.capture import capture_run, replay_report
 from repro.sched.program import OP_COMM, ChargeOp, ChargeProgram
+from repro.sched.replay import replay
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -265,8 +266,8 @@ class TestTraceComposition:
         assert_machines_identical(vm_fast, vm_slow)
 
 
-class TestBoundProgram:
-    """Direct IR lifecycle: capture -> specialize -> replay."""
+class TestReplay:
+    """Direct IR lifecycle: capture -> replay, or template run."""
 
     @staticmethod
     def record_mm3d(c, m):
@@ -290,8 +291,7 @@ class TestBoundProgram:
         mm3d(plain, DistMatrix.symbolic(pg, 32, 32),
              DistMatrix.symbolic(pg, 32, 32), phase="@")
         vm = VirtualMachine(8)
-        bound = program.specialize(RankFamilyMap.identity(8))
-        bound.replay(vm)
+        replay(vm, program, RankFamilyMap.identity(8))
         assert_machines_identical(vm, plain)
         assert not rec._clock.any() and not rec._total.any()
         assert rec.elapsed == 0.0 and rec.report().phase_max == {}
@@ -305,8 +305,8 @@ class TestBoundProgram:
         vm, g = make_tunable(c, d)
         class_run(vm, program, RankFamilyMap.subcubes(g, tpl_grid), names)
         per_op, g_ops = make_tunable(c, d)
-        program.specialize(RankFamilyMap.subcubes(g_ops, tpl_grid)).replay(
-            per_op, phases=names)
+        replay(per_op, program, RankFamilyMap.subcubes(g_ops, tpl_grid),
+               names)
 
         vm_loop, g_loop = make_tunable(c, d)
         self.mm3d_loop(vm_loop, g_loop, c, d, m)
@@ -369,7 +369,7 @@ class TestBoundProgram:
         binding = RankFamilyMap.subcubes(g, tpl_grid)
         assert binding.slabs is not None
         assert TemplateRun.seed(vm, binding, names) is None
-        program.specialize(binding).replay(vm, phases=names)
+        replay(vm, program, binding, names)
 
         vm_loop, g_loop = make_tunable(c, d)
         prepare(vm_loop, g_loop)
@@ -403,7 +403,7 @@ class TestBoundProgram:
         vm = VirtualMachine(c * c * d, trace=True)
         binding = RankFamilyMap.subcubes(Grid3D.tunable(vm, c, d), tpl_grid)
         assert TemplateRun.seed(vm, binding, program.phases) is None
-        program.specialize(binding).replay(vm)
+        replay(vm, program, binding)
         assert len(vm.events) > 0
 
     def test_replay_interns_each_phase_once(self, monkeypatch):
@@ -415,7 +415,6 @@ class TestBoundProgram:
                       b)
         program = rec.program()
         assert len(program) > len(program.phases)
-        bound = program.specialize(RankFamilyMap.identity(program.num_ranks))
         interned = []
         phase_id = VirtualMachine._phase_id
 
@@ -424,7 +423,8 @@ class TestBoundProgram:
             return phase_id(vm, phase)
 
         monkeypatch.setattr(VirtualMachine, "_phase_id", counting_phase_id)
-        bound.replay(VirtualMachine(program.num_ranks))
+        replay(VirtualMachine(program.num_ranks), program,
+               RankFamilyMap.identity(program.num_ranks))
         assert 0 < len(interned) <= len(program.phases)
 
     def test_phase_table_rebase_rejects_wrong_prefix(self):
@@ -453,14 +453,14 @@ class TestBindingRankBounds:
             vm, program = VirtualMachine(4), self.PAIR
             binding = RankFamilyMap([[0, 1], [2, 4]])
         else:
-            program, tpl_grid = TestBoundProgram.record_mm3d(2, 8)
+            program, tpl_grid = TestReplay.record_mm3d(2, 8)
             vm = VirtualMachine(16)
             _, g = make_tunable(2, 8)          # a 32-rank grid
             binding = RankFamilyMap.subcubes(g, tpl_grid)
             assert binding.slabs is not None
         with pytest.raises(ValueError, match="past the end"):
             if charge == "replay":
-                program.specialize(binding).replay(vm)
+                replay(vm, program, binding)
             else:
                 TemplateRun.seed(vm, binding, program.phases)
         assert not vm._clock.any() and not vm._total.any()
@@ -589,7 +589,7 @@ class TestAxisTaggedReplay:
             binding = RankFamilyMap.subcubes(Grid3D.tunable(vm, c, d), tpl)
             cls.prefix(vm, binding, names, seed)
             if trace:
-                program.specialize(binding).replay(vm, phases=names)
+                replay(vm, program, binding, names)
             else:
                 class_run(vm, program, binding, names)
             machines.append(vm)

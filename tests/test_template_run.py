@@ -1,14 +1,16 @@
-"""CA-CQR's template run against the per-subcube loop oracle.
+"""CA-CQR's compiled run against the per-subcube loop oracle.
 
 With ``d > c`` on a plain, untraced machine whose subcubes hold identical
 state, :func:`repro.core.cacqr.ca_cqr2` (and one :func:`~repro.core.cacqr.ca_cqr`
 pass) charges its whole schedule -- both Gram dances, the subcube passes
 and the merge -- on one ``c**3``-rank template machine and writes it back
-to every subcube once.  These tests diff that against the loop under
-:func:`repro.sched.compiled_replay_disabled`: clocks, every per-rank
-ledger, the report, ``Q`` and ``R`` must be bit-identical, after a fresh
-start, after a per-subcube-symmetric prefix (which keeps the template run
-engaged) and after a random one (which must fall back).
+to every subcube once; a traced or recording machine, or asymmetric
+entry state, takes per-op replay instead.  These tests diff both
+against the loop under :func:`repro.sched.compiled_replay_disabled`:
+clocks, every per-rank ledger, the report, ``Q`` and ``R`` (and each
+rank's trace events) must be bit-identical, after a fresh start, after a
+per-subcube-symmetric prefix (which keeps the template run engaged) and
+after a random one (which must fall back).
 """
 
 import numpy as np
@@ -77,27 +79,55 @@ def _lazy(vm, name):
     return vm._phase_ids[name] in vm._lazy
 
 
+def _events(vm):
+    """Each rank's trace events, in recorded order."""
+    events = {}
+    for e in vm.events:
+        events.setdefault(e.rank, []).append((e.phase, e.kind, e.start, e.end))
+    return events
+
+
+MACHINES = {
+    "plain": VirtualMachine,
+    "traced": lambda p, spec: VirtualMachine(p, spec, trace=True),
+    "recording": RecordingMachine,
+}
+
+#: Every grid on the plain machine (the template run, or per-op replay
+#: after a random prefix); the machines that always take per-op replay
+#: on two grids, two rank classes at two subcubes and one at eight.
+GRIDS = [(machine, subcubes, c)
+         for machine in MACHINES
+         for subcubes in (2, 4, 8)
+         for c in (1, 2, 3, 4)
+         if machine == "plain" or (subcubes, c) in ((2, 2), (8, 1))]
+
+
 @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
 @pytest.mark.parametrize("prefix", ["fresh", "per-subcube", "random"])
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-@pytest.mark.parametrize("c", [1, 2, 3, 4])
-@pytest.mark.parametrize("subcubes", [2, 4, 8])
-def test_template_run_matches_loop_oracle(subcubes, c, algorithm, prefix,
-                                          numeric):
+@pytest.mark.parametrize("machine,subcubes,c", GRIDS)
+def test_template_run_matches_loop_oracle(machine, subcubes, c, algorithm,
+                                          prefix, numeric):
     d = c * subcubes
-    vm, got = _run(VirtualMachine, algorithm, c, d, numeric, prefix)
+    make = MACHINES[machine]
+    vm, got = _run(make, algorithm, c, d, numeric, prefix)
     with compiled_replay_disabled():
-        loop_vm, want = _run(VirtualMachine, algorithm, c, d, numeric, prefix)
+        loop_vm, want = _run(make, algorithm, c, d, numeric, prefix)
     assert_machines_identical(vm, loop_vm)
     assert vm.phase_names == loop_vm.phase_names
     assert _factors(got) == _factors(want)
+    if machine == "traced":
+        assert vm.events and _events(vm) == _events(loop_vm)
 
-    # The template run engaged exactly when the subcubes were symmetric:
-    # its Gram dance then never built a (3, P) plane.
+    # The template run engaged exactly on a plain machine whose subcubes
+    # were symmetric: its Gram dance then never built a (3, P) plane.
     gram_phase = {"ca_cqr2": "cacqr2.pass1", "ca_cqr": "cacqr",
                   "ca_shifted_cqr3": "sCQR3.shifted-pass"}[algorithm]
-    assert _lazy(vm, f"{gram_phase}.allreduce-roots") == (prefix != "random")
-    if prefix == "fresh" and algorithm != "ca_shifted_cqr3":
+    assert _lazy(vm, f"{gram_phase}.allreduce-roots") == \
+        (machine == "plain" and prefix != "random")
+    if machine == "plain" and prefix == "fresh" \
+            and algorithm != "ca_shifted_cqr3":
         # Nothing else charged the machine: every phase is lazy.
         assert len(vm._lazy) == len(vm.phase_names)
         assert all(plane is None for plane in vm._planes)
@@ -107,7 +137,7 @@ def test_template_run_matches_loop_oracle(subcubes, c, algorithm, prefix,
 def test_each_guard_input_alone_forces_the_fallback(perturb):
     """Subcubes that agree on everything but one guard input -- clocks,
     totals, or one phase the run charges (concrete, or lazy from an
-    earlier run) -- take the per-pass path, bit-identical to the loop."""
+    earlier run) -- take per-op replay, bit-identical to the loop."""
     c, d = 2, 8
 
     def run():
@@ -212,12 +242,12 @@ class TestUntracedBreakdown:
         assert got == want               # after the retry
 
     @pytest.mark.parametrize("failing_pass", [1, 2])
-    def test_failure_in_either_pass_matches_per_pass_path(self, failing_pass,
+    def test_failure_in_either_pass_matches_per_op_replay(self, failing_pass,
                                                           monkeypatch):
         """Inject a breakdown into pass 1's or pass 2's numerics: the
-        template run must leave what the per-pass path (taken by a
-        recording machine) leaves -- everything up to that pass's Gram
-        dance plus subcube 0's CFR3D."""
+        template run must leave what per-op replay (taken by a recording
+        machine) leaves -- everything up to that pass's Gram dance plus
+        subcube 0's CFR3D."""
         inner = cacqr._subcube_pass_numeric
 
         def run(machine):
@@ -244,7 +274,7 @@ class TestUntracedBreakdown:
         assert vm.phase_names == ref.phase_names
 
 
-def test_traced_and_recording_machines_take_the_per_pass_path():
+def test_traced_and_recording_machines_take_per_op_replay():
     for machine in (lambda p: VirtualMachine(p, trace=True), RecordingMachine):
         vm = machine(32)
         ca_cqr2(vm, DistMatrix.symbolic(Grid3D.tunable(vm, 2, 8), 256, 16))
