@@ -24,11 +24,14 @@ One CA-CQR pass:
 6. **d/c simultaneous CFR3D calls** (lines 6-7) on the cubic subgrids
    ``Pi[:, g*c:(g+1)*c, :]`` produce ``R.T`` and ``R**-T`` redundantly per
    subcube -- after which *no further cross-subcube communication is
-   needed*.  Every subcube factors a bit-identical Gram matrix, so with
-   ``d > c`` the simulation computes these numerics once, uncharged, on
-   subcube 0's stacked blocks.  The charges come from compiled programs
-   (:mod:`repro.sched`): on a plain, untraced machine whose subcubes hold
-   identical state, the *whole* schedule -- both Gram dances (line 4
+   needed*.  Every subcube factors a bit-identical Gram matrix, so --
+   compiled unless :func:`~repro.sched.compiled_replay_disabled` -- the
+   simulation computes these numerics once, uncharged, on subcube 0's
+   stacked blocks, for ``d > c`` and the cubic ``d == c`` (one subcube)
+   alike.  The charges come from compiled programs (:mod:`repro.sched`;
+   CFR3D's is captured one recursion level at a time, see
+   :mod:`repro.core.cfr3d`): on a plain, untraced machine whose subcubes
+   hold identical state, the *whole* schedule -- both Gram dances (line 4
    joins ranks in identical state, so it needs no second subcube), both
    subcube passes and the merge -- runs once on a ``c**3``-rank template
    seeded from subcube 0 and is written back to every subcube once:
@@ -69,7 +72,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cfr3d import cfr3d, default_base_case
+from repro.core.cfr3d import _cfr3d_program, cfr3d, default_base_case
 from repro.core.mm3d import mm3d, mm3d_stacked
 from repro.costmodel import collectives as cc
 from repro.kernels import flops as fl
@@ -361,22 +364,30 @@ def _subcube_pass_program(c: int, n: int, rows_per_subcube: int,
     Recorded once per ``(c, n, rows, n0)`` under the placeholder phase
     prefix ``"@"`` and memoized: both CA-CQR2 passes (and every caller
     with the same shapes) reuse the identical program through
-    :meth:`~repro.sched.program.ChargeProgram.phases_with_prefix`.
-    Returns the program together with its template grid, whose layout the
-    subcube binding inverts.
+    :meth:`~repro.sched.program.ChargeProgram.phases_with_prefix`.  The
+    CFR3D part is spliced from :func:`~repro.core.cfr3d._cfr3d_program`,
+    memoized per ``(c, n, n0)`` and so shared across row counts; only
+    form-Q and form-R are recorded here.  The ``sched.capture`` span's
+    ``levels`` counts the CFR3D levels this capture recorded (its nested
+    level captures open no span of their own).  Returns the program
+    together with its template grid, whose layout the subcube binding
+    inverts.
     """
     with span("sched.capture", ranks=c * c * c) as sp:
+        misses = _cfr3d_program.cache_info().misses
         rec = ScheduleRecorder(c * c * c)
         rec_grid = Grid3D.build(rec, c, c, c)
-        z0 = DistMatrix.symbolic(rec_grid, n, n)
-        l0, y0 = cfr3d(rec, z0, base_case_size, phase="@.cfr3d")
-        rinv0 = dist_transpose(rec, y0, "@.form-q.transpose")
+        rec.extend(_cfr3d_program(c, n, base_case_size))
+        # CFR3D's L and Y, shape-only: the charges below read shapes only.
+        factor = DistMatrix.symbolic(rec_grid, n, n)
+        rinv0 = dist_transpose(rec, factor, "@.form-q.transpose")
         a0 = DistMatrix.symbolic(rec_grid, rows_per_subcube, n)
         mm3d(rec, a0, rinv0, phase="@.form-q.mm3d",
              flop_fraction=fl.TRMM_FRACTION)
-        dist_transpose(rec, l0, "@.form-r.transpose")
+        dist_transpose(rec, factor, "@.form-r.transpose")
         program = rec.program()
-        sp.set(ops=len(program))
+        sp.set(ops=len(program),
+               levels=_cfr3d_program.cache_info().misses - misses)
     return program, rec_grid
 
 
@@ -529,15 +540,17 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
            phase: str = "cacqr", gram_shift: Optional[float] = None) -> CACQRResult:
     """One CA-CQR pass (Algorithm 8).
 
-    With ``d > c`` the subcube stage is computed once and charged from
-    compiled programs (:func:`_compiled_run`): on a plain, untraced
-    machine whose subcubes hold identical state (a fresh one, say), the
-    whole pass -- Gram dance, shift and per-subcube stage -- on one
-    ``c**3``-rank template standing for every subcube; otherwise the
-    Gram dance on the machine and the subcube stage by per-op replay.
-    With ``d == c``, or under
-    :func:`~repro.sched.compiled_replay_disabled`, it loops over the
-    subcubes.  Every route charges bit-identical clocks and ledgers.
+    Compiled unless :func:`~repro.sched.compiled_replay_disabled`, the
+    subcube stage is computed once and charged from compiled programs
+    (:func:`_compiled_run`), on a cubic grid (``d == c``, one subcube)
+    too: on a plain, untraced machine whose subcubes hold identical
+    state (a fresh one, say), the whole pass -- Gram dance, shift and
+    per-subcube stage -- on one ``c**3``-rank template standing for
+    every subcube; otherwise the Gram dance on the machine and the
+    subcube stage by per-op replay.  Under
+    :func:`~repro.sched.compiled_replay_disabled` it loops over the
+    subcubes (the oracle).  Every route charges bit-identical clocks and
+    ledgers.
 
     Parameters
     ----------
@@ -565,7 +578,7 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
     c, _ = _validate(a)
     if base_case_size is None:
         base_case_size = default_base_case(a.n, c)
-    if a.grid.dim_y > c and compiled_replay_enabled():
+    if compiled_replay_enabled():
         return _compiled_run(vm, a, base_case_size, [phase],
                              gram_shift=gram_shift)
     return _ca_cqr_pass(vm, a, base_case_size, phase, gram_shift)
@@ -577,15 +590,17 @@ def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = N
 
     Returns ``Q`` (distributed like ``a``) and ``R = R2 @ R1`` computed by
     one MM3D per subcube (each subcube already holds both factors, so the
-    merge needs no cross-subcube communication).  With ``d > c`` both
-    passes and the merge are charged by one :func:`_compiled_run`: as
-    *one* template run where :func:`ca_cqr`'s applies, so the machine's
-    subcubes are written once, and by per-op replay otherwise.
+    merge needs no cross-subcube communication).  Compiled unless
+    :func:`~repro.sched.compiled_replay_disabled`, both passes and the
+    merge are charged by one :func:`_compiled_run`: as *one* template
+    run where :func:`ca_cqr`'s applies, so the machine's subcubes are
+    written once, and by per-op replay otherwise.  The loop below is the
+    oracle.
     """
     c, d = _validate(a)
     if base_case_size is None:
         base_case_size = default_base_case(a.n, c)
-    if d > c and compiled_replay_enabled():
+    if compiled_replay_enabled():
         return _compiled_run(vm, a, base_case_size,
                              [f"{phase}.pass1", f"{phase}.pass2"],
                              merge_phase=phase)

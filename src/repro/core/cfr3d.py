@@ -21,11 +21,21 @@ then every processor computes ``CholInv`` redundantly (Algorithm 3 lines
 (Section II-D): the paper's choice ``n0 = n / p**2`` minimizes
 communication, giving the Table I cost
 ``O(p**2 log p) alpha + O(n**2 / p**2) beta + O(n**3 / p**3) gamma``.
+
+Both recursive calls (lines 5 and 11) factor an ``n/2 x n/2`` quadrant on
+the same grid, so their charge schedules are identical.  A capture
+(:func:`_cfr3d_program`) therefore records one recursion level at a
+time: a level records its own ops and splices the memoized half-size
+program for each recursive call
+(:meth:`~repro.sched.recorder.ScheduleRecorder.extend`), so a cold
+capture records ``log2(n/n0) + 1`` levels instead of ``2 n/n0 - 1``
+recursion nodes, and equals a direct capture op for op.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import functools
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -33,10 +43,18 @@ from repro.core.elementwise import dist_neg, dist_sub
 from repro.core.mm3d import mm3d
 from repro.costmodel import collectives as cc
 from repro.kernels.cholesky import CholeskyFailure, local_cholinv
+from repro.sched.program import ChargeProgram
+from repro.sched.recorder import ScheduleRecorder
 from repro.utils.validation import is_power_of_two, require
 from repro.vmpi.datatypes import NumericBlock, SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
+from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
+
+#: A recursive step of :func:`_cfr3d_recursive`: ``(vm, a, n0, phase) ->
+#: (L, Y)`` for a half-size quadrant ``a``.
+Step = Callable[[Optional[VirtualMachine], DistMatrix, int, str],
+                Tuple[DistMatrix, DistMatrix]]
 
 
 def default_base_case(n: int, p: int) -> int:
@@ -103,16 +121,20 @@ def cfr3d(vm: Optional[VirtualMachine], a: DistMatrix,
 
 
 def _cfr3d_recursive(vm: Optional[VirtualMachine], a: DistMatrix, n0: int,
-                     phase: str) -> Tuple[DistMatrix, DistMatrix]:
+                     phase: str, recurse: Optional[Step] = None
+                     ) -> Tuple[DistMatrix, DistMatrix]:
+    """Algorithm 3 on *a*, its recursive calls (lines 5 and 11) taken by
+    *recurse* -- by default the plain recursion."""
     if a.n <= n0:
         return _base_case(vm, a, phase)
+    step = _cfr3d_recursive if recurse is None else recurse
 
     a11 = a.quadrant(0, 0)
     a21 = a.quadrant(1, 0)
     a22 = a.quadrant(1, 1)
 
     # Line 5: recurse on the leading quadrant.
-    l11, y11 = _cfr3d_recursive(vm, a11, n0, phase)
+    l11, y11 = step(vm, a11, n0, phase)
 
     # Lines 6-7: L21 = A21 @ Y11.T  (global transpose, then MM3D).
     w = dist_transpose(vm, y11, f"{phase}.transpose")
@@ -126,7 +148,7 @@ def _cfr3d_recursive(vm: Optional[VirtualMachine], a: DistMatrix, n0: int,
     schur = dist_sub(vm, a22, u, f"{phase}.schur")
 
     # Line 11: recurse on the trailing quadrant.
-    l22, y22 = _cfr3d_recursive(vm, schur, n0, phase)
+    l22, y22 = step(vm, schur, n0, phase)
 
     # Lines 12-14: Y21 = (-Y22) @ (L21 @ Y11).
     u2 = mm3d(vm, l21, y11, f"{phase}.mm3d-u")
@@ -137,6 +159,35 @@ def _cfr3d_recursive(vm: Optional[VirtualMachine], a: DistMatrix, n0: int,
     l = DistMatrix.assemble_quadrants(l11, zero12, l21, l22)
     y = DistMatrix.assemble_quadrants(y11, zero12, y21, y22)
     return l, y
+
+
+@functools.lru_cache(maxsize=256)
+def _cfr3d_program(c: int, n: int, base_case_size: int) -> ChargeProgram:
+    """Compile CFR3D of an ``n x n`` matrix on a ``c x c x c`` template grid.
+
+    Recorded under the phase prefix ``"@.cfr3d"`` and memoized per
+    ``(c, n, n0)``, one level at a time: the level records only its own
+    ops -- the base case, or two transposes, four MM3Ds, the Schur
+    subtraction and the negation -- and splices the memoized
+    ``(c, n/2, n0)`` program for each recursive call.  The result equals
+    a direct capture of :func:`cfr3d` op for op, phase table included.
+    Opens no span: it runs inside its caller's ``sched.capture`` span.
+    Not verified on its own (``debug=False``): its ops are verified in
+    the program its caller compiles.
+    """
+    rec = ScheduleRecorder(c * c * c)
+    a = DistMatrix.symbolic(Grid3D.build(rec, c, c, c), n, n)
+    _validate(a, base_case_size)
+
+    def splice_half(_vm: Optional[VirtualMachine], half: DistMatrix, n0: int,
+                    _phase: str) -> Tuple[DistMatrix, DistMatrix]:
+        rec.extend(_cfr3d_program(c, half.n, n0))
+        # Shape-only L and Y: the charges that read them read shapes only.
+        out = DistMatrix.symbolic(half.grid, half.n, half.n)
+        return out, out
+
+    _cfr3d_recursive(rec, a, base_case_size, "@.cfr3d", recurse=splice_half)
+    return rec.program(debug=False)
 
 
 def _zero_like(template: DistMatrix) -> DistMatrix:

@@ -12,8 +12,12 @@ updated through the *same communication schedule* as the Gram dance:
 2. ``C <- C - Q_p W`` with one MM3D + elementwise subtraction per subcube.
 
 Each panel's CA-CQR2 is a plain :func:`~repro.core.cacqr.ca_cqr2` call, so
-symbolic panels are charged however CA-CQR2 is: with ``d > c`` on a plain,
-untraced machine, by one ``c**3``-rank template run per panel.
+symbolic panels are charged however CA-CQR2 is: compiled unless
+:func:`~repro.sched.compiled_replay_disabled`, on a plain, untraced
+machine by one ``c**3``-rank template run per panel.  The trailing
+update replays one compiled subcube program per panel, per op onto every
+subcube (the one subcube of a cubic grid included); the per-subcube loop
+is the oracle.
 
 Compared to plain CA-CQR2 this reduces the flop overhead from ``4 m n**2``
 toward ``2 m n**2 (1 + b/n)`` (panel CQR2 cost + GEMM-rate updates) at the
@@ -84,15 +88,17 @@ def _update_trailing(vm: VirtualMachine, q: DistMatrix, w: SubcubeResults,
                      rest: DistMatrix, phase: str) -> DistMatrix:
     """``C <- C - Q_p @ W``: one MM3D + elementwise subtraction per subcube.
 
-    The pair is identical on every subcube, so with ``d > c`` one
-    ``c x c x c`` template program replays onto all of them, family by
-    family, and numeric runs subtract one stacked product covering every
-    subcube's rows.  Outside compiled replay (the oracle) and on a cubic
-    grid it runs subcube by subcube.
+    The pair is identical on every subcube, so, compiled unless
+    :func:`~repro.sched.compiled_replay_disabled`, one ``c x c x c``
+    template program replays onto all of them (one, on a cubic grid),
+    family by family, and numeric runs subtract one stacked product
+    covering every subcube's rows.  Under
+    :func:`~repro.sched.compiled_replay_disabled` it runs subcube by
+    subcube (the oracle).
     """
     g = rest.grid
     c = g.dim_x
-    if g.dim_y > c and compiled_replay_enabled():
+    if compiled_replay_enabled():
         program, rec_grid = _panel_update_program(c, c * rest.local_rows,
                                                   q.n, rest.n)
         replay(vm, program, RankFamilyMap.subcubes(g, rec_grid),

@@ -16,6 +16,11 @@ its ``(shape, axis)`` tag next to the machine's cached, read-only group
 matrix, so a template run can lower it from the tag.  Phase strings are
 interned into the recorder's phase table at record time, so ops carry
 integer phase indices and replay never hashes a phase string per op.
+:meth:`ScheduleRecorder.extend` splices an already captured program in,
+op for op and with the phase table a direct recording would build: a
+recursive schedule is captured one level at a time, each level splicing
+the memoized program of the level below (CFR3D, see
+:mod:`repro.core.cfr3d`).
 
 :class:`repro.vmpi.reference.RecordingMachine` is the flat-tuple
 recorder that records *and* charges (the equivalence-test harness); this
@@ -33,6 +38,7 @@ import numpy as np
 from repro.costmodel.params import ABSTRACT_MACHINE, MachineSpec
 from repro.sched.program import OP_BARRIER, OP_COMM, OP_FLOPS, ChargeOp, ChargeProgram
 from repro.utils.config import env_sched_verify
+from repro.utils.validation import require
 from repro.vmpi.machine import VirtualMachine, axis_group_matrix
 
 
@@ -104,6 +110,36 @@ class ScheduleRecorder(VirtualMachine):
     def barrier(self, ranks=None):
         idx = None if ranks is None else self._rank_index(ranks).reshape(-1).copy()
         self._ops.append(ChargeOp(OP_BARRIER, idx, None, -1))
+
+    # -- splicing -----------------------------------------------------------------
+
+    def extend(self, program: ChargeProgram) -> None:
+        """Append *program*'s ops as if its charges were recorded here.
+
+        A capture splices a memoized sub-schedule this way instead of
+        running it again (CFR3D's half-size levels, see
+        :func:`repro.core.cfr3d._cfr3d_program`).  The program's phases
+        are interned in the order they first appear among its ops, so the
+        phase table -- and with it a report's ``phase_max`` key order --
+        is exactly the one recording the same charges directly builds.
+        Ops keeping their phase index are shared, not copied (nothing
+        mutates an op).  A program over another rank space raises
+        ``ValueError`` before anything is appended.
+        """
+        require(program.num_ranks == self.num_ranks,
+                f"cannot splice a {program.num_ranks}-rank program into a "
+                f"{self.num_ranks}-rank recorder")
+        names = program.phases
+        ids = {pid: self._op_phase(names[pid])
+               for pid in dict.fromkeys(op.phase for op in program.ops)
+               if pid >= 0}
+        if all(pid == new for pid, new in ids.items()):
+            self._ops.extend(program.ops)
+            return
+        ids[-1] = -1
+        self._ops.extend(ChargeOp(op.kind, op.ranks, op.payload, ids[op.phase],
+                                  axis=op.axis)
+                         for op in program.ops)
 
     # -- compilation --------------------------------------------------------------
 

@@ -5,9 +5,11 @@ import pytest
 
 from tests.conftest import make_cubic, spd_matrix
 
-from repro.core.cfr3d import cfr3d, default_base_case
+from repro.core.cfr3d import _cfr3d_program, cfr3d, default_base_case
 from repro.costmodel.analytic import cfr3d_cost
+from repro.sched import ScheduleRecorder
 from repro.vmpi.distmatrix import DistMatrix
+from repro.vmpi.grid import Grid3D
 
 
 class TestCorrectness:
@@ -124,3 +126,67 @@ class TestCosts:
         assert rep.phase_total("cfr.schur").flops > 0
         total = rep.phase_total("cfr")
         assert total.isclose(rep.max_cost)
+
+
+def _direct_capture(c, n, n0):
+    """CFR3D recorded node by node on a fresh recorder."""
+    rec = ScheduleRecorder(c ** 3)
+    cfr3d(rec, DistMatrix.symbolic(Grid3D.build(rec, c, c, c), n, n), n0,
+          "@.cfr3d")
+    return rec.program()
+
+
+def _assert_same_program(got, want):
+    assert got.num_ranks == want.num_ranks
+    assert got.phases == want.phases
+    assert len(got.ops) == len(want.ops)
+    for a, b in zip(got.ops, want.ops):
+        assert (a.kind, a.payload, a.phase, a.axis) == \
+            (b.kind, b.payload, b.phase, b.axis)
+        if b.ranks is None:
+            assert a.ranks is None
+        else:
+            assert (a.ranks.dtype, a.ranks.shape, a.ranks.tobytes()) == \
+                (b.ranks.dtype, b.ranks.shape, b.ranks.tobytes())
+
+
+class TestLevelCapture:
+    """CFR3D captured one recursion level at a time, each level splicing
+    the memoized half-size program, equals a direct capture."""
+
+    @pytest.mark.parametrize("levels", range(7), ids=lambda k: f"n/n0={2 ** k}")
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 8])
+    def test_composed_program_equals_direct_capture(self, c, levels):
+        n0 = c
+        n = n0 << levels
+        _cfr3d_program.cache_clear()
+        got = _cfr3d_program(c, n, n0)
+        # A cold capture records each level once: log2(n/n0) + 1 misses.
+        assert _cfr3d_program.cache_info().misses == levels + 1
+        _assert_same_program(got, _direct_capture(c, n, n0))
+
+    def test_spliced_phases_keep_first_appearance_order(self):
+        """A spliced program whose phases the recorder interned in another
+        order is re-indexed op by op, never re-ordered."""
+        half = _direct_capture(2, 8, 4)
+        rec = ScheduleRecorder(8)
+        rec.charge_flops(0, 1.0, "@.cfr3d.transpose")
+        rec.extend(half)
+        want = ScheduleRecorder(8)
+        want.charge_flops(0, 1.0, "@.cfr3d.transpose")
+        cfr3d(want, DistMatrix.symbolic(Grid3D.build(want, 2, 2, 2), 8, 8), 4,
+              "@.cfr3d")
+        _assert_same_program(rec.program(), want.program())
+
+    def test_extend_rejects_another_rank_space_before_appending(self):
+        rec = ScheduleRecorder(8)
+        with pytest.raises(ValueError, match="27-rank program"):
+            rec.extend(_cfr3d_program(3, 12, 3))
+        assert rec.num_ops == 0
+        assert rec.program().phases == []
+
+    def test_capture_validates_like_cfr3d(self):
+        with pytest.raises(ValueError, match="power of two"):
+            _cfr3d_program(2, 24, 4)
+        with pytest.raises(ValueError, match="divisible by grid extent"):
+            _cfr3d_program(4, 24, 6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import make_tunable
+from tests.test_template_run import MACHINES, _events
 from tests.test_vmpi_machine_equivalence import assert_machines_identical
 
 from repro.core.cacqr import ca_cqr2
@@ -108,7 +109,9 @@ class TestTemplateRunPerPanel:
         return vm
 
     @pytest.mark.parametrize("c,d,m,n,b", [(2, 8, 512, 32, 8),
-                                           (4, 8, 1024, 32, 16)])
+                                           (4, 8, 1024, 32, 16),
+                                           (2, 2, 128, 32, 8),
+                                           (4, 4, 256, 32, 16)])
     def test_one_class_run_per_panel_matches_the_loop(self, c, d, m, n, b):
         spans = _Spans()
         with use_observer(Observer(spans)):
@@ -126,6 +129,34 @@ class TestTemplateRunPerPanel:
             loop_vm = self.run(c, d, m, n, b)
         assert_machines_identical(vm, loop_vm)
         assert vm.phase_names == loop_vm.phase_names
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("c", [1, 2, 4])
+def test_cubic_grid_matches_the_loop(c, machine, numeric):
+    """On a cubic grid (one subcube) the compiled panels -- template runs
+    or per-op replay, and the trailing update replayed onto the one
+    subcube -- charge and compute what the loop does, bit for bit."""
+    m, n, b = 64 * c, 8 * c, 2 * c
+
+    def run():
+        vm = MACHINES[machine](c ** 3, STAMPEDE2)
+        g = Grid3D.tunable(vm, c, c)
+        a = (DistMatrix.from_global(g, random_matrix(m, n, rng=c))
+             if numeric else DistMatrix.symbolic(g, m, n))
+        res = ca_panel_cqr2(vm, a, b)
+        return vm, res
+
+    vm, got = run()
+    with compiled_replay_disabled():
+        loop_vm, want = run()
+    assert_machines_identical(vm, loop_vm)
+    assert vm.phase_names == loop_vm.phase_names
+    assert _events(vm) == _events(loop_vm)
+    if numeric:
+        assert got.q.to_global().tobytes() == want.q.to_global().tobytes()
+        assert got.r.tobytes() == want.r.tobytes()
 
 
 class TestValidation:

@@ -400,6 +400,59 @@ class TestPlannerSpanTree:
                               sort_keys=True))
 
 
+class TestCaptureSpans:
+    """Every memoized program capture is one ``sched.capture`` span, and
+    none nests in another: the perf harness sums them all into
+    ``plan.cold_capture_pct``, so a nested span would count twice.
+
+    The shapes here (``n = 20 c``, ``n0 = 12``) are this class's own, so
+    its captures run cold without emptying the memos other tests warmed.
+    """
+
+    def test_capture_spans_do_not_nest(self, tmp_path):
+        from repro.core.cacqr import ca_cqr2
+        from repro.core.panels_dist import ca_panel_cqr2
+        from repro.plan import Planner, ProblemSpec
+        from repro.vmpi.distmatrix import DistMatrix
+        from repro.vmpi.grid import Grid3D
+        from repro.vmpi.machine import VirtualMachine
+
+        sink = _ListSink()
+        obs = Observer(sink)
+        Planner(refine="symbolic", cache_dir=str(tmp_path), obs=obs).plan(
+            ProblemSpec(m=61440, n=240, procs=512, machine="stampede2"))
+        with use_observer(obs):
+            for c, d in ((2, 2), (2, 8), (4, 4)):
+                vm = VirtualMachine(c * c * d)
+                a = DistMatrix.symbolic(Grid3D.tunable(vm, c, d), 64 * d, 20 * c)
+                ca_cqr2(vm, a)
+                ca_panel_cqr2(vm, a, 10 * c)
+
+        by_id = {r["span_id"]: r for r in sink.spans}
+        captures = [r for r in sink.spans if r["name"] == "sched.capture"]
+        assert any("levels" in r["attrs"] for r in captures)
+        for record in captures:
+            parent = by_id.get(record["parent_id"])
+            while parent is not None:
+                assert parent["name"] != "sched.capture"
+                parent = by_id.get(parent["parent_id"])
+
+    def test_pass_capture_reports_the_cfr3d_levels_it_recorded(self):
+        """CFR3D's levels are memoized per (c, n, n0), apart from the row
+        count: a second row count records none, a doubled n one more."""
+        from repro.core.cacqr import _subcube_pass_program
+        from repro.core.cfr3d import _cfr3d_program
+
+        _cfr3d_program.cache_clear()
+        sink = _ListSink()
+        with use_observer(Observer(sink)):
+            _subcube_pass_program(4, 192, 1024, 12)   # n/n0 = 16: 5 levels
+            _subcube_pass_program(4, 192, 2048, 12)
+            _subcube_pass_program(4, 384, 1024, 12)
+        assert [r["attrs"]["levels"] for r in sink.spans
+                if r["name"] == "sched.capture"] == [5, 0, 1]
+
+
 # -- study spans --------------------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """CA-CQR's compiled run against the per-subcube loop oracle.
 
-With ``d > c`` on a plain, untraced machine whose subcubes hold identical
-state, :func:`repro.core.cacqr.ca_cqr2` (and one :func:`~repro.core.cacqr.ca_cqr`
+Compiled unless :func:`repro.sched.compiled_replay_disabled`, on a plain,
+untraced machine whose subcubes hold identical state,
+:func:`repro.core.cacqr.ca_cqr2` (and one :func:`~repro.core.cacqr.ca_cqr`
 pass) charges its whole schedule -- both Gram dances, the subcube passes
 and the merge -- on one ``c**3``-rank template machine and writes it back
 to every subcube once; a traced or recording machine, or asymmetric
@@ -10,7 +11,8 @@ against the loop under :func:`repro.sched.compiled_replay_disabled`:
 clocks, every per-rank ledger, the report, ``Q`` and ``R`` (and each
 rank's trace events) must be bit-identical, after a fresh start, after a
 per-subcube-symmetric prefix (which keeps the template run engaged) and
-after a random one (which must fall back).
+after a random one (which must fall back, unless the grid is cubic: its
+one subcube always agrees with itself).
 """
 
 import numpy as np
@@ -94,13 +96,14 @@ MACHINES = {
 }
 
 #: Every grid on the plain machine (the template run, or per-op replay
-#: after a random prefix); the machines that always take per-op replay
-#: on two grids, two rank classes at two subcubes and one at eight.
+#: after a random prefix), the cubic ``d == c`` one included; the
+#: machines that always take per-op replay on three grids: one subcube
+#: and two at c=2, eight at c=1.
 GRIDS = [(machine, subcubes, c)
          for machine in MACHINES
-         for subcubes in (2, 4, 8)
+         for subcubes in (1, 2, 4, 8)
          for c in (1, 2, 3, 4)
-         if machine == "plain" or (subcubes, c) in ((2, 2), (8, 1))]
+         if machine == "plain" or (subcubes, c) in ((1, 2), (2, 2), (8, 1))]
 
 
 @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
@@ -121,11 +124,12 @@ def test_template_run_matches_loop_oracle(machine, subcubes, c, algorithm,
         assert vm.events and _events(vm) == _events(loop_vm)
 
     # The template run engaged exactly on a plain machine whose subcubes
-    # were symmetric: its Gram dance then never built a (3, P) plane.
+    # were symmetric (one subcube always is): its Gram dance then never
+    # built a (3, P) plane.
     gram_phase = {"ca_cqr2": "cacqr2.pass1", "ca_cqr": "cacqr",
                   "ca_shifted_cqr3": "sCQR3.shifted-pass"}[algorithm]
     assert _lazy(vm, f"{gram_phase}.allreduce-roots") == \
-        (machine == "plain" and prefix != "random")
+        (machine == "plain" and (prefix != "random" or subcubes == 1))
     if machine == "plain" and prefix == "fresh" \
             and algorithm != "ca_shifted_cqr3":
         # Nothing else charged the machine: every phase is lazy.

@@ -123,8 +123,9 @@ class TestAlgorithmSchedules:
 
     def test_symbolic_equals_numeric_schedule_costs(self):
         """Numeric and symbolic runs charge one schedule: same costs, clocks
-        and per-rank trace events -- through subcube replay (d > c) and
-        through direct charging (d == c, and the loop oracle)."""
+        and per-rank trace events -- through subcube replay (d > c, and
+        d == c's one subcube) and through direct charging (the loop
+        oracle)."""
         from repro.sched import compiled_replay_disabled
         from tests.test_sched_program import TestTraceComposition
 

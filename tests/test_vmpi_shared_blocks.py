@@ -17,11 +17,13 @@ from tests.conftest import make_tunable
 
 from repro.core.cacqr import (
     SubcubeResults,
+    _gram_program,
     _merge_program,
     _subcube_pass_program,
     ca_cqr,
     ca_cqr2,
 )
+from repro.core.cfr3d import _cfr3d_program
 from repro.core.shifted import ca_shifted_cqr3
 from repro.sched import compiled_replay_disabled
 from repro.vmpi.datatypes import NumericBlock, SymbolicBlock
@@ -94,8 +96,9 @@ class TestObjectCounts:
     @staticmethod
     def constructed(monkeypatch, c, d, m, n):
         """``(data, block)`` of every DistMatrix one cold symbolic CA-CQR2 builds."""
-        _subcube_pass_program.cache_clear()
-        _merge_program.cache_clear()
+        for memo in (_gram_program, _cfr3d_program, _subcube_pass_program,
+                     _merge_program):
+            memo.cache_clear()
         contents = []
         init = DistMatrix._init
 
