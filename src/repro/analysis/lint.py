@@ -43,6 +43,14 @@ meaningless to a generic linter:
     axis, the one that grows with ``P`` (``d`` ranks on a ``c x d x c``
     grid, all ``P`` on 1D-CQR's ``1 x P x 1``).
 
+``lint/no-deep-asdict``
+    No ``dataclasses.asdict`` / ``astuple`` calls (also imported by
+    name) inside ``plan``, ``serve``, ``engine`` or ``costmodel``: both
+    recursively deep-copy every field, and on the planning and serving
+    path their output only becomes JSON or a cache key.  Read the fields
+    flat (``{f.name: getattr(obj, f.name) for f in
+    dataclasses.fields(obj)}``) and copy only what is mutable.
+
 All rules report as :class:`~repro.analysis.findings.Finding` with
 ``loc = "path:line"``, like every other ``repro check`` pass.
 """
@@ -62,6 +70,7 @@ LINT_RULES = {
     "lint/solver-count-fields": "registered Solver subclasses explicitly declare count_machine_fields",
     "lint/no-wallclock": "no wall-clock reads inside vmpi/sched/costmodel",
     "lint/no-per-rank-dict": "no dict.fromkeys(<x>.all_ranks(), ...) inside core/vmpi/baselines, no <grid>.coords(), range(<grid>.dim_y) or <grid>.rank_at(...) loops in the stacked steps",
+    "lint/no-deep-asdict": "no deep-copying dataclasses.asdict/astuple calls inside plan/serve/engine/costmodel",
 }
 
 #: Directories whose files must stay wall-clock-free (deterministic
@@ -70,6 +79,12 @@ WALLCLOCK_SCOPES = frozenset({"vmpi", "sched", "costmodel"})
 
 #: Directories whose symbolic matrices must stay O(1) objects per matrix.
 PER_RANK_DICT_SCOPES = frozenset({"core", "vmpi", "baselines"})
+
+#: Directories on the per-request planning and serving path, where a
+#: dataclass is serialized or hashed by a flat field read.
+DEEP_ASDICT_SCOPES = frozenset({"plan", "serve", "engine", "costmodel"})
+
+_DEEP_COPY_FUNCS = frozenset({"asdict", "astuple"})
 
 #: Modules (in those directories) whose numerics run on stacked arrays:
 #: no per-rank loops.
@@ -126,6 +141,35 @@ def _lint_wallclock(tree: ast.Module, path: str) -> List[Finding]:
                 "lint/no-wallclock", _loc(path, node),
                 f"wall-clock call {base}.{attr}() in the deterministic "
                 f"simulation core; thread timestamps in from the caller"))
+    return findings
+
+
+# -- lint/no-deep-asdict ----------------------------------------------------------
+
+
+def _lint_deep_asdict(tree: ast.Module, path: str) -> List[Finding]:
+    # Names bound by ``from dataclasses import asdict [as x]``.
+    imported = {alias.asname or alias.name: alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "dataclasses"
+                for alias in node.names if alias.name in _DEEP_COPY_FUNCS}
+    findings = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in _DEEP_COPY_FUNCS
+                and _terminal_name(func.value) == "dataclasses"):
+            name = func.attr
+        elif isinstance(func, ast.Name) and func.id in imported:
+            name = imported[func.id]
+        else:
+            continue
+        findings.append(Finding(
+            "lint/no-deep-asdict", _loc(path, node),
+            f"dataclasses.{name}() deep-copies every field; read the "
+            f"fields flat (dataclasses.fields) and copy only mutable ones"))
     return findings
 
 
@@ -347,6 +391,8 @@ def lint_source(source: str, path: str) -> List[Finding]:
         findings += _lint_wallclock(tree, path)
     if _in_scope(path, PER_RANK_DICT_SCOPES):
         findings += _lint_per_rank_dict(tree, path)
+    if _in_scope(path, DEEP_ASDICT_SCOPES):
+        findings += _lint_deep_asdict(tree, path)
     return findings
 
 

@@ -40,6 +40,7 @@ benchmark code:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
@@ -115,6 +116,9 @@ class MachineSpec:
 
     def __post_init__(self) -> None:
         check_positive_int(self.procs_per_node, "procs_per_node")
+        for name in ("peak_flops_per_node", "injection_bandwidth", "alpha"):
+            require(math.isfinite(getattr(self, name)),
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         require(self.peak_flops_per_node > 0, "peak_flops_per_node must be positive")
         require(self.injection_bandwidth > 0, "injection_bandwidth must be positive")
         require(0 < self.sequential_efficiency <= 1, "sequential_efficiency must be in (0, 1]")
@@ -158,8 +162,9 @@ class MachineSpec:
         return replace(self, procs_per_node=procs_per_node)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-able form of every field (see :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
+        """JSON-able form of every field, in declaration order (see
+        :meth:`from_dict`)."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "MachineSpec":

@@ -130,6 +130,16 @@ class RunSpec:
         return dataclasses.replace(self, **changes)
 
 
+def field_values(obj) -> tuple:
+    """A flat dataclass's field values in declaration order.
+
+    Equal to ``dataclasses.astuple(obj)`` for dataclasses whose fields
+    are scalars, without its recursive deep copy; cache keys feed its
+    ``repr``.
+    """
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
 def fingerprint(spec: RunSpec, canonical_algorithm: Optional[str] = None) -> str:
     """Stable content hash of a spec, for cache keys.
 
@@ -155,8 +165,8 @@ def fingerprint(spec: RunSpec, canonical_algorithm: Optional[str] = None) -> str
         arr = np.ascontiguousarray(np.asarray(spec.data, dtype=np.float64))
         feed("data", arr.shape, hashlib.sha256(arr.tobytes()).hexdigest())
     else:
-        feed("matrix", dataclasses.astuple(spec.matrix))
+        feed("matrix", field_values(spec.matrix))
     feed(spec.procs, spec.c, spec.d, spec.pr, spec.pc, spec.block_size,
          spec.mode, spec.base_case_size)
-    feed(dataclasses.astuple(spec.machine_spec()))
+    feed(field_values(spec.machine_spec()))
     return h.hexdigest()

@@ -98,7 +98,7 @@ class LatticeStats:
         return self.refine_jobs / max(1, self.refine_runs)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         out["screen_reuse"] = self.screen_reuse
         out["refine_dedup"] = self.refine_dedup
         return out

@@ -23,6 +23,7 @@ call (:class:`repro.Session`).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
@@ -54,9 +55,11 @@ class Budget:
     def __post_init__(self) -> None:
         require(self.metric in METRICS,
                 f"budget metric must be one of {METRICS}, got {self.metric!r}")
-        require(float(self.limit) > 0,
-                f"budget limit must be positive, got {self.limit!r}")
-        object.__setattr__(self, "limit", float(self.limit))
+        limit = float(self.limit)
+        require(math.isfinite(limit) and limit > 0,
+                f"budget limit must be positive and finite, "
+                f"got {self.limit!r}")
+        object.__setattr__(self, "limit", limit)
 
     @classmethod
     def parse(cls, text: str) -> "Budget":
@@ -94,8 +97,9 @@ class Objective:
                     f"objective metric must be one of {METRICS}, "
                     f"got {metric!r}")
             weight = float(weight)
-            require(weight >= 0,
-                    f"objective weights must be >= 0, got {metric}={weight}")
+            require(math.isfinite(weight) and weight >= 0,
+                    f"objective weights must be finite and >= 0, "
+                    f"got {metric}={weight}")
             canon.append((metric, weight))
         canon.sort()
         require(any(w > 0 for _, w in canon),
@@ -168,6 +172,13 @@ class Objective:
         if isinstance(value, str):
             return cls.parse(value)
         raise ValueError(f"cannot interpret {value!r} as a planning objective")
+
+    def to_dict(self) -> dict:
+        """JSON-able form: ``{"weights": ((metric, weight), ...),
+        "budgets": ({"metric", "limit"}, ...)}``."""
+        return {"weights": self.weights,
+                "budgets": tuple({"metric": b.metric, "limit": b.limit}
+                                 for b in self.budgets)}
 
     # -- semantics ----------------------------------------------------------------
 

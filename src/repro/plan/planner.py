@@ -39,6 +39,7 @@ from repro.engine.registry import solver_for
 from repro.engine.spec import MatrixSpec, RunSpec
 from repro.obs import Observer, get_registry, span, use_observer
 from repro.plan.cache import PlanCache
+from repro.plan.objective import Objective
 from repro.plan.problem import ProblemSpec, problem_fingerprint
 from repro.utils.validation import require
 
@@ -100,8 +101,15 @@ class Plan:
         return spec.replace(algorithm=self.algorithm, grid=None, **cleared)
 
     def to_dict(self) -> dict:
-        """JSON-able form (the ``repro plan --json`` schema)."""
-        out = dataclasses.asdict(self)
+        """JSON-able form (the ``repro plan --json`` schema).
+
+        The schema is every field in declaration order, then ``seconds``
+        and ``refined``.  The dict is a shallow copy: ``spec_fields`` is
+        copied and every other value is immutable, so mutating the dict
+        never touches the plan.
+        """
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        out["spec_fields"] = dict(self.spec_fields)
         out["seconds"] = self.seconds
         out["refined"] = self.refined
         return out
@@ -133,9 +141,21 @@ class PlanResult:
         return [p for p in self.plans if p.pareto]
 
     def to_dict(self) -> dict:
-        """JSON-able form (the ``repro plan --json`` schema)."""
-        problem = dataclasses.asdict(self.problem)
+        """JSON-able form (the ``repro plan --json`` schema).
+
+        The problem block is the :class:`ProblemSpec` fields in
+        declaration order, with the machine resolved to its field dict
+        and an :class:`~repro.plan.objective.Objective` as its
+        ``weights``/``budgets`` dict.  Each plan is :meth:`Plan.to_dict`:
+        its fields in declaration order plus ``seconds`` and
+        ``refined``.  Every dict is a fresh shallow copy, so mutating it
+        never touches this result or its plans.
+        """
+        problem = {f.name: getattr(self.problem, f.name)
+                   for f in dataclasses.fields(self.problem)}
         problem["machine"] = self.problem.machine_spec().to_dict()
+        if isinstance(self.problem.objective, Objective):
+            problem["objective"] = self.problem.objective.to_dict()
         return {
             "problem": problem,
             "plans": [p.to_dict() for p in self.plans],

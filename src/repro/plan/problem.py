@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Tuple, Union
 
 from repro.costmodel.params import MachineSpec, machine_by_name
-from repro.engine.spec import MODES
+from repro.engine.spec import MODES, field_values
 from repro.plan.objective import METRICS, Objective
 from repro.utils.validation import (
     ValidationError,
@@ -309,5 +309,5 @@ def problem_fingerprint(problem: ProblemSpec, *, refine: Optional[str],
     feed(PLANNER_VERSION, problem.m, problem.n, problem.procs,
          problem.mode, problem.objective, problem.effective_block_sizes(),
          problem.inverse_depths, problem.top_k, refine, algorithms)
-    feed(dataclasses.astuple(problem.machine_spec()))
+    feed(field_values(problem.machine_spec()))
     return h.hexdigest()

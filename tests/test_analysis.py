@@ -602,6 +602,29 @@ class TestLintRules:
         assert [f.rule for f in findings] == ["lint/no-wallclock"]
         assert lint_source(src, "src/repro/obs/fake.py") == []
 
+    @pytest.mark.parametrize("src", [
+        "import dataclasses\nout = dataclasses.asdict(plan)\n",
+        "import dataclasses\nkey = repr(dataclasses.astuple(machine))\n",
+        "from dataclasses import asdict\nout = asdict(plan)\n",
+        "from dataclasses import astuple as flat\nkey = flat(machine)\n",
+    ])
+    def test_deep_asdict_flagged_only_on_the_serving_path(self, src):
+        findings = lint_source(src, "src/repro/plan/fake.py")
+        assert [f.rule for f in findings] == ["lint/no-deep-asdict"]
+        assert findings[0].loc == "src/repro/plan/fake.py:2"
+        for scope in ("serve", "engine", "costmodel"):
+            assert len(lint_source(src, f"src/repro/{scope}/fake.py")) == 1
+        # Reporting code outside the per-request path keeps asdict.
+        assert lint_source(src, "src/repro/analysis/fake.py") == []
+
+    def test_flat_field_reads_pass(self):
+        for src in ("import dataclasses\n"
+                    "out = {f.name: getattr(p, f.name) "
+                    "for f in dataclasses.fields(p)}\n",
+                    "out = plan.asdict()\n",
+                    "def asdict(x):\n    return {}\nout = asdict(p)\n"):
+            assert lint_source(src, "src/repro/plan/fake.py") == [], src
+
     @pytest.mark.parametrize("keys", ["grid.all_ranks()",
                                       "self.grid.all_ranks()"])
     @pytest.mark.parametrize("scope", ["core", "vmpi", "baselines"])
@@ -711,6 +734,7 @@ class TestCheckCLI:
         out = capsys.readouterr().out
         for rule in list(PROGRAM_RULES) + ["lint/no-wallclock",
                                            "lint/no-per-rank-dict",
+                                           "lint/no-deep-asdict",
                                            "cache/unreadable"]:
             assert rule in out
 

@@ -323,6 +323,26 @@ class TestPlanObjectives:
         assert main(self.ARGS + ["--budget", "memory>9"]) == 2
         assert "error:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--objective", "time=1,memory=1e400"],
+        ["--objective", "time=inf"],
+        ["--budget", "memory<=1e400"],
+    ])
+    def test_non_finite_objective_is_an_error(self, capsys, flags):
+        # Accepting it printed a bare `Infinity` token in --json output.
+        assert main(self.ARGS + flags + ["--json"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error:") and "finite" in out
+
+    def test_non_finite_machine_file_is_an_error(self, capsys, tmp_path):
+        bad = tmp_path / "inf.json"
+        bad.write_text('{"name": "x", "peak_flops_per_node": 1e12, '
+                       '"injection_bandwidth": 1e400, "procs_per_node": 4, '
+                       '"alpha": 1e-6}')
+        assert main(self.ARGS + ["--machine-file", str(bad), "--json"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: machine:") and "finite" in out
+
     def test_json_includes_budget_flag(self, capsys):
         import json
 

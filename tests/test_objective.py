@@ -12,8 +12,10 @@ from repro.plan import (
     Planner,
     ProblemSpec,
     problem_fingerprint,
+    problem_from_dict,
     resolve_auto_spec,
 )
+from repro.utils.validation import ValidationError
 
 POINT = dict(m=2 ** 14, n=64, procs=256, machine="stampede2")
 
@@ -33,6 +35,15 @@ class TestBudget:
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             Budget("time", 0.0)
+
+    @pytest.mark.parametrize("limit", [1e400, float("inf"), float("nan")])
+    def test_limit_must_be_finite(self, limit):
+        with pytest.raises(ValueError, match="finite"):
+            Budget("memory", limit)
+
+    def test_parse_rejects_overflowing_limit(self):
+        with pytest.raises(ValueError, match="finite"):
+            Budget.parse("memory<=1e400")
 
 
 class TestObjective:
@@ -66,6 +77,19 @@ class TestObjective:
             Objective.parse("time=fast")
         with pytest.raises(ValueError, match="positive weight"):
             Objective.parse("time=0,memory=0")
+
+    @pytest.mark.parametrize("text", ["time=1,memory=1e400", "time=inf",
+                                      "time=1,messages=-inf",
+                                      "time=1,memory=nan"])
+    def test_parse_rejects_non_finite_weights(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            Objective.parse(text)
+
+    def test_non_finite_weights_rejected_in_every_spelling(self):
+        with pytest.raises(ValueError, match="finite"):
+            Objective(weights={"time": float("inf")})
+        with pytest.raises(ValueError, match="finite"):
+            Objective.coerce({"time": 1.0, "memory": float("inf")})
 
     def test_parse_rejects_duplicate_metric(self):
         # A likely typo ("time=1,time=0.2" for "...,memory=0.2") must not
@@ -132,6 +156,23 @@ class TestProblemSpecObjective:
         prints = {problem_fingerprint(p, refine=None, algorithms=("ca_cqr2",))
                   for p in (plain, weighted, budgeted)}
         assert len(prints) == 3
+
+
+    @pytest.mark.parametrize("objective, field", [
+        ("time=1,memory=1e400", "objective"),
+        ({"weights": {"time": float("inf")}}, "objective"),
+        ({"time": 1.0, "memory": float("inf")}, "objective"),
+        ({"budgets": [{"metric": "memory", "limit": 1e400}]},
+         "objective.budgets"),
+        ({"budgets": ["memory<=1e400"]}, "objective.budgets"),
+    ])
+    def test_non_finite_request_objective_is_labelled(self, objective,
+                                                      field):
+        # A non-finite weight or limit would serialize as a bare
+        # `Infinity` token (not JSON) and flatten the ranking.
+        with pytest.raises(ValidationError, match="finite") as err:
+            problem_from_dict(dict(POINT, objective=objective))
+        assert err.value.field == field
 
 
 class TestPlannerHonorsObjectives:

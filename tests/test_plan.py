@@ -20,8 +20,10 @@ from repro.plan import (
     enumerate_candidates,
     pareto_mask,
     problem_fingerprint,
+    problem_from_dict,
     resolve_auto_spec,
 )
+from repro.utils.validation import ValidationError
 
 SMALL = dict(m=2 ** 14, n=64, procs=256, machine="stampede2")
 
@@ -380,8 +382,9 @@ class TestPlannerCrossoverStudy:
 
 class TestMachineSpecJSON:
     def test_round_trip(self):
-        data = STAMPEDE2.to_dict()
-        assert MachineSpec.from_dict(data) == STAMPEDE2
+        for name in ("stampede2", "blue-waters", "abstract"):
+            preset = machine_by_name(name)
+            assert MachineSpec.from_dict(preset.to_dict()) == preset
 
     def test_defaults_for_calibration_fields(self):
         spec = MachineSpec.from_dict({
@@ -400,6 +403,17 @@ class TestMachineSpecJSON:
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             MachineSpec.from_dict({"name": "toy"})
+
+    @pytest.mark.parametrize("name", ["peak_flops_per_node",
+                                      "injection_bandwidth", "alpha"])
+    @pytest.mark.parametrize("value", [1e400, float("inf"), float("nan")])
+    def test_non_finite_constants_rejected(self, name, value):
+        data = dict(STAMPEDE2.to_dict(), **{name: value})
+        with pytest.raises(ValueError, match=name):
+            MachineSpec.from_dict(data)
+        with pytest.raises(ValidationError, match=name) as err:
+            problem_from_dict(dict(SMALL, machine=data))
+        assert err.value.field == "machine"
 
     def test_planning_for_a_custom_machine(self):
         custom = MachineSpec.from_dict({

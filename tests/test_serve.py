@@ -9,6 +9,7 @@ import urllib.request
 
 import pytest
 
+from repro.costmodel.params import STAMPEDE2
 from repro.obs import LatencyHistogram, Observer
 from repro.plan import Planner, problem_from_dict
 from repro.plan.cache import PlanCache
@@ -280,6 +281,26 @@ class TestServerEndpoint:
         status, payload = _post(server.address, "/factor",
                                 {"m": 64, "n": 8, "mode": "numeric"})
         assert status == 400 and payload["error"]["field"] == "mode"
+
+    @pytest.mark.parametrize("field, value, label", [
+        ("objective", "time=1,memory=1e400", "objective"),
+        ("objective", {"weights": {"time": float("inf")}}, "objective"),
+        ("objective", {"budgets": [{"metric": "memory", "limit": 1e400}]},
+         "objective.budgets"),
+        ("machine", dict(STAMPEDE2.to_dict(), alpha=float("inf")), "machine"),
+    ])
+    def test_non_finite_inputs_are_400(self, server, field, value, label):
+        # Accepted, they came back as a 200 whose body carried a bare
+        # `Infinity` token -- not JSON.
+        body = dict(BODY, **{field: value})
+        status, payload = _post(server.address, "/plan", body)
+        assert status == 400 and payload["error"]["field"] == label
+        assert "finite" in payload["error"]["message"]
+        status, payload = _post(server.address, "/plan_batch",
+                                {"problems": [BODY, body]})
+        assert status == 400
+        assert payload["error"]["field"].startswith("problems[1]")
+        assert "finite" in payload["error"]["message"]
 
     def test_malformed_json_is_400(self, server):
         req = urllib.request.Request(
