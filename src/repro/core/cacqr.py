@@ -125,11 +125,11 @@ class SubcubeResults(Sequence):
     """The ``d/c`` identical per-subcube ``m x n`` matrices of a ``c x d x c`` grid.
 
     Every cubic subcube holds the same blocks, so the sequence stores them
-    once -- one shape-only block (symbolic) or subcube 0's ``(c, c, c,
-    m/c, n/c)`` stacked *template* (numeric) -- and builds subcube ``k``'s
+    once -- one shape-only block (symbolic) or subcube 0's ``(c, c, 1,
+    m/c, n/c)`` *template* plane (numeric) -- and builds subcube ``k``'s
     :class:`DistMatrix` (and its :class:`Grid3D`) only when indexed: O(1)
     Python objects whatever ``d/c`` is.  A numeric subcube gets its own
-    copy of the template, so no two ranks' blocks alias.
+    copy of the one plane, so distinct subcubes' blocks never alias.
     """
 
     __slots__ = ("grid", "m", "n", "block", "template")
@@ -156,7 +156,7 @@ class SubcubeResults(Sequence):
         sub = self.grid.subcube(k)
         if self.template is None:
             return DistMatrix.shared(sub, self.m, self.n, self.block)
-        return DistMatrix.stacked(sub, self.m, self.n, self.template.copy())
+        return DistMatrix.from_plane(sub, self.m, self.n, self.template.copy())
 
 
 def _validate(a: DistMatrix) -> Tuple[int, int]:
@@ -270,7 +270,7 @@ def _charge_cross_product(vm: VirtualMachine, g: Grid3D,
 
 
 def _cross_product_stacked(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Lines 1-5's numerics on stacked blocks: subcube 0's ``(c, c, c, ., .)`` result.
+    """Lines 1-5's numerics on stacked blocks: subcube 0's ``(c, c, 1, ., .)`` plane.
 
     The row broadcast is a stride-0 view of the root blocks (``W[x, y, z]
     = w[z, y, z]``) and the local products one stacked ``np.matmul``.  The
@@ -278,7 +278,8 @@ def _cross_product_stacked(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     order; the strided Allreduce sums, for each residue ``z``, the ``d/c``
     group sums in group order (only the roots' results are ever read, so
     the non-root residues' all-zero sums are not formed); the depth
-    broadcast gives rank ``(x, y, z')`` the sum of residue ``y mod c``.
+    broadcast gives rank ``(x, y, z')`` the sum of residue ``y mod c`` --
+    the same on every slice ``z'``, so it is the plane's block ``[x, y]``.
     """
     c, d = t.shape[0], t.shape[1]
     zs = np.arange(c)
@@ -287,7 +288,7 @@ def _cross_product_stacked(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     by_group = partials.reshape(c, d // c, c, *partials.shape[2:])
     group_sums = ordered_sum(by_group, axis=2)           # [x, group, z]
     full = ordered_sum(group_sums, axis=1)               # [x, residue z]
-    return np.repeat(full[:, :, None], c, axis=2)
+    return full[:, :, None].copy()      # a view would pin all of partials
 
 
 def _apply_gram_shift(vm: VirtualMachine, g: Grid3D, gram: SubcubeResults,
@@ -319,7 +320,7 @@ def _charge_gram_shift(vm: VirtualMachine, g: Grid3D, n: int,
 
 def _shift_gram(g: Grid3D, gram: SubcubeResults, n: int,
                 shift: float) -> SubcubeResults:
-    """:func:`_apply_gram_shift`'s numerics on subcube 0's template."""
+    """:func:`_apply_gram_shift`'s numerics on subcube 0's template plane."""
     if gram.template is None:
         return gram
     c = g.dim_x
@@ -424,7 +425,7 @@ def _subcube_pass_numeric(a: DistMatrix, gram: DistMatrix,
     q = mm3d_stacked(a.data, rinv.data)  # type: ignore[arg-type]
     r = dist_transpose(None, l, "form-r.transpose")
     return CACQRResult(q=DistMatrix.stacked(a.grid, a.m, a.n, q),
-                       r_subcubes=SubcubeResults(a.grid, a.n, a.n, r.data))
+                       r_subcubes=SubcubeResults(a.grid, a.n, a.n, r.plane))
 
 
 def _compiled_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
@@ -501,7 +502,7 @@ def _compiled_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
     if merge_phase is not None:
         template = None
         if a.is_numeric:
-            template = mm3d(None, results[-1].r, results[0].r).data
+            template = mm3d(None, results[-1].r, results[0].r).plane
         r_subcubes = SubcubeResults(g, n, n, template)
     charge(len(segments))
     return CACQRResult(q=results[-1].q, r_subcubes=r_subcubes)
@@ -528,10 +529,10 @@ def _ca_cqr_pass(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
         q_sub = mm3d(vm, a.subcube(group), rinv, phase=f"{phase}.form-q.mm3d",
                      flop_fraction=fl.TRMM_FRACTION)
         if numeric:
-            q_parts.append(q_sub.data)  # type: ignore[arg-type]
+            q_parts.append(q_sub.plane)
         r_subcubes.append(dist_transpose(vm, l, f"{phase}.form-r.transpose"))
 
-    q = (DistMatrix.stacked(g, a.m, a.n, np.concatenate(q_parts, axis=1))
+    q = (DistMatrix.from_plane(g, a.m, a.n, np.concatenate(q_parts, axis=1))
          if numeric else DistMatrix.symbolic(g, a.m, a.n))
     return CACQRResult(q=q, r_subcubes=r_subcubes)
 

@@ -200,8 +200,8 @@ def _zero_like(template: DistMatrix) -> DistMatrix:
     if template.data is None:
         return DistMatrix.shared(template.grid, template.m, template.n,
                                  template.shared_block)
-    return DistMatrix.stacked(template.grid, template.m, template.n,
-                              np.zeros(template.data.shape))
+    return DistMatrix.from_plane(template.grid, template.m, template.n,
+                                 np.zeros(template.plane.shape))
 
 
 def _base_case(vm: Optional[VirtualMachine], a: DistMatrix,
@@ -210,10 +210,11 @@ def _base_case(vm: Optional[VirtualMachine], a: DistMatrix,
 
     Every 2D slice's Allgather is one disjoint group and every rank's
     redundant CholInv is identical, so each is one vectorized machine
-    call.  Numerically each slice gathers its blocks into the full
-    submatrix, factors it once -- the flop charge still lands on every
-    rank, matching the redundant computation of the real algorithm -- and
-    scatters the cyclic partitions of ``L`` and ``Y`` back.
+    call.  The slices hold one plane (:mod:`repro.vmpi.distmatrix`), so
+    numerically the base case gathers it into the full submatrix, factors
+    it once -- the flop charge still lands on every rank of every slice,
+    matching the redundant computation of the real algorithm -- and
+    scatters the cyclic partitions of ``L`` and ``Y`` back into planes.
     """
     grid = a.grid
     p = grid.dim_x
@@ -236,25 +237,24 @@ def _base_case(vm: Optional[VirtualMachine], a: DistMatrix,
         charge(grid.dim_z, grid.dim_z)
         shared = SymbolicBlock((n // p, n // p))
         return DistMatrix.shared(grid, n, n, shared), DistMatrix.shared(grid, n, n, shared)
-    l = np.empty(a.data.shape)
-    y = np.empty(a.data.shape)
-    for z in range(grid.dim_z):
-        # Block (x, y) of the slice holds full[y::p, x::p].
-        full = a.data[:, :, z].transpose(2, 1, 3, 0).reshape(n, n)
-        try:
-            l_full, y_full, _ = local_cholinv(NumericBlock(full))
-        except CholeskyFailure:
-            # Slice by slice, slice z had gathered and every earlier slice
-            # had factored when the factorization broke down.
-            charge(z + 1, z)
-            raise
-        l[:, :, z] = _scatter_cyclic(l_full.data, p)  # type: ignore[attr-defined]
-        y[:, :, z] = _scatter_cyclic(y_full.data, p)  # type: ignore[attr-defined]
+    # Block (x, y) of the plane holds full[y::p, x::p].
+    full = a.plane[:, :, 0].transpose(2, 1, 3, 0).reshape(n, n)
+    try:
+        l_full, y_full, _ = local_cholinv(NumericBlock(full))
+    except CholeskyFailure:
+        # Slice by slice, slice 0 -- identical to every other -- breaks
+        # down first: it had gathered, and no slice had factored.
+        charge(1, 0)
+        raise
     charge(grid.dim_z, grid.dim_z)
-    return DistMatrix.stacked(grid, n, n, l), DistMatrix.stacked(grid, n, n, y)
+    l_plane = _scatter_cyclic(l_full.data, p)  # type: ignore[attr-defined]
+    y_plane = _scatter_cyclic(y_full.data, p)  # type: ignore[attr-defined]
+    return (DistMatrix.from_plane(grid, n, n, l_plane),
+            DistMatrix.from_plane(grid, n, n, y_plane))
 
 
 def _scatter_cyclic(full: np.ndarray, p: int) -> np.ndarray:
-    """The cyclic partitions ``full[y::p, x::p]`` stacked as ``[x, y]``."""
+    """The cyclic partitions ``full[y::p, x::p]`` as a ``[x, y]`` plane."""
     nb = full.shape[0] // p
-    return full.reshape(nb, p, nb, p).transpose(3, 1, 0, 2)
+    blocks = full.reshape(nb, p, nb, p).transpose(3, 1, 0, 2)
+    return np.ascontiguousarray(blocks[:, :, None])

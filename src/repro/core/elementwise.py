@@ -8,7 +8,8 @@ line 10, ``Z <- A22 - U``, and line 13, ``W <- -Y22``).
 The cyclic layout is uniform (every rank's local block has the same
 shape), so the flop count is identical across ranks and is charged through
 one vectorized machine call; numerically the kernel is one numpy ufunc
-over the stacked blocks, and symbolically one shared shape-only block.
+over the operands' stored planes (one per matrix, whatever the depth),
+and symbolically one shared shape-only block.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _map_charged(vm: Optional[VirtualMachine], a: DistMatrix, phase: str,
     flops at once (nothing when *vm* is ``None``).
 
     *kernel*, run once on shape-only blocks, gives the flop count and the
-    symbolic result; *op* is its numpy ufunc over whole stacked arrays.
+    symbolic result; *op* is its numpy ufunc over whole planes.
     """
     block = SymbolicBlock((a.local_rows, a.local_cols))
     out, flops = kernel(block, *[block] * len(others))
@@ -48,8 +49,8 @@ def _map_charged(vm: Optional[VirtualMachine], a: DistMatrix, phase: str,
         vm.charge_flops_group(a.grid.all_ranks_array, flops, phase)
     if a.data is None:
         return DistMatrix.shared(a.grid, a.m, a.n, out)
-    return DistMatrix.stacked(a.grid, a.m, a.n,
-                              op(a.data, *(o.data for o in others)))
+    return DistMatrix.from_plane(a.grid, a.m, a.n,
+                                 op(a.plane, *(o.plane for o in others)))
 
 
 def dist_add(vm: VirtualMachine, a: DistMatrix, b: DistMatrix, phase: str) -> DistMatrix:

@@ -34,9 +34,8 @@ import numpy as np
 from repro.costmodel import collectives as cc
 from repro.kernels.blas import local_mm
 from repro.utils.validation import require
-from repro.vmpi.comm import ordered_sum
 from repro.vmpi.datatypes import SymbolicBlock
-from repro.vmpi.distmatrix import DistMatrix
+from repro.vmpi.distmatrix import DistMatrix, over_depth
 from repro.vmpi.machine import VirtualMachine
 
 
@@ -120,17 +119,18 @@ def mm3d_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a`` is ``(p, dy, p, ., .)`` and ``b`` is ``(p, >= p, p, ., .)``;
     ``dy`` may be any multiple of ``p``, which multiplies every cubic
-    subcube of a ``p x dy x p`` grid by the same ``b`` at once.  The
-    broadcasts are stride-0 views of the root blocks (``X[x, y, z] =
-    A[z, y, z]``, ``Y[x, y, z] = B[x, z, z]``), the local products one
-    stacked ``np.matmul``, and the depth Allreduce an :func:`ordered_sum`
-    in fiber order, copied back over depth in the products' own buffer.
+    subcube of a ``p x dy x p`` grid by the same ``b`` at once.  Slice
+    ``z``'s broadcasts are views of the root blocks (``X[x, y, z] =
+    A[z, y, z]``, ``Y[x, y, z] = B[x, z, z]``) and its local products one
+    stacked ``np.matmul``.  The depth Allreduce accumulates the ``p``
+    residue products into one ``(p, dy, ., .)`` plane in fiber order --
+    a float64 zero plus each residue in turn, exactly as
+    :func:`~repro.vmpi.comm.ordered_sum` adds a fiber -- and every slice
+    of the returned stack views that plane (:func:`over_depth`).
     """
     p = a.shape[0]
-    zs = np.arange(p)
-    x_panels = a[zs, :, zs].transpose(1, 0, 2, 3)[None]   # (1, dy, p, ., .)
-    y_panels = b[:, zs, zs][:, None]                      # (p, 1, p, ., .)
-    out = np.matmul(x_panels, y_panels)
-    total = ordered_sum(out, axis=2)                      # out[:, :, 0]
-    out[:, :, 1:] = total[:, :, None]
-    return out
+    total = np.matmul(a[0, :, 0][None], b[:, 0, 0][:, None])   # (p, dy, ., .)
+    total += 0.0                    # zero + residue 0, bit for bit
+    for z in range(1, p):
+        total += np.matmul(a[z, :, z][None], b[:, z, z][:, None])
+    return over_depth(total[:, :, None], p)

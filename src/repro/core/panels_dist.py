@@ -105,15 +105,17 @@ def _update_trailing(vm: VirtualMachine, q: DistMatrix, w: SubcubeResults,
                program.phases_with_prefix("@", phase))
         if rest.data is None:
             return DistMatrix.symbolic(g, rest.m, rest.n)
-        update = mm3d_stacked(q.data, w.template)  # type: ignore[arg-type]
-        return DistMatrix.stacked(g, rest.m, rest.n, rest.data - update)
+        update = mm3d_stacked(q.data, w[0].data)  # type: ignore[arg-type]
+        return DistMatrix.from_plane(g, rest.m, rest.n,
+                                     rest.plane - update[:, :, :1])
     parts = [dist_sub(vm, rest.subcube(k),
                       mm3d(vm, q.subcube(k), w[k], phase=f"{phase}.mm3d"),
-                      f"{phase}.sub").data
+                      f"{phase}.sub")
              for k in range(len(w))]
     if rest.data is None:
         return DistMatrix.symbolic(g, rest.m, rest.n)
-    return DistMatrix.stacked(g, rest.m, rest.n, np.concatenate(parts, axis=1))
+    return DistMatrix.from_plane(g, rest.m, rest.n,
+                                 np.concatenate([p.plane for p in parts], axis=1))
 
 
 def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
@@ -161,7 +163,7 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
                       phase=f"{phase}.panel{p_idx}.cqr2")
         q_p = res.q
         if numeric:
-            q_parts.append(q_p.data)  # type: ignore[arg-type]
+            q_parts.append(q_p.plane)
             r_global[col_lo:col_lo + b, col_lo:col_lo + b] = \
                 np.triu(res.r.to_global())
         if trailing.n == b:
@@ -176,6 +178,6 @@ def ca_panel_cqr2(vm: VirtualMachine, a: DistMatrix, panel_width: int,
         if numeric:
             r_global[col_lo:col_lo + b, col_lo + b:] = w[0].to_global()
 
-    q = (DistMatrix.stacked(g, a.m, a.n, np.concatenate(q_parts, axis=-1))
+    q = (DistMatrix.from_plane(g, a.m, a.n, np.concatenate(q_parts, axis=-1))
          if numeric else DistMatrix.symbolic(g, a.m, a.n))
     return PanelCACQR2Result(q=q, r=r_global, panels=num_panels)

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.costmodel.params import MachineSpec, machine_by_name
 from repro.utils.matgen import matrix_with_condition, random_matrix
-from repro.utils.validation import check_positive_int, require
+from repro.utils.validation import ValidationError, check_positive_int, require
 
 #: Modes a run can execute in: ``numeric`` runs the real distributed
 #: algorithm on data; ``symbolic`` runs shape-only blocks through the same
@@ -103,6 +103,13 @@ class RunSpec:
         if self.data is not None:
             arr = np.asarray(self.data)
             require(arr.ndim == 2, f"data must be 2D, got ndim={arr.ndim}")
+            # O(1): a dtype check.  Finiteness needs a scan of every entry,
+            # so materialize() checks it once per run instead of on every
+            # replace().
+            if arr.dtype.kind not in "biuf":
+                raise ValidationError(
+                    f"data must be a real array, got dtype {arr.dtype}",
+                    field="data")
             require(self.mode == "numeric",
                     "symbolic runs take a MatrixSpec (shapes only), not data")
 
@@ -120,9 +127,17 @@ class RunSpec:
         return machine_by_name(self.machine)
 
     def materialize(self) -> np.ndarray:
-        """The input matrix as a float64 array (numeric mode only)."""
+        """The input matrix as a float64 array (numeric mode only).
+
+        Raises :class:`~repro.utils.validation.ValidationError` if explicit
+        ``data`` holds a NaN or an infinity.
+        """
         if self.data is not None:
-            return np.asarray(self.data, dtype=np.float64)
+            arr = np.asarray(self.data, dtype=np.float64)
+            if not np.isfinite(arr).all():
+                raise ValidationError("data must be finite; it holds NaN or "
+                                      "infinite entries", field="data")
+            return arr
         return np.asarray(self.matrix.materialize(), dtype=np.float64)  # type: ignore[union-attr]
 
     def replace(self, **changes) -> "RunSpec":

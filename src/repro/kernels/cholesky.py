@@ -30,13 +30,24 @@ class CholeskyFailure(ValueError):
 
 
 def _chol_lower(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor; :class:`CholeskyFailure` if there is no finite one.
+
+    A Gram matrix that overflowed (an input scaled far beyond
+    ``sqrt(float max)``) can factor into ``inf``/``nan`` without LAPACK
+    reporting a breakdown, so a non-finite factor fails here too.
+    """
     try:
-        return np.linalg.cholesky(a)
+        l = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise CholeskyFailure(
             f"Cholesky factorization failed on a {a.shape[0]}x{a.shape[0]} Gram matrix; "
             "the input is too ill-conditioned for plain CholeskyQR "
             "(try repro.core.shifted.shifted_cqr3)") from exc
+    if not np.isfinite(l).all():
+        raise CholeskyFailure(
+            f"Cholesky factor of a {a.shape[0]}x{a.shape[0]} Gram matrix is not "
+            "finite; the Gram matrix overflowed (rescale the input)")
+    return l
 
 
 def local_chol(a: Block) -> Tuple[Block, float]:

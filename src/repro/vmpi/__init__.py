@@ -25,8 +25,9 @@ Key pieces:
   along one grid axis of a stacked array, in rank order.
 * :mod:`repro.vmpi.distmatrix` -- cyclically distributed matrices replicated
   over grid depth, with gather/scatter to global numpy arrays.  A numeric
-  matrix is one stacked array indexed by grid coordinates, so a step over
-  every rank is one array operation; symbolic matrices share one block
+  matrix is one stacked array indexed by grid coordinates, its depth
+  replicas one stored plane viewed over ``z``, so a step over every rank
+  is one array operation on that plane; symbolic matrices share one block
   across all ranks (``DistMatrix.shared``).  Either way a matrix costs
   O(1) Python objects whatever the rank count.
 

@@ -14,15 +14,22 @@ cyclically distributed matrix is exactly the top-left local half of every
 block, so CFR3D's recursion (Algorithm 3) descends without redistribution.
 :meth:`quadrant` exposes that.
 
-Replication over ``z`` is a steady-state invariant -- algorithms may break
-it for temporaries (e.g. MM3D's broadcast panels differ per slice) but
-restore it on their outputs; :meth:`replication_spread` measures it for the
-test suite.
+Replication over ``z`` is structural: the depth slices of a numeric
+matrix are one stored plane, so they cannot diverge.  (MM3D's broadcast
+panels differ per slice, but they are temporaries that never become a
+:class:`DistMatrix`.)
 
 **Storage.**  A numeric matrix is one read-only float64 ndarray
 :attr:`DistMatrix.data` of shape ``(dim_x, dim_y, dim_z, m/dim_y,
 n/dim_x)`` indexed by grid coordinates: ``data[x, y, z]`` is the block
-rank ``Pi[x, y, z]`` owns.  Every step is a whole-array operation on it --
+rank ``Pi[x, y, z]`` owns.  The ``c`` depth replicas are bit-identical by
+construction, so the process stores them once: ``data`` is a stride-0
+view over ``z`` of one ``(dim_x, dim_y, 1, m/dim_y, n/dim_x)``
+:attr:`~DistMatrix.plane` (:func:`over_depth`; on a ``dim_z == 1`` grid
+the plane is ``data`` itself).  Two ranks' blocks therefore share memory
+exactly when they are depth replicas -- the same ``(x, y)`` -- and every
+block is read-only, so no write can reach a replica.  Every step is a
+whole-array operation that reads the plane and hands a new plane back:
 :meth:`quadrant` and :meth:`column_panel` are slices,
 :meth:`assemble_quadrants` a concatenation, :func:`dist_transpose` one
 axis swap, and the algorithms in :mod:`repro.core` stack their local
@@ -62,6 +69,16 @@ def _require_coord(name: str, value: int, dim: int) -> None:
             f"grid coordinate {name}={value} out of range [0, {dim})")
 
 
+def over_depth(plane: np.ndarray, dim_z: int) -> np.ndarray:
+    """The ``(dim_x, dim_y, 1, ., .)`` *plane* as a read-only stack over ``dim_z`` slices.
+
+    The one place the stored format is decided: every depth slice of the
+    result is a stride-0 view of *plane*, which becomes read-only.
+    """
+    plane.flags.writeable = False
+    return np.broadcast_to(plane, plane.shape[:2] + (dim_z,) + plane.shape[3:])
+
+
 def _require_shared_shape(block: Block, expected: Tuple[int, int]) -> None:
     require(block.shape == expected,
             f"shared block has shape {block.shape}, expected {expected}")
@@ -94,23 +111,39 @@ class DistMatrix:
                 data: np.ndarray) -> "DistMatrix":
         """Numeric matrix over its stacked blocks, ``data[x, y, z]`` at ``Pi[x, y, z]``.
 
-        *data* becomes read-only; it must not alias one block to two ranks
-        (no stride-0 grid axes).
+        *data* becomes read-only.  On a ``dim_z > 1`` grid its depth axis
+        must be stride 0 (:func:`over_depth`): depth replicas are one
+        stored plane, and a stack holding ``dim_z`` copies is rejected
+        rather than silently costing their memory.  Blocks at distinct
+        ``(x, y)`` never alias.
         """
         shape = grid.dims + _local_shape(grid, m, n)
         require(data.shape == shape,
                 f"stacked blocks have shape {data.shape}, expected {shape}")
+        require(grid.dim_z == 1 or data.strides[2] == 0,
+                f"stacked blocks hold {grid.dim_z} depth copies; depth "
+                "replicas must be one plane viewed over z (over_depth)")
         mat = cls.__new__(cls)
         mat._init(grid, m, n, data, None)
         return mat
+
+    @classmethod
+    def from_plane(cls, grid: Grid3D, m: int, n: int,
+                   plane: np.ndarray) -> "DistMatrix":
+        """Numeric matrix whose every depth slice holds *plane*.
+
+        *plane* is ``(dim_x, dim_y, 1, m/dim_y, n/dim_x)`` and becomes
+        read-only; the matrix views it over ``z`` (:func:`over_depth`).
+        """
+        return cls.stacked(grid, m, n, over_depth(plane, grid.dim_z))
 
     @classmethod
     def shared(cls, grid: Grid3D, m: int, n: int, block: Block) -> "DistMatrix":
         """Symbolic matrix whose every rank holds the one shared *block*.
 
         O(1) whatever the rank count: the block shape is checked once.
-        Only shape-only blocks may be shared; numeric ranks own distinct
-        buffers.
+        Only shape-only blocks may be shared; numeric blocks at distinct
+        ``(x, y)`` live in distinct parts of :attr:`data`.
         """
         require(not block.is_numeric,
                 "only symbolic blocks can be shared across ranks")
@@ -127,10 +160,10 @@ class DistMatrix:
         m, n = arr.shape
         mb, nb = _local_shape(grid, m, n)
         dx, dy, _ = grid.dims
-        data = np.empty((*grid.dims, mb, nb))
+        plane = np.empty((dx, dy, 1, mb, nb))
         # arr[i*dy + y, j*dx + x] is entry (i, j) of block (x, y).
-        data[...] = arr.reshape(mb, dy, nb, dx).transpose(3, 1, 0, 2)[:, :, None]
-        return cls.stacked(grid, m, n, data)
+        plane[...] = arr.reshape(mb, dy, nb, dx).transpose(3, 1, 0, 2)[:, :, None]
+        return cls.from_plane(grid, m, n, plane)
 
     @classmethod
     def symbolic(cls, grid: Grid3D, m: int, n: int) -> "DistMatrix":
@@ -158,6 +191,11 @@ class DistMatrix:
     def is_numeric(self) -> bool:
         return self.data is not None
 
+    @property
+    def plane(self) -> np.ndarray:
+        """The one stored ``(dim_x, dim_y, 1, ., .)`` plane every depth slice views."""
+        return self.data[:, :, :1]  # type: ignore[index]
+
     def local(self, x: int, y: int, z: int) -> Block:
         """Local block at grid coordinates ``(x, y, z)``.
 
@@ -180,13 +218,6 @@ class DistMatrix:
         out.reshape(self.local_rows, dy, self.local_cols, dx)[...] = \
             self.data[:, :, z].transpose(2, 1, 3, 0)  # type: ignore[index]
         return out
-
-    def replication_spread(self) -> float:
-        """Max abs difference between depth copies (0.0 when replicated)."""
-        require(self.is_numeric, "replication_spread requires numeric blocks")
-        data: np.ndarray = self.data  # type: ignore[assignment]
-        return float(np.max(np.abs(data[:, :, 1:] - data[:, :, :1]),
-                            initial=0.0))
 
     # -- structural operations (no communication, no flops) ------------------------
 
@@ -222,8 +253,8 @@ class DistMatrix:
                 g, m, n, join_blocks(*(q.shared_block for q in quads)))  # type: ignore[misc]
         require(all(q.is_numeric for q in quads),
                 "cannot join blocks of mixed backends")
-        return DistMatrix.stacked(g, m, n, np.block([[a11.data, a12.data],
-                                                     [a21.data, a22.data]]))
+        return DistMatrix.from_plane(g, m, n, np.block([[a11.plane, a12.plane],
+                                                        [a21.plane, a22.plane]]))
 
     def column_panel(self, col_lo: int, col_hi: int) -> "DistMatrix":
         """Global column range ``[col_lo, col_hi)`` as a new DistMatrix.
@@ -356,4 +387,5 @@ def dist_transpose(vm: Optional[VirtualMachine], a: DistMatrix,
         return DistMatrix.shared(g, a.n, a.m,
                                  SymbolicBlock((local_shape[1], local_shape[0])))
     # Rank (x, y, z) receives (y, x, z)'s block and transposes it.
-    return DistMatrix.stacked(g, a.n, a.m, a.data.transpose(1, 0, 2, 4, 3).copy())
+    return DistMatrix.from_plane(g, a.n, a.m,
+                                 a.plane.transpose(1, 0, 2, 4, 3).copy())

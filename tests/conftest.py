@@ -51,3 +51,36 @@ def spd_matrix(n: int, rng: np.random.Generator, condition: float = 50.0) -> np.
     from repro.utils.matgen import random_spd
 
     return random_spd(n, condition=condition, rng=rng)
+
+
+def assert_depth_replicated(dm: DistMatrix, want=None) -> None:
+    """*dm*'s depth replicas are one stored plane.
+
+    On a ``dim_z > 1`` grid the depth axis of ``dm.data`` is stride 0, so
+    every slice is the plane; with *want* (a global matrix) the plane's
+    block ``(x, y)`` is ``want[y::dim_y, x::dim_x]``.
+    """
+    dx, dy, dz = dm.grid.dims
+    if dz > 1:
+        assert dm.data.strides[2] == 0
+    for x, y, z in np.ndindex(dx, dy, dz):
+        block = dm.local(x, y, z).data
+        np.testing.assert_array_equal(block, dm.plane[x, y, 0])
+        if want is not None:
+            np.testing.assert_array_equal(block, want[y::dy, x::dx])
+
+
+def assert_alias_only_depth_replicas(*mats: DistMatrix) -> None:
+    """Two blocks of *mats* share memory only if they are depth replicas.
+
+    Replicas are the blocks at one ``(x, y)`` of one matrix; blocks at
+    distinct ``(x, y)``, or of distinct matrices (e.g. the ``R`` copies of
+    distinct subcubes), never alias.  Every block is read-only.
+    """
+    blocks = [((k, x, y), dm.local(x, y, z).data)
+              for k, dm in enumerate(mats)
+              for x, y, z in np.ndindex(*dm.grid.dims)]
+    for i, (key, view) in enumerate(blocks):
+        assert not view.flags.writeable
+        for other_key, other in blocks[i + 1:]:
+            assert np.shares_memory(view, other) == (key == other_key)

@@ -2,6 +2,7 @@
 
 from typing import ClassVar
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -180,6 +181,21 @@ class TestFactorViaRegistry:
     def test_unknown_algorithm(self, capsys):
         assert main(["factor", "-a", "householder3d"]) == 2
         assert "registered algorithms" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algorithm", ["ca_cqr2", "tsqr"])
+    def test_non_finite_matrix_is_friendly(self, capsys, monkeypatch, algorithm):
+        from repro.engine import MatrixSpec
+
+        def with_nan(spec):
+            a = np.ones((spec.m, spec.n))
+            a[0, 0] = np.nan
+            return a
+
+        monkeypatch.setattr(MatrixSpec, "materialize", with_nan)
+        assert main(["factor", "-m", "128", "-n", "8", "-a", algorithm,
+                     "-P", "4"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: data: ") and "finite" in out
 
 
 class TestAlgorithms:

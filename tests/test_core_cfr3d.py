@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.conftest import make_cubic, spd_matrix
+from tests.conftest import assert_depth_replicated, make_cubic, spd_matrix
 
 from repro.core.cfr3d import _cfr3d_program, cfr3d, default_base_case
 from repro.costmodel.analytic import cfr3d_cost
@@ -46,8 +46,8 @@ class TestCorrectness:
         vm, g = make_cubic(2)
         a = spd_matrix(16, rng)
         l, y = cfr3d(vm, DistMatrix.from_global(g, a), 4)
-        assert l.replication_spread() == 0.0
-        assert y.replication_spread() == 0.0
+        assert_depth_replicated(l)
+        assert_depth_replicated(y)
 
     def test_ill_conditioned_spd_still_factors(self, rng):
         vm, g = make_cubic(2)

@@ -9,6 +9,7 @@ from tests.conftest import make_1d
 
 from repro.core.cqr import cqr2_sequential
 from repro.core.cqr_1d import cqr2_1d, cqr_1d
+from repro.kernels.cholesky import CholeskyFailure
 from repro.costmodel.analytic import cqr2_1d_cost, cqr_1d_cost
 from repro.vmpi.distmatrix import DistMatrix
 
@@ -61,6 +62,15 @@ class TestCorrectness:
         assert r.copies is None and r.ranks.size == 8
         assert not r.shared_block.data.flags.writeable
         assert r.to_global().flags.writeable     # callers get their own copy
+
+    def test_overflowing_gram_raises_cholesky_failure(self, rng):
+        # The 1e200-scaled Gram matrix overflows; its non-finite Cholesky
+        # factor must surface as CholeskyFailure, not scipy's ValueError.
+        vm, g = make_1d(4)
+        a = rng.standard_normal((64, 8)) * 1e200
+        with pytest.raises(CholeskyFailure), \
+                np.errstate(over="ignore", invalid="ignore"):
+            cqr2_1d(vm, DistMatrix.from_global(g, a))
 
     def test_rejects_non_1d_grid(self, rng):
         from tests.conftest import make_cubic

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.conftest import make_cubic
+from tests.conftest import assert_depth_replicated, make_cubic
 
 from repro.core.mm3d import mm3d
 from repro.costmodel.analytic import mm3d_cost
@@ -32,7 +32,7 @@ class TestCorrectness:
         a = rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 8))
         c = mm3d(vm, DistMatrix.from_global(g, a), DistMatrix.from_global(g, b))
-        assert c.replication_spread() == 0.0
+        assert_depth_replicated(c)
         for z in range(2):
             np.testing.assert_allclose(c.to_global(z=z), a @ b, atol=1e-12)
 

@@ -18,6 +18,7 @@ from repro.engine import (
     solvers,
 )
 from repro.utils.diskcache import clear_cache_dir, scan_cache_dir
+from repro.utils.validation import ValidationError
 
 session = Session()
 
@@ -160,6 +161,45 @@ class TestRun:
                                      pr=4, pc=2, block_size=4))
         assert result.grid == Grid2DShape(pr=4, pc=2)
         assert result.grid.procs == 8
+
+
+#: One explicit grid per registered algorithm, for a 64 x 8 input.
+NUMERIC_GRIDS = {
+    "ca_cqr2": dict(c=2, d=4),
+    "cqr2_1d": dict(procs=4),
+    "tsqr": dict(procs=4),
+    "scalapack": dict(pr=4, pc=2, block_size=4),
+    "caqr": dict(pr=4, pc=2, block_size=4),
+}
+
+
+class TestDataValidation:
+    """Explicit ``data`` must be real and finite, for every algorithm."""
+
+    def test_every_registered_algorithm_is_covered(self):
+        assert set(NUMERIC_GRIDS) == set(available_algorithms())
+
+    @pytest.mark.parametrize("algorithm", sorted(NUMERIC_GRIDS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, rng, algorithm, bad):
+        a = rng.standard_normal((64, 8))
+        a[5, 3] = bad
+        spec = RunSpec(algorithm=algorithm, data=a, **NUMERIC_GRIDS[algorithm])
+        with pytest.raises(ValidationError, match="finite") as info:
+            session.run(spec)
+        assert info.value.field == "data"
+
+    @pytest.mark.parametrize("algorithm", sorted(NUMERIC_GRIDS))
+    def test_complex_data_rejected_at_construction(self, rng, algorithm):
+        a = rng.standard_normal((64, 8)) + 0j
+        with pytest.raises(ValidationError, match="real") as info:
+            RunSpec(algorithm=algorithm, data=a, **NUMERIC_GRIDS[algorithm])
+        assert info.value.field == "data"
+
+    def test_integer_data_accepted(self):
+        a = np.arange(64 * 8).reshape(64, 8) % 7 + np.eye(64, 8, dtype=int)
+        result = session.run(RunSpec(algorithm="cqr2_1d", data=a, procs=4))
+        assert result.residual_error(a.astype(float)) < 1e-12
 
 
 class TestSpecKeys:

@@ -1,10 +1,11 @@
 """Digest pins for the algorithms whose numerics run on stacked blocks
 after being written rank by rank: TSQR, the PGEQRF-like baseline, the
 distributed sCQR3 (its ``||A||_F**2`` step and the retry path) and the
-numeric panel loop of ``ca_panel_cqr2``.
+numeric panel loop of ``ca_panel_cqr2``; and for plain CA-CQR2.
 
 The digests were recorded while every one of these still looped over
-ranks, moving per-rank blocks through communicator collectives.  The
+ranks, moving per-rank blocks through communicator collectives; plain
+CA-CQR2's while every depth slice still stored its own copy.  The
 stacked steps must reproduce Q, R, every rank's clock and per-phase
 ledger, and every rank's trace events (in recorded order) exactly.  Q and
 R bits also depend on the BLAS build; ledgers and trace events do not.
@@ -20,6 +21,7 @@ import pytest
 
 from repro.baselines.scalapack_qr import scalapack_qr
 from repro.baselines.tsqr import tsqr_1d
+from repro.core.cacqr import ca_cqr2
 from repro.core.panels_dist import ca_panel_cqr2
 from repro.core.shifted import ca_shifted_cqr3
 from repro.sched import compiled_replay_disabled
@@ -48,6 +50,16 @@ def _machine_digests(vm):
 def _conditioned(m, n, seed):
     return (np.random.default_rng(seed).standard_normal((m, n))
             * np.geomspace(1.0, 1e-4, n))
+
+
+def run_cacqr2(c, d, m, n):
+    vm = VirtualMachine(c * c * d, trace=True)
+    g = Grid3D.tunable(vm, c, d)
+    res = ca_cqr2(vm, DistMatrix.from_global(g, _conditioned(m, n, c + d)))
+    return {"q": _digest(res.q.to_global().tobytes()),
+            "r": _digest(b"".join(sub.to_global().tobytes()
+                                  for sub in res.r_subcubes)),
+            **_machine_digests(vm)}
 
 
 def run_tsqr(procs, m, n):
@@ -99,6 +111,20 @@ MODES = {"compiled": contextlib.nullcontext, "loop": compiled_replay_disabled}
 
 
 class TestPinnedDigests:
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("m,n,c,d,want", [
+        (8192, 64, 1, 16, {"q": "f5936dab43ffe34f", "r": "a85f27aac02be50c",
+                           "ledger": "ce97c9f1fb896517", "events": "ac4f4265e11136dc"}),
+        (16384, 128, 2, 8, {"q": "fbf7340d9af37afe", "r": "9f0cd976c072e183",
+                            "ledger": "b7958020f1b59bed", "events": "af1f7ea25703fa3a"}),
+        (8192, 256, 4, 8, {"q": "c6ee1d3774c26b7b", "r": "62534a90d89e8629",
+                           "ledger": "d8ef297bd12ffecf", "events": "aea410b5a1a97625"}),
+    ])
+    def test_ca_cqr2(self, mode, m, n, c, d, want):
+        # Plain CA-CQR2 at factor-workload shapes, c in {1, 2, 4}.
+        with MODES[mode]():
+            assert run_cacqr2(c, d, m, n) == want
+
     @pytest.mark.parametrize("procs,m,n,want", [
         (1, 64, 8, {"q": "853bc3fd6ba06f74", "r": "61b410cd9ea2b29f",
                     "ledger": "e1754bff150ceb02", "events": "ff759e1ed4545b9e"}),

@@ -146,6 +146,7 @@ class TestDistMatrixProperties:
         from repro.vmpi.distmatrix import DistMatrix
         from repro.vmpi.grid import Grid3D
         from repro.vmpi.machine import VirtualMachine
+        from tests.conftest import assert_depth_replicated
 
         vm = VirtualMachine(p ** 3)
         g = Grid3D.cubic(vm, p)
@@ -153,4 +154,4 @@ class TestDistMatrixProperties:
         a = rng.standard_normal((mi * p, ni * p))
         d = DistMatrix.from_global(g, a)
         np.testing.assert_array_equal(d.to_global(), a)
-        assert d.replication_spread() == 0.0
+        assert_depth_replicated(d, a)

@@ -14,7 +14,7 @@ feasible (grid, matrix) combinations:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import make_cubic, make_tunable
+from tests.conftest import assert_depth_replicated, make_cubic, make_tunable
 
 from repro.core.cacqr import ca_cqr2
 from repro.core.cfr3d import cfr3d, default_base_case
@@ -48,7 +48,7 @@ class TestCACQR2Properties:
         res = ca_cqr2(vm, DistMatrix.from_global(g, a))
         verdict = verify_qr(a, res.q.to_global(), np.triu(res.r.to_global()))
         assert verdict.passed, str(verdict)
-        assert res.q.replication_spread() == 0.0
+        assert_depth_replicated(res.q)
 
     @given(tunable_grid_problem())
     @settings(max_examples=20, deadline=None)
@@ -116,4 +116,4 @@ class TestCFR3DProperties:
         # Y really is the inverse of L.
         np.testing.assert_allclose(y.to_global() @ l_g, np.eye(n),
                                    atol=1e-7 * max(1.0, cond ** 0.5))
-        assert l.replication_spread() == 0.0
+        assert_depth_replicated(l, l_g)

@@ -14,7 +14,7 @@ from typing import ClassVar
 import numpy as np
 import pytest
 
-from tests.conftest import make_tunable
+from tests.conftest import assert_alias_only_depth_replicas, make_tunable
 from tests.test_class_run import class_run
 
 from repro.analysis import verify_program
@@ -25,6 +25,7 @@ from repro.core.panels_dist import ca_panel_cqr2
 from repro.costmodel.collectives import CollectiveCost
 from repro.costmodel.params import ABSTRACT_MACHINE, STAMPEDE2
 from repro.kernels import flops as fl
+from repro.kernels.cholesky import CholeskyFailure
 from repro import Session
 from repro.engine.spec import MatrixSpec, RunSpec
 from repro.plan import Planner, ProblemSpec
@@ -119,16 +120,6 @@ class TestCACQREquivalence:
         for r_fast, r_slow in zip(fast.r_subcubes, slow.r_subcubes):
             cls.assert_blocks_equal(r_fast, r_slow)
 
-    @staticmethod
-    def local_blocks(dm: DistMatrix):
-        return [dm.local(*idx).data for idx in np.ndindex(*dm.grid.dims)]
-
-    @staticmethod
-    def assert_no_shared_buffers(arrays):
-        for i, x in enumerate(arrays):
-            for y in arrays[i + 1:]:
-                assert not np.shares_memory(x, y)
-
     @pytest.mark.parametrize("factor", [ca_cqr, ca_cqr2])
     @pytest.mark.parametrize("c,d,m,n", [
         (1, 4, 256, 8), (2, 2, 256, 8), (2, 8, 256, 8), (4, 16, 1024, 16),
@@ -140,9 +131,9 @@ class TestCACQREquivalence:
         assert_machines_identical(vm_fast, vm_slow)
         assert (TestTraceComposition.events_by_rank(vm_fast)
                 == TestTraceComposition.events_by_rank(vm_slow))
-        self.assert_no_shared_buffers(self.local_blocks(fast.q))
-        self.assert_no_shared_buffers(
-            [b for r in fast.r_subcubes for b in self.local_blocks(r)])
+        for res in (fast, slow):
+            assert_alias_only_depth_replicas(res.q)
+            assert_alias_only_depth_replicas(*res.r_subcubes)
 
     def test_shifted_cqr3_failure_path_exact(self):
         # kappa = 1e15: the first shifted pass leaves Q1 too ill-conditioned
@@ -162,6 +153,25 @@ class TestCACQREquivalence:
             == 2 * per_pass
         self.assert_results_equal(fast, slow, d // c)
         assert_machines_identical(vm_fast, vm_slow)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("c,d", [(1, 4), (2, 2), (2, 8)])
+    def test_overflowing_gram_fails_alike(self, c, d, trace):
+        # A finite input scaled by 1e200 overflows the Gram matrix, whose
+        # Cholesky factor comes out inf/nan without LAPACK reporting a
+        # breakdown.  Both routes must raise CholeskyFailure (not scipy's
+        # bare ValueError on the non-finite factor), from one machine state.
+        a = np.random.default_rng(c + d).standard_normal((256, 8)) * 1e200
+
+        def solver(vm, g):
+            with pytest.raises(CholeskyFailure), \
+                    np.errstate(over="ignore", invalid="ignore"):
+                ca_cqr2(vm, DistMatrix.from_global(g, a))
+        vm_fast, vm_slow = run_both(solver, c, d, trace=trace)
+        assert vm_slow.report().critical_path_time > 0
+        assert_machines_identical(vm_fast, vm_slow)
+        assert (TestTraceComposition.events_by_rank(vm_fast)
+                == TestTraceComposition.events_by_rank(vm_slow))
 
     #: (max_cost, total_cost, critical path) after sCQR3's retry, as the
     #: per-rank numeric loops charged them (abstract machine).  Cost reports

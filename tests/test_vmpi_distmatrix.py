@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tests.conftest import make_cubic, make_tunable
+from tests.conftest import (assert_alias_only_depth_replicas,
+                            assert_depth_replicated, make_cubic, make_tunable)
 
 from repro.utils.validation import ValidationError
 from repro.vmpi.datatypes import NumericBlock
@@ -19,8 +20,9 @@ class TestDistribution:
 
     def test_replicated_over_depth(self, rng):
         vm, g = make_cubic(2)
-        d = DistMatrix.from_global(g, rng.standard_normal((8, 8)))
-        assert d.replication_spread() == 0.0
+        a = rng.standard_normal((8, 8))
+        d = DistMatrix.from_global(g, a)
+        assert_depth_replicated(d, a)
 
     def test_cyclic_block_content(self):
         vm, g = make_cubic(2)
@@ -46,16 +48,30 @@ class TestDistribution:
         assert not d.is_numeric
         assert d.local(0, 0, 0).shape == (8, 4)
 
-    def test_blocks_are_read_only_views_that_never_alias(self, rng):
+    def test_blocks_are_read_only_views_aliased_only_across_depth(self, rng):
         vm, g = make_tunable(2, 4)
         d = DistMatrix.from_global(g, rng.standard_normal((16, 8)))
         views = [d.local(*idx).data for idx in np.ndindex(*g.dims)]
         assert len(views) == g.size
-        for i, view in enumerate(views):
+        for view in views:
             assert np.shares_memory(view, d.data) and not view.flags.writeable
-            assert not any(np.shares_memory(view, other) for other in views[i + 1:])
+        # Depth replicas (same x, y) are one stored block; distinct (x, y)
+        # never alias.
+        assert_alias_only_depth_replicas(d)
         with pytest.raises(ValueError):
             views[0][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            d.plane[0, 0, 0, 0, 0] = 1.0
+
+    def test_stacked_rejects_full_depth_copies(self):
+        # dim_z copies of one plane are the memory over-depth views avoid.
+        vm, g = make_cubic(2)
+        with pytest.raises(ValueError, match="depth copies"):
+            DistMatrix.stacked(g, 8, 8, np.zeros((2, 2, 2, 4, 4)))
+        plane = np.zeros((2, 2, 1, 4, 4))
+        d = DistMatrix.from_plane(g, 8, 8, plane)
+        assert d.data.strides[2] == 0 and np.shares_memory(d.data, plane)
+        assert DistMatrix.stacked(g, 8, 8, d.data).data is d.data
 
     @pytest.mark.parametrize("z", [-1, 2])
     def test_to_global_rejects_out_of_range_slice(self, rng, z):
