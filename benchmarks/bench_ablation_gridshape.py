@@ -16,10 +16,10 @@ from benchmarks.common import archive
 from repro import Session
 from repro.core.cfr3d import default_base_case
 from repro.core.tuning import GridShape, feasible_grids, optimal_grid
-from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.memory import ca_cqr2_memory
 from repro.costmodel.params import STAMPEDE2
 from repro.costmodel.performance import ExecutionModel
+from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
 
 M, N, PROCS = 2 ** 21, 2 ** 11, 2 ** 12
 
@@ -29,7 +29,7 @@ def sweep():
     rows = []
     for shape in feasible_grids(M, N, PROCS):
         n0 = default_base_case(N, shape.c)
-        cost = ca_cqr2_cost(M, N, shape.c, shape.d, n0)
+        cost = lane_cost(total(ca_cqr2_lines(M, N, shape.c, shape.d, n0)))
         rows.append((shape, cost, ca_cqr2_memory(M, N, shape.c, shape.d),
                      model.seconds(cost)))
     return rows

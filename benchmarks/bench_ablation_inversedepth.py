@@ -13,9 +13,9 @@ from __future__ import annotations
 from benchmarks.common import archive
 
 from repro.core.tuning import inverse_depth_to_base_case
-from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
 from repro.costmodel.performance import ExecutionModel
+from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
 
 M, N, C, D = 2 ** 21, 2 ** 12, 8, 2 ** 15 // (8 * 8) * 8  # P = c^2 d
 
@@ -24,7 +24,7 @@ def sweep():
     rows = []
     for depth in range(0, 5):
         n0 = inverse_depth_to_base_case(N, C, depth)
-        cost = ca_cqr2_cost(M, N, C, D, n0)
+        cost = lane_cost(total(ca_cqr2_lines(M, N, C, D, n0)))
         t_s2 = ExecutionModel(STAMPEDE2).seconds(cost)
         t_bw = ExecutionModel(BLUE_WATERS).seconds(cost)
         rows.append((depth, n0, cost, t_s2, t_bw))

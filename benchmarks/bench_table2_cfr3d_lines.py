@@ -2,7 +2,7 @@
 
 Runs CFR3D symbolically on the virtual machine and re-derives the paper's
 per-line cost attribution from the phase-labeled ledger, printing it next
-to the analytic per-line expressions (which must match exactly).
+to the closed-form line table (which must match exactly).
 The benchmark times the full symbolic execution.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 from benchmarks.common import archive
 
 from repro.core.cfr3d import cfr3d
-from repro.costmodel.tables import cfr3d_line_costs, format_line_table
+from repro.costmodel.tables import cfr3d_lines, format_line_table, lane_cost
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -28,15 +28,16 @@ def run_cfr3d_symbolic():
 
 def bench_table2(benchmark):
     report = benchmark(run_cfr3d_symbolic)
-    expected = cfr3d_line_costs(N, P, N0)
+    lines = cfr3d_lines(N, P, N0)
+    expected = {k: lane_cost(v) for k, v in lines.items()}
     measured = {k: report.phase_total(k) for k in expected}
     text = format_line_table(
         f"Table II: CFR3D per-line costs (n={N}, grid {P}^3, n0={N0})",
-        expected, measured)
+        lines, measured)
     archive("table2_cfr3d_lines", text)
 
     for key, exp in expected.items():
-        assert measured[key].isclose(exp), key
+        assert measured[key] == exp, key
     # Table II structure: the four MM3D lines dominate bandwidth, the base
     # case dominates latency.
     mm_words = sum(v.words for k, v in expected.items() if ".mm3d-" in k)

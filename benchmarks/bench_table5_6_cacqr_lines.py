@@ -7,9 +7,10 @@ from benchmarks.common import archive
 from repro.core.cacqr import ca_cqr, ca_cqr2
 from repro.core.cfr3d import default_base_case
 from repro.costmodel.tables import (
-    ca_cqr2_line_costs,
-    ca_cqr_line_costs,
+    ca_cqr2_lines,
+    ca_cqr_lines,
     format_line_table,
+    lane_cost,
 )
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
@@ -33,13 +34,13 @@ def bench_tables5_6(benchmark):
     rep1, rep2 = benchmark(run_both)
     n0 = default_base_case(N, C)
 
-    exp5 = ca_cqr_line_costs(M, N, C, D, n0)
+    exp5 = ca_cqr_lines(M, N, C, D, n0)
     meas5 = {k: rep1.phase_total(k) for k in exp5}
     text5 = format_line_table(
         f"Table V: CA-CQR per-line costs (m={M}, n={N}, grid {C}x{D}x{C})",
         exp5, meas5)
 
-    exp6 = ca_cqr2_line_costs(M, N, C, D, n0)
+    exp6 = ca_cqr2_lines(M, N, C, D, n0)
     meas6 = {k: rep2.phase_total(k) for k in exp6}
     text6 = format_line_table(
         f"Table VI: CA-CQR2 per-line costs (m={M}, n={N}, grid {C}x{D}x{C})",
@@ -48,9 +49,9 @@ def bench_tables5_6(benchmark):
     archive("table5_6_cacqr_lines", text5 + "\n\n" + text6)
 
     for k, e in exp5.items():
-        assert meas5[k].isclose(e), k
+        assert meas5[k] == lane_cost(e), k
     for k, e in exp6.items():
-        assert meas6[k].isclose(e), k
+        assert meas6[k] == lane_cost(e), k
     # Table V structure: the Gram dance's five lines cost what the paper
     # charges (bcast mn/dc over c, reduce/allreduce/bcast of n^2/c^2).
     mloc, nloc = M // D, N // C

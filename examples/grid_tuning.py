@@ -12,10 +12,10 @@ model-driven search restricted to CA-CQR2 grids).
 from repro import Session
 from repro.core.cfr3d import default_base_case
 from repro.core.tuning import GridShape, feasible_grids, optimal_grid
-from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.memory import ca_cqr2_memory, replication_overhead
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
 from repro.costmodel.performance import ExecutionModel
+from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
 
 M, N, PROCS = 2 ** 20, 2 ** 10, 2 ** 12
 
@@ -38,8 +38,8 @@ def main() -> None:
     s2 = ExecutionModel(STAMPEDE2)
     bw = ExecutionModel(BLUE_WATERS)
     for shape in feasible_grids(M, N, PROCS):
-        cost = ca_cqr2_cost(M, N, shape.c, shape.d,
-                            default_base_case(N, shape.c))
+        cost = lane_cost(total(ca_cqr2_lines(M, N, shape.c, shape.d,
+                                             default_base_case(N, shape.c))))
         mem = ca_cqr2_memory(M, N, shape.c, shape.d)
         over = replication_overhead(M, N, shape.c, shape.d)
         print(f"{shape!s:>12} {cost.messages:>10.0f} {cost.words:>12.0f} "

@@ -30,18 +30,14 @@ meaningless to a generic linter:
     deterministic and cacheable.
 
 ``lint/no-per-rank-dict``
-    No ``dict.fromkeys(<x>.all_ranks(), ...)`` inside ``core``, ``vmpi``
-    or ``baselines`` -- that idiom builds an O(P) dict mapping every rank
-    to one shared block; shared-block symbolic matrices go through
-    :meth:`~repro.vmpi.distmatrix.DistMatrix.shared` (O(1) objects).  And
-    in the stacked steps (:data:`STACKED_STEP_FILES`) no loop or
-    comprehension over ``<grid>.coords()`` or ``range(<grid>.dim_y)``,
-    nor one that calls ``<grid>.rank_at(...)``: their numerics are
-    whole-array operations on the stacked blocks of
-    :class:`~repro.vmpi.distmatrix.DistMatrix`, and a per-rank loop there
-    is the pattern the stacked layout replaced.  ``dim_y`` is the row
-    axis, the one that grows with ``P`` (``d`` ranks on a ``c x d x c``
-    grid, all ``P`` on 1D-CQR's ``1 x P x 1``).
+    In the stacked steps (:data:`STACKED_STEP_FILES` inside ``core``,
+    ``vmpi`` or ``baselines``) no loop or comprehension over
+    ``range(<grid>.dim_y)``: their numerics are whole-array operations on
+    the stacked blocks of :class:`~repro.vmpi.distmatrix.DistMatrix`, and
+    a per-rank loop there is the pattern the stacked layout replaced.
+    ``dim_y`` is the row axis, the one that grows with ``P`` (``d`` ranks
+    on a ``c x d x c`` grid, all ``P`` on 1D-CQR's ``1 x P x 1``).  The
+    grid has no per-rank iteration API to loop over otherwise.
 
 ``lint/no-deep-asdict``
     No ``dataclasses.asdict`` / ``astuple`` calls (also imported by
@@ -69,7 +65,7 @@ LINT_RULES = {
     "lint/lock-discipline": "attributes of a _lock-owning class are only mutated under `with self._lock` in public methods",
     "lint/solver-count-fields": "registered Solver subclasses explicitly declare count_machine_fields",
     "lint/no-wallclock": "no wall-clock reads inside vmpi/sched/costmodel",
-    "lint/no-per-rank-dict": "no dict.fromkeys(<x>.all_ranks(), ...) inside core/vmpi/baselines, no <grid>.coords(), range(<grid>.dim_y) or <grid>.rank_at(...) loops in the stacked steps",
+    "lint/no-per-rank-dict": "no range(<grid>.dim_y) loops in the stacked steps of core/vmpi/baselines",
     "lint/no-deep-asdict": "no deep-copying dataclasses.asdict/astuple calls inside plan/serve/engine/costmodel",
 }
 
@@ -77,7 +73,7 @@ LINT_RULES = {
 #: simulation core: machine-state in, machine-state out).
 WALLCLOCK_SCOPES = frozenset({"vmpi", "sched", "costmodel"})
 
-#: Directories whose symbolic matrices must stay O(1) objects per matrix.
+#: Directories holding the stacked steps.
 PER_RANK_DICT_SCOPES = frozenset({"core", "vmpi", "baselines"})
 
 #: Directories on the per-request planning and serving path, where a
@@ -176,27 +172,16 @@ def _lint_deep_asdict(tree: ast.Module, path: str) -> List[Finding]:
 # -- lint/no-per-rank-dict --------------------------------------------------------
 
 
-def _is_call_of(node: ast.AST, attr: str) -> bool:
-    """``<x>.<attr>(...)``."""
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == attr)
-
-
-def _per_rank_iter(node: ast.expr) -> Optional[str]:
-    """``"<grid>.coords()"`` or ``"range(<grid>.dim_y)"`` for such an
-    iterable, else ``None``."""
-    if _is_call_of(node, "coords"):
-        return "<grid>.coords()"
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+def _is_row_axis_range(node: ast.expr) -> bool:
+    """``range(<grid>.dim_y)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == "range"
             and len(node.args) == 1 and isinstance(node.args[0], ast.Attribute)
-            and node.args[0].attr == "dim_y"):
-        return "range(<grid>.dim_y)"
-    return None
+            and node.args[0].attr == "dim_y")
 
 
-_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
-          ast.DictComp, ast.GeneratorExp)
+_LOOPS = (ast.For, ast.AsyncFor, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
 
 
 def _loop_iters(node: ast.AST) -> List[ast.expr]:
@@ -205,42 +190,21 @@ def _loop_iters(node: ast.AST) -> List[ast.expr]:
     return [gen.iter for gen in getattr(node, "generators", ())]
 
 
-def _in_stacked_step(path: str) -> bool:
-    return (_in_scope(path, PER_RANK_DICT_SCOPES)
-            and os.path.basename(path) in STACKED_STEP_FILES)
-
-
 def _lint_per_rank_dict(tree: ast.Module, path: str) -> List[Finding]:
+    if os.path.basename(path) not in STACKED_STEP_FILES:
+        return []
     findings = []
-    stacked = _in_stacked_step(path)
     covered: Set[int] = set()       # nodes inside an already flagged loop
     for node in ast.walk(tree):     # breadth-first: outer loops first
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "fromkeys"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "dict"
-                and node.args and _is_call_of(node.args[0], "all_ranks")):
-            findings.append(Finding(
-                "lint/no-per-rank-dict", _loc(path, node),
-                "dict.fromkeys over every rank builds an O(P) per-rank "
-                "dict; use DistMatrix.shared (one shared block)"))
-        if not (stacked and isinstance(node, _LOOPS)) or id(node) in covered:
+        if not isinstance(node, _LOOPS) or id(node) in covered:
             continue
-        hits = []
-        for it in _loop_iters(node):
-            what = _per_rank_iter(it)
-            if what is not None:
-                hits.append((_loc(path, it), f"per-rank loop over {what}"))
-        if not hits:
-            hits = [(_loc(path, sub), "<grid>.rank_at(...) inside a loop")
-                    for sub in ast.walk(node)
-                    if _is_call_of(sub, "rank_at") and id(sub) not in covered]
-        for loc, what in hits:
+        hits = [it for it in _loop_iters(node) if _is_row_axis_range(it)]
+        for it in hits:
             findings.append(Finding(
-                "lint/no-per-rank-dict", loc,
-                f"{what} in a stacked step; operate on DistMatrix.data and "
-                f"charge each communicator family in one machine call"))
+                "lint/no-per-rank-dict", _loc(path, it),
+                "per-rank loop over range(<grid>.dim_y) in a stacked step; "
+                "operate on DistMatrix.data and charge each communicator "
+                "family in one machine call"))
         if hits:
             covered.update(map(id, ast.walk(node)))
     return findings

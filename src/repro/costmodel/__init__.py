@@ -1,6 +1,6 @@
 """The alpha-beta-gamma cost model (Section II-A of the paper).
 
-This package has four layers:
+This package has these layers:
 
 * :mod:`repro.costmodel.params` -- the model parameters ``(alpha, beta,
   gamma)`` and machine presets carrying the paper's published constants for
@@ -10,10 +10,13 @@ This package has four layers:
 * :mod:`repro.costmodel.ledger` -- per-rank cost accounting used by the
   virtual-MPI runtime, with named phase attribution so the paper's per-line
   cost tables (Tables II-VI) can be re-derived from measurements.
-* :mod:`repro.costmodel.analytic` / :mod:`repro.costmodel.asymptotics` --
-  exact closed-form cost functions that mirror each algorithm's communication
-  schedule (validated against the executed ledger in the test suite) and the
-  leading-order Table-I expressions.
+* :mod:`repro.costmodel.tables` -- the CholeskyQR family's one closed form:
+  the paper's per-line cost tables (Tables II-VI), batched over candidate
+  lanes.  A line equals the executed ledger's phase total bit for bit (the
+  test suite asserts it); the planner's screen and every scalar cost are
+  sums of the lines.  :mod:`repro.costmodel.batch` holds the shared lane
+  helpers and the baseline screens, :mod:`repro.costmodel.asymptotics`
+  the leading-order Table-I expressions.
 * :mod:`repro.costmodel.performance` -- conversion of cost triples into
   modeled execution time and the paper's Gigaflops/s/node metric.
 """

@@ -3,7 +3,7 @@
 Each function returns the Table I ``(latency, bandwidth, flops)`` triple --
 *leading-order terms without constants* -- for an ``m x n`` QR (or the
 relevant substrate) on ``P`` processors.  They are used by experiment E1,
-which fits the exact measured/analytic costs against these shapes across
+which fits the exact measured/closed-form costs against these shapes across
 parameter sweeps and checks the scaling exponents, and by the grid
 autotuner's documentation.
 

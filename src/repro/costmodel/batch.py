@@ -1,38 +1,54 @@
-"""Vectorized (candidate-batched) analytic cost evaluation.
+"""Vectorized (candidate-batched) cost evaluation: the shared lane machinery.
 
 The planner (:mod:`repro.plan`) screens *hundreds* of candidate
 configurations -- every feasible ``c x d x c`` grid times every inverse
 depth, every ``pr x pc`` split times every panel width -- before refining
-the survivors with exact symbolic-VM replay.  Evaluating the scalar
-closed forms in :mod:`repro.costmodel.analytic` one candidate at a time
-would already be fast; evaluating them *batched* makes the screen
-effectively free and keeps the whole search model-bound, in the same
-spirit as the vectorized virtual machine.
+the survivors with exact symbolic-VM replay.  Evaluating the closed forms
+*batched* makes the screen effectively free and keeps the whole search
+model-bound, in the same spirit as the vectorized virtual machine.
 
-Every function here takes **numpy arrays of candidate parameters** and
-returns a ``(3, N)`` float64 array of per-candidate
-``(messages, words, flops)`` -- one lane per candidate.  The arithmetic
-mirrors the scalar functions *operation for operation* (the same
-sequence of IEEE-754 additions per lane), so each lane is bit-identical
-to the corresponding scalar :class:`~repro.costmodel.ledger.Cost`; the
-test suite asserts exact equality, not closeness.  The CFR3D recursion,
-whose depth varies per candidate with the base-case size, is unrolled as
-a masked level loop: lanes that have reached their full problem size
-stop accumulating while deeper lanes continue.
+Every function here works on **lanes**: numpy arrays of candidate
+parameters, one lane per candidate, and ``(3, N)`` float64 arrays of
+per-lane ``(messages, words, flops)``.  This module holds what every
+batched closed form shares -- :func:`int_lanes` (validated parameter
+lanes), the butterfly collectives per lane, and
+:func:`priced_seconds_segments` -- plus the three baseline screens (TSQR,
+PGEQRF, CAQR), each bit-identical to its scalar cost function.  The
+CholeskyQR family (MM3D, CFR3D, 1D-CQR/CQR2, CA-CQR/CQR2) has its one
+closed form in :mod:`repro.costmodel.tables`, built from these helpers.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
 MSGS, WORDS, FLOPS = 0, 1, 2
 
 
-def _as_int_array(values) -> np.ndarray:
-    out = np.atleast_1d(np.asarray(values, dtype=np.int64))
-    if out.ndim != 1:
-        raise ValueError(f"candidate parameters must be 1-D, got shape {out.shape}")
-    return out
+def int_lanes(**params) -> Tuple[np.ndarray, ...]:
+    """Broadcast candidate parameters to equal-length 1-D int64 lanes.
+
+    Each keyword is a scalar or 1-D array.  A value that is not integral
+    or not positive raises :class:`ValueError` naming the parameter --
+    never truncated or priced as something else.
+    """
+    raws = [np.asarray(value) for value in params.values()]
+    for name, raw in zip(params, raws):
+        if raw.ndim > 1:
+            raise ValueError(f"{name} must be a scalar or 1-D, got shape {raw.shape}")
+        if raw.dtype.kind not in "iu" and np.any(raw.astype(np.int64) != raw):
+            raise ValueError(f"{name} must be integral, got {raw.tolist()}")
+    lanes = np.empty((len(raws), max([raw.size for raw in raws if raw.ndim] or [1])),
+                     dtype=np.int64)
+    for row, raw in zip(lanes, raws):
+        row[...] = raw
+    bad = lanes < 1
+    if bad.any():
+        name, row = next((name, row) for name, row, b in zip(params, lanes, bad) if b.any())
+        raise ValueError(f"{name} must be >= 1, got {row[row < 1].tolist()}")
+    return tuple(lanes)
 
 
 def _zeros(n: int) -> np.ndarray:
@@ -41,39 +57,37 @@ def _zeros(n: int) -> np.ndarray:
 
 def log2ceil(p: np.ndarray) -> np.ndarray:
     """Vector form of the butterfly stage count ``ceil(log2 p)`` (0 for p <= 1)."""
-    p = np.asarray(p, dtype=np.float64)
-    out = np.zeros_like(p)
-    mask = p > 1
-    out[mask] = np.ceil(np.log2(p[mask]))
-    return out
+    return np.ceil(np.log2(np.maximum(np.asarray(p, dtype=np.float64), 1.0)))
 
 
-def _add_bcast(cost: np.ndarray, words: np.ndarray, procs: np.ndarray) -> None:
-    """Accumulate a butterfly broadcast per lane (free where procs <= 1)."""
+def _collective(messages, words, procs: np.ndarray) -> np.ndarray:
+    """One collective per lane as ``(3, N)``: free where ``procs <= 1``."""
     live = procs > 1
-    cost[MSGS] += np.where(live, 2.0 * log2ceil(procs), 0.0)
-    cost[WORDS] += np.where(live, 2.0 * np.asarray(words, dtype=np.float64), 0.0)
+    cost = _zeros(len(procs))
+    cost[MSGS] = np.where(live, messages, 0.0)
+    cost[WORDS] = np.where(live, words, 0.0)
+    return cost
+
+
+def bcast_batch(words: np.ndarray, procs: np.ndarray) -> np.ndarray:
+    """Butterfly broadcast per lane: ``2 log2 P`` messages, ``2n`` words."""
+    return _collective(2.0 * log2ceil(procs), 2.0 * words, procs)
 
 
 # Reduce and allreduce charge identically to broadcast in the paper's
-# butterfly model; keep distinct names so call sites mirror the scalar code.
-_add_reduce = _add_bcast
-_add_allreduce = _add_bcast
+# butterfly model; keep distinct names so call sites name the collective.
+reduce_batch = bcast_batch
+allreduce_batch = bcast_batch
 
 
-def _add_allgather(cost: np.ndarray, result_words: np.ndarray,
-                   procs: np.ndarray) -> None:
-    live = procs > 1
-    cost[MSGS] += np.where(live, log2ceil(procs), 0.0)
-    cost[WORDS] += np.where(live,
-                            np.asarray(result_words, dtype=np.float64), 0.0)
+def allgather_batch(result_words: np.ndarray, procs: np.ndarray) -> np.ndarray:
+    """Butterfly allgather per lane: ``log2 P`` messages, ``n`` result words."""
+    return _collective(log2ceil(procs), result_words, procs)
 
 
-def _add_transpose(cost: np.ndarray, words: np.ndarray,
-                   procs: np.ndarray) -> None:
-    live = procs > 1
-    cost[MSGS] += np.where(live, 1.0, 0.0)
-    cost[WORDS] += np.where(live, np.asarray(words, dtype=np.float64), 0.0)
+def transpose_batch(words: np.ndarray, procs: np.ndarray) -> np.ndarray:
+    """Pairwise transpose exchange per lane: one message of ``n`` words."""
+    return _collective(1.0, words, procs)
 
 
 def priced_seconds_segments(costs: np.ndarray, rates: np.ndarray,
@@ -105,118 +119,6 @@ def priced_seconds_segments(costs: np.ndarray, rates: np.ndarray,
     return alpha * costs[MSGS] + beta * costs[WORDS] + gamma * costs[FLOPS]
 
 
-def mm3d_cost_batch(m, k, n, p, flop_fraction: float = 1.0) -> np.ndarray:
-    """Batched :func:`~repro.costmodel.analytic.mm3d_cost` over grid extents."""
-    m, k, n, p = (_as_int_array(v) for v in np.broadcast_arrays(
-        _as_int_array(m), _as_int_array(k), _as_int_array(n), _as_int_array(p)))
-    cost = _zeros(len(p))
-    _add_bcast(cost, (m // p) * (k // p), p)
-    _add_bcast(cost, (k // p) * (n // p), p)
-    cost[FLOPS] += (2.0 * (m // p) * (n // p) * (k // p)) * flop_fraction
-    _add_allreduce(cost, (m // p) * (n // p), p)
-    return cost
-
-
-def dist_transpose_cost_batch(n, p) -> np.ndarray:
-    """Batched :func:`~repro.costmodel.analytic.dist_transpose_cost`."""
-    n, p = np.broadcast_arrays(_as_int_array(n), _as_int_array(p))
-    cost = _zeros(len(p))
-    _add_transpose(cost, (n // p) ** 2, p)
-    return cost
-
-
-def cfr3d_cost_batch(n, p, base_case_size) -> np.ndarray:
-    """Batched :func:`~repro.costmodel.analytic.cfr3d_cost`.
-
-    The per-lane recursion depth ``log2(n / n0)`` varies with the
-    candidate's base-case size, so the recursion is unrolled bottom-up as
-    a masked level loop: every lane starts at its own base case, and each
-    level doubles the subproblem of the lanes still below their full
-    ``n``, accumulating in exactly the scalar function's addition order
-    (two half-size subcosts, two transposes, four MM3D calls, one
-    elementwise pass).
-    """
-    n, p, n0 = (np.ascontiguousarray(v) for v in np.broadcast_arrays(
-        _as_int_array(n), _as_int_array(p), _as_int_array(base_case_size)))
-    if np.any(n0 < 1):
-        raise ValueError("base_case_size must be >= 1")
-    lanes = len(p)
-    size = np.minimum(n, n0)        # scalar base case triggers at n <= n0
-    n0f = size.astype(np.float64)
-
-    cost = _zeros(lanes)
-    _add_allgather(cost, size * size, p * p)
-    cost[FLOPS] += (2.0 / 3.0) * n0f ** 3 + (1.0 / 3.0) * n0f ** 3
-
-    while np.any(size < n):
-        active = size < n
-        half = size                  # this level recurses on the current size
-        bad = active & (half % p != 0)
-        if np.any(bad):
-            raise ValueError(
-                f"cannot recurse: subproblem sizes {2 * half[bad]} on grid "
-                f"extents {p[bad]} (half size not divisible by the grid)")
-        level = cost + cost          # two recursive calls, added in order
-        level += dist_transpose_cost_batch(half, p)
-        level += dist_transpose_cost_batch(half, p)
-        mm = mm3d_cost_batch(half, half, half, p)
-        for _ in range(4):
-            level += mm
-        level[FLOPS] += 2.0 * ((half // p) * (half // p)).astype(np.float64)
-        cost = np.where(active, level, cost)
-        size = np.where(active, size * 2, size)
-    return cost
-
-
-def ca_cqr_cost_batch(m, n, c, d, base_case_size) -> np.ndarray:
-    """Batched :func:`~repro.costmodel.analytic.ca_cqr_cost` over grids."""
-    m, n, c, d, n0 = (np.ascontiguousarray(v) for v in np.broadcast_arrays(
-        _as_int_array(m), _as_int_array(n), _as_int_array(c),
-        _as_int_array(d), _as_int_array(base_case_size)))
-    if np.any((d % c != 0) | (m % d != 0) | (n % c != 0)):
-        raise ValueError("every candidate grid must satisfy c | d, d | m, c | n")
-    mloc, nloc = m // d, n // c
-    cost = _zeros(len(c))
-    _add_bcast(cost, mloc * nloc, c)
-    cost[FLOPS] += (2.0 * nloc * nloc * mloc) / 2.0
-    _add_reduce(cost, nloc * nloc, c)
-    _add_allreduce(cost, nloc * nloc, d // c)
-    _add_bcast(cost, nloc * nloc, c)
-    cost += cfr3d_cost_batch(n, c, n0)
-    cost += dist_transpose_cost_batch(n, c)
-    cost += mm3d_cost_batch(c * mloc, n, n, c, flop_fraction=0.5)
-    cost += dist_transpose_cost_batch(n, c)
-    return cost
-
-
-def ca_cqr2_cost_batch(m, n, c, d, base_case_size) -> np.ndarray:
-    """Batched :func:`~repro.costmodel.analytic.ca_cqr2_cost` over grids."""
-    m, n, c, d, n0 = np.broadcast_arrays(
-        _as_int_array(m), _as_int_array(n), _as_int_array(c),
-        _as_int_array(d), _as_int_array(base_case_size))
-    single = ca_cqr_cost_batch(m, n, c, d, n0)
-    cost = single + single
-    cost += mm3d_cost_batch(n, n, n, c, flop_fraction=1.0 / 6.0)
-    return cost
-
-
-def cqr2_1d_cost_batch(m, n, procs) -> np.ndarray:
-    """Batched :func:`~repro.costmodel.analytic.cqr2_1d_cost`."""
-    m, n, p = (np.ascontiguousarray(v) for v in np.broadcast_arrays(
-        _as_int_array(m), _as_int_array(n), _as_int_array(procs)))
-    if np.any(m % p != 0):
-        raise ValueError("1D layout needs P | m for every candidate")
-    single = _zeros(len(p))
-    single[FLOPS] += ((m // p) * n * n).astype(np.float64)
-    _add_allreduce(single, n * n, p)
-    single[FLOPS] += (2.0 / 3.0) * n.astype(np.float64) ** 3 \
-        + (1.0 / 3.0) * n.astype(np.float64) ** 3
-    single[FLOPS] += (2.0 * (m // p) * n * n) * 0.5
-    cost = single + single
-    cost[FLOPS] += n.astype(np.float64) ** 3 / 3.0
-    return cost
-
-
 def tsqr_cost_batch(m, n, procs) -> np.ndarray:
     """Batched :func:`~repro.baselines.tsqr.tsqr_cost`.
 
@@ -224,8 +126,7 @@ def tsqr_cost_batch(m, n, procs) -> np.ndarray:
     candidates carry different processor counts), matching the scalar
     accumulation order level by level.
     """
-    m, n, p = (np.ascontiguousarray(v) for v in np.broadcast_arrays(
-        _as_int_array(m), _as_int_array(n), _as_int_array(procs)))
+    m, n, p = int_lanes(m=m, n=n, procs=procs)
     if np.any((m % p != 0) | (m // p < n)):
         raise ValueError("TSQR needs P | m and m/P >= n for every candidate")
     nf = n.astype(np.float64)
@@ -247,9 +148,7 @@ def tsqr_cost_batch(m, n, procs) -> np.ndarray:
 def pgeqrf_cost_batch(m, n, pr, pc, block_size,
                       kernel_efficiency: float) -> np.ndarray:
     """Batched :func:`~repro.baselines.scalapack_qr.pgeqrf_cost`."""
-    m, n, pr, pc, nb = (np.ascontiguousarray(v) for v in np.broadcast_arrays(
-        _as_int_array(m), _as_int_array(n), _as_int_array(pr),
-        _as_int_array(pc), _as_int_array(block_size)))
+    m, n, pr, pc, nb = int_lanes(m=m, n=n, pr=pr, pc=pc, block_size=block_size)
     b = np.minimum(nb, n).astype(np.float64)
     mf, nf = m.astype(np.float64), n.astype(np.float64)
     p = (pr * pc).astype(np.float64)
@@ -267,9 +166,7 @@ def pgeqrf_cost_batch(m, n, pr, pc, block_size,
 
 def caqr_cost_batch(m, n, pr, pc, block_size) -> np.ndarray:
     """Batched :func:`~repro.baselines.caqr.caqr_cost`."""
-    m, n, pr, pc, nb = (np.ascontiguousarray(v) for v in np.broadcast_arrays(
-        _as_int_array(m), _as_int_array(n), _as_int_array(pr),
-        _as_int_array(pc), _as_int_array(block_size)))
+    m, n, pr, pc, nb = int_lanes(m=m, n=n, pr=pr, pc=pc, block_size=block_size)
     b = np.minimum(nb, n).astype(np.float64)
     mf, nf = m.astype(np.float64), n.astype(np.float64)
     p = (pr * pc).astype(np.float64)

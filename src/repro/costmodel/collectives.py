@@ -18,10 +18,12 @@ is 0 for ``P <= 1`` and 1 otherwise (a collective over one process is free).
 Computation inside reductions is disregarded, per the paper's
 ``beta >> gamma`` assumption.
 
-These functions are the single source of truth for communication charges:
-both the virtual-MPI runtime (which executes data movement) and the analytic
-cost functions (which only sum formulas) call them, so the two paths agree
-by construction and the test suite verifies they do.
+These functions are the single source of truth for the communication
+charges of the virtual-MPI runtime (which executes data movement).  The
+closed-form line tables (:mod:`repro.costmodel.tables`) charge the same
+formulas per candidate lane through the vector forms in
+:mod:`repro.costmodel.batch`, and the test suite verifies, with ``==``,
+that the two agree phase by phase.
 """
 
 from __future__ import annotations

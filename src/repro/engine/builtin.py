@@ -4,9 +4,11 @@ One adapter per QR algorithm in the repository: the paper's CA-CQR2 on
 the tunable ``c x d x c`` grid, the 1D-CQR2 parallelization, the TSQR
 kernel, the ScaLAPACK-style 2D blocked QR (PGEQRF), and CAQR.  Each
 bundles the capability checks, grid construction, executed path, and
-planner counterpart (runnable candidates plus their batched analytic
+planner counterpart (runnable candidates plus their batched closed-form
 costs) that the CLI, the planner, the modeled sweeps, and the benchmark
-harness all dispatch through.
+harness all dispatch through.  CA-CQR2 and 1D-CQR2 screen with the sum of
+their per-line tables (:mod:`repro.costmodel.tables`); the baselines with
+their batch forms in :mod:`repro.costmodel.batch`.
 
 CAQR note: the repository carries CAQR's *cost model* only; its executed
 counterpart is the TSQR-panel machinery in
@@ -31,7 +33,7 @@ from repro.core.tuning import (
     inverse_depth_to_base_case,
     optimal_grid,
 )
-from repro.costmodel import batch
+from repro.costmodel import batch, tables
 from repro.costmodel.memory import ca_cqr2_memory, cqr2_1d_memory, pgeqrf_memory
 from repro.costmodel.params import MachineSpec
 from repro.engine.registry import (
@@ -131,11 +133,11 @@ class CACQR2Solver(Solver):
     def screen_costs(self, m: int, n: int, machine: MachineSpec,
                      candidates: Sequence[PlanCandidate]) -> np.ndarray:
         fields = [cand.spec_fields for cand in candidates]
-        return batch.ca_cqr2_cost_batch(
+        return tables.total(tables.ca_cqr2_lines(
             m, n,
             np.array([f["c"] for f in fields], dtype=np.int64),
             np.array([f["d"] for f in fields], dtype=np.int64),
-            np.array([f["base_case_size"] for f in fields], dtype=np.int64))
+            np.array([f["base_case_size"] for f in fields], dtype=np.int64)))
 
 
 class CQR21DSolver(Solver):
@@ -193,7 +195,7 @@ class CQR21DSolver(Solver):
                      candidates: Sequence[PlanCandidate]) -> np.ndarray:
         procs = np.array([c.spec_fields["procs"] for c in candidates],
                          dtype=np.int64)
-        return batch.cqr2_1d_cost_batch(m, n, procs)
+        return tables.total(tables.cqr2_1d_lines(m, n, procs))
 
 
 class TSQRSolver(Solver):

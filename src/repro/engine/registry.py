@@ -166,12 +166,13 @@ class Solver(abc.ABC):
 
     def screen_costs(self, m: int, n: int, machine: MachineSpec,
                      candidates: Sequence[PlanCandidate]) -> "np.ndarray":  # noqa: F821
-        """Per-candidate analytic ``(messages, words, flops)`` as ``(3, N)``.
+        """Per-candidate closed-form ``(messages, words, flops)`` as ``(3, N)``.
 
         Must price exactly the configurations :meth:`plan_candidates`
-        yielded, in order.  Built-in solvers evaluate the vectorized batch
-        cost model (:mod:`repro.costmodel.batch`), bit-identical to the
-        scalar closed forms.
+        yielded, in order.  Built-in solvers evaluate one batched closed
+        form per algorithm: the CholeskyQR family the sum of its line
+        table (:mod:`repro.costmodel.tables`), the baselines their batch
+        forms (:mod:`repro.costmodel.batch`).
         """
         raise NotImplementedError(
             f"{self.name} yields plan candidates but does not price them; "

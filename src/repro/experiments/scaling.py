@@ -12,8 +12,9 @@ The paper labels every curve with a tuple:
 The dataclasses below encode those tuples, resolve them at each scaling
 point (skipping points where the tuple is infeasible -- non-integer grid,
 ``d < c``, divisibility failure -- exactly the points the paper's curves do
-not span), and evaluate the modeled Gigaflops/s/node via the validated
-analytic cost functions.
+not span), and evaluate the modeled Gigaflops/s/node from CA-CQR2's
+closed-form line table (:mod:`repro.costmodel.tables`, validated against
+execution), a batch of one lane per point.
 
 A figure panel *is* a campaign: :func:`strong_scaling_study` /
 :func:`weak_scaling_study` declare one panel as a
@@ -31,9 +32,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.baselines.scalapack_qr import pgeqrf_cost
 from repro.core.tuning import inverse_depth_to_base_case
-from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.params import MachineSpec
 from repro.costmodel.performance import ExecutionModel
+from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
 from repro.study import Axis, RawField, ResultTable, Study
 
 
@@ -101,7 +102,7 @@ class CAStrongVariant:
             return None
         c, d, n0 = resolved
         model = ExecutionModel(machine.with_ppn(self.ppn))
-        cost = ca_cqr2_cost(m, n, c, d, n0)
+        cost = lane_cost(total(ca_cqr2_lines(m, n, c, d, n0)))
         return model.gigaflops_per_node_from_cost(m, n, cost, nodes)
 
 
@@ -149,7 +150,7 @@ class CAWeakVariant:
             return None
         c, d, n0 = resolved
         model = ExecutionModel(machine.with_ppn(self.ppn))
-        cost = ca_cqr2_cost(m, n, c, d, n0)
+        cost = lane_cost(total(ca_cqr2_lines(m, n, c, d, n0)))
         return model.gigaflops_per_node_from_cost(m, n, cost, nodes)
 
 

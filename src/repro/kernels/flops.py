@@ -13,7 +13,7 @@ The paper charges:
 
 Element-wise subtraction (Algorithm 3 line 10) is charged one flop per
 entry.  These are model conventions, not hardware truths; what matters for
-the reproduction is that the analytic cost functions, the executed ledger,
+the reproduction is that the closed-form line tables, the executed ledger,
 and the paper's Table I all use the same constants.
 """
 

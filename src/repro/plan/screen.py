@@ -3,9 +3,8 @@
 Enumeration asks each registered solver for its feasible, runnable
 configurations (:meth:`~repro.engine.Solver.plan_candidates`).  The
 lattice search (:mod:`repro.plan.lattice`) then prices each solver's
-family with its vectorized batch cost model
-(:meth:`~repro.engine.Solver.screen_costs`, bit-identical to the scalar
-closed forms) and converts *all* candidates to modeled seconds in one
+family with its batched closed form
+(:meth:`~repro.engine.Solver.screen_costs`) and converts *all* candidates to modeled seconds in one
 numpy evaluation -- the screen stays model-bound no matter how many
 hundreds of configurations the grid/variant space expands to.
 """

@@ -36,9 +36,8 @@ axis swap, and the algorithms in :mod:`repro.core` stack their local
 products into one ``np.matmul``.  A symbolic matrix holds one immutable
 shape-only block shared by every rank (:meth:`DistMatrix.shared`).
 Either way a matrix costs O(1) Python objects whatever the rank count:
-no code holds one object per rank.  :meth:`DistMatrix.local` wraps one
-rank's block as a read-only :class:`~repro.vmpi.datatypes.NumericBlock`
-view, for inspection.
+no code holds one object per rank.  Rank ``Pi[x, y, z]``'s block is
+``data[x, y, z]`` (numeric) or :attr:`DistMatrix.shared_block` (symbolic).
 """
 
 from __future__ import annotations
@@ -195,17 +194,6 @@ class DistMatrix:
     def plane(self) -> np.ndarray:
         """The one stored ``(dim_x, dim_y, 1, ., .)`` plane every depth slice views."""
         return self.data[:, :, :1]  # type: ignore[index]
-
-    def local(self, x: int, y: int, z: int) -> Block:
-        """Local block at grid coordinates ``(x, y, z)``.
-
-        Numeric: a read-only view of that rank's slice of :attr:`data`.
-        """
-        for name, value, dim in zip("xyz", (x, y, z), self.grid.dims):
-            _require_coord(name, value, dim)
-        if self.data is None:
-            return self.shared_block  # type: ignore[return-value]
-        return NumericBlock(self.data[x, y, z])
 
     # -- assembly -----------------------------------------------------------------
 

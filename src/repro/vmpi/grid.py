@@ -43,15 +43,13 @@ grid or a subcube.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.costmodel.collectives import CollectiveCost
 from repro.utils.validation import check_positive_int, require
 from repro.vmpi.machine import VirtualMachine, lines_along
-
-Coords = Tuple[int, int, int]
 
 
 class Grid3D:
@@ -159,21 +157,6 @@ class Grid3D:
         """
         return self._root
 
-    def rank_at(self, x: int, y: int, z: int) -> int:
-        """Machine rank of ``Pi[x, y, z]``."""
-        return int(self.ranks[x, y, z])
-
-    def coords(self) -> Iterator[Coords]:
-        """Iterate all coordinates (x-fastest)."""
-        dx, dy, dz = self.dims
-        for z in range(dz):
-            for y in range(dy):
-                for x in range(dx):
-                    yield (x, y, z)
-
-    def all_ranks(self) -> List[int]:
-        return self._flat.tolist()
-
     def charge_lines(self, vm: VirtualMachine, shape: Sequence[int],
                      axis: int, cost: CollectiveCost, phase: str) -> None:
         """Charge one collective per line along *axis* of the grid viewed as *shape*.
@@ -217,13 +200,6 @@ class Grid3D:
                 f"group {group} out of range for dim_y={self.dim_y}, c={c}")
         return Grid3D._trusted(self.vm, self.ranks[:, group * c:(group + 1) * c, :],
                                root=self._root and self.dim_y == c)
-
-    def num_subcubes(self) -> int:
-        """Number of cubic subgrids ``d / c`` along y."""
-        require(self.dim_x == self.dim_z, f"subcubes need dim_x == dim_z, got {self.dims}")
-        require(self.dim_y % self.dim_x == 0,
-                f"dim_y={self.dim_y} not divisible by c={self.dim_x}")
-        return self.dim_y // self.dim_x
 
     def matches(self, other: "Grid3D") -> bool:
         """Structural equality: same machine and same rank array.

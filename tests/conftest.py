@@ -64,7 +64,7 @@ def assert_depth_replicated(dm: DistMatrix, want=None) -> None:
     if dz > 1:
         assert dm.data.strides[2] == 0
     for x, y, z in np.ndindex(dx, dy, dz):
-        block = dm.local(x, y, z).data
+        block = dm.data[x, y, z]
         np.testing.assert_array_equal(block, dm.plane[x, y, 0])
         if want is not None:
             np.testing.assert_array_equal(block, want[y::dy, x::dx])
@@ -77,7 +77,7 @@ def assert_alias_only_depth_replicas(*mats: DistMatrix) -> None:
     distinct ``(x, y)``, or of distinct matrices (e.g. the ``R`` copies of
     distinct subcubes), never alias.  Every block is read-only.
     """
-    blocks = [((k, x, y), dm.local(x, y, z).data)
+    blocks = [((k, x, y), dm.data[x, y, z])
               for k, dm in enumerate(mats)
               for x, y, z in np.ndindex(*dm.grid.dims)]
     for i, (key, view) in enumerate(blocks):

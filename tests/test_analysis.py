@@ -547,6 +547,15 @@ class TestFindings:
 # -- the repo-invariant source lint -------------------------------------------------
 
 
+#: Where each stacked step lives (``lint.STACKED_STEP_FILES`` by path).
+STACKED_STEP_PATHS = [
+    "src/repro/core/mm3d.py", "src/repro/core/cfr3d.py",
+    "src/repro/core/elementwise.py", "src/repro/core/cacqr.py",
+    "src/repro/core/cqr_1d.py", "src/repro/core/shifted.py",
+    "src/repro/core/panels_dist.py", "src/repro/baselines/tsqr.py",
+    "src/repro/baselines/scalapack_qr.py"]
+
+
 class TestLintRules:
     def test_lock_discipline_flags_unlocked_mutation(self):
         src = (
@@ -625,89 +634,49 @@ class TestLintRules:
                     "def asdict(x):\n    return {}\nout = asdict(p)\n"):
             assert lint_source(src, "src/repro/plan/fake.py") == [], src
 
-    @pytest.mark.parametrize("keys", ["grid.all_ranks()",
-                                      "self.grid.all_ranks()"])
-    @pytest.mark.parametrize("scope", ["core", "vmpi", "baselines"])
-    def test_per_rank_dict_flagged_in_core_and_vmpi(self, keys, scope):
-        src = f"blocks = dict.fromkeys({keys}, shared)\n"
-        findings = lint_source(src, f"src/repro/{scope}/fake.py")
-        assert [f.rule for f in findings] == ["lint/no-per-rank-dict"]
-        assert findings[0].loc == f"src/repro/{scope}/fake.py:1"
+    def test_stacked_step_paths_name_every_stacked_step(self):
+        import os
 
-    def test_per_rank_dict_negatives(self):
-        flagged = "blocks = dict.fromkeys(grid.all_ranks(), shared)\n"
-        # Outside core/vmpi the idiom is not this rule's business.
-        assert lint_source(flagged, "src/repro/plan/fake.py") == []
-        # Other fromkeys sources, other dicts, and the shared constructor pass.
-        for src in ("order = list(dict.fromkeys(keys))\n",
-                    "d = dict.fromkeys(comm.ranks, block)\n",
-                    "d = dict.fromkeys(a.blocks, block)\n",
-                    "d = {r: b for r, b in a.blocks.items()}\n",
-                    "d = OrderedDict.fromkeys(a.blocks)\n",
-                    "m = DistMatrix.shared(grid, 8, 8, block)\n"):
-            assert lint_source(src, "src/repro/core/fake.py") == [], src
+        from repro.analysis.lint import STACKED_STEP_FILES
 
-    @pytest.mark.parametrize("name", ["mm3d.py", "cfr3d.py", "elementwise.py",
-                                      "cacqr.py", "cqr_1d.py"])
-    @pytest.mark.parametrize("src", [
-        "for (x, y, z) in grid.coords():\n    pass\n",
-        "for xyz in a.grid.coords():\n    pass\n",
-        "ranks = [g.rank_at(*xyz) for xyz in g.coords()]\n",
-    ])
-    def test_coords_loop_flagged_in_stacked_steps(self, name, src):
-        findings = lint_source(src, f"src/repro/core/{name}")
-        assert [f.rule for f in findings] == ["lint/no-per-rank-dict"]
-        assert findings[0].loc == f"src/repro/core/{name}:1"
-        assert "coords()" in findings[0].message
+        assert {os.path.basename(p) for p in STACKED_STEP_PATHS} == \
+            STACKED_STEP_FILES
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for path in STACKED_STEP_PATHS:
+            assert os.path.isfile(os.path.join(root, path)), path
 
-    @pytest.mark.parametrize("name", ["cacqr.py", "cqr_1d.py"])
+    @pytest.mark.parametrize("path", STACKED_STEP_PATHS)
     @pytest.mark.parametrize("src", [
         "for y in range(g.dim_y):\n    pass\n",
         "for y in range(grid.dim_y):\n    pass\n",
-        "ranks = [g.rank_at(0, y, 0) for y in range(a.grid.dim_y)]\n",
+        "ranks = [g.ranks[0, y, 0] for y in range(a.grid.dim_y)]\n",
     ])
-    def test_row_axis_loop_flagged_in_stacked_steps(self, name, src):
-        findings = lint_source(src, f"src/repro/core/{name}")
+    def test_row_axis_loop_flagged_in_stacked_steps(self, path, src):
+        findings = lint_source(src, path)
         assert [f.rule for f in findings] == ["lint/no-per-rank-dict"]
-        assert findings[0].loc == f"src/repro/core/{name}:1"
+        assert findings[0].loc == f"{path}:1"
         assert "range(<grid>.dim_y)" in findings[0].message
 
-    def test_coords_loop_negatives(self):
+    def test_row_axis_loop_negatives(self):
         # Code outside the stacked steps keeps its loops.
-        for loop in ("for (x, y, z) in grid.coords():\n    pass\n",
-                     "for y in range(grid.dim_y):\n    pass\n",
-                     "for y in range(4):\n    r = grid.rank_at(0, y, 0)\n"):
-            for path in ("src/repro/core/panels.py",
-                         "src/repro/vmpi/distmatrix.py",
-                         "src/repro/baselines/caqr.py",
-                         "src/repro/engine/mm3d.py"):
-                assert lint_source(loop, path) == [], path
+        loop = "for y in range(grid.dim_y):\n    pass\n"
+        for path in ("src/repro/core/panels.py",
+                     "src/repro/vmpi/distmatrix.py",
+                     "src/repro/baselines/caqr.py",
+                     "src/repro/engine/mm3d.py"):
+            assert lint_source(loop, path) == [], path
         # Other loops in the stacked steps pass.
         for src in ("for z in range(grid.dim_z):\n    pass\n",
                     "for k in coords:\n    pass\n",
+                    "while todo:\n    todo.pop()\n",
                     "for idx in np.ndindex(*grid.dims):\n    pass\n"):
             assert lint_source(src, "src/repro/core/mm3d.py") == [], src
 
-    @pytest.mark.parametrize("path", ["src/repro/baselines/tsqr.py",
-                                      "src/repro/baselines/scalapack_qr.py",
-                                      "src/repro/core/shifted.py",
-                                      "src/repro/core/panels_dist.py"])
-    @pytest.mark.parametrize("src", [
-        "for y in range(procs):\n    rank = g.rank_at(0, y, 0)\n",
-        "acc = {g.rank_at(x, y, 0): 0 for y in range(pr) for x in range(pc)}\n",
-        "for y in range(pr):\n    for x in range(pc):\n"
-        "        r = g.rank_at(x, y, 0)\n",
-        "while todo:\n    todo.pop(g.rank_at(0, 0, 0))\n",
-    ])
-    def test_rank_at_loop_flagged_in_stacked_steps(self, path, src):
-        findings = lint_source(src, path)
-        assert [f.rule for f in findings] == ["lint/no-per-rank-dict"]
-        assert "rank_at" in findings[0].message
-
-    def test_rank_at_outside_loops_passes(self):
-        for src in ("r = g.rank_at(0, 0, 0)\n",
-                    "for y in range(procs):\n    pass\nr = g.rank_at(0, 1, 0)\n"):
-            assert lint_source(src, "src/repro/baselines/tsqr.py") == [], src
+    def test_nested_row_axis_loop_flagged_once(self):
+        src = ("for y in range(g.dim_y):\n"
+               "    for y2 in range(g.dim_y):\n        pass\n")
+        findings = lint_source(src, "src/repro/core/cacqr.py")
+        assert [f.loc for f in findings] == ["src/repro/core/cacqr.py:1"]
 
     def test_parse_error_is_reported_not_raised(self):
         findings = lint_source("def broken(:\n", "x.py")

@@ -77,7 +77,8 @@ class TestVsCholeskyQR2Costs:
         # n^2/2-word triangles per level vs full 2n^2-word allreduces:
         # TSQR's 1D bandwidth is lower; CQR2's advantage is BLAS-3 compute,
         # not volume (the paper's practicality argument).
-        from repro.costmodel.analytic import cqr2_1d_cost
+        from repro.costmodel.tables import cqr2_1d_lines, lane_cost, total
 
         m, n, p = 2 ** 16, 64, 64
-        assert tsqr_cost(m, n, p).words < cqr2_1d_cost(m, n, p).words
+        cqr2 = lane_cost(total(cqr2_1d_lines(m, n, p)))
+        assert tsqr_cost(m, n, p).words < cqr2.words

@@ -10,7 +10,7 @@ from tests.conftest import assert_depth_replicated, make_cubic, make_tunable
 from repro.core.cacqr import ca_cqr, ca_cqr2, cqr2_3d
 from repro.core.cfr3d import default_base_case
 from repro.core.cqr import cqr2_sequential
-from repro.costmodel.analytic import ca_cqr2_cost, ca_cqr_cost
+from repro.costmodel.tables import ca_cqr2_lines, ca_cqr_lines, lane_cost, total
 from repro.vmpi.distmatrix import DistMatrix
 
 
@@ -136,18 +136,18 @@ class TestCosts:
     @pytest.mark.parametrize("m,n,c,d", [
         (64, 8, 2, 4), (128, 16, 2, 8), (256, 16, 1, 4), (64, 8, 2, 2),
     ])
-    def test_ca_cqr_ledger_matches_analytic(self, m, n, c, d):
+    def test_ca_cqr_ledger_matches_closed_form(self, m, n, c, d):
         vm, g = make_tunable(c, d)
         ca_cqr(vm, DistMatrix.symbolic(g, m, n))
         n0 = default_base_case(n, c)
-        assert vm.report().max_cost.isclose(ca_cqr_cost(m, n, c, d, n0))
+        assert vm.report().max_cost == lane_cost(total(ca_cqr_lines(m, n, c, d, n0)))
 
     @pytest.mark.parametrize("m,n,c,d", [(64, 8, 2, 4), (512, 32, 2, 8), (128, 8, 1, 8)])
-    def test_ca_cqr2_ledger_matches_analytic(self, m, n, c, d):
+    def test_ca_cqr2_ledger_matches_closed_form(self, m, n, c, d):
         vm, g = make_tunable(c, d)
         ca_cqr2(vm, DistMatrix.symbolic(g, m, n))
         n0 = default_base_case(n, c)
-        assert vm.report().max_cost.isclose(ca_cqr2_cost(m, n, c, d, n0))
+        assert vm.report().max_cost == lane_cost(total(ca_cqr2_lines(m, n, c, d, n0)))
 
     def test_c_equals_1_matches_1d_communication_shape(self):
         # CA-CQR with c=1 degenerates to 1D-CQR: only the strided allreduce
@@ -174,14 +174,14 @@ class TestCosts:
         # up for words down.  The bandwidth win needs the n^2/c^2 Gram term
         # to matter, i.e. a near-square matrix.
         m = n = 256
-        low_c = ca_cqr2_cost(m, n, 1, 64, default_base_case(n, 1))
-        high_c = ca_cqr2_cost(m, n, 4, 4, default_base_case(n, 4))
+        low_c, high_c = (lane_cost(total(ca_cqr2_lines(
+            m, n, c, d, default_base_case(n, c)))) for c, d in ((1, 64), (4, 4)))
         assert high_c.messages > low_c.messages
         assert high_c.words < low_c.words
 
     def test_bigger_c_less_flops_for_square(self):
         # The redundant n^3 CholInv of small c dominates near m = n.
         m = n = 256
-        low_c = ca_cqr2_cost(m, n, 1, 64, default_base_case(n, 1))
-        high_c = ca_cqr2_cost(m, n, 4, 4, default_base_case(n, 4))
+        low_c, high_c = (lane_cost(total(ca_cqr2_lines(
+            m, n, c, d, default_base_case(n, c)))) for c, d in ((1, 64), (4, 4)))
         assert high_c.flops < low_c.flops

@@ -6,7 +6,7 @@ import pytest
 from tests.conftest import assert_depth_replicated, make_cubic, spd_matrix
 
 from repro.core.cfr3d import _cfr3d_program, cfr3d, default_base_case
-from repro.costmodel.analytic import cfr3d_cost
+from repro.costmodel.tables import cfr3d_lines, lane_cost, total
 from repro.sched import ScheduleRecorder
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
@@ -102,15 +102,15 @@ class TestDefaultBaseCase:
 
 class TestCosts:
     @pytest.mark.parametrize("p,n,n0", [(2, 16, 4), (2, 32, 8), (4, 32, 8), (2, 32, 32)])
-    def test_ledger_matches_analytic(self, p, n, n0):
+    def test_ledger_matches_closed_form(self, p, n, n0):
         vm, g = make_cubic(p)
         cfr3d(vm, DistMatrix.symbolic(g, n, n), n0)
-        assert vm.report().max_cost.isclose(cfr3d_cost(n, p, n0))
+        assert vm.report().max_cost == lane_cost(total(cfr3d_lines(n, p, n0)))
 
     def test_smaller_base_case_more_latency_less_flops(self):
         # The Section II-D tradeoff: n0 down -> alpha up, gamma down.
-        deep = cfr3d_cost(64, 2, 2)
-        shallow = cfr3d_cost(64, 2, 32)
+        deep = lane_cost(total(cfr3d_lines(64, 2, 2)))
+        shallow = lane_cost(total(cfr3d_lines(64, 2, 32)))
         assert deep.messages > shallow.messages
         assert deep.flops < shallow.flops
 

@@ -10,7 +10,7 @@ from tests.conftest import make_1d
 from repro.core.cqr import cqr2_sequential
 from repro.core.cqr_1d import cqr2_1d, cqr_1d
 from repro.kernels.cholesky import CholeskyFailure
-from repro.costmodel.analytic import cqr2_1d_cost, cqr_1d_cost
+from repro.costmodel.tables import cqr2_1d_lines, cqr_1d_lines, lane_cost, total
 from repro.vmpi.distmatrix import DistMatrix
 
 
@@ -82,33 +82,33 @@ class TestCorrectness:
 
 class TestCosts:
     @pytest.mark.parametrize("m,n,procs", [(64, 8, 4), (128, 16, 8), (64, 8, 1)])
-    def test_single_pass_ledger_matches_analytic(self, m, n, procs):
+    def test_single_pass_ledger_matches_closed_form(self, m, n, procs):
         vm, g = make_1d(procs)
         cqr_1d(vm, DistMatrix.symbolic(g, m, n))
-        assert vm.report().max_cost.isclose(cqr_1d_cost(m, n, procs))
+        assert vm.report().max_cost == lane_cost(total(cqr_1d_lines(m, n, procs)))
 
     @pytest.mark.parametrize("m,n,procs", [(64, 8, 4), (256, 16, 16)])
-    def test_cqr2_ledger_matches_analytic(self, m, n, procs):
+    def test_cqr2_ledger_matches_closed_form(self, m, n, procs):
         vm, g = make_1d(procs)
         cqr2_1d(vm, DistMatrix.symbolic(g, m, n))
-        assert vm.report().max_cost.isclose(cqr2_1d_cost(m, n, procs))
+        assert vm.report().max_cost == lane_cost(total(cqr2_1d_lines(m, n, procs)))
 
     def test_latency_logarithmic(self):
         # Table I: 1D-CQR latency is O(log P).
-        c8 = cqr_1d_cost(1024, 8, 8)
-        c64 = cqr_1d_cost(1024 * 8, 8, 64)
+        c8 = lane_cost(total(cqr_1d_lines(1024, 8, 8)))
+        c64 = lane_cost(total(cqr_1d_lines(1024 * 8, 8, 64)))
         assert c64.messages == pytest.approx(c8.messages * 2)  # log 64 = 2 log 8
 
     def test_bandwidth_independent_of_p(self):
         # Table I: 1D-CQR bandwidth is O(n^2), flat in P.
-        c1 = cqr_1d_cost(512, 8, 4)
-        c2 = cqr_1d_cost(1024, 8, 8)
+        c1 = lane_cost(total(cqr_1d_lines(512, 8, 4)))
+        c2 = lane_cost(total(cqr_1d_lines(1024, 8, 8)))
         assert c1.words == pytest.approx(c2.words)
 
     def test_n_cubed_term_not_parallelized(self):
         # The redundant CholInv: flops include a P-independent n^3 term.
         n = 32
-        big_p = cqr_1d_cost(n * 1024, n, 1024)
+        big_p = lane_cost(total(cqr_1d_lines(n * 1024, n, 1024)))
         assert big_p.flops > n ** 3
 
 

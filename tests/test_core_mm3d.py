@@ -6,7 +6,7 @@ import pytest
 from tests.conftest import assert_depth_replicated, make_cubic
 
 from repro.core.mm3d import mm3d
-from repro.costmodel.analytic import mm3d_cost
+from repro.costmodel.tables import lane_cost, mm3d_lines, total
 from repro.vmpi.distmatrix import DistMatrix
 
 
@@ -54,24 +54,23 @@ class TestCorrectness:
 
 class TestCosts:
     @pytest.mark.parametrize("p,m,k,n", [(2, 8, 8, 8), (2, 16, 8, 4), (4, 16, 16, 16)])
-    def test_ledger_matches_analytic(self, p, m, k, n):
+    def test_ledger_matches_closed_form(self, p, m, k, n):
         vm, g = make_cubic(p)
         a = DistMatrix.symbolic(g, m, k)
         b = DistMatrix.symbolic(g, k, n)
         mm3d(vm, a, b)
         rep = vm.report()
-        pred = mm3d_cost(m, k, n, p)
-        assert rep.max_cost.isclose(pred)
+        assert rep.max_cost == lane_cost(total(mm3d_lines(m, k, n, p)))
 
     def test_flop_fraction(self):
         vm, g = make_cubic(2)
         a = DistMatrix.symbolic(g, 8, 8)
         mm3d(vm, a, a, flop_fraction=0.5)
         rep = vm.report()
-        pred = mm3d_cost(8, 8, 8, 2, flop_fraction=0.5)
-        assert rep.max_cost.isclose(pred)
+        assert rep.max_cost == lane_cost(total(mm3d_lines(8, 8, 8, 2, flop_fraction=0.5)))
         # Half the flops of the dense charge.
-        assert rep.max_cost.flops == pytest.approx(mm3d_cost(8, 8, 8, 2).flops / 2)
+        dense = lane_cost(total(mm3d_lines(8, 8, 8, 2)))
+        assert rep.max_cost.flops == dense.flops / 2
 
     def test_cost_uniform_across_ranks(self):
         vm, g = make_cubic(2)

@@ -132,14 +132,15 @@ class TestAutotunePlannerShim:
     """The planner's CA-CQR2 pick equals direct minimization over the grids."""
 
     def _direct_minimization(self, m, n, procs, machine, inverse_depth=0):
-        from repro.costmodel.analytic import ca_cqr2_cost
+        from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
         from repro.costmodel.performance import ExecutionModel
 
         model = ExecutionModel(machine)
 
         def t(shape):
             n0 = inverse_depth_to_base_case(n, shape.c, inverse_depth)
-            return model.seconds(ca_cqr2_cost(m, n, shape.c, shape.d, n0))
+            return model.seconds(lane_cost(total(ca_cqr2_lines(
+                m, n, shape.c, shape.d, n0))))
 
         return min(feasible_grids(m, n, procs), key=t)
 
@@ -177,14 +178,14 @@ class TestAutotune:
 
     def test_beats_or_matches_paper_rule_under_model(self):
         from repro.core.cfr3d import default_base_case
-        from repro.costmodel.analytic import ca_cqr2_cost
+        from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
         from repro.costmodel.performance import ExecutionModel
 
         m, n, procs = 2 ** 18, 2 ** 9, 4096
         model = ExecutionModel(STAMPEDE2)
 
         def t(g):
-            return model.seconds(ca_cqr2_cost(m, n, g.c, g.d,
-                                              default_base_case(n, g.c)))
+            return model.seconds(lane_cost(total(ca_cqr2_lines(
+                m, n, g.c, g.d, default_base_case(n, g.c)))))
 
         assert t(planned_grid(m, n, procs, STAMPEDE2)) <= t(optimal_grid(m, n, procs))

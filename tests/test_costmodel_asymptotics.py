@@ -1,4 +1,4 @@
-"""Table I asymptotics vs the exact analytic costs: scaling-exponent checks.
+"""Table I asymptotics vs the exact closed-form costs: scaling-exponent checks.
 
 Experiment E1's backbone: for each Table I row, sweep the driving parameter
 over powers of two and verify the exact cost function tracks the leading-
@@ -10,12 +10,6 @@ import math
 import pytest
 
 from repro.core.cfr3d import default_base_case
-from repro.costmodel.analytic import (
-    ca_cqr_cost,
-    cfr3d_cost,
-    cqr_1d_cost,
-    mm3d_cost,
-)
 from repro.costmodel.asymptotics import (
     ca_cqr_asymptotic,
     ca_cqr_optimal_asymptotic,
@@ -24,6 +18,14 @@ from repro.costmodel.asymptotics import (
     cqr_3d_asymptotic,
     mm3d_asymptotic,
     optimal_grid_real,
+)
+from repro.costmodel.tables import (
+    ca_cqr_lines,
+    cfr3d_lines,
+    cqr_1d_lines,
+    lane_cost,
+    mm3d_lines,
+    total,
 )
 
 
@@ -39,14 +41,14 @@ class TestMM3DRow:
         pairs = []
         for p in (2, 4, 8):
             n = 64 * p
-            pairs.append((mm3d_cost(n, n, n, p).words,
+            pairs.append((lane_cost(total(mm3d_lines(n, n, n, p))).words,
                           mm3d_asymptotic(n, n, n, p ** 3).bandwidth))
         ratios_converge(pairs)
 
     def test_flops_scale_as_inverse_p(self):
         pairs = []
         for p in (2, 4, 8):
-            pairs.append((mm3d_cost(64, 64, 64, p).flops,
+            pairs.append((lane_cost(total(mm3d_lines(64, 64, 64, p))).flops,
                           mm3d_asymptotic(64, 64, 64, p ** 3).flops))
         ratios_converge(pairs, tol=0.01)
 
@@ -57,7 +59,7 @@ class TestCFR3DRow:
         for p in (2, 4, 8):
             n = 64 * p
             n0 = default_base_case(n, p)
-            pairs.append((cfr3d_cost(n, p, n0).words,
+            pairs.append((lane_cost(total(cfr3d_lines(n, p, n0))).words,
                           cfr3d_asymptotic(n, p ** 3).bandwidth))
         ratios_converge(pairs, tol=0.6)
 
@@ -66,14 +68,14 @@ class TestCFR3DRow:
         msgs = []
         for p in (2, 4, 8):
             n = 64 * p
-            msgs.append(cfr3d_cost(n, p, default_base_case(n, p)).messages)
+            msgs.append(lane_cost(total(cfr3d_lines(n, p, default_base_case(n, p)))).messages)
         assert msgs[1] > 2 * msgs[0]
         assert msgs[2] > 2 * msgs[1]
 
 
 class TestCQR1DRow:
     def test_bandwidth_flat_in_p(self):
-        words = [cqr_1d_cost(64 * p, 32, p).words for p in (4, 8, 16, 32)]
+        words = [lane_cost(total(cqr_1d_lines(64 * p, 32, p))).words for p in (4, 8, 16, 32)]
         assert len(set(words)) == 1
         assert words[0] == pytest.approx(2 * 32 * 32)
 
@@ -92,7 +94,7 @@ class TestCACQRRow:
         pairs = []
         for d in (4, 16, 64):
             m = 2 ** 8 * d
-            exact = ca_cqr_cost(m, n, c, d, default_base_case(n, c))
+            exact = lane_cost(total(ca_cqr_lines(m, n, c, d, default_base_case(n, c))))
             asym = ca_cqr_asymptotic(m, n, c, d)
             pairs.append((exact.words, asym.bandwidth))
         ratios_converge(pairs, tol=0.5)
@@ -102,7 +104,7 @@ class TestCACQRRow:
         pairs = []
         for d in (4, 16, 64):
             m = 2 ** 8 * d
-            exact = ca_cqr_cost(m, n, c, d, default_base_case(n, c))
+            exact = lane_cost(total(ca_cqr_lines(m, n, c, d, default_base_case(n, c))))
             asym = ca_cqr_asymptotic(m, n, c, d)
             pairs.append((exact.flops, asym.flops))
         ratios_converge(pairs, tol=0.5)

@@ -1,11 +1,14 @@
-"""The vectorized batch cost model must be *bit-identical* to the scalar one.
+"""The baseline screens must be *bit-identical* to their scalar cost functions.
 
 The planner's screen ranks hundreds of candidates with
 :mod:`repro.costmodel.batch`; these tests assert exact (not approximate)
-equality against the scalar closed forms in
-:mod:`repro.costmodel.analytic` and the baseline cost functions, lane by
-lane -- the batch implementations replicate the scalar accumulation
-order, so IEEE-754 determinism makes the match exact.
+equality of the TSQR, PGEQRF and CAQR screens against the baselines'
+scalar cost functions, lane by lane -- the batch implementations
+replicate the scalar accumulation order, so IEEE-754 determinism makes
+the match exact.  The CholeskyQR family has one closed form, the line
+tables, tested against execution in ``test_costmodel_tables.py``; here
+its screens, over the planner's whole candidate sets, must equal each
+candidate's batch of one lane for lane.
 """
 
 import numpy as np
@@ -14,8 +17,11 @@ import pytest
 from repro.baselines.caqr import caqr_cost
 from repro.baselines.scalapack_qr import pgeqrf_cost
 from repro.baselines.tsqr import tsqr_cost
+from repro.core.cfr3d import cfr3d
 from repro.core.tuning import feasible_grids, inverse_depth_to_base_case
-from repro.costmodel import analytic, batch
+from repro.costmodel import batch, tables
+from repro.vmpi.distmatrix import DistMatrix
+from tests.conftest import make_cubic
 
 PROBLEMS = [(2 ** 16, 2 ** 8, 512), (2 ** 18, 2 ** 9, 4096),
             (4096, 64, 64), (2 ** 14, 2 ** 4, 256)]
@@ -49,21 +55,24 @@ class TestCACQR2Batch:
         c = np.array([x[0] for x in cands])
         d = np.array([x[1] for x in cands])
         n0 = np.array([x[2] for x in cands])
-        got = batch.ca_cqr2_cost_batch(m, n, c, d, n0)
+        got = tables.total(tables.ca_cqr2_lines(m, n, c, d, n0))
         for i, (ci, di, ni) in enumerate(cands):
-            want = analytic.ca_cqr2_cost(m, n, ci, di, ni)
-            assert got[:, i].tolist() == list(want.as_tuple()), (ci, di, ni)
+            want = tables.total(tables.ca_cqr2_lines(m, n, ci, di, ni))
+            assert got[:, i].tolist() == want[:, 0].tolist(), (ci, di, ni)
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError, match="candidate grid"):
-            batch.ca_cqr2_cost_batch(64, 8, np.array([2]), np.array([3]),
-                                     np.array([4]))
+        with pytest.raises(ValueError, match=r"c \| d"):
+            tables.ca_cqr2_lines(64, 8, np.array([2, 2]), np.array([4, 3]),
+                                 np.array([4, 4]))
 
     def test_scalar_inputs_broadcast(self):
-        got = batch.ca_cqr2_cost_batch(4096, 64, 2, 16, 16)
-        want = analytic.ca_cqr2_cost(4096, 64, 2, 16, 16)
-        assert got.shape == (3, 1)
-        assert got[:, 0].tolist() == list(want.as_tuple())
+        # Scalar m, n, c and n0 broadcast against a vector of depths.
+        d = np.array([4, 8, 16])
+        got = tables.total(tables.ca_cqr2_lines(4096, 64, 2, d, 16))
+        assert got.shape == (3, 3)
+        for i, di in enumerate(d.tolist()):
+            want = tables.total(tables.ca_cqr2_lines(4096, 64, 2, di, 16))
+            assert got[:, i].tolist() == want[:, 0].tolist()
 
 
 class TestBaselineBatches:
@@ -85,11 +94,13 @@ class TestBaselineBatches:
 
     @pytest.mark.parametrize("m,n,procs", PROBLEMS)
     def test_cqr2_1d(self, m, n, procs):
-        if m % procs:
-            pytest.skip("1D layout infeasible")
-        got = batch.cqr2_1d_cost_batch(m, n, procs)
-        want = analytic.cqr2_1d_cost(m, n, procs)
-        assert got[:, 0].tolist() == list(want.as_tuple())
+        # Every power-of-two processor count up to procs, in one screen.
+        lanes = 2 ** np.arange(int(np.log2(procs)) + 1)
+        lanes = lanes[m % lanes == 0]
+        got = tables.total(tables.cqr2_1d_lines(m, n, lanes))
+        for i, p in enumerate(lanes.tolist()):
+            want = tables.total(tables.cqr2_1d_lines(m, n, p))
+            assert got[:, i].tolist() == want[:, 0].tolist(), p
 
     @pytest.mark.parametrize("m,n,procs", PROBLEMS)
     def test_tsqr(self, m, n, procs):
@@ -121,7 +132,26 @@ class TestHelpers:
         n = 256
         p = np.array([2, 2, 2])
         n0 = np.array([256, 64, 16])       # 0, 2, and 4 recursion levels
-        got = batch.cfr3d_cost_batch(n, p, n0)
+        got = tables.total(tables.cfr3d_lines(n, p, n0))
         for i in range(3):
-            want = analytic.cfr3d_cost(n, 2, int(n0[i]))
+            vm, g = make_cubic(2)
+            cfr3d(vm, DistMatrix.symbolic(g, n, n), int(n0[i]))
+            want = vm.report().max_cost
             assert got[:, i].tolist() == list(want.as_tuple())
+
+    def test_int_lanes_broadcasts_scalars(self):
+        m, procs = batch.int_lanes(m=64, procs=np.array([2, 4, 8]))
+        assert m.tolist() == [64, 64, 64] and procs.tolist() == [2, 4, 8]
+        assert m.dtype == np.int64
+
+    def test_int_lanes_rejects_non_integral(self):
+        with pytest.raises(ValueError, match="procs must be integral"):
+            batch.tsqr_cost_batch(4096, 16, 4.5)
+
+    def test_int_lanes_rejects_non_positive(self):
+        with pytest.raises(ValueError, match="block_size must be >= 1"):
+            batch.caqr_cost_batch(4096, 16, 4, 4, 0)
+
+    def test_int_lanes_rejects_2d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            batch.int_lanes(m=np.ones((2, 2), dtype=np.int64))

@@ -5,10 +5,10 @@ import pytest
 from repro.baselines.caqr import caqr_cost, caqr_latency_advantage
 from repro.baselines.scalapack_qr import pgeqrf_cost
 from repro.core.cfr3d import default_base_case
-from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.breakdown import breakdown
 from repro.costmodel.ledger import Cost
 from repro.costmodel.params import ABSTRACT_MACHINE, STAMPEDE2
+from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
 
 
 class TestBreakdown:
@@ -42,10 +42,8 @@ class TestBreakdown:
         # At 64 Stampede2 nodes CA-CQR2 is compute-heavy; at 1024 nodes
         # communication terms take over -- the crossover mechanism.
         m, n, c = 2 ** 21, 2 ** 12, 8
-        small = breakdown(ca_cqr2_cost(m, n, c, 64, default_base_case(n, c)),
-                          STAMPEDE2)
-        large = breakdown(ca_cqr2_cost(m, n, c, 1024, default_base_case(n, c)),
-                          STAMPEDE2)
+        small, large = (breakdown(lane_cost(total(ca_cqr2_lines(
+            m, n, c, d, default_base_case(n, c)))), STAMPEDE2) for d in (64, 1024))
         assert small.share("compute") > large.share("compute")
         assert large.share("bandwidth") > small.share("bandwidth")
 
@@ -80,7 +78,7 @@ class TestCAQRModel:
         m = n = 2 ** 13
         procs = 2 ** 15
         # Best CA grid for a square matrix is the cubic one (c = P^(1/3)).
-        ca = ca_cqr2_cost(m, n, 32, 32, default_base_case(n, 32))
+        ca = lane_cost(total(ca_cqr2_lines(m, n, 32, 32, default_base_case(n, 32))))
         cq = caqr_cost(m, n, 2 ** 8, 2 ** 7, 64)
         assert ca.words < cq.words
 

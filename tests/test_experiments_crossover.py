@@ -7,9 +7,9 @@ import pytest
 from repro.baselines.scalapack_qr import pgeqrf_cost
 from repro.core.cfr3d import default_base_case
 from repro.core.tuning import feasible_grids
-from repro.costmodel.analytic import ca_cqr2_cost
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
 from repro.costmodel.performance import ExecutionModel
+from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
 from repro.experiments.crossover import (
     CrossoverPoint,
     crossover_study,
@@ -39,8 +39,8 @@ class TestBestConfigs:
         model = ExecutionModel(STAMPEDE2)
         row = self.row("ca")
         expected = min(
-            model.seconds(ca_cqr2_cost(self.M, self.N, s.c, s.d,
-                                       default_base_case(self.N, s.c)))
+            model.seconds(lane_cost(total(ca_cqr2_lines(
+                self.M, self.N, s.c, s.d, default_base_case(self.N, s.c)))))
             for s in feasible_grids(self.M, self.N, 2 ** 12))
         assert row["modeled_seconds"] == expected
         assert re.fullmatch(r"(\d+)x\d+x\1,n0=\d+", row["config"])

@@ -154,14 +154,15 @@ class TestScalingSanity:
         # Strong scaling at model level: more processors, less time,
         # for a compute-heavy problem on a latency-free machine.
         from repro.core.cfr3d import default_base_case
-        from repro.costmodel.analytic import ca_cqr2_cost
+        from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
         from repro.costmodel.params import ABSTRACT_MACHINE
 
         model = ExecutionModel(ABSTRACT_MACHINE)
         m, n = 2 ** 16, 2 ** 6
         times = []
         for c, d in ((1, 16), (2, 16), (2, 64)):
-            t = model.seconds(ca_cqr2_cost(m, n, c, d, default_base_case(n, c)))
+            t = model.seconds(lane_cost(total(ca_cqr2_lines(
+                m, n, c, d, default_base_case(n, c)))))
             times.append(t)
         assert times[2] < times[0]
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cqr import cqr2_sequential
 from repro.costmodel import collectives as cc
-from repro.costmodel.analytic import ca_cqr2_cost, mm3d_cost
+from repro.costmodel.tables import ca_cqr2_lines, lane_cost, mm3d_lines, total
 from repro.core.cfr3d import default_base_case
 from repro.utils.partition import (
     block_bounds,
@@ -94,9 +94,9 @@ class TestCostModelProperties:
     def test_ca_cqr2_cost_positive_and_monotone_in_m(self, gm):
         c, d, m, n = gm
         n0 = default_base_case(n, c)
-        cost = ca_cqr2_cost(m, n, c, d, n0)
+        cost = lane_cost(total(ca_cqr2_lines(m, n, c, d, n0)))
         assert cost.flops > 0
-        bigger = ca_cqr2_cost(2 * m, n, c, d, n0)
+        bigger = lane_cost(total(ca_cqr2_lines(2 * m, n, c, d, n0)))
         assert bigger.flops > cost.flops
         assert bigger.words >= cost.words
 
@@ -106,8 +106,8 @@ class TestCostModelProperties:
         # C = A B and the "transposed" problem have equal cost by symmetry
         # of the schedule in m and n.
         m, k, n = mi * p, ki * p, ni * p
-        a = mm3d_cost(m, k, n, p)
-        b = mm3d_cost(n, k, m, p)
+        a = lane_cost(total(mm3d_lines(m, k, n, p)))
+        b = lane_cost(total(mm3d_lines(n, k, m, p)))
         assert a.words == pytest.approx(b.words)
         assert a.flops == pytest.approx(b.flops)
 

@@ -5,7 +5,7 @@ algorithms are faithful implementations -- by checking, over randomized
 feasible (grid, matrix) combinations:
 
 * CA-CQR2 always produces a valid QR (verified by :mod:`repro.verify`);
-* the executed ledger always equals the analytic cost function;
+* the executed ledger always equals the closed-form line tables, bit for bit;
 * MM3D distributes over multiplication chains;
 * CFR3D matches LAPACK's Cholesky for any SPD input;
 * depth replication is restored on every output.
@@ -19,7 +19,7 @@ from tests.conftest import assert_depth_replicated, make_cubic, make_tunable
 from repro.core.cacqr import ca_cqr2
 from repro.core.cfr3d import cfr3d, default_base_case
 from repro.core.mm3d import mm3d
-from repro.costmodel.analytic import ca_cqr2_cost, mm3d_cost
+from repro.costmodel.tables import ca_cqr2_lines, lane_cost, mm3d_lines, total
 from repro.utils.matgen import random_spd
 from repro.verify import verify_qr
 from repro.vmpi.distmatrix import DistMatrix
@@ -52,12 +52,12 @@ class TestCACQR2Properties:
 
     @given(tunable_grid_problem())
     @settings(max_examples=20, deadline=None)
-    def test_ledger_equals_analytic_on_any_feasible_grid(self, prob):
+    def test_ledger_equals_closed_form_on_any_feasible_grid(self, prob):
         c, d, m, n, _ = prob
         vm, g = make_tunable(c, d)
         ca_cqr2(vm, DistMatrix.symbolic(g, m, n))
-        pred = ca_cqr2_cost(m, n, c, d, default_base_case(n, c))
-        assert vm.report().max_cost.isclose(pred)
+        pred = lane_cost(total(ca_cqr2_lines(m, n, c, d, default_base_case(n, c))))
+        assert vm.report().max_cost == pred
 
 
 class TestMM3DProperties:
@@ -97,7 +97,7 @@ class TestMM3DProperties:
         m, k, n = mi * p, p, ni * p
         vm, g = make_cubic(p)
         mm3d(vm, DistMatrix.symbolic(g, m, k), DistMatrix.symbolic(g, k, n))
-        assert vm.report().max_cost.isclose(mm3d_cost(m, k, n, p))
+        assert vm.report().max_cost == lane_cost(total(mm3d_lines(m, k, n, p)))
 
 
 class TestCFR3DProperties:

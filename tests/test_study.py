@@ -356,13 +356,13 @@ def _scalar_cost(algorithm, m, n, fields, machine):
     from repro.baselines.caqr import caqr_cost
     from repro.baselines.scalapack_qr import pgeqrf_cost
     from repro.baselines.tsqr import tsqr_cost
-    from repro.costmodel.analytic import ca_cqr2_cost, cqr2_1d_cost
+    from repro.costmodel.tables import ca_cqr2_lines, cqr2_1d_lines, lane_cost, total
 
     if algorithm == "ca_cqr2":
-        return ca_cqr2_cost(m, n, fields["c"], fields["d"],
-                            fields["base_case_size"])
+        return lane_cost(total(ca_cqr2_lines(m, n, fields["c"], fields["d"],
+                                             fields["base_case_size"])))
     if algorithm == "cqr2_1d":
-        return cqr2_1d_cost(m, n, fields["procs"])
+        return lane_cost(total(cqr2_1d_lines(m, n, fields["procs"])))
     if algorithm == "tsqr":
         return tsqr_cost(m, n, fields["procs"])
     grid = (fields["pr"], fields["pc"], fields["block_size"])

@@ -73,7 +73,7 @@ class TestPairwiseSwap:
         a = DistMatrix.from_global(g, np.arange(16.0).reshape(4, 4))
         t = dist_transpose(vm, a, "t")
         np.testing.assert_array_equal(t.to_global(), a.to_global().T)
-        off_diagonal = g.rank_at(0, 1, 0)
+        off_diagonal = g.ranks[0, 1, 0]
         assert vm.ledger_of(off_diagonal).total.messages == 1
         assert vm.ledger_of(off_diagonal).total.words == 4
 
@@ -82,7 +82,7 @@ class TestPairwiseSwap:
         g = Grid3D.build(vm, 2, 2, 1)
         dist_transpose(vm, DistMatrix.symbolic(g, 4, 4), "t")
         for x in range(2):
-            assert vm.ledger_of(g.rank_at(x, x, 0)).total.messages == 0
+            assert vm.ledger_of(g.ranks[x, x, 0]).total.messages == 0
 
     def test_unequal_volumes_rejected(self):
         # Partners exchange equal volumes only on a square face and a

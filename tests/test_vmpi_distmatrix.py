@@ -29,7 +29,7 @@ class TestDistribution:
         a = np.arange(16.0).reshape(4, 4)
         d = DistMatrix.from_global(g, a)
         # Block at (x=1, y=0) holds rows 0::2, cols 1::2.
-        np.testing.assert_array_equal(d.local(1, 0, 0).data, [[1, 3], [9, 11]])
+        np.testing.assert_array_equal(d.data[1, 0, 0], [[1, 3], [9, 11]])
 
     def test_tunable_grid_shapes(self, rng):
         vm, g = make_tunable(2, 4)
@@ -46,12 +46,12 @@ class TestDistribution:
         vm, g = make_cubic(2)
         d = DistMatrix.symbolic(g, 16, 8)
         assert not d.is_numeric
-        assert d.local(0, 0, 0).shape == (8, 4)
+        assert d.shared_block.shape == (8, 4)
 
     def test_blocks_are_read_only_views_aliased_only_across_depth(self, rng):
         vm, g = make_tunable(2, 4)
         d = DistMatrix.from_global(g, rng.standard_normal((16, 8)))
-        views = [d.local(*idx).data for idx in np.ndindex(*g.dims)]
+        views = [d.data[idx] for idx in np.ndindex(*g.dims)]
         assert len(views) == g.size
         for view in views:
             assert np.shares_memory(view, d.data) and not view.flags.writeable
@@ -81,16 +81,6 @@ class TestDistribution:
         d = DistMatrix.from_global(g, rng.standard_normal((8, 8)))
         with pytest.raises(ValidationError, match=rf"z={z} out of range \[0, 2\)"):
             d.to_global(z)
-
-    @pytest.mark.parametrize("coords", [(-1, 0, 0), (0, 4, 0), (0, 0, -2),
-                                        (2, 0, 0)])
-    @pytest.mark.parametrize("numeric", [True, False])
-    def test_local_rejects_out_of_range_coords(self, rng, coords, numeric):
-        vm, g = make_tunable(2, 4)
-        d = (DistMatrix.from_global(g, rng.standard_normal((16, 8))) if numeric
-             else DistMatrix.symbolic(g, 16, 8))
-        with pytest.raises(ValidationError, match="out of range"):
-            d.local(*coords)
 
     def test_missing_block_rejected(self):
         # A stack without one depth slice's blocks does not cover the grid.
@@ -133,8 +123,7 @@ class TestSubcube:
         view = d.subcube(1)
         # The same buffers, just rebooked on the subgrid: no copy.
         assert view.grid.matches(sub)
-        np.testing.assert_array_equal(view.local(1, 0, 1).data,
-                                      d.local(1, 2, 1).data)
+        np.testing.assert_array_equal(view.data[1, 0, 1], d.data[1, 2, 1])
         assert np.shares_memory(view.data, d.data)
         assert view.m == 8 and view.n == 4
         # Subcube 1 holds global rows y = 2, 3 (mod 4) of every 4.
@@ -154,8 +143,8 @@ class TestDistTranspose:
         vm, g = make_cubic(2)
         d = DistMatrix.from_global(g, rng.standard_normal((8, 8)))
         dist_transpose(vm, d, "t")
-        diag_rank = g.rank_at(0, 0, 0)
-        off_rank = g.rank_at(0, 1, 0)
+        diag_rank = g.ranks[0, 0, 0]
+        off_rank = g.ranks[0, 1, 0]
         assert vm.ledger_of(diag_rank).total.messages == 0
         assert vm.ledger_of(off_rank).total.messages == 1
         assert vm.ledger_of(off_rank).total.words == 16  # (8/2)^2

@@ -35,7 +35,7 @@ LARGE_GRIDS = [(1, 4096, 8192, 2), (2, 1024, 4096, 4)]
 
 
 def local_shape(dm: DistMatrix):
-    return dm.local(0, 0, 0).shape
+    return dm.shared_block.shape
 
 
 @pytest.fixture(scope="module", params=LARGE_GRIDS,
@@ -141,7 +141,6 @@ class TestSharedConstructor:
         vm, g = make_tunable(2, 4)
         a = DistMatrix.symbolic(g, 16, 8)
         assert a.data is None and a.shared_block.shape == (4, 4)
-        assert a.shared_block is a.local(1, 3, 1) is a.local(0, 0, 0)
         assert not a.is_numeric
 
     def test_structural_ops_stay_shared(self):
