@@ -43,6 +43,10 @@ OBJECTIVES = METRICS
 #: re-refine under it.)
 PLANNER_VERSION = "repro-plan-v3"
 
+#: Largest size the screen's int64 candidate lanes hold
+#: (:func:`repro.costmodel.batch.int_lanes`).
+MAX_SIZE = 2**63 - 1
+
 
 def default_block_sizes(n: int) -> Tuple[int, ...]:
     """Power-of-two ScaLAPACK/CAQR panel widths screened by default.
@@ -83,10 +87,12 @@ class ProblemSpec:
     top_k: int = 4
 
     def __post_init__(self) -> None:
-        check_positive_int(self.m, "m")
-        check_positive_int(self.n, "n")
-        check_positive_int(self.procs, "procs")
-        check_positive_int(self.top_k, "top_k")
+        for name in ("m", "n", "procs", "top_k"):
+            value = check_positive_int(getattr(self, name), name)
+            if value > MAX_SIZE:
+                raise ValidationError(
+                    f"must be at most {MAX_SIZE} (an int64), got {value}",
+                    field=name)
         # Every registered algorithm factors tall matrices; rejecting wide
         # problems here keeps the planner from ranking unrunnable plans.
         require(self.m >= self.n,

@@ -15,6 +15,13 @@ footprint no matter how many distinct questions arrive.
 * **write-through** -- a computed result is stored to both layers, so a
   restarted (or sibling) worker starts warm.
 
+Memory holds answers, not results: each entry is an
+:class:`EncodedResult`, the JSON fragments of the ``/plan`` answer
+encoded once when the entry enters memory (on :meth:`LRUPlanCache.put`
+of a computed result and on promotion of a disk hit).  Serving a hit is
+a byte join.  The disk layer keeps storing
+:class:`~repro.plan.planner.PlanResult` pickles.
+
 Every layer transition is counted (``hits`` / ``disk_hits`` / ``misses``
 / ``evictions``) for the ``/metrics`` endpoint.  All operations are
 lock-protected: the server's planner calls run on worker threads.
@@ -22,6 +29,7 @@ lock-protected: the server's planner calls run on worker threads.
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from typing import Optional
@@ -29,6 +37,39 @@ from typing import Optional
 from repro.obs.metrics import get_registry
 from repro.plan.cache import PlanCache
 from repro.utils.validation import require
+
+
+class EncodedResult:
+    """One plan result as the JSON fragments of its ``/plan`` answer.
+
+    :meth:`ranked` is byte-identical to ``json.dumps`` of ``{"fingerprint":
+    key, "served": served, "total_plans": N, "result": d}``, where ``d`` is
+    ``result.to_dict()`` with its plans cut to *limit*: ``json.dumps``
+    writes a container as its members' encodings joined by ``", "``, so
+    the answer is the fragments encoded here, joined.  No ``to_dict`` or
+    ``json.dumps`` runs after construction.
+    """
+
+    __slots__ = ("head", "middle", "plans", "tail")
+
+    def __init__(self, key: str, result) -> None:
+        payload = result.to_dict()
+        plans = payload.pop("plans")
+        problem = payload.pop("problem")
+        # head + served + middle: *served* is an identifier, so it needs
+        # no escaping between the quotes the fragments carry.
+        self.head = f'{{"fingerprint": {json.dumps(key)}, "served": "'.encode()
+        self.middle = (f'", "total_plans": {len(plans)}, "result": '
+                       f'{{"problem": {json.dumps(problem)}, "plans": ['
+                       ).encode()
+        self.plans = tuple(json.dumps(plan).encode() for plan in plans)
+        # The trailer fields after "plans", then the answer's closing brace.
+        self.tail = f"], {json.dumps(payload)[1:]}}}".encode()
+
+    def ranked(self, served: str, limit: Optional[int] = None) -> bytes:
+        """The answer's JSON bytes, carrying the top *limit* plans."""
+        return b"".join((self.head, served.encode(), self.middle,
+                         b", ".join(self.plans[:limit]), self.tail))
 
 
 class LRUPlanCache:
@@ -45,7 +86,7 @@ class LRUPlanCache:
         self.capacity = capacity
         self.disk = disk
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
+        self._entries: "OrderedDict[str, EncodedResult]" = OrderedDict()
         self._registry = get_registry()
         self.hits = 0
         self.disk_hits = 0
@@ -59,8 +100,8 @@ class LRUPlanCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: str):
-        """The cached value or ``None``; promotes hits to most-recent."""
+    def get(self, key: str) -> Optional[EncodedResult]:
+        """The cached answer or ``None``; promotes hits to most-recent."""
         missing = object()
         with self._lock:
             if key in self._entries:
@@ -75,25 +116,29 @@ class LRUPlanCache:
         # Disk I/O outside the lock: a slow read must not serialize the
         # in-memory hot path of other worker threads.
         value = self.disk.load(key) if self.disk is not None else None
+        entry = EncodedResult(key, value) if value is not None else None
         with self._lock:
-            if value is not None:
+            if entry is not None:
                 self.disk_hits += 1
-                self._insert(key, value)
+                self._insert(key, entry)
             else:
                 self.misses += 1
-        self._count("disk_hits" if value is not None else "misses")
-        return value
+        self._count("disk_hits" if entry is not None else "misses")
+        return entry
 
-    def put(self, key: str, value) -> None:
-        """Insert into memory (evicting LRU) and write through to disk."""
+    def put(self, key: str, result) -> EncodedResult:
+        """Encode *result* into memory (evicting LRU), write it through to
+        disk, and return the encoded answer."""
+        entry = EncodedResult(key, result)
         with self._lock:
-            self._insert(key, value)
+            self._insert(key, entry)
         if self.disk is not None:
-            self.disk.store(key, value)
+            self.disk.store(key, result)
+        return entry
 
-    def _insert(self, key: str, value) -> None:
+    def _insert(self, key: str, entry: EncodedResult) -> None:
         # Caller holds the lock.
-        self._entries[key] = value
+        self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

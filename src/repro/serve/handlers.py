@@ -3,7 +3,11 @@
 Each handler is transport-agnostic -- it receives the parsed request
 body and the owning :class:`~repro.serve.server.PlanServer` and returns
 ``(status, payload)`` -- so the HTTP framing in ``server.py`` stays a
-thin shell and tests can drive handlers directly.
+thin shell and tests can drive handlers directly.  A payload is one of
+three body kinds: a :class:`Body` of pre-encoded JSON (the plan
+endpoints, joined from the LRU's encoded answers), a :class:`Body` of
+text (the Prometheus exposition), or a JSON-able object the server
+encodes.
 
 Request shapes (all POST bodies are JSON objects):
 
@@ -47,6 +51,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
+import json
 from typing import Dict, List, Tuple
 
 from repro.plan.problem import (
@@ -61,8 +66,20 @@ _FACTOR_JSON_FIELDS = ("algorithm", "m", "n", "procs", "c", "d", "pr", "pc",
                        "block_size", "machine", "mode", "objective")
 _FACTOR_MODES = ("symbolic", "modeled")
 
+#: Content types of the pre-encoded body kinds.
+JSON_TYPE = "application/json"
+PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
-async def handle_plan(server, body: dict) -> Tuple[int, dict]:
+
+@dataclasses.dataclass(frozen=True)
+class Body:
+    """A response body already encoded: sent as is, under *content_type*."""
+
+    data: bytes
+    content_type: str = JSON_TYPE
+
+
+async def handle_plan(server, body: dict) -> Tuple[int, Body]:
     """Answer one planning question through cache -> coalescer -> planner."""
     if not isinstance(body, dict):
         raise ValidationError("request body must be a JSON object")
@@ -75,8 +92,8 @@ async def handle_plan(server, body: dict) -> Tuple[int, dict]:
     problem = problem_from_dict(body)
     key = server.planner.fingerprint(problem)
 
-    result = server.plan_cache.get(key)
-    if result is not None:
+    entry = server.plan_cache.get(key)
+    if entry is not None:
         served = "cache"
     else:
         computed_here = False
@@ -85,31 +102,17 @@ async def handle_plan(server, body: dict) -> Tuple[int, dict]:
             nonlocal computed_here
             computed_here = True
             computed = await server.run_blocking(server.planner.plan, problem)
-            server.plan_cache.put(key, computed)
-            return computed
+            return server.plan_cache.put(key, computed)
 
-        result = await server.coalescer.get(key, compute)
+        entry = await server.coalescer.get(key, compute)
         served = "computed" if computed_here else "coalesced"
         if served == "coalesced":
             server.metrics.incr("plan_coalesced")
     server.metrics.incr(f"plan_served_{served}")
-    return 200, _ranked_payload(key, served, result, limit)
+    return 200, Body(entry.ranked(served, limit))
 
 
-def _ranked_payload(key: str, served: str, result, limit) -> dict:
-    """One ``/plan``-shaped response item (shared with ``/plan_batch``).
-
-    Only the plans sent are serialized: the ranking is sliced to *limit*
-    before ``to_dict``.
-    """
-    total_plans = len(result.plans)
-    if limit is not None:
-        result = dataclasses.replace(result, plans=result.plans[:limit])
-    return {"fingerprint": key, "served": served,
-            "total_plans": total_plans, "result": result.to_dict()}
-
-
-async def handle_plan_batch(server, body: dict) -> Tuple[int, dict]:
+async def handle_plan_batch(server, body: dict) -> Tuple[int, Body]:
     """Answer a campaign: bulk LRU probe + one shared lattice search."""
     if not isinstance(body, dict):
         raise ValidationError("request body must be a JSON object")
@@ -176,8 +179,7 @@ async def handle_plan_batch(server, body: dict) -> Tuple[int, dict]:
             result = (await batch_task())[index[key]]
             if isinstance(result, Exception):
                 raise result
-            server.plan_cache.put(key, result)
-            return result
+            return server.plan_cache.put(key, result)
 
         async def serve_one(key: str) -> Tuple[str, Tuple[str, object]]:
             state: Dict[str, bool] = {}
@@ -203,13 +205,14 @@ async def handle_plan_batch(server, body: dict) -> Tuple[int, dict]:
     for key in keys:
         served, value = outcomes[key]
         if served == "error":
-            results.append({"fingerprint": key,
-                            "error": {"type": type(value).__name__,
-                                      "message": str(value)}})
+            results.append(json.dumps(
+                {"fingerprint": key,
+                 "error": {"type": type(value).__name__,
+                           "message": str(value)}}).encode())
         else:
-            results.append(_ranked_payload(key, served, value, limit))
-    return 200, {"count": len(keys), "distinct": len(distinct),
-                 "results": results}
+            results.append(value.ranked(served, limit))
+    return 200, Body(b'{"count": %d, "distinct": %d, "results": [%b]}'
+                     % (len(keys), len(distinct), b", ".join(results)))
 
 
 async def handle_factor(server, body: dict) -> Tuple[int, dict]:
@@ -318,7 +321,8 @@ async def handle_metrics(server, params=None) -> Tuple[int, object]:
     if fmt == "prometheus":
         from repro.obs import get_registry, prometheus_exposition
 
-        return 200, prometheus_exposition(get_registry())
+        return 200, Body(prometheus_exposition(get_registry()).encode(),
+                         PROMETHEUS_TYPE)
     if fmt != "json":
         raise ValidationError(
             f"unknown metrics format {fmt!r}; expected 'json' or "

@@ -11,7 +11,12 @@ computed join the in-flight computation instead of starting their own
 
 Layering per ``/plan`` request::
 
-    LRU (memory)  ->  PlanCache (disk, shared, atomic)  ->  Coalescer  ->  Planner
+    LRU (memory, encoded answers)  ->  PlanCache (disk, shared, atomic)
+        ->  Coalescer  ->  Planner
+
+The LRU holds each answer as JSON fragments encoded once
+(:class:`~repro.serve.cache.EncodedResult`), so a warm ``/plan`` or
+``/plan_batch`` response is a byte join written as is.
 
 The server exposes ``POST /plan``, ``POST /plan_batch`` (a whole
 campaign through one batched lattice search), ``POST /factor``,
@@ -44,6 +49,8 @@ from repro.plan.cache import PlanCache
 from repro.serve.cache import LRUPlanCache
 from repro.serve.coalesce import Coalescer
 from repro.serve.handlers import (
+    JSON_TYPE,
+    Body,
     handle_factor,
     handle_healthz,
     handle_metrics,
@@ -181,7 +188,8 @@ class PlanServer:
 
     async def _dispatch(self, method: str, path: str, body_bytes: bytes,
                         params: Optional[Dict[str, str]] = None,
-                        request_id: Optional[str] = None) -> Tuple[int, dict]:
+                        request_id: Optional[str] = None
+                        ) -> Tuple[int, object]:
         route = _ROUTES.get((method, path))
         if route is None:
             if any(p == path for _, p in _ROUTES):
@@ -303,14 +311,12 @@ class PlanServer:
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload, *, close: bool,
                        headers: Optional[Dict[str, str]] = None) -> None:
-        if isinstance(payload, str):
-            # Text responses (the Prometheus exposition) pass through
-            # verbatim; everything else is a JSON body.
-            body = payload.encode("utf-8")
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
+        # A Body (pre-encoded JSON or text) goes out as is; any other
+        # payload is a JSON-able object.
+        if isinstance(payload, Body):
+            body, content_type = payload.data, payload.content_type
         else:
-            body = json.dumps(payload).encode("utf-8")
-            content_type = "application/json"
+            body, content_type = json.dumps(payload).encode("utf-8"), JSON_TYPE
         extra = "".join(f"{name}: {value}\r\n"
                         for name, value in (headers or {}).items())
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"

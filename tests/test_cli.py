@@ -79,6 +79,14 @@ class TestPlanCommand:
         assert main(["plan", "-m", "7", "-n", "3", "-P", "4"]) == 2
         assert "no feasible" in capsys.readouterr().out
 
+    def test_out_of_range_size_is_one_error_line(self, capsys):
+        # Past int64 the screen's lanes overflowed: an OverflowError
+        # traceback instead of a typed error.
+        assert main(["plan", "-m", "99999999999999999999999", "-n", "8",
+                     "-P", "4"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: m: ") and out.count("\n") == 1
+
 
 class TestMachineFile:
     MACHINE: ClassVar[dict] = {"name": "test-rig", "peak_flops_per_node": 1.0e12,

@@ -1,6 +1,8 @@
 """repro.serve: coalescing, LRU layering, metrics, and the HTTP endpoint."""
 
 import asyncio
+import dataclasses
+import http.client
 import json
 import threading
 import time
@@ -13,9 +15,10 @@ from repro.costmodel.params import STAMPEDE2
 from repro.obs import LatencyHistogram, Observer
 from repro.plan import Planner, problem_from_dict
 from repro.plan.cache import PlanCache
-from repro.plan.planner import Plan
+from repro.plan.planner import Plan, PlanResult
+from repro.plan.problem import ProblemSpec
 from repro.serve import Coalescer, LRUPlanCache, PlanServer, ServeMetrics
-from repro.serve.handlers import _ranked_payload
+from repro.serve.cache import EncodedResult
 from repro.session import Session
 
 BODY = {"m": 2048, "n": 32, "procs": 8}
@@ -127,37 +130,41 @@ class TestCoalescer:
         assert coalescer.started == 2
 
 
+def _empty_result(m: int = 4096) -> PlanResult:
+    # Disk loads route through the plan-cache verifier, so cached values
+    # must be structurally valid PlanResults.
+    return PlanResult(problem=ProblemSpec(m=m, n=64, procs=16), plans=[],
+                      num_candidates=0)
+
+
 class TestLRUPlanCache:
     def test_eviction_and_counters(self):
         lru = LRUPlanCache(capacity=2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        assert lru.get("a") == 1          # promotes a over b
-        lru.put("c", 3)                   # evicts b (LRU)
+        a = lru.put("a", _empty_result(4096))
+        lru.put("b", _empty_result(8192))
+        assert isinstance(a, EncodedResult)
+        assert lru.get("a") is a          # promotes a over b
+        c = lru.put("c", _empty_result(16384))     # evicts b (LRU)
         assert lru.get("b") is None
-        assert lru.get("a") == 1 and lru.get("c") == 3
+        assert lru.get("a") is a and lru.get("c") is c
         stats = lru.to_dict()
         assert stats["entries"] == 2
         assert stats["evictions"] == 1
         assert stats["hits"] == 3 and stats["misses"] == 1
 
     def test_disk_layer_promote_and_write_through(self, tmp_path):
-        from repro.plan.planner import PlanResult
-        from repro.plan.problem import ProblemSpec
-
-        # Disk loads route through the plan-cache verifier now, so the
-        # write-through value must be a structurally valid PlanResult.
-        entry = PlanResult(problem=ProblemSpec(m=4096, n=64, procs=16),
-                           plans=[], num_candidates=0)
+        entry = _empty_result()
         disk = PlanCache(str(tmp_path))
         warm = LRUPlanCache(capacity=4, disk=disk)
-        warm.put("k", entry)
+        answer = warm.put("k", entry).ranked("cache")
+        assert disk.load("k") == entry    # the disk keeps the PlanResult
         # A fresh process (new LRU, same directory) starts warm from disk.
         cold = LRUPlanCache(capacity=4, disk=PlanCache(str(tmp_path)))
-        assert cold.get("k") == entry
+        promoted = cold.get("k")
+        assert promoted.ranked("cache") == answer
         assert cold.to_dict()["disk_hits"] == 1
         # ... and the promotion makes the second read a memory hit.
-        assert cold.get("k") == entry
+        assert cold.get("k") is promoted
         assert cold.to_dict()["hits"] == 1
 
     def test_capacity_validated(self):
@@ -166,7 +173,7 @@ class TestLRUPlanCache:
 
 
 class TestRankedPayload:
-    """``_ranked_payload`` serializes only the plans it sends."""
+    """Encoded answers are byte-identical to serializing the whole result."""
 
     @pytest.fixture(scope="class")
     def result(self):
@@ -181,22 +188,106 @@ class TestRankedPayload:
         return {"fingerprint": key, "served": served,
                 "total_plans": total_plans, "result": payload}
 
-    def test_bytes_identical_to_serializing_everything(self, result):
-        assert len(result.plans) > 3
-        for limit in (None, 1, 3, len(result.plans), len(result.plans) + 5):
-            sent = _ranked_payload("k", "cache", result, limit)
-            assert json.dumps(sent) == json.dumps(
-                self.serialize_then_slice("k", "cache", result, limit))
-            assert sent["total_plans"] == len(result.plans)
+    @staticmethod
+    def limits(result):
+        return (None, 1, 3, len(result.plans), len(result.plans) + 5)
 
-    def test_only_sent_plans_are_serialized(self, result, monkeypatch):
+    @pytest.mark.parametrize("served", ["cache", "computed", "coalesced"])
+    def test_bytes_identical_to_serializing_everything(self, result, served):
+        assert len(result.plans) > 3
+        encoded = EncodedResult("k", result)
+        for limit in self.limits(result):
+            sent = encoded.ranked(served, limit)
+            assert sent == json.dumps(self.serialize_then_slice(
+                "k", served, result, limit)).encode()
+            assert json.loads(sent)["total_plans"] == len(result.plans)
+
+    @pytest.mark.parametrize("from_cache", [False, True])
+    def test_disk_promoted_entry_serves_result_as_stored(
+            self, result, tmp_path, from_cache):
+        stored = dataclasses.replace(result, from_cache=from_cache)
+        PlanCache(str(tmp_path)).store("k", stored)
+        promoted = LRUPlanCache(disk=PlanCache(str(tmp_path))).get("k")
+        for limit in self.limits(result):
+            sent = promoted.ranked("cache", limit)
+            assert sent == json.dumps(self.serialize_then_slice(
+                "k", "cache", stored, limit)).encode()
+            assert json.loads(sent)["result"]["from_cache"] is from_cache
+
+    @pytest.mark.parametrize("path, body", [
+        ("/plan", dict(BODY, limit=2)),
+        ("/plan_batch", {"problems": [BODY, BODY], "limit": 1}),
+    ])
+    def test_warm_hit_runs_no_serializer(self, path, body, monkeypatch):
+        server = PlanServer(Session(plan_cache=None, sched_cache=None,
+                                    result_cache=None),
+                            plan_cache_dir=None, refine=None)
+        problem = problem_from_dict(BODY)
+        server.plan_cache.put(server.planner.fingerprint(problem),
+                              server.planner.plan(problem))
+        raw = json.dumps(body).encode()
         calls = []
-        to_dict = Plan.to_dict
-        monkeypatch.setattr(Plan, "to_dict",
-                            lambda plan: calls.append(plan) or to_dict(plan))
-        _ranked_payload("k", "cache", result, 1)
-        assert len(calls) == 1
-        assert result.plans and len(result.plans) > 1
+        for owner, name in ((Plan, "to_dict"), (PlanResult, "to_dict"),
+                            (json, "dumps")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        writer = _BufferWriter()
+
+        async def request():
+            status, payload = await server._dispatch("POST", path, raw)
+            await server._respond(writer, status, payload, close=False)
+            return status
+
+        assert asyncio.run(request()) == 200
+        assert calls == []
+        head, _, sent = bytes(writer.data).partition(b"\r\n\r\n")
+        answer = json.loads(sent)
+        answer = answer["results"][0] if "results" in answer else answer
+        assert answer["served"] == "cache"
+        assert len(answer["result"]["plans"]) == body["limit"]
+        assert b"Content-Length: %d\r\n" % len(sent) in head
+
+    @pytest.mark.parametrize("limit", [None, 1, 3, 1000])
+    def test_batch_body_identical_with_infeasible_item(self, server, limit):
+        infeasible = {"m": 7, "n": 3, "procs": 4}
+        body = {"problems": [BODY, infeasible, BODY]}
+        if limit is not None:
+            body["limit"] = limit
+        status, _, sent = _post_raw(server.address, "/plan_batch", body)
+        assert status == 200
+        planner = server.planner
+        key = planner.fingerprint(problem_from_dict(BODY))
+        bad_key = planner.fingerprint(problem_from_dict(infeasible))
+        [error] = planner.plan_many([problem_from_dict(infeasible)],
+                                    errors="return")
+        item = self.serialize_then_slice(key, "computed",
+                                         server.plan_cache.disk.load(key),
+                                         limit)
+        assert sent == json.dumps({
+            "count": 3, "distinct": 2,
+            "results": [item,
+                        {"fingerprint": bad_key,
+                         "error": {"type": type(error).__name__,
+                                   "message": str(error)}},
+                        item]}).encode()
+
+
+class _BufferWriter:
+    """The part of ``asyncio.StreamWriter`` that ``_respond`` uses."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
 
 
 # -- HTTP endpoint ------------------------------------------------------------------
@@ -211,6 +302,18 @@ def _post(address, path, body):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _post_raw(address, path, body):
+    """POST returning (status, headers, raw bytes)."""
+    req = urllib.request.Request(
+        address + path, data=json.dumps(body).encode("utf-8"),
+        headers={"Content-Type": "application/json"}, method="POST")
+    try:
+        with urllib.request.urlopen(req, timeout=60) as resp:
+            return resp.status, dict(resp.headers), resp.read()
+    except urllib.error.HTTPError as exc:
+        return exc.code, dict(exc.headers), exc.read()
 
 
 def _get(address, path):
@@ -301,6 +404,42 @@ class TestServerEndpoint:
         assert status == 400
         assert payload["error"]["field"].startswith("problems[1]")
         assert "finite" in payload["error"]["message"]
+
+    def test_out_of_range_size_is_400_with_field(self, server):
+        # Past int64 the screen's lanes overflowed into a 500.
+        status, payload = _post(server.address, "/plan",
+                                dict(BODY, m=10**23))
+        assert status == 400 and payload["error"]["field"] == "m"
+
+    def test_out_of_range_batch_item_is_400_with_field(self, server):
+        status, payload = _post(server.address, "/plan_batch",
+                                {"problems": [dict(BODY, m=10**23), BODY]})
+        assert status == 400
+        assert payload["error"]["field"] == "problems[0].m"
+
+    @pytest.mark.parametrize("method, path, body, content_type", [
+        ("POST", "/plan", BODY, "application/json"),
+        ("POST", "/plan_batch", {"problems": [BODY]}, "application/json"),
+        ("GET", "/metrics", None, "application/json"),
+        ("GET", "/metrics?format=prometheus", None,
+         "text/plain; version=0.0.4; charset=utf-8"),
+    ])
+    def test_content_type_and_length(self, server, method, path, body,
+                                     content_type):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=60)
+        try:
+            conn.request(method, path, body=None if body is None
+                         else json.dumps(body).encode())
+            response = conn.getresponse()
+            sent = response.read()
+        finally:
+            conn.close()
+        assert response.status == 200
+        assert response.getheader("Content-Type") == content_type
+        assert int(response.getheader("Content-Length")) == len(sent) > 0
+        if content_type == "application/json":
+            json.loads(sent)
 
     def test_malformed_json_is_400(self, server):
         req = urllib.request.Request(
