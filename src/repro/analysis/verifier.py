@@ -69,7 +69,7 @@ BINDING_RULES = {
     "bind/template-size": "binding template size matches the program rank space",
     "bind/instance-disjoint": "bound instances are pairwise-disjoint rank sets",
     "bind/rank-bounds": "every concrete rank is non-negative (and < machine size when given)",
-    "bind/machine-coverage": "instances cover the whole machine (warning when partial: a template run scatters instead of installing lazy planes)",
+    "bind/machine-coverage": "instances cover the whole machine (warning when partial: a template run scatters instead of installing its phases in class space)",
 }
 
 
@@ -292,7 +292,7 @@ def verify_binding(program: ChargeProgram, binding: RankFamilyMap,
                 "bind/machine-coverage", "maps",
                 f"instances cover {flat.size} of {machine_ranks} machine "
                 f"ranks; a template run will scatter per instance "
-                f"instead of installing lazy planes",
+                f"instead of installing its phases in class space",
                 severity=SEVERITY_WARNING))
     return findings
 

@@ -438,7 +438,7 @@ def _compiled_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
     once, uncharged, and the one decision is how to charge.  When the
     template run's guard (:meth:`~repro.sched.replay.TemplateRun.seed`)
     accepts the machine, the whole schedule runs once on a template
-    seeded from subcube 0 and installed on every subcube as lazy planes:
+    seeded from subcube 0 and installed on every subcube in class space:
     beyond a few ``O(P)`` writes, the cost no longer depends on ``d``.
     Otherwise each Gram dance is charged on the machine (its program is
     exact only on the template, see :func:`_gram_program`) and the pass

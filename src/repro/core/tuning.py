@@ -84,12 +84,13 @@ def grid_is_feasible(m: int, n: int, shape: GridShape) -> bool:
 def feasible_grids(m: int, n: int, procs: int) -> List[GridShape]:
     """All grids ``c x d x c`` with ``c**2 d = procs`` usable for ``m x n``.
 
-    Ordered by increasing ``c`` (1D-most first).
+    Ordered by increasing ``c`` (1D-most first); ``c`` stops at ``n``, as
+    :func:`grid_is_feasible` requires, so a huge *procs* costs nothing.
     """
     check_positive_int(procs, "procs")
     out: List[GridShape] = []
     c = 1
-    while c * c <= procs:
+    while c <= n and c * c <= procs:
         if procs % (c * c) == 0:
             d = procs // (c * c)
             shape = GridShape(c=c, d=d)

@@ -34,12 +34,15 @@ A template run (:class:`~repro.sched.replay.TemplateRun`) executes a
 program on **rank classes** -- groups of template positions holding equal
 state -- rather than on positions.  :meth:`ChargeProgram.lowered` gives
 that form: per entry :class:`Partition`, each op's effect on the classes
-and the splits that keep every class exact, computed once and kept on
-the program.
+and the splits that keep every class exact, memoized process-wide by the
+program's :class:`Structure` and the entry partition: programs that
+differ only in sizes (say the pass programs of one ``c`` and ``n/n0``)
+share one form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
@@ -123,7 +126,7 @@ class ChargeProgram:
         The op sequence, in original charge order.
     """
 
-    __slots__ = ("num_ranks", "phases", "ops", "_structures", "_lowered")
+    __slots__ = ("num_ranks", "phases", "ops", "_structure")
 
     def __init__(self, num_ranks: int, phases: Sequence[str],
                  ops: Sequence[ChargeOp]):
@@ -146,17 +149,15 @@ class ChargeProgram:
                     f"op phase index {phase!r} outside the phase table "
                     f"(len {nphases}); programs must intern phases at "
                     f"capture time")
-        self._structures: Optional[Sequence[int]] = None
-        self._lowered: Dict[bytes, Tuple[List[Epoch], Partition]] = {}
+        self._structure: Optional[Structure] = None
 
-    # The lowered forms are a memo of this process, not part of the IR.
+    # The structure is derived from the ops on first use, not part of the IR.
     def __getstate__(self):
         return self.num_ranks, self.phases, self.ops
 
     def __setstate__(self, state) -> None:
         self.num_ranks, self.phases, self.ops = state
-        self._structures = None
-        self._lowered = {}
+        self._structure = None
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -189,28 +190,50 @@ class ChargeProgram:
         """The program as a class run executes it from *entry*, and the
         exit partition (see :func:`_lower`).
 
-        Lowered once per entry partition and kept on the program, so the
-        form lives exactly as long as the program does.
+        Memoized by :attr:`structure` and *entry*, not by program: a form
+        holds no payloads.  The memo is bounded like the capture memos.
         """
-        labels = entry.labels
-        key = (labels.astype(np.uint8) if entry.classes <= 256
-               else labels).tobytes()
-        hit = self._lowered.get(key)
-        if hit is None:
-            hit = self._lowered[key] = _lower(self, entry)
-        return hit
+        wide = entry.classes > 256
+        labels = entry.labels if wide else entry.labels.astype(np.uint8)
+        return _lowered(self.structure, labels.tobytes(), wide)
 
     @property
-    def structures(self) -> Sequence[int]:
-        """Each op's structure id: ops with equal ids have equal class
-        effects under any partition (see :func:`_structure`).  Computed
-        on first use and kept, for every entry partition."""
-        if self._structures is None:
-            ids: Dict[Hashable, int] = {}
-            self._structures = array("I", [
-                ids.setdefault(_structure(op, self.num_ranks), len(ids))
-                for op in self.ops])
-        return self._structures
+    def structure(self) -> "Structure":
+        """The program's :class:`Structure`, computed on first use and kept."""
+        if self._structure is None:
+            self._structure = Structure(self)
+        return self._structure
+
+
+class Structure:
+    """What class runs of a program depend on besides the entry partition:
+    the template size, the structure-key table (one :func:`_structure` key
+    per id, in id order) and each op's structure id (``ids``; ops with
+    equal ids have equal class effects under any partition).  Equal for
+    programs that differ only in payloads or phases; ``ops`` holds one
+    payload-free op per id, for :func:`_lower`.
+    """
+
+    __slots__ = ("ids", "ops", "_key", "_hash")
+
+    def __init__(self, program: ChargeProgram):
+        table: Dict[Hashable, int] = {}
+        self.ids = array("I")
+        self.ops: List[ChargeOp] = []
+        for op in program.ops:
+            key = _structure(op, program.num_ranks)
+            if key not in table:
+                table[key] = len(self.ops)
+                self.ops.append(ChargeOp(op.kind, op.ranks, None, -1, op.axis))
+            self.ids.append(table[key])
+        self._key = (program.num_ranks, tuple(table), self.ids.tobytes())
+        self._hash = hash(self._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Structure) and self._key == other._key
 
 
 class Partition(NamedTuple):
@@ -334,18 +357,28 @@ def _effect(op: ChargeOp,
     return (None if part.classes == entry.classes else part), effect
 
 
-def _lower(program: ChargeProgram,
-           entry: Partition) -> Tuple[List[Epoch], Partition]:
-    """*program* as a class run executes it from *entry*: its
-    :data:`Epoch` list, and the exit partition.
+@functools.lru_cache(maxsize=256)
+def _lowered(structure: Structure, entry: bytes,
+             wide: bool) -> Tuple[List[Epoch], Partition]:
+    """:func:`_lower` from the partition labelled by *entry*'s bytes
+    (``intp`` when *wide*, else ``uint8``)."""
+    labels = np.frombuffer(entry, np.intp if wide else np.uint8)
+    return _lower(structure, Partition.of(labels))
 
-    Walks the ops once, computing each structure's effect the first time
-    it appears in an epoch; an op that splits a class starts the next
-    epoch.  The form holds no per-op data -- a run reads each op's kind,
-    phase and payload (counts: the machine's rates apply at run time, so
-    one form serves every machine) from the op itself and its effect from
-    the epoch by :attr:`ChargeProgram.structures` -- so it costs
-    O(structures) memory per epoch.
+
+def _lower(structure: Structure,
+           entry: Partition) -> Tuple[List[Epoch], Partition]:
+    """A program of *structure* as a class run executes it from *entry*:
+    its :data:`Epoch` list, and the exit partition.
+
+    Walks the ops' structure ids once, computing each structure's effect
+    the first time it appears in an epoch; an op that splits a class
+    starts the next epoch.  The form holds no per-op data -- a run reads
+    each op's kind, phase and payload (counts: the machine's rates apply
+    at run time, so one form serves every machine) from the op itself
+    and its effect from the epoch by its id in ``structure.ids`` --
+    so it costs O(structures) memory per epoch, and serves every program
+    of *structure*.
     """
     epochs: List[Epoch] = []
     part: Partition = entry
@@ -353,15 +386,14 @@ def _lower(program: ChargeProgram,
     start = 0
     effects: Dict[int, _Effect] = {}
     distinct: Dict[_Effect, _Effect] = {}
-    for i, (op, structure) in enumerate(zip(program.ops,
-                                            program.structures)):
-        if structure in effects:
+    for i, sid in enumerate(structure.ids):
+        if sid in effects:
             continue
-        split, effect = _effect(op, part)
+        split, effect = _effect(structure.ops[sid], part)
         if split is not None:
             epochs.append((start, i, parents, effects))
             parents = tuple(part.labels[split.reps].tolist())
             part, start, effects = split, i, {}
-        effects[structure] = distinct.setdefault(effect, effect)
-    epochs.append((start, len(program.ops), parents, effects))
+        effects[sid] = distinct.setdefault(effect, effect)
+    epochs.append((start, len(structure.ids), parents, effects))
     return epochs, part

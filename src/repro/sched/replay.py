@@ -25,9 +25,11 @@ program's lowered form
 before any op that treats its members differently.  CA-CQR2 runs its
 whole schedule this way (:mod:`repro.core.cacqr`): two classes, whatever
 the template size; where the guard declines, it replays per op.  When
-the instances cover the machine every phase is installed as a lazy
-template plane (:class:`~repro.vmpi.machine.LazyPlane`) instead of a
-``(3, P)`` array.
+the instances cover the machine the run's phases stay in class space:
+one :class:`~repro.vmpi.machine.ClassBlock` per install holds each
+phase's ``(3, classes)`` values and the template's class labels, in
+place of a ``(3, P)`` array per phase, and a report reduces all of a
+block's phases in one masked max over classes.
 
 Both refuse, with a :class:`ValueError` and before charging anything, a
 binding that names a rank past the end of the machine.
@@ -43,7 +45,7 @@ from repro.obs import span
 from repro.sched.binding import RankFamilyMap
 from repro.sched.program import OP_COMM, OP_FLOPS, ChargeProgram, Partition
 from repro.utils.validation import require
-from repro.vmpi.machine import LazyPlane, VirtualMachine
+from repro.vmpi.machine import ClassBlock, VirtualMachine
 
 
 def replay(vm: VirtualMachine, program: ChargeProgram,
@@ -151,10 +153,11 @@ class TemplateRun:
     (the subcubes of a root grid) the guard compares reshaped views of the
     machine's arrays, the seed is the view's instance-0 slab and the
     write-back one broadcast assignment; other bindings gather and scatter
-    through their rank matrix.  The guard never materializes a lazy
+    through their rank matrix.  The guard never materializes a virtual
     phase: one installed through the same slab layout is symmetric by
-    construction and seeds from its template state directly.  The class
-    values are expanded to template order only at :meth:`install`.
+    construction and seeds from its class values directly.  Clocks and
+    totals are expanded to template order only at :meth:`install`; phases
+    are never expanded.
     """
 
     __slots__ = ("vm", "binding", "_seeds", "_part", "_clock", "_total",
@@ -255,7 +258,7 @@ class TemplateRun:
         alpha, beta, gamma = params.alpha, params.beta, params.gamma
         clock = self._clock
         t_msgs, t_words, t_flops = self._total
-        ops, structures = program.ops, program.structures
+        ops, structures = program.ops, program.structure.ids
         for start, stop, parents, effects in epochs:
             if parents is not None:
                 self._split(parents)
@@ -313,32 +316,27 @@ class TemplateRun:
         b.scatter(vm._total, np.array(self._total)[:, labels])
         states = self._phases.values()
         k = self.classes
-        planes = np.array([state[:3] for state in states],
-                          dtype=float).reshape(-1, 3, k)[..., labels]
-        masks = np.array([state[3] for state in states],
-                         dtype=bool).reshape(-1, k)[:, labels]
-        phases = zip(self._phases, planes, masks,
-                     [all(state[3]) for state in states])
+        values = np.array([state[:3] for state in states],
+                          dtype=float).reshape(-1, 3, k)
+        touched = np.array([state[3] for state in states],
+                           dtype=bool).reshape(-1, k)
         if b.covers(vm.num_ranks):
-            # The instances partition the whole machine: every phase plane
-            # is *installed virtually* -- template arrays plus the binding's
-            # rank -> template-position index, built only if a per-rank
-            # read or a later direct charge needs it -- instead of being
-            # expanded to (3, P).  Reports reduce lazy planes in template
-            # space (max is order-independent, so the result is
-            # bit-identical).
-            for name, plane, touched, touched_all in phases:
-                vm._install_lazy(name, LazyPlane(plane, touched,
-                                                 b.template_index,
-                                                 touched_all, b.slabs))
+            # The instances partition the whole machine: the phases are
+            # *installed virtually*, as one block of class values plus the
+            # class labels and the binding's rank -> template-position
+            # index (built only if a per-rank read or a later direct
+            # charge needs it), never expanded to (3, P) or even (3, T).
+            vm._install_block(list(self._phases),
+                              ClassBlock(values, touched, labels,
+                                         b.template_index, b.slabs))
         else:
             # Partial coverage: scatter with a broadcast right-hand side,
             # without materializing (3, P)-sized tiles.
-            for name, plane, touched, _ in phases:
+            for name, plane, mask in zip(self._phases, values, touched):
                 pid = vm._phase_id(name)
-                b.scatter(vm._plane(pid), plane)
+                b.scatter(vm._plane(pid), plane[:, labels])
                 if not vm._touched_all[pid]:
-                    b.scatter(vm._touched[pid], touched)
+                    b.scatter(vm._touched[pid], mask[labels])
 
     def complete(self, segments: Sequence[Segment]) -> None:
         """:meth:`charge` every ``(program, names)`` segment, then
@@ -355,9 +353,11 @@ def _phase_seed(vm: VirtualMachine, b: RankFamilyMap,
                 pid: int) -> Optional[_Seed]:
     """Instance 0's state of phase *pid*, or ``None`` when the instances
     disagree."""
-    lazy = vm._lazy.get(pid)
-    if lazy is not None and b.slabs is not None and lazy.layout == b.slabs:
-        return lazy.plane, None if lazy.touched_all else lazy.touched
+    virtual = vm._virtual.get(pid)
+    if virtual is not None and b.slabs is not None \
+            and virtual[0].layout == b.slabs:
+        plane, touched = virtual[0].in_template_order(virtual[1])
+        return plane, None if vm._touched_all[pid] else touched
     plane, touched = vm._phase_state(pid)
     plane = b.gather(plane)
     if not _symmetric(plane):

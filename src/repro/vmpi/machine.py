@@ -185,21 +185,41 @@ class TraceRecorder(TraceSink):
         self.events = []
 
 
-class LazyPlane(NamedTuple):
-    """A phase installed virtually: template-sized state plus its layout.
+class ClassBlock(NamedTuple):
+    """Phases installed virtually by one template run, held in class space.
 
-    The concrete ``(3, P)`` plane is ``plane[:, template_index()]`` and
-    the touched mask ``touched[template_index()]`` (all-true when
-    ``touched_all``).  ``layout`` is the installer's hashable name for the
-    rank -> template-position map, or ``None``: two lazy planes with the
-    same non-``None`` layout tile the machine identically.
+    Row ``f`` is one phase: ``values[f]`` its ``(3, k)`` per-class
+    ``(messages, words, flops)`` and ``touched[f]`` its ``(k,)`` per-class
+    touched flags.  ``labels[t]`` is the class of template position ``t``
+    and ``template_index()`` the ``(P,)`` map from machine rank to template
+    position, so rank ``r``'s column is ``values[f][:, labels[
+    template_index()[r]]]``.  ``layout`` is the installer's hashable name
+    for that rank map, or ``None``: two blocks with the same non-``None``
+    layout tile the machine identically.
     """
 
-    plane: np.ndarray
+    values: np.ndarray
     touched: np.ndarray
+    labels: np.ndarray
     template_index: Callable[[], np.ndarray]
-    touched_all: bool
     layout: Optional[Hashable]
+
+    def in_template_order(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Row *row*'s ``(3, T)`` values and ``(T,)`` touched flags, by
+        template position."""
+        return self.values[row][:, self.labels], self.touched[row][self.labels]
+
+    def maxima(self) -> List[Optional[Tuple[float, float, float]]]:
+        """Each row's maximum ``(messages, words, flops)`` over its touched
+        classes (``None``: no class touched), as one masked max.
+
+        Every class has a member, so this is the maximum over the touched
+        ranks, bit for bit (max is exact and order-independent).
+        """
+        top = np.where(self.touched[:, None, :], self.values,
+                       -np.inf).max(axis=2)
+        return [tuple(row) if seen else None for row, seen in
+                zip(top.tolist(), self.touched.any(axis=1).tolist())]
 
 
 class VirtualMachine:
@@ -256,15 +276,15 @@ class VirtualMachine:
         # Once a phase has touched every rank its mask never changes again;
         # this flag lets the bulk charging paths skip the mask scatter.
         self._touched_all: List[bool] = []
-        # Lazy phase planes: pid -> LazyPlane.  Compiled-schedule replay
-        # (repro.sched.replay) leaves a phase's whole-machine plane
-        # *virtual* -- template-sized state plus a callable returning the
-        # rank -> template-position gather index -- because reports only
-        # ever take a max over it (order-independent, so template max ==
+        # Virtual phases: pid -> (ClassBlock, row).  A template run
+        # (repro.sched.replay) leaves its phases' whole-machine planes
+        # *virtual* -- per-class values plus the class labels and the rank
+        # -> template-position index -- because reports only ever take a
+        # max over them (order-independent, so the class max equals the
         # expanded max, bit for bit).  Any charge that needs the concrete
         # (3, P) array builds it on demand; the corresponding
         # `_planes`/`_touched` slots hold None until then.
-        self._lazy: Dict[int, LazyPlane] = {}
+        self._virtual: Dict[int, Tuple[ClassBlock, int]] = {}
         self._total = np.zeros((3, num_ranks))
         self._sink: Optional[TraceSink] = (
             trace_sink if trace_sink is not None
@@ -292,7 +312,7 @@ class VirtualMachine:
 
     def _phase_id(self, phase: str, concrete: bool = True) -> int:
         """Intern *phase*; a new phase gets zeroed ``(3, P)``/``(P,)``
-        arrays unless ``concrete=False`` (the caller installs lazy state)."""
+        arrays unless ``concrete=False`` (the caller installs virtual state)."""
         pid = self._phase_ids.get(phase)
         if pid is None:
             pid = len(self._phase_names)
@@ -363,63 +383,66 @@ class VirtualMachine:
         """A collective's clock advance once its group is synchronized."""
         return self.params.alpha * cost.messages + self.params.beta * cost.words
 
-    # -- lazy phase planes --------------------------------------------------------
+    # -- virtual phases -----------------------------------------------------------
 
-    def _install_lazy(self, phase: str, lazy: LazyPlane) -> None:
-        """Replace *phase*'s plane with virtual template state.
+    def _install_block(self, names: Sequence[str], block: ClassBlock) -> None:
+        """Replace phase ``names[f]``'s plane with row ``f`` of *block*.
 
-        ``lazy.template_index()`` returns the ``(P,)`` map from every
-        machine rank to its template position; it must cover the whole
-        machine (the caller -- a template run, see
+        ``block.template_index()`` must cover the whole machine (the
+        caller -- a template run, see
         :class:`repro.sched.replay.TemplateRun` -- binds a partition of
-        the rank space) and is only called when a concrete plane or a
+        the rank space); it is only called when a concrete plane or a
         per-rank read needs it.  A phase first seen here is interned
         without whole-machine arrays.
         """
-        pid = self._phase_id(phase, concrete=False)
-        self._lazy[pid] = lazy
-        self._planes[pid] = None
-        self._touched[pid] = None
-        self._touched_all[pid] = lazy.touched_all
+        for row, touched_all in enumerate(block.touched.all(axis=1).tolist()):
+            pid = self._phase_id(names[row], concrete=False)
+            self._virtual[pid] = (block, row)
+            self._planes[pid] = None
+            self._touched[pid] = None
+            self._touched_all[pid] = touched_all
 
     def _phase_state(self, pid: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """The phase's ``(3, P)`` plane and touched mask (``None``: every
-        rank touched), read without changing the machine: a lazy phase is
-        expanded into fresh arrays and stays lazy."""
-        lazy = self._lazy.get(pid)
-        if lazy is None:
+        rank touched), read without changing the machine: a virtual phase
+        is expanded into fresh arrays and stays virtual."""
+        virtual = self._virtual.get(pid)
+        if virtual is None:
             return (self._planes[pid],
                     None if self._touched_all[pid] else self._touched[pid])
-        tidx = lazy.template_index()
-        return (np.take(lazy.plane, tidx, axis=1),
-                None if lazy.touched_all else np.take(lazy.touched, tidx))
+        block, row = virtual
+        classes = block.labels[block.template_index()]
+        return (np.take(block.values[row], classes, axis=1),
+                None if self._touched_all[pid]
+                else np.take(block.touched[row], classes))
 
     def _materialize(self, pid: int) -> np.ndarray:
-        """Expand a lazy phase to concrete whole-machine arrays."""
+        """Expand a virtual phase to concrete whole-machine arrays."""
         plane, touched = self._phase_state(pid)
-        del self._lazy[pid]
+        del self._virtual[pid]
         self._planes[pid] = plane
         self._touched[pid] = (np.ones(self.num_ranks, dtype=bool)
                               if touched is None else touched)
         return plane
 
     def _plane(self, pid: int) -> np.ndarray:
-        """The phase's concrete plane, materializing a lazy one on demand."""
+        """The phase's concrete plane, materializing a virtual one on demand."""
         plane = self._planes[pid]
         return self._materialize(pid) if plane is None else plane
 
     def _phase_col(self, pid: int, rank: int) -> Optional[np.ndarray]:
         """One rank's (messages, words, flops) column under one phase, or
-        ``None`` when the rank was never charged there.  Reads lazy planes
-        in template space -- holding a :class:`LedgerView` never expands a
-        million-rank machine's virtual phases (the shared ``(P,)`` template
-        index is built once, on the first read)."""
-        lazy = self._lazy.get(pid)
-        if lazy is not None:
-            t = lazy.template_index()[rank]
-            if not (lazy.touched_all or lazy.touched[t]):
+        ``None`` when the rank was never charged there.  Reads virtual
+        phases in class space -- holding a :class:`LedgerView` never
+        expands a million-rank machine's virtual phases (the shared
+        ``(P,)`` template index is built once, on the first read)."""
+        virtual = self._virtual.get(pid)
+        if virtual is not None:
+            block, row = virtual
+            k = block.labels[block.template_index()[rank]]
+            if not block.touched[row, k]:
                 return None
-            return lazy.plane[:, t]
+            return block.values[row, :, k]
         if not (self._touched_all[pid] or self._touched[pid][rank]):
             return None
         return self._planes[pid][:, rank]
@@ -667,19 +690,18 @@ class VirtualMachine:
                         float(self._total[2].max()))
         mean = Cost(total.messages / n, total.words / n, total.flops / n)
         phase_max: Dict[str, Cost] = {}
+        maxima: Dict[int, list] = {}        # id(block) -> block.maxima()
         for pid, name in enumerate(self._phase_names):
-            lazy = self._lazy.get(pid)
-            if lazy is not None:
-                # Virtual plane: its expansion is a permuted tiling of the
-                # template, and max is order-independent, so reducing the
-                # template gives the bit-identical result in O(template).
-                if lazy.touched_all:
-                    vals = lazy.plane
-                else:
-                    if not lazy.touched.any():
-                        continue
-                    vals = lazy.plane[:, lazy.touched]
-            elif self._touched_all[pid]:
+            virtual = self._virtual.get(pid)
+            if virtual is not None:
+                block, row = virtual
+                if id(block) not in maxima:
+                    maxima[id(block)] = block.maxima()
+                top = maxima[id(block)][row]
+                if top is not None:
+                    phase_max[name] = Cost(*top)
+                continue
+            if self._touched_all[pid]:
                 # Every rank saw this phase: max over the whole plane, no
                 # boolean-mask copy.
                 vals = self._planes[pid]
@@ -710,10 +732,10 @@ class VirtualMachine:
         """
         self._clock[:] = 0.0
         self._total[:] = 0.0
-        for pid in list(self._lazy):
-            del self._lazy[pid]
+        for pid in self._virtual:
             self._planes[pid] = np.zeros((3, self.num_ranks))
             self._touched[pid] = np.zeros(self.num_ranks, dtype=bool)
+        self._virtual.clear()
         for plane in self._planes:
             plane[:] = 0.0
         for touched in self._touched:

@@ -32,6 +32,7 @@ from repro.sched import (
     TemplateRun,
     compiled_replay_disabled,
 )
+from repro.sched.program import Partition, _lowered
 from repro.sched.replay import replay
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
@@ -172,17 +173,72 @@ def test_every_position_degenerates_to_one_class_per_position():
     assert run.classes == 8
 
 
-def test_lowered_forms_live_on_the_program():
-    """One lowering per entry partition, kept on the program; replaying
-    again from the same partition reuses it."""
-    prog = program("uneven-groups")
-    for _ in range(2):
-        class_run(VirtualMachine(32, STAMPEDE2), prog, bindings(32)["slabs"])
-    assert len(prog._lowered) == 1
+def _resized(name, scale, phases=("x", "y", "z")):
+    """*name*'s program with every payload scaled and another phase table:
+    the same structure, other sizes."""
+    ops = [ChargeOp(op.kind, op.ranks,
+                    None if op.payload is None
+                    else op.payload * scale if op.kind == OP_FLOPS
+                    else CollectiveCost(op.payload.messages * scale,
+                                        op.payload.words * scale),
+                    op.phase, op.axis)
+           for op in PROGRAMS[name]]
+    return ChargeProgram(8, list(phases), ops)
+
+
+def test_programs_of_one_structure_share_one_lowered_form():
+    """The memo is keyed by structure and entry partition, not by program:
+    a program that differs only in payloads and phases reuses the form,
+    and each still charges exactly its own payloads."""
+    _lowered.cache_clear()
+    prog, twin = program("uneven-groups"), _resized("uneven-groups", 3)
+    assert prog.structure == twin.structure
+    assert hash(prog.structure) == hash(twin.structure)
+    for charged in (prog, twin):
+        class_vm = VirtualMachine(32, STAMPEDE2)
+        class_run(class_vm, charged, bindings(32)["slabs"])
+        loop_vm = VirtualMachine(32, STAMPEDE2)
+        loop(loop_vm, charged, bindings(32)["slabs"])
+        assert_machines_identical(class_vm, loop_vm)
+    info = _lowered.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    whole = Partition.whole(8)
+    assert prog.lowered(whole) is twin.lowered(whole)
+
+    # Another entry partition lowers anew.
     vm = VirtualMachine(32, STAMPEDE2)
     symmetric_prefix(vm, bindings(32)["slabs"], seed=3)
-    class_run(vm, prog, bindings(32)["slabs"])
-    assert len(prog._lowered) == 2
+    class_run(vm, twin, bindings(32)["slabs"])
+    assert _lowered.cache_info().misses == 2
+
+
+def test_programs_of_other_rank_structure_do_not_share():
+    whole = Partition.whole(8)
+    prog = program("uneven-groups")
+    moved = ChargeProgram(8, PHASES, [flops([0, 4], 500.0),
+                                      *PROGRAMS["uneven-groups"][1:]])
+    wider = ChargeProgram(16, PHASES, PROGRAMS["uneven-groups"])
+    assert prog.structure != moved.structure
+    assert prog.structure != wider.structure
+    assert prog.lowered(whole) is not moved.lowered(whole)
+    assert not np.array_equal(prog.lowered(whole)[1].labels,
+                              moved.lowered(whole)[1].labels)
+    class_vm, loop_vm = (VirtualMachine(32, STAMPEDE2) for _ in range(2))
+    class_run(class_vm, moved, bindings(32)["slabs"])
+    loop(loop_vm, moved, bindings(32)["slabs"])
+    assert_machines_identical(class_vm, loop_vm)
+
+
+def test_lowered_form_memo_stays_bounded():
+    bound = _lowered.cache_info().maxsize
+    assert bound is not None
+    subsets = [[t for t in range(8) if mask >> t & 1]
+               for mask in range(1, 256)]
+    for k in range(bound + 8):
+        prog = ChargeProgram(8, PHASES, [flops(subsets[k % 255], 1.0),
+                                         flops(subsets[k // 255], 2.0)])
+        prog.lowered(Partition.whole(8))
+    assert _lowered.cache_info().currsize == bound
 
 
 class _Spans(list):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import time
 from typing import ClassVar
 
 import numpy as np
@@ -87,6 +88,15 @@ class TestPlanCommand:
         out = capsys.readouterr().out
         assert out.startswith("error: m: ") and out.count("\n") == 1
 
+
+    def test_huge_procs_is_one_error_line_fast(self, capsys):
+        # The grid search looped c up to sqrt(P) and spun for minutes.
+        start = time.perf_counter()
+        assert main(["plan", "-m", "4096", "-n", "8",
+                     "-P", str(2 ** 63 - 1)]) == 2
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr().out
+        assert out.startswith("error: ") and out.count("\n") == 1
 
 class TestMachineFile:
     MACHINE: ClassVar[dict] = {"name": "test-rig", "peak_flops_per_node": 1.0e12,

@@ -123,7 +123,8 @@ class TestTemplateRunPerPanel:
         cqr2 = [name for name in vm.phase_names if ".cqr2." in name]
         assert {name.split(".")[1] for name in cqr2} == \
             {f"panel{k}" for k in range(n // b)}
-        assert all(vm._phase_ids[name] in vm._lazy for name in cqr2)
+        assert all(vm._phase_ids[name] in vm._virtual for name in cqr2)
+        assert all(vm._planes[vm._phase_ids[name]] is None for name in cqr2)
 
         with compiled_replay_disabled():
             loop_vm = self.run(c, d, m, n, b)

@@ -1,5 +1,7 @@
 """Unit tests for grid tuning (Section III-B's c x d x c selection)."""
 
+import time
+
 import pytest
 
 from repro.core.tuning import (
@@ -112,6 +114,22 @@ class TestFeasibilityEdgeCases:
         # CFR3D needs at least one base-case row per face processor.
         assert not grid_is_feasible(2 ** 20, 4, GridShape(c=8, d=16))
         assert all(g.c <= 4 for g in feasible_grids(2 ** 20, 4, 1024))
+
+    def test_search_stops_at_c_equals_n(self):
+        # The loop ran c up to sqrt(P): billions of steps at P = 2**63 - 1.
+        def brute(m, n, procs):
+            return [GridShape(c=c, d=procs // (c * c))
+                    for c in range(1, int(procs ** 0.5) + 1)
+                    if procs % (c * c) == 0 and procs // (c * c) >= c
+                    and grid_is_feasible(m, n, GridShape(c, procs // (c * c)))]
+
+        for m, n, procs in [(2 ** 16, 4, 512), (2 ** 20, 2 ** 10, 4096),
+                            (3 * 2 ** 20, 3, 1024), (64, 8, 1),
+                            (2 ** 12, 16, 2 ** 16)]:
+            assert feasible_grids(m, n, procs) == brute(m, n, procs)
+        start = time.perf_counter()
+        assert feasible_grids(4096, 8, 2 ** 63 - 1) == []
+        assert time.perf_counter() - start < 1.0
 
     def test_single_processor(self):
         assert feasible_grids(64, 8, 1) == [GridShape(c=1, d=1)]

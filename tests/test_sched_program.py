@@ -395,7 +395,8 @@ class TestReplay:
         vm_loop, g_loop = make_tunable(c, d)
         class_run(vm, program, RankFamilyMap.subcubes(g, tpl_grid),
                   program.phases_with_prefix("@", "mm"))
-        assert vm._lazy
+        assert vm._virtual
+        assert all(vm._planes[pid] is None for pid in vm._virtual)
         self.mm3d_loop(vm_loop, g_loop, c, d, m)
 
         rank = int(g.subcube(3).ranks[1, 1, 0])

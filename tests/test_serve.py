@@ -411,6 +411,14 @@ class TestServerEndpoint:
                                 dict(BODY, m=10**23))
         assert status == 400 and payload["error"]["field"] == "m"
 
+    def test_huge_procs_is_400_fast(self, server):
+        # The grid search looped c up to sqrt(P): the request never ended.
+        start = time.perf_counter()
+        status, payload = _post(server.address, "/plan",
+                                dict(BODY, m=4096, n=8, procs=2 ** 63 - 1))
+        assert time.perf_counter() - start < 1.0
+        assert status == 400 and "no feasible" in payload["error"]["message"]
+
     def test_out_of_range_batch_item_is_400_with_field(self, server):
         status, payload = _post(server.address, "/plan_batch",
                                 {"problems": [dict(BODY, m=10**23), BODY]})

@@ -23,9 +23,11 @@ from tests.test_vmpi_machine_equivalence import assert_machines_identical
 
 import repro.core.cacqr as cacqr
 from repro.core.cacqr import ca_cqr, ca_cqr2
+from repro.core.panels_dist import ca_panel_cqr2
 from repro.core.shifted import ca_shifted_cqr3
 from repro.costmodel.params import STAMPEDE2
 from repro.kernels.cholesky import CholeskyFailure
+from repro.obs import Observer, use_observer
 from repro.sched import RankFamilyMap, ScheduleRecorder, compiled_replay_disabled
 from repro.utils.matgen import matrix_with_condition
 from repro.vmpi.distmatrix import DistMatrix
@@ -64,8 +66,8 @@ def _run(machine, algorithm, c, d, numeric, prefix):
         for rank, flops in enumerate(work):
             vm.charge_flops(rank, flops, "prefix")
     if prefix == "per-subcube":
-        # A whole earlier run leaves every phase interned -- lazily, on
-        # the template path -- so the guard seeds from existing state.
+        # A whole earlier run leaves every phase interned -- in class
+        # space, on the template path -- so the guard seeds from it.
         ALGORITHMS[algorithm](vm, a)
     return vm, ALGORITHMS[algorithm](vm, a)
 
@@ -77,8 +79,16 @@ def _factors(result):
             [r.to_global().tobytes() for r in result.r_subcubes])
 
 
-def _lazy(vm, name):
-    return vm._phase_ids[name] in vm._lazy
+def _virtual(vm, name):
+    """Whether phase *name* is held in class space: a row of per-class
+    values in an installed block, with no concrete plane."""
+    pid = vm._phase_ids[name]
+    if pid not in vm._virtual:
+        return False
+    block, row = vm._virtual[pid]
+    assert vm._planes[pid] is None
+    assert block.values[row].shape == (3, int(block.labels.max()) + 1)
+    return True
 
 
 def _events(vm):
@@ -128,19 +138,21 @@ def test_template_run_matches_loop_oracle(machine, subcubes, c, algorithm,
     # built a (3, P) plane.
     gram_phase = {"ca_cqr2": "cacqr2.pass1", "ca_cqr": "cacqr",
                   "ca_shifted_cqr3": "sCQR3.shifted-pass"}[algorithm]
-    assert _lazy(vm, f"{gram_phase}.allreduce-roots") == \
+    assert _virtual(vm, f"{gram_phase}.allreduce-roots") == \
         (machine == "plain" and (prefix != "random" or subcubes == 1))
     if machine == "plain" and prefix == "fresh" \
             and algorithm != "ca_shifted_cqr3":
-        # Nothing else charged the machine: every phase is lazy.
-        assert len(vm._lazy) == len(vm.phase_names)
+        # Nothing else charged the machine: every phase is virtual, all
+        # in the one block the run installed.
+        assert len(vm._virtual) == len(vm.phase_names)
         assert all(plane is None for plane in vm._planes)
+        assert len({id(block) for block, _ in vm._virtual.values()}) == 1
 
 
 @pytest.mark.parametrize("perturb", ["clock", "total", "phase", "lazy-phase"])
 def test_each_guard_input_alone_forces_the_fallback(perturb):
     """Subcubes that agree on everything but one guard input -- clocks,
-    totals, or one phase the run charges (concrete, or lazy from an
+    totals, or one phase the run charges (concrete, or virtual from an
     earlier run) -- take per-op replay, bit-identical to the loop."""
     c, d = 2, 8
 
@@ -172,13 +184,13 @@ def test_each_guard_input_alone_forces_the_fallback(perturb):
     vm = run()
     with compiled_replay_disabled():
         loop_vm = run()
-    assert not _lazy(vm, "cacqr2.pass2.bcast-w")
+    assert not _virtual(vm, "cacqr2.pass2.bcast-w")
     assert_machines_identical(vm, loop_vm)
     assert vm.phase_names == loop_vm.phase_names
 
 
 def test_lazy_phases_of_another_layout_are_checked_not_trusted():
-    """A phase left lazy by another binding of the same template size
+    """A phase left virtual by another binding of the same template size
     tiles the machine differently from the subcubes: the guard must read
     it per rank, find the subcubes disagree, and fall back -- even though
     clocks and totals agree everywhere."""
@@ -196,7 +208,7 @@ def test_lazy_phases_of_another_layout_are_checked_not_trusted():
     vm = run()
     with compiled_replay_disabled():
         loop_vm = run()
-    assert not _lazy(vm, "cacqr2.pass2.bcast-w")
+    assert not _virtual(vm, "cacqr2.pass2.bcast-w")
     assert_machines_identical(vm, loop_vm)
 
 
@@ -273,7 +285,7 @@ class TestUntracedBreakdown:
             return vm
 
         vm, ref = run(VirtualMachine), run(RecordingMachine)
-        assert vm._lazy                  # the template run engaged
+        assert vm._virtual                  # the template run engaged
         assert_machines_identical(vm, ref)
         assert vm.phase_names == ref.phase_names
 
@@ -282,12 +294,13 @@ def test_traced_and_recording_machines_take_per_op_replay():
     for machine in (lambda p: VirtualMachine(p, trace=True), RecordingMachine):
         vm = machine(32)
         ca_cqr2(vm, DistMatrix.symbolic(Grid3D.tunable(vm, 2, 8), 256, 16))
-        assert not vm._lazy
+        assert not vm._virtual
 
 
 def test_second_run_seeds_lazy_phases_without_materializing(monkeypatch):
     """Re-running CA-CQR2 under the same phases seeds the template from the
-    first run's lazy planes; the guard expands none of them to (3, P)."""
+    first run's class-space block; the guard expands none of them to
+    (3, P)."""
     def run():
         vm = VirtualMachine(64, STAMPEDE2)
         a = DistMatrix.symbolic(Grid3D.tunable(vm, 2, 16), 512, 16)
@@ -306,3 +319,66 @@ def test_second_run_seeds_lazy_phases_without_materializing(monkeypatch):
     assert expanded == []
     assert all(plane is None for plane in vm._planes)
     assert_machines_identical(vm, ref)
+
+
+class _Spans(list):
+    def on_span(self, record):
+        self.append(record)
+
+
+#: ``(c, d/c, n, n0)``: every grid extent up to 8, one to four subcubes,
+#: and three CFR3D depths.
+LATTICE = [(c, groups, n_over_c * c, n0_over_c * c)
+           for c in (1, 2, 4, 8) for groups in (1, 2, 4)
+           for n_over_c, n0_over_c in ((2, 1), (4, 1), (8, 4))]
+
+#: Each algorithm under its CFR3D cutoff: CA-CQR2, the shifted CA-CQR
+#: pass of sCQR3, and panel CA-CQR2 over two panels.
+CUTOFF_ALGORITHMS = {
+    "ca_cqr2": lambda vm, a, n0: ca_cqr2(vm, a, n0),
+    "ca_shifted_cqr3": lambda vm, a, n0: ca_shifted_cqr3(vm, a, n0),
+    "ca_panel_cqr2": lambda vm, a, n0: ca_panel_cqr2(vm, a, a.n // 2, n0),
+}
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize("algorithm", sorted(CUTOFF_ALGORITHMS))
+@pytest.mark.parametrize("c,groups,n,n0", LATTICE)
+def test_class_space_lattice_matches_loop_oracle(c, groups, n, n0, algorithm,
+                                                 numeric):
+    """Twice on one machine, so the second template run seeds from the
+    first one's installed blocks: the report, its ``phase_max`` key
+    order, every clock and sampled ranks' ledgers equal the loop's."""
+    d = c * groups
+    p = c * c * d
+    run_algorithm = CUTOFF_ALGORITHMS[algorithm]
+
+    def run():
+        vm = VirtualMachine(p, STAMPEDE2)
+        g = Grid3D.tunable(vm, c, d)
+        m = 8 * d
+        a = (DistMatrix.from_global(
+                g, np.random.default_rng(p + n).standard_normal((m, n)))
+             if numeric else DistMatrix.symbolic(g, m, n))
+        run_algorithm(vm, a, n0)
+        spans = _Spans()
+        with use_observer(Observer(spans)):
+            run_algorithm(vm, a, n0)
+        return vm, [s for s in spans if s["name"] == "sched.replay"]
+
+    vm, replays = run()
+    with compiled_replay_disabled():
+        loop_vm, _ = run()
+    assert replays, "the second run took no template run"
+    assert all(plane is None for plane in
+               (vm._planes[pid] for pid in vm._virtual))
+    got, want = vm.report(), loop_vm.report()
+    assert got == want
+    assert list(got.phase_max) == list(want.phase_max)
+    assert vm._clock.tobytes() == loop_vm._clock.tobytes()
+    ranks = {0, p // 3, p // 2, p - 1,
+             *np.random.default_rng(p).integers(0, p, 6).tolist()}
+    for r in sorted(ranks):
+        assert vm.clock_of(r) == loop_vm.clock_of(r)
+        assert vm.ledger_of(r).total == loop_vm.ledger_of(r).total
+        assert vm.ledger_of(r).phases == loop_vm.ledger_of(r).phases
