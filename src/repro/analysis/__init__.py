@@ -4,7 +4,7 @@ The correctness-tooling layer in front of the compiled-program pipeline:
 
 * :mod:`repro.analysis.verifier` -- :func:`verify_program` /
   :func:`verify_binding` statically prove the Schedule IR invariants
-  replay otherwise trusts (op typing, rank bounds, comm-group
+  a template run otherwise trusts (op typing, rank bounds, comm-group
   disjointness, phase validity, binding disjointness/coverage).  Wired
   in at capture time (``REPRO_SCHED_VERIFY`` / ``debug=``), on every
   program-cache load (invalid entries read as misses under

@@ -77,7 +77,7 @@ def cost_envelope(program: ChargeProgram,
     phase_mass = np.zeros((3, len(program.phases)))
     for op in program.ops:
         if op.kind == OP_FLOPS:
-            # Identical expression to VirtualMachine._charge_flops_group_id.
+            # Identical expression to VirtualMachine.charge_flops_group.
             step = op.payload * params.gamma
             per_rank[op.ranks] += step
             phase_mass[2, op.phase] += op.payload * op.ranks.size

@@ -7,17 +7,15 @@ non-negative :class:`~repro.costmodel.collectives.CollectiveCost` fields,
 payload-free barriers), template-rank bounds, pairwise disjointness of
 ``OP_COMM`` group rows (the property that makes family-batched charging
 commute), axis tags that name exactly their op's groups (a template run
-charges the tag, per-op replay the rank matrix), phase-index validity,
+charges the tag, a bound splice the rank matrix), phase-index validity,
 and dead phases nothing references.
 
 :func:`verify_binding` does the same for a
 :class:`~repro.sched.binding.RankFamilyMap` against a program and an
 optional target machine size: template-size agreement, instance
 disjointness, rank bounds, and machine coverage -- the preconditions
-under which per-op replay
-(:func:`~repro.sched.replay.replay`) and a template run
-(:class:`~repro.sched.replay.TemplateRun`) are *statically admissible*
-rather than trusted.
+under which a template run (:class:`~repro.sched.replay.TemplateRun`)
+is *statically admissible* rather than trusted.
 
 Both return ``List[Finding]`` (empty == verified).  The passes are pure
 reads: they never mutate the program and are safe on untrusted unpickled
@@ -81,9 +79,9 @@ def _axis_form_problem(kind: str, ranks: object, tag: object,
                        num_ranks: Optional[int]) -> Optional[str]:
     """Why an op's axis tag disagrees with its rank operand, or ``None``.
 
-    A template run charges a tagged op through the tag and per-op replay
-    through ``ranks``; only when the tag's lines *are* ``ranks`` do the two
-    strategies charge the same groups.
+    A template run charges a tagged op through the tag and a recorder's
+    bound splice through ``ranks``; only when the tag's lines *are*
+    ``ranks`` do the two charge the same groups.
     """
     if kind != OP_COMM:
         return f"only comm ops carry an axis tag, not {kind} ops"
@@ -97,7 +95,7 @@ def _axis_form_problem(kind: str, ranks: object, tag: object,
     if not (isinstance(ranks, np.ndarray)
             and np.array_equal(ranks, lines)):
         return (f"ranks are not the lines along axis {axis} of view "
-                f"{shape}; a template run and per-op replay would charge "
+                f"{shape}; a template run and a bound splice would charge "
                 f"different groups")
     return None
 

@@ -30,30 +30,28 @@ One CA-CQR pass:
    stacked blocks, for ``d > c`` and the cubic ``d == c`` (one subcube)
    alike.  The charges come from compiled programs (:mod:`repro.sched`;
    CFR3D's is captured one recursion level at a time, see
-   :mod:`repro.core.cfr3d`): on a plain, untraced machine whose subcubes
-   hold identical state, the *whole* schedule -- both Gram dances (line 4
-   joins ranks in identical state, so it needs no second subcube), both
-   subcube passes and the merge -- runs once on a ``c**3``-rank template
-   seeded from subcube 0 and is written back to every subcube once:
-   beyond a few ``O(P)`` writes, the cost of simulating CA-CQR2 does not
-   depend on ``d``.  Nor, per op, on ``c``: the template runs on rank
-   classes (:class:`~repro.sched.replay.TemplateRun`), and every
-   subcube rank does the same cyclic work except at CFR3D's transposes,
-   which are free self-exchanges on the diagonal ``x == y``.  So the
-   ``c**3`` positions hold two states -- the ``c**2`` diagonal ones and
-   the rest -- and each op costs two class updates.
-   Otherwise (a trace sink, a recording machine, asymmetric entry state)
-   the same function (:func:`_compiled_run`) charges each Gram dance on
-   the machine and replays the compiled subcube and merge programs per
-   op onto every subcube.  The per-subcube loop remains as the oracle
-   under :func:`~repro.sched.compiled_replay_disabled`.
+   :mod:`repro.core.cfr3d`): on a plain machine, traced or not, whose
+   subcubes hold identical state, the *whole* schedule -- both Gram
+   dances (line 4 joins ranks in identical state, so it needs no second
+   subcube), both subcube passes and the merge -- runs once on a
+   ``c**3``-rank template seeded from subcube 0 and is written back to
+   every subcube once: beyond a few ``O(P)`` writes, the cost of
+   simulating CA-CQR2 does not depend on ``d``.  Nor, per op, on ``c``:
+   the template runs on rank classes
+   (:class:`~repro.sched.replay.TemplateRun`), and every subcube rank
+   does the same cyclic work except at CFR3D's transposes, which are
+   free self-exchanges on the diagonal ``x == y``.  So the ``c**3``
+   positions hold two states -- the ``c**2`` diagonal ones and the rest
+   -- and each op costs two class updates.  A recorder splices the
+   programs bound to every subcube; asymmetric entry state or another
+   machine subclass runs the per-subcube loop, the oracle under
+   :func:`~repro.sched.compiled_replay_disabled`.
 7. **MM3D per subcube** (line 8) forms ``Q = A R**-1`` on each subcube's
    own rows -- the one step whose data differ between subcubes, computed
    for all of them by one stacked multiply.
 
 CA-CQR2 runs two passes and merges ``R = R2 R1`` with one more per-subcube
-MM3D (Algorithm 9), computed once and charged in the same template run
-(or by per-op replay).
+MM3D (Algorithm 9), computed once and charged in the same template run.
 
 Setting ``c = 1`` degenerates to 1D-CQR2 (no column partitioning, one
 Allreduce); ``c = d = P**(1/3)`` gives the cubic 3D-CQR2.  The cost
@@ -86,7 +84,6 @@ from repro.sched import (
     TemplateRun,
     compiled_replay_enabled,
 )
-from repro.sched.replay import replay
 from repro.utils.validation import require
 from repro.vmpi.comm import ordered_sum
 from repro.vmpi.datatypes import SymbolicBlock
@@ -341,7 +338,7 @@ def _gram_program(c: int, groups: int, local_rows: int, local_cols: int,
     charged as the ``groups``-member Allreduce over lines of length 1
     (see :func:`_charge_cross_product`), so it is exact only on a
     template standing for ``groups`` identical subcubes: CA-CQR2's
-    template run, never a per-op replay.
+    template run, never a recorder's bound splice.
     """
     with span("sched.capture", ranks=c * c * c) as sp:
         rec = ScheduleRecorder(c * c * c)
@@ -430,21 +427,21 @@ def _subcube_pass_numeric(a: DistMatrix, gram: DistMatrix,
 
 def _compiled_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
                   phases: Sequence[str], gram_shift: Optional[float] = None,
-                  merge_phase: Optional[str] = None) -> CACQRResult:
+                  merge_phase: Optional[str] = None) -> Optional[CACQRResult]:
     """CA-CQR passes (one per entry of *phases*) and, with *merge_phase*,
-    CA-CQR2's ``R = R2 R1`` merge, charged from ``c**3``-rank programs.
+    CA-CQR2's ``R = R2 R1`` merge, charged from ``c**3``-rank programs;
+    ``None``, *vm* untouched, where the caller must run its loop.
 
     The ``d/c`` subcubes run identical schedules, so the numerics run
-    once, uncharged, and the one decision is how to charge.  When the
-    template run's guard (:meth:`~repro.sched.replay.TemplateRun.seed`)
-    accepts the machine, the whole schedule runs once on a template
-    seeded from subcube 0 and installed on every subcube in class space:
-    beyond a few ``O(P)`` writes, the cost no longer depends on ``d``.
-    Otherwise each Gram dance is charged on the machine (its program is
-    exact only on the template, see :func:`_gram_program`) and the pass
-    and merge programs are replayed per op onto every subcube
-    (:func:`~repro.sched.replay.replay`).
+    once, uncharged, and the whole schedule is charged as one
+    :class:`~repro.sched.TemplateRun` seeded from subcube 0 and
+    installed on every subcube in class space.  A
+    :class:`~repro.sched.ScheduleRecorder` records each Gram dance (its
+    program is exact only on the template, see :func:`_gram_program`)
+    and splices the pass and merge programs bound to every subcube.
     """
+    if not compiled_replay_enabled():
+        return None
     g = a.grid
     c, d, n = g.dim_x, g.dim_y, a.n
     block = (a.local_rows, a.local_cols)
@@ -464,6 +461,8 @@ def _compiled_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
     binding = RankFamilyMap.subcubes(g, rec_grid)
     run = TemplateRun.seed(vm, binding,
                            [name for _, names in segments for name in names])
+    if run is None and not isinstance(vm, ScheduleRecorder):
+        return None
 
     def charge(count: int) -> None:
         """Charge the first *count* segments."""
@@ -478,7 +477,7 @@ def _compiled_run(vm: VirtualMachine, a: DistMatrix, base_case_size: int,
                 if gram_shift is not None:
                     _charge_gram_shift(vm, g, n, phase)
             else:
-                replay(vm, program, binding, names)
+                vm.extend(program, binding, names)  # type: ignore[attr-defined]
 
     results: List[CACQRResult] = []
     q = a
@@ -544,14 +543,13 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
     Compiled unless :func:`~repro.sched.compiled_replay_disabled`, the
     subcube stage is computed once and charged from compiled programs
     (:func:`_compiled_run`), on a cubic grid (``d == c``, one subcube)
-    too: on a plain, untraced machine whose subcubes hold identical
-    state (a fresh one, say), the whole pass -- Gram dance, shift and
-    per-subcube stage -- on one ``c**3``-rank template standing for
-    every subcube; otherwise the Gram dance on the machine and the
-    subcube stage by per-op replay.  Under
-    :func:`~repro.sched.compiled_replay_disabled` it loops over the
-    subcubes (the oracle).  Every route charges bit-identical clocks and
-    ledgers.
+    too: on a plain machine, traced or not, whose subcubes hold
+    identical state (a fresh one, say), the whole pass -- Gram dance,
+    shift and per-subcube stage -- on one ``c**3``-rank template
+    standing for every subcube.  Otherwise, and under
+    :func:`~repro.sched.compiled_replay_disabled`, it loops over the
+    subcubes (the oracle).  Every route charges bit-identical clocks,
+    ledgers and trace events.
 
     Parameters
     ----------
@@ -579,9 +577,10 @@ def ca_cqr(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = No
     c, _ = _validate(a)
     if base_case_size is None:
         base_case_size = default_base_case(a.n, c)
-    if compiled_replay_enabled():
-        return _compiled_run(vm, a, base_case_size, [phase],
-                             gram_shift=gram_shift)
+    result = _compiled_run(vm, a, base_case_size, [phase],
+                           gram_shift=gram_shift)
+    if result is not None:
+        return result
     return _ca_cqr_pass(vm, a, base_case_size, phase, gram_shift)
 
 
@@ -595,16 +594,17 @@ def ca_cqr2(vm: VirtualMachine, a: DistMatrix, base_case_size: Optional[int] = N
     :func:`~repro.sched.compiled_replay_disabled`, both passes and the
     merge are charged by one :func:`_compiled_run`: as *one* template
     run where :func:`ca_cqr`'s applies, so the machine's subcubes are
-    written once, and by per-op replay otherwise.  The loop below is the
-    oracle.
+    written once.  The loop below is the oracle, and the route wherever
+    the template run declines.
     """
     c, d = _validate(a)
     if base_case_size is None:
         base_case_size = default_base_case(a.n, c)
-    if compiled_replay_enabled():
-        return _compiled_run(vm, a, base_case_size,
-                             [f"{phase}.pass1", f"{phase}.pass2"],
-                             merge_phase=phase)
+    result = _compiled_run(vm, a, base_case_size,
+                           [f"{phase}.pass1", f"{phase}.pass2"],
+                           merge_phase=phase)
+    if result is not None:
+        return result
     first = _ca_cqr_pass(vm, a, base_case_size, f"{phase}.pass1")
     second = _ca_cqr_pass(vm, first.q, base_case_size, f"{phase}.pass2")
 

@@ -13,11 +13,11 @@ updated through the *same communication schedule* as the Gram dance:
 
 Each panel's CA-CQR2 is a plain :func:`~repro.core.cacqr.ca_cqr2` call, so
 symbolic panels are charged however CA-CQR2 is: compiled unless
-:func:`~repro.sched.compiled_replay_disabled`, on a plain, untraced
-machine by one ``c**3``-rank template run per panel.  The trailing
-update replays one compiled subcube program per panel, per op onto every
-subcube (the one subcube of a cubic grid included); the per-subcube loop
-is the oracle.
+:func:`~repro.sched.compiled_replay_disabled`, on a plain machine, traced
+or not, by one ``c**3``-rank template run per panel, and each trailing
+update by one more (the one subcube of a cubic grid included); the
+per-subcube loop is the oracle, and the route where a template run
+declines.
 
 Compared to plain CA-CQR2 this reduces the flop overhead from ``4 m n**2``
 toward ``2 m n**2 (1 + b/n)`` (panel CQR2 cost + GEMM-rate updates) at the
@@ -41,8 +41,7 @@ from repro.core.cacqr import SubcubeResults, _cross_product_replicated, ca_cqr2
 from repro.core.elementwise import dist_sub
 from repro.core.mm3d import mm3d, mm3d_stacked
 from repro.sched import (ChargeProgram, RankFamilyMap, ScheduleRecorder,
-                         compiled_replay_enabled)
-from repro.sched.replay import replay
+                         TemplateRun, compiled_replay_enabled)
 from repro.utils.validation import check_positive_int, require
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
@@ -69,9 +68,9 @@ def _panel_update_program(c: int, rows_per_subcube: int, b: int,
     """Compile one subcube's trailing update ``C <- C - Q_p @ W``.
 
     The MM3D + elementwise subtraction pair is identical on every
-    subcube, so one ``c x c x c`` template recording replays onto all
-    ``d/c`` subcubes in one :func:`~repro.sched.replay.replay`.  Keyed
-    per trailing width ``rest_n`` -- each panel index has its own -- and
+    subcube, so one ``c x c x c`` template recording charges all ``d/c``
+    subcubes in one :class:`~repro.sched.TemplateRun`.  Keyed per
+    trailing width ``rest_n`` -- each panel index has its own -- and
     memoized across runs.
     """
     rec = ScheduleRecorder(c * c * c)
@@ -90,24 +89,29 @@ def _update_trailing(vm: VirtualMachine, q: DistMatrix, w: SubcubeResults,
 
     The pair is identical on every subcube, so, compiled unless
     :func:`~repro.sched.compiled_replay_disabled`, one ``c x c x c``
-    template program replays onto all of them (one, on a cubic grid),
-    family by family, and numeric runs subtract one stacked product
-    covering every subcube's rows.  Under
-    :func:`~repro.sched.compiled_replay_disabled` it runs subcube by
-    subcube (the oracle).
+    template program charges all of them (one, on a cubic grid) as one
+    template run, or is spliced into a recorder, and numeric runs
+    subtract one stacked product covering every subcube's rows.
+    Otherwise it runs subcube by subcube (the oracle).
     """
     g = rest.grid
     c = g.dim_x
     if compiled_replay_enabled():
         program, rec_grid = _panel_update_program(c, c * rest.local_rows,
                                                   q.n, rest.n)
-        replay(vm, program, RankFamilyMap.subcubes(g, rec_grid),
-               program.phases_with_prefix("@", phase))
-        if rest.data is None:
-            return DistMatrix.symbolic(g, rest.m, rest.n)
-        update = mm3d_stacked(q.data, w[0].data)  # type: ignore[arg-type]
-        return DistMatrix.from_plane(g, rest.m, rest.n,
-                                     rest.plane - update[:, :, :1])
+        binding = RankFamilyMap.subcubes(g, rec_grid)
+        names = program.phases_with_prefix("@", phase)
+        run = TemplateRun.seed(vm, binding, names)
+        if run is not None:
+            run.complete([(program, names)])
+        elif isinstance(vm, ScheduleRecorder):
+            vm.extend(program, binding, names)
+        if run is not None or isinstance(vm, ScheduleRecorder):
+            if rest.data is None:
+                return DistMatrix.symbolic(g, rest.m, rest.n)
+            update = mm3d_stacked(q.data, w[0].data)  # type: ignore[arg-type]
+            return DistMatrix.from_plane(g, rest.m, rest.n,
+                                         rest.plane - update[:, :, :1])
     parts = [dist_sub(vm, rest.subcube(k),
                       mm3d(vm, q.subcube(k), w[k], phase=f"{phase}.mm3d"),
                       f"{phase}.sub")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -26,6 +27,13 @@ from repro.utils.validation import ValidationError, check_positive_int, require
 #: algorithm on data; ``symbolic`` runs shape-only blocks through the same
 #: schedule, producing the cost report without any flops on real data.
 MODES = ("numeric", "symbolic")
+
+#: The most ranks one run may simulate: a machine holds 32 bytes of clock
+#: and running totals per rank before any phase, so 2**24 ranks cap that
+#: at 512 MiB (a 2**33-rank request died allocating 256 GiB).  That is 16x
+#: the symbolic CA-CQR2 ladder's top point (2**20 ranks, run in CI) and
+#: 256x the paper's largest machine (1024 Stampede2 nodes x 64 = 2**16).
+MAX_RANKS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,16 @@ class RunSpec:
                     field="data")
             require(self.mode == "numeric",
                     "symbolic runs take a MatrixSpec (shapes only), not data")
+        for field, factors in (("procs", (self.procs,)),
+                               ("d", (self.c, self.c, self.d)),
+                               ("pc", (self.pr, self.pc))):
+            if all(isinstance(f, (int, np.integer)) and not isinstance(f, bool)
+                   for f in factors):
+                ranks = math.prod(int(f) for f in factors)
+                if ranks > MAX_RANKS:
+                    raise ValidationError(
+                        f"{ranks} ranks exceed the {MAX_RANKS}-rank limit "
+                        f"of a simulated machine", field=field)
 
     @property
     def shape(self) -> Tuple[int, int]:

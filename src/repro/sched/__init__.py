@@ -1,31 +1,25 @@
 """repro.sched: compiled charge programs (the Schedule IR).
 
-PR 4 proved the decisive symbolic-simulation optimization -- record a
-schedule once, replay it as family-batched array charges -- but as a
-hand-rolled special case inside ``core/cacqr.py``.  This package promotes
-it into a first-class compiled artifact with a *capture -> replay, or
-template run* life cycle::
+A symbolic schedule is recorded once and charged as family-batched
+array updates, with a *capture -> template run* life cycle::
 
-    from repro.sched import RankFamilyMap, ScheduleRecorder
-    from repro.sched.replay import replay
+    from repro.sched import RankFamilyMap, ScheduleRecorder, TemplateRun
 
     rec = ScheduleRecorder(c * c * c)            # template machine
     ...run any symbolic schedule on it...        # records, charges nothing
     program = rec.program()                      # the IR
     binding = RankFamilyMap.subcubes(grid, template_grid)  # d/c subcubes
-    replay(vm, program, binding)                 # bit-identical charges
+    run = TemplateRun.seed(vm, binding, program.phases)    # None: asymmetric
+    run.complete([(program, program.phases)])    # bit-identical charges
 
-Capture only records and replay only charges.  Replay is one exact per-op strategy (disjoint
-charges commute), composes with trace sinks and recording machines, and
-does zero per-op phase-string work.  A :class:`TemplateRun` charges
-programs on one template standing for every instance instead, guarded by
-strict state-equality checks and run on rank classes, positions in equal
-state sharing one value (see :mod:`repro.sched.replay`); CA-CQR2 runs its
-whole schedule that way, and replays per op where the guard declines.
-Whole engine runs can be captured and replayed through
-:mod:`repro.sched.capture` (the IR's test oracle: a replayed whole run
-reports exactly what a plain run does), and compiled programs can be
-cached machine-independently by :mod:`repro.sched.cache`.
+Capture only records and a template run only charges -- the only route
+by which a compiled program charges a machine, traced or not (see
+:mod:`repro.sched.replay`).  Where its guard declines, consumers run
+their uncompiled loop, and a recorder splices the bound program
+(:meth:`ScheduleRecorder.extend`).  Whole engine runs can be captured
+and charged through :mod:`repro.sched.capture` (the IR's test oracle),
+and compiled programs can be cached machine-independently by
+:mod:`repro.sched.cache`.
 
 The :func:`compiled_replay_disabled` context manager forces every
 consumer back onto the uncompiled loop path -- the reference oracle the
@@ -70,14 +64,14 @@ _disabled = [False]
 
 
 def compiled_replay_enabled() -> bool:
-    """Whether consumers (cacqr, panels_dist) may use compiled replay."""
+    """Whether consumers (cacqr, panels_dist) may charge compiled programs."""
     return not _disabled[0]
 
 
 @contextlib.contextmanager
 def compiled_replay_disabled():
     """Force the uncompiled loop path within the block (the oracle the
-    equivalence tests diff compiled replay against)."""
+    equivalence tests diff compiled runs against)."""
     previous = _disabled[0]
     _disabled[0] = True
     try:

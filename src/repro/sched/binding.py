@@ -3,10 +3,10 @@
 A :class:`RankFamilyMap` carries an ``(instances, template_size)`` matrix
 ``maps`` with ``maps[i, t]`` the concrete machine rank playing template
 rank ``t`` in instance ``i``.  Instances must be pairwise disjoint: a
-bound replay charges all instances of an op as one disjoint group family
+template run writes one result to every instance, and a recorder's bound
+splice records an op's instances as one group family
 (:meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_groups`
-semantics), which is bit-identical to looping instances only because
-disjoint charges commute.
+semantics), exact only because disjoint charges commute.
 
 The paper's communicator families and cyclic block layouts are pure
 functions of *position* in a grid's rank array, so a schedule recorded on

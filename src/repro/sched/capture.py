@@ -1,16 +1,17 @@
-"""Engine bridge: capture whole runs as programs, replay them as reports.
+"""Engine bridge: capture whole runs as programs, charge them as reports.
 
 :func:`capture_run` sends a prepared symbolic :class:`~repro.engine.RunSpec`
 through the engine's one execution pipeline with a
 :class:`~repro.sched.recorder.ScheduleRecorder` in place of the plain
 machine.  The recorder only records, so the capturing run costs the
 schedule's orchestration and no charging; the report returned with the
-program is its replay under the spec's machine.
+program is its :func:`replay_report` under the spec's machine.
 
 :func:`replay_report` is the other half: re-simulate a captured program
-under any machine in pure vectorized replay, one rank at a time through
-the identity binding, and report.  Together they are the Schedule IR's
-test oracle: a whole-run program replayed under any machine must report
+under any machine as one template run
+(:class:`~repro.sched.replay.TemplateRun`) on the identity binding of a
+fresh machine, and report.  Together they are the Schedule IR's test
+oracle: a whole-run program charged under any machine must report
 exactly what a plain symbolic run on that machine reports.  Nothing on
 the planning or serving path captures whole runs; the planner refines
 with plain symbolic runs.
@@ -26,7 +27,7 @@ from repro.obs import span
 from repro.sched.binding import RankFamilyMap
 from repro.sched.program import ChargeProgram
 from repro.sched.recorder import ScheduleRecorder
-from repro.sched.replay import replay
+from repro.sched.replay import TemplateRun
 from repro.utils.validation import require
 from repro.vmpi.machine import VirtualMachine
 
@@ -37,10 +38,11 @@ def capture_run(spec, debug: Optional[bool] = None) -> CaptureResult:
     """Execute a symbolic spec on a recorder; return ``(program, report)``.
 
     The program's template rank space is the run's own machine rank space
-    (replay it through the identity binding).  The report is the
+    (charge it through the identity binding).  The report is the
     program's :func:`replay_report` under the spec's machine -- exactly
     what a plain run of *spec* reports; the recorder itself charges
-    nothing.
+    nothing.  The capture is one ``sched.capture_run`` span (never a
+    ``sched.capture``, which memo captures inside it open).
 
     ``debug=True`` verifies the compiled program before returning it
     (see :meth:`~repro.sched.recorder.ScheduleRecorder.program`);
@@ -51,7 +53,7 @@ def capture_run(spec, debug: Optional[bool] = None) -> CaptureResult:
 
     require(spec.mode == "symbolic",
             f"program capture requires a symbolic spec, got mode={spec.mode!r}")
-    with span("sched.capture", algorithm=spec.algorithm,
+    with span("sched.capture_run", algorithm=spec.algorithm,
               procs=spec.procs) as sp:
         _, vm = _execute(spec, trace=False, vm_factory=ScheduleRecorder)
         program = vm.program(debug=debug)
@@ -61,15 +63,15 @@ def capture_run(spec, debug: Optional[bool] = None) -> CaptureResult:
 
 def replay_report(program: ChargeProgram,
                   machine: MachineSpec) -> CostReport:
-    """Replay a captured whole-run program on a fresh machine; report.
+    """Charge a captured whole-run program on a fresh machine; report.
 
     Machine-independence in action: the program's counts are charged
     under *machine*'s alpha-beta-gamma rates, so the report is
     bit-identical to capturing (or plainly running) the same spec under
-    that machine.
+    that machine.  The run is one ``sched.replay`` span.
     """
-    with span("sched.replay", ops=len(program),
-              ranks=program.num_ranks):
-        vm = VirtualMachine(program.num_ranks, machine)
-        replay(vm, program, RankFamilyMap.identity(program.num_ranks))
-        return vm.report()
+    vm = VirtualMachine(program.num_ranks, machine)
+    run = TemplateRun.seed(vm, RankFamilyMap.identity(program.num_ranks),
+                           program.phases)
+    run.complete([(program, program.phases)])  # type: ignore[union-attr]
+    return vm.report()

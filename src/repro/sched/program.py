@@ -6,12 +6,12 @@ sequence of typed charge ops (:data:`OP_FLOPS` local computation,
 synchronization) whose rank operands live in a **template rank space**
 ``[0, num_ranks)`` rather than naming concrete machine ranks.  Phase
 strings are interned into a per-program phase table at capture time, so
-ops carry small integer phase indices and replay never re-hashes a
-string per op.  A communicator family recorded from the machine's axis
+ops carry small integer phase indices and a template run never re-hashes
+a string per op.  A communicator family recorded from the machine's axis
 form keeps its ``(shape, axis)`` tag next to its group matrix (see
 :class:`ChargeOp`).
 
-The IR's life cycle is *capture -> replay, or template run*:
+The IR's life cycle is *capture -> template run*:
 
 * capture a run once on a :class:`~repro.sched.recorder.ScheduleRecorder`,
   which records the charges and charges nothing (or build a program
@@ -19,14 +19,12 @@ The IR's life cycle is *capture -> replay, or template run*:
 * charge it through a :class:`~repro.sched.binding.RankFamilyMap` onto
   one or many disjoint instances of the template (the ``d/c`` subcubes
   of a ``c x d x c`` grid, or the whole machine via the identity map):
-  :func:`~repro.sched.replay.replay` charges op by op into any
-  :class:`~repro.vmpi.machine.VirtualMachine`, a
-  :class:`~repro.sched.replay.TemplateRun` once for instances in
-  identical state -- both bit-identical to executing the original loop.
+  a :class:`~repro.sched.replay.TemplateRun` runs it once for instances
+  in identical state, bit-identical to executing the original loop.
 
 Programs are machine-independent: op payloads are *counts* (messages,
 words, flops); the alpha-beta-gamma rates are applied by the machine at
-charge time.  One captured program therefore replays correctly under any
+charge time.  One captured program therefore charges correctly under any
 :class:`~repro.costmodel.params.MachineSpec` -- the property the
 planner's program cache exploits.
 
@@ -82,8 +80,8 @@ class ChargeOp:
     rows of ``ranks`` (see
     :meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_axis`).
     A template run lowers a tagged op from the tag (an O(1) memo key,
-    see :meth:`ChargeProgram.lowered`); every other reader (per-op
-    replay, the verifier, the envelope analysis) reads ``ranks``, and
+    see :meth:`ChargeProgram.lowered`); every other reader (a recorder's
+    bound splice, the verifier, the envelope analysis) reads ``ranks``, and
     ``ir/axis-form`` proves the two agree.
     """
 

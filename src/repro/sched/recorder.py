@@ -6,8 +6,8 @@ it only **records**: every charge is validated with the machine's own
 O(1) checks (non-negative flops, a scalar rank inside ``[0, P)``, a 2D
 group matrix, a view that covers the machine) and appended to an op list
 -- nothing is charged, so the recorder's clocks and ledgers stay at zero.
-Charging is replay's job (:mod:`repro.sched.replay`); a capture costs
-the schedule's Python orchestration plus one append per charge.
+Charging is a template run's job (:mod:`repro.sched.replay`); a capture
+costs the schedule's Python orchestration plus one append per charge.
 
 Ops are recorded in **family form**: bulk group charges keep their
 ``(G, s)`` group matrices rather than exploded per-rank lists, and a
@@ -15,27 +15,28 @@ Ops are recorded in **family form**: bulk group charges keep their
 its ``(shape, axis)`` tag next to the machine's cached, read-only group
 matrix, so a template run can lower it from the tag.  Phase strings are
 interned into the recorder's phase table at record time, so ops carry
-integer phase indices and replay never hashes a phase string per op.
-:meth:`ScheduleRecorder.extend` splices an already captured program in,
-op for op and with the phase table a direct recording would build: a
-recursive schedule is captured one level at a time, each level splicing
-the memoized program of the level below (CFR3D, see
-:mod:`repro.core.cfr3d`).
+integer phase indices and a template run never hashes a phase string
+per op.  :meth:`ScheduleRecorder.extend` splices an already captured
+program in, op for op and with the phase table a direct recording would
+build: a recursive schedule is captured one level at a time, each level
+splicing the memoized program of the level below (CFR3D, see
+:mod:`repro.core.cfr3d`), or bound onto every subcube of a captured run.
 
 :class:`repro.vmpi.reference.RecordingMachine` is the flat-tuple
 recorder that records *and* charges (the equivalence-test harness); this
 class feeds the compiled-schedule pipeline: record on a standalone
-template machine, :meth:`program` the result, then replay it (or run it
-as a template run) anywhere (see :mod:`repro.sched.program`).
+template machine, :meth:`program` the result, then charge it as a
+template run anywhere (see :mod:`repro.sched.program`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.costmodel.params import ABSTRACT_MACHINE, MachineSpec
+from repro.sched.binding import RankFamilyMap
 from repro.sched.program import OP_BARRIER, OP_COMM, OP_FLOPS, ChargeOp, ChargeProgram
 from repro.utils.config import env_sched_verify
 from repro.utils.validation import require
@@ -113,23 +114,47 @@ class ScheduleRecorder(VirtualMachine):
 
     # -- splicing -----------------------------------------------------------------
 
-    def extend(self, program: ChargeProgram) -> None:
-        """Append *program*'s ops as if its charges were recorded here.
+    def extend(self, program: ChargeProgram,
+               binding: Optional[RankFamilyMap] = None,
+               phases: Optional[Sequence[str]] = None) -> None:
+        """Append *program*'s ops, under phase table *phases* (default: its
+        own), as if their charges were recorded here.
 
-        A capture splices a memoized sub-schedule this way instead of
+        Without *binding* the program's rank space is the recorder's: a
+        capture splices a memoized sub-schedule this way instead of
         running it again (CFR3D's half-size levels, see
-        :func:`repro.core.cfr3d._cfr3d_program`).  The program's phases
-        are interned in the order they first appear among its ops, so the
-        phase table -- and with it a report's ``phase_max`` key order --
-        is exactly the one recording the same charges directly builds.
-        Ops keeping their phase index are shared, not copied (nothing
-        mutates an op).  A program over another rank space raises
-        ``ValueError`` before anything is appended.
+        :func:`repro.core.cfr3d._cfr3d_program`).  Phases are interned in
+        the order they first appear among the ops, so the phase table --
+        and a report's ``phase_max`` key order -- is the one recording the
+        same charges directly builds; ops keeping their phase index are
+        shared, not copied.  With *binding*, each op is recorded once for
+        all the binding's instances, through the recording methods (a
+        captured CA-CQR2's subcube programs, on every subcube).  A program
+        over another rank space, or a binding past the end of the
+        recorder, raises ``ValueError`` before anything is appended.
         """
+        names = program.phases if phases is None else phases
+        if binding is not None:
+            require(binding.template_size == program.num_ranks,
+                    f"binding template size {binding.template_size} does "
+                    f"not match program rank space {program.num_ranks}")
+            binding.require_fits(self.num_ranks)
+            maps = binding.maps
+            for op in program.ops:
+                if op.kind == OP_COMM:
+                    self.charge_comm_groups(
+                        maps[:, op.ranks].reshape(-1, op.ranks.shape[1]),
+                        op.payload, names[op.phase])
+                elif op.kind == OP_FLOPS:
+                    self.charge_flops_group(maps[:, op.ranks].reshape(-1),
+                                            op.payload, names[op.phase])
+                else:
+                    for row in maps if op.ranks is None else maps[:, op.ranks]:
+                        self.barrier(row)
+            return
         require(program.num_ranks == self.num_ranks,
                 f"cannot splice a {program.num_ranks}-rank program into a "
                 f"{self.num_ranks}-rank recorder")
-        names = program.phases
         ids = {pid: self._op_phase(names[pid])
                for pid in dict.fromkeys(op.phase for op in program.ops)
                if pid >= 0}
@@ -155,7 +180,7 @@ class ScheduleRecorder(VirtualMachine):
         or ``debug=None`` and ``REPRO_SCHED_VERIFY`` set, the test
         suite's always-on mode -- the compiled program must pass
         :func:`repro.analysis.verify_program` before anything caches or
-        replays it (:class:`~repro.analysis.findings.VerificationError`
+        charges it (:class:`~repro.analysis.findings.VerificationError`
         otherwise).  Verification is O(ops) and runs once per program,
         never per recorded charge.
         """

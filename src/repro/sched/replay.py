@@ -1,99 +1,29 @@
-"""Charging a :class:`ChargeProgram`: per-op replay and template runs.
+"""Charging a :class:`ChargeProgram`: the template run.
 
-:func:`replay` charges a program into a target
-:class:`~repro.vmpi.machine.VirtualMachine` through a
-:class:`~repro.sched.binding.RankFamilyMap`, op by op, with
-**bit-identical** clocks, ledgers, and reports relative to executing the
-recorded loop directly: every op charges all bound instances in one
-vectorized machine call with pre-interned phase ids -- zero per-op Python
-string work.  Disjoint instances commute, so charging them together is
-bit-identical to looping them.  Replay drives the machine's public
-trace-aware internals, so it composes with an attached
-:class:`~repro.vmpi.machine.TraceSink` (events are emitted per rank with
-exact start/end times; only the stream *order* differs from the loop
-path) and with recording machines.
-
-A :class:`TemplateRun` is the other way to charge programs, exact under a
-guard: when every instance of a binding enters in *identical*
-per-template-position state (clocks, running totals, and any
-already-interned program phases -- checked exactly, not approximately),
-the programs run once on the template, seeded from instance 0, and the
-final state is written back to every instance.  The template is held as
-**rank classes**: positions whose state is equal share one value, and a
-program's lowered form
-(:meth:`~repro.sched.program.ChargeProgram.lowered`) splits a class
-before any op that treats its members differently.  CA-CQR2 runs its
-whole schedule this way (:mod:`repro.core.cacqr`): two classes, whatever
-the template size; where the guard declines, it replays per op.  When
-the instances cover the machine the run's phases stay in class space:
-one :class:`~repro.vmpi.machine.ClassBlock` per install holds each
-phase's ``(3, classes)`` values and the template's class labels, in
-place of a ``(3, P)`` array per phase, and a report reduces all of a
-block's phases in one masked max over classes.
-
-Both refuse, with a :class:`ValueError` and before charging anything, a
-binding that names a rank past the end of the machine.
+A :class:`TemplateRun` is the one way a compiled program charges a
+:class:`~repro.vmpi.machine.VirtualMachine`: one template, seeded from
+instance 0 of a :class:`~repro.sched.binding.RankFamilyMap` whose
+instances enter in identical state, runs the programs on rank classes
+and writes the result back to every instance -- clocks, ledgers, reports
+and per-rank trace events bit-identical to the recorded loop's.  Its
+guard declines only asymmetric entry state and machine subclasses:
+callers then run their loop, and a
+:class:`~repro.sched.recorder.ScheduleRecorder` splices the bound program
+instead (:meth:`~repro.sched.recorder.ScheduleRecorder.extend`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs import span
 from repro.sched.binding import RankFamilyMap
-from repro.sched.program import OP_COMM, OP_FLOPS, ChargeProgram, Partition
+from repro.sched.program import (OP_BARRIER, OP_COMM, OP_FLOPS, ChargeProgram,
+                                  Partition)
 from repro.utils.validation import require
-from repro.vmpi.machine import ClassBlock, VirtualMachine
-
-
-def replay(vm: VirtualMachine, program: ChargeProgram,
-           binding: RankFamilyMap,
-           phases: Optional[Sequence[str]] = None) -> None:
-    """Charge *program* into *vm* through *binding*, op by op.
-
-    ``phases`` optionally substitutes the program's phase table (same
-    length, e.g. from
-    :meth:`~repro.sched.program.ChargeProgram.phases_with_prefix`) --
-    rebasing costs a few string operations per *distinct phase*, never
-    per op.
-    """
-    require(binding.template_size == program.num_ranks,
-            f"binding template size {binding.template_size} does not "
-            f"match program rank space {program.num_ranks}")
-    names = program.phases if phases is None else list(phases)
-    require(len(names) == len(program.phases),
-            f"phase table length {len(names)} does not match program "
-            f"({len(program.phases)} phases)")
-    binding.require_fits(vm.num_ranks)
-    if type(vm) is VirtualMachine:
-        # Hot path: resolve phase ids once, then drive the pre-interned
-        # internals -- no per-op string hashing.
-        phase_of: list = [vm._phase_id(n) for n in names]
-        charge_comm: Callable[..., None] = vm._charge_comm_groups_id
-        charge_flops: Callable[..., None] = vm._charge_flops_group_id
-    else:
-        # Subclassed machines (recorders, reference harnesses) go
-        # through the public API so their overrides observe every op.
-        phase_of = names
-        charge_comm = vm.charge_comm_groups
-        charge_flops = vm.charge_flops_group
-    maps = binding.maps
-    inst = maps.shape[0]
-    for op in program.ops:
-        if op.kind == OP_COMM:
-            grp = op.ranks
-            charge_comm(np.ascontiguousarray(
-                maps[:, grp.reshape(-1)]
-                .reshape(inst * grp.shape[0], grp.shape[1])),
-                op.payload, phase_of[op.phase])
-        elif op.kind == OP_FLOPS:
-            charge_flops(np.ascontiguousarray(maps[:, op.ranks].reshape(-1)),
-                         op.payload, phase_of[op.phase])
-        else:                                # barrier rows, one per instance
-            for row in maps if op.ranks is None else maps[:, op.ranks]:
-                vm.barrier(row)
+from repro.vmpi.machine import ClassBlock, TraceEvent, VirtualMachine
 
 
 #: Instance 0's ``(plane, touched)`` state of one phase; ``touched`` is
@@ -158,10 +88,14 @@ class TemplateRun:
     construction and seeds from its class values directly.  Clocks and
     totals are expanded to template order only at :meth:`install`; phases
     are never expanded.
+
+    On a traced machine each op also keeps its classes' clocks before and
+    after it, and :meth:`install` emits every bound rank's events from
+    them, so each rank's event stream equals the loop's.
     """
 
     __slots__ = ("vm", "binding", "_seeds", "_part", "_clock", "_total",
-                 "_phases")
+                 "_phases", "_trace")
 
     def __init__(self, vm: VirtualMachine, binding: RankFamilyMap,
                  seeds: Dict[str, Optional[_Seed]], part: Partition,
@@ -176,6 +110,10 @@ class TemplateRun:
         self._clock: List[float] = clock[part.reps].tolist()
         self._total: List[List[float]] = total[:, part.reps].tolist()
         self._phases: Dict[str, List[list]] = {}
+        # Traced machines only: one (split, ops) entry per epoch charged --
+        # the epoch's split (see ChargeProgram.lowered) and, per op with
+        # members, (phase, op, members, clocks before, clocks after).
+        self._trace: Optional[list] = None if vm.trace_sink is None else []
 
     @property
     def classes(self) -> int:
@@ -189,15 +127,15 @@ class TemplateRun:
 
         ``None`` -- and *vm* untouched -- unless *vm* is a plain
         :class:`VirtualMachine` (a subclass recording or instrumenting
-        charges must see every op) with no trace sink (events are per
-        rank), and every instance holds identical clocks, totals and
-        state under each of *names* (every phase the programs charged
+        charges must see every op), traced or not, and every instance
+        holds identical clocks, totals and state under each of *names*
+        (every phase the programs charged
         through :meth:`charge` will name) that *vm* already interned.
         A binding naming a rank past the end of *vm* raises
         :class:`ValueError`.
         """
         binding.require_fits(vm.num_ranks)
-        if type(vm) is not VirtualMachine or vm.trace_sink is not None:
+        if type(vm) is not VirtualMachine:
             return None
         b = binding
         clocks = b.gather(vm._clock)
@@ -259,15 +197,21 @@ class TemplateRun:
         clock = self._clock
         t_msgs, t_words, t_flops = self._total
         ops, structures = program.ops, program.structure.ids
+        trace: Optional[list] = None
         for start, stop, parents, effects in epochs:
             if parents is not None:
                 self._split(parents)
+            if self._trace is not None:
+                trace = []
+                self._trace.append((parents, trace))
             for i in range(start, stop):
                 singles, groups, members = effects[structures[i]]
                 if not members:
                     continue
                 op = ops[i]
                 kind = op.kind
+                if trace is not None:
+                    before = [clock[k] for k in members]
                 if kind == OP_COMM:
                     cost = op.payload
                     msgs, words = cost.messages, cost.words
@@ -299,6 +243,9 @@ class TemplateRun:
                     end = max([clock[k] for k in members])
                     for k in members:
                         clock[k] = end
+                if trace is not None and kind != OP_BARRIER:
+                    trace.append((names[op.phase], op, members, before,
+                                  [clock[k] for k in members]))
 
     def _split(self, parents: Tuple[int, ...]) -> None:
         """Class ``k`` becomes a copy of class ``parents[k]``, in place."""
@@ -337,6 +284,34 @@ class TemplateRun:
                 b.scatter(vm._plane(pid), plane[:, labels])
                 if not vm._touched_all[pid]:
                     b.scatter(vm._touched[pid], mask[labels])
+        if self._trace:
+            self._emit()
+
+    def _emit(self) -> None:
+        """Record every bound rank's trace events, in op order: a
+        position's class in each epoch follows from the exit labels by
+        undoing later splits, and, as on the machine, only intervals with
+        ``end > start`` are events."""
+        labels = self._part.labels
+        epochs = []
+        for parents, ops in reversed(self._trace or ()):
+            epochs.append((labels, ops))
+            if parents is not None:
+                labels = np.asarray(parents, dtype=np.intp)[labels]
+        record = self.vm.trace_sink.record  # type: ignore[union-attr]
+        maps = self.binding.maps
+        for labels, ops in reversed(epochs):
+            ranks = [maps[:, labels == k].reshape(-1).tolist()
+                     for k in range(int(labels.max()) + 1)]
+            for phase, op, members, before, after in ops:
+                # The kind the machine gives the op's charges.
+                kind = ("compute" if op.kind == OP_FLOPS else "p2p"
+                        if op.ranks.shape[1] == 2 and op.payload.messages == 1
+                        else "collective")
+                for k, start, end in zip(members, before, after):
+                    if end > start:
+                        for rank in ranks[k]:
+                            record(TraceEvent(rank, phase, kind, start, end))
 
     def complete(self, segments: Sequence[Segment]) -> None:
         """:meth:`charge` every ``(program, names)`` segment, then

@@ -505,13 +505,7 @@ class VirtualMachine:
         idx = self._rank_index(ranks)
         if idx.size == 0:
             return
-        self._charge_flops_group_id(idx, flops, self._phase_id(phase))
-
-    def _charge_flops_group_id(self, idx: np.ndarray, flops: float,
-                               pid: int) -> None:
-        """:meth:`charge_flops_group` with a validated index array and a
-        pre-interned phase id -- the string-free inner path compiled-schedule
-        replay (:mod:`repro.sched.replay`) drives per op."""
+        pid = self._phase_id(phase)
         cover = self._whole(idx)
         plane = self._plane(pid)
         if cover is None:
@@ -531,7 +525,6 @@ class VirtualMachine:
         starts = self._clock[idx]
         ends = starts + step
         self._clock[idx] = ends
-        phase = self._phase_names[pid]
         for rank, start, end in zip(idx.tolist(), starts.tolist(), ends.tolist()):
             if end > start:
                 self._sink.record(TraceEvent(rank, phase, "compute", start, end))
@@ -547,13 +540,7 @@ class VirtualMachine:
         idx = self._rank_index(ranks)
         if idx.size == 0:
             return
-        self._charge_comm_group_id(idx, cost, self._phase_id(phase))
-
-    def _charge_comm_group_id(self, idx: np.ndarray, cost: CollectiveCost,
-                              pid: int) -> None:
-        """:meth:`charge_comm_group` with a validated index array and a
-        pre-interned phase id (the replay-path internal)."""
-        self._ledger_comm(pid, self._whole(idx), cost)
+        self._ledger_comm(self._phase_id(phase), self._whole(idx), cost)
         clock = self._clock
         step = self._comm_step(cost)
         if self._sink is None:
@@ -562,7 +549,6 @@ class VirtualMachine:
         starts = clock[idx]
         end = float(starts.max() + step)
         clock[idx] = end
-        phase = self._phase_names[pid]
         kind = "p2p" if idx.size == 2 and cost.messages == 1 else "collective"
         for rank, start in zip(idx.tolist(), starts.tolist()):
             if end > start:
@@ -583,26 +569,20 @@ class VirtualMachine:
         g = self._as_group_matrix(groups)
         if g.size == 0:
             return
-        self._charge_comm_groups_id(g, cost, self._phase_id(phase))
-
-    def _charge_comm_groups_id(self, g: np.ndarray, cost: CollectiveCost,
-                               pid: int) -> None:
-        """:meth:`charge_comm_groups` with a validated ``(G, s)`` matrix and a
-        pre-interned phase id (the replay-path internal)."""
         flat = g.reshape(-1)
-        self._ledger_comm(pid, self._whole(flat), cost)
+        self._ledger_comm(self._phase_id(phase), self._whole(flat), cost)
         clock = self._clock
         starts = clock[g]                        # (G, s)
         ends = starts.max(axis=1) + self._comm_step(cost)   # (G,)
         clock[flat] = np.repeat(ends, g.shape[1])
         if self._sink is None:
             return
-        phase = self._phase_names[pid]
         kind = "p2p" if g.shape[1] == 2 and cost.messages == 1 else "collective"
-        for row, end in zip(range(g.shape[0]), ends.tolist()):
-            for rank, start in zip(g[row].tolist(), starts[row].tolist()):
+        record = self._sink.record
+        for ranks, row, end in zip(g.tolist(), starts.tolist(), ends.tolist()):
+            for rank, start in zip(ranks, row):
                 if end > start:
-                    self._sink.record(TraceEvent(rank, phase, kind, start, end))
+                    record(TraceEvent(rank, phase, kind, start, end))
 
     def charge_comm_axis(self, shape: Sequence[int], axis: int,
                          cost: CollectiveCost, phase: str) -> None:
@@ -620,12 +600,10 @@ class VirtualMachine:
         method (see the module docstring).
         """
         shape = self._axis_shape(shape, axis)
-        pid = self._phase_id(phase)
         if self._sink is not None:
-            self._charge_comm_groups_id(axis_group_matrix(shape, axis), cost,
-                                        pid)
+            self.charge_comm_groups(axis_group_matrix(shape, axis), cost, phase)
             return
-        self._ledger_comm(pid, None, cost)
+        self._ledger_comm(self._phase_id(phase), None, cost)
         view = self._clock.reshape(shape)
         ends = view.max(axis=axis, keepdims=True)
         ends += self._comm_step(cost)

@@ -20,8 +20,7 @@ untyped flat log for diffing machines against each other.  The
 production capture path is :class:`repro.sched.ScheduleRecorder`, which
 compiles runs into typed, rank-family-templated
 :class:`~repro.sched.ChargeProgram` objects that bind to new grids and
-replay vectorized, op by op or as a template run (see
-:mod:`repro.sched`).
+charge as template runs (see :mod:`repro.sched`).
 """
 
 from __future__ import annotations

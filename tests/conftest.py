@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import os
 
 import numpy as np
@@ -41,6 +42,14 @@ def make_1d(procs: int):
     vm = VirtualMachine(procs)
     grid = Grid3D.build(vm, 1, procs, 1)
     return vm, grid
+
+
+def rank_events(vm: VirtualMachine) -> list:
+    """Every trace event as ``(rank, phase, kind, start, end)``, by rank
+    and, per rank, in recorded order -- the per-rank streams every
+    charging route must reproduce exactly."""
+    return [(e.rank, e.phase, e.kind, e.start, e.end)
+            for e in sorted(vm.events, key=operator.attrgetter("rank"))]
 
 
 def distribute(grid: Grid3D, array: np.ndarray) -> DistMatrix:

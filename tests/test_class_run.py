@@ -5,10 +5,10 @@ template positions in provably equal state -- and splits a class before
 any op that treats its members differently.  These hand-built programs
 split classes mid-program in every way an op can: flops on one rank, a
 comm family whose groups mix classes unevenly, a non-axis group matrix,
-a barrier on a subset, and every position at once.  A class run and
-per-op replay must charge exactly what the instance-by-instance loop
-charges, from a fresh machine and from a random per-instance-symmetric
-one; and a fresh
+a barrier on a subset, and every position at once.  A class run must
+charge exactly what the instance-by-instance loop charges -- and, on a
+traced machine, give every rank the loop's event stream -- from a fresh
+machine and from a random per-instance-symmetric one; and a fresh
 CA-CQR2 template holds exactly the two classes the paper's diagonal
 transposes imply.
 """
@@ -16,6 +16,7 @@ transposes imply.
 import numpy as np
 import pytest
 
+from tests.conftest import rank_events
 from tests.test_vmpi_machine_equivalence import assert_machines_identical
 
 from repro.core.cacqr import ca_cqr2
@@ -33,7 +34,6 @@ from repro.sched import (
     compiled_replay_disabled,
 )
 from repro.sched.program import Partition, _lowered
-from repro.sched.replay import replay
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine, axis_group_matrix
@@ -127,42 +127,47 @@ def class_run(vm, program, binding, names=None):
     run.complete([(program, names)])
 
 
-def loop(vm, program, binding):
-    """The oracle: every instance, op by op, through the public API."""
+def loop(vm, program, binding, names=None):
+    """The oracle: every instance, op by op, through the public API --
+    reading each op's rank operand, never its axis tag."""
+    names = program.phases if names is None else names
     with compiled_replay_disabled():
         for op in program.ops:
             for ranks in binding.maps:
                 if op.kind == OP_COMM:
                     vm.charge_comm_groups(ranks[op.ranks], op.payload,
-                                          program.phases[op.phase])
+                                          names[op.phase])
                 elif op.kind == OP_FLOPS:
                     vm.charge_flops_group(ranks[op.ranks], op.payload,
-                                          program.phases[op.phase])
+                                          names[op.phase])
                 else:
                     vm.barrier(ranks if op.ranks is None
                                else ranks[op.ranks])
 
 
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "traced"])
 @pytest.mark.parametrize("prefix", ["fresh", "symmetric"])
 @pytest.mark.parametrize("layout", ["slabs", "permuted", "partial"])
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_class_run_per_op_and_loop_agree(name, layout, prefix):
+def test_class_run_and_loop_agree(name, layout, prefix, trace):
     prog = program(name)
     machines = []
-    for charge in (class_run, replay, loop):
-        vm = VirtualMachine(32, STAMPEDE2)
+    for charge in (class_run, loop):
+        vm = VirtualMachine(32, STAMPEDE2, trace=trace)
         binding = bindings(32)[layout]
         if prefix == "symmetric":
             symmetric_prefix(vm, binding, seed=len(name))
         charge(vm, prog, binding)
         machines.append(vm)
-    class_vm, per_op, loop_vm = machines
+    class_vm, loop_vm = machines
     assert_machines_identical(class_vm, loop_vm)
-    assert_machines_identical(per_op, loop_vm)
-    # A template run and per-op replay intern the phase table in table
-    # order, the loop in first-use order; these tables are not in
-    # first-use order.
+    # A template run interns the phase table in table order, the loop in
+    # first-use order; these tables are not in first-use order.
     assert sorted(class_vm.phase_names) == sorted(loop_vm.phase_names)
+    # Every split in these programs happens mid-run, so each rank's
+    # events cross classes that later split.
+    assert rank_events(class_vm) == rank_events(loop_vm)
+    assert bool(class_vm.events) == trace
 
 
 def test_every_position_degenerates_to_one_class_per_position():

@@ -562,6 +562,26 @@ class TestValidationErrors:
         assert main(argv) == 2
         assert capsys.readouterr().out == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv,field,ranks", [
+        (["trace", "cqr2_1d", "-m", str(2 ** 36), "-n", "8",
+          "-P", str(2 ** 33), "--symbolic"], "procs", 2 ** 33),
+        (["factor", "-a", "cqr2_1d", "-m", "64", "-n", "8",
+          "-P", str(2 ** 33)], "procs", 2 ** 33),
+        (["trace", "ca_cqr2", "-m", "1024", "-n", "8", "-c", "8",
+          "-d", str(2 ** 19), "--symbolic"], "d", 2 ** 25),
+        (["factor", "-a", "scalapack", "-m", "64", "-n", "8",
+          "--pr", str(2 ** 33), "--pc", "1"], "pc", 2 ** 33),
+    ])
+    def test_machine_too_large_to_allocate_is_one_error_line(
+            self, capsys, argv, field, ranks):
+        # A 2**33-rank machine died allocating 64 GiB of clocks.
+        from repro.engine.spec import MAX_RANKS
+
+        assert main(argv) == 2
+        assert capsys.readouterr().out == (
+            f"error: {field}: {ranks} ranks exceed the {MAX_RANKS}-rank "
+            f"limit of a simulated machine\n")
+
 
 class TestServeCommand:
     def test_parser_wires_serve_defaults(self):

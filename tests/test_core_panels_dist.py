@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from tests.conftest import make_tunable
-from tests.test_template_run import MACHINES, _events
+from tests.conftest import make_tunable, rank_events
+from tests.test_template_run import MACHINES
 from tests.test_vmpi_machine_equivalence import assert_machines_identical
 
 from repro.core.cacqr import ca_cqr2
@@ -16,6 +16,7 @@ from repro.utils.matgen import matrix_with_condition, random_matrix
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
+from repro.vmpi.reference import RecordingMachine
 
 
 def orth_err(q):
@@ -99,7 +100,8 @@ class _Spans(list):
 
 
 class TestTemplateRunPerPanel:
-    """Each symbolic panel's CA-CQR2 is CA-CQR2's own template run."""
+    """Each symbolic panel's CA-CQR2 is CA-CQR2's own template run, and
+    each trailing update one more."""
 
     @staticmethod
     def run(c, d, m, n, b):
@@ -118,7 +120,13 @@ class TestTemplateRunPerPanel:
             vm = self.run(c, d, m, n, b)
         replays = [s["attrs"] for s in spans if s["name"] == "sched.replay"]
         assert [(r["ranks"], r["classes"]) for r in replays] == \
-            [(c ** 3, 2)] * (n // b)
+            [(c ** 3, 2)] * (2 * (n // b) - 1)
+        # The update programs' phases (the cross product before them is
+        # charged on the machine).
+        updates = [name for name in vm.phase_names
+                   if ".update.mm3d" in name or name.endswith(".update.sub")]
+        assert updates
+        assert all(vm._phase_ids[name] in vm._virtual for name in updates)
 
         cqr2 = [name for name in vm.phase_names if ".cqr2." in name]
         assert {name.split(".")[1] for name in cqr2} == \
@@ -132,17 +140,21 @@ class TestTemplateRunPerPanel:
         assert vm.phase_names == loop_vm.phase_names
 
 
+#: The template-run machines, and a machine subclass, which runs the loop.
+PANEL_MACHINES = {**MACHINES, "recording": RecordingMachine}
+
+
 @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
-@pytest.mark.parametrize("machine", sorted(MACHINES))
+@pytest.mark.parametrize("machine", sorted(PANEL_MACHINES))
 @pytest.mark.parametrize("c", [1, 2, 4])
 def test_cubic_grid_matches_the_loop(c, machine, numeric):
     """On a cubic grid (one subcube) the compiled panels -- template runs
-    or per-op replay, and the trailing update replayed onto the one
-    subcube -- charge and compute what the loop does, bit for bit."""
+    for each panel and each trailing update, or the loop on a machine
+    subclass -- charge and compute what the loop does, bit for bit."""
     m, n, b = 64 * c, 8 * c, 2 * c
 
     def run():
-        vm = MACHINES[machine](c ** 3, STAMPEDE2)
+        vm = PANEL_MACHINES[machine](c ** 3, STAMPEDE2)
         g = Grid3D.tunable(vm, c, c)
         a = (DistMatrix.from_global(g, random_matrix(m, n, rng=c))
              if numeric else DistMatrix.symbolic(g, m, n))
@@ -154,7 +166,8 @@ def test_cubic_grid_matches_the_loop(c, machine, numeric):
         loop_vm, want = run()
     assert_machines_identical(vm, loop_vm)
     assert vm.phase_names == loop_vm.phase_names
-    assert _events(vm) == _events(loop_vm)
+    assert rank_events(vm) == rank_events(loop_vm)
+    assert bool(vm._virtual) == (machine != "recording")
     if numeric:
         assert got.q.to_global().tobytes() == want.q.to_global().tobytes()
         assert got.r.tobytes() == want.r.tobytes()

@@ -437,6 +437,32 @@ class TestCaptureSpans:
                 assert parent["name"] != "sched.capture"
                 parent = by_id.get(parent["parent_id"])
 
+    def test_whole_run_capture_nests_no_span_in_its_own_name(self):
+        """A whole-run capture is one ``sched.capture_run`` span around the
+        memo captures it triggers, and its report one ``sched.replay``
+        span -- the template run's, with its classes."""
+        from repro.engine.registry import solver_for
+        from repro.engine.spec import MatrixSpec, RunSpec
+        from repro.sched.capture import capture_run
+
+        spec = solver_for("ca_cqr2").prepare(RunSpec(
+            algorithm="ca_cqr2", matrix=MatrixSpec(1024, 52), c=2, d=8,
+            mode="symbolic"))
+        sink = _ListSink()
+        with use_observer(Observer(sink)):
+            capture_run(spec)
+        by_id = {r["span_id"]: r for r in sink.spans}
+        names = [r["name"] for r in sink.spans]
+        assert names.count("sched.capture_run") == 1
+        assert "sched.capture" in names          # these shapes capture cold
+        (replay,) = [r for r in sink.spans if r["name"] == "sched.replay"]
+        assert replay["attrs"]["classes"] >= 1
+        for record in sink.spans:
+            parent = by_id.get(record["parent_id"])
+            while parent is not None:
+                assert parent["name"] != record["name"]
+                parent = by_id.get(parent["parent_id"])
+
     def test_pass_capture_reports_the_cfr3d_levels_it_recorded(self):
         """CFR3D's levels are memoized per (c, n, n0), apart from the row
         count: a second row count records none, a doubled n one more."""

@@ -2,9 +2,10 @@
 
 Every assertion here is ``==`` / ``assert_array_equal``, never
 approx-equal: the Schedule IR's contract is that capturing a symbolic
-run, binding it to concrete ranks, and replaying it charges the machine
-**bit-identically** to executing the original Python loop -- clocks,
-per-rank ledgers, and cost reports included.
+run, binding it to concrete ranks, and charging it as a template run
+charges the machine **bit-identically** to executing the original Python
+loop -- clocks, per-rank ledgers, cost reports and trace events
+included.
 """
 
 import contextlib
@@ -14,8 +15,8 @@ from typing import ClassVar
 import numpy as np
 import pytest
 
-from tests.conftest import assert_alias_only_depth_replicas, make_tunable
-from tests.test_class_run import class_run
+from tests.conftest import assert_alias_only_depth_replicas, make_tunable, rank_events
+from tests.test_class_run import class_run, loop
 
 from repro.analysis import verify_program
 from repro.core.cacqr import _merge_program, _subcube_pass_program, ca_cqr, ca_cqr2
@@ -40,7 +41,6 @@ from repro.sched import (
 )
 from repro.sched.capture import capture_run, replay_report
 from repro.sched.program import OP_COMM, ChargeOp, ChargeProgram
-from repro.sched.replay import replay
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -250,34 +250,32 @@ class TestPanelsEquivalence:
 
 
 class TestTraceComposition:
-    """Replay composes with trace sinks: same per-rank event multisets."""
+    """Template runs compose with trace sinks: every rank's event stream
+    equals the loop's, in order."""
 
-    @staticmethod
-    def events_by_rank(vm):
-        out = {}
-        for e in vm.events:
-            out.setdefault(e.rank, []).append((e.phase, e.kind, e.start, e.end))
-        return {rank: sorted(evs) for rank, evs in out.items()}
+    events_by_rank = staticmethod(rank_events)
 
-    def test_ca_cqr2_traced_replay_matches_loop_events(self):
+    def test_ca_cqr2_traced_template_run_matches_loop_events(self):
         def solver(vm, g):
             ca_cqr2(vm, DistMatrix.symbolic(g, 256, 8))
         vm_fast, vm_slow = run_both(solver, 2, 8, trace=True)
-        assert len(vm_fast.events) > 0
+        assert len(vm_fast.events) > 0 and vm_fast._virtual
         assert self.events_by_rank(vm_fast) == self.events_by_rank(vm_slow)
         assert_machines_identical(vm_fast, vm_slow)
 
-    def test_panels_traced_replay_matches_loop_events(self):
+    def test_panels_traced_template_runs_match_loop_events(self):
         def solver(vm, g):
             ca_panel_cqr2(vm, DistMatrix.symbolic(g, 512, 32), 8)
         vm_fast, vm_slow = run_both(solver, 2, 4, trace=True)
         assert len(vm_fast.events) > 0
+        assert vm_fast._phase_ids["panel-cacqr2.panel0.update.sub"] \
+            in vm_fast._virtual
         assert self.events_by_rank(vm_fast) == self.events_by_rank(vm_slow)
         assert_machines_identical(vm_fast, vm_slow)
 
 
 class TestReplay:
-    """Direct IR lifecycle: capture -> replay, or template run."""
+    """Direct IR lifecycle: capture -> template run."""
 
     @staticmethod
     def record_mm3d(c, m):
@@ -288,9 +286,10 @@ class TestReplay:
         mm3d(rec, a, b, phase="@")
         return rec.program(), g
 
-    def test_identity_replay_matches_plain_run(self):
-        # The recorder only records: replay is compared with a plain
-        # machine running the same MM3D, and the recorder stays at zero.
+    def test_identity_class_run_matches_plain_run(self):
+        # The recorder only records: its program, charged as a template
+        # run, is compared with a plain machine running the same MM3D, and
+        # the recorder stays at zero.
         rec = ScheduleRecorder(8)
         g = Grid3D.build(rec, 2, 2, 2)
         mm3d(rec, DistMatrix.symbolic(g, 32, 32),
@@ -301,12 +300,12 @@ class TestReplay:
         mm3d(plain, DistMatrix.symbolic(pg, 32, 32),
              DistMatrix.symbolic(pg, 32, 32), phase="@")
         vm = VirtualMachine(8)
-        replay(vm, program, RankFamilyMap.identity(8))
+        class_run(vm, program, RankFamilyMap.identity(8))
         assert_machines_identical(vm, plain)
         assert not rec._clock.any() and not rec._total.any()
         assert rec.elapsed == 0.0 and rec.report().phase_max == {}
 
-    def test_subcube_class_run_and_replay_match_loop(self):
+    def test_subcube_class_run_matches_loop(self):
         c, d, m = 2, 8, 32
         program, tpl_grid = self.record_mm3d(c, m)
         names = program.phases_with_prefix("@", "mm")
@@ -314,14 +313,10 @@ class TestReplay:
         # template run's guard must accept it.
         vm, g = make_tunable(c, d)
         class_run(vm, program, RankFamilyMap.subcubes(g, tpl_grid), names)
-        per_op, g_ops = make_tunable(c, d)
-        replay(per_op, program, RankFamilyMap.subcubes(g_ops, tpl_grid),
-               names)
 
         vm_loop, g_loop = make_tunable(c, d)
         self.mm3d_loop(vm_loop, g_loop, c, d, m)
         assert_machines_identical(vm, vm_loop)
-        assert_machines_identical(per_op, vm_loop)
 
     @staticmethod
     def mm3d_loop(vm, g, c, d, m):
@@ -350,7 +345,7 @@ class TestReplay:
         """Break the symmetry of one subcube's state -- its clocks, one
         running total, one pre-existing program phase plane -- and the
         template run's guard must decline, leaving the machine untouched
-        for per-op replay, still bit-identical to the loop."""
+        for the caller's loop."""
         c, d, m = 2, 8, 32
         program, tpl_grid = self.record_mm3d(c, m)
 
@@ -379,12 +374,11 @@ class TestReplay:
         binding = RankFamilyMap.subcubes(g, tpl_grid)
         assert binding.slabs is not None
         assert TemplateRun.seed(vm, binding, names) is None
-        replay(vm, program, binding, names)
 
-        vm_loop, g_loop = make_tunable(c, d)
-        prepare(vm_loop, g_loop)
-        self.mm3d_loop(vm_loop, g_loop, c, d, m)
-        assert_machines_identical(vm, vm_loop)
+        untouched, g_untouched = make_tunable(c, d)
+        prepare(untouched, g_untouched)
+        assert_machines_identical(vm, untouched)
+        assert vm.phase_names == untouched.phase_names
 
     def test_view_replay_lazy_phases_read_and_charge_exactly(self):
         """Per-rank reads of a view-path class run's virtual phases, and a
@@ -408,18 +402,23 @@ class TestReplay:
         assert vm.clock_of(rank) == vm_loop.clock_of(rank)
         assert_machines_identical(vm, vm_loop)
 
-    def test_traced_machine_takes_per_op_replay(self):
+    def test_traced_machine_takes_the_template_run(self):
         c, d, m = 2, 4, 32
         program, tpl_grid = self.record_mm3d(c, m)
+        names = program.phases_with_prefix("@", "mm")
         vm = VirtualMachine(c * c * d, trace=True)
         binding = RankFamilyMap.subcubes(Grid3D.tunable(vm, c, d), tpl_grid)
-        assert TemplateRun.seed(vm, binding, program.phases) is None
-        replay(vm, program, binding)
-        assert len(vm.events) > 0
+        class_run(vm, program, binding, names)
+        vm_loop = VirtualMachine(c * c * d, trace=True)
+        self.mm3d_loop(vm_loop, Grid3D.tunable(vm_loop, c, d), c, d, m)
+        assert vm._virtual and len(vm.events) > 0
+        assert rank_events(vm) == rank_events(vm_loop)
+        assert_machines_identical(vm, vm_loop)
 
-    def test_replay_interns_each_phase_once(self, monkeypatch):
-        # Per-op replay resolves every distinct phase name up front, so
-        # interning work scales with the phase table, never with the ops.
+    def test_template_run_interns_each_phase_once(self, monkeypatch):
+        # A template run interns each distinct phase name once, at
+        # install, so interning work scales with the phase table, never
+        # with the ops.
         c, d, m, n, b = 2, 4, 1024, 64, 16
         rec = ScheduleRecorder(c * c * d)
         ca_panel_cqr2(rec, DistMatrix.symbolic(Grid3D.tunable(rec, c, d), m, n),
@@ -429,13 +428,13 @@ class TestReplay:
         interned = []
         phase_id = VirtualMachine._phase_id
 
-        def counting_phase_id(vm, phase):
+        def counting_phase_id(vm, phase, concrete=True):
             interned.append(phase)
-            return phase_id(vm, phase)
+            return phase_id(vm, phase, concrete)
 
         monkeypatch.setattr(VirtualMachine, "_phase_id", counting_phase_id)
-        replay(VirtualMachine(program.num_ranks), program,
-               RankFamilyMap.identity(program.num_ranks))
+        class_run(VirtualMachine(program.num_ranks), program,
+                  RankFamilyMap.identity(program.num_ranks))
         assert 0 < len(interned) <= len(program.phases)
 
     def test_phase_table_rebase_rejects_wrong_prefix(self):
@@ -457,25 +456,28 @@ class TestBindingRankBounds:
             RankFamilyMap([[-1, 0], [3, 1]])
 
     @pytest.mark.parametrize("layout", ["maps", "slabs"])
-    @pytest.mark.parametrize("charge", ["replay", "template-run"])
+    @pytest.mark.parametrize("charge", ["splice", "template-run"])
     def test_rank_past_the_end_is_rejected_before_charging(self, charge,
                                                            layout):
+        machine = ScheduleRecorder if charge == "splice" else VirtualMachine
         if layout == "maps":
-            vm, program = VirtualMachine(4), self.PAIR
+            vm, program = machine(4), self.PAIR
             binding = RankFamilyMap([[0, 1], [2, 4]])
         else:
             program, tpl_grid = TestReplay.record_mm3d(2, 8)
-            vm = VirtualMachine(16)
+            vm = machine(16)
             _, g = make_tunable(2, 8)          # a 32-rank grid
             binding = RankFamilyMap.subcubes(g, tpl_grid)
             assert binding.slabs is not None
         with pytest.raises(ValueError, match="past the end"):
-            if charge == "replay":
-                replay(vm, program, binding)
+            if charge == "splice":
+                vm.extend(program, binding)
             else:
                 TemplateRun.seed(vm, binding, program.phases)
         assert not vm._clock.any() and not vm._total.any()
         assert vm.phase_names == []
+        if charge == "splice":
+            assert vm.num_ops == 0
 
 
 def program_digest(program: ChargeProgram) -> str:
@@ -556,8 +558,9 @@ class TestRecorderRecordsOnly:
 
 
 class TestAxisTaggedReplay:
-    """A template run lowers axis-tagged ops from their tag, per-op replay
-    charges their rank matrix; both match the subcube loop."""
+    """A template run lowers axis-tagged ops from their tag; it matches
+    the subcube loop and the instance-by-instance loop over each op's rank
+    matrix."""
 
     @staticmethod
     def prefix(vm, binding, names, seed):
@@ -590,19 +593,17 @@ class TestAxisTaggedReplay:
                 dist_transpose(vm, l0, f"{phase}.form-r.transpose")
 
     @classmethod
-    def replay_both(cls, program, tpl, c, d, seed):
-        """A class run and a traced per-op replay of *program* onto the
-        subcubes of a ``c x d x c`` grid, after the same random prefix."""
+    def charge_both(cls, program, tpl, c, d, seed):
+        """A class run of *program* onto the subcubes of a ``c x d x c``
+        grid and the loop over its ops' rank matrices, each on a traced
+        machine after the same random prefix."""
         names = program.phases_with_prefix("@", "p")
         machines = []
-        for trace in (False, True):
-            vm = VirtualMachine(c * c * d, STAMPEDE2, trace=trace)
+        for charge in (class_run, loop):
+            vm = VirtualMachine(c * c * d, STAMPEDE2, trace=True)
             binding = RankFamilyMap.subcubes(Grid3D.tunable(vm, c, d), tpl)
             cls.prefix(vm, binding, names, seed)
-            if trace:
-                replay(vm, program, binding, names)
-            else:
-                class_run(vm, program, binding, names)
+            charge(vm, program, binding, names)
             machines.append(vm)
         return machines
 
@@ -611,18 +612,19 @@ class TestAxisTaggedReplay:
         (2, 4, 16, 32, 4, 1),
         (4, 8, 64, 128, 8, 2),
     ])
-    def test_class_run_per_op_and_loop_agree(self, c, d, n, rows, n0, seed):
+    def test_class_run_and_loops_agree(self, c, d, n, rows, n0, seed):
         program, tpl = _subcube_pass_program(c, n, rows, n0)
         assert any(op.axis is not None for op in program.ops)
-        class_vm, per_op = self.replay_both(program, tpl, c, d, seed)
-        loop = VirtualMachine(c * c * d, STAMPEDE2)
-        g = Grid3D.tunable(loop, c, d)
-        self.prefix(loop, RankFamilyMap.subcubes(g, tpl),
+        class_vm, ops_vm = self.charge_both(program, tpl, c, d, seed)
+        subcubes = VirtualMachine(c * c * d, STAMPEDE2, trace=True)
+        g = Grid3D.tunable(subcubes, c, d)
+        self.prefix(subcubes, RankFamilyMap.subcubes(g, tpl),
                     program.phases_with_prefix("@", "p"), seed)
-        self.subcube_loop(loop, g, c, d, n, rows, n0, "p")
-        assert_machines_identical(class_vm, loop)
-        assert_machines_identical(per_op, loop)
-        assert len(per_op.events) > 0
+        self.subcube_loop(subcubes, g, c, d, n, rows, n0, "p")
+        for vm in (class_vm, ops_vm):
+            assert_machines_identical(vm, subcubes)
+            assert rank_events(vm) == rank_events(subcubes)
+        assert len(class_vm.events) > 0
 
     @staticmethod
     def single_op(program, op):
@@ -637,9 +639,10 @@ class TestAxisTaggedReplay:
         tagged = [op for op in program.ops if op.axis is not None]
         assert tagged
         for k, op in enumerate(tagged):
-            class_vm, per_op = self.replay_both(self.single_op(program, op),
+            class_vm, ops_vm = self.charge_both(self.single_op(program, op),
                                                 tpl, c, d, k)
-            assert_machines_identical(class_vm, per_op)
+            assert_machines_identical(class_vm, ops_vm)
+            assert rank_events(class_vm) == rank_events(ops_vm)
 
     def test_a_corrupted_tag_diverges_and_fails_verification(self):
         c, d = 2, 4
@@ -653,9 +656,9 @@ class TestAxisTaggedReplay:
                                                 program.phases, ops))
         assert [(f.rule, f.loc) for f in findings] == \
             [("ir/axis-form", f"op[{k}]")]
-        class_vm, per_op = self.replay_both(self.single_op(program, ops[k]),
+        class_vm, ops_vm = self.charge_both(self.single_op(program, ops[k]),
                                             tpl, c, d, 0)
-        assert not np.array_equal(class_vm._clock, per_op._clock)
+        assert not np.array_equal(class_vm._clock, ops_vm._clock)
 
 
 class TestProgramCacheAndCapture:

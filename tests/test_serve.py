@@ -474,6 +474,14 @@ class TestServerEndpoint:
         assert payload["seconds"] == run.report.critical_path_time
         assert payload["num_ranks"] == run.report.num_ranks
 
+    def test_factor_too_large_to_allocate_is_400_with_field(self, server):
+        # A 2**33-rank machine died allocating 64 GiB of clocks: HTTP 500.
+        body = {"algorithm": "cqr2_1d", "m": 2 ** 36, "n": 8,
+                "procs": 2 ** 33}
+        status, payload = _post(server.address, "/factor", body)
+        assert status == 400 and payload["error"]["field"] == "procs"
+        assert "rank limit" in payload["error"]["message"]
+
     def test_factor_modeled(self, server):
         status, payload = _post(server.address, "/factor",
                                 {"m": 1024, "n": 32, "procs": 8,

@@ -1,15 +1,15 @@
 """CA-CQR's compiled run against the per-subcube loop oracle.
 
-Compiled unless :func:`repro.sched.compiled_replay_disabled`, on a plain,
-untraced machine whose subcubes hold identical state,
+Compiled unless :func:`repro.sched.compiled_replay_disabled`, on a plain
+machine, traced or not, whose subcubes hold identical state,
 :func:`repro.core.cacqr.ca_cqr2` (and one :func:`~repro.core.cacqr.ca_cqr`
 pass) charges its whole schedule -- both Gram dances, the subcube passes
 and the merge -- on one ``c**3``-rank template machine and writes it back
-to every subcube once; a traced or recording machine, or asymmetric
-entry state, takes per-op replay instead.  These tests diff both
-against the loop under :func:`repro.sched.compiled_replay_disabled`:
-clocks, every per-rank ledger, the report, ``Q`` and ``R`` (and each
-rank's trace events) must be bit-identical, after a fresh start, after a
+to every subcube once; a machine subclass, or asymmetric entry state,
+runs the loop instead.  These tests diff the template run against the
+loop under :func:`repro.sched.compiled_replay_disabled`: clocks, every
+per-rank ledger, the report, ``Q`` and ``R`` (and each rank's trace
+events) must be bit-identical, after a fresh start, after a
 per-subcube-symmetric prefix (which keeps the template run engaged) and
 after a random one (which must fall back, unless the grid is cubic: its
 one subcube always agrees with itself).
@@ -18,6 +18,7 @@ one subcube always agrees with itself).
 import numpy as np
 import pytest
 
+from tests.conftest import rank_events
 from tests.test_class_run import class_run
 from tests.test_vmpi_machine_equivalence import assert_machines_identical
 
@@ -91,57 +92,74 @@ def _virtual(vm, name):
     return True
 
 
-def _events(vm):
-    """Each rank's trace events, in recorded order."""
-    events = {}
-    for e in vm.events:
-        events.setdefault(e.rank, []).append((e.phase, e.kind, e.start, e.end))
-    return events
-
-
 MACHINES = {
     "plain": VirtualMachine,
     "traced": lambda p, spec: VirtualMachine(p, spec, trace=True),
-    "recording": RecordingMachine,
 }
 
-#: Every grid on the plain machine (the template run, or per-op replay
-#: after a random prefix), the cubic ``d == c`` one included; the
-#: machines that always take per-op replay on three grids: one subcube
-#: and two at c=2, eight at c=1.
-GRIDS = [(machine, subcubes, c)
+
+def _case(machine, subcubes, c, algorithm, prefix, numeric):
+    mode = "numeric" if numeric else "symbolic"
+    return pytest.param(machine, subcubes, c, algorithm, prefix, numeric,
+                        id=f"{machine}-{subcubes}-{c}-{algorithm}-{prefix}-{mode}")
+
+
+#: Every grid, the cubic ``d == c`` one included, on the plain machine
+#: (the template run, or the loop after a random prefix) and the traced
+#: one.  Traced, three grids (one subcube and two at c=2, eight at c=1)
+#: run every case, and every grid runs each algorithm from a fresh
+#: machine, symbolically: per-rank events do not depend on the mode (see
+#: ``test_vmpi_machine_equivalence``'s symbolic-equals-numeric test).
+CASES = [_case(machine, subcubes, c, algorithm, prefix, numeric)
          for machine in MACHINES
          for subcubes in (1, 2, 4, 8)
          for c in (1, 2, 3, 4)
-         if machine == "plain" or (subcubes, c) in ((1, 2), (2, 2), (8, 1))]
+         for algorithm in sorted(ALGORITHMS)
+         for prefix in ("fresh", "per-subcube", "random")
+         for numeric in (False, True)
+         if machine == "plain" or (subcubes, c) in ((1, 2), (2, 2), (8, 1))
+         or not numeric and prefix == "fresh"]
 
 
-@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
-@pytest.mark.parametrize("prefix", ["fresh", "per-subcube", "random"])
-@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
-@pytest.mark.parametrize("machine,subcubes,c", GRIDS)
+class _Spans(list):
+    def on_span(self, record):
+        self.append(record)
+
+
+def _template_runs(spans):
+    """The ``sched.replay`` spans' attributes; every one must report its
+    classes."""
+    runs = [s["attrs"] for s in spans if s["name"] == "sched.replay"]
+    assert all(r["classes"] >= 1 for r in runs)
+    return runs
+
+
+@pytest.mark.parametrize("machine,subcubes,c,algorithm,prefix,numeric", CASES)
 def test_template_run_matches_loop_oracle(machine, subcubes, c, algorithm,
                                           prefix, numeric):
     d = c * subcubes
     make = MACHINES[machine]
-    vm, got = _run(make, algorithm, c, d, numeric, prefix)
+    spans = _Spans()
+    with use_observer(Observer(spans)):
+        vm, got = _run(make, algorithm, c, d, numeric, prefix)
     with compiled_replay_disabled():
         loop_vm, want = _run(make, algorithm, c, d, numeric, prefix)
     assert_machines_identical(vm, loop_vm)
     assert vm.phase_names == loop_vm.phase_names
+    assert list(vm.report().phase_max) == list(loop_vm.report().phase_max)
     assert _factors(got) == _factors(want)
     if machine == "traced":
-        assert vm.events and _events(vm) == _events(loop_vm)
+        assert vm.events and rank_events(vm) == rank_events(loop_vm)
 
-    # The template run engaged exactly on a plain machine whose subcubes
-    # were symmetric (one subcube always is): its Gram dance then never
+    # The template run engaged exactly where the subcubes were symmetric
+    # (one subcube always is), traced or not: its Gram dance then never
     # built a (3, P) plane.
+    engaged = prefix != "random" or subcubes == 1
     gram_phase = {"ca_cqr2": "cacqr2.pass1", "ca_cqr": "cacqr",
                   "ca_shifted_cqr3": "sCQR3.shifted-pass"}[algorithm]
-    assert _virtual(vm, f"{gram_phase}.allreduce-roots") == \
-        (machine == "plain" and (prefix != "random" or subcubes == 1))
-    if machine == "plain" and prefix == "fresh" \
-            and algorithm != "ca_shifted_cqr3":
+    assert _virtual(vm, f"{gram_phase}.allreduce-roots") == engaged
+    assert bool(_template_runs(spans)) == engaged
+    if prefix == "fresh" and algorithm != "ca_shifted_cqr3":
         # Nothing else charged the machine: every phase is virtual, all
         # in the one block the run installed.
         assert len(vm._virtual) == len(vm.phase_names)
@@ -153,7 +171,7 @@ def test_template_run_matches_loop_oracle(machine, subcubes, c, algorithm,
 def test_each_guard_input_alone_forces_the_fallback(perturb):
     """Subcubes that agree on everything but one guard input -- clocks,
     totals, or one phase the run charges (concrete, or virtual from an
-    earlier run) -- take per-op replay, bit-identical to the loop."""
+    earlier run) -- run the loop."""
     c, d = 2, 8
 
     def run():
@@ -258,43 +276,61 @@ class TestUntracedBreakdown:
         assert got == want               # after the retry
 
     @pytest.mark.parametrize("failing_pass", [1, 2])
-    def test_failure_in_either_pass_matches_per_op_replay(self, failing_pass,
-                                                          monkeypatch):
+    def test_failure_in_either_pass_matches_loop(self, failing_pass,
+                                                 monkeypatch):
         """Inject a breakdown into pass 1's or pass 2's numerics: the
-        template run must leave what per-op replay (taken by a recording
-        machine) leaves -- everything up to that pass's Gram dance plus
-        subcube 0's CFR3D."""
-        inner = cacqr._subcube_pass_numeric
+        template run must leave what the loop leaves when subcube 0's
+        CFR3D breaks down in that pass -- everything up to that pass's
+        Gram dance plus subcube 0's CFR3D."""
+        c, d = 2, 8
+        inner_pass, inner_cfr3d = cacqr._subcube_pass_numeric, cacqr.cfr3d
 
-        def run(machine):
+        def run(loop):
             calls = []
 
-            def failing(*args):
+            def failing_pass_numeric(*args):
                 calls.append(None)
                 if len(calls) == failing_pass:
                     raise CholeskyFailure("injected")
-                return inner(*args)
+                return inner_pass(*args)
 
-            monkeypatch.setattr(cacqr, "_subcube_pass_numeric", failing)
-            vm = machine(32, STAMPEDE2)
-            g = Grid3D.tunable(vm, 2, 8)
+            def failing_cfr3d(*args, **kwargs):
+                # d/c loop calls per pass: subcube 0's of the failing
+                # pass charges its CFR3D, then breaks down.
+                result = inner_cfr3d(*args, **kwargs)
+                calls.append(None)
+                if len(calls) == (failing_pass - 1) * (d // c) + 1:
+                    raise CholeskyFailure("injected")
+                return result
+
+            vm = VirtualMachine(c * c * d, STAMPEDE2)
+            g = Grid3D.tunable(vm, c, d)
             a = DistMatrix.from_global(
                 g, np.random.default_rng(5).standard_normal((256, 16)))
-            with pytest.raises(CholeskyFailure, match="injected"):
-                ca_cqr2(vm, a)
+            with monkeypatch.context() as patch, \
+                    pytest.raises(CholeskyFailure, match="injected"):
+                if loop:
+                    patch.setattr(cacqr, "cfr3d", failing_cfr3d)
+                    with compiled_replay_disabled():
+                        ca_cqr2(vm, a)
+                else:
+                    patch.setattr(cacqr, "_subcube_pass_numeric",
+                                  failing_pass_numeric)
+                    ca_cqr2(vm, a)
             return vm
 
-        vm, ref = run(VirtualMachine), run(RecordingMachine)
+        vm, ref = run(loop=False), run(loop=True)
         assert vm._virtual                  # the template run engaged
         assert_machines_identical(vm, ref)
         assert vm.phase_names == ref.phase_names
 
 
-def test_traced_and_recording_machines_take_per_op_replay():
-    for machine in (lambda p: VirtualMachine(p, trace=True), RecordingMachine):
+def test_traced_machine_takes_the_template_run_and_subclasses_the_loop():
+    for machine, engaged in ((lambda p: VirtualMachine(p, trace=True), True),
+                             (RecordingMachine, False)):
         vm = machine(32)
         ca_cqr2(vm, DistMatrix.symbolic(Grid3D.tunable(vm, 2, 8), 256, 16))
-        assert not vm._virtual
+        assert bool(vm._virtual) == engaged
 
 
 def test_second_run_seeds_lazy_phases_without_materializing(monkeypatch):
@@ -319,11 +355,6 @@ def test_second_run_seeds_lazy_phases_without_materializing(monkeypatch):
     assert expanded == []
     assert all(plane is None for plane in vm._planes)
     assert_machines_identical(vm, ref)
-
-
-class _Spans(list):
-    def on_span(self, record):
-        self.append(record)
 
 
 #: ``(c, d/c, n, n0)``: every grid extent up to 8, one to four subcubes,
@@ -364,12 +395,19 @@ def test_class_space_lattice_matches_loop_oracle(c, groups, n, n0, algorithm,
         spans = _Spans()
         with use_observer(Observer(spans)):
             run_algorithm(vm, a, n0)
-        return vm, [s for s in spans if s["name"] == "sched.replay"]
+        return vm, _template_runs(spans)
 
     vm, replays = run()
     with compiled_replay_disabled():
         loop_vm, _ = run()
     assert replays, "the second run took no template run"
+    if algorithm == "ca_panel_cqr2":
+        # Two panels' CA-CQR2 and the trailing update between them, each
+        # one template run; the update's phases stay in class space.
+        assert len(replays) == 3
+        update = [pid for name, pid in vm._phase_ids.items()
+                  if ".update.mm3d" in name or name.endswith(".update.sub")]
+        assert update and all(pid in vm._virtual for pid in update)
     assert all(plane is None for plane in
                (vm._planes[pid] for pid in vm._virtual))
     got, want = vm.report(), loop_vm.report()

@@ -100,8 +100,9 @@ class TestSyntheticSchedules:
         assert grouped.report() == scalar.report()
 
 
-def _record_ca_cqr2(mode, machine=STAMPEDE2, trace=False, c=2, d=8):
-    vm = RecordingMachine(c * c * d, machine, trace=trace)
+def _record_ca_cqr2(mode, machine=STAMPEDE2, trace=False, c=2, d=8,
+                    factory=RecordingMachine):
+    vm = factory(c * c * d, machine, trace=trace)
     grid = Grid3D.tunable(vm, c, d)
     if mode == "symbolic":
         a = DistMatrix.symbolic(grid, 256, 16)
@@ -123,17 +124,21 @@ class TestAlgorithmSchedules:
 
     def test_symbolic_equals_numeric_schedule_costs(self):
         """Numeric and symbolic runs charge one schedule: same costs, clocks
-        and per-rank trace events -- through subcube replay (d > c, and
-        d == c's one subcube) and through direct charging (the loop
-        oracle)."""
+        and per-rank trace events -- through the template run of a plain
+        machine (d > c, and d == c's one subcube) and through direct
+        charging (the loop oracle, which a recording machine takes)."""
         from repro.sched import compiled_replay_disabled
         from tests.test_sched_program import TestTraceComposition
 
-        for c, d, mode in [(2, 8, contextlib.nullcontext()), (2, 2, contextlib.nullcontext()),
-                           (2, 8, compiled_replay_disabled())]:
+        for c, d, factory, mode in [
+                (2, 8, VirtualMachine, contextlib.nullcontext()),
+                (2, 2, VirtualMachine, contextlib.nullcontext()),
+                (2, 8, RecordingMachine, compiled_replay_disabled())]:
             with mode:
-                sym = _record_ca_cqr2("symbolic", trace=True, c=c, d=d)
-                num = _record_ca_cqr2("numeric", trace=True, c=c, d=d)
+                sym = _record_ca_cqr2("symbolic", trace=True, c=c, d=d,
+                                      factory=factory)
+                num = _record_ca_cqr2("numeric", trace=True, c=c, d=d,
+                                      factory=factory)
             assert sym.report() == num.report()
             assert [sym.clock_of(r) for r in range(sym.num_ranks)] \
                 == [num.clock_of(r) for r in range(num.num_ranks)]
@@ -279,9 +284,9 @@ class TestAxisFormExactness:
     @pytest.mark.parametrize("prefix", ["random", "per-subcube"])
     def test_ca_cqr2_after_prefix_matches_reference_loop(self, c, d, prefix):
         """A whole symbolic CA-CQR2 on a plain machine (axis form,
-        whole-cover updates, compiled subcube replay) against the loop
+        whole-cover updates, the compiled template run) against the loop
         oracle recorded and replayed through :class:`ReferenceMachine`.
-        A random prefix forces per-op replay; a prefix repeated in every
+        A random prefix forces the loop; a prefix repeated in every
         subcube keeps the template run engaged with unequal clocks."""
         from repro.sched import compiled_replay_disabled
 
