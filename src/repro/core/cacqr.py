@@ -35,9 +35,9 @@ One CA-CQR pass:
    dances (line 4 joins ranks in identical state, so it needs no second
    subcube), both subcube passes and the merge -- runs once on a
    ``c**3``-rank template seeded from subcube 0 and is written back to
-   every subcube once: beyond a few ``O(P)`` writes, the cost of
-   simulating CA-CQR2 does not depend on ``d``.  Nor, per op, on ``c``:
-   the template runs on rank classes
+   every subcube once, in class space: beyond the report's rank-order
+   sums, the cost of simulating CA-CQR2 does not depend on ``d``.  Nor,
+   per op, on ``c``: the template runs on rank classes
    (:class:`~repro.sched.replay.TemplateRun`), and every subcube rank
    does the same cyclic work except at CFR3D's transposes, which are
    free self-exchanges on the diagonal ``x == y``.  So the ``c**3``

@@ -3,8 +3,8 @@
 The virtual machine (:mod:`repro.vmpi.machine`) accumulates communication
 costs (messages + words, from :mod:`repro.costmodel.collectives`) and
 computation costs (flops, from the kernels layer) into **array-backed
-ledger planes**: per interned phase, a ``(3, num_ranks)`` numpy plane of
-``(messages, words, flops)`` per rank.  Each charge carries a *phase*
+ledger planes**: per interned phase, ``(messages, words, flops)`` per
+rank, as a ``(3, num_ranks)`` numpy plane or one column per rank class.  Each charge carries a *phase*
 label (e.g. ``"cfr3d.mm3d.bcast"``) so the paper's per-line cost tables
 (Tables II-VI) can be recovered from a run by grouping ledger entries.
 
@@ -23,7 +23,7 @@ This module holds the *views* over that state:
     max and mean are close; tests assert that too);
   * ``total_*`` -- sums over ranks, useful for volume sanity checks;
   * ``critical_path_time`` -- the BSP critical path maintained by the virtual
-    machine's clock vector.
+    machine's clocks.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class LedgerView:
 
     @property
     def total(self) -> Cost:
-        col = self._vm._total[:, self._rank]
+        col = self._vm._total_col(self._rank)
         return Cost(float(col[0]), float(col[1]), float(col[2]))
 
     @property

@@ -16,12 +16,13 @@ of a ``c x d x c`` grid verbatim (:meth:`RankFamilyMap.subcubes`).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.utils.validation import require
 from repro.vmpi.grid import Grid3D
+from repro.vmpi.machine import Slabs, Tiling
 
 
 class RankFamilyMap:
@@ -30,11 +31,12 @@ class RankFamilyMap:
     A binding whose instances are the *slabs* of the machine's rank space
     -- ranks ``0 .. P-1`` viewed as a C-order ``(outer, instances,
     inner)`` array, instance ``i`` being ``[:, i, :]`` in template order --
-    keeps only that shape (``slabs``) and builds ``maps`` on first use:
+    keeps only that shape (``slabs``, a
+    :class:`~repro.vmpi.machine.Slabs`) and builds ``maps`` on first use:
     a template run (:class:`~repro.sched.replay.TemplateRun`) then reads
     and writes machine state through reshaped views, with no O(P) index
-    arrays.
-    :meth:`subcubes` over a root grid is such a binding.
+    arrays.  :meth:`subcubes` over a root grid is such a binding, and so
+    is :meth:`identity`.
     """
 
     __slots__ = ("_maps", "slabs", "_tidx")
@@ -51,7 +53,7 @@ class RankFamilyMap:
             require(np.unique(flat).size == flat.size,
                     "binding instances must be pairwise-disjoint rank sets")
         self._maps: Optional[np.ndarray] = m
-        self.slabs: Optional[Tuple[int, int, int]] = None
+        self.slabs: Optional[Slabs] = None
         self._tidx: Optional[np.ndarray] = None
 
     @classmethod
@@ -60,7 +62,7 @@ class RankFamilyMap:
         """The slab binding of an ``outer * instances * inner``-rank machine."""
         binding = cls.__new__(cls)
         binding._maps = None
-        binding.slabs = (outer, instances, inner)
+        binding.slabs = Slabs(outer, instances, inner)
         binding._tidx = None
         return binding
 
@@ -76,13 +78,13 @@ class RankFamilyMap:
 
     @property
     def instances(self) -> int:
-        return self.maps.shape[0] if self.slabs is None else self.slabs[1]
+        return self.maps.shape[0] if self.slabs is None else self.slabs.instances
 
     @property
     def template_size(self) -> int:
         if self.slabs is None:
             return self.maps.shape[1]
-        return self.slabs[0] * self.slabs[2]
+        return self.slabs.outer * self.slabs.inner
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RankFamilyMap(instances={self.instances}, "
@@ -105,6 +107,12 @@ class RankFamilyMap:
                 f"binding names rank {top}, past the end of a "
                 f"{num_ranks}-rank machine")
 
+    @property
+    def tiling(self) -> Tiling:
+        """Where the template's positions lie: :attr:`slabs`, or the
+        binding itself."""
+        return self if self.slabs is None else self.slabs
+
     def gather(self, state: np.ndarray) -> np.ndarray:
         """Per-rank *state* (last axis: machine ranks) by instance.
 
@@ -113,17 +121,27 @@ class RankFamilyMap:
         gathered copy with ``outer == 1`` otherwise.
         """
         if self.slabs is not None:
-            return state.reshape(state.shape[:-1] + self.slabs)
+            return self.slabs.gather(state)
         return state[..., self.maps][..., None, :, :]
+
+    def common(self, state: np.ndarray) -> Optional[np.ndarray]:
+        """Instance 0's columns of per-rank *state*, in template order, or
+        ``None`` when another instance holds different values."""
+        by_instance = self.gather(state)
+        if not (by_instance == by_instance[..., :1, :]).all():
+            return None
+        return by_instance[..., 0, :].reshape((*by_instance.shape[:-3], -1))
 
     def scatter(self, state: np.ndarray, template: np.ndarray) -> None:
         """Write template-ordered *template* to every instance of *state*."""
         if self.slabs is not None:
-            outer, _, inner = self.slabs
-            view = state.reshape(state.shape[:-1] + self.slabs)
-            view[...] = template.reshape((*template.shape[:-1], outer, 1, inner))
+            self.slabs.scatter(state, template)
         else:
             state[..., self.maps] = template[..., None, :]
+
+    def position(self, rank: int) -> int:
+        """Template position of machine rank *rank* (full-cover bindings)."""
+        return int(self.template_index()[rank])
 
     def template_index(self) -> np.ndarray:
         """``tidx[rank]`` = template position of *rank* (full-cover bindings).
@@ -150,8 +168,7 @@ class RankFamilyMap:
     @classmethod
     def identity(cls, num_ranks: int) -> "RankFamilyMap":
         """One instance, template rank ``t`` -> machine rank ``t``."""
-        return cls(np.arange(num_ranks, dtype=np.intp).reshape(1, -1),
-                   validate=False)
+        return cls._from_slabs(1, 1, num_ranks)
 
     @classmethod
     def subcubes(cls, grid: Grid3D, template: Grid3D) -> "RankFamilyMap":

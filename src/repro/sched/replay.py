@@ -23,12 +23,7 @@ from repro.sched.binding import RankFamilyMap
 from repro.sched.program import (OP_BARRIER, OP_COMM, OP_FLOPS, ChargeProgram,
                                   Partition)
 from repro.utils.validation import require
-from repro.vmpi.machine import ClassBlock, TraceEvent, VirtualMachine
-
-
-#: Instance 0's ``(plane, touched)`` state of one phase; ``touched`` is
-#: ``None`` when every rank was touched.
-_Seed = Tuple[np.ndarray, Optional[np.ndarray]]
+from repro.vmpi.machine import ClassBlock, Seed, TraceEvent, VirtualMachine
 
 #: A program and the phase table to charge it under.
 Segment = Tuple[ChargeProgram, Sequence[str]]
@@ -77,17 +72,16 @@ class TemplateRun:
       (float addition is non-associative, which is why state is seeded
       and accumulated chronologically instead of charged as deltas).
 
-    Machine state is read and written through
-    :meth:`~repro.sched.binding.RankFamilyMap.gather` /
-    :meth:`~repro.sched.binding.RankFamilyMap.scatter`: for a slab binding
-    (the subcubes of a root grid) the guard compares reshaped views of the
-    machine's arrays, the seed is the view's instance-0 slab and the
-    write-back one broadcast assignment; other bindings gather and scatter
-    through their rank matrix.  The guard never materializes a virtual
-    phase: one installed through the same slab layout is symmetric by
-    construction and seeds from its class values directly.  Clocks and
-    totals are expanded to template order only at :meth:`install`; phases
-    are never expanded.
+    Machine state is read and written only through machine methods:
+    :meth:`~repro.vmpi.machine.VirtualMachine.template_state` seeds the
+    guard and the template, and
+    :meth:`~repro.vmpi.machine.VirtualMachine.install_block` writes the
+    result back as one :class:`~repro.vmpi.machine.ClassBlock`.  State
+    the machine holds in class space -- a fresh machine's one class, or an
+    earlier install through the same tiling -- is symmetric by
+    construction and seeds in ``O(classes)``; a binding covering the
+    machine installs clocks, totals and phases in class space, so a
+    fresh machine's run never expands anything to ``(P,)``.
 
     On a traced machine each op also keeps its classes' clocks before and
     after it, and :meth:`install` emits every bound rank's events from
@@ -98,7 +92,7 @@ class TemplateRun:
                  "_phases", "_trace")
 
     def __init__(self, vm: VirtualMachine, binding: RankFamilyMap,
-                 seeds: Dict[str, Optional[_Seed]], part: Partition,
+                 seeds: Dict[str, Optional[Seed]], part: Partition,
                  clock: np.ndarray, total: np.ndarray):
         self.vm = vm
         self.binding = binding
@@ -137,29 +131,18 @@ class TemplateRun:
         binding.require_fits(vm.num_ranks)
         if type(vm) is not VirtualMachine:
             return None
-        b = binding
-        clocks = b.gather(vm._clock)
-        totals = b.gather(vm._total)
-        if not (_symmetric(clocks) and _symmetric(totals)):
+        entry = vm.template_state(binding, names)
+        if entry is None:
             return None
-        seeds: Dict[str, Optional[_Seed]] = {}
-        for name in dict.fromkeys(names):
-            pid = vm._phase_ids.get(name)
-            if pid is None:
-                seeds[name] = None
-                continue
-            seed = seeds[name] = _phase_seed(vm, b, pid)
-            if seed is None:
-                return None
-        clock, total = _first(clocks), _first(totals)
+        clock, total, seeds = entry
         state = [clock[None], total]
         for seed in seeds.values():
             if seed is not None:
                 state.append(seed[0])
                 if seed[1] is not None:
                     state.append(seed[1][None])
-        return cls(vm, b, seeds, _partition(np.concatenate(state)), clock,
-                   total)
+        return cls(vm, binding, seeds, _partition(np.concatenate(state)),
+                   clock, total)
 
     def _phase(self, name: str) -> List[list]:
         """The per-class state of *name*, seeded on first use."""
@@ -256,34 +239,18 @@ class TemplateRun:
             values[:] = [values[k] for k in parents]
 
     def install(self) -> None:
-        """Write the template's clocks, totals and phases to every instance."""
-        vm, b = self.vm, self.binding
-        labels = self._part.labels
-        b.scatter(vm._clock, np.array(self._clock)[labels])
-        b.scatter(vm._total, np.array(self._total)[:, labels])
+        """Write the template's clocks, totals and phases to every
+        instance, as one class block: the machine's state in class space
+        when the instances cover it, scattered otherwise."""
         states = self._phases.values()
         k = self.classes
-        values = np.array([state[:3] for state in states],
-                          dtype=float).reshape(-1, 3, k)
-        touched = np.array([state[3] for state in states],
-                           dtype=bool).reshape(-1, k)
-        if b.covers(vm.num_ranks):
-            # The instances partition the whole machine: the phases are
-            # *installed virtually*, as one block of class values plus the
-            # class labels and the binding's rank -> template-position
-            # index (built only if a per-rank read or a later direct
-            # charge needs it), never expanded to (3, P) or even (3, T).
-            vm._install_block(list(self._phases),
-                              ClassBlock(values, touched, labels,
-                                         b.template_index, b.slabs))
-        else:
-            # Partial coverage: scatter with a broadcast right-hand side,
-            # without materializing (3, P)-sized tiles.
-            for name, plane, mask in zip(self._phases, values, touched):
-                pid = vm._phase_id(name)
-                b.scatter(vm._plane(pid), plane[:, labels])
-                if not vm._touched_all[pid]:
-                    b.scatter(vm._touched[pid], mask[labels])
+        self.vm.install_block(list(self._phases), ClassBlock(
+            np.array(self._clock), np.array(self._total),
+            np.array([state[:3] for state in states],
+                     dtype=float).reshape(-1, 3, k),
+            np.array([state[3] for state in states],
+                     dtype=bool).reshape(-1, k),
+            self._part.labels, self.binding.tiling))
         if self._trace:
             self._emit()
 
@@ -322,37 +289,6 @@ class TemplateRun:
                 self.charge(program, names)
             self.install()
             sp.set(classes=self.classes)
-
-
-def _phase_seed(vm: VirtualMachine, b: RankFamilyMap,
-                pid: int) -> Optional[_Seed]:
-    """Instance 0's state of phase *pid*, or ``None`` when the instances
-    disagree."""
-    virtual = vm._virtual.get(pid)
-    if virtual is not None and b.slabs is not None \
-            and virtual[0].layout == b.slabs:
-        plane, touched = virtual[0].in_template_order(virtual[1])
-        return plane, None if vm._touched_all[pid] else touched
-    plane, touched = vm._phase_state(pid)
-    plane = b.gather(plane)
-    if not _symmetric(plane):
-        return None
-    if touched is None:
-        return _first(plane), None
-    touched = b.gather(touched)
-    if not _symmetric(touched):
-        return None
-    return _first(plane), _first(touched)
-
-
-def _symmetric(by_instance: np.ndarray) -> bool:
-    """Whether every instance holds instance 0's state (see ``gather``)."""
-    return bool((by_instance == by_instance[..., :1, :]).all())
-
-
-def _first(by_instance: np.ndarray) -> np.ndarray:
-    """Instance 0's state in template order."""
-    return by_instance[..., 0, :].reshape((*by_instance.shape[:-3], -1))
 
 
 def _partition(state: np.ndarray) -> Partition:

@@ -58,7 +58,15 @@ from repro.utils.config import (
     env_sched_cache_dir,
     usable_cpus,
 )
-from repro.utils.validation import require
+from repro.utils.validation import ValidationError, require
+
+#: The most ranks :meth:`Session.trace` records.  A traced machine keeps
+#: one :class:`~repro.vmpi.machine.TraceEvent` per rank per charge: a
+#: symbolic CA-CQR2 at ``n = 64, c = 4`` records 674 events per rank,
+#: and ``repro trace`` peaks near 60 KB per rank (1.0 GB and 37 s at
+#: 2**14 ranks on a 2-vCPU guest), so 4096 ranks stay near 300 MB and
+#: 5 s.  CI traces 1024.
+MAX_TRACED_RANKS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -270,12 +278,23 @@ class Session:
         the recorded :class:`~repro.vmpi.machine.TraceEvent` stream, ready
         for :func:`repro.vmpi.trace.render_gantt` /
         :func:`repro.vmpi.trace.format_phase_profile` (``repro trace``
-        renders both).  Tracing records one event per rank per charge;
-        keep the rank count modest.
+        renders both).  Tracing records one event per rank per charge,
+        so a run of more than :data:`MAX_TRACED_RANKS` ranks raises
+        :class:`~repro.utils.validation.ValidationError` (field
+        ``procs``) before anything runs.
         """
+        from repro.engine.registry import solver_for
         from repro.engine.runner import _execute
 
-        return _execute(self.resolve(spec), trace=True)
+        spec = self.resolve(spec)
+        solver = solver_for(spec.algorithm)
+        procs = solver.total_procs(solver.prepare(spec))
+        if procs > MAX_TRACED_RANKS:
+            raise ValidationError(
+                f"{procs} ranks exceed the {MAX_TRACED_RANKS}-rank limit of "
+                f"a traced run (one event per rank per charge)",
+                field="procs")
+        return _execute(spec, trace=True)
 
     def factor(self, a, algorithm: str = "auto", *,
                machine: Union[None, str, MachineSpec] = None,

@@ -15,7 +15,8 @@ Key pieces:
   run); ``SymbolicBlock`` carries only a shape so the same algorithm code
   can be cost-simulated at paper scale without allocating memory.
 * :mod:`repro.vmpi.machine` -- the :class:`VirtualMachine`: array-backed
-  rank state (one clock vector, interned-phase ledger planes), vectorized
+  rank state (clocks, running totals and interned-phase ledgers, held per
+  rank class until a direct charge needs per-rank arrays), vectorized
   charging, pluggable trace sinks, report generation.
 * :mod:`repro.vmpi.grid` -- 3D processor grids ``Pi[x, y, z]``: the
   paper's communicator families are slices of the rank array (fibers,

@@ -38,7 +38,11 @@ their rank matrix directly.
 
 Subgrids are themselves :class:`Grid3D` objects sharing the parent's
 machine, so every algorithm is oblivious to whether it runs on the root
-grid or a subcube.
+grid or a subcube.  A root grid keeps only its dims and builds its rank
+array on first use: charging its families through the axis form, binding
+its subcubes as slabs and comparing it with another root grid read none,
+so a symbolic run on a million-rank root grid holds no ``(P,)`` rank
+array.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from repro.vmpi.machine import VirtualMachine, lines_along
 class Grid3D:
     """A (sub)grid of virtual ranks with coordinates ``[x, y, z]``."""
 
-    __slots__ = ("vm", "ranks", "_flat", "_root")
+    __slots__ = ("vm", "_dims", "_ranks", "_root")
 
     def __init__(self, vm: VirtualMachine, ranks: np.ndarray):
         require(ranks.ndim == 3, f"rank array must be 3D, got ndim={ranks.ndim}")
@@ -68,27 +72,42 @@ class Grid3D:
             require(0 <= lo and hi < vm.num_ranks,
                     f"machine rank {lo if lo < 0 else hi} out of range "
                     f"[0, {vm.num_ranks})")
-        self._init(vm, arr)
+        self._init(vm, arr.shape, arr)
 
-    def _init(self, vm: VirtualMachine, arr: np.ndarray,
-              root: bool = False) -> None:
+    def _init(self, vm: VirtualMachine, dims: Tuple[int, ...],
+              ranks: Optional[np.ndarray], root: bool = False) -> None:
         self.vm = vm
-        self.ranks = arr
-        self._flat = arr.reshape(-1)
+        self._dims: Tuple[int, int, int] = tuple(dims)  # type: ignore[assignment]
+        self._ranks = ranks
         self._root = root
 
     @classmethod
-    def _trusted(cls, vm: VirtualMachine, ranks: np.ndarray,
-                 root: bool = False) -> "Grid3D":
-        """A grid over ranks known distinct and in range (no O(P) checks).
-
-        For layouts the class builds itself: an ``arange`` block, or a
-        slice of an already validated grid.  ``root`` marks the x-fastest
-        layout of the whole machine (see :attr:`is_root`).
-        """
+    def _trusted(cls, vm: VirtualMachine, ranks: np.ndarray) -> "Grid3D":
+        """A grid over ranks known distinct and in range (no O(P) checks):
+        a slice of an already validated grid."""
         grid = cls.__new__(cls)
-        grid._init(vm, np.ascontiguousarray(ranks, dtype=np.intp), root)
+        arr = np.ascontiguousarray(ranks, dtype=np.intp)
+        grid._init(vm, arr.shape, arr)
         return grid
+
+    @classmethod
+    def _root_grid(cls, vm: VirtualMachine,
+                   dims: Tuple[int, int, int]) -> "Grid3D":
+        """The x-fastest layout of the whole machine (see :attr:`is_root`),
+        its rank array built on first use."""
+        grid = cls.__new__(cls)
+        grid._init(vm, dims, None, root=True)
+        return grid
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """The ``(dim_x, dim_y, dim_z)`` array of machine ranks."""
+        if self._ranks is None:
+            dx, dy, dz = self._dims
+            self._ranks = np.ascontiguousarray(
+                np.arange(dx * dy * dz, dtype=np.intp)
+                .reshape(dz, dy, dx).transpose(2, 1, 0))
+        return self._ranks
 
     # -- construction -------------------------------------------------------------
 
@@ -107,8 +126,10 @@ class Grid3D:
         p = dim_x * dim_y * dim_z
         require(offset + p <= vm.num_ranks,
                 f"grid of {p} ranks at offset {offset} exceeds machine size {vm.num_ranks}")
+        if offset == 0 and p == vm.num_ranks:
+            return cls._root_grid(vm, (dim_x, dim_y, dim_z))
         ranks = (offset + np.arange(p)).reshape(dim_z, dim_y, dim_x).transpose(2, 1, 0)
-        return cls._trusted(vm, ranks, root=offset == 0 and p == vm.num_ranks)
+        return cls._trusted(vm, ranks)
 
     @classmethod
     def tunable(cls, vm: VirtualMachine, c: int, d: int, offset: int = 0) -> "Grid3D":
@@ -124,23 +145,23 @@ class Grid3D:
 
     @property
     def dims(self) -> Tuple[int, int, int]:
-        return self.ranks.shape  # type: ignore[return-value]
+        return self._dims
 
     @property
     def dim_x(self) -> int:
-        return self.ranks.shape[0]
+        return self._dims[0]
 
     @property
     def dim_y(self) -> int:
-        return self.ranks.shape[1]
+        return self._dims[1]
 
     @property
     def dim_z(self) -> int:
-        return self.ranks.shape[2]
+        return self._dims[2]
 
     @property
     def size(self) -> int:
-        return self.ranks.size
+        return self._dims[0] * self._dims[1] * self._dims[2]
 
     @property
     def is_cubic(self) -> bool:
@@ -150,10 +171,11 @@ class Grid3D:
     def is_root(self) -> bool:
         """Whether the grid is the x-fastest layout of its whole machine.
 
-        Set by :meth:`build` at offset 0 over ``vm.num_ranks`` ranks (and
-        kept by a subcube that is the whole grid): rank ``Pi[x, y, z]`` is
-        ``x + dim_x*(y + dim_y*z)``, so the machine's rank space viewed as
-        ``(dim_z, dim_y, dim_x)`` is the grid in memory order.
+        Set by :meth:`build` at offset 0 over ``vm.num_ranks`` ranks (a
+        subcube that is the whole grid is the grid itself): rank
+        ``Pi[x, y, z]`` is ``x + dim_x*(y + dim_y*z)``, so the machine's
+        rank space viewed as ``(dim_z, dim_y, dim_x)`` is the grid in
+        memory order.
         """
         return self._root
 
@@ -181,7 +203,7 @@ class Grid3D:
         that consume it treat the group as a set, so the order is
         irrelevant there.
         """
-        return self._flat
+        return self.ranks.reshape(-1)
 
     # -- subgrids -----------------------------------------------------------------
 
@@ -198,17 +220,24 @@ class Grid3D:
                 f"dim_y={self.dim_y} not divisible by c={c}")
         require(0 <= group < self.dim_y // c,
                 f"group {group} out of range for dim_y={self.dim_y}, c={c}")
-        return Grid3D._trusted(self.vm, self.ranks[:, group * c:(group + 1) * c, :],
-                               root=self._root and self.dim_y == c)
+        if self.dim_y == c:
+            return self
+        return Grid3D._trusted(self.vm, self.ranks[:, group * c:(group + 1) * c, :])
 
     def matches(self, other: "Grid3D") -> bool:
         """Structural equality: same machine and same rank array.
 
         Distinct :class:`Grid3D` objects over identical ranks (e.g. the same
-        subcube extracted in two CA-CQR passes) are interchangeable.
+        subcube extracted in two CA-CQR passes) are interchangeable.  Two
+        root grids compare their dims alone.
         """
-        return self is other or (self.vm is other.vm
-                                 and np.array_equal(self.ranks, other.ranks))
+        if self is other:
+            return True
+        if self.vm is not other.vm:
+            return False
+        if self._root and other._root:
+            return self._dims == other._dims
+        return np.array_equal(self.ranks, other.ranks)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Grid3D(dims={self.dims})"

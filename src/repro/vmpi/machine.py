@@ -1,15 +1,28 @@
 """The virtual machine: array-backed rank state, interned phases, BSP clocks.
 
 A :class:`VirtualMachine` models ``P`` ranks without materializing ``P``
-Python objects.  All mutable state lives in numpy arrays:
+Python objects.  Its mutable state is
 
-* one **clock vector** of shape ``(P,)`` holding every rank's BSP clock
-  (seconds under the machine's
-  :class:`~repro.costmodel.params.CostParams`), and
-* a **ledger accumulator**: per interned phase, a ``(3, P)`` plane of
-  ``(messages, words, flops)`` per rank, plus a running ``(3, P)`` total
-  plane and a per-phase boolean *touched* mask recording which ranks were
-  ever charged under that phase.
+* every rank's BSP **clock** (seconds under the machine's
+  :class:`~repro.costmodel.params.CostParams`) and **running totals** of
+  ``(messages, words, flops)``, and
+* a **ledger accumulator**: per interned phase, ``(messages, words,
+  flops)`` per rank plus a per-phase *touched* mask recording which ranks
+  were ever charged under that phase.
+
+Each is held in one of two forms.  *Concrete* state is numpy arrays: a
+``(P,)`` clock vector, a ``(3, P)`` totals plane and, per phase, a
+``(3, P)`` plane and a ``(P,)`` mask.  *Class* state is a
+:class:`ClassBlock`: one value per **rank class** plus the map from rank
+to class, where a class is a set of ranks in bitwise-equal state.  A
+fresh (or reset) machine is one class of zeros; a template run
+(:class:`repro.sched.replay.TemplateRun`) installs its clocks, totals and
+phases as the classes of its template.  Reads -- :meth:`clock_of`,
+:meth:`ledger_of`, :attr:`elapsed`, :meth:`report` -- work on either form
+without changing it; the first direct charge that touches class state
+expands it to concrete arrays (clocks and totals together, each phase on
+its own).  So a symbolic CA-CQR2 run holds ``O(classes)`` machine state
+from start to report.
 
 Phase strings (e.g. ``"cfr3d.mm3d.bcast"``) are interned to integer ids at
 first use, so the hot charging path never hashes a string more than once
@@ -64,14 +77,15 @@ The public read API -- :meth:`VirtualMachine.clock_of`,
 :meth:`VirtualMachine.ledger_of` (a
 :class:`~repro.costmodel.ledger.LedgerView` over the arrays),
 :meth:`VirtualMachine.report` -- is unchanged from the per-rank-object
-machine.
+machine; :meth:`VirtualMachine.clocks` and :meth:`VirtualMachine.totals`
+read every rank's clock and totals at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import (Callable, Dict, Hashable, List, NamedTuple, Optional,
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional,
                     Sequence, Tuple, Union)
 
 import numpy as np
@@ -80,6 +94,9 @@ from repro.costmodel.collectives import CollectiveCost
 from repro.costmodel.ledger import Cost, CostReport, LedgerView
 from repro.costmodel.params import ABSTRACT_MACHINE, CostParams, MachineSpec
 from repro.utils.validation import check_positive_int
+
+if TYPE_CHECKING:
+    from repro.sched.binding import RankFamilyMap
 
 RankGroup = Union[Sequence[int], np.ndarray]
 
@@ -185,33 +202,131 @@ class TraceRecorder(TraceSink):
         self.events = []
 
 
-class ClassBlock(NamedTuple):
-    """Phases installed virtually by one template run, held in class space.
+class Slabs(NamedTuple):
+    """Ranks ``0 .. P-1`` viewed as a C-order ``(outer, instances, inner)``
+    array: instance ``i`` is ``[:, i, :]``, and rank ``(o, i, n)`` sits at
+    template position ``t = o * inner + n``.
 
-    Row ``f`` is one phase: ``values[f]`` its ``(3, k)`` per-class
-    ``(messages, words, flops)`` and ``touched[f]`` its ``(k,)`` per-class
-    touched flags.  ``labels[t]`` is the class of template position ``t``
-    and ``template_index()`` the ``(P,)`` map from machine rank to template
-    position, so rank ``r``'s column is ``values[f][:, labels[
-    template_index()[r]]]``.  ``layout`` is the installer's hashable name
-    for that rank map, or ``None``: two blocks with the same non-``None``
-    layout tile the machine identically.
+    The subcubes of a root grid are such slabs
+    (:meth:`repro.sched.binding.RankFamilyMap.subcubes`), and so is a
+    fresh machine's one class: ``Slabs(1, P, 1)`` makes every rank an
+    instance of a one-position template.  State is read and written
+    through reshaped views, with no ``O(P)`` index array.
     """
 
+    outer: int
+    instances: int
+    inner: int
+
+    def covers(self, num_ranks: int) -> bool:
+        return self.outer * self.instances * self.inner == num_ranks
+
+    def position(self, rank: int) -> int:
+        """Template position of machine rank *rank*."""
+        return rank // (self.instances * self.inner) * self.inner \
+            + rank % self.inner
+
+    def gather(self, state: np.ndarray) -> np.ndarray:
+        """Per-rank *state* (last axis: ranks) viewed ``(..., outer,
+        instances, inner)``."""
+        return state.reshape(state.shape[:-1] + tuple(self))
+
+    def scatter(self, state: np.ndarray, template: np.ndarray) -> None:
+        """Write template-ordered *template* to every instance of *state*."""
+        self.gather(state)[...] = template.reshape(
+            (*template.shape[:-1], self.outer, 1, self.inner))
+
+
+#: Where a template's positions lie on a machine: :class:`Slabs`, or a
+#: binding of any other layout.  Equal tilings place every position on
+#: the same ranks.
+Tiling = Union[Slabs, "RankFamilyMap"]
+
+
+#: One phase's ``(plane (3, T), touched (T,))`` in template order;
+#: ``touched`` is ``None`` when every rank was touched.
+Seed = Tuple[np.ndarray, Optional[np.ndarray]]
+
+
+class ClassBlock(NamedTuple):
+    """Machine state held in class space: a fresh machine's zeros, or what
+    one template run installed.
+
+    ``labels[t]`` is the class of template position ``t`` and ``tiling``
+    places the positions on the machine, so rank ``r`` is in class
+    ``labels[tiling.position(r)]``; every class has a member.  Per class,
+    ``clock`` holds the ``(k,)`` clocks and ``total`` the ``(3, k)``
+    running ``(messages, words, flops)`` totals -- the machine's own while
+    the block is its state -- and row ``f`` of ``values`` / ``touched``
+    one phase's ``(3, k)`` ledger and ``(k,)`` touched flags.
+    """
+
+    clock: np.ndarray
+    total: np.ndarray
     values: np.ndarray
     touched: np.ndarray
     labels: np.ndarray
-    template_index: Callable[[], np.ndarray]
-    layout: Optional[Hashable]
+    tiling: Tiling
 
-    def in_template_order(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Row *row*'s ``(3, T)`` values and ``(T,)`` touched flags, by
-        template position."""
-        return self.values[row][:, self.labels], self.touched[row][self.labels]
+    @classmethod
+    def zeros(cls, num_ranks: int, phases: int = 0) -> "ClassBlock":
+        """One class of zeros over a *num_ranks*-rank machine, with
+        *phases* untouched phase rows."""
+        return cls(np.zeros(1), np.zeros((3, 1)), np.zeros((phases, 3, 1)),
+                   np.zeros((phases, 1), dtype=bool),
+                   np.zeros(1, dtype=np.intp), Slabs(1, num_ranks, 1))
+
+    def class_of(self, rank: int) -> int:
+        return int(self.labels[self.tiling.position(rank)])
+
+    def in_template(self, values: np.ndarray, tiling: Tiling,
+                    size: int) -> Optional[np.ndarray]:
+        """Per-class *values* ``(..., k)`` at the *size* positions of a
+        template that *tiling* places, or ``None`` unless every instance of
+        that template holds them: one class holds every rank, or the
+        block's own tiling is *tiling*."""
+        if self.clock.size == 1:
+            return np.repeat(values, size, axis=-1)
+        if self.tiling == tiling:
+            return values[..., self.labels]
+        return None
+
+    def in_rank_order(self, values: np.ndarray, num_ranks: int) -> np.ndarray:
+        """Per-class *values* ``(..., k)`` expanded to a new ``(...,
+        num_ranks)`` array in rank order."""
+        template = values[..., self.labels]
+        out = np.empty(template.shape[:-1] + (num_ranks,), template.dtype)
+        self.tiling.scatter(out, template)
+        return out
+
+    def rank_sum(self, values: np.ndarray, num_ranks: int) -> float:
+        """Per-class *values* ``(k,)`` summed over every rank left to right,
+        as the per-rank-object machine summed them, bit for bit.
+
+        One ``np.add.accumulate`` pass over the values in rank order.  A
+        slab tiling is expanded one slab at a time, the running sum
+        carried into the next slab's first value (float addition
+        commutes exactly), so the pass holds ``P / outer`` values, not
+        ``P``.
+        """
+        tiling = self.tiling
+        if not isinstance(tiling, Slabs):
+            row = self.in_rank_order(values, num_ranks)
+            return float(np.add.accumulate(row, out=row)[-1])
+        slab = np.empty((tiling.instances, tiling.inner))
+        flat = slab.reshape(-1)
+        total = 0.0
+        for o, part in enumerate(values[self.labels].reshape(tiling.outer,
+                                                              tiling.inner)):
+            slab[...] = part
+            if o:
+                flat[0] += total
+            total = np.add.accumulate(flat, out=flat)[-1]
+        return float(total)
 
     def maxima(self) -> List[Optional[Tuple[float, float, float]]]:
-        """Each row's maximum ``(messages, words, flops)`` over its touched
-        classes (``None``: no class touched), as one masked max.
+        """Each phase row's maximum ``(messages, words, flops)`` over its
+        touched classes (``None``: no class touched), as one masked max.
 
         Every class has a member, so this is the maximum over the touched
         ranks, bit for bit (max is exact and order-independent).
@@ -257,6 +372,12 @@ class VirtualMachine:
     used as-is -- callers holding precomputed rank arrays avoid any
     per-call conversion.  Scalar ranks are checked against ``[0, P)``;
     bulk rank arrays are not (an O(P) scan per charge).
+
+    A new machine holds one class of zeros (see the module docstring):
+    ``O(1)`` memory whatever ``num_ranks`` is.  The first charge expands
+    clocks and totals to ``(P,)`` and ``(3, P)`` arrays; a template run
+    (:meth:`template_state` / :meth:`install_block`) reads and writes them
+    in class space instead.
     """
 
     def __init__(self, num_ranks: int, machine: MachineSpec = ABSTRACT_MACHINE,
@@ -265,10 +386,15 @@ class VirtualMachine:
         self.num_ranks = num_ranks
         self.machine = machine
         self.params: CostParams = machine.cost_params()
-        self._clock = np.zeros(num_ranks)
+        # Clocks and running totals: the concrete (P,) clock vector and
+        # (3, P) totals plane (rows: messages, words, flops), or -- while
+        # both are None -- the class values of `_state`.
+        self._clock: Optional[np.ndarray] = None
+        self._total: Optional[np.ndarray] = None
+        self._state: Optional[ClassBlock] = None
         # Phase interning: name -> id at first use; per-phase (3, P) planes
-        # (rows: messages, words, flops) plus a touched mask so reports can
-        # reconstruct exactly which ranks ever saw a phase.
+        # plus a touched mask so reports can reconstruct exactly which
+        # ranks ever saw a phase.
         self._phase_ids: Dict[str, int] = {}
         self._phase_names: List[str] = []
         self._planes: List[Optional[np.ndarray]] = []
@@ -276,19 +402,17 @@ class VirtualMachine:
         # Once a phase has touched every rank its mask never changes again;
         # this flag lets the bulk charging paths skip the mask scatter.
         self._touched_all: List[bool] = []
-        # Virtual phases: pid -> (ClassBlock, row).  A template run
-        # (repro.sched.replay) leaves its phases' whole-machine planes
-        # *virtual* -- per-class values plus the class labels and the rank
-        # -> template-position index -- because reports only ever take a
-        # max over them (order-independent, so the class max equals the
-        # expanded max, bit for bit).  Any charge that needs the concrete
-        # (3, P) array builds it on demand; the corresponding
-        # `_planes`/`_touched` slots hold None until then.
+        # Virtual phases: pid -> (ClassBlock, row), held in class space
+        # because reports only ever take a max over them (order-
+        # independent, so the class max equals the expanded max, bit for
+        # bit).  Any charge that needs the concrete (3, P) array builds it
+        # on demand; the corresponding `_planes`/`_touched` slots hold
+        # None until then.
         self._virtual: Dict[int, Tuple[ClassBlock, int]] = {}
-        self._total = np.zeros((3, num_ranks))
         self._sink: Optional[TraceSink] = (
             trace_sink if trace_sink is not None
             else (TraceRecorder() if trace else None))
+        self._zero()
 
     # -- tracing ------------------------------------------------------------------
 
@@ -357,12 +481,11 @@ class VirtualMachine:
             self._touched_all[pid] = True
 
     def _ledger_comm(self, pid: int, idx: Optional[np.ndarray],
-                     cost: CollectiveCost) -> None:
+                     cost: CollectiveCost, total: np.ndarray) -> None:
         """Add one collective's ``(messages, words)`` to ranks *idx* under
-        *pid* and to their running totals.  ``idx=None`` is the whole
+        *pid* and to their running *total*.  ``idx=None`` is the whole
         machine: contiguous row updates, no index traffic."""
         plane = self._plane(pid)
-        total = self._total
         if idx is None:
             plane[0] += cost.messages
             plane[1] += cost.words
@@ -383,24 +506,132 @@ class VirtualMachine:
         """A collective's clock advance once its group is synchronized."""
         return self.params.alpha * cost.messages + self.params.beta * cost.words
 
-    # -- virtual phases -----------------------------------------------------------
+    # -- class state ------------------------------------------------------------
 
-    def _install_block(self, names: Sequence[str], block: ClassBlock) -> None:
-        """Replace phase ``names[f]``'s plane with row ``f`` of *block*.
+    def _zero(self) -> None:
+        """Every clock, total and phase zero, as one class (O(phases))."""
+        block = ClassBlock.zeros(self.num_ranks, len(self._phase_names))
+        self._virtual.clear()
+        self.install_block(self._phase_names, block)
 
-        ``block.template_index()`` must cover the whole machine (the
-        caller -- a template run, see
-        :class:`repro.sched.replay.TemplateRun` -- binds a partition of
-        the rank space); it is only called when a concrete plane or a
-        per-rank read needs it.  A phase first seen here is interned
-        without whole-machine arrays.
+    def install_block(self, names: Sequence[str], block: ClassBlock) -> None:
+        """Write *block*'s clocks, totals and phases (row ``f`` is phase
+        ``names[f]``) to every rank its tiling covers.
+
+        A tiling that covers the whole machine makes *block* the
+        machine's state: nothing is expanded, and a phase first seen here
+        is interned without whole-machine arrays.  Otherwise the block is
+        scattered into concrete arrays.  The caller -- a template run,
+        see :class:`repro.sched.replay.TemplateRun` -- guarantees every
+        covered rank holds its class's state.
         """
+        tiling, labels = block.tiling, block.labels
+        if not tiling.covers(self.num_ranks):
+            clock, total = self._concrete()
+            tiling.scatter(clock, block.clock[labels])
+            tiling.scatter(total, block.total[:, labels])
+            for name, plane, mask in zip(names, block.values, block.touched):
+                pid = self._phase_id(name)
+                tiling.scatter(self._plane(pid), plane[:, labels])
+                if not self._touched_all[pid]:
+                    tiling.scatter(self._touched[pid], mask[labels])
+            return
+        self._state = block
+        self._clock = self._total = None
         for row, touched_all in enumerate(block.touched.all(axis=1).tolist()):
             pid = self._phase_id(names[row], concrete=False)
             self._virtual[pid] = (block, row)
             self._planes[pid] = None
             self._touched[pid] = None
             self._touched_all[pid] = touched_all
+
+    def _concrete(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(P,)`` clocks and ``(3, P)`` totals as the machine's own
+        arrays, expanding class state on first use."""
+        block = self._state
+        if block is not None:
+            self._clock = block.in_rank_order(block.clock, self.num_ranks)
+            self._total = block.in_rank_order(block.total, self.num_ranks)
+            self._state = None
+        return self._clock, self._total
+
+    def clocks(self) -> np.ndarray:
+        """Every rank's clock, as a new ``(P,)`` array; the machine keeps
+        its representation."""
+        block = self._state
+        if block is None:
+            return self._clock.copy()
+        return block.in_rank_order(block.clock, self.num_ranks)
+
+    def totals(self) -> np.ndarray:
+        """Every rank's running ``(messages, words, flops)``, as a new
+        ``(3, P)`` array; the machine keeps its representation."""
+        block = self._state
+        if block is None:
+            return self._total.copy()
+        return block.in_rank_order(block.total, self.num_ranks)
+
+    def _total_col(self, rank: int) -> np.ndarray:
+        """One rank's running ``(messages, words, flops)``."""
+        block = self._state
+        if block is None:
+            return self._total[:, rank]
+        return block.total[:, block.class_of(rank)]
+
+    def template_state(self, binding: "RankFamilyMap", names: Sequence[str],
+                       ) -> Optional[Tuple[np.ndarray, np.ndarray,
+                                           Dict[str, Optional[Seed]]]]:
+        """Instance 0's state under *binding*, in template order, or
+        ``None`` when another instance holds different state.
+
+        Returns the ``(T,)`` clocks, the ``(3, T)`` totals and, for each
+        of *names*, the phase's :data:`Seed` (``None``: not interned).
+        Class state held by one class, or tiled like the binding, is
+        symmetric by construction and read in ``O(classes)``; anything
+        else is compared instance by instance
+        (:meth:`~repro.sched.binding.RankFamilyMap.common`) on concrete
+        arrays or fresh expansions.  The machine is never changed.
+        """
+        tiling, size = binding.tiling, binding.template_size
+        block = self._state
+        state = (None if block is None else block.in_template(
+            np.vstack([block.clock, block.total]), tiling, size))
+        if state is None:
+            clock = binding.common(self.clocks() if self._clock is None
+                                   else self._clock)
+            total = None if clock is None else binding.common(
+                self.totals() if self._total is None else self._total)
+            if total is None:
+                return None
+            state = np.vstack([clock, total])
+        seeds: Dict[str, Optional[Seed]] = {}
+        for name in dict.fromkeys(names):
+            pid = self._phase_ids.get(name)
+            if pid is None:
+                seeds[name] = None
+                continue
+            seed = seeds[name] = self._phase_seed(pid, binding)
+            if seed is None:
+                return None
+        return state[0], state[1:], seeds
+
+    def _phase_seed(self, pid: int, binding: "RankFamilyMap") -> Optional[Seed]:
+        """:meth:`template_state` of one phase."""
+        virtual = self._virtual.get(pid)
+        if virtual is not None:
+            block, row = virtual
+            tiling, size = binding.tiling, binding.template_size
+            plane = block.in_template(block.values[row], tiling, size)
+            if plane is not None:
+                return plane, (None if self._touched_all[pid] else
+                               block.in_template(block.touched[row], tiling,
+                                                 size))
+        plane, touched = self._phase_state(pid)
+        plane = binding.common(plane)
+        if plane is None or touched is None:
+            return None if plane is None else (plane, None)
+        touched = binding.common(touched)
+        return None if touched is None else (plane, touched)
 
     def _phase_state(self, pid: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """The phase's ``(3, P)`` plane and touched mask (``None``: every
@@ -411,10 +642,9 @@ class VirtualMachine:
             return (self._planes[pid],
                     None if self._touched_all[pid] else self._touched[pid])
         block, row = virtual
-        classes = block.labels[block.template_index()]
-        return (np.take(block.values[row], classes, axis=1),
+        return (block.in_rank_order(block.values[row], self.num_ranks),
                 None if self._touched_all[pid]
-                else np.take(block.touched[row], classes))
+                else block.in_rank_order(block.touched[row], self.num_ranks))
 
     def _materialize(self, pid: int) -> np.ndarray:
         """Expand a virtual phase to concrete whole-machine arrays."""
@@ -434,12 +664,11 @@ class VirtualMachine:
         """One rank's (messages, words, flops) column under one phase, or
         ``None`` when the rank was never charged there.  Reads virtual
         phases in class space -- holding a :class:`LedgerView` never
-        expands a million-rank machine's virtual phases (the shared
-        ``(P,)`` template index is built once, on the first read)."""
+        expands a million-rank machine's virtual phases."""
         virtual = self._virtual.get(pid)
         if virtual is not None:
             block, row = virtual
-            k = block.labels[block.template_index()[rank]]
+            k = block.class_of(rank)
             if not block.touched[row, k]:
                 return None
             return block.values[row, :, k]
@@ -480,14 +709,15 @@ class VirtualMachine:
         """Charge *flops* of local computation to *rank* under *phase*."""
         self._check_flops(flops)
         self._check_rank(rank)
+        clock, total = self._concrete()
         pid = self._phase_id(phase)
         self._plane(pid)[2, rank] += flops
         if not self._touched_all[pid]:
             self._touched[pid][rank] = True
-        self._total[2, rank] += flops
-        start = self._clock[rank]
+        total[2, rank] += flops
+        start = clock[rank]
         end = start + flops * self.params.gamma
-        self._clock[rank] = end
+        clock[rank] = end
         if self._sink is not None and end > start:
             self._sink.record(TraceEvent(rank, phase, "compute",
                                          float(start), float(end)))
@@ -505,26 +735,27 @@ class VirtualMachine:
         idx = self._rank_index(ranks)
         if idx.size == 0:
             return
+        clock, total = self._concrete()
         pid = self._phase_id(phase)
         cover = self._whole(idx)
         plane = self._plane(pid)
         if cover is None:
             plane[2] += flops
-            self._total[2] += flops
+            total[2] += flops
         else:
             plane[2, idx] += flops
-            self._total[2, idx] += flops
+            total[2, idx] += flops
         self._touch(pid, cover)
         step = flops * self.params.gamma
         if self._sink is None:
             if cover is None:
-                self._clock += step
+                clock += step
             else:
-                self._clock[idx] += step
+                clock[idx] += step
             return
-        starts = self._clock[idx]
+        starts = clock[idx]
         ends = starts + step
-        self._clock[idx] = ends
+        clock[idx] = ends
         for rank, start, end in zip(idx.tolist(), starts.tolist(), ends.tolist()):
             if end > start:
                 self._sink.record(TraceEvent(rank, phase, "compute", start, end))
@@ -540,8 +771,8 @@ class VirtualMachine:
         idx = self._rank_index(ranks)
         if idx.size == 0:
             return
-        self._ledger_comm(self._phase_id(phase), self._whole(idx), cost)
-        clock = self._clock
+        clock, total = self._concrete()
+        self._ledger_comm(self._phase_id(phase), self._whole(idx), cost, total)
         step = self._comm_step(cost)
         if self._sink is None:
             clock[idx] = clock[idx].max() + step
@@ -570,8 +801,8 @@ class VirtualMachine:
         if g.size == 0:
             return
         flat = g.reshape(-1)
-        self._ledger_comm(self._phase_id(phase), self._whole(flat), cost)
-        clock = self._clock
+        clock, total = self._concrete()
+        self._ledger_comm(self._phase_id(phase), self._whole(flat), cost, total)
         starts = clock[g]                        # (G, s)
         ends = starts.max(axis=1) + self._comm_step(cost)   # (G,)
         clock[flat] = np.repeat(ends, g.shape[1])
@@ -603,8 +834,9 @@ class VirtualMachine:
         if self._sink is not None:
             self.charge_comm_groups(axis_group_matrix(shape, axis), cost, phase)
             return
-        self._ledger_comm(self._phase_id(phase), None, cost)
-        view = self._clock.reshape(shape)
+        clock, total = self._concrete()
+        self._ledger_comm(self._phase_id(phase), None, cost, total)
+        view = clock.reshape(shape)
         ends = view.max(axis=axis, keepdims=True)
         ends += self._comm_step(cost)
         view[...] = ends
@@ -625,12 +857,12 @@ class VirtualMachine:
 
     def barrier(self, ranks: Optional[RankGroup] = None) -> None:
         """Synchronize clocks (no cost charge).  Defaults to all ranks."""
-        clock = self._clock
-        if ranks is None:
-            clock[:] = clock.max()
+        idx = None if ranks is None else self._rank_index(ranks)
+        if idx is not None and idx.size == 0:
             return
-        idx = self._rank_index(ranks)
-        if idx.size == 0:
+        clock, _ = self._concrete()
+        if idx is None:
+            clock[:] = clock.max()
             return
         clock[idx] = clock[idx].max()
 
@@ -638,7 +870,10 @@ class VirtualMachine:
 
     def clock_of(self, rank: int) -> float:
         self._check_rank(rank)
-        return float(self._clock[rank])
+        block = self._state
+        if block is None:
+            return float(self._clock[rank])
+        return float(block.clock[block.class_of(rank)])
 
     def ledger_of(self, rank: int) -> LedgerView:
         """Read-only :class:`~repro.costmodel.ledger.LedgerView` of one rank."""
@@ -648,24 +883,29 @@ class VirtualMachine:
     @property
     def elapsed(self) -> float:
         """Current critical-path time (max clock over ranks)."""
-        return float(self._clock.max())
+        block = self._state
+        return float((self._clock if block is None else block.clock).max())
 
     def report(self) -> CostReport:
         """Aggregate the ledger planes and clocks into a :class:`CostReport`.
 
-        Pure numpy reductions; totals across ranks accumulate
-        left-to-right (``np.add.accumulate``) so they match, bit for bit,
+        Pure numpy reductions, over classes where the state is held in
+        class space: maxima are exact and order-independent, so a class
+        maximum is the rank maximum, bit for bit.  Totals across ranks
+        accumulate left-to-right (``np.add.accumulate``) so they match
         the sequential per-rank summation the per-rank-object machine
-        performed.
+        performed; class totals are expanded to rank order for it, one
+        row at a time (:meth:`ClassBlock.rank_sum`) -- the report's only
+        per-rank pass.
         """
         n = self.num_ranks
-        # Sequential (not pairwise) summation across ranks for bit-identical
-        # totals with the historical rank-by-rank accumulation.
-        totals = np.add.accumulate(self._total, axis=1)[:, -1]
-        total = Cost(float(totals[0]), float(totals[1]), float(totals[2]))
-        max_cost = Cost(float(self._total[0].max()),
-                        float(self._total[1].max()),
-                        float(self._total[2].max()))
+        state = self._state
+        clock, totals = ((self._clock, self._total) if state is None
+                         else (state.clock, state.total))
+        total = Cost(*(float(np.add.accumulate(row)[-1]) if state is None
+                       else state.rank_sum(row, n)
+                       for row in totals))
+        max_cost = Cost(*totals.max(axis=1).tolist())
         mean = Cost(total.messages / n, total.words / n, total.flops / n)
         phase_max: Dict[str, Cost] = {}
         maxima: Dict[int, list] = {}        # id(block) -> block.maxima()
@@ -696,7 +936,7 @@ class VirtualMachine:
             max_cost=max_cost,
             mean_cost=mean,
             total_cost=total,
-            critical_path_time=float(self._clock.max()),
+            critical_path_time=float(clock.max()),
             phase_max=phase_max,
         )
 
@@ -705,20 +945,10 @@ class VirtualMachine:
 
         Phase interning survives (ids stay stable across reuse); all
         accumulated costs, clocks, touched masks -- and any recorded trace
-        events -- are discarded, so a reused machine starts from a truly
-        clean slate.
+        events -- are discarded, so a reused machine starts, like a fresh
+        one, as one class of zeros.
         """
-        self._clock[:] = 0.0
-        self._total[:] = 0.0
-        for pid in self._virtual:
-            self._planes[pid] = np.zeros((3, self.num_ranks))
-            self._touched[pid] = np.zeros(self.num_ranks, dtype=bool)
-        self._virtual.clear()
-        for plane in self._planes:
-            plane[:] = 0.0
-        for touched in self._touched:
-            touched[:] = False
-        self._touched_all = [False] * len(self._touched_all)
+        self._zero()
         if self._sink is not None:
             self._sink.clear()
 

@@ -127,6 +127,24 @@ def class_run(vm, program, binding, names=None):
     run.complete([(program, names)])
 
 
+def assert_class_state_matches_loop(vm, loop_vm):
+    """*vm* holds its clocks and totals in class space, and every rank's
+    clock and ledger, ``elapsed`` and the report equal the loop's without
+    expanding them; one direct charge then expands them to exactly the
+    loop machine's arrays after the same charge."""
+    assert vm._state is not None and vm._clock is None and vm._total is None
+    assert vm.elapsed == loop_vm.elapsed
+    assert_machines_identical(vm, loop_vm)
+    assert vm._state is not None and vm._clock is None
+    for machine in (vm, loop_vm):
+        machine.charge_comm_group([0, machine.num_ranks - 1],
+                                  CollectiveCost(1, 8), "probe")
+    assert vm._state is None
+    assert vm.clocks().tobytes() == loop_vm.clocks().tobytes()
+    assert vm.totals().tobytes() == loop_vm.totals().tobytes()
+    assert vm.report() == loop_vm.report()
+
+
 def loop(vm, program, binding, names=None):
     """The oracle: every instance, op by op, through the public API --
     reading each op's rank operand, never its axis tag."""
@@ -160,7 +178,6 @@ def test_class_run_and_loop_agree(name, layout, prefix, trace):
         charge(vm, prog, binding)
         machines.append(vm)
     class_vm, loop_vm = machines
-    assert_machines_identical(class_vm, loop_vm)
     # A template run interns the phase table in table order, the loop in
     # first-use order; these tables are not in first-use order.
     assert sorted(class_vm.phase_names) == sorted(loop_vm.phase_names)
@@ -168,6 +185,31 @@ def test_class_run_and_loop_agree(name, layout, prefix, trace):
     # events cross classes that later split.
     assert rank_events(class_vm) == rank_events(loop_vm)
     assert bool(class_vm.events) == trace
+    if layout == "partial":
+        # Instances that do not cover the machine are scattered.
+        assert class_vm._state is None
+        assert_machines_identical(class_vm, loop_vm)
+    else:
+        assert_class_state_matches_loop(class_vm, loop_vm)
+
+
+@pytest.mark.parametrize("layout", ["slabs", "permuted"])
+def test_reset_after_a_class_install_is_a_fresh_machine(layout):
+    """``reset()`` leaves one class of zeros, whatever the install held,
+    and the machine then charges as a fresh one does."""
+    prog = program("every-position")
+    vm = VirtualMachine(32, STAMPEDE2)
+    class_run(vm, prog, bindings(32)[layout])
+    assert vm._state is not None and vm.elapsed > 0
+    vm.reset()
+    fresh = VirtualMachine(32, STAMPEDE2)
+    assert vm._state.clock.size == 1 and vm._clock is None
+    assert all(plane is None for plane in vm._planes)
+    assert vm.elapsed == 0.0 and vm.report() == fresh.report()
+    assert not vm.clocks().any() and not vm.totals().any()
+    for machine, charge in ((vm, class_run), (fresh, loop)):
+        charge(machine, prog, bindings(32)[layout])
+    assert_class_state_matches_loop(vm, fresh)
 
 
 def test_every_position_degenerates_to_one_class_per_position():

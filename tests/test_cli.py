@@ -583,6 +583,17 @@ class TestValidationErrors:
             f"limit of a simulated machine\n")
 
 
+    def test_trace_past_the_traced_rank_limit_is_one_error_line(self, capsys):
+        from repro.session import MAX_TRACED_RANKS
+
+        d = 2 * MAX_TRACED_RANKS // 16
+        assert main(["trace", "ca_cqr2", "-m", str(16 * d), "-n", "64",
+                     "-c", "4", "-d", str(d), "--symbolic"]) == 2
+        assert capsys.readouterr().out == (
+            f"error: procs: {16 * d} ranks exceed the {MAX_TRACED_RANKS}-rank "
+            f"limit of a traced run (one event per rank per charge)\n")
+
+
 class TestServeCommand:
     def test_parser_wires_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--port", "0",

@@ -358,6 +358,20 @@ class TestRunTraced:
         assert max(e.end for e in vm.events) \
             == pytest.approx(result.report.critical_path_time)
 
+    def test_trace_refuses_more_ranks_than_it_can_record(self):
+        from repro.session import MAX_TRACED_RANKS
+        from repro.utils.validation import ValidationError
+
+        assert MAX_TRACED_RANKS >= 1024            # CI traces 1024 ranks
+        spec = RunSpec(algorithm="cqr2_1d", matrix=MatrixSpec(
+            4 * MAX_TRACED_RANKS, 8), procs=2 * MAX_TRACED_RANKS,
+            mode="symbolic")
+        with pytest.raises(ValidationError, match="traced run") as info:
+            session.trace(spec)
+        assert info.value.field == "procs"
+        edge = spec.replace(procs=MAX_TRACED_RANKS)
+        assert session.trace(edge)[1].num_ranks == MAX_TRACED_RANKS
+
     def test_plain_run_is_untraced(self):
         from repro.engine.runner import _execute
 

@@ -49,8 +49,8 @@ from repro.vmpi.reference import RecordingMachine
 
 def assert_machines_identical(vm_a: VirtualMachine, vm_b: VirtualMachine):
     """Bit-identical machine state: clocks, totals, reports, ledgers."""
-    np.testing.assert_array_equal(vm_a._clock, vm_b._clock)
-    np.testing.assert_array_equal(vm_a._total, vm_b._total)
+    np.testing.assert_array_equal(vm_a.clocks(), vm_b.clocks())
+    np.testing.assert_array_equal(vm_a.totals(), vm_b.totals())
     assert vm_a.report() == vm_b.report()
     for rank in range(vm_a.num_ranks):
         assert vm_a.ledger_of(rank).phases == vm_b.ledger_of(rank).phases
@@ -302,7 +302,7 @@ class TestReplay:
         vm = VirtualMachine(8)
         class_run(vm, program, RankFamilyMap.identity(8))
         assert_machines_identical(vm, plain)
-        assert not rec._clock.any() and not rec._total.any()
+        assert not rec.clocks().any() and not rec.totals().any()
         assert rec.elapsed == 0.0 and rec.report().phase_max == {}
 
     def test_subcube_class_run_matches_loop(self):
@@ -474,7 +474,7 @@ class TestBindingRankBounds:
                 vm.extend(program, binding)
             else:
                 TemplateRun.seed(vm, binding, program.phases)
-        assert not vm._clock.any() and not vm._total.any()
+        assert not vm.clocks().any() and not vm.totals().any()
         assert vm.phase_names == []
         if charge == "splice":
             assert vm.num_ops == 0
@@ -658,7 +658,7 @@ class TestAxisTaggedReplay:
             [("ir/axis-form", f"op[{k}]")]
         class_vm, ops_vm = self.charge_both(self.single_op(program, ops[k]),
                                             tpl, c, d, 0)
-        assert not np.array_equal(class_vm._clock, ops_vm._clock)
+        assert not np.array_equal(class_vm.clocks(), ops_vm.clocks())
 
 
 class TestProgramCacheAndCapture:

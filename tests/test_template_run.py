@@ -15,11 +15,13 @@ after a random one (which must fall back, unless the grid is cubic: its
 one subcube always agrees with itself).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tests.conftest import rank_events
-from tests.test_class_run import class_run
+from tests.test_class_run import assert_class_state_matches_loop, class_run
 from tests.test_vmpi_machine_equivalence import assert_machines_identical
 
 import repro.core.cacqr as cacqr
@@ -144,7 +146,6 @@ def test_template_run_matches_loop_oracle(machine, subcubes, c, algorithm,
         vm, got = _run(make, algorithm, c, d, numeric, prefix)
     with compiled_replay_disabled():
         loop_vm, want = _run(make, algorithm, c, d, numeric, prefix)
-    assert_machines_identical(vm, loop_vm)
     assert vm.phase_names == loop_vm.phase_names
     assert list(vm.report().phase_max) == list(loop_vm.report().phase_max)
     assert _factors(got) == _factors(want)
@@ -165,6 +166,13 @@ def test_template_run_matches_loop_oracle(machine, subcubes, c, algorithm,
         assert len(vm._virtual) == len(vm.phase_names)
         assert all(plane is None for plane in vm._planes)
         assert len({id(block) for block, _ in vm._virtual.values()}) == 1
+    # The run installs clocks and totals in class space too (sCQR3 then
+    # charges its norm step directly); reads leave them there.
+    if engaged and algorithm != "ca_shifted_cqr3":
+        assert_class_state_matches_loop(vm, loop_vm)
+    else:
+        assert vm._state is None
+        assert_machines_identical(vm, loop_vm)
 
 
 @pytest.mark.parametrize("perturb", ["clock", "total", "phase", "lazy-phase"])
@@ -232,7 +240,7 @@ def test_lazy_phases_of_another_layout_are_checked_not_trusted():
 
 def _digest_state(vm):
     """Clocks, totals and per-rank ledgers, exactly."""
-    return (vm._clock.tobytes(), vm._total.tobytes(),
+    return (vm.clocks().tobytes(), vm.totals().tobytes(),
             [sorted((k, v.as_tuple()) for k, v in vm.ledger_of(r).phases.items())
              for r in range(vm.num_ranks)],
             vm.phase_names)
@@ -413,10 +421,42 @@ def test_class_space_lattice_matches_loop_oracle(c, groups, n, n0, algorithm,
     got, want = vm.report(), loop_vm.report()
     assert got == want
     assert list(got.phase_max) == list(want.phase_max)
-    assert vm._clock.tobytes() == loop_vm._clock.tobytes()
+    assert vm.clocks().tobytes() == loop_vm.clocks().tobytes()
     ranks = {0, p // 3, p // 2, p - 1,
              *np.random.default_rng(p).integers(0, p, 6).tolist()}
     for r in sorted(ranks):
         assert vm.clock_of(r) == loop_vm.clock_of(r)
         assert vm.ledger_of(r).total == loop_vm.ledger_of(r).total
         assert vm.ledger_of(r).phases == loop_vm.ledger_of(r).phases
+
+
+def test_plain_symbolic_run_allocates_no_per_rank_array():
+    """A symbolic CA-CQR2 on a fresh machine's root grid holds clocks,
+    totals and phases in class space and never builds the grid's rank
+    array: no ``(P,)``-sized allocation, not even in the report, whose
+    only per-rank pass expands one slab (``P / c`` ranks) of one totals
+    row at a time."""
+    c, d = 4, 4096
+    p, row = c * c * d, 8 * c * c * d
+
+    def run():
+        vm = VirtualMachine(p, STAMPEDE2)
+        grid = Grid3D.tunable(vm, c, d)
+        ca_cqr2(vm, DistMatrix.symbolic(grid, 16 * d, 16))
+        return vm, grid
+
+    run()                                   # warm the program memos
+    tracemalloc.start()
+    try:
+        vm, grid = run()
+        held, charging = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        report = vm.report()
+        reporting = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert charging < row // 4, charging
+    assert row // c <= reporting < row // c + row // 8, reporting
+    assert vm._clock is None and vm._total is None and grid._ranks is None
+    assert all(plane is None for plane in vm._planes)
+    assert report.critical_path_time == vm.elapsed > 0

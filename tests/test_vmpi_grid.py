@@ -70,6 +70,41 @@ class TestMatches:
         assert not g.subcube(0).matches(g.subcube(1))
 
 
+class TestLazyRootGrid:
+    """A root grid keeps its dims and builds its rank array on first use;
+    what it answers equals a grid over the same rank array, built eagerly."""
+
+    @pytest.mark.parametrize("c, d", [(1, 4), (2, 2), (2, 8), (3, 6)])
+    def test_ranks_subcubes_and_matches_equal_an_eager_grid(self, c, d):
+        vm = VirtualMachine(c * c * d)
+        lazy = Grid3D.tunable(vm, c, d)
+        assert lazy._ranks is None
+        assert lazy.matches(Grid3D.tunable(vm, c, d))   # dims alone
+        assert lazy._ranks is None
+        assert not lazy.matches(Grid3D.tunable(VirtualMachine(c * c * d),
+                                               c, d))
+        eager = Grid3D(vm, np.arange(c * c * d).reshape(c, d, c, order="F"))
+        assert not eager.is_root
+        assert lazy.matches(eager) and eager.matches(lazy)
+        np.testing.assert_array_equal(lazy.ranks, eager.ranks)
+        assert lazy.ranks.flags.c_contiguous
+        for group in range(d // c):
+            sub = lazy.subcube(group)
+            assert sub.dims == eager.subcube(group).dims
+            np.testing.assert_array_equal(sub.ranks, eager.subcube(group).ranks)
+            assert sub.matches(eager.subcube(group))
+            assert sub.is_root == (d == c)
+        np.testing.assert_array_equal(lazy.all_ranks_array,
+                                      eager.all_ranks_array)
+
+    def test_other_layouts_do_not_match_a_root_grid(self):
+        vm = VirtualMachine(16)
+        root = Grid3D.build(vm, 2, 4, 2)
+        assert not root.matches(Grid3D.build(vm, 4, 2, 2))
+        permuted = Grid3D(vm, root.ranks[::-1].copy())
+        assert not root.matches(permuted) and not permuted.matches(root)
+
+
 class TestRootGridLines:
     def test_root_marking(self):
         vm = VirtualMachine(2 * 2 * 8 + 4)
@@ -101,7 +136,7 @@ class TestRootGridLines:
             g.charge_lines(vm, shape, axis, CollectiveCost(2, 5), "lines")
             machines.append(vm)
         fast, slow = machines
-        np.testing.assert_array_equal(fast._clock, slow._clock)
+        np.testing.assert_array_equal(fast.clocks(), slow.clocks())
         assert fast.report() == slow.report()
         for rank in range(32):
             assert fast.ledger_of(rank).phases == slow.ledger_of(rank).phases

@@ -7,7 +7,7 @@ from repro.costmodel.collectives import CollectiveCost
 from repro.costmodel.ledger import Cost
 from repro.costmodel.params import STAMPEDE2
 from repro.sched import ScheduleRecorder
-from repro.vmpi.machine import VirtualMachine
+from repro.vmpi.machine import ClassBlock, Slabs, VirtualMachine
 from repro.vmpi.reference import RecordingMachine
 
 
@@ -93,6 +93,38 @@ class TestReportAndReset:
         vm.charge_flops(1, 5, "c")
         assert len(vm.events) == 1 and vm.events[0].phase == "c"
 
+    def test_fresh_and_reset_machines_are_one_class_of_zeros(self):
+        vm = VirtualMachine(6)
+        assert vm._state.clock.size == 1 and vm._clock is None
+        assert vm.clock_of(5) == 0.0 and vm.ledger_of(5).total == Cost()
+        vm.charge_flops(1, 3.0, "a")
+        assert vm._state is None and vm.clocks().tolist() == [0, 3, 0, 0, 0, 0]
+        vm.reset()
+        assert vm._state.clock.size == 1 and vm._planes == [None]
+        assert not vm.clocks().any() and not vm.totals().any()
+
+    @pytest.mark.parametrize("slabs", [(1, 24, 1), (1, 1, 24), (2, 3, 4),
+                                       (4, 3, 2), (3, 8, 1)])
+    def test_class_rank_sums_are_the_sequential_rank_order_sums(self, slabs):
+        """Slab by slab, with the running sum carried, equals one
+        left-to-right pass over the expanded row, signed zeros included."""
+        tiling = Slabs(*slabs)
+        size = tiling.outer * tiling.inner
+        k = min(3, size)                 # every class has a member
+        rng = np.random.default_rng(size)
+        labels = rng.integers(0, k, size)
+        labels[:k] = np.arange(k)
+        values = rng.standard_normal((3, k)) * 10.0 ** rng.integers(-8, 8, (3, k))
+        values[0, labels[0]] = -0.0
+        values[2] = -0.0                 # sums to -0.0, not +0.0
+        block = ClassBlock(np.zeros(k), values, np.zeros((0, 3, k)),
+                           np.zeros((0, k), dtype=bool), labels, tiling)
+        for row in values:
+            ranks = block.in_rank_order(row, 24)
+            want = np.add.accumulate(ranks)[-1]
+            got = block.rank_sum(row, 24)
+            assert np.float64(got).tobytes() == want.tobytes()
+
     def test_rejects_zero_ranks(self):
         with pytest.raises(ValueError):
             VirtualMachine(0)
@@ -129,7 +161,7 @@ class TestRankValidation:
         numpy would wrap ``-1`` to rank 3.  Nothing is charged or recorded."""
         vm = machine(4)
         vm.charge_flops(3, 2.0, "w")
-        before = (vm._clock.copy(), vm._total.copy(), vm.phase_names,
+        before = (vm.clocks(), vm.totals(), vm.phase_names,
                   getattr(vm, "num_ops", None),
                   len(getattr(vm, "schedule", ())))
         with pytest.raises(ValueError, match=r"\[0, 4\)"):
@@ -139,7 +171,7 @@ class TestRankValidation:
                 vm.charge_comm_group(rank, CollectiveCost(1, 1), "q")
             else:
                 vm.barrier(rank)
-        after = (vm._clock, vm._total, vm.phase_names,
+        after = (vm.clocks(), vm.totals(), vm.phase_names,
                  getattr(vm, "num_ops", None),
                  len(getattr(vm, "schedule", ())))
         np.testing.assert_array_equal(after[0], before[0])

@@ -229,11 +229,11 @@ class TestAxisFormExactness:
 
         def axis_then_snapshot(*args):
             VirtualMachine.charge_comm_axis(fast, *args)
-            fast_steps.append(fast._clock.copy())
+            fast_steps.append(fast.clocks())
 
         def groups_then_snapshot(*args):
             RecordingMachine.charge_comm_groups(slow, *args)
-            slow_steps.append(slow._clock.copy())
+            slow_steps.append(slow.clocks())
 
         fast.charge_comm_axis = axis_then_snapshot
         slow.charge_comm_groups = groups_then_snapshot
@@ -277,7 +277,7 @@ class TestAxisFormExactness:
             fast.charge_comm_axis(shape, axis, cost, f"a{k}")
             slow.charge_comm_groups(slow.axis_groups(shape, axis), cost,
                                     f"a{k}")
-        np.testing.assert_array_equal(fast._clock, slow._clock)
+        np.testing.assert_array_equal(fast.clocks(), slow.clocks())
         assert_machines_identical(fast, slow)
 
     @pytest.mark.parametrize("c, d", [(1, 4), (2, 8), (3, 6)])
