@@ -48,15 +48,8 @@ from typing import List, Optional
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.figures import all_figures
-    from repro.experiments.report import format_series_table
-    from repro.experiments.scaling import (
-        StrongScalingFigure,
-        speedup_at,
-        strong_scaling_study,
-        strong_series_from_table,
-        weak_scaling_study,
-        weak_series_from_table,
-    )
+    from repro.experiments.reproduction import render_figure
+    from repro.experiments.scaling import StrongScalingFigure
 
     figures = all_figures()
     wanted: List[str]
@@ -64,7 +57,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         wanted = sorted(figures)
     elif args.name:
         if args.name not in figures:
-            print(f"unknown figure {args.name!r}; known: {', '.join(sorted(figures))}")
+            print(f"error: unknown figure {args.name!r}; known: "
+                  f"{', '.join(sorted(figures))}")
             return 2
         wanted = [args.name]
     else:
@@ -76,23 +70,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         return 0
 
     for name in wanted:
-        fig = figures[name]
-        if isinstance(fig, StrongScalingFigure):
-            series = strong_series_from_table(
-                strong_scaling_study(fig).run(parallel=False))
-            title = f"{name}: {fig.m} x {fig.n} on {fig.machine.name}"
-            xs = [str(nodes) for nodes in fig.nodes]
-        else:
-            series = weak_series_from_table(
-                weak_scaling_study(fig).run(parallel=False))
-            title = f"{name}: {fig.base_m}*a x {fig.base_n}*b on {fig.machine.name}"
-            xs = [f"({a},{b})" for a, b in fig.ladder]
-        print(format_series_table(title + " (Gigaflops/s/node)", series))
-        cells = []
-        for x in xs:
-            sp = speedup_at(series, x)
-            cells.append(f"{x}:{sp:.2f}x" if sp else f"{x}:-")
-        print("best-CA / best-ScaLAPACK  " + "  ".join(cells))
+        print(render_figure(figures[name]))
         print()
     return 0
 
@@ -109,6 +87,21 @@ def _cmd_accuracy(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_machine_file(path: str):
+    """A ``--machine-file``'s JSON; unparseable JSON is a ``machine`` error."""
+    import json
+
+    from repro.utils.validation import ValidationError
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"machine file {path!r} is not valid JSON: {exc}",
+                field="machine") from exc
+
+
 def _load_machine(args: argparse.Namespace):
     """The run's machine: a ``--machine-file`` JSON description or a preset.
 
@@ -117,21 +110,11 @@ def _load_machine(args: argparse.Namespace):
     :class:`~repro.utils.validation.ValidationError`, which :func:`main`
     turns into a clean one-line error instead of a traceback.
     """
-    import json
-
     from repro.plan import machine_from_json
-    from repro.utils.validation import ValidationError
 
     machine_file = getattr(args, "machine_file", None)
     if machine_file:
-        with open(machine_file, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"machine file {machine_file!r} is not valid JSON: {exc}",
-                    field="machine") from exc
-        return machine_from_json(data)
+        return machine_from_json(_read_machine_file(machine_file))
     # machine_from_json keeps preset names symbolic (plan fingerprints);
     # the CLI wants the resolved spec (it prints machine.name).
     from repro.costmodel.params import machine_by_name
@@ -247,8 +230,7 @@ def _cmd_plan_lattice(args: argparse.Namespace) -> int:
         if not isinstance(spec, dict):
             raise ValidationError("--lattice must be a JSON object")
         if args.machine_file:
-            with open(args.machine_file) as fh:
-                spec.setdefault("machine", json.load(fh))
+            spec.setdefault("machine", _read_machine_file(args.machine_file))
         else:
             spec.setdefault("machine", args.machine)
         spec.setdefault("objective", args.objective)
@@ -526,7 +508,8 @@ def _run_auto_sweep(args, machine, proc_counts) -> int:
 
 def _run_executed_sweep(args, machine, proc_counts) -> int:
     """Execute a real (numeric) sweep through the engine's batch runner."""
-    from repro.engine import CapabilityError, MatrixSpec, RunSpec, solvers
+    from repro.engine import (CapabilityError, MatrixSpec, RunSpec,
+                              solver_for, solvers)
     from repro.session import default_session
     from repro.study.builtin import default_executed_algorithms
 
@@ -540,7 +523,9 @@ def _run_executed_sweep(args, machine, proc_counts) -> int:
     matrix = MatrixSpec(args.m, args.n, seed=args.seed)
     specs, labels = [], []
     # Registry order either way; the default runs each executed path once.
-    wanted = args.algorithms or default_executed_algorithms()
+    # Aliases resolve to their solver; an unknown name is an error.
+    wanted = {solver_for(name).name
+              for name in args.algorithms or default_executed_algorithms()}
     for solver in solvers():
         if solver.name not in wanted:
             continue
@@ -613,13 +598,9 @@ def _cmd_study(args: argparse.Namespace) -> int:
                "machine": args.machine, "seed": args.seed}
         if args.machine_file:
             try:
-                with open(args.machine_file, "r", encoding="utf-8") as fh:
-                    cfg["machine"] = json.load(fh)
+                cfg["machine"] = _read_machine_file(args.machine_file)
             except OSError as exc:
                 print(f"error: cannot read machine file: {exc}")
-                return 2
-            except json.JSONDecodeError as exc:
-                print(f"error: {args.machine_file} is not valid JSON: {exc}")
                 return 2
         if args.algorithms:
             cfg["algorithms"] = args.algorithms

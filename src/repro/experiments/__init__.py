@@ -11,6 +11,8 @@
   CQR2 vs CQR3 vs shifted CQR3 vs Householder).
 * :mod:`repro.experiments.report` -- plain-text rendering of result series
   in the shape the paper's plots report.
+* :mod:`repro.experiments.reproduction` -- the reproduction record: every
+  reproduced number in one text, committed as ``REPRODUCTION.md``.
 
 Every experiment module declares its campaign as a
 :class:`repro.study.Study` (``strong_scaling_study``,

@@ -3,8 +3,11 @@
 The paper's figures plot Gigaflops/s/node against node count (strong
 scaling) or ladder position (weak scaling), one curve per variant tuple.
 :func:`format_series_table` prints exactly those series as an aligned text
-table with one column per x position, which is what each benchmark module
-emits so a reader can compare against the paper's plots point by point.
+table with one column per x position, so a reader can compare against the
+paper's plots point by point; :func:`format_best_series` is Figure 1's
+best-of view and :func:`format_accuracy_table` the stability ladder.  The
+reproduction record (:mod:`repro.experiments.reproduction`) and
+``repro figures`` / ``repro accuracy`` print through these renderers.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ def format_best_series(title: str, best_ca: List[SeriesPoint],
     return "\n".join(lines)
 
 
-def format_accuracy_table(rows: Sequence[AccuracyRow]) -> str:
-    """Render the stability sweep: one block per condition number."""
+def format_accuracy_table(rows: Sequence[AccuracyRow],
+                          value_fmt: str = "{:>16.2e}") -> str:
+    """Render the stability sweep: one row per condition number."""
     lines = ["Accuracy study: orthogonality ||Q'Q - I||_2 and relative residual",
              "-" * 72]
     conditions: List[float] = []
@@ -84,6 +88,6 @@ def format_accuracy_table(rows: Sequence[AccuracyRow]) -> str:
             elif r.failed:
                 cells.append(f"{'BREAKDOWN':>16}")
             else:
-                cells.append(f"{r.orthogonality:>16.2e}")
+                cells.append(value_fmt.format(r.orthogonality))
         lines.append(f"{cond:>10.0e} " + "".join(cells))
     return "\n".join(lines)

@@ -16,7 +16,9 @@ class TestParser:
 
     def test_unknown_figure(self, capsys):
         assert main(["figures", "fig99"]) == 2
-        assert "unknown figure" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("error: unknown figure 'fig99'; known: ")
+        assert out.count("\n") == 1
 
 
 class TestFigures:
@@ -244,6 +246,23 @@ class TestSweep:
         # Second invocation is served from the cache.
         assert main(args) == 0
         assert "executed sweep" in capsys.readouterr().out
+
+    def test_executed_sweep_resolves_an_alias(self, capsys, tmp_path):
+        # pgeqrf is a registered alias of scalapack; matching raw names
+        # against solver.name dropped it and exited 2.
+        assert main(["sweep", "-m", "2048", "-n", "32", "-P", "4,8",
+                     "--execute", "--serial", "--cache-dir", str(tmp_path),
+                     "-a", "pgeqrf"]) == 0
+        out = capsys.readouterr().out
+        assert "executed sweep" in out and "PGEQRF" in out
+
+    def test_executed_sweep_rejects_an_unknown_algorithm(self, capsys, tmp_path):
+        assert main(["sweep", "-m", "2048", "-n", "32", "-P", "4,8",
+                     "--execute", "--serial", "--cache-dir", str(tmp_path),
+                     "-a", "tsqr", "nosuch"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: unknown algorithm 'nosuch'; ")
+        assert out.count("\n") == 1
 
     def test_bad_proc_list(self, capsys):
         assert main(["sweep", "-m", "64", "-n", "8", "-P", ","]) == 2
@@ -530,6 +549,17 @@ class TestValidationErrors:
         out = capsys.readouterr().out
         assert out.startswith("error: machine:")
         assert "not valid JSON" in out
+
+    def test_lattice_reports_a_malformed_machine_file(self, capsys, tmp_path):
+        # The lattice is valid JSON; the machine file is not.
+        bad = tmp_path / "machine.json"
+        bad.write_text("{not json", encoding="utf-8")
+        assert main(["plan", "--lattice", '{"m": 4096, "n": 32, "procs": 16}',
+                     "--machine-file", str(bad), "--no-refine"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: machine: machine file {str(bad)!r} "
+                              "is not valid JSON")
+        assert out.count("\n") == 1
 
     def test_plan_rejects_unknown_machine_field(self, capsys, tmp_path):
         import json

@@ -67,6 +67,15 @@ class TestFlopModel:
         assert narrow < 1.8
         assert narrow < wide
 
+    def test_square_overhead_falls_to_the_gemm_floor(self):
+        # For a square matrix the floor is 2mn^2 / (2mn^2 - 2n^3/3) = 1.5
+        # (the GEMM updates).
+        n = 2 ** 12
+        ratios = [panel_overhead_ratio(n, n, b)
+                  for b in (n, n // 4, n // 16, n // 64)]
+        assert ratios == sorted(ratios, reverse=True)
+        assert ratios[0] > 2.5 and ratios[-1] < 1.6
+
     def test_monotone_in_panel_width(self):
         m, n = 4096, 256
         ratios = [panel_overhead_ratio(m, n, b) for b in (16, 64, 256)]

@@ -85,6 +85,18 @@ class TestCostStructure:
         ca_panel_cqr2(vm2, DistMatrix.symbolic(g2, m, n), panel_width=n)
         assert vm1.report().max_cost.flops < vm2.report().max_cost.flops
 
+    def test_narrower_panels_trade_flops_for_messages(self):
+        # 64 x 32 on a 2x4x2 grid: flops fall, messages rise as b narrows.
+        costs = []
+        for b in (32, 16, 8):
+            vm, g = make_tunable(2, 4)
+            ca_panel_cqr2(vm, DistMatrix.symbolic(g, 64, 32), panel_width=b)
+            costs.append(vm.report().max_cost)
+        flops = [cost.flops for cost in costs]
+        msgs = [cost.messages for cost in costs]
+        assert flops == sorted(flops, reverse=True)
+        assert msgs == sorted(msgs)
+
     def test_panels_increase_latency(self):
         m, n = 64, 32
         vm1, g1 = make_tunable(2, 4)

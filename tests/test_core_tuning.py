@@ -11,7 +11,9 @@ from repro.core.tuning import (
     inverse_depth_to_base_case,
     optimal_grid,
 )
+from repro.core.cfr3d import default_base_case
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
+from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
 from repro.plan import Planner, ProblemSpec
 
 
@@ -207,3 +209,37 @@ class TestAutotune:
                 m, n, g.c, g.d, default_base_case(n, g.c)))))
 
         assert t(planned_grid(m, n, procs, STAMPEDE2)) <= t(optimal_grid(m, n, procs))
+
+
+class TestAblations:
+    """The reproduction record's grid-shape and InverseDepth sweeps."""
+
+    def test_grid_shape_interpolates_1d_to_3d(self):
+        m, n, procs = 2 ** 21, 2 ** 11, 2 ** 12
+        by_c = {s.c: lane_cost(total(ca_cqr2_lines(
+                    m, n, s.c, s.d, default_base_case(n, s.c))))
+                for s in feasible_grids(m, n, procs)}
+        cs = sorted(by_c)
+        assert cs[0] == 1 and cs[-1] >= 8, "sweep must span 1D to 3D"
+        # Latency monotone up in c; redundant flops monotone down.
+        msgs = [by_c[c].messages for c in cs]
+        flops = [by_c[c].flops for c in cs]
+        assert msgs == sorted(msgs)
+        assert flops == sorted(flops, reverse=True)
+        # The paper's rule lands on an interior grid here.
+        rule = optimal_grid(m, n, procs)
+        assert 1 < rule.c < procs ** (1 / 3) + 1
+
+    def test_inverse_depth_trades_latency_for_flops(self):
+        m, n, c, d = 2 ** 21, 2 ** 12, 8, 2 ** 12
+        n0s, costs = [], []
+        for depth in range(5):
+            n0s.append(inverse_depth_to_base_case(n, c, depth))
+            costs.append(lane_cost(total(ca_cqr2_lines(m, n, c, d, n0s[-1]))))
+        # Each extra level adds latency and removes redundant flops.
+        msgs = [cost.messages for cost in costs]
+        flops = [cost.flops for cost in costs]
+        assert msgs == sorted(msgs)
+        assert flops == sorted(flops, reverse=True)
+        # Distinct depths actually change the cutoff (not saturated).
+        assert n0s[0] > n0s[2]

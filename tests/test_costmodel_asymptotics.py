@@ -39,11 +39,11 @@ def ratios_converge(pairs, tol=0.35):
 class TestMM3DRow:
     def test_bandwidth_scales_as_p_to_two_thirds(self):
         pairs = []
-        for p in (2, 4, 8):
+        for p in (2, 4, 8, 16):
             n = 64 * p
             pairs.append((lane_cost(total(mm3d_lines(n, n, n, p))).words,
                           mm3d_asymptotic(n, n, n, p ** 3).bandwidth))
-        ratios_converge(pairs)
+        ratios_converge(pairs, tol=0.2)
 
     def test_flops_scale_as_inverse_p(self):
         pairs = []

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.cacqr import ca_cqr2
+from repro.core.cqr_1d import cqr2_1d
 from repro.costmodel.ledger import Cost
 from repro.costmodel.params import ABSTRACT_MACHINE, STAMPEDE2
 from repro.costmodel.performance import (
@@ -9,6 +11,9 @@ from repro.costmodel.performance import (
     cqr2_flops,
     householder_qr_flops,
 )
+from repro.vmpi.distmatrix import DistMatrix
+from repro.vmpi.grid import Grid3D
+from repro.vmpi.machine import VirtualMachine
 
 
 class TestFlopFormulas:
@@ -24,6 +29,20 @@ class TestFlopFormulas:
         # Section IV: CQR2 performs ~2x the Householder flops for tall-skinny.
         m, n = 2 ** 22, 2 ** 10
         assert cqr2_flops(m, n) / householder_qr_flops(m, n) == pytest.approx(2.0, rel=0.01)
+
+    @pytest.mark.parametrize("m,n,c,d", [(2 ** 12, 32, 1, 16),
+                                         (2 ** 12, 32, 2, 16),
+                                         (2 ** 12, 64, 4, 16)])
+    def test_charged_flops_match_the_claim(self, m, n, c, d):
+        vm = VirtualMachine(c * c * d)
+        (cqr2_1d if c == 1 else ca_cqr2)(
+            vm, DistMatrix.symbolic(Grid3D.tunable(vm, c, d), m, n))
+        flops = vm.report().total_cost.flops
+        # Aggregate charged flops track the paper's formula within the
+        # redundancy constants (base-case CholInv runs on every rank).
+        assert flops == pytest.approx(cqr2_flops(m, n), rel=0.65)
+        # And the overhead vs Householder is the claimed ~2x for tall-skinny.
+        assert 1.5 < flops / householder_qr_flops(m, n) < 3.5
 
 
 class TestExecutionModel:

@@ -66,7 +66,7 @@ def test_transpose(p, n):
 CFR3D_CASES = [(1, 8, 2), (1, 8, 8), (1, 24, 3), (1, 76, 19), (2, 8, 4),
                (2, 16, 4), (2, 32, 8), (2, 32, 32), (2, 48, 6), (2, 64, 16),
                (2, 96, 12), (3, 24, 6), (4, 16, 8), (4, 32, 4), (4, 48, 12),
-               (4, 64, 16)]
+               (4, 64, 16), (4, 256, 16)]
 
 
 @pytest.mark.parametrize("p,n,n0", CFR3D_CASES)
@@ -77,7 +77,7 @@ def test_cfr3d(p, n, n0):
 
 
 CQR1D_CASES = [(16, 4, 1), (64, 8, 4), (72, 6, 6), (96, 12, 3), (128, 16, 8),
-               (152, 19, 8), (256, 8, 32)]
+               (152, 19, 8), (256, 8, 32), (2 ** 14, 64, 64)]
 
 
 @pytest.mark.parametrize("m,n,p", CQR1D_CASES)
@@ -101,6 +101,7 @@ CACQR_CASES = [
     (96, 12, 2, 4, 6), (192, 24, 2, 8, 6), (144, 24, 2, 4, 12),
     (108, 18, 3, 3, 9), (216, 36, 3, 6, 9), (76, 19, 1, 4, 19),
     (152, 38, 2, 4, 38), (64, 12, 1, 4, 3), (512, 32, 4, 8, 8),
+    (2 ** 12, 64, 4, 16, None),
     # CholInv(38) is not an integral flop count: summing both passes as
     # one doubled pass rounds the total differently from the run, which
     # adds the lines one by one as total() does.
@@ -247,6 +248,34 @@ class TestTableStructure:
     def test_merge_is_paper_third_of_n_cubed(self):
         lines = cqr2_1d_lines(64, 8, 4)
         assert lane_cost(lines["cqr2-1d.merge-r"]).flops == 8 ** 3 / 3
+
+    def test_table_ii_structure(self):
+        # The record's Table II (n=256, grid 4^3, n0=16): the four MM3D
+        # lines dominate bandwidth, the base case dominates latency.
+        expected = {k: lane_cost(v) for k, v in cfr3d_lines(256, 4, 16).items()}
+        mm_words = sum(v.words for k, v in expected.items() if ".mm3d-" in k)
+        assert mm_words > expected["cfr3d.basecase.allgather"].words
+        assert expected["cfr3d.basecase.allgather"].messages > 0
+
+    def test_table_iii_structure(self):
+        # The record's Table III: one allreduce of 2n^2 words is the only
+        # communication; the n^3 CholInv is redundant on every rank.
+        m, n, p = 2 ** 14, 64, 64
+        vm, g = make_1d(p)
+        cqr_1d(vm, DistMatrix.symbolic(g, m, n), phase="cqr1d")
+        report = vm.report()
+        assert report.phase_total("cqr1d.allreduce").words == 2 * n * n
+        assert report.phase_total("cqr1d.cholinv").flops == n ** 3
+
+    def test_table_v_gram_dance_at_record_scale(self):
+        # The record's Table V (m=4096, n=64, grid 4x16x4).
+        m, n, c, d = 2 ** 12, 64, 4, 16
+        vm, g = make_tunable(c, d)
+        ca_cqr(vm, DistMatrix.symbolic(g, m, n), phase="cacqr")
+        report = vm.report()
+        mloc, nloc = m // d, n // c
+        assert report.phase_total("cacqr.bcast-w").words == 2 * mloc * nloc
+        assert report.phase_total("cacqr.allreduce-roots").words == 2 * nloc * nloc
 
     def test_gram_dance_words_match_table_v(self):
         # Table V lines 1-5: bcast(mn/dc, c), reduce(n^2/c^2, c),

@@ -71,6 +71,35 @@ class TestStabilityLadder:
                 assert r.residual < 1e-9
 
 
+class TestPaperSweep:
+    """The reproduction record's ladder: 1024 x 64, kappa = 1e1 .. 1e15."""
+
+    CONDITIONS = (1e1, 1e3, 1e5, 1e7, 1e9, 1e11, 1e13, 1e15)
+
+    def test_stability_ladder(self):
+        table = accuracy_study(m=1024, n=64, conditions=self.CONDITIONS,
+                               seed=1234).run(parallel=False)
+        # The study covers the full (condition x algorithm) grid.
+        assert len(table) == len(self.CONDITIONS) * 5
+        by = {(r.algorithm, r.condition): r for r in rows_from_table(table)}
+        # Householder: always at machine precision.
+        for cond in self.CONDITIONS:
+            assert by[("Householder", cond)].orthogonality < 1e-13
+        # CholeskyQR: quadratic degradation, then breakdown.
+        assert by[("CholeskyQR", 1e5)].orthogonality > \
+            1e6 * by[("CholeskyQR", 1e1)].orthogonality
+        assert by[("CholeskyQR", 1e15)].failed
+        # CholeskyQR2: Householder-level until ~1/sqrt(eps), then broken.
+        for cond in (1e1, 1e3, 1e5, 1e7):
+            assert by[("CholeskyQR2", cond)].orthogonality < 1e-13
+        late = by[("CholeskyQR2", 1e13)]
+        assert late.failed or late.orthogonality > 1e-8
+        # Shifted CholeskyQR3: unconditionally stable.
+        for cond in self.CONDITIONS:
+            r = by[("sCholeskyQR3", cond)]
+            assert not r.failed and r.orthogonality < 1e-12
+
+
 class TestMeasure:
     def test_reports_failure_not_raise(self):
         a = matrix_with_condition(128, 16, 1e15, rng=0)

@@ -85,6 +85,24 @@ class TestCrossover:
         speedups = [p.speedup for p in points]
         assert speedups == sorted(speedups)
 
+    def test_paper_scale_sweep(self):
+        # The reproduction record's sweep: nine node counts on both machines.
+        m, n = 2 ** 21, 2 ** 12
+        nodes = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+        s2_table = crossover_study(m, n, STAMPEDE2, nodes).run(parallel=False)
+        bw_table = crossover_study(m, n, BLUE_WATERS, nodes).run(parallel=False)
+        s2, bw = points_from_table(s2_table), points_from_table(bw_table)
+        assert len(s2_table) == len(nodes) * 2
+        assert s2 and bw
+        cross_s2 = find_crossover(s2)
+        cross_bw = find_crossover(bw)
+        assert cross_s2 is not None and cross_s2 <= 1024
+        assert cross_bw is None or cross_bw > cross_s2
+        assert s2[-1].speedup > 1.5
+        # Speedup grows monotonically toward scale on Stampede2.
+        speedups = [p.speedup for p in s2 if p.nodes >= 64]
+        assert speedups == sorted(speedups)
+
     def test_point_properties(self):
         pt = CrossoverPoint(nodes=64, ca_seconds=1.0, sl_seconds=2.0,
                             ca_grid="4x64x4", sl_grid="pr=512,pc=8,b=32")

@@ -86,6 +86,14 @@ class TestStampede2StrongScaling:
         assert paper_speedup / 1.35 < sp < paper_speedup * 1.35
 
     @pytest.mark.parametrize("fig", FIG7)
+    def test_campaign_spans_full_grid(self, fig):
+        # The campaign spans the full grid; the curves only their
+        # feasible points.
+        table = strong_scaling_study(fig).run(parallel=False)
+        assert len(table) == (len(fig.ca_variants) + len(fig.sl_variants)) \
+            * len(fig.nodes)
+
+    @pytest.mark.parametrize("fig", FIG7)
     def test_scalapack_competitive_at_64_nodes(self, fig):
         sp = speedup_at(strong_series(fig), "64")
         assert sp is not None
