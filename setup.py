@@ -6,6 +6,7 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
     # PEP 561: inline annotations are part of the public API; the
     # marker lets downstream type checkers consume them.
     package_data={"repro": ["py.typed"]},

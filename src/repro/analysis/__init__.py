@@ -1,4 +1,4 @@
-"""repro.analysis: static verification, cost envelopes, and repo lint.
+"""repro.analysis: static verification and repo lint.
 
 The correctness-tooling layer in front of the compiled-program pipeline:
 
@@ -9,9 +9,6 @@ The correctness-tooling layer in front of the compiled-program pipeline:
   in at capture time (``REPRO_SCHED_VERIFY`` / ``debug=``), on every
   program-cache load (invalid entries read as misses under
   ``cache.sched.invalid``), and behind ``repro check``.
-* :mod:`repro.analysis.envelope` -- O(ops) lower/upper critical-path
-  bounds per machine without replay, bit-rigorous against the virtual
-  machine's own charging arithmetic.
 * :mod:`repro.analysis.lint` -- the AST source lint for project
   invariants ruff cannot express (``repro check --source``).
 * :mod:`repro.analysis.typegate` -- the mypy allowlist gate
@@ -33,7 +30,6 @@ from repro.analysis.check import (
     check_sched_cache,
     verify_plan_result,
 )
-from repro.analysis.envelope import CostEnvelope, cost_envelope
 from repro.analysis.findings import (
     SEVERITIES,
     SEVERITY_ERROR,
@@ -62,7 +58,6 @@ from repro.analysis.verifier import (
 __all__ = [
     "BINDING_RULES",
     "CACHE_RULES",
-    "CostEnvelope",
     "Finding",
     "LINT_RULES",
     "PROGRAM_RULES",
@@ -74,7 +69,6 @@ __all__ = [
     "check_plan_cache",
     "check_result_cache",
     "check_sched_cache",
-    "cost_envelope",
     "findings_table",
     "has_errors",
     "lint_file",

@@ -1,8 +1,6 @@
 """Structured findings: the one result type every analysis pass emits.
 
-The verifier (:mod:`repro.analysis.verifier`), the cost-envelope pass
-(:mod:`repro.analysis.envelope` reports through it only on failure), the
-source lint (:mod:`repro.analysis.lint`), the typing gate
+The verifier (:mod:`repro.analysis.verifier`), the source lint (:mod:`repro.analysis.lint`), the typing gate
 (:mod:`repro.analysis.typegate`), and the cache sweep
 (:mod:`repro.analysis.check`) all answer with ``List[Finding]`` -- a
 ``(rule, loc, message, severity)`` record -- so one table/JSON renderer

@@ -12,7 +12,7 @@
 
 from repro.baselines.scalapack_qr import scalapack_qr, pgeqrf_cost, default_scalapack_grid
 from repro.baselines.tsqr import tsqr_1d, tsqr_cost
-from repro.baselines.caqr import caqr_cost, caqr_latency_advantage
+from repro.baselines.caqr import caqr_cost
 
 __all__ = [
     "scalapack_qr",
@@ -21,5 +21,4 @@ __all__ = [
     "tsqr_1d",
     "tsqr_cost",
     "caqr_cost",
-    "caqr_latency_advantage",
 ]

@@ -50,16 +50,3 @@ def caqr_cost(m: int, n: int, pr: int, pc: int, block_size: int) -> Cost:
              + b * n * (3.0 * m - n) / (2.0 * pr))
     return cost
 
-
-def caqr_latency_advantage(n: int, pr: int, block_size: int) -> float:
-    """The factor by which CAQR's panel latency undercuts PGEQRF's.
-
-    PGEQRF pays ``2 n log pr`` panel messages; CAQR pays
-    ``3 (n/b) log pr`` -- an ``O(b)`` reduction.
-    """
-    check_positive_int(block_size, "block_size")
-    pgeqrf_msgs = 2.0 * n * _log2p(pr)
-    caqr_msgs = 3.0 * (n / block_size) * _log2p(pr)
-    if caqr_msgs == 0:
-        return float("inf")
-    return pgeqrf_msgs / caqr_msgs

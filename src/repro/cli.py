@@ -170,7 +170,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "machine": machine,
             "mode": "symbolic" if args.symbolic else "numeric",
             "objective": objective, "algorithms": args.algorithms or None,
-            "block_sizes": [args.block_size] if args.block_size else None,
+            "block_sizes": (None if args.block_size is None
+                            else [args.block_size]),
             "top_k": args.top_k})
         obs, _ = _build_observer(args.jsonl, args.chrome_trace)
         planner = Planner(refine=None if args.no_refine else "symbolic",
@@ -239,7 +240,7 @@ def _cmd_plan_lattice(args: argparse.Namespace) -> int:
             spec.setdefault("mode", "symbolic")
         if args.algorithms:
             spec.setdefault("algorithms", args.algorithms)
-        if args.block_size:
+        if args.block_size is not None:
             spec.setdefault("block_sizes", [args.block_size])
         problems = lattice_problems(spec)
         obs, _ = _build_observer(args.jsonl, args.chrome_trace)
@@ -425,7 +426,8 @@ def _run_modeled_sweep(args, machine, proc_counts) -> int:
 
     table = algorithm_comparison_study(
         args.m, args.n, machine, tuple(proc_counts),
-        block_size=args.block_size or 32).run(parallel=False)
+        block_size=32 if args.block_size is None else args.block_size,
+    ).run(parallel=False)
     series = series_from_table(table)
     if not series:
         print(f"no algorithm is applicable to {args.m} x {args.n} "
@@ -507,11 +509,11 @@ def _run_auto_sweep(args, machine, proc_counts) -> int:
 
 
 def _run_executed_sweep(args, machine, proc_counts) -> int:
-    """Execute a real (numeric) sweep through the engine's batch runner."""
-    from repro.engine import (CapabilityError, MatrixSpec, RunSpec,
-                              solver_for, solvers)
-    from repro.session import default_session
-    from repro.study.builtin import default_executed_algorithms
+    """Execute a real (numeric) sweep: :func:`executed_sweep_study`'s grid."""
+    from repro.engine import solver_for, solvers
+    from repro.study.builtin import (default_executed_algorithms,
+                                     executed_sweep_study)
+    from repro.utils.config import UNSET
 
     if args.algorithms and "auto" in args.algorithms:
         if len(args.algorithms) > 1:
@@ -520,52 +522,36 @@ def _run_executed_sweep(args, machine, proc_counts) -> int:
             return 2
         return _run_auto_sweep(args, machine, proc_counts)
 
-    matrix = MatrixSpec(args.m, args.n, seed=args.seed)
-    specs, labels = [], []
     # Registry order either way; the default runs each executed path once.
     # Aliases resolve to their solver; an unknown name is an error.
     wanted = {solver_for(name).name
               for name in args.algorithms or default_executed_algorithms()}
-    for solver in solvers():
-        if solver.name not in wanted:
-            continue
-        for procs in proc_counts:
-            spec = RunSpec(algorithm=solver.name, matrix=matrix, procs=procs,
-                           machine=machine, block_size=args.block_size)
-            try:
-                solver.prepare(spec)
-            except CapabilityError:
-                continue            # infeasible at this point; narrow silently
-            specs.append(spec)
-            labels.append((solver.label, procs))
-    if not specs:
+    study = executed_sweep_study(
+        args.m, args.n, proc_counts,
+        algorithms=[s.name for s in solvers() if s.name in wanted],
+        machine=machine, seed=args.seed, block_size=args.block_size)
+    # Infeasible points are not-ok rows, never executed.
+    cells = {(row.point["algorithm"], row.point["procs"]): row.values
+             for row in study.run(parallel=not args.serial,
+                                  max_workers=args.jobs,
+                                  cache_dir=args.cache_dir or UNSET)
+             if row.ok}
+    if not cells:
         print(f"no algorithm is executable for {args.m} x {args.n} "
               f"at P in {proc_counts}")
         return 2
-    from repro.utils.config import UNSET
-
-    results = default_session().run_batch(
-        specs, parallel=not args.serial, max_workers=args.jobs,
-        cache_dir=args.cache_dir or UNSET)
 
     print(f"executed sweep: {args.m} x {args.n} on {machine.name} "
           f"(simulated critical-path seconds / orthogonality error)")
     print("=" * 72)
     print(f"{'algorithm':<11}" + "".join(f"{p:>12}" for p in proc_counts))
-    by_cell = {key: res for key, res in zip(labels, results)}
-    for label in dict.fromkeys(lbl for lbl, _ in labels):
-        cells = []
-        for p in proc_counts:
-            res = by_cell.get((label, p))
-            cells.append(f"{res.report.critical_path_time:>12.4g}" if res
-                         else f"{'-':>12}")
-        print(f"{label:<11}" + "".join(cells))
-        cells = []
-        for p in proc_counts:
-            res = by_cell.get((label, p))
-            cells.append(f"{res.orthogonality_error():>12.1e}" if res
-                         else f"{'-':>12}")
-        print(f"{'  ortho':<11}" + "".join(cells))
+    for name in dict.fromkeys(name for name, _ in cells):
+        for label, metric, fmt in ((solver_for(name).label, "seconds", ".4g"),
+                                   ("  ortho", "orthogonality", ".1e")):
+            values = [cells.get((name, p), {}).get(metric) for p in proc_counts]
+            print(f"{label:<11}" + "".join(
+                f"{'-':>12}" if v is None else f"{v:>12{fmt}}"
+                for v in values))
     return 0
 
 

@@ -11,7 +11,7 @@
   paper's optimal ``m/d = n/c`` rule.
 """
 
-from repro.core.elementwise import dist_add, dist_sub, dist_neg, dist_scale
+from repro.core.elementwise import dist_sub, dist_neg
 from repro.core.mm3d import mm3d
 from repro.core.cfr3d import cfr3d, default_base_case
 from repro.core.cqr import cqr_sequential, cqr2_sequential, cqr3_sequential
@@ -33,10 +33,8 @@ from repro.core.tuning import (
 )
 
 __all__ = [
-    "dist_add",
     "dist_sub",
     "dist_neg",
-    "dist_scale",
     "mm3d",
     "cfr3d",
     "default_base_case",

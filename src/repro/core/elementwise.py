@@ -18,7 +18,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.blas import local_add, local_neg, local_scale, local_sub
+from repro.kernels.blas import local_neg, local_sub
 from repro.utils.validation import require
 from repro.vmpi.datatypes import Block, SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix
@@ -53,12 +53,6 @@ def _map_charged(vm: Optional[VirtualMachine], a: DistMatrix, phase: str,
                                  op(a.plane, *(o.plane for o in others)))
 
 
-def dist_add(vm: VirtualMachine, a: DistMatrix, b: DistMatrix, phase: str) -> DistMatrix:
-    """``A + B`` blockwise; one flop per local entry per rank."""
-    _check_conformance(a, b)
-    return _map_charged(vm, a, phase, local_add, np.add, b)
-
-
 def dist_sub(vm: Optional[VirtualMachine], a: DistMatrix, b: DistMatrix,
              phase: str) -> DistMatrix:
     """``A - B`` blockwise (Algorithm 3 line 10)."""
@@ -70,9 +64,3 @@ def dist_neg(vm: Optional[VirtualMachine], a: DistMatrix, phase: str) -> DistMat
     """``-A`` blockwise (Algorithm 3 line 13)."""
     return _map_charged(vm, a, phase, local_neg, np.negative)
 
-
-def dist_scale(vm: VirtualMachine, a: DistMatrix, scalar: float, phase: str) -> DistMatrix:
-    """``scalar * A`` blockwise."""
-    return _map_charged(vm, a, phase,
-                        lambda blk: local_scale(blk, scalar),
-                        lambda data: data * scalar)

@@ -173,19 +173,3 @@ def ca_shifted_cqr3(vm, a, base_case_size=None, phase: str = "sCQR3",
         f"distributed shifted CholeskyQR did not converge in {max_shift_passes} "
         "passes; the input is numerically rank-deficient")
 
-
-def cqr2_with_shift_fallback(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """CQR2 with automatic fallback to sCQR3 on Cholesky breakdown.
-
-    Returns ``(Q, R, used_shift)``.  This is the policy a production
-    library would ship: pay for the third pass only when the Gram matrix
-    actually fails to factor.
-    """
-    from repro.core.cqr import cqr2_sequential
-
-    try:
-        q, r = cqr2_sequential(a)
-        return q, r, False
-    except CholeskyFailure:
-        q, r = shifted_cqr3_sequential(a)
-        return q, r, True

@@ -31,13 +31,11 @@ from repro.costmodel.params import (
 )
 from repro.costmodel.collectives import (
     CollectiveCost,
-    delta,
     bcast_cost,
     reduce_cost,
     allreduce_cost,
     allgather_cost,
     transpose_cost,
-    point_to_point_cost,
 )
 from repro.costmodel.ledger import Cost, Ledger, CostReport
 from repro.costmodel.performance import ExecutionModel, householder_qr_flops, cqr2_flops
@@ -57,13 +55,11 @@ __all__ = [
     "ABSTRACT_MACHINE",
     "machine_by_name",
     "CollectiveCost",
-    "delta",
     "bcast_cost",
     "reduce_cost",
     "allreduce_cost",
     "allgather_cost",
     "transpose_cost",
-    "point_to_point_cost",
     "Cost",
     "Ledger",
     "CostReport",

@@ -96,14 +96,3 @@ def ca_cqr_optimal_asymptotic(m: float, n: float, p: float) -> AsymptoticCost:
         bandwidth=(m * n * n / p) ** (2.0 / 3.0),
         flops=m * n * n / p,
     )
-
-
-def optimal_grid_real(m: float, n: float, p: float) -> tuple:
-    """Real-valued optimal ``(c, d)`` from ``m/d = n/c`` and ``P = c**2 d``.
-
-    Solving gives ``c = (P n / m)**(1/3)`` and ``d = m c / n``; the integer
-    tuner (:mod:`repro.core.tuning`) snaps these to feasible grids.
-    """
-    c = (p * n / m) ** (1.0 / 3.0)
-    d = m * c / n
-    return c, d

@@ -34,11 +34,6 @@ from dataclasses import dataclass
 from repro.utils.validation import check_positive_int, require
 
 
-def delta(p: int) -> int:
-    """The paper's indicator ``delta``: 0 if ``p <= 1`` else 1."""
-    return 0 if p <= 1 else 1
-
-
 def _log2ceil(p: int) -> float:
     """``log2(p)`` rounded up to an integer number of butterfly stages.
 
@@ -115,10 +110,4 @@ def transpose_cost(words: float, procs: int) -> CollectiveCost:
     _check(words, procs)
     if procs <= 1:
         return FREE
-    return CollectiveCost(1.0, float(words))
-
-
-def point_to_point_cost(words: float) -> CollectiveCost:
-    """A single send/receive of ``words`` words."""
-    require(words >= 0, f"word count must be non-negative, got {words}")
     return CollectiveCost(1.0, float(words))

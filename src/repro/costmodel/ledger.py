@@ -179,18 +179,6 @@ class CostReport:
     critical_path_time: float
     phase_max: Dict[str, Cost] = field(default_factory=dict)
 
-    @property
-    def max_messages(self) -> float:
-        return self.max_cost.messages
-
-    @property
-    def max_words(self) -> float:
-        return self.max_cost.words
-
-    @property
-    def max_flops(self) -> float:
-        return self.max_cost.flops
-
     def phase_total(self, prefix: str) -> Cost:
         """Max-over-ranks cost of all phases under *prefix*."""
         return prefix_total(self.phase_max, prefix)

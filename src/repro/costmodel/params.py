@@ -31,10 +31,12 @@ benchmark code:
   correspond to 5-15 percent of peak when flops are counted with the
   Householder formula; the underlying DGEMM efficiency is higher).
 * ``alpha`` -- the effective per-message latency, which folds in software
-  overhead and network diameter.  Blue Waters' 3D torus has a much larger
-  effective latency than Stampede2's fat tree, which is how the paper's
-  observation that "the overhead of synchronization is less prevalent on
-  Stampede2 than Blue Waters" enters the model.
+  overhead and network diameter.  It is a calibrated value, not one the
+  paper publishes.  Stampede2's preset alpha (1.9e-5 s) is about 13x
+  *larger* than Blue Waters' (1.5e-6 s), so per message the model makes
+  latency dearer on Stampede2.  The paper's observation that "the
+  overhead of synchronization is less prevalent on Stampede2 than Blue
+  Waters" is therefore not what the alphas encode.
 """
 
 from __future__ import annotations
@@ -209,8 +211,7 @@ STAMPEDE2 = MachineSpec(
 #: Blue Waters (NCSA).  313 Gflop/s XE nodes, 9.6 GB/s Gemini injection
 #: bandwidth, 16 processes/node.  Peak/injection = 32.6 flops/byte -- the
 #: ~8x lower ratio that makes communication-avoidance unprofitable there.
-#: The Gemini torus has a large effective latency (network diameter grows
-#: with machine size), reflected in a larger alpha.
+#: Its calibrated alpha (1.5e-6 s) is about 13x smaller than Stampede2's.
 BLUE_WATERS = MachineSpec(
     name="blue-waters",
     peak_flops_per_node=313.0e9,

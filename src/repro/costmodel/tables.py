@@ -3,12 +3,13 @@
 The paper states each algorithm's cost line by line (Table II for CFR3D,
 Tables III/IV for 1D-CQR/CQR2, Tables V/VI for CA-CQR/CQR2).  This module
 is the repository's only closed form for those algorithms and for their
-building blocks, MM3D and the distributed transpose.  Every ``*_lines``
-function takes scalars or 1-D arrays of candidate parameters -- one
-*lane* per candidate, as in :mod:`repro.costmodel.batch` -- and returns
-:data:`Lines`: one ``(3, N)`` float64 array of per-lane
-``(messages, words, flops)`` per virtual-MPI phase name, in the order the
-executed algorithm first charges them.  A line is the busiest rank's cost
+building block MM3D (their transposes are lines of the tables that run
+them).  Every ``*_lines`` function takes scalars or 1-D arrays of
+candidate parameters -- one *lane* per candidate, as in
+:mod:`repro.costmodel.batch` -- and returns :data:`Lines`: one
+``(3, N)`` float64 array of per-lane ``(messages, words, flops)`` per
+virtual-MPI phase name, in the order the executed algorithm first
+charges them.  A line is the busiest rank's cost
 of that phase accumulated over the whole run (over every CFR3D recursion
 level), and equals the executed ledger's ``phase_total`` bit for bit; the
 test suite asserts ``==`` over a lattice of shapes and grids.
@@ -127,17 +128,6 @@ def _mm3d(ml, kl, nl, p, flop_fraction: float, prefix: str) -> Lines:
             f"{prefix}.bcast-b": bcast_batch(kl * nl, p),
             f"{prefix}.local-mm": _flops((2.0 * ml * nl * kl) * flop_fraction),
             f"{prefix}.allreduce": allreduce_batch(ml * nl, p)}
-
-
-def transpose_lines(n, p, prefix: str = "transpose") -> Lines:
-    """Global transpose of an ``n x n`` cyclic matrix on a ``p**3`` grid.
-
-    One pairwise exchange of the ``(n/p)**2`` local block (free on the
-    diagonal; the critical-path rank is off-diagonal).
-    """
-    n, p = int_lanes(n=n, p=p)
-    _check(n % p != 0, "transpose: n must be divisible by the grid extent p")
-    return {prefix: transpose_batch((n // p) ** 2, p)}
 
 
 def cfr3d_lines(n, p, base_case_size, prefix: str = "cfr3d") -> Lines:

@@ -35,7 +35,7 @@ from repro.engine.registry import (
     solvers,
 )
 from repro.engine.result import Grid2DShape, QRRun
-from repro.engine.runner import ResultCache, batch_specs
+from repro.engine.runner import ResultCache
 from repro.engine.builtin import register_builtin
 from repro.engine.spec import MatrixSpec, RunSpec
 
@@ -53,7 +53,6 @@ __all__ = [
     "Solver",
     "UnknownAlgorithmError",
     "available_algorithms",
-    "batch_specs",
     "register",
     "register_builtin",
     "solver_for",

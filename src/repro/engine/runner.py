@@ -16,7 +16,7 @@ execution.
 from __future__ import annotations
 
 import concurrent.futures
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.engine.registry import UnknownAlgorithmError, solver_for
 from repro.engine.result import QRRun
@@ -82,14 +82,3 @@ class ResultCache(AtomicDiskCache):
 _POOL_FALLBACK_ERRORS = (OSError, PermissionError,
                          concurrent.futures.BrokenExecutor,
                          UnknownAlgorithmError)
-
-
-def batch_specs(algorithm: str, points: Sequence[dict], **common) -> List[RunSpec]:
-    """Convenience: one algorithm, many parameter points.
-
-    ``points`` are per-spec keyword overrides merged over ``common``,
-    e.g. ``batch_specs("ca_cqr2", [{"procs": p} for p in (16, 128)],
-    matrix=MatrixSpec(4096, 64))``.
-    """
-    return [RunSpec(algorithm=algorithm, **{**common, **point})
-            for point in points]

@@ -30,37 +30,8 @@ from repro.experiments.scaling import (
     WeakScalingFigure,
 )
 
-def weak_scaling_ladder(steps: int) -> tuple:
-    """Generate Section IV-C's weak-scaling progression of ``(a, b)``.
-
-    Two alternating progressions starting from ``(a, b) = (1, 1)``:
-
-    1. double ``m`` (and the grid's ``d``): ``a *= 2``;
-    2. halve ``m``, double ``n`` (and ``c``): ``a //= 2, b *= 2``;
-
-    with "the first progression employed 3x as often as the second" -- the
-    operation sequence is P1, then repeating [P2, P1, P1, P1].  Both keep
-    ``m n**2`` (the leading flop count) scaling linearly with the node
-    count ``~ a b**2``.
-    """
-    a, b = 1, 1
-    ladder = []
-    ops = ["P1", *["P2", "P1", "P1", "P1"] * ((steps + 3) // 4 + 1)]
-    for op in ops[:steps]:
-        if op == "P1":
-            a *= 2
-        else:
-            if a % 2:
-                a *= 2  # keep integral; does not occur in the paper's range
-            else:
-                a //= 2
-            b *= 2
-        ladder.append((a, b))
-    return tuple(ladder)
-
-
 #: Section IV-C's weak-scaling progression of (a, b), as shown on the
-#: x-axes of Figures 1(b), 4 and 5.  Equals ``weak_scaling_ladder(7)``.
+#: x-axes of Figures 1(b), 4 and 5.
 WEAK_LADDER = ((2, 1), (1, 2), (2, 2), (4, 2), (8, 2), (4, 4), (8, 4))
 
 _BW_STRONG_NODES = (32, 64, 128, 256, 512, 1024, 2048)

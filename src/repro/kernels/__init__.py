@@ -14,12 +14,10 @@ Flop-count conventions follow the paper exactly (see
 """
 
 from repro.kernels.flops import (
-    axpy_flops,
     mm_flops,
     syrk_flops,
     chol_flops,
     trinv_flops,
-    cholinv_flops,
     householder_flops,
     elementwise_flops,
 )
@@ -27,10 +25,8 @@ from repro.kernels.blas import (
     local_mm,
     local_mm_tn,
     local_syrk,
-    local_add,
     local_sub,
     local_neg,
-    local_scale,
 )
 from repro.kernels.cholesky import (
     local_chol,
@@ -41,21 +37,17 @@ from repro.kernels.cholesky import (
 from repro.kernels.householder import signed_qr
 
 __all__ = [
-    "axpy_flops",
     "mm_flops",
     "syrk_flops",
     "chol_flops",
     "trinv_flops",
-    "cholinv_flops",
     "householder_flops",
     "elementwise_flops",
     "local_mm",
     "local_mm_tn",
     "local_syrk",
-    "local_add",
     "local_sub",
     "local_neg",
-    "local_scale",
     "local_chol",
     "local_trinv",
     "local_cholinv",

@@ -49,12 +49,6 @@ def local_syrk(a: Block) -> Tuple[Block, float]:
     return NumericBlock(gram), fl.syrk_flops(m, n)
 
 
-def local_add(a: Block, b: Block) -> Tuple[Block, float]:
-    """Elementwise ``A + B``; one flop per entry."""
-    m, n = a.shape
-    return a.add(b), fl.elementwise_flops(m, n)
-
-
 def local_sub(a: Block, b: Block) -> Tuple[Block, float]:
     """Elementwise ``A - B``; one flop per entry (Algorithm 3 line 10)."""
     m, n = a.shape
@@ -65,9 +59,3 @@ def local_neg(a: Block) -> Tuple[Block, float]:
     """Elementwise negation; one flop per entry (Algorithm 3 line 13)."""
     m, n = a.shape
     return a.neg(), fl.elementwise_flops(m, n)
-
-
-def local_scale(a: Block, scalar: float) -> Tuple[Block, float]:
-    """Elementwise scaling; one flop per entry."""
-    m, n = a.shape
-    return a.scale(scalar), fl.elementwise_flops(m, n)

@@ -28,11 +28,6 @@ TRMM_FRACTION = 0.5
 TRI_TRI_FRACTION = 1.0 / 6.0
 
 
-def axpy_flops(m: int, n: int) -> float:
-    """Scaled elementwise add of two ``m x n`` matrices."""
-    return 2.0 * m * n
-
-
 def elementwise_flops(m: int, n: int) -> float:
     """Single-op elementwise map (subtraction, negation) of ``m x n``."""
     return float(m * n)
@@ -56,11 +51,6 @@ def chol_flops(n: int) -> float:
 def trinv_flops(n: int) -> float:
     """Inverse of an ``n x n`` triangular matrix."""
     return (1.0 / 3.0) * n ** 3
-
-
-def cholinv_flops(n: int) -> float:
-    """Cholesky + triangular inverse (Algorithm 2's base case work)."""
-    return chol_flops(n) + trinv_flops(n)
 
 
 def householder_flops(m: int, n: int) -> float:

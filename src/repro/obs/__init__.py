@@ -42,7 +42,6 @@ from .export import (
     JsonlSink,
     prometheus_exposition,
     vm_trace_events,
-    write_chrome_trace,
 )
 
 __all__ = [
@@ -62,5 +61,4 @@ __all__ = [
     "JsonlSink",
     "prometheus_exposition",
     "vm_trace_events",
-    "write_chrome_trace",
 ]

@@ -160,15 +160,6 @@ def vm_trace_events(events: Iterable[Any], pid: int = 1,
     return out
 
 
-def write_chrome_trace(path: str, events: Iterable[Any],
-                       time_scale: float = 1.0) -> int:
-    """Write a standalone Chrome trace file for a VM event timeline."""
-    chrome = vm_trace_events(events, pid=1, time_scale=time_scale)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"traceEvents": chrome, "displayTimeUnit": "ms"}, fh)
-    return len(chrome)
-
-
 def _prom_name(name: str) -> str:
     """Sanitize a dotted metric name into a Prometheus metric name."""
     safe = "".join(c if c.isalnum() or c == "_" else "_" for c in name)

@@ -132,10 +132,6 @@ class Observer:
         self.sinks: List[Any] = [s for s in sinks if s is not None]
         self.epoch = time.perf_counter()
 
-    @property
-    def enabled(self) -> bool:
-        return bool(self.sinks)
-
     def span(self, name: str, **attrs: Any):
         if not self.sinks:
             return NULL_SPAN

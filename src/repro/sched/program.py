@@ -81,7 +81,7 @@ class ChargeOp:
     :meth:`~repro.vmpi.machine.VirtualMachine.charge_comm_axis`).
     A template run lowers a tagged op from the tag (an O(1) memo key,
     see :meth:`ChargeProgram.lowered`); every other reader (a recorder's
-    bound splice, the verifier, the envelope analysis) reads ``ranks``, and
+    bound splice, the verifier) reads ``ranks``, and
     ``ir/axis-form`` proves the two agree.
     """
 

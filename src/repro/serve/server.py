@@ -25,9 +25,8 @@ campaign through one batched lattice search), ``POST /factor``,
 keeps connections alive for pipelined clients, and answers malformed
 requests with field-labelled 400s instead of dying.
 
-Embedding (tests, benchmarks) uses :meth:`PlanServer.start_background` /
-:meth:`PlanServer.stop`; the ``repro serve`` CLI subcommand runs
-:meth:`PlanServer.serve_forever` in the foreground.
+Embedding (tests, benchmarks) and the ``repro serve`` CLI subcommand use
+:meth:`PlanServer.start_background` / :meth:`PlanServer.stop`.
 """
 
 from __future__ import annotations
@@ -351,20 +350,6 @@ class PlanServer:
     @property
     def address(self) -> str:
         return f"http://{self.host}:{self.port}"
-
-    def serve_forever(self) -> None:
-        """Run the server on this thread until interrupted (the CLI path)."""
-        async def _run():
-            await self._start()
-            print(f"repro.serve listening on {self.address} "
-                  f"(workers={self.workers}, lru={self.plan_cache.capacity})",
-                  flush=True)
-            try:
-                await asyncio.Event().wait()    # until cancelled
-            finally:
-                await self._shutdown()
-
-        asyncio.run(_run())
 
     def start_background(self) -> str:
         """Start on a daemon thread; return the bound address.

@@ -266,7 +266,8 @@ def study_from_dict(cfg: dict) -> Study:
             m=need("m"), n=need("n"),
             machine=resolve_machine(cfg.get("machine", "stampede2")),
             proc_counts=tuple(need("procs")),
-            block_size=cfg.get("block_size") or 32,
+            block_size=(32 if cfg.get("block_size") is None
+                        else cfg["block_size"]),
             algorithms=cfg.get("algorithms"), name=cfg.get("name"))
     if kind == "accuracy":
         from repro.experiments.accuracy import accuracy_study

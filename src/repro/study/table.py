@@ -125,10 +125,6 @@ class ResultTable:
     def columns(self) -> List[str]:
         return self.point_columns + self.value_columns
 
-    def column(self, name: str) -> List[object]:
-        """All values of one column, in row order."""
-        return [r.get(name) for r in self._rows]
-
     def filter(self, predicate: Optional[Callable[[Row], bool]] = None,
                **eq: object) -> "ResultTable":
         """Rows matching a predicate and/or column equalities, as a new table."""

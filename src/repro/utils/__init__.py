@@ -1,4 +1,4 @@
-"""Shared utilities: argument validation, index/partition math, matrix generators.
+"""Shared utilities: argument validation and matrix generators.
 
 These modules are dependency-free (only numpy) and are used by every layer of
 the library: the virtual-MPI substrate, the kernels, the core algorithms and
@@ -8,49 +8,23 @@ the experiment drivers.
 from repro.utils.validation import (
     require,
     check_positive_int,
-    check_power_of_two,
     is_power_of_two,
-    next_power_of_two,
-    ilog2,
-)
-from repro.utils.partition import (
-    cyclic_owner,
-    cyclic_local_index,
-    cyclic_global_index,
-    cyclic_local_count,
-    block_bounds,
-    split_quadrants,
-    join_quadrants,
 )
 from repro.utils.matgen import (
     random_matrix,
     random_orthonormal,
     matrix_with_condition,
-    random_spd,
     tall_skinny_least_squares_problem,
     vandermonde_matrix,
-    graded_matrix,
 )
 
 __all__ = [
     "require",
     "check_positive_int",
-    "check_power_of_two",
     "is_power_of_two",
-    "next_power_of_two",
-    "ilog2",
-    "cyclic_owner",
-    "cyclic_local_index",
-    "cyclic_global_index",
-    "cyclic_local_count",
-    "block_bounds",
-    "split_quadrants",
-    "join_quadrants",
     "random_matrix",
     "random_orthonormal",
     "matrix_with_condition",
-    "random_spd",
     "tall_skinny_least_squares_problem",
     "vandermonde_matrix",
-    "graded_matrix",
 ]

@@ -5,8 +5,8 @@ stability discussion (Section I, refs [1]-[3]) is about how the accuracy of
 CholeskyQR-family algorithms degrades with the condition number kappa(A).
 This module provides both: plain Gaussian test matrices for the scaling
 experiments and generators with a *prescribed* condition number (via an
-explicit SVD construction) for the accuracy study, plus a few classically
-ill-conditioned families (Vandermonde, graded) used as stress tests.
+explicit SVD construction) for the accuracy study, plus the classically
+ill-conditioned Vandermonde family used as a stress test.
 
 All generators take an explicit ``rng`` / ``seed`` so experiments are
 reproducible run-to-run.
@@ -100,24 +100,6 @@ def matrix_with_condition(
     return (u * s[np.newaxis, :]).dot(v.T).astype(dtype, copy=False)
 
 
-def random_spd(n: int, condition: float = 100.0, rng: RngLike = None, dtype=np.float64) -> np.ndarray:
-    """Symmetric positive definite ``n x n`` matrix with given condition number.
-
-    Used to exercise the Cholesky substrates (CholInv, CFR3D) directly.
-    """
-    check_positive_int(n, "n")
-    require(condition >= 1.0, f"condition must be >= 1, got {condition}")
-    gen = _as_rng(rng)
-    if n == 1:
-        return np.array([[1.0]], dtype=dtype)
-    q = random_orthonormal(n, n, gen)
-    eigs = np.geomspace(1.0, 1.0 / condition, n)
-    a = (q * eigs[np.newaxis, :]).dot(q.T)
-    # Symmetrize exactly; round-off in the triple product otherwise leaves
-    # an O(eps) skew part that trips strict symmetry validation downstream.
-    return (0.5 * (a + a.T)).astype(dtype, copy=False)
-
-
 def tall_skinny_least_squares_problem(
     m: int,
     n: int,
@@ -152,21 +134,3 @@ def vandermonde_matrix(m: int, n: int, spread: float = 1.0) -> np.ndarray:
     nodes = np.linspace(-spread, spread, m)
     return np.vander(nodes, n, increasing=True)
 
-
-def graded_matrix(m: int, n: int, grade: float = 1e6, rng: RngLike = None) -> np.ndarray:
-    """Gaussian matrix with geometrically graded column scales ``1 .. 1/grade``.
-
-    The 2-norm condition number is ~``grade``, yet CholeskyQR handles this
-    family *well*: pure column scaling commutes with the Gram computation
-    (Cholesky is forward stable under diagonal scaling), so the effective
-    condition number seen by the factorization is that of the unscaled
-    Gaussian.  Included as the counterpoint stress test to
-    :func:`matrix_with_condition`, whose ill-conditioning is rotationally
-    mixed and genuinely breaks CholeskyQR.
-    """
-    check_positive_int(m, "m")
-    check_positive_int(n, "n")
-    require(grade >= 1.0, f"grade must be >= 1, got {grade}")
-    g = _as_rng(rng).standard_normal((m, n))
-    scales = np.geomspace(1.0, 1.0 / grade, n)
-    return g * scales[np.newaxis, :]

@@ -83,23 +83,3 @@ def check_positive_int(value: int, name: str) -> int:
 def is_power_of_two(value: int) -> bool:
     """Return ``True`` iff *value* is a positive integral power of two."""
     return isinstance(value, int) and not isinstance(value, bool) and value > 0 and (value & (value - 1)) == 0
-
-
-def check_power_of_two(value: int, name: str) -> int:
-    """Validate that *value* is a positive power of two and return it."""
-    check_positive_int(value, name)
-    if not is_power_of_two(value):
-        raise ValueError(f"{name} must be a power of two, got {value}")
-    return value
-
-
-def next_power_of_two(value: int) -> int:
-    """Smallest power of two ``>= value`` (``value >= 1``)."""
-    check_positive_int(value, "value")
-    return 1 << (value - 1).bit_length()
-
-
-def ilog2(value: int) -> int:
-    """Exact integer base-2 logarithm; *value* must be a power of two."""
-    check_power_of_two(value, "value")
-    return value.bit_length() - 1

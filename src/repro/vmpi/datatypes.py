@@ -58,16 +58,10 @@ class Block:
     def transpose(self) -> "Block":
         raise NotImplementedError
 
-    def add(self, other: "Block") -> "Block":
-        raise NotImplementedError
-
     def sub(self, other: "Block") -> "Block":
         raise NotImplementedError
 
     def neg(self) -> "Block":
-        raise NotImplementedError
-
-    def scale(self, scalar: float) -> "Block":
         raise NotImplementedError
 
     def copy(self) -> "Block":
@@ -76,7 +70,7 @@ class Block:
     def quadrant(self, i: int, j: int) -> "Block":
         """Local part of global quadrant ``(i, j)`` under a cyclic layout.
 
-        Requires even local extents; see :mod:`repro.utils.partition` for why
+        Requires even local extents; see :mod:`repro.vmpi.distmatrix` for why
         cyclic layouts make quadrants contiguous local halves.
         """
         raise NotImplementedError
@@ -123,11 +117,6 @@ class NumericBlock(Block):
         # would return a VIEW -- aliasing the source buffer across blocks.
         return NumericBlock(self.data.T.copy())
 
-    def add(self, other: Block) -> "NumericBlock":
-        o = _require_numeric(other)
-        require(self.shape == o.shape, f"add shape mismatch: {self.shape} vs {o.shape}")
-        return NumericBlock(self.data + o.data)
-
     def sub(self, other: Block) -> "NumericBlock":
         o = _require_numeric(other)
         require(self.shape == o.shape, f"sub shape mismatch: {self.shape} vs {o.shape}")
@@ -135,9 +124,6 @@ class NumericBlock(Block):
 
     def neg(self) -> "NumericBlock":
         return NumericBlock(-self.data)
-
-    def scale(self, scalar: float) -> "NumericBlock":
-        return NumericBlock(self.data * scalar)
 
     def copy(self) -> "NumericBlock":
         return NumericBlock(self.data.copy())
@@ -181,20 +167,12 @@ class SymbolicBlock(Block):
     def transpose(self) -> "SymbolicBlock":
         return SymbolicBlock((self.shape[1], self.shape[0]))
 
-    def add(self, other: Block) -> "SymbolicBlock":
-        o = _require_symbolic(other)
-        require(self.shape == o.shape, f"add shape mismatch: {self.shape} vs {o.shape}")
-        return SymbolicBlock(self.shape)
-
     def sub(self, other: Block) -> "SymbolicBlock":
         o = _require_symbolic(other)
         require(self.shape == o.shape, f"sub shape mismatch: {self.shape} vs {o.shape}")
         return SymbolicBlock(self.shape)
 
     def neg(self) -> "SymbolicBlock":
-        return SymbolicBlock(self.shape)
-
-    def scale(self, scalar: float) -> "SymbolicBlock":
         return SymbolicBlock(self.shape)
 
     def copy(self) -> "SymbolicBlock":

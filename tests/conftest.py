@@ -13,6 +13,8 @@ import pytest
 # Set before repro imports so pool workers inherit it too.
 os.environ.setdefault("REPRO_SCHED_VERIFY", "1")
 
+from repro.utils.matgen import RngLike, _as_rng, random_orthonormal  # noqa: E402
+from repro.utils.validation import check_positive_int, require  # noqa: E402
 from repro.vmpi.distmatrix import DistMatrix  # noqa: E402
 from repro.vmpi.grid import Grid3D  # noqa: E402
 from repro.vmpi.machine import VirtualMachine  # noqa: E402
@@ -56,9 +58,44 @@ def distribute(grid: Grid3D, array: np.ndarray) -> DistMatrix:
     return DistMatrix.from_global(grid, array)
 
 
-def spd_matrix(n: int, rng: np.random.Generator, condition: float = 50.0) -> np.ndarray:
-    from repro.utils.matgen import random_spd
+def random_spd(n: int, condition: float = 100.0, rng: RngLike = None, dtype=np.float64) -> np.ndarray:
+    """Symmetric positive definite ``n x n`` matrix with given condition number.
 
+    Used to exercise the Cholesky substrates (CholInv, CFR3D) directly.
+    """
+    check_positive_int(n, "n")
+    require(condition >= 1.0, f"condition must be >= 1, got {condition}")
+    gen = _as_rng(rng)
+    if n == 1:
+        return np.array([[1.0]], dtype=dtype)
+    q = random_orthonormal(n, n, gen)
+    eigs = np.geomspace(1.0, 1.0 / condition, n)
+    a = (q * eigs[np.newaxis, :]).dot(q.T)
+    # Symmetrize exactly; round-off in the triple product otherwise leaves
+    # an O(eps) skew part that trips strict symmetry validation downstream.
+    return (0.5 * (a + a.T)).astype(dtype, copy=False)
+
+
+def graded_matrix(m: int, n: int, grade: float = 1e6, rng: RngLike = None) -> np.ndarray:
+    """Gaussian matrix with geometrically graded column scales ``1 .. 1/grade``.
+
+    The 2-norm condition number is ~``grade``, yet CholeskyQR handles this
+    family *well*: pure column scaling commutes with the Gram computation
+    (Cholesky is forward stable under diagonal scaling), so the effective
+    condition number seen by the factorization is that of the unscaled
+    Gaussian.  Included as the counterpoint stress test to
+    :func:`matrix_with_condition`, whose ill-conditioning is rotationally
+    mixed and genuinely breaks CholeskyQR.
+    """
+    check_positive_int(m, "m")
+    check_positive_int(n, "n")
+    require(grade >= 1.0, f"grade must be >= 1, got {grade}")
+    g = _as_rng(rng).standard_normal((m, n))
+    scales = np.geomspace(1.0, 1.0 / grade, n)
+    return g * scales[np.newaxis, :]
+
+
+def spd_matrix(n: int, rng: np.random.Generator, condition: float = 50.0) -> np.ndarray:
     return random_spd(n, condition=condition, rng=rng)
 
 

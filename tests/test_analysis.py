@@ -1,4 +1,4 @@
-"""repro.analysis: verifier, envelopes, cache sweeps, lint, and the CLI.
+"""repro.analysis: verifier, cache sweeps, lint, and the CLI.
 
 The proof obligations of the static-verification layer:
 
@@ -6,8 +6,6 @@ The proof obligations of the static-verification layer:
   property-sized family of randomly generated valid programs does too;
 * one seeded mutation per rule yields exactly that rule's finding (the
   mutation-kill table -- a rule nothing can trigger is dead weight);
-* the static cost envelope brackets exact replay bit-for-bit on every
-  machine preset;
 * semantically invalid cache entries (valid pickles, broken IR) load as
   misses under ``cache.<name>.invalid``;
 * the repository's own source passes its lint with zero findings;
@@ -27,13 +25,11 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     BINDING_RULES,
-    CostEnvelope,
     Finding,
     PROGRAM_RULES,
     VerificationError,
     check_plan_cache,
     check_sched_cache,
-    cost_envelope,
     findings_table,
     has_errors,
     lint_paths,
@@ -46,7 +42,6 @@ from repro.analysis import (
 )
 from repro.cli import main
 from repro.costmodel.collectives import CollectiveCost
-from repro.costmodel.params import ABSTRACT_MACHINE, BLUE_WATERS, STAMPEDE2
 from repro.engine import MatrixSpec, RunSpec
 from repro.engine.registry import solver_for
 from repro.obs.metrics import get_registry
@@ -55,7 +50,7 @@ from repro.plan.planner import PlanResult
 from repro.plan.problem import ProblemSpec
 from repro.sched.binding import RankFamilyMap
 from repro.sched.cache import ProgramCache
-from repro.sched.capture import capture_run, replay_report
+from repro.sched.capture import capture_run
 from repro.sched.program import (
     OP_BARRIER,
     OP_COMM,
@@ -200,15 +195,6 @@ class TestPropertyValidPrograms:
     @given(program=valid_programs())
     def test_generated_programs_verify_clean(self, program):
         assert verify_program(program) == []
-
-    @settings(max_examples=25, deadline=None)
-    @given(program=valid_programs())
-    def test_envelope_brackets_exact_replay(self, program):
-        for machine in (STAMPEDE2, ABSTRACT_MACHINE):
-            envelope = cost_envelope(program, machine)
-            exact = replay_report(program, machine).critical_path_time
-            assert envelope.brackets(exact)
-            assert envelope.lower_seconds <= envelope.upper_seconds
 
 
 # -- seeded mutations: one corrupted program per rule -------------------------------
@@ -416,44 +402,6 @@ class TestConstructionValidation:
     def test_phaseless_barrier_accepted(self):
         program = ChargeProgram(4, [], [ChargeOp(OP_BARRIER, None, None, -1)])
         assert len(program) == 1
-
-
-# -- cost envelopes -----------------------------------------------------------------
-
-
-class TestCostEnvelope:
-    @pytest.mark.parametrize("algorithm,kw", CAPTURE_CONFIGS)
-    @pytest.mark.parametrize("machine",
-                             [STAMPEDE2, BLUE_WATERS, ABSTRACT_MACHINE],
-                             ids=lambda m: m.name)
-    def test_brackets_exact_replay(self, algorithm, kw, machine):
-        program, _ = capture_run(prepared(algorithm, **kw))
-        envelope = cost_envelope(program, machine)
-        exact = replay_report(program, machine).critical_path_time
-        assert envelope.brackets(exact)
-        assert 0 < envelope.lower_seconds <= envelope.upper_seconds
-        assert envelope.num_ops == len(program)
-
-    def test_phase_counts_cover_the_phase_table(self):
-        program, _ = capture_run(prepared("ca_cqr2", c=2, d=8))
-        envelope = cost_envelope(program, STAMPEDE2)
-        assert set(envelope.phase_counts) == set(program.phases)
-        totals = np.asarray(list(envelope.phase_counts.values()))
-        assert (totals >= 0).all() and totals.sum() > 0
-
-    def test_empty_program_is_zero(self):
-        envelope = cost_envelope(ChargeProgram(4, [], []), STAMPEDE2)
-        assert envelope.lower_seconds == envelope.upper_seconds == 0.0
-        assert envelope.brackets(0.0)
-
-    def test_barriers_add_no_cost(self):
-        base = ChargeProgram(4, ["a"], [flops_op([0, 1, 2, 3], 100.0, 0)])
-        with_barrier = ChargeProgram(4, ["a"], list(base.ops) + [
-            ChargeOp(OP_BARRIER, None, None, -1)])
-        a = cost_envelope(base, STAMPEDE2)
-        b = cost_envelope(with_barrier, STAMPEDE2)
-        assert (a.lower_seconds, a.upper_seconds) == \
-            (b.lower_seconds, b.upper_seconds)
 
 
 # -- invalid cache entries read as misses (the bugfix) ------------------------------

@@ -50,6 +50,16 @@ class TestPlanCommand:
         assert "rank" in out and "Pareto" in out
         assert "ca_cqr2" in out
 
+    def test_zero_block_size_is_an_error(self, capsys):
+        assert main(["plan", "-m", "1024", "-n", "32", "-P", "4",
+                     "--no-refine", "-b", "0"]) == 2
+        assert capsys.readouterr().out == \
+            "error: problem: block size must be positive, got 0\n"
+        assert main(["plan", "--lattice", '{"m": [1024], "n": [32], '
+                     '"procs": [4]}', "--no-refine", "-b", "0"]) == 2
+        assert capsys.readouterr().out == \
+            "error: problem: block size must be positive, got 0\n"
+
     def test_json_export(self, capsys):
         import json
 
@@ -268,6 +278,13 @@ class TestSweep:
         assert main(["sweep", "-m", "64", "-n", "8", "-P", ","]) == 2
         assert "processor count" in capsys.readouterr().out
 
+    def test_zero_block_size_is_an_error(self, capsys):
+        # -b 0 was priced as the default -b 32; only an absent -b is.
+        assert main(["sweep", "-m", "1024", "-n", "32", "-P", "4",
+                     "-b", "0"]) == 2
+        out = capsys.readouterr().out
+        assert out == "error: block size must be positive, got 0\n"
+
 
 class TestTraceCommand:
     def test_symbolic_trace_renders_gantt_and_profile(self, capsys):
@@ -338,6 +355,20 @@ class TestStudyCommand:
     def test_missing_flags(self, capsys):
         assert main(["study", "-m", "64"]) == 2
         assert "error:" in capsys.readouterr().out
+
+    def test_zero_block_size_is_an_error(self, capsys, tmp_path):
+        import json
+
+        assert main(["study", "-m", "1024", "-n", "32", "-P", "4",
+                     "-b", "0"]) == 2
+        assert capsys.readouterr().out == \
+            "error: block size must be positive, got 0\n"
+        spec = tmp_path / "study.json"
+        spec.write_text(json.dumps({"kind": "modeled", "m": 1024, "n": 32,
+                                    "procs": [4], "block_size": 0}))
+        assert main(["study", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().out == \
+            "error: block size must be positive, got 0\n"
 
     def test_bad_spec_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.cqr import cqr2_sequential
 from repro.core.shifted import (
-    cqr2_with_shift_fallback,
     recommended_shift,
     shifted_cqr3_sequential,
     shifted_cqr_sequential,
@@ -74,17 +73,3 @@ class TestShiftedCQR3:
         q_2, r_2 = cqr2_sequential(a)
         np.testing.assert_allclose(np.abs(q_s), np.abs(q_2), atol=1e-10)
 
-
-class TestFallbackPolicy:
-    def test_no_shift_when_well_conditioned(self):
-        a = random_matrix(128, 8, rng=5)
-        q, r, used_shift = cqr2_with_shift_fallback(a)
-        assert not used_shift
-        assert orth_err(q) < 1e-13
-
-    def test_shift_engages_on_breakdown(self):
-        a = matrix_with_condition(256, 16, 1e14, rng=6)
-        q, r, used_shift = cqr2_with_shift_fallback(a)
-        assert used_shift
-        assert orth_err(q) < 1e-12
-        assert resid(a, q, r) < 1e-8

@@ -17,7 +17,6 @@ from repro.costmodel.asymptotics import (
     cqr_1d_asymptotic,
     cqr_3d_asymptotic,
     mm3d_asymptotic,
-    optimal_grid_real,
 )
 from repro.costmodel.tables import (
     ca_cqr_lines,
@@ -108,14 +107,6 @@ class TestCACQRRow:
             asym = ca_cqr_asymptotic(m, n, c, d)
             pairs.append((exact.flops, asym.flops))
         ratios_converge(pairs, tol=0.5)
-
-    def test_optimal_grid_formula(self):
-        c, d = optimal_grid_real(2 ** 20, 2 ** 10, 2 ** 12)
-        # c = (P n / m)^(1/3) = (2^12 * 2^10 / 2^20)^(1/3) = 2^(2/3)
-        assert c == pytest.approx(2 ** (2 / 3))
-        assert d == pytest.approx(2 ** 20 * c / 2 ** 10)
-        # The optimum satisfies the paper's aspect rule m/d = n/c.
-        assert (2 ** 20) / d == pytest.approx((2 ** 10) / c)
 
     def test_optimal_bandwidth_is_mn2_over_p_to_two_thirds(self):
         m, n, p = 2 ** 20, 2 ** 10, 2 ** 12

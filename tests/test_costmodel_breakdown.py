@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines.caqr import caqr_cost, caqr_latency_advantage
+from repro.baselines.caqr import caqr_cost
 from repro.baselines.scalapack_qr import pgeqrf_cost
 from repro.core.cfr3d import default_base_case
 from repro.costmodel.breakdown import breakdown
@@ -54,10 +54,6 @@ class TestCAQRModel:
         caqr = caqr_cost(m, n, pr, pc, b)
         pg = pgeqrf_cost(m, n, pr, pc, b)
         assert caqr.messages < pg.messages / 4
-
-    def test_latency_advantage_formula(self):
-        adv = caqr_latency_advantage(1024, 256, 32)
-        assert adv == pytest.approx(2 * 32 / 3.0)
 
     def test_bandwidth_same_class_as_pgeqrf(self):
         m, n, pr, pc, b = 2 ** 20, 2 ** 10, 2 ** 9, 2 ** 3, 32

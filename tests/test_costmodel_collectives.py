@@ -6,19 +6,9 @@ from repro.costmodel.collectives import (
     allgather_cost,
     allreduce_cost,
     bcast_cost,
-    delta,
-    point_to_point_cost,
     reduce_cost,
     transpose_cost,
 )
-
-
-class TestDelta:
-    def test_values(self):
-        assert delta(0) == 0
-        assert delta(1) == 0
-        assert delta(2) == 1
-        assert delta(1000) == 1
 
 
 class TestBcast:
@@ -72,12 +62,6 @@ class TestTranspose:
     def test_free_on_diagonal(self):
         c = transpose_cost(256, 1)
         assert c.messages == 0 and c.words == 0
-
-
-class TestPointToPoint:
-    def test_one_message(self):
-        c = point_to_point_cost(99)
-        assert c.messages == 1 and c.words == 99
 
 
 class TestCollectiveCostAlgebra:

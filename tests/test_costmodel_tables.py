@@ -29,9 +29,8 @@ from repro.costmodel.tables import (
     lane_cost,
     mm3d_lines,
     total,
-    transpose_lines,
 )
-from repro.vmpi.distmatrix import DistMatrix, dist_transpose
+from repro.vmpi.distmatrix import DistMatrix
 
 
 def assert_lines_exact(vm, lines):
@@ -54,13 +53,6 @@ def test_mm3d(p, m, k, n):
     vm, g = make_cubic(p)
     mm3d(vm, DistMatrix.symbolic(g, m, k), DistMatrix.symbolic(g, k, n))
     assert_lines_exact(vm, mm3d_lines(m, k, n, p))
-
-
-@pytest.mark.parametrize("p,n", [(1, 4), (2, 8), (3, 6), (3, 9), (4, 16)])
-def test_transpose(p, n):
-    vm, g = make_cubic(p)
-    dist_transpose(vm, DistMatrix.symbolic(g, n, n), "t")
-    assert_lines_exact(vm, transpose_lines(n, p, "t"))
 
 
 CFR3D_CASES = [(1, 8, 2), (1, 8, 8), (1, 24, 3), (1, 76, 19), (2, 8, 4),
@@ -201,10 +193,6 @@ class TestValidation:
     def test_mm3d_divisibility(self):
         with pytest.raises(ValueError, match="MM3D"):
             mm3d_lines(6, 4, 4, 4)
-
-    def test_transpose_divisibility(self):
-        with pytest.raises(ValueError, match="transpose"):
-            transpose_lines(6, 4)
 
     def test_ca_cqr_needs_c_dividing_d(self):
         with pytest.raises(ValueError, match=r"c \| d"):

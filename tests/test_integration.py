@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.conftest import make_cubic, make_tunable
+from tests.conftest import graded_matrix, make_cubic, make_tunable
 
 from repro import Session
 from repro.core.cacqr import ca_cqr2
@@ -13,7 +13,6 @@ from repro.core.tuning import feasible_grids
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
 from repro.costmodel.performance import ExecutionModel
 from repro.utils.matgen import (
-    graded_matrix,
     matrix_with_condition,
     tall_skinny_least_squares_problem,
 )

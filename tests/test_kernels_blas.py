@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.kernels.blas import (
-    local_add,
     local_mm,
     local_mm_tn,
     local_neg,
-    local_scale,
     local_sub,
     local_syrk,
 )
@@ -59,18 +57,12 @@ class TestLocalSyrk:
 
 
 class TestElementwise:
-    def test_add_sub_neg_scale_values_and_flops(self, rng):
+    def test_sub_neg_values_and_flops(self, rng):
         a = NumericBlock(rng.standard_normal((3, 4)))
         b = NumericBlock(rng.standard_normal((3, 4)))
-        out, f = local_add(a, b)
-        np.testing.assert_allclose(out.data, a.data + b.data)
-        assert f == 12
         out, f = local_sub(a, b)
         np.testing.assert_allclose(out.data, a.data - b.data)
         assert f == 12
         out, f = local_neg(a)
         np.testing.assert_allclose(out.data, -a.data)
-        assert f == 12
-        out, f = local_scale(a, 2.5)
-        np.testing.assert_allclose(out.data, 2.5 * a.data)
         assert f == 12

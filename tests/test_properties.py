@@ -1,8 +1,7 @@
 """Property-based tests (hypothesis) for core invariants.
 
-Four families:
+Three families:
 
-* index math (cyclic maps are bijections, block bounds partition),
 * collective cost formulas (monotonicity, degenerate-group freeness),
 * distributed-matrix structure (round-trips for arbitrary shapes/grids),
 * end-to-end QR invariants (CQR2 orthogonality/residual on arbitrary
@@ -17,34 +16,7 @@ from repro.core.cqr import cqr2_sequential
 from repro.costmodel import collectives as cc
 from repro.costmodel.tables import ca_cqr2_lines, lane_cost, mm3d_lines, total
 from repro.core.cfr3d import default_base_case
-from repro.utils.partition import (
-    block_bounds,
-    cyclic_global_index,
-    cyclic_local_count,
-    cyclic_local_index,
-    cyclic_owner,
-)
 from repro.utils.matgen import matrix_with_condition
-
-
-class TestCyclicIndexProperties:
-    @given(st.integers(0, 10_000), st.integers(1, 64))
-    def test_roundtrip(self, g, p):
-        assert cyclic_global_index(cyclic_local_index(g, p),
-                                   cyclic_owner(g, p), p) == g
-
-    @given(st.integers(0, 500), st.integers(1, 32))
-    def test_counts_partition(self, extent, p):
-        assert sum(cyclic_local_count(extent, q, p) for q in range(p)) == extent
-
-    @given(st.integers(1, 500), st.integers(1, 32))
-    def test_block_bounds_partition(self, extent, p):
-        edges = [block_bounds(extent, q, p) for q in range(p)]
-        assert edges[0][0] == 0
-        assert edges[-1][1] == extent
-        for (l1, h1), (l2, h2) in zip(edges, edges[1:]):
-            assert h1 == l2
-            assert h1 - l1 >= h2 - l2 - 1  # near-even split
 
 
 class TestCollectiveCostProperties:

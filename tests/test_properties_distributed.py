@@ -14,13 +14,13 @@ feasible (grid, matrix) combinations:
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from tests.conftest import assert_depth_replicated, make_cubic, make_tunable
+from tests.conftest import (assert_depth_replicated, make_cubic, make_tunable,
+                            random_spd)
 
 from repro.core.cacqr import ca_cqr2
 from repro.core.cfr3d import cfr3d, default_base_case
 from repro.core.mm3d import mm3d
 from repro.costmodel.tables import ca_cqr2_lines, lane_cost, mm3d_lines, total
-from repro.utils.matgen import random_spd
 from repro.verify import verify_qr
 from repro.vmpi.distmatrix import DistMatrix
 

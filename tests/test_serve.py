@@ -12,7 +12,7 @@ import urllib.request
 import pytest
 
 from repro.costmodel.params import STAMPEDE2
-from repro.obs import LatencyHistogram, Observer
+from repro.obs import LatencyHistogram, Observer, get_registry
 from repro.plan import Planner, problem_from_dict
 from repro.plan.cache import PlanCache
 from repro.plan.planner import Plan, PlanResult
@@ -514,6 +514,37 @@ class _CountingPlanner:
             self.calls += 1
         time.sleep(self.delay)
         return self.inner.plan(problem)
+
+
+class TestPerServerMetrics:
+    """Why ``ServeMetrics`` keeps private counters beside the registry.
+
+    The registry is process-wide, so it cannot tell two servers apart:
+    each server's ``/metrics`` must count only its own requests, while
+    the registry's ``serve.*`` counters count every server's.
+    """
+
+    def test_two_servers_keep_their_own_counters(self, tmp_path):
+        registry = get_registry()
+        before = registry.counter("serve.healthz_requests").value
+        servers = [PlanServer(Session(plan_cache=str(tmp_path / name),
+                                      sched_cache=None, result_cache=None),
+                              workers=1, lru_capacity=4)
+                   for name in ("a", "b")]
+        try:
+            for srv, requests in zip(servers, (3, 2)):
+                srv.start_background()
+                for _ in range(requests):
+                    assert _get(srv.address, "/healthz")[0] == 200
+            counts = [_get(srv.address, "/metrics")[1]["counters"]
+                      for srv in servers]
+        finally:
+            for srv in servers:
+                srv.stop()
+        assert [c["healthz_requests"] for c in counts] == [3, 2]
+        assert [c["metrics_requests"] for c in counts] == [1, 1]
+        assert [c["requests"] for c in counts] == [4, 3]
+        assert registry.counter("serve.healthz_requests").value - before == 5
 
 
 class TestCoalescingOverHTTP:

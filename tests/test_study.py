@@ -473,7 +473,7 @@ class TestExperimentStudies:
 
         table = crossover_study(2 ** 18, 2 ** 8, STAMPEDE2,
                                 (16, 64)).run(parallel=False)
-        assert set(table.column("side")) == {"ca", "scalapack"}
+        assert {row.get("side") for row in table} == {"ca", "scalapack"}
 
     def test_accuracy_study_matches_legacy_shim(self):
         """Every row equals a direct measurement on the seeded ladder."""

@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
+from tests.conftest import random_spd
+
 from repro.utils.matgen import (
-    graded_matrix,
     matrix_with_condition,
     random_matrix,
     random_orthonormal,
-    random_spd,
     tall_skinny_least_squares_problem,
     vandermonde_matrix,
 )
@@ -116,8 +116,3 @@ class TestStructuredFamilies:
         c_small = np.linalg.cond(vandermonde_matrix(64, 6))
         c_large = np.linalg.cond(vandermonde_matrix(64, 12))
         assert c_large > 10 * c_small
-
-    def test_graded_column_scales(self):
-        g = graded_matrix(256, 8, grade=1e6, rng=0)
-        norms = np.linalg.norm(g, axis=0)
-        assert norms[0] / norms[-1] > 1e5

@@ -4,10 +4,7 @@ import pytest
 
 from repro.utils.validation import (
     check_positive_int,
-    check_power_of_two,
-    ilog2,
     is_power_of_two,
-    next_power_of_two,
     require,
 )
 
@@ -50,13 +47,10 @@ class TestPowerOfTwo:
     @pytest.mark.parametrize("value", [1, 2, 4, 8, 1024, 2 ** 20])
     def test_accepts_powers(self, value):
         assert is_power_of_two(value)
-        assert check_power_of_two(value, "x") == value
 
     @pytest.mark.parametrize("value", [3, 5, 6, 7, 12, 1000])
     def test_rejects_non_powers(self, value):
         assert not is_power_of_two(value)
-        with pytest.raises(ValueError, match="power of two"):
-            check_power_of_two(value, "x")
 
     def test_rejects_zero_and_negative(self):
         assert not is_power_of_two(0)
@@ -64,20 +58,3 @@ class TestPowerOfTwo:
 
     def test_rejects_bool(self):
         assert not is_power_of_two(True)
-
-
-class TestNextPowerOfTwo:
-    @pytest.mark.parametrize("value,expected", [(1, 1), (2, 2), (3, 4), (5, 8),
-                                                (8, 8), (9, 16), (1000, 1024)])
-    def test_values(self, value, expected):
-        assert next_power_of_two(value) == expected
-
-
-class TestILog2:
-    @pytest.mark.parametrize("value,expected", [(1, 0), (2, 1), (8, 3), (1024, 10)])
-    def test_values(self, value, expected):
-        assert ilog2(value) == expected
-
-    def test_rejects_non_power(self):
-        with pytest.raises(ValueError):
-            ilog2(6)
