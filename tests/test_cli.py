@@ -571,6 +571,56 @@ class TestCacheCommand:
         assert info["plan"]["bytes"] > 0
 
 
+#: Every command path that prices or runs a block size.  Only an absent
+#: ``-b`` takes the default; any other value reaches validation.
+BLOCK_SIZE_RUNS = {
+    "plan": ["plan", "-m", "1024", "-n", "32", "-P", "4", "--no-refine"],
+    "plan-lattice": ["plan", "--lattice",
+                     '{"m": [1024], "n": [32], "procs": [4]}', "--no-refine"],
+    "factor-pgeqrf": ["factor", "-a", "pgeqrf", "-m", "128", "-n", "8",
+                      "-P", "4"],
+    "factor-caqr": ["factor", "-a", "caqr", "-m", "128", "-n", "8", "-P", "4"],
+    "sweep": ["sweep", "-m", "1024", "-n", "32", "-P", "4"],
+    "sweep-execute": ["sweep", "-m", "1024", "-n", "32", "-P", "4",
+                      "--execute", "--serial"],
+    "sweep-execute-auto": ["sweep", "-m", "1024", "-n", "32", "-P", "4",
+                           "--execute", "--serial", "-a", "auto"],
+    "study": ["study", "-m", "1024", "-n", "32", "-P", "4"],
+    "study-execute": ["study", "-m", "512", "-n", "16", "-P", "4",
+                      "--execute", "--serial"],
+}
+
+
+class TestBlockSizeValidation:
+    @staticmethod
+    def assert_one_error_line(out, block_size):
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert out.endswith(f"must be positive, got {block_size}\n")
+
+    @pytest.mark.parametrize("block_size", [0, -1])
+    @pytest.mark.parametrize("run", sorted(BLOCK_SIZE_RUNS))
+    def test_nonpositive_block_size_is_an_error(self, capsys, tmp_path, run,
+                                                block_size):
+        argv = BLOCK_SIZE_RUNS[run] + ["-b", str(block_size)]
+        if argv[0] in ("sweep", "study"):
+            argv += ["--cache-dir", str(tmp_path)]
+        assert main(argv) == 2
+        self.assert_one_error_line(capsys.readouterr().out, block_size)
+
+    @pytest.mark.parametrize("block_size", [0, -1])
+    @pytest.mark.parametrize("kind", ["modeled", "executed"])
+    def test_nonpositive_block_size_in_a_spec_file(self, capsys, tmp_path,
+                                                   kind, block_size):
+        import json
+
+        spec = tmp_path / "study.json"
+        spec.write_text(json.dumps({"kind": kind, "m": 512, "n": 16,
+                                    "procs": [4], "block_size": block_size}))
+        assert main(["study", "--spec", str(spec), "--serial",
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        self.assert_one_error_line(capsys.readouterr().out, block_size)
+
+
 class TestValidationErrors:
     def test_plan_rejects_malformed_machine_file(self, capsys, tmp_path):
         bad = tmp_path / "machine.json"

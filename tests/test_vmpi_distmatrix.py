@@ -31,6 +31,20 @@ class TestDistribution:
         # Block at (x=1, y=0) holds rows 0::2, cols 1::2.
         np.testing.assert_array_equal(d.data[1, 0, 0], [[1, 3], [9, 11]])
 
+    @pytest.mark.parametrize("c,d", [(1, 1), (1, 4), (2, 2), (2, 4), (2, 8),
+                                     (3, 3), (3, 6), (4, 4)])
+    def test_every_block_is_its_cyclic_submatrix(self, c, d):
+        vm, g = make_tunable(c, d)
+        m, n = 3 * d, 2 * c
+        a = np.arange(float(m * n)).reshape(m, n)
+        dm = DistMatrix.from_global(g, a)
+        # Rank (x, y, z) holds rows y::d and cols x::c on every slice z.
+        for x, y, z in np.ndindex(*g.dims):
+            np.testing.assert_array_equal(dm.data[x, y, z], a[y::d, x::c])
+        for z in range(c):
+            np.testing.assert_array_equal(dm.to_global(z), a)
+        assert DistMatrix.symbolic(g, m, n).shared_block.shape == (3, 2)
+
     def test_tunable_grid_shapes(self, rng):
         vm, g = make_tunable(2, 4)
         d = DistMatrix.from_global(g, rng.standard_normal((16, 6)))
