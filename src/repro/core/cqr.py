@@ -20,9 +20,8 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
 
-from repro.kernels.cholesky import CholeskyFailure, _chol_lower  # noqa: F401 - CholeskyFailure re-exported (documented raise type)
+from repro.kernels.cholesky import CholeskyFailure, _chol_lower, _trinv_lower  # noqa: F401 - CholeskyFailure re-exported (documented raise type)
 from repro.utils.validation import require
 
 
@@ -38,7 +37,7 @@ def cqr_sequential(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     w = a.T @ a
     w = 0.5 * (w + w.T)
     l = _chol_lower(w)            # L = R.T
-    y = scipy.linalg.solve_triangular(l, np.eye(a.shape[1]), lower=True)  # Y = R**-T
+    y = _trinv_lower(l)           # Y = R**-T
     q = a @ y.T                   # Q = A R**-1
     return q, l.T
 

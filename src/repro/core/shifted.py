@@ -26,9 +26,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
-from repro.kernels.cholesky import CholeskyFailure, _chol_lower
+from repro.kernels.cholesky import CholeskyFailure, _chol_lower, _trinv_lower
 from repro.utils.validation import require
 from repro.vmpi.comm import ordered_sum
 
@@ -60,8 +59,7 @@ def shifted_cqr_sequential(a: np.ndarray,
         shift = recommended_shift(m, n, float(np.linalg.norm(a, "fro") ** 2))
     w[np.diag_indices_from(w)] += shift
     l = _chol_lower(w)
-    y = scipy.linalg.solve_triangular(l, np.eye(n), lower=True)
-    return a @ y.T, l.T
+    return a @ _trinv_lower(l).T, l.T
 
 
 def shifted_cqr3_sequential(a: np.ndarray, shift: Optional[float] = None,

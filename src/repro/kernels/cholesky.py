@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
 
 from repro.kernels import flops as fl
 from repro.utils.validation import require
@@ -50,6 +49,12 @@ def _chol_lower(a: np.ndarray) -> np.ndarray:
     return l
 
 
+def _trinv_lower(l: np.ndarray) -> np.ndarray:
+    """``L**-1`` of a lower-triangular array; only numeric runs load scipy."""
+    import scipy.linalg
+    return scipy.linalg.solve_triangular(l, np.eye(l.shape[0]), lower=True)
+
+
 def local_chol(a: Block) -> Tuple[Block, float]:
     """Lower Cholesky factor of a symmetric positive definite block."""
     m, n = a.shape
@@ -65,8 +70,7 @@ def local_trinv(l: Block) -> Tuple[Block, float]:
     require(m == n, f"triangular inverse needs a square block, got {l.shape}")
     if isinstance(l, SymbolicBlock):
         return SymbolicBlock((n, n)), fl.trinv_flops(n)
-    inv = scipy.linalg.solve_triangular(l.data, np.eye(n), lower=True)  # type: ignore[union-attr]
-    return NumericBlock(inv), fl.trinv_flops(n)
+    return NumericBlock(_trinv_lower(l.data)), fl.trinv_flops(n)  # type: ignore[union-attr]
 
 
 def local_cholinv(a: Block) -> Tuple[Block, Block, float]:
@@ -100,8 +104,7 @@ def cholinv_recursive(a: np.ndarray, base: int = 1) -> Tuple[np.ndarray, np.ndar
     require(base >= 1, f"base must be >= 1, got {base}")
     if n <= base:
         l = _chol_lower(a)
-        y = scipy.linalg.solve_triangular(l, np.eye(n), lower=True)
-        return l, y
+        return l, _trinv_lower(l)
     h = n // 2
     a11, a21, a22 = a[:h, :h], a[h:, :h], a[h:, h:]
     l11, y11 = cholinv_recursive(a11, base)

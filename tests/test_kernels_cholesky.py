@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tests.conftest import spd_matrix
 
 from repro.kernels.cholesky import (
     CholeskyFailure,
+    _trinv_lower,
     cholinv_recursive,
     local_chol,
     local_cholinv,
@@ -45,6 +47,22 @@ class TestLocalTrinv:
         y, flops = local_trinv(l)
         np.testing.assert_allclose(y.data @ l.data, np.eye(6), atol=1e-10)
         assert flops == pytest.approx(6 ** 3 / 3)
+
+
+class TestTrinvLower:
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_bits_match_solve_triangular(self, n, rng):
+        l = np.linalg.cholesky(spd_matrix(n, rng))
+        assert np.array_equal(
+            _trinv_lower(l),
+            scipy.linalg.solve_triangular(l, np.eye(n), lower=True))
+
+    def test_non_contiguous_view(self, rng):
+        l = np.linalg.cholesky(spd_matrix(14, rng))[::2, ::2]
+        assert not l.flags.c_contiguous and not l.flags.f_contiguous
+        assert np.array_equal(
+            _trinv_lower(l),
+            scipy.linalg.solve_triangular(l, np.eye(7), lower=True))
 
 
 class TestLocalCholinv:
