@@ -6,9 +6,7 @@ The correctness-tooling layer in front of the compiled-program pipeline:
   :func:`verify_binding` statically prove the Schedule IR invariants
   a template run otherwise trusts (op typing, rank bounds, comm-group
   disjointness, phase validity, binding disjointness/coverage).  Wired
-  in at capture time (``REPRO_SCHED_VERIFY`` / ``debug=``), on every
-  program-cache load (invalid entries read as misses under
-  ``cache.sched.invalid``), and behind ``repro check``.
+  in at capture time (``REPRO_SCHED_VERIFY`` / ``debug=``).
 * :mod:`repro.analysis.lint` -- the AST source lint for project
   invariants ruff cannot express (``repro check --source``).
 * :mod:`repro.analysis.typegate` -- the mypy allowlist gate
@@ -27,7 +25,6 @@ from repro.analysis.check import (
     check_caches,
     check_plan_cache,
     check_result_cache,
-    check_sched_cache,
     verify_plan_result,
 )
 from repro.analysis.findings import (
@@ -68,7 +65,6 @@ __all__ = [
     "check_caches",
     "check_plan_cache",
     "check_result_cache",
-    "check_sched_cache",
     "findings_table",
     "has_errors",
     "lint_file",

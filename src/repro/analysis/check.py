@@ -1,16 +1,14 @@
 """The cache sweep: statically verify every entry of the on-disk caches.
 
-The serving layer shares three pickle-per-entry caches between N
+The serving layer shares two pickle-per-entry caches between N
 workers: the engine's result cache (``*.run.pkl`` ->
-:class:`~repro.engine.result.QRRun`), the planner's plan cache
-(``*.plan.pkl`` -> :class:`~repro.plan.planner.PlanResult`), and the
-Schedule IR's program cache (``*.prog.pkl`` ->
-:class:`~repro.sched.program.ChargeProgram`).  The load path already
-treats *unreadable* entries as misses; this sweep goes further and
-reports them -- plus entries that unpickle fine but are **semantically
-invalid** (a corrupt program that would replay garbage, a plan result
-with the wrong shape) -- so an operator can audit a shared cache
-directory before N clients trust it, not after.
+:class:`~repro.engine.result.QRRun`) and the planner's plan cache
+(``*.plan.pkl`` -> :class:`~repro.plan.planner.PlanResult`).  The load
+path already treats *unreadable* entries as misses; this sweep goes
+further and reports them -- plus entries that unpickle fine but are
+**semantically invalid** (a plan result with the wrong shape) -- so an
+operator can audit a shared cache directory before N clients trust it,
+not after.
 
 ``repro check`` runs this sweep by default; every problem is a
 :class:`~repro.analysis.findings.Finding` whose ``loc`` is the entry
@@ -24,7 +22,6 @@ import pickle
 from typing import Callable, List, Optional
 
 from repro.analysis.findings import Finding
-from repro.analysis.verifier import verify_program
 
 #: Sweep rules with one-line descriptions (``repro check --rules``).
 CACHE_RULES = {
@@ -115,15 +112,6 @@ def _sweep(cache_dir: str, suffix: str, value_type: Optional[type],
     return findings
 
 
-def check_sched_cache(cache_dir: str) -> List[Finding]:
-    """Verify every compiled program in a program-cache directory."""
-    from repro.sched.cache import ProgramCache
-    from repro.sched.program import ChargeProgram
-
-    return _sweep(cache_dir, ProgramCache.suffix, ChargeProgram,
-                  verify_program)
-
-
 def check_plan_cache(cache_dir: str) -> List[Finding]:
     """Verify every plan result in a plan-cache directory."""
     from repro.plan.cache import PlanCache
@@ -140,13 +128,10 @@ def check_result_cache(cache_dir: str) -> List[Finding]:
 
 
 def check_caches(result_dir: Optional[str] = None,
-                 plan_dir: Optional[str] = None,
-                 sched_dir: Optional[str] = None) -> List[Finding]:
-    """Sweep all three session caches (defaults honor the env overrides)."""
-    from repro.utils.config import (default_cache_dir, default_plan_cache_dir,
-                                    default_sched_cache_dir)
+                 plan_dir: Optional[str] = None) -> List[Finding]:
+    """Sweep both session caches (defaults honor the env overrides)."""
+    from repro.utils.config import default_cache_dir, default_plan_cache_dir
 
     findings = check_result_cache(result_dir or default_cache_dir())
     findings += check_plan_cache(plan_dir or default_plan_cache_dir())
-    findings += check_sched_cache(sched_dir or default_sched_cache_dir())
     return findings

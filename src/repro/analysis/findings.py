@@ -36,7 +36,7 @@ class Finding:
 
     ``loc`` is a human-oriented locator: ``"op[17]"`` for an IR op,
     ``"phases[3]"`` for a phase-table slot, ``"src/repro/x.py:42"`` for
-    a source line, ``"<key>.prog.pkl"`` for a cache entry.
+    a source line, ``"<key>.plan.pkl"`` for a cache entry.
     """
 
     rule: str

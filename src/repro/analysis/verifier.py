@@ -18,10 +18,9 @@ under which a template run (:class:`~repro.sched.replay.TemplateRun`)
 is *statically admissible* rather than trusted.
 
 Both return ``List[Finding]`` (empty == verified).  The passes are pure
-reads: they never mutate the program and are safe on untrusted unpickled
-artifacts -- which is exactly how the cache layer uses them
-(semantically-invalid entries read as misses, see
-:class:`~repro.sched.cache.ProgramCache`).
+reads: they never mutate the program.  Captures run them when
+``REPRO_SCHED_VERIFY`` is set (the test suite's always-on mode, see
+:meth:`~repro.sched.recorder.ScheduleRecorder.program`).
 
 Rule identifiers are stable strings (``ir/op-kind``, ``ir/rank-bounds``,
 ...) so tests, metrics, and per-rule documentation can reference them.

@@ -22,7 +22,6 @@ Usage (after ``pip install -e .``)::
     python -m repro cache info             # survey every session cache
     python -m repro cache info --json      # same survey, machine-readable
     python -m repro cache info --plan      # just the plan cache
-    python -m repro cache clear --sched    # reset compiled charge programs
     python -m repro serve --port 8357      # planning-as-a-service endpoint
     python -m repro machines               # show the machine presets
 
@@ -31,9 +30,9 @@ the paper's evaluation is explorable without pytest.
 
 Every subcommand executes through the process-wide **default session**
 (:func:`repro.session.default_session`), so the ``REPRO_CACHE_DIR`` /
-``REPRO_PLAN_CACHE_DIR`` / ``REPRO_SCHED_CACHE_DIR`` environment
-variables override the default cache locations uniformly.  Scripts
-should do the same: construct a :class:`repro.Session` and run
+``REPRO_PLAN_CACHE_DIR`` environment variables override the two
+default cache locations uniformly.  Scripts should do the same:
+construct a :class:`repro.Session` and run
 :class:`repro.engine.RunSpec` objects (or :class:`repro.Study`
 campaigns) through it instead of hand-composing the :mod:`repro.vmpi` /
 :mod:`repro.core` layers.
@@ -403,7 +402,10 @@ def _parse_proc_list(text: str) -> List[int]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.costmodel.params import machine_by_name
+    from repro.utils.validation import check_positive_int
 
+    if args.jobs is not None:
+        check_positive_int(args.jobs, "jobs")
     machine = machine_by_name(args.machine)
     try:
         proc_counts = _parse_proc_list(args.procs)
@@ -559,6 +561,10 @@ def _cmd_study(args: argparse.Namespace) -> int:
     import json
 
     from repro.study import study_from_dict
+    from repro.utils.validation import check_positive_int
+
+    if args.jobs is not None:
+        check_positive_int(args.jobs, "jobs")
 
     if args.spec:
         try:
@@ -649,25 +655,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
     from repro.engine import ResultCache
     from repro.plan import PlanCache
-    from repro.sched import ProgramCache
-    from repro.utils.config import (default_cache_dir, default_plan_cache_dir,
-                                    default_sched_cache_dir)
+    from repro.utils.config import default_cache_dir, default_plan_cache_dir
     from repro.utils.diskcache import clear_cache_dir, scan_cache_dir
 
-    if args.plan and args.sched:
-        print("error: --plan and --sched are mutually exclusive")
-        return 2
     # Every session cache: (label, directory, entry suffix).  Default
-    # directories honor REPRO_CACHE_DIR / REPRO_PLAN_CACHE_DIR /
-    # REPRO_SCHED_CACHE_DIR; the suffix keeps the three apart when they
-    # share one directory.
+    # directories honor REPRO_CACHE_DIR / REPRO_PLAN_CACHE_DIR; the
+    # suffix keeps the two apart when they share one directory.
     caches = {
         "result": ("result cache", default_cache_dir(), ResultCache.suffix),
         "plan": ("plan cache", default_plan_cache_dir(), PlanCache.suffix),
-        "sched": ("program cache", default_sched_cache_dir(),
-                  ProgramCache.suffix),
     }
-    name = "plan" if args.plan else "sched" if args.sched else "result"
+    name = "plan" if args.plan else "result"
     if args.cache_dir:
         label, _, suffix = caches[name]
         caches[name] = (label, args.cache_dir, suffix)
@@ -678,7 +676,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     # Bare `cache info` surveys every session cache in one shot; a flag
     # narrows it to the selected one.
-    survey_all = not (args.plan or args.sched or args.cache_dir)
+    survey_all = not (args.plan or args.cache_dir)
     selected = list(caches) if survey_all else [name]
     info = {key: scan_cache_dir(caches[key][1], caches[key][2])
             for key in selected}
@@ -700,8 +698,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     """Static verification: cache sweep, source lint, and typing gate.
 
-    Bare ``repro check`` sweeps all three on-disk caches (every entry
-    must unpickle, type-check, and pass the semantic verifier);
+    Bare ``repro check`` sweeps both on-disk caches (every entry must
+    unpickle, type-check, and pass the semantic verifier);
     ``--source`` runs the repo-invariant lint; ``--typing`` runs the
     mypy allowlist gate (skipped with a note when mypy is not
     installed).  Passes combine; any finding exits non-zero.
@@ -750,8 +748,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         ran_any = True
     if not ran_any or args.caches:
         findings += check_caches(result_dir=args.result_dir,
-                                 plan_dir=args.plan_dir,
-                                 sched_dir=args.sched_dir)
+                                 plan_dir=args.plan_dir)
 
     findings = sort_findings(findings)
     if args.json:
@@ -770,18 +767,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the planning-as-a-service HTTP endpoint (:mod:`repro.serve`)."""
     from repro.serve import PlanServer
+    from repro.session import Session
     from repro.utils.config import default_plan_cache_dir
 
     try:
         machine = (_load_machine(args)
                    if (getattr(args, "machine_file", None) or args.machine)
                    else None)
+        plan_cache = args.cache_dir or default_plan_cache_dir()
+        session = Session(machine=machine, plan_cache=plan_cache)
         server = PlanServer(
-            host=args.host, port=args.port, workers=args.workers,
+            session, host=args.host, port=args.port, workers=args.workers,
             lru_capacity=args.lru_capacity,
-            plan_cache_dir=args.cache_dir or default_plan_cache_dir(),
             refine=None if args.no_refine else "symbolic",
-            default_machine=machine,
             slow_request_seconds=args.slow_request_seconds)
         address = server.start_background()
     except OSError as exc:
@@ -1026,19 +1024,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser(
         "cache",
-        help="inspect or reset the on-disk result / plan / program caches")
+        help="inspect or reset the on-disk result / plan caches")
     p_cache.add_argument("action", choices=("info", "clear"))
     p_cache.add_argument("--plan", action="store_true",
                          help="operate on the planner's plan cache instead "
                               "of the engine's result cache")
-    p_cache.add_argument("--sched", action="store_true",
-                         help="operate on the compiled charge-program cache "
-                              "(repro.sched) instead of the result cache")
     p_cache.add_argument("--cache-dir", default=None,
                          help="cache directory (default: .repro-cache / "
-                              ".repro-plan-cache / .repro-sched-cache, or "
-                              "the REPRO_CACHE_DIR / REPRO_PLAN_CACHE_DIR / "
-                              "REPRO_SCHED_CACHE_DIR environment variables)")
+                              ".repro-plan-cache, or the REPRO_CACHE_DIR / "
+                              "REPRO_PLAN_CACHE_DIR environment variables)")
     p_cache.add_argument("--json", action="store_true",
                          help="machine-readable survey (entries / bytes / "
                               "path per cache)")
@@ -1063,9 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--plan-dir", default=None,
                        help="plan-cache directory to sweep (default: "
                             ".repro-plan-cache or REPRO_PLAN_CACHE_DIR)")
-    p_chk.add_argument("--sched-dir", default=None,
-                       help="program-cache directory to sweep (default: "
-                            ".repro-sched-cache or REPRO_SCHED_CACHE_DIR)")
     p_chk.add_argument("--mypy-config", default="mypy.ini",
                        help="typing-gate config file (default: mypy.ini)")
     p_chk.add_argument("--json", action="store_true",

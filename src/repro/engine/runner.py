@@ -65,8 +65,8 @@ class ResultCache(AtomicDiskCache):
     Atomic write-then-rename publication and torn-read-as-miss loads come
     from :class:`~repro.utils.diskcache.AtomicDiskCache`, so N concurrent
     batch runs (or serving workers) can share one cache directory.  The
-    suffix is distinct from the plan and program caches' so the three
-    can share one directory without claiming each other's entries.
+    suffix is distinct from the plan cache's so the two can share one
+    directory without claiming each other's entries.
     """
 
     suffix = ".run.pkl"

@@ -17,9 +17,7 @@ by which a compiled program charges a machine, traced or not (see
 :mod:`repro.sched.replay`).  Where its guard declines, consumers run
 their uncompiled loop, and a recorder splices the bound program
 (:meth:`ScheduleRecorder.extend`).  Whole engine runs can be captured
-and charged through :mod:`repro.sched.capture` (the IR's test oracle),
-and compiled programs can be cached machine-independently by
-:mod:`repro.sched.cache`.
+and charged through :mod:`repro.sched.capture` (the IR's test oracle).
 
 The :func:`compiled_replay_disabled` context manager forces every
 consumer back onto the uncompiled loop path -- the reference oracle the
@@ -31,7 +29,6 @@ from __future__ import annotations
 import contextlib
 
 from repro.sched.binding import RankFamilyMap
-from repro.sched.cache import SCHED_VERSION, ProgramCache, program_key
 from repro.sched.program import (
     OP_BARRIER,
     OP_COMM,
@@ -48,14 +45,11 @@ __all__ = [
     "OP_BARRIER",
     "OP_COMM",
     "OP_FLOPS",
-    "ProgramCache",
     "RankFamilyMap",
-    "SCHED_VERSION",
     "ScheduleRecorder",
     "TemplateRun",
     "compiled_replay_disabled",
     "compiled_replay_enabled",
-    "program_key",
 ]
 
 # One-element list so the context manager mutates shared state without a

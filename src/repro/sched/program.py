@@ -26,7 +26,7 @@ Programs are machine-independent: op payloads are *counts* (messages,
 words, flops); the alpha-beta-gamma rates are applied by the machine at
 charge time.  One captured program therefore charges correctly under any
 :class:`~repro.costmodel.params.MachineSpec` -- the property the
-planner's program cache exploits.
+in-process program memos of :mod:`repro.core.cacqr` exploit.
 
 A template run (:class:`~repro.sched.replay.TemplateRun`) executes a
 program on **rank classes** -- groups of template positions holding equal
@@ -106,10 +106,6 @@ class ChargeOp:
                 f"payload={self.payload!r}, phase={self.phase}, "
                 f"axis={self.axis!r})")
 
-    # __slots__ classes need explicit state hooks only under pickle
-    # protocols < 2; the default reduce handles them on every supported
-    # Python.  Nothing to add.
-
 
 class ChargeProgram:
     """A compiled charge schedule over ``num_ranks`` template ranks.
@@ -148,14 +144,6 @@ class ChargeProgram:
                     f"(len {nphases}); programs must intern phases at "
                     f"capture time")
         self._structure: Optional[Structure] = None
-
-    # The structure is derived from the ops on first use, not part of the IR.
-    def __getstate__(self):
-        return self.num_ranks, self.phases, self.ops
-
-    def __setstate__(self, state) -> None:
-        self.num_ranks, self.phases, self.ops = state
-        self._structure = None
 
     def __len__(self) -> int:
         return len(self.ops)

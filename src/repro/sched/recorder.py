@@ -179,8 +179,8 @@ class ScheduleRecorder(VirtualMachine):
         so it doubles as the verification gate: with ``debug=True`` --
         or ``debug=None`` and ``REPRO_SCHED_VERIFY`` set, the test
         suite's always-on mode -- the compiled program must pass
-        :func:`repro.analysis.verify_program` before anything caches or
-        charges it (:class:`~repro.analysis.findings.VerificationError`
+        :func:`repro.analysis.verify_program` before anything charges
+        it (:class:`~repro.analysis.findings.VerificationError`
         otherwise).  Verification is O(ops) and runs once per program,
         never per recorded charge.
         """

@@ -83,7 +83,7 @@ async def handle_plan(server, body: dict) -> Tuple[int, Body]:
     """Answer one planning question through cache -> coalescer -> planner."""
     if not isinstance(body, dict):
         raise ValidationError("request body must be a JSON object")
-    body = dict(body)
+    body = server._with_session_machine(body)
     limit = body.pop("limit", None)
     if limit is not None and (isinstance(limit, bool)
                               or not isinstance(limit, int) or limit < 1):
@@ -137,7 +137,7 @@ async def handle_plan_batch(server, body: dict) -> Tuple[int, Body]:
             raise ValidationError("each problem must be a JSON object",
                                   field=f"problems[{i}]")
         try:
-            problem = problem_from_dict(server._apply_default_machine(item))
+            problem = problem_from_dict(server._with_session_machine(item))
         except ValidationError as exc:
             label = f"problems[{i}]" + (f".{exc.field}" if exc.field else "")
             raise ValidationError(ValueError.__str__(exc),
@@ -219,6 +219,7 @@ async def handle_factor(server, body: dict) -> Tuple[int, dict]:
     """Answer one concrete-configuration cost question."""
     if not isinstance(body, dict):
         raise ValidationError("request body must be a JSON object")
+    body = server._with_session_machine(body)
     unknown = sorted(set(body) - set(_FACTOR_JSON_FIELDS))
     if unknown:
         raise ValidationError(

@@ -40,9 +40,8 @@ import threading
 import time
 import urllib.parse
 import uuid
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
-from repro.costmodel.params import MachineSpec
 from repro.obs import Observer, span, use_observer
 from repro.plan.cache import PlanCache
 from repro.serve.cache import LRUPlanCache
@@ -58,7 +57,6 @@ from repro.serve.handlers import (
 )
 from repro.serve.metrics import ServeMetrics
 from repro.session import Session
-from repro.utils.config import UNSET, _Unset
 from repro.utils.validation import ValidationError, require
 
 #: Largest accepted request body; planning questions are tiny.
@@ -83,29 +81,26 @@ class PlanServer:
     Parameters
     ----------
     session:
-        The ambient context (machine default, cache dirs, objective)
-        every request is answered under; defaults to a fresh
-        environment-configured :class:`~repro.session.Session`.
+        The ambient context every request is answered under; defaults
+        to a fresh environment-configured :class:`~repro.session.Session`.
+        Its ``plan_cache`` is the shared on-disk plan layer under the LRU
+        (``None``: memory only), and its ``machine`` answers requests
+        that do not name one (``None`` keeps the per-request default,
+        ``"stampede2"``).
     host / port:
         Bind address; ``port=0`` picks an ephemeral port (read
-        :attr:`port` after starting).
+        :attr:`port` after starting).  A port outside ``0..65535``
+        raises :class:`~repro.utils.validation.ValidationError` (field
+        ``port``).
     workers:
         Thread-pool width for planner work.  Each cold plan holds
         one thread for its full search; warm and coalesced requests
         never touch the pool.
     lru_capacity:
         Bound on the in-memory plan LRU (entries, not bytes).
-    plan_cache_dir:
-        Directory of the shared on-disk plan layer under the LRU.
-        Unset defers to the session's plan cache; ``None`` disables the
-        disk layer (memory-only).
     refine:
         Planner refinement mode for cold requests (``"symbolic"`` exact
         symbolic run, ``None`` screen-only).
-    default_machine:
-        Machine applied to requests that do not name one (the
-        ``--machine-file`` serving deployment story); ``None`` keeps the
-        per-request default (``"stampede2"``).
     obs:
         An :class:`~repro.obs.Observer` for per-request span trees: each
         request gets a ``serve.request`` root span (keyed by the
@@ -123,12 +118,13 @@ class PlanServer:
     def __init__(self, session: Optional[Session] = None, *,
                  host: str = "127.0.0.1", port: int = 0, workers: int = 4,
                  lru_capacity: int = 128,
-                 plan_cache_dir: Union[_Unset, None, str] = UNSET,
                  refine: Optional[str] = "symbolic",
-                 default_machine: Union[None, str, MachineSpec] = None,
                  obs: Optional[Observer] = None,
                  slow_request_seconds: Optional[float] = None):
         require(workers > 0, f"workers must be positive, got {workers}")
+        if not 0 <= port <= 65535:
+            raise ValidationError(f"must be in 0..65535, got {port}",
+                                  field="port")
         require(slow_request_seconds is None or slow_request_seconds > 0,
                 f"slow_request_seconds must be positive, got "
                 f"{slow_request_seconds}")
@@ -136,13 +132,11 @@ class PlanServer:
         self.host = host
         self.port = port
         self.workers = workers
-        self.default_machine = default_machine
         self.obs = obs if obs is not None else getattr(self.session, "obs",
                                                        None)
         self.slow_request_seconds = slow_request_seconds
-        if isinstance(plan_cache_dir, _Unset):
-            plan_cache_dir = self.session.plan_cache
-        disk = PlanCache(plan_cache_dir) if plan_cache_dir else None
+        plan_cache = self.session.plan_cache
+        disk = PlanCache(plan_cache) if plan_cache else None
         self.plan_cache = LRUPlanCache(lru_capacity, disk=disk)
         self.coalescer = Coalescer()
         self.metrics = ServeMetrics()
@@ -178,11 +172,13 @@ class PlanServer:
 
     # -- request plumbing ---------------------------------------------------------
 
-    def _apply_default_machine(self, body):
-        if (self.default_machine is not None and isinstance(body, dict)
-                and "machine" not in body):
-            body = dict(body)
-            body["machine"] = self.default_machine
+    def _with_session_machine(self, body: dict) -> dict:
+        """A copy of request object *body*, naming the session's machine
+        unless it names one (``/plan_batch`` fills each item, not the
+        batch)."""
+        body = dict(body)
+        if self.session.machine is not None:
+            body.setdefault("machine", self.session.machine)
         return body
 
     async def _dispatch(self, method: str, path: str, body_bytes: bytes,
@@ -210,7 +206,6 @@ class PlanServer:
                 except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                     raise ValidationError(
                         f"request body is not valid JSON: {exc}") from exc
-                body = self._apply_default_machine(body)
             else:
                 # GET handlers receive the parsed query string.
                 body = params

@@ -32,10 +32,8 @@ executor.
 
 A module-level **default session** serves callers that pass none --
 :meth:`repro.study.Study.run` and the ``repro`` CLI.  It honors the
-``REPRO_CACHE_DIR`` / ``REPRO_PLAN_CACHE_DIR`` /
-``REPRO_SCHED_CACHE_DIR`` environment variables for its cache locations
-(the last names the compiled-program cache directory; see
-:mod:`repro.sched`).
+``REPRO_CACHE_DIR`` / ``REPRO_PLAN_CACHE_DIR`` environment variables
+for its two cache locations.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ from repro.utils.config import (
     _Unset,
     env_plan_cache_dir,
     env_result_cache_dir,
-    env_sched_cache_dir,
     usable_cpus,
 )
 from repro.utils.validation import ValidationError, require
@@ -116,7 +113,6 @@ class SessionConfig:
     machine: Union[None, str, MachineSpec] = None
     result_cache: Optional[str] = None
     plan_cache: Optional[str] = None
-    sched_cache: Optional[str] = None
     objective: Optional["Objective"] = None  # noqa: F821 - see repro.plan
     parallel: bool = True
     max_workers: Optional[int] = None
@@ -129,9 +125,10 @@ class Session:
     ----------
     machine:
         Default machine preset name or :class:`MachineSpec` for
-        convenience calls (:meth:`factor`, :meth:`plan`).  ``None``
-        keeps each layer's own default (``"abstract"`` for runs,
-        ``"stampede2"`` for planning).
+        convenience calls (:meth:`factor`, :meth:`plan`) and for the
+        requests a :class:`~repro.serve.PlanServer` gets that name none.
+        ``None`` keeps each layer's own default (``"abstract"`` for
+        runs, ``"stampede2"`` for planning).
     result_cache:
         Directory of the fingerprint-keyed on-disk result cache used by
         :meth:`run_iter` / :meth:`run_batch` / :meth:`study`.  ``None``
@@ -143,11 +140,12 @@ class Session:
         ``algorithm="auto"`` resolution.  Same ``None`` / environment
         (``REPRO_PLAN_CACHE_DIR``) semantics.
     sched_cache:
-        Directory of the compiled-program cache
-        (:class:`repro.sched.ProgramCache`).  Same ``None`` / environment
-        (``REPRO_SCHED_CACHE_DIR``) semantics.  Carried in the session
-        context only: the planner refines with plain symbolic runs, so
-        nothing in the session writes programs there.
+        Accepts only ``None``; anything else raises
+        :class:`~repro.utils.validation.ValidationError` (field
+        ``sched_cache``).  The keyword outlives the compiled-program
+        cache it used to name because the benchmark harness
+        (``benchmarks/perf/workloads.py::fresh_session``) still passes
+        ``sched_cache=None``; it goes when the harness stops.
     executor:
         Batch-execution policy: ``"serial"``, ``"process"``, a worker
         count, or an :class:`ExecutorConfig`.
@@ -171,20 +169,20 @@ class Session:
     def __init__(self, *, machine: Union[None, str, MachineSpec] = None,
                  result_cache: Union[_Unset, None, str] = UNSET,
                  plan_cache: Union[_Unset, None, str] = UNSET,
-                 sched_cache: Union[_Unset, None, str] = UNSET,
+                 sched_cache: None = None,
                  executor=None, objective=None, obs=None):
         from repro.plan.objective import Objective
 
+        if sched_cache is not None:
+            raise ValidationError(f"accepts only None, got {sched_cache!r}",
+                                  field="sched_cache")
         if isinstance(result_cache, _Unset):
             result_cache = env_result_cache_dir()
         if isinstance(plan_cache, _Unset):
             plan_cache = env_plan_cache_dir()
-        if isinstance(sched_cache, _Unset):
-            sched_cache = env_sched_cache_dir()
         self.machine = machine
         self.result_cache = result_cache
         self.plan_cache = plan_cache
-        self.sched_cache = sched_cache
         self.executor = ExecutorConfig.coerce(executor)
         self.objective = (Objective.coerce(objective)
                           if objective is not None else None)
@@ -198,7 +196,6 @@ class Session:
         return SessionConfig(machine=self.machine,
                              result_cache=self.result_cache,
                              plan_cache=self.plan_cache,
-                             sched_cache=self.sched_cache,
                              objective=self.objective,
                              parallel=self.executor.parallel,
                              max_workers=self.executor.max_workers)
@@ -209,7 +206,6 @@ class Session:
         return cls(machine=config.machine,
                    result_cache=config.result_cache,
                    plan_cache=config.plan_cache,
-                   sched_cache=config.sched_cache,
                    executor=ExecutorConfig(parallel=config.parallel,
                                            max_workers=config.max_workers),
                    objective=config.objective)
@@ -224,8 +220,6 @@ class Session:
             parts.append(f"result_cache={self.result_cache!r}")
         if self.plan_cache:
             parts.append(f"plan_cache={self.plan_cache!r}")
-        if self.sched_cache:
-            parts.append(f"sched_cache={self.sched_cache!r}")
         if self.objective is not None:
             parts.append(f"objective={str(self.objective)!r}")
         if self.executor != ExecutorConfig():
@@ -341,6 +335,9 @@ class Session:
             parallel = self.executor.parallel
         if max_workers is None:
             max_workers = self.executor.max_workers
+        if max_workers is not None and max_workers < 1:
+            raise ValidationError(f"must be positive, got {max_workers}",
+                                  field="max_workers")
         if isinstance(cache_dir, _Unset):
             cache_dir = self.result_cache
 

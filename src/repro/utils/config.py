@@ -33,18 +33,11 @@ RESULT_CACHE_ENV = "REPRO_CACHE_DIR"
 #: Environment variable overriding the default plan-cache location.
 PLAN_CACHE_ENV = "REPRO_PLAN_CACHE_DIR"
 
-#: Environment variable overriding the default compiled-program cache
-#: location (see :mod:`repro.sched.cache`).
-SCHED_CACHE_ENV = "REPRO_SCHED_CACHE_DIR"
-
 #: Fallback result-cache location when :data:`RESULT_CACHE_ENV` is unset.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Fallback plan-cache location when :data:`PLAN_CACHE_ENV` is unset.
 DEFAULT_PLAN_CACHE_DIR = ".repro-plan-cache"
-
-#: Fallback program-cache location when :data:`SCHED_CACHE_ENV` is unset.
-DEFAULT_SCHED_CACHE_DIR = ".repro-sched-cache"
 
 #: Environment variable turning on IR verification at capture time (the
 #: test suite sets it; see :func:`repro.analysis.verify_program`).
@@ -88,13 +81,3 @@ def usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def env_sched_cache_dir() -> Optional[str]:
-    """The program-cache dir the environment requests (``None`` when unset)."""
-    return os.environ.get(SCHED_CACHE_ENV) or None
-
-
-def default_sched_cache_dir() -> str:
-    """The default compiled-program cache directory (environment or fallback)."""
-    return env_sched_cache_dir() or DEFAULT_SCHED_CACHE_DIR

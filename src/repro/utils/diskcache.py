@@ -1,10 +1,10 @@
 """The one on-disk cache idiom every layer shares.
 
-Three subsystems persist pickle-per-entry caches -- the engine's result
-cache, the planner's plan cache, and the Schedule IR's compiled-program
-cache -- and the serving layer (:mod:`repro.serve`) runs *N* workers
-against one cache directory.  :class:`AtomicDiskCache` centralizes the
-crash/concurrency contract they all need:
+Two subsystems persist pickle-per-entry caches -- the engine's result
+cache and the planner's plan cache -- and the serving layer
+(:mod:`repro.serve`) runs *N* workers against one cache directory.
+:class:`AtomicDiskCache` centralizes the crash/concurrency contract they
+all need:
 
 * **Atomic publication.**  Entries are written to a ``NamedTemporaryFile``
   in the *same directory* and published with :func:`os.replace`, so a
@@ -62,10 +62,10 @@ class AtomicDiskCache:
 
         Runs after the :attr:`value_type` check on every :meth:`load`.
         Entries that unpickle to the right type but fail this check --
-        a compiled program with out-of-range ranks, a plan result with
-        the wrong shape -- read as misses and are additionally counted
-        under ``cache.<name>.invalid``, so a poisoned shared cache
-        degrades to recomputes instead of serving garbage.
+        a plan result with the wrong shape -- read as misses and are
+        additionally counted under ``cache.<name>.invalid``, so a
+        poisoned shared cache degrades to recomputes instead of serving
+        garbage.
         """
         return True
 

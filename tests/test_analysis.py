@@ -6,8 +6,8 @@ The proof obligations of the static-verification layer:
   property-sized family of randomly generated valid programs does too;
 * one seeded mutation per rule yields exactly that rule's finding (the
   mutation-kill table -- a rule nothing can trigger is dead weight);
-* semantically invalid cache entries (valid pickles, broken IR) load as
-  misses under ``cache.<name>.invalid``;
+* semantically invalid cache entries (valid pickles, wrong structure)
+  load as misses under ``cache.<name>.invalid``;
 * the repository's own source passes its lint with zero findings;
 * ``repro check`` exits non-zero exactly when there are findings.
 """
@@ -29,7 +29,6 @@ from repro.analysis import (
     PROGRAM_RULES,
     VerificationError,
     check_plan_cache,
-    check_sched_cache,
     findings_table,
     has_errors,
     lint_paths,
@@ -49,7 +48,6 @@ from repro.plan.cache import PlanCache
 from repro.plan.planner import PlanResult
 from repro.plan.problem import ProblemSpec
 from repro.sched.binding import RankFamilyMap
-from repro.sched.cache import ProgramCache
 from repro.sched.capture import capture_run
 from repro.sched.program import (
     OP_BARRIER,
@@ -412,36 +410,14 @@ class TestInvalidCacheEntriesAreMisses:
         with open(cache.path(key), "wb") as fh:
             pickle.dump(value, fh)
 
-    def test_valid_pickle_invalid_ir_is_a_miss(self, tmp_path):
-        cache = ProgramCache(str(tmp_path))
-        good = small_program()
-        cache.store("good", good)
-        bad = small_program()
-        bad.ops[0].payload = float("nan")     # valid pickle, broken IR
-        self._store_raw(cache, "bad", bad)
-        before = get_registry().counter("cache.sched.invalid").value
-        assert cache.load("bad") is None
-        assert cache.load("good") is not None
-        assert get_registry().counter("cache.sched.invalid").value == \
-            before + 1
-
     def test_invalid_entry_is_a_miss_in_bulk(self, tmp_path):
-        cache = ProgramCache(str(tmp_path))
-        cache.store("good", small_program())
-        bad = small_program()
-        bad.num_ranks = -3
-        self._store_raw(cache, "bad", bad)
+        cache = PlanCache(str(tmp_path))
+        cache.store("good", PlanResult(
+            problem=ProblemSpec(m=4096, n=64, procs=16), plans=[],
+            num_candidates=0))
+        self._store_raw(cache, "bad", {"not": "a plan result"})
         found = cache.load_many(["good", "bad", "absent"])
         assert set(found) == {"good"}
-
-    def test_sweep_reports_what_load_rejects(self, tmp_path):
-        cache = ProgramCache(str(tmp_path))
-        bad = small_program()
-        bad.ops[1].ranks = np.asarray([[0, 1], [1, 2]], dtype=np.intp)
-        self._store_raw(cache, "bad", bad)
-        findings = check_sched_cache(str(tmp_path))
-        assert [f.rule for f in findings] == ["ir/comm-disjoint"]
-        assert findings[0].loc.startswith("bad.prog.pkl")
 
     def test_plan_cache_rejects_structural_garbage(self, tmp_path):
         cache = PlanCache(str(tmp_path))
@@ -656,28 +632,26 @@ class TestCheckCLI:
             assert rule in out
 
     def test_clean_cache_sweep_exits_zero(self, tmp_path, capsys):
-        ProgramCache(str(tmp_path / "s")).store("k", small_program())
+        PlanCache(str(tmp_path / "p")).store("k", PlanResult(
+            problem=ProblemSpec(m=4096, n=64, procs=16), plans=[],
+            num_candidates=0))
         assert main(["check",
                      "--result-dir", str(tmp_path / "r"),
-                     "--plan-dir", str(tmp_path / "p"),
-                     "--sched-dir", str(tmp_path / "s")]) == 0
+                     "--plan-dir", str(tmp_path / "p")]) == 0
         assert "0 finding(s)" in capsys.readouterr().out
 
     def test_poisoned_cache_exits_nonzero(self, tmp_path, capsys):
-        sched = tmp_path / "s"
-        sched.mkdir()
-        (sched / "torn.prog.pkl").write_bytes(b"\x80\x04 not a pickle")
-        bad = small_program()
-        bad.ops[0].payload = -4.0
-        with open(sched / "bad.prog.pkl", "wb") as fh:
-            pickle.dump(bad, fh)
+        plans = tmp_path / "p"
+        plans.mkdir()
+        (plans / "torn.plan.pkl").write_bytes(b"\x80\x04 not a pickle")
+        with open(plans / "bad.plan.pkl", "wb") as fh:
+            pickle.dump(["not", "a", "plan"], fh)
         assert main(["check",
                      "--result-dir", str(tmp_path / "r"),
-                     "--plan-dir", str(tmp_path / "p"),
-                     "--sched-dir", str(sched), "--json"]) == 1
+                     "--plan-dir", str(plans), "--json"]) == 1
         report = json.loads(capsys.readouterr().out)
         rules = {f["rule"] for f in report["findings"]}
-        assert rules == {"cache/unreadable", "ir/flops-payload"}
+        assert rules == {"cache/unreadable", "plan/structure"}
         assert report["count"] == 2
 
     def test_source_lint_clean_repo(self, capsys):
@@ -696,8 +670,7 @@ class TestCheckCLI:
         from repro.analysis import mypy_available
         code = main(["check", "--typing",
                      "--result-dir", "/nonexistent-r",
-                     "--plan-dir", "/nonexistent-p",
-                     "--sched-dir", "/nonexistent-s"])
+                     "--plan-dir", "/nonexistent-p"])
         err = capsys.readouterr().err
         if mypy_available():
             assert code == 0

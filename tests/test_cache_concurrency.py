@@ -13,7 +13,6 @@ from pathlib import Path
 
 from repro.engine.runner import _POOL_FALLBACK_ERRORS, ResultCache
 from repro.plan.cache import PlanCache
-from repro.sched.cache import ProgramCache
 from repro.utils.diskcache import AtomicDiskCache, scan_cache_dir
 
 KEYS = [f"key{i}" for i in range(8)]
@@ -30,12 +29,6 @@ class RawPlanEntries(AtomicDiskCache):
     """
 
     suffix = PlanCache.suffix
-
-
-class RawProgEntries(AtomicDiskCache):
-    """ProgramCache's suffix without IR verification (same reasoning)."""
-
-    suffix = ProgramCache.suffix
 
 
 def _hammer(cache_dir, worker):
@@ -151,23 +144,21 @@ class TestLoadMany:
         assert cache.load_many(["a", "b"]) == {"a": 1}
 
     def test_mixed_suffixes_stay_namespaced(self, tmp_path):
-        # A plan cache's bulk probe must not surface program entries
+        # A plan cache's bulk probe must not surface result entries
         # sharing the directory (suffix namespacing, as with load()).
         plan = RawPlanEntries(str(tmp_path))
-        prog = RawProgEntries(str(tmp_path))
         plan.store("k", {"plan": True})
-        prog.store("k", {"prog": True})
+        ResultCache(str(tmp_path)).store("k", {"result": True})
         many = plan.load_many(["k", "k2", "k3"])
         assert many == {"k": {"plan": True}}
 
 
 class TestSharedIdiom:
-    def test_all_three_caches_share_the_atomic_base(self):
-        for cls in (ResultCache, PlanCache, ProgramCache):
+    def test_both_caches_share_the_atomic_base(self):
+        for cls in (ResultCache, PlanCache):
             assert issubclass(cls, AtomicDiskCache)
         # Distinct suffixes namespace them within a shared directory.
-        assert len({ResultCache.suffix, PlanCache.suffix,
-                    ProgramCache.suffix}) == 3
+        assert ResultCache.suffix != PlanCache.suffix
 
     def test_suffix_namespacing_in_one_directory(self, tmp_path):
         shared = str(tmp_path)

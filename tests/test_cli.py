@@ -481,16 +481,15 @@ class TestCacheCommand:
                      str(tmp_path / "nope")]) == 0
         assert "entries : 0" in capsys.readouterr().out
 
-    def test_info_json_surveys_all_three_caches(self, capsys, monkeypatch,
-                                                tmp_path):
+    def test_info_json_surveys_both_caches(self, capsys, monkeypatch,
+                                           tmp_path):
         import json
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "r"))
         monkeypatch.setenv("REPRO_PLAN_CACHE_DIR", str(tmp_path / "p"))
-        monkeypatch.setenv("REPRO_SCHED_CACHE_DIR", str(tmp_path / "s"))
         assert main(["cache", "info", "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert sorted(info) == ["counters", "plan", "result", "sched"]
-        for name in ("plan", "result", "sched"):
+        assert sorted(info) == ["counters", "plan", "result"]
+        for name in ("plan", "result"):
             assert sorted(info[name]) == ["bytes", "entries", "path"]
         # Live registry counters: only caches exercised in this process
         # appear, and all under the cache. namespace.
@@ -505,7 +504,6 @@ class TestCacheCommand:
         from repro.plan.problem import ProblemSpec
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "r"))
         monkeypatch.setenv("REPRO_PLAN_CACHE_DIR", str(tmp_path / "p"))
-        monkeypatch.setenv("REPRO_SCHED_CACHE_DIR", str(tmp_path / "s"))
         cache = PlanCache(str(tmp_path / "p"))
         # A structurally valid entry: loads now route through the
         # plan-cache verifier, so a bare dict would read as a miss.
@@ -522,36 +520,26 @@ class TestCacheCommand:
 
     def test_shared_directory_keeps_caches_apart(self, capsys, monkeypatch,
                                                  tmp_path):
-        """The result, plan and program caches may share one directory."""
+        """The result and plan caches may share one directory."""
         import json
 
         import repro.session as session_module
-        from repro.engine import MatrixSpec, RunSpec
-        from repro.sched import ProgramCache
-        from repro.sched.capture import capture_run
 
-        for env in ("REPRO_CACHE_DIR", "REPRO_PLAN_CACHE_DIR",
-                    "REPRO_SCHED_CACHE_DIR"):
+        for env in ("REPRO_CACHE_DIR", "REPRO_PLAN_CACHE_DIR"):
             monkeypatch.setenv(env, str(tmp_path))
         monkeypatch.setattr(session_module, "_default_session", None)
         assert main(["plan", "-m", "16384", "-n", "64", "-P", "256"]) == 0
         assert main(["sweep", "-m", "512", "-n", "16", "-P", "4",
                      "--execute", "--serial"]) == 0
         capsys.readouterr()
-        # Planning writes no programs; store one beside the other entries.
-        spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(256, 8), c=2,
-                       d=4, procs=16, mode="symbolic")
-        ProgramCache(str(tmp_path)).store("k", capture_run(spec)[0])
 
         def entries():
             assert main(["cache", "info", "--json"]) == 0
             info = json.loads(capsys.readouterr().out)
-            return {name: info[name]["entries"]
-                    for name in ("result", "plan", "sched")}
+            return {name: info[name]["entries"] for name in ("result", "plan")}
 
         before = entries()
         assert before["result"] > 0 and before["plan"] == 1
-        assert before["sched"] > 0
         # Every file is counted once, by the cache that wrote it.
         assert sum(before.values()) == len(list(tmp_path.iterdir()))
         assert main(["cache", "clear"]) == 0
@@ -668,6 +656,16 @@ class TestValidationErrors:
           "--max-ranks", "-3"], "max-ranks must be positive, got -3"),
         (["trace", "-m", "256", "-n", "16", "-c", "2", "-d", "4",
           "--depth", "0"], "depth must be positive, got 0"),
+        (["serve", "--port", "70000"], "port: must be in 0..65535, got 70000"),
+        (["serve", "--port", "-5"], "port: must be in 0..65535, got -5"),
+        (["study", "-m", "512", "-n", "16", "-P", "4,8", "--execute",
+          "--jobs", "-1"], "jobs must be positive, got -1"),
+        (["study", "-m", "512", "-n", "16", "-P", "4,8", "--jobs", "0"],
+         "jobs must be positive, got 0"),
+        (["sweep", "-m", "512", "-n", "16", "-P", "4,8", "--execute",
+          "--jobs", "-2"], "jobs must be positive, got -2"),
+        (["sweep", "-m", "512", "-n", "16", "-P", "4,8", "--jobs", "0"],
+         "jobs must be positive, got 0"),
     ])
     def test_bad_values_are_one_line_errors(self, capsys, argv, message):
         assert main(argv) == 2

@@ -27,7 +27,7 @@ CHILD = textwrap.dedent("""
     unloaded("import repro")
 
     from repro import MatrixSpec, RunSpec, Session, verify_qr
-    session = Session(result_cache=None, plan_cache=None, sched_cache=None)
+    session = Session(result_cache=None, plan_cache=None)
     assert session.plan(m=16384, n=64, procs=256).refined_count > 0
     unloaded("a refined Session.plan")
 
@@ -43,7 +43,7 @@ CHILD = textwrap.dedent("""
     unloaded("repro plan --no-refine")
 
     from repro.serve import PlanServer
-    server = PlanServer(session, workers=1, plan_cache_dir=None)
+    server = PlanServer(session, workers=1)
     server.start_background()
     server.stop()
     unloaded("a PlanServer start and stop")

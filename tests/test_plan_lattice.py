@@ -292,8 +292,7 @@ class TestSessionPlanMany:
         from repro.session import Session
 
         session = Session(machine="blue-waters", plan_cache=None,
-                          sched_cache=None, objective="memory",
-                          executor="serial")
+                          objective="memory", executor="serial")
         spec = ProblemSpec(m=2 ** 12, n=32, procs=16, mode="symbolic")
         results = session.plan_many([
             {"m": 2 ** 12, "n": 32, "procs": 16, "mode": "symbolic"},

@@ -27,7 +27,6 @@ SRC = ROOT / "src" / "repro"
 KEPT = {
     "cqr_3d_asymptotic": "Table I row, a paper claim",
     "ca_cqr_optimal_asymptotic": "Table I row, a paper claim",
-    "program_key": "goes with the program cache (ROADMAP item 1)",
     "VirtualMachine.phase_names": "public accessor the CLI and CI read",
     "panel_cqr2": "in repro.__all__, the library entry point",
     "ca_shifted_cqr3": "in repro.__all__; sCQR3 is ROADMAP item 8's solver",

@@ -24,20 +24,18 @@ from repro.core.cfr3d import cfr3d, default_base_case
 from repro.core.mm3d import mm3d
 from repro.core.panels_dist import ca_panel_cqr2
 from repro.costmodel.collectives import CollectiveCost
-from repro.costmodel.params import ABSTRACT_MACHINE, STAMPEDE2
+from repro.costmodel.params import STAMPEDE2
 from repro.kernels import flops as fl
 from repro.kernels.cholesky import CholeskyFailure
 from repro import Session
 from repro.engine.spec import MatrixSpec, RunSpec
 from repro.plan import Planner, ProblemSpec
 from repro.sched import (
-    ProgramCache,
     RankFamilyMap,
     ScheduleRecorder,
     TemplateRun,
     compiled_replay_disabled,
     compiled_replay_enabled,
-    program_key,
 )
 from repro.sched.capture import capture_run, replay_report
 from repro.sched.program import OP_COMM, ChargeOp, ChargeProgram
@@ -661,8 +659,8 @@ class TestAxisTaggedReplay:
         assert not np.array_equal(class_vm.clocks(), ops_vm.clocks())
 
 
-class TestProgramCacheAndCapture:
-    """Whole-run capture, machine independence, and the on-disk cache."""
+class TestCapture:
+    """Whole-run capture and machine independence."""
 
     SPEC: ClassVar[dict] = dict(algorithm="ca_cqr2", matrix=MatrixSpec(2 ** 12, 32),
                 c=2, d=8, mode="symbolic")
@@ -686,46 +684,6 @@ class TestProgramCacheAndCapture:
         replayed = replay_report(program, STAMPEDE2)
         assert replayed == Session().run(self.prepared("stampede2")).report
 
-    def test_program_key_excludes_machine(self):
-        assert (program_key(self.prepared("abstract"), "ca_cqr2")
-                == program_key(self.prepared("stampede2"), "ca_cqr2"))
-        other = self.prepared().replace(matrix=MatrixSpec(2 ** 12, 64))
-        assert (program_key(self.prepared(), "ca_cqr2")
-                != program_key(other, "ca_cqr2"))
-
-    def test_store_load_roundtrip_replays_identically(self, tmp_path):
-        spec = self.prepared()
-        program, report = capture_run(spec)
-        cache = ProgramCache(str(tmp_path))
-        key = program_key(spec, "ca_cqr2")
-        cache.store(key, program)
-        loaded = cache.load(key)
-        assert loaded is not None
-        assert replay_report(loaded, ABSTRACT_MACHINE) == report
-
-    def test_load_missing_and_corrupt_entries(self, tmp_path):
-        cache = ProgramCache(str(tmp_path))
-        assert cache.load("deadbeef") is None
-        with open(cache.path("bad"), "wb") as fh:
-            fh.write(b"not a pickle")
-        assert cache.load("bad") is None
-
-    def test_cache_clear_removes_programs(self, tmp_path):
-        spec = self.prepared()
-        program, _ = capture_run(spec)
-        cache = ProgramCache(str(tmp_path))
-        cache.store(program_key(spec, "ca_cqr2"), program)
-        assert cache.info()["entries"] == 1
-        assert cache.clear() == 1
-        assert cache.info()["entries"] == 0
-
-    def test_env_override_moves_default_dir(self, tmp_path, monkeypatch):
-        from repro.utils.config import default_sched_cache_dir
-
-        target = str(tmp_path / "programs")
-        monkeypatch.setenv("REPRO_SCHED_CACHE_DIR", target)
-        assert default_sched_cache_dir() == target
-
 
 class TestPlannerRefinement:
     """Planner refinement is bit-identical to uncompiled symbolic runs."""
@@ -739,8 +697,7 @@ class TestPlannerRefinement:
         from repro import Session
 
         problem = result.problem
-        session = Session(result_cache=None, plan_cache=None,
-                          sched_cache=None)
+        session = Session(result_cache=None, plan_cache=None)
         refined = [p for p in result.plans if p.refined]
         assert len(refined) == problem.top_k
         with compiled_replay_disabled():

@@ -219,9 +219,8 @@ class TestRankedPayload:
         ("/plan_batch", {"problems": [BODY, BODY], "limit": 1}),
     ])
     def test_warm_hit_runs_no_serializer(self, path, body, monkeypatch):
-        server = PlanServer(Session(plan_cache=None, sched_cache=None,
-                                    result_cache=None),
-                            plan_cache_dir=None, refine=None)
+        server = PlanServer(Session(plan_cache=None, result_cache=None),
+                            refine=None)
         problem = problem_from_dict(BODY)
         server.plan_cache.put(server.planner.fingerprint(problem),
                               server.planner.plan(problem))
@@ -327,8 +326,7 @@ def _get(address, path):
 @pytest.fixture()
 def server(tmp_path):
     srv = PlanServer(
-        Session(plan_cache=str(tmp_path / "plans"), sched_cache=None,
-                result_cache=None),
+        Session(plan_cache=str(tmp_path / "plans"), result_cache=None),
         workers=2, lru_capacity=8)
     srv.start_background()
     yield srv
@@ -528,7 +526,7 @@ class TestPerServerMetrics:
         registry = get_registry()
         before = registry.counter("serve.healthz_requests").value
         servers = [PlanServer(Session(plan_cache=str(tmp_path / name),
-                                      sched_cache=None, result_cache=None),
+                                      result_cache=None),
                               workers=1, lru_capacity=4)
                    for name in ("a", "b")]
         try:
@@ -580,6 +578,59 @@ class TestCoalescingOverHTTP:
         assert metrics["counters"]["plan_coalesced"] == k - 1
         assert metrics["coalesce_rate"] > 0
         assert metrics["coalescer"]["started"] == 1
+
+
+# -- the session's machine is the default -------------------------------------------
+
+
+class TestSessionMachineDefault:
+    """A request that names no machine is answered for the session's."""
+
+    @pytest.fixture()
+    def blue_server(self):
+        srv = PlanServer(Session(machine="blue-waters", plan_cache=None,
+                                 result_cache=None),
+                         workers=2, lru_capacity=8, refine=None)
+        srv.start_background()
+        yield srv
+        srv.stop()
+
+    @staticmethod
+    def machine_of(result):
+        return result["problem"]["machine"]["name"]
+
+    def test_plan_and_every_batch_item(self, blue_server):
+        named = dict(BODY, machine="stampede2")
+        status, payload = _post(blue_server.address, "/plan", BODY)
+        assert status == 200
+        assert self.machine_of(payload["result"]) == "blue-waters"
+        status, payload = _post(blue_server.address, "/plan", named)
+        assert status == 200
+        assert self.machine_of(payload["result"]) == "stampede2"
+        status, payload = _post(blue_server.address, "/plan_batch", {
+            "problems": [BODY, dict(BODY, procs=16), named]})
+        assert status == 200
+        assert [self.machine_of(item["result"])
+                for item in payload["results"]] == [
+            "blue-waters", "blue-waters", "stampede2"]
+
+    def test_factor(self, blue_server):
+        from repro.engine import MatrixSpec, RunSpec
+
+        body = {"m": 1024, "n": 32, "procs": 8, "algorithm": "ca_cqr2"}
+        seconds = {
+            machine: blue_server.session.run(RunSpec(
+                algorithm="ca_cqr2", matrix=MatrixSpec(1024, 32), procs=8,
+                machine=machine, mode="symbolic")).report.critical_path_time
+            for machine in ("blue-waters", "stampede2")}
+        assert seconds["blue-waters"] != seconds["stampede2"]
+        status, payload = _post(blue_server.address, "/factor", body)
+        assert status == 200
+        assert payload["seconds"] == seconds["blue-waters"]
+        status, payload = _post(blue_server.address, "/factor",
+                                dict(body, machine="stampede2"))
+        assert status == 200
+        assert payload["seconds"] == seconds["stampede2"]
 
 
 # -- batched campaigns --------------------------------------------------------------
@@ -712,8 +763,7 @@ class TestServeObservability:
     def test_request_id_header_and_span_tree_across_pool(self, tmp_path):
         sink = _ListSink()
         srv = PlanServer(
-            Session(plan_cache=str(tmp_path / "plans"), sched_cache=None,
-                    result_cache=None),
+            Session(plan_cache=str(tmp_path / "plans"), result_cache=None),
             workers=2, lru_capacity=8, obs=Observer(sink))
         srv.start_background()
         try:
@@ -772,8 +822,7 @@ class TestServeObservability:
         quantiles are bit-identical whether or not an observer records."""
         def serve_once(obs):
             srv = PlanServer(
-                Session(plan_cache=None, sched_cache=None,
-                        result_cache=None),
+                Session(plan_cache=None, result_cache=None),
                 workers=2, lru_capacity=8, obs=obs)
             srv.start_background()
             try:
@@ -805,8 +854,7 @@ class TestServeObservability:
 
     def test_slow_request_log(self, tmp_path, capsys):
         srv = PlanServer(
-            Session(plan_cache=str(tmp_path / "plans"), sched_cache=None,
-                    result_cache=None),
+            Session(plan_cache=str(tmp_path / "plans"), result_cache=None),
             workers=2, lru_capacity=8, slow_request_seconds=1e-9)
         srv.start_background()
         try:

@@ -21,6 +21,7 @@ from repro import (
 from repro.costmodel.params import STAMPEDE2
 from repro.session import ExecutorConfig, _run_in_worker
 from repro.utils.config import usable_cpus
+from repro.utils.validation import ValidationError
 
 
 def assert_same_run(a, b):
@@ -74,6 +75,12 @@ class TestSessionConstruction:
         off = Session(executor=False).executor
         assert off.parallel is False and off.max_workers is None
 
+    def test_sched_cache_keyword_accepts_only_none(self):
+        assert Session(sched_cache=None).config == Session().config
+        with pytest.raises(ValidationError) as err:
+            Session(sched_cache=".repro-sched-cache")
+        assert err.value.field == "sched_cache"
+
     def test_objective_coerced(self):
         session = Session(objective="time=1,memory=0.2")
         assert isinstance(session.objective, Objective)
@@ -104,6 +111,15 @@ class TestWorkerCounts:
                          c=2, d=4, mode="symbolic") for k in (1, 2)]
         runs = Session(result_cache=None).run_batch(specs, parallel=True)
         assert len(runs) == 2
+
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_non_positive_worker_count_is_rejected(self, max_workers):
+        spec = RunSpec(algorithm="ca_cqr2", matrix=MatrixSpec(64, 8), c=2,
+                       d=4, mode="symbolic")
+        with pytest.raises(ValidationError) as err:
+            Session(result_cache=None).run_batch([spec, spec],
+                                                 max_workers=max_workers)
+        assert err.value.field == "max_workers"
 
 
 class TestSessionConfigPickling:
