@@ -14,14 +14,6 @@ meaningless to a generic linter:
     helpers are exempt (the repository's caller-holds-the-lock
     convention), as is ``__init__`` (no concurrent aliases yet).
 
-``lint/solver-count-fields``
-    Every registered :class:`~repro.engine.registry.Solver` subclass
-    (recognized by a class-level ``name = "..."`` under a ``*Solver``
-    base) must *explicitly* declare ``count_machine_fields`` -- the
-    lattice planner prices one count block per distinct declared-field
-    value, so an accidentally inherited declaration silently mis-shares
-    screens across machines.
-
 ``lint/no-wallclock``
     No wall-clock reads (``time.time`` / ``perf_counter`` /
     ``monotonic`` / ``datetime.now`` ...) inside ``vmpi``, ``sched``, or
@@ -48,7 +40,9 @@ meaningless to a generic linter:
     dataclasses.fields(obj)}``) and copy only what is mutable.
 
 All rules report as :class:`~repro.analysis.findings.Finding` with
-``loc = "path:line"``, like every other ``repro check`` pass.
+``loc = "path:line"``, like every other ``repro check`` pass.  A path
+that does not exist reports ``lint/no-such-path`` (``loc`` is the path),
+so a lint that checked nothing never passes.
 """
 
 from __future__ import annotations
@@ -63,7 +57,7 @@ from repro.analysis.findings import Finding
 LINT_RULES = {
     "lint/parse-error": "source file parses as Python",
     "lint/lock-discipline": "attributes of a _lock-owning class are only mutated under `with self._lock` in public methods",
-    "lint/solver-count-fields": "registered Solver subclasses explicitly declare count_machine_fields",
+    "lint/no-such-path": "every path given to the lint exists",
     "lint/no-wallclock": "no wall-clock reads inside vmpi/sched/costmodel",
     "lint/no-per-rank-dict": "no range(<grid>.dim_y) loops in the stacked steps of core/vmpi/baselines",
     "lint/no-deep-asdict": "no deep-copying dataclasses.asdict/astuple calls inside plan/serve/engine/costmodel",
@@ -295,50 +289,6 @@ def _lint_lock_discipline(tree: ast.Module, path: str) -> List[Finding]:
     return findings
 
 
-# -- lint/solver-count-fields -----------------------------------------------------
-
-
-def _class_assign_names(cls: ast.ClassDef) -> Set[str]:
-    names: Set[str] = set()
-    for item in cls.body:
-        if isinstance(item, ast.Assign):
-            names.update(t.id for t in item.targets
-                         if isinstance(t, ast.Name))
-        elif isinstance(item, ast.AnnAssign) and item.value is not None \
-                and isinstance(item.target, ast.Name):
-            names.add(item.target.id)
-    return names
-
-
-def _is_registered_solver(cls: ast.ClassDef) -> bool:
-    if not any((isinstance(b, ast.Name) and b.id.endswith("Solver"))
-               or (isinstance(b, ast.Attribute)
-                   and b.attr.endswith("Solver"))
-               for b in cls.bases):
-        return False
-    return any(
-        isinstance(item, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "name"
-                for t in item.targets)
-        and isinstance(item.value, ast.Constant)
-        and isinstance(item.value.value, str)
-        for item in cls.body)
-
-
-def _lint_solver_declarations(tree: ast.Module, path: str) -> List[Finding]:
-    findings = []
-    for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and _is_registered_solver(cls) \
-                and "count_machine_fields" not in _class_assign_names(cls):
-            findings.append(Finding(
-                "lint/solver-count-fields", _loc(path, cls),
-                f"registered solver {cls.name} does not declare "
-                f"count_machine_fields; the lattice planner's "
-                f"count-block sharing needs an explicit declaration, "
-                f"not an inherited one"))
-    return findings
-
-
 # -- entry points -----------------------------------------------------------------
 
 
@@ -350,7 +300,6 @@ def lint_source(source: str, path: str) -> List[Finding]:
         return [Finding("lint/parse-error", f"{path}:{exc.lineno or 0}",
                         str(exc.msg))]
     findings = _lint_lock_discipline(tree, path)
-    findings += _lint_solver_declarations(tree, path)
     if _in_scope(path, WALLCLOCK_SCOPES):
         findings += _lint_wallclock(tree, path)
     if _in_scope(path, PER_RANK_DICT_SCOPES):
@@ -366,9 +315,16 @@ def lint_file(path: str) -> List[Finding]:
 
 
 def lint_paths(paths: Sequence[str]) -> List[Finding]:
-    """Lint every ``*.py`` file under *paths* (files or directories)."""
+    """Lint every ``*.py`` file under *paths* (files or directories).
+
+    A path that does not exist yields one ``lint/no-such-path`` finding.
+    """
     findings: List[Finding] = []
     for root in paths:
+        if not os.path.exists(root):
+            findings.append(Finding("lint/no-such-path", root,
+                                    f"path {root!r} not found"))
+            continue
         if os.path.isfile(root):
             findings.extend(lint_file(root))
             continue

@@ -147,6 +147,7 @@ def _build_observer(jsonl_path: Optional[str], chrome_path: Optional[str]):
 def _cmd_plan(args: argparse.Namespace) -> int:
     import json
 
+    from repro.obs import use_observer
     from repro.plan import Objective, Planner, problem_from_dict
     from repro.session import default_session
     from repro.utils.validation import check_positive_int
@@ -175,10 +176,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         obs, _ = _build_observer(args.jsonl, args.chrome_trace)
         planner = Planner(refine=None if args.no_refine else "symbolic",
                           cache_dir=args.cache_dir
-                          or default_session().plan_cache,
-                          obs=obs)
+                          or default_session().plan_cache)
         try:
-            result = planner.plan(problem)
+            with use_observer(obs):
+                result = planner.plan(problem)
         finally:
             if obs is not None:
                 obs.close()
@@ -217,6 +218,7 @@ def _cmd_plan_lattice(args: argparse.Namespace) -> int:
     """`repro plan --lattice '{...}'`: one batched search over a campaign."""
     import json
 
+    from repro.obs import use_observer
     from repro.plan import Planner, lattice_problems
     from repro.session import default_session
     from repro.utils.validation import ValidationError
@@ -245,10 +247,10 @@ def _cmd_plan_lattice(args: argparse.Namespace) -> int:
         obs, _ = _build_observer(args.jsonl, args.chrome_trace)
         planner = Planner(refine=None if args.no_refine else "symbolic",
                           cache_dir=args.cache_dir
-                          or default_session().plan_cache,
-                          obs=obs)
+                          or default_session().plan_cache)
         try:
-            outcomes = planner.plan_many(problems, errors="return")
+            with use_observer(obs):
+                outcomes = planner.plan_many(problems, errors="return")
         finally:
             if obs is not None:
                 obs.close()

@@ -8,7 +8,10 @@ planner counterpart (runnable candidates plus their batched closed-form
 costs) that the CLI, the planner, the modeled sweeps, and the benchmark
 harness all dispatch through.  CA-CQR2 and 1D-CQR2 screen with the sum of
 their per-line tables (:mod:`repro.costmodel.tables`); the baselines with
-their batch forms in :mod:`repro.costmodel.batch`.
+their batch forms in :mod:`repro.costmodel.batch`.  Only PGEQRF's counts
+read the machine (its flop term divides by ``qr_kernel_efficiency``); the
+lattice planner evaluates counts once per distinct machine, so no solver
+declares which machine fields it reads.
 
 CAQR note: the repository carries CAQR's *cost model* only; its executed
 counterpart is the TSQR-panel machinery in
@@ -66,8 +69,6 @@ class CACQR2Solver(Solver):
     aliases = ("cacqr2", "ca_cqr", "cqr2_3d")
     supports_symbolic = True
     requires = "tall matrix; c x d x c grid with c | d, c | n, d | m"
-    #: Counts read no machine fields (rates are applied outside).
-    count_machine_fields = ()
 
     def resolve(self, spec: RunSpec) -> RunSpec:
         m, n = spec.shape
@@ -147,8 +148,6 @@ class CQR21DSolver(Solver):
     label = "1D-CQR2"
     aliases = ("1d", "cqr1d", "cqr2-1d")
     supports_symbolic = True
-    #: Counts read no machine fields (rates are applied outside).
-    count_machine_fields = ()
     requires = "tall matrix; P | m for the symbolic layout"
 
     def resolve(self, spec: RunSpec) -> RunSpec:
@@ -205,8 +204,6 @@ class TSQRSolver(Solver):
     label = "TSQR"
     aliases = ()
     supports_symbolic = False
-    #: Counts read no machine fields (rates are applied outside).
-    count_machine_fields = ()
     requires = "tall matrix with P | m and m/P >= n; numeric only"
 
     def resolve(self, spec: RunSpec) -> RunSpec:
@@ -275,9 +272,6 @@ class ScaLAPACKSolver(Solver):
     supports_symbolic = False
     requires = ("tall matrix on a pr x pc grid with pr | m, pc | b, b | n, "
                 "m/pr >= b; numeric only")
-    # PGEQRF's flop term divides by the machine's QR kernel efficiency
-    # inside screen_costs, so its *counts* vary with this field.
-    count_machine_fields = ("qr_kernel_efficiency",)
 
     def resolve(self, spec: RunSpec) -> RunSpec:
         m, n = spec.shape
@@ -375,9 +369,6 @@ class CAQRSolver(ScaLAPACKSolver):
     name = "caqr"
     label = "CAQR"
     aliases = ()
-    # Idealized CAQR counts never read the machine (unlike the inherited
-    # PGEQRF screen): reset the base-class declaration.
-    count_machine_fields = ()
 
     def screen_costs(self, m: int, n: int, machine: MachineSpec,
                      candidates: Sequence[PlanCandidate]) -> np.ndarray:

@@ -91,14 +91,6 @@ class Solver(abc.ABC):
     supports_symbolic: bool = False
     #: One-line human description of the structural requirements.
     requires: str = ""
-    #: Machine fields (``MachineSpec`` attribute names) that influence the
-    #: *counts* returned by :meth:`plan_candidates` / :meth:`screen_costs`
-    #: -- as opposed to the alpha/beta/gamma *rates*, which always vary by
-    #: machine and are applied outside the solver.  The lattice planner
-    #: shares one enumeration and one count evaluation across every
-    #: machine that agrees on these fields; ``()`` (the default) declares
-    #: the counts fully machine-independent.
-    count_machine_fields: Tuple[str, ...] = ()
 
     # -- spec preparation ---------------------------------------------------------
 
@@ -158,9 +150,9 @@ class Solver(abc.ABC):
 
         The candidate *set* must not depend on ``machine``: the lattice
         planner enumerates once per distinct (m, n, procs, mode, block
-        sizes, depths) tuple and reuses it across machines.  Machine
-        influence on the *counts* is declared via
-        :attr:`count_machine_fields` instead.
+        sizes, depths) tuple and reuses it across machines.  The *counts*
+        (:meth:`screen_costs`) may read the machine: the lattice planner
+        evaluates them once per distinct machine.
         """
         return ()
 

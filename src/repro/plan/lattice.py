@@ -12,14 +12,14 @@ symbolic run refines) lifted one level up:
 1. **Cross-problem screening.**  Candidates are enumerated once per
    distinct machine-free shape tuple ``(m, n, P, mode, block sizes,
    depths, algorithms)``; each solver's ``(messages, words, flops)``
-   count block is evaluated once per distinct value of its declared
-   :attr:`~repro.engine.Solver.count_machine_fields`; and every
-   (candidate, machine) pair is priced in **one**
+   count block is evaluated once per distinct shape tuple and machine
+   (keyed by the machine's field values, so a count that reads the
+   machine is never shared across machines); and every distinct
+   (candidates, machine) pair is priced in **one**
    :func:`~repro.costmodel.batch.priced_seconds_segments` call over the
    stacked ``(3, sum N)`` count array with segment-broadcast
    alpha/beta/gamma.  Re-planning the same shapes on M machines reuses
-   one enumeration and (for machine-independent counts) one count
-   evaluation M-fold.
+   one enumeration M-fold.
 
 2. **Deduplicated refinement.**  Top-k survivors are collected across
    *all* points and deduplicated by prepared spec and machine: each
@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.costmodel.batch import priced_seconds_segments
 from repro.engine.registry import CapabilityError, solver_for
-from repro.engine.spec import MatrixSpec, RunSpec, fingerprint
+from repro.engine.spec import MatrixSpec, RunSpec, field_values, fingerprint
 from repro.obs import span
 from repro.plan.planner import Plan, PlanResult
 from repro.plan.problem import (
@@ -202,9 +202,9 @@ class _PointView:
 def _enum_key(planner, problem: ProblemSpec) -> tuple:
     """The machine-free enumeration identity of one problem.
 
-    Candidate *identity* depends only on these fields (solvers declare
-    machine influence on their counts via ``count_machine_fields``; the
-    candidate set itself is machine-free by the registry contract).
+    Candidate *identity* depends only on these fields (the candidate set
+    is machine-free by the registry contract; counts may read the
+    machine and are keyed by it separately).
     """
     return (problem.m, problem.n, problem.procs, problem.mode,
             problem.effective_block_sizes(), problem.inverse_depths,
@@ -266,8 +266,6 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
     enum_groups: Dict[tuple, list] = {}
     enum_candidates: Dict[tuple, list] = {}
     enum_memory: Dict[tuple, np.ndarray] = {}
-    count_blocks: Dict[tuple, np.ndarray] = {}
-    assembled: Dict[tuple, np.ndarray] = {}
     price_jobs: Dict[tuple, np.ndarray] = {}
     for i in list(views):
         view = views[i]
@@ -284,13 +282,15 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
                     f"for {problem.m} x {problem.n} at P={problem.procs} "
                     f"(mode={problem.mode})")
             machine = problem.machine_spec()
-            blocks = []
-            sigs = []
-            for solver, cands in groups:
-                sig = tuple(getattr(machine, f)
-                            for f in solver.count_machine_fields)
-                bkey = (ekey, solver.name, sig)
-                if bkey not in count_blocks:
+            params = machine.cost_params()
+            # Counts may read the machine (PGEQRF's flops divide by its
+            # qr_kernel_efficiency), so only points on an identical
+            # machine share them.
+            pkey = (ekey, field_values(machine),
+                    (params.alpha, params.beta, params.gamma))
+            if pkey not in price_jobs:
+                blocks = []
+                for solver, cands in groups:
                     block = np.asarray(
                         solver.screen_costs(problem.m, problem.n, machine,
                                             cands),
@@ -300,21 +300,14 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
                             f"{solver.name}.screen_costs returned shape "
                             f"{block.shape} for {len(cands)} candidates "
                             f"(want (3, {len(cands)}))")
-                    count_blocks[bkey] = block
-                blocks.append(count_blocks[bkey])
-                sigs.append((solver.name, sig))
-            akey = (ekey, tuple(sigs))
-            if akey not in assembled:
-                assembled[akey] = np.concatenate(blocks, axis=1)
+                    blocks.append(block)
+                price_jobs[pkey] = np.concatenate(blocks, axis=1)
+                stats.count_blocks += len(blocks)
             if ekey not in enum_candidates:
                 candidates = [c for _, cands in groups for c in cands]
                 enum_candidates[ekey] = candidates
                 enum_memory[ekey] = np.array(
                     [c.memory_words for c in candidates], dtype=np.float64)
-            params = machine.cost_params()
-            pkey = (akey, (params.alpha, params.beta, params.gamma))
-            if pkey not in price_jobs:
-                price_jobs[pkey] = assembled[akey]
             view.enum_key = ekey
             view.price_key = pkey
             view.num_candidates = len(enum_candidates[ekey])
@@ -324,8 +317,7 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
             stats.errors += 1
             del views[i]
     stats.enum_groups = len(enum_groups)
-    stats.count_blocks = len(count_blocks)
-    stats.counted_lanes = sum(b.shape[1] for b in count_blocks.values())
+    stats.counted_lanes = sum(b.shape[1] for b in price_jobs.values())
     stats.price_segments = len(price_jobs)
 
     priced: Dict[tuple, np.ndarray] = {}
@@ -337,7 +329,7 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
             lengths = np.array([price_jobs[k].shape[1] for k in keys],
                                dtype=np.int64)
             stacked = np.concatenate([price_jobs[k] for k in keys], axis=1)
-            rates = np.array([k[1] for k in keys], dtype=np.float64).T
+            rates = np.array([k[2] for k in keys], dtype=np.float64).T
             seconds = priced_seconds_segments(stacked, rates, lengths)
             for k, chunk in zip(keys,
                                 np.split(seconds, np.cumsum(lengths)[:-1])):

@@ -184,7 +184,7 @@ class Objective:
 
     @property
     def is_plain(self) -> bool:
-        """A single-metric, unconstrained objective (legacy exact ranking)."""
+        """A single-metric, unconstrained objective (printed as its metric)."""
         return len(self.weights) == 1 and not self.budgets
 
     @property

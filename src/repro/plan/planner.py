@@ -28,7 +28,6 @@ bandwidth with memory and synchronization).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,7 +36,7 @@ import numpy as np
 
 from repro.engine.registry import solver_for
 from repro.engine.spec import MatrixSpec, RunSpec
-from repro.obs import Observer, get_registry, span, use_observer
+from repro.obs import get_registry, span
 from repro.plan.cache import PlanCache
 from repro.plan.objective import Objective
 from repro.plan.problem import ProblemSpec, problem_fingerprint
@@ -199,6 +198,14 @@ class Planner:
     (:func:`repro.plan.lattice.search_lattice`); :meth:`plan` is its
     one-point case, so the two agree plan for plan by construction.
 
+    Planning spans (a ``plan`` or ``plan_many`` root over the
+    ``plan_many.cache`` / ``plan_many.screen`` / ``plan_many.refine``
+    stages, with candidate and survivor counts) go to the ambient
+    observer of the calling context (:func:`repro.obs.use_observer`) --
+    how the serve layer's per-request spans parent planner work -- and
+    cost nothing when none is attached.  Observation never changes a
+    plan: results are bit-identical with or without it.
+
     Parameters
     ----------
     refine:
@@ -210,25 +217,14 @@ class Planner:
     cache_dir:
         Directory for the fingerprint-keyed on-disk plan cache (same
         idiom as the engine's result cache).  ``None`` disables caching.
-    obs:
-        An :class:`~repro.obs.Observer` to emit planning spans into
-        (a ``plan`` or ``plan_many`` root over the ``plan_many.cache`` /
-        ``plan_many.screen`` / ``plan_many.refine`` stages, with
-        candidate and survivor counts).  ``None`` (the default) falls
-        back to the ambient observer of the calling context -- how the
-        serve layer's per-request spans parent planner work -- and costs
-        nothing when no observer is attached anywhere.  Observation never
-        changes a plan: results are bit-identical with or without it.
     """
 
     def __init__(self, refine: Optional[str] = "symbolic",
-                 cache_dir: Optional[str] = None,
-                 obs: Optional[Observer] = None):
+                 cache_dir: Optional[str] = None):
         require(refine in REFINE_MODES,
                 f"refine must be one of {REFINE_MODES}, got {refine!r}")
         self.refine = refine
         self.cache = PlanCache(cache_dir) if cache_dir else None
-        self.obs = obs
         #: :class:`~repro.plan.lattice.LatticeStats` of the most recent
         #: :meth:`plan_many` call (``None`` before the first).
         self.last_lattice_stats = None
@@ -245,9 +241,8 @@ class Planner:
         """
         from repro.plan.lattice import search_lattice
 
-        with self._ambient(), span(
-                "plan", m=problem.m, n=problem.n, procs=problem.procs,
-                machine=str(problem.machine)) as root:
+        with span("plan", m=problem.m, n=problem.n, procs=problem.procs,
+                  machine=str(problem.machine)) as root:
             [result], _ = search_lattice(self, [problem])
             if isinstance(result, Exception):
                 raise result
@@ -277,8 +272,7 @@ class Planner:
         require(errors in ("raise", "return"),
                 f"errors must be 'raise' or 'return', got {errors!r}")
         problems = list(problems)
-        with self._ambient(), span("plan_many",
-                                   points=len(problems)) as root:
+        with span("plan_many", points=len(problems)) as root:
             results, stats = search_lattice(self, problems)
             root.set(cache_hits=stats.cache_hits, computed=stats.computed,
                      errors=stats.errors,
@@ -311,14 +305,6 @@ class Planner:
 
     # -- internals ----------------------------------------------------------------
 
-    def _ambient(self):
-        """Make this planner's observer ambient, so nested layers (the
-        refinement runs' sched replays) parent under its spans; else keep
-        the caller's."""
-        if self.obs is None:
-            return contextlib.nullcontext()
-        return use_observer(self.obs)
-
     @staticmethod
     def _searched(problem: ProblemSpec) -> Tuple[str, ...]:
         from repro.engine.registry import available_algorithms
@@ -342,16 +328,15 @@ class Planner:
     def _order(cls, problem: ProblemSpec, plans: Sequence[Plan]) -> List[int]:
         """Plan indices in ranking order under the problem's objective.
 
-        Plain single-metric objectives keep the exact legacy tuple
-        ordering.  Weighted objectives rank by the scalarized score
-        (:meth:`~repro.plan.objective.Objective.scores`); budget
-        constraints rank every within-budget plan before every violator,
-        violators ordered by how badly they miss.
+        Plans rank by the scalarized score
+        (:meth:`~repro.plan.objective.Objective.scores`), ties by the
+        primary metric's :meth:`_plain_key`; budget constraints rank
+        every within-budget plan before every violator, violators
+        ordered by how badly they miss.  A single-metric score divides
+        the metric by its positive minimum, which keeps its order, so a
+        plain objective ranks exactly by :meth:`_plain_key`.
         """
         objective = problem.objective_spec()
-        if objective.is_plain:
-            key = cls._plain_key(objective.primary_metric)
-            return sorted(range(len(plans)), key=lambda i: key(plans[i]))
         seconds = np.array([p.seconds for p in plans], dtype=np.float64)
         memory = np.array([p.memory_words for p in plans], dtype=np.float64)
         messages = np.array([p.messages for p in plans], dtype=np.float64)

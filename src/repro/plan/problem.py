@@ -120,8 +120,11 @@ class ProblemSpec:
         require(len(self.inverse_depths) > 0,
                 "inverse_depths cannot be empty")
         for depth in self.inverse_depths:
-            require(int(depth) >= 0,
-                    f"inverse depths must be >= 0, got {depth}")
+            if isinstance(depth, bool) or not isinstance(depth, int) \
+                    or depth < 0:
+                raise ValidationError(
+                    f"must be integers >= 0, got {depth!r}",
+                    field="inverse_depths")
 
     def machine_spec(self) -> MachineSpec:
         """The resolved machine preset (names resolved via the registry)."""

@@ -107,8 +107,9 @@ class PlanServer:
         generated id returned in the ``X-Repro-Request-Id`` header)
         parenting the planner/sched spans of the work it triggers --
         across the thread-pool boundary, because :meth:`run_blocking`
-        copies the request's contextvars onto the worker.  ``None``
-        falls back to the session's observer; with neither, spans cost
+        copies the request's contextvars onto the worker.  It is a
+        parameter, not the caller's ambient observer, because the server
+        loop runs on its own thread.  ``None`` (default): spans cost
         nothing.  Observation never changes a response bit.
     slow_request_seconds:
         Log any request slower than this many seconds to stderr (with
@@ -132,8 +133,7 @@ class PlanServer:
         self.host = host
         self.port = port
         self.workers = workers
-        self.obs = obs if obs is not None else getattr(self.session, "obs",
-                                                       None)
+        self.obs = obs
         self.slow_request_seconds = slow_request_seconds
         plan_cache = self.session.plan_cache
         disk = PlanCache(plan_cache) if plan_cache else None

@@ -67,40 +67,6 @@ MAX_TRACED_RANKS = 2 ** 12
 
 
 @dataclass(frozen=True)
-class ExecutorConfig:
-    """How a session fans batch work out: process parallelism + pool size."""
-
-    parallel: bool = True
-    max_workers: Optional[int] = None
-
-    @classmethod
-    def coerce(cls, value) -> "ExecutorConfig":
-        """Normalize the accepted ``executor=`` spellings.
-
-        ``None`` (defaults), an :class:`ExecutorConfig`, ``"serial"`` /
-        ``"process"``, a bool (parallel on/off), or an integer worker
-        count.
-        """
-        if value is None:
-            return cls()
-        if isinstance(value, ExecutorConfig):
-            return value
-        if isinstance(value, str):
-            require(value in ("serial", "process"),
-                    f'executor must be "serial", "process", a worker count, '
-                    f"or an ExecutorConfig, got {value!r}")
-            return cls(parallel=(value == "process"))
-        if isinstance(value, bool):
-            # Before the int branch: True/False mean parallel on/off, not
-            # a worker count of 1.
-            return cls(parallel=value)
-        if isinstance(value, int):
-            require(value > 0, f"executor worker count must be > 0, got {value}")
-            return cls(parallel=(value > 1), max_workers=value)
-        raise ValueError(f"cannot interpret {value!r} as an executor")
-
-
-@dataclass(frozen=True)
 class SessionConfig:
     """The picklable essence of a session, shipped into worker processes.
 
@@ -114,8 +80,7 @@ class SessionConfig:
     result_cache: Optional[str] = None
     plan_cache: Optional[str] = None
     objective: Optional["Objective"] = None  # noqa: F821 - see repro.plan
-    parallel: bool = True
-    max_workers: Optional[int] = None
+    executor: str = "process"
 
 
 class Session:
@@ -147,35 +112,37 @@ class Session:
         (``benchmarks/perf/workloads.py::fresh_session``) still passes
         ``sched_cache=None``; it goes when the harness stops.
     executor:
-        Batch-execution policy: ``"serial"``, ``"process"``, a worker
-        count, or an :class:`ExecutorConfig`.
+        Batch-execution policy: ``"process"`` (default) fans uncached
+        batch specs out over a process pool (``run_iter(max_workers=)``
+        sizes it); ``"serial"`` runs them in this process.  Anything
+        else raises :class:`~repro.utils.validation.ValidationError`
+        (field ``executor``).
     objective:
         The session's planning objective -- a metric name, a weight
         string (``"time=1,memory=0.2"``), a weights mapping, or a full
         :class:`~repro.plan.objective.Objective` with budgets.  Honored
         by :meth:`plan` and by every ``algorithm="auto"`` resolution
         made under this session.  ``None`` means pure modeled time.
-    obs:
-        An :class:`~repro.obs.Observer` threaded through every layer the
-        session touches -- planners built by :meth:`planner` emit their
-        span trees into it, studies run under it, and a
-        :class:`~repro.serve.PlanServer` built on this session adopts it
-        for per-request spans.  A live handle, deliberately *not* part
-        of :class:`SessionConfig`: worker processes rebuild sessions
-        without it (sinks do not pickle), and observation never changes
-        any result.  ``None`` (default) costs nothing.
+
+    A session holds no observer: spans go to the ambient one
+    (:func:`repro.obs.use_observer`), and observation never changes any
+    result.
     """
 
     def __init__(self, *, machine: Union[None, str, MachineSpec] = None,
                  result_cache: Union[_Unset, None, str] = UNSET,
                  plan_cache: Union[_Unset, None, str] = UNSET,
                  sched_cache: None = None,
-                 executor=None, objective=None, obs=None):
+                 executor: str = "process", objective=None):
         from repro.plan.objective import Objective
 
         if sched_cache is not None:
             raise ValidationError(f"accepts only None, got {sched_cache!r}",
                                   field="sched_cache")
+        if executor not in ("serial", "process"):
+            raise ValidationError(
+                f'must be "serial" or "process", got {executor!r}',
+                field="executor")
         if isinstance(result_cache, _Unset):
             result_cache = env_result_cache_dir()
         if isinstance(plan_cache, _Unset):
@@ -183,10 +150,9 @@ class Session:
         self.machine = machine
         self.result_cache = result_cache
         self.plan_cache = plan_cache
-        self.executor = ExecutorConfig.coerce(executor)
+        self.executor = executor
         self.objective = (Objective.coerce(objective)
                           if objective is not None else None)
-        self.obs = obs
 
     # -- config / pickling --------------------------------------------------------
 
@@ -197,8 +163,7 @@ class Session:
                              result_cache=self.result_cache,
                              plan_cache=self.plan_cache,
                              objective=self.objective,
-                             parallel=self.executor.parallel,
-                             max_workers=self.executor.max_workers)
+                             executor=self.executor)
 
     @classmethod
     def from_config(cls, config: SessionConfig) -> "Session":
@@ -206,8 +171,7 @@ class Session:
         return cls(machine=config.machine,
                    result_cache=config.result_cache,
                    plan_cache=config.plan_cache,
-                   executor=ExecutorConfig(parallel=config.parallel,
-                                           max_workers=config.max_workers),
+                   executor=config.executor,
                    objective=config.objective)
 
     def __repr__(self) -> str:
@@ -222,8 +186,8 @@ class Session:
             parts.append(f"plan_cache={self.plan_cache!r}")
         if self.objective is not None:
             parts.append(f"objective={str(self.objective)!r}")
-        if self.executor != ExecutorConfig():
-            parts.append(f"executor={self.executor}")
+        if self.executor != "process":
+            parts.append(f"executor={self.executor!r}")
         return f"Session({', '.join(parts)})"
 
     # -- spec resolution ----------------------------------------------------------
@@ -332,9 +296,7 @@ class Session:
         from repro.engine.runner import _POOL_FALLBACK_ERRORS, ResultCache
 
         if parallel is None:
-            parallel = self.executor.parallel
-        if max_workers is None:
-            max_workers = self.executor.max_workers
+            parallel = self.executor == "process"
         if max_workers is not None and max_workers < 1:
             raise ValidationError(f"must be positive, got {max_workers}",
                                   field="max_workers")
@@ -416,8 +378,7 @@ class Session:
         """A :class:`repro.plan.Planner` bound to this session's context."""
         from repro.plan import Planner
 
-        return Planner(refine=refine, cache_dir=self.plan_cache,
-                       obs=self.obs)
+        return Planner(refine=refine, cache_dir=self.plan_cache)
 
     def plan(self, problem=None, *, objective=None,
              refine: Optional[str] = "symbolic", **problem_fields):

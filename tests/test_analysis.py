@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     BINDING_RULES,
+    LINT_RULES,
     Finding,
     PROGRAM_RULES,
     VerificationError,
@@ -480,17 +481,20 @@ STACKED_STEP_PATHS = [
     "src/repro/baselines/scalapack_qr.py"]
 
 
+#: A public method of a ``_lock``-owning class mutating outside the lock.
+UNLOCKED_MUTATION = (
+    "import threading\n"
+    "class Registry:\n"
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self.entries = {}\n"
+    "    def add(self, k, v):\n"
+    "        self.entries[k] = v\n")
+
+
 class TestLintRules:
     def test_lock_discipline_flags_unlocked_mutation(self):
-        src = (
-            "import threading\n"
-            "class Registry:\n"
-            "    def __init__(self):\n"
-            "        self._lock = threading.Lock()\n"
-            "        self.entries = {}\n"
-            "    def add(self, k, v):\n"
-            "        self.entries[k] = v\n")
-        findings = lint_source(src, "src/repro/obs/fake.py")
+        findings = lint_source(UNLOCKED_MUTATION, "src/repro/obs/fake.py")
         assert [f.rule for f in findings] == ["lint/lock-discipline"]
 
     def test_lock_discipline_accepts_locked_and_helper_mutation(self):
@@ -512,20 +516,6 @@ class TestLintRules:
                "    def set(self, v):\n"
                "        self.v = v\n")
         assert lint_source(src, "src/repro/obs/fake.py") == []
-
-    def test_solver_must_declare_count_fields(self):
-        src = ("class FooSolver(Solver):\n"
-               "    name = \"foo\"\n")
-        findings = lint_source(src, "src/repro/engine/fake.py")
-        assert [f.rule for f in findings] == ["lint/solver-count-fields"]
-        fixed = src + "    count_machine_fields = ()\n"
-        assert lint_source(fixed, "src/repro/engine/fake.py") == []
-
-    def test_abstract_solver_bases_are_exempt(self):
-        src = ("class BaseSolver(Solver):\n"
-               "    def run(self):\n"
-               "        pass\n")
-        assert lint_source(src, "src/repro/engine/fake.py") == []
 
     def test_wallclock_flagged_only_in_core_scopes(self):
         src = ("import time\n"
@@ -608,9 +598,16 @@ class TestLintRules:
 
     def test_lint_paths_walks_files_and_dirs(self, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_text("class FooSolver(Solver):\n    name = \"foo\"\n")
+        bad.write_text(UNLOCKED_MUTATION)
         assert [f.rule for f in lint_paths([str(tmp_path)])] == \
-            ["lint/solver-count-fields"]
+            ["lint/lock-discipline"]
+
+    def test_missing_path_is_a_finding(self, tmp_path):
+        missing = str(tmp_path / "absent")
+        findings = lint_paths([missing, str(tmp_path)])
+        assert [(f.rule, f.loc) for f in findings] == \
+            [("lint/no-such-path", missing)]
+        assert "lint/no-such-path" in LINT_RULES
 
 
 class TestRepoSourcePassesItsOwnLint:
@@ -660,9 +657,19 @@ class TestCheckCLI:
 
     def test_source_lint_flags_violations(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text("class FooSolver(Solver):\n    name = \"foo\"\n")
+        bad.write_text(UNLOCKED_MUTATION)
         assert main(["check", "--source", str(bad)]) == 1
-        assert "lint/solver-count-fields" in capsys.readouterr().out
+        assert "lint/lock-discipline" in capsys.readouterr().out
+
+    def test_source_lint_of_nothing_fails(self, tmp_path, capsys,
+                                          monkeypatch):
+        assert main(["check", "--source", str(tmp_path / "absent")]) == 1
+        assert "lint/no-such-path" in capsys.readouterr().out
+        # A bare --source outside the repo root lints the default
+        # src/repro, which is not there.
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "--source"]) == 1
+        assert "lint/no-such-path" in capsys.readouterr().out
 
     def test_typing_gate_skips_or_runs(self, capsys):
         # With mypy absent the gate must skip gracefully (exit 0); with

@@ -1,12 +1,54 @@
 """Tests for the command-line interface."""
 
+import os
+import shlex
 import time
 from typing import ClassVar
 
 import numpy as np
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "README.md")
+
+
+def _repro_commands(text):
+    """The argv after ``repro`` of every ``python -m repro ...`` in *text*."""
+    lines = text.replace("\\\n", " ").splitlines()
+    commands = []
+    i = 0
+    while i < len(lines):
+        start = lines[i].find("python -m repro ")
+        command = lines[i][start:]
+        i += 1
+        if start < 0:
+            continue
+        while True:
+            try:
+                argv = shlex.split(command, comments=True)
+                break
+            except ValueError:      # a quoted argument spans lines
+                command += "\n" + lines[i]
+                i += 1
+        commands.append(argv[3:])
+    return commands
+
+
+def _documented_commands():
+    with open(README, encoding="utf-8") as fh:
+        fenced = "\n".join(fh.read().split("```")[1::2])
+    return _repro_commands(fenced) + _repro_commands(repro.cli.__doc__)
+
+
+@pytest.mark.parametrize("argv", _documented_commands(),
+                         ids=lambda argv: " ".join(" ".join(argv).split()))
+def test_documented_command_parses(argv):
+    """Every command README and the CLI docstring show is accepted as
+    written; parsing only, nothing runs."""
+    build_parser().parse_args(argv)
 
 
 class TestParser:

@@ -324,8 +324,8 @@ class TestPlannerSpanTree:
 
         sink = _ListSink()
         problem = ProblemSpec(m=65536, n=256, procs=512, machine="stampede2")
-        Planner(refine="symbolic", cache_dir=str(tmp_path),
-                obs=Observer(sink)).plan(problem)
+        with use_observer(Observer(sink)):
+            Planner(refine="symbolic", cache_dir=str(tmp_path)).plan(problem)
 
         by_name = {r["name"]: r for r in sink.spans}
         assert {name for name in by_name if name.startswith("plan")} == {
@@ -365,8 +365,8 @@ class TestPlannerSpanTree:
 
         sink = _ListSink()
         problem = ProblemSpec(m=65536, n=256, procs=512, machine="stampede2")
-        Planner(refine=None, cache_dir=None,
-                obs=Observer(sink)).plan(problem)
+        with use_observer(Observer(sink)):
+            Planner(refine=None, cache_dir=None).plan(problem)
         by_name = {r["name"]: r for r in sink.spans}
         assert by_name["plan_many.refine"]["attrs"]["mode"] is None
         assert by_name["plan_many.refine"]["attrs"]["survivors"] == 0
@@ -392,8 +392,8 @@ class TestPlannerSpanTree:
 
         problem = ProblemSpec(m=65536, n=256, procs=512, machine="stampede2")
         bare = Planner(refine="symbolic", cache_dir=None).plan(problem)
-        observed = Planner(refine="symbolic", cache_dir=None,
-                           obs=Observer(_ListSink())).plan(problem)
+        with use_observer(Observer(_ListSink())):
+            observed = Planner(refine="symbolic", cache_dir=None).plan(problem)
         assert (json.dumps([p.to_dict() for p in bare.plans], sort_keys=True)
                 == json.dumps([p.to_dict() for p in observed.plans],
                               sort_keys=True))
@@ -418,9 +418,9 @@ class TestCaptureSpans:
 
         sink = _ListSink()
         obs = Observer(sink)
-        Planner(refine="symbolic", cache_dir=str(tmp_path), obs=obs).plan(
-            ProblemSpec(m=61440, n=240, procs=512, machine="stampede2"))
         with use_observer(obs):
+            Planner(refine="symbolic", cache_dir=str(tmp_path)).plan(
+                ProblemSpec(m=61440, n=240, procs=512, machine="stampede2"))
             for c, d in ((2, 2), (2, 8), (4, 4)):
                 vm = VirtualMachine(c * c * d)
                 a = DistMatrix.symbolic(Grid3D.tunable(vm, c, d), 64 * d, 20 * c)

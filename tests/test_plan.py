@@ -37,6 +37,13 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="mode"):
             ProblemSpec(m=64, n=4, procs=4, mode="fast")
 
+    @pytest.mark.parametrize("depths", [(1.5,), ("2",), (-0.5,), (True,),
+                                        (-1,), (0, None)])
+    def test_inverse_depths_are_non_negative_ints(self, depths):
+        with pytest.raises(ValidationError) as err:
+            ProblemSpec(m=64, n=4, procs=4, inverse_depths=depths)
+        assert err.value.field == "inverse_depths"
+
     def test_default_block_sizes_ladder(self):
         assert default_block_sizes(512) == (8, 16, 32, 64, 128, 256, 512)
         assert default_block_sizes(48) == (8, 16, 32)
@@ -140,6 +147,26 @@ class TestPlanner:
             ProblemSpec(objective="memory", **SMALL))
         assert all(a.memory_words <= b.memory_words for a, b in
                    zip(res_mem.plans, res_mem.plans[1:]))
+
+    @pytest.mark.parametrize("refine", [None, "symbolic"])
+    @pytest.mark.parametrize("objective", ["time", "memory", "messages"])
+    def test_exact_tie_of_1d_and_c1_ca_cqr2(self, objective, refine):
+        """1D-CQR2 and c=1 CA-CQR2 cost the same seconds and messages
+        exactly; the smaller footprint ranks first, and immediately first
+        where the objective ties them."""
+        result = Planner(refine=refine).plan(ProblemSpec(
+            m=12288, n=384, procs=256, machine="stampede2", top_k=40,
+            objective=objective))
+        keys = [(p.algorithm, p.config) for p in result.plans]
+        one_d = keys.index(("cqr2_1d", "P=256"))
+        ca = keys.index(("ca_cqr2", "1x256x1,n0=384"))
+        a, b = result.plans[one_d], result.plans[ca]
+        assert a.seconds == b.seconds and a.messages == b.messages
+        assert a.memory_words < b.memory_words
+        if objective == "memory":
+            assert one_d < ca
+        else:
+            assert ca == one_d + 1
 
     def test_refine_mode_validated(self):
         with pytest.raises(ValueError, match="refine"):

@@ -169,7 +169,6 @@ class _SecondCandidateFails(CQR21DSolver):
 
     name = "test_second_fails"
     aliases = ()
-    count_machine_fields = ()
 
     def __init__(self):
         self.executions = 0

@@ -19,7 +19,7 @@ from repro import (
     use_session,
 )
 from repro.costmodel.params import STAMPEDE2
-from repro.session import ExecutorConfig, _run_in_worker
+from repro.session import _run_in_worker
 from repro.utils.config import usable_cpus
 from repro.utils.validation import ValidationError
 
@@ -47,7 +47,7 @@ class TestSessionConstruction:
         assert session.result_cache is None
         assert session.plan_cache is None
         assert session.objective is None
-        assert session.executor == ExecutorConfig()
+        assert session.executor == "process"
 
     def test_env_vars_supply_default_cache_dirs(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "rc"))
@@ -61,19 +61,11 @@ class TestSessionConstruction:
         assert opt_out.plan_cache is None
 
     def test_executor_spellings(self):
-        assert Session(executor="serial").executor.parallel is False
-        assert Session(executor="process").executor.parallel is True
-        assert Session(executor=4).executor.max_workers == 4
-        assert Session(executor=1).executor.parallel is False
-        with pytest.raises(ValueError, match="executor"):
-            Session(executor="threads")
-
-    def test_executor_bool_means_parallel_toggle(self):
-        # Not a worker count: True/False toggle parallelism.
-        on = Session(executor=True).executor
-        assert on.parallel is True and on.max_workers is None
-        off = Session(executor=False).executor
-        assert off.parallel is False and off.max_workers is None
+        assert Session(executor="serial").executor == "serial"
+        assert Session(executor="process").executor == "process"
+        with pytest.raises(ValidationError) as err:
+            Session(executor=4)
+        assert err.value.field == "executor"
 
     def test_sched_cache_keyword_accepts_only_none(self):
         assert Session(sched_cache=None).config == Session().config
@@ -128,7 +120,7 @@ class TestSessionConfigPickling:
             machine=STAMPEDE2,
             result_cache=str(tmp_path / "rc"),
             plan_cache=str(tmp_path / "pc"),
-            executor=ExecutorConfig(parallel=False),
+            executor="serial",
             objective=Objective.single("time",
                                        budgets=(Budget("memory", 8e6),)))
         config = session.config
@@ -139,7 +131,7 @@ class TestSessionConfigPickling:
         assert rebuilt.result_cache == str(tmp_path / "rc")
         assert rebuilt.plan_cache == str(tmp_path / "pc")
         assert rebuilt.objective == session.objective
-        assert rebuilt.executor.parallel is False
+        assert rebuilt.executor == "serial"
 
     def test_default_config_is_picklable(self):
         config = pickle.loads(pickle.dumps(Session().config))
@@ -415,8 +407,7 @@ class TestEnvCacheDirs:
 
 def test_worker_ignores_parent_parallelism():
     """A worker rebuilt from config must not fan out its own pool."""
-    config = Session(executor=ExecutorConfig(parallel=True,
-                                             max_workers=8)).config
+    config = Session(executor="process").config
     spec = RunSpec(algorithm="tsqr", matrix=MatrixSpec(256, 8), procs=4)
     result = _run_in_worker(config, spec)     # single run: no pool involved
     assert result.orthogonality_error() < 1e-12
