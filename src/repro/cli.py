@@ -14,10 +14,9 @@ Usage (after ``pip install -e .``)::
     python -m repro factor -m 4096 -n 64 -a auto -P 16
     python -m repro factor -m 4096 -n 64 -a tsqr -P 16
     python -m repro algorithms             # show the algorithm registry
-    python -m repro sweep -m 1048576 -n 1024 -P 256,4096 --machine stampede2
-    python -m repro sweep -m 2048 -n 32 -P 4,8,16 --execute
-    python -m repro sweep -m 2048 -n 32 -P 4,8,16 --execute -a auto
+    python -m repro study -m 1048576 -n 1024 -P 256,4096 --machine stampede2
     python -m repro study -m 2048 -n 32 -P 4,8,16 --execute --jsonl camp.jsonl
+    python -m repro study -m 2048 -n 32 -P 4,8,16 --execute --algorithms auto
     python -m repro study --spec study.json --format markdown
     python -m repro cache info             # survey every session cache
     python -m repro cache info --json      # same survey, machine-readable
@@ -400,163 +399,6 @@ def _cmd_algorithms(args: argparse.Namespace) -> int:
 
 def _parse_proc_list(text: str) -> List[int]:
     return [int(tok) for tok in text.split(",") if tok]
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.costmodel.params import machine_by_name
-    from repro.utils.validation import check_positive_int
-
-    if args.jobs is not None:
-        check_positive_int(args.jobs, "jobs")
-    machine = machine_by_name(args.machine)
-    try:
-        proc_counts = _parse_proc_list(args.procs)
-    except ValueError:
-        print(f"error: -P expects comma-separated integers, got {args.procs!r}")
-        return 2
-    if not proc_counts:
-        print("error: pass at least one processor count, e.g. -P 4,8,16")
-        return 2
-    if args.execute:
-        return _run_executed_sweep(args, machine, proc_counts)
-    return _run_modeled_sweep(args, machine, proc_counts)
-
-
-def _run_modeled_sweep(args, machine, proc_counts) -> int:
-    """Rank every registered algorithm's analytic model across scale."""
-    from repro.experiments.sweeps import (algorithm_comparison_study,
-                                          format_sweep_table,
-                                          series_from_table)
-
-    table = algorithm_comparison_study(
-        args.m, args.n, machine, tuple(proc_counts),
-        block_size=32 if args.block_size is None else args.block_size,
-    ).run(parallel=False)
-    series = series_from_table(table)
-    if not series:
-        print(f"no algorithm is applicable to {args.m} x {args.n} "
-              f"at P in {proc_counts}")
-        return 2
-    print(format_sweep_table(args.m, args.n, machine, series))
-    return 0
-
-
-def _spec_config_label(spec) -> str:
-    """Human-readable configuration of a concrete (resolved) RunSpec.
-
-    Mirrors the ``PlanCandidate.config`` spellings the solvers build in
-    :mod:`repro.engine.builtin` (auto resolution hands back only the
-    RunSpec, not the winning Plan, so the label is reconstructed here).
-    """
-    if spec.c is not None:
-        label = f"{spec.c}x{spec.d}x{spec.c}"
-        if spec.base_case_size is not None:
-            label += f",n0={spec.base_case_size}"
-        return label
-    if spec.pr is not None:
-        label = f"pr={spec.pr},pc={spec.pc}"
-        if spec.block_size is not None:
-            label += f",b={spec.block_size}"
-        return label
-    return f"P={spec.procs}"
-
-
-def _run_auto_sweep(args, machine, proc_counts) -> int:
-    """Planner-resolved executed sweep: one planned configuration per point.
-
-    ``repro sweep --execute -a auto`` asks the default session's planner
-    for the best (algorithm, grid, variant) at every processor count and
-    executes exactly those configurations -- the executed sweep compares
-    *planned* configurations per point instead of per-algorithm
-    defaults.
-    """
-    from repro.engine import CapabilityError, MatrixSpec, RunSpec, solver_for
-    from repro.session import default_session
-
-    session = default_session()
-    matrix = MatrixSpec(args.m, args.n, seed=args.seed)
-    specs, rows = [], []
-    for procs in proc_counts:
-        spec = RunSpec(algorithm="auto", matrix=matrix, procs=procs,
-                       machine=machine, block_size=args.block_size)
-        try:
-            resolved = session.resolve(spec)
-        except CapabilityError:
-            rows.append((procs, None, None))
-            continue
-        rows.append((procs, solver_for(resolved.algorithm).label,
-                     _spec_config_label(resolved)))
-        specs.append(resolved)
-    if not specs:
-        print(f"no algorithm is plannable for {args.m} x {args.n} "
-              f"at P in {proc_counts}")
-        return 2
-    from repro.utils.config import UNSET
-
-    results = iter(session.run_batch(specs, parallel=not args.serial,
-                                     max_workers=args.jobs,
-                                     cache_dir=args.cache_dir or UNSET))
-    print(f"planner-resolved sweep: {args.m} x {args.n} on {machine.name} "
-          f"(best plan per point, simulated seconds)")
-    print("=" * 72)
-    print(f"{'procs':>7} {'algorithm':<11} {'config':<22} {'t(s)':>12} "
-          f"{'ortho':>12}")
-    for procs, label, config in rows:
-        if label is None:
-            print(f"{procs:>7} {'-':<11} {'(infeasible)':<22}")
-            continue
-        res = next(results)
-        print(f"{procs:>7} {label:<11} {config:<22} "
-              f"{res.report.critical_path_time:>12.4g} "
-              f"{res.orthogonality_error():>12.1e}")
-    return 0
-
-
-def _run_executed_sweep(args, machine, proc_counts) -> int:
-    """Execute a real (numeric) sweep: :func:`executed_sweep_study`'s grid."""
-    from repro.engine import solver_for, solvers
-    from repro.study.builtin import (default_executed_algorithms,
-                                     executed_sweep_study)
-    from repro.utils.config import UNSET
-
-    if args.algorithms and "auto" in args.algorithms:
-        if len(args.algorithms) > 1:
-            print('error: -a auto plans every point; do not combine it '
-                  'with explicit algorithm names')
-            return 2
-        return _run_auto_sweep(args, machine, proc_counts)
-
-    # Registry order either way; the default runs each executed path once.
-    # Aliases resolve to their solver; an unknown name is an error.
-    wanted = {solver_for(name).name
-              for name in args.algorithms or default_executed_algorithms()}
-    study = executed_sweep_study(
-        args.m, args.n, proc_counts,
-        algorithms=[s.name for s in solvers() if s.name in wanted],
-        machine=machine, seed=args.seed, block_size=args.block_size)
-    # Infeasible points are not-ok rows, never executed.
-    cells = {(row.point["algorithm"], row.point["procs"]): row.values
-             for row in study.run(parallel=not args.serial,
-                                  max_workers=args.jobs,
-                                  cache_dir=args.cache_dir or UNSET)
-             if row.ok}
-    if not cells:
-        print(f"no algorithm is executable for {args.m} x {args.n} "
-              f"at P in {proc_counts}")
-        return 2
-
-    print(f"executed sweep: {args.m} x {args.n} on {machine.name} "
-          f"(simulated critical-path seconds / orthogonality error)")
-    print("=" * 72)
-    print(f"{'algorithm':<11}" + "".join(f"{p:>12}" for p in proc_counts))
-    for name in dict.fromkeys(name for name, _ in cells):
-        for label, metric, fmt in ((solver_for(name).label, "seconds", ".4g"),
-                                   ("  ortho", "orthogonality", ".1e")):
-            values = [cells.get((name, p), {}).get(metric) for p in proc_counts]
-            print(f"{label:<11}" + "".join(
-                f"{'-':>12}" if v is None else f"{v:>12{fmt}}"
-                for v in values))
-    return 0
 
 
 def _cmd_study(args: argparse.Namespace) -> int:
@@ -951,30 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "as Chrome trace-event JSON")
     p_tr.set_defaults(func=_cmd_trace)
 
-    p_sw = sub.add_parser(
-        "sweep", help="compare every registered algorithm across scale")
-    p_sw.add_argument("-m", type=int, required=True, help="matrix rows")
-    p_sw.add_argument("-n", type=int, required=True, help="matrix cols")
-    p_sw.add_argument("-P", "--procs", required=True,
-                      help="comma-separated processor counts, e.g. 256,1024")
-    p_sw.add_argument("--machine", default="stampede2", choices=machine_names)
-    p_sw.add_argument("-b", "--block-size", type=int, default=None)
-    p_sw.add_argument("--execute", action="store_true",
-                      help="run the real algorithms through the batch engine "
-                           "instead of the analytic model")
-    p_sw.add_argument("-a", "--algorithms", nargs="*", default=None,
-                      help="restrict --execute to these registry names, or "
-                           '"auto" to execute the planner\'s best '
-                           "configuration per point")
-    p_sw.add_argument("--jobs", type=int, default=None,
-                      help="worker processes for --execute (default: cpu count)")
-    p_sw.add_argument("--serial", action="store_true",
-                      help="disable process parallelism for --execute")
-    p_sw.add_argument("--cache-dir", default=None,
-                      help="on-disk result cache for --execute sweeps")
-    p_sw.add_argument("--seed", type=int, default=0)
-    p_sw.set_defaults(func=_cmd_sweep)
-
     p_st = sub.add_parser(
         "study",
         help="run a declarative study campaign (repro.study) from flags "
@@ -990,7 +808,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="JSON machine description (MachineSpec.from_dict "
                            "schema) instead of a preset")
     p_st.add_argument("--algorithms", nargs="*", default=None,
-                      help="restrict to these registry names")
+                      help="restrict to these registry names; with "
+                           '--execute, "auto" runs the planner\'s best '
+                           "configuration per point")
     p_st.add_argument("-b", "--block-size", type=int, default=None)
     p_st.add_argument("--execute", action="store_true",
                       help="execute real (numeric) runs through the engine "

@@ -15,7 +15,9 @@ algorithm (its :meth:`~repro.engine.Solver.plan_candidates` and
 automatically, and a sweep never reports a configuration its solver
 would refuse to run.  The study inherits streaming execution, JSONL
 persistence/resume, and filter/pivot/rendering from :mod:`repro.study`
-for free.
+for free.  ``repro study -m M -n N -P 256,4096`` runs it from the
+command line; the reproduction record renders it through
+:func:`format_sweep_table`.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ def algorithm_comparison_study(m: int, n: int, machine: MachineSpec,
     """The algorithm-comparison campaign: modeled best time per algorithm.
 
     Axes are the processor ladder and every registered algorithm (or an
-    explicit subset); metrics are the modeled seconds and the winning
-    configuration label.  Each point is one algorithm's planning problem
+    explicit subset, aliases named by their solver); metrics are the
+    modeled seconds and the winning configuration label.  Each point is one algorithm's planning problem
     at the study's panel width and the default base case (inverse depth
     0); points where the algorithm is structurally inapplicable (TSQR
     needs ``m/P >= n``; 1D needs ``P | m``; CA needs a feasible grid) are
@@ -60,7 +62,7 @@ def algorithm_comparison_study(m: int, n: int, machine: MachineSpec,
     if algorithms is None:
         algorithms = [s.name for s in solvers()]
     axes = (Axis("procs", tuple(proc_counts)),
-            Axis("algorithm", tuple(algorithms)))
+            Axis("algorithm", tuple(solver_for(a).name for a in algorithms)))
 
     def problem(point: Dict[str, object]) -> ProblemSpec:
         return ProblemSpec(m=m, n=n, procs=point["procs"], machine=machine,

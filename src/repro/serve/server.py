@@ -336,10 +336,18 @@ class PlanServer:
     async def _shutdown(self) -> None:
         if self._server is not None:
             self._server.close()
+            # Every other task on this private loop is a connection
+            # handler or a computation one started.  Cancelled handlers
+            # close their writers, so idle keep-alive clients neither
+            # outlive the loop as pending tasks nor hold wait_closed.
+            tasks = asyncio.all_tasks() - {asyncio.current_task()}
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         if self._pool is not None:
-            self._pool.shutdown(wait=False)
+            self._pool.shutdown(wait=True)
             self._pool = None
 
     @property
@@ -383,7 +391,8 @@ class PlanServer:
         return self.address
 
     def stop(self) -> None:
-        """Stop a background server and join its loop thread."""
+        """Stop a background server: close its open connections, then
+        join its worker pool and loop thread."""
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._loop.stop)
         if self._thread is not None:

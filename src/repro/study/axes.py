@@ -54,6 +54,13 @@ class Axis:
             require(len(self.labels) == len(self.values),
                     f"axis {self.name!r}: {len(self.labels)} labels for "
                     f"{len(self.values)} values")
+        # A repeated label would run its point twice under one resume key.
+        seen = set()
+        for i in range(len(self.values)):
+            key = json.dumps(self.label(i), sort_keys=True)
+            require(key not in seen,
+                    f"axis {self.name!r} repeats {self.label(i)!r}")
+            seen.add(key)
 
     def __len__(self) -> int:
         return len(self.values)

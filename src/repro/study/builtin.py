@@ -3,8 +3,12 @@
 :func:`executed_sweep_study` is the campaign every *executed* sweep in
 the repository reduces to: an (algorithm x processor-count) grid over
 one reproducible matrix, run through the engine's parallel cached batch
-runner, measuring simulated critical-path seconds, accuracy, and the
-per-rank communication maxima.
+runner, measuring simulated critical-path seconds, accuracy, the
+per-rank communication maxima, and the configuration each point ran.
+``repro study -m M -n N -P 4,8,16 --execute`` runs it from the command
+line (``--algorithms auto`` executes the planner's best configuration
+per point); without ``--execute`` the same flags run the modeled
+algorithm comparison.
 
 :func:`study_from_dict` builds a study from a plain dict (the schema the
 ``repro study --spec file.json`` CLI subcommand reads), dispatching on
@@ -33,7 +37,8 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.costmodel.params import MachineSpec
-from repro.engine import CapabilityError, MatrixSpec, RunSpec, solvers
+from repro.engine import (CapabilityError, MatrixSpec, RunSpec, solver_for,
+                          solvers)
 from repro.plan import Planner, PlanResult, ProblemSpec
 from repro.study.axes import Axis, expand
 from repro.study.metrics import (
@@ -43,6 +48,8 @@ from repro.study.metrics import (
     Orthogonality,
     RawField,
     Residual,
+    RunConfig,
+    SolverLabel,
     Words,
 )
 from repro.study.study import Study
@@ -79,10 +86,15 @@ def executed_sweep_study(m: int, n: int, proc_counts: Sequence[int],
     Points whose algorithm is structurally infeasible at a scale (TSQR
     needs ``m/P >= n``, CA needs a feasible grid, ...) are recorded as
     infeasible rows rather than raising -- the campaign covers the full
-    grid either way.
+    grid either way.  Aliases name their solver (``pgeqrf`` is
+    ``scalapack``); ``"auto"`` points ask the planner for the best
+    configuration, and the ``label`` / ``config`` columns show what each
+    point ran.
     """
     if algorithms is None:
         algorithms = default_executed_algorithms()
+    algorithms = tuple(name if name == "auto" else solver_for(name).name
+                       for name in algorithms)
     matrix = MatrixSpec(m, n, kind=kind, condition=condition, seed=seed)
 
     def build_spec(point: Dict[str, object]) -> RunSpec:
@@ -93,10 +105,10 @@ def executed_sweep_study(m: int, n: int, proc_counts: Sequence[int],
     return Study(
         name=name or f"executed-sweep-{m}x{n}-{mode}",
         description=f"{m} x {n} {kind} matrix on {machine}, engine-executed",
-        axes=(Axis("algorithm", tuple(algorithms)),
+        axes=(Axis("algorithm", algorithms),
               Axis("procs", tuple(proc_counts))),
-        metrics=(CriticalPathSeconds(), Orthogonality(), Residual(),
-                 Messages(), Words(), Flops()),
+        metrics=(SolverLabel(), CriticalPathSeconds(), Orthogonality(),
+                 Residual(), Messages(), Words(), Flops(), RunConfig()),
         spec=build_spec,
         params={"m": m, "n": n, "machine": str(machine), "seed": seed,
                 "block_size": block_size, "mode": mode, "kind": kind,

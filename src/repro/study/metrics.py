@@ -9,7 +9,8 @@ returned (``outcome.raw``, conventionally a dict read by
 
 Built-ins cover the paper's reporting axes: modeled/critical-path
 seconds, Gigaflops/s/node, orthogonality error, relative residual, and
-per-rank message/word/flop maxima.
+per-rank message/word/flop maxima, plus the solver label and grid
+configuration an executed point ran with.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import abc
 import functools
 from typing import Dict, Optional
 
+from repro.engine.registry import solver_for
 from repro.engine.result import QRRun
 from repro.engine.spec import MatrixSpec, RunSpec
 
@@ -75,6 +77,46 @@ class RawField(Metric):
         if not isinstance(outcome.raw, dict):
             return None
         return outcome.raw.get(self.name)
+
+
+class SolverLabel(Metric):
+    """Display label of the solver an executed point ran (``auto`` resolved)."""
+
+    name = "label"
+    fmt = "{}"
+
+    def compute(self, outcome: Outcome) -> Optional[str]:
+        if outcome.spec is None:
+            return None
+        return solver_for(outcome.spec.algorithm).label
+
+
+class RunConfig(Metric):
+    """Grid configuration of an executed point's prepared spec.
+
+    Spelled like the ``PlanCandidate.config`` labels the solvers build
+    in :mod:`repro.engine.builtin`; auto resolution hands back only the
+    spec, not the winning plan, so the label is rebuilt from its fields.
+    """
+
+    name = "config"
+    fmt = "{}"
+
+    def compute(self, outcome: Outcome) -> Optional[str]:
+        spec = outcome.spec
+        if spec is None:
+            return None
+        if spec.c is not None:
+            label = f"{spec.c}x{spec.d}x{spec.c}"
+            if spec.base_case_size is not None:
+                label += f",n0={spec.base_case_size}"
+            return label
+        if spec.pr is not None:
+            label = f"pr={spec.pr},pc={spec.pc}"
+            if spec.block_size is not None:
+                label += f",b={spec.block_size}"
+            return label
+        return f"P={spec.procs}"
 
 
 class CriticalPathSeconds(Metric):

@@ -286,7 +286,9 @@ class Study:
             if spec is not None:
                 try:
                     spec = session.resolve(spec)
-                    solver_for(spec.algorithm).prepare(spec)
+                    # The prepared spec carries the grid the point runs
+                    # on, which the label/config metrics report.
+                    spec = solver_for(spec.algorithm).prepare(spec)
                 except CapabilityError:
                     spec = None
             if spec is None:

@@ -279,55 +279,6 @@ class TestAlgorithms:
         assert "requires:" in out
 
 
-class TestSweep:
-    def test_modeled_sweep(self, capsys):
-        assert main(["sweep", "-m", "65536", "-n", "256", "-P", "64,512",
-                     "--machine", "stampede2"]) == 0
-        out = capsys.readouterr().out
-        assert "algorithm comparison" in out
-        assert "CA-CQR2" in out and "winner" in out
-
-    def test_executed_sweep(self, capsys, tmp_path):
-        args = ["sweep", "-m", "512", "-n", "16", "-P", "4,8", "--execute",
-                "--serial", "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "executed sweep" in out
-        assert "CA-CQR2" in out and "ortho" in out
-        assert list(tmp_path.glob("*.pkl"))        # cache was populated
-        # Second invocation is served from the cache.
-        assert main(args) == 0
-        assert "executed sweep" in capsys.readouterr().out
-
-    def test_executed_sweep_resolves_an_alias(self, capsys, tmp_path):
-        # pgeqrf is a registered alias of scalapack; matching raw names
-        # against solver.name dropped it and exited 2.
-        assert main(["sweep", "-m", "2048", "-n", "32", "-P", "4,8",
-                     "--execute", "--serial", "--cache-dir", str(tmp_path),
-                     "-a", "pgeqrf"]) == 0
-        out = capsys.readouterr().out
-        assert "executed sweep" in out and "PGEQRF" in out
-
-    def test_executed_sweep_rejects_an_unknown_algorithm(self, capsys, tmp_path):
-        assert main(["sweep", "-m", "2048", "-n", "32", "-P", "4,8",
-                     "--execute", "--serial", "--cache-dir", str(tmp_path),
-                     "-a", "tsqr", "nosuch"]) == 2
-        out = capsys.readouterr().out
-        assert out.startswith("error: unknown algorithm 'nosuch'; ")
-        assert out.count("\n") == 1
-
-    def test_bad_proc_list(self, capsys):
-        assert main(["sweep", "-m", "64", "-n", "8", "-P", ","]) == 2
-        assert "processor count" in capsys.readouterr().out
-
-    def test_zero_block_size_is_an_error(self, capsys):
-        # -b 0 was priced as the default -b 32; only an absent -b is.
-        assert main(["sweep", "-m", "1024", "-n", "32", "-P", "4",
-                     "-b", "0"]) == 2
-        out = capsys.readouterr().out
-        assert out == "error: block size must be positive, got 0\n"
-
-
 class TestTraceCommand:
     def test_symbolic_trace_renders_gantt_and_profile(self, capsys):
         assert main(["trace", "--symbolic", "-m", "256", "-n", "16"]) == 0
@@ -375,6 +326,44 @@ class TestStudyCommand:
         # Second invocation resumes every row from the JSONL file.
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+    def test_executed_study_fills_and_reuses_the_result_cache(
+            self, capsys, tmp_path):
+        args = ["study", "-m", "512", "-n", "16", "-P", "4,8", "--execute",
+                "--serial", "--cache-dir", str(tmp_path)]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "executed-sweep" in out
+        assert "CA-CQR2" in out and "orthogonality" in out
+        assert list(tmp_path.glob("*.pkl"))        # cache was populated
+        # Second invocation is served from the cache.
+        assert main(args) == 0
+        assert capsys.readouterr().out == out
+
+    def test_executed_study_resolves_an_alias(self, capsys, tmp_path):
+        # pgeqrf is a registered alias of scalapack: its rows are
+        # scalapack's, labelled PGEQRF, on the grid the solver picked.
+        assert main(["study", "-m", "2048", "-n", "32", "-P", "4,8",
+                     "--execute", "--serial", "--cache-dir", str(tmp_path),
+                     "--algorithms", "pgeqrf"]) == 0
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()[3:]]
+        assert [row[:3] + row[-1:] for row in rows] == [
+            ["scalapack", "4", "PGEQRF", "pr=4,pc=1,b=32"],
+            ["scalapack", "8", "PGEQRF", "pr=8,pc=1,b=32"]]
+
+    def test_executed_study_rejects_an_unknown_algorithm(self, capsys,
+                                                         tmp_path):
+        assert main(["study", "-m", "2048", "-n", "32", "-P", "4,8",
+                     "--execute", "--serial", "--cache-dir", str(tmp_path),
+                     "--algorithms", "tsqr", "nosuch"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: unknown algorithm 'nosuch'; ")
+        assert out.count("\n") == 1
+
+    def test_empty_proc_list(self, capsys):
+        assert main(["study", "-m", "64", "-n", "8", "-P", ","]) == 2
+        assert capsys.readouterr().out == "error: axis 'procs' has no values\n"
 
     def test_markdown_and_csv_formats(self, capsys):
         assert main(["study", "-m", "65536", "-n", "256", "-P", "64",
@@ -480,33 +469,36 @@ class TestPlanObjectives:
 
 class TestPlannerAwareSweep:
     def test_auto_sweep_matches_per_point_explicit_runs(self, capsys):
-        """`sweep --execute -a auto` == resolving + running each point."""
-        from repro.engine import MatrixSpec, RunSpec
+        """`study --execute --algorithms auto` == resolving + running each
+        point, and each row names the planned algorithm and config."""
+        from repro.engine import MatrixSpec, RunSpec, solver_for
+        from repro.plan import Planner, ProblemSpec
         from repro.session import default_session
 
         session = default_session()
-        assert main(["sweep", "-m", "2048", "-n", "32", "-P", "4,64",
-                     "--execute", "--serial", "-a", "auto",
+        assert main(["study", "-m", "2048", "-n", "32", "-P", "4,64",
+                     "--execute", "--serial", "--algorithms", "auto",
                      "--machine", "stampede2"]) == 0
-        out = capsys.readouterr().out
-        assert "planner-resolved sweep" in out
+        rows = {int(row[1]): row for row in
+                (line.split() for line in
+                 capsys.readouterr().out.splitlines()[3:])}
         for procs in (4, 64):
             spec = RunSpec(algorithm="auto", matrix=MatrixSpec(2048, 32),
                            procs=procs, machine="stampede2")
             expected = session.run(session.resolve(spec))
-            assert f"{expected.report.critical_path_time:.4g}" in out
-            assert f"{expected.orthogonality_error():.1e}" in out
-
-    def test_auto_rejects_mixed_algorithm_list(self, capsys):
-        assert main(["sweep", "-m", "512", "-n", "16", "-P", "4",
-                     "--execute", "-a", "auto", "tsqr"]) == 2
-        assert "error:" in capsys.readouterr().out
+            best = Planner(refine=None).plan(ProblemSpec(
+                m=2048, n=32, procs=procs, machine="stampede2")).best()
+            algorithm, _, label, seconds, ortho, *_, config = rows[procs]
+            assert (algorithm, label, config) == (
+                "auto", solver_for(best.algorithm).label, best.config)
+            assert seconds == f"{expected.report.critical_path_time:.4g}"
+            assert ortho == f"{expected.orthogonality_error():.1e}"
 
 
 class TestCacheCommand:
     def test_info_and_clear(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        assert main(["sweep", "-m", "512", "-n", "16", "-P", "4", "--execute",
+        assert main(["study", "-m", "512", "-n", "16", "-P", "4", "--execute",
                      "--serial", "--cache-dir", cache_dir]) == 0
         capsys.readouterr()
         assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
@@ -571,7 +563,7 @@ class TestCacheCommand:
             monkeypatch.setenv(env, str(tmp_path))
         monkeypatch.setattr(session_module, "_default_session", None)
         assert main(["plan", "-m", "16384", "-n", "64", "-P", "256"]) == 0
-        assert main(["sweep", "-m", "512", "-n", "16", "-P", "4",
+        assert main(["study", "-m", "512", "-n", "16", "-P", "4",
                      "--execute", "--serial"]) == 0
         capsys.readouterr()
 
@@ -610,14 +602,11 @@ BLOCK_SIZE_RUNS = {
     "factor-pgeqrf": ["factor", "-a", "pgeqrf", "-m", "128", "-n", "8",
                       "-P", "4"],
     "factor-caqr": ["factor", "-a", "caqr", "-m", "128", "-n", "8", "-P", "4"],
-    "sweep": ["sweep", "-m", "1024", "-n", "32", "-P", "4"],
-    "sweep-execute": ["sweep", "-m", "1024", "-n", "32", "-P", "4",
-                      "--execute", "--serial"],
-    "sweep-execute-auto": ["sweep", "-m", "1024", "-n", "32", "-P", "4",
-                           "--execute", "--serial", "-a", "auto"],
     "study": ["study", "-m", "1024", "-n", "32", "-P", "4"],
     "study-execute": ["study", "-m", "512", "-n", "16", "-P", "4",
                       "--execute", "--serial"],
+    "study-execute-auto": ["study", "-m", "1024", "-n", "32", "-P", "4",
+                           "--execute", "--serial", "--algorithms", "auto"],
 }
 
 
@@ -632,7 +621,7 @@ class TestBlockSizeValidation:
     def test_nonpositive_block_size_is_an_error(self, capsys, tmp_path, run,
                                                 block_size):
         argv = BLOCK_SIZE_RUNS[run] + ["-b", str(block_size)]
-        if argv[0] in ("sweep", "study"):
+        if argv[0] == "study":
             argv += ["--cache-dir", str(tmp_path)]
         assert main(argv) == 2
         self.assert_one_error_line(capsys.readouterr().out, block_size)
@@ -704,10 +693,15 @@ class TestValidationErrors:
           "--jobs", "-1"], "jobs must be positive, got -1"),
         (["study", "-m", "512", "-n", "16", "-P", "4,8", "--jobs", "0"],
          "jobs must be positive, got 0"),
-        (["sweep", "-m", "512", "-n", "16", "-P", "4,8", "--execute",
+        (["study", "-m", "512", "-n", "16", "-P", "4,8", "--execute",
           "--jobs", "-2"], "jobs must be positive, got -2"),
-        (["sweep", "-m", "512", "-n", "16", "-P", "4,8", "--jobs", "0"],
-         "jobs must be positive, got 0"),
+        (["study", "-m", "512", "-n", "16", "-P", "4,8", "--jobs", "-3"],
+         "jobs must be positive, got -3"),
+        (["study", "-m", "2048", "-n", "32", "-P", "4,4"],
+         "axis 'procs' repeats 4"),
+        (["study", "-m", "2048", "-n", "32", "-P", "4", "--execute",
+          "--algorithms", "pgeqrf", "scalapack"],
+         "axis 'algorithm' repeats 'scalapack'"),
     ])
     def test_bad_values_are_one_line_errors(self, capsys, argv, message):
         assert main(argv) == 2

@@ -36,6 +36,8 @@ KEPT = {
     "ResultTable.pivot": "README-documented API",
     "ResultTable.save": "writes the format the public ResultTable.load reads",
     "Session.spec_key": "public Session method, the result-cache key",
+    "Session.run_batch": "README-documented API; CI fills the result cache "
+                         "through it",
     "current_observer": "read side of use_observer in repro.obs.__all__",
     "verify_binding": "a correctness check whose rules `repro check` lists",
     "caqr_cost": "scalar form the costmodel.batch screens are held to",

@@ -580,6 +580,39 @@ class TestCoalescingOverHTTP:
         assert metrics["coalescer"]["started"] == 1
 
 
+class TestServerLifecycle:
+    def test_stop_with_a_keep_alive_client_leaves_nothing_behind(
+            self, tmp_path, caplog):
+        import gc
+        import logging
+
+        before = set(threading.enumerate())
+        srv = PlanServer(Session(plan_cache=str(tmp_path / "plans"),
+                                 result_cache=None),
+                         workers=2, lru_capacity=8, refine=None)
+        srv.start_background()
+        conn = http.client.HTTPConnection("127.0.0.1", srv.port, timeout=60)
+        try:
+            conn.request("POST", "/plan", body=json.dumps(BODY).encode())
+            response = conn.getresponse()
+            response.read()
+            assert response.getheader("Connection") == "keep-alive"
+            # The client stays connected while the server stops.
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                started = time.perf_counter()
+                srv.stop()
+                elapsed = time.perf_counter() - started
+                gc.collect()
+        finally:
+            conn.close()
+        assert response.status == 200
+        assert elapsed < 1.0
+        assert [t.name for t in threading.enumerate()
+                if t not in before and t.name.startswith("repro-serve")] == []
+        assert [r.getMessage() for r in caplog.records
+                if "Task was destroyed" in r.getMessage()] == []
+
+
 # -- the session's machine is the default -------------------------------------------
 
 
