@@ -494,6 +494,17 @@ class TestPlannerAwareSweep:
             assert seconds == f"{expected.report.critical_path_time:.4g}"
             assert ortho == f"{expected.orthogonality_error():.1e}"
 
+    def test_auto_runs_alongside_named_algorithms(self, capsys, tmp_path):
+        """An `auto` row next to the solver it plans to is the same run."""
+        assert main(["study", "-m", "512", "-n", "16", "-P", "4",
+                     "--execute", "--serial", "--cache-dir", str(tmp_path),
+                     "--algorithms", "auto", "tsqr"]) == 0
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()[3:]]
+        assert [row[0] for row in rows] == ["auto", "tsqr"]
+        assert rows[0][1:] == rows[1][1:]
+        assert rows[0][2] == "TSQR" and rows[0][-1] == "P=4"
+
 
 class TestCacheCommand:
     def test_info_and_clear(self, capsys, tmp_path):
@@ -607,6 +618,9 @@ BLOCK_SIZE_RUNS = {
                       "--execute", "--serial"],
     "study-execute-auto": ["study", "-m", "1024", "-n", "32", "-P", "4",
                            "--execute", "--serial", "--algorithms", "auto"],
+    "study-execute-pgeqrf": ["study", "-m", "1024", "-n", "32", "-P", "4",
+                             "--execute", "--serial", "--algorithms",
+                             "pgeqrf"],
 }
 
 

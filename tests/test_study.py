@@ -57,6 +57,15 @@ class TestAxes:
         with pytest.raises(ValueError, match="duplicate"):
             list(expand([Axis("a", (1,)), Axis("a", (2,))]))
 
+    def test_repeated_labels_are_rejected(self):
+        # Two points with one label would share a resume key.
+        with pytest.raises(ValueError, match="axis 'procs' repeats 4"):
+            Axis("procs", (4, 8, 4))
+        with pytest.raises(ValueError, match=r"repeats '\(2,1\)'"):
+            Axis("step", ((2, 1), (1, 2)), labels=("(2,1)", "(2,1)"))
+        # Equal values under distinct labels are distinct points.
+        assert len(Axis("a", (1, 1), labels=("x", "y"))) == 2
+
     def test_point_key_is_order_independent(self):
         pts = list(expand([Axis("a", (1,)), Axis("b", (2,))]))
         pts_swapped = list(expand([Axis("b", (2,)), Axis("a", (1,))]))
@@ -271,6 +280,32 @@ class TestExecutedStudy:
         assert row.values["orthogonality"] == direct.orthogonality_error()
         assert row.values["messages"] == direct.report.max_cost.messages
 
+    def test_label_and_config_name_the_prepared_spec(self):
+        from repro.engine import solver_for
+
+        session = Session()
+        study = executed_sweep_study(m=256, n=8, proc_counts=(4,),
+                                     algorithms=("ca_cqr2", "scalapack"))
+        for row in study.run(parallel=False, session=session):
+            spec = RunSpec(algorithm=row.point["algorithm"],
+                           matrix=MatrixSpec(256, 8), procs=4)
+            solver = solver_for(spec.algorithm)
+            prepared = solver.prepare(session.resolve(spec))
+            assert row.values["label"] == solver.label
+            assert row.values["config"] == (
+                f"{prepared.c}x{prepared.d}x{prepared.c}"
+                if prepared.c is not None else
+                f"pr={prepared.pr},pc={prepared.pc},b={prepared.block_size}")
+
+    def test_aliases_name_their_solver(self):
+        study = executed_sweep_study(m=256, n=8, proc_counts=(4,),
+                                     algorithms=("pgeqrf", "tsqr", "auto"))
+        assert study.axes[0].values == ("scalapack", "tsqr", "auto")
+        with pytest.raises(ValueError,
+                           match="axis 'algorithm' repeats 'scalapack'"):
+            executed_sweep_study(m=256, n=8, proc_counts=(4,),
+                                 algorithms=("pgeqrf", "scalapack"))
+
     def test_infeasible_scale_recorded(self):
         # TSQR needs m/P >= n: infeasible at P=64 for 256x8? 256/64=4 < 8.
         study = executed_sweep_study(m=256, n=8, proc_counts=(4, 64),
@@ -421,6 +456,19 @@ class TestExperimentStudies:
                 if s.name == "ca_cqr2":
                     assert re.fullmatch(r"(\d+)x\d+x\1,n0=\d+",
                                         row.values["config"])
+
+    def test_comparison_study_names_aliases_by_solver(self):
+        from repro.experiments.sweeps import algorithm_comparison_study
+
+        table = algorithm_comparison_study(
+            2 ** 16, 2 ** 8, STAMPEDE2, (64,),
+            algorithms=["pgeqrf"]).run(parallel=False)
+        assert [(r.point["algorithm"], r.values["label"])
+                for r in table.rows] == [("scalapack", "PGEQRF")]
+        with pytest.raises(ValueError,
+                           match="axis 'algorithm' repeats 'scalapack'"):
+            algorithm_comparison_study(2 ** 16, 2 ** 8, STAMPEDE2, (64,),
+                                       algorithms=["pgeqrf", "scalapack"])
 
     def test_modeled_winners_are_runnable(self):
         """Every reported configuration passes its solver's prepare().
