@@ -1,4 +1,4 @@
-"""repro.analysis: static verification and repo lint.
+"""repro.analysis: static verification of programs, bindings and caches.
 
 The correctness-tooling layer in front of the compiled-program pipeline:
 
@@ -7,10 +7,6 @@ The correctness-tooling layer in front of the compiled-program pipeline:
   a template run otherwise trusts (op typing, rank bounds, comm-group
   disjointness, phase validity, binding disjointness/coverage).  Wired
   in at capture time (``REPRO_SCHED_VERIFY`` / ``debug=``).
-* :mod:`repro.analysis.lint` -- the AST source lint for project
-  invariants ruff cannot express (``repro check --source``).
-* :mod:`repro.analysis.typegate` -- the mypy allowlist gate
-  (``repro check --typing``).
 * :mod:`repro.analysis.check` -- the on-disk cache sweep behind the
   bare ``repro check``.
 
@@ -37,13 +33,6 @@ from repro.analysis.findings import (
     has_errors,
     sort_findings,
 )
-from repro.analysis.lint import (
-    LINT_RULES,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.analysis.typegate import mypy_available, run_typegate
 from repro.analysis.verifier import (
     BINDING_RULES,
     PROGRAM_RULES,
@@ -56,7 +45,6 @@ __all__ = [
     "BINDING_RULES",
     "CACHE_RULES",
     "Finding",
-    "LINT_RULES",
     "PROGRAM_RULES",
     "SEVERITIES",
     "SEVERITY_ERROR",
@@ -67,12 +55,7 @@ __all__ = [
     "check_result_cache",
     "findings_table",
     "has_errors",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "mypy_available",
     "require_verified",
-    "run_typegate",
     "sort_findings",
     "verify_binding",
     "verify_plan_result",

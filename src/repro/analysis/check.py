@@ -10,9 +10,9 @@ further and reports them -- plus entries that unpickle fine but are
 operator can audit a shared cache directory before N clients trust it,
 not after.
 
-``repro check`` runs this sweep by default; every problem is a
+``repro check`` runs this sweep; every problem is a
 :class:`~repro.analysis.findings.Finding` whose ``loc`` is the entry
-filename, so the output composes with the source lint and typing gate.
+filename.
 """
 
 from __future__ import annotations

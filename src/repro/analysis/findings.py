@@ -1,10 +1,11 @@
 """Structured findings: the one result type every analysis pass emits.
 
-The verifier (:mod:`repro.analysis.verifier`), the source lint (:mod:`repro.analysis.lint`), the typing gate
-(:mod:`repro.analysis.typegate`), and the cache sweep
-(:mod:`repro.analysis.check`) all answer with ``List[Finding]`` -- a
+The verifier (:mod:`repro.analysis.verifier`) and the cache sweep
+(:mod:`repro.analysis.check`) both answer with ``List[Finding]`` -- a
 ``(rule, loc, message, severity)`` record -- so one table/JSON renderer
-serves every ``repro check`` mode, exactly like the rest of the CLI.
+serves ``repro check``, exactly like the rest of the CLI.  The
+repository's source lint (``tests/repo_lint.py``) reports the same
+record.
 
 Severities
 ----------

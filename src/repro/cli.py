@@ -540,70 +540,41 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    """Static verification: cache sweep, source lint, and typing gate.
+    """Static verification: sweep both on-disk caches.
 
-    Bare ``repro check`` sweeps both on-disk caches (every entry must
-    unpickle, type-check, and pass the semantic verifier);
-    ``--source`` runs the repo-invariant lint; ``--typing`` runs the
-    mypy allowlist gate (skipped with a note when mypy is not
-    installed).  Passes combine; any finding exits non-zero.
+    Every entry must unpickle, type-check, and pass the semantic
+    verifier; any finding exits non-zero.  ``--rules`` lists the
+    Schedule IR, binding and cache rules.
     """
     import json
 
     from repro.analysis import (
         BINDING_RULES,
         CACHE_RULES,
-        LINT_RULES,
         PROGRAM_RULES,
         check_caches,
         findings_table,
-        lint_paths,
-        run_typegate,
         sort_findings,
     )
 
     if args.rules:
         for title, rules in (("Schedule IR (verify_program)", PROGRAM_RULES),
                              ("Bindings (verify_binding)", BINDING_RULES),
-                             ("Cache sweep (repro check)", CACHE_RULES),
-                             ("Source lint (--source)", LINT_RULES),
-                             ("Typing gate (--typing)",
-                              {"type/<code>": "mypy allowlist gate findings, "
-                                              "keyed by mypy error code"})):
+                             ("Cache sweep (repro check)", CACHE_RULES)):
             print(f"{title}:")
             for rule, desc in rules.items():
                 print(f"  {rule:26} {desc}")
             print()
         return 0
 
-    findings = []
-    skipped = []
-    ran_any = False
-    if args.source is not None:
-        paths = args.source or ["src/repro"]
-        findings += lint_paths(paths)
-        ran_any = True
-    if args.typing:
-        typed = run_typegate(config=args.mypy_config)
-        if typed is None:
-            skipped.append("typing (mypy not installed)")
-        else:
-            findings += typed
-        ran_any = True
-    if not ran_any or args.caches:
-        findings += check_caches(result_dir=args.result_dir,
-                                 plan_dir=args.plan_dir)
-
-    findings = sort_findings(findings)
+    findings = sort_findings(check_caches(result_dir=args.result_dir,
+                                          plan_dir=args.plan_dir))
     if args.json:
         print(json.dumps({"findings": [f.to_dict() for f in findings],
-                          "count": len(findings),
-                          "skipped": skipped}, indent=2))
+                          "count": len(findings)}, indent=2))
     else:
         if findings:
             print(findings_table(findings))
-        for note in skipped:
-            print(f"skipped: {note}", file=sys.stderr)
         print(f"{len(findings)} finding(s)")
     return 1 if findings else 0
 
@@ -862,25 +833,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser(
         "check",
-        help="static verification: sweep the on-disk caches, lint the "
-             "source for repo invariants, run the typing gate")
-    p_chk.add_argument("--source", nargs="*", default=None, metavar="PATH",
-                       help="run the repo-invariant source lint over PATHs "
-                            "(default: src/repro)")
-    p_chk.add_argument("--typing", action="store_true",
-                       help="run the mypy allowlist gate (skipped with a "
-                            "note when mypy is not installed)")
-    p_chk.add_argument("--caches", action="store_true",
-                       help="also sweep the caches when --source/--typing "
-                            "is given (the default when neither is)")
+        help="static verification: sweep the on-disk caches")
     p_chk.add_argument("--result-dir", default=None,
                        help="result-cache directory to sweep (default: "
                             ".repro-cache or REPRO_CACHE_DIR)")
     p_chk.add_argument("--plan-dir", default=None,
                        help="plan-cache directory to sweep (default: "
                             ".repro-plan-cache or REPRO_PLAN_CACHE_DIR)")
-    p_chk.add_argument("--mypy-config", default="mypy.ini",
-                       help="typing-gate config file (default: mypy.ini)")
     p_chk.add_argument("--json", action="store_true",
                        help="machine-readable findings")
     p_chk.add_argument("--rules", action="store_true",

@@ -108,6 +108,10 @@ class RunSpec:
     grid: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.algorithm, str):
+            raise ValidationError(
+                f"must be a string, got {type(self.algorithm).__name__}",
+                field="algorithm")
         require(self.mode in MODES,
                 f"mode must be one of {MODES}, got {self.mode!r}")
         require(self.grid in (None, "auto"),

@@ -242,6 +242,24 @@ def _int_field(data: Mapping, name: str, default=None):
     return value
 
 
+def list_field(data: Mapping, name: str, elem: type) -> Optional[tuple]:
+    """``data[name]`` as a tuple of *elem* values (``None`` when absent).
+
+    Anything but a list of *elem* values (a bool is never an ``int``
+    here) raises a :class:`~repro.utils.validation.ValidationError`
+    naming the field.
+    """
+    value = data.get(name)
+    if value is None:
+        return None
+    if (not isinstance(value, (list, tuple))
+            or any(isinstance(v, bool) or not isinstance(v, elem)
+                   for v in value)):
+        raise ValidationError(
+            f"must be a list of {elem.__name__}s, got {value!r}", field=name)
+    return tuple(value)
+
+
 def problem_from_dict(data: Mapping) -> ProblemSpec:
     """Build a :class:`ProblemSpec` from an untrusted JSON request body.
 
@@ -283,16 +301,9 @@ def problem_from_dict(data: Mapping) -> ProblemSpec:
         fields["mode"] = mode
     for name, elem in (("algorithms", str), ("block_sizes", int),
                        ("inverse_depths", int)):
-        value = data.get(name)
-        if value is None:
-            continue
-        if (not isinstance(value, (list, tuple))
-                or any(isinstance(v, bool) or not isinstance(v, elem)
-                       for v in value)):
-            raise ValidationError(
-                f"must be a list of {elem.__name__}s, got {value!r}",
-                field=name)
-        fields[name] = tuple(value)
+        value = list_field(data, name, elem)
+        if value is not None:
+            fields[name] = value
     # ProblemSpec's own __post_init__ does the semantic checks (m >= n,
     # positive sizes, known algorithms are checked at search time);
     # re-label its complaints with the offending-field context.

@@ -40,6 +40,7 @@ from repro.costmodel.params import MachineSpec
 from repro.engine import (CapabilityError, MatrixSpec, RunSpec, solver_for,
                           solvers)
 from repro.plan import Planner, PlanResult, ProblemSpec
+from repro.plan.problem import list_field
 from repro.study.axes import Axis, expand
 from repro.study.metrics import (
     CriticalPathSeconds,
@@ -91,6 +92,8 @@ def executed_sweep_study(m: int, n: int, proc_counts: Sequence[int],
     configuration, and the ``label`` / ``config`` columns show what each
     point ran.
     """
+    if block_size is not None:
+        check_positive_int(block_size, "block_size")
     if algorithms is None:
         algorithms = default_executed_algorithms()
     algorithms = tuple(name if name == "auto" else solver_for(name).name
@@ -243,6 +246,7 @@ def study_from_dict(cfg: dict) -> Study:
     """
     require(isinstance(cfg, dict), "study spec must be a JSON object")
     kind = cfg.get("kind", "executed")
+    algorithms = list_field(cfg, "algorithms", str)
     unknown = ValueError(
         f"unknown study kind {kind!r}; expected executed, modeled, "
         "accuracy, symbolic-scaling, or planner-crossover")
@@ -267,7 +271,7 @@ def study_from_dict(cfg: dict) -> Study:
         resolved = resolve_machine(machine)  # fail fast on an unknown preset
         return executed_sweep_study(
             m=need("m"), n=need("n"), proc_counts=tuple(need("procs")),
-            algorithms=cfg.get("algorithms"),
+            algorithms=algorithms,
             machine=machine if isinstance(machine, str) else resolved,
             seed=cfg.get("seed", 0), block_size=cfg.get("block_size"),
             mode=cfg.get("mode", "numeric"), name=cfg.get("name"))
@@ -280,7 +284,7 @@ def study_from_dict(cfg: dict) -> Study:
             proc_counts=tuple(need("procs")),
             block_size=(32 if cfg.get("block_size") is None
                         else cfg["block_size"]),
-            algorithms=cfg.get("algorithms"), name=cfg.get("name"))
+            algorithms=algorithms, name=cfg.get("name"))
     if kind == "accuracy":
         from repro.experiments.accuracy import accuracy_study
 

@@ -1,8 +1,10 @@
 """The repo-invariant source lint: project rules ruff cannot express.
 
-An AST pass (``repro check --source``) over the repository's own source
-enforcing invariants that are load-bearing for correctness here but
-meaningless to a generic linter:
+An AST pass over the repository's own source enforcing invariants that
+are load-bearing for correctness here but meaningless to a generic
+linter.  It is test tooling, not part of the package:
+``tests/test_repo_lint.py`` holds each rule to its cases and runs it
+over ``src/repro`` on every tier-1 run.
 
 ``lint/lock-discipline``
     In a class whose ``__init__`` creates ``self._lock``, every *public*
@@ -40,7 +42,7 @@ meaningless to a generic linter:
     dataclasses.fields(obj)}``) and copy only what is mutable.
 
 All rules report as :class:`~repro.analysis.findings.Finding` with
-``loc = "path:line"``, like every other ``repro check`` pass.  A path
+``loc = "path:line"``, like the ``repro check`` passes.  A path
 that does not exist reports ``lint/no-such-path`` (``loc`` is the path),
 so a lint that checked nothing never passes.
 """
@@ -53,7 +55,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Union
 
 from repro.analysis.findings import Finding
 
-#: Every lint rule with a one-line description (``repro check --rules``).
+#: Every lint rule with a one-line description.
 LINT_RULES = {
     "lint/parse-error": "source file parses as Python",
     "lint/lock-discipline": "attributes of a _lock-owning class are only mutated under `with self._lock` in public methods",

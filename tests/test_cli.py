@@ -409,6 +409,25 @@ class TestStudyCommand:
         assert main(["study", "--spec", str(tmp_path / "nope.json")]) == 2
         assert "cannot read" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"kind": "executed", "algorithms": [5]},
+         "algorithms: must be a list of strs, got [5]"),
+        ({"kind": "modeled", "algorithms": [5]},
+         "algorithms: must be a list of strs, got [5]"),
+        ({"kind": "symbolic-scaling", "algorithm": 5},
+         "algorithm: must be a string, got int"),
+    ], ids=["executed", "modeled", "symbolic-scaling"])
+    def test_non_string_algorithm_in_a_spec_file(self, capsys, tmp_path,
+                                                 spec, message):
+        import json
+
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({**spec, "m": 512, "n": 16,
+                                    "procs": [4]}))
+        assert main(["study", "--spec", str(path), "--serial",
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        assert capsys.readouterr().out == f"error: {message}\n"
+
 
 class TestPlanObjectives:
     ARGS: ClassVar[list] = ["plan", "-m", "16384", "-n", "64", "-P", "256", "--no-refine"]
@@ -621,6 +640,8 @@ BLOCK_SIZE_RUNS = {
     "study-execute-pgeqrf": ["study", "-m", "1024", "-n", "32", "-P", "4",
                              "--execute", "--serial", "--algorithms",
                              "pgeqrf"],
+    "study-symbolic": ["study", "-m", "1024", "-n", "32", "-P", "4",
+                       "--symbolic", "--serial"],
 }
 
 
@@ -641,13 +662,16 @@ class TestBlockSizeValidation:
         self.assert_one_error_line(capsys.readouterr().out, block_size)
 
     @pytest.mark.parametrize("block_size", [0, -1])
-    @pytest.mark.parametrize("kind", ["modeled", "executed"])
+    @pytest.mark.parametrize("kind", [
+        {"kind": "modeled"}, {"kind": "executed"},
+        {"kind": "executed", "mode": "symbolic"}],
+        ids=["modeled", "executed", "executed-symbolic"])
     def test_nonpositive_block_size_in_a_spec_file(self, capsys, tmp_path,
                                                    kind, block_size):
         import json
 
         spec = tmp_path / "study.json"
-        spec.write_text(json.dumps({"kind": kind, "m": 512, "n": 16,
+        spec.write_text(json.dumps({**kind, "m": 512, "n": 16,
                                     "procs": [4], "block_size": block_size}))
         assert main(["study", "--spec", str(spec), "--serial",
                      "--cache-dir", str(tmp_path / "cache")]) == 2

@@ -201,6 +201,12 @@ class TestDataValidation:
         result = session.run(RunSpec(algorithm="cqr2_1d", data=a, procs=4))
         assert result.residual_error(a.astype(float)) < 1e-12
 
+    def test_non_string_algorithm_rejected_at_construction(self):
+        # It reached solver_for as an AttributeError ('int' has no strip).
+        with pytest.raises(ValidationError, match="must be a string") as info:
+            RunSpec(algorithm=5, matrix=MatrixSpec(64, 8), procs=4)
+        assert info.value.field == "algorithm"
+
 
 class TestSpecKeys:
     def test_key_stable_across_aliases_and_resolution(self):
