@@ -193,7 +193,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
           f"objective={objective}){cached}")
     print(f"screened {result.num_candidates} candidates in "
           f"{result.screen_seconds:.3f}s"
-          + (f"; refined top {result.refined_count} by symbolic runs in "
+          + (f"; audited top {result.refined_count} by symbolic runs in "
              f"{result.refine_seconds:.3f}s" if result.refined_count else ""))
     print("=" * 78)
     print(f"{'rank':>4} {'algorithm':<10} {'config':<22} {'t(s)':>10} "
@@ -208,7 +208,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     if not args.all and len(result.plans) > args.limit:
         print(f"... ({len(result.plans) - args.limit} more; --all to show)")
     print("flags: * = on the (time, memory, messages) Pareto frontier, "
-          "r = symbolically refined"
+          "r = audited by a symbolic run"
           + (", ! = over budget" if objective.budgets else ""))
     return 0
 
@@ -632,6 +632,8 @@ def _cmd_machines(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.plan.problem import ProblemSpec
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CA-CQR2 reproduction harness (Hutter & Solomonik, IPDPS 2019)")
@@ -686,11 +688,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="restrict the search to these registry names")
     p_plan.add_argument("-b", "--block-size", type=int, default=None,
                         help="pin the 2D panel width instead of searching one")
-    p_plan.add_argument("--top-k", type=int, default=4,
-                        help="survivors refined by an exact symbolic run")
+    p_plan.add_argument("--top-k", type=int, default=ProblemSpec.top_k,
+                        help="top plans audited by an exact symbolic run; "
+                             "never changes the ranking")
     p_plan.add_argument("--no-refine", action="store_true",
                         help="batched analytic screen only (skip the symbolic "
-                             "runs)")
+                             "audit)")
     p_plan.add_argument("--limit", type=int, default=12,
                         help="ranked plans to print (see --all)")
     p_plan.add_argument("--all", action="store_true",
@@ -867,8 +870,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="on-disk plan cache under the LRU (default: "
                             ".repro-plan-cache or REPRO_PLAN_CACHE_DIR)")
     p_srv.add_argument("--no-refine", action="store_true",
-                       help="screen-only planning (skip the symbolic runs "
-                            "of the top-k)")
+                       help="screen-only planning (skip the symbolic audit "
+                            "of the top plans; rankings do not change)")
     p_srv.add_argument("--slow-request-seconds", type=float, default=None,
                        metavar="SECONDS",
                        help="log any request slower than this to stderr "

@@ -2,8 +2,9 @@
 
 The planner (:mod:`repro.plan`) screens *hundreds* of candidate
 configurations -- every feasible ``c x d x c`` grid times every inverse
-depth, every ``pr x pc`` split times every panel width -- before refining
-the survivors with exact symbolic-VM replay.  Evaluating the closed forms
+depth, every ``pr x pc`` split times every panel width -- and ranks them
+on the screen alone before auditing the winner with one exact symbolic
+run.  Evaluating the closed forms
 *batched* makes the screen effectively free and keeps the whole search
 model-bound, in the same spirit as the vectorized virtual machine.
 

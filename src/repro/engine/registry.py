@@ -141,9 +141,9 @@ class Solver(abc.ABC):
 
         The planner (:mod:`repro.plan`) unions these across all registered
         algorithms, screens them with :meth:`screen_costs` in one batched
-        evaluation, and refines the survivors symbolically; the modeled
-        sweeps and the crossover study rank them through the same
-        screen.  Candidates must carry ``spec_fields`` that pass
+        evaluation, ranks them, and audits the winner symbolically; the
+        modeled sweeps and the crossover study rank them through the
+        same screen.  Candidates must carry ``spec_fields`` that pass
         :meth:`prepare` -- a chosen plan is executed verbatim.  The
         default (no candidates) opts an algorithm out of planning and
         modeled sweeps.

@@ -22,9 +22,11 @@ The search enumerates every feasible candidate across all registered
 algorithms (the registry's planning hooks), screens hundreds of them
 with the vectorized analytic cost model in one batched numpy evaluation
 (:mod:`repro.costmodel.batch`, bit-identical to the scalar closed
-forms), refines the top-k survivors with an exact symbolic-VM run, and
-reports a Pareto frontier over (time, memory high-water, messages)
-rather than a single winner.  There is one search path:
+forms), ranks them and reports a Pareto frontier over (time, memory
+high-water, messages) rather than a single winner.  Ranking and flags
+read only the screen; the top ``top_k`` plans (default 1) carry an
+audit, one exact symbolic-VM run whose time is attached and never
+reorders anything.  There is one search path:
 :func:`search_lattice` answers a whole problem lattice
 (``Planner.plan_many``), and ``Planner.plan`` is the one-point case.
 Results are fingerprint-keyed and persisted in an on-disk plan cache,

@@ -6,30 +6,38 @@ related ``(m, n, P, machine)`` questions.  :func:`search_lattice` answers
 them all at once by amortizing everything the points share.  It is the
 planner's only search: ``Planner.plan_many`` runs it over a lattice and
 ``Planner.plan`` is the one-point case.  It is the planner's own
-semi-infinite-programming idiom (cheap relaxation prunes, an exact
-symbolic run refines) lifted one level up:
+semi-infinite-programming idiom (a cheap relaxation ranks, an exact
+symbolic run audits the winner) lifted one level up:
 
-1. **Cross-problem screening.**  Candidates are enumerated once per
-   distinct machine-free shape tuple ``(m, n, P, mode, block sizes,
-   depths, algorithms)``; each solver's ``(messages, words, flops)``
-   count block is evaluated once per distinct shape tuple and machine
-   (keyed by the machine's field values, so a count that reads the
-   machine is never shared across machines); and every distinct
-   (candidates, machine) pair is priced in **one**
-   :func:`~repro.costmodel.batch.priced_seconds_segments` call over the
-   stacked ``(3, sum N)`` count array with segment-broadcast
-   alpha/beta/gamma.  Re-planning the same shapes on M machines reuses
-   one enumeration M-fold.
+- **Stage 0: bulk cache probe.**  All fingerprints are probed against
+  the plan cache in one directory pass
+  (:meth:`AtomicDiskCache.load_many`), and in-batch duplicate problems
+  are computed once (stage 5 copies their answers).
 
-2. **Deduplicated refinement.**  Top-k survivors are collected across
-   *all* points and deduplicated by prepared spec and machine: each
-   distinct one is answered by exactly one plain symbolic run through
-   the engine's own pipeline (:func:`repro.engine.runner._execute`), so
-   a survivor repeated across points and objectives costs one run.
+- **Stage 1: cross-problem screening.**  Candidates are enumerated
+  once per distinct machine-free shape tuple ``(m, n, P, mode, block
+  sizes, depths, algorithms)``; each solver's ``(messages, words,
+  flops)`` count block is evaluated once per distinct shape tuple and
+  machine (keyed by the machine's field values, so a count that reads
+  the machine is never shared across machines); and every distinct
+  (candidates, machine) pair is priced in **one**
+  :func:`~repro.costmodel.batch.priced_seconds_segments` call over the
+  stacked ``(3, sum N)`` count array with segment-broadcast
+  alpha/beta/gamma.  Re-planning the same shapes on M machines reuses
+  one enumeration M-fold.
 
-3. **Bulk cache probe.**  All fingerprints are probed against the plan
-   cache in one directory pass (:meth:`AtomicDiskCache.load_many`), and
-   in-batch duplicate problems are computed once.
+- **Stage 2: ranking.**  Each point ranks its screened candidates and
+  marks budget and Pareto flags once, from screened values only
+  (:meth:`Planner._rank <repro.plan.planner.Planner._rank>`).
+
+- **Stage 3: deduplicated audit.**  The top ``top_k`` symbolically
+  executable plans of *all* points are deduplicated by prepared spec
+  and machine: each distinct one is answered by exactly one plain
+  symbolic run through the engine's own pipeline
+  (:func:`repro.engine.runner._execute`), so a plan repeated across
+  points and objectives costs one run.  The run only attaches
+  ``refined_seconds``; stage 4 assembles and caches the results in the
+  order stage 2 ranked them.
 
 Per-point infeasibility (``CapabilityError``) stays per-point: the
 failing lattice point carries its exception without poisoning its
@@ -79,8 +87,8 @@ class LatticeStats:
     price_segments: int = 0
     priced_lanes: int = 0
     screened_candidates: int = 0
-    #: Refinement amortization: survivor jobs versus the distinct
-    #: symbolic runs that answered them.
+    #: Audit amortization: audited plans versus the distinct symbolic
+    #: runs that answered them.
     refine_jobs: int = 0
     refine_runs: int = 0
     #: Wall-clock of the two batched stages.
@@ -194,8 +202,9 @@ class _PointView:
     plans: List[Plan] = field(default_factory=list)
     ranked_symbolic: List[bool] = field(default_factory=list)
     num_candidates: int = 0
-    survivors: List[int] = field(default_factory=list)
-    #: Refinement run keys, one per survivor.
+    #: Ranked indices of the plans the audit runs.
+    audited: List[int] = field(default_factory=list)
+    #: Audit run keys, one per audited plan.
     runs: List[str] = field(default_factory=list)
 
 
@@ -337,7 +346,7 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
             stats.priced_lanes = int(lengths.sum())
         screen_span.set(lanes=stats.priced_lanes)
 
-    # -- stage 2: per-point plan building and ranking -----------------------------
+    # -- stage 2: per-point ranking, flags and plan building ----------------------
     for i in list(views):
         view = views[i]
         problem = view.problem
@@ -346,47 +355,44 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
         seconds = priced[view.price_key]
         memory = enum_memory[view.enum_key]
         try:
-            pairs = [(Plan(algorithm=cand.algorithm, config=cand.config,
-                           spec_fields=dict(cand.spec_fields),
-                           modeled_seconds=float(seconds[k]),
-                           messages=float(costs[0, k]),
-                           words=float(costs[1, k]),
-                           flops=float(costs[2, k]),
-                           memory_words=float(memory[k])),
-                      cand)
-                     for k, cand in enumerate(candidates)]
-            pairs = planner._rank_pairs(problem, pairs)
-            view.plans = [plan for plan, _ in pairs]
-            view.ranked_symbolic = [cand.symbolic_ok for _, cand in pairs]
+            order, within, pareto = planner._rank(problem, seconds, memory,
+                                                  costs[0])
+            columns = zip(seconds.tolist(), *costs.tolist(), memory.tolist(),
+                          within.tolist(), pareto.tolist())
+            plans = [Plan(algorithm=cand.algorithm, config=cand.config,
+                          spec_fields=dict(cand.spec_fields),
+                          modeled_seconds=t, messages=msgs, words=words,
+                          flops=flops, memory_words=mem, pareto=front,
+                          within_budget=ok)
+                     for cand, (t, msgs, words, flops, mem, ok, front)
+                     in zip(candidates, columns)]
+            view.plans = [plans[k] for k in order]
+            view.ranked_symbolic = [candidates[k].symbolic_ok for k in order]
         except Exception as exc:        # noqa: BLE001 - per-point isolation
             results[i] = exc
             stats.errors += 1
             del views[i]
     stats.screen_seconds = time.perf_counter() - screen_start
 
-    # -- stage 3: refinement, one symbolic run per distinct survivor -------------
+    # -- stage 3: audit, one symbolic run per distinct top plan -------------------
     refine_start = time.perf_counter()
     with span("plan_many.refine", mode=planner.refine) as refine_span:
         if planner.refine is not None and views:
-            _refine_lattice(views, results, stats)
+            _audit_lattice(views, results, stats)
         refine_span.set(survivors=stats.refine_jobs, runs=stats.refine_runs)
     stats.refine_seconds = time.perf_counter() - refine_start
 
-    # -- stage 4: rank, mark, assemble, cache -------------------------------------
+    # -- stage 4: assemble, cache -------------------------------------------------
     screen_share = stats.screen_seconds / max(1, len(views))
     refine_share = stats.refine_seconds / max(1, len(views))
     for i in list(views):
         view = views[i]
-        problem = view.problem
         try:
-            refined_count = sum(view.plans[k].refined for k in view.survivors)
-            plans = planner._rank(problem, view.plans)
-            plans = planner._mark_pareto(plans)
-            result = PlanResult(problem=problem, plans=plans,
+            result = PlanResult(problem=view.problem, plans=view.plans,
                                 num_candidates=view.num_candidates,
                                 screen_seconds=screen_share,
                                 refine_seconds=refine_share,
-                                refined_count=refined_count,
+                                refined_count=len(view.audited),
                                 refine_mode=planner.refine)
             results[i] = result
             if planner.cache is not None:
@@ -412,16 +418,19 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
     return results, stats
 
 
-def _refine_lattice(views: Dict[int, _PointView], results: list,
-                    stats: LatticeStats) -> None:
-    """Refine every point's survivors with one plain symbolic run each.
+def _audit_lattice(views: Dict[int, _PointView], results: list,
+                   stats: LatticeStats) -> None:
+    """Audit every point's top plans with one plain symbolic run each.
 
-    Survivors are the top-k *refinable* plans in ranking order:
-    numeric-only baselines ranked above them do not use up the budget.
-    A survivor is identified by its prepared spec's fingerprint, machine
-    included, so survivors repeated across points and objectives share
-    one run through the engine's own pipeline.  A point whose survivor
-    fails to prepare ends as an error and contributes no runs.
+    The audited plans are the top ``top_k`` symbolically executable
+    plans in ranking order: numeric-only baselines ranked above them do
+    not use up the budget.  An audited plan is identified by its prepared spec's
+    fingerprint, machine included, so a plan repeated across points and
+    objectives shares one run through the engine's own pipeline.  The
+    run only attaches ``refined_seconds``; the ranking, the flags and
+    the screened counts stay as stage 2 left them.  A point whose
+    audited plan fails to prepare ends as an error and contributes no
+    runs.
     """
     from repro.engine.runner import _execute
 
@@ -430,11 +439,11 @@ def _refine_lattice(views: Dict[int, _PointView], results: list,
         view = views[i]
         problem = view.problem
         matrix = MatrixSpec(problem.m, problem.n)
-        survivors = [k for k, ok in enumerate(view.ranked_symbolic)
-                     if ok][:problem.top_k]
+        audited = [k for k, ok in enumerate(view.ranked_symbolic)
+                   if ok][:problem.top_k]
         try:
             prepared = []
-            for k in survivors:
+            for k in audited:
                 solver = solver_for(view.plans[k].algorithm)
                 spec = solver.prepare(view.plans[k].to_run_spec(
                     matrix=matrix, mode="symbolic", machine=problem.machine))
@@ -444,21 +453,17 @@ def _refine_lattice(views: Dict[int, _PointView], results: list,
             stats.errors += 1
             del views[i]
             continue
-        view.survivors = survivors
+        view.audited = audited
         view.runs = [key for key, _ in prepared]
         for key, spec in prepared:
             runs.setdefault(key, spec)
     stats.refine_jobs = sum(len(view.runs) for view in views.values())
     stats.refine_runs = len(runs)
 
-    reports = {key: _execute(spec, trace=False)[0].report
+    seconds = {key: float(_execute(spec, trace=False)[0]
+                          .report.critical_path_time)
                for key, spec in runs.items()}
     for view in views.values():
-        for k, key in zip(view.survivors, view.runs):
-            report = reports[key]
+        for k, key in zip(view.audited, view.runs):
             view.plans[k] = dataclasses.replace(
-                view.plans[k],
-                refined_seconds=float(report.critical_path_time),
-                messages=float(report.max_cost.messages),
-                words=float(report.max_cost.words),
-                flops=float(report.max_cost.flops))
+                view.plans[k], refined_seconds=seconds[key])

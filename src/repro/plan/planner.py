@@ -1,4 +1,4 @@
-"""The planner: screen the whole configuration space, refine the survivors.
+"""The planner: screen the whole configuration space, audit the winner.
 
 :class:`Planner` answers "given ``(m, n, P, machine)``, what should I
 run?" in three stages:
@@ -6,14 +6,18 @@ run?" in three stages:
 1. **Enumerate** every feasible configuration of every registered
    algorithm -- grid shapes, inverse depths, panel widths -- via the
    registry's planning hooks (:mod:`repro.plan.screen`).
-2. **Screen** all of them with the vectorized analytic cost model in one
-   batched numpy evaluation (the semi-infinite-programming idiom: a
-   cheap relaxation prunes a large constrained candidate space).
-3. **Refine** the top-k survivors exactly -- each distinct survivor is
-   one plain symbolic run through the engine's own pipeline, reporting
-   its simulated critical path (``refine="symbolic"``; ``refine=None``
-   returns the batched screen as-is, which is already bit-identical to
-   the scalar closed forms).
+2. **Screen and rank** all of them with the vectorized analytic cost
+   model in one batched numpy evaluation (the semi-infinite-programming
+   idiom: a cheap relaxation prunes a large constrained candidate
+   space).  Ranking, budget flags and Pareto marks read only screened
+   values: the CholeskyQR family's screen equals the virtual machine's
+   charges line for line (``tests/test_screen_agreement.py``), so a run
+   could not reorder it, and the baselines are never run.
+3. **Audit** the top ``top_k`` symbolically executable plans: each
+   distinct one is one plain symbolic run through the engine's own
+   pipeline, whose simulated critical path is attached as
+   ``refined_seconds`` (``refine="symbolic"``; ``refine=None`` skips
+   the audit).  The audit never changes the ranking or any flag.
 
 One search implements all three: :func:`repro.plan.lattice.search_lattice`
 answers a whole problem lattice (:meth:`Planner.plan_many`), and
@@ -38,11 +42,11 @@ from repro.engine.registry import solver_for
 from repro.engine.spec import MatrixSpec, RunSpec
 from repro.obs import get_registry, span
 from repro.plan.cache import PlanCache
-from repro.plan.objective import Objective
+from repro.plan.objective import METRICS, Objective
 from repro.plan.problem import ProblemSpec, problem_fingerprint
 from repro.utils.validation import require
 
-#: Refinement modes: an exact symbolic-VM run, or screen-only (``None``).
+#: Audit modes: an exact symbolic-VM run of the top plans, or none.
 REFINE_MODES = ("symbolic", None)
 
 
@@ -56,8 +60,8 @@ class Plan:
     spec_fields: Dict[str, int] = field(hash=False)
     #: Screened (batched-analytic) modeled seconds.
     modeled_seconds: float = float("nan")
-    #: Exact refined seconds (symbolic critical path or scalar analytic);
-    #: ``None`` when the plan was not refined.
+    #: The symbolic audit's critical-path seconds; ``None`` when the
+    #: plan was not audited.  Never read by ranking or flags.
     refined_seconds: Optional[float] = None
     #: Per-process analytic cost triple from the screen.
     messages: float = float("nan")
@@ -73,7 +77,7 @@ class Plan:
 
     @property
     def seconds(self) -> float:
-        """Best-known time: refined when available, screened otherwise."""
+        """The audited time when available, the screened time otherwise."""
         return (self.refined_seconds if self.refined_seconds is not None
                 else self.modeled_seconds)
 
@@ -125,7 +129,7 @@ class PlanResult:
     #: Wall-clock spent in the batched screen / the exact refinement.
     screen_seconds: float = 0.0
     refine_seconds: float = 0.0
-    #: How many plans were exactly refined, and how.
+    #: How many top plans carry a symbolic audit, and its mode.
     refined_count: int = 0
     refine_mode: Optional[str] = None
     #: Whether this result was served from the on-disk plan cache.
@@ -209,11 +213,11 @@ class Planner:
     Parameters
     ----------
     refine:
-        ``"symbolic"`` (default) runs the top-k survivors through the
-        vectorized virtual machine for their exact simulated critical
-        path; ``None`` returns the batched screen as-is (the screen is
-        bit-identical to the scalar closed forms, so no separate
-        analytic refinement exists).
+        ``"symbolic"`` (default) audits the problem's top ``top_k``
+        symbolically executable plans with one vectorized
+        virtual-machine run each, attaching their exact simulated
+        critical paths; ``None`` returns the screen alone.  Either way
+        the ranking and every flag are the screen's.
     cache_dir:
         Directory for the fingerprint-keyed on-disk plan cache (same
         idiom as the engine's result cache).  ``None`` disables caching.
@@ -260,7 +264,7 @@ class Planner:
         Plan-for-plan equal to ``[self.plan(p) for p in problems]`` (``plan``
         is the one-point case) but amortized: one enumeration and count
         evaluation per distinct shape (shared across machines), one
-        segment-priced screen, top-k survivors deduplicated by prepared
+        segment-priced screen, audited plans deduplicated by prepared
         spec and machine and run once, one bulk plan-cache probe.
         ``errors="raise"`` re-raises the first per-point failure (matching
         the loop); ``errors="return"`` leaves the exception object in that
@@ -314,64 +318,34 @@ class Planner:
         return tuple(solver_for(name).name for name in problem.algorithms)
 
     @staticmethod
-    def _plain_key(metric: str):
-        # Secondary objectives break ties, so an objective-tied pair ranks
-        # its Pareto-dominant member first (c=1 CA-CQR2 and 1D-CQR2 are
-        # cost-identical by construction but differ in footprint).
-        if metric == "memory":
-            return lambda p: (p.memory_words, p.seconds, p.messages)
-        if metric == "messages":
-            return lambda p: (p.messages, p.seconds, p.memory_words)
-        return lambda p: (p.seconds, p.memory_words, p.messages)
+    def _rank(problem: ProblemSpec, seconds: np.ndarray, memory: np.ndarray,
+              messages: np.ndarray
+              ) -> Tuple[List[int], np.ndarray, np.ndarray]:
+        """Rank screened candidates: ``(order, within_budget, pareto)``.
 
-    @classmethod
-    def _order(cls, problem: ProblemSpec, plans: Sequence[Plan]) -> List[int]:
-        """Plan indices in ranking order under the problem's objective.
-
-        Plans rank by the scalarized score
-        (:meth:`~repro.plan.objective.Objective.scores`), ties by the
-        primary metric's :meth:`_plain_key`; budget constraints rank
-        every within-budget plan before every violator, violators
-        ordered by how badly they miss.  A single-metric score divides
-        the metric by its positive minimum, which keeps its order, so a
-        plain objective ranks exactly by :meth:`_plain_key`.
+        *seconds*, *memory* and *messages* are the screened per-candidate
+        values, in enumeration order.  Candidates rank by the scalarized
+        score (:meth:`~repro.plan.objective.Objective.scores`), ties by
+        the primary metric and then the other two in :data:`METRICS`
+        order, so an objective-tied pair ranks its Pareto-dominant
+        member first (c=1 CA-CQR2 and 1D-CQR2 are cost-identical by
+        construction but differ in footprint); remaining ties keep
+        enumeration order.  Budget constraints rank every within-budget
+        plan before every violator, violators ordered by how badly they
+        miss.  A single-metric score divides the metric by its positive
+        minimum, which keeps its order.  The two masks are per
+        candidate, in enumeration order.
         """
         objective = problem.objective_spec()
-        seconds = np.array([p.seconds for p in plans], dtype=np.float64)
-        memory = np.array([p.memory_words for p in plans], dtype=np.float64)
-        messages = np.array([p.messages for p in plans], dtype=np.float64)
         scores = objective.scores(seconds, memory, messages)
         within = objective.within(seconds, memory, messages)
         violation = objective.violation(seconds, memory, messages)
-        plain = cls._plain_key(objective.primary_metric)
-        return sorted(range(len(plans)),
-                      key=lambda i: (not within[i], violation[i], scores[i],
-                                     plain(plans[i])))
-
-    @classmethod
-    def _rank_pairs(cls, problem: ProblemSpec, pairs):
-        order = cls._order(problem, [plan for plan, _ in pairs])
-        return [pairs[i] for i in order]
-
-    @classmethod
-    def _rank(cls, problem: ProblemSpec, plans: List[Plan]) -> List[Plan]:
-        ranked = [plans[i] for i in cls._order(problem, plans)]
-        objective = problem.objective_spec()
-        if objective.budgets:
-            seconds = np.array([p.seconds for p in ranked], dtype=np.float64)
-            memory = np.array([p.memory_words for p in ranked],
-                              dtype=np.float64)
-            messages = np.array([p.messages for p in ranked],
-                                dtype=np.float64)
-            within = objective.within(seconds, memory, messages)
-            ranked = [dataclasses.replace(p, within_budget=bool(ok))
-                      for p, ok in zip(ranked, within)]
-        return ranked
-
-    @staticmethod
-    def _mark_pareto(plans: List[Plan]) -> List[Plan]:
-        points = np.array([[p.seconds, p.memory_words, p.messages]
-                           for p in plans], dtype=np.float64)
-        mask = pareto_mask(points)
-        return [dataclasses.replace(p, pareto=bool(on))
-                for p, on in zip(plans, mask)]
+        metrics = {"time": seconds, "memory": memory, "messages": messages}
+        primary = objective.primary_metric
+        ties = [metrics[m].tolist()
+                for m in (primary, *(m for m in METRICS if m != primary))]
+        keys = list(zip((~within).tolist(), violation.tolist(),
+                        scores.tolist(), *ties))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        pareto = pareto_mask(np.column_stack([seconds, memory, messages]))
+        return order, within, pareto

@@ -27,7 +27,7 @@ from repro.utils.validation import (
 )
 
 #: Plain-string ranking objectives a plan list can be ordered by.
-#: ``time`` is the modeled (or symbolically refined) execution time,
+#: ``time`` is the screened (modeled) execution time,
 #: ``memory`` the per-process peak footprint in words, ``messages`` the
 #: per-process critical-path message count (the synchronization cost the
 #: paper's 1D end of the grid minimizes).  Weighted combinations and
@@ -40,8 +40,9 @@ OBJECTIVES = METRICS
 #: (v2: first-class weighted/budgeted objectives changed the ranking.
 #: v3: refinement replays compiled charge programs -- numbers are
 #: bit-identical, but plans cached before the Schedule IR landed should
-#: re-refine under it.)
-PLANNER_VERSION = "repro-plan-v3"
+#: re-refine under it.  v4: ranking, budget and Pareto flags read only
+#: screened values, and ``top_k`` defaults to one audited plan.)
+PLANNER_VERSION = "repro-plan-v4"
 
 #: Largest size the screen's int64 candidate lanes hold
 #: (:func:`repro.costmodel.batch.int_lanes`).
@@ -70,7 +71,9 @@ class ProblemSpec:
     ``mode`` restricts candidates to configurations executable in that
     mode (symbolic planning drops numeric-only algorithms);
     ``algorithms`` optionally restricts the search to a subset of the
-    registry; ``top_k`` bounds the exact-refinement stage.
+    registry; ``top_k`` is how many top symbolically executable plans
+    carry an exact symbolic audit (``Plan.refined_seconds``).  The audit
+    never changes the ranking, so every ``top_k`` ranks the same.
     """
 
     m: int
@@ -84,7 +87,7 @@ class ProblemSpec:
     algorithms: Optional[Tuple[str, ...]] = None
     block_sizes: Optional[Tuple[int, ...]] = None
     inverse_depths: Tuple[int, ...] = (0, 1, 2, 3)
-    top_k: int = 4
+    top_k: int = 1
 
     def __post_init__(self) -> None:
         for name in ("m", "n", "procs", "top_k"):
@@ -230,8 +233,9 @@ def _budget_from_json(value):
                      f"got {value!r}")
 
 
-def _int_field(data: Mapping, name: str, default=None):
-    value = data.get(name, default)
+def int_field(data: Mapping, name: str) -> Optional[int]:
+    """``data[name]`` as an ``int`` (``None`` when absent or null)."""
+    value = data.get(name)
     if value is None:
         return None
     # bool is an int subclass; reject it explicitly (a JSON `true` as a
@@ -286,7 +290,7 @@ def problem_from_dict(data: Mapping) -> ProblemSpec:
 
     fields: dict = {}
     for name in ("m", "n", "procs", "top_k"):
-        value = _int_field(data, name)
+        value = int_field(data, name)
         if value is not None:
             fields[name] = value
     if "machine" in data:

@@ -99,8 +99,9 @@ class PlanServer:
     lru_capacity:
         Bound on the in-memory plan LRU (entries, not bytes).
     refine:
-        Planner refinement mode for cold requests (``"symbolic"`` exact
-        symbolic run, ``None`` screen-only).
+        Planner audit mode for cold requests (``"symbolic"`` attaches an
+        exact symbolic run to the top plans, ``None`` screen-only); the
+        ranking is the same either way.
     obs:
         An :class:`~repro.obs.Observer` for per-request span trees: each
         request gets a ``serve.request`` root span (keyed by the

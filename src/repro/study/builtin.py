@@ -40,7 +40,7 @@ from repro.costmodel.params import MachineSpec
 from repro.engine import (CapabilityError, MatrixSpec, RunSpec, solver_for,
                           solvers)
 from repro.plan import Planner, PlanResult, ProblemSpec
-from repro.plan.problem import list_field
+from repro.plan.problem import int_field, list_field
 from repro.study.axes import Axis, expand
 from repro.study.metrics import (
     CriticalPathSeconds,
@@ -247,6 +247,7 @@ def study_from_dict(cfg: dict) -> Study:
     require(isinstance(cfg, dict), "study spec must be a JSON object")
     kind = cfg.get("kind", "executed")
     algorithms = list_field(cfg, "algorithms", str)
+    block_size = int_field(cfg, "block_size")
     unknown = ValueError(
         f"unknown study kind {kind!r}; expected executed, modeled, "
         "accuracy, symbolic-scaling, or planner-crossover")
@@ -273,7 +274,7 @@ def study_from_dict(cfg: dict) -> Study:
             m=need("m"), n=need("n"), proc_counts=tuple(need("procs")),
             algorithms=algorithms,
             machine=machine if isinstance(machine, str) else resolved,
-            seed=cfg.get("seed", 0), block_size=cfg.get("block_size"),
+            seed=cfg.get("seed", 0), block_size=block_size,
             mode=cfg.get("mode", "numeric"), name=cfg.get("name"))
     if kind == "modeled":
         from repro.experiments.sweeps import algorithm_comparison_study
@@ -282,8 +283,7 @@ def study_from_dict(cfg: dict) -> Study:
             m=need("m"), n=need("n"),
             machine=resolve_machine(cfg.get("machine", "stampede2")),
             proc_counts=tuple(need("procs")),
-            block_size=(32 if cfg.get("block_size") is None
-                        else cfg["block_size"]),
+            block_size=32 if block_size is None else block_size,
             algorithms=algorithms, name=cfg.get("name"))
     if kind == "accuracy":
         from repro.experiments.accuracy import accuracy_study

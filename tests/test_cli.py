@@ -647,9 +647,9 @@ BLOCK_SIZE_RUNS = {
 
 class TestBlockSizeValidation:
     @staticmethod
-    def assert_one_error_line(out, block_size):
+    def assert_one_error_line(out, message):
         assert out.startswith("error: ") and out.count("\n") == 1
-        assert out.endswith(f"must be positive, got {block_size}\n")
+        assert out.endswith(f"{message}\n")
 
     @pytest.mark.parametrize("block_size", [0, -1])
     @pytest.mark.parametrize("run", sorted(BLOCK_SIZE_RUNS))
@@ -659,15 +659,21 @@ class TestBlockSizeValidation:
         if argv[0] == "study":
             argv += ["--cache-dir", str(tmp_path)]
         assert main(argv) == 2
-        self.assert_one_error_line(capsys.readouterr().out, block_size)
+        self.assert_one_error_line(capsys.readouterr().out,
+                                   f"must be positive, got {block_size}")
 
-    @pytest.mark.parametrize("block_size", [0, -1])
+    @pytest.mark.parametrize("block_size,message", [
+        (0, "must be positive, got 0"),
+        (-1, "must be positive, got -1"),
+        ("x", "error: block_size: must be an integer, got str"),
+        (1.5, "error: block_size: must be an integer, got float")],
+        ids=["zero", "negative", "string", "float"])
     @pytest.mark.parametrize("kind", [
         {"kind": "modeled"}, {"kind": "executed"},
         {"kind": "executed", "mode": "symbolic"}],
         ids=["modeled", "executed", "executed-symbolic"])
-    def test_nonpositive_block_size_in_a_spec_file(self, capsys, tmp_path,
-                                                   kind, block_size):
+    def test_bad_block_size_in_a_spec_file(self, capsys, tmp_path, kind,
+                                           block_size, message):
         import json
 
         spec = tmp_path / "study.json"
@@ -675,7 +681,7 @@ class TestBlockSizeValidation:
                                     "procs": [4], "block_size": block_size}))
         assert main(["study", "--spec", str(spec), "--serial",
                      "--cache-dir", str(tmp_path / "cache")]) == 2
-        self.assert_one_error_line(capsys.readouterr().out, block_size)
+        self.assert_one_error_line(capsys.readouterr().out, message)
 
 
 class TestValidationErrors:

@@ -323,7 +323,8 @@ class TestPlannerSpanTree:
         from repro.plan import Planner, ProblemSpec
 
         sink = _ListSink()
-        problem = ProblemSpec(m=65536, n=256, procs=512, machine="stampede2")
+        problem = ProblemSpec(m=65536, n=256, procs=512, machine="stampede2",
+                              top_k=4)
         with use_observer(Observer(sink)):
             Planner(refine="symbolic", cache_dir=str(tmp_path)).plan(problem)
 

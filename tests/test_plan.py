@@ -168,6 +168,29 @@ class TestPlanner:
         else:
             assert ca == one_d + 1
 
+    @pytest.mark.parametrize("question,ca_config", [
+        (dict(m=311296, n=608, procs=1024, objective="memory"),
+         "1x1024x1,n0=608"),
+        (dict(m=12288, n=384, procs=256, objective="time=1,memory=0.2"),
+         "1x256x1,n0=384"),
+    ], ids=["memory-P1024", "weighted-P256"])
+    def test_audit_moves_no_ranking_or_flag(self, question, ca_config):
+        """The symbolic audit never reorders or re-flags: c=1 CA-CQR2
+        with n0=n ties 1D-CQR2's screened time with a larger footprint,
+        so it is never Pareto, however many plans are audited."""
+        problem = problem_from_dict({**question, "machine": "stampede2"})
+        answers = []
+        for refine in (None, "symbolic"):
+            for top_k in (1, 4, 40):
+                result = Planner(refine=refine).plan(
+                    problem.replace(top_k=top_k))
+                answers.append([(p.algorithm, p.config, p.pareto,
+                                 p.within_budget) for p in result.plans])
+                [ca] = [p for p in result.plans
+                        if (p.algorithm, p.config) == ("ca_cqr2", ca_config)]
+                assert not ca.pareto
+        assert all(answer == answers[0] for answer in answers)
+
     def test_refine_mode_validated(self):
         with pytest.raises(ValueError, match="refine"):
             Planner(refine="analytic")

@@ -226,7 +226,8 @@ class TestLatticeErrors:
     def test_failed_point_contributes_no_refine_runs(self, monkeypatch):
         stub = _SecondCandidateFails()
         monkeypatch.setitem(registry._REGISTRY, stub.name, stub)
-        broken = self.FEASIBLE.replace(algorithms=(stub.name,))
+        # top_k=2 audits the broken point's failing second candidate too.
+        broken = self.FEASIBLE.replace(algorithms=(stub.name,), top_k=2)
         good = self.FEASIBLE.replace(algorithms=("cqr2_1d",))
         planner = Planner()
         results = planner.plan_many([broken, good], errors="return")

@@ -228,9 +228,9 @@ SPECS = [
 #: Plan-cache keys of QUESTIONS and result-cache keys of SPECS.  A change
 #: here invalidates every cache on disk: bump the version tags instead.
 PINNED_PROBLEM_KEYS = [
-    "b73f7bfa177424144072d9cdbcc878f9e97a0b4a01abf6d7b7489b81e2ae489e",
-    "f660e89a7cca17787cb581090760232442126d34b1449b222b76fe6b2e12f861",
-    "309b666108c952dde815713181357959c4194127b2d23aa00b2b2eae23077e8b",
+    "45108df8c4cd2bb774b0da7d98c06a2e309c91a6371d9143a403af9fd5956b82",
+    "00542ca23fa3e5542e5c6b88991ea78e308bd2ca0e5a4af2575e68e472091643",
+    "4f0f859535e055059cd1cf467acd8a2fababdef0c9d97c14c0e5ac148376858a",
 ]
 PINNED_ENGINE_KEYS = [
     "0e6950819b0c30221d55e824c5a42ed3c863669854fe36fd9bd0ef8114e47f7a",
