@@ -22,6 +22,10 @@ of a computed result and on promotion of a disk hit).  Serving a hit is
 a byte join.  The disk layer keeps storing
 :class:`~repro.plan.planner.PlanResult` pickles.
 
+Beside the answers sits a request alias table (at most ``capacity``
+fixed-size entries, LRU): the digest of each ``/plan`` body answered,
+mapped to its fingerprint and ``limit`` (:meth:`LRUPlanCache.alias`).
+
 Every layer transition is counted (``hits`` / ``disk_hits`` / ``misses``
 / ``evictions``) for the ``/metrics`` endpoint.  All operations are
 lock-protected: the server's planner calls run on worker threads.
@@ -32,7 +36,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.obs.metrics import get_registry
 from repro.plan.cache import PlanCache
@@ -87,6 +91,7 @@ class LRUPlanCache:
         self.disk = disk
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, EncodedResult]" = OrderedDict()
+        self._aliases: "OrderedDict[bytes, Tuple[str, Optional[int]]]" = OrderedDict()
         self._registry = get_registry()
         self.hits = 0
         self.disk_hits = 0
@@ -135,6 +140,25 @@ class LRUPlanCache:
         if self.disk is not None:
             self.disk.store(key, result)
         return entry
+
+    def alias(self, digest: bytes) -> Optional[Tuple[str, Optional[int]]]:
+        """The ``(fingerprint, limit)`` a request body with *digest* was
+        answered for, or ``None``; promotes hits to most-recent."""
+        with self._lock:
+            known = self._aliases.get(digest)
+            if known is not None:
+                self._aliases.move_to_end(digest)
+            return known
+
+    def remember(self, digest: bytes, key: str,
+                 limit: Optional[int]) -> None:
+        """Record that the body with *digest* asks for *key* under
+        *limit* (evicting the least recently used alias)."""
+        with self._lock:
+            self._aliases[digest] = (key, limit)
+            self._aliases.move_to_end(digest)
+            if len(self._aliases) > self.capacity:
+                self._aliases.popitem(last=False)
 
     def _insert(self, key: str, entry: EncodedResult) -> None:
         # Caller holds the lock.

@@ -1,9 +1,12 @@
 """Request handlers: JSON bodies in, status + JSON bodies out.
 
-Each handler is transport-agnostic -- it receives the parsed request
-body and the owning :class:`~repro.serve.server.PlanServer` and returns
-``(status, payload)`` -- so the HTTP framing in ``server.py`` stays a
-thin shell and tests can drive handlers directly.  A payload is one of
+Each handler is transport-agnostic -- it receives the owning
+:class:`~repro.serve.server.PlanServer` and the request (a POST's raw
+body bytes, which the handler decodes, or a GET's parsed query string)
+and returns ``(status, payload)`` -- so the HTTP framing in
+``server.py`` stays a thin shell and tests can drive handlers directly.
+``/plan`` reads the raw bytes first: a body it has answered before is
+served without being decoded.  A payload is one of
 three body kinds: a :class:`Body` of pre-encoded JSON (the plan
 endpoints, joined from the LRU's encoded answers), a :class:`Body` of
 text (the Prometheus exposition), or a JSON-able object the server
@@ -51,8 +54,9 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
+import hashlib
 import json
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.plan.problem import (
     machine_from_json,
@@ -79,20 +83,52 @@ class Body:
     content_type: str = JSON_TYPE
 
 
-async def handle_plan(server, body: dict) -> Tuple[int, Body]:
-    """Answer one planning question through cache -> coalescer -> planner."""
+def _json_object(raw: bytes) -> dict:
+    """Request body *raw* decoded; it must be a JSON object."""
+    try:
+        body = json.loads(raw.decode("utf-8") or "null")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(
+            f"request body is not valid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise ValidationError("request body must be a JSON object")
-    body = server._with_session_machine(body)
+    return body
+
+
+def _pop_limit(body: dict) -> Optional[int]:
+    """Remove and validate *body*'s optional ``limit``."""
     limit = body.pop("limit", None)
     if limit is not None and (isinstance(limit, bool)
                               or not isinstance(limit, int) or limit < 1):
         raise ValidationError("limit must be a positive integer",
                               field="limit")
-    problem = problem_from_dict(body)
-    key = server.planner.fingerprint(problem)
+    return limit
 
-    entry = server.plan_cache.get(key)
+
+async def handle_plan(server, raw: bytes) -> Tuple[int, Body]:
+    """Answer one planning question through request alias -> LRU (memory,
+    then disk) -> coalescer -> planner.
+
+    A body whose exact bytes were answered before is looked up by its
+    digest in the LRU's alias table, which names its fingerprint and
+    ``limit``: no JSON decode, validation or fingerprint runs.  A body
+    seen for the first time, or one whose entry has left both cache
+    layers, is decoded and validated; a 200 answer to a first-seen body
+    records its alias.
+    """
+    digest = hashlib.blake2b(raw, digest_size=16).digest()
+    known = server.plan_cache.alias(digest)
+    entry = server.plan_cache.get(known[0]) if known is not None else None
+    if entry is not None:
+        key, limit = known
+    else:
+        body = server._with_session_machine(_json_object(raw))
+        limit = _pop_limit(body)
+        problem = problem_from_dict(body)
+        key = server.planner.fingerprint(problem)
+        if known is None:           # an alias's miss already probed both
+            entry = server.plan_cache.get(key)
+
     if entry is not None:
         served = "cache"
     else:
@@ -108,20 +144,16 @@ async def handle_plan(server, body: dict) -> Tuple[int, Body]:
         served = "computed" if computed_here else "coalesced"
         if served == "coalesced":
             server.metrics.incr("plan_coalesced")
+    if known is None:
+        server.plan_cache.remember(digest, key, limit)
     server.metrics.incr(f"plan_served_{served}")
     return 200, Body(entry.ranked(served, limit))
 
 
-async def handle_plan_batch(server, body: dict) -> Tuple[int, Body]:
+async def handle_plan_batch(server, raw: bytes) -> Tuple[int, Body]:
     """Answer a campaign: bulk LRU probe + one shared lattice search."""
-    if not isinstance(body, dict):
-        raise ValidationError("request body must be a JSON object")
-    body = dict(body)
-    limit = body.pop("limit", None)
-    if limit is not None and (isinstance(limit, bool)
-                              or not isinstance(limit, int) or limit < 1):
-        raise ValidationError("limit must be a positive integer",
-                              field="limit")
+    body = _json_object(raw)
+    limit = _pop_limit(body)
     items = body.pop("problems", None)
     if body:
         raise ValidationError(
@@ -215,11 +247,9 @@ async def handle_plan_batch(server, body: dict) -> Tuple[int, Body]:
                      % (len(keys), len(distinct), b", ".join(results)))
 
 
-async def handle_factor(server, body: dict) -> Tuple[int, dict]:
+async def handle_factor(server, raw: bytes) -> Tuple[int, dict]:
     """Answer one concrete-configuration cost question."""
-    if not isinstance(body, dict):
-        raise ValidationError("request body must be a JSON object")
-    body = server._with_session_machine(body)
+    body = server._with_session_machine(_json_object(raw))
     unknown = sorted(set(body) - set(_FACTOR_JSON_FIELDS))
     if unknown:
         raise ValidationError(

@@ -11,10 +11,12 @@ computed join the in-flight computation instead of starting their own
 
 Layering per ``/plan`` request::
 
-    LRU (memory, encoded answers)  ->  PlanCache (disk, shared, atomic)
-        ->  Coalescer  ->  Planner
+    request alias (body digest)  ->  LRU (memory, encoded answers)
+        ->  PlanCache (disk, shared, atomic)  ->  Coalescer  ->  Planner
 
-The LRU holds each answer as JSON fragments encoded once
+A body already answered skips JSON decoding, validation and
+fingerprinting: its digest names its LRU entry.  The LRU holds each
+answer as JSON fragments encoded once
 (:class:`~repro.serve.cache.EncodedResult`), so a warm ``/plan`` or
 ``/plan_batch`` response is a byte join written as is.
 
@@ -40,7 +42,7 @@ import threading
 import time
 import urllib.parse
 import uuid
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.obs import Observer, span, use_observer
 from repro.plan.cache import PlanCache
@@ -147,6 +149,7 @@ class PlanServer:
         self.planner = self.session.planner(refine=refine)
         self.planner.cache = None       # the LRU owns the disk layer
         self._pool = None               # created on start
+        self._connections: Set[asyncio.Task] = set()
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
@@ -200,16 +203,10 @@ class PlanServer:
         status = 500
         start = time.perf_counter()
         try:
-            body = None
-            if method == "POST":
-                try:
-                    body = json.loads(body_bytes.decode("utf-8") or "null")
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise ValidationError(
-                        f"request body is not valid JSON: {exc}") from exc
-            else:
-                # GET handlers receive the parsed query string.
-                body = params
+            # POST handlers decode their own body (a repeated /plan body
+            # is answered from its bytes); GET handlers receive the
+            # parsed query string.
+            body = body_bytes if method == "POST" else params
             if self.obs is not None:
                 with use_observer(self.obs), \
                         span("serve.request", request_id=request_id,
@@ -244,6 +241,16 @@ class PlanServer:
             self.metrics.incr(f"errors_{status}")
         return status, payload
 
+    def _accept(self, reader: asyncio.StreamReader,
+                writer: asyncio.StreamWriter) -> None:
+        # A plain callback, not a coroutine: asyncio then attaches no done
+        # callback of its own to the connection task, which would log a
+        # task that stop() cancelled as an error.  _shutdown cancels and
+        # awaits the task instead.
+        task = asyncio.ensure_future(self._handle_connection(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         try:
@@ -267,11 +274,15 @@ class PlanServer:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    length = -1
-                if length < 0 or length > MAX_BODY_BYTES:
+                declared = headers.get("content-length") or "0"
+                if not (declared.isascii() and declared.isdigit()):
+                    message = (f"Content-Length header must be a "
+                               f"non-negative integer, got {declared!r}")
+                    await self._respond(writer, 400, {"error": {
+                        "field": None, "message": message}}, close=True)
+                    break
+                length = int(declared)
+                if length > MAX_BODY_BYTES:
                     await self._respond(writer, 413,
                                         {"error": {"field": None,
                                                    "message": "request body "
@@ -294,8 +305,7 @@ class PlanServer:
                                              request_id})
                 if close:
                     break
-        except (asyncio.IncompleteReadError, ConnectionError,
-                asyncio.CancelledError):
+        except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
             # Teardown is best-effort; the peer may already be gone.
@@ -331,7 +341,7 @@ class PlanServer:
         self._pool = concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-serve")
         self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port)
+            self._accept, host=self.host, port=self.port)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def _shutdown(self) -> None:

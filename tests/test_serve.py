@@ -4,6 +4,7 @@ import asyncio
 import dataclasses
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -17,7 +18,14 @@ from repro.plan import Planner, problem_from_dict
 from repro.plan.cache import PlanCache
 from repro.plan.planner import Plan, PlanResult
 from repro.plan.problem import ProblemSpec
-from repro.serve import Coalescer, LRUPlanCache, PlanServer, ServeMetrics
+from repro.serve import (
+    MAX_BODY_BYTES,
+    Coalescer,
+    LRUPlanCache,
+    PlanServer,
+    ServeMetrics,
+    handlers,
+)
 from repro.serve.cache import EncodedResult
 from repro.session import Session
 
@@ -276,6 +284,108 @@ class TestRankedPayload:
                         item]}).encode()
 
 
+class TestRequestAlias:
+    """A repeated ``/plan`` body is answered from its bytes."""
+
+    @staticmethod
+    def ask(server, raw):
+        return asyncio.run(server._dispatch("POST", "/plan", raw))
+
+    @staticmethod
+    def local_server(lru_capacity=8, plan_cache=None):
+        return PlanServer(Session(plan_cache=plan_cache, result_cache=None),
+                          refine=None, lru_capacity=lru_capacity)
+
+    def test_repeat_runs_no_decode_validation_or_fingerprint(
+            self, monkeypatch):
+        server = self.local_server()
+        raw = json.dumps(dict(BODY, limit=2)).encode()
+        status, first = self.ask(server, raw)
+        assert status == 200
+        calls = []
+        for owner, name in ((json, "loads"), (handlers, "problem_from_dict"),
+                            (Planner, "fingerprint")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        status, again = self.ask(server, raw)
+        assert status == 200 and calls == []
+        assert again.data == first.data.replace(b'"computed"', b'"cache"', 1)
+        counters = server.metrics.to_dict()["counters"]
+        assert counters["requests"] == counters["plan_requests"] == 2
+        assert counters["plan_served_cache"] == 1
+        assert server.metrics.to_dict()["latency"]["plan"]["count"] == 2
+
+    @pytest.mark.parametrize("limit", [None, 1, 3])
+    def test_spellings_share_one_entry_and_one_body(self, limit):
+        server = self.local_server()
+        problem = problem_from_dict(BODY)
+        server.plan_cache.put(server.planner.fingerprint(problem),
+                              server.planner.plan(problem))
+        body = dict(BODY) if limit is None else dict(BODY, limit=limit)
+        spellings = [json.dumps(body).encode(),
+                     json.dumps(dict(reversed(list(body.items())))).encode(),
+                     json.dumps(body, indent=4).encode() + b"\n"]
+        status, first = self.ask(server, spellings[0])      # decoded
+        assert status == 200
+        for raw in spellings + spellings:
+            assert self.ask(server, raw) == (200, first)
+        assert json.loads(first.data)["served"] == "cache"
+        assert len(server.plan_cache) == 1
+        assert len(server.plan_cache._aliases) == len(spellings)
+
+    def test_alias_table_is_bounded_by_the_lru_capacity(self):
+        server = self.local_server(lru_capacity=4)
+        raw = json.dumps(BODY).encode()
+        for i in range(server.plan_cache.capacity + 5):
+            assert self.ask(server, b" " * i + raw)[0] == 200
+        assert len(server.plan_cache._aliases) == server.plan_cache.capacity
+        assert len(server.plan_cache) == 1
+
+    @pytest.mark.parametrize("disk, served", [(True, "cache"),
+                                              (False, "computed")])
+    def test_evicted_entry_falls_back(self, tmp_path, disk, served):
+        server = self.local_server(
+            lru_capacity=1,
+            plan_cache=str(tmp_path / "plans") if disk else None)
+        first, other = (json.dumps(dict(BODY, m=m)).encode()
+                        for m in (2048, 4096))
+        for raw in (first, other, first):       # `other` evicts `first`
+            status, answer = self.ask(server, raw)
+            assert status == 200
+        assert json.loads(answer.data)["served"] == served
+        stats = server.plan_cache.to_dict()
+        assert stats["evictions"] == 2
+        # The alias's miss is the request's only LRU probe.
+        assert stats["misses"] == (2 if disk else 3)
+
+    @pytest.mark.parametrize("raw", [
+        b"{not json", json.dumps(dict(BODY, m=-5)).encode(),
+        json.dumps({"m": 7, "n": 3, "procs": 4}).encode(),     # infeasible
+    ])
+    def test_failed_body_is_never_aliased(self, raw):
+        server = self.local_server()
+        answers = [self.ask(server, raw) for _ in range(3)]
+        assert answers[0][0] == 400 and answers == answers[:1] * 3
+        assert len(server.plan_cache._aliases) == 0
+
+    def test_alias_hit_opens_one_request_span(self):
+        sink = _ListSink()
+        server = PlanServer(Session(plan_cache=None, result_cache=None),
+                            refine=None, obs=Observer(sink))
+        raw = json.dumps(BODY).encode()
+        self.ask(server, raw)
+        before = len(sink.spans)
+        assert self.ask(server, raw)[0] == 200
+        [root] = sink.spans[before:]
+        assert root["name"] == "serve.request"
+        assert root["attrs"]["status"] == 200
+
+
 class _BufferWriter:
     """The part of ``asyncio.StreamWriter`` that ``_respond`` uses."""
 
@@ -456,6 +566,25 @@ class TestServerEndpoint:
         assert err.value.code == 400
         assert "JSON" in json.loads(err.value.read())["error"]["message"]
 
+    @pytest.mark.parametrize("declared, status, text", [
+        ("abc", 400, "Content-Length"),
+        ("-5", 400, "Content-Length"),
+        (str(MAX_BODY_BYTES + 1), 413, "too large"),
+    ])
+    def test_bad_content_length(self, server, declared, status, text):
+        # A malformed length was answered 413 "request body too large".
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=60) as sock:
+            sock.sendall(b"POST /plan HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: %s\r\n\r\n" % declared.encode())
+            received = b""
+            while chunk := sock.recv(65536):    # the server closes
+                received += chunk
+        head, _, sent = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"Connection: close" in head
+        assert text in json.loads(sent)["error"]["message"]
+
     def test_unknown_path_and_method(self, server):
         assert _get(server.address, "/nope")[0] == 404
         assert _get(server.address, "/plan")[0] == 405
@@ -611,6 +740,26 @@ class TestServerLifecycle:
                 if t not in before and t.name.startswith("repro-serve")] == []
         assert [r.getMessage() for r in caplog.records
                 if "Task was destroyed" in r.getMessage()] == []
+
+    def test_stop_after_a_client_closes_logs_no_asyncio_error(
+            self, caplog):
+        # stop() cancelled the handler inside writer.wait_closed(); the
+        # cancelled task made the stream callback log a CancelledError.
+        import logging
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            for _ in range(5):
+                srv = PlanServer(Session(plan_cache=None, result_cache=None),
+                                 workers=1, refine=None)
+                srv.start_background()
+                conn = http.client.HTTPConnection("127.0.0.1", srv.port,
+                                                  timeout=60)
+                conn.request("GET", "/healthz")
+                assert conn.getresponse().read()
+                conn.close()
+                srv.stop()
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio" and r.levelno >= logging.ERROR] == []
 
 
 # -- the session's machine is the default -------------------------------------------
