@@ -528,13 +528,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         for key in selected:
             _print_cache_info(caches[key][0], info[key])
         return 0
-    if survey_all:
-        from repro.obs import get_registry
-
-        # Live hit/miss/eviction counters for every cache in this
-        # process, read from the one metrics registry the caches write
-        # through to (repro.obs).
-        info["counters"] = dict(sorted(get_registry().counters("cache.").items()))
     print(json.dumps(info, indent=2, sort_keys=True))
     return 0
 

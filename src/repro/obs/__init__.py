@@ -7,8 +7,9 @@ One layer through which the whole stack reports what it is doing:
   ``contextvars`` parenting across async/thread boundaries and a
   zero-cost disabled path.
 * **Metrics** (:func:`get_registry`, :class:`MetricsRegistry`) —
-  process-wide named counters/gauges/histograms fed by the serve layer,
-  all disk caches, the program memo, and the lattice planner.
+  named counters/gauges/histograms: a process-wide registry fed by both
+  disk caches and the lattice planner, and one per serving endpoint for
+  its requests.
 * **Exporters** (:class:`JsonlSink`, :class:`ChromeTraceSink`,
   :func:`prometheus_exposition`) — JSONL event logs, Perfetto-loadable
   Chrome traces carrying both span trees and VM timelines, and
@@ -25,7 +26,6 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
-    LatencyHistogram,
     MetricsRegistry,
     get_registry,
 )
@@ -48,7 +48,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LatencyHistogram",
     "MetricsRegistry",
     "get_registry",
     "NULL_SPAN",

@@ -11,9 +11,9 @@ Three ways out of the process, all stdlib-only:
   machine's :class:`~repro.vmpi.machine.TraceEvent` timeline into the
   same file (rank → track, phase → name, kind → category) so wall-clock
   spans and simulated-time timelines ship together.
-* :func:`prometheus_exposition` — text exposition (version 0.0.4) of a
-  :class:`~repro.obs.metrics.MetricsRegistry` for ``GET
-  /metrics?format=prometheus``.
+* :func:`prometheus_exposition` — text exposition (version 0.0.4) of
+  one or more :class:`~repro.obs.metrics.MetricsRegistry` instances for
+  ``GET /metrics?format=prometheus``.
 
 Sinks implement ``on_span(record)`` / ``on_event(record)`` / ``close()``
 against the dict records built by :class:`~repro.obs.spans.Observer`.
@@ -22,8 +22,9 @@ against the dict records built by :class:`~repro.obs.spans.Observer`.
 from __future__ import annotations
 
 import json
+import math
 import threading
-from typing import IO, Any, Dict, Iterable, List, Optional, Union
+from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from .metrics import MetricsRegistry
 
@@ -169,30 +170,46 @@ def _prom_name(name: str) -> str:
 def _prom_value(value: float) -> str:
     if value != value:  # NaN
         return "NaN"
+    if value in (math.inf, -math.inf):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
 
 
-def prometheus_exposition(registry: MetricsRegistry) -> str:
-    """Text exposition (format 0.0.4) of every instrument in *registry*.
+def _merged(groups: Iterable[Iterable[Tuple[str, Any]]]) -> List[Tuple[str, Any]]:
+    """The ``(name, item)`` pairs of every group, sorted by name; a name
+    in two groups is a programming error and raises."""
+    merged: Dict[str, Any] = {}
+    for group in groups:
+        for name, item in group:
+            if name in merged:
+                raise ValueError(f"metric {name!r} is in two registries")
+            merged[name] = item
+    return sorted(merged.items())
+
+
+def prometheus_exposition(*registries: MetricsRegistry) -> str:
+    """Text exposition (format 0.0.4) of every instrument in *registries*.
 
     Counters export as ``<name>_total``, gauges as ``<name>``,
     histograms as the standard ``_bucket{le=...}`` / ``_sum`` /
-    ``_count`` triplet in seconds.  Output is sorted by name so the
-    exposition is deterministic — golden-file testable.
+    ``_count`` triplet in seconds.  The registries are exposed as one:
+    output is sorted by name, so the exposition is deterministic --
+    golden-file testable.
     """
     lines: List[str] = []
-    for name, value in sorted(registry.counters().items()):
+    for name, value in _merged(r.counters().items() for r in registries):
         prom = _prom_name(name) + "_total"
         lines.append(f"# TYPE {prom} counter")
         lines.append(f"{prom} {_prom_value(value)}")
-    for name, value in sorted(registry.gauges().items()):
+    for name, value in _merged(r.gauges().items() for r in registries):
         prom = _prom_name(name)
         lines.append(f"# TYPE {prom} gauge")
         lines.append(f"{prom} {_prom_value(value)}")
-    for hist in sorted(registry.histograms(), key=lambda h: h.name):
-        prom = _prom_name(hist.name) + "_seconds"
+    for name, hist in _merged(((h.name, h) for h in r.histograms())
+                              for r in registries):
+        prom = _prom_name(name) + "_seconds"
         lines.append(f"# TYPE {prom} histogram")
         for upper, cumulative in hist.buckets():
             lines.append(f'{prom}_bucket{{le="{upper:.6g}"}} {cumulative}')

@@ -1,21 +1,23 @@
-"""The process-wide metrics registry: named counters, gauges, histograms.
+"""Metrics registries: named counters, gauges, histograms.
 
-Every layer that counts something -- the serving endpoint's request
-counters, the three :class:`~repro.utils.diskcache.AtomicDiskCache`
-subclasses' hit/miss/eviction tallies, the planner's compiled-program
-memo, the lattice planner's reuse factors -- registers it here under one
-dotted name (``cache.plan.hits``, ``serve.requests``,
-``lattice.screen_reuse``), so one snapshot answers "what has this
-process done" and one Prometheus exposition
-(:func:`repro.obs.export.prometheus_exposition`) serves it to scrapers.
+Every layer that counts something registers it under one dotted name
+(``cache.plan.hits``, ``lattice.screen_reuse``).  The process-wide
+registry (:func:`get_registry`) holds what the process does as a whole:
+the two :class:`~repro.utils.diskcache.AtomicDiskCache` subclasses'
+(``ResultCache``, ``PlanCache``) hit/miss/store tallies and the lattice
+planner's reuse factors.  Each :class:`~repro.serve.PlanServer` owns a
+registry of its own for its request counters, latencies and LRU
+transitions, so two servers in one process never mix numbers.  One
+Prometheus exposition (:func:`repro.obs.export.prometheus_exposition`)
+serves any set of registries to scrapers.
 
 Three instrument kinds, all thread-safe:
 
 * :class:`Counter` -- monotonically increasing integer (``inc``).
 * :class:`Gauge` -- a floating point level that is *set*, not summed
   (occupancy, reuse factors).
-* :class:`Histogram` -- the log-bucketed latency histogram
-  (:class:`LatencyHistogram`) under a lock, with cumulative-bucket quantiles.
+* :class:`Histogram` -- a log-bucketed latency histogram with
+  cumulative-bucket quantiles.
 
 Instruments are created on first use (``registry.counter(name)``) and a
 name is pinned to its kind -- asking for ``gauge("x")`` after
@@ -37,78 +39,6 @@ _LO_EXP = -5.0
 _HI_EXP = 3.0
 _BUCKETS_PER_DECADE = 10
 _NUM_BUCKETS = int((_HI_EXP - _LO_EXP) * _BUCKETS_PER_DECADE)
-
-
-class LatencyHistogram:
-    """Fixed log-bucketed latency histogram with cumulative quantiles.
-
-    Constant memory under unbounded traffic; p50/p99 read directly off
-    the cumulative bucket counts (quantiles are upper-bounded by their
-    bucket edge, conservative by construction).  Not locked -- callers
-    needing thread safety wrap it (:class:`Histogram`,
-    :class:`repro.serve.metrics.ServeMetrics`).
-    """
-
-    def __init__(self) -> None:
-        self.counts: List[int] = [0] * _NUM_BUCKETS
-        self.total = 0
-        self.sum_seconds = 0.0
-        self.max_seconds = 0.0
-
-    @staticmethod
-    def _bucket(seconds: float) -> int:
-        if seconds <= 0:
-            return 0
-        position = (math.log10(seconds) - _LO_EXP) * _BUCKETS_PER_DECADE
-        return min(max(int(position), 0), _NUM_BUCKETS - 1)
-
-    @staticmethod
-    def _upper_bound(bucket: int) -> float:
-        return 10.0 ** (_LO_EXP + (bucket + 1) / _BUCKETS_PER_DECADE)
-
-    def record(self, seconds: float) -> None:
-        self.counts[self._bucket(seconds)] += 1
-        self.total += 1
-        self.sum_seconds += seconds
-        if seconds > self.max_seconds:
-            self.max_seconds = seconds
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Upper bound of the bucket holding the *q*-quantile (None if empty)."""
-        if self.total == 0:
-            return None
-        rank = math.ceil(q * self.total)
-        seen = 0
-        for bucket, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank:
-                return self._upper_bound(bucket)
-        return self._upper_bound(_NUM_BUCKETS - 1)  # pragma: no cover
-
-    def buckets(self) -> List[Tuple[float, int]]:
-        """Non-empty ``(upper_bound_seconds, cumulative_count)`` pairs.
-
-        The Prometheus ``_bucket`` series, sparse: empty buckets carry no
-        information (cumulative counts are reconstructible) and 80 zero
-        lines per histogram would drown the exposition.
-        """
-        out = []
-        seen = 0
-        for bucket, count in enumerate(self.counts):
-            if count:
-                seen += count
-                out.append((self._upper_bound(bucket), seen))
-        return out
-
-    def to_dict(self) -> dict:
-        mean = self.sum_seconds / self.total if self.total else None
-        return {
-            "count": self.total,
-            "mean_seconds": mean,
-            "max_seconds": self.max_seconds if self.total else None,
-            "p50_seconds": self.quantile(0.50),
-            "p99_seconds": self.quantile(0.99),
-        }
 
 
 class Counter:
@@ -151,38 +81,88 @@ class Gauge:
             return self._value
 
 
-class Histogram(LatencyHistogram):
-    """A :class:`LatencyHistogram` under a lock (the registry's kind)."""
+class Histogram:
+    """A named, thread-safe, fixed log-bucketed latency histogram.
+
+    Constant memory under unbounded traffic; p50/p99 read directly off
+    the cumulative bucket counts (quantiles are upper-bounded by their
+    bucket edge, conservative by construction).
+    """
 
     def __init__(self, name: str):
-        super().__init__()
         self.name = name
-        # Reentrant: to_dict() holds the lock while the base class calls
-        # back into the (locked) quantile().
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
+        self.counts: List[int] = [0] * _NUM_BUCKETS
+        self.total = 0
+        self.sum_seconds = 0.0
+        self.max_seconds = 0.0
+
+    @staticmethod
+    def _bucket(seconds: float) -> int:
+        if seconds <= 0:
+            return 0
+        position = (math.log10(seconds) - _LO_EXP) * _BUCKETS_PER_DECADE
+        return min(max(int(position), 0), _NUM_BUCKETS - 1)
+
+    @staticmethod
+    def _upper_bound(bucket: int) -> float:
+        return 10.0 ** (_LO_EXP + (bucket + 1) / _BUCKETS_PER_DECADE)
 
     def record(self, seconds: float) -> None:
+        bucket = self._bucket(seconds)
         with self._lock:
-            super().record(seconds)
+            self.counts[bucket] += 1
+            self.total += 1
+            self.sum_seconds += seconds
+            if seconds > self.max_seconds:
+                self.max_seconds = seconds
 
-    def quantile(self, q: float) -> Optional[float]:
-        with self._lock:
-            return super().quantile(q)
+    def _quantile(self, q: float) -> Optional[float]:
+        """Upper bound of the bucket holding the *q*-quantile (None if
+        empty).  Caller holds the lock."""
+        if self.total == 0:
+            return None
+        rank = math.ceil(q * self.total)
+        seen = 0
+        for bucket, count in enumerate(self.counts):
+            seen += count
+            if seen >= rank:
+                return self._upper_bound(bucket)
+        return self._upper_bound(_NUM_BUCKETS - 1)  # pragma: no cover
 
     def buckets(self) -> List[Tuple[float, int]]:
+        """Non-empty ``(upper_bound_seconds, cumulative_count)`` pairs.
+
+        The Prometheus ``_bucket`` series, sparse: empty buckets carry no
+        information (cumulative counts are reconstructible) and 80 zero
+        lines per histogram would drown the exposition.
+        """
+        out = []
+        seen = 0
         with self._lock:
-            return super().buckets()
+            for bucket, count in enumerate(self.counts):
+                if count:
+                    seen += count
+                    out.append((self._upper_bound(bucket), seen))
+        return out
 
     def to_dict(self) -> dict:
         with self._lock:
-            return super().to_dict()
+            total = self.total
+            return {
+                "count": total,
+                "mean_seconds": self.sum_seconds / total if total else None,
+                "max_seconds": self.max_seconds if total else None,
+                "p50_seconds": self._quantile(0.50),
+                "p99_seconds": self._quantile(0.99),
+            }
 
 
 class MetricsRegistry:
     """Get-or-create registry of named instruments with one snapshot view.
 
-    One process-wide instance (:func:`get_registry`) backs the whole
-    stack; private instances serve tests and embedded deployments.  A
+    One process-wide instance (:func:`get_registry`) backs the caches and
+    the planner; each serving endpoint owns one for its own requests.  A
     name is pinned to the kind that first claimed it.
     """
 
@@ -224,8 +204,9 @@ class MetricsRegistry:
         return {g.name: g.value for g in self._by_kind(Gauge)
                 if g.name.startswith(prefix)}
 
-    def histograms(self) -> Sequence[Histogram]:
-        return self._by_kind(Histogram)
+    def histograms(self, prefix: str = "") -> Sequence[Histogram]:
+        return [h for h in self._by_kind(Histogram)
+                if h.name.startswith(prefix)]
 
     def snapshot(self) -> dict:
         """Everything at once: counters, gauges, histogram summaries."""

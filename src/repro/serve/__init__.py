@@ -10,13 +10,14 @@ cost-only factorization questions from one long-lived
   call.
 * :class:`LRUPlanCache` -- bounded in-memory LRU write-through-layered
   over the shared on-disk :class:`~repro.plan.cache.PlanCache`.
-* :class:`ServeMetrics` -- counters, coalesce/cache rates, and p50/p99
-  latency for ``/metrics``.
+
+Each server counts its requests, latencies and LRU transitions once, in
+its own :class:`~repro.obs.MetricsRegistry` (``PlanServer.metrics``),
+which both ``/metrics`` formats read.
 """
 
 from repro.serve.cache import LRUPlanCache
 from repro.serve.coalesce import Coalescer
-from repro.serve.metrics import ServeMetrics
 from repro.serve.server import MAX_BODY_BYTES, PlanServer
 
 __all__ = [
@@ -24,5 +25,4 @@ __all__ = [
     "LRUPlanCache",
     "MAX_BODY_BYTES",
     "PlanServer",
-    "ServeMetrics",
 ]

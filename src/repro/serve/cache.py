@@ -26,9 +26,11 @@ Beside the answers sits a request alias table (at most ``capacity``
 fixed-size entries, LRU): the digest of each ``/plan`` body answered,
 mapped to its fingerprint and ``limit`` (:meth:`LRUPlanCache.alias`).
 
-Every layer transition is counted (``hits`` / ``disk_hits`` / ``misses``
-/ ``evictions``) for the ``/metrics`` endpoint.  All operations are
-lock-protected: the server's planner calls run on worker threads.
+Every layer transition is counted once, as a ``cache.serve_lru.hits`` /
+``disk_hits`` / ``misses`` / ``evictions`` counter in the registry the
+cache is given (the server's), which both ``/metrics`` formats read.
+All operations are lock-protected: the server's planner calls run on
+worker threads.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.plan.cache import PlanCache
 from repro.utils.validation import require
 
@@ -79,27 +81,23 @@ class EncodedResult:
 class LRUPlanCache:
     """Bounded in-memory LRU layered over an optional on-disk plan cache.
 
-    Per-instance counters stay authoritative for the server's own
-    ``/metrics`` snapshot; each transition is also mirrored into the
-    process-wide registry under ``cache.serve_lru.*``.
+    Its ``cache.serve_lru.*`` counters live in *metrics* (a registry of
+    its own if none is given).
     """
 
     def __init__(self, capacity: int = 128,
-                 disk: Optional[PlanCache] = None):
+                 disk: Optional[PlanCache] = None,
+                 metrics: Optional[MetricsRegistry] = None):
         require(capacity > 0, f"LRU capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.disk = disk
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, EncodedResult]" = OrderedDict()
         self._aliases: "OrderedDict[bytes, Tuple[str, Optional[int]]]" = OrderedDict()
-        self._registry = get_registry()
-        self.hits = 0
-        self.disk_hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def _count(self, event: str) -> None:
-        self._registry.counter(f"cache.serve_lru.{event}").inc()
+        self.metrics.counter(f"cache.serve_lru.{event}").inc()
 
     def __len__(self) -> int:
         with self._lock:
@@ -107,27 +105,20 @@ class LRUPlanCache:
 
     def get(self, key: str) -> Optional[EncodedResult]:
         """The cached answer or ``None``; promotes hits to most-recent."""
-        missing = object()
         with self._lock:
-            if key in self._entries:
+            hit = self._entries.get(key)
+            if hit is not None:
                 self._entries.move_to_end(key)
-                self.hits += 1
-                hit = self._entries[key]
-            else:
-                hit = missing
-        if hit is not missing:
+        if hit is not None:
             self._count("hits")
             return hit
         # Disk I/O outside the lock: a slow read must not serialize the
         # in-memory hot path of other worker threads.
         value = self.disk.load(key) if self.disk is not None else None
         entry = EncodedResult(key, value) if value is not None else None
-        with self._lock:
-            if entry is not None:
-                self.disk_hits += 1
+        if entry is not None:
+            with self._lock:
                 self._insert(key, entry)
-            else:
-                self.misses += 1
         self._count("disk_hits" if entry is not None else "misses")
         return entry
 
@@ -166,18 +157,12 @@ class LRUPlanCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
             self._count("evictions")
 
     def to_dict(self) -> dict:
         """Stats for ``/metrics``."""
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "disk_hits": self.disk_hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "disk_path": self.disk.cache_dir if self.disk else None,
-            }
+        counts = self.metrics.counters("cache.serve_lru.")
+        return {"capacity": self.capacity, "entries": len(self),
+                **{event: counts.get(f"cache.serve_lru.{event}", 0)
+                   for event in ("hits", "disk_hits", "misses", "evictions")},
+                "disk_path": self.disk.cache_dir if self.disk else None}

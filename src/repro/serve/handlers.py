@@ -143,10 +143,10 @@ async def handle_plan(server, raw: bytes) -> Tuple[int, Body]:
         entry = await server.coalescer.get(key, compute)
         served = "computed" if computed_here else "coalesced"
         if served == "coalesced":
-            server.metrics.incr("plan_coalesced")
+            server.count("plan_coalesced")
     if known is None:
         server.plan_cache.remember(digest, key, limit)
-    server.metrics.incr(f"plan_served_{served}")
+    server.count(f"plan_served_{served}")
     return 200, Body(entry.ranked(served, limit))
 
 
@@ -177,11 +177,11 @@ async def handle_plan_batch(server, raw: bytes) -> Tuple[int, Body]:
         problems.append(problem)
         keys.append(server.planner.fingerprint(problem))
 
-    server.metrics.incr("plan_batch_items", len(problems))
+    server.count("plan_batch_items", len(problems))
     distinct: Dict[str, object] = {}
     for key, problem in zip(keys, problems):
         distinct.setdefault(key, problem)
-    server.metrics.incr("plan_batch_deduped", len(problems) - len(distinct))
+    server.count("plan_batch_deduped", len(problems) - len(distinct))
 
     outcomes: Dict[str, Tuple[str, object]] = {}
     missing: List[str] = []
@@ -226,7 +226,7 @@ async def handle_plan_batch(server, raw: bytes) -> Tuple[int, Body]:
                 # Per-item infeasibility: report it on this item only.
                 return key, ("error", exc)
             if "leader" not in state:
-                server.metrics.incr("plan_coalesced")
+                server.count("plan_coalesced")
                 return key, ("coalesced", result)
             return key, ("computed", result)
 
@@ -341,29 +341,60 @@ async def _factor_modeled(server, body, algorithm, machine) -> Tuple[int, dict]:
     }
 
 
+def _rate(numerator: int, denominator: int) -> Optional[float]:
+    return numerator / denominator if denominator else None
+
+
+def metrics_snapshot(server) -> dict:
+    """The ``/metrics`` JSON: a view of *server*'s registry.
+
+    ``counters`` are its ``serve.*`` counters and ``latency`` its
+    ``serve.latency.*`` histograms, each without the prefix; the rates
+    derive from the counters; the coalescer and LRU report their own
+    sections.
+    """
+    registry = server.metrics
+    counters = {name[len("serve."):]: value
+                for name, value in registry.counters("serve.").items()}
+    latency = {hist.name[len("serve.latency."):]: hist.to_dict()
+               for hist in registry.histograms("serve.latency.")}
+    batch_items = counters.get("plan_batch_items", 0)
+    return {
+        "counters": counters,
+        "latency": latency,
+        "coalesce_rate": _rate(counters.get("plan_coalesced", 0),
+                               counters.get("plan_requests", 0)),
+        "plan_batch_mean_size": _rate(
+            batch_items, counters.get("plan_batch_requests", 0)),
+        "plan_batch_dedup_rate": _rate(
+            counters.get("plan_batch_deduped", 0), batch_items),
+        "coalescer": server.coalescer.to_dict(),
+        "plan_cache": server.plan_cache.to_dict(),
+    }
+
+
 async def handle_metrics(server, params=None) -> Tuple[int, object]:
     """The ``/metrics`` snapshot: counters, latency, coalescer, caches.
 
-    ``GET /metrics`` answers the per-server JSON snapshot;
-    ``GET /metrics?format=prometheus`` answers the process-wide registry
-    as Prometheus text exposition (scraper surface).
+    ``GET /metrics`` answers the server's JSON snapshot
+    (:func:`metrics_snapshot`); ``GET /metrics?format=prometheus``
+    answers the process-wide registry (disk caches, lattice planner) and
+    the server's as one Prometheus text exposition (scraper surface).
     """
     fmt = (params or {}).get("format", "json")
     if fmt == "prometheus":
         from repro.obs import get_registry, prometheus_exposition
 
-        return 200, Body(prometheus_exposition(get_registry()).encode(),
-                         PROMETHEUS_TYPE)
+        text = prometheus_exposition(get_registry(), server.metrics)
+        return 200, Body(text.encode(), PROMETHEUS_TYPE)
     if fmt != "json":
         raise ValidationError(
             f"unknown metrics format {fmt!r}; expected 'json' or "
             f"'prometheus'", field="format")
-    return 200, server.metrics.to_dict(extra=(
-        ("coalescer", server.coalescer.to_dict()),
-        ("plan_cache", server.plan_cache.to_dict()),
-    ))
+    return 200, metrics_snapshot(server)
 
 
 async def handle_healthz(server, _body=None) -> Tuple[int, dict]:
     """Liveness: the loop is serving and the planner context is wired."""
-    return 200, {"status": "ok", "requests": server.metrics.count("requests")}
+    return 200, {"status": "ok",
+                 "requests": server.metrics.counter("serve.requests").value}

@@ -27,6 +27,13 @@ campaign through one batched lattice search), ``POST /factor``,
 keeps connections alive for pipelined clients, and answers malformed
 requests with field-labelled 400s instead of dying.
 
+Each server counts once, in its own
+:class:`~repro.obs.MetricsRegistry` (:attr:`PlanServer.metrics`): the
+``serve.<counter>`` request counters, the ``serve.latency.<endpoint>``
+histograms and the LRU's ``cache.serve_lru.*`` transitions.  The
+``/metrics`` JSON is a view of that registry; its Prometheus form adds
+the process-wide registry (disk caches, lattice planner).
+
 Embedding (tests, benchmarks) and the ``repro serve`` CLI subcommand use
 :meth:`PlanServer.start_background` / :meth:`PlanServer.stop`.
 """
@@ -44,7 +51,7 @@ import urllib.parse
 import uuid
 from typing import Dict, Optional, Set, Tuple
 
-from repro.obs import Observer, span, use_observer
+from repro.obs import MetricsRegistry, Observer, span, use_observer
 from repro.plan.cache import PlanCache
 from repro.serve.cache import LRUPlanCache
 from repro.serve.coalesce import Coalescer
@@ -57,7 +64,6 @@ from repro.serve.handlers import (
     handle_plan,
     handle_plan_batch,
 )
-from repro.serve.metrics import ServeMetrics
 from repro.session import Session
 from repro.utils.validation import ValidationError, require
 
@@ -138,11 +144,14 @@ class PlanServer:
         self.workers = workers
         self.obs = obs
         self.slow_request_seconds = slow_request_seconds
+        #: This server's counters and latencies (``serve.*``) and its
+        #: LRU's transitions (``cache.serve_lru.*``), each recorded once.
+        self.metrics = MetricsRegistry()
         plan_cache = self.session.plan_cache
         disk = PlanCache(plan_cache) if plan_cache else None
-        self.plan_cache = LRUPlanCache(lru_capacity, disk=disk)
+        self.plan_cache = LRUPlanCache(lru_capacity, disk=disk,
+                                       metrics=self.metrics)
         self.coalescer = Coalescer()
-        self.metrics = ServeMetrics()
         # One planner for the server's lifetime.  Its refinement runs in
         # the worker thread that asked: concurrency comes from serving
         # many requests, not from a process pool inside each one.
@@ -176,6 +185,10 @@ class PlanServer:
 
     # -- request plumbing ---------------------------------------------------------
 
+    def count(self, name: str, amount: int = 1) -> None:
+        """Add *amount* to this server's ``serve.<name>`` counter."""
+        self.metrics.counter(f"serve.{name}").inc(amount)
+
     def _with_session_machine(self, body: dict) -> dict:
         """A copy of request object *body*, naming the session's machine
         unless it names one (``/plan_batch`` fills each item, not the
@@ -198,8 +211,8 @@ class PlanServer:
             return 404, {"error": {"field": None,
                                    "message": f"no such endpoint: {path}"}}
         endpoint, handler = route
-        self.metrics.incr("requests")
-        self.metrics.incr(f"{endpoint}_requests")
+        self.count("requests")
+        self.count(f"{endpoint}_requests")
         status = 500
         start = time.perf_counter()
         try:
@@ -229,16 +242,16 @@ class PlanServer:
                                               "message": f"{type(exc).__name__}: {exc}"}}
         finally:
             elapsed = time.perf_counter() - start
-            self.metrics.observe(endpoint, elapsed)
+            self.metrics.histogram(f"serve.latency.{endpoint}").record(elapsed)
             if (self.slow_request_seconds is not None
                     and elapsed >= self.slow_request_seconds):
-                self.metrics.incr("slow_requests")
+                self.count("slow_requests")
                 print(f"[repro.serve] slow request "
                       f"{request_id or '-'} {method} {path} "
                       f"{elapsed:.3f}s status={status}",
                       file=sys.stderr, flush=True)
         if status != 200:
-            self.metrics.incr(f"errors_{status}")
+            self.count(f"errors_{status}")
         return status, payload
 
     def _accept(self, reader: asyncio.StreamReader,

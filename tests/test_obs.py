@@ -16,6 +16,7 @@ import pytest
 from repro.obs import (
     NULL_SPAN,
     ChromeTraceSink,
+    Histogram,
     JsonlSink,
     MetricsRegistry,
     Observer,
@@ -129,6 +130,32 @@ class TestMetricsRegistry:
         reg.reset()
         assert reg.counters() == {}
         assert reg.counter("a").value == 0
+
+
+class TestHistogram:
+    def test_quantiles_bound_samples(self):
+        hist = Histogram("h")
+        for ms in (1, 1, 1, 1, 1, 1, 1, 1, 1, 500):
+            hist.record(ms / 1000.0)
+        summary = hist.to_dict()
+        assert summary["count"] == 10
+        # p50 bounds the 1ms mass; p99 lands in the 500ms tail bucket.
+        assert 0.001 <= summary["p50_seconds"] < 0.002
+        assert summary["p99_seconds"] >= 0.5
+        assert summary["p99_seconds"] <= hist._upper_bound(hist._bucket(0.5))
+
+    def test_extremes_clamp(self):
+        hist = Histogram("h")
+        hist.record(0.0)
+        hist.record(1e-9)
+        hist.record(1e6)
+        assert hist.total == 3
+        assert hist.to_dict()["p99_seconds"] is not None
+
+    def test_empty(self):
+        summary = Histogram("h").to_dict()
+        assert summary["count"] == 0
+        assert summary["p50_seconds"] is summary["p99_seconds"] is None
 
 
 # -- spans --------------------------------------------------------------------------
@@ -311,6 +338,39 @@ class TestPrometheusExposition:
         reg.counter("cache.serve-lru.hits!").inc()
         text = prometheus_exposition(reg)
         assert "repro_cache_serve_lru_hits__total 1" in text
+
+    def test_infinite_and_nan_values(self):
+        reg = MetricsRegistry()
+        reg.gauge("x").set(float("inf"))
+        reg.gauge("y").set(float("-inf"))
+        reg.gauge("z").set(float("nan"))
+        lines = prometheus_exposition(reg).split("\n")
+        assert "repro_x +Inf" in lines
+        assert "repro_y -Inf" in lines
+        assert "repro_z NaN" in lines
+
+    def test_registries_are_exposed_as_one(self):
+        """Two registries with disjoint names expose exactly what one
+        registry holding every instrument does."""
+        process, server = MetricsRegistry(), MetricsRegistry()
+        process.counter("cache.plan.hits").inc(12)
+        process.counter("cache.plan.misses").inc(3)
+        server.counter("serve.plan_requests").inc(15)
+        process.gauge("lattice.screen_reuse").set(3.5)
+        process.gauge("lattice.refine_dedup").set(2.0)
+        hist = server.histogram("serve.latency.plan")
+        for v in (0.001, 0.001, 0.002, 0.1):
+            hist.record(v)
+        golden = prometheus_exposition(self._golden_registry())
+        assert prometheus_exposition(process, server) == golden
+        assert prometheus_exposition(server, process) == golden
+
+    def test_name_in_two_registries_raises(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.counter("serve.requests").inc()
+        b.counter("serve.requests").inc()
+        with pytest.raises(ValueError, match="two registries"):
+            prometheus_exposition(a, b)
 
 
 # -- the planner's span tree (acceptance criterion) ---------------------------------

@@ -1,6 +1,7 @@
 """Planner correctness: enumeration, screening, refinement, cache, auto."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from repro.engine import (
     RunSpec,
     solver_for,
 )
+from repro.obs import get_registry
 from repro.plan import (
+    PlanCache,
     Planner,
+    PlanResult,
     ProblemSpec,
     default_block_sizes,
     enumerate_candidates,
@@ -301,6 +305,26 @@ class TestPlanCache:
         assert planner.fingerprint(tweaked) != planner.fingerprint(problem)
         again = planner.plan(tweaked)
         assert not again.from_cache
+
+    def test_registry_counts_disk_traffic(self, tmp_path):
+        """Loads and stores count under ``cache.plan.*`` in the process
+        registry, which the serve benchmark reads through Prometheus."""
+        cache = PlanCache(str(tmp_path))
+        before = get_registry().counters("cache.plan.")
+        # A structurally valid entry: loads route through the plan-cache
+        # verifier, so a bare dict reads as an invalid miss.
+        cache.store("k", PlanResult(problem=ProblemSpec(**SMALL), plans=[],
+                                    num_candidates=0))
+        assert cache.load("k") is not None
+        assert cache.load("absent") is None
+        with open(cache.path("bad"), "wb") as fh:
+            pickle.dump({"not": "a plan result"}, fh)
+        assert cache.load("bad") is None
+        after = get_registry().counters("cache.plan.")
+        assert {event: after[f"cache.plan.{event}"]
+                - before.get(f"cache.plan.{event}", 0)
+                for event in ("stores", "hits", "misses", "invalid")} == {
+            "stores": 1, "hits": 1, "misses": 2, "invalid": 1}
 
     def test_fingerprint_covers_refine_and_restriction(self):
         problem = ProblemSpec(**SMALL)

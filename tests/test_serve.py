@@ -13,7 +13,7 @@ import urllib.request
 import pytest
 
 from repro.costmodel.params import STAMPEDE2
-from repro.obs import LatencyHistogram, Observer, get_registry
+from repro.obs import MetricsRegistry, Observer, get_registry
 from repro.plan import Planner, problem_from_dict
 from repro.plan.cache import PlanCache
 from repro.plan.planner import Plan, PlanResult
@@ -23,7 +23,6 @@ from repro.serve import (
     Coalescer,
     LRUPlanCache,
     PlanServer,
-    ServeMetrics,
     handlers,
 )
 from repro.serve.cache import EncodedResult
@@ -33,49 +32,6 @@ BODY = {"m": 2048, "n": 32, "procs": 8}
 
 
 # -- component layer ----------------------------------------------------------------
-
-
-class TestLatencyHistogram:
-    def test_quantiles_bound_samples(self):
-        hist = LatencyHistogram()
-        for ms in (1, 1, 1, 1, 1, 1, 1, 1, 1, 500):
-            hist.record(ms / 1000.0)
-        assert hist.total == 10
-        # p50 bounds the 1ms mass; p99 lands in the 500ms tail bucket.
-        assert 0.001 <= hist.quantile(0.50) < 0.002
-        assert hist.quantile(0.99) >= 0.5
-        assert hist.quantile(0.99) <= hist._upper_bound(hist._bucket(0.5))
-
-    def test_extremes_clamp(self):
-        hist = LatencyHistogram()
-        hist.record(0.0)
-        hist.record(1e-9)
-        hist.record(1e6)
-        assert hist.total == 3
-        assert hist.quantile(0.99) is not None
-
-    def test_empty(self):
-        hist = LatencyHistogram()
-        assert hist.quantile(0.5) is None
-        assert hist.to_dict()["count"] == 0
-        assert hist.to_dict()["p99_seconds"] is None
-
-
-class TestServeMetrics:
-    def test_counters_and_rates(self):
-        metrics = ServeMetrics()
-        for _ in range(4):
-            metrics.incr("plan_requests")
-        metrics.incr("plan_coalesced", 3)
-        metrics.observe("plan", 0.01)
-        snap = metrics.to_dict()
-        assert snap["counters"]["plan_requests"] == 4
-        assert snap["coalesce_rate"] == pytest.approx(0.75)
-        assert snap["latency"]["plan"]["count"] == 1
-
-    def test_extra_sections(self):
-        snap = ServeMetrics().to_dict(extra=(("coalescer", {"started": 1}),))
-        assert snap["coalescer"] == {"started": 1}
 
 
 class TestCoalescer:
@@ -174,6 +130,17 @@ class TestLRUPlanCache:
         # ... and the promotion makes the second read a memory hit.
         assert cold.get("k") is promoted
         assert cold.to_dict()["hits"] == 1
+
+    def test_counts_once_into_the_given_registry(self):
+        registry = MetricsRegistry()
+        lru = LRUPlanCache(capacity=1, metrics=registry)
+        lru.put("a", _empty_result(4096))
+        lru.put("b", _empty_result(8192))              # evicts a
+        assert lru.get("b") is not None and lru.get("a") is None
+        assert registry.counters() == {"cache.serve_lru.evictions": 1,
+                                       "cache.serve_lru.hits": 1,
+                                       "cache.serve_lru.misses": 1}
+        assert get_registry().counters("cache.serve_lru.") == {}
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
@@ -315,10 +282,11 @@ class TestRequestAlias:
         status, again = self.ask(server, raw)
         assert status == 200 and calls == []
         assert again.data == first.data.replace(b'"computed"', b'"cache"', 1)
-        counters = server.metrics.to_dict()["counters"]
+        snapshot = handlers.metrics_snapshot(server)
+        counters = snapshot["counters"]
         assert counters["requests"] == counters["plan_requests"] == 2
         assert counters["plan_served_cache"] == 1
-        assert server.metrics.to_dict()["latency"]["plan"]["count"] == 2
+        assert snapshot["latency"]["plan"]["count"] == 2
 
     @pytest.mark.parametrize("limit", [None, 1, 3])
     def test_spellings_share_one_entry_and_one_body(self, limit):
@@ -643,17 +611,21 @@ class _CountingPlanner:
         return self.inner.plan(problem)
 
 
-class TestPerServerMetrics:
-    """Why ``ServeMetrics`` keeps private counters beside the registry.
+def _prometheus_samples(text: str, prefix: str) -> dict:
+    """``{sample: value}`` of the counter and histogram ``_count`` samples
+    of an exposition whose names start with *prefix*."""
+    out = {}
+    for line in text.splitlines():
+        name, _, value = line.rpartition(" ")
+        if name.startswith(prefix) and name.endswith(("_total", "_count")):
+            out[name] = float(value)
+    return out
 
-    The registry is process-wide, so it cannot tell two servers apart:
-    each server's ``/metrics`` must count only its own requests, while
-    the registry's ``serve.*`` counters count every server's.
-    """
+
+class TestPerServerMetrics:
+    """Each server counts only its own requests, in both formats."""
 
     def test_two_servers_keep_their_own_counters(self, tmp_path):
-        registry = get_registry()
-        before = registry.counter("serve.healthz_requests").value
         servers = [PlanServer(Session(plan_cache=str(tmp_path / name),
                                       result_cache=None),
                               workers=1, lru_capacity=4)
@@ -665,13 +637,146 @@ class TestPerServerMetrics:
                     assert _get(srv.address, "/healthz")[0] == 200
             counts = [_get(srv.address, "/metrics")[1]["counters"]
                       for srv in servers]
+            texts = [_get_raw(srv.address, "/metrics?format=prometheus")[2]
+                     .decode() for srv in servers]
         finally:
             for srv in servers:
                 srv.stop()
         assert [c["healthz_requests"] for c in counts] == [3, 2]
         assert [c["metrics_requests"] for c in counts] == [1, 1]
         assert [c["requests"] for c in counts] == [4, 3]
-        assert registry.counter("serve.healthz_requests").value - before == 5
+        # The Prometheus request counts itself before it renders.
+        assert [_prometheus_samples(text, "repro_serve_") for text in texts] \
+            == [{"repro_serve_requests_total": requests + 2,
+                 "repro_serve_healthz_requests_total": requests,
+                 "repro_serve_metrics_requests_total": 2,
+                 "repro_serve_latency_healthz_seconds_count": requests,
+                 "repro_serve_latency_metrics_seconds_count": 1}
+                for requests in (3, 2)]
+        assert get_registry().counters("serve.") == {}
+
+
+#: The pinned ``/metrics`` script: K identical cold /plans coalesce.
+SCRIPT_K = 4
+SCRIPT_FRESH = {"m": 4096, "n": 32, "procs": 16}
+SCRIPT_BATCHED = {"m": 8192, "n": 32, "procs": 8}
+SCRIPT_INFEASIBLE = {"m": 7, "n": 3, "procs": 4}
+
+
+def _run_script(server):
+    """Send the pinned request sequence to a started *server*; return the
+    ``/metrics`` JSON and then the Prometheus text it answers."""
+    address = server.address
+    assert _post(address, "/plan", BODY)[1]["served"] == "computed"
+    assert _post(address, "/plan", BODY)[1]["served"] == "cache"   # alias
+
+    inner = server.planner
+    server.planner = _CountingPlanner(inner, delay=1.0)
+    barrier = threading.Barrier(SCRIPT_K)
+    served = []
+
+    def fire():
+        barrier.wait()
+        served.append(_post(address, "/plan", SCRIPT_FRESH)[1]["served"])
+
+    threads = [threading.Thread(target=fire) for _ in range(SCRIPT_K)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    server.planner = inner
+    assert sorted(served) == ["coalesced"] * (SCRIPT_K - 1) + ["computed"]
+
+    status, batch = _post(address, "/plan_batch", {"problems": [
+        SCRIPT_BATCHED, SCRIPT_BATCHED, SCRIPT_INFEASIBLE]})
+    assert status == 200 and batch["distinct"] == 2
+    assert "error" in batch["results"][2]
+    # BODY left memory when the batch's answer entered it (capacity 2);
+    # a new spelling of it is promoted from disk.
+    respelled = {"procs": 8, "n": 32, "m": 2048}
+    assert _post(address, "/plan", respelled)[1]["served"] == "cache"
+    conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+    try:
+        conn.request("POST", "/plan", body=b"{not json")
+        assert conn.getresponse().status == 400
+    finally:
+        conn.close()
+    status, _ = _post(address, "/factor", {"m": 4096, "n": 64, "procs": 16,
+                                           "mode": "modeled"})
+    assert status == 200
+    assert _get(address, "/healthz")[0] == 200
+    _, snapshot = _get(address, "/metrics")
+    _, _, prometheus = _get_raw(address, "/metrics?format=prometheus")
+    return snapshot, prometheus.decode()
+
+
+@pytest.fixture()
+def scripted(tmp_path):
+    """A fresh server after the pinned script: (server, JSON, Prometheus)."""
+    srv = PlanServer(
+        Session(plan_cache=str(tmp_path / "plans"), result_cache=None),
+        workers=2, lru_capacity=2, refine=None)
+    srv.start_background()
+    try:
+        snapshot, prometheus = _run_script(srv)
+    finally:
+        srv.stop()
+    return srv, snapshot, prometheus
+
+
+class TestMetricsSnapshot:
+    """``/metrics`` of one server after a scripted request sequence."""
+
+    def test_json_snapshot(self, scripted):
+        srv, snapshot, _ = scripted
+        k = SCRIPT_K
+        assert snapshot["counters"] == {
+            "requests": k + 8, "plan_requests": k + 4,
+            "plan_served_computed": 2, "plan_served_cache": 2,
+            "plan_coalesced": k - 1, "plan_served_coalesced": k - 1,
+            "plan_batch_requests": 1, "plan_batch_items": 3,
+            "plan_batch_deduped": 1, "errors_400": 1,
+            "factor_requests": 1, "healthz_requests": 1,
+            "metrics_requests": 1,
+        }
+        # The /metrics request records its latency after it answers.
+        assert {name: hist["count"]
+                for name, hist in snapshot["latency"].items()} == {
+            "plan": k + 4, "plan_batch": 1, "factor": 1, "healthz": 1}
+        for hist in snapshot["latency"].values():
+            assert hist["p99_seconds"] >= hist["p50_seconds"] > 0
+        assert snapshot["coalesce_rate"] == (k - 1) / (k + 4)
+        assert snapshot["plan_batch_mean_size"] == 3.0
+        assert snapshot["plan_batch_dedup_rate"] == 1 / 3
+        assert snapshot["coalescer"] == {
+            "started": 4, "coalesced": k - 1, "inflight": 0,
+            "coalesce_rate": (k - 1) / (k + 3)}
+        assert snapshot["plan_cache"] == {
+            "capacity": 2, "entries": 2, "hits": 1, "disk_hits": 1,
+            "misses": k + 3, "evictions": 2,
+            "disk_path": srv.plan_cache.disk.cache_dir}
+        assert list(snapshot) == [
+            "counters", "latency", "coalesce_rate", "plan_batch_mean_size",
+            "plan_batch_dedup_rate", "coalescer", "plan_cache"]
+
+    def test_prometheus_samples_equal_the_json(self, scripted):
+        _, snapshot, prometheus = scripted
+        served = _prometheus_samples(prometheus, "repro_serve_")
+        counters = {name: served[f"repro_serve_{name}_total"]
+                    for name in snapshot["counters"]}
+        # The Prometheus request counts itself before it renders.
+        expected = dict(snapshot["counters"])
+        expected["requests"] += 1
+        expected["metrics_requests"] += 1
+        assert counters == expected
+        for name, hist in snapshot["latency"].items():
+            count = served[f"repro_serve_latency_{name}_seconds_count"]
+            assert count == hist["count"]
+        lru = _prometheus_samples(prometheus, "repro_cache_serve_lru_")
+        assert lru == {f"repro_cache_serve_lru_{event}_total":
+                       snapshot["plan_cache"][event]
+                       for event in ("hits", "disk_hits", "misses",
+                                     "evictions")}
 
 
 class TestCoalescingOverHTTP:
@@ -1014,7 +1119,7 @@ class TestServeObservability:
                 # must summarize them identically on both servers (the
                 # organic request latencies differ by wall clock).
                 for v in (0.001, 0.002, 0.004, 0.1):
-                    srv.metrics.observe("synthetic", v)
+                    srv.metrics.histogram("serve.latency.synthetic").record(v)
                 _, metrics = _get(srv.address, "/metrics")
             finally:
                 srv.stop()
@@ -1044,7 +1149,7 @@ class TestServeObservability:
             assert status == 200
         finally:
             srv.stop()
-        assert srv.metrics.count("slow_requests") >= 1
+        assert srv.metrics.counter("serve.slow_requests").value >= 1
         err = capsys.readouterr().err
         assert "[repro.serve] slow request" in err
         assert "POST /plan" in err
