@@ -21,6 +21,7 @@ Usage (after ``pip install -e .``)::
     python -m repro cache info             # survey every session cache
     python -m repro cache info --json      # same survey, machine-readable
     python -m repro cache info --plan      # just the plan cache
+    python -m repro cache check            # report unloadable cache entries
     python -m repro serve --port 8357      # planning-as-a-service endpoint
     python -m repro machines               # show the machine presets
 
@@ -494,11 +495,43 @@ def _print_cache_info(label: str, info: dict) -> None:
     print(f"  size    : {human}")
 
 
+def _findings_table(findings: list) -> str:
+    """The sweep's findings as an aligned text table (the CLI's house style)."""
+    rows = [(f.severity, f.rule, f.loc, f.message) for f in findings]
+    headers = ("severity", "rule", "loc", "message")
+    widths = [max(len(headers[i]), *(len(r[i]) for r in rows))
+              for i in range(len(headers))]
+    lines = ["findings",
+             "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
+             "  ".join("-" * w for w in widths)]
+    for row in rows:
+        lines.append("  ".join(c.ljust(widths[i]) for i, c in enumerate(row)))
+    return "\n".join(lines)
+
+
+def _print_cache_check(findings: list, as_json: bool) -> int:
+    """Print the sweep's findings; exit non-zero when there is any."""
+    import json
+
+    from repro.plan.cache import SEVERITIES
+
+    findings = sorted(findings, key=lambda f: (SEVERITIES.index(f.severity),
+                                               f.rule, f.loc))
+    if as_json:
+        print(json.dumps({"findings": [f.to_dict() for f in findings],
+                          "count": len(findings)}, indent=2))
+    else:
+        if findings:
+            print(_findings_table(findings))
+        print(f"{len(findings)} finding(s)")
+    return 1 if findings else 0
+
+
 def _cmd_cache(args: argparse.Namespace) -> int:
     import json
 
     from repro.engine import ResultCache
-    from repro.plan import PlanCache
+    from repro.plan.cache import PlanCache, check_cache_dir, verify_plan_result
     from repro.utils.config import default_cache_dir, default_plan_cache_dir
     from repro.utils.diskcache import clear_cache_dir, scan_cache_dir
 
@@ -518,10 +551,19 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         removed = clear_cache_dir(cache_dir, suffix)
         print(f"removed {removed} cached entries from {cache_dir}")
         return 0
-    # Bare `cache info` surveys every session cache in one shot; a flag
-    # narrows it to the selected one.
+    # Bare `cache info` / `cache check` covers every session cache in
+    # one shot; a flag narrows it to the selected one.
     survey_all = not (args.plan or args.cache_dir)
     selected = list(caches) if survey_all else [name]
+    if args.action == "check":
+        # Result entries must be QRRuns; plan entries, structurally
+        # valid PlanResults (the check every plan-cache load runs).
+        sweeps = {"result": (ResultCache.value_type, None),
+                  "plan": (None, verify_plan_result)}
+        findings = [f for key in selected
+                    for f in check_cache_dir(caches[key][1], caches[key][2],
+                                             *sweeps[key])]
+        return _print_cache_check(findings, args.json)
     info = {key: scan_cache_dir(caches[key][1], caches[key][2])
             for key in selected}
     if not args.json:
@@ -530,46 +572,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     print(json.dumps(info, indent=2, sort_keys=True))
     return 0
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    """Static verification: sweep both on-disk caches.
-
-    Every entry must unpickle, type-check, and pass the semantic
-    verifier; any finding exits non-zero.  ``--rules`` lists the
-    Schedule IR, binding and cache rules.
-    """
-    import json
-
-    from repro.analysis import (
-        BINDING_RULES,
-        CACHE_RULES,
-        PROGRAM_RULES,
-        check_caches,
-        findings_table,
-        sort_findings,
-    )
-
-    if args.rules:
-        for title, rules in (("Schedule IR (verify_program)", PROGRAM_RULES),
-                             ("Bindings (verify_binding)", BINDING_RULES),
-                             ("Cache sweep (repro check)", CACHE_RULES)):
-            print(f"{title}:")
-            for rule, desc in rules.items():
-                print(f"  {rule:26} {desc}")
-            print()
-        return 0
-
-    findings = sort_findings(check_caches(result_dir=args.result_dir,
-                                          plan_dir=args.plan_dir))
-    if args.json:
-        print(json.dumps({"findings": [f.to_dict() for f in findings],
-                          "count": len(findings)}, indent=2))
-    else:
-        if findings:
-            print(findings_table(findings))
-        print(f"{len(findings)} finding(s)")
-    return 1 if findings else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -813,8 +815,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cache = sub.add_parser(
         "cache",
-        help="inspect or reset the on-disk result / plan caches")
-    p_cache.add_argument("action", choices=("info", "clear"))
+        help="inspect, reset or check the on-disk result / plan caches")
+    p_cache.add_argument("action", choices=("info", "clear", "check"),
+                         help="info: entries and bytes; clear: delete the "
+                              "entries; check: report every entry that "
+                              "does not load (exit 1 on any finding)")
     p_cache.add_argument("--plan", action="store_true",
                          help="operate on the planner's plan cache instead "
                               "of the engine's result cache")
@@ -823,24 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
                               ".repro-plan-cache, or the REPRO_CACHE_DIR / "
                               "REPRO_PLAN_CACHE_DIR environment variables)")
     p_cache.add_argument("--json", action="store_true",
-                         help="machine-readable survey (entries / bytes / "
-                              "path per cache)")
+                         help="machine-readable output (entries / bytes / "
+                              "path per cache, or the check's findings)")
     p_cache.set_defaults(func=_cmd_cache)
-
-    p_chk = sub.add_parser(
-        "check",
-        help="static verification: sweep the on-disk caches")
-    p_chk.add_argument("--result-dir", default=None,
-                       help="result-cache directory to sweep (default: "
-                            ".repro-cache or REPRO_CACHE_DIR)")
-    p_chk.add_argument("--plan-dir", default=None,
-                       help="plan-cache directory to sweep (default: "
-                            ".repro-plan-cache or REPRO_PLAN_CACHE_DIR)")
-    p_chk.add_argument("--json", action="store_true",
-                       help="machine-readable findings")
-    p_chk.add_argument("--rules", action="store_true",
-                       help="list every rule with its description and exit")
-    p_chk.set_defaults(func=_cmd_check)
 
     p_srv = sub.add_parser(
         "serve",

@@ -172,8 +172,8 @@ def _cfr3d_program(c: int, n: int, base_case_size: int) -> ChargeProgram:
     ``(c, n/2, n0)`` program for each recursive call.  The result equals
     a direct capture of :func:`cfr3d` op for op, phase table included.
     Opens no span: it runs inside its caller's ``sched.capture`` span.
-    Not verified on its own (``debug=False``): its ops are verified in
-    the program its caller compiles.
+    Not verified on its own: its ops are verified in the program its
+    caller compiles (the test suite's capture gate skips level captures).
     """
     rec = ScheduleRecorder(c * c * c)
     a = DistMatrix.symbolic(Grid3D.build(rec, c, c, c), n, n)
@@ -187,7 +187,7 @@ def _cfr3d_program(c: int, n: int, base_case_size: int) -> ChargeProgram:
         return out, out
 
     _cfr3d_recursive(rec, a, base_case_size, "@.cfr3d", recurse=splice_half)
-    return rec.program(debug=False)
+    return rec.program()
 
 
 def _zero_like(template: DistMatrix) -> DistMatrix:

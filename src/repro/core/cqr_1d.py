@@ -51,9 +51,10 @@ def _gram_stacked(data: np.ndarray) -> np.ndarray:
     """Lines 1-2's numerics: every rank's Syrk, allreduced in rank order.
 
     Each slice of the stacked ``A_local.T @ A_local`` reads one buffer
-    twice, so numpy takes the same syrk path per slice as
-    :func:`~repro.kernels.blas.local_syrk` does per block, and the
-    symmetrization is elementwise: every partial has the per-block bits.
+    twice, so numpy takes the same syrk path per slice as the per-block
+    oracle ``local_syrk`` (``tests/oracles/blas.py``) does per block, and
+    the symmetrization is elementwise: every partial has the per-block
+    bits.
     The sum is the collectives' float64 zero plus each rank in order.
     """
     partials = np.matmul(data.swapaxes(-1, -2), data)

@@ -43,10 +43,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Dict
 
 from repro.utils.validation import check_positive_int, require
+
+#: The :class:`MachineSpec` fields that hold real-valued rates or
+#: efficiencies.
+_RATE_FIELDS = ("peak_flops_per_node", "injection_bandwidth", "alpha",
+                "sequential_efficiency", "bandwidth_efficiency",
+                "qr_kernel_efficiency")
 
 #: Bytes per double-precision word.  All word counts in the ledger are in
 #: 8-byte words, matching the paper's usage of "words".
@@ -117,7 +124,16 @@ class MachineSpec:
     qr_kernel_efficiency: float = 0.5
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise TypeError(
+                f"name must be a string, got {type(self.name).__name__}")
         check_positive_int(self.procs_per_node, "procs_per_node")
+        for name in _RATE_FIELDS:
+            # A JSON `true` is an int to Python; as a rate it is a bug.
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(
+                    f"{name} must be a number, got {type(value).__name__}")
         for name in ("peak_flops_per_node", "injection_bandwidth", "alpha"):
             require(math.isfinite(getattr(self, name)),
                     f"{name} must be finite, got {getattr(self, name)!r}")

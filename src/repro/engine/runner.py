@@ -37,8 +37,9 @@ def _execute(spec: RunSpec, trace: bool,
     default session.
 
     ``vm_factory`` optionally substitutes the machine construction --
-    called as ``vm_factory(num_ranks, machine_spec)`` -- so program
-    capture (:func:`repro.sched.capture.capture_run`) runs a
+    called as ``vm_factory(num_ranks, machine_spec)`` -- so the test
+    suite's whole-run capture (``capture_run``,
+    ``tests/oracles/capture.py``) runs a
     :class:`~repro.sched.recorder.ScheduleRecorder` through the *same*
     pipeline instead of duplicating it.
     """

@@ -24,7 +24,6 @@ from repro.kernels.flops import (
 from repro.kernels.blas import (
     local_mm,
     local_mm_tn,
-    local_syrk,
     local_sub,
     local_neg,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "elementwise_flops",
     "local_mm",
     "local_mm_tn",
-    "local_syrk",
     "local_sub",
     "local_neg",
     "local_chol",

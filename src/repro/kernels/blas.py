@@ -1,4 +1,4 @@
-"""Local BLAS-like kernels over blocks: multiply, syrk, elementwise ops.
+"""Local BLAS-like kernels over blocks: multiply and elementwise ops.
 
 Every function returns ``(result_block, flops)``; the distributed caller
 charges the flops to the owning rank.  Numeric blocks hit numpy's BLAS;
@@ -31,22 +31,6 @@ def local_mm_tn(a: Block, b: Block) -> Tuple[Block, float]:
     if isinstance(a, SymbolicBlock):
         return SymbolicBlock((m, n)), fl.mm_flops(m, n, k)
     return NumericBlock(a.data.T @ b.data), fl.mm_flops(m, n, k)  # type: ignore[union-attr]
-
-
-def local_syrk(a: Block) -> Tuple[Block, float]:
-    """``X = A.T @ A`` charged at the symmetric rate ``m n**2``.
-
-    Numerically we form the full (symmetric) product; the flop charge uses
-    the paper's ``T_syrk`` half-GEMM convention.
-    """
-    m, n = a.shape
-    if isinstance(a, SymbolicBlock):
-        return SymbolicBlock((n, n)), fl.syrk_flops(m, n)
-    gram = a.data.T @ a.data  # type: ignore[union-attr]
-    # Enforce exact symmetry; BLAS GEMM round-off otherwise leaves a tiny
-    # skew component that the Cholesky layers would have to re-symmetrize.
-    gram = 0.5 * (gram + gram.T)
-    return NumericBlock(gram), fl.syrk_flops(m, n)
 
 
 def local_sub(a: Block, b: Block) -> Tuple[Block, float]:

@@ -339,7 +339,10 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
                                dtype=np.int64)
             stacked = np.concatenate([price_jobs[k] for k in keys], axis=1)
             rates = np.array([k[2] for k in keys], dtype=np.float64).T
-            seconds = priced_seconds_segments(stacked, rates, lengths)
+            # A machine slow enough to overflow a lane fails its points
+            # in stage 2, not here, and not with a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                seconds = priced_seconds_segments(stacked, rates, lengths)
             for k, chunk in zip(keys,
                                 np.split(seconds, np.cumsum(lengths)[:-1])):
                 priced[k] = chunk
@@ -355,6 +358,12 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
         seconds = priced[view.price_key]
         memory = enum_memory[view.enum_key]
         try:
+            if not np.isfinite(seconds).all():
+                raise ValidationError(
+                    f"the machine prices this problem at a non-finite "
+                    f"modeled time (alpha, beta, gamma = "
+                    f"{view.price_key[2]}); no plan can be ranked",
+                    field="machine")
             order, within, pareto = planner._rank(problem, seconds, memory,
                                                   costs[0])
             columns = zip(seconds.tolist(), *costs.tolist(), memory.tolist(),

@@ -90,17 +90,21 @@ class ProblemSpec:
     top_k: int = 1
 
     def __post_init__(self) -> None:
+        # Each check names the field it rejects, so a request's 400 (or
+        # the CLI's error line) points at the offending field.
         for name in ("m", "n", "procs", "top_k"):
-            value = check_positive_int(getattr(self, name), name)
+            value = validated(name, check_positive_int, getattr(self, name),
+                              name)
             if value > MAX_SIZE:
                 raise ValidationError(
                     f"must be at most {MAX_SIZE} (an int64), got {value}",
                     field=name)
         # Every registered algorithm factors tall matrices; rejecting wide
         # problems here keeps the planner from ranking unrunnable plans.
-        require(self.m >= self.n,
+        if self.m < self.n:
+            raise ValidationError(
                 f"the planner configures tall-matrix QR; got {self.m} x "
-                f"{self.n} (m >= n required)")
+                f"{self.n} (m >= n required)", field="n")
         require(self.mode in MODES,
                 f"mode must be one of {MODES}, got {self.mode!r}")
         if isinstance(self.objective, str):
@@ -113,15 +117,18 @@ class ProblemSpec:
                     f"got {self.objective!r}")
         if self.algorithms is not None:
             object.__setattr__(self, "algorithms", tuple(self.algorithms))
-            require(len(self.algorithms) > 0,
-                    "an explicit algorithm restriction cannot be empty")
+            if not self.algorithms:
+                raise ValidationError(
+                    "an explicit algorithm restriction cannot be empty",
+                    field="algorithms")
         if self.block_sizes is not None:
             object.__setattr__(self, "block_sizes", tuple(self.block_sizes))
             for b in self.block_sizes:
-                check_positive_int(b, "block size")
+                validated("block_sizes", check_positive_int, b, "block size")
         object.__setattr__(self, "inverse_depths", tuple(self.inverse_depths))
-        require(len(self.inverse_depths) > 0,
-                "inverse_depths cannot be empty")
+        if not self.inverse_depths:
+            raise ValidationError("inverse_depths cannot be empty",
+                                  field="inverse_depths")
         for depth in self.inverse_depths:
             if isinstance(depth, bool) or not isinstance(depth, int) \
                     or depth < 0:

@@ -16,8 +16,8 @@ Capture only records and a template run only charges -- the only route
 by which a compiled program charges a machine, traced or not (see
 :mod:`repro.sched.replay`).  Where its guard declines, consumers run
 their uncompiled loop, and a recorder splices the bound program
-(:meth:`ScheduleRecorder.extend`).  Whole engine runs can be captured
-and charged through :mod:`repro.sched.capture` (the IR's test oracle).
+(:meth:`ScheduleRecorder.extend`).  The IR's test oracles -- whole-run
+capture and the static verifier -- live in ``tests/oracles/``.
 
 The :func:`compiled_replay_disabled` context manager forces every
 consumer back onto the uncompiled loop path -- the reference oracle the

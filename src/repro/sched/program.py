@@ -91,7 +91,8 @@ class ChargeOp:
                  payload: object, phase: int,
                  axis: Optional[Tuple[Tuple[int, ...], int]] = None):
         # O(1) structural guard (capture constructs one op per charge;
-        # anything deeper belongs to repro.analysis.verify_program).
+        # anything deeper belongs to the test suite's verify_program,
+        # tests/oracles/verifier.py).
         if kind not in OP_KINDS:
             raise ValueError(f"unknown charge-op kind {kind!r}")
         self.kind = kind
@@ -134,7 +135,8 @@ class ChargeProgram:
         # per recorded charge): every op's phase index must point into
         # the interned table, or be -1 (phase-less barriers).  The deep
         # invariants (rank bounds, payload typing, group disjointness)
-        # stay in repro.analysis.verify_program, off this constructor.
+        # stay in the test suite's verify_program
+        # (tests/oracles/verifier.py), off this constructor.
         nphases = len(self.phases)
         for op in self.ops:
             phase = op.phase

@@ -22,11 +22,11 @@ build: a recursive schedule is captured one level at a time, each level
 splicing the memoized program of the level below (CFR3D, see
 :mod:`repro.core.cfr3d`), or bound onto every subcube of a captured run.
 
-:class:`repro.vmpi.reference.RecordingMachine` is the flat-tuple
-recorder that records *and* charges (the equivalence-test harness); this
-class feeds the compiled-schedule pipeline: record on a standalone
-template machine, :meth:`program` the result, then charge it as a
-template run anywhere (see :mod:`repro.sched.program`).
+The flat-tuple recorder that records *and* charges is the test oracle
+``RecordingMachine`` (``tests/oracles/reference.py``); this class feeds
+the compiled-schedule pipeline: record on a standalone template machine,
+:meth:`program` the result, then charge it as a template run anywhere
+(see :mod:`repro.sched.program`).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import numpy as np
 from repro.costmodel.params import ABSTRACT_MACHINE, MachineSpec
 from repro.sched.binding import RankFamilyMap
 from repro.sched.program import OP_BARRIER, OP_COMM, OP_FLOPS, ChargeOp, ChargeProgram
-from repro.utils.config import env_sched_verify
 from repro.utils.validation import require
 from repro.vmpi.machine import VirtualMachine, axis_group_matrix
 
@@ -172,21 +171,12 @@ class ScheduleRecorder(VirtualMachine):
     def num_ops(self) -> int:
         return len(self._ops)
 
-    def program(self, debug: Optional[bool] = None) -> ChargeProgram:
+    def program(self) -> ChargeProgram:
         """The charge stream so far, compiled into a :class:`ChargeProgram`.
 
-        This is the one compilation point every capture funnels through,
-        so it doubles as the verification gate: with ``debug=True`` --
-        or ``debug=None`` and ``REPRO_SCHED_VERIFY`` set, the test
-        suite's always-on mode -- the compiled program must pass
-        :func:`repro.analysis.verify_program` before anything charges
-        it (:class:`~repro.analysis.findings.VerificationError`
-        otherwise).  Verification is O(ops) and runs once per program,
-        never per recorded charge.
+        This is the one compilation point every capture funnels through;
+        the test suite gates it on the Schedule-IR verifier
+        (``tests/oracles/verifier.py``), so every program a test
+        captures is statically verified.
         """
-        program = ChargeProgram(self.num_ranks, self._op_phases, self._ops)
-        if debug or (debug is None and env_sched_verify()):
-            from repro.analysis.verifier import require_verified
-
-            require_verified(program, "captured program")
-        return program
+        return ChargeProgram(self.num_ranks, self._op_phases, self._ops)

@@ -39,17 +39,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: Fallback plan-cache location when :data:`PLAN_CACHE_ENV` is unset.
 DEFAULT_PLAN_CACHE_DIR = ".repro-plan-cache"
 
-#: Environment variable turning on IR verification at capture time (the
-#: test suite sets it; see :func:`repro.analysis.verify_program`).
-SCHED_VERIFY_ENV = "REPRO_SCHED_VERIFY"
-
-_TRUTHY = frozenset({"1", "true", "on", "yes"})
-
-
-def env_sched_verify() -> bool:
-    """Whether the environment requests verify-on-capture."""
-    return os.environ.get(SCHED_VERIFY_ENV, "").strip().lower() in _TRUTHY
-
 
 def env_result_cache_dir() -> Optional[str]:
     """The result-cache dir the environment requests (``None`` when unset)."""

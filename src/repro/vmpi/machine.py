@@ -48,8 +48,9 @@ of three forms:
 
 Subclasses that observe charges must override :meth:`charge_comm_axis`
 too, because on a plain machine it never reaches
-:meth:`charge_comm_groups`.  :class:`repro.vmpi.reference.RecordingMachine`
-expands it with :meth:`VirtualMachine.axis_groups` into the equivalent
+:meth:`charge_comm_groups`.  The test oracle ``RecordingMachine``
+(``tests/oracles/reference.py``) expands it with
+:meth:`VirtualMachine.axis_groups` into the equivalent
 :meth:`charge_comm_groups` call; :class:`repro.sched.ScheduleRecorder`
 records the axis form itself, tagged onto the same (cached) group matrix.
 An attached trace sink takes the expansion, so per-rank event streams do
@@ -118,7 +119,8 @@ def axis_view_problem(shape: object, axis: object,
     not one), *axis* an ``int`` index into it, and -- unless *num_ranks*
     is ``None`` -- the view must hold exactly *num_ranks* ranks.  The
     machines check this before anything is interned or charged, and the
-    verifier's ``ir/axis-form`` rule checks a recorded tag with it.
+    test suite's verifier (``ir/axis-form``, ``tests/oracles/verifier.py``)
+    checks a recorded tag with it.
     """
     def is_int(value: object) -> bool:
         return (isinstance(value, (int, np.integer))

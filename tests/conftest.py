@@ -3,21 +3,28 @@
 from __future__ import annotations
 
 import operator
-import os
 
 import numpy as np
 import pytest
 
-# Verify-on-capture is always on under the test suite: every program any
-# test captures must pass repro.analysis.verify_program at compile time.
-# Set before repro imports so pool workers inherit it too.
-os.environ.setdefault("REPRO_SCHED_VERIFY", "1")
+from repro.utils.matgen import RngLike, _as_rng, random_orthonormal
+from repro.utils.validation import check_positive_int, require
+from repro.vmpi.distmatrix import DistMatrix
+from repro.vmpi.grid import Grid3D
+from repro.vmpi.machine import VirtualMachine
 
-from repro.utils.matgen import RngLike, _as_rng, random_orthonormal  # noqa: E402
-from repro.utils.validation import check_positive_int, require  # noqa: E402
-from repro.vmpi.distmatrix import DistMatrix  # noqa: E402
-from repro.vmpi.grid import Grid3D  # noqa: E402
-from repro.vmpi.machine import VirtualMachine  # noqa: E402
+
+def pytest_configure(config):
+    """Verify every program any test captures.
+
+    From here on every ``ScheduleRecorder.program()`` compile must pass
+    the Schedule-IR verifier (``tests/oracles/verifier.py``) before
+    anything charges it; CFR3D's per-level captures are verified as part
+    of the program that splices them.
+    """
+    from tests.oracles.verifier import verify_captures
+
+    verify_captures()
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ with plain symbolic runs.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.costmodel.ledger import CostReport
 from repro.costmodel.params import MachineSpec
@@ -34,7 +34,7 @@ from repro.vmpi.machine import VirtualMachine
 CaptureResult = Tuple[ChargeProgram, CostReport]
 
 
-def capture_run(spec, debug: Optional[bool] = None) -> CaptureResult:
+def capture_run(spec) -> CaptureResult:
     """Execute a symbolic spec on a recorder; return ``(program, report)``.
 
     The program's template rank space is the run's own machine rank space
@@ -43,11 +43,6 @@ def capture_run(spec, debug: Optional[bool] = None) -> CaptureResult:
     what a plain run of *spec* reports; the recorder itself charges
     nothing.  The capture is one ``sched.capture_run`` span (never a
     ``sched.capture``, which memo captures inside it open).
-
-    ``debug=True`` verifies the compiled program before returning it
-    (see :meth:`~repro.sched.recorder.ScheduleRecorder.program`);
-    ``debug=None`` defers to the ``REPRO_SCHED_VERIFY`` environment flag
-    the test suite keeps on.
     """
     from repro.engine.runner import _execute
 
@@ -56,7 +51,7 @@ def capture_run(spec, debug: Optional[bool] = None) -> CaptureResult:
     with span("sched.capture_run", algorithm=spec.algorithm,
               procs=spec.procs) as sp:
         _, vm = _execute(spec, trace=False, vm_factory=ScheduleRecorder)
-        program = vm.program(debug=debug)
+        program = vm.program()
         sp.set(ops=len(program), phases=len(program.phases))
     return program, replay_report(program, spec.machine_spec())
 

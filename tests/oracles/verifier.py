@@ -18,9 +18,10 @@ under which a template run (:class:`~repro.sched.replay.TemplateRun`)
 is *statically admissible* rather than trusted.
 
 Both return ``List[Finding]`` (empty == verified).  The passes are pure
-reads: they never mutate the program.  Captures run them when
-``REPRO_SCHED_VERIFY`` is set (the test suite's always-on mode, see
-:meth:`~repro.sched.recorder.ScheduleRecorder.program`).
+reads: they never mutate the program.  :func:`verify_captures` makes
+every :meth:`~repro.sched.recorder.ScheduleRecorder.program` compile run
+:func:`require_verified` -- ``tests/conftest.py`` installs it for the
+whole suite, so every program any test captures is verified.
 
 Rule identifiers are stable strings (``ir/op-kind``, ``ir/rank-bounds``,
 ...) so tests, metrics, and per-rule documentation can reference them.
@@ -29,23 +30,21 @@ Rule identifiers are stable strings (``ir/op-kind``, ``ir/rank-bounds``,
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+import sys
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.findings import (
-    SEVERITY_WARNING,
-    Finding,
-    VerificationError,
-    has_errors,
-)
+from repro.core.cfr3d import _cfr3d_program
 from repro.costmodel.collectives import CollectiveCost
+from repro.plan.cache import SEVERITY_WARNING, Finding, has_errors
 from repro.sched.binding import RankFamilyMap
 from repro.sched.program import OP_BARRIER, OP_COMM, OP_FLOPS, ChargeProgram
+from repro.sched.recorder import ScheduleRecorder
 from repro.vmpi.machine import axis_view_problem, lines_along
 
 #: Every program rule :func:`verify_program` can emit, with a one-line
-#: description (the ``repro check --rules`` table).
+#: description.
 PROGRAM_RULES = {
     "ir/program-ranks": "num_ranks is a non-negative integer",
     "ir/phase-table": "phase names are unique non-empty strings",
@@ -68,6 +67,17 @@ BINDING_RULES = {
     "bind/rank-bounds": "every concrete rank is non-negative (and < machine size when given)",
     "bind/machine-coverage": "instances cover the whole machine (warning when partial: a template run scatters instead of installing its phases in class space)",
 }
+
+
+class VerificationError(ValueError):
+    """A verification gate rejected an artifact; carries the findings."""
+
+    def __init__(self, findings: Sequence[Finding], subject: str = "program"):
+        self.findings = list(findings)
+        lines = "\n".join(f"  {f}" for f in self.findings)
+        super().__init__(
+            f"{subject} failed static verification "
+            f"({len(self.findings)} finding(s)):\n{lines}")
 
 
 def _is_int_array(ranks: object) -> bool:
@@ -103,8 +113,7 @@ def verify_program(program: ChargeProgram) -> List[Finding]:
     """Statically check *program*; an empty list means it verifies clean.
 
     O(ops) plus one vectorized pass over each op's rank operand -- cheap
-    enough to gate every cache load and (behind the
-    ``REPRO_SCHED_VERIFY`` flag) every capture.
+    enough to gate every capture the test suite makes.
     """
     findings: List[Finding] = []
     num_ranks = getattr(program, "num_ranks", None)
@@ -305,3 +314,38 @@ def require_verified(program: ChargeProgram,
     if has_errors(findings):
         raise VerificationError(findings, subject=subject)
     return program
+
+
+# -- the capture gate -----------------------------------------------------------------
+
+#: ``ScheduleRecorder.program`` as the package ships it: compiles, never
+#: verifies.  Tests that must compile without the gate call it directly.
+unverified_program = ScheduleRecorder.program
+
+#: CFR3D's per-level captures (:func:`repro.core.cfr3d._cfr3d_program`)
+#: are not verified on their own: every level is spliced into, and
+#: verified as part of, the program its caller compiles.
+_CFR3D_LEVEL = _cfr3d_program.__wrapped__.__code__  # type: ignore[attr-defined]
+
+#: Programs the capture gate has verified in this process.
+verified_count = 0
+
+
+def _verified_program(self: ScheduleRecorder) -> ChargeProgram:
+    global verified_count
+    program = unverified_program(self)
+    if sys._getframe(1).f_code is not _CFR3D_LEVEL:
+        verified_count += 1
+        require_verified(program, "captured program")
+    return program
+
+
+def verify_captures() -> None:
+    """Gate every :meth:`ScheduleRecorder.program` compile on
+    :func:`require_verified` from now on, in this process.
+
+    The compiled program must verify clean before anything charges it
+    (:class:`VerificationError` otherwise).  Verification is O(ops) and
+    runs once per program, never per recorded charge.
+    """
+    ScheduleRecorder.program = _verified_program  # type: ignore[method-assign]

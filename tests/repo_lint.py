@@ -41,8 +41,8 @@ over ``src/repro`` on every tier-1 run.
     flat (``{f.name: getattr(obj, f.name) for f in
     dataclasses.fields(obj)}``) and copy only what is mutable.
 
-All rules report as :class:`~repro.analysis.findings.Finding` with
-``loc = "path:line"``, like the ``repro check`` passes.  A path
+All rules report as :class:`~repro.plan.cache.Finding` with
+``loc = "path:line"``, like the ``repro cache check`` sweep.  A path
 that does not exist reports ``lint/no-such-path`` (``loc`` is the path),
 so a lint that checked nothing never passes.
 """
@@ -53,7 +53,7 @@ import ast
 import os
 from typing import Iterable, List, Optional, Sequence, Set, Union
 
-from repro.analysis.findings import Finding
+from repro.plan.cache import Finding
 
 #: Every lint rule with a one-line description.
 LINT_RULES = {

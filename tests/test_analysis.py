@@ -1,52 +1,30 @@
-"""repro.analysis: verifier, cache sweeps, and the CLI.
+"""The Schedule-IR verifier (``tests/oracles/verifier.py``) and its gate.
 
-The proof obligations of the static-verification layer:
+The proof obligations of the static-verification oracle:
 
 * every program the suite's own algorithms capture verifies clean, and a
   property-sized family of randomly generated valid programs does too;
 * one seeded mutation per rule yields exactly that rule's finding (the
   mutation-kill table -- a rule nothing can trigger is dead weight);
-* semantically invalid cache entries (valid pickles, wrong structure)
-  load as misses under ``cache.<name>.invalid``;
-* ``repro check`` exits non-zero exactly when there are findings.
+* the capture gate ``tests/conftest.py`` installs rejects an invalid
+  capture, skips CFR3D's per-level captures, and leaves the unverified
+  compile to tests that ask for it.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    BINDING_RULES,
-    CACHE_RULES,
-    Finding,
-    PROGRAM_RULES,
-    VerificationError,
-    check_plan_cache,
-    findings_table,
-    has_errors,
-    require_verified,
-    sort_findings,
-    verify_binding,
-    verify_plan_result,
-    verify_program,
-)
-from repro.cli import main
+from repro.core.cfr3d import _cfr3d_program
 from repro.costmodel.collectives import CollectiveCost
 from repro.engine import MatrixSpec, RunSpec
 from repro.engine.registry import solver_for
-from repro.obs.metrics import get_registry
-from repro.plan.cache import PlanCache
-from repro.plan.planner import PlanResult
-from repro.plan.problem import ProblemSpec
 from repro.sched.binding import RankFamilyMap
-from repro.sched.capture import capture_run
 from repro.sched.program import (
     OP_BARRIER,
     OP_COMM,
@@ -58,6 +36,17 @@ from repro.sched.recorder import ScheduleRecorder
 from repro.vmpi.machine import lines_along
 
 from tests.conftest import make_cubic, make_tunable
+from tests.oracles import verifier
+from tests.oracles.capture import capture_run
+from tests.oracles.verifier import (
+    BINDING_RULES,
+    PROGRAM_RULES,
+    VerificationError,
+    require_verified,
+    unverified_program,
+    verify_binding,
+    verify_program,
+)
 
 
 def prepared(algorithm, **kw):
@@ -355,22 +344,27 @@ class TestCaptureGate:
                                     float("nan"), 0))
         return recorder
 
-    def test_debug_true_rejects_invalid_capture(self):
-        with pytest.raises(VerificationError):
-            self._poisoned_recorder().program(debug=True)
-
-    def test_debug_false_skips_the_gate(self):
-        assert len(self._poisoned_recorder().program(debug=False)) == 2
-
-    def test_env_flag_gates_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED_VERIFY", "1")
+    def test_gate_rejects_invalid_capture(self):
         with pytest.raises(VerificationError):
             self._poisoned_recorder().program()
-        monkeypatch.setenv("REPRO_SCHED_VERIFY", "0")
-        assert len(self._poisoned_recorder().program()) == 2
 
-    def test_capture_run_threads_debug(self):
-        program, _ = capture_run(prepared("cqr2_1d", procs=8), debug=True)
+    def test_unverified_program_skips_the_gate(self):
+        assert len(unverified_program(self._poisoned_recorder())) == 2
+
+    def test_cfr3d_level_captures_are_not_verified_alone(self):
+        before = verifier.verified_count
+        level = _cfr3d_program.__wrapped__(2, 16, 4)
+        assert verifier.verified_count == before
+        # The same ops compiled anywhere else pass the gate.
+        recorder = ScheduleRecorder(level.num_ranks)
+        recorder.extend(level)
+        recorder.program()
+        assert verifier.verified_count == before + 1
+
+    def test_capture_run_is_gated(self):
+        before = verifier.verified_count
+        program, _ = capture_run(prepared("cqr2_1d", procs=8))
+        assert verifier.verified_count == before + 1
         assert verify_program(program) == []
 
 
@@ -398,120 +392,3 @@ class TestConstructionValidation:
     def test_phaseless_barrier_accepted(self):
         program = ChargeProgram(4, [], [ChargeOp(OP_BARRIER, None, None, -1)])
         assert len(program) == 1
-
-
-# -- invalid cache entries read as misses (the bugfix) ------------------------------
-
-
-class TestInvalidCacheEntriesAreMisses:
-    def _store_raw(self, cache, key, value):
-        with open(cache.path(key), "wb") as fh:
-            pickle.dump(value, fh)
-
-    def test_invalid_entry_is_a_miss_in_bulk(self, tmp_path):
-        cache = PlanCache(str(tmp_path))
-        cache.store("good", PlanResult(
-            problem=ProblemSpec(m=4096, n=64, procs=16), plans=[],
-            num_candidates=0))
-        self._store_raw(cache, "bad", {"not": "a plan result"})
-        found = cache.load_many(["good", "bad", "absent"])
-        assert set(found) == {"good"}
-
-    def test_plan_cache_rejects_structural_garbage(self, tmp_path):
-        cache = PlanCache(str(tmp_path))
-        self._store_raw(cache, "bad", {"not": "a plan result"})
-        before = get_registry().counter("cache.plan.invalid").value
-        assert cache.load("bad") is None
-        assert get_registry().counter("cache.plan.invalid").value == \
-            before + 1
-        valid = PlanResult(problem=ProblemSpec(m=4096, n=64, procs=16),
-                           plans=[], num_candidates=0)
-        cache.store("good", valid)
-        assert cache.load("good") == valid
-
-    def test_plan_result_structure_rules(self):
-        assert verify_plan_result({"nope": 1}) != []
-        valid = PlanResult(problem=ProblemSpec(m=4096, n=64, procs=16),
-                           plans=[], num_candidates=0)
-        assert verify_plan_result(valid) == []
-        skewed = PlanResult(problem=ProblemSpec(m=4096, n=64, procs=16),
-                            plans=[], num_candidates=0)
-        skewed.num_candidates = -2
-        assert has_errors(verify_plan_result(skewed))
-
-    def test_plan_sweep_flags_wrong_shapes(self, tmp_path):
-        cache = PlanCache(str(tmp_path))
-        self._store_raw(cache, "bad", ["not", "a", "plan"])
-        findings = check_plan_cache(str(tmp_path))
-        assert [f.rule for f in findings] == ["plan/structure"]
-
-
-# -- findings plumbing --------------------------------------------------------------
-
-
-class TestFindings:
-    def test_severity_validated(self):
-        with pytest.raises(ValueError):
-            Finding("r", "loc", "msg", severity="fatal")
-
-    def test_sort_errors_first(self):
-        w = Finding("b", "x", "m", severity="warning")
-        e = Finding("a", "x", "m")
-        assert sort_findings([w, e]) == [e, w]
-
-    def test_table_and_json_round_trip(self):
-        f = Finding("ir/op-kind", "op[3]", "unknown kind")
-        assert "ir/op-kind" in findings_table([f])
-        assert json.loads(json.dumps(f.to_dict()))["loc"] == "op[3]"
-        assert findings_table([]) == "findings: none"
-
-
-# -- the check CLI ------------------------------------------------------------------
-
-
-class TestCheckCLI:
-    def test_rules_listing(self, capsys):
-        assert main(["check", "--rules"]) == 0
-        out = capsys.readouterr().out
-        assert [line for line in out.splitlines()
-                if line and not line.startswith(" ")] == [
-            "Schedule IR (verify_program):", "Bindings (verify_binding):",
-            "Cache sweep (repro check):"]
-        for rule in (list(PROGRAM_RULES) + list(BINDING_RULES)
-                     + list(CACHE_RULES)):
-            assert rule in out
-        assert "lint/" not in out and "type/" not in out
-
-    def test_clean_cache_sweep_exits_zero(self, tmp_path, capsys):
-        PlanCache(str(tmp_path / "p")).store("k", PlanResult(
-            problem=ProblemSpec(m=4096, n=64, procs=16), plans=[],
-            num_candidates=0))
-        assert main(["check",
-                     "--result-dir", str(tmp_path / "r"),
-                     "--plan-dir", str(tmp_path / "p")]) == 0
-        assert "0 finding(s)" in capsys.readouterr().out
-
-    def test_poisoned_cache_exits_nonzero(self, tmp_path, capsys):
-        plans = tmp_path / "p"
-        plans.mkdir()
-        (plans / "torn.plan.pkl").write_bytes(b"\x80\x04 not a pickle")
-        with open(plans / "bad.plan.pkl", "wb") as fh:
-            pickle.dump(["not", "a", "plan"], fh)
-        assert main(["check",
-                     "--result-dir", str(tmp_path / "r"),
-                     "--plan-dir", str(plans), "--json"]) == 1
-        report = json.loads(capsys.readouterr().out)
-        rules = {f["rule"] for f in report["findings"]}
-        assert rules == {"cache/unreadable", "plan/structure"}
-        assert report["count"] == 2
-
-    @pytest.mark.parametrize("argv", [
-        ["--source"], ["--typing"], ["--mypy-config", "mypy.ini"],
-        ["--caches"]], ids=["source", "typing", "mypy-config", "caches"])
-    def test_repository_tooling_options_are_gone(self, capsys, argv):
-        # The source lint is a tier-1 test and mypy a CI step; neither
-        # is a `repro check` option.
-        with pytest.raises(SystemExit) as exc:
-            main(["check", *argv])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err

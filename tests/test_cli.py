@@ -96,11 +96,11 @@ class TestPlanCommand:
         assert main(["plan", "-m", "1024", "-n", "32", "-P", "4",
                      "--no-refine", "-b", "0"]) == 2
         assert capsys.readouterr().out == \
-            "error: problem: block size must be positive, got 0\n"
+            "error: block_sizes: block size must be positive, got 0\n"
         assert main(["plan", "--lattice", '{"m": [1024], "n": [32], '
                      '"procs": [4]}', "--no-refine", "-b", "0"]) == 2
         assert capsys.readouterr().out == \
-            "error: problem: block size must be positive, got 0\n"
+            "error: block_sizes: block size must be positive, got 0\n"
 
     def test_json_export(self, capsys):
         import json
@@ -393,13 +393,13 @@ class TestStudyCommand:
         assert main(["study", "-m", "1024", "-n", "32", "-P", "4",
                      "-b", "0"]) == 2
         assert capsys.readouterr().out == \
-            "error: block size must be positive, got 0\n"
+            "error: block_sizes: block size must be positive, got 0\n"
         spec = tmp_path / "study.json"
         spec.write_text(json.dumps({"kind": "modeled", "m": 1024, "n": 32,
                                     "procs": [4], "block_size": 0}))
         assert main(["study", "--spec", str(spec)]) == 2
         assert capsys.readouterr().out == \
-            "error: block size must be positive, got 0\n"
+            "error: block_sizes: block size must be positive, got 0\n"
 
     def test_bad_spec_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -476,6 +476,22 @@ class TestPlanObjectives:
         assert main(self.ARGS + ["--machine-file", str(bad), "--json"]) == 2
         out = capsys.readouterr().out
         assert out.startswith("error: machine:") and "finite" in out
+
+    @pytest.mark.parametrize("field, value", [
+        ("peak_flops_per_node", "true"), ("name", "5"),
+        ("peak_flops_per_node", "1e-300")],
+        ids=["bool-rate", "int-name", "overflowing-rate"])
+    def test_bad_machine_file_is_one_error_line(self, capsys, tmp_path,
+                                                 field, value):
+        machine = {"name": '"x"', "peak_flops_per_node": "1e12",
+                   "injection_bandwidth": "1e10", "procs_per_node": "4",
+                   "alpha": "1e-6", field: value}
+        bad = tmp_path / "machine.json"
+        bad.write_text("{" + ", ".join(f'"{k}": {v}'
+                                       for k, v in machine.items()) + "}")
+        assert main(self.ARGS + ["--machine-file", str(bad), "--json"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: machine:") and out.count("\n") == 1
 
     def test_json_includes_budget_flag(self, capsys):
         import json

@@ -5,6 +5,7 @@ import pytest
 
 from tests.conftest import make_tunable, rank_events
 from tests.test_template_run import MACHINES
+from tests.oracles.reference import RecordingMachine
 from tests.test_vmpi_machine_equivalence import assert_machines_identical
 
 from repro.core.cacqr import ca_cqr2
@@ -16,7 +17,6 @@ from repro.utils.matgen import matrix_with_condition, random_matrix
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
-from repro.vmpi.reference import RecordingMachine
 
 
 def orth_err(q):

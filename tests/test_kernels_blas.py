@@ -8,9 +8,9 @@ from repro.kernels.blas import (
     local_mm_tn,
     local_neg,
     local_sub,
-    local_syrk,
 )
 from repro.vmpi.datatypes import NumericBlock, SymbolicBlock
+from tests.oracles.blas import local_syrk
 
 
 class TestLocalMM:

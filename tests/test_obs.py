@@ -503,7 +503,7 @@ class TestCaptureSpans:
         span -- the template run's, with its classes."""
         from repro.engine.registry import solver_for
         from repro.engine.spec import MatrixSpec, RunSpec
-        from repro.sched.capture import capture_run
+        from tests.oracles.capture import capture_run
 
         spec = solver_for("ca_cqr2").prepare(RunSpec(
             algorithm="ca_cqr2", matrix=MatrixSpec(1024, 52), c=2, d=8,

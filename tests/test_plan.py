@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -488,6 +489,41 @@ class TestMachineSpecJSON:
         with pytest.raises(ValidationError, match=name) as err:
             problem_from_dict(dict(SMALL, machine=data))
         assert err.value.field == "machine"
+
+    @pytest.mark.parametrize("name, value", [
+        ("peak_flops_per_node", True), ("injection_bandwidth", True),
+        ("alpha", True), ("sequential_efficiency", True),
+        ("bandwidth_efficiency", True), ("qr_kernel_efficiency", True),
+        ("name", 5), ("name", None)])
+    def test_mistyped_machine_fields_rejected(self, name, value):
+        # A JSON `true` rate or a numeric name was accepted and echoed
+        # back in the answer.
+        data = dict(STAMPEDE2.to_dict(), **{name: value})
+        with pytest.raises(ValidationError, match=name) as err:
+            problem_from_dict(dict(SMALL, machine=data))
+        assert err.value.field == "machine"
+
+    def test_machine_overflowing_the_screen_rejected(self):
+        # Accepted, it ranked plans timed `inf` (an `Infinity` token in
+        # the JSON answer) after a numpy overflow warning.
+        data = dict(STAMPEDE2.to_dict(), peak_flops_per_node=1e-300)
+        problem = problem_from_dict(dict(SMALL, machine=data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite") as err:
+                Planner(refine=None).plan(problem)
+        assert err.value.field == "machine"
+
+    @pytest.mark.parametrize("extra, field", [
+        ({"top_k": 0}, "top_k"), ({"block_sizes": [0]}, "block_sizes"),
+        ({"algorithms": []}, "algorithms"),
+        ({"inverse_depths": []}, "inverse_depths"),
+        ({"m": 32, "n": 64}, "n")],
+        ids=["top_k", "block_sizes", "algorithms", "inverse_depths", "wide"])
+    def test_problem_checks_name_their_field(self, extra, field):
+        with pytest.raises(ValidationError) as err:
+            problem_from_dict(dict(SMALL, **extra))
+        assert err.value.field == field
 
     def test_planning_for_a_custom_machine(self):
         custom = MachineSpec.from_dict({

@@ -20,8 +20,8 @@ from repro.plan import (
     lattice_problems,
 )
 from repro.plan.objective import Budget, Objective
-from repro.sched.capture import capture_run, replay_report
 from repro.utils.validation import ValidationError
+from tests.oracles.capture import capture_run, replay_report
 
 
 def _assert_results_identical(a, b, label=""):

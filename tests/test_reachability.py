@@ -39,21 +39,29 @@ KEPT = {
     "Session.run_batch": "README-documented API; CI fills the result cache "
                          "through it",
     "current_observer": "read side of use_observer in repro.obs.__all__",
-    "verify_binding": "a correctness check whose rules `repro check` lists",
     "caqr_cost": "scalar form the costmodel.batch screens are held to",
     "tsqr_cost": "scalar form the costmodel.batch screens are held to",
     "breakdown": "input of Plan.explain (ROADMAP item 7)",
     "TimeBreakdown.dominant": "input of Plan.explain (ROADMAP item 7)",
-    "local_syrk": "per-block oracle of the stacked 1D Gram",
     "compiled_replay_disabled": "the deliberate loop oracle switch",
-    "RecordingMachine": "the deliberate replay oracle",
-    "replay": "the deliberate replay oracle",
-    "ReferenceMachine.clock_of": "state accessor of the loop oracle",
-    "ReferenceMachine.ledger_of": "state accessor of the loop oracle",
+    "Ledger.charge_comm": "repro.costmodel's standalone per-rank ledger; "
+                          "the reference-machine oracle charges through it",
+    "Ledger.charge_flops": "repro.costmodel's standalone per-rank ledger; "
+                           "the reference-machine oracle charges through it",
+    "CostReport.from_ledgers": "reports over standalone Ledgers; the "
+                               "reference-machine oracle reports through it",
+    "VirtualMachine.charge_flops": "the machine's single-rank charge; the "
+                                   "recording-machine oracle overrides it",
+    "ScheduleRecorder.charge_flops": "the recorder's single-rank charge, "
+                                     "as the machine's",
+    "VirtualMachine.axis_groups": "the axis form's group matrix; the "
+                                  "recording-machine oracle expands "
+                                  "charge_comm_axis with it",
+    "RankFamilyMap.identity": "the identity binding the capture oracle's "
+                              "replay_report charges through",
     "VirtualMachine.clock_of": "state accessor the oracle tests compare through",
     "VirtualMachine.ledger_of": "state accessor the oracle tests compare through",
     "ScheduleRecorder.num_ops": "state accessor the oracle tests compare through",
-    "capture_run": "the Schedule IR's test oracle (ROADMAP item 1)",
 }
 
 

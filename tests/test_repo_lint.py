@@ -83,7 +83,7 @@ class TestLintRules:
         for scope in ("serve", "engine", "costmodel"):
             assert len(lint_source(src, f"src/repro/{scope}/fake.py")) == 1
         # Reporting code outside the per-request path keeps asdict.
-        assert lint_source(src, "src/repro/analysis/fake.py") == []
+        assert lint_source(src, "src/repro/experiments/fake.py") == []
 
     def test_flat_field_reads_pass(self):
         for src in ("import dataclasses\n"

@@ -18,7 +18,6 @@ import pytest
 from tests.conftest import assert_alias_only_depth_replicas, make_tunable, rank_events
 from tests.test_class_run import class_run, loop
 
-from repro.analysis import verify_program
 from repro.core.cacqr import _merge_program, _subcube_pass_program, ca_cqr, ca_cqr2
 from repro.core.cfr3d import cfr3d, default_base_case
 from repro.core.mm3d import mm3d
@@ -37,12 +36,13 @@ from repro.sched import (
     compiled_replay_disabled,
     compiled_replay_enabled,
 )
-from repro.sched.capture import capture_run, replay_report
 from repro.sched.program import OP_COMM, ChargeOp, ChargeProgram
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
-from repro.vmpi.reference import RecordingMachine
+from tests.oracles.capture import capture_run, replay_report
+from tests.oracles.reference import RecordingMachine
+from tests.oracles.verifier import unverified_program, verify_program
 
 
 def assert_machines_identical(vm_a: VirtualMachine, vm_b: VirtualMachine):
@@ -533,7 +533,7 @@ class TestRecorderRecordsOnly:
         with pytest.raises(ValueError):
             getattr(rec, method)(*args)
         assert rec.num_ops == 1
-        program = rec.program(debug=False)
+        program = unverified_program(rec)
         assert len(program) == 1 and program.phases == ["ok"]
 
     @pytest.mark.parametrize("method,args", REJECTED, ids=REJECTED_IDS)

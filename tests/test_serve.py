@@ -481,6 +481,18 @@ class TestServerEndpoint:
         assert payload["error"]["field"].startswith("problems[1]")
         assert "finite" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("machine", [
+        dict(STAMPEDE2.to_dict(), peak_flops_per_node=True),
+        dict(STAMPEDE2.to_dict(), name=5),
+        dict(STAMPEDE2.to_dict(), peak_flops_per_node=1e-300)],
+        ids=["bool-rate", "int-name", "overflowing-rate"])
+    def test_bad_machine_is_400_with_field(self, server, machine):
+        # Each was answered 200: the first two echoed `true` / `5` back,
+        # the third carried `Infinity` tokens (not JSON).
+        status, payload = _post(server.address, "/plan",
+                                dict(BODY, machine=machine))
+        assert status == 400 and payload["error"]["field"] == "machine"
+
     def test_out_of_range_size_is_400_with_field(self, server):
         # Past int64 the screen's lanes overflowed into a 500.
         status, payload = _post(server.address, "/plan",

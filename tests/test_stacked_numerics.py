@@ -27,13 +27,14 @@ from repro.baselines.tsqr import tsqr_1d
 from repro.core.cqr_1d import _gram_stacked, cqr_1d
 from repro.core.mm3d import mm3d, mm3d_stacked
 from repro.core.shifted import _frobenius_sq
-from repro.kernels.blas import local_mm, local_mm_tn, local_syrk
+from repro.kernels.blas import local_mm, local_mm_tn
 from repro.kernels.cholesky import local_cholinv
 from repro.vmpi.comm import ordered_sum
 from repro.vmpi.datatypes import NumericBlock, join_blocks
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
+from tests.oracles.blas import local_syrk
 
 #: (c, d, m, n): grids and shapes of the ``factor`` workload.
 FACTOR_CASES = [(1, 4, 4096, 32), (1, 64, 8192, 256), (2, 8, 4096, 64),

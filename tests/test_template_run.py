@@ -22,6 +22,7 @@ import pytest
 
 from tests.conftest import rank_events
 from tests.test_class_run import assert_class_state_matches_loop, class_run
+from tests.oracles.reference import RecordingMachine
 from tests.test_vmpi_machine_equivalence import assert_machines_identical
 
 import repro.core.cacqr as cacqr
@@ -36,7 +37,6 @@ from repro.utils.matgen import matrix_with_condition
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
-from repro.vmpi.reference import RecordingMachine
 
 ALGORITHMS = {
     "ca_cqr2": lambda vm, a: ca_cqr2(vm, a),

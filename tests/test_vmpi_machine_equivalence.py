@@ -6,7 +6,7 @@ vectorized machine replaces all of that with numpy arrays and bulk slice
 updates.  These tests pin the refactor's core contract: a recorded
 schedule of mixed charges (bcast / reduce / allreduce / allgather / p2p /
 barrier / local flops), replayed through the **old semantics** (the
-executable specification in :mod:`repro.vmpi.reference`), must produce
+executable specification in :mod:`tests.oracles.reference`), must produce
 *exactly* equal per-rank clocks, per-phase ledger triples, and
 :class:`CostReport` values -- not approximately equal, bit-for-bit equal
 -- for both numeric and symbolic blocks.
@@ -26,7 +26,7 @@ from repro.vmpi.datatypes import SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix, dist_transpose
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
-from repro.vmpi.reference import RecordingMachine, replay
+from tests.oracles.reference import RecordingMachine, replay
 
 
 def assert_machines_identical(vm, ref):
