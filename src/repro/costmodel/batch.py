@@ -12,11 +12,19 @@ Every function here works on **lanes**: numpy arrays of candidate
 parameters, one lane per candidate, and ``(3, N)`` float64 arrays of
 per-lane ``(messages, words, flops)``.  This module holds what every
 batched closed form shares -- :func:`int_lanes` (validated parameter
-lanes), the butterfly collectives per lane, and
+lanes), the collective kinds (:data:`BCAST`, :data:`ALLGATHER`,
+:data:`TRANSPOSE`, ...) with :func:`collectives_batch`, which evaluates
+a table's K collective lines as one stacked ``(K, 3, N)`` array, and
 :func:`priced_seconds_segments` -- plus the three baseline screens (TSQR,
 PGEQRF, CAQR), each bit-identical to its scalar cost function.  The
 CholeskyQR family (MM3D, CFR3D, 1D-CQR/CQR2, CA-CQR/CQR2) has its one
 closed form in :mod:`repro.costmodel.tables`, built from these helpers.
+
+At screening sizes (tens of lanes) a numpy call costs more than its
+arithmetic, so the screen's cost is its number of calls.  Stacking keeps
+that number independent of how many lines or tree levels a table has,
+and moves no bit: every lane still sees the scalar form's IEEE-754
+operations, in its order.
 """
 
 from __future__ import annotations
@@ -61,34 +69,37 @@ def log2ceil(p: np.ndarray) -> np.ndarray:
     return np.ceil(np.log2(np.maximum(np.asarray(p, dtype=np.float64), 1.0)))
 
 
-def _collective(messages, words, procs: np.ndarray) -> np.ndarray:
-    """One collective per lane as ``(3, N)``: free where ``procs <= 1``."""
+#: A collective kind as ``(log factor, message constant, word factor)``:
+#: ``log factor * log2 P + message constant`` messages and ``word factor
+#: * n`` words.  Broadcast is the butterfly's ``2 log2 P`` messages and
+#: ``2n`` words; reduce and allreduce charge identically in the paper's
+#: model, under their own names so call sites name the collective.
+BCAST = REDUCE = ALLREDUCE = (2.0, 0.0, 2.0)
+#: Butterfly allgather: ``log2 P`` messages, ``n`` result words.
+ALLGATHER = (1.0, 0.0, 1.0)
+#: Pairwise transpose exchange: one message of ``n`` words.
+TRANSPOSE = (0.0, 1.0, 1.0)
+
+
+def collectives_batch(kinds, words, procs) -> np.ndarray:
+    """K collectives per lane in one stacked evaluation, as ``(K, 3, ...)``.
+
+    Row *k* is one collective of kind ``kinds[k]`` moving ``words[k]``
+    words among ``procs[k]`` processors, free where ``procs <= 1``:
+    *words* is ``(K, ...)`` and *procs* broadcasts to its shape.  Each
+    entry is the same IEEE-754 arithmetic as one collective alone -- a
+    factor of 1 or 2 times an exact ``ceil(log2 P)`` (0 where ``P <= 1``)
+    or times the words, plus or times an exact 0 or 1 -- so stacking
+    moves no bit.
+    """
+    words = np.asarray(words)
+    log_f, msg_c, word_f = np.array(kinds, dtype=np.float64).T.reshape(
+        3, len(kinds), *[1] * (words.ndim - 1))
     live = procs > 1
-    cost = _zeros(len(procs))
-    cost[MSGS] = np.where(live, messages, 0.0)
-    cost[WORDS] = np.where(live, words, 0.0)
+    cost = np.zeros((len(kinds), 3) + words.shape[1:])
+    cost[:, MSGS] = log_f * log2ceil(procs) + msg_c * live
+    cost[:, WORDS] = word_f * words * live
     return cost
-
-
-def bcast_batch(words: np.ndarray, procs: np.ndarray) -> np.ndarray:
-    """Butterfly broadcast per lane: ``2 log2 P`` messages, ``2n`` words."""
-    return _collective(2.0 * log2ceil(procs), 2.0 * words, procs)
-
-
-# Reduce and allreduce charge identically to broadcast in the paper's
-# butterfly model; keep distinct names so call sites name the collective.
-reduce_batch = bcast_batch
-allreduce_batch = bcast_batch
-
-
-def allgather_batch(result_words: np.ndarray, procs: np.ndarray) -> np.ndarray:
-    """Butterfly allgather per lane: ``log2 P`` messages, ``n`` result words."""
-    return _collective(log2ceil(procs), result_words, procs)
-
-
-def transpose_batch(words: np.ndarray, procs: np.ndarray) -> np.ndarray:
-    """Pairwise transpose exchange per lane: one message of ``n`` words."""
-    return _collective(1.0, words, procs)
 
 
 def priced_seconds_segments(costs: np.ndarray, rates: np.ndarray,
@@ -123,27 +134,33 @@ def priced_seconds_segments(costs: np.ndarray, rates: np.ndarray,
 def tsqr_cost_batch(m, n, procs) -> np.ndarray:
     """Batched :func:`~repro.baselines.tsqr.tsqr_cost`.
 
-    The per-level loop is unrolled with a mask (level counts differ when
-    candidates carry different processor counts), matching the scalar
-    accumulation order level by level.
+    The scalar form adds, in order: the leaf QR's flops; per tree level
+    one message, the ``n(n+1)/2`` triangle's words, the stacked QR's
+    flops and the ``Q`` application's flops; then the leaf ``Q``'s
+    flops.  Here those addends are one ``(2L + 2, 3, N)`` array -- each
+    level two rows, a lane's levels past its own ``log2 P`` all ``+0.0``
+    -- summed by :func:`np.add.accumulate` along the first axis, which
+    adds strictly in row order.  Each lane therefore sees the scalar
+    sequence of additions, with extra ``+0.0`` terms that cannot change
+    a non-negative sum: bit-identical.
     """
     m, n, p = int_lanes(m=m, n=n, procs=procs)
     if np.any((m % p != 0) | (m // p < n)):
         raise ValueError("TSQR needs P | m and m/P >= n for every candidate")
     nf = n.astype(np.float64)
-    cost = _zeros(len(p))
-    cost[FLOPS] += 2.0 * (m // p) * nf * nf - (2.0 / 3.0) * nf ** 3
     levels = log2ceil(p)
-    tri = nf * (nf + 1.0) / 2.0
-    for lvl in range(int(levels.max()) if len(levels) else 0):
-        live = levels > lvl
-        cost[MSGS] += np.where(live, 1.0, 0.0)
-        cost[WORDS] += np.where(live, tri, 0.0)
-        cost[FLOPS] += np.where(
-            live, 2.0 * (2.0 * nf) * nf * nf - (2.0 / 3.0) * nf ** 3, 0.0)
-        cost[FLOPS] += np.where(live, 2.0 * (2.0 * nf) * nf * nf, 0.0)
-    cost[FLOPS] += 2.0 * (m // p) * nf * nf
-    return cost
+    depth = int(levels.max()) if len(levels) else 0
+    level = np.zeros((2, 3, len(p)))
+    level[0, MSGS] = 1.0
+    level[0, WORDS] = nf * (nf + 1.0) / 2.0
+    level[0, FLOPS] = 2.0 * (2.0 * nf) * nf * nf - (2.0 / 3.0) * nf ** 3
+    level[1, FLOPS] = 2.0 * (2.0 * nf) * nf * nf
+    live = levels > np.arange(depth)[:, None, None, None]
+    addends = np.zeros((2 * depth + 2, 3, len(p)))
+    addends[0, FLOPS] = 2.0 * (m // p) * nf * nf - (2.0 / 3.0) * nf ** 3
+    addends[1:-1] = np.where(live, level, 0.0).reshape(2 * depth, 3, len(p))
+    addends[-1, FLOPS] = 2.0 * (m // p) * nf * nf
+    return np.add.accumulate(addends)[-1]
 
 
 def pgeqrf_cost_batch(m, n, pr, pc, block_size,

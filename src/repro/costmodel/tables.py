@@ -23,6 +23,16 @@ Everything else derives from the lines:
   :class:`~repro.costmodel.ledger.Cost`: a scalar cost is lane 0 of a
   batch of one.
 
+Each table evaluates its collective lines in one stacked call
+(:func:`~repro.costmodel.batch.collectives_batch`): CA-CQR's Gram
+dance, transposes and Q-forming MM3D together, and CFR3D's per-level
+transposes and MM3D collectives for every level at once.  CFR3D's
+bottom-up level recurrence (a level doubles the lines below it and adds
+its charges) is a running sum once each level's charges are scaled by
+an exact power of two, so :func:`np.add.accumulate` adds it in the
+recurrence's order.  Each line stays a ``(3, N)`` array, bit-identical
+to evaluating it alone.
+
 Every lane is validated: a non-integral or non-positive parameter, a
 grid extent that does not divide the matrix, or a CFR3D recursion that
 cannot halve onto the grid raises :class:`ValueError` naming the lanes.  The arrays of one table may be shared
@@ -52,13 +62,14 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.costmodel.batch import (
+    ALLGATHER,
+    ALLREDUCE,
+    BCAST,
     FLOPS,
-    allgather_batch,
-    allreduce_batch,
-    bcast_batch,
+    REDUCE,
+    TRANSPOSE,
+    collectives_batch,
     int_lanes,
-    reduce_batch,
-    transpose_batch,
 )
 from repro.costmodel.ledger import Cost
 from repro.kernels import flops as fl
@@ -74,7 +85,7 @@ _MM3D_ROWS = [_CFR3D_LINES.index(k) for k in ("mm3d-l21", "mm3d-l21lt",
 
 
 def _check(bad: np.ndarray, message: str) -> None:
-    if np.any(bad):
+    if bad.any():
         raise ValueError(f"{message} (candidate lanes {np.flatnonzero(bad).tolist()})")
 
 
@@ -89,17 +100,9 @@ def _cholinv_flops(n: np.ndarray) -> np.ndarray:
     return (2.0 / 3.0) * nf ** 3 + (1.0 / 3.0) * nf ** 3
 
 
-def _by_level(costs: np.ndarray, shape) -> np.ndarray:
-    """A level-major ``(3, depth * N)`` cost array as ``(depth, 3, N)``."""
-    return costs.reshape(3, *shape).transpose(1, 0, 2)
-
-
 def total(lines: Lines) -> np.ndarray:
     """Per-lane critical-path cost: the lines added one by one in table order."""
-    out = np.zeros_like(next(iter(lines.values())))
-    for line in lines.values():
-        out += line
-    return out
+    return np.add.accumulate(np.array(list(lines.values())))[-1]
 
 
 def lane_cost(costs: np.ndarray, lane: int = 0) -> Cost:
@@ -122,12 +125,33 @@ def mm3d_lines(m, k, n, p, flop_fraction: float = 1.0,
     return _mm3d(m // p, k // p, n // p, p, flop_fraction, prefix)
 
 
+#: MM3D's collective lines: the row broadcast of A's panel, the column
+#: broadcast of B's, and the depth Allreduce of C's block.
+_MM3D_KINDS = (BCAST, BCAST, ALLREDUCE)
+
+
 def _mm3d(ml, kl, nl, p, flop_fraction: float, prefix: str) -> Lines:
     """MM3D's lines from the local block extents ``m/p``, ``k/p``, ``n/p``."""
-    return {f"{prefix}.bcast-a": bcast_batch(ml * kl, p),
-            f"{prefix}.bcast-b": bcast_batch(kl * nl, p),
-            f"{prefix}.local-mm": _flops((2.0 * ml * nl * kl) * flop_fraction),
-            f"{prefix}.allreduce": allreduce_batch(ml * nl, p)}
+    a, b, r = collectives_batch(_MM3D_KINDS, _mm3d_words(ml, kl, nl), p)
+    return {f"{prefix}.bcast-a": a, f"{prefix}.bcast-b": b,
+            f"{prefix}.local-mm": _flops(_mm3d_flops(ml, kl, nl, flop_fraction)),
+            f"{prefix}.allreduce": r}
+
+
+def _mm3d_words(ml, kl, nl) -> list:
+    """The words of MM3D's collective lines, in :data:`_MM3D_KINDS` order."""
+    return [ml * kl, kl * nl, ml * nl]
+
+
+def _mm3d_flops(ml, kl, nl, flop_fraction: float):
+    return (2.0 * ml * nl * kl) * flop_fraction
+
+
+def _mm3d_total(a, b, r, flops) -> np.ndarray:
+    """MM3D's lines added in table order; the local GEMM adds only flops."""
+    out = a + b + r
+    out[FLOPS] = flops
+    return out
 
 
 def cfr3d_lines(n, p, base_case_size, prefix: str = "cfr3d") -> Lines:
@@ -150,27 +174,31 @@ def _cfr3d(n, p, n0, prefix: str) -> Lines:
     size = n >> levels
     _check((levels > 0) & (((size << levels) != n) | (size % p != 0)),
            "CFR3D cannot recurse: n must halve evenly onto the grid down to n0")
-    # Each level's charges, for every level at once: level L + 1 recurses
-    # on the base size times 2**L (extent 1 where a lane has no level
-    # L + 1; those entries are never added).
+    # Each level's charges, for every level at once as (depth, N) lanes:
+    # level L + 1 recurses on the base size times 2**L (extent 1 where a
+    # lane has no level L + 1; those entries are never added).
     depth = int(levels.max(initial=0))
-    shape = (depth, len(n))
     live = levels > np.arange(depth)[:, None]
-    half = (np.where(live, size << np.arange(depth)[:, None], p) // p).ravel()
-    procs = np.tile(p, depth)
-    step = np.zeros((depth, len(_CFR3D_LINES), 3, len(n)))
-    step[:, 2] = _by_level(2.0 * transpose_batch(half * half, procs), shape)
-    step[:, _MM3D_ROWS] = _by_level(
-        total(_mm3d(half, half, half, procs, 1.0, prefix)), shape)[:, None]
-    step[:, 5, FLOPS] = 2.0 * (half * half).astype(np.float64).reshape(shape)
-    # The masked level loop, bottom-up: a level doubles the lines of the
-    # lanes that recurse that high (two half-size calls) and adds its
-    # charges; all eight lines move together.
-    acc = np.zeros((len(_CFR3D_LINES), 3, len(n)))
-    acc[0] = allgather_batch(size * size, p * p)
-    acc[1, FLOPS] = _cholinv_flops(size)
-    for level in range(depth):
-        acc = np.where(live[level], 2.0 * acc + step[level], acc)
+    half = np.where(live, size << np.arange(depth)[:, None], p) // p
+    sq = half * half
+    t, a, b, r = collectives_batch((TRANSPOSE,) + _MM3D_KINDS,
+                                   [sq] + _mm3d_words(half, half, half), p)
+    # Row 0 holds the base case's lines, row L + 1 level L's charges.
+    terms = np.zeros((depth + 1, len(_CFR3D_LINES), 3, len(n)))
+    terms[0, 0] = collectives_batch((ALLGATHER,), [size * size], p * p)[0]
+    terms[0, 1, FLOPS] = _cholinv_flops(size)
+    step = terms[1:].transpose(1, 2, 0, 3)
+    step[2] = 2.0 * t
+    step[_MM3D_ROWS] = _mm3d_total(a, b, r, _mm3d_flops(half, half, half, 1.0))
+    step[5, FLOPS] = 2.0 * sq.astype(np.float64)
+    # Bottom-up, a level doubles the lines of the lanes that recurse that
+    # high (two half-size calls) and adds its charges: acc = 2 acc + step.
+    # Scaled by 2**-(L + 1) -- exact, and rounding commutes with it --
+    # that recurrence is a running sum, added in the same order by
+    # np.add.accumulate; the lanes' 2**levels undoes the scaling.
+    terms[1:] *= np.where(live, 0.5 ** np.arange(1, depth + 1)[:, None],
+                          0.0)[:, None, None]
+    acc = np.add.accumulate(terms)[-1] * 2.0 ** levels
     return {f"{prefix}.{key}": line for key, line in zip(_CFR3D_LINES, acc)}
 
 
@@ -183,7 +211,7 @@ def _cqr_1d(m, n, p, prefix: str) -> Lines:
     _check(m % p != 0, "1D layout needs P | m")
     mloc = m // p
     return {f"{prefix}.syrk": _flops((mloc * n * n).astype(np.float64)),
-            f"{prefix}.allreduce": allreduce_batch(n * n, p),
+            f"{prefix}.allreduce": collectives_batch((ALLREDUCE,), [n * n], p)[0],
             f"{prefix}.cholinv": _flops(_cholinv_flops(n)),
             f"{prefix}.apply-rinv": _flops((2.0 * mloc * n * n) * fl.TRMM_FRACTION)}
 
@@ -221,18 +249,25 @@ def _ca_cqr(m, n, c, d, n0, prefix: str) -> Lines:
     _check((d % c != 0) | (m % d != 0) | (n % c != 0),
            "CA-CQR grids need c | d, d | m and c | n")
     mloc, nloc = m // d, n // c
+    sq = nloc * nloc
+    # The table's collective lines in one stacked evaluation: the Gram
+    # dance, the two transposes, and the Q-forming MM3D's three.
+    rows = collectives_batch(
+        (BCAST, REDUCE, ALLREDUCE, BCAST, TRANSPOSE, TRANSPOSE) + _MM3D_KINDS,
+        [mloc * nloc, sq, sq, sq, sq, sq] + _mm3d_words(mloc, nloc, nloc),
+        np.array([c, c, d // c, c, c, c, c, c, c]))
     lines = {
-        f"{prefix}.bcast-w": bcast_batch(mloc * nloc, c),
+        f"{prefix}.bcast-w": rows[0],
         f"{prefix}.local-gram": _flops((2.0 * nloc * nloc * mloc) / 2.0),
-        f"{prefix}.reduce-group": reduce_batch(nloc * nloc, c),
-        f"{prefix}.allreduce-roots": allreduce_batch(nloc * nloc, d // c),
-        f"{prefix}.bcast-depth": bcast_batch(nloc * nloc, c),
+        f"{prefix}.reduce-group": rows[1],
+        f"{prefix}.allreduce-roots": rows[2],
+        f"{prefix}.bcast-depth": rows[3],
     }
     lines.update(_cfr3d(n, c, n0, f"{prefix}.cfr3d"))
-    lines[f"{prefix}.form-q.transpose"] = transpose_batch(nloc * nloc, c)
-    lines[f"{prefix}.form-q.mm3d"] = total(
-        _mm3d(mloc, nloc, nloc, c, fl.TRMM_FRACTION, prefix))
-    lines[f"{prefix}.form-r.transpose"] = transpose_batch(nloc * nloc, c)
+    lines[f"{prefix}.form-q.transpose"] = rows[4]
+    lines[f"{prefix}.form-q.mm3d"] = _mm3d_total(
+        *rows[6:], _mm3d_flops(mloc, nloc, nloc, fl.TRMM_FRACTION))
+    lines[f"{prefix}.form-r.transpose"] = rows[5]
     return lines
 
 
@@ -242,8 +277,9 @@ def ca_cqr2_lines(m, n, c, d, base_case_size, prefix: str = "cacqr2") -> Lines:
     m, n, c, d, n0 = int_lanes(m=m, n=n, c=c, d=d, base_case_size=base_case_size)
     lines = _passes(_ca_cqr(m, n, c, d, n0, f"{prefix}.pass1"), prefix)
     nloc = n // c
-    lines[f"{prefix}.merge-r.mm3d"] = total(
-        _mm3d(nloc, nloc, nloc, c, fl.TRI_TRI_FRACTION, prefix))
+    lines[f"{prefix}.merge-r.mm3d"] = _mm3d_total(
+        *collectives_batch(_MM3D_KINDS, _mm3d_words(nloc, nloc, nloc), c),
+        _mm3d_flops(nloc, nloc, nloc, fl.TRI_TRI_FRACTION))
     return lines
 
 

@@ -117,6 +117,8 @@ class CACQR2Solver(Solver):
                         inverse_depths: Tuple[int, ...],
                         ) -> Iterable[PlanCandidate]:
         for shape in feasible_grids(m, n, procs):
+            label = str(shape)
+            memory = ca_cqr2_memory(m, n, shape.c, shape.d)
             seen = set()
             for depth in inverse_depths:
                 n0 = inverse_depth_to_base_case(n, shape.c, depth)
@@ -125,10 +127,10 @@ class CACQR2Solver(Solver):
                 seen.add(n0)
                 yield PlanCandidate(
                     algorithm=self.name,
-                    config=f"{shape},n0={n0}",
+                    config=f"{label},n0={n0}",
                     spec_fields={"c": shape.c, "d": shape.d,
                                  "base_case_size": n0, "procs": shape.procs},
-                    memory_words=ca_cqr2_memory(m, n, shape.c, shape.d),
+                    memory_words=memory,
                     symbolic_ok=m % shape.d == 0)
 
     def screen_costs(self, m: int, n: int, machine: MachineSpec,

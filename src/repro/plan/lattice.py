@@ -368,11 +368,9 @@ def search_lattice(planner, problems: Sequence[ProblemSpec],
                                                   costs[0])
             columns = zip(seconds.tolist(), *costs.tolist(), memory.tolist(),
                           within.tolist(), pareto.tolist())
-            plans = [Plan(algorithm=cand.algorithm, config=cand.config,
-                          spec_fields=dict(cand.spec_fields),
-                          modeled_seconds=t, messages=msgs, words=words,
-                          flops=flops, memory_words=mem, pareto=front,
-                          within_budget=ok)
+            plans = [Plan.screened(cand.algorithm, cand.config,
+                                   dict(cand.spec_fields), t, msgs, words,
+                                   flops, mem, front, ok)
                      for cand, (t, msgs, words, flops, mem, ok, front)
                      in zip(candidates, columns)]
             view.plans = [plans[k] for k in order]

@@ -75,6 +75,27 @@ class Plan:
     #: problem's objective (always True for unconstrained objectives).
     within_budget: bool = True
 
+    @classmethod
+    def screened(cls, algorithm: str, config: str, spec_fields: Dict[str, int],
+                 modeled_seconds: float, messages: float, words: float,
+                 flops: float, memory_words: float, pareto: bool,
+                 within_budget: bool) -> "Plan":
+        """A screened, not yet audited plan: equal to ``Plan(...)``.
+
+        The search builds one per candidate.  A frozen dataclass's
+        ``__init__`` assigns each field through ``object.__setattr__``;
+        this fills the instance dict in one step instead, in field order,
+        as unpickling does.
+        """
+        plan = object.__new__(cls)
+        plan.__dict__.update(
+            algorithm=algorithm, config=config, spec_fields=spec_fields,
+            modeled_seconds=modeled_seconds, refined_seconds=None,
+            messages=messages, words=words, flops=flops,
+            memory_words=memory_words, pareto=pareto,
+            within_budget=within_budget)
+        return plan
+
     @property
     def seconds(self) -> float:
         """The audited time when available, the screened time otherwise."""
@@ -175,24 +196,18 @@ def pareto_mask(points: np.ndarray) -> np.ndarray:
     """Boolean frontier mask for an ``(N, k)`` array of minimized objectives.
 
     A point is dominated when another point is no worse in every
-    coordinate and strictly better in at least one.  Vectorized over the
-    *unique* rows: a distinct row ``u`` is dominated exactly when some
-    other row is ``<=`` it coordinate-wise (distinct + ``<=`` everywhere
-    implies ``<`` somewhere), so one all-pairs comparison matrix answers
-    every row at once -- bit-identical to the old O(N^2) Python sweep,
-    including its duplicate handling (equal rows never dominate each
-    other; both stay) and NaN handling (incomparable, never dominated).
+    coordinate and strictly better in at least one.  One all-pairs
+    matrix answers every point at once: ``le[i, j]`` is ``all(p_i <= p_j)``,
+    built one coordinate at a time, and where it holds both rows are
+    NaN-free, so ``any(p_i < p_j)`` is exactly ``not le[j, i]``.  Equal rows never dominate each other, so
+    duplicates all stay; a NaN coordinate makes every comparison with it
+    false, so a row holding NaN is never dominated and never dominates.
     """
-    n = len(points)
-    if n == 0:
-        return np.ones(0, dtype=bool)
-    uniq, inverse = np.unique(points, axis=0, return_inverse=True)
-    inverse = np.asarray(inverse).reshape(-1)
-    le = np.all(uniq[:, None, :] <= uniq[None, :, :], axis=2)
-    # le[i, i] counts itself (except NaN rows, where <= is False and the
-    # row is trivially non-dominated): dominated iff anyone else is <=.
-    dominated = le.sum(axis=0) > 1
-    return ~dominated[inverse]
+    points = np.asarray(points)
+    le = np.ones((len(points), len(points)), dtype=bool)
+    for col in points.T:
+        le &= col[:, None] <= col
+    return ~(le & ~le.T).any(axis=0)
 
 
 class Planner:

@@ -80,7 +80,60 @@ _ROUTES = {
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
-            500: "Internal Server Error"}
+            414: "URI Too Long", 431: "Request Header Fields Too Large",
+            500: "Internal Server Error", 501: "Not Implemented"}
+
+
+class _Refused(Exception):
+    """A request the server answers with *status* and closes on: its
+    framing cannot be read, so nothing after it on the connection can."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_request(reader: asyncio.StreamReader):
+    """The next request as ``(method, target, version, headers, body)``.
+
+    ``None`` at a clean end of stream.  A request line or header line
+    longer than the stream's buffer limit (``readline`` raises
+    :class:`ValueError`), a malformed request line, a transfer coding
+    (only ``Content-Length`` bodies are read) or a bad or oversized
+    ``Content-Length`` raises :class:`_Refused`.
+    """
+    try:
+        request_line = await reader.readline()
+    except ValueError:
+        raise _Refused(414, "request line too long") from None
+    if not request_line:
+        return None
+    parts = request_line.decode("latin-1").strip().split()
+    if len(parts) != 3:
+        raise _Refused(400, "malformed request line")
+    headers = {}
+    while True:
+        try:
+            line = await reader.readline()
+        except ValueError:
+            raise _Refused(431, "request header line too long") from None
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise _Refused(501, f"Transfer-Encoding "
+                            f"{headers['transfer-encoding']!r} is not "
+                            f"supported; send the body with Content-Length")
+    declared = headers.get("content-length") or "0"
+    if not (declared.isascii() and declared.isdigit()):
+        raise _Refused(400, f"Content-Length header must be a non-negative "
+                            f"integer, got {declared!r}")
+    length = int(declared)
+    if length > MAX_BODY_BYTES:
+        raise _Refused(413, "request body too large")
+    body = await reader.readexactly(length) if length else b""
+    return (*parts, headers, body)
 
 
 class PlanServer:
@@ -268,41 +321,15 @@ class PlanServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
+                try:
+                    request = await _read_request(reader)
+                except _Refused as refused:
+                    await self._respond(writer, refused.status, {"error": {
+                        "field": None, "message": str(refused)}}, close=True)
                     break
-                parts = request_line.decode("latin-1").strip().split()
-                if len(parts) != 3:
-                    await self._respond(writer, 400,
-                                        {"error": {"field": None,
-                                                   "message": "malformed "
-                                                              "request line"}},
-                                        close=True)
+                if request is None:
                     break
-                method, target, version = parts
-                headers = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                declared = headers.get("content-length") or "0"
-                if not (declared.isascii() and declared.isdigit()):
-                    message = (f"Content-Length header must be a "
-                               f"non-negative integer, got {declared!r}")
-                    await self._respond(writer, 400, {"error": {
-                        "field": None, "message": message}}, close=True)
-                    break
-                length = int(declared)
-                if length > MAX_BODY_BYTES:
-                    await self._respond(writer, 413,
-                                        {"error": {"field": None,
-                                                   "message": "request body "
-                                                              "too large"}},
-                                        close=True)
-                    break
-                body_bytes = await reader.readexactly(length) if length else b""
+                method, target, version, headers, body_bytes = request
                 close = (headers.get("connection", "").lower() == "close"
                          or version.upper() == "HTTP/1.0")
                 path, _, query = target.partition("?")

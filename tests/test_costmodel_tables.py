@@ -18,7 +18,7 @@ from repro.core.cacqr import ca_cqr, ca_cqr2, cqr2_3d
 from repro.core.cfr3d import cfr3d, default_base_case
 from repro.core.cqr_1d import cqr2_1d, cqr_1d
 from repro.core.mm3d import mm3d
-from repro.costmodel.batch import transpose_batch
+from repro.costmodel.batch import TRANSPOSE, collectives_batch
 from repro.costmodel.ledger import Cost
 from repro.costmodel.tables import (
     ca_cqr2_lines,
@@ -59,11 +59,11 @@ def test_mm3d(p, m, k, n):
 @pytest.mark.parametrize("p,n", [(1, 4), (2, 8), (3, 6), (3, 9), (4, 16)])
 def test_transpose(p, n):
     # The CFR3D and CA-CQR tables charge each transpose as this one
-    # transpose_batch lane: the (n/p)**2 local block, free when p = 1.
+    # transpose lane: the (n/p)**2 local block, free when p = 1.
     vm, g = make_cubic(p)
     dist_transpose(vm, DistMatrix.symbolic(g, n, n), "t")
-    assert_lines_exact(vm, {"t": transpose_batch(np.array([(n // p) ** 2]),
-                                                 np.array([p]))})
+    assert_lines_exact(vm, {"t": collectives_batch(
+        (TRANSPOSE,), np.array([[(n // p) ** 2]]), np.array([p]))[0]})
 
 
 CFR3D_CASES = [(1, 8, 2), (1, 8, 8), (1, 24, 3), (1, 76, 19), (2, 8, 4),

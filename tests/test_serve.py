@@ -565,6 +565,43 @@ class TestServerEndpoint:
         assert b"Connection: close" in head
         assert text in json.loads(sent)["error"]["message"]
 
+    @pytest.mark.parametrize("request_bytes, status, text", [
+        # Longer than the stream's 64 KiB line limit: readline raised
+        # ValueError, the handler died and the client got no response.
+        (b"POST /plan HTTP/1.1\r\nHost: x\r\nX-Long: " + b"a" * 70000
+         + b"\r\nContent-Length: 2\r\n\r\n{}", 431, "header"),
+        (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\nHost: x\r\n\r\n",
+         414, "request line"),
+        # A chunked body was read as empty (400), and its chunks as a
+        # second request (another 400).
+        (b"POST /plan HTTP/1.1\r\nHost: x\r\n"
+         b"Transfer-Encoding: chunked\r\n\r\n"
+         + b"%x\r\n%s\r\n0\r\n\r\n" % (len(json.dumps(BODY)),
+                                        json.dumps(BODY).encode()),
+         501, "Transfer-Encoding"),
+    ], ids=["long-header", "long-request-line", "chunked"])
+    def test_unreadable_request_gets_one_error_and_a_close(
+            self, server, caplog, request_bytes, status, text):
+        import gc
+        import logging
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=60) as sock:
+                sock.sendall(request_bytes)
+                received = b""
+                while chunk := sock.recv(65536):    # the server closes
+                    received += chunk
+            server.stop()
+            gc.collect()
+        assert received.count(b"HTTP/1.1 ") == 1
+        head, _, sent = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status)
+        assert b"Connection: close" in head
+        assert text in json.loads(sent)["error"]["message"]
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "asyncio" and r.levelno >= logging.ERROR] == []
+
     def test_unknown_path_and_method(self, server):
         assert _get(server.address, "/nope")[0] == 404
         assert _get(server.address, "/plan")[0] == 405
