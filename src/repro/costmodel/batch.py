@@ -12,19 +12,13 @@ Every function here works on **lanes**: numpy arrays of candidate
 parameters, one lane per candidate, and ``(3, N)`` float64 arrays of
 per-lane ``(messages, words, flops)``.  This module holds what every
 batched closed form shares -- :func:`int_lanes` (validated parameter
-lanes), the collective kinds (:data:`BCAST`, :data:`ALLGATHER`,
-:data:`TRANSPOSE`, ...) with :func:`collectives_batch`, which evaluates
-a table's K collective lines as one stacked ``(K, 3, N)`` array, and
-:func:`priced_seconds_segments` -- plus the three baseline screens (TSQR,
-PGEQRF, CAQR), each bit-identical to its scalar cost function.  The
-CholeskyQR family (MM3D, CFR3D, 1D-CQR/CQR2, CA-CQR/CQR2) has its one
-closed form in :mod:`repro.costmodel.tables`, built from these helpers.
-
-At screening sizes (tens of lanes) a numpy call costs more than its
-arithmetic, so the screen's cost is its number of calls.  Stacking keeps
-that number independent of how many lines or tree levels a table has,
-and moves no bit: every lane still sees the scalar form's IEEE-754
-operations, in its order.
+lanes), :func:`collectives_batch` (a table's K collective lines as one
+stacked ``(K, 3, N)`` evaluation: at tens of lanes a numpy call costs
+more than its arithmetic), and :func:`priced_seconds_segments` -- plus
+the three baseline screens (TSQR, PGEQRF, CAQR), each bit-identical to
+its scalar cost function.  The CholeskyQR family (MM3D, CFR3D,
+1D-CQR/CQR2, CA-CQR/CQR2) has its one closed form in
+:mod:`repro.costmodel.tables`, built from these helpers.
 """
 
 from __future__ import annotations
@@ -69,28 +63,23 @@ def log2ceil(p: np.ndarray) -> np.ndarray:
     return np.ceil(np.log2(np.maximum(np.asarray(p, dtype=np.float64), 1.0)))
 
 
-#: A collective kind as ``(log factor, message constant, word factor)``:
-#: ``log factor * log2 P + message constant`` messages and ``word factor
-#: * n`` words.  Broadcast is the butterfly's ``2 log2 P`` messages and
-#: ``2n`` words; reduce and allreduce charge identically in the paper's
-#: model, under their own names so call sites name the collective.
+#: Collective kinds as ``(log factor, message constant, word factor)`` of
+#: ``n`` words among ``P``: butterfly broadcast, reduce and allreduce
+#: (``2 log2 P`` messages, ``2n`` words; named apart so call sites name
+#: the collective), allgather and a pairwise transpose exchange.
 BCAST = REDUCE = ALLREDUCE = (2.0, 0.0, 2.0)
-#: Butterfly allgather: ``log2 P`` messages, ``n`` result words.
 ALLGATHER = (1.0, 0.0, 1.0)
-#: Pairwise transpose exchange: one message of ``n`` words.
 TRANSPOSE = (0.0, 1.0, 1.0)
 
 
 def collectives_batch(kinds, words, procs) -> np.ndarray:
     """K collectives per lane in one stacked evaluation, as ``(K, 3, ...)``.
 
-    Row *k* is one collective of kind ``kinds[k]`` moving ``words[k]``
-    words among ``procs[k]`` processors, free where ``procs <= 1``:
-    *words* is ``(K, ...)`` and *procs* broadcasts to its shape.  Each
-    entry is the same IEEE-754 arithmetic as one collective alone -- a
-    factor of 1 or 2 times an exact ``ceil(log2 P)`` (0 where ``P <= 1``)
-    or times the words, plus or times an exact 0 or 1 -- so stacking
-    moves no bit.
+    Row *k* moves ``words[k]`` (*words* is ``(K, ...)``) among ``procs``
+    (broadcast to that shape) as ``kinds[k]``, free where ``procs <= 1``.
+    Each entry is one collective's own IEEE-754 arithmetic -- 0, 1 or 2
+    times an exact ``ceil(log2 P)`` or the words, plus or times an exact
+    0 or 1 -- so stacking moves no bit.
     """
     words = np.asarray(words)
     log_f, msg_c, word_f = np.array(kinds, dtype=np.float64).T.reshape(
@@ -134,15 +123,12 @@ def priced_seconds_segments(costs: np.ndarray, rates: np.ndarray,
 def tsqr_cost_batch(m, n, procs) -> np.ndarray:
     """Batched :func:`~repro.baselines.tsqr.tsqr_cost`.
 
-    The scalar form adds, in order: the leaf QR's flops; per tree level
-    one message, the ``n(n+1)/2`` triangle's words, the stacked QR's
-    flops and the ``Q`` application's flops; then the leaf ``Q``'s
-    flops.  Here those addends are one ``(2L + 2, 3, N)`` array -- each
-    level two rows, a lane's levels past its own ``log2 P`` all ``+0.0``
-    -- summed by :func:`np.add.accumulate` along the first axis, which
-    adds strictly in row order.  Each lane therefore sees the scalar
-    sequence of additions, with extra ``+0.0`` terms that cannot change
-    a non-negative sum: bit-identical.
+    The scalar form adds the leaf QR's flops, then per tree level a
+    message, the triangle's words, the stacked QR's and the Q update's
+    flops, then the leaf Q's flops.  Here those addends are one
+    ``(2L + 2, 3, N)`` array (a lane's levels past its ``log2 P`` are
+    ``+0.0``) summed by :func:`np.add.accumulate`, strictly in row order:
+    each lane adds the scalar sequence plus zeros, bit-identical.
     """
     m, n, p = int_lanes(m=m, n=n, procs=procs)
     if np.any((m % p != 0) | (m // p < n)):

@@ -23,15 +23,10 @@ Everything else derives from the lines:
   :class:`~repro.costmodel.ledger.Cost`: a scalar cost is lane 0 of a
   batch of one.
 
-Each table evaluates its collective lines in one stacked call
-(:func:`~repro.costmodel.batch.collectives_batch`): CA-CQR's Gram
-dance, transposes and Q-forming MM3D together, and CFR3D's per-level
-transposes and MM3D collectives for every level at once.  CFR3D's
-bottom-up level recurrence (a level doubles the lines below it and adds
-its charges) is a running sum once each level's charges are scaled by
-an exact power of two, so :func:`np.add.accumulate` adds it in the
-recurrence's order.  Each line stays a ``(3, N)`` array, bit-identical
-to evaluating it alone.
+A table's collective lines are one stacked evaluation
+(:func:`~repro.costmodel.batch.collectives_batch`), CFR3D's for every
+level at once, and its level recurrence is one accumulated sum: the
+numpy calls do not grow with lines or levels, and no bit moves.
 
 Every lane is validated: a non-integral or non-positive parameter, a
 grid extent that does not divide the matrix, or a CFR3D recursion that
@@ -122,35 +117,28 @@ def mm3d_lines(m, k, n, p, flop_fraction: float = 1.0,
     m, k, n, p = int_lanes(m=m, k=k, n=n, p=p)
     _check((m % p != 0) | (k % p != 0) | (n % p != 0),
            "MM3D dims must be divisible by the grid extent p")
-    return _mm3d(m // p, k // p, n // p, p, flop_fraction, prefix)
-
-
-#: MM3D's collective lines: the row broadcast of A's panel, the column
-#: broadcast of B's, and the depth Allreduce of C's block.
-_MM3D_KINDS = (BCAST, BCAST, ALLREDUCE)
-
-
-def _mm3d(ml, kl, nl, p, flop_fraction: float, prefix: str) -> Lines:
-    """MM3D's lines from the local block extents ``m/p``, ``k/p``, ``n/p``."""
+    ml, kl, nl = m // p, k // p, n // p
     a, b, r = collectives_batch(_MM3D_KINDS, _mm3d_words(ml, kl, nl), p)
     return {f"{prefix}.bcast-a": a, f"{prefix}.bcast-b": b,
-            f"{prefix}.local-mm": _flops(_mm3d_flops(ml, kl, nl, flop_fraction)),
+            f"{prefix}.local-mm": _flops((2.0 * ml * nl * kl) * flop_fraction),
             f"{prefix}.allreduce": r}
 
 
+#: MM3D's collective lines: the row broadcast of A's ``ml x kl`` panel,
+#: the column broadcast of B's ``kl x nl``, the depth Allreduce of C's.
+_MM3D_KINDS = (BCAST, BCAST, ALLREDUCE)
+
+
 def _mm3d_words(ml, kl, nl) -> list:
-    """The words of MM3D's collective lines, in :data:`_MM3D_KINDS` order."""
     return [ml * kl, kl * nl, ml * nl]
 
 
-def _mm3d_flops(ml, kl, nl, flop_fraction: float):
-    return (2.0 * ml * nl * kl) * flop_fraction
-
-
-def _mm3d_total(a, b, r, flops) -> np.ndarray:
-    """MM3D's lines added in table order; the local GEMM adds only flops."""
+def _mm3d_total(rows, ml, kl, nl, flop_fraction: float) -> np.ndarray:
+    """MM3D's lines added in table order, from its collective *rows*; the
+    local GEMM adds only flops."""
+    a, b, r = rows
     out = a + b + r
-    out[FLOPS] = flops
+    out[FLOPS] = (2.0 * ml * nl * kl) * flop_fraction
     return out
 
 
@@ -174,28 +162,27 @@ def _cfr3d(n, p, n0, prefix: str) -> Lines:
     size = n >> levels
     _check((levels > 0) & (((size << levels) != n) | (size % p != 0)),
            "CFR3D cannot recurse: n must halve evenly onto the grid down to n0")
-    # Each level's charges, for every level at once as (depth, N) lanes:
-    # level L + 1 recurses on the base size times 2**L (extent 1 where a
-    # lane has no level L + 1; those entries are never added).
+    # Each level's charges, for every level at once: level L + 1 recurses
+    # on the base size times 2**L (extent 1 where a lane has no level
+    # L + 1; those entries are never added).
     depth = int(levels.max(initial=0))
     live = levels > np.arange(depth)[:, None]
     half = np.where(live, size << np.arange(depth)[:, None], p) // p
     sq = half * half
-    t, a, b, r = collectives_batch((TRANSPOSE,) + _MM3D_KINDS,
-                                   [sq] + _mm3d_words(half, half, half), p)
+    t, *mm3d = collectives_batch((TRANSPOSE, *_MM3D_KINDS),
+                                 [sq, *_mm3d_words(half, half, half)], p)
     # Row 0 holds the base case's lines, row L + 1 level L's charges.
     terms = np.zeros((depth + 1, len(_CFR3D_LINES), 3, len(n)))
     terms[0, 0] = collectives_batch((ALLGATHER,), [size * size], p * p)[0]
     terms[0, 1, FLOPS] = _cholinv_flops(size)
     step = terms[1:].transpose(1, 2, 0, 3)
     step[2] = 2.0 * t
-    step[_MM3D_ROWS] = _mm3d_total(a, b, r, _mm3d_flops(half, half, half, 1.0))
+    step[_MM3D_ROWS] = _mm3d_total(mm3d, half, half, half, 1.0)
     step[5, FLOPS] = 2.0 * sq.astype(np.float64)
     # Bottom-up, a level doubles the lines of the lanes that recurse that
     # high (two half-size calls) and adds its charges: acc = 2 acc + step.
-    # Scaled by 2**-(L + 1) -- exact, and rounding commutes with it --
-    # that recurrence is a running sum, added in the same order by
-    # np.add.accumulate; the lanes' 2**levels undoes the scaling.
+    # Scaling level L by 2**-(L + 1) -- exact, and rounding commutes with
+    # it -- makes that a running sum in the same order; 2**levels undoes it.
     terms[1:] *= np.where(live, 0.5 ** np.arange(1, depth + 1)[:, None],
                           0.0)[:, None, None]
     acc = np.add.accumulate(terms)[-1] * 2.0 ** levels
@@ -211,7 +198,8 @@ def _cqr_1d(m, n, p, prefix: str) -> Lines:
     _check(m % p != 0, "1D layout needs P | m")
     mloc = m // p
     return {f"{prefix}.syrk": _flops((mloc * n * n).astype(np.float64)),
-            f"{prefix}.allreduce": collectives_batch((ALLREDUCE,), [n * n], p)[0],
+            f"{prefix}.allreduce": collectives_batch((ALLREDUCE,), [n * n],
+                                                     p)[0],
             f"{prefix}.cholinv": _flops(_cholinv_flops(n)),
             f"{prefix}.apply-rinv": _flops((2.0 * mloc * n * n) * fl.TRMM_FRACTION)}
 
@@ -253,8 +241,8 @@ def _ca_cqr(m, n, c, d, n0, prefix: str) -> Lines:
     # The table's collective lines in one stacked evaluation: the Gram
     # dance, the two transposes, and the Q-forming MM3D's three.
     rows = collectives_batch(
-        (BCAST, REDUCE, ALLREDUCE, BCAST, TRANSPOSE, TRANSPOSE) + _MM3D_KINDS,
-        [mloc * nloc, sq, sq, sq, sq, sq] + _mm3d_words(mloc, nloc, nloc),
+        (BCAST, REDUCE, ALLREDUCE, BCAST, TRANSPOSE, TRANSPOSE, *_MM3D_KINDS),
+        [mloc * nloc, sq, sq, sq, sq, sq, *_mm3d_words(mloc, nloc, nloc)],
         np.array([c, c, d // c, c, c, c, c, c, c]))
     lines = {
         f"{prefix}.bcast-w": rows[0],
@@ -266,7 +254,7 @@ def _ca_cqr(m, n, c, d, n0, prefix: str) -> Lines:
     lines.update(_cfr3d(n, c, n0, f"{prefix}.cfr3d"))
     lines[f"{prefix}.form-q.transpose"] = rows[4]
     lines[f"{prefix}.form-q.mm3d"] = _mm3d_total(
-        *rows[6:], _mm3d_flops(mloc, nloc, nloc, fl.TRMM_FRACTION))
+        rows[6:], mloc, nloc, nloc, fl.TRMM_FRACTION)
     lines[f"{prefix}.form-r.transpose"] = rows[5]
     return lines
 
@@ -278,8 +266,8 @@ def ca_cqr2_lines(m, n, c, d, base_case_size, prefix: str = "cacqr2") -> Lines:
     lines = _passes(_ca_cqr(m, n, c, d, n0, f"{prefix}.pass1"), prefix)
     nloc = n // c
     lines[f"{prefix}.merge-r.mm3d"] = _mm3d_total(
-        *collectives_batch(_MM3D_KINDS, _mm3d_words(nloc, nloc, nloc), c),
-        _mm3d_flops(nloc, nloc, nloc, fl.TRI_TRI_FRACTION))
+        collectives_batch(_MM3D_KINDS, _mm3d_words(nloc, nloc, nloc), c),
+        nloc, nloc, nloc, fl.TRI_TRI_FRACTION)
     return lines
 
 

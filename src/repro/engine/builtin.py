@@ -117,7 +117,6 @@ class CACQR2Solver(Solver):
                         inverse_depths: Tuple[int, ...],
                         ) -> Iterable[PlanCandidate]:
         for shape in feasible_grids(m, n, procs):
-            label = str(shape)
             memory = ca_cqr2_memory(m, n, shape.c, shape.d)
             seen = set()
             for depth in inverse_depths:
@@ -127,7 +126,7 @@ class CACQR2Solver(Solver):
                 seen.add(n0)
                 yield PlanCandidate(
                     algorithm=self.name,
-                    config=f"{label},n0={n0}",
+                    config=f"{shape},n0={n0}",
                     spec_fields={"c": shape.c, "d": shape.d,
                                  "base_case_size": n0, "procs": shape.procs},
                     memory_words=memory,

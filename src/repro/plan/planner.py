@@ -80,13 +80,9 @@ class Plan:
                  modeled_seconds: float, messages: float, words: float,
                  flops: float, memory_words: float, pareto: bool,
                  within_budget: bool) -> "Plan":
-        """A screened, not yet audited plan: equal to ``Plan(...)``.
-
-        The search builds one per candidate.  A frozen dataclass's
-        ``__init__`` assigns each field through ``object.__setattr__``;
-        this fills the instance dict in one step instead, in field order,
-        as unpickling does.
-        """
+        """``Plan(...)`` of an unaudited candidate, filled in one dict update
+        (as unpickling does) rather than a frozen ``__init__``'s
+        ``object.__setattr__`` per field: the search builds one per candidate."""
         plan = object.__new__(cls)
         plan.__dict__.update(
             algorithm=algorithm, config=config, spec_fields=spec_fields,
@@ -195,13 +191,12 @@ class PlanResult:
 def pareto_mask(points: np.ndarray) -> np.ndarray:
     """Boolean frontier mask for an ``(N, k)`` array of minimized objectives.
 
-    A point is dominated when another point is no worse in every
-    coordinate and strictly better in at least one.  One all-pairs
-    matrix answers every point at once: ``le[i, j]`` is ``all(p_i <= p_j)``,
-    built one coordinate at a time, and where it holds both rows are
-    NaN-free, so ``any(p_i < p_j)`` is exactly ``not le[j, i]``.  Equal rows never dominate each other, so
-    duplicates all stay; a NaN coordinate makes every comparison with it
-    false, so a row holding NaN is never dominated and never dominates.
+    ``p_i`` dominates ``p_j`` where ``all(p_i <= p_j) & any(p_i < p_j)``,
+    one all-pairs matrix for every point at once.  Where
+    ``le[i, j] = all(p_i <= p_j)`` holds both rows are NaN-free, so
+    ``any(p_i < p_j)`` is ``not le[j, i]``.  Equal rows never dominate
+    each other, so duplicates all stay; a row holding NaN is never
+    dominated and never dominates.
     """
     points = np.asarray(points)
     le = np.ones((len(points), len(points)), dtype=bool)

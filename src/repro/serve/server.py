@@ -85,8 +85,7 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
 
 
 class _Refused(Exception):
-    """A request the server answers with *status* and closes on: its
-    framing cannot be read, so nothing after it on the connection can."""
+    """An unframeable request: answered with *status*, then the close."""
 
     def __init__(self, status: int, message: str):
         super().__init__(message)
@@ -94,14 +93,10 @@ class _Refused(Exception):
 
 
 async def _read_request(reader: asyncio.StreamReader):
-    """The next request as ``(method, target, version, headers, body)``.
-
-    ``None`` at a clean end of stream.  A request line or header line
-    longer than the stream's buffer limit (``readline`` raises
-    :class:`ValueError`), a malformed request line, a transfer coding
-    (only ``Content-Length`` bodies are read) or a bad or oversized
-    ``Content-Length`` raises :class:`_Refused`.
-    """
+    """The next ``(method, target, version, headers, body)``, or ``None``
+    at the end of the stream.  ``readline`` raises :class:`ValueError` on
+    a line over the stream's limit; only ``Content-Length`` bodies are
+    read."""
     try:
         request_line = await reader.readline()
     except ValueError:

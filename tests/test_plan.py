@@ -17,6 +17,7 @@ from repro.engine import (
 )
 from repro.obs import get_registry
 from repro.plan import (
+    Plan,
     PlanCache,
     Planner,
     PlanResult,
@@ -235,6 +236,23 @@ class TestPlanner:
                                 machine="stampede2")
         prepared = solver_for(best.algorithm).prepare(spec)
         assert prepared.procs == SMALL["procs"]
+
+    def test_screened_plan_equals_the_constructed_one(self):
+        # Plan.screened fills the frozen instance's dict directly; it
+        # must hold exactly what Plan(...) holds, in field order.
+        fields = dict(algorithm="ca_cqr2", config="2x4x2,n0=8",
+                      spec_fields={"c": 2, "d": 4}, modeled_seconds=1.5,
+                      messages=2.0, words=3.0, flops=4.0, memory_words=5.0,
+                      pareto=True, within_budget=False)
+        screened = Plan.screened(**fields)
+        built = Plan(**fields)
+        assert screened == built and hash(screened) == hash(built)
+        assert list(vars(screened)) == [f.name for f in
+                                        dataclasses.fields(Plan)]
+        assert pickle.dumps(screened) == pickle.dumps(built)
+        assert screened.to_dict() == built.to_dict()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            screened.pareto = False
 
     def test_result_to_dict_is_jsonable(self):
         import json
