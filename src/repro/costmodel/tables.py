@@ -105,6 +105,15 @@ def lane_cost(costs: np.ndarray, lane: int = 0) -> Cost:
     return Cost(*costs[:, lane].tolist())
 
 
+#: MM3D's collective lines: the row broadcast of A's ``ml x kl`` panel,
+#: the column broadcast of B's ``kl x nl``, the depth Allreduce of C's.
+_MM3D_KINDS = (BCAST, BCAST, ALLREDUCE)
+
+
+def _mm3d_words(ml, kl, nl) -> list:
+    return [ml * kl, kl * nl, ml * nl]
+
+
 def mm3d_lines(m, k, n, p, flop_fraction: float = 1.0,
                prefix: str = "mm3d") -> Lines:
     """MM3D of ``(m x k) @ (k x n)`` on a cubic ``p**3`` grid (Algorithm 1).
@@ -122,15 +131,6 @@ def mm3d_lines(m, k, n, p, flop_fraction: float = 1.0,
     return {f"{prefix}.bcast-a": a, f"{prefix}.bcast-b": b,
             f"{prefix}.local-mm": _flops((2.0 * ml * nl * kl) * flop_fraction),
             f"{prefix}.allreduce": r}
-
-
-#: MM3D's collective lines: the row broadcast of A's ``ml x kl`` panel,
-#: the column broadcast of B's ``kl x nl``, the depth Allreduce of C's.
-_MM3D_KINDS = (BCAST, BCAST, ALLREDUCE)
-
-
-def _mm3d_words(ml, kl, nl) -> list:
-    return [ml * kl, kl * nl, ml * nl]
 
 
 def _mm3d_total(rows, ml, kl, nl, flop_fraction: float) -> np.ndarray:
