@@ -429,6 +429,47 @@ class TestStudyCommand:
         assert capsys.readouterr().out == f"error: {message}\n"
 
 
+#: A 2 aspects x 2 procs crossover campaign; its tables and JSONL rows
+#: are pinned byte for byte in ``tests/golden/planner_crossover.*``.
+PLANNER_CROSSOVER = {"kind": "planner-crossover", "n": 64,
+                     "aspects": [16, 256], "procs": [64, 256]}
+
+
+def _golden(name: str) -> str:
+    path = os.path.join(os.path.dirname(__file__), "golden", name)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+class TestPlannerCrossoverPinned:
+    @pytest.fixture
+    def spec(self, tmp_path):
+        import json
+
+        path = tmp_path / "crossover.json"
+        path.write_text(json.dumps(PLANNER_CROSSOVER))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt,golden", [
+        ("text", "planner_crossover.txt"), ("csv", "planner_crossover.csv"),
+        ("markdown", "planner_crossover.md")])
+    def test_table(self, capsys, spec, fmt, golden):
+        assert main(["study", "--spec", spec, "--format", fmt]) == 0
+        assert capsys.readouterr().out == _golden(golden)
+
+    def test_jsonl_rows(self, capsys, spec, tmp_path):
+        rows = tmp_path / "rows.jsonl"
+        assert main(["study", "--spec", spec, "--jsonl", str(rows)]) == 0
+        assert rows.read_text(encoding="utf-8") == \
+            _golden("planner_crossover.jsonl")
+        # A re-run resumes every row from the file, unchanged.
+        assert main(["study", "--spec", spec, "--jsonl", str(rows)]) == 0
+        assert capsys.readouterr().out.endswith(
+            _golden("planner_crossover.txt"))
+        assert rows.read_text(encoding="utf-8") == \
+            _golden("planner_crossover.jsonl")
+
+
 class TestPlanObjectives:
     ARGS: ClassVar[list] = ["plan", "-m", "16384", "-n", "64", "-P", "256", "--no-refine"]
 
