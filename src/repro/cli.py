@@ -153,13 +153,11 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.utils.validation import check_positive_int
 
     check_positive_int(args.limit, "limit")
-    if args.lattice is not None:
-        return _cmd_plan_lattice(args)
     missing = [flag for flag, value in (("-m", args.m), ("-n", args.n),
                                         ("-P", args.procs))
                if value is None]
     if missing:
-        print(f"error: {'/'.join(missing)} required (or pass --lattice)")
+        print(f"error: {'/'.join(missing)} required")
         return 2
     try:
         machine = _load_machine(args)
@@ -211,98 +209,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print("flags: * = on the (time, memory, messages) Pareto frontier, "
           "r = audited by a symbolic run"
           + (", ! = over budget" if objective.budgets else ""))
-    return 0
-
-
-def _cmd_plan_lattice(args: argparse.Namespace) -> int:
-    """`repro plan --lattice '{...}'`: one batched search over a campaign."""
-    import json
-
-    from repro.obs import use_observer
-    from repro.plan import Planner, lattice_problems
-    from repro.session import default_session
-    from repro.utils.validation import ValidationError
-
-    try:
-        if args.budget:
-            raise ValidationError(
-                "--budget does not combine with --lattice; put budgeted "
-                'objectives in the lattice spec ("objective" entries)')
-        spec = json.loads(args.lattice)
-        if not isinstance(spec, dict):
-            raise ValidationError("--lattice must be a JSON object")
-        if args.machine_file:
-            spec.setdefault("machine", _read_machine_file(args.machine_file))
-        else:
-            spec.setdefault("machine", args.machine)
-        spec.setdefault("objective", args.objective)
-        spec.setdefault("top_k", args.top_k)
-        if args.symbolic:
-            spec.setdefault("mode", "symbolic")
-        if args.algorithms:
-            spec.setdefault("algorithms", args.algorithms)
-        if args.block_size is not None:
-            spec.setdefault("block_sizes", [args.block_size])
-        problems = lattice_problems(spec)
-        obs, _ = _build_observer(args.jsonl, args.chrome_trace)
-        planner = Planner(refine=None if args.no_refine else "symbolic",
-                          cache_dir=args.cache_dir
-                          or default_session().plan_cache)
-        try:
-            with use_observer(obs):
-                outcomes = planner.plan_many(problems, errors="return")
-        finally:
-            if obs is not None:
-                obs.close()
-    except OSError as exc:
-        print(f"error: cannot read machine file: {exc}")
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: --lattice is not valid JSON: {exc}")
-        return 2
-    stats = planner.last_lattice_stats
-    if args.json:
-        points = []
-        for problem, outcome in zip(problems, outcomes):
-            entry = {"m": problem.m, "n": problem.n, "procs": problem.procs,
-                     "machine": problem.machine_spec().name,
-                     "objective": str(problem.objective)}
-            if isinstance(outcome, Exception):
-                entry["error"] = {"type": type(outcome).__name__,
-                                  "message": str(outcome)}
-            else:
-                result = outcome.to_dict()
-                if not args.all:
-                    result["plans"] = result["plans"][:args.limit]
-                entry["result"] = result
-            points.append(entry)
-        print(json.dumps({"points": points, "stats": stats.to_dict()},
-                         indent=2, sort_keys=True))
-        return 0
-    print(f"lattice: {len(problems)} points")
-    print("=" * 78)
-    print(f"{'m':>9} {'n':>6} {'P':>6} {'machine':<12} {'objective':<18} "
-          f"{'best':<10} {'config':<18} {'t(s)':>10}")
-    for problem, outcome in zip(problems, outcomes):
-        head = (f"{problem.m:>9} {problem.n:>6} {problem.procs:>6} "
-                f"{problem.machine_spec().name:<12} "
-                f"{problem.objective!s:<18} ")
-        if isinstance(outcome, Exception):
-            print(head + f"error: {outcome}")
-            continue
-        best = outcome.best()
-        cached = " [cached]" if outcome.from_cache else ""
-        print(head + f"{best.algorithm:<10} {best.config:<18} "
-                     f"{best.seconds:>10.4g}{cached}")
-    if stats is not None:
-        print(f"shared search: {stats.enum_groups} enumerations and "
-              f"{stats.priced_lanes} priced lanes answered "
-              f"{stats.screened_candidates} candidate screenings "
-              f"({stats.screen_reuse:.1f}x reuse); "
-              f"{stats.refine_runs} symbolic runs answered "
-              f"{stats.refine_jobs} refine jobs "
-              f"({stats.refine_dedup:.1f}x dedup); "
-              f"{stats.cache_hits} cache hits")
     return 0
 
 
@@ -430,9 +336,8 @@ def _cmd_study(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"error: -P expects comma-separated integers, got {args.procs!r}")
             return 2
-        cfg = {"kind": "executed" if args.execute else "modeled",
-               "m": args.m, "n": args.n, "procs": proc_counts,
-               "machine": args.machine, "seed": args.seed}
+        cfg = {"kind": "modeled", "m": args.m, "n": args.n,
+               "procs": proc_counts, "machine": args.machine}
         if args.machine_file:
             try:
                 cfg["machine"] = _read_machine_file(args.machine_file)
@@ -443,8 +348,10 @@ def _cmd_study(args: argparse.Namespace) -> int:
             cfg["algorithms"] = args.algorithms
         if args.block_size is not None:
             cfg["block_size"] = args.block_size
+        if args.execute or args.symbolic:
+            # --seed picks an executed study's matrix; modeled ones have none.
+            cfg.update(kind="executed", seed=args.seed)
         if args.symbolic:
-            cfg["kind"] = "executed"
             cfg["mode"] = "symbolic"
 
     def progress(info) -> None:
@@ -655,14 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("-n", type=int, default=None, help="matrix cols")
     p_plan.add_argument("-P", "--procs", type=int, default=None,
                         help="processor budget to configure")
-    p_plan.add_argument("--lattice", default=None, metavar="JSON",
-                        help="plan a whole campaign in one batched lattice "
-                             'search: a JSON object whose "m" (or '
-                             '"aspects"), "n", "procs", "machine", and '
-                             '"objective" fields may each be a scalar or a '
-                             "list (axes multiply out); other fields are "
-                             "shared.  -m/-n/-P are not used; --machine / "
-                             "--objective / --top-k fill unlisted axes")
     p_plan.add_argument("--machine", default="stampede2", choices=machine_names)
     p_plan.add_argument("--machine-file", default=None,
                         help="JSON machine description (MachineSpec.from_dict "
@@ -767,7 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a declarative study campaign (repro.study) from flags "
              "or a JSON spec file")
     p_st.add_argument("--spec", default=None,
-                      help="JSON study spec file (see repro.study.study_from_dict)")
+                      help="JSON study spec file (see repro.study.study_from_dict;"
+                           ' kind "planner" plans a grid of problems)')
     p_st.add_argument("-m", type=int, default=None, help="matrix rows")
     p_st.add_argument("-n", type=int, default=None, help="matrix cols")
     p_st.add_argument("-P", "--procs", default=None,

@@ -35,7 +35,7 @@ so serving repeated planning queries costs one disk read.
 
 from repro.plan.auto import resolve_auto_spec
 from repro.plan.cache import PlanCache
-from repro.plan.lattice import LatticeStats, lattice_problems, search_lattice
+from repro.plan.lattice import LatticeStats, search_lattice
 from repro.plan.objective import METRICS, Budget, Objective
 from repro.plan.planner import Plan, Planner, PlanResult, pareto_mask
 from repro.plan.problem import (
@@ -62,7 +62,6 @@ __all__ = [
     "ProblemSpec",
     "default_block_sizes",
     "enumerate_candidates",
-    "lattice_problems",
     "machine_from_json",
     "objective_from_json",
     "pareto_mask",

@@ -49,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,14 +58,9 @@ from repro.engine.registry import CapabilityError, solver_for
 from repro.engine.spec import MatrixSpec, RunSpec, field_values, fingerprint
 from repro.obs import span
 from repro.plan.planner import Plan, PlanResult
-from repro.plan.problem import (
-    ProblemSpec,
-    machine_from_json,
-    objective_from_json,
-    problem_from_dict,
-)
+from repro.plan.problem import ProblemSpec
 from repro.plan.screen import enumerate_candidates
-from repro.utils.validation import ValidationError, check_positive_int
+from repro.utils.validation import ValidationError
 
 
 @dataclass
@@ -110,82 +105,6 @@ class LatticeStats:
         out["screen_reuse"] = self.screen_reuse
         out["refine_dedup"] = self.refine_dedup
         return out
-
-
-def _axis(spec: Mapping, name: str) -> Optional[list]:
-    """An axis field as a list of values (``None`` when absent)."""
-    if name not in spec:
-        return None
-    value = spec[name]
-    values = list(value) if isinstance(value, (list, tuple)) else [value]
-    if not values:
-        raise ValidationError("a lattice axis cannot be empty", field=name)
-    return values
-
-
-def lattice_problems(spec: Mapping) -> List[ProblemSpec]:
-    """Expand a lattice request into its problem list, in product order.
-
-    ``m``, ``n``, ``procs``, ``machine``, and ``objective`` may each be a
-    scalar *or* a list (axes multiply out left to right in that order);
-    ``aspects`` is accepted in place of ``m`` as a list of ``m/n`` ratios
-    (the crossover-study spelling).  Every other field follows the
-    :func:`~repro.plan.problem.problem_from_dict` schema and is shared by
-    every point.
-    """
-    if not isinstance(spec, Mapping):
-        raise ValidationError(
-            f"a lattice request must be a JSON object, got "
-            f"{type(spec).__name__}")
-    body = dict(spec)
-    aspects = _axis(body, "aspects")
-    body.pop("aspects", None)
-    if aspects is not None:
-        if "m" in body:
-            raise ValidationError(
-                "pass either m or aspects (m = n * aspect), not both",
-                field="aspects")
-        for aspect in aspects:
-            if isinstance(aspect, bool) or not isinstance(aspect, int):
-                raise ValidationError(
-                    f"aspects must be integers, got {aspect!r}",
-                    field="aspects")
-            check_positive_int(aspect, "aspect")
-    axes = {name: _axis(body, name)
-            for name in ("m", "n", "procs", "machine", "objective")}
-    for name in axes:
-        body.pop(name, None)
-    for machine in axes["machine"] or ():
-        machine_from_json(machine)
-    for objective in axes["objective"] or ():
-        objective_from_json(objective)
-
-    problems = []
-    for aspect in (aspects if aspects is not None else [None]):
-        for m in axes["m"] or [None]:
-            for n in axes["n"] or [None]:
-                for procs in axes["procs"] or [None]:
-                    for machine in axes["machine"] or [None]:
-                        for objective in axes["objective"] or [None]:
-                            point = dict(body)
-                            if n is not None:
-                                point["n"] = n
-                            if aspect is not None:
-                                if n is None:
-                                    raise ValidationError(
-                                        "aspects needs n (m = n * aspect)",
-                                        field="aspects")
-                                point["m"] = n * aspect
-                            elif m is not None:
-                                point["m"] = m
-                            if procs is not None:
-                                point["procs"] = procs
-                            if machine is not None:
-                                point["machine"] = machine
-                            if objective is not None:
-                                point["objective"] = objective
-                            problems.append(problem_from_dict(point))
-    return problems
 
 
 # -- the batched search -----------------------------------------------------------

@@ -36,7 +36,6 @@ from repro.study.axes import Axis, Point, expand, grid_size, point_key
 from repro.study.builtin import (
     default_executed_algorithms,
     executed_sweep_study,
-    planner_crossover_study,
     study_from_dict,
     symbolic_scaling_study,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "expand",
     "grid_size",
     "load_partial",
-    "planner_crossover_study",
     "point_key",
     "study_from_dict",
     "symbolic_scaling_study",

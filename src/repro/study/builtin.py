@@ -22,25 +22,42 @@ algorithm comparison.
 * ``"symbolic-scaling"`` -- :func:`symbolic_scaling_study`, the cost-only
   strong-scaling ladder that the vectorized virtual machine makes
   tractable at ``P = 2**16`` and beyond;
-* ``"planner-crossover"`` -- :func:`planner_crossover_study`, the
+* ``"planner"`` (also spelled ``"planner-crossover"``) -- the
   model-driven generalization of the paper's crossover experiment: the
-  planner's best-plan surface over an (aspect-ratio x processor-count)
-  grid.
+  planner's best plan, its margin over the best 2D plan and the number
+  of screened candidates at every point of a problem grid, planned in
+  one batched search.  Its schema is a ``/plan`` request
+  (:func:`~repro.plan.problem.problem_from_dict`) in which ``m``,
+  ``n``, ``procs``, ``machine`` and ``objective`` may each be a list,
+  an axis of the grid; ``aspects``, a list of ``m / n`` ratios, may
+  replace ``m``::
+
+      {"kind": "planner", "aspects": [4, 16], "n": 64, "procs": [16, 64],
+       "machine": ["stampede2", "blue-waters"], "mode": "symbolic"}
 
 ``machine`` may be a preset name or an inline machine-description object
 (the :meth:`~repro.costmodel.params.MachineSpec.from_dict` schema), so
-spec files can target machines beyond the two paper presets.
+spec files can target machines beyond the two paper presets.  An
+unknown, missing or malformed field is a field-labelled
+:class:`~repro.utils.validation.ValidationError`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from numbers import Real
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.costmodel.params import MachineSpec
+from repro.costmodel.params import machine_by_name
 from repro.engine import (CapabilityError, MatrixSpec, RunSpec, solver_for,
                           solvers)
 from repro.plan import Planner, PlanResult, ProblemSpec
-from repro.plan.problem import int_field, list_field
+from repro.plan.problem import (
+    int_field,
+    list_field,
+    machine_from_json,
+    objective_from_json,
+    problem_from_dict,
+)
 from repro.study.axes import Axis, expand
 from repro.study.metrics import (
     CriticalPathSeconds,
@@ -54,7 +71,12 @@ from repro.study.metrics import (
     Words,
 )
 from repro.study.study import Study
-from repro.utils.validation import check_positive_int, require
+from repro.utils.validation import (
+    ValidationError,
+    check_positive_int,
+    require,
+    validated,
+)
 
 
 def default_executed_algorithms() -> Tuple[str, ...]:
@@ -157,8 +179,10 @@ def _planned_evaluate(axes: Sequence[Axis],
                       ) -> Callable[[Dict[str, object]], Optional[dict]]:
     """A study evaluator answered by one lazy screen-only lattice search.
 
+    Every grid point's ``problem(point)`` is built here, so a malformed
+    point fails when the study is built, before anything is planned.
     Evaluate-based studies run serially in-process, so the first
-    evaluated point plans every grid point's ``problem(point)`` in one
+    evaluated point plans the whole grid in one
     ``Planner(refine=None).plan_many``: candidate enumeration is shared
     across points and the stacked screen prices every (candidate, point)
     pair in a single vectorized pass, bit-identical to planning each
@@ -167,13 +191,14 @@ def _planned_evaluate(axes: Sequence[Axis],
     neighbors; ``row(result)`` turns every other result into the point's
     metrics.
     """
+    points = [pt.values for pt in expand(axes)]
+    problems = [problem(p) for p in points]
     outcomes: Dict[tuple, object] = {}
 
     def evaluate(point: Dict[str, object]) -> Optional[dict]:
         if not outcomes:
-            points = [pt.values for pt in expand(axes)]
-            results = Planner(refine=None).plan_many(
-                [problem(p) for p in points], errors="return")
+            results = Planner(refine=None).plan_many(problems,
+                                                     errors="return")
             outcomes.update((tuple(p.values()), result)
                             for p, result in zip(points, results))
         result = outcomes[tuple(point.values())]
@@ -186,124 +211,172 @@ def _planned_evaluate(axes: Sequence[Axis],
     return evaluate
 
 
-def planner_crossover_study(n: int, aspects: Sequence[int],
-                            proc_counts: Sequence[int],
-                            machine: Union[str, MachineSpec] = "stampede2",
-                            objective: str = "time",
-                            name: Optional[str] = None) -> Study:
-    """The planner's best-plan surface over an (aspect, procs) grid.
+def _planner_row(result: PlanResult) -> dict:
+    """A planner study's row: the winner and its margin over the best 2D plan."""
+    best = result.best()
+    baseline = [p for p in result.plans
+                if p.algorithm in ("scalapack", "caqr")]
+    speedup = (baseline[0].seconds / best.seconds) if baseline else None
+    return {"algorithm": best.algorithm, "config": best.config,
+            "modeled_seconds": best.seconds,
+            "speedup_vs_2d": speedup,
+            "num_candidates": result.num_candidates}
+
+
+def _planner_study(cfg: dict) -> Study:
+    """The planner's best plan at every point of a problem grid.
 
     The model-driven generalization of the paper's crossover experiment:
     instead of comparing two hand-picked families at one matrix shape,
     every point asks the planner (:mod:`repro.plan`) for the best
-    configuration across *all* registered algorithms for an
-    ``(n * aspect) x n`` matrix at that processor count, and reports the
+    configuration across *all* registered algorithms, and reports the
     winner plus its margin over the best 2D-baseline plan -- mapping
-    where communication avoidance pays off as the shape and scale vary.
+    where communication avoidance pays off as the shape, scale, machine
+    and objective vary.  ``m``, ``n``, ``procs``, ``machine`` and
+    ``objective`` are each a list (an axis) or a scalar (shared by every
+    point); ``aspects``, always a list, is an axis of ``m / n`` ratios in
+    place of ``m``.  Axes multiply out in that order, ``aspects`` first.
+    Every other field (but ``kind`` and ``name``) follows the
+    :func:`~repro.plan.problem.problem_from_dict` schema and is shared.
     The whole grid is planned as one batched lattice search
     (:func:`_planned_evaluate`).
     """
-    check_positive_int(n, "n")
-    machine_name = machine if isinstance(machine, str) else machine.name
-    axes = (Axis("aspect", tuple(aspects)), Axis("procs", tuple(proc_counts)))
+    body = {k: v for k, v in cfg.items() if k not in ("kind", "name")}
+    body.setdefault("machine", "stampede2")
+    body.setdefault("objective", "time")
+    parse = {"machine": machine_from_json, "objective": objective_from_json}
+    label = {"machine": lambda m: m if isinstance(m, str) else m.name,
+             "objective": str}
+    axes = []
+    if "aspects" in body:
+        aspects = list_field(body, "aspects", int) or ()
+        del body["aspects"]
+        if "m" in body:
+            raise ValidationError(
+                "pass either m or aspects (m = n * aspect), not both",
+                field="aspects")
+        if body.get("n") is None:
+            raise ValidationError("aspects needs n (m = n * aspect)",
+                                  field="aspects")
+        for aspect in aspects:
+            validated("aspects", check_positive_int, aspect, "aspect")
+        body["aspect"] = list(aspects)
+    for name in ("aspect", "m", "n", "procs", "machine", "objective"):
+        value = body.get(name)
+        if not isinstance(value, list):
+            if name in parse:
+                body[name] = parse[name](value)
+            continue
+        if not value:
+            raise ValidationError("an axis cannot be empty",
+                                  field="aspects" if name == "aspect"
+                                  else name)
+        del body[name]
+        if name in parse:
+            value = [parse[name](v) for v in value]
+            axes.append(Axis(name, value,
+                             labels=[label[name](v) for v in value]))
+        else:
+            axes.append(Axis(name, value))
 
     def problem(point: Dict[str, object]) -> ProblemSpec:
-        return ProblemSpec(m=n * point["aspect"], n=n, procs=point["procs"],
-                           machine=machine, objective=objective)
+        fields = {**body, **point}
+        if "aspect" in fields:
+            fields["m"] = int_field(fields, "n") * fields.pop("aspect")
+        return problem_from_dict(fields)
 
-    def row(result: PlanResult) -> dict:
-        best = result.best()
-        baseline = [p for p in result.plans
-                    if p.algorithm in ("scalapack", "caqr")]
-        speedup = (baseline[0].seconds / best.seconds) if baseline else None
-        return {"algorithm": best.algorithm, "config": best.config,
-                "modeled_seconds": best.seconds,
-                "speedup_vs_2d": speedup,
-                "num_candidates": result.num_candidates}
-
+    shared = {k: label[k](v) if k in label else v for k, v in body.items()}
+    # The default name tags the shared shape and machine:
+    # planner-crossover-n64-stampede2.
+    tags = [f"{tag}{shared[k]}" for k, tag in
+            (("m", "m"), ("n", "n"), ("procs", "P"), ("machine", ""))
+            if k in shared]
     return Study(
-        name=name or f"planner-crossover-n{n}-{machine_name}",
-        description=(f"planner best-plan surface, (n*aspect) x {n} on "
-                     f"{machine_name}, objective={objective}"),
-        axes=axes,
+        name=cfg.get("name") or "-".join([cfg["kind"], *tags]),
+        description="the planner's best plan at every grid point",
+        axes=tuple(axes),
         metrics=(RawField("algorithm", "{}"),
                  RawField("config", "{}"),
                  RawField("modeled_seconds", "{:.4f}"),
                  RawField("speedup_vs_2d", "{:.2f}"),
                  RawField("num_candidates", "{:d}")),
-        evaluate=_planned_evaluate(axes, problem, row),
-        params={"n": n, "machine": machine_name, "objective": objective})
+        evaluate=_planned_evaluate(tuple(axes), problem, _planner_row),
+        params=shared)
+
+
+#: Each study kind's spec fields besides ``kind`` and ``name``; the
+#: planner kinds take the :func:`_planner_study` schema instead.
+_SPEC_FIELDS = {
+    "executed": ("m", "n", "procs", "algorithms", "machine", "seed",
+                 "block_size", "mode"),
+    "modeled": ("m", "n", "procs", "algorithms", "machine", "block_size"),
+    "accuracy": ("m", "n", "conditions", "seed", "sv_mode"),
+    "symbolic-scaling": ("m", "n", "procs", "algorithm", "machine", "seed"),
+}
 
 
 def study_from_dict(cfg: dict) -> Study:
     """Build a study from the ``repro study --spec`` JSON schema.
 
-    Required keys: ``m``, ``n``, plus ``procs`` (executed/modeled) or
-    ``conditions`` (accuracy).  Optional: ``kind`` (default
-    ``"executed"``), ``name``, ``algorithms``, ``machine``,
-    ``block_size``, ``seed``, ``mode`` (numeric/symbolic) and, for
-    accuracy, ``sv_mode``.
+    ``kind`` (default ``"executed"``) selects the campaign; the other
+    fields are the kind's own (:data:`_SPEC_FIELDS`) plus ``name``.
+    ``m`` and ``n`` are integers and ``procs`` (executed, modeled,
+    symbolic-scaling) or ``conditions`` (accuracy) a list; ``planner``
+    (alias ``planner-crossover``) takes the :func:`_planner_study`
+    schema.  A missing, unknown or malformed field raises a
+    field-labelled :class:`~repro.utils.validation.ValidationError`.
     """
     require(isinstance(cfg, dict), "study spec must be a JSON object")
     kind = cfg.get("kind", "executed")
+    if kind in ("planner", "planner-crossover"):
+        return _planner_study(cfg)
+    if kind not in _SPEC_FIELDS:
+        raise ValueError(
+            f"unknown study kind {kind!r}; expected executed, modeled, "
+            "accuracy, symbolic-scaling, planner, or planner-crossover")
+    known = ("kind", "name", *_SPEC_FIELDS[kind])
+    unknown = sorted(set(cfg) - set(known))
+    if unknown:
+        raise ValidationError(
+            f"not a field of a {kind} study; known fields: {sorted(known)}",
+            field=unknown[0])
+
+    def need(key: str, elem: Optional[type] = None):
+        if cfg.get(key) is None:
+            raise ValidationError(f"study spec (kind={kind}) needs {key!r}",
+                                  field=key)
+        return int_field(cfg, key) if elem is None \
+            else list_field(cfg, key, elem)
+
     algorithms = list_field(cfg, "algorithms", str)
     block_size = int_field(cfg, "block_size")
-    unknown = ValueError(
-        f"unknown study kind {kind!r}; expected executed, modeled, "
-        "accuracy, symbolic-scaling, or planner-crossover")
-
-    def need(key: str):
-        require(key in cfg, f"study spec (kind={kind}) needs {key!r}")
-        return cfg[key]
-
-    def resolve_machine(name) -> MachineSpec:
-        from repro.costmodel.params import machine_by_name
-
-        if isinstance(name, dict):
-            return MachineSpec.from_dict(name)
-        try:
-            return machine_by_name(name)
-        except KeyError as exc:
-            # The CLI's error contract is ValueError -> `error: ...`.
-            raise ValueError(str(exc).strip('"')) from None
-
+    seed = int_field(cfg, "seed")
+    machine = machine_from_json(cfg.get(
+        "machine", "stampede2" if kind == "modeled" else "abstract"))
     if kind == "executed":
-        machine = cfg.get("machine", "abstract")
-        resolved = resolve_machine(machine)  # fail fast on an unknown preset
         return executed_sweep_study(
-            m=need("m"), n=need("n"), proc_counts=tuple(need("procs")),
-            algorithms=algorithms,
-            machine=machine if isinstance(machine, str) else resolved,
-            seed=cfg.get("seed", 0), block_size=block_size,
+            m=need("m"), n=need("n"), proc_counts=need("procs", int),
+            algorithms=algorithms, machine=machine,
+            seed=0 if seed is None else seed, block_size=block_size,
             mode=cfg.get("mode", "numeric"), name=cfg.get("name"))
     if kind == "modeled":
         from repro.experiments.sweeps import algorithm_comparison_study
 
         return algorithm_comparison_study(
             m=need("m"), n=need("n"),
-            machine=resolve_machine(cfg.get("machine", "stampede2")),
-            proc_counts=tuple(need("procs")),
+            machine=machine_by_name(machine) if isinstance(machine, str)
+            else machine,
+            proc_counts=need("procs", int),
             block_size=32 if block_size is None else block_size,
             algorithms=algorithms, name=cfg.get("name"))
     if kind == "accuracy":
         from repro.experiments.accuracy import accuracy_study
 
         return accuracy_study(
-            m=need("m"), n=need("n"), conditions=tuple(need("conditions")),
-            seed=cfg.get("seed", 1234), mode=cfg.get("sv_mode", "geometric"),
-            name=cfg.get("name"))
-    if kind == "symbolic-scaling":
-        machine = cfg.get("machine", "abstract")
-        resolved = resolve_machine(machine)
-        return symbolic_scaling_study(
-            m=need("m"), n=need("n"), proc_counts=tuple(need("procs")),
-            algorithm=cfg.get("algorithm", "ca_cqr2"),
-            machine=machine if isinstance(machine, str) else resolved,
-            seed=cfg.get("seed", 0), name=cfg.get("name"))
-    if kind == "planner-crossover":
-        return planner_crossover_study(
-            n=need("n"), aspects=tuple(need("aspects")),
-            proc_counts=tuple(need("procs")),
-            machine=resolve_machine(cfg.get("machine", "stampede2")),
-            objective=cfg.get("objective", "time"), name=cfg.get("name"))
-    raise unknown
+            m=need("m"), n=need("n"), conditions=need("conditions", Real),
+            seed=1234 if seed is None else seed,
+            mode=cfg.get("sv_mode", "geometric"), name=cfg.get("name"))
+    return symbolic_scaling_study(
+        m=need("m"), n=need("n"), proc_counts=need("procs", int),
+        algorithm=cfg.get("algorithm", "ca_cqr2"), machine=machine,
+        seed=0 if seed is None else seed, name=cfg.get("name"))

@@ -81,7 +81,7 @@ class Study:
     dict) must be provided.  Both may return ``None`` to mark a point
     structurally infeasible -- such points are recorded as not-``ok``
     rows rather than raising, mirroring how a practitioner's options
-    narrow across a sweep.
+    narrow across a sweep.  A study with no axes is one point.
     """
 
     name: str
@@ -98,7 +98,6 @@ class Study:
     def __post_init__(self) -> None:
         self.axes = tuple(self.axes)
         self.metrics = tuple(self.metrics)
-        require(bool(self.axes), "a study needs at least one axis")
         require((self.spec is None) != (self.evaluate is None),
                 "a study needs exactly one of spec= (engine-executed) or "
                 "evaluate= (custom evaluator)")

@@ -97,10 +97,6 @@ class TestPlanCommand:
                      "--no-refine", "-b", "0"]) == 2
         assert capsys.readouterr().out == \
             "error: block_sizes: block size must be positive, got 0\n"
-        assert main(["plan", "--lattice", '{"m": [1024], "n": [32], '
-                     '"procs": [4]}', "--no-refine", "-b", "0"]) == 2
-        assert capsys.readouterr().out == \
-            "error: block_sizes: block size must be positive, got 0\n"
 
     def test_json_export(self, capsys):
         import json
@@ -401,6 +397,18 @@ class TestStudyCommand:
         assert capsys.readouterr().out == \
             "error: block_sizes: block size must be positive, got 0\n"
 
+    def test_zero_block_size_in_a_planner_spec_is_an_error(self, capsys,
+                                                           tmp_path):
+        import json
+
+        spec = tmp_path / "lattice.json"
+        spec.write_text(json.dumps({"kind": "planner", "m": [1024],
+                                    "n": [32], "procs": [4],
+                                    "block_sizes": [0]}))
+        assert main(["study", "--spec", str(spec)]) == 2
+        assert capsys.readouterr().out == \
+            "error: block_sizes: block size must be positive, got 0\n"
+
     def test_bad_spec_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -410,20 +418,51 @@ class TestStudyCommand:
         assert "cannot read" in capsys.readouterr().out
 
     @pytest.mark.parametrize("spec,message", [
-        ({"kind": "executed", "algorithms": [5]},
+        ({"kind": "executed", "m": 512, "n": 16, "procs": [4],
+          "algorithms": [5]},
          "algorithms: must be a list of strs, got [5]"),
-        ({"kind": "modeled", "algorithms": [5]},
+        ({"kind": "modeled", "m": 512, "n": 16, "procs": [4],
+          "algorithms": [5]},
          "algorithms: must be a list of strs, got [5]"),
-        ({"kind": "symbolic-scaling", "algorithm": 5},
+        ({"kind": "symbolic-scaling", "m": 512, "n": 16, "procs": [4],
+          "algorithm": 5},
          "algorithm: must be a string, got int"),
-    ], ids=["executed", "modeled", "symbolic-scaling"])
-    def test_non_string_algorithm_in_a_spec_file(self, capsys, tmp_path,
-                                                 spec, message):
+        ({"kind": "modeled", "m": 4096, "n": 32, "procs": 8},
+         "procs: must be a list of ints, got 8"),
+        ({"kind": "planner-crossover", "n": 32, "aspects": 4, "procs": [8]},
+         "aspects: must be a list of ints, got 4"),
+        ({"kind": "executed", "m": 512, "n": 32.5, "procs": [4]},
+         "n: must be an integer, got float"),
+        ({"kind": "symbolic-scaling", "m": 4096.0, "n": 32, "procs": [8]},
+         "m: must be an integer, got float"),
+        ({"kind": "planner", "m": 4096.0, "n": 32, "procs": [8]},
+         "m: must be an integer, got float"),
+        ({"kind": "accuracy", "m": 128, "n": 8, "conditions": ["x"]},
+         "conditions: must be a list of Reals, got ['x']"),
+        ({"kind": "executed", "m": 512, "n": 16, "procs": [4], "seed": "x"},
+         "seed: must be an integer, got str"),
+        ({"kind": "planner-crossover", "n": 32, "aspects": [True],
+          "procs": [8]},
+         "aspects: must be a list of ints, got [True]"),
+        ({"kind": "modeled", "m": 4096, "n": 32, "procs": [8],
+          "machine": 5},
+         "machine: expected a preset name or a machine object, got int"),
+        ({"kind": "planner", "m": 4096, "n": 32, "procs": [8],
+          "machine": [5]},
+         "machine: expected a preset name or a machine object, got int"),
+        ({"kind": "modeled", "m": 4096, "n": 32, "procs": [8], "nme": "x"},
+         "nme: not a field of a modeled study; known fields: ['algorithms', "
+         "'block_size', 'kind', 'm', 'machine', 'n', 'name', 'procs']"),
+    ], ids=["executed", "modeled", "symbolic-scaling", "scalar-procs",
+            "scalar-aspects", "float-n", "float-m", "planner-float-m",
+            "string-condition", "string-seed", "bool-aspect",
+            "int-machine", "planner-int-machine", "unknown-field"])
+    def test_malformed_field_in_a_spec_file(self, capsys, tmp_path, spec,
+                                            message):
         import json
 
         path = tmp_path / "study.json"
-        path.write_text(json.dumps({**spec, "m": 512, "n": 16,
-                                    "procs": [4]}))
+        path.write_text(json.dumps(spec))
         assert main(["study", "--spec", str(path), "--serial",
                      "--cache-dir", str(tmp_path / "cache")]) == 2
         assert capsys.readouterr().out == f"error: {message}\n"
@@ -658,8 +697,6 @@ class TestCacheCommand:
 #: ``-b`` takes the default; any other value reaches validation.
 BLOCK_SIZE_RUNS = {
     "plan": ["plan", "-m", "1024", "-n", "32", "-P", "4", "--no-refine"],
-    "plan-lattice": ["plan", "--lattice",
-                     '{"m": [1024], "n": [32], "procs": [4]}', "--no-refine"],
     "factor-pgeqrf": ["factor", "-a", "pgeqrf", "-m", "128", "-n", "8",
                       "-P", "4"],
     "factor-caqr": ["factor", "-a", "caqr", "-m", "128", "-n", "8", "-P", "4"],
@@ -690,6 +727,19 @@ class TestBlockSizeValidation:
         if argv[0] == "study":
             argv += ["--cache-dir", str(tmp_path)]
         assert main(argv) == 2
+        self.assert_one_error_line(capsys.readouterr().out,
+                                   f"must be positive, got {block_size}")
+
+    @pytest.mark.parametrize("block_size", [0, -1])
+    def test_nonpositive_block_size_in_a_planner_spec(self, capsys, tmp_path,
+                                                      block_size):
+        import json
+
+        spec = tmp_path / "lattice.json"
+        spec.write_text(json.dumps({"kind": "planner", "m": [1024],
+                                    "n": [32], "procs": [4],
+                                    "block_sizes": [block_size]}))
+        assert main(["study", "--spec", str(spec)]) == 2
         self.assert_one_error_line(capsys.readouterr().out,
                                    f"must be positive, got {block_size}")
 
@@ -725,15 +775,26 @@ class TestValidationErrors:
         assert out.startswith("error: machine:")
         assert "not valid JSON" in out
 
-    def test_lattice_reports_a_malformed_machine_file(self, capsys, tmp_path):
-        # The lattice is valid JSON; the machine file is not.
+    def test_study_reports_a_malformed_machine(self, capsys, tmp_path):
+        import json
+
+        # The flags are valid; the machine file is not.
         bad = tmp_path / "machine.json"
         bad.write_text("{not json", encoding="utf-8")
-        assert main(["plan", "--lattice", '{"m": 4096, "n": 32, "procs": 16}',
-                     "--machine-file", str(bad), "--no-refine"]) == 2
+        assert main(["study", "-m", "4096", "-n", "32", "-P", "16",
+                     "--machine-file", str(bad)]) == 2
         out = capsys.readouterr().out
         assert out.startswith(f"error: machine: machine file {str(bad)!r} "
                               "is not valid JSON")
+        assert out.count("\n") == 1
+        # A spec file's inline machine object is checked the same way.
+        spec = tmp_path / "lattice.json"
+        spec.write_text(json.dumps({"kind": "planner", "m": 4096, "n": 32,
+                                    "procs": 16,
+                                    "machine": {"name": "x", "bogus": 1}}))
+        assert main(["study", "--spec", str(spec)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: machine: unknown machine field(s)")
         assert out.count("\n") == 1
 
     def test_plan_rejects_unknown_machine_field(self, capsys, tmp_path):

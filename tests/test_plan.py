@@ -449,11 +449,11 @@ class TestAutoInStudies:
 
 class TestPlannerCrossoverStudy:
     def test_surface_reports_winner_and_margin(self):
-        from repro.study import planner_crossover_study
+        from repro.study import study_from_dict
 
-        study = planner_crossover_study(n=64, aspects=(16, 256),
-                                        proc_counts=(64, 256),
-                                        machine="stampede2")
+        study = study_from_dict({"kind": "planner", "n": 64,
+                                 "aspects": [16, 256], "procs": [64, 256],
+                                 "machine": "stampede2"})
         table = study.run(parallel=False)
         assert len(table.rows) == 4
         ok = [row for row in table.rows if row.ok]

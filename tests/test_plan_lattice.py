@@ -14,13 +14,8 @@ import pytest
 
 from repro.engine import CapabilityError, MatrixSpec, registry
 from repro.engine.builtin import CQR21DSolver
-from repro.plan import (
-    Planner,
-    ProblemSpec,
-    lattice_problems,
-)
+from repro.plan import Planner, ProblemSpec
 from repro.plan.objective import Budget, Objective
-from repro.utils.validation import ValidationError
 from tests.oracles.capture import capture_run, replay_report
 
 
@@ -243,48 +238,6 @@ class TestLatticeErrors:
     def test_errors_mode_validated(self):
         with pytest.raises(ValueError, match="errors"):
             Planner().plan_many([], errors="ignore")
-
-
-class TestLatticeProblems:
-    def test_axes_multiply_out_in_product_order(self):
-        problems = lattice_problems({
-            "m": [1024, 4096], "n": 32, "procs": [8, 16],
-            "machine": ["stampede2", "blue-waters"], "mode": "symbolic"})
-        assert len(problems) == 8
-        assert [p.m for p in problems[:4]] == [1024] * 4
-        assert [p.procs for p in problems[:2]] == [8, 8]
-        assert problems[0].machine_spec().name == "stampede2"
-        assert problems[1].machine_spec().name == "blue-waters"
-        assert all(p.mode == "symbolic" for p in problems)
-
-    def test_aspects_spelling(self):
-        problems = lattice_problems({"aspects": [4, 16], "n": 64,
-                                     "procs": 16})
-        assert [p.m for p in problems] == [256, 1024]
-        with pytest.raises(ValidationError, match="not both"):
-            lattice_problems({"aspects": [4], "m": 256, "n": 64, "procs": 4})
-        with pytest.raises(ValidationError, match="needs n"):
-            lattice_problems({"aspects": [4], "procs": 4})
-
-    def test_scalar_axes_give_one_point(self):
-        [problem] = lattice_problems({"m": 1024, "n": 32, "procs": 8})
-        assert (problem.m, problem.n, problem.procs) == (1024, 32, 8)
-
-    def test_bad_axes_rejected(self):
-        with pytest.raises(ValidationError, match="empty"):
-            lattice_problems({"m": [], "n": 32, "procs": 8})
-        with pytest.raises(ValidationError):
-            lattice_problems({"m": 1024, "n": 32, "procs": 8,
-                              "machine": ["no-such-machine"]})
-        with pytest.raises(ValidationError):
-            lattice_problems([1, 2, 3])
-
-    def test_objective_axis_round_trips(self):
-        problems = lattice_problems({
-            "m": 1024, "n": 32, "procs": 8,
-            "objective": ["time", "time=1,memory=0.2"]})
-        assert len(problems) == 2
-        assert str(problems[1].objective) != str(problems[0].objective)
 
 
 class TestSessionPlanMany:

@@ -8,6 +8,7 @@ import pytest
 from repro import Session
 from repro.costmodel.params import STAMPEDE2
 from repro.engine import MatrixSpec, RunSpec, solvers
+from repro.plan import Objective, Planner, ProblemSpec
 from repro.study import (
     Axis,
     RawField,
@@ -21,6 +22,7 @@ from repro.study import (
     study_from_dict,
     symbolic_scaling_study,
 )
+from repro.utils.validation import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +382,122 @@ class TestStudyFromDict:
             with pytest.raises(ValueError, match="unknown machine"):
                 study_from_dict({"kind": kind, "m": 64, "n": 8,
                                  "procs": [4], "machine": "bogus"})
+
+
+# ---------------------------------------------------------------------------
+# The planner study: a problem grid, planned in one batched search
+# ---------------------------------------------------------------------------
+
+def _assert_rows_are_plans(table, problems):
+    """Each row is its problem's screen-only best plan, planned alone."""
+    planner = Planner(refine=None)
+    assert len(table.rows) == len(problems)
+    for row, problem in zip(table.rows, problems):
+        best = planner.plan(problem).best()
+        assert (row.values["algorithm"], row.values["config"],
+                row.values["modeled_seconds"]) == \
+            (best.algorithm, best.config, best.seconds), problem
+
+
+class TestPlannerStudy:
+    def test_axes_multiply_out_in_product_order(self):
+        study = study_from_dict({
+            "kind": "planner", "m": [1024, 4096], "n": 32, "procs": [8, 16],
+            "machine": ["stampede2", "blue-waters"], "mode": "symbolic"})
+        points = [pt.labels for pt in study.points()]
+        assert len(points) == 8
+        assert [p["m"] for p in points[:4]] == [1024] * 4
+        assert [p["procs"] for p in points[:2]] == [8, 8]
+        assert [p["machine"] for p in points[:2]] == ["stampede2",
+                                                      "blue-waters"]
+        _assert_rows_are_plans(study.run(), [
+            ProblemSpec(m=p["m"], n=32, procs=p["procs"],
+                        machine=p["machine"], mode="symbolic")
+            for p in points])
+
+    def test_aspects_spelling(self):
+        study = study_from_dict({"kind": "planner", "aspects": [4, 16],
+                                 "n": 64, "procs": 16})
+        assert [pt.labels for pt in study.points()] == [{"aspect": 4},
+                                                        {"aspect": 16}]
+        _assert_rows_are_plans(study.run(), [
+            ProblemSpec(m=256, n=64, procs=16),
+            ProblemSpec(m=1024, n=64, procs=16)])
+        with pytest.raises(ValidationError, match="not both"):
+            study_from_dict({"kind": "planner", "aspects": [4], "m": 256,
+                             "n": 64, "procs": 4})
+        with pytest.raises(ValidationError, match="needs n"):
+            study_from_dict({"kind": "planner", "aspects": [4], "procs": 4})
+
+    def test_scalar_axes_give_one_point(self):
+        study = study_from_dict({"kind": "planner", "m": 1024, "n": 32,
+                                 "procs": 8})
+        assert study.axes == () and len(study) == 1
+        _assert_rows_are_plans(study.run(),
+                               [ProblemSpec(m=1024, n=32, procs=8)])
+
+    def test_bad_axes_rejected(self):
+        with pytest.raises(ValidationError, match="empty"):
+            study_from_dict({"kind": "planner", "m": [], "n": 32,
+                             "procs": 8})
+        with pytest.raises(ValidationError):
+            study_from_dict({"kind": "planner", "m": 1024, "n": 32,
+                             "procs": 8, "machine": ["no-such-machine"]})
+        with pytest.raises(ValueError, match="JSON object"):
+            study_from_dict([1, 2, 3])
+
+    def test_objective_axis_round_trips(self):
+        study = study_from_dict({
+            "kind": "planner", "m": 1024, "n": 32, "procs": 8,
+            "objective": ["time", "time=1,memory=0.2"]})
+        labels = [pt.labels["objective"] for pt in study.points()]
+        assert labels == ["time", str(Objective.parse("time=1,memory=0.2"))]
+        _assert_rows_are_plans(study.run(), [
+            ProblemSpec(m=1024, n=32, procs=8, objective=objective)
+            for objective in ("time", Objective.parse("time=1,memory=0.2"))])
+
+    @pytest.mark.parametrize("spec,field", [
+        ({"m": [], "n": 32, "procs": 8}, "m"),
+        ({"aspects": [], "n": 32, "procs": 8}, "aspects"),
+        ({"aspects": [4], "m": 128, "n": 32, "procs": 8}, "aspects"),
+        ({"aspects": [4], "procs": 8}, "aspects"),
+        ({"aspects": [4.5], "n": 32, "procs": 8}, "aspects"),
+        ({"aspects": [True], "n": 32, "procs": 8}, "aspects"),
+        ({"aspects": [0], "n": 32, "procs": 8}, "aspects"),
+        ({"aspects": 4, "n": 32, "procs": 8}, "aspects"),
+        ({"m": 128, "n": 32, "procs": 8, "machine": "bogus"}, "machine"),
+        ({"m": 128, "n": 32, "procs": 8, "machine": ["stampede2", 5]},
+         "machine"),
+        ({"m": 128, "n": 32, "procs": 8, "objective": "latency"},
+         "objective"),
+        ({"m": 128, "n": [32, 32.5], "procs": 8}, "n"),
+        ({"aspects": [4], "n": 32.5, "procs": 8}, "n"),
+        ({"m": 128, "n": 32, "procs": [8], "block_sizes": [0]},
+         "block_sizes"),
+    ], ids=["empty-m", "empty-aspects", "m-and-aspects", "aspects-without-n",
+            "float-aspect", "bool-aspect", "zero-aspect", "scalar-aspects",
+            "unknown-machine", "non-string-machine", "unknown-objective",
+            "float-n-axis", "float-n-with-aspects", "zero-block-size"])
+    def test_each_check_names_its_field(self, spec, field):
+        with pytest.raises(ValidationError) as info:
+            study_from_dict({"kind": "planner", **spec})
+        assert info.value.field == field
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValidationError, match="unknown request field"):
+            study_from_dict({"kind": "planner", "m": 128, "n": 32,
+                             "procs": 8, "nme": "x"})
+
+    def test_crossover_spelling_is_the_same_study(self):
+        spec = {"aspects": [4, 16], "n": 32, "procs": [8, 16]}
+        crossover = study_from_dict({"kind": "planner-crossover", **spec})
+        planner = study_from_dict({"kind": "planner", **spec})
+        assert crossover.name == "planner-crossover-n32-stampede2"
+        assert planner.name == "planner-n32-stampede2"
+        assert crossover.params == planner.params == {
+            "n": 32, "machine": "stampede2", "objective": "time"}
+        assert [r.values for r in crossover.run().rows] == \
+            [r.values for r in planner.run().rows]
 
 
 # ---------------------------------------------------------------------------
