@@ -336,23 +336,31 @@ def _cmd_study(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"error: -P expects comma-separated integers, got {args.procs!r}")
             return 2
-        cfg = {"kind": "modeled", "m": args.m, "n": args.n,
-               "procs": proc_counts, "machine": args.machine}
+        cfg = {"m": args.m, "n": args.n, "procs": proc_counts,
+               "machine": args.machine}
         if args.machine_file:
             try:
                 cfg["machine"] = _read_machine_file(args.machine_file)
             except OSError as exc:
                 print(f"error: cannot read machine file: {exc}")
                 return 2
-        if args.algorithms:
-            cfg["algorithms"] = args.algorithms
-        if args.block_size is not None:
-            cfg["block_size"] = args.block_size
         if args.execute or args.symbolic:
             # --seed picks an executed study's matrix; modeled ones have none.
-            cfg.update(kind="executed", seed=args.seed)
-        if args.symbolic:
-            cfg["mode"] = "symbolic"
+            cfg.update(kind="executed", seed=args.seed,
+                       mode="symbolic" if args.symbolic else "numeric")
+            if args.algorithms:
+                cfg["algorithms"] = args.algorithms
+            if args.block_size is not None:
+                cfg["block_size"] = args.block_size
+        else:
+            # One algorithm per point: the planner's best plan of each.
+            from repro.engine import available_algorithms
+
+            cfg.update(kind="planner", inverse_depths=[0],
+                       algorithms=[[a] for a in args.algorithms
+                                   or available_algorithms()],
+                       block_sizes=[32 if args.block_size is None
+                                    else args.block_size])
 
     def progress(info) -> None:
         # Study.stream delivers a ProgressInfo with throughput derived
@@ -664,10 +672,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_st = sub.add_parser(
         "study",
         help="run a declarative study campaign (repro.study) from flags "
-             "or a JSON spec file")
+             "or a JSON spec file",
+        description="Without --execute or --symbolic, -m/-n/-P run a "
+                    "planner study: the planner's best plan of each "
+                    "algorithm at each processor count, under the "
+                    "analytic model.")
     p_st.add_argument("--spec", default=None,
                       help="JSON study spec file (see repro.study.study_from_dict;"
-                           ' kind "planner" plans a grid of problems)')
+                           ' kind "executed", "accuracy" or "planner", which'
+                           " plans a grid of problems)")
     p_st.add_argument("-m", type=int, default=None, help="matrix rows")
     p_st.add_argument("-n", type=int, default=None, help="matrix cols")
     p_st.add_argument("-P", "--procs", default=None,
@@ -677,10 +690,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="JSON machine description (MachineSpec.from_dict "
                            "schema) instead of a preset")
     p_st.add_argument("--algorithms", nargs="*", default=None,
-                      help="restrict to these registry names; with "
-                           '--execute, "auto" runs the planner\'s best '
-                           "configuration per point")
-    p_st.add_argument("-b", "--block-size", type=int, default=None)
+                      help="restrict to these registry names (one point "
+                           'each); with --execute, "auto" runs the '
+                           "planner's best configuration per point")
+    p_st.add_argument("-b", "--block-size", type=int, default=None,
+                      help="panel width (modeled default: 32)")
     p_st.add_argument("--execute", action="store_true",
                       help="execute real (numeric) runs through the engine "
                            "instead of the analytic model")

@@ -14,11 +14,16 @@
 * :mod:`repro.experiments.reproduction` -- the reproduction record: every
   reproduced number in one text, committed as ``REPRODUCTION.md``.
 
-Every experiment module declares its campaign as a
+* :mod:`repro.experiments.sweeps` and :mod:`repro.experiments.crossover`
+  -- readers and renderers of two planner studies: the algorithm
+  comparison and the CA-CQR2-vs-ScaLAPACK crossover sweep.
+
+The scaling and accuracy modules declare their campaigns as a
 :class:`repro.study.Study` (``strong_scaling_study``,
-``weak_scaling_study``, ``accuracy_study``,
-``algorithm_comparison_study``, ``crossover_study``); run it and read
-the table through the module's ``*_from_table`` helper.
+``weak_scaling_study``, ``accuracy_study``); the algorithm comparison
+and the crossover sweep are ``kind: "planner"`` specs
+(:func:`repro.study.study_from_dict`).  Run a study and read its table
+through the module's ``*_from_table`` helper.
 """
 
 from repro.experiments.scaling import (
@@ -51,14 +56,10 @@ from repro.experiments.accuracy import (
 )
 from repro.experiments.crossover import (
     CrossoverPoint,
-    crossover_study,
     find_crossover,
     format_crossover_table,
 )
-from repro.experiments.sweeps import (
-    AlgorithmTiming,
-    algorithm_comparison_study,
-)
+from repro.experiments.sweeps import AlgorithmTiming
 from repro.experiments.report import format_series_table, format_accuracy_table
 
 __all__ = [
@@ -85,9 +86,7 @@ __all__ = [
     "accuracy_study",
     "ACCURACY_ALGORITHMS",
     "AlgorithmTiming",
-    "algorithm_comparison_study",
     "CrossoverPoint",
-    "crossover_study",
     "find_crossover",
     "format_crossover_table",
     "format_series_table",

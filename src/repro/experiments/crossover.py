@@ -2,27 +2,26 @@
 
 The paper's strong-scaling story is a crossover story: ScaLAPACK wins at
 small node counts (CQR2's ~2x flop overhead dominates), CA-CQR2 wins at
-large ones (2D QR's communication dominates).  This module declares the
-analysis as a :class:`repro.study.Study` -- :func:`crossover_study`
-sweeps a (nodes x side) grid comparing each side's best runnable
-configuration under the validated cost model -- the quantitative form of
-the paper's "at higher node counts, the asymptotic communication
-improvement is expected to be of greater benefit".  Each side's best is
-the planner's screen restricted to that side's algorithm, so both sides
-are priced by the same path as :mod:`repro.plan` and every reported
-configuration passes its solver's capability checks.
+large ones (2D QR's communication dominates).  The analysis is a planner
+study (:func:`repro.study.study_from_dict`) comparing each side's best
+runnable configuration under the validated cost model at every node
+count -- the quantitative form of the paper's "at higher node counts,
+the asymptotic communication improvement is expected to be of greater
+benefit".  Its ``algorithms`` axis is ``[["ca_cqr2"], ["scalapack"]]``
+with ``block_sizes: [16, 32, 64]`` and ``inverse_depths: [0]``; each
+solver's candidates ignore the other's knob, so CA-CQR2 is screened at
+the default base case and PGEQRF over three panel widths, and every
+reported configuration passes its solver's capability checks.
+:func:`points_from_table` reads the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.costmodel.params import MachineSpec
-from repro.plan import PlanResult, ProblemSpec
-from repro.study import Axis, RawField, ResultTable, Study
-from repro.study.builtin import _planned_evaluate
-from repro.utils.validation import check_positive_int, require
+from repro.study import ResultTable
 
 
 @dataclass(frozen=True)
@@ -44,67 +43,28 @@ class CrossoverPoint:
         return self.sl_seconds / self.ca_seconds
 
 
-#: Each side's planning restriction: CA-CQR2 at the default base case
-#: (inverse depth 0), PGEQRF over three panel widths.
-_SIDES = {"ca": {"algorithms": ("ca_cqr2",), "inverse_depths": (0,)},
-          "scalapack": {"algorithms": ("scalapack",),
-                        "block_sizes": (16, 32, 64)}}
+def points_from_table(table: ResultTable,
+                      procs_per_node: int) -> List[CrossoverPoint]:
+    """A crossover planner study's table as a best-vs-best point list.
 
-
-def crossover_study(m: int, n: int, machine: MachineSpec,
-                    node_counts: Sequence[int],
-                    name: Optional[str] = None) -> Study:
-    """The crossover campaign: best-vs-best modeled seconds per node count.
-
-    Axes are the node ladder and the two sides (``ca`` = CA-CQR2's best
-    feasible ``c x d x c`` grid, ``scalapack`` = PGEQRF's best runnable
-    ``pr x pc x b``); metrics are the modeled seconds and the winning
-    configuration label.
-    """
-    check_positive_int(m, "m")
-    check_positive_int(n, "n")
-    require(m >= n, f"need a tall matrix, got {m}x{n}")
-    axes = (Axis("nodes", tuple(node_counts)),
-            Axis("side", tuple(_SIDES)))
-
-    def problem(point: Dict[str, object]) -> ProblemSpec:
-        return ProblemSpec(m=m, n=n,
-                           procs=point["nodes"] * machine.procs_per_node,
-                           machine=machine, **_SIDES[point["side"]])
-
-    def row(result: PlanResult) -> dict:
-        best = result.best()
-        return {"modeled_seconds": best.seconds, "config": best.config}
-
-    return Study(
-        name=name or f"crossover-{m}x{n}-{machine.name}",
-        description=f"best CA-CQR2 vs best ScaLAPACK, {m} x {n} on "
-                    f"{machine.name}",
-        axes=axes,
-        metrics=(RawField("modeled_seconds", "{:.4f}"),
-                 RawField("config", "{}")),
-        evaluate=_planned_evaluate(axes, problem, row),
-        params={"m": m, "n": n, "machine": machine.name})
-
-
-def points_from_table(table: ResultTable) -> List[CrossoverPoint]:
-    """A crossover study's table as a best-vs-best point list.
-
-    Node counts where either side has no feasible configuration are
-    omitted.
+    The study's ``procs`` axis is the node ladder times
+    ``procs_per_node``, and its ``algorithms`` axis is
+    ``[["ca_cqr2"], ["scalapack"]]``.  Node counts where either side
+    has no feasible configuration are omitted.
     """
     points: List[CrossoverPoint] = []
-    nodes_seen: List[int] = []
+    procs_seen: List[int] = []
     for row in table.rows:
-        if row.point["nodes"] not in nodes_seen:
-            nodes_seen.append(row.point["nodes"])
-    for nodes in nodes_seen:
-        ca = table.first(nodes=nodes, side="ca")
-        sl = table.first(nodes=nodes, side="scalapack")
+        if row.point["procs"] not in procs_seen:
+            procs_seen.append(row.point["procs"])
+    for procs in procs_seen:
+        ca = table.first(procs=procs, algorithms="ca_cqr2")
+        sl = table.first(procs=procs, algorithms="scalapack")
         if ca is None or not ca.ok or sl is None or not sl.ok:
             continue
         points.append(CrossoverPoint(
-            nodes=nodes, ca_seconds=ca.values["modeled_seconds"],
+            nodes=procs // procs_per_node,
+            ca_seconds=ca.values["modeled_seconds"],
             sl_seconds=sl.values["modeled_seconds"],
             ca_grid=ca.values["config"], sl_grid=sl.values["config"]))
     return points

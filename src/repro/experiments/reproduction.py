@@ -39,9 +39,9 @@ from repro.costmodel.tables import (ca_cqr2_lines, ca_cqr_lines, cfr3d_lines,
                                     cqr2_1d_lines, cqr_1d_lines,
                                     format_line_table, lane_cost, mm3d_lines,
                                     total)
+from repro.engine import available_algorithms
 from repro.experiments.accuracy import accuracy_study, rows_from_table
-from repro.experiments.crossover import (crossover_study,
-                                         format_crossover_table,
+from repro.experiments.crossover import (format_crossover_table,
                                          points_from_table)
 from repro.experiments.figures import (FIG1A_SOURCES, FIG1B_SOURCES, FIG4,
                                        FIG5, FIG6, FIG7)
@@ -53,9 +53,9 @@ from repro.experiments.scaling import (SeriesPoint, StrongScalingFigure,
                                        strong_series_from_table,
                                        weak_scaling_study,
                                        weak_series_from_table)
-from repro.experiments.sweeps import (algorithm_comparison_study,
-                                      format_sweep_table, series_from_table)
+from repro.experiments.sweeps import format_sweep_table, series_from_table
 from repro.session import Session
+from repro.study import study_from_dict
 from repro.vmpi.distmatrix import DistMatrix
 from repro.vmpi.grid import Grid3D
 from repro.vmpi.machine import VirtualMachine
@@ -207,17 +207,27 @@ def _crossover() -> str:
     nodes = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
     return "\n\n".join(
         format_crossover_table(m, n, machine, points_from_table(
-            crossover_study(m, n, machine, nodes).run(parallel=False)))
+            study_from_dict({
+                "kind": "planner", "m": m, "n": n, "machine": machine,
+                "procs": [k * machine.procs_per_node for k in nodes],
+                "algorithms": [["ca_cqr2"], ["scalapack"]],
+                "block_sizes": [16, 32, 64], "inverse_depths": [0],
+            }).run(parallel=False), machine.procs_per_node))
         for machine in (STAMPEDE2, BLUE_WATERS))
 
 
 def _algorithm_comparison() -> str:
     """Every registered algorithm's best modeled time across scale."""
     m, n = 2 ** 21, 2 ** 10
-    procs = (2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16)
+    procs = [2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16]
     return "\n\n".join(
         format_sweep_table(m, n, machine, series_from_table(
-            algorithm_comparison_study(m, n, machine, procs).run(parallel=False)))
+            study_from_dict({
+                "kind": "planner", "m": m, "n": n, "machine": machine,
+                "procs": procs,
+                "algorithms": [[a] for a in available_algorithms()],
+                "block_sizes": [32], "inverse_depths": [0],
+            }).run(parallel=False)))
         for machine in (STAMPEDE2, BLUE_WATERS))
 
 

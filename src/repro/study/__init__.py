@@ -24,12 +24,14 @@ resumes executing only the missing points and finalizes to an identical
 table.
 
 The experiment modules define their campaigns on top of this API:
-:func:`repro.experiments.sweeps.algorithm_comparison_study`,
 :func:`repro.experiments.scaling.strong_scaling_study` /
-``weak_scaling_study``,
-:func:`repro.experiments.accuracy.accuracy_study`, and
-:func:`repro.experiments.crossover.crossover_study`.  The ``repro
-study`` CLI subcommand runs a study from flags or a JSON spec file.
+``weak_scaling_study`` and
+:func:`repro.experiments.accuracy.accuracy_study`.  The algorithm
+comparison and the crossover sweep are planner studies
+(:func:`study_from_dict` with ``kind`` ``"planner"`` and an
+``algorithms`` axis), read by :mod:`repro.experiments.sweeps` and
+:mod:`repro.experiments.crossover`.  The ``repro study`` CLI subcommand
+runs a study from flags or a JSON spec file.
 """
 
 from repro.study.axes import Axis, Point, expand, grid_size, point_key
@@ -37,7 +39,6 @@ from repro.study.builtin import (
     default_executed_algorithms,
     executed_sweep_study,
     study_from_dict,
-    symbolic_scaling_study,
 )
 from repro.study.metrics import (
     CriticalPathSeconds,
@@ -76,5 +77,4 @@ __all__ = [
     "load_partial",
     "point_key",
     "study_from_dict",
-    "symbolic_scaling_study",
 ]

@@ -7,33 +7,34 @@ runner, measuring simulated critical-path seconds, accuracy, the
 per-rank communication maxima, and the configuration each point ran.
 ``repro study -m M -n N -P 4,8,16 --execute`` runs it from the command
 line (``--algorithms auto`` executes the planner's best configuration
-per point); without ``--execute`` the same flags run the modeled
-algorithm comparison.
+per point, ``--symbolic`` runs cost-only); without ``--execute`` the
+same flags run a planner study with one algorithm per point.
 
 :func:`study_from_dict` builds a study from a plain dict (the schema the
 ``repro study --spec file.json`` CLI subcommand reads), dispatching on
 ``kind``:
 
-* ``"executed"`` -- :func:`executed_sweep_study` (numeric or symbolic);
-* ``"modeled"``  -- the analytic algorithm-comparison campaign
-  (:func:`repro.experiments.sweeps.algorithm_comparison_study`);
+* ``"executed"`` -- :func:`executed_sweep_study`; ``"mode": "symbolic"``
+  runs cost-only, which the vectorized virtual machine makes tractable
+  at ``P = 2**16`` and beyond;
 * ``"accuracy"`` -- the stability ladder
   (:func:`repro.experiments.accuracy.accuracy_study`);
-* ``"symbolic-scaling"`` -- :func:`symbolic_scaling_study`, the cost-only
-  strong-scaling ladder that the vectorized virtual machine makes
-  tractable at ``P = 2**16`` and beyond;
 * ``"planner"`` (also spelled ``"planner-crossover"``) -- the
   model-driven generalization of the paper's crossover experiment: the
   planner's best plan, its margin over the best 2D plan and the number
   of screened candidates at every point of a problem grid, planned in
   one batched search.  Its schema is a ``/plan`` request
   (:func:`~repro.plan.problem.problem_from_dict`) in which ``m``,
-  ``n``, ``procs``, ``machine`` and ``objective`` may each be a list,
-  an axis of the grid; ``aspects``, a list of ``m / n`` ratios, may
-  replace ``m``::
+  ``n``, ``procs``, ``machine``, ``objective`` and ``algorithms`` may
+  each be an axis of the grid; ``aspects``, a list of ``m / n`` ratios,
+  may replace ``m``::
 
       {"kind": "planner", "aspects": [4, 16], "n": 64, "procs": [16, 64],
        "machine": ["stampede2", "blue-waters"], "mode": "symbolic"}
+
+  An ``algorithms`` axis is a list of lists, one restriction per point:
+  the paper's crossover (:mod:`repro.experiments.crossover`) and the
+  algorithm comparison (:mod:`repro.experiments.sweeps`) are such specs.
 
 ``machine`` may be a preset name or an inline machine-description object
 (the :meth:`~repro.costmodel.params.MachineSpec.from_dict` schema), so
@@ -45,11 +46,11 @@ unknown, missing or malformed field is a field-labelled
 from __future__ import annotations
 
 from numbers import Real
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from repro.costmodel.params import machine_by_name
 from repro.engine import (CapabilityError, MatrixSpec, RunSpec, solver_for,
                           solvers)
+from repro.engine.spec import MODES
 from repro.plan import Planner, PlanResult, ProblemSpec
 from repro.plan.problem import (
     int_field,
@@ -140,44 +141,10 @@ def executed_sweep_study(m: int, n: int, proc_counts: Sequence[int],
                 "condition": condition})
 
 
-def symbolic_scaling_study(m: int, n: int, proc_counts: Sequence[int],
-                           algorithm: str = "ca_cqr2",
-                           machine: str = "abstract", seed: int = 0,
-                           name: Optional[str] = None) -> Study:
-    """A strong-scaling campaign run *symbolically* at paper-and-beyond scale.
-
-    Every point executes the real distributed schedule through the engine
-    with shape-only blocks, so the campaign measures the exact simulated
-    critical path and per-rank communication maxima without allocating
-    matrix data.  The vectorized array-backed machine is what makes the
-    large end of the ladder tractable: processor counts of ``2**16`` (the
-    paper's largest runs were 131072 cores) complete in seconds per
-    point, and ``2**20``-rank scenarios extrapolate beyond the hardware
-    the paper measured.
-    """
-    matrix = MatrixSpec(m, n, seed=seed)
-
-    def build_spec(point: Dict[str, object]) -> RunSpec:
-        return RunSpec(algorithm=algorithm, matrix=matrix,
-                       procs=point["procs"], machine=machine,
-                       mode="symbolic")
-
-    return Study(
-        name=name or f"symbolic-scaling-{algorithm}-{m}x{n}",
-        description=(f"{m} x {n} strong scaling of {algorithm} on {machine}, "
-                     "cost-only (symbolic) execution"),
-        axes=(Axis("procs", tuple(proc_counts)),),
-        metrics=(CriticalPathSeconds(), Messages(), Words(), Flops()),
-        spec=build_spec,
-        params={"m": m, "n": n, "algorithm": algorithm,
-                "machine": str(machine), "seed": seed, "mode": "symbolic"})
-
-
 def _planned_evaluate(axes: Sequence[Axis],
                       problem: Callable[[Dict[str, object]], ProblemSpec],
-                      row: Callable[[PlanResult], dict],
                       ) -> Callable[[Dict[str, object]], Optional[dict]]:
-    """A study evaluator answered by one lazy screen-only lattice search.
+    """A planner study's evaluator, answered by one lazy screen-only search.
 
     Every grid point's ``problem(point)`` is built here, so a malformed
     point fails when the study is built, before anything is planned.
@@ -188,12 +155,12 @@ def _planned_evaluate(axes: Sequence[Axis],
     pair in a single vectorized pass, bit-identical to planning each
     point separately.  Structurally infeasible points
     (:exc:`CapabilityError`) are ``None`` rows without poisoning their
-    neighbors; ``row(result)`` turns every other result into the point's
-    metrics.
+    neighbors; every other point's row is its winner and the winner's
+    margin over the best 2D plan.
     """
     points = [pt.values for pt in expand(axes)]
     problems = [problem(p) for p in points]
-    outcomes: Dict[tuple, object] = {}
+    outcomes: Dict[tuple, Union[PlanResult, Exception]] = {}
 
     def evaluate(point: Dict[str, object]) -> Optional[dict]:
         if not outcomes:
@@ -206,21 +173,26 @@ def _planned_evaluate(axes: Sequence[Axis],
             return None
         if isinstance(result, Exception):
             raise result
-        return row(result)
+        best = result.best()
+        baseline = [p for p in result.plans
+                    if p.algorithm in ("scalapack", "caqr")]
+        return {"algorithm": best.algorithm, "config": best.config,
+                "modeled_seconds": best.seconds,
+                "speedup_vs_2d": (baseline[0].seconds / best.seconds
+                                  if baseline else None),
+                "num_candidates": result.num_candidates}
 
     return evaluate
 
 
-def _planner_row(result: PlanResult) -> dict:
-    """A planner study's row: the winner and its margin over the best 2D plan."""
-    best = result.best()
-    baseline = [p for p in result.plans
-                if p.algorithm in ("scalapack", "caqr")]
-    speedup = (baseline[0].seconds / best.seconds) if baseline else None
-    return {"algorithm": best.algorithm, "config": best.config,
-            "modeled_seconds": best.seconds,
-            "speedup_vs_2d": speedup,
-            "num_candidates": result.num_candidates}
+def _restriction(item: object) -> Tuple[str, ...]:
+    """One point of an ``algorithms`` axis: solver names, aliases resolved."""
+    if not isinstance(item, list) or not item:
+        raise ValidationError(
+            f"an algorithms axis is a list of non-empty lists of names, "
+            f"got an item {item!r}", field="algorithms")
+    names = list_field({"algorithms": item}, "algorithms", str) or ()
+    return tuple(validated("algorithms", solver_for, a).name for a in names)
 
 
 def _planner_study(cfg: dict) -> Study:
@@ -235,8 +207,11 @@ def _planner_study(cfg: dict) -> Study:
     and objective vary.  ``m``, ``n``, ``procs``, ``machine`` and
     ``objective`` are each a list (an axis) or a scalar (shared by every
     point); ``aspects``, always a list, is an axis of ``m / n`` ratios in
-    place of ``m``.  Axes multiply out in that order, ``aspects`` first.
-    Every other field (but ``kind`` and ``name``) follows the
+    place of ``m``.  ``algorithms`` is an axis when it is a list of
+    lists, each point restricted to one list's solvers (aliases resolved,
+    labelled by the names joined with ``+``); a flat list is shared.
+    Axes multiply out in that order, ``aspects`` first.  Every other
+    field (but ``kind`` and ``name``) follows the
     :func:`~repro.plan.problem.problem_from_dict` schema and is shared.
     The whole grid is planned as one batched lattice search
     (:func:`_planned_evaluate`).
@@ -278,6 +253,13 @@ def _planner_study(cfg: dict) -> Study:
                              labels=[label[name](v) for v in value]))
         else:
             axes.append(Axis(name, value))
+    restrictions = body.get("algorithms")
+    if (isinstance(restrictions, list)
+            and any(isinstance(r, list) for r in restrictions)):
+        del body["algorithms"]
+        names = [_restriction(r) for r in restrictions]
+        axes.append(Axis("algorithms", names,
+                         labels=["+".join(r) for r in names]))
 
     def problem(point: Dict[str, object]) -> ProblemSpec:
         fields = {**body, **point}
@@ -300,7 +282,7 @@ def _planner_study(cfg: dict) -> Study:
                  RawField("modeled_seconds", "{:.4f}"),
                  RawField("speedup_vs_2d", "{:.2f}"),
                  RawField("num_candidates", "{:d}")),
-        evaluate=_planned_evaluate(tuple(axes), problem, _planner_row),
+        evaluate=_planned_evaluate(tuple(axes), problem),
         params=shared)
 
 
@@ -309,9 +291,7 @@ def _planner_study(cfg: dict) -> Study:
 _SPEC_FIELDS = {
     "executed": ("m", "n", "procs", "algorithms", "machine", "seed",
                  "block_size", "mode"),
-    "modeled": ("m", "n", "procs", "algorithms", "machine", "block_size"),
     "accuracy": ("m", "n", "conditions", "seed", "sv_mode"),
-    "symbolic-scaling": ("m", "n", "procs", "algorithm", "machine", "seed"),
 }
 
 
@@ -320,20 +300,20 @@ def study_from_dict(cfg: dict) -> Study:
 
     ``kind`` (default ``"executed"``) selects the campaign; the other
     fields are the kind's own (:data:`_SPEC_FIELDS`) plus ``name``.
-    ``m`` and ``n`` are integers and ``procs`` (executed, modeled,
-    symbolic-scaling) or ``conditions`` (accuracy) a list; ``planner``
-    (alias ``planner-crossover``) takes the :func:`_planner_study`
-    schema.  A missing, unknown or malformed field raises a
-    field-labelled :class:`~repro.utils.validation.ValidationError`.
+    ``m`` and ``n`` are integers and ``procs`` (executed) or
+    ``conditions`` (accuracy) a list; ``planner`` (alias
+    ``planner-crossover``) takes the :func:`_planner_study` schema.  A
+    missing, unknown or malformed field raises a field-labelled
+    :class:`~repro.utils.validation.ValidationError`.
     """
     require(isinstance(cfg, dict), "study spec must be a JSON object")
     kind = cfg.get("kind", "executed")
     if kind in ("planner", "planner-crossover"):
         return _planner_study(cfg)
-    if kind not in _SPEC_FIELDS:
-        raise ValueError(
-            f"unknown study kind {kind!r}; expected executed, modeled, "
-            "accuracy, symbolic-scaling, planner, or planner-crossover")
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise ValidationError(
+            f"unknown study kind {kind!r}; expected executed, accuracy, "
+            "planner, or planner-crossover", field="kind")
     known = ("kind", "name", *_SPEC_FIELDS[kind])
     unknown = sorted(set(cfg) - set(known))
     if unknown:
@@ -348,27 +328,7 @@ def study_from_dict(cfg: dict) -> Study:
         return int_field(cfg, key) if elem is None \
             else list_field(cfg, key, elem)
 
-    algorithms = list_field(cfg, "algorithms", str)
-    block_size = int_field(cfg, "block_size")
     seed = int_field(cfg, "seed")
-    machine = machine_from_json(cfg.get(
-        "machine", "stampede2" if kind == "modeled" else "abstract"))
-    if kind == "executed":
-        return executed_sweep_study(
-            m=need("m"), n=need("n"), proc_counts=need("procs", int),
-            algorithms=algorithms, machine=machine,
-            seed=0 if seed is None else seed, block_size=block_size,
-            mode=cfg.get("mode", "numeric"), name=cfg.get("name"))
-    if kind == "modeled":
-        from repro.experiments.sweeps import algorithm_comparison_study
-
-        return algorithm_comparison_study(
-            m=need("m"), n=need("n"),
-            machine=machine_by_name(machine) if isinstance(machine, str)
-            else machine,
-            proc_counts=need("procs", int),
-            block_size=32 if block_size is None else block_size,
-            algorithms=algorithms, name=cfg.get("name"))
     if kind == "accuracy":
         from repro.experiments.accuracy import accuracy_study
 
@@ -376,7 +336,14 @@ def study_from_dict(cfg: dict) -> Study:
             m=need("m"), n=need("n"), conditions=need("conditions", Real),
             seed=1234 if seed is None else seed,
             mode=cfg.get("sv_mode", "geometric"), name=cfg.get("name"))
-    return symbolic_scaling_study(
+    mode = cfg.get("mode", "numeric")
+    if mode not in MODES:
+        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}",
+                              field="mode")
+    return executed_sweep_study(
         m=need("m"), n=need("n"), proc_counts=need("procs", int),
-        algorithm=cfg.get("algorithm", "ca_cqr2"), machine=machine,
-        seed=0 if seed is None else seed, name=cfg.get("name"))
+        algorithms=list_field(cfg, "algorithms", str),
+        machine=machine_from_json(cfg.get("machine", "abstract")),
+        seed=0 if seed is None else seed,
+        block_size=int_field(cfg, "block_size"), mode=mode,
+        name=cfg.get("name"))

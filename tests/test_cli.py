@@ -309,7 +309,7 @@ class TestStudyCommand:
                      "--machine", "stampede2"]) == 0
         out = capsys.readouterr().out
         assert "algorithm" in out and "modeled_seconds" in out
-        assert "CA-CQR2" in out
+        assert "ca_cqr2" in out
 
     def test_executed_study_with_jsonl_resume(self, capsys, tmp_path):
         jsonl = str(tmp_path / "campaign.jsonl")
@@ -359,7 +359,8 @@ class TestStudyCommand:
 
     def test_empty_proc_list(self, capsys):
         assert main(["study", "-m", "64", "-n", "8", "-P", ","]) == 2
-        assert capsys.readouterr().out == "error: axis 'procs' has no values\n"
+        assert capsys.readouterr().out == \
+            "error: procs: an axis cannot be empty\n"
 
     def test_markdown_and_csv_formats(self, capsys):
         assert main(["study", "-m", "65536", "-n", "256", "-P", "64",
@@ -367,7 +368,9 @@ class TestStudyCommand:
         assert capsys.readouterr().out.startswith("| procs |")
         assert main(["study", "-m", "65536", "-n", "256", "-P", "64",
                      "--format", "csv"]) == 0
-        assert capsys.readouterr().out.startswith("procs,algorithm")
+        assert capsys.readouterr().out.startswith(
+            "procs,algorithms,algorithm,config,modeled_seconds,"
+            "speedup_vs_2d,num_candidates\n")
 
     def test_spec_file(self, capsys, tmp_path):
         import json
@@ -391,8 +394,9 @@ class TestStudyCommand:
         assert capsys.readouterr().out == \
             "error: block_sizes: block size must be positive, got 0\n"
         spec = tmp_path / "study.json"
-        spec.write_text(json.dumps({"kind": "modeled", "m": 1024, "n": 32,
-                                    "procs": [4], "block_size": 0}))
+        spec.write_text(json.dumps({"kind": "planner", "m": 1024, "n": 32,
+                                    "procs": [4], "block_sizes": [0],
+                                    "algorithms": [["ca_cqr2"], ["tsqr"]]}))
         assert main(["study", "--spec", str(spec)]) == 2
         assert capsys.readouterr().out == \
             "error: block_sizes: block size must be positive, got 0\n"
@@ -421,19 +425,20 @@ class TestStudyCommand:
         ({"kind": "executed", "m": 512, "n": 16, "procs": [4],
           "algorithms": [5]},
          "algorithms: must be a list of strs, got [5]"),
-        ({"kind": "modeled", "m": 512, "n": 16, "procs": [4],
+        ({"kind": "planner", "m": 512, "n": 16, "procs": [4],
           "algorithms": [5]},
          "algorithms: must be a list of strs, got [5]"),
-        ({"kind": "symbolic-scaling", "m": 512, "n": 16, "procs": [4],
-          "algorithm": 5},
-         "algorithm: must be a string, got int"),
-        ({"kind": "modeled", "m": 4096, "n": 32, "procs": 8},
+        ({"kind": "executed", "mode": "symbolic", "m": 512, "n": 16,
+          "procs": [4], "algorithms": [5]},
+         "algorithms: must be a list of strs, got [5]"),
+        ({"kind": "executed", "m": 4096, "n": 32, "procs": 8},
          "procs: must be a list of ints, got 8"),
         ({"kind": "planner-crossover", "n": 32, "aspects": 4, "procs": [8]},
          "aspects: must be a list of ints, got 4"),
         ({"kind": "executed", "m": 512, "n": 32.5, "procs": [4]},
          "n: must be an integer, got float"),
-        ({"kind": "symbolic-scaling", "m": 4096.0, "n": 32, "procs": [8]},
+        ({"kind": "executed", "mode": "symbolic", "m": 4096.0, "n": 32,
+          "procs": [8]},
          "m: must be an integer, got float"),
         ({"kind": "planner", "m": 4096.0, "n": 32, "procs": [8]},
          "m: must be an integer, got float"),
@@ -444,19 +449,45 @@ class TestStudyCommand:
         ({"kind": "planner-crossover", "n": 32, "aspects": [True],
           "procs": [8]},
          "aspects: must be a list of ints, got [True]"),
-        ({"kind": "modeled", "m": 4096, "n": 32, "procs": [8],
+        ({"kind": "executed", "m": 4096, "n": 32, "procs": [8],
           "machine": 5},
          "machine: expected a preset name or a machine object, got int"),
         ({"kind": "planner", "m": 4096, "n": 32, "procs": [8],
           "machine": [5]},
          "machine: expected a preset name or a machine object, got int"),
-        ({"kind": "modeled", "m": 4096, "n": 32, "procs": [8], "nme": "x"},
-         "nme: not a field of a modeled study; known fields: ['algorithms', "
-         "'block_size', 'kind', 'm', 'machine', 'n', 'name', 'procs']"),
-    ], ids=["executed", "modeled", "symbolic-scaling", "scalar-procs",
-            "scalar-aspects", "float-n", "float-m", "planner-float-m",
+        ({"kind": "executed", "m": 4096, "n": 32, "procs": [8], "nme": "x"},
+         "nme: not a field of a executed study; known fields: ['algorithms', "
+         "'block_size', 'kind', 'm', 'machine', 'mode', 'n', 'name', "
+         "'procs', 'seed']"),
+        ({"kind": "nope", "m": 4096, "n": 32, "procs": [8]},
+         "kind: unknown study kind 'nope'; expected executed, accuracy, "
+         "planner, or planner-crossover"),
+        ({"kind": 5}, "kind: unknown study kind 5; expected executed, "
+         "accuracy, planner, or planner-crossover"),
+        ({"kind": ["executed"]}, "kind: unknown study kind ['executed']; "
+         "expected executed, accuracy, planner, or planner-crossover"),
+        ({"kind": "modeled", "m": 4096, "n": 32, "procs": [8]},
+         "kind: unknown study kind 'modeled'; expected executed, accuracy, "
+         "planner, or planner-crossover"),
+        ({"kind": "symbolic-scaling", "m": 4096, "n": 32, "procs": [8]},
+         "kind: unknown study kind 'symbolic-scaling'; expected executed, "
+         "accuracy, planner, or planner-crossover"),
+        ({"kind": "executed", "m": 512, "n": 16, "procs": [4],
+          "mode": "cost-only"},
+         "mode: mode must be one of ('numeric', 'symbolic'), got "
+         "'cost-only'"),
+        ({"kind": "planner", "m": 512, "n": 16, "procs": 4,
+          "algorithms": [["tsqr"], []]},
+         "algorithms: an algorithms axis is a list of non-empty lists of "
+         "names, got an item []"),
+    ], ids=["executed", "planner-algorithms", "executed-symbolic-algorithms",
+            "scalar-procs", "scalar-aspects", "float-n",
+            "executed-symbolic-float-m", "planner-float-m",
             "string-condition", "string-seed", "bool-aspect",
-            "int-machine", "planner-int-machine", "unknown-field"])
+            "int-machine", "planner-int-machine", "unknown-field",
+            "unknown-kind", "int-kind", "list-kind", "removed-modeled-kind",
+            "removed-symbolic-scaling-kind", "unknown-mode",
+            "empty-algorithms-item"])
     def test_malformed_field_in_a_spec_file(self, capsys, tmp_path, spec,
                                             message):
         import json
@@ -750,9 +781,8 @@ class TestBlockSizeValidation:
         (1.5, "error: block_size: must be an integer, got float")],
         ids=["zero", "negative", "string", "float"])
     @pytest.mark.parametrize("kind", [
-        {"kind": "modeled"}, {"kind": "executed"},
-        {"kind": "executed", "mode": "symbolic"}],
-        ids=["modeled", "executed", "executed-symbolic"])
+        {"kind": "executed"}, {"kind": "executed", "mode": "symbolic"}],
+        ids=["executed", "executed-symbolic"])
     def test_bad_block_size_in_a_spec_file(self, capsys, tmp_path, kind,
                                            block_size, message):
         import json

@@ -12,17 +12,27 @@ from repro.costmodel.performance import ExecutionModel
 from repro.costmodel.tables import ca_cqr2_lines, lane_cost, total
 from repro.experiments.crossover import (
     CrossoverPoint,
-    crossover_study,
     find_crossover,
     format_crossover_table,
     points_from_table,
 )
+from repro.study import study_from_dict
+
+
+def crossover_table(m, n, machine, node_counts):
+    """The crossover planner study's table: both sides at every node count."""
+    return study_from_dict({
+        "kind": "planner", "m": m, "n": n, "machine": machine,
+        "procs": [k * machine.procs_per_node for k in node_counts],
+        "algorithms": [["ca_cqr2"], ["scalapack"]],
+        "block_sizes": [16, 32, 64], "inverse_depths": [0],
+    }).run(parallel=False)
 
 
 def crossover_points(m, n, machine, node_counts):
     """Best-vs-best points of the crossover study at every node count."""
-    return points_from_table(
-        crossover_study(m, n, machine, node_counts).run(parallel=False))
+    return points_from_table(crossover_table(m, n, machine, node_counts),
+                             machine.procs_per_node)
 
 
 class TestBestConfigs:
@@ -31,13 +41,12 @@ class TestBestConfigs:
     M, N, NODES = 2 ** 20, 2 ** 10, 2 ** 12 // STAMPEDE2.procs_per_node
 
     def row(self, side):
-        table = crossover_study(self.M, self.N, STAMPEDE2,
-                                (self.NODES,)).run(parallel=False)
-        return table.first(nodes=self.NODES, side=side).values
+        table = crossover_table(self.M, self.N, STAMPEDE2, (self.NODES,))
+        return table.first(procs=2 ** 12, algorithms=side).values
 
     def test_best_ca_is_minimal(self):
         model = ExecutionModel(STAMPEDE2)
-        row = self.row("ca")
+        row = self.row("ca_cqr2")
         expected = min(
             model.seconds(lane_cost(total(ca_cqr2_lines(
                 self.M, self.N, s.c, s.d, default_base_case(self.N, s.c)))))
@@ -89,9 +98,10 @@ class TestCrossover:
         # The reproduction record's sweep: nine node counts on both machines.
         m, n = 2 ** 21, 2 ** 12
         nodes = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-        s2_table = crossover_study(m, n, STAMPEDE2, nodes).run(parallel=False)
-        bw_table = crossover_study(m, n, BLUE_WATERS, nodes).run(parallel=False)
-        s2, bw = points_from_table(s2_table), points_from_table(bw_table)
+        s2_table = crossover_table(m, n, STAMPEDE2, nodes)
+        bw_table = crossover_table(m, n, BLUE_WATERS, nodes)
+        s2 = points_from_table(s2_table, STAMPEDE2.procs_per_node)
+        bw = points_from_table(bw_table, BLUE_WATERS.procs_per_node)
         assert len(s2_table) == len(nodes) * 2
         assert s2 and bw
         cross_s2 = find_crossover(s2)

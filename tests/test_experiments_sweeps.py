@@ -3,18 +3,28 @@
 import pytest
 
 from repro.costmodel.params import BLUE_WATERS, STAMPEDE2
+from repro.engine import solvers
 from repro.experiments.sweeps import (
-    algorithm_comparison_study,
     fastest_at,
     format_sweep_table,
     series_from_table,
 )
+from repro.study import study_from_dict
+
+
+def comparison_table(m, n, machine, proc_counts):
+    """The algorithm-comparison planner study's table."""
+    return study_from_dict({
+        "kind": "planner", "m": m, "n": n, "machine": machine,
+        "procs": list(proc_counts),
+        "algorithms": [[s.name] for s in solvers()],
+        "block_sizes": [32], "inverse_depths": [0],
+    }).run(parallel=False)
 
 
 def sweep(m, n, machine, proc_counts):
     """The comparison study's table as ``label -> timings`` series."""
-    return series_from_table(algorithm_comparison_study(
-        m, n, machine, tuple(proc_counts)).run(parallel=False))
+    return series_from_table(comparison_table(m, n, machine, proc_counts))
 
 
 def timings_at(m, n, procs, machine):
@@ -84,9 +94,8 @@ class TestSweep:
         # The reproduction record's comparison: 2^21 x 2^10 on both machines.
         m, n = 2 ** 21, 2 ** 10
         procs = (2 ** 8, 2 ** 10, 2 ** 12, 2 ** 14, 2 ** 16)
-        s2_table = algorithm_comparison_study(m, n, STAMPEDE2, procs).run(parallel=False)
-        bw = series_from_table(
-            algorithm_comparison_study(m, n, BLUE_WATERS, procs).run(parallel=False))
+        s2_table = comparison_table(m, n, STAMPEDE2, procs)
+        bw = series_from_table(comparison_table(m, n, BLUE_WATERS, procs))
         s2 = series_from_table(s2_table)
         assert len(s2_table) == len(procs) * 5
         assert "CA-CQR2" in s2 and bw

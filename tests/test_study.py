@@ -20,7 +20,6 @@ from repro.study import (
     grid_size,
     load_partial,
     study_from_dict,
-    symbolic_scaling_study,
 )
 from repro.utils.validation import ValidationError
 
@@ -350,6 +349,25 @@ class TestExecutedStudy:
 # study_from_dict (the CLI spec-file schema)
 # ---------------------------------------------------------------------------
 
+def _comparison(m, n, procs, block_size=32, algorithms=None,
+                machine=STAMPEDE2):
+    """The algorithm-comparison planner study: one algorithm per point."""
+    return study_from_dict({
+        "kind": "planner", "m": m, "n": n, "procs": list(procs),
+        "machine": machine,
+        "algorithms": [[a] for a in algorithms or [s.name for s in solvers()]],
+        "block_sizes": [block_size], "inverse_depths": [0]})
+
+
+def _crossover(m, n, nodes, machine=STAMPEDE2):
+    """The crossover planner study: CA-CQR2's and PGEQRF's best plans."""
+    return study_from_dict({
+        "kind": "planner", "m": m, "n": n, "machine": machine,
+        "procs": [k * machine.procs_per_node for k in nodes],
+        "algorithms": [["ca_cqr2"], ["scalapack"]],
+        "block_sizes": [16, 32, 64], "inverse_depths": [0]})
+
+
 class TestStudyFromDict:
     def test_executed_kind(self):
         study = study_from_dict({"kind": "executed", "m": 256, "n": 8,
@@ -357,9 +375,8 @@ class TestStudyFromDict:
         table = study.run(parallel=False)
         assert table.rows[0].ok
 
-    def test_modeled_kind(self):
-        study = study_from_dict({"kind": "modeled", "m": 2 ** 16, "n": 2 ** 8,
-                                 "procs": [2 ** 6], "machine": "stampede2"})
+    def test_comparison_spec(self):
+        study = _comparison(2 ** 16, 2 ** 8, [2 ** 6])
         table = study.run(parallel=False)
         assert any(r.ok for r in table.rows)
         assert "modeled_seconds" in table.value_columns
@@ -371,14 +388,17 @@ class TestStudyFromDict:
         assert len(table) == 2 * 5
 
     def test_unknown_kind_and_missing_keys(self):
-        with pytest.raises(ValueError, match="unknown study kind"):
-            study_from_dict({"kind": "nope", "m": 4, "n": 2})
+        for kind in ("nope", 5, ["executed"], "modeled", "symbolic-scaling"):
+            with pytest.raises(ValidationError,
+                               match="unknown study kind") as info:
+                study_from_dict({"kind": kind, "m": 4, "n": 2})
+            assert info.value.field == "kind"
         with pytest.raises(ValueError, match="needs 'procs'"):
             study_from_dict({"kind": "executed", "m": 4, "n": 2})
 
     def test_unknown_machine_is_value_error(self):
         # The CLI's error contract: bad input -> ValueError -> `error: ...`.
-        for kind in ("executed", "modeled"):
+        for kind in ("executed", "planner"):
             with pytest.raises(ValueError, match="unknown machine"):
                 study_from_dict({"kind": kind, "m": 64, "n": 8,
                                  "procs": [4], "machine": "bogus"})
@@ -474,14 +494,56 @@ class TestPlannerStudy:
         ({"aspects": [4], "n": 32.5, "procs": 8}, "n"),
         ({"m": 128, "n": 32, "procs": [8], "block_sizes": [0]},
          "block_sizes"),
+        ({"m": 128, "n": 32, "procs": 8, "algorithms": [["tsqr"], []]},
+         "algorithms"),
+        ({"m": 128, "n": 32, "procs": 8, "algorithms": [["tsqr"], ["nope"]]},
+         "algorithms"),
+        ({"m": 128, "n": 32, "procs": 8, "algorithms": [["tsqr"], "caqr"]},
+         "algorithms"),
+        ({"m": 128, "n": 32, "procs": 8, "algorithms": [["tsqr"], [5]]},
+         "algorithms"),
     ], ids=["empty-m", "empty-aspects", "m-and-aspects", "aspects-without-n",
             "float-aspect", "bool-aspect", "zero-aspect", "scalar-aspects",
             "unknown-machine", "non-string-machine", "unknown-objective",
-            "float-n-axis", "float-n-with-aspects", "zero-block-size"])
+            "float-n-axis", "float-n-with-aspects", "zero-block-size",
+            "empty-algorithms-item", "unknown-algorithm-in-axis",
+            "mixed-flat-and-nested-algorithms", "non-string-algorithm-in-axis"])
     def test_each_check_names_its_field(self, spec, field):
         with pytest.raises(ValidationError) as info:
             study_from_dict({"kind": "planner", **spec})
         assert info.value.field == field
+
+    def test_algorithms_axis_restricts_each_point(self):
+        study = study_from_dict({
+            "kind": "planner", "m": 4096, "n": 32, "procs": [16, 64],
+            "algorithms": [["ca_cqr2"], ["pgeqrf", "caqr"], ["tsqr"]]})
+        points = [pt.labels for pt in study.points()]
+        assert [p["algorithms"] for p in points] == \
+            ["ca_cqr2", "scalapack+caqr", "tsqr"] * 2
+        assert [p["procs"] for p in points] == [16] * 3 + [64] * 3
+        _assert_rows_are_plans(study.run(), [
+            ProblemSpec(m=4096, n=32, procs=procs, algorithms=algorithms)
+            for procs in (16, 64)
+            for algorithms in (("ca_cqr2",), ("scalapack", "caqr"),
+                               ("tsqr",))])
+
+    def test_algorithms_axis_rejects_a_repeated_solver(self):
+        with pytest.raises(ValueError,
+                           match="axis 'algorithms' repeats 'scalapack'"):
+            study_from_dict({"kind": "planner", "m": 4096, "n": 32,
+                             "procs": 16,
+                             "algorithms": [["pgeqrf"], ["scalapack"]]})
+
+    def test_flat_algorithms_are_one_shared_restriction(self):
+        study = study_from_dict({"kind": "planner", "m": 4096, "n": 32,
+                                 "procs": [16, 64],
+                                 "algorithms": ["ca_cqr2", "tsqr"]})
+        assert [a.name for a in study.axes] == ["procs"]
+        assert study.params["algorithms"] == ["ca_cqr2", "tsqr"]
+        _assert_rows_are_plans(study.run(), [
+            ProblemSpec(m=4096, n=32, procs=procs,
+                        algorithms=("ca_cqr2", "tsqr"))
+            for procs in (16, 64)])
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError, match="unknown request field"):
@@ -546,11 +608,9 @@ class TestExperimentStudies:
 
         from repro.costmodel.performance import ExecutionModel
         from repro.engine import CapabilityError
-        from repro.experiments.sweeps import algorithm_comparison_study
 
         m, n, procs, b = 2 ** 18, 2 ** 9, (2 ** 6, 2 ** 10), 32
-        table = algorithm_comparison_study(
-            m, n, STAMPEDE2, procs, block_size=b).run(parallel=False)
+        table = _comparison(m, n, procs, block_size=b).run(parallel=False)
         model = ExecutionModel(STAMPEDE2)
         for p in procs:
             for s in solvers():
@@ -564,11 +624,11 @@ class TestExperimentStudies:
                         continue
                     priced[cand.config] = model.seconds(_scalar_cost(
                         s.name, m, n, cand.spec_fields, STAMPEDE2))
-                row = table.first(procs=p, algorithm=s.name)
+                row = table.first(procs=p, algorithms=s.name)
                 assert row.ok == bool(priced)
                 if not priced:
                     continue
-                assert row.values["label"] == s.label
+                assert row.values["algorithm"] == s.name
                 assert row.values["modeled_seconds"] == min(priced.values())
                 assert priced[row.values["config"]] == min(priced.values())
                 if s.name == "ca_cqr2":
@@ -576,17 +636,17 @@ class TestExperimentStudies:
                                         row.values["config"])
 
     def test_comparison_study_names_aliases_by_solver(self):
-        from repro.experiments.sweeps import algorithm_comparison_study
+        from repro.engine import solver_for
 
-        table = algorithm_comparison_study(
-            2 ** 16, 2 ** 8, STAMPEDE2, (64,),
-            algorithms=["pgeqrf"]).run(parallel=False)
-        assert [(r.point["algorithm"], r.values["label"])
+        table = _comparison(2 ** 16, 2 ** 8, (64,),
+                            algorithms=["pgeqrf"]).run(parallel=False)
+        assert [(r.point["algorithms"],
+                 solver_for(r.values["algorithm"]).label)
                 for r in table.rows] == [("scalapack", "PGEQRF")]
         with pytest.raises(ValueError,
-                           match="axis 'algorithm' repeats 'scalapack'"):
-            algorithm_comparison_study(2 ** 16, 2 ** 8, STAMPEDE2, (64,),
-                                       algorithms=["pgeqrf", "scalapack"])
+                           match="axis 'algorithms' repeats 'scalapack'"):
+            _comparison(2 ** 16, 2 ** 8, (64,),
+                        algorithms=["pgeqrf", "scalapack"])
 
     def test_modeled_winners_are_runnable(self):
         """Every reported configuration passes its solver's prepare().
@@ -595,18 +655,15 @@ class TestExperimentStudies:
         solver needs pc | b), which the sweeps must never report.
         """
         from repro.engine import solver_for
-        from repro.experiments.crossover import crossover_study
-        from repro.experiments.sweeps import algorithm_comparison_study
 
         m, n, b = 2 ** 15, 2 ** 7, 16
-        sweep = algorithm_comparison_study(
-            m, n, STAMPEDE2, (2 ** 6, 2 ** 10, 2 ** 12),
-            block_size=b).run(parallel=False)
-        cross = crossover_study(m, n, STAMPEDE2, (16, 64)).run(parallel=False)
-        rows = [(r.point["algorithm"], r) for r in sweep.rows]
-        rows += [({"ca": "ca_cqr2"}.get(r.point["side"], "scalapack"), r)
-                 for r in cross.rows]
-        assert cross.first(nodes=16, side="scalapack").ok
+        sweep = _comparison(m, n, (2 ** 6, 2 ** 10, 2 ** 12),
+                            block_size=b).run(parallel=False)
+        cross = _crossover(m, n, (16, 64)).run(parallel=False)
+        rows = [(r.point["algorithms"], r) for r in sweep.rows]
+        rows += [(r.point["algorithms"], r) for r in cross.rows]
+        assert cross.first(procs=16 * STAMPEDE2.procs_per_node,
+                           algorithms="scalapack").ok
         for algorithm, row in rows:
             if row.ok:
                 solver_for(algorithm).prepare(_spec_from_config(
@@ -635,11 +692,9 @@ class TestExperimentStudies:
                     for p in series.get(variant.label, [])] == expected
 
     def test_crossover_study_sides(self):
-        from repro.experiments.crossover import crossover_study
-
-        table = crossover_study(2 ** 18, 2 ** 8, STAMPEDE2,
-                                (16, 64)).run(parallel=False)
-        assert {row.get("side") for row in table} == {"ca", "scalapack"}
+        table = _crossover(2 ** 18, 2 ** 8, (16, 64)).run(parallel=False)
+        assert {row.get("algorithms") for row in table} == {"ca_cqr2",
+                                                            "scalapack"}
 
     def test_accuracy_study_matches_legacy_shim(self):
         """Every row equals a direct measurement on the seeded ladder."""
@@ -666,8 +721,14 @@ class TestExperimentStudies:
 
 
 class TestSymbolicScalingStudy:
+    """The cost-only strong-scaling ladder is an executed symbolic spec."""
+
+    SPEC = {"kind": "executed", "mode": "symbolic", "algorithms": ["ca_cqr2"],
+            "m": 1024, "n": 16, "procs": [16, 64]}
+
     def test_matches_engine_symbolic_runs(self):
-        study = symbolic_scaling_study(m=1024, n=16, proc_counts=(16, 64))
+        study = study_from_dict(self.SPEC)
+        assert study.name == "executed-sweep-1024x16-symbolic"
         table = study.run(parallel=False)
         assert [row.point["procs"] for row in table.rows] == [16, 64]
         for row in table.rows:
@@ -679,14 +740,3 @@ class TestSymbolicScalingStudy:
             assert row.values["messages"] == report.max_cost.messages
             assert row.values["words"] == report.max_cost.words
             assert row.values["flops"] == report.max_cost.flops
-
-    def test_from_dict(self):
-        study = study_from_dict({"kind": "symbolic-scaling", "m": 1024,
-                                 "n": 16, "procs": [16, 64]})
-        assert study.name == "symbolic-scaling-ca_cqr2-1024x16"
-        table = study.run(parallel=False)
-        assert all(row.ok for row in table.rows)
-
-    def test_from_dict_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="symbolic-scaling"):
-            study_from_dict({"kind": "nonsense", "m": 4, "n": 4})
