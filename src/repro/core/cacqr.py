@@ -10,7 +10,10 @@ One CA-CQR pass:
    ``Pi[:, y, z]`` as ``W`` -- slice ``z`` obtains ``A``'s columns of
    residue ``z``.
 2. **Local Gram** (line 2): ``X = W.T @ A_local``, the rows-``y`` partial of
-   the Gram block ``(A.T A)[z::c, x::c]``.
+   the Gram block ``(A.T A)[z::c, x::c]``.  The Gram is symmetric (the
+   paper charges it at the Syrk rate), so the numerics multiply only the
+   ``x >= z`` partials and fill each ``x < z`` one with its mirror's
+   transpose: the plain product's bits (Syrk itself rounds differently).
 3. **Contiguous-group Reduce** (line 3): within each y-group of size ``c``,
    reduce onto the root with ``y mod c == z``, summing the group's row
    partials.
@@ -71,7 +74,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.cfr3d import _cfr3d_program, cfr3d, default_base_case
-from repro.core.mm3d import mm3d, mm3d_stacked
+from repro.core.mm3d import chunks, mm3d, mm3d_stacked
 from repro.costmodel import collectives as cc
 from repro.kernels import flops as fl
 from repro.kernels.blas import local_mm_tn
@@ -244,7 +247,7 @@ def _charge_cross_product(vm: VirtualMachine, g: Grid3D,
     # (self) products are charged at the Syrk rate -- the paper's
     # critical-path flop count (4 m n**2 + (5/3) n**3 for CQR2) assumes the
     # implementation exploits the Gram matrix's symmetry; the numeric
-    # backend still forms the plain product.
+    # backend forms the x >= z rank blocks and mirrors the rest.
     partial, flops = local_mm_tn(SymbolicBlock(w_shape), SymbolicBlock(t_shape))
     vm.charge_flops_group(g.all_ranks_array,
                           flops / 2.0 if symmetric else flops,
@@ -269,23 +272,47 @@ def _charge_cross_product(vm: VirtualMachine, g: Grid3D,
 def _cross_product_stacked(w: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Lines 1-5's numerics on stacked blocks: subcube 0's ``(c, c, 1, ., .)`` plane.
 
-    The row broadcast is a stride-0 view of the root blocks (``W[x, y, z]
-    = w[z, y, z]``) and the local products one stacked ``np.matmul``.  The
-    contiguous-group Reduce sums each group's ``c`` partials in ``y``
-    order; the strided Allreduce sums, for each residue ``z``, the ``d/c``
-    group sums in group order (only the roots' results are ever read, so
-    the non-root residues' all-zero sums are not formed); the depth
+    The grid face is walked in chunks of whole ``y``-groups of ``c`` rank
+    rows (:func:`~repro.core.mm3d.chunks`).  Per chunk, the row broadcast
+    gathers (copies) the root blocks (``W[x, y, z] = w[z, y, z]``) and
+    the local products are stacked ``np.matmul`` calls into one reused
+    buffer.  For the symmetric Gram (*w* is *t*, ``c > 1``) only the
+    blocks ``x >= z`` are multiplied: block ``(x, y, z)`` with ``x < z``
+    is the transpose of its mirror ``(z, y, x)``, bit for bit, since
+    ``A.T @ B == (B.T @ A).T`` bytewise on the BLAS
+    (``tests/test_stacked_numerics.py`` pins it).  The contiguous-group
+    Reduce sums each group's ``c`` partials in ``y`` order; the strided
+    Allreduce adds, for each residue ``z``, the ``d/c`` group sums to a
+    float64 zero in group order (only the roots' results are ever read,
+    so the non-root residues' all-zero sums are not formed); the depth
     broadcast gives rank ``(x, y, z')`` the sum of residue ``y mod c`` --
     the same on every slice ``z'``, so it is the plane's block ``[x, y]``.
     """
-    c, d = t.shape[0], t.shape[1]
+    c = t.shape[0]
+    groups = t.shape[1] // c
+    rows, k, n = t.shape[-2], w.shape[-1], t.shape[-1]
+    mirror = w is t and c > 1
     zs = np.arange(c)
-    w_panels = w[zs, :, zs].transpose(1, 0, 2, 3)[None]  # (1, d, c, ., .)
-    partials = np.matmul(w_panels.swapaxes(-1, -2), t)   # (c, d, c, ., .)
-    by_group = partials.reshape(c, d // c, c, *partials.shape[2:])
-    group_sums = ordered_sum(by_group, axis=2)           # [x, group, z]
-    full = ordered_sum(group_sums, axis=1)               # [x, residue z]
-    return full[:, :, None].copy()      # a view would pin all of partials
+    total = np.zeros((c, c, 1, k, n))
+    full = total[:, :, 0]                                # [x, residue z]
+    parts = chunks(groups, c * c * (c * k * n + rows * k))
+    buf = np.empty((c, parts[0].stop * c, c, k, n))
+    for gs in parts:
+        ys = slice(gs.start * c, gs.stop * c)
+        partials = buf[:, :ys.stop - ys.start]           # (c, y, c, ., .)
+        w_t = w[zs, ys, zs].swapaxes(-1, -2)             # [z, y]: a copy
+        if mirror:
+            for z in range(c):
+                np.matmul(w_t[z][None], t[z:, ys, z], out=partials[z:, :, z])
+            for z in range(1, c):
+                partials[:z, :, z] = partials[z, :, :z].transpose(1, 0, 3, 2)
+        else:
+            np.matmul(w_t.swapaxes(0, 1)[None], t[:, ys], out=partials)
+        by_group = partials.reshape(c, -1, c, c, k, n)   # [x, group, y mod c, z]
+        group_sums = ordered_sum(by_group, axis=2)       # [x, group, z]
+        for g in range(group_sums.shape[1]):
+            full += group_sums[:, g]
+    return total
 
 
 def _apply_gram_shift(vm: VirtualMachine, g: Grid3D, gram: SubcubeResults,

@@ -27,7 +27,7 @@ Costs per processor (as in Table I):
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -37,6 +37,12 @@ from repro.utils.validation import require
 from repro.vmpi.datatypes import SymbolicBlock
 from repro.vmpi.distmatrix import DistMatrix, over_depth
 from repro.vmpi.machine import VirtualMachine
+
+#: Words of float64 output (256 KiB) the stacked kernels compute per
+#: chunk of whole rank blocks: MM3D's residue products and the Gram
+#: dance's partials stay in cache between their product and their sum,
+#: and no step holds a full-size temporary per residue.
+CHUNK_WORDS = 1 << 15
 
 
 def mm3d(vm: Optional[VirtualMachine], a: DistMatrix, b: DistMatrix,
@@ -121,16 +127,35 @@ def mm3d_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``dy`` may be any multiple of ``p``, which multiplies every cubic
     subcube of a ``p x dy x p`` grid by the same ``b`` at once.  Slice
     ``z``'s broadcasts are views of the root blocks (``X[x, y, z] =
-    A[z, y, z]``, ``Y[x, y, z] = B[x, z, z]``) and its local products one
-    stacked ``np.matmul``.  The depth Allreduce accumulates the ``p``
+    A[z, y, z]``, ``Y[x, y, z] = B[x, z, z]``) and its local products
+    stacked ``np.matmul`` calls, one per chunk of ``y`` rows of rank
+    blocks (:func:`chunks`).  The depth Allreduce accumulates the ``p``
     residue products into one ``(p, dy, ., .)`` plane in fiber order --
-    a float64 zero plus each residue in turn, exactly as
-    :func:`~repro.vmpi.comm.ordered_sum` adds a fiber -- and every slice
-    of the returned stack views that plane (:func:`over_depth`).
+    residue 0's product written into the plane plus a float64 zero, then
+    each later residue, computed into one reused chunk buffer, added in
+    turn, exactly as :func:`~repro.vmpi.comm.ordered_sum` adds a fiber --
+    and every slice of the returned stack views that plane
+    (:func:`over_depth`).
     """
-    p = a.shape[0]
-    total = np.matmul(a[0, :, 0][None], b[:, 0, 0][:, None])   # (p, dy, ., .)
-    total += 0.0                    # zero + residue 0, bit for bit
-    for z in range(1, p):
-        total += np.matmul(a[z, :, z][None], b[:, z, z][:, None])
-    return over_depth(total[:, :, None], p)
+    p, dy, rows = a.shape[0], a.shape[1], a.shape[-2]
+    cols = b.shape[-1]
+    total = np.empty((p, dy, 1, rows, cols))
+    plane = total[:, :, 0]
+    parts = chunks(dy, p * rows * cols)
+    buf = np.empty((p, parts[0].stop, rows, cols)) if p > 1 else None
+    for ys in parts:
+        out = plane[:, ys]
+        np.matmul(a[0, ys, 0][None], b[:, 0, 0][:, None], out=out)
+        out += 0.0                  # zero + residue 0, bit for bit
+        for z in range(1, p):
+            out += np.matmul(a[z, ys, z][None], b[:, z, z][:, None],
+                             out=buf[:, :ys.stop - ys.start])  # type: ignore[index]
+    return over_depth(total, p)
+
+
+def chunks(count: int, item_words: int) -> List[slice]:
+    """``range(count)`` as consecutive slices of as many items of
+    *item_words* words as fit in :data:`CHUNK_WORDS` (at least one); the
+    last slice may be shorter."""
+    step = max(1, CHUNK_WORDS // item_words)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]

@@ -68,7 +68,9 @@ def verify_qr(a: np.ndarray, q: np.ndarray, r: np.ndarray,
         orthogonality_tol = 1000.0 * np.sqrt(m) * eps
 
     a_norm = np.linalg.norm(a, "fro")
-    recon = float(np.linalg.norm(a - q @ r, "fro") / a_norm) if a_norm > 0 else 0.0
+    residual = q @ r
+    np.subtract(a, residual, out=residual)      # A - QR in QR's buffer
+    recon = float(np.linalg.norm(residual, "fro") / a_norm) if a_norm > 0 else 0.0
     orth = float(np.linalg.norm(q.T @ q - np.eye(n), 2))
     triangular = bool(np.allclose(r, np.triu(r), atol=0.0))
     nonneg = bool((np.diag(r) >= 0).all())

@@ -33,7 +33,8 @@ whole-array operation that reads the plane and hands a new plane back:
 :meth:`quadrant` and :meth:`column_panel` are slices,
 :meth:`assemble_quadrants` a concatenation, :func:`dist_transpose` one
 axis swap, and the algorithms in :mod:`repro.core` stack their local
-products into one ``np.matmul``.  A symbolic matrix holds one immutable
+products into ``np.matmul`` calls over chunks of whole rank blocks (see
+:func:`repro.core.mm3d.mm3d_stacked`).  A symbolic matrix holds one immutable
 shape-only block shared by every rank (:meth:`DistMatrix.shared`).
 Either way a matrix costs O(1) Python objects whatever the rank count:
 no code holds one object per rank.  Rank ``Pi[x, y, z]``'s block is

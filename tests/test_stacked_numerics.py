@@ -2,26 +2,37 @@
 
 A numeric :class:`DistMatrix` is one stacked array, and CA-CQR2's steps
 are whole-array operations on it: MM3D's broadcasts are stride-0 views
-and its local products one stacked ``np.matmul``, the Gram dance's local
-products one stacked ``W.T @ A``, every reduction a sequential float64
-sum along a grid axis.  This file re-derives each step rank by rank with
-``NumericBlock`` operations -- broadcast copies, one 2D ``@`` per rank,
-collectives summing a float64 zero plus each member in rank order -- and
-requires bytewise equal results at the ``factor`` workload's block shapes
-for ``c`` in {1, 2, 4}, 1D-CQR's Gram and form-Q against its per-rank
-``local_syrk`` / ``local_mm``, TSQR's stacked QRs against one 2D QR per
-rank, and sCQR3's ``||A||_F**2`` against a per-rank ``np.sum`` summed in
-rank order.  It also pins the property all of that rests on:
-a stacked ``np.matmul`` computes every slice exactly like a 2D ``@``,
-including stride-0 and swapped-axes operands.  If a numpy or BLAS build
-ever breaks that, these tests fail instead of ``Q`` and ``R`` silently
-changing.  CI reruns this file with two BLAS threads.
+and its local products stacked ``np.matmul`` calls over chunks of rank
+blocks, the Gram dance's local products stacked ``W.T @ A`` calls (the
+symmetric Gram's ``x < z`` blocks transposed from their mirrors), every
+reduction a sequential float64 sum along a grid axis.  This file
+re-derives each step rank by rank with ``NumericBlock`` operations --
+broadcast copies, one 2D ``@`` per rank, collectives summing a float64
+zero plus each member in rank order -- and requires bytewise equal
+results at the ``factor`` workload's block shapes for ``c`` in {1, 2, 4},
+at forced chunk sizes (``CHUNK_WORDS`` monkeypatched: one block per
+chunk, an uneven last chunk, several chunks), 1D-CQR's Gram and form-Q
+against its per-rank ``local_syrk`` / ``local_mm``, TSQR's stacked QRs
+against one 2D QR per rank, and sCQR3's ``||A||_F**2`` against a
+per-rank ``np.sum`` summed in rank order.  It also pins the properties
+all of that rests on: a stacked ``np.matmul`` computes every slice
+exactly like a 2D ``@``, including stride-0 and swapped-axes operands,
+and ``A.T @ B`` is bytewise ``(B.T @ A).T`` at the ``factor`` block
+shapes.  If a numpy or BLAS build ever breaks either, these tests fail
+instead of ``Q`` and ``R`` silently changing.  CI reruns this file with
+two BLAS threads.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
-from repro.core.cacqr import _apply_gram_shift, _cross_product_replicated
+from repro.core.cacqr import (
+    _apply_gram_shift,
+    _cross_product_replicated,
+    _cross_product_stacked,
+)
 from repro.core.cfr3d import cfr3d, default_base_case
 from repro.baselines.tsqr import tsqr_1d
 from repro.core.cqr_1d import _gram_stacked, cqr_1d
@@ -122,7 +133,12 @@ def ref_cfr3d(a, p, n, n0):
 
 def ref_gram(a, c, d):
     """Algorithm 8 lines 1-5 rank by rank: subcube 0's blocks."""
-    partial = {(x, y, z): local_mm_tn(a[(z, y, z)].copy(), a[(x, y, z)])[0]
+    return ref_cross(a, a, c, d)
+
+
+def ref_cross(w, t, c, d):
+    """The Gram dance on ``W.T @ target`` rank by rank: subcube 0's blocks."""
+    partial = {(x, y, z): local_mm_tn(w[(z, y, z)].copy(), t[(x, y, z)])[0]
                for x, y, z in np.ndindex(c, d, c)}
     group = {(x, g, z): collective_sum([partial[(x, g * c + yl, z)]
                                         for yl in range(c)])
@@ -190,6 +206,127 @@ class TestStackedStepsMatchPerBlockLoops:
         assert_matches(DistMatrix.stacked(dist.grid, dist.m, dist.n, q),
                        ref_mm3d(blocks_of(dist), ref_transpose(ref_y), c,
                                 dist.grid.dim_y))
+
+
+#: The ``(m/d, n/c)`` rank blocks of the ``factor`` workload's ``c > 1``
+#: grids: the shapes whose ``x < z`` Gram partials are mirrored.
+MIRROR_SHAPES = [(128, 64), (256, 32), (256, 64), (256, 128), (512, 32),
+                 (512, 64), (512, 128), (1024, 8), (1024, 16), (1024, 32),
+                 (1024, 64), (2048, 16), (2048, 32), (2048, 64), (4096, 16),
+                 (4096, 32), (4096, 128), (8192, 16), (16384, 8), (16384, 16)]
+
+
+class TestSymmetricGramMirror:
+    """The symmetric Gram multiplies only its ``x >= z`` rank blocks and
+    fills each ``x < z`` one with the transpose of its mirror ``(z, y, x)``:
+    bit-exact only while ``A.T @ B`` is bytewise ``(B.T @ A).T``."""
+
+    @pytest.mark.parametrize("rows,cols", MIRROR_SHAPES,
+                             ids=lambda v: str(v))
+    def test_transposed_product_is_its_mirror_bytewise(self, rows, cols):
+        rng = np.random.default_rng(rows + cols)
+        scale = np.geomspace(1.0, 1e-3, cols)
+        a = rng.standard_normal((rows, cols)) * scale
+        b = rng.standard_normal((rows, cols)) * scale
+        assert_bytes_equal(a.T @ b, (b.T @ a).T)
+
+    def test_mirrored_blocks_equal_per_rank_products(self):
+        # Only rank row y = 0 holds nonzeros, so every Gram block is that
+        # row's partial W.T @ A plus zeros, and the x < z blocks are the
+        # ones filled from their mirrors.
+        c, d, m, n = 4, 8, 2048, 64
+        a = np.random.default_rng(11).standard_normal((m, n))
+        a[np.arange(m) % d != 0] = 0.0
+        dist = DistMatrix.from_global(
+            Grid3D.tunable(VirtualMachine(c * c * d), c, d), a)
+        gram = _cross_product_stacked(dist.data, dist.data)
+        for x, z in np.ndindex(c, c):
+            want = local_mm_tn(NumericBlock(dist.data[z, 0, z].copy()),
+                               NumericBlock(dist.data[x, 0, x]))[0].data
+            assert_bytes_equal(gram[x, z, 0], want + 0.0, f"block ({x}, {z})")
+
+
+_MM3D = importlib.import_module("repro.core.mm3d")
+_CACQR = importlib.import_module("repro.core.cacqr")
+_CHUNKS = _MM3D.chunks
+
+
+class TestChunkBoundaries:
+    """The chunked kernels at forced chunk sizes against the block-by-block
+    references: one rank-block row (or ``y``-group) per chunk, an uneven
+    last chunk, several chunks, and everything in one chunk."""
+
+    C, D, M, N, B = 2, 16, 2048, 32, 8      # 16 rank rows, 8 y-groups
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """Record each partition the kernels walk; set ``CHUNK_WORDS`` through
+        the returned ``force(items, item_words)``."""
+        partitions = []
+
+        def recording(count, item_words):
+            parts = _CHUNKS(count, item_words)
+            partitions.append([(s.start, s.stop) for s in parts])
+            return parts
+
+        monkeypatch.setattr(_MM3D, "chunks", recording)
+        monkeypatch.setattr(_CACQR, "chunks", recording)
+
+        def force(items, item_words):
+            monkeypatch.setattr(_MM3D, "CHUNK_WORDS", items * item_words)
+            partitions.clear()
+            return partitions
+        return force
+
+    @staticmethod
+    def expected(count, items):
+        return [(lo, min(lo + items, count)) for lo in range(0, count, items)]
+
+    def matrix(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        vm = VirtualMachine(self.C * self.C * self.D)
+        return DistMatrix.from_global(Grid3D.tunable(vm, self.C, self.D),
+                                      rng.standard_normal((m, n)))
+
+    @pytest.mark.parametrize("items", [1, 3, 5, 16])
+    def test_mm3d(self, walked, items):
+        c, d = self.C, self.D
+        a = self.matrix(self.M, self.N, 1)
+        b = DistMatrix.from_global(
+            Grid3D.tunable(VirtualMachine(c ** 3), c, c),
+            np.random.default_rng(2).standard_normal((self.N, self.N)))
+        # MM3D's chunk item: one row of rank blocks of the product.
+        seen = walked(items, c * a.local_rows * b.local_cols)
+        q = mm3d_stacked(a.data, b.data)
+        assert seen == [self.expected(d, items)]
+        assert_matches(DistMatrix.stacked(a.grid, a.m, b.n, q),
+                       ref_mm3d(blocks_of(a), blocks_of(b), c, d))
+
+    @pytest.mark.parametrize("items", [1, 3, 5, 8])
+    def test_symmetric_gram(self, walked, items):
+        c, d = self.C, self.D
+        a = self.matrix(self.M, self.N, 3)
+        rows, k = a.local_rows, a.local_cols
+        # The Gram's chunk item: one y-group's partials and root panels.
+        seen = walked(items, c * c * (c * k * k + rows * k))
+        gram = _cross_product_stacked(a.data, a.data)
+        assert seen == [self.expected(d // c, items)]
+        grid = a.grid.subcube(0)
+        assert_matches(DistMatrix.from_plane(grid, a.n, a.n, gram),
+                       ref_gram(blocks_of(a), c, d))
+
+    @pytest.mark.parametrize("items", [1, 3, 5, 8])
+    def test_panel_cross_product(self, walked, items):
+        c, d = self.C, self.D
+        a = self.matrix(self.M, self.N, 4)
+        w, t = a.column_panel(0, self.B), a.column_panel(self.B, self.N)
+        rows, k, n = a.local_rows, w.local_cols, t.local_cols
+        seen = walked(items, c * c * (c * k * n + rows * k))
+        cross = _cross_product_stacked(w.data, t.data)
+        assert seen == [self.expected(d // c, items)]
+        grid = a.grid.subcube(0)
+        assert_matches(DistMatrix.from_plane(grid, w.n, t.n, cross),
+                       ref_cross(blocks_of(w), blocks_of(t), c, d))
 
 
 #: (P, m, n): 1D-CQR grids, including block shapes where syrk and gemm

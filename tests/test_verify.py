@@ -18,6 +18,18 @@ class TestVerifyQR:
         assert verdict.reconstruction_error < 1e-13
         assert verdict.is_upper_triangular
 
+    @pytest.mark.parametrize("m,n,kappa", [(128, 8, 1.0), (4096, 64, 1e6),
+                                           (1000, 30, 1e3)])
+    def test_reconstruction_error_is_the_plain_formula_bitwise(self, m, n, kappa):
+        # The residual is built in QR's buffer; the number must be the one
+        # the two-temporary expression gives, to the last bit.
+        a = matrix_with_condition(m, n, kappa, rng=m + n)
+        q, r = cqr2_sequential(a)
+        want = float(np.linalg.norm(a - q @ r, "fro") / np.linalg.norm(a, "fro"))
+        got = verify_qr(a, q, r).reconstruction_error
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert got > 0.0
+
     def test_fails_on_bad_orthogonality(self):
         # One CholeskyQR pass at kappa ~ 1e6: residual fine, Q broken.
         a = matrix_with_condition(256, 8, 1e6, rng=1)
